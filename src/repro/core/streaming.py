@@ -9,19 +9,24 @@ without touching the history arrays, so a warm ``predict`` under live
 ingest no longer pays the O(n) recompute that the version-keyed LRU
 cannot absorb (every append kills its entries):
 
-* ``AVG`` — a longdouble running sum and count;
+* ``AVG`` — a longdouble running sum and count (the all-data ``AR``'s);
 * ``LV`` — the last value;
-* ``AVG{n}`` / ``MED{n}`` — one shared ring buffer of the last
-  :data:`RING_CAPACITY` values (any window that fits is answerable);
+* ``AVG{n}`` / ``MED{n}`` — the last :data:`RING_CAPACITY` rows of the
+  series column (any window that fits is answerable);
 * ``MED`` — the classic dual-heap running median;
-* ``AVG{h}hr`` — a time-window deque with lazy front expiry and a
-  longdouble window sum;
+* ``AVG{h}hr`` — a cursor into the series column with lazy front expiry
+  and a longdouble window sum;
 * ``AR`` / ``AR{d}d`` — incremental lag-pair accumulators
   (``Σx, Σy, Σxx, Σxy, m`` in longdouble, exactly the prefix-sum
-  statistics of :mod:`repro.core.fast`), plus a monotonic min-deque for
-  the clamp floor on the windowed variants;
+  statistics of :mod:`repro.core.fast`), plus a cursor and a monotonic
+  min chain of column indices for the clamp floor on the windowed
+  variants;
 * ``C-`` variants — a bank of the same summaries per observed size
   class.
+
+Every window above is a suffix of one ``(time, value)`` series, so each
+series is held once, as a float64 column; the windows keep indices into
+it and the prefix behind all of them is dropped as they advance.
 
 Numerical contract: answers match the generic predictors within the
 established longdouble tolerance — bit-identical for ``LV``, ``MED``,
@@ -42,6 +47,7 @@ handled the same way: the owner rebuilds the bank from the arrays via
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -65,8 +71,8 @@ __all__ = [
     "StreamingBank",
 ]
 
-#: Largest count window answerable from the shared ring buffer; covers the
-#: paper's ``AVG5/15/25`` and ``MED5/15/25`` (and any other window that fits).
+#: Largest count window answerable (the column always keeps this many rows);
+#: covers the paper's ``AVG5/15/25`` and ``MED5/15/25``.
 RING_CAPACITY = 25
 
 #: Temporal-mean windows kept incrementally (hours).
@@ -88,58 +94,33 @@ class StreamingUnavailable(RuntimeError):
     """
 
 
-def _fold_sum(current: np.longdouble, values: np.ndarray) -> np.longdouble:
-    """``current + v0 + v1 + ...`` bit-identically to the scalar loop.
+def _fold_sum(current: np.longdouble, values: np.ndarray,
+              ufunc: np.ufunc = np.add) -> np.longdouble:
+    """``current + v0 + v1 + ...`` bit-identically to the scalar loop
+    (``current - v0 - v1 - ...`` with ``ufunc=np.subtract``).
 
-    ``np.add.accumulate`` materializes every partial sum left to right —
+    ``ufunc.accumulate`` materializes every partial sum left to right —
     unlike ``sum()``/``.sum()``, which use pairwise summation — so the
-    final element is exactly the chained ``+=`` the per-record path
-    performs.  This is what lets :meth:`StreamingBank.extend` vectorize
-    the longdouble running sums without perturbing a single bit.
+    final element is exactly the chained ``+=`` (``-=``) the per-record
+    path performs.  This is what lets :meth:`StreamingBank.extend` and
+    window expiry vectorize the longdouble running sums without
+    perturbing a single bit.  A handful of terms (a live tail expiring
+    one row per arrival) *is* that loop: the array machinery only pays
+    for itself on longer runs.
     """
+    if len(values) <= 4:
+        for value in values.tolist():
+            current = current + value if ufunc is np.add else current - value
+        return current
     acc = np.empty(len(values) + 1, dtype=np.longdouble)
     acc[0] = current
     acc[1:] = values
-    return np.add.accumulate(acc)[-1]
+    return ufunc.accumulate(acc)[-1]
 
 
 # ----------------------------------------------------------------------
 # per-series summaries
 # ----------------------------------------------------------------------
-class _RunningMean:
-    """``AVG``: longdouble running sum + count."""
-
-    __slots__ = ("count", "_sum")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._sum = np.longdouble(0.0)
-
-    def add(self, value: float) -> None:
-        self.count += 1
-        self._sum += value
-
-    def extend(self, values: np.ndarray) -> None:
-        self.count += len(values)
-        self._sum = _fold_sum(self._sum, values)
-
-    def build(self, values: np.ndarray) -> None:
-        self.count = len(values)
-        self._sum = values.astype(np.longdouble).sum() if len(values) else np.longdouble(0.0)
-
-    def value(self) -> Optional[float]:
-        if self.count == 0:
-            return None
-        return float(self._sum / self.count)
-
-    def state(self) -> dict:
-        return {"count": self.count, "sum": self._sum}
-
-    def load_state(self, state: dict) -> None:
-        self.count = int(state["count"])
-        self._sum = np.longdouble(state["sum"])
-
-
 class _RunningMedian:
     """``MED``: dual-heap running median, O(log n) per add, O(1) per query."""
 
@@ -180,54 +161,57 @@ class _RunningMedian:
         self._upper = [float(v) for v in state["upper"]]
 
 
-class _TemporalMean:
-    """``AVG{h}hr``: (time, value) deque with lazy expiry + window sum."""
+def _expired(cursor, col: "SeriesSummaries", cutoff: float) -> int:
+    """Rows at ``cursor.start`` older than ``cutoff`` (boundary recorded)."""
+    if cutoff < cursor._expired_to:
+        raise StreamingUnavailable(
+            f"window start {cutoff} precedes expired boundary {cursor._expired_to}"
+        )
+    cursor._expired_to = cutoff
+    start, n = cursor.start, col._n
+    if start == n or not col._times[start] < cutoff:
+        return 0
+    return int(col._times[start:n].searchsorted(cutoff, side="left"))
 
-    __slots__ = ("seconds", "_entries", "_sum", "_expired_to")
+
+class _TemporalMean:
+    """``AVG{h}hr``: a cursor into the series column + the window sum."""
+
+    __slots__ = ("seconds", "start", "_sum", "_expired_to")
 
     def __init__(self, seconds: float) -> None:
         self.seconds = seconds
-        self._entries: deque = deque()  # (time, value), time-ordered
+        self.start = 0
         self._sum = np.longdouble(0.0)
         self._expired_to = -np.inf
 
-    def add(self, time: float, value: float) -> None:
-        self._entries.append((time, value))
+    def add(self, value: float) -> None:
         self._sum += value
 
-    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
-        self._entries.extend(zip(times.tolist(), values.tolist()))
+    def extend(self, values: np.ndarray) -> None:
         self._sum = _fold_sum(self._sum, values)
 
-    def build(self, times: np.ndarray, values: np.ndarray) -> None:
-        self._entries = deque(zip(times.tolist(), values.tolist()))
+    def build(self, values: np.ndarray) -> None:
+        self.start = 0
         self._sum = values.astype(np.longdouble).sum() if len(values) else np.longdouble(0.0)
         self._expired_to = -np.inf
 
-    def value(self, anchor: float) -> Optional[float]:
-        cutoff = anchor - self.seconds
-        if cutoff < self._expired_to:
-            raise StreamingUnavailable(
-                f"window start {cutoff} precedes expired boundary {self._expired_to}"
-            )
-        entries = self._entries
-        while entries and entries[0][0] < cutoff:
-            self._sum -= entries.popleft()[1]
-        self._expired_to = cutoff
-        if not entries:
-            return None
-        return float(self._sum / len(entries))
+    def value(self, col: "SeriesSummaries", anchor: float) -> Optional[float]:
+        expired = _expired(self, col, anchor - self.seconds)
+        if expired:
+            stop = self.start + expired
+            self._sum = _fold_sum(self._sum, col._values[self.start:stop], np.subtract)
+            self.start = stop
+            col._trim()
+        live = col._n - self.start
+        return float(self._sum / live) if live else None
 
     def state(self) -> dict:
-        return {
-            "times": [t for t, _ in self._entries],
-            "values": [v for _, v in self._entries],
-            "sum": self._sum,
-            "expired_to": float(self._expired_to),
-        }
+        return {"start": self.start, "sum": self._sum,
+                "expired_to": float(self._expired_to)}
 
     def load_state(self, state: dict) -> None:
-        self._entries = deque(zip(state["times"], state["values"]))
+        self.start = int(state["start"])
         self._sum = np.longdouble(state["sum"])
         self._expired_to = float(state["expired_to"])
 
@@ -240,19 +224,19 @@ class _ArSummary:
     sufficient statistics ``Σx, Σy, Σxx, Σxy, m`` — the exact formulation
     (and longdouble precision) of the vectorized kernel in
     :mod:`repro.core.fast`.  The all-data variant needs only running
-    scalars; the windowed variants add a lazy-expiry deque and a
-    monotonic min-deque for the clamp floor.
+    scalars; the windowed variants add a cursor into the series column
+    and a monotonic min chain of column indices for the clamp floor.
     """
 
     __slots__ = (
-        "seconds", "count", "_sum", "_last", "_min",
-        "_m", "_sx", "_sy", "_sxx", "_sxy",
-        "_entries", "_mins", "_expired_to",
+        "seconds", "count", "start", "_sum", "_last", "_min",
+        "_m", "_sx", "_sy", "_sxx", "_sxy", "_mins", "_expired_to",
     )
 
     def __init__(self, seconds: Optional[float]) -> None:
         self.seconds = seconds
         self.count = 0
+        self.start = 0
         self._sum = np.longdouble(0.0)
         self._last = 0.0
         self._min = np.inf
@@ -261,21 +245,17 @@ class _ArSummary:
         self._sy = np.longdouble(0.0)
         self._sxx = np.longdouble(0.0)
         self._sxy = np.longdouble(0.0)
-        self._entries: Optional[deque] = deque() if seconds is not None else None
-        self._mins: Optional[deque] = deque() if seconds is not None else None
+        self._mins: List[int] = []  # windowed only: monotonic min chain
         self._expired_to = -np.inf
 
-    def _add_pair(self, x: float, y: float, sign: int) -> None:
-        xl = np.longdouble(x)
-        self._m += sign
-        self._sx += sign * xl
-        self._sy += sign * np.longdouble(y)
-        self._sxx += sign * xl * xl
-        self._sxy += sign * xl * np.longdouble(y)
-
-    def add(self, time: float, value: float) -> None:
+    def add(self, col: "SeriesSummaries", value: float) -> None:
         if self.count:
-            self._add_pair(self._last, value, +1)
+            x = np.longdouble(self._last)  # float64 operands widen exactly
+            self._m += 1
+            self._sx += x
+            self._sy += value
+            self._sxx += x * x
+            self._sxy += x * value
         self.count += 1
         self._sum += value
         self._last = value
@@ -283,27 +263,36 @@ class _ArSummary:
             if value < self._min:
                 self._min = value
         else:
-            self._entries.append((time, value))
-            mins = self._mins
-            while mins and mins[-1][1] >= value:
+            mins, values = self._mins, col._values
+            while mins and values[mins[-1]] >= value:
                 mins.pop()
-            mins.append((time, value))
+            mins.append(col._n - 1)
 
-    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
+    def _push_mins(self, col: "SeriesSummaries", values: np.ndarray) -> None:
+        """Fold the column's last ``len(values)`` rows into the min chain.
+
+        The sequential pop-while replayed wholesale: survivors of the
+        old chain are those strictly below the batch minimum, and the
+        appended entries are the batch's strictly-decreasing
+        suffix-minima chain.
+        """
+        mins, column = self._mins, col._values
+        batch_min = values.min()
+        while mins and column[mins[-1]] >= batch_min:
+            mins.pop()
+        suffix_min = np.minimum.accumulate(values[::-1])[::-1]
+        keep = values < np.concatenate([suffix_min[1:], [np.inf]])
+        mins.extend((np.flatnonzero(keep) + (col._n - len(values))).tolist())
+
+    def extend(self, col: "SeriesSummaries", values: np.ndarray) -> None:
         """Fold an in-order batch; identical final state to n ``add``\\ s.
 
         The lag-pair sums are linear folds, so they vectorize through
         :func:`_fold_sum` over the per-pair longdouble terms (the x
         vector is the previous value shifted by one, seeded with the
-        carried ``_last``).  The monotonic min-deque's batch update is
-        the sequential pop-while replayed wholesale: survivors of the
-        old deque are those strictly below the batch minimum, and the
-        appended entries are the batch's strictly-decreasing
-        suffix-minima chain — the same selection :meth:`build` uses.
+        carried ``_last``).
         """
         n = len(values)
-        if n == 0:
-            return
         wide = values.astype(np.longdouble)
         if self.count:
             x = np.empty(n, dtype=np.longdouble)
@@ -326,18 +315,12 @@ class _ArSummary:
             if low < self._min:
                 self._min = low
         else:
-            self._entries.extend(zip(times.tolist(), values.tolist()))
-            mins = self._mins
-            batch_min = values.min()
-            while mins and mins[-1][1] >= batch_min:
-                mins.pop()
-            suffix_min = np.minimum.accumulate(values[::-1])[::-1]
-            keep = values < np.concatenate([suffix_min[1:], [np.inf]])
-            mins.extend(zip(times[keep].tolist(), values[keep].tolist()))
+            self._push_mins(col, values)
 
-    def build(self, times: np.ndarray, values: np.ndarray) -> None:
+    def build(self, col: "SeriesSummaries", values: np.ndarray) -> None:
         n = len(values)
         self.count = n
+        self.start = 0
         wide = values.astype(np.longdouble)
         self._sum = wide.sum() if n else np.longdouble(0.0)
         self._last = float(values[-1]) if n else 0.0
@@ -355,37 +338,35 @@ class _ArSummary:
         if self.seconds is None:
             self._min = float(values.min()) if n else np.inf
         else:
-            self._entries = deque(zip(times.tolist(), values.tolist()))
-            # The monotonic min-deque holds exactly the strictly
-            # decreasing suffix-minima chain; select it vectorized.
+            self._mins = []
             if n:
-                suffix_min = np.minimum.accumulate(values[::-1])[::-1]
-                keep = values < np.concatenate([suffix_min[1:], [np.inf]])
-                self._mins = deque(zip(times[keep].tolist(), values[keep].tolist()))
-            else:
-                self._mins = deque()
+                self._push_mins(col, values)
 
-    def _expire(self, cutoff: float) -> None:
-        entries = self._entries
-        while entries and entries[0][0] < cutoff:
-            _, value = entries.popleft()
-            self._sum -= value
-            self.count -= 1
-            if entries:
-                self._add_pair(value, entries[0][1], -1)
-        mins = self._mins
-        while mins and mins[0][0] < cutoff:
-            mins.popleft()
+    def _expire(self, col: "SeriesSummaries", expired: int) -> None:
+        """Advance the cursor past ``expired`` rows, unfolding each row
+        and its lag pair — the per-row ``-=`` chain as subtracting folds."""
+        stop = self.start + expired
+        wide = col._values[self.start:min(stop + 1, col._n)].astype(np.longdouble)
+        x, y = wide[:expired], wide[1:]  # y is one short when the window empties
+        self._sum = _fold_sum(self._sum, x, np.subtract)
+        self.count -= expired
+        if len(y):
+            x = x[:len(y)]
+            self._m -= len(y)
+            self._sx = _fold_sum(self._sx, x, np.subtract)
+            self._sy = _fold_sum(self._sy, y, np.subtract)
+            self._sxx = _fold_sum(self._sxx, x * x, np.subtract)
+            self._sxy = _fold_sum(self._sxy, x * y, np.subtract)
+        self.start = stop
+        del self._mins[:bisect_left(self._mins, stop)]
+        col._trim()
 
-    def value(self, anchor: float, min_points: int, clamp: float) -> Optional[float]:
+    def value(self, col: "SeriesSummaries", anchor: float,
+              min_points: int, clamp: float) -> Optional[float]:
         if self.seconds is not None:
-            cutoff = anchor - self.seconds
-            if cutoff < self._expired_to:
-                raise StreamingUnavailable(
-                    f"window start {cutoff} precedes expired boundary {self._expired_to}"
-                )
-            self._expire(cutoff)
-            self._expired_to = cutoff
+            expired = _expired(self, col, anchor - self.seconds)
+            if expired:
+                self._expire(col, expired)
         n = self.count
         if n == 0:
             return None
@@ -399,9 +380,9 @@ class _ArSummary:
         cov = self._sxy - self._sx * self._sy / m
         b = cov / var
         a = (self._sy - b * self._sx) / m
-        prediction = float(a + b * np.longdouble(self._last if self.seconds is None
-                                                 else self._entries[-1][1]))
-        floor = clamp * (self._min if self.seconds is None else self._mins[0][1])
+        prediction = float(a + b * np.longdouble(self._last))
+        floor = clamp * (self._min if self.seconds is None
+                         else col._values[self._mins[0]])
         return max(prediction, float(floor))
 
     def state(self) -> dict:
@@ -418,10 +399,8 @@ class _ArSummary:
             "expired_to": float(self._expired_to),
         }
         if self.seconds is not None:
-            state["entries_t"] = [t for t, _ in self._entries]
-            state["entries_v"] = [v for _, v in self._entries]
-            state["mins_t"] = [t for t, _ in self._mins]
-            state["mins_v"] = [v for _, v in self._mins]
+            state["start"] = self.start
+            state["mins"] = list(self._mins)
         return state
 
     def load_state(self, state: dict) -> None:
@@ -436,116 +415,134 @@ class _ArSummary:
         self._sxy = np.longdouble(state["sxy"])
         self._expired_to = float(state["expired_to"])
         if self.seconds is not None:
-            self._entries = deque(zip(state["entries_t"], state["entries_v"]))
-            self._mins = deque(zip(state["mins_t"], state["mins_v"]))
+            self.start = int(state["start"])
+            self._mins = [int(i) for i in state["mins"]]
 
 
 class SeriesSummaries:
     """All banked summaries for one observation series.
 
     One instance serves the 15 context-insensitive predictors; the
-    classified variants use one instance per observed size class.
+    classified variants use one instance per observed size class.  The
+    series itself is held once, as an append-only float64 ``(times,
+    values)`` column (amortised-doubling buffers, ``_n`` live rows):
+    count windows are views of its tail, time windows are cursors into
+    it, and :meth:`_trim` drops the prefix no window can reach any more.
     """
 
-    __slots__ = ("count", "last", "_ring", "_mean", "_median", "_temporal", "_ar")
+    __slots__ = ("count", "last", "last_time", "_times", "_values", "_n",
+                 "_median", "_temporal", "_ar", "_cursors")
 
     def __init__(self) -> None:
         self.count = 0
         self.last: Optional[float] = None
-        self._ring: deque = deque(maxlen=RING_CAPACITY)
-        self._mean = _RunningMean()
+        self.last_time = -np.inf
+        self._times = self._values = np.empty(0, dtype=np.float64)
+        self._n = 0
         self._median = _RunningMedian()
         self._temporal = {h: _TemporalMean(h * HOUR) for h in TEMPORAL_HOURS}
         self._ar = {d: _ArSummary(None if d is None else d * DAY)
                     for d in (None, *AR_DAYS)}
+        self._cursors = (*self._temporal.values(),
+                         *(self._ar[d] for d in AR_DAYS))
+
+    def _reserve(self, n: int) -> None:
+        """Make room for ``n`` rows (doubling; appends never touch rows
+        below ``_n``, so views handed out by :meth:`state` stay valid)."""
+        if n > len(self._times):
+            capacity = max(n, 2 * len(self._times), 16)
+            for name in ("_times", "_values"):
+                grown = np.empty(capacity, dtype=np.float64)
+                grown[:self._n] = getattr(self, name)[:self._n]
+                setattr(self, name, grown)
+
+    def _trim(self) -> None:
+        """Drop the dead prefix once it is more than half the column.
+
+        Dead rows lie before every cursor and outside the last
+        :data:`RING_CAPACITY`; the rule reads only ``_n`` and the
+        cursors, so a revived bank trims exactly where the original would.
+        """
+        n = self._n
+        if 2 * self._cursors[-1].start <= n:
+            return  # the widest window alone rules it out, as it mostly does
+        dead = min(min(c.start for c in self._cursors), n - RING_CAPACITY)
+        if 2 * dead <= n:
+            return
+        self._times = self._times[dead:n].copy()
+        self._values = self._values[dead:n].copy()
+        self._n = n - dead
+        for cursor in self._cursors:
+            cursor.start -= dead
+        for d in AR_DAYS:
+            self._ar[d]._mins = [i - dead for i in self._ar[d]._mins]
 
     def add(self, time: float, value: float) -> None:
+        n = self._n
+        self._reserve(n + 1)
+        self._times[n] = time
+        self._values[n] = value
+        self._n = n + 1
         self.count += 1
         self.last = value
-        self._ring.append(value)
-        self._mean.add(value)
+        self.last_time = time
         self._median.add(value)
         for summary in self._temporal.values():
-            summary.add(time, value)
+            summary.add(value)
         for summary in self._ar.values():
-            summary.add(time, value)
+            summary.add(self, value)
 
     def extend(self, times: np.ndarray, values: np.ndarray) -> None:
         """Fold an in-order batch; same final state as n ``add`` calls.
 
-        Running sums vectorize (:func:`_fold_sum`); the ring and deques
-        bulk-extend (``deque.extend`` is sequential appends, so
-        ``maxlen`` overflow matches); only the dual-heap median — an
-        inherently sequential structure — stays a per-record loop.
+        The column takes the batch in one slice assignment and the
+        running sums vectorize (:func:`_fold_sum`); only the dual-heap
+        median — an inherently sequential structure — stays a
+        per-record loop.
         """
-        n = len(values)
-        if n == 0:
+        k = len(values)
+        if k == 0:
             return
-        self.count += n
+        n = self._n
+        self._reserve(n + k)
+        self._times[n:n + k] = times
+        self._values[n:n + k] = values
+        self._n = n + k
+        self.count += k
         self.last = float(values[-1])
-        self._ring.extend(values.tolist())
-        self._mean.extend(values)
+        self.last_time = float(times[-1])
         median = self._median
         for value in values.tolist():
             median.add(value)
         for summary in self._temporal.values():
-            summary.extend(times, values)
+            summary.extend(values)
         for summary in self._ar.values():
-            summary.extend(times, values)
+            summary.extend(self, values)
 
     def build(self, times: np.ndarray, values: np.ndarray) -> None:
-        self.count = len(values)
+        self._times = np.array(times, dtype=np.float64)
+        self._values = values = np.array(values, dtype=np.float64)
+        self._n = self.count = len(values)
         self.last = float(values[-1]) if len(values) else None
-        self._ring = deque(values[-RING_CAPACITY:].tolist(), maxlen=RING_CAPACITY)
-        self._mean.build(values)
+        self.last_time = float(times[-1]) if len(values) else -np.inf
         self._median.build(values)
         for summary in self._temporal.values():
-            summary.build(times, values)
+            summary.build(values)
         for summary in self._ar.values():
-            summary.build(times, values)
-
-    # -- queries; each mirrors one predictor's semantics exactly --------
-    def mean(self) -> Optional[float]:
-        return self._mean.value()
-
-    def last_value(self) -> Optional[float]:
-        return self.last
+            summary.build(self, values)
 
     def window_values(self, window: int) -> np.ndarray:
         """The last ``window`` values, oldest first (fewer if short)."""
-        ring = self._ring
-        if window >= len(ring):
-            return np.array(ring, dtype=np.float64)
-        return np.array([ring[i] for i in range(len(ring) - window, len(ring))],
-                        dtype=np.float64)
-
-    def window_mean(self, window: int) -> Optional[float]:
-        if self.count == 0:
-            return None
-        return float(self.window_values(window).mean())
-
-    def window_median(self, window: int) -> Optional[float]:
-        if self.count == 0:
-            return None
-        return float(np.median(self.window_values(window)))
-
-    def median(self) -> Optional[float]:
-        return self._median.value()
-
-    def temporal_mean(self, hours: float, anchor: float) -> Optional[float]:
-        return self._temporal[hours].value(anchor)
-
-    def ar(self, window_days: Optional[float], anchor: float,
-           min_points: int, clamp: float) -> Optional[float]:
-        return self._ar[window_days].value(anchor, min_points, clamp)
+        return self._values[max(self._n - window, 0):self._n]
 
     # -- checkpoint state ----------------------------------------------
     def state(self) -> dict:
         return {
             "count": self.count,
             "last": self.last,
-            "ring": list(self._ring),
-            "mean": self._mean.state(),
+            "last_time": float(self.last_time),
+            "times": self._times[:self._n],
+            "values": self._values[:self._n],
             "median": self._median.state(),
             "temporal": {f"{h:g}": s.state() for h, s in self._temporal.items()},
             "ar": {("all" if d is None else f"{d:g}"): s.state()
@@ -556,8 +553,10 @@ class SeriesSummaries:
         self.count = int(state["count"])
         last = state["last"]
         self.last = None if last is None else float(last)
-        self._ring = deque(state["ring"], maxlen=RING_CAPACITY)
-        self._mean.load_state(state["mean"])
+        self.last_time = float(state["last_time"])
+        self._times = np.array(state["times"], dtype=np.float64)
+        self._values = np.array(state["values"], dtype=np.float64)
+        self._n = len(self._values)
         self._median.load_state(state["median"])
         for h, summary in self._temporal.items():
             summary.load_state(state["temporal"][f"{h:g}"])
@@ -842,31 +841,30 @@ class StreamingBank:
             if type(base) in _BANKED_TYPES:
                 return None
             raise StreamingUnavailable(f"unbanked predictor {base!r}")
+        # Each branch mirrors one predictor's semantics exactly.
         kind = type(base)
         if kind is TotalAverage:
-            return series.mean()
+            total = series._ar[None]  # the all-data AR's sum and count are AVG's
+            return float(total._sum / total.count)
         if kind is LastValue:
-            return series.last_value()
-        if kind is WindowedAverage:
+            return series.last
+        if kind is WindowedAverage or kind is WindowedMedian:
             if base.window > RING_CAPACITY:
                 raise StreamingUnavailable(f"window {base.window} exceeds ring")
-            return series.window_mean(base.window)
-        if kind is WindowedMedian:
-            if base.window > RING_CAPACITY:
-                raise StreamingUnavailable(f"window {base.window} exceeds ring")
-            return series.window_median(base.window)
+            tail = series.window_values(base.window)
+            return float(tail.mean() if kind is WindowedAverage else np.median(tail))
         if kind is TotalMedian:
-            return series.median()
+            return series._median.value()
+        anchor = now if now is not None else series.last_time
         if kind is TemporalAverage:
             if base.hours not in series._temporal:
                 raise StreamingUnavailable(f"no {base.hours}hr window banked")
-            anchor = now if now is not None else _last_time(series)
-            return series.temporal_mean(base.hours, anchor)
+            return series._temporal[base.hours].value(series, anchor)
         if kind is ArModel:
             if base.window_days not in series._ar:
                 raise StreamingUnavailable(f"no {base.window_days}d window banked")
-            anchor = now if now is not None else _last_time(series)
-            return series.ar(base.window_days, anchor, base.min_points, base.clamp)
+            return series._ar[base.window_days].value(
+                series, anchor, base.min_points, base.clamp)
         raise StreamingUnavailable(f"unbanked predictor {base!r}")
 
     # ------------------------------------------------------------------
@@ -902,17 +900,3 @@ _BANKED_TYPES = (
     TotalAverage, LastValue, WindowedAverage, WindowedMedian,
     TotalMedian, TemporalAverage, ArModel,
 )
-
-
-def _last_time(series: SeriesSummaries) -> float:
-    """Anchor default for windowed queries with ``now=None``.
-
-    Mirrors :meth:`Predictor._now`: the last observation time.  The
-    all-data AR summary's deque-free bookkeeping does not retain times,
-    so the temporal deques provide it (they always hold the newest entry
-    until it expires).
-    """
-    for summary in series._temporal.values():
-        if summary._entries:
-            return summary._entries[-1][0]
-    raise StreamingUnavailable("no anchor available for now=None")

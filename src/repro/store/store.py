@@ -708,7 +708,8 @@ class LinkStore:
             return True
 
     def read_checkpoint(self, link: str) -> Optional[dict]:
-        """The link's checkpoint state, or None (absent or quarantined)."""
+        """The link's checkpoint state, or None (absent, stale format,
+        or corrupt and now quarantined)."""
         with self._lock_for(link):
             meta = self._meta(link)
             if meta is None:
@@ -725,6 +726,10 @@ class LinkStore:
             raw = _faults.filter_bytes("store.checkpoint", raw, path=str(path))
             try:
                 return _checkpoint.loads(raw)
+            except _checkpoint.StaleCheckpoint:
+                # Intact, just another format: rebuild from the rows and
+                # let the next checkpoint overwrite it.
+                return None
             except Exception:
                 self._quarantine_file(meta, path, kind="checkpoint")
                 return None

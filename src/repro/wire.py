@@ -204,17 +204,19 @@ class FrameWriter:
     """Encode frames into one growable, reused buffer.
 
     ``encode_request``/``encode_response`` return a :class:`memoryview`
-    over the internal buffer — valid until the next encode, which is
+    over the internal buffer — valid until the next encode (which
+    releases it: a bytearray cannot grow while a view of it is alive),
     exactly the send-then-reuse lifecycle of a connection loop.  The
     buffer only ever grows, so a steady request mix settles into zero
     per-frame allocation.
     """
 
-    __slots__ = ("_buf", "_end")
+    __slots__ = ("_buf", "_end", "_view")
 
     def __init__(self, capacity: int = 4096):
         self._buf = bytearray(capacity)
         self._end = 0
+        self._view: Optional[memoryview] = None
 
     # -- low-level appends ---------------------------------------------
     def _ensure(self, need: int) -> None:
@@ -245,6 +247,9 @@ class FrameWriter:
         self._end += len(raw)
 
     def _begin(self) -> None:
+        if self._view is not None:
+            self._view.release()
+            self._view = None
         self._end = HEADER.size
 
     def _finish(self, op: int) -> memoryview:
@@ -254,7 +259,8 @@ class FrameWriter:
                 f"payload of {payload_len} bytes exceeds {MAX_FRAME_BYTES}"
             )
         HEADER.pack_into(self._buf, 0, MAGIC, FRAME_VERSION, op, payload_len)
-        return memoryview(self._buf)[: self._end]
+        self._view = memoryview(self._buf)[: self._end]
+        return self._view
 
     # -- requests ------------------------------------------------------
     def encode_request(self, req: Dict[str, Any]) -> memoryview:

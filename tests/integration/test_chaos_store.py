@@ -138,6 +138,43 @@ class TestCheckpointFaults:
         assert chaotic == baseline
         assert len(_quarantined(tmp_path / "state")) == len(LOGS)
 
+    def test_stale_format_checkpoint_rebuilds_without_quarantine(
+            self, tmp_path, baseline):
+        """Stale is not corrupt: an intact checkpoint of an older format
+        costs a rebuild, and the next checkpoint overwrites it."""
+        from repro.obs import get_registry
+        from repro.store import checkpoint as ck
+
+        store = LinkStore(tmp_path / "state")
+        first = PredictionService(store=store)
+        _ingest_logs(first)
+        first.checkpoint_all(seal=True)
+        store.close()
+        paths = sorted((tmp_path / "state").rglob("checkpoint.bin"))
+        assert len(paths) == len(LOGS)
+        for path in paths:
+            # A hand-packed v1 header over the intact body (the digest
+            # covers the body only, so it still verifies).
+            raw = path.read_bytes()
+            magic, _, *rest = ck._HEADER.unpack_from(raw)
+            path.write_bytes(
+                ck._HEADER.pack(magic, 1, *rest) + raw[ck._HEADER.size:])
+            with pytest.raises(ck.StaleCheckpoint):
+                ck.loads(path.read_bytes())
+
+        counter = get_registry().counter("store_quarantined", "")
+        before = counter.value
+        second = PredictionService(store=LinkStore(tmp_path / "state"))
+        assert _answers(second) == baseline
+        assert second.status()["store"]["revivals"] == len(LOGS)
+        assert _quarantined(tmp_path / "state") == []
+        assert counter.value == before
+        # The rebuilt links are dirty against the stale file: the next
+        # checkpoint replaces it with the current format.
+        assert second.checkpoint_all() == len(LOGS)
+        for path in paths:
+            assert "bank" in ck.loads(path.read_bytes())
+
     def test_unwritable_checkpoints_degrade_eviction_not_answers(
             self, tmp_path, baseline):
         injector = FaultInjector(seed=17)

@@ -121,3 +121,18 @@ def test_single_worker_fleet_degenerates_cleanly(tmp_path):
             assert client.predict(LINKS[0], 10 * MB, now=NOW)["value"] \
                 == pytest.approx(10 * MB)
             assert client.status()["fleet"]["workers"] == 1
+
+
+def test_large_batch_through_a_pooled_worker_connection(tmp_path):
+    # The front reuses one connection per worker, and the worker reuses
+    # one frame buffer per connection: the 1,000 acks must outgrow the
+    # buffer the small first answer left behind without killing the
+    # worker's connection thread.
+    with make_fleet(tmp_path, workers=1) as fleet:
+        with connect(fleet, binary=True) as client:
+            seed(client, links=LINKS[:1], observations=1)
+            items = [(LINKS[k % 4], 10 * MB, 2000.0 + k, 2001.0 + k)
+                     for k in range(1000)]
+            acks = client.observe_batch(items)
+            assert len(acks) == 1000 and all(a["ok"] for a in acks)
+            assert client.status()["ingested"] == 1001

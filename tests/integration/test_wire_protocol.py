@@ -173,6 +173,26 @@ def test_corrupt_payload_answers_in_band_and_keeps_the_connection(server):
         sock.close()
 
 
+def test_a_large_answer_after_a_small_one_keeps_the_connection(server, service):
+    # No client-side reconnect to hide behind: the server's per-connection
+    # frame buffer must grow past its 4 KiB start while the loop still
+    # holds the previous (ping) answer's view.
+    for i in range(150):  # one status row per link
+        service.ingest_records(f"SITE{i}-ANL", [make_record(start=1000.0 + i)])
+    sock, rfile = _raw_binary(server)
+    writer = wire.FrameWriter()
+    try:
+        sock.sendall(writer.encode_request({"op": "ping"}))
+        op, payload = wire.read_frame(rfile)
+        assert wire.decode_response(op, payload)["pong"] is True
+        sock.sendall(writer.encode_request({"op": "status"}))
+        op, payload = wire.read_frame(rfile)
+        assert len(payload) > 4096
+        assert wire.decode_response(op, payload)["ok"] is True
+    finally:
+        sock.close()
+
+
 def test_bad_magic_answers_in_band_then_closes(server):
     sock, rfile = _raw_binary(server)
     try:

@@ -7,18 +7,43 @@ length.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import evaluate, fast_evaluate
+from repro.core.history import History
 from repro.core.predictors import classified_predictors, paper_predictors
+from repro.units import MB
 from tests.property.test_prop_predictors import histories
+
+#: Values closer than this (relative) make some AR fit near-singular.
+REL_EPS = 1e-4
+
+#: The shrunk failure this test used to find about one run in three: the
+#: first lag pair differs by 2 ulps, so the fit of the fourth record has
+#: lag variance ~1e-26.  The generic two-pass formula resolves it and
+#: extrapolates the slope 1/eps to 4.4e12; the prefix sums cancel to
+#: zero variance and fall back to the window mean (docs/performance.md).
+NEAR_SINGULAR = History(
+    times=np.arange(1.0, 5.0),
+    values=np.array([1000.0, 1000.0000000000002, 1001.0, 1000.0]),
+    sizes=np.full(4, 1 * MB),
+)
+
+
+def well_conditioned(history) -> bool:
+    """Every pair of values is more than ``REL_EPS`` apart (relative), so
+    every AR fit the replay can reach — any prefix, window or size class
+    — has lag variance above ``(REL_EPS * scale) ** 2 / 2``."""
+    v = np.sort(history.values)
+    return bool((np.diff(v) > REL_EPS * v[1:]).all())
 
 
 @given(
-    history=histories(min_size=2, max_size=40),
+    history=histories(min_size=2, max_size=40).filter(well_conditioned),
     training=st.integers(min_value=1, max_value=10),
 )
+@example(history=NEAR_SINGULAR, training=1)
 @settings(max_examples=50, deadline=None)
 def test_fast_matches_generic_everywhere(history, training):
     battery = {**paper_predictors(), **classified_predictors()}
@@ -30,9 +55,14 @@ def test_fast_matches_generic_everywhere(history, training):
         g, f = generic[name], fast[name]
         assert list(f.indices) == list(g.indices), name
         assert f.abstentions == g.abstentions, name
-        # AR fits via prefix sums cancel catastrophically near-singular
-        # cases that the generic two-pass formula resolves differently;
-        # both are legitimate least-squares answers within ~1e-4.
+        if "AR" in name and history is NEAR_SINGULAR:
+            # The engines legitimately part ways here; pin the sensible one.
+            np.testing.assert_allclose(
+                f.predicted[-1], history.values[:3].mean(), err_msg=name)
+            continue
+        # AR fits via prefix sums lose digits to cancellation that the
+        # generic two-pass formula keeps; within the conditioning the
+        # strategy guarantees both agree to ~1e-4.
         rtol = 1e-4 if "AR" in name else 1e-7
         np.testing.assert_allclose(
             f.predicted, g.predicted, rtol=rtol, atol=1e-12,

@@ -1,16 +1,21 @@
 """Unit tests for the incremental streaming summaries."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core.classification import paper_classification
+from repro.core.history import History
 from repro.core.predictors.registry import ALL_PREDICTOR_NAMES, resolve
 from repro.core.streaming import (
     RECENT_CAPACITY,
+    RING_CAPACITY,
     StreamingBank,
     StreamingUnavailable,
 )
-from repro.units import GB, HOUR, MB
+from repro.store import checkpoint
+from repro.units import DAY, GB, HOUR, MB
 
 CLS = paper_classification()
 
@@ -207,3 +212,129 @@ class TestMdsAttributes:
     def test_recent_reads_short_history_returns_everything(self):
         bank = make_bank([1, 2], [5.0, 6.0])
         assert bank.recent_reads(10) == [5.0, 6.0]
+
+
+class TestAnchorDefault:
+    def test_all_data_ar_needs_no_anchor_after_windows_expired(self):
+        times = np.arange(12.0) * HOUR
+        values = np.array([5.0, 7.0, 6.0, 9.0, 8.0, 11.0,
+                           10.0, 13.0, 12.0, 15.0, 14.0, 17.0])
+        bank = make_bank(times, values)
+        for spec in ("AVG5hr", "AVG15hr", "AVG25hr"):
+            assert answer(bank, spec, now=1000 * HOUR) is None  # all expired
+        history = History(times=times, values=values,
+                          sizes=np.full(12, 100 * MB, dtype=np.int64))
+        # Answered by the bank (no StreamingUnavailable -> no snapshot
+        # recompute), and equal to the generic predictor.
+        assert answer(bank, "AR", now=None) == pytest.approx(
+            resolve("AR").predict(history, now=None), rel=1e-9)
+        assert answer(bank, "AVG", now=None) == pytest.approx(values.mean())
+
+
+# ----------------------------------------------------------------------
+# the memory shape: one (time, value) column per series
+# ----------------------------------------------------------------------
+N_FEED = 10_000
+FEED_TIMES = np.arange(N_FEED, dtype=np.float64) * HOUR
+FEED_VALUES = 50.0 + 40.0 * np.sin(np.arange(N_FEED) * 0.37) \
+    + (np.arange(N_FEED) % 7)
+FEED_SIZES = np.array([10 * MB, 100 * MB, 500 * MB, 1 * GB] * (N_FEED // 4),
+                      dtype=np.int64)
+FEED_OPS = np.zeros(N_FEED, dtype=np.int8)
+WINDOW_SPECS = ("AVG5hr", "AVG15hr", "AVG25hr", "AR5d", "AR10d")
+
+
+def feed(bank, lo, hi):
+    bank.extend(FEED_TIMES[lo:hi], FEED_VALUES[lo:hi],
+                FEED_SIZES[lo:hi], FEED_OPS[lo:hi])
+
+
+def all_series(bank):
+    return [bank._global, *bank._classes.values()]
+
+
+def arrays_in(node):
+    if isinstance(node, np.ndarray):
+        return [node]
+    if isinstance(node, dict):
+        return [a for child in node.values() for a in arrays_in(child)]
+    return []
+
+
+def exact_repr(state):
+    """Every bit of a state dict as text (the codec sorts dict keys, so
+    key order is not part of the state)."""
+    def canonical(node):
+        if isinstance(node, dict):
+            return [(key, canonical(node[key])) for key in sorted(node)]
+        return node
+
+    with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
+        return repr(canonical(state))
+
+
+def roundtrip(bank):
+    revived = StreamingBank(CLS)
+    revived.load_state(checkpoint.loads(checkpoint.dumps(bank.state())))
+    return revived
+
+
+def queried_bank():
+    """The feed with every window queried each 100 records, checked
+    against the generic predictors and the column bound at every round."""
+    bank = StreamingBank(CLS)
+    sizes = [int(s) for s in FEED_SIZES[:4]]
+    for hi in range(100, N_FEED + 1, 100):
+        feed(bank, hi - 100, hi)
+        now = float(FEED_TIMES[hi - 1]) + 60.0
+        history = History(times=FEED_TIMES[:hi], values=FEED_VALUES[:hi],
+                          sizes=FEED_SIZES[:hi])
+        for spec in WINDOW_SPECS:
+            for name, size in [(spec, sizes[0])] + [("C-" + spec, s) for s in sizes]:
+                predictor = resolve(name, classification=CLS)
+                expected = predictor.predict(history, target_size=size, now=now)
+                assert bank.answer(predictor, size, now) == pytest.approx(
+                    expected, rel=1e-9), (name, size, hi)
+        for series in all_series(bank):
+            live = series._times[:series._n]
+            population = int((live >= now - 10 * DAY).sum())
+            # Half-trimming keeps the column within twice what the
+            # widest window and the count windows can still reach.
+            assert series._n <= 2 * (population + RING_CAPACITY), hi
+            assert all(0 <= c.start <= series._n for c in series._cursors)
+    return bank
+
+
+class TestMemoryShape:
+    def test_unqueried_bank_holds_each_observation_once_per_series(self):
+        bank = StreamingBank(CLS)
+        feed(bank, 0, N_FEED)
+        state = bank.state()
+        assert len(checkpoint.dumps(state)) <= 64 * N_FEED
+        # (t, v) once in the link series and once in its class series.
+        assert sum(len(a) for a in arrays_in(state)) == 2 * 2 * N_FEED
+        for series in all_series(bank):
+            assert series._n == series.count
+
+    def test_queried_windows_trim_the_column_and_stay_exact(self):
+        bank = queried_bank()
+        for series in all_series(bank):
+            assert series._n < series.count / 4  # the dead prefix is gone
+        assert exact_repr(roundtrip(bank).state()) == exact_repr(bank.state())
+
+    def test_state_roundtrip_is_repr_identical(self):
+        bank = StreamingBank(CLS)
+        feed(bank, 0, 400)
+        for spec in WINDOW_SPECS:  # cursors mid-column, no trim yet
+            answer(bank, spec, now=float(FEED_TIMES[399]))
+        assert bank._global._n == 400
+        assert min(c.start for c in bank._global._cursors) > 0
+        revived = roundtrip(bank)
+        assert exact_repr(revived.state()) == exact_repr(bank.state())
+        # ... and the revived bank keeps folding and trimming identically.
+        for b in (bank, revived):
+            feed(b, 400, 1500)
+            for spec in WINDOW_SPECS:
+                answer(b, spec, now=float(FEED_TIMES[1499]))
+        assert bank._global._n < 1500
+        assert exact_repr(revived.state()) == exact_repr(bank.state())

@@ -225,6 +225,17 @@ def test_writer_buffer_is_reused_across_encodes():
     assert wire.decode_request(op, payload) == {"op": "status", "v": 1}
 
 
+def test_writer_grows_while_the_previous_view_is_still_held():
+    writer = wire.FrameWriter(capacity=32)
+    held = writer.encode_response(wire.OP_PING, {"ok": True, "v": 1, "pong": True})
+    big = {"ok": True, "v": 1, "blob": "x" * 10_000}
+    out = writer.encode_response(wire.OP_STATUS, big)  # no BufferError
+    op, payload = wire.read_frame(io.BytesIO(bytes(out)))
+    assert wire.decode_response(op, payload) == big
+    with pytest.raises(ValueError):
+        bytes(held)  # the old view was released, not left dangling
+
+
 def test_header_layout_is_the_documented_eight_bytes():
     frame = bytes(wire.FrameWriter().encode_request({"op": "ping"}))
     magic, version, op, length = struct.unpack("!2sBBI", frame[:8])
