@@ -29,48 +29,28 @@ Quick start::
     print(result.mape_table(paper_classification(), "1GB"))
 """
 
-from repro.core import (
-    Classification,
-    EvaluationResult,
-    History,
-    Observation,
-    ReplicaBroker,
-    evaluate,
-    paper_classification,
-    percentage_error,
-)
-from repro.core.predictors import (
-    PAPER_PREDICTOR_NAMES,
-    classified_predictors,
-    make_predictor,
-    paper_predictors,
-    resolve,
-)
-from repro.logs import TransferLog, TransferRecord, Operation
-from repro.workload import AUG_2001, DEC_2001, build_testbed, run_month
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Classification",
-    "EvaluationResult",
-    "History",
-    "Observation",
-    "ReplicaBroker",
-    "evaluate",
-    "paper_classification",
-    "percentage_error",
-    "PAPER_PREDICTOR_NAMES",
-    "classified_predictors",
-    "make_predictor",
-    "paper_predictors",
-    "resolve",
-    "TransferLog",
-    "TransferRecord",
-    "Operation",
-    "AUG_2001",
-    "DEC_2001",
-    "build_testbed",
-    "run_month",
-    "__version__",
-]
+# Resolved on first access: a serving or client process that never reads
+# ``repro.run_month`` never imports the simulator behind it.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.classification": ("Classification", "paper_classification"),
+    "repro.core.evaluation": ("EvaluationResult", "percentage_error"),
+    "repro.core.history": ("History", "Observation"),
+    "repro.core.selection": ("ReplicaBroker",),
+    "repro.core.engine": ("evaluate",),
+    "repro.core.predictors.registry": (
+        "PAPER_PREDICTOR_NAMES",
+        "classified_predictors",
+        "make_predictor",
+        "paper_predictors",
+        "resolve",
+    ),
+    "repro.logs.logfile": ("TransferLog",),
+    "repro.logs.record": ("TransferRecord", "Operation"),
+    "repro.workload.scenarios": ("AUG_2001", "DEC_2001", "build_testbed"),
+    "repro.workload.campaigns": ("run_month",),
+})
+__all__.append("__version__")

@@ -34,44 +34,25 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.analysis import (
-    check_summary_claims,
-    compare_probe_vs_gridftp,
-    compute_census,
-    compute_class_errors,
-    compute_classification_impact,
-    compute_relative_table,
-    render_census,
-    render_class_errors,
-    render_classification_impact,
-    render_nws_comparison,
-    render_relative_table,
-    render_summary,
-)
-from repro.core.classification import PAPER_CLASS_LABELS, paper_classification
-from repro.core.engine import ENGINES, evaluate_dataset
-from repro.core.predictors.registry import CLASSIFIED_PREDICTOR_NAMES, resolve
-from repro.workload import AUG_2001, DEC_2001, run_month, run_month_with_nws
-from repro.workload.campaigns import CampaignOutput
+if TYPE_CHECKING:
+    from repro.workload.campaigns import CampaignOutput
 
 __all__ = ["main"]
-
-_MONTHS = {"aug": AUG_2001, "dec": DEC_2001}
 
 _SIZE_SUFFIXES = {"KB": 10**3, "MB": 10**6, "GB": 10**9}
 
 
-def _start_epoch(month: str) -> float:
+def _run(month: str, seed: int, with_nws: bool = False) -> Dict[str, CampaignOutput]:
+    # Subcommands import what they run: the simulator loads here, for the
+    # commands that run a campaign, and not with the module.
+    from repro.workload import AUG_2001, DEC_2001, run_month, run_month_with_nws
+
     try:
-        return _MONTHS[month.lower()]
+        start = {"aug": AUG_2001, "dec": DEC_2001}[month.lower()]
     except KeyError:
         raise SystemExit(f"unknown month {month!r}; expected aug or dec") from None
-
-
-def _run(month: str, seed: int, with_nws: bool = False) -> Dict[str, CampaignOutput]:
-    start = _start_epoch(month)
     runner = run_month_with_nws if with_nws else run_month
     return runner(start_epoch=start, seed=seed)
 
@@ -95,6 +76,8 @@ def _parse_size(text: str) -> int:
 
 def _parse_specs(text: str) -> List[str]:
     """Validated predictor specs from a comma-separated ``--predictors``."""
+    from repro.core.predictors.registry import resolve
+
     names = [n.strip() for n in text.split(",") if n.strip()]
     if not names:
         raise SystemExit("--predictors must name at least one predictor")
@@ -107,6 +90,17 @@ def _parse_specs(text: str) -> List[str]:
                 f"(optionally C- prefixed) or SIZE"
             ) from None
     return names
+
+
+def _engine_name(text: str) -> str:
+    """``--engine`` value, checked against the engine module's own list."""
+    from repro.core.engine import ENGINES
+
+    if text not in ENGINES:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {', '.join(ENGINES)})"
+        )
+    return text
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -128,6 +122,22 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.analysis import (
+        check_summary_claims,
+        compare_probe_vs_gridftp,
+        compute_census,
+        compute_class_errors,
+        compute_classification_impact,
+        compute_relative_table,
+        render_census,
+        render_class_errors,
+        render_classification_impact,
+        render_nws_comparison,
+        render_relative_table,
+        render_summary,
+    )
+    from repro.core.predictors.registry import CLASSIFIED_PREDICTOR_NAMES
+
     kind = args.kind
     if kind == "census":
         months = {
@@ -202,6 +212,8 @@ def _select(
 
 
 def _labels(size_class: Optional[str]) -> tuple:
+    from repro.core.classification import PAPER_CLASS_LABELS
+
     if size_class is None:
         return PAPER_CLASS_LABELS
     if size_class not in PAPER_CLASS_LABELS:
@@ -224,6 +236,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     keeps the original output and JSON shape exactly.
     """
     from repro.analysis.report import render_table
+    from repro.core.classification import paper_classification
+    from repro.core.engine import evaluate_dataset
     from repro.data import Dataset
 
     paths = [Path(p) for p in args.log_files]
@@ -326,6 +340,7 @@ def _build_service(log_paths: List[str], spec: str, cache_size: int,
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.core.predictors.registry import resolve
     from repro.service import LogFollower, ServiceServer
 
     try:
@@ -927,8 +942,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument("--class", dest="size_class", default=None,
                               help="restrict the per-class columns to one class")
     evaluate_cmd.add_argument(
-        "--engine", choices=list(ENGINES), default="auto",
-        help="evaluation engine (auto picks the vectorized path when possible)",
+        "--engine", type=_engine_name, default="auto",
+        help="evaluation engine: auto, generic or fast (auto picks the "
+             "vectorized path when possible)",
     )
     evaluate_cmd.add_argument("--json", action="store_true",
                               help="emit machine-readable JSON instead of a table")

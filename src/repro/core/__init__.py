@@ -24,44 +24,31 @@ Layout:
   path (no history walk).
 """
 
-from repro.core.classification import Classification, paper_classification
-from repro.core.history import History, Observation
-from repro.core.evaluation import (
-    EvaluationResult,
-    PredictionTrace,
-    percentage_error,
-)
-from repro.core.engine import ENGINES, evaluate, evaluate_dataset, select_engine
-from repro.core.relative import RelativePerformance, relative_performance
-from repro.core.selection import RankedReplica, ReplicaBroker
-from repro.core.accuracy import (
-    RiskAdjustedRanking,
-    RiskAssessedReplica,
-    backtest_error,
-)
-from repro.core.fast import fast_evaluate
-from repro.core.streaming import StreamingBank, StreamingUnavailable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Classification",
-    "paper_classification",
-    "History",
-    "Observation",
-    "EvaluationResult",
-    "PredictionTrace",
-    "ENGINES",
-    "evaluate",
-    "evaluate_dataset",
-    "select_engine",
-    "percentage_error",
-    "RelativePerformance",
-    "relative_performance",
-    "RankedReplica",
-    "ReplicaBroker",
-    "RiskAdjustedRanking",
-    "RiskAssessedReplica",
-    "backtest_error",
-    "fast_evaluate",
-    "StreamingBank",
-    "StreamingUnavailable",
-]
+# Resolved on first access: the serving path reads the streaming bank and
+# never loads the evaluation engines; a replay never loads the broker.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.classification": ("Classification", "paper_classification"),
+    "repro.core.history": ("History", "Observation"),
+    "repro.core.evaluation": (
+        "EvaluationResult",
+        "PredictionTrace",
+        "percentage_error",
+    ),
+    "repro.core.engine": (
+        "ENGINES",
+        "evaluate",
+        "evaluate_dataset",
+        "select_engine",
+    ),
+    "repro.core.relative": ("RelativePerformance", "relative_performance"),
+    "repro.core.selection": ("RankedReplica", "ReplicaBroker"),
+    "repro.core.accuracy": (
+        "RiskAdjustedRanking",
+        "RiskAssessedReplica",
+        "backtest_error",
+    ),
+    "repro.core.fast": ("fast_evaluate",),
+    "repro.core.streaming": ("StreamingBank", "StreamingUnavailable"),
+})

@@ -17,50 +17,34 @@ best-of-battery) and :class:`~repro.core.predictors.hybrid.HybridPredictor`
 in the paper's future work.
 """
 
-from repro.core.predictors.base import Predictor, PredictorError
-from repro.core.predictors.mean import TotalAverage, WindowedAverage, TemporalAverage
-from repro.core.predictors.median import TotalMedian, WindowedMedian
-from repro.core.predictors.last_value import LastValue
-from repro.core.predictors.arima import ArModel
-from repro.core.predictors.classified import ClassifiedPredictor
-from repro.core.predictors.dynamic import DynamicSelector
-from repro.core.predictors.hybrid import HybridPredictor
-from repro.core.predictors.size_model import SizeScaledPredictor
-from repro.core.predictors.extrapolation import SiteFactorModel
-from repro.core.predictors.registry import (
-    ALL_PREDICTOR_NAMES,
-    CLASSIFIED_PREDICTOR_NAMES,
-    KERNEL_SPECS,
-    PAPER_PREDICTOR_NAMES,
-    paper_predictors,
-    classified_predictors,
-    make_predictor,
-    resolve,
-    resolve_battery,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Predictor",
-    "PredictorError",
-    "TotalAverage",
-    "WindowedAverage",
-    "TemporalAverage",
-    "TotalMedian",
-    "WindowedMedian",
-    "LastValue",
-    "ArModel",
-    "ClassifiedPredictor",
-    "DynamicSelector",
-    "HybridPredictor",
-    "SizeScaledPredictor",
-    "SiteFactorModel",
-    "PAPER_PREDICTOR_NAMES",
-    "CLASSIFIED_PREDICTOR_NAMES",
-    "ALL_PREDICTOR_NAMES",
-    "KERNEL_SPECS",
-    "paper_predictors",
-    "classified_predictors",
-    "make_predictor",
-    "resolve",
-    "resolve_battery",
-]
+# Resolved on first access: the Figure 4 battery the service resolves
+# does not load the NWS hybrid or the extrapolation model beside it.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.predictors.base": ("Predictor", "PredictorError"),
+    "repro.core.predictors.mean": (
+        "TotalAverage",
+        "WindowedAverage",
+        "TemporalAverage",
+    ),
+    "repro.core.predictors.median": ("TotalMedian", "WindowedMedian"),
+    "repro.core.predictors.last_value": ("LastValue",),
+    "repro.core.predictors.arima": ("ArModel",),
+    "repro.core.predictors.classified": ("ClassifiedPredictor",),
+    "repro.core.predictors.dynamic": ("DynamicSelector",),
+    "repro.core.predictors.hybrid": ("HybridPredictor",),
+    "repro.core.predictors.size_model": ("SizeScaledPredictor",),
+    "repro.core.predictors.extrapolation": ("SiteFactorModel",),
+    "repro.core.predictors.registry": (
+        "PAPER_PREDICTOR_NAMES",
+        "CLASSIFIED_PREDICTOR_NAMES",
+        "ALL_PREDICTOR_NAMES",
+        "KERNEL_SPECS",
+        "paper_predictors",
+        "classified_predictors",
+        "make_predictor",
+        "resolve",
+        "resolve_battery",
+    ),
+})

@@ -98,6 +98,7 @@ _RAW_KEYS: Tuple[str, ...] = (
     "GFTP.FILE",
     "GFTP.VOLUME",
 )
+_REQUIRED_KEYS = frozenset(_RAW_KEYS)
 
 
 class _SlowPath(Exception):
@@ -149,7 +150,7 @@ def _collect(lines: Iterable[str]) -> Tuple[List[List[str]], List[str], List[int
                     fields = parse_fields(stripped)
         except ULMError as exc:
             raise ULMError(f"line {lineno}: {exc}") from None
-        if any(key not in fields for key in _RAW_KEYS):
+        if not fields.keys() >= _REQUIRED_KEYS:
             # parse_record checks keys in its own order; let it pick which
             # missing key the canonical error names.
             try:
@@ -180,16 +181,16 @@ def _reparse(kept: List[str], numbers: List[int]) -> TransferFrame:
 
 
 def _op_codes(raw: List[str]) -> np.ndarray:
-    codes = np.empty(len(raw), dtype=np.int8)
-    for i, value in enumerate(raw):
-        text = value.strip().lower()
-        if text == "read":
-            codes[i] = OP_READ
-        elif text == "write":
-            codes[i] = OP_WRITE
-        else:
-            raise ValueError(f"unknown operation {value!r}")
-    return codes
+    text = np.array(raw, dtype=np.str_)
+    read, write = text == "read", text == "write"
+    if not (read | write).all():
+        # Padded or capitalised spellings, which Operation.parse accepts.
+        text = np.char.lower(np.char.strip(text))
+        read, write = text == "read", text == "write"
+        if not (read | write).all():
+            raise ValueError(
+                f"unknown operation {raw[int(np.argmin(read | write))]!r}")
+    return np.where(read, np.int8(OP_READ), np.int8(OP_WRITE))
 
 
 def parse_ulm_lines(lines: Iterable[str]) -> TransferFrame:
@@ -350,9 +351,9 @@ def load_ulm(path: Union[str, Path], cache: bool = True) -> TransferFrame:
     t0 = time.perf_counter()
     with _span("ingest.load_ulm", path=str(path)) as sp:
         raw = path.read_bytes()
-        digest = _digest(raw)
         sidecar = cache_path(path)
         if cache:
+            digest = _digest(raw)
             frame, status = read_cache_status(sidecar, digest)
         else:
             frame, status = None, "skipped"

@@ -33,7 +33,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import faults as _faults
 from repro.obs.config import enabled as _obs_enabled
@@ -170,32 +170,38 @@ class WorkerSupervisor:
         handle.started_at = time.monotonic()
         handle.respawn_at = None
 
-    def _wait_ready(self, handle: _Handle, deadline: float) -> None:
+    def _wait_ready(self, handle: _Handle, deadline: float,
+                    sleep: Callable[[float], None] = time.sleep) -> None:
         from repro.client import ServiceClient
         from repro.resilience import RetryPolicy
 
-        fail_fast = RetryPolicy(max_attempts=1)
-        while True:
-            try:
-                with ServiceClient(
-                    handle.spec.socket_path, timeout=2.0, retry=fail_fast
-                ) as client:
+        # Poll at 5 ms doubling to 50 ms: a worker is seen within a few
+        # ms of binding its socket, and one that takes seconds to start
+        # is pinged no more often than a fixed 50 ms would.
+        pause = 0.005
+        with ServiceClient(
+            handle.spec.socket_path, timeout=2.0,
+            retry=RetryPolicy(max_attempts=1),
+        ) as client:
+            while True:
+                try:
                     if client.ping():
                         return
-            except (OSError, ConnectionError):
-                pass
-            proc = handle.proc
-            if proc is not None and proc.poll() is not None:
-                raise RuntimeError(
-                    f"fleet worker shard {handle.spec.shard} exited with "
-                    f"code {proc.returncode} before becoming ready"
-                )
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"fleet worker shard {handle.spec.shard} not ready "
-                    f"within {self.startup_timeout}s"
-                )
-            time.sleep(0.05)
+                except (OSError, ConnectionError):
+                    pass
+                proc = handle.proc
+                if proc is not None and proc.poll() is not None:
+                    raise RuntimeError(
+                        f"fleet worker shard {handle.spec.shard} exited with "
+                        f"code {proc.returncode} before becoming ready"
+                    )
+                if time.monotonic() >= deadline:
+                    raise TimeoutError(
+                        f"fleet worker shard {handle.spec.shard} not ready "
+                        f"within {self.startup_timeout}s"
+                    )
+                sleep(pause)
+                pause = min(pause * 2, 0.05)
 
     def _monitor_loop(self) -> None:
         while not self._stopping.wait(self.poll_interval):

@@ -14,31 +14,20 @@ Models the end-to-end network half of a GridFTP transfer:
   case is what makes the simulated NWS probes slow (Figures 1–2).
 """
 
-from repro.net.topology import Site, Link, Path, Topology
-from repro.net.load import (
-    LoadModel,
-    ConstantLoad,
-    DiurnalLoad,
-    Ar1Load,
-    BurstLoad,
-    CompositeLoad,
-    standard_link_load,
-)
-from repro.net.tcp import TcpConfig, TcpModel, TransferTiming
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Site",
-    "Link",
-    "Path",
-    "Topology",
-    "LoadModel",
-    "ConstantLoad",
-    "DiurnalLoad",
-    "Ar1Load",
-    "BurstLoad",
-    "CompositeLoad",
-    "standard_link_load",
-    "TcpConfig",
-    "TcpModel",
-    "TransferTiming",
-]
+# Resolved on first access: the information providers read
+# ``repro.net.topology.Site`` and never load the TCP model beside it.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.net.topology": ("Site", "Link", "Path", "Topology"),
+    "repro.net.load": (
+        "LoadModel",
+        "ConstantLoad",
+        "DiurnalLoad",
+        "Ar1Load",
+        "BurstLoad",
+        "CompositeLoad",
+        "standard_link_load",
+    ),
+    "repro.net.tcp": ("TcpConfig", "TcpModel", "TransferTiming"),
+})

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.net.load import ConstantLoad, LoadModel
 
 __all__ = ["Site", "Link", "Path", "Topology"]
@@ -151,6 +149,10 @@ class Topology:
     """The testbed graph: add sites and links, then query routed paths."""
 
     def __init__(self) -> None:
+        # networkx loads with the first graph, not with ``Site``: the
+        # information providers import this module for the value type alone.
+        import networkx as nx
+
         self._graph = nx.Graph()
         self._sites: Dict[str, Site] = {}
 
@@ -202,6 +204,8 @@ class Topology:
         networkx.NetworkXNoPath
             If the sites are not connected.
         """
+        import networkx as nx
+
         source, sink = self.site(src), self.site(dst)
         if src == dst:
             raise ValueError("source and destination are the same site")

@@ -21,29 +21,21 @@ Components: :mod:`repro.nws.series` (timestamped measurement series),
 dynamic selection).
 """
 
-from repro.nws.series import TimeSeries
-from repro.nws.sensor import NwsSensor, ProbeConfig
-from repro.nws.forecaster import (
-    Forecaster,
-    RunningMean,
-    SlidingMean,
-    SlidingMedian,
-    LastValue,
-    ExponentialSmoothing,
-    DynamicForecaster,
-    standard_battery,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TimeSeries",
-    "NwsSensor",
-    "ProbeConfig",
-    "Forecaster",
-    "RunningMean",
-    "SlidingMean",
-    "SlidingMedian",
-    "LastValue",
-    "ExponentialSmoothing",
-    "DynamicForecaster",
-    "standard_battery",
-]
+# Resolved on first access: ``repro.nws.series`` is a plain value type
+# the hybrid predictor reads; only the sensor needs the simulation kernel.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.nws.series": ("TimeSeries",),
+    "repro.nws.sensor": ("NwsSensor", "ProbeConfig"),
+    "repro.nws.forecaster": (
+        "Forecaster",
+        "RunningMean",
+        "SlidingMean",
+        "SlidingMedian",
+        "LastValue",
+        "ExponentialSmoothing",
+        "DynamicForecaster",
+        "standard_battery",
+    ),
+})

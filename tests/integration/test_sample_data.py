@@ -24,10 +24,11 @@ def test_sample_traces_evaluate(classification):
     assert 5.0 < mape < 55.0
 
 
-def test_sample_matches_regeneration():
-    """The committed August LBL trace is exactly seed 1's output."""
+def test_sample_matches_regeneration(tmp_path):
+    """The committed August traces are seed 1's output, byte for byte."""
     from repro.workload import run_month
 
-    fresh = run_month(seed=1)["LBL-ANL"].log
-    shipped = TransferLog.load(DATA_DIR / "aug-LBL-ANL.ulm")
-    assert shipped.records() == fresh.records()
+    for link, output in run_month(seed=1).items():
+        fresh = tmp_path / f"{link}.ulm"
+        output.log.save(fresh)
+        assert fresh.read_bytes() == (DATA_DIR / f"aug-{link}.ulm").read_bytes()

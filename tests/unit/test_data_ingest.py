@@ -67,6 +67,24 @@ class TestParse:
         with pytest.raises(ULMError, match="line 1"):
             parse_ulm_text(text)
 
+    def test_operation_spellings_match_per_record_path(self, sample_records):
+        # Operation.parse strips and lowercases; the vectorized comparison
+        # must accept the same spellings and reject the same strangers.
+        lines = [format_record(r) for r in sample_records[:4]]
+        for i, spelling in enumerate(("Read", "WRITE", '" write "', "read")):
+            lines[i] = lines[i].replace("GFTP.OP=read", f"GFTP.OP={spelling}")
+        frame = parse_ulm_text("\n".join(lines))
+        assert frame.equals(TransferFrame.from_records(parse_lines(lines)))
+        assert frame.ops.tolist() == [0, 1, 1, 0]
+
+        lines[2] = lines[2].replace('GFTP.OP=" write "', "GFTP.OP=append")
+        with pytest.raises(ULMError) as vectorized:
+            parse_ulm_text("\n".join(lines))
+        with pytest.raises(ULMError) as per_record:
+            list(parse_lines(lines))
+        assert str(vectorized.value) == str(per_record.value)
+        assert "line 3" in str(vectorized.value)
+
 
 class TestCache:
     def test_first_load_writes_sidecar(self, log_path):
@@ -75,7 +93,11 @@ class TestCache:
         assert sidecar.exists()
         assert load_ulm(log_path).equals(frame)
 
-    def test_cache_false_never_touches_disk(self, log_path):
+    def test_cache_false_never_touches_disk(self, log_path, monkeypatch):
+        # ... nor hashes the log: the digest is the sidecar's key only.
+        monkeypatch.setattr(
+            "repro.data.ingest._digest",
+            lambda raw: pytest.fail("hashed a log whose digest nobody reads"))
         load_ulm(log_path, cache=False)
         assert not cache_path(log_path).exists()
 

@@ -83,12 +83,21 @@ def kill_worker(front, servers, shard):
     ``ServiceServer.stop()`` closes the listener and unlinks the socket,
     but connection threads the front already pooled keep serving (in a
     real kill the OS closes them).  Resetting the shard's pool finishes
-    the simulation: the next call dials fresh and gets refused.
+    the simulation: the next call dials fresh and gets refused.  A
+    heartbeat in flight keeps its connection through a reset and pools
+    it again afterwards, so reset until no connection is left open.
     """
     servers[shard].stop()
-    asyncio.run_coroutine_threadsafe(
-        front._links[shard].reset(), front._loop
-    ).result(timeout=5.0)
+    link = front._links[shard]
+    deadline = time.monotonic() + 5.0
+    while True:
+        asyncio.run_coroutine_threadsafe(
+            link.reset(), front._loop
+        ).result(timeout=5.0)
+        if link._created == 0:
+            return
+        assert time.monotonic() < deadline, "pooled connections never drained"
+        time.sleep(0.01)
 
 
 def shard_split(front, links):
