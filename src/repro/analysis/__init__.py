@@ -19,52 +19,40 @@ the paper's figures plot:
 * :mod:`repro.analysis.report` — table rendering helpers.
 """
 
-from repro.analysis.report import render_table
-from repro.analysis.nws_compare import NwsComparison, compare_probe_vs_gridftp, render_nws_comparison
-from repro.analysis.census import Census, compute_census, render_census
-from repro.analysis.errors import (
-    ClassErrors,
-    compute_class_errors,
-    compute_class_errors_dataset,
-    render_class_errors,
-)
-from repro.analysis.classification_impact import (
-    ClassificationImpact,
-    compute_classification_impact,
-    render_classification_impact,
-)
-from repro.analysis.relative_perf import (
-    RelativeTable,
-    compute_relative_table,
-    render_relative_table,
-)
-from repro.analysis.summary import SummaryClaims, check_summary_claims, render_summary
-from repro.analysis.export import export_all
-from repro.analysis.sweep import SweepResult, render_sweep, sweep_claims
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_table",
-    "NwsComparison",
-    "compare_probe_vs_gridftp",
-    "render_nws_comparison",
-    "Census",
-    "compute_census",
-    "render_census",
-    "ClassErrors",
-    "compute_class_errors",
-    "compute_class_errors_dataset",
-    "render_class_errors",
-    "ClassificationImpact",
-    "compute_classification_impact",
-    "render_classification_impact",
-    "RelativeTable",
-    "compute_relative_table",
-    "render_relative_table",
-    "SummaryClaims",
-    "check_summary_claims",
-    "render_summary",
-    "export_all",
-    "SweepResult",
-    "render_sweep",
-    "sweep_claims",
-]
+# Resolved on first access: ``repro evaluate`` renders one table with
+# :mod:`repro.analysis.report` and must not start the campaign simulator
+# that the census, comparison, export and sweep modules import.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.analysis.report": ("render_table",),
+    "repro.analysis.nws_compare": (
+        "NwsComparison",
+        "compare_probe_vs_gridftp",
+        "render_nws_comparison",
+    ),
+    "repro.analysis.census": ("Census", "compute_census", "render_census"),
+    "repro.analysis.errors": (
+        "ClassErrors",
+        "compute_class_errors",
+        "compute_class_errors_dataset",
+        "render_class_errors",
+    ),
+    "repro.analysis.classification_impact": (
+        "ClassificationImpact",
+        "compute_classification_impact",
+        "render_classification_impact",
+    ),
+    "repro.analysis.relative_perf": (
+        "RelativeTable",
+        "compute_relative_table",
+        "render_relative_table",
+    ),
+    "repro.analysis.summary": (
+        "SummaryClaims",
+        "check_summary_claims",
+        "render_summary",
+    ),
+    "repro.analysis.export": ("export_all",),
+    "repro.analysis.sweep": ("SweepResult", "render_sweep", "sweep_claims"),
+})

@@ -29,6 +29,10 @@ def _num(value: Optional[float]) -> str:
     return f"{value:.3g}"
 
 
+def _micros(seconds: Optional[float]) -> str:
+    return f"{seconds * 1e6:.0f}us" if seconds is not None else "-"
+
+
 def _ratio(hits: float, total: float) -> str:
     return f"{hits / total * 100.0:.1f}%" if total else "-"
 
@@ -62,9 +66,9 @@ def render_scoreboard(status: Dict[str, Any],
     """One terminal page summarizing a service ``status()`` payload.
 
     ``metrics`` — when given, a merged registry snapshot — contributes
-    the per-protocol server request counters; everything else reads from
-    ``status`` alone, so the renderer works identically against a live
-    socket and an in-process service.
+    the per-protocol server request counters and the store's checkpoint
+    timings; everything else reads from ``status`` alone, so the renderer
+    works identically against a live socket and an in-process service.
     """
     lines: List[str] = []
     cache = status.get("cache", {})
@@ -140,6 +144,18 @@ def render_scoreboard(status: Dict[str, Any],
             if bad:
                 line += f"  bad={bad:g}"
             lines.append(line)
+
+        written = metrics.get("store_checkpoint_write_seconds") or {}
+        read = metrics.get("store_checkpoint_read_seconds") or {}
+        if written.get("count") or read.get("count"):
+            stored = _counter_value(metrics, "store_checkpoint_bytes") or 0.0
+            lines.append(
+                f"checkpoints  written={written.get('count', 0):g}"
+                f" p50={_micros(written.get('p50'))}"
+                f"  read={read.get('count', 0):g}"
+                f" p50={_micros(read.get('p50'))}"
+                f"  stored={stored / 1e6:.2f}MB"
+            )
 
     lines.append("")
     if not accuracy.get("enabled"):

@@ -1,7 +1,7 @@
 """Packed binary checkpoints for streaming-bank state.
 
 A checkpoint is what makes cold-link revival O(1): restore the bank's
-sufficient statistics and answer, instead of replaying history.  Two
+sufficient statistics and answer, instead of replaying history.  Three
 requirements shape the format:
 
 * **Exactness.**  The evict→revive parity gate demands bit-identical
@@ -13,20 +13,29 @@ requirements shape the format:
   raw typed pools the layout points into (``tobytes``/``frombuffer``
   round-trips are exact by construction).  Arrays enter the pool as
   bytes and come back as arrays; lists come back as lists.
+* **Size.**  A link's checkpoint is most of what it costs on disk, and
+  the raw body repeats itself: the layout writes the same ~40 key names
+  once per series, the f8 pool holds every value three times (link
+  series, class series, median heaps) and a longdouble is 6/16 padding.
+  So the body (layout ‖ f8 pool ‖ ld pool) is stored as one zlib stream
+  at a fixed level; deflate finds all three.
 * **Speed.**  Revival must stay sub-millisecond, so the whole file is
-  one read: a fixed header, the layout, and the two pools, with a
-  SHA-256 over all three.  No zip container, no pickle.
+  one read and one inflate: a fixed header carrying the stored length
+  and the three raw lengths, a SHA-256 over those fields and the stored
+  bytes — checked *before* inflating — and an inflate bounded by the
+  declared raw lengths.  No zip container, no pickle.
 
 Corruption (torn write, bit rot, injected fault at the
 ``store.checkpoint`` site) surfaces as :class:`CorruptCheckpoint`; the
 store quarantines the file and the link rebuilds from its segments —
-slower, never wrong.  An intact file in another format version is
+slower, never wrong.  An intact file of an earlier format is
 :class:`StaleCheckpoint`: same rebuild, but nothing is wrong with the
 file, so it stays where it is until the next checkpoint replaces it.
+Earlier formats are read only that far.
 
 Longdouble width is platform-dependent; a checkpoint written on a
-different ABI fails the pool-length check and is treated as corrupt,
-which degrades to a rebuild.
+different ABI fails the width check and is treated as corrupt, which
+degrades to a rebuild.
 """
 
 from __future__ import annotations
@@ -34,16 +43,27 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Any, Dict, List, Tuple
+import zlib
+from typing import Any, Callable, Dict, List, NoReturn, Tuple
 
 import numpy as np
 
 __all__ = ["CorruptCheckpoint", "StaleCheckpoint", "dumps", "loads"]
 
 _MAGIC = b"RSCK"
-_FORMAT = 2  # 1 held every window's (t, v) entries as separate float lists
-# magic | format u16 | ld itemsize u16 | layout len u32 | f8 len u64 | ld len u64 | sha256
-_HEADER = struct.Struct("<4sHHIQQ32s")
+_FORMAT = 3  # 2 stored the body raw; 1 also kept every window's entries
+# magic | format u16 | ld itemsize u16 | stored len u32 | layout len u32
+# | f8 len u64 | ld len u64; the SHA-256 of these bytes and the stored
+# stream follows, then the stream.
+_FIELDS = struct.Struct("<4sHHIIQQ")
+_DIGEST_SIZE = hashlib.sha256().digest_size
+_HEADER_SIZE = _FIELDS.size + _DIGEST_SIZE
+# Formats 1 and 2: raw body, the digest over the body alone.
+_RAW_HEADER = struct.Struct("<4sHHIQQ32s")
+#: Deflate level of the stored stream.  Level 1 already finds the repeated
+#: key names and values; higher levels buy a few percent for twice the
+#: write time.
+_LEVEL = 1
 
 # Layout markers: a list whose first element is one of these denotes a
 # pool reference, not a literal.  The NUL prefix cannot appear in real
@@ -54,6 +74,13 @@ _LD = "\x00ld"
 
 _NUMBERS = (int, float, np.integer, np.floating)
 
+_LD_SIZE = np.dtype(np.longdouble).itemsize
+#: Leading bytes of a longdouble that hold its value.  x87 extended
+#: precision (63-bit mantissa) fills 10 of its 12 or 16; the rest is
+#: whatever was in memory, and left alone it would give the same state a
+#: different stored length from one write to the next.
+_LD_VALUE_BYTES = 10 if np.finfo(np.longdouble).nmant == 63 else _LD_SIZE
+
 
 class CorruptCheckpoint(Exception):
     """The checkpoint bytes cannot be trusted."""
@@ -63,112 +90,209 @@ class StaleCheckpoint(Exception):
     """An intact checkpoint in a format this build does not read."""
 
 
-def _pack(node: Any, f8: List[bytes], ld: List[np.longdouble]) -> Any:
-    if isinstance(node, dict):
-        return {str(key): _pack(node[key], f8, ld) for key in sorted(node)}
-    if isinstance(node, np.ndarray):
-        if node.dtype != np.float64 or node.ndim != 1:
-            raise TypeError(f"unsupported array: {node.dtype} {node.shape}")
-        f8.append(node.astype("<f8", copy=False).tobytes())
-        return [_A8, len(node)]
-    if isinstance(node, (list, tuple)):
-        items = list(node)
-        kinds = set(map(type, items))
-        if all(issubclass(k, _NUMBERS) and k is not bool for k in kinds):
-            f8.append(np.array(items, dtype="<f8").tobytes())
-            return [_F8, len(items)]
-        if kinds == {str}:
-            if any(x.startswith("\x00") for x in items):
-                raise TypeError("string values may not start with NUL")
-            return items
-        raise TypeError(f"unsupported list content: {items!r}")
-    if isinstance(node, np.longdouble):
-        ld.append(node)
-        return [_LD]
-    if node is None or isinstance(node, (bool, str)):
-        return node
-    if isinstance(node, (int, np.integer)):
-        return int(node)
-    if isinstance(node, (float, np.floating)):
-        return float(node)
-    raise TypeError(f"unsupported checkpoint value: {node!r}")
+# ----------------------------------------------------------------------
+# state tree -> layout + pools
+# ----------------------------------------------------------------------
+def _pack_dict(node, f8, ld):
+    out = {}
+    for key in sorted(node):
+        value = node[key]
+        kind = type(value)
+        if kind in _LITERALS:
+            out[str(key)] = value
+        else:
+            pack = _PACKERS.get(kind) or _packer_for(value)
+            out[str(key)] = pack(value, f8, ld)
+    return out
 
 
-def _unpack(node: Any, f8: np.ndarray, ld: np.ndarray,
-            cursor: List[int]) -> Any:
-    if isinstance(node, dict):
-        return {key: _unpack(value, f8, ld, cursor) for key, value in node.items()}
-    if isinstance(node, list):
-        if node and node[0] in (_F8, _A8):
-            count = int(node[1])
-            start = cursor[0]
-            cursor[0] = start + count
-            if cursor[0] > len(f8):
-                raise CorruptCheckpoint("float pool exhausted")
-            chunk = f8[start:cursor[0]]
-            return chunk.tolist() if node[0] == _F8 else chunk
-        if node and node[0] == _LD:
-            index = cursor[1]
-            cursor[1] = index + 1
-            if cursor[1] > len(ld):
-                raise CorruptCheckpoint("longdouble pool exhausted")
-            return ld[index]
-        return node
+def _pack_array(node, f8, ld):
+    if node.dtype != np.float64 or node.ndim != 1:
+        raise TypeError(f"unsupported array: {node.dtype} {node.shape}")
+    f8.append(node.astype("<f8", copy=False).tobytes())
+    return [_A8, len(node)]
+
+
+def _pack_sequence(node, f8, ld):
+    items = list(node)
+    kinds = set(map(type, items))
+    if all(issubclass(k, _NUMBERS) and k is not bool for k in kinds):
+        f8.append(np.array(items, dtype="<f8").tobytes())
+        return [_F8, len(items)]
+    if kinds == {str}:
+        if any(x.startswith("\x00") for x in items):
+            raise TypeError("string values may not start with NUL")
+        return items
+    raise TypeError(f"unsupported list content: {items!r}")
+
+
+def _pack_longdouble(node, f8, ld):
+    ld.append(node)
+    return [_LD]
+
+
+def _pack_literal(node, f8, ld):
     return node
+
+
+def _pack_int(node, f8, ld):
+    return int(node)
+
+
+def _pack_float(node, f8, ld):
+    return float(node)
+
+
+#: Exact types the layout carries as they are.
+_LITERALS = frozenset((type(None), bool, str, int, float))
+
+#: One handler per exact node type; anything else (a subclass, another
+#: numpy width) resolves through :func:`_packer_for`.  ``np.longdouble``
+#: comes last so it wins where it aliases ``np.float64``.
+_PACKERS: Dict[type, Callable[[Any, List[bytes], List[np.longdouble]], Any]] = {
+    dict: _pack_dict,
+    np.ndarray: _pack_array,
+    list: _pack_sequence,
+    tuple: _pack_sequence,
+    np.int64: _pack_int,
+    np.float64: _pack_float,
+    np.longdouble: _pack_longdouble,
+}
+
+
+def _packer_for(node: Any):
+    """The handler for a node whose exact type is not in the table."""
+    for kinds, pack in (
+        (dict, _pack_dict), (np.ndarray, _pack_array),
+        ((list, tuple), _pack_sequence), (np.longdouble, _pack_longdouble),
+        ((bool, str), _pack_literal), ((int, np.integer), _pack_int),
+        ((float, np.floating), _pack_float),
+    ):
+        if isinstance(node, kinds):
+            return pack
+    raise TypeError(f"unsupported checkpoint value: {node!r}")
 
 
 def dumps(state: Dict[str, Any]) -> bytes:
     """Serialize a nested state dict (see module docstring for types)."""
     f8: List[bytes] = []
     ld: List[np.longdouble] = []
-    layout = json.dumps(_pack(state, f8, ld), separators=(",", ":")).encode()
+    layout = json.dumps(_pack_dict(state, f8, ld),
+                        separators=(",", ":")).encode()
     f8_bytes = b"".join(f8)
-    ld_bytes = np.asarray(ld, dtype=np.longdouble).tobytes()
-    digest = hashlib.sha256(layout + f8_bytes + ld_bytes).digest()
-    header = _HEADER.pack(
-        _MAGIC, _FORMAT, np.dtype(np.longdouble).itemsize,
-        len(layout), len(f8_bytes), len(ld_bytes), digest,
+    ld_pool = np.array(ld, dtype=np.longdouble)
+    if _LD_VALUE_BYTES < _LD_SIZE:
+        ld_pool.view(np.uint8).reshape(-1, _LD_SIZE)[:, _LD_VALUE_BYTES:] = 0
+    ld_bytes = ld_pool.tobytes()
+    stored = zlib.compress(b"".join((layout, f8_bytes, ld_bytes)), _LEVEL)
+    fields = _FIELDS.pack(
+        _MAGIC, _FORMAT, _LD_SIZE,
+        len(stored), len(layout), len(f8_bytes), len(ld_bytes),
     )
-    return b"".join((header, layout, f8_bytes, ld_bytes))
+    digest = hashlib.sha256(fields + stored).digest()
+    return b"".join((fields, digest, stored))
 
 
-def _split(data: bytes) -> Tuple[bytes, bytes, bytes]:
-    if len(data) < _HEADER.size:
+# ----------------------------------------------------------------------
+# bytes -> verified body -> state tree
+# ----------------------------------------------------------------------
+def _reject_raw_format(data: bytes, version: int) -> NoReturn:
+    """An intact format-1/2 file is stale; anything else is corrupt."""
+    if len(data) >= _RAW_HEADER.size:
+        _, _, _, layout_len, f8_len, ld_len, digest = \
+            _RAW_HEADER.unpack_from(data)
+        body = memoryview(data)[_RAW_HEADER.size:]
+        if (len(body) == layout_len + f8_len + ld_len
+                and hashlib.sha256(body).digest() == digest):
+            raise StaleCheckpoint(
+                f"format {version}, this build reads {_FORMAT}")
+    raise CorruptCheckpoint(f"unreadable as format {version}")
+
+
+def _inflate(data: bytes) -> Tuple[bytes, int, int]:
+    """Verify the header and digest, then inflate no further than the
+    header's claim.  Returns ``(body, layout_len, f8_len)``."""
+    if len(data) < _FIELDS.size:
         raise CorruptCheckpoint("short header")
-    magic, version, ld_size, layout_len, f8_len, ld_len, digest = \
-        _HEADER.unpack_from(data)
+    magic, version, ld_size, stored_len, layout_len, f8_len, ld_len = \
+        _FIELDS.unpack_from(data)
     if magic != _MAGIC:
         raise CorruptCheckpoint("bad magic")
-    if ld_size != np.dtype(np.longdouble).itemsize:
-        raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
-    end = _HEADER.size + layout_len + f8_len + ld_len
-    if len(data) != end:
-        raise CorruptCheckpoint(f"length mismatch: {len(data)} != {end}")
-    body = data[_HEADER.size:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CorruptCheckpoint("digest mismatch")
     if version != _FORMAT:
-        raise StaleCheckpoint(f"format {version}, this build reads {_FORMAT}")
-    layout = body[:layout_len]
-    f8_bytes = body[layout_len:layout_len + f8_len]
-    ld_bytes = body[layout_len + f8_len:]
-    return layout, f8_bytes, ld_bytes
+        _reject_raw_format(data, version)
+    if ld_size != _LD_SIZE:
+        raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
+    if len(data) != _HEADER_SIZE + stored_len:
+        raise CorruptCheckpoint(
+            f"length mismatch: {len(data)} != {_HEADER_SIZE + stored_len}")
+    view = memoryview(data)
+    digest = hashlib.sha256(view[:_FIELDS.size])
+    digest.update(view[_HEADER_SIZE:])
+    if digest.digest() != view[_FIELDS.size:_HEADER_SIZE]:
+        raise CorruptCheckpoint("digest mismatch")
+    if f8_len % 8 or ld_len % ld_size:
+        raise CorruptCheckpoint("pool length is not a whole number of items")
+    raw_len = layout_len + f8_len + ld_len
+    inflater = zlib.decompressobj()
+    try:
+        # One byte of slack lets the stream reach its end marker; a
+        # stream that fills it inflates to more than it declared.
+        body = inflater.decompress(view[_HEADER_SIZE:], raw_len + 1)
+    except (zlib.error, OverflowError) as exc:
+        raise CorruptCheckpoint(f"undecodable stream: {exc}") from None
+    if len(body) != raw_len or not inflater.eof or inflater.unused_data:
+        raise CorruptCheckpoint("stream disagrees with its declared lengths")
+    return body, layout_len, f8_len
+
+
+def _unpack_dict(node, f8, ld, cursor):
+    out = {}
+    for key, value in node.items():
+        unpack = _UNPACKERS.get(type(value))
+        out[key] = unpack(value, f8, ld, cursor) if unpack else value
+    return out
+
+
+def _unpack_list(node, f8, ld, cursor):
+    marker = node[0] if node else None
+    if marker == _LD:
+        index = cursor[1]
+        cursor[1] = index + 1
+        if cursor[1] > len(ld):
+            raise CorruptCheckpoint("longdouble pool exhausted")
+        return ld[index]
+    if marker == _F8 or marker == _A8:
+        count = int(node[1])
+        start = cursor[0]
+        cursor[0] = start + count
+        if cursor[0] > len(f8):
+            raise CorruptCheckpoint("float pool exhausted")
+        chunk = f8[start:cursor[0]]
+        return chunk.tolist() if marker == _F8 else chunk
+    return node
+
+
+#: JSON yields dicts, lists and scalars; scalars pass through.
+_UNPACKERS = {dict: _unpack_dict, list: _unpack_list}
 
 
 def loads(data: bytes) -> Dict[str, Any]:
     """Deserialize; raises :class:`CorruptCheckpoint` on anything off
-    and :class:`StaleCheckpoint` for an intact file of another format."""
-    layout_bytes, f8_bytes, ld_bytes = _split(data)
+    and :class:`StaleCheckpoint` for an intact file of an earlier format."""
+    body, layout_len, f8_len = _inflate(data)
     try:
-        layout = json.loads(layout_bytes)
+        layout = json.loads(body[:layout_len])
     except ValueError as exc:
         raise CorruptCheckpoint(f"undecodable layout: {exc}") from None
-    f8 = np.frombuffer(f8_bytes, dtype="<f8")
-    ld = np.frombuffer(ld_bytes, dtype=np.longdouble)
+    if not isinstance(layout, dict):
+        raise CorruptCheckpoint("layout root is not an object")
+    f8 = np.frombuffer(body, dtype="<f8", count=f8_len // 8, offset=layout_len)
+    ld = np.frombuffer(body, dtype=np.longdouble, offset=layout_len + f8_len)
     cursor = [0, 0]
-    state = _unpack(layout, f8, ld, cursor)
+    try:
+        state = _unpack_dict(layout, f8, ld, cursor)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CorruptCheckpoint(f"malformed pool reference: {exc!r}") from None
     if cursor[0] != len(f8) or cursor[1] != len(ld):
         raise CorruptCheckpoint("pool not fully consumed")
-    if not isinstance(state, dict):
-        raise CorruptCheckpoint("layout root is not an object")
     return state

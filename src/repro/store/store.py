@@ -78,6 +78,14 @@ _M_CHECKPOINTS = _REG.counter(
     "store_checkpoints_written", "streaming-bank checkpoints written")
 _M_CHECKPOINT_ERRORS = _REG.counter(
     "store_checkpoint_errors", "checkpoint writes that failed")
+_M_CHECKPOINT_BYTES = _REG.counter(
+    "store_checkpoint_bytes", "checkpoint bytes stored (after deflate)")
+_H_CHECKPOINT_WRITE = _REG.histogram(
+    "store_checkpoint_write_seconds",
+    "write_checkpoint latency: encode, write, (fsync,) replace")
+_H_CHECKPOINT_READ = _REG.histogram(
+    "store_checkpoint_read_seconds",
+    "read_checkpoint latency for checkpoints that loaded: read, verify, decode")
 _M_QUARANTINED = _REG.counter(
     "store_quarantined", "corrupt segments/checkpoints quarantined")
 _M_TORN = _REG.counter(
@@ -684,13 +692,15 @@ class LinkStore:
     # ------------------------------------------------------------------
     def write_checkpoint(self, link: str, state: dict) -> bool:
         """Atomically persist a checkpoint; never raises (returns False)."""
+        observed = _obs_enabled()
+        started = time.perf_counter() if observed else 0.0
         with self._lock_for(link):
             meta = self._meta(link, create=True)
             path = meta.checkpoint_path
+            tmp = path.with_name(path.name + ".tmp")
             try:
                 data = _checkpoint.dumps(state)
                 _faults.check("store.checkpoint", path=str(path), op="write")
-                tmp = path.with_name(path.name + ".tmp")
                 with open(tmp, "wb") as handle:
                     handle.write(data)
                     if self.fsync:
@@ -698,18 +708,26 @@ class LinkStore:
                         os.fsync(handle.fileno())
                 os.replace(tmp, path)
             except Exception:
-                if _obs_enabled():
+                try:
+                    tmp.unlink(missing_ok=True)
+                except OSError:
+                    pass
+                if observed:
                     _M_CHECKPOINT_ERRORS.inc()
                     get_event_bus().emit(
                         "store.checkpoint_error", link=link, path=str(path))
                 return False
-            if _obs_enabled():
+            if observed:
                 _M_CHECKPOINTS.inc()
+                _M_CHECKPOINT_BYTES.inc(len(data))
+                _H_CHECKPOINT_WRITE.observe(time.perf_counter() - started)
             return True
 
     def read_checkpoint(self, link: str) -> Optional[dict]:
         """The link's checkpoint state, or None (absent, stale format,
         or corrupt and now quarantined)."""
+        observed = _obs_enabled()
+        started = time.perf_counter() if observed else 0.0
         with self._lock_for(link):
             meta = self._meta(link)
             if meta is None:
@@ -725,7 +743,7 @@ class LinkStore:
                 return None
             raw = _faults.filter_bytes("store.checkpoint", raw, path=str(path))
             try:
-                return _checkpoint.loads(raw)
+                state = _checkpoint.loads(raw)
             except _checkpoint.StaleCheckpoint:
                 # Intact, just another format: rebuild from the rows and
                 # let the next checkpoint overwrite it.
@@ -733,6 +751,9 @@ class LinkStore:
             except Exception:
                 self._quarantine_file(meta, path, kind="checkpoint")
                 return None
+            if observed:
+                _H_CHECKPOINT_READ.observe(time.perf_counter() - started)
+            return state
 
     # ------------------------------------------------------------------
     # accounting

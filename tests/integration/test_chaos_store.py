@@ -23,6 +23,7 @@ faults disable on purpose.
 
 from __future__ import annotations
 
+import struct
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from repro.faults import FaultInjector
 from repro.service import PredictionService
 from repro.store import LinkStore
 from repro.units import MB
+from tests.unit.test_store import as_format_2
 
 DATA_DIR = Path(__file__).resolve().parents[2] / "data"
 LOGS = ["aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm"]
@@ -153,12 +155,7 @@ class TestCheckpointFaults:
         paths = sorted((tmp_path / "state").rglob("checkpoint.bin"))
         assert len(paths) == len(LOGS)
         for path in paths:
-            # A hand-packed v1 header over the intact body (the digest
-            # covers the body only, so it still verifies).
-            raw = path.read_bytes()
-            magic, _, *rest = ck._HEADER.unpack_from(raw)
-            path.write_bytes(
-                ck._HEADER.pack(magic, 1, *rest) + raw[ck._HEADER.size:])
+            path.write_bytes(as_format_2(path.read_bytes()))
             with pytest.raises(ck.StaleCheckpoint):
                 ck.loads(path.read_bytes())
 
@@ -173,6 +170,7 @@ class TestCheckpointFaults:
         # checkpoint replaces it with the current format.
         assert second.checkpoint_all() == len(LOGS)
         for path in paths:
+            assert path.read_bytes()[4:6] == struct.pack("<H", 3)
             assert "bank" in ck.loads(path.read_bytes())
 
     def test_unwritable_checkpoints_degrade_eviction_not_answers(

@@ -15,6 +15,7 @@ import tempfile
 import zlib
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,28 @@ def test_encode_columns_matches_struct_reference(rows, seq0):
         [r[4] for r in rows],
     )
     assert blob == _reference_encode(seq0, rows)
+
+
+@pytest.mark.parametrize("n", [1, 16, 4096])  # an observe, a batch, a full tail
+def test_encode_columns_matches_encode_at_tail_sizes(n):
+    rows = [(7 + i, 1e9 + 0.25 * i, 1e6 / (i + 1), 10_000 + i, i % 2, 131 * i)
+            for i in range(n)]
+    blob = wal.encode_columns(7, *([r[k] for r in rows] for k in range(1, 6)))
+    assert blob == wal.encode(rows) == _reference_encode(
+        7, [r[1:] for r in rows])
+    assert wal.scan(blob).seqs == [r[0] for r in rows]
+
+    torn = wal.scan(blob[:-1])  # the last record is short
+    assert len(torn) == n - 1
+    assert torn.valid_bytes == (n - 1) * wal.RECORD_SIZE
+    assert torn.torn_bytes == wal.RECORD_SIZE - 1
+
+    for bad in sorted({0, n // 2, n - 1}):
+        flipped = bytearray(blob)
+        flipped[bad * wal.RECORD_SIZE + 20] ^= 0x10  # one payload bit
+        scan = wal.scan(bytes(flipped))
+        assert scan.seqs == [r[0] for r in rows[:bad]]
+        assert scan.torn_bytes == (n - bad) * wal.RECORD_SIZE
 
 
 @given(

@@ -79,10 +79,13 @@ CLOSURES = [
      SIMULATION + SERVING),
     ("cli-fleet-help", "run('repro.cli', 'fleet', '--help')",
      SIMULATION + SERVING),
-    # --help stops before the subcommand body; this one runs it.
+    # --help stops before the subcommand body; these two run it.
     ("cli-query-logs",
      "run('repro.cli', 'query', 'predict', '--logs', {log!r}, "
      "'--link', 'aug-LBL-ANL', '--size', '1GB')", SIMULATION),
+    # Renders with repro.analysis.report, so the package itself may load.
+    ("cli-evaluate", "run('repro.cli', 'evaluate', {log!r})",
+     tuple(root for root in SIMULATION if root != "repro.analysis")),
 ]
 
 
@@ -171,7 +174,7 @@ def test_serving_and_evaluation_do_not_need_networkx(tmp_path):
 # the lazy packages' public surface
 # ----------------------------------------------------------------------
 LAZY_PACKAGES = ["repro", "repro.core", "repro.core.predictors", "repro.nws",
-                 "repro.net"]
+                 "repro.net", "repro.analysis"]
 
 _SURFACE = """
 import importlib, json, sys

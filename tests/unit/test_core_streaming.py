@@ -310,7 +310,9 @@ class TestMemoryShape:
         bank = StreamingBank(CLS)
         feed(bank, 0, N_FEED)
         state = bank.state()
-        assert len(checkpoint.dumps(state)) <= 64 * N_FEED
+        # Format 3 measures 42.1 B/record here (56.8 raw: two (t, v)
+        # copies and the median heaps; a sin feed's values barely deflate).
+        assert len(checkpoint.dumps(state)) <= 48 * N_FEED
         # (t, v) once in the link series and once in its class series.
         assert sum(len(a) for a in arrays_in(state)) == 2 * 2 * N_FEED
         for series in all_series(bank):

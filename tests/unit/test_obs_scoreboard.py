@@ -72,6 +72,23 @@ def test_scoreboard_with_metrics_shows_protocol_split():
     assert "server  requests=7 (json=5, binary=2)  bad=1" in out
 
 
+def test_scoreboard_with_metrics_shows_checkpoint_line():
+    metrics = {
+        "store_checkpoint_write_seconds": {
+            "type": "histogram", "count": 12, "p50": 0.00061},
+        "store_checkpoint_read_seconds": {
+            "type": "histogram", "count": 3, "p50": 0.00032},
+        "store_checkpoint_bytes": {"type": "counter", "value": 25_700.0},
+    }
+    out = render_scoreboard(_status(), metrics)
+    assert ("checkpoints  written=12 p50=610us  read=3 p50=320us"
+            "  stored=0.03MB") in out
+    # A server that has checkpointed nothing shows no line.
+    idle = {name: dict(data, count=0, value=0.0)
+            for name, data in metrics.items()}
+    assert "checkpoints" not in render_scoreboard(_status(), idle)
+
+
 def test_scoreboard_when_tracker_disabled():
     out = render_scoreboard(_status(accuracy={"enabled": False}))
     assert "accuracy  disabled" in out

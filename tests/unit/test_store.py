@@ -8,11 +8,17 @@ collapses everything back to one trustworthy segment.
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import os
+import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
 
+from repro.obs import get_registry
 from repro.store import CorruptCheckpoint, CorruptSegment, LinkStore
 from repro.store import checkpoint as ck
 from repro.store import segments as seg
@@ -110,6 +116,29 @@ class TestSegments:
 # ----------------------------------------------------------------------
 # checkpoint codec
 # ----------------------------------------------------------------------
+LD_SIZE = np.dtype(np.longdouble).itemsize
+# The format-3 header, packed by hand here so the tests pin the bytes.
+FORMAT_3_FIELDS = struct.Struct("<4sHHIIQQ")
+SMALL_STATE = {"heap": [1.5, 2.5, 3.5], "series": np.array([4.0, 5.0]),
+               "sums": {"sx": np.longdouble(1) / 3, "sy": np.longdouble(7)},
+               "tag": "x", "n": 3}
+
+
+def frame_format_3(stored, layout_len, f8_len, ld_len):
+    """A format-3 file around ``stored`` with a digest that verifies."""
+    fields = FORMAT_3_FIELDS.pack(b"RSCK", 3, LD_SIZE, len(stored),
+                                  layout_len, f8_len, ld_len)
+    return fields + hashlib.sha256(fields + stored).digest() + stored
+
+
+def as_format_2(blob):
+    """The same body as format 2 stored it: raw, the digest over it alone."""
+    _, _, _, _, layout_len, f8_len, ld_len = FORMAT_3_FIELDS.unpack_from(blob)
+    body = zlib.decompress(blob[FORMAT_3_FIELDS.size + 32:])
+    return struct.pack("<4sHHIQQ32s", b"RSCK", 2, LD_SIZE, layout_len, f8_len,
+                       ld_len, hashlib.sha256(body).digest()) + body
+
+
 class TestCheckpoint:
     def test_longdouble_roundtrip_is_exact(self):
         # A sum that differs from its float64 rounding — the whole point
@@ -131,6 +160,19 @@ class TestCheckpoint:
         state = {"b": [1.0, 2.0], "a": {"z": 1, "y": np.longdouble(2)}}
         assert ck.dumps(state) == ck.dumps(state)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
+                        reason="longdouble has no padding bytes here")
+    def test_longdouble_padding_does_not_reach_the_file(self):
+        # x87 long doubles carry 10 value bytes; the rest is whatever was
+        # in memory (format 2 stored it), which would change the deflated
+        # length from one write of the same state to the next.
+        state = {f"s{i:02d}": np.longdouble(i) / 3 for i in range(50)}
+        blob = ck.dumps(state)
+        pool = zlib.decompress(blob[FORMAT_3_FIELDS.size + 32:])[-50 * LD_SIZE:]
+        for at in range(0, len(pool), LD_SIZE):
+            assert pool[at + 10:at + LD_SIZE] == bytes(LD_SIZE - 10)
+        assert ck.loads(blob) == state
+
     def test_flipped_byte_raises(self):
         blob = bytearray(ck.dumps({"x": [1.0, 2.0, 3.0]}))
         blob[-3] ^= 0xFF
@@ -148,6 +190,88 @@ class TestCheckpoint:
         blob = ck.dumps({"x": 1})
         with pytest.raises(CorruptCheckpoint):
             ck.loads(b"XXXX" + blob[4:])
+
+    def test_header_carries_stored_and_raw_lengths(self):
+        blob = ck.dumps(SMALL_STATE)
+        magic, version, ld_size, stored, layout, f8, ld = \
+            FORMAT_3_FIELDS.unpack_from(blob)
+        assert (magic, version) == (b"RSCK", 3)
+        assert ld_size == LD_SIZE
+        assert len(blob) == FORMAT_3_FIELDS.size + 32 + stored
+        body = zlib.decompress(blob[FORMAT_3_FIELDS.size + 32:])
+        assert len(body) == layout + f8 + ld
+        assert (f8, ld) == (5 * 8, 2 * LD_SIZE)
+        assert body[:layout].startswith(b'{"heap":["\\u0000f8",3]')
+
+    def test_every_truncation_is_corrupt(self):
+        blob = ck.dumps(SMALL_STATE)
+        for length in range(len(blob)):
+            with pytest.raises(CorruptCheckpoint):
+                ck.loads(blob[:length])
+        with pytest.raises(CorruptCheckpoint):
+            ck.loads(blob + b"\0")
+
+    def test_every_single_bit_flip_is_corrupt(self):
+        blob = ck.dumps(SMALL_STATE)
+        assert len(blob) < 400  # keeps the sweep at a few thousand loads
+        for at in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[at] ^= 1 << bit
+                with pytest.raises(CorruptCheckpoint):
+                    ck.loads(bytes(flipped))
+
+    def test_inflate_stops_at_the_declared_lengths(self):
+        # An intact digest over a stream that inflates to 1 MB behind a
+        # header that claims 1 KB: rejected, and never inflated.
+        bomb = frame_format_3(zlib.compress(bytes(1 << 20), 1), 1024, 0, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptCheckpoint, match="declared lengths"):
+                ck.loads(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_stream_shorter_than_declared_is_corrupt(self):
+        layout = b'{"x":1}'
+        short = frame_format_3(zlib.compress(layout, 1), len(layout) + 8, 0, 0)
+        with pytest.raises(CorruptCheckpoint, match="declared lengths"):
+            ck.loads(short)
+        ragged = frame_format_3(zlib.compress(layout + bytes(4), 1),
+                                len(layout), 4, 0)
+        with pytest.raises(CorruptCheckpoint, match="whole number"):
+            ck.loads(ragged)
+
+    def test_dangling_pool_reference_is_corrupt(self):
+        layout = b'{"x":["\\u0000f8"]}'  # a reference with no count
+        with pytest.raises(CorruptCheckpoint, match="malformed"):
+            ck.loads(frame_format_3(zlib.compress(layout, 1),
+                                    len(layout), 0, 0))
+
+    def test_intact_format_2_is_stale_and_a_damaged_one_corrupt(self):
+        old = as_format_2(ck.dumps(SMALL_STATE))
+        with pytest.raises(ck.StaleCheckpoint):
+            ck.loads(old)
+        damaged = bytearray(old)
+        damaged[-1] ^= 0x01
+        with pytest.raises(CorruptCheckpoint):
+            ck.loads(bytes(damaged))
+        with pytest.raises(CorruptCheckpoint):
+            ck.loads(old[:-1])
+
+    def test_unlisted_scalar_types_pack_like_their_bases(self):
+        class Label(str):
+            pass
+
+        state = {"n": np.int32(7), "x": np.float32(0.5), "tag": Label("t"),
+                 "pair": (1.0, np.float32(2.0))}
+        out = ck.loads(ck.dumps(state))
+        assert out == {"n": 7, "x": 0.5, "tag": "t", "pair": [1.0, 2.0]}
+        assert type(out["n"]) is int and type(out["x"]) is float
+        with pytest.raises(TypeError):
+            ck.dumps({"bad": {1, 2}})
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +390,73 @@ class TestLinkStore:
         path.write_bytes(b"rot" + path.read_bytes()[3:])
         assert store.read_checkpoint("x") is None
         assert path.with_name(path.name + ".quarantined").exists()
+
+    def test_stale_format_2_checkpoint_is_left_in_place(self, tmp_path):
+        store = LinkStore(tmp_path)
+        assert store.write_checkpoint("x", SMALL_STATE)
+        path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
+        path.write_bytes(as_format_2(path.read_bytes()))
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        assert store.read_checkpoint("x") is None
+        assert quarantined.value == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["checkpoint.bin"]
+        assert store.write_checkpoint("x", SMALL_STATE)
+        assert path.read_bytes()[4:6] == struct.pack("<H", 3)
+        assert store.read_checkpoint("x")["n"] == 3
+
+    @pytest.mark.parametrize("failure", ["replace", "short-write"])
+    def test_failed_checkpoint_write_leaves_no_temp_file(
+            self, tmp_path, monkeypatch, failure):
+        import repro.store.store as store_module
+
+        store = LinkStore(tmp_path)
+        assert store.write_checkpoint("x", {"n": 1})
+        link_dir = next((tmp_path / "links").iterdir())
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EIO, "replace refused")
+
+        def open_short(path, mode):
+            handle = open(path, mode)
+            write = handle.write
+
+            def short_write(data):
+                write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "disk full")
+
+            handle.write = short_write
+            return handle
+
+        if failure == "replace":
+            monkeypatch.setattr(store_module.os, "replace", refuse)
+        else:
+            monkeypatch.setattr(store_module, "open", open_short, raising=False)
+        errors = get_registry().counter("store_checkpoint_errors", "")
+        before = errors.value
+        assert store.write_checkpoint("x", {"n": 2}) is False
+        monkeypatch.undo()
+        assert errors.value == before + 1
+        assert sorted(p.name for p in link_dir.iterdir()) == ["checkpoint.bin"]
+        assert store.read_checkpoint("x") == {"n": 1}
+
+    def test_checkpoint_write_and_read_are_timed_and_sized(self, tmp_path):
+        registry = get_registry()
+        written = registry.histogram("store_checkpoint_write_seconds")
+        read = registry.histogram("store_checkpoint_read_seconds")
+        stored = registry.counter("store_checkpoint_bytes")
+        before = (written.summary()["count"], read.summary()["count"],
+                  stored.value)
+        store = LinkStore(tmp_path)
+        assert store.write_checkpoint("x", SMALL_STATE)
+        assert store.read_checkpoint("x") is not None
+        path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
+        assert written.summary()["count"] == before[0] + 1
+        assert read.summary()["count"] == before[1] + 1
+        assert stored.value == before[2] + path.stat().st_size
+        snapshot = registry.snapshot()
+        assert snapshot["store_checkpoint_write_seconds"]["p50"] > 0.0
+        assert snapshot["store_checkpoint_read_seconds"]["p50"] > 0.0
 
     def test_append_never_raises_on_unwritable_dir(self, tmp_path, monkeypatch):
         store = LinkStore(tmp_path)
