@@ -7,7 +7,7 @@ full 30-predictor battery over each":
   dict, one dataclass per line) followed by the generic walk-forward
   evaluator (one Python ``predict`` call per predictor per record);
 * **columnar path** — :func:`repro.data.ingest.load_ulm` through the
-  warm ``.npz`` sidecar cache (array deserialization, no string
+  warm binary sidecar cache (array deserialization, no string
   parsing) followed by :func:`repro.core.engine.evaluate_dataset`
   routing the battery to the vectorized kernels.
 
@@ -98,7 +98,7 @@ def test_columnar_ingest_beats_seed_path():
 
 @pytest.mark.benchmark(group="claim-ingest")
 def test_sidecar_cache_beats_reparsing():
-    """The .npz read alone is faster than re-parsing the text."""
+    """The sidecar read alone is faster than re-parsing the text."""
     Dataset.from_ulm(LOGS, cache=True)  # ensure sidecars exist
     for path in LOGS:
         assert cache_path(path).exists()
@@ -121,7 +121,7 @@ def test_sidecar_cache_beats_reparsing():
     )
     record(
         "ingest_sidecar",
-        "warm .npz sidecar load beats re-parsing the ULM text (>1x)",
+        "warm sidecar load beats re-parsing the ULM text (>1x)",
         measured=parse_seconds / cached_seconds, floor=1.0,
         parse_seconds=parse_seconds, cached_seconds=cached_seconds,
     )

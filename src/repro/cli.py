@@ -932,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     evaluate_cmd.add_argument(
         "--no-cache", action="store_true",
-        help="skip reading/writing the .npz sidecar next to each log",
+        help="skip reading/writing the binary sidecar next to each log",
     )
     evaluate_cmd.add_argument(
         "--predictors", default="C-AVG15,C-MED,C-LV,SIZE",

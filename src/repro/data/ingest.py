@@ -6,9 +6,12 @@ fine for a test log, ruinous for the many-thousand-record campaign
 outputs the production service replays at startup.  This module parses a
 whole log into a :class:`~repro.data.frame.TransferFrame` in one pass:
 
-* **fast path** — lines containing no double quote (the overwhelming
-  majority: quoting only triggers on file names with spaces, ``=`` or
-  backslashes) tokenize with a plain ``str.split``/``partition`` sweep;
+* **whole-document path** — a log in which every line is exactly what
+  :func:`~repro.logs.ulm.format_record` writes when nothing needs
+  quoting tokenizes with one compiled-regex ``findall``;
+* **fast path** — otherwise, lines containing no double quote (quoting
+  only triggers on file names with spaces, ``=`` or backslashes)
+  tokenize with a plain ``str.split``/``partition`` sweep;
 * **fallback** — lines containing a quote go through the existing
   quote-aware :func:`~repro.logs.ulm.parse_fields` scanner, so escaping
   semantics are shared, not reimplemented;
@@ -22,14 +25,16 @@ errors carry the exact message and line number :func:`parse_lines` would
 raise.  The per-record parser stays the single source of truth; the
 property tests assert frame-identical output on real and fuzzed logs.
 
-**Binary cache.**  :func:`load_ulm` keys a ``.npz`` sidecar on the
-SHA-256 of the log's bytes: the first load parses and writes the
-sidecar, every later load of unchanged content deserializes straight
-into arrays (no string parsing at all) and verifies the digest, so a
-rewritten or truncated log can never serve stale arrays.  Cache files
-are best-effort — an unwritable directory degrades to a parse, and a
+**Binary cache.**  :func:`load_ulm` keys a sidecar (``x.ulm.col``, the
+shared file envelope of :mod:`repro.envelope` around the ten frame
+columns) on the SHA-256 of the log's bytes, carried in the sidecar's
+verified header: the first load parses and writes the sidecar, every
+later load of unchanged content is one read, one digest check and one
+inflate straight into arrays (no string parsing at all), so a rewritten
+or truncated log can never serve stale arrays.  Cache files are
+best-effort — an unwritable directory degrades to a parse, and a
 *corrupt* sidecar (truncated write, bit rot) is quarantined
-(``*.npz.quarantined``), counted, announced on the event bus, and
+(``*.col.quarantined``), counted, announced on the event bus, and
 rebuilt from the log — it never raises out of :func:`load_ulm` and is
 never consulted again (see docs/resilience.md).
 """
@@ -37,16 +42,18 @@ never consulted again (see docs/resilience.md).
 from __future__ import annotations
 
 import hashlib
-import os
-import tempfile
+import re
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import faults as _faults
-from repro.data.frame import OP_READ, OP_WRITE, TransferFrame
+from repro.data.frame import (
+    COLUMN_NAMES, NUMERIC_COLUMNS, OP_READ, OP_WRITE, TransferFrame)
+from repro.envelope import Envelope, Verified, atomic_write, quarantine
+from repro.logs.ulm import _KEYS as _WRITER_KEYS
 from repro.logs.ulm import ULMError, parse_fields, parse_lines, parse_record
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
@@ -59,13 +66,12 @@ __all__ = [
     "load_ulm",
     "cache_path",
     "write_cache",
-    "read_cache",
     "read_cache_status",
-    "quarantine_cache",
 ]
 
 #: Bump when the cache layout changes; readers reject other versions.
-CACHE_VERSION = "1"
+#: 1 was an ``.npz`` beside the log (``x.ulm.npz``), no longer looked at.
+CACHE_VERSION = 2
 
 # Process-wide ingest instrumentation (see docs/observability.md).
 _REG = get_registry()
@@ -75,7 +81,7 @@ _M_FALLBACK = _REG.counter(
     "ingest_fallback_reparses",
     "vectorized parses that fell back to the per-record path")
 _M_CACHE_HITS = _REG.counter(
-    "ingest_cache_hits", "log loads served from the .npz sidecar")
+    "ingest_cache_hits", "log loads served from the binary sidecar")
 _M_CACHE_MISSES = _REG.counter(
     "ingest_cache_misses", "log loads that parsed log text")
 _M_BYTES = _REG.counter("ingest_bytes", "log bytes read by load_ulm")
@@ -83,7 +89,7 @@ _H_LOAD = _REG.histogram("ingest_seconds", "load_ulm wall-clock latency")
 _G_RATE = _REG.gauge(
     "ingest_bytes_per_second", "throughput of the most recent load_ulm")
 _M_QUARANTINED = _REG.counter(
-    "ingest_cache_quarantined", "corrupt .npz sidecars quarantined by load_ulm")
+    "ingest_cache_quarantined", "corrupt sidecars quarantined by load_ulm")
 
 #: ULM keys of the GridFTP transfer object, in frame column order.
 _RAW_KEYS: Tuple[str, ...] = (
@@ -165,7 +171,7 @@ def _collect(lines: Iterable[str]) -> Tuple[List[List[str]], List[str], List[int
     return columns, kept, numbers
 
 
-def _reparse(kept: List[str], numbers: List[int]) -> TransferFrame:
+def _reparse(kept: Sequence[str], numbers: Sequence[int]) -> TransferFrame:
     """Authoritative fallback: the per-record parser on every kept line.
 
     Either raises the canonical line-numbered error or resolves a
@@ -180,7 +186,7 @@ def _reparse(kept: List[str], numbers: List[int]) -> TransferFrame:
     return TransferFrame.from_records(records)
 
 
-def _op_codes(raw: List[str]) -> np.ndarray:
+def _op_codes(raw: Sequence[str]) -> np.ndarray:
     text = np.array(raw, dtype=np.str_)
     read, write = text == "read", text == "write"
     if not (read | write).all():
@@ -193,26 +199,27 @@ def _op_codes(raw: List[str]) -> np.ndarray:
     return np.where(read, np.int8(OP_READ), np.int8(OP_WRITE))
 
 
-def parse_ulm_lines(lines: Iterable[str]) -> TransferFrame:
-    """Parse ULM lines into a frame, skipping blanks and ``#`` comments.
+def _build(columns: Sequence[Sequence[str]], kept: Sequence[str],
+           numbers: Sequence[int]) -> TransferFrame:
+    """Raw per-column strings -> typed, validated frame.
 
-    Frame-identical to ``TransferFrame.from_records(parse_lines(lines))``
-    and raises the same errors on malformed input.
+    Conversions are the per-record parser's own (``float``/``int`` per
+    value); anything they or the validity mask reject goes back through
+    that parser, which owns the error message.
     """
-    columns, kept, numbers = _collect(lines)
     n = len(kept)
     if n == 0:
         return TransferFrame.empty()
     starts_r, ends_r, bws_r, sizes_r, ops_r, streams_r, bufs_r, srcs, files, vols = columns
     try:
         frame = TransferFrame(
-            start_times=np.array(starts_r, dtype=np.float64),
-            end_times=np.array(ends_r, dtype=np.float64),
-            bandwidths=np.array(bws_r, dtype=np.float64),
-            sizes=np.array(sizes_r, dtype=np.str_).astype(np.int64),
+            start_times=np.fromiter(map(float, starts_r), np.float64, n),
+            end_times=np.fromiter(map(float, ends_r), np.float64, n),
+            bandwidths=np.fromiter(map(float, bws_r), np.float64, n),
+            sizes=np.fromiter(map(int, sizes_r), np.int64, n),
             ops=_op_codes(ops_r),
-            streams=np.array(streams_r, dtype=np.str_).astype(np.int64),
-            buffers=np.array(bufs_r, dtype=np.str_).astype(np.int64),
+            streams=np.fromiter(map(int, streams_r), np.int64, n),
+            buffers=np.fromiter(map(int, bufs_r), np.int64, n),
             sources=np.array(srcs, dtype=np.str_),
             files=np.array(files, dtype=np.str_),
             volumes=np.array(vols, dtype=np.str_),
@@ -242,22 +249,80 @@ def parse_ulm_lines(lines: Iterable[str]) -> TransferFrame:
     return frame
 
 
+def parse_ulm_lines(lines: Iterable[str]) -> TransferFrame:
+    """Parse ULM lines into a frame, skipping blanks and ``#`` comments.
+
+    Frame-identical to ``TransferFrame.from_records(parse_lines(lines))``
+    and raises the same errors on malformed input.
+    """
+    return _build(*_collect(lines))
+
+
+#: A line exactly as :func:`repro.logs.ulm.format_record` lays it out when
+#: no value needs quoting: the four preamble keys, then the ten transfer
+#: keys in the writer's order, single spaces, bare values.
+_BARE = r'[^\s"]+'
+_WRITER_LINE = re.compile(
+    "^" + " ".join(
+        [f"{key}={_BARE}" for key in ("DATE", "HOST", "PROG", "LVL")]
+        + [f"{re.escape(key)}=({_BARE})" for key, _ in _WRITER_KEYS]
+    ) + "$", re.MULTILINE)
+#: Regex group of each ``_RAW_KEYS`` column.
+_GROUP_OF = tuple(
+    [key for key, _ in _WRITER_KEYS].index(key) for key in _RAW_KEYS)
+
+
 def parse_ulm_text(text: str) -> TransferFrame:
-    """Parse a whole ULM document (see :func:`parse_ulm_lines`)."""
-    return parse_ulm_lines(text.splitlines())
+    """Parse a whole ULM document (see :func:`parse_ulm_lines`).
+
+    A document in which *every* line is the writer's own layout is
+    tokenized by one regex sweep; anything else — a quote, comment or
+    blank line, a reordered, duplicate or extra key, ``\\r\\n``, a tab, a
+    trailing space — takes the line-at-a-time path unchanged.
+    """
+    lines = text.splitlines()
+    rows = _WRITER_LINE.findall(text)
+    if not rows or len(rows) != len(lines):
+        return parse_ulm_lines(lines)
+    groups = list(zip(*rows))
+    return _build([groups[g] for g in _GROUP_OF], lines,
+                  range(1, len(lines) + 1))
 
 
 # ----------------------------------------------------------------------
 # binary cache
 # ----------------------------------------------------------------------
+#: One section per frame column; the kind's own fields are the log's
+#: content digest and the row count.
+_FILE = Envelope(b"RSUL", CACHE_VERSION, "I" * len(COLUMN_NAMES), meta="32sI")
+_NUMERIC_DTYPES = tuple(
+    np.dtype(dtype).newbyteorder("<") for _, dtype in NUMERIC_COLUMNS)
+
+
 def cache_path(path: Union[str, Path]) -> Path:
-    """The ``.npz`` sidecar for a log file (``x.ulm`` -> ``x.ulm.npz``)."""
+    """The sidecar for a log file (``x.ulm`` -> ``x.ulm.col``)."""
     path = Path(path)
-    return path.with_name(path.name + ".npz")
+    return path.with_name(path.name + ".col")
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _frame_of(head: Verified) -> TransferFrame:
+    """Inflate a verified sidecar; ``ValueError`` if a section is not a
+    whole column of the declared row count."""
+    rows = head.meta[1]
+    sections = _FILE.inflate(head)
+    dtypes = list(_NUMERIC_DTYPES) + [
+        # Fixed-width UCS-4: the width is whatever fills the section.
+        f"<U{len(section) // (4 * rows) if rows else 1}"
+        for section in sections[len(_NUMERIC_DTYPES):]]
+    columns = [np.frombuffer(section, dtype=dtype)
+               for section, dtype in zip(sections, dtypes)]
+    if any(len(column) != rows for column in columns):
+        raise ValueError("column lengths disagree with the row count")
+    return TransferFrame.from_arrays(dict(zip(COLUMN_NAMES, columns)))
 
 
 def read_cache_status(sidecar: Path, digest: str) -> Tuple[Optional[TransferFrame], str]:
@@ -265,78 +330,44 @@ def read_cache_status(sidecar: Path, digest: str) -> Tuple[Optional[TransferFram
 
     Returns ``(frame, status)`` where status is one of:
 
-    * ``"hit"`` — the frame was deserialized and matches the digest;
+    * ``"hit"`` — the sidecar verified, is for this digest, and inflated;
     * ``"absent"`` — no sidecar file exists;
-    * ``"stale"`` — the sidecar is well-formed but for other content or
-      an older cache layout (normal after a log rewrite or an upgrade);
-    * ``"corrupt"`` — the sidecar exists but cannot be deserialized
+    * ``"stale"`` — the sidecar is intact but for other content (normal
+      after a log rewrite); the next write replaces it;
+    * ``"corrupt"`` — the sidecar exists but its bytes cannot be trusted
       (truncated write, bit rot, injected fault).  Callers should
       quarantine it: unlike ``stale`` it will never heal by itself.
     """
+    want = bytes.fromhex(digest)
     try:
         _faults.check("ingest.cache", path=str(sidecar))
-        with np.load(sidecar, allow_pickle=False) as payload:
-            if str(payload["__version__"]) != CACHE_VERSION:
-                return None, "stale"
-            if str(payload["__digest__"]) != digest:
-                return None, "stale"
-            return TransferFrame.from_arrays(payload), "hit"
+        raw = sidecar.read_bytes()
     except FileNotFoundError:
         return None, "absent"
-    except Exception:
-        return None, "corrupt"
-
-
-def read_cache(sidecar: Path, digest: str) -> Optional[TransferFrame]:
-    """The cached frame, or ``None`` on any mismatch or corruption."""
-    return read_cache_status(sidecar, digest)[0]
-
-
-def quarantine_cache(sidecar: Path) -> Optional[Path]:
-    """Move a corrupt sidecar aside so it is never consulted again.
-
-    Renames ``x.ulm.npz`` to ``x.ulm.npz.quarantined`` (replacing any
-    earlier quarantine); falls back to deletion, and returns ``None``
-    when the filesystem refuses both (read-only media — the corrupt
-    file then simply keeps losing the digest check).
-    """
-    target = sidecar.with_name(sidecar.name + ".quarantined")
-    try:
-        os.replace(sidecar, target)
-        return target
     except OSError:
-        try:
-            sidecar.unlink(missing_ok=True)
-        except OSError:
-            pass
-        return None
+        return None, "corrupt"
+    try:
+        head = _FILE.verify(raw)
+        if head.meta[0] != want:
+            return None, "stale"
+        return _frame_of(head), "hit"
+    except ValueError:
+        return None, "corrupt"
 
 
 def write_cache(sidecar: Path, digest: str, frame: TransferFrame) -> bool:
     """Atomically write the sidecar; returns False when the directory
     refuses (read-only media is a supported deployment)."""
+    sections = [
+        np.ascontiguousarray(
+            column, dtype=column.dtype.newbyteorder("<")).tobytes()
+        for column in frame.to_arrays().values()]
     try:
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(sidecar.parent), prefix=sidecar.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez(
-                    handle,
-                    __version__=np.str_(CACHE_VERSION),
-                    __digest__=np.str_(digest),
-                    **frame.to_arrays(),
-                )
-            os.replace(tmp_name, sidecar)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return True
-    except OSError:
+        atomic_write(sidecar, _FILE.pack(
+            sections, meta=(bytes.fromhex(digest), len(frame))))
+    except (OSError, ValueError):  # refused, or too large for the header
         return False
+    return True
 
 
 def load_ulm(path: Union[str, Path], cache: bool = True) -> TransferFrame:
@@ -360,7 +391,7 @@ def load_ulm(path: Union[str, Path], cache: bool = True) -> TransferFrame:
         if status == "corrupt":
             # A sidecar that cannot even deserialize never heals on its
             # own — move it aside loudly and rebuild from the log.
-            quarantined = quarantine_cache(sidecar)
+            quarantined = quarantine(sidecar)
             if obs:
                 _M_QUARANTINED.inc()
                 get_event_bus().emit(

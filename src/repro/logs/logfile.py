@@ -285,7 +285,7 @@ class TransferLog:
 
         Parses the whole file with the vectorized one-pass ingest and
         bulk-extends the new log — one sorted merge instead of N binary
-        inserts.  ``cache=True`` additionally reads/writes the ``.npz``
+        inserts.  ``cache=True`` additionally reads/writes the binary
         sidecar next to the file (off by default: loading should not
         surprise callers by creating files).
         """

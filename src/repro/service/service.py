@@ -886,7 +886,7 @@ class PredictionService:
 
         The file is parsed by the vectorized one-pass ingest and folded in
         bulk; ``cache=True`` (the default) also consults/writes the
-        ``.npz`` sidecar so a service restart re-reads warm logs in
+        binary sidecar so a service restart re-reads warm logs in
         milliseconds.  Returns ``(link, records ingested)``.
         """
         path = Path(path)

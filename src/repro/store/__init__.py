@@ -4,10 +4,13 @@ Three layers under one per-link directory (see
 :mod:`repro.store.store` for the full durability contract):
 
 * :mod:`repro.store.wal` — the CRC-framed active tail, torn-tail safe;
-* :mod:`repro.store.segments` — sealed, digest-verified ``.npz``
-  column segments with compaction;
+* :mod:`repro.store.segments` — sealed column segments with
+  compaction;
 * :mod:`repro.store.checkpoint` — packed streaming-bank checkpoints
   (exact longdouble round-trip) for O(1) cold-link revival.
+
+Segments and checkpoints are two kinds of the one file envelope
+(:mod:`repro.envelope`): verified header, one deflated body.
 
 :class:`LinkStore` is the only class the serving layer touches.
 """

@@ -17,13 +17,12 @@ requirements shape the format:
   the raw body repeats itself: the layout writes the same ~40 key names
   once per series, the f8 pool holds every value three times (link
   series, class series, median heaps) and a longdouble is 6/16 padding.
-  So the body (layout ‖ f8 pool ‖ ld pool) is stored as one zlib stream
-  at a fixed level; deflate finds all three.
+  The three sections (layout, f8 pool, ld pool) are deflated as one
+  stream; deflate finds all three.
 * **Speed.**  Revival must stay sub-millisecond, so the whole file is
-  one read and one inflate: a fixed header carrying the stored length
-  and the three raw lengths, a SHA-256 over those fields and the stored
-  bytes — checked *before* inflating — and an inflate bounded by the
-  declared raw lengths.  No zip container, no pickle.
+  one read, one digest check and one bounded inflate: the shared file
+  envelope (:mod:`repro.envelope`), whose ``aux`` field carries the
+  long-double width here.  No zip container, no pickle.
 
 Corruption (torn write, bit rot, injected fault at the
 ``store.checkpoint`` site) surfaces as :class:`CorruptCheckpoint`; the
@@ -43,27 +42,18 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import zlib
-from typing import Any, Callable, Dict, List, NoReturn, Tuple
+from typing import Any, Callable, Dict, List, NoReturn
 
 import numpy as np
+
+from repro.envelope import Envelope
 
 __all__ = ["CorruptCheckpoint", "StaleCheckpoint", "dumps", "loads"]
 
 _MAGIC = b"RSCK"
 _FORMAT = 3  # 2 stored the body raw; 1 also kept every window's entries
-# magic | format u16 | ld itemsize u16 | stored len u32 | layout len u32
-# | f8 len u64 | ld len u64; the SHA-256 of these bytes and the stored
-# stream follows, then the stream.
-_FIELDS = struct.Struct("<4sHHIIQQ")
-_DIGEST_SIZE = hashlib.sha256().digest_size
-_HEADER_SIZE = _FIELDS.size + _DIGEST_SIZE
 # Formats 1 and 2: raw body, the digest over the body alone.
 _RAW_HEADER = struct.Struct("<4sHHIQQ32s")
-#: Deflate level of the stored stream.  Level 1 already finds the repeated
-#: key names and values; higher levels buy a few percent for twice the
-#: write time.
-_LEVEL = 1
 
 # Layout markers: a list whose first element is one of these denotes a
 # pool reference, not a literal.  The NUL prefix cannot appear in real
@@ -88,6 +78,10 @@ class CorruptCheckpoint(Exception):
 
 class StaleCheckpoint(Exception):
     """An intact checkpoint in a format this build does not read."""
+
+
+# Sections: layout (u32 length), f8 pool and ld pool (u64 lengths).
+_FILE = Envelope(_MAGIC, _FORMAT, "IQQ", error=CorruptCheckpoint)
 
 
 # ----------------------------------------------------------------------
@@ -183,18 +177,11 @@ def dumps(state: Dict[str, Any]) -> bytes:
     ld_pool = np.array(ld, dtype=np.longdouble)
     if _LD_VALUE_BYTES < _LD_SIZE:
         ld_pool.view(np.uint8).reshape(-1, _LD_SIZE)[:, _LD_VALUE_BYTES:] = 0
-    ld_bytes = ld_pool.tobytes()
-    stored = zlib.compress(b"".join((layout, f8_bytes, ld_bytes)), _LEVEL)
-    fields = _FIELDS.pack(
-        _MAGIC, _FORMAT, _LD_SIZE,
-        len(stored), len(layout), len(f8_bytes), len(ld_bytes),
-    )
-    digest = hashlib.sha256(fields + stored).digest()
-    return b"".join((fields, digest, stored))
+    return _FILE.pack((layout, f8_bytes, ld_pool.tobytes()), aux=_LD_SIZE)
 
 
 # ----------------------------------------------------------------------
-# bytes -> verified body -> state tree
+# bytes -> verified sections -> state tree
 # ----------------------------------------------------------------------
 def _reject_raw_format(data: bytes, version: int) -> NoReturn:
     """An intact format-1/2 file is stale; anything else is corrupt."""
@@ -207,42 +194,6 @@ def _reject_raw_format(data: bytes, version: int) -> NoReturn:
             raise StaleCheckpoint(
                 f"format {version}, this build reads {_FORMAT}")
     raise CorruptCheckpoint(f"unreadable as format {version}")
-
-
-def _inflate(data: bytes) -> Tuple[bytes, int, int]:
-    """Verify the header and digest, then inflate no further than the
-    header's claim.  Returns ``(body, layout_len, f8_len)``."""
-    if len(data) < _FIELDS.size:
-        raise CorruptCheckpoint("short header")
-    magic, version, ld_size, stored_len, layout_len, f8_len, ld_len = \
-        _FIELDS.unpack_from(data)
-    if magic != _MAGIC:
-        raise CorruptCheckpoint("bad magic")
-    if version != _FORMAT:
-        _reject_raw_format(data, version)
-    if ld_size != _LD_SIZE:
-        raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
-    if len(data) != _HEADER_SIZE + stored_len:
-        raise CorruptCheckpoint(
-            f"length mismatch: {len(data)} != {_HEADER_SIZE + stored_len}")
-    view = memoryview(data)
-    digest = hashlib.sha256(view[:_FIELDS.size])
-    digest.update(view[_HEADER_SIZE:])
-    if digest.digest() != view[_FIELDS.size:_HEADER_SIZE]:
-        raise CorruptCheckpoint("digest mismatch")
-    if f8_len % 8 or ld_len % ld_size:
-        raise CorruptCheckpoint("pool length is not a whole number of items")
-    raw_len = layout_len + f8_len + ld_len
-    inflater = zlib.decompressobj()
-    try:
-        # One byte of slack lets the stream reach its end marker; a
-        # stream that fills it inflates to more than it declared.
-        body = inflater.decompress(view[_HEADER_SIZE:], raw_len + 1)
-    except (zlib.error, OverflowError) as exc:
-        raise CorruptCheckpoint(f"undecodable stream: {exc}") from None
-    if len(body) != raw_len or not inflater.eof or inflater.unused_data:
-        raise CorruptCheckpoint("stream disagrees with its declared lengths")
-    return body, layout_len, f8_len
 
 
 def _unpack_dict(node, f8, ld, cursor):
@@ -279,15 +230,23 @@ _UNPACKERS = {dict: _unpack_dict, list: _unpack_list}
 def loads(data: bytes) -> Dict[str, Any]:
     """Deserialize; raises :class:`CorruptCheckpoint` on anything off
     and :class:`StaleCheckpoint` for an intact file of an earlier format."""
-    body, layout_len, f8_len = _inflate(data)
+    if data[:4] == _MAGIC and data[4:6] in (b"\1\0", b"\2\0"):
+        _reject_raw_format(data, data[4])
+    head = _FILE.verify(data)
+    layout_len, f8_len, ld_len = head.lengths
+    if head.aux != _LD_SIZE:
+        raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
+    if f8_len % 8 or ld_len % _LD_SIZE:
+        raise CorruptCheckpoint("pool length is not a whole number of items")
+    layout_bytes, f8_bytes, ld_bytes = _FILE.inflate(head)
     try:
-        layout = json.loads(body[:layout_len])
+        layout = json.loads(bytes(layout_bytes))
     except ValueError as exc:
         raise CorruptCheckpoint(f"undecodable layout: {exc}") from None
     if not isinstance(layout, dict):
         raise CorruptCheckpoint("layout root is not an object")
-    f8 = np.frombuffer(body, dtype="<f8", count=f8_len // 8, offset=layout_len)
-    ld = np.frombuffer(body, dtype=np.longdouble, offset=layout_len + f8_len)
+    f8 = np.frombuffer(f8_bytes, dtype="<f8")
+    ld = np.frombuffer(ld_bytes, dtype=np.longdouble)
     cursor = [0, 0]
     try:
         state = _unpack_dict(layout, f8, ld, cursor)

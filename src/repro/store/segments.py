@@ -1,61 +1,53 @@
-"""Sealed, digest-verified ``.npz`` column segments.
+"""Sealed column segments in the shared file envelope.
 
 A segment is an immutable slab of link history in arrival order: four
-parallel columns (``times``/``values``/``sizes``/``ops``) plus framing
-metadata, written once with the same atomic temp-file + ``os.replace``
-idiom as the ingest sidecar cache and verified on every read against a
-SHA-256 over the column bytes.  Numbered segments cover consecutive row
-ranges (``seg-<start_row>.npz``); a compaction writes the special
-``seg-full.npz``, which supersedes every numbered segment whose rows it
-covers.
+parallel columns (``times``/``values``/``sizes``/``ops``) deflated
+behind a verified header (:mod:`repro.envelope`) that carries the
+framing — ``start_row``, ``rows``, ``max_offset`` — so recovery learns a
+link's shape from headers alone and columns are inflated only when
+someone wants the rows.  Numbered segments cover consecutive row ranges
+(``seg-<start_row>.col``); a compaction writes the special
+``seg-full.col``, which supersedes every segment whose rows it covers.
 
 Reads pass through the ``store.segment`` fault site so the chaos suite
-can corrupt or truncate them; anything that fails to deserialize or
-match its digest raises :class:`CorruptSegment` and the store
-quarantines the file (``*.quarantined``), exactly like a corrupt ingest
-sidecar.
+can corrupt or truncate them; anything whose digest, lengths or stream
+disagree raises :class:`CorruptSegment` and the store quarantines the
+file.  A state dir written by an earlier build holds ``seg-*.npz``
+files: primary data, so still read (by suffix, through ``np.load``),
+never written; compaction rewrites them as ``.col``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import os
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from repro import faults as _faults
+from repro.envelope import Envelope, Verified, atomic_write
 
-__all__ = [
-    "SEGMENT_VERSION",
-    "FULL_NAME",
-    "CorruptSegment",
-    "SegmentData",
-    "segment_name",
-    "parse_start_row",
-    "write_segment",
-    "read_segment",
-]
+__all__ = ["FULL_NAME", "CorruptSegment", "SegmentData", "is_segment_name",
+           "segment_name", "write_segment", "read_framing", "read_segment"]
 
-#: Bump when the segment layout changes; readers reject other versions.
-SEGMENT_VERSION = "1"
+#: The compacted whole-history segment; supersedes the segments it covers.
+FULL_NAME = "seg-full.col"
 
-#: The compacted whole-history segment; supersedes covered numbered ones.
-FULL_NAME = "seg-full.npz"
-
-_PREFIX = "seg-"
-_SUFFIX = ".npz"
+_LEGACY_SUFFIX = ".npz"
+_COLUMNS = (("times", "<f8"), ("values", "<f8"), ("sizes", "<i8"), ("ops", "i1"))
 
 
 class CorruptSegment(Exception):
     """The segment cannot be trusted (bad digest, layout, or read)."""
 
 
-@dataclass
-class SegmentData:
+# Four column sections; the kind's own fields are the framing.
+_FILE = Envelope(b"RSSG", 1, "IIII", meta="QQQ", error=CorruptSegment)
+
+
+class SegmentData(NamedTuple):
     """One decoded segment: framing metadata plus the four columns."""
 
     start_row: int
@@ -69,117 +61,82 @@ class SegmentData:
 
 def segment_name(start_row: int) -> str:
     """Numbered segment file name; sorts in row order."""
-    return f"{_PREFIX}{start_row:012d}{_SUFFIX}"
+    return f"seg-{start_row:012d}.col"
 
 
-def parse_start_row(name: str) -> int:
-    """Inverse of :func:`segment_name`; raises ``ValueError`` otherwise."""
-    if not name.startswith(_PREFIX) or not name.endswith(_SUFFIX):
-        raise ValueError(f"not a segment name: {name!r}")
-    return int(name[len(_PREFIX):-len(_SUFFIX)])
+def is_segment_name(name: str) -> bool:
+    """A segment of this build or of an earlier one."""
+    return name.startswith("seg-") and name.endswith((".col", _LEGACY_SUFFIX))
 
 
-def _digest(start_row: int, times, values, sizes, ops) -> str:
-    sha = hashlib.sha256()
-    sha.update(f"{SEGMENT_VERSION}:{start_row}:{len(times)}".encode())
-    for column in (times, values, sizes, ops):
-        sha.update(column.tobytes())
-    return sha.hexdigest()
-
-
-def write_segment(
-    path: Path,
-    start_row: int,
-    times: np.ndarray,
-    values: np.ndarray,
-    sizes: np.ndarray,
-    ops: np.ndarray,
-    max_offset: int = 0,
-    fsync: bool = True,
-) -> None:
+def write_segment(path: Path, start_row: int, times, values, sizes, ops,
+                  max_offset: int = 0, fsync: bool = True) -> None:
     """Atomically write a segment (temp file, optional fsync, rename).
 
     Raises ``OSError`` on filesystem refusal; the caller decides whether
     that degrades (rows stay in the tail) or aborts (compaction).
     """
-    times = np.ascontiguousarray(times, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    sizes = np.ascontiguousarray(sizes, dtype=np.int64)
-    ops = np.ascontiguousarray(ops, dtype=np.int8)
+    sections = [np.ascontiguousarray(column, dtype=dtype).tobytes()
+                for column, (_, dtype) in zip((times, values, sizes, ops), _COLUMNS)]
     _faults.check("store.segment", path=str(path), op="write")
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            np.savez(
-                handle,
-                __version__=np.str_(SEGMENT_VERSION),
-                __digest__=np.str_(_digest(start_row, times, values, sizes, ops)),
-                __start_row__=np.int64(start_row),
-                __rows__=np.int64(len(times)),
-                __max_offset__=np.int64(max_offset),
-                times=times,
-                values=values,
-                sizes=sizes,
-                ops=ops,
-            )
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    if fsync:
-        _fsync_dir(path.parent)
+    atomic_write(path, _FILE.pack(
+        sections, meta=(start_row, len(times), max_offset)), fsync)
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Make a rename durable; best-effort (not all filesystems allow it)."""
-    try:
-        fd = os.open(str(directory), os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
+def _read(path: Path) -> bytes:
+    _faults.check("store.segment", path=str(path), op="read")
+    return _faults.filter_bytes("store.segment", path.read_bytes(),
+                                path=str(path))
+
+
+def _header(path: Path) -> Verified:
+    head = _FILE.verify(_read(path))
+    rows = head.meta[1]
+    if head.lengths != (8 * rows, 8 * rows, 8 * rows, rows):
+        raise CorruptSegment(f"column lengths disagree with rows in {path}")
+    return head
+
+
+def read_framing(path: Path) -> Tuple[int, int, int]:
+    """``(start_row, rows, max_offset)`` from the verified header; the
+    columns stay deflated.  Raises as :func:`read_segment` does."""
+    if path.suffix == _LEGACY_SUFFIX:
+        return _read_legacy(path)[:3]
+    return _header(path).meta
 
 
 def read_segment(path: Path) -> SegmentData:
-    """Read and digest-verify one segment.
+    """Read, verify and inflate one segment.
 
     Raises :class:`CorruptSegment` on anything untrustworthy and
     ``FileNotFoundError`` when the file is simply absent.
     """
-    _faults.check("store.segment", path=str(path), op="read")
-    raw = path.read_bytes()
-    raw = _faults.filter_bytes("store.segment", raw, path=str(path))
+    if path.suffix == _LEGACY_SUFFIX:
+        return _read_legacy(path)
+    head = _header(path)
+    return SegmentData(*head.meta, *(
+        np.frombuffer(section, dtype=dtype)
+        for section, (_, dtype) in zip(_FILE.inflate(head), _COLUMNS)))
+
+
+def _read_legacy(path: Path) -> SegmentData:
+    """A ``.npz`` segment of an earlier build: nine zip members, the
+    digest a hex string over the column bytes."""
+    raw = _read(path)
     try:
         with np.load(io.BytesIO(raw), allow_pickle=False) as payload:
-            if str(payload["__version__"]) != SEGMENT_VERSION:
-                raise CorruptSegment(f"unknown segment version in {path}")
-            start_row = int(payload["__start_row__"])
-            rows = int(payload["__rows__"])
-            max_offset = int(payload["__max_offset__"])
-            times = np.asarray(payload["times"], dtype=np.float64)
-            values = np.asarray(payload["values"], dtype=np.float64)
-            sizes = np.asarray(payload["sizes"], dtype=np.int64)
-            ops = np.asarray(payload["ops"], dtype=np.int8)
-            stored = str(payload["__digest__"])
-    except CorruptSegment:
-        raise
+            version, stored = (str(payload[key])
+                               for key in ("__version__", "__digest__"))
+            framing = [int(payload[f"__{key}__"])
+                       for key in ("start_row", "rows", "max_offset")]
+            columns = [np.asarray(payload[name], dtype=dtype)
+                       for name, dtype in _COLUMNS]
     except Exception as exc:
         raise CorruptSegment(f"undecodable segment {path}: {exc}") from None
-    if rows != len(times) or stored != _digest(start_row, times, values, sizes, ops):
+    sha = hashlib.sha256(f"1:{framing[0]}:{len(columns[0])}".encode())
+    for column in columns:
+        sha.update(column.tobytes())
+    if (version != "1" or framing[1] != len(columns[0])
+            or stored != sha.hexdigest()):
         raise CorruptSegment(f"digest mismatch in {path}")
-    return SegmentData(
-        start_row=start_row, rows=rows, max_offset=max_offset,
-        times=times, values=values, sizes=sizes, ops=ops,
-    )
+    return SegmentData(*framing, *columns)

@@ -3,10 +3,15 @@
 Layout, under ``root/links/<urlquoted link>/``::
 
     tail.wal              CRC-framed active tail (repro.store.wal)
-    seg-<start>.npz       sealed column segments (repro.store.segments)
-    seg-full.npz          compacted whole-history segment, if any
+    seg-<start>.col       sealed column segments (repro.store.segments)
+    seg-full.col          compacted whole-history segment, if any
     checkpoint.bin        latest streaming-bank checkpoint
     *.quarantined         corrupt files moved aside, never consulted
+
+Segments and checkpoints are two kinds of one file envelope
+(:mod:`repro.envelope`): verified header, one deflated body.  A
+``seg-*.npz`` is a segment written by an earlier build; it is read where
+it lies and rewritten as ``.col`` by the next compaction.
 
 Durability contract
 -------------------
@@ -15,7 +20,8 @@ Durability contract
   and recovery truncates the torn suffix (never serves it).
 * Segments and checkpoints are written to a temp file, optionally
   fsynced, and ``os.replace``d — readers see the old file or the new
-  one, never a partial.
+  one, never a partial.  A ``*.tmp`` stranded by a kill mid-write is
+  removed on recovery (its rows are still in the tail).
 * A crash between segment seal and tail truncation leaves sealed rows
   duplicated in the tail; WAL ``seq`` numbers dedup them on every scan.
 * Anything that fails checksum verification is quarantined
@@ -47,13 +53,14 @@ from typing import Dict, IO, List, Optional, Tuple, Union
 import numpy as np
 
 from repro import faults as _faults
+from repro.envelope import atomic_write, quarantine
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 from repro.store import checkpoint as _checkpoint
 from repro.store import segments as _segments
 from repro.store import wal as _wal
-from repro.store.segments import CorruptSegment, FULL_NAME, segment_name
+from repro.store.segments import FULL_NAME, segment_name
 
 __all__ = ["LinkStore", "DEFAULT_SEGMENT_ROWS"]
 
@@ -148,20 +155,6 @@ def _quote(link: str) -> str:
 
 def _unquote(name: str) -> str:
     return urllib.parse.unquote(name)
-
-
-def _quarantine(path: Path) -> Optional[Path]:
-    """Move a corrupt file aside; same fallback ladder as ingest."""
-    target = path.with_name(path.name + ".quarantined")
-    try:
-        os.replace(path, target)
-        return target
-    except OSError:
-        try:
-            path.unlink(missing_ok=True)
-        except OSError:
-            pass
-        return None
 
 
 class LinkStore:
@@ -274,43 +267,40 @@ class LinkStore:
 
     def _recover(self, link: str, directory: Path) -> _LinkMeta:
         meta = _LinkMeta(link, directory)
-        numbered: List[Path] = []
-        full: Optional[Path] = None
+        found: List[_Segment] = []
         for entry in sorted(os.scandir(directory), key=lambda e: e.name):
-            if entry.name == FULL_NAME:
-                full = directory / entry.name
-            elif entry.name.endswith(".npz") and entry.name.startswith("seg-"):
-                numbered.append(directory / entry.name)
-
-        segments: List[_Segment] = []
-        full_rows = 0
-        if full is not None:
-            seg = self._read_segment_meta(meta, full)
-            if seg is not None:
-                segments.append(seg)
-                full_rows = seg.rows
-        for path in numbered:
-            seg = self._read_segment_meta(meta, path)
-            if seg is None:
-                continue
-            if seg.end_row <= full_rows:
-                # Superseded by the compacted segment; a crash mid-compaction
-                # left it behind.  Finish the cleanup.
+            path = directory / entry.name
+            if entry.name.endswith(".tmp"):
+                # A write killed before its rename; never the only copy.
                 try:
                     path.unlink()
                 except OSError:
                     pass
+            elif _segments.is_segment_name(entry.name):
+                seg = self._read_segment_meta(meta, path)
+                if seg is not None:
+                    found.append(seg)
+
+        # Row order, the widest first where two start together (a
+        # compacted seg-full over the segments it merged).
+        found.sort(key=lambda seg: (seg.start_row, -seg.rows, seg.path.name))
+        covered = 0
+        for seg in found:
+            if seg.end_row <= covered:
+                # Superseded by the compacted segment; a crash mid-compaction
+                # left it behind.  Finish the cleanup.
+                try:
+                    seg.path.unlink()
+                except OSError:
+                    pass
                 continue
-            segments.append(seg)
-        segments.sort(key=lambda seg: seg.start_row)
-        meta.segments = segments
-        meta.sealed_rows = max((seg.end_row for seg in segments), default=0)
-        expected = full_rows
-        for seg in segments[1 if full_rows else 0:]:
-            if seg.start_row != expected:
+            if seg.start_row != covered:
                 meta.degraded = True
-            expected = seg.end_row
-        meta.max_offset = max((seg.max_offset for seg in segments), default=0)
+            meta.segments.append(seg)
+            covered = seg.end_row
+        meta.sealed_rows = covered
+        meta.max_offset = max(
+            (seg.max_offset for seg in meta.segments), default=0)
 
         tail = self._read_tail(meta, recover=True)
         meta.tail_rows = len(tail)
@@ -324,14 +314,14 @@ class LinkStore:
 
     def _read_segment_meta(self, meta: _LinkMeta, path: Path) -> Optional[_Segment]:
         try:
-            data = _segments.read_segment(path)
+            start_row, rows, max_offset = _segments.read_framing(path)
         except FileNotFoundError:
             return None
         except Exception:
             self._quarantine_file(meta, path, kind="segment")
             meta.degraded = True
             return None
-        return _Segment(path, data.start_row, data.rows, data.max_offset)
+        return _Segment(path, start_row, rows, max_offset)
 
     def _read_tail(self, meta: _LinkMeta, recover: bool = False) -> _wal.TailScan:
         """Scan the tail's valid, deduped rows; truncate torn bytes once.
@@ -368,7 +358,7 @@ class LinkStore:
         return kept
 
     def _quarantine_file(self, meta: _LinkMeta, path: Path, kind: str) -> None:
-        target = _quarantine(path)
+        target = quarantine(path)
         if _obs_enabled():
             _M_QUARANTINED.inc()
             get_event_bus().emit(
@@ -568,7 +558,7 @@ class LinkStore:
         return True
 
     def compact(self, link: str) -> bool:
-        """Merge all segments and the tail into one ``seg-full.npz``.
+        """Merge all segments and the tail into one ``seg-full.col``.
 
         Also repairs a degraded link: survivors are renumbered 0..n, so
         row accounting becomes trustworthy again (with the lost rows
@@ -651,10 +641,7 @@ class LinkStore:
 
     def _load_locked(self, meta: _LinkMeta):
         """Concatenate segment columns and live tail rows, arrival order."""
-        parts_t: List[np.ndarray] = []
-        parts_v: List[np.ndarray] = []
-        parts_s: List[np.ndarray] = []
-        parts_o: List[np.ndarray] = []
+        parts: Tuple[List[np.ndarray], ...] = ([], [], [], [])
         surviving: List[_Segment] = []
         for seg in meta.segments:
             try:
@@ -664,28 +651,19 @@ class LinkStore:
                 meta.degraded = True
                 continue
             surviving.append(seg)
-            parts_t.append(data.times)
-            parts_v.append(data.values)
-            parts_s.append(data.sizes)
-            parts_o.append(data.ops)
+            for part, column in zip(parts, data[3:]):
+                part.append(column)
         if len(surviving) != len(meta.segments):
             meta.segments = surviving
             meta.sealed_rows = max((s.end_row for s in surviving), default=0)
         tail = self._read_tail(meta)
         meta.tail_rows = len(tail)
-        parts_t.append(np.asarray(tail.times, dtype=np.float64))
-        parts_v.append(np.asarray(tail.values, dtype=np.float64))
-        parts_s.append(np.asarray(tail.sizes, dtype=np.int64))
-        parts_o.append(np.asarray(tail.ops, dtype=np.int8))
-        times = np.concatenate(parts_t) if parts_t else np.empty(0)
-        values = np.concatenate(parts_v) if parts_v else np.empty(0)
-        sizes = np.concatenate(parts_s) if parts_s else np.empty(0, np.int64)
-        ops = np.concatenate(parts_o) if parts_o else np.empty(0, np.int8)
-        return (times.astype(np.float64, copy=False),
-                values.astype(np.float64, copy=False),
-                sizes.astype(np.int64, copy=False),
-                ops.astype(np.int8, copy=False),
-                tail)
+        for part, column, dtype in zip(
+                parts, (tail.times, tail.values, tail.sizes, tail.ops),
+                (np.float64, np.float64, np.int64, np.int8)):
+            part.append(np.asarray(column, dtype=dtype))
+        times, values, sizes, ops = (np.concatenate(part) for part in parts)
+        return times, values, sizes, ops, tail
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -697,21 +675,11 @@ class LinkStore:
         with self._lock_for(link):
             meta = self._meta(link, create=True)
             path = meta.checkpoint_path
-            tmp = path.with_name(path.name + ".tmp")
             try:
                 data = _checkpoint.dumps(state)
                 _faults.check("store.checkpoint", path=str(path), op="write")
-                with open(tmp, "wb") as handle:
-                    handle.write(data)
-                    if self.fsync:
-                        handle.flush()
-                        os.fsync(handle.fileno())
-                os.replace(tmp, path)
+                atomic_write(path, data, self.fsync)
             except Exception:
-                try:
-                    tmp.unlink(missing_ok=True)
-                except OSError:
-                    pass
                 if observed:
                     _M_CHECKPOINT_ERRORS.inc()
                     get_event_bus().emit(

@@ -4,7 +4,7 @@ The acceptance bar for the resilience subsystem (ISSUE 4): with faults
 injected at four distinct boundary sites —
 
 * ``tail.read``      — transient OSErrors while following a live log,
-* ``ingest.cache``   — an unreadable ``.npz`` sidecar on warm start,
+* ``ingest.cache``   — an unreadable sidecar on warm start,
 * ``socket.connect`` — refused connections during the server race,
 * ``gris.search``    — one wedged GRIS behind the aggregate directory,
 
@@ -84,7 +84,7 @@ def _stage(workdir):
         target = workdir / name
         target.write_bytes(b"".join(lines[:half]))
         tails[name] = b"".join(lines[half:])
-        load_ulm(target)  # warm the .npz sidecar
+        load_ulm(target)  # warm the sidecar
         assert cache_path(target).exists()
     return tails
 

@@ -195,6 +195,12 @@ class TestCheckpointFaults:
 
 class TestSegmentCorruption:
     def test_corrupt_segment_is_contained(self, tmp_path):
+        self._damaged_segment_is_contained(tmp_path, corrupt=8)
+
+    def test_truncated_segment_is_contained(self, tmp_path):
+        self._damaged_segment_is_contained(tmp_path, truncate=0.5)
+
+    def _damaged_segment_is_contained(self, tmp_path, **damage):
         from repro.data.ingest import load_ulm
 
         link = "lbl-anl"
@@ -209,10 +215,10 @@ class TestSegmentCorruption:
         store.seal(link)
         store.close()
 
-        segments = sorted((tmp_path / "state").rglob("seg-*.npz"))
+        segments = sorted((tmp_path / "state").rglob("seg-*.col"))
         assert len(segments) >= 2
         injector = FaultInjector(seed=19)
-        injector.inject("store.segment", corrupt=8, path=str(segments[0]))
+        injector.inject("store.segment", path=str(segments[0]), **damage)
 
         with faults.injected(injector):
             second = PredictionService(store=LinkStore(

@@ -134,6 +134,67 @@ class TestWarmRestart:
             assert second.version(link) == version
 
 
+class TestUpgrade:
+    """A state dir whose segments an earlier build wrote as ``.npz``."""
+
+    def test_npz_state_dir_serves_appends_and_compacts_as_col(self, tmp_path):
+        from repro.obs import get_registry
+        from tests.conftest import make_record
+        from tests.unit.test_store import as_npz_state_dir
+
+        def observe_more(service, count):
+            for link in service.links():
+                last = service.link_state(link).last_time
+                for k in range(count):
+                    service.observe(link, make_record(
+                        start=last + 10.0 * (k + 1), duration=1.0))
+
+        def build(root):
+            store = LinkStore(root, segment_rows=64)
+            service = PredictionService(store=store)
+            _ingest_logs(service)
+            observe_more(service, 70)  # one more seal, six rows in the tail
+            assert service.checkpoint_all(seal=True) == len(LOGS)
+            store.close()
+
+        build(tmp_path / "old")
+        build(tmp_path / "new")
+        legacy = as_npz_state_dir(tmp_path / "old")
+        assert len(legacy) == 3 * len(LOGS)
+        assert not list((tmp_path / "old").rglob("seg-*.col"))
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        old_store = LinkStore(tmp_path / "old", segment_rows=64)
+        old = PredictionService(store=old_store)
+        new = PredictionService(
+            store=LinkStore(tmp_path / "new", segment_rows=64))
+        assert old.links() == new.links()
+        assert _answers(old, CHECKPOINT_SPECS) == _answers(new, CHECKPOINT_SPECS)
+        for link in old.links():
+            for column_old, column_new in zip(
+                    old_store.load_columns(link), new.store.load_columns(link)):
+                np.testing.assert_array_equal(column_old, column_new)
+
+        # New rows seal as .col beside the old files ...
+        for service in (old, new):
+            observe_more(service, 64)
+        assert _answers(old, CHECKPOINT_SPECS) == _answers(new, CHECKPOINT_SPECS)
+        assert all(path.exists() for path in legacy)
+        assert len(list((tmp_path / "old").rglob("seg-*.col"))) == len(LOGS)
+
+        # ... and compaction leaves one seg-full.col and no .npz.
+        for link in old.links():
+            assert old_store.compact(link)
+        for link_dir in (tmp_path / "old" / "links").iterdir():
+            assert [p.name for p in link_dir.glob("seg-*")] == ["seg-full.col"]
+        reopened = PredictionService(
+            store=LinkStore(tmp_path / "old", segment_rows=64))
+        assert _answers(reopened, SPECS) == _answers(new, SPECS)
+        assert quarantined.value == before
+        assert not list((tmp_path / "old").rglob("*.quarantined"))
+
+
 class TestKillNine:
     """SIGKILL an ingester mid-append; recover; serve only the truth."""
 

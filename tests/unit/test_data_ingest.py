@@ -1,10 +1,11 @@
-"""Vectorized ULM ingest and the .npz sidecar cache."""
+"""Vectorized ULM ingest and the binary sidecar cache."""
 
-import numpy as np
+import hashlib
+
 import pytest
 
 from repro.data import TransferFrame, cache_path, load_ulm, parse_ulm_text
-from repro.data.ingest import CACHE_VERSION, read_cache, write_cache
+from repro.data.ingest import CACHE_VERSION, read_cache_status, write_cache
 from repro.logs.ulm import ULMError, format_record, parse_lines
 
 from tests.conftest import make_record
@@ -113,46 +114,70 @@ class TestCache:
 
     def test_corrupt_sidecar_degrades_to_parse(self, log_path):
         frame = load_ulm(log_path)
-        cache_path(log_path).write_bytes(b"not an npz file")
+        cache_path(log_path).write_bytes(b"not a sidecar")
         assert load_ulm(log_path).equals(frame)
 
-    def test_version_mismatch_rejected(self, log_path):
+    def test_version_mismatch_rejected(self, log_path, monkeypatch):
+        from repro.data import ingest
+        from repro.envelope import Envelope
+
         frame = load_ulm(log_path)
         sidecar = cache_path(log_path)
-        with np.load(sidecar, allow_pickle=False) as payload:
-            digest = str(payload["__digest__"])
-            arrays = {k: payload[k] for k in payload.files}
-        arrays["__version__"] = np.str_("999")
-        with open(sidecar, "wb") as handle:
-            np.savez(handle, **arrays)
-        assert read_cache(sidecar, digest) is None
+        digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
+        assert read_cache_status(sidecar, digest)[0].equals(frame)
+        # The same file, as a build with another cache layout wrote it.
+        monkeypatch.setattr(
+            ingest, "_FILE", Envelope(b"RSUL", 999, "I" * 10, meta="32sI"))
+        assert write_cache(sidecar, digest, frame)
+        monkeypatch.undo()
+        assert read_cache_status(sidecar, digest) == (None, "corrupt")
         assert load_ulm(log_path).equals(frame)  # reparses and rewrites
+        assert read_cache_status(sidecar, digest)[0].equals(frame)
+
+    def test_version_1_npz_sidecar_is_not_looked_at(self, log_path):
+        # What an earlier build left beside the log: never opened,
+        # never quarantined, never rewritten.
+        old = log_path.with_name(log_path.name + ".npz")
+        old.write_bytes(b"PK\x03\x04 whatever an old build wrote")
+        frame = load_ulm(log_path)
+        assert load_ulm(log_path).equals(frame)
+        assert old.read_bytes().startswith(b"PK")
+        assert sorted(p.name for p in log_path.parent.iterdir()) == [
+            "link.ulm", "link.ulm.col", "link.ulm.npz"]
 
     def test_digest_mismatch_rejected(self, log_path):
         load_ulm(log_path)
-        assert read_cache(cache_path(log_path), "0" * 64) is None
+        assert read_cache_status(cache_path(log_path), "0" * 64) == (None, "stale")
 
     def test_write_cache_unwritable_destination(self, log_path, tmp_path):
         # Best-effort contract: an unwritable sidecar location (here a
         # missing parent directory) reports False instead of raising.
         frame = load_ulm(log_path, cache=False)
-        ok = write_cache(tmp_path / "missing" / "x.ulm.npz", "0" * 64, frame)
+        ok = write_cache(tmp_path / "missing" / "x.ulm.col", "0" * 64, frame)
         assert ok is False
 
     def test_round_trip_preserves_every_column(self, log_path):
         parsed = load_ulm(log_path)          # writes sidecar
         cached = load_ulm(log_path)          # reads it back
         assert cached.equals(parsed)
-        assert str(CACHE_VERSION) == "1"
+        assert CACHE_VERSION == 2
+        for name in ("sources", "files", "volumes"):
+            assert getattr(cached, name).dtype == getattr(parsed, name).dtype
+
+    def test_empty_log_round_trips(self, tmp_path):
+        path = tmp_path / "empty.ulm"
+        path.write_text("# nothing yet\n")
+        assert len(load_ulm(path)) == 0
+        frame, status = read_cache_status(
+            cache_path(path), hashlib.sha256(path.read_bytes()).hexdigest())
+        assert status == "hit" and len(frame) == 0
 
 
 class TestCacheQuarantine:
     def test_corrupt_sidecar_is_quarantined_and_rebuilt(self, log_path):
-        from repro.data.ingest import read_cache_status
-
         baseline = load_ulm(log_path, cache=False)
         sidecar = cache_path(log_path)
-        sidecar.write_bytes(b"definitely not an npz file")
+        sidecar.write_bytes(b"definitely not a sidecar")
 
         frame = load_ulm(log_path)           # must not raise
         assert frame.equals(baseline)
@@ -160,7 +185,7 @@ class TestCacheQuarantine:
         assert quarantined.exists()          # corrupt file moved aside
         assert sidecar.exists()              # fresh cache rewritten
         frame2, status = read_cache_status(
-            sidecar, __import__("hashlib").sha256(log_path.read_bytes()).hexdigest())
+            sidecar, hashlib.sha256(log_path.read_bytes()).hexdigest())
         assert status == "hit" and frame2.equals(baseline)
 
     def test_truncated_sidecar_is_treated_as_corrupt(self, log_path):
@@ -172,18 +197,22 @@ class TestCacheQuarantine:
         assert sidecar.with_name(sidecar.name + ".quarantined").exists()
 
     def test_stale_format_falls_back_without_quarantine(self, log_path):
-        import numpy as np
+        from repro.obs import get_registry
 
         frame = load_ulm(log_path, cache=False)
         sidecar = cache_path(log_path)
-        digest = __import__("hashlib").sha256(log_path.read_bytes()).hexdigest()
-        with open(sidecar, "wb") as handle:
-            np.savez(handle, __version__=np.str_("0"), __digest__=np.str_(digest),
-                     **frame.to_arrays())
+        digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
+        other = hashlib.sha256(b"what the log used to say").hexdigest()
+        assert write_cache(sidecar, other, frame.prefix(2))
+        assert read_cache_status(sidecar, digest) == (None, "stale")
+        counter = get_registry().counter("ingest_cache_quarantined", "")
+        before = counter.value
         assert load_ulm(log_path).equals(frame)
-        # A well-formed old-layout sidecar is stale, not corrupt: it is
-        # rewritten in place, never quarantined.
+        # An intact sidecar for other content is stale, not corrupt: it
+        # is overwritten in place, never quarantined.
+        assert counter.value == before
         assert not sidecar.with_name(sidecar.name + ".quarantined").exists()
+        assert read_cache_status(sidecar, digest)[1] == "hit"
 
     def test_quarantine_is_counted_and_announced(self, log_path):
         from repro.obs import get_event_bus, get_registry

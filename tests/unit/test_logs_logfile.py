@@ -205,6 +205,6 @@ class TestFrameBridge:
         path = tmp_path / "x.ulm"
         log.save(path)
         TransferLog.load(path, cache=True)
-        assert (tmp_path / "x.ulm.npz").exists()
+        assert (tmp_path / "x.ulm.col").exists()
         reloaded = TransferLog.load(path, cache=True)  # warm read
         assert reloaded.records() == log.records()

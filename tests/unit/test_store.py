@@ -12,7 +12,6 @@ import errno
 import hashlib
 import os
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
@@ -112,6 +111,65 @@ class TestSegments:
         with pytest.raises(Exception):
             seg.read_segment(path)
 
+    def test_framing_comes_from_the_header_alone(self, tmp_path, monkeypatch):
+        path = tmp_path / seg.segment_name(40)
+        seg.write_segment(path, 40, *_rows(10), max_offset=77)
+        monkeypatch.setattr(
+            seg._FILE, "inflate",
+            lambda head: pytest.fail("inflated columns nobody asked for"))
+        assert seg.read_framing(path) == (40, 10, 77)
+
+    def test_stores_less_than_the_columns_it_holds(self, tmp_path):
+        path = tmp_path / seg.segment_name(0)
+        seg.write_segment(path, 0, *_rows(488))
+        assert path.stat().st_size < 488 * 25
+
+    def test_npz_segment_of_an_earlier_build_still_reads(self, tmp_path):
+        path = tmp_path / "seg-000000000040.npz"
+        write_npz_segment(path, 40, *_rows(10), max_offset=77)
+        assert seg.is_segment_name(path.name)
+        assert seg.read_framing(path) == (40, 10, 77)
+        data = seg.read_segment(path)
+        np.testing.assert_array_equal(data.times, _rows(10)[0])
+        np.testing.assert_array_equal(data.ops, _rows(10)[3])
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptSegment):
+            seg.read_segment(path)
+
+
+def write_npz_segment(path, start_row, times, values, sizes, ops,
+                      max_offset=0):
+    """A segment as builds before the shared envelope wrote it: nine
+    uncompressed zip members, the digest a hex string over the columns."""
+    columns = [np.ascontiguousarray(column, dtype=dtype) for column, dtype in
+               zip((times, values, sizes, ops), ("f8", "f8", "i8", "i1"))]
+    sha = hashlib.sha256(f"1:{start_row}:{len(columns[0])}".encode())
+    for column in columns:
+        sha.update(column.tobytes())
+    with open(path, "wb") as handle:
+        np.savez(
+            handle, __version__=np.str_("1"),
+            __digest__=np.str_(sha.hexdigest()),
+            __start_row__=np.int64(start_row),
+            __rows__=np.int64(len(columns[0])),
+            __max_offset__=np.int64(max_offset),
+            **dict(zip(("times", "values", "sizes", "ops"), columns)))
+
+
+def as_npz_state_dir(root):
+    """Rewrite every ``.col`` segment under ``root`` the way an earlier
+    build would have left it; returns the new paths."""
+    legacy = []
+    for path in sorted(root.rglob("seg-*.col")):
+        data = seg.read_segment(path)
+        legacy.append(path.with_suffix(".npz"))
+        write_npz_segment(legacy[-1], data.start_row, data.times, data.values,
+                          data.sizes, data.ops, data.max_offset)
+        path.unlink()
+    return legacy
+
 
 # ----------------------------------------------------------------------
 # checkpoint codec
@@ -203,36 +261,8 @@ class TestCheckpoint:
         assert (f8, ld) == (5 * 8, 2 * LD_SIZE)
         assert body[:layout].startswith(b'{"heap":["\\u0000f8",3]')
 
-    def test_every_truncation_is_corrupt(self):
-        blob = ck.dumps(SMALL_STATE)
-        for length in range(len(blob)):
-            with pytest.raises(CorruptCheckpoint):
-                ck.loads(blob[:length])
-        with pytest.raises(CorruptCheckpoint):
-            ck.loads(blob + b"\0")
-
-    def test_every_single_bit_flip_is_corrupt(self):
-        blob = ck.dumps(SMALL_STATE)
-        assert len(blob) < 400  # keeps the sweep at a few thousand loads
-        for at in range(len(blob)):
-            for bit in range(8):
-                flipped = bytearray(blob)
-                flipped[at] ^= 1 << bit
-                with pytest.raises(CorruptCheckpoint):
-                    ck.loads(bytes(flipped))
-
-    def test_inflate_stops_at_the_declared_lengths(self):
-        # An intact digest over a stream that inflates to 1 MB behind a
-        # header that claims 1 KB: rejected, and never inflated.
-        bomb = frame_format_3(zlib.compress(bytes(1 << 20), 1), 1024, 0, 0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(CorruptCheckpoint, match="declared lengths"):
-                ck.loads(bomb)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
+    # Every truncation, every single-bit flip and the bounded inflate are
+    # tests/unit/test_envelope.py, once for each kind of file.
 
     def test_stream_shorter_than_declared_is_corrupt(self):
         layout = b'{"x":1}'
@@ -300,7 +330,7 @@ class TestLinkStore:
         _append(store, "x", 4, t0=3000.0)
         store.close()
         link_dir = next((tmp_path / "links").iterdir())
-        segs = [p for p in os.listdir(link_dir) if p.endswith(".npz")]
+        segs = [p for p in os.listdir(link_dir) if p.endswith(".col")]
         assert len(segs) == 2
         fresh = LinkStore(tmp_path, segment_rows=8)
         assert fresh.durable_rows("x") == 20
@@ -349,13 +379,16 @@ class TestLinkStore:
         store.close()
         link_dir = next((tmp_path / "links").iterdir())
         victim = sorted(p for p in link_dir.iterdir()
-                        if p.name.endswith(".npz"))[0]
+                        if p.name.endswith(".col"))[0]
         raw = bytearray(victim.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         victim.write_bytes(bytes(raw))
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
         fresh = LinkStore(tmp_path)
         assert fresh.durable_rows("x") == 4  # survivors only
         assert fresh.degraded("x")
+        assert quarantined.value == before + 1
         assert (link_dir / (victim.name + ".quarantined")).exists()
         assert not victim.exists()
 
@@ -366,7 +399,7 @@ class TestLinkStore:
         store.close()
         link_dir = next((tmp_path / "links").iterdir())
         victim = sorted(p for p in link_dir.iterdir()
-                        if p.name.endswith(".npz"))[0]
+                        if p.name.endswith(".col"))[0]
         victim.write_bytes(b"junk")
         fresh = LinkStore(tmp_path, segment_rows=4)
         assert fresh.degraded("x")
@@ -374,10 +407,76 @@ class TestLinkStore:
         assert not fresh.degraded("x")
         assert fresh.durable_rows("x") == 4
         # Exactly one seg-full remains; appends continue cleanly.
-        npz = [p.name for p in link_dir.iterdir() if p.name.endswith(".npz")]
-        assert npz == [seg.FULL_NAME]
+        left = [p.name for p in link_dir.iterdir() if p.name.startswith("seg-")
+                and not p.name.endswith(".quarantined")]
+        assert left == [seg.FULL_NAME]
         _append(fresh, "x", 3, t0=5000.0)
         assert fresh.durable_rows("x") == 7
+
+    def test_stranded_temp_files_are_removed_on_recovery(self, tmp_path):
+        """A kill between mkstemp and os.replace leaves a ``*.tmp``; the
+        rows it held are still in the tail, so recovery just drops it."""
+        def build(root):
+            store = LinkStore(root, segment_rows=8)
+            _append(store, "x", 8)
+            _append(store, "x", 3, t0=2000.0)
+            store.close()
+            return next((root / "links").iterdir())
+
+        clean = build(tmp_path / "clean")
+        link_dir = build(tmp_path / "killed")
+        segment = next(link_dir.glob("seg-*.col"))
+        for name in (segment.name + ".k1ll3d.tmp", "checkpoint.bin.tmp"):
+            (link_dir / name).write_bytes(segment.read_bytes()[:50])
+
+        fresh = LinkStore(tmp_path / "killed", segment_rows=8)
+        assert fresh.durable_rows("x") == 11
+        assert not fresh.degraded("x")
+        assert len(fresh.load_columns("x")[0]) == 11
+        assert sorted(p.name for p in link_dir.iterdir()) == \
+            sorted(p.name for p in clean.iterdir())
+        assert fresh.bytes_on_disk(max_age=0.0) == \
+            LinkStore(tmp_path / "clean").bytes_on_disk(max_age=0.0)
+
+    def test_npz_state_dir_upgrades_in_place(self, tmp_path):
+        store = LinkStore(tmp_path, segment_rows=4)
+        _append(store, "x", 4, t0=1000.0)
+        _append(store, "x", 4, t0=2000.0)
+        store.close()
+        link_dir = next((tmp_path / "links").iterdir())
+        assert len(as_npz_state_dir(tmp_path)) == 2
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+
+        fresh = LinkStore(tmp_path, segment_rows=4)
+        assert fresh.durable_rows("x") == 8 and not fresh.degraded("x")
+        _append(fresh, "x", 4, t0=3000.0)  # seals beside the old files
+        assert sorted(p.name for p in link_dir.glob("seg-*")) == [
+            "seg-000000000000.npz", "seg-000000000004.npz",
+            "seg-000000000008.col"]
+        times, _, _, _ = fresh.load_columns("x")
+        np.testing.assert_array_equal(
+            times, _rows(4, 1000.0)[0] + _rows(4, 2000.0)[0] + _rows(4, 3000.0)[0])
+        assert fresh.compact("x")
+        assert [p.name for p in link_dir.glob("seg-*")] == [seg.FULL_NAME]
+        assert LinkStore(tmp_path).durable_rows("x") == 12
+        assert quarantined.value == before
+        assert not list(link_dir.glob("*.quarantined"))
+
+    def test_crash_mid_upgrade_compaction_keeps_one_copy(self, tmp_path):
+        # seg-full.col written, the .npz files it merged not yet deleted.
+        store = LinkStore(tmp_path, segment_rows=4)
+        _append(store, "x", 4, t0=1000.0)
+        _append(store, "x", 4, t0=2000.0)
+        assert store.compact("x")
+        store.close()
+        link_dir = next((tmp_path / "links").iterdir())
+        write_npz_segment(link_dir / "seg-full.npz", 0, *_rows(4, 1000.0))
+        write_npz_segment(link_dir / "seg-000000000004.npz", 4,
+                          *_rows(4, 2000.0))
+        fresh = LinkStore(tmp_path)
+        assert fresh.durable_rows("x") == 8 and not fresh.degraded("x")
+        assert [p.name for p in link_dir.glob("seg-*")] == [seg.FULL_NAME]
 
     def test_checkpoint_roundtrip_and_quarantine(self, tmp_path):
         store = LinkStore(tmp_path)
@@ -408,7 +507,7 @@ class TestLinkStore:
     @pytest.mark.parametrize("failure", ["replace", "short-write"])
     def test_failed_checkpoint_write_leaves_no_temp_file(
             self, tmp_path, monkeypatch, failure):
-        import repro.store.store as store_module
+        import repro.envelope as envelope_module
 
         store = LinkStore(tmp_path)
         assert store.write_checkpoint("x", {"n": 1})
@@ -417,8 +516,10 @@ class TestLinkStore:
         def refuse(*args, **kwargs):
             raise OSError(errno.EIO, "replace refused")
 
-        def open_short(path, mode):
-            handle = open(path, mode)
+        fdopen = os.fdopen
+
+        def fdopen_short(fd, mode):
+            handle = fdopen(fd, mode)
             write = handle.write
 
             def short_write(data):
@@ -428,10 +529,9 @@ class TestLinkStore:
             handle.write = short_write
             return handle
 
-        if failure == "replace":
-            monkeypatch.setattr(store_module.os, "replace", refuse)
-        else:
-            monkeypatch.setattr(store_module, "open", open_short, raising=False)
+        monkeypatch.setattr(
+            envelope_module.os, *(("replace", refuse) if failure == "replace"
+                                  else ("fdopen", fdopen_short)))
         errors = get_registry().counter("store_checkpoint_errors", "")
         before = errors.value
         assert store.write_checkpoint("x", {"n": 2}) is False
