@@ -44,7 +44,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.predictors.registry": (
         "PAPER_PREDICTOR_NAMES",
         "classified_predictors",
-        "make_predictor",
         "paper_predictors",
         "resolve",
     ),

@@ -402,7 +402,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if not args.socket:
         raise SystemExit("serve needs --socket (or --oneshot)")
-    server = ServiceServer(service, args.socket, legacy_errors=args.legacy_errors)
+    server = ServiceServer(service, args.socket)
     print(f"serving {len(service.links())} links on {args.socket}", file=sys.stderr)
 
     import signal
@@ -986,9 +986,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between --metrics-file snapshots")
     serve.add_argument("--metrics-file", default=None,
                        help="append periodic registry snapshots (JSONL) here")
-    serve.add_argument("--legacy-errors", action="store_true",
-                       help="emit deprecated bare-string errors to JSON "
-                            "clients (one-release compatibility bridge)")
     serve.add_argument("--state-dir", default=None, metavar="DIR",
                        help="durable tiered store directory: write-through "
                             "history, checkpoint on shutdown, warm restart")

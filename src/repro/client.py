@@ -1,10 +1,8 @@
 """ServiceClient — the one public way to talk to a prediction server.
 
-Every consumer of the socket protocol (the CLI, benchmarks, federation
-tiers, tests) goes through :class:`ServiceClient`; the historical
-``repro.service.server.request()`` helper survives only as a deprecated
-wrapper over it.  The client speaks both wire dialects over one reused
-connection:
+Every consumer of the socket protocol (the CLI, benchmarks, tests) goes
+through :class:`ServiceClient`.  It speaks both wire dialects over one
+reused connection:
 
 * **JSON-lines** (the default) — one JSON object per line, human-
   debuggable with ``nc -U``;
@@ -15,11 +13,10 @@ connection:
 Both dialects carry the same versioned request/response envelope: every
 request is stamped with the protocol schema version ``v`` (current: 1)
 and every response echoes one; errors arrive normalized as
-``{"ok": false, "error": {"code", "message"}}``.  The client also
-accepts the legacy bare-string ``error`` emitted by pre-envelope servers
-(and by servers running with the ``legacy_errors`` compatibility flag),
-so it can talk to either generation — :func:`error_info` is the one
-place both shapes are normalized.
+``{"ok": false, "error": {"code", "message"}}``.  A peer's bytes are
+outside input, so the client also accepts the bare-string ``error`` a
+pre-envelope server emits — :func:`error_info` is the one place both
+shapes are normalized.
 
 Connection lifecycle: lazy connect on first use, retried through server
 startup races under :data:`CONNECT_RETRY_POLICY` (the fault-injection
@@ -104,8 +101,8 @@ def _parse_address(address: str):
 def error_info(response: Dict[str, Any]) -> Tuple[str, str]:
     """``(code, message)`` from a failed response, either error shape.
 
-    The normalized envelope yields its ``code``/``message`` pair; the
-    legacy bare-string form yields ``("error", <the string>)``.
+    The normalized envelope yields its ``code``/``message`` pair; a
+    bare-string ``error`` yields ``("error", <the string>)``.
     """
     error = response.get("error")
     if isinstance(error, dict):

@@ -43,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "KERNEL_SPECS",
         "paper_predictors",
         "classified_predictors",
-        "make_predictor",
         "resolve",
         "resolve_battery",
     ),

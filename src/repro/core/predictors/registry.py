@@ -26,14 +26,10 @@ predictor.  A spec is a Figure 4 name (window parameters are free:
 sequence of specs to a name -> predictor dict; :func:`paper_predictors`
 and :func:`classified_predictors` build the paper's two 15-predictor
 batteries on top of it.
-
-:func:`make_predictor` is a deprecated alias of :func:`resolve` kept for
-backward compatibility.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.classification import Classification, paper_classification
@@ -53,7 +49,6 @@ __all__ = [
     "resolve_battery",
     "paper_predictors",
     "classified_predictors",
-    "make_predictor",
 ]
 
 #: Figure-order names of the 15 context-insensitive predictors.
@@ -176,17 +171,3 @@ def classified_predictors(
     return resolve_battery(
         CLASSIFIED_PREDICTOR_NAMES, classification=classification, fallback=fallback
     )
-
-
-def make_predictor(
-    name: str,
-    classification: Optional[Classification] = None,
-    fallback: bool = False,
-) -> Predictor:
-    """Deprecated alias of :func:`resolve`."""
-    warnings.warn(
-        "make_predictor() is deprecated; use repro.core.predictors.resolve()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return resolve(name, classification=classification, fallback=fallback)

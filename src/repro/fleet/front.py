@@ -1,21 +1,27 @@
-"""The GIIS-style async TCP front tier of the serving fleet.
+"""The GIIS-style TCP front tier of the serving fleet.
 
-One asyncio endpoint speaking both wire dialects (JSON-lines and binary
-frames, autodetected per connection exactly like the worker server),
-multiplexing a fleet of shard workers behind it:
+The same :class:`repro.endpoint.Endpoint` a worker serves its Unix
+socket with — both wire dialects, the same bounds, in-band errors,
+counters and accept backoff — bound to TCP and to this module's routes
+instead of a ``PredictionService``:
 
 * ``predict`` / ``observe`` route to the owning shard by consistent
   hash and forward over pooled binary Unix-socket connections;
 * ``predict_batch`` / ``observe_batch`` partition items per shard, fan
-  the sub-batches out concurrently, and reassemble results in request
-  order;
+  the sub-batches out, and reassemble results in request order;
 * ``rank`` fans per-shard sub-rankings out and merges them — confident
   predictions first (descending bandwidth), degraded answers after,
   no-history candidates last;
 * ``status`` aggregates every shard's status under one envelope with a
   ``fleet`` section describing per-worker health.
 
-**Robustness.**  Each shard gets a heartbeat loop and a
+**Fan-out without a second thread.**  Everything here is plain
+blocking code on the endpoint's connection threads.  A request that
+touches several shards (:meth:`FleetFront._scatter`) writes every
+sub-request before it reads any answer, so the workers compute in
+parallel while the one thread waits.
+
+**Robustness.**  Each shard gets a heartbeat thread and a
 :class:`~repro.resilience.breaker.CircuitBreaker`: transport failures
 and timeouts trip it, an open breaker fails fast with a normalized
 ``unavailable`` error (no connect timeout burned per request while a
@@ -30,30 +36,29 @@ confident answers in merged rankings.  ``observe`` never has a
 fallback: an ingest ack is a durability promise only the owning shard
 can make.
 
-The accept loop survives fd exhaustion (``EMFILE``/``ENFILE``) by
-pausing with exponential backoff and counting
-``server_accept_errors``, mirroring the worker server's hardening.
+A request carrying its caller's ``trace`` runs under a ``front.<op>``
+span, and every sub-request it sends carries that span as *its*
+``trace`` — client span -> front span -> worker span, one trace.
 """
 
 from __future__ import annotations
 
-import asyncio
-import errno
-import json
 import socket
 import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro import faults as _faults
 from repro import wire
+from repro.endpoint import Endpoint, answer
 from repro.fleet.hashing import ShardRing
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
-from repro.resilience import CircuitBreaker
+from repro.obs.tracing import current_span
+from repro.resilience import CircuitBreaker, Deadline
 
 __all__ = ["FleetFront", "ShardOverloaded", "ShardUnavailable"]
 
@@ -66,14 +71,6 @@ _M_OVERLOADED = _REG.counter(
     "fleet_overloaded", "requests shed by per-worker admission control")
 _M_FAILOVERS = _REG.counter(
     "fleet_failovers", "degraded last-good answers served for down shards")
-_M_ACCEPT_ERRORS = _REG.counter(
-    "server_accept_errors",
-    "accept() failures survived by backing off (fd exhaustion etc.)")
-
-#: One JSON request line may not exceed this (mirrors the worker server).
-MAX_REQUEST_BYTES = 1 << 20
-
-_FREED = object()  # pool sentinel: a connection slot opened up
 
 
 class ShardUnavailable(ConnectionError):
@@ -84,52 +81,60 @@ class ShardOverloaded(RuntimeError):
     """The owning worker's admission bound is full; load was shed."""
 
 
-async def _read_frame_async(
-    reader: asyncio.StreamReader, pre: bytes = b""
-) -> Optional[Tuple[int, bytes]]:
-    """One ``(op, payload)`` frame from a stream; ``None`` on clean EOF.
+def _error_of(failure: Exception) -> Tuple[str, str]:
+    """``(code, message)`` for a shard that could not answer."""
+    if isinstance(failure, ShardOverloaded):
+        return "overloaded", str(failure)
+    if isinstance(failure, ShardUnavailable):
+        if _obs_enabled():
+            _M_UNAVAILABLE.inc()
+        return "unavailable", str(failure)
+    return "internal", f"{type(failure).__name__}: {failure}"
 
-    ``pre`` carries bytes already consumed by dialect autodetection.
-    Mirrors :func:`repro.wire.read_frame`'s error mapping.
-    """
-    need = wire.HEADER.size - len(pre)
-    try:
-        header = pre + (await reader.readexactly(need) if need > 0 else b"")
-    except asyncio.IncompleteReadError as exc:
-        if not pre and not exc.partial:
-            return None
-        raise wire.TruncatedFrame(
-            f"frame header cut short at {len(pre) + len(exc.partial)} bytes"
-        ) from None
-    magic, version, op, length = wire.HEADER.unpack(header)
-    if magic != wire.MAGIC:
-        raise wire.FrameError(f"bad magic {magic!r}")
-    if version != wire.FRAME_VERSION:
-        raise wire.FrameError(
-            f"unsupported frame version {version} (this side speaks "
-            f"{wire.FRAME_VERSION})"
-        )
-    if length > wire.MAX_FRAME_BYTES:
-        raise wire.OversizedFrame(
-            f"frame payload of {length} bytes exceeds {wire.MAX_FRAME_BYTES}"
-        )
-    try:
-        payload = await reader.readexactly(length) if length else b""
-    except asyncio.IncompleteReadError as exc:
-        raise wire.TruncatedFrame(
-            f"frame payload cut short: {len(exc.partial)} of {length} bytes"
-        ) from None
-    return op, payload
+
+class _Conn:
+    """One pooled binary connection to a worker."""
+
+    __slots__ = ("sock", "rfile", "framer")
+
+    def __init__(self, socket_path: str, timeout: float):
+        self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            self.sock.settimeout(timeout)
+            self.sock.connect(socket_path)
+        except BaseException:
+            self.sock.close()
+            raise
+        self.rfile = self.sock.makefile("rb")
+        self.framer = wire.FrameWriter()
+
+    def close(self) -> None:
+        for closable in (self.rfile, self.sock):
+            try:
+                closable.close()
+            except OSError:
+                pass
+
+
+#: An admitted, sent, not yet answered call: its connection and the
+#: monotonic time by which the answer must have arrived.
+_Ticket = Tuple[_Conn, float]
 
 
 class _ShardLink:
     """One worker's client side: connection pool, breaker, admission.
 
     Pool connections speak the binary dialect (the batch-friendly shape
-    federation fan-out wants).  A connection that fails or times out
-    mid-call is discarded, never reused — a desynchronized stream must
-    not poison the next request.  All state is event-loop-confined; no
-    locks needed.
+    federation fan-out wants).  A call is two halves — :meth:`begin`
+    admits it, takes a connection and sends; :meth:`finish` reads the
+    answer — so a fan-out can send to every shard before it waits on
+    any.  A connection that fails or times out mid-call is closed,
+    never reused: a desynchronized stream must not poison the next
+    request.  There is no retry: the front cannot know whether a
+    request it gave up on (an ``observe``, say) was applied.  Callers
+    are the endpoint's connection threads and the heartbeat, so
+    ``pending``, ``_created`` and the idle list change only under
+    ``_cond``.
     """
 
     def __init__(
@@ -155,129 +160,112 @@ class _ShardLink:
         )
         self.pending = 0
         self._created = 0
-        self._idle: asyncio.LifoQueue = asyncio.LifoQueue()
+        self._idle: List[_Conn] = []
+        self._cond = threading.Condition()
 
-    async def call(
+    def call(
         self, req: Dict[str, Any], timeout: Optional[float] = None
     ) -> Dict[str, Any]:
         """Round-trip one request; raises the normalized shard errors."""
-        if self.pending >= self.max_pending:
-            if _obs_enabled():
-                _M_OVERLOADED.inc()
-            raise ShardOverloaded(
-                f"shard {self.shard} is at its admission bound "
-                f"({self.max_pending} requests in flight); load shed"
-            )
-        if not self.breaker.allow():
-            raise ShardUnavailable(
-                f"shard {self.shard} is unavailable (circuit open, retry "
-                f"after {self.breaker.retry_after():.2f}s)"
-            )
-        self.pending += 1
-        try:
-            try:
-                response = await asyncio.wait_for(
-                    self._do_call(req), timeout or self.call_timeout
-                )
-            except (OSError, ConnectionError, EOFError, TimeoutError,
-                    asyncio.TimeoutError, wire.FrameError) as exc:
-                self.breaker.record_failure()
-                raise ShardUnavailable(
-                    f"shard {self.shard} ({self.socket_path}): "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            self.breaker.record_success()
-            return response
-        finally:
-            self.pending -= 1
+        return self.finish(self.begin(req, timeout))
 
-    async def _do_call(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        conn = await self._acquire()
+    def begin(self, req: Dict[str, Any], timeout: Optional[float] = None) -> _Ticket:
+        """Admit and send one request; :meth:`finish` redeems the ticket."""
+        with self._cond:
+            if self.pending >= self.max_pending:
+                if _obs_enabled():
+                    _M_OVERLOADED.inc()
+                raise ShardOverloaded(
+                    f"shard {self.shard} is at its admission bound "
+                    f"({self.max_pending} requests in flight); load shed"
+                )
+            if not self.breaker.allow():
+                raise ShardUnavailable(
+                    f"shard {self.shard} is unavailable (circuit open, retry "
+                    f"after {self.breaker.retry_after():.2f}s)"
+                )
+            self.pending += 1
+        deadline = time.monotonic() + (timeout or self.call_timeout)
+        conn = None
         try:
-            reader, writer, framer = conn
-            writer.write(bytes(framer.encode_request(req)))
-            await writer.drain()
-            frame = await _read_frame_async(reader)
+            conn = self._acquire(deadline)
+            conn.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            conn.sock.sendall(conn.framer.encode_request(req))
+        except BaseException as exc:
+            self._abandon(conn, exc)
+        return conn, deadline
+
+    def finish(self, ticket: _Ticket) -> Dict[str, Any]:
+        """The answer to a :meth:`begin`; releases its connection."""
+        conn, deadline = ticket
+        try:
+            conn.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            frame = wire.read_frame(conn.rfile)
             if frame is None:
                 raise ConnectionError("worker closed the connection")
-            op, payload = frame
-            response = wire.decode_response(op, payload)
-        except BaseException:
-            # Timeout cancellation lands here too: the connection may
-            # have a response in flight for a request we gave up on, so
-            # it can never be reused.
-            await self._discard(conn)
-            raise
-        self._idle.put_nowait(conn)
+            response = wire.decode_response(*frame)
+        except BaseException as exc:
+            self._abandon(conn, exc)
+        self._release(conn, reuse=True)
+        self.breaker.record_success()
         return response
 
-    async def _acquire(self):
-        while True:
-            try:
-                conn = self._idle.get_nowait()
-            except asyncio.QueueEmpty:
-                conn = None
-            if conn is None:
-                if self._created < self.pool_size:
-                    self._created += 1
-                    try:
-                        reader, writer = await asyncio.open_unix_connection(
-                            self.socket_path
-                        )
-                    except BaseException:
-                        self._created -= 1
-                        raise
-                    return reader, writer, wire.FrameWriter()
-                conn = await self._idle.get()
-            if conn is _FREED:
-                continue  # a slot opened: loop back and reconnect
-            return conn
+    def _abandon(self, conn: Optional[_Conn], exc: BaseException) -> None:
+        """Give up on an admitted call and re-raise, transport trouble
+        as :class:`ShardUnavailable`.  Its connection may still deliver
+        an answer nobody will read, so it is closed, not pooled."""
+        self._release(conn, reuse=False)
+        self.breaker.record_failure()
+        if isinstance(exc, (OSError, EOFError, wire.FrameError)):
+            raise ShardUnavailable(
+                f"shard {self.shard} ({self.socket_path}): "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        raise exc
 
-    async def _discard(self, conn) -> None:
-        self._created -= 1
-        # Wake one waiter stuck in _acquire so it can open a fresh
-        # connection against the (possibly restarted) worker.
-        self._idle.put_nowait(_FREED)
-        _, writer, _ = conn
-        writer.close()
+    def _acquire(self, deadline: float) -> _Conn:
+        """An idle connection, or a fresh one while the pool has room;
+        otherwise wait — up to the call's deadline — for either."""
+        with self._cond:
+            while not self._idle and self._created >= self.pool_size:
+                if not self._cond.wait(deadline - time.monotonic()):
+                    raise TimeoutError("no pooled connection came free in time")
+            if self._idle:
+                return self._idle.pop()
+            self._created += 1
         try:
-            await writer.wait_closed()
-        except (OSError, ConnectionError):
-            pass
+            return _Conn(self.socket_path, max(deadline - time.monotonic(), 1e-3))
+        except BaseException:
+            with self._cond:
+                self._created -= 1
+                self._cond.notify()
+            raise
 
-    async def reset(self) -> None:
+    def _release(self, conn: Optional[_Conn], reuse: bool) -> None:
+        with self._cond:
+            self.pending -= 1
+            if conn is not None:
+                if reuse:
+                    self._idle.append(conn)
+                else:
+                    self._created -= 1
+                # Either way a waiter in _acquire can now make progress.
+                self._cond.notify()
+        if conn is not None and not reuse:
+            conn.close()
+
+    def reset(self) -> None:
         """Drop every idle pooled connection (e.g. after a known restart).
 
-        In-flight calls keep their connections; each idle one is
-        discarded through the normal path, so waiters blocked in
+        In-flight calls keep their connections; waiters blocked in
         :meth:`_acquire` wake up and dial fresh.
         """
-        drained = []
-        while True:
-            try:
-                drained.append(self._idle.get_nowait())
-            except asyncio.QueueEmpty:
-                break
+        with self._cond:
+            drained, self._idle = self._idle, []
+            self._created -= len(drained)
+            self._cond.notify_all()
         for conn in drained:
-            if conn is _FREED:
-                self._idle.put_nowait(conn)
-            else:
-                await self._discard(conn)
-
-    async def close(self) -> None:
-        while True:
-            try:
-                conn = self._idle.get_nowait()
-            except asyncio.QueueEmpty:
-                return
-            if conn is _FREED:
-                continue
-            _, writer, _ = conn
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
+            conn.close()
 
     def health(self) -> Dict[str, Any]:
         return {
@@ -292,11 +280,10 @@ class _ShardLink:
 class FleetFront:
     """The fleet's TCP endpoint (see module docstring).
 
-    Runs its own event loop on a daemon thread so the CLI, tests, and
-    the benches can drive it alongside a :class:`WorkerSupervisor`
-    without going async themselves.  The listening socket binds in
-    :meth:`start` (synchronously — ``address`` is valid immediately);
-    ``port=0`` picks a free port.
+    Serves on daemon threads so the CLI, tests, and the benches can
+    drive it alongside a :class:`WorkerSupervisor`.  The listening
+    socket binds in :meth:`start` (synchronously — ``address`` is valid
+    immediately); ``port=0`` picks a free port.
     """
 
     def __init__(
@@ -331,96 +318,69 @@ class FleetFront:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.info_hook = info_hook
-        self._link_opts = dict(
-            pool_size=pool_size,
-            max_pending=max_pending,
-            call_timeout=call_timeout,
-            breaker_threshold=breaker_threshold,
-            breaker_reset=breaker_reset,
-        )
-        self._shard_sockets = [str(path) for path in shard_sockets]
-        self._links: List[_ShardLink] = []
+        self._links = [
+            _ShardLink(
+                shard, path,
+                pool_size=pool_size,
+                max_pending=max_pending,
+                call_timeout=call_timeout,
+                breaker_threshold=breaker_threshold,
+                breaker_reset=breaker_reset,
+            )
+            for shard, path in enumerate(shard_sockets)
+        ]
         self._last_good: "OrderedDict[Tuple[str, Optional[str]], Dict[str, Any]]" = (
             OrderedDict()
         )
         self._last_good_capacity = last_good_capacity
-        self._listen_sock: Optional[socket.socket] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._conn_tasks: set = set()
+        self._last_good_lock = threading.Lock()
+        self._routes: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
+            "predict": self._route_predict,
+            "observe": self._route_observe,
+            "predict_batch": self._route_predict_batch,
+            "observe_batch": self._route_observe_batch,
+            "rank": self._route_rank,
+            "status": self._route_status,
+            "metrics": lambda req: {"metrics": _REG.snapshot()},
+        }
+        self._endpoint = Endpoint((host, port), self._dispatch, name="fleet-front")
+        self._stopping = threading.Event()
+        self._heartbeats: List[threading.Thread] = []
         self.address: Optional[Tuple[str, int]] = None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> "FleetFront":
-        if self._thread is not None:
-            raise RuntimeError("front already started")
-        sock = socket.create_server(
-            (self.host, self.port), reuse_port=False, backlog=128
-        )
-        sock.setblocking(False)
-        self._listen_sock = sock
-        self.address = sock.getsockname()[:2]
-        self._thread = threading.Thread(
-            target=self._run, name="fleet-front", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise RuntimeError("fleet front failed to start") from self._startup_error
+        self._endpoint.start()  # raises if already started
+        self.address = self._endpoint.address
+        self._stopping.clear()
+        self._heartbeats = [
+            threading.Thread(
+                target=self._heartbeat, args=(link,),
+                name=f"fleet-heartbeat-{link.shard}", daemon=True,
+            )
+            for link in self._links
+        ]
+        for thread in self._heartbeats:
+            thread.start()
         return self
 
-    def _run(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:  # pragma: no cover - defensive
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        self._links = [
-            _ShardLink(shard, path, **self._link_opts)
-            for shard, path in enumerate(self._shard_sockets)
-        ]
-        heartbeats = [
-            asyncio.ensure_future(self._heartbeat(link)) for link in self._links
-        ]
-        accept = asyncio.ensure_future(self._accept_loop())
-        self._ready.set()
-        try:
-            await self._stop_event.wait()
-        finally:
-            # Graceful drain: stop accepting, give in-flight requests a
-            # moment to answer, then tear everything down.
-            accept.cancel()
-            for task in heartbeats:
-                task.cancel()
-            pending = [t for t in self._conn_tasks if not t.done()]
-            if pending:
-                await asyncio.wait(pending, timeout=5.0)
-                for task in pending:
-                    task.cancel()
-            await asyncio.gather(accept, *heartbeats, return_exceptions=True)
-            for link in self._links:
-                await link.close()
-
     def stop(self) -> None:
-        """Graceful stop: close the listener, drain, tear down."""
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None and loop.is_running():
-            loop.call_soon_threadsafe(stop_event.set)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self._listen_sock is not None:
-            self._listen_sock.close()
-            self._listen_sock = None
+        """Graceful stop: close the listener, drain, drop the idle pools."""
+        self._stopping.set()
+        self._endpoint.stop()
+        for thread in self._heartbeats:
+            thread.join(timeout=self.heartbeat_timeout + 1.0)
+        self._heartbeats = []
+        # Requests already sent to a worker finish on their own threads;
+        # give them a moment before the caller starts taking workers down.
+        deadline = time.monotonic() + 5.0
+        while (any(link.pending for link in self._links)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        for link in self._links:
+            link.reset()
 
     def __enter__(self) -> "FleetFront":
         return self.start()
@@ -428,392 +388,137 @@ class FleetFront:
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # ------------------------------------------------------------------
-    # accept / connection loops
-    # ------------------------------------------------------------------
-    async def _accept_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        delay = 0.0
-        while True:
-            try:
-                conn, _addr = await loop.sock_accept(self._listen_sock)
-            except asyncio.CancelledError:
-                raise
-            except OSError as exc:
-                if exc.errno in (errno.EMFILE, errno.ENFILE):
-                    # fd exhaustion: pause accepting with backoff instead
-                    # of letting the loop die; in-flight connections keep
-                    # serving and closing fds frees capacity.
-                    _M_ACCEPT_ERRORS.inc()
-                    delay = min(delay * 2 or 0.05, 1.0)
-                    await asyncio.sleep(delay)
-                    continue
-                if self._stop_event is not None and self._stop_event.is_set():
-                    return
-                _M_ACCEPT_ERRORS.inc()
-                await asyncio.sleep(delay or 0.05)
-                continue
-            delay = 0.0
-            conn.setblocking(False)
-            task = loop.create_task(self._serve_connection(conn))
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-
-    async def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            reader, writer = await asyncio.open_connection(
-                sock=conn, limit=wire.MAX_FRAME_BYTES + wire.HEADER.size
-            )
-        except OSError:
-            conn.close()
-            return
-        try:
-            first = await reader.read(1)
-            if not first:
-                return
-            if first == wire.MAGIC[:1]:
-                await self._serve_binary(reader, writer, first)
-            else:
-                await self._serve_json(reader, writer, first)
-        except (OSError, ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):
-                pass
-
-    async def _serve_json(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        pre = first
-        while True:
-            try:
-                line = pre + await reader.readline()
-            except (ValueError, asyncio.LimitOverrunError):
-                # No newline within the stream limit: unrecoverable
-                # desync, answer and close (mirrors the worker server).
-                await self._send_json(writer, wire.error_response(
-                    "oversized_request",
-                    f"request exceeds {MAX_REQUEST_BYTES} bytes",
-                ))
-                return
-            pre = b""
-            if not line:
-                return
-            if len(line) > MAX_REQUEST_BYTES:
-                await self._send_json(writer, wire.error_response(
-                    "oversized_request",
-                    f"request exceeds {MAX_REQUEST_BYTES} bytes",
-                ))
-                return
-            text = line.decode("utf-8", errors="replace").strip()
-            if not text:
-                continue
-            try:
-                req = json.loads(text)
-                if not isinstance(req, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                response = wire.error_response("bad_request", f"bad request: {exc}")
-            else:
-                response = await self._dispatch(req)
-            if _obs_enabled():
-                _M_REQUESTS.inc()
-            if not await self._send_json(writer, response):
-                return
-
-    async def _send_json(self, writer: asyncio.StreamWriter, response) -> bool:
-        try:
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
-            return True
-        except (OSError, ConnectionError):
-            return False
-
-    async def _serve_binary(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        first: bytes,
-    ) -> None:
-        framer = wire.FrameWriter()
-        pre = first
-        while True:
-            try:
-                frame = await _read_frame_async(reader, pre)
-            except wire.FrameError as exc:
-                code = (
-                    "oversized_request"
-                    if isinstance(exc, wire.OversizedFrame) else "bad_frame"
-                )
-                await self._send_frame(
-                    writer, framer, wire.OP_ERROR,
-                    wire.error_response(code, str(exc)),
-                )
-                return
-            pre = b""
-            if frame is None:
-                return
-            op, payload = frame
-            try:
-                req = wire.decode_request(op, payload)
-            except wire.FrameError as exc:
-                if not await self._send_frame(
-                    writer, framer, wire.OP_ERROR,
-                    wire.error_response("bad_frame", str(exc)),
-                ):
-                    return
-                continue
-            response = await self._dispatch(req)
-            if _obs_enabled():
-                _M_REQUESTS.inc()
-            if not await self._send_frame(writer, framer, op, response):
-                return
-
-    async def _send_frame(
-        self,
-        writer: asyncio.StreamWriter,
-        framer: wire.FrameWriter,
-        op: int,
-        response: Dict[str, Any],
-    ) -> bool:
-        try:
-            out = bytes(framer.encode_response(op, response))
-        except wire.FrameError as exc:
-            out = bytes(framer.encode_response(op, wire.error_response(
-                "internal", f"unencodable response: {exc}"
-            )))
-        try:
-            writer.write(out)
-            await writer.drain()
-            return True
-        except (OSError, ConnectionError):
-            return False
-
-    # ------------------------------------------------------------------
-    # heartbeats
-    # ------------------------------------------------------------------
-    async def _heartbeat(self, link: _ShardLink) -> None:
-        """Ping one worker forever; the breaker records the outcome.
+    def _heartbeat(self, link: _ShardLink) -> None:
+        """Ping one worker until stopped; the breaker records the outcome.
 
         While a breaker is open this is also what probes it half-open
         back to closed — recovery does not wait for client traffic.
         """
         while True:
             try:
-                await link.call({"op": "ping", "v": 1},
-                                timeout=self.heartbeat_timeout)
+                link.call({"op": "ping", "v": 1}, timeout=self.heartbeat_timeout)
             except (ShardUnavailable, ShardOverloaded):
                 pass
-            await asyncio.sleep(self.heartbeat_interval)
+            if self._stopping.wait(self.heartbeat_interval):
+                return
 
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        try:
-            v = req.get("v", wire.PROTOCOL_VERSION)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(f"bad protocol version {v!r}")
-            if v > wire.PROTOCOL_VERSION:
-                return wire.error_response(
-                    "unsupported_version",
-                    f"protocol version {v} not supported (this front speaks "
-                    f"{wire.PROTOCOL_VERSION})",
-                )
-            op = req.get("op")
-            if op == "ping":
-                return {"ok": True, "v": wire.PROTOCOL_VERSION, "pong": True}
-            if "shard" in req:
-                # Escape hatch: address one worker directly, bypassing
-                # routing and aggregation — how an operator inspects a
-                # single shard's spans, events, or unmerged status.
-                return await self._forward(int(req["shard"]), req)
-            if op in ("predict", "observe"):
-                return await self._route_single(op, req)
-            if op == "predict_batch":
-                return await self._route_batch(req)
-            if op == "observe_batch":
-                return await self._route_observe_batch(req)
-            if op == "rank":
-                return await self._route_rank(req)
-            if op == "status":
-                return await self._route_status()
-            if op == "metrics":
-                return {
-                    "ok": True, "v": wire.PROTOCOL_VERSION,
-                    "metrics": _REG.snapshot(),
-                }
-            return wire.error_response("unknown_op", f"unknown op {op!r}")
-        except (KeyError, TypeError, ValueError) as exc:
-            return wire.error_response(
-                "bad_request", f"{type(exc).__name__}: {exc}"
-            )
-        except Exception as exc:  # defense in depth, mirrors the server
-            return wire.error_response(
-                "internal", f"internal error: {type(exc).__name__}: {exc}"
-            )
+    def _dispatch(self, req: Dict[str, Any], deadline: Deadline) -> Dict[str, Any]:
+        if _obs_enabled():
+            _M_REQUESTS.inc()
+        return answer(req, deadline, self._route, span_prefix="front")
 
-    async def _forward(self, shard: int, req: Dict[str, Any]) -> Dict[str, Any]:
-        if not 0 <= shard < len(self._links):
-            return wire.error_response(
-                "bad_request", f"no such shard {shard} (fleet has "
-                f"{len(self._links)})"
-            )
-        sub = {key: value for key, value in req.items() if key != "shard"}
-        try:
-            return await self._links[shard].call(sub)
-        except ShardOverloaded as exc:
-            return wire.error_response("overloaded", str(exc))
-        except ShardUnavailable as exc:
-            if _obs_enabled():
-                _M_UNAVAILABLE.inc()
-            return wire.error_response("unavailable", str(exc))
+    def _route(
+        self, op: str, req: Dict[str, Any], deadline: Deadline
+    ) -> Optional[Dict[str, Any]]:
+        if op == "ping":
+            return {"pong": True}
+        if "shard" in req:
+            # Escape hatch: address one worker directly, bypassing
+            # routing and aggregation — how an operator inspects a
+            # single shard's spans, events, or unmerged status.
+            return self._forward(int(req["shard"]), req)
+        route = self._routes.get(op)
+        return None if route is None else route(req)
 
-    async def _route_single(self, op: str, req: Dict[str, Any]) -> Dict[str, Any]:
-        link_name = str(req["link"])
-        shard = self.ring.shard_of(link_name)
-        _faults.check("fleet.route", shard=shard, op=op)
-        try:
-            response = await self._links[shard].call(req)
-        except ShardOverloaded as exc:
-            return wire.error_response("overloaded", str(exc))
-        except ShardUnavailable as exc:
-            if op == "predict" and self.fallback:
-                stale = self._recall(link_name, req.get("spec"), req)
-                if stale is not None:
-                    return stale
-            if _obs_enabled():
-                _M_UNAVAILABLE.inc()
-            return wire.error_response("unavailable", str(exc))
-        if op == "predict" and response.get("ok"):
-            self._remember(response)
-        return response
+    def _sub(
+        self, req: Dict[str, Any], keys: Iterable[str], **fields: Any
+    ) -> Dict[str, Any]:
+        """A sub-request: ``keys`` of the client's request, ``fields`` on
+        top — and, when the request runs under a front span, that span
+        as the worker's trace parent (the client's own otherwise)."""
+        sub = {key: req[key] for key in keys if key in req}
+        sub.update(fields)
+        own = current_span()
+        if own is not None:
+            sub["trace"] = {"trace_id": own.trace_id, "span_id": own.span_id}
+        return sub
 
-    # -- predict_batch fan-out -----------------------------------------
-    async def _route_batch(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        items = req["items"]
-        if not isinstance(items, (list, tuple)):
-            raise ValueError("items must be a list of {link, size} objects")
-        entries: List[Optional[Dict[str, Any]]] = [None] * len(items)
-        by_shard: Dict[int, List[int]] = {}
-        for pos, item in enumerate(items):
+    def _scatter(
+        self, subs: Dict[int, Dict[str, Any]]
+    ) -> Dict[int, Union[Dict[str, Any], Exception]]:
+        """Ask several shards at once: ``{shard: response | exception}``.
+
+        Every sub-request is sent before any answer is read, so the
+        workers compute in parallel while this one thread waits.  Sends
+        go in ascending shard order: two fan-outs contending for the
+        same bounded pools each hold only connections *below* the one
+        they wait for, so neither can block the other forever.
+        """
+        tickets: Dict[int, _Ticket] = {}
+        outcomes: Dict[int, Union[Dict[str, Any], Exception]] = {}
+        for shard in sorted(subs):
             try:
-                if not isinstance(item, dict):
-                    raise ValueError("batch item must be an object")
-                shard = self.ring.shard_of(str(item["link"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                entries[pos] = {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": f"item {pos}: {type(exc).__name__}: {exc}",
-                    },
-                }
-                continue
-            by_shard.setdefault(shard, []).append(pos)
+                _faults.check("fleet.route", shard=shard, op=subs[shard].get("op"))
+                tickets[shard] = self._links[shard].begin(subs[shard])
+            except Exception as exc:
+                outcomes[shard] = exc
+        for shard, ticket in tickets.items():
+            try:
+                outcomes[shard] = self._links[shard].finish(ticket)
+            except Exception as exc:
+                outcomes[shard] = exc
+        return outcomes
 
-        passthrough = {
-            key: req[key] for key in ("v", "spec", "now", "trace") if key in req
-        }
+    def _ask(
+        self, shard: int, req: Dict[str, Any]
+    ) -> Union[Dict[str, Any], Exception]:
+        """One worker's own answer to ``req`` (minus any ``shard`` field)."""
+        sub = self._sub(req, (key for key in req if key != "shard"))
+        return self._scatter({shard: sub})[shard]
 
-        async def sub_batch(shard: int, positions: List[int]):
-            sub = dict(passthrough)
-            sub["op"] = "predict_batch"
-            sub["items"] = [items[pos] for pos in positions]
-            return await self._links[shard].call(sub)
+    def _forward(self, shard: int, req: Dict[str, Any]) -> Dict[str, Any]:
+        if not 0 <= shard < len(self._links):
+            raise ValueError(
+                f"no such shard {shard} (fleet has {len(self._links)})")
+        outcome = self._ask(shard, req)
+        if isinstance(outcome, Exception):
+            return wire.error_entry(*_error_of(outcome))
+        return outcome
 
-        shards = sorted(by_shard)
-        outcomes = await asyncio.gather(
-            *(sub_batch(shard, by_shard[shard]) for shard in shards),
-            return_exceptions=True,
-        )
-        for shard, outcome in zip(shards, outcomes):
-            positions = by_shard[shard]
-            if isinstance(outcome, BaseException):
-                entries_for = self._batch_failure_entries(
-                    outcome, [items[pos] for pos in positions], req
-                )
-                for pos, entry in zip(positions, entries_for):
-                    entries[pos] = entry
-                continue
-            if not outcome.get("ok"):
-                for pos in positions:
-                    entries[pos] = {
-                        "ok": False, "error": outcome.get("error"),
-                    }
-                continue
-            for pos, result in zip(positions, outcome["results"]):
-                if result.get("ok"):
-                    self._remember(result)
-                entries[pos] = result
-        return {
-            "ok": True, "v": wire.PROTOCOL_VERSION,
-            "count": len(items), "results": entries,
-        }
+    def _route_observe(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        return self._forward(self.ring.shard_of(str(req["link"])), req)
 
-    def _batch_failure_entries(
-        self,
-        failure: BaseException,
-        failed_items: List[Dict[str, Any]],
-        req: Dict[str, Any],
-    ) -> List[Dict[str, Any]]:
-        """Per-item entries for a whole sub-batch that could not answer."""
-        if isinstance(failure, ShardOverloaded):
-            if _obs_enabled():
-                _M_OVERLOADED.inc()
-            return [
-                {"ok": False,
-                 "error": {"code": "overloaded", "message": str(failure)}}
-                for _ in failed_items
-            ]
-        if not isinstance(failure, ShardUnavailable):
-            return [
-                {"ok": False,
-                 "error": {"code": "internal",
-                           "message": f"{type(failure).__name__}: {failure}"}}
-                for _ in failed_items
-            ]
-        entries = []
-        for item in failed_items:
-            stale = None
-            if self.fallback:
-                stale = self._recall(
-                    str(item.get("link")),
-                    item.get("spec", req.get("spec")),
-                    item,
-                    envelope=False,
-                )
+    def _route_predict(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        outcome = self._ask(self.ring.shard_of(str(req["link"])), req)
+        if isinstance(outcome, Exception):
+            return self._stale_or_error(req, req, outcome)
+        if outcome.get("ok"):
+            self._remember([outcome])
+        return outcome
+
+    def _stale_or_error(
+        self, req: Dict[str, Any], item: Dict[str, Any], failure: Exception
+    ) -> Dict[str, Any]:
+        """What one prediction becomes when its shard could not answer:
+        the last good answer, marked degraded, if the front runs with
+        fallback and remembers one; the shard's error otherwise."""
+        if self.fallback and isinstance(failure, ShardUnavailable):
+            stale = self._recall(
+                str(item.get("link")), item.get("spec", req.get("spec")), item)
             if stale is not None:
-                entries.append({"ok": True, **stale})
-            else:
-                if _obs_enabled():
-                    _M_UNAVAILABLE.inc()
-                entries.append({
-                    "ok": False,
-                    "error": {"code": "unavailable", "message": str(failure)},
-                })
-        return entries
+                return {"ok": True, **stale}
+        return wire.error_entry(*_error_of(failure))
 
-    # -- observe_batch fan-out -----------------------------------------
-    async def _route_observe_batch(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        """Partition an observe batch per owning shard, fan out concurrently.
+    # -- predict_batch / observe_batch fan-out ---------------------------
+    def _route_items(
+        self,
+        req: Dict[str, Any],
+        keys: Sequence[str],
+        failed_item: Callable[[Dict[str, Any], Exception], Dict[str, Any]],
+    ) -> Dict[str, Any]:
+        """Partition a batch per owning shard, fan out, reassemble.
 
-        Unlike ``predict_batch`` there is **no** stale fallback and no
-        answer cache: an observe ack is a durability promise only the
-        owning shard can make, so a dead shard's items come back
-        ``unavailable`` for the client to retry after failover.  Items
-        for live shards still land — one shard's death never poisons
-        the rest of the batch.
+        ``keys`` are the request fields every sub-batch carries along;
+        ``failed_item(item, failure)`` is the entry of an item whose
+        shard could not answer.  Results come back in request order,
+        and one shard's death never poisons the rest of the batch.
         """
         items = req["items"]
         if not isinstance(items, (list, tuple)):
-            raise ValueError("items must be a list of observation objects")
+            raise ValueError("items must be a list of objects")
         entries: List[Optional[Dict[str, Any]]] = [None] * len(items)
         by_shard: Dict[int, List[int]] = {}
         for pos, item in enumerate(items):
@@ -822,121 +527,77 @@ class FleetFront:
                     raise ValueError("batch item must be an object")
                 shard = self.ring.shard_of(str(item["link"]))
             except (KeyError, TypeError, ValueError) as exc:
-                entries[pos] = {
-                    "ok": False,
-                    "error": {
-                        "code": "bad_request",
-                        "message": f"item {pos}: {type(exc).__name__}: {exc}",
-                    },
-                }
+                entries[pos] = wire.error_entry(
+                    "bad_request", f"item {pos}: {type(exc).__name__}: {exc}")
                 continue
             by_shard.setdefault(shard, []).append(pos)
-
-        passthrough = {key: req[key] for key in ("v", "trace") if key in req}
-
-        async def sub_batch(shard: int, positions: List[int]):
-            sub = dict(passthrough)
-            sub["op"] = "observe_batch"
-            sub["items"] = [items[pos] for pos in positions]
-            _faults.check("fleet.route", shard=shard, op="observe_batch")
-            return await self._links[shard].call(sub)
-
-        shards = sorted(by_shard)
-        outcomes = await asyncio.gather(
-            *(sub_batch(shard, by_shard[shard]) for shard in shards),
-            return_exceptions=True,
-        )
-        for shard, outcome in zip(shards, outcomes):
-            positions = by_shard[shard]
-            if isinstance(outcome, BaseException):
-                if isinstance(outcome, ShardOverloaded):
-                    code = "overloaded"
-                    if _obs_enabled():
-                        _M_OVERLOADED.inc()
-                elif isinstance(outcome, ShardUnavailable):
-                    code = "unavailable"
-                    if _obs_enabled():
-                        _M_UNAVAILABLE.inc()
-                else:
-                    code = "internal"
-                for pos in positions:
-                    entries[pos] = {
-                        "ok": False,
-                        "error": {"code": code, "message": str(outcome)},
-                    }
-                continue
-            if not outcome.get("ok"):
-                for pos in positions:
-                    entries[pos] = {"ok": False, "error": outcome.get("error")}
-                continue
-            for pos, result in zip(positions, outcome["results"]):
+        outcomes = self._scatter({
+            shard: self._sub(req, keys, items=[items[pos] for pos in positions])
+            for shard, positions in by_shard.items()
+        })
+        for shard, positions in by_shard.items():
+            outcome = outcomes[shard]
+            if isinstance(outcome, Exception):
+                results = [failed_item(items[pos], outcome) for pos in positions]
+            elif not outcome.get("ok"):
+                refusal = {"ok": False, "error": outcome.get("error")}
+                results = [refusal] * len(positions)
+            else:
+                results = outcome["results"]
+            for pos, result in zip(positions, results):
                 entries[pos] = result
-        return {
-            "ok": True, "v": wire.PROTOCOL_VERSION,
-            "count": len(items), "results": entries,
-        }
+        return {"count": len(items), "results": entries}
+
+    def _route_predict_batch(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        payload = self._route_items(
+            req, ("op", "v", "spec", "now", "trace"),
+            lambda item, failure: self._stale_or_error(req, item, failure),
+        )
+        self._remember(entry for entry in payload["results"] if entry.get("ok"))
+        return payload
+
+    def _route_observe_batch(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        # No stale fallback: an observe ack is a durability promise only
+        # the owning shard can make, so a dead shard's items come back
+        # ``unavailable`` for the client to retry after failover.
+        return self._route_items(
+            req, ("op", "v", "trace"),
+            lambda item, failure: wire.error_entry(*_error_of(failure)),
+        )
 
     # -- rank fan-out / merge ------------------------------------------
-    async def _route_rank(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        candidates = [str(c) for c in req["candidates"]]
+    def _route_rank(self, req: Dict[str, Any]) -> Dict[str, Any]:
         int(req["size"])  # validate like the worker does
-        groups = self.ring.partition(candidates)
-        passthrough = {
-            key: req[key]
-            for key in ("v", "size", "spec", "now", "trace") if key in req
-        }
-
-        async def sub_rank(shard: int, sites: List[str]):
-            sub = dict(passthrough)
-            sub["op"] = "rank"
-            sub["candidates"] = sites
-            return await self._links[shard].call(sub)
-
-        shards = sorted(groups)
-        outcomes = await asyncio.gather(
-            *(sub_rank(shard, groups[shard]) for shard in shards),
-            return_exceptions=True,
-        )
+        groups = self.ring.partition(str(c) for c in req["candidates"])
+        outcomes = self._scatter({
+            shard: self._sub(
+                req, ("op", "v", "size", "spec", "now", "trace"), candidates=sites)
+            for shard, sites in groups.items()
+        })
         confident: List[Dict[str, Any]] = []
         degraded: List[Dict[str, Any]] = []
         empty: List[Dict[str, Any]] = []
-        for shard, outcome in zip(shards, outcomes):
-            if isinstance(outcome, ShardOverloaded):
-                return wire.error_response("overloaded", str(outcome))
-            if isinstance(outcome, ShardUnavailable):
-                if not self.fallback:
-                    if _obs_enabled():
-                        _M_UNAVAILABLE.inc()
-                    return wire.error_response(
-                        "unavailable",
-                        f"cannot rank: {outcome} (run the front with "
-                        f"fallback to rank from last-good answers)",
-                    )
+        for shard in sorted(groups):
+            outcome = outcomes[shard]
+            if isinstance(outcome, ShardUnavailable) and self.fallback:
                 # Last-good failover: every candidate this shard owns
                 # ranks from the front's memory, marked degraded and
                 # sorted after every confident answer.
                 for site in groups[shard]:
-                    stale = self._recall(site, req.get("spec"), req,
-                                         envelope=False)
-                    if stale is not None and stale.get("value") is not None:
-                        if _obs_enabled():
-                            _M_FAILOVERS.inc()
-                        degraded.append({
-                            "site": site,
-                            "predicted_bandwidth": stale["value"],
-                            "history_length": stale.get("history_length", 0),
-                            "degraded": True,
-                        })
-                    else:
-                        empty.append({
-                            "site": site,
-                            "predicted_bandwidth": None,
-                            "history_length": 0,
-                            "degraded": True,
-                        })
+                    stale = self._recall(site, req.get("spec"), req)
+                    (degraded if stale else empty).append({
+                        "site": site,
+                        "predicted_bandwidth": stale["value"] if stale else None,
+                        "history_length": stale["history_length"] if stale else 0,
+                        "degraded": True,
+                    })
                 continue
-            if isinstance(outcome, BaseException):
-                raise outcome
+            if isinstance(outcome, Exception):
+                code, message = _error_of(outcome)
+                if code == "unavailable":
+                    message = (f"cannot rank: {message} (run the front with "
+                               f"fallback to rank from last-good answers)")
+                return wire.error_entry(code, message)
             if not outcome.get("ok"):
                 return outcome
             for entry in outcome["ranking"]:
@@ -947,30 +608,29 @@ class FleetFront:
                 else:
                     confident.append(entry)
         key = lambda entry: -entry["predicted_bandwidth"]  # noqa: E731
-        ranking = (
-            sorted(confident, key=key) + sorted(degraded, key=key) + empty
-        )
-        return {"ok": True, "v": wire.PROTOCOL_VERSION, "ranking": ranking}
+        return {
+            "ranking": sorted(confident, key=key) + sorted(degraded, key=key) + empty
+        }
 
     # -- status aggregation --------------------------------------------
-    async def _route_status(self) -> Dict[str, Any]:
-        outcomes = await asyncio.gather(
-            *(link.call({"op": "status", "v": 1}) for link in self._links),
-            return_exceptions=True,
-        )
+    def _route_status(self, req: Dict[str, Any]) -> Dict[str, Any]:
+        outcomes = self._scatter({
+            link.shard: self._sub(req, ("op", "v", "trace")) for link in self._links
+        })
         worker_statuses: List[Optional[Dict[str, Any]]] = []
         shard_entries: List[Dict[str, Any]] = []
-        for link, outcome in zip(self._links, outcomes):
+        for link in self._links:
+            outcome = outcomes[link.shard]
             entry = link.health()
             if self.info_hook is not None:
                 try:
                     entry.update(self.info_hook(link.shard))
                 except Exception:
                     pass  # status must answer even if the hook breaks
-            if isinstance(outcome, BaseException) or not outcome.get("ok"):
+            if isinstance(outcome, Exception) or not outcome.get("ok"):
                 entry["up"] = False
                 entry["error"] = (
-                    str(outcome) if isinstance(outcome, BaseException)
+                    str(outcome) if isinstance(outcome, Exception)
                     else str(outcome.get("error"))
                 )
                 worker_statuses.append(None)
@@ -984,7 +644,7 @@ class FleetFront:
             "last_good_entries": len(self._last_good),
             "shards": shard_entries,
         }
-        return {"ok": True, "v": wire.PROTOCOL_VERSION, **merged}
+        return merged
 
     @staticmethod
     def _merge_statuses(
@@ -1054,41 +714,38 @@ class FleetFront:
     # ------------------------------------------------------------------
     # last-good failover memory
     # ------------------------------------------------------------------
-    def _remember(self, payload: Dict[str, Any]) -> None:
-        """Cache a confident prediction for degraded failover later."""
-        if payload.get("value") is None or payload.get("degraded"):
-            return
-        entry = {
-            "link": payload["link"],
-            "spec": payload["spec"],
-            "size": payload["size"],
-            "value": payload["value"],
-            "version": payload.get("version", 0),
-            "history_length": payload.get("history_length", 0),
-        }
+    def _remember(self, payloads: Iterable[Dict[str, Any]]) -> None:
+        """Cache confident predictions for degraded failover later."""
         cache = self._last_good
-        for key in ((payload["link"], payload["spec"]),
-                    (payload["link"], None)):
-            cache[key] = entry
-            cache.move_to_end(key)
-        while len(cache) > self._last_good_capacity:
-            cache.popitem(last=False)
+        with self._last_good_lock:
+            for payload in payloads:
+                if payload.get("value") is None or payload.get("degraded"):
+                    continue
+                entry = {
+                    "link": payload["link"],
+                    "spec": payload["spec"],
+                    "size": payload["size"],
+                    "value": payload["value"],
+                    "version": payload.get("version", 0),
+                    "history_length": payload.get("history_length", 0),
+                }
+                for key in ((payload["link"], payload["spec"]),
+                            (payload["link"], None)):
+                    cache[key] = entry
+                    cache.move_to_end(key)
+            while len(cache) > self._last_good_capacity:
+                cache.popitem(last=False)
 
     def _recall(
-        self,
-        link_name: str,
-        spec: Optional[str],
-        req: Dict[str, Any],
-        envelope: bool = True,
+        self, link_name: str, spec: Optional[str], req: Dict[str, Any]
     ) -> Optional[Dict[str, Any]]:
-        """A degraded last-good prediction payload, if one is cached."""
-        entry = self._last_good.get(
-            (link_name, spec if spec is not None else None)
-        )
-        if entry is None and spec is not None:
-            entry = None  # an explicit spec never falls back to another
-        if entry is None and spec is None:
-            entry = self._last_good.get((link_name, None))
+        """A degraded last-good prediction payload, if one is cached.
+
+        An explicit ``spec`` never falls back to another spec's answer;
+        no spec means the link's most recent one.
+        """
+        with self._last_good_lock:
+            entry = self._last_good.get((link_name, spec))
         if entry is None:
             return None
         if _obs_enabled():
@@ -1097,7 +754,7 @@ class FleetFront:
                 "fleet.failover", link=link_name,
                 spec=entry["spec"], version=entry["version"],
             )
-        payload = {
+        return {
             "link": entry["link"],
             "spec": entry["spec"],
             "size": int(req.get("size", entry["size"])),
@@ -1108,6 +765,3 @@ class FleetFront:
             "latency_seconds": 0.0,
             "degraded": True,       # a stale answer must say so
         }
-        if not envelope:
-            return payload
-        return {"ok": True, "v": wire.PROTOCOL_VERSION, **payload}

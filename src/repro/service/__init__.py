@@ -8,22 +8,20 @@ serves predictions *live*, the deployment posture of Sections 5–6:
   ingest, version-keyed LRU-cached ``predict``/``rank_replicas``, and
   the vectorized ``predict_batch`` sweep;
 * :mod:`repro.service.tail` — follow a growing ULM log file;
-* :mod:`repro.service.server` — Unix-socket front end speaking
-  JSON-lines and the :mod:`repro.wire` binary frame protocol
-  (``repro serve`` / ``repro query``);
+* :mod:`repro.service.server` — the op table (``handle_request``) and
+  the Unix-socket server that serves it through the shared
+  :mod:`repro.endpoint` loop (``repro serve`` / ``repro query``);
 * :mod:`repro.service.provider` — a ``GridFTPPerf`` MDS provider
   rendered from warm state.
 
-Talk to a server through :class:`repro.client.ServiceClient` — the
-``server.request()`` helper survives one release as a deprecated
-wrapper.  Metrics/tracing/events live in :mod:`repro.obs` (the
-instrument names below re-export from there).
+Talk to a server through :class:`repro.client.ServiceClient`.
+Metrics/tracing/events live in :mod:`repro.obs`.
 """
 
 from repro.obs.events import TraceEvent, TraceLog
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.provider import ServicePerfProvider
-from repro.service.server import ServiceServer, handle_request, request
+from repro.service.server import ServiceServer, handle_request
 from repro.service.service import (
     DEFAULT_SPEC,
     Prediction,
@@ -34,16 +32,12 @@ from repro.service.state import LinkState
 from repro.service.tail import LogFollower
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "TraceEvent",
     "TraceLog",
     "ServicePerfProvider",
     "ServiceServer",
     "handle_request",
-    "request",
     "DEFAULT_SPEC",
     "Prediction",
     "PredictionCache",

@@ -1,14 +1,13 @@
-"""The dual-protocol query front end for the prediction service.
+"""The prediction service's op table and its Unix-socket server.
 
 The paper's GRIS answers LDAP inquiries; this module is the equivalent
-local transport for the reproduction: a Unix-domain socket speaking
-**two dialects**, autodetected per connection from the first byte:
-
-* **JSON-lines** — one JSON object per line (a leading ``{`` or
-  whitespace);
-* **binary frames** — the length-prefixed struct-packed protocol of
-  :mod:`repro.wire` (a leading ``0xA5`` magic byte), the shape batch
-  traffic and the future federation tier want.
+for the reproduction: what each ``op`` of the wire protocol means to a
+:class:`PredictionService` (:func:`handle_request`), and
+:class:`ServiceServer`, which serves exactly that on a Unix-domain
+socket.  The connection handling itself — the two dialects
+(JSON-lines and :mod:`repro.wire` binary frames, autodetected per
+connection), the bounds, in-band errors, counters and the accept loop —
+is :mod:`repro.endpoint`, shared with the fleet front.
 
 ``repro serve`` runs the server; :class:`repro.client.ServiceClient` is
 the client for both dialects.  Each request names an ``op``:
@@ -32,13 +31,10 @@ op                  request fields                          response payload
 **Envelope.**  Every request may carry ``v`` — the protocol schema
 version (default 1); every response carries ``v`` and ``ok``.  Errors
 are normalized: ``{"ok": false, "v": 1, "error": {"code", "message"}}``.
-For one release the legacy bare-string ``error`` shape is still
-available to old JSON clients via ``ServiceServer(...,
-legacy_errors=True)`` / ``repro serve --legacy-errors``; see
-``docs/wire-protocol.md`` for the schedule.  A request with a ``v``
-above what the server speaks answers ``unsupported_version`` in-band.
-A request may also carry ``trace`` — the caller's ``{"trace_id",
-"span_id"}`` — in which case the op runs under a ``server.<op>`` span
+A request with a ``v`` above what the server speaks answers
+``unsupported_version`` in-band.  A request may also carry ``trace`` —
+the caller's ``{"trace_id", "span_id"}`` — in which case the op runs
+under a ``server.<op>`` span
 parented on it, joining the client's distributed trace (both dialects;
 :class:`repro.client.ServiceClient` stamps this automatically when the
 caller is inside a span).
@@ -60,26 +56,19 @@ either protocol) without binding one.
 
 from __future__ import annotations
 
-import errno
-import json
 import socket
-import socketserver
-import threading
-import time
-import warnings
-from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import wire
-from repro.client import CONNECT_RETRY_POLICY  # noqa: F401  (compat re-export)
 from repro.core.predictors.registry import resolve as _resolve_spec
-from repro.obs.config import enabled as _obs_enabled
+from repro.endpoint import Endpoint, answer
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tracing import SpanContext, get_span_exporter, span
+from repro.obs.tracing import get_span_exporter
 from repro.logs.record import TransferRecord
-from repro.resilience import Deadline, DeadlineExceeded, RetryPolicy
+from repro.resilience import Deadline
 from repro.service.service import Prediction, PredictionService
 
 __all__ = [
@@ -87,36 +76,7 @@ __all__ = [
     "merged_snapshot",
     "merged_render",
     "ServiceServer",
-    "request",
-    "CONNECT_RETRY_POLICY",
-    "MAX_REQUEST_BYTES",
-    "PROTOCOL_VERSION",
 ]
-
-#: One JSON request line may not exceed this (a malicious or confused
-#: client must not balloon the handler's memory).  Binary frames carry
-#: their own bound, :data:`repro.wire.MAX_FRAME_BYTES`.
-MAX_REQUEST_BYTES = 1 << 20
-
-#: The request/response schema version this server speaks (re-exported
-#: from :mod:`repro.wire`, where the envelope is defined).
-PROTOCOL_VERSION = wire.PROTOCOL_VERSION
-
-# Process-wide server instrumentation (see docs/resilience.md).  The
-# request/bad-request counters carry a ``protocol`` label so the two
-# dialects are separable in one scrape.
-_REG = get_registry()
-_M_REQUESTS = _REG.counter(
-    "server_requests", "requests answered by the socket server")
-_M_BAD = _REG.counter(
-    "server_bad_requests", "malformed or oversized requests answered in-band")
-_M_DEADLINES = _REG.counter(
-    "server_deadline_exceeded", "requests cut off by the per-request deadline")
-_M_INTERNAL = _REG.counter(
-    "server_internal_errors", "unexpected handler exceptions answered in-band")
-_M_ACCEPT_ERRORS = _REG.counter(
-    "server_accept_errors",
-    "accept() failures survived by backing off (fd exhaustion etc.)")
 
 
 def merged_snapshot(service: PredictionService) -> Dict[str, Any]:
@@ -140,26 +100,9 @@ def merged_render(service: PredictionService) -> str:
     return MetricsRegistry().merge(get_registry()).merge(service.metrics).render()
 
 
-def _remote_parent(req: Dict[str, Any]) -> Optional[SpanContext]:
-    """The caller's span identity from the request envelope, if sane.
-
-    A malformed trace context is ignored rather than rejected — tracing
-    is telemetry, and a bad passenger field must never fail a query.
-    """
-    trace = req.get("trace")
-    if not isinstance(trace, dict):
-        return None
-    try:
-        trace_id = int(trace["trace_id"])
-        span_id = int(trace["span_id"])
-    except (KeyError, TypeError, ValueError):
-        return None
-    if trace_id <= 0 or span_id <= 0:
-        return None
-    return SpanContext(trace_id, span_id)
-
-
-def _events_payload(service: PredictionService, req: Dict[str, Any]) -> Dict[str, Any]:
+def _events_payload(
+    service: PredictionService, req: Dict[str, Any], deadline: Deadline
+) -> Dict[str, Any]:
     kind = req.get("kind")
     limit = req.get("limit")
     scope = req.get("scope", "service")
@@ -191,7 +134,9 @@ def _prediction_fields(p: Prediction) -> Dict[str, Any]:
     }
 
 
-def _predict_payload(service: PredictionService, req: Dict[str, Any]) -> Dict[str, Any]:
+def _predict_payload(
+    service: PredictionService, req: Dict[str, Any], deadline: Deadline
+) -> Dict[str, Any]:
     prediction = service.predict(
         str(req["link"]),
         int(req["size"]),
@@ -209,8 +154,6 @@ def _batch_payload(
     Item validation is per item: a malformed entry (missing field, bad
     type, unknown spec) becomes an in-band ``{"ok": false, "error":
     {...}}`` at its position — the rest of the batch still answers.
-    Per-item errors are always the normalized shape; the legacy
-    compatibility flag covers only the top-level envelope.
     """
     items = req["items"]
     if not isinstance(items, (list, tuple)):
@@ -237,13 +180,8 @@ def _batch_payload(
             now_i = item.get("now", now_default)
             now_i = None if now_i is None else float(now_i)
         except (KeyError, TypeError, ValueError) as exc:
-            entries[pos] = {
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": f"item {pos}: {type(exc).__name__}: {exc}",
-                },
-            }
+            entries[pos] = wire.error_entry(
+                "bad_request", f"item {pos}: {type(exc).__name__}: {exc}")
             continue
         valid.append((pos, (link, size, spec_i, now_i)))
     predictions = service.predict_batch(
@@ -257,7 +195,9 @@ def _batch_payload(
     return {"count": len(items), "results": entries}
 
 
-def _observe_payload(service: PredictionService, req: Dict[str, Any]) -> Dict[str, Any]:
+def _observe_payload(
+    service: PredictionService, req: Dict[str, Any], deadline: Deadline
+) -> Dict[str, Any]:
     """Fold one completed transfer into its link; answers the new version.
 
     The ingest op of the wire protocol — what lets a federation front
@@ -300,7 +240,7 @@ def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
 
 
 def _observe_batch_payload(
-    service: PredictionService, req: Dict[str, Any]
+    service: PredictionService, req: Dict[str, Any], deadline: Deadline
 ) -> Dict[str, Any]:
     """Per-item acks for an ``observe_batch`` request.
 
@@ -324,13 +264,8 @@ def _observe_batch_payload(
                 raise ValueError("batch item must be an object")
             valid.append((pos, _observe_record(item)))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            entries[pos] = {
-                "ok": False,
-                "error": {
-                    "code": "bad_request",
-                    "message": f"item {pos}: {type(exc).__name__}: {exc}",
-                },
-            }
+            entries[pos] = wire.error_entry(
+                "bad_request", f"item {pos}: {type(exc).__name__}: {exc}")
     versions = service.observe_batch([item for _, item in valid])
     for (pos, (link, _, _)), version in zip(valid, versions):
         entries[pos] = {"ok": True, "link": link, "version": version}
@@ -359,11 +294,52 @@ def _rank_payload(
     }
 
 
+def _metrics_payload(
+    service: PredictionService, req: Dict[str, Any], deadline: Deadline
+) -> Dict[str, Any]:
+    if req.get("format") == "text":
+        return {"text": merged_render(service)}
+    return {"metrics": merged_snapshot(service)}
+
+
+def _spans_payload(
+    service: PredictionService, req: Dict[str, Any], deadline: Deadline
+) -> Dict[str, Any]:
+    limit = req.get("limit")
+    spans = get_span_exporter().spans(
+        name=req.get("name"),
+        limit=int(limit) if limit is not None else None,
+    )
+    return {"spans": [s.as_dict() for s in spans]}
+
+
+def _trace_payload(
+    service: PredictionService, req: Dict[str, Any], deadline: Deadline
+) -> Dict[str, Any]:
+    events = service.trace.events(kind=req.get("kind"))
+    return {"events": [e.as_dict() for e in events]}
+
+
+#: op name -> ``(service, req, deadline) -> payload``: the whole surface.
+_OPS: Dict[str, Callable[[PredictionService, Dict[str, Any], Deadline], Dict[str, Any]]] = {
+    "ping": lambda service, req, deadline: {"pong": True},
+    "predict": _predict_payload,
+    "predict_batch": _batch_payload,
+    "rank": _rank_payload,
+    "observe": _observe_payload,
+    "observe_batch": _observe_batch_payload,
+    "status": lambda service, req, deadline: service.status(),
+    "metrics": _metrics_payload,
+    "spans": _spans_payload,
+    "events": _events_payload,
+    "trace": _trace_payload,
+}
+
+
 def handle_request(
     service: PredictionService,
     req: Dict[str, Any],
     deadline: Optional[Deadline] = None,
-    legacy_errors: bool = False,
 ) -> Dict[str, Any]:
     """Answer one request dict; never raises (errors come back in-band).
 
@@ -371,301 +347,25 @@ def handle_request(
     before dispatch and propagated into multi-step operations (``rank``
     checks it between candidates' predictions, ``predict_batch`` between
     link groups), so one slow request can never hold a connection thread
-    indefinitely.  ``legacy_errors`` emits failures as the deprecated
-    bare-string ``error`` instead of the normalized ``{code, message}``
-    object — a one-release compatibility bridge for old JSON clients.
-    """
-    deadline = deadline or Deadline.unbounded()
-    try:
-        v = req.get("v", PROTOCOL_VERSION)
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"bad protocol version {v!r}")
-        if v > PROTOCOL_VERSION:
-            return wire.error_response(
-                "unsupported_version",
-                f"protocol version {v} not supported (this server speaks "
-                f"{PROTOCOL_VERSION})",
-                legacy=legacy_errors,
-            )
-        deadline.check("request")
-        op = req.get("op")
-        # A request carrying its caller's trace context runs under a
-        # server span parented on it — the server half of an end-to-end
-        # trace.  Untraced requests skip the span entirely.
-        parent = _remote_parent(req)
-        scope = (
-            span(f"server.{op}", parent=parent)
-            if parent is not None else nullcontext()
-        )
-        with scope:
-            if op == "ping":
-                payload: Dict[str, Any] = {"pong": True}
-            elif op == "predict":
-                payload = _predict_payload(service, req)
-            elif op == "predict_batch":
-                payload = _batch_payload(service, req, deadline)
-            elif op == "rank":
-                payload = _rank_payload(service, req, deadline)
-            elif op == "observe":
-                payload = _observe_payload(service, req)
-            elif op == "observe_batch":
-                payload = _observe_batch_payload(service, req)
-            elif op == "status":
-                payload = service.status()
-            elif op == "metrics":
-                if req.get("format") == "text":
-                    payload = {"text": merged_render(service)}
-                else:
-                    payload = {"metrics": merged_snapshot(service)}
-            elif op == "spans":
-                limit = req.get("limit")
-                spans = get_span_exporter().spans(
-                    name=req.get("name"),
-                    limit=int(limit) if limit is not None else None,
-                )
-                payload = {"spans": [s.as_dict() for s in spans]}
-            elif op == "events":
-                payload = _events_payload(service, req)
-            elif op == "trace":
-                events = service.trace.events(kind=req.get("kind"))
-                payload = {"events": [e.as_dict() for e in events]}
-            else:
-                return wire.error_response(
-                    "unknown_op", f"unknown op {op!r}", legacy=legacy_errors
-                )
-        deadline.check("request")
-        return {"ok": True, "v": PROTOCOL_VERSION, **payload}
-    except DeadlineExceeded as exc:
-        if _obs_enabled():
-            _M_DEADLINES.inc()
-        return wire.error_response(
-            "deadline_exceeded", f"DeadlineExceeded: {exc}", legacy=legacy_errors
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        return wire.error_response(
-            "bad_request", f"{type(exc).__name__}: {exc}", legacy=legacy_errors
-        )
-
-
-class _Handler(socketserver.StreamRequestHandler):
-    """One connection: answer requests in-band, survive everything.
-
-    The first byte decides the dialect: the binary magic (``0xA5``, not
-    a valid JSON/UTF-8 lead byte) selects the framed loop, anything else
-    the JSON-lines loop.  A malformed line/frame, an oversized request,
-    or an unexpected handler exception all answer in-band and keep the
-    connection thread alive — only transport failure (the peer going
-    away) or an unrecoverably desynchronized stream (an oversized
-    JSON line or a corrupt frame header we cannot resync past) ends the
-    loop, and even those answer in-band first when the pipe allows it.
+    indefinitely.  The envelope handling around the op table is
+    :func:`repro.endpoint.answer`, shared with the fleet front.
     """
 
-    def handle(self) -> None:
-        server = self.server
-        service = server.service  # type: ignore[attr-defined]
-        timeout = getattr(server, "request_timeout", None)
-        legacy = getattr(server, "legacy_errors", False)
-        try:
-            first = self.rfile.peek(1)[:1]
-        except OSError:
-            return
-        if first == wire.MAGIC[:1]:
-            self._handle_binary(service, timeout)
-        else:
-            self._handle_json(service, timeout, legacy)
+    def route(op, req, deadline):
+        payload = _OPS.get(op)
+        return None if payload is None else payload(service, req, deadline)
 
-    # -- shared ---------------------------------------------------------
-    def _deadline(self, timeout: Optional[float]) -> Deadline:
-        return Deadline.after(timeout) if timeout else Deadline.unbounded()
-
-    def _dispatch(
-        self,
-        service: PredictionService,
-        req: Dict[str, Any],
-        timeout: Optional[float],
-        legacy: bool,
-    ) -> Dict[str, Any]:
-        try:
-            return handle_request(
-                service, req, deadline=self._deadline(timeout),
-                legacy_errors=legacy,
-            )
-        except Exception as exc:  # defense in depth: never drop the thread
-            if _obs_enabled():
-                _M_INTERNAL.inc()
-            return wire.error_response(
-                "internal",
-                f"internal error: {type(exc).__name__}: {exc}",
-                legacy=legacy,
-            )
-
-    def _count(self, protocol: str) -> None:
-        if _obs_enabled():
-            _M_REQUESTS.inc()
-            _M_REQUESTS.labels(protocol=protocol).inc()
-
-    def _count_bad(self, protocol: str) -> None:
-        if _obs_enabled():
-            _M_BAD.inc()
-            _M_BAD.labels(protocol=protocol).inc()
-
-    def _write(self, data) -> bool:
-        try:
-            self.wfile.write(data)
-            self.wfile.flush()
-            return True
-        except OSError:
-            return False
-
-    # -- JSON-lines loop ------------------------------------------------
-    def _handle_json(
-        self,
-        service: PredictionService,
-        timeout: Optional[float],
-        legacy: bool,
-    ) -> None:
-        while True:
-            try:
-                raw = self.rfile.readline(MAX_REQUEST_BYTES + 1)
-            except OSError:
-                return  # the peer is gone; nothing left to answer
-            if not raw:
-                return
-            if len(raw) > MAX_REQUEST_BYTES:
-                # The rest of this oversized line is still in the pipe;
-                # answering and closing is the only way to stay in sync.
-                self._count_bad("json")
-                self._respond_json(wire.error_response(
-                    "oversized_request",
-                    f"request exceeds {MAX_REQUEST_BYTES} bytes",
-                    legacy=legacy,
-                ))
-                return
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                req = json.loads(line)
-                if not isinstance(req, dict):
-                    raise ValueError("request must be a JSON object")
-            except ValueError as exc:
-                self._count_bad("json")
-                response = wire.error_response(
-                    "bad_request", f"bad request: {exc}", legacy=legacy
-                )
-            else:
-                response = self._dispatch(service, req, timeout, legacy)
-            self._count("json")
-            if not self._respond_json(response):
-                return
-
-    def _respond_json(self, response: Dict[str, Any]) -> bool:
-        return self._write(json.dumps(response).encode("utf-8") + b"\n")
-
-    # -- binary frame loop ----------------------------------------------
-    def _handle_binary(
-        self, service: PredictionService, timeout: Optional[float]
-    ) -> None:
-        # One writer per connection: encoding reuses its buffer, so a
-        # steady request stream allocates nothing per frame.  The
-        # legacy-error flag never applies here — binary clients are new
-        # API and always get the normalized error shape.
-        writer = wire.FrameWriter()
-        while True:
-            try:
-                frame = wire.read_frame(self.rfile)
-            except wire.OversizedFrame as exc:
-                # The declared length is beyond the bound; refusing to
-                # read it leaves the stream desynchronized, so answer
-                # in-band and close.
-                self._count_bad("binary")
-                self._write_error(writer, "oversized_request", str(exc))
-                return
-            except wire.TruncatedFrame as exc:
-                # The peer half-closed mid-frame; tell it what happened
-                # if the write side still works, then finish.
-                self._count_bad("binary")
-                self._write_error(writer, "bad_frame", str(exc))
-                return
-            except wire.FrameError as exc:
-                # Bad magic or frame version: no way to find the next
-                # frame boundary.  Answer and close.
-                self._count_bad("binary")
-                self._write_error(writer, "bad_frame", str(exc))
-                return
-            except OSError:
-                return
-            if frame is None:
-                return  # clean EOF
-            op, payload = frame
-            try:
-                req = wire.decode_request(op, payload)
-            except wire.FrameError as exc:
-                # The frame boundary held; only this payload is bad.
-                # Answer in-band and keep serving the connection.
-                self._count_bad("binary")
-                if not self._write_error(writer, "bad_frame", str(exc)):
-                    return
-                continue
-            response = self._dispatch(service, req, timeout, legacy=False)
-            self._count("binary")
-            try:
-                out = writer.encode_response(op, response)
-            except wire.FrameError as exc:
-                out = writer.encode_response(op, wire.error_response(
-                    "internal", f"unencodable response: {exc}"
-                ))
-            if not self._write(out):
-                return
-
-    def _write_error(self, writer: wire.FrameWriter, code: str, message: str) -> bool:
-        return self._write(
-            writer.encode_response(wire.OP_ERROR, wire.error_response(code, message))
-        )
+    return answer(req, deadline, route)
 
 
-class _ThreadingUnixServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    #: fd-exhaustion backoff: on EMFILE/ENFILE the accept loop pauses
-    #: (doubling from ``accept_backoff`` up to ``accept_backoff_max``)
-    #: instead of dying — connections in flight keep their fds, and once
-    #: some close, accepting resumes.  Every such failure increments the
-    #: ``server_accept_errors`` counter.
-    accept_backoff = 0.05
-    accept_backoff_max = 1.0
-    _accept_delay = 0.0
-
-    def get_request(self):
-        try:
-            request = super().get_request()
-        except OSError as exc:
-            if exc.errno in (errno.EMFILE, errno.ENFILE):
-                _M_ACCEPT_ERRORS.inc()
-                self._accept_delay = min(
-                    self._accept_delay * 2 or self.accept_backoff,
-                    self.accept_backoff_max,
-                )
-                # serve_forever() swallows the OSError and loops; the
-                # sleep is what turns that into a paced retry instead of
-                # a hot spin against an exhausted fd table.
-                time.sleep(self._accept_delay)
-            raise
-        self._accept_delay = 0.0
-        return request
-
-
-class ServiceServer:
+class ServiceServer(Endpoint):
     """Serve a :class:`PredictionService` on a Unix-domain socket.
 
-    Connections are handled on daemon threads — the service's per-link
-    locks and snapshot semantics make concurrent queries safe.  Each
-    connection speaks JSON-lines or binary frames, autodetected from its
-    first byte.  ``legacy_errors=True`` restores the deprecated
-    bare-string ``error`` field for old JSON clients (one release only;
-    see ``docs/wire-protocol.md``).  Use as a context manager or call
-    :meth:`start`/:meth:`stop`.
+    :class:`repro.endpoint.Endpoint` bound to :func:`handle_request`:
+    connections are handled on daemon threads — the service's per-link
+    locks and snapshot semantics make concurrent queries safe — and each
+    speaks JSON-lines or binary frames, autodetected from its first
+    byte.  Use as a context manager or call ``start()``/``stop()``.
     """
 
     def __init__(
@@ -673,104 +373,14 @@ class ServiceServer:
         service: PredictionService,
         socket_path: Union[str, Path],
         request_timeout: Optional[float] = 30.0,
-        legacy_errors: bool = False,
     ):
         if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - non-POSIX
             raise OSError("unix domain sockets are not available on this platform")
         self.service = service
         self.socket_path = Path(socket_path)
-        self.request_timeout = request_timeout
-        self.legacy_errors = legacy_errors
-        self._server: Optional[_ThreadingUnixServer] = None
-        self._thread: Optional[threading.Thread] = None
-
-    def _make_server(self) -> _ThreadingUnixServer:
-        self.socket_path.unlink(missing_ok=True)
-        server = _ThreadingUnixServer(str(self.socket_path), _Handler)
-        server.service = self.service  # type: ignore[attr-defined]
-        server.request_timeout = self.request_timeout  # type: ignore[attr-defined]
-        server.legacy_errors = self.legacy_errors  # type: ignore[attr-defined]
-        return server
-
-    def start(self) -> "ServiceServer":
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        self._server = self._make_server()
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
+        super().__init__(
+            self.socket_path,
+            partial(handle_request, service),
+            request_timeout,
             name=f"repro-serve[{self.socket_path.name}]",
-            daemon=True,
         )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        self.socket_path.unlink(missing_ok=True)
-        self._server = None
-        self._thread = None
-
-    def request_stop(self) -> None:
-        """Ask a running :meth:`serve_forever` loop to exit.
-
-        Safe from a signal handler: ``shutdown()`` blocks until the
-        accept loop notices, and the loop runs on the very thread the
-        handler interrupted — so the call is made from a helper thread
-        and this returns immediately.  Socket cleanup happens where the
-        loop was started (``serve_forever``'s finally, or :meth:`stop`).
-        """
-        server = self._server
-        if server is not None:
-            threading.Thread(
-                target=server.shutdown, name="repro-stop", daemon=True
-            ).start()
-
-    def serve_forever(self) -> None:
-        """Run the accept loop on the calling thread (the CLI path)."""
-        if self._server is not None:
-            raise RuntimeError("server already started")
-        self._server = self._make_server()
-        try:
-            self._server.serve_forever()
-        finally:
-            self._server.server_close()
-            self.socket_path.unlink(missing_ok=True)
-            self._server = None
-
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def request(
-    socket_path: Union[str, Path],
-    req: Dict[str, Any],
-    timeout: float = 10.0,
-    retry: Optional[RetryPolicy] = None,
-) -> Dict[str, Any]:
-    """Deprecated: one-shot request helper; use
-    :class:`repro.client.ServiceClient` instead.
-
-    Kept for one release as a thin wrapper: same signature, same
-    return-the-raw-dict behavior, same ``OSError``/``ConnectionError``
-    failure modes — but every call opens and closes a connection, which
-    is exactly the per-query overhead the client (and the batch API)
-    exists to amortize.
-    """
-    warnings.warn(
-        "repro.service.server.request() is deprecated; "
-        "use repro.client.ServiceClient",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.client import ServiceClient
-
-    with ServiceClient(socket_path, timeout=timeout, retry=retry) as client:
-        return client.request(dict(req))

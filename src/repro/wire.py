@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "MAGIC",
@@ -84,6 +84,7 @@ __all__ = [
     "read_frame",
     "decode_request",
     "decode_response",
+    "error_entry",
     "error_response",
 ]
 
@@ -111,6 +112,12 @@ OP_OBSERVE = 0x06
 OP_OBSERVE_BATCH = 0x07
 OP_JSON = 0x10
 OP_ERROR = 0x7F
+
+#: Request ops whose *response* is struct-packed too (``status`` answers
+#: ride as JSON inside their frame).
+_STRUCT_RESPONSES = frozenset({
+    OP_PING, OP_PREDICT, OP_RANK, OP_BATCH, OP_OBSERVE, OP_OBSERVE_BATCH,
+})
 
 #: JSON-op name -> struct-packed op code; anything else rides as OP_JSON.
 REQUEST_OPS = {
@@ -310,38 +317,33 @@ class FrameWriter:
             self._pack(_U64, trace[0])
             self._pack(_U64, trace[1])
 
-    def _encode_predict_req(self, v: int, req: Dict[str, Any]) -> None:
+    def _put_head(self, v: int, req: Dict[str, Any], sized: bool = True) -> Any:
+        """``v``, flags, [trace], [size], [now]: the head predict, rank
+        and predict_batch share.  Returns the request's ``spec`` (or
+        ``None``), which each op writes at its own position."""
         spec, now = req.get("spec"), req.get("now")
         trace = _trace_ids(req)
-        flags = (
+        self._pack(_U8, v)
+        self._pack(_U8, (
             (_HAS_SPEC if spec is not None else 0)
             | (_HAS_NOW if now is not None else 0)
             | (_HAS_TRACE if trace is not None else 0)
-        )
-        self._pack(_U8, v)
-        self._pack(_U8, flags)
+        ))
         self._put_trace(trace)
-        self._pack(_U64, int(req["size"]))
+        if sized:
+            self._pack(_U64, int(req["size"]))
         if now is not None:
             self._pack(_F64, float(now))
+        return spec
+
+    def _encode_predict_req(self, v: int, req: Dict[str, Any]) -> None:
+        spec = self._put_head(v, req)
         self._put_str(str(req["link"]))
         if spec is not None:
             self._put_str(str(spec))
 
     def _encode_rank_req(self, v: int, req: Dict[str, Any]) -> None:
-        spec, now = req.get("spec"), req.get("now")
-        trace = _trace_ids(req)
-        flags = (
-            (_HAS_SPEC if spec is not None else 0)
-            | (_HAS_NOW if now is not None else 0)
-            | (_HAS_TRACE if trace is not None else 0)
-        )
-        self._pack(_U8, v)
-        self._pack(_U8, flags)
-        self._put_trace(trace)
-        self._pack(_U64, int(req["size"]))
-        if now is not None:
-            self._pack(_F64, float(now))
+        spec = self._put_head(v, req)
         if spec is not None:
             self._put_str(str(spec))
         candidates = req["candidates"]
@@ -350,18 +352,7 @@ class FrameWriter:
             self._put_str(str(candidate))
 
     def _encode_batch_req(self, v: int, req: Dict[str, Any]) -> None:
-        spec, now = req.get("spec"), req.get("now")
-        trace = _trace_ids(req)
-        flags = (
-            (_HAS_SPEC if spec is not None else 0)
-            | (_HAS_NOW if now is not None else 0)
-            | (_HAS_TRACE if trace is not None else 0)
-        )
-        self._pack(_U8, v)
-        self._pack(_U8, flags)
-        self._put_trace(trace)
-        if now is not None:
-            self._pack(_F64, float(now))
+        spec = self._put_head(v, req, sized=False)
         if spec is not None:
             self._put_str(str(spec))
         items = req["items"]
@@ -379,52 +370,15 @@ class FrameWriter:
             if ispec is not None:
                 self._put_str(str(ispec))
 
-    def _encode_observe_req(self, v: int, req: Dict[str, Any]) -> None:
-        operation = req.get("operation", "read")
-        if operation not in ("read", "write"):
-            raise ValueError(f"unknown operation {operation!r}")
-        meta = ("source_ip" in req or "file_name" in req or "volume" in req)
-        if meta and not ("source_ip" in req and "file_name" in req
-                         and "volume" in req):
-            # Partial metadata cannot round-trip losslessly through the
-            # struct layout; ride the JSON dialect instead.
-            raise ValueError("partial observe metadata needs OP_JSON")
-        offset = req.get("offset")
-        trace = _trace_ids(req)
-        flags = (
-            (_OBS_WRITE if operation == "write" else 0)
-            | (_OBS_HAS_META if meta else 0)
-            | (_HAS_TRACE if trace is not None else 0)
-            | (_OBS_HAS_OFFSET if offset is not None else 0)
-        )
-        self._pack(_U8, v)
-        self._pack(_U8, flags)
-        self._put_trace(trace)
-        self._pack(
-            _OBS_FIXED,
-            int(req["size"]),
-            float(req["start"]),
-            float(req["end"]),
-            float(req["bandwidth"]),
-            int(req["streams"]),
-            int(req["tcp_buffer"]),
-        )
-        if offset is not None:
-            self._pack(_U64, int(offset))
-        self._put_str(str(req["link"]))
-        if meta:
-            self._put_str(str(req["source_ip"]))
-            self._put_str(str(req["file_name"]))
-            self._put_str(str(req["volume"]))
+    def _put_observation(
+        self, item: Dict[str, Any], trace: Optional[Tuple[int, int]] = None
+    ) -> None:
+        """One observation: an ``observe`` request after its ``v`` byte,
+        and each row of an ``observe_batch`` (whose trace context is
+        batch-level, so rows pass none).
 
-    def _encode_observe_item(self, item: Dict[str, Any]) -> None:
-        """One observation row of an ``observe_batch`` frame.
-
-        Same layout as a single observe after its trace prefix: the
-        per-item flags byte carries only the observation bits (trace
-        context is batch-level), then the fused fixed fields, the
-        optional durable offset, the link, and the optional metadata
-        strings.
+        Flags, [trace], the fused fixed fields, the optional durable
+        offset, the link, and the optional metadata strings.
         """
         operation = item.get("operation", "read")
         if operation not in ("read", "write"):
@@ -432,14 +386,17 @@ class FrameWriter:
         meta = ("source_ip" in item or "file_name" in item or "volume" in item)
         if meta and not ("source_ip" in item and "file_name" in item
                          and "volume" in item):
+            # Partial metadata cannot round-trip losslessly through the
+            # struct layout; ride the JSON dialect instead.
             raise ValueError("partial observe metadata needs OP_JSON")
         offset = item.get("offset")
-        flags = (
+        self._pack(_U8, (
             (_OBS_WRITE if operation == "write" else 0)
             | (_OBS_HAS_META if meta else 0)
+            | (_HAS_TRACE if trace is not None else 0)
             | (_OBS_HAS_OFFSET if offset is not None else 0)
-        )
-        self._pack(_U8, flags)
+        ))
+        self._put_trace(trace)
         self._pack(
             _OBS_FIXED,
             int(item["size"]),
@@ -457,6 +414,11 @@ class FrameWriter:
             self._put_str(str(item["file_name"]))
             self._put_str(str(item["volume"]))
 
+    def _encode_observe_req(self, v: int, req: Dict[str, Any]) -> None:
+        trace = _trace_ids(req)
+        self._pack(_U8, v)
+        self._put_observation(req, trace)
+
     def _encode_observe_batch_req(self, v: int, req: Dict[str, Any]) -> None:
         trace = _trace_ids(req)
         self._pack(_U8, v)
@@ -465,32 +427,28 @@ class FrameWriter:
         items = req["items"]
         self._pack(_U32, len(items))
         for item in items:
-            self._encode_observe_item(item)
+            self._put_observation(item)
 
     # -- responses -----------------------------------------------------
     def encode_response(self, request_op: int, resp: Dict[str, Any]) -> memoryview:
         """One response dict as a binary frame, shaped by the request op.
 
         ``ok: false`` responses become ``OP_ERROR`` frames regardless of
-        the request op; both error shapes (the normalized dict and the
-        legacy bare string) encode to the same frame.
+        the request op.
         """
-        if not resp.get("ok"):
-            code, message = _error_fields(resp)
-            self._begin()
-            self._pack(_U8, int(resp.get("v", PROTOCOL_VERSION)))
-            self._put_str(code)
-            self._put_str(message)
-            return self._finish(OP_ERROR)
         self._begin()
-        v = int(resp.get("v", PROTOCOL_VERSION))
-        if request_op == OP_PING:
-            self._pack(_U8, v)
-        elif request_op == OP_PREDICT:
-            self._pack(_U8, v)
+        ok = bool(resp.get("ok"))
+        if ok and request_op not in _STRUCT_RESPONSES:
+            # OP_STATUS and every OP_JSON op: the whole dict as JSON.
+            self._put_bytes(json.dumps(resp).encode("utf-8"))
+            return self._finish(request_op)
+        self._pack(_U8, int(resp.get("v", PROTOCOL_VERSION)))
+        if not ok:
+            self._put_error(resp)
+            return self._finish(OP_ERROR)
+        if request_op == OP_PREDICT:
             self._encode_prediction(resp)
         elif request_op == OP_RANK:
-            self._pack(_U8, v)
             ranking = resp["ranking"]
             self._pack(_U32, len(ranking))
             for entry in ranking:
@@ -501,40 +459,32 @@ class FrameWriter:
                 self._pack(_U64, int(entry["history_length"]))
                 self._put_str(entry["site"])
         elif request_op == OP_OBSERVE:
-            self._pack(_U8, v)
-            self._pack(_U64, int(resp["version"]))
-            self._put_str(resp["link"])
+            self._put_ack(resp)
         elif request_op == OP_OBSERVE_BATCH:
-            self._pack(_U8, v)
-            results = resp["results"]
-            self._pack(_U32, len(results))
-            for entry in results:
-                if entry.get("ok"):
-                    self._pack(_U8, _ITEM_OK)
-                    self._pack(_U64, int(entry["version"]))
-                    self._put_str(entry["link"])
-                else:
-                    code, message = _error_fields(entry)
-                    self._pack(_U8, 0)
-                    self._put_str(code)
-                    self._put_str(message)
+            self._put_results(resp["results"], self._put_ack)
         elif request_op == OP_BATCH:
-            self._pack(_U8, v)
-            results = resp["results"]
-            self._pack(_U32, len(results))
-            for entry in results:
-                if entry.get("ok"):
-                    self._pack(_U8, _ITEM_OK)
-                    self._encode_prediction(entry)
-                else:
-                    code, message = _error_fields(entry)
-                    self._pack(_U8, 0)
-                    self._put_str(code)
-                    self._put_str(message)
-        else:  # OP_STATUS and every OP_JSON op: the whole dict as JSON
-            self._put_bytes(json.dumps(resp).encode("utf-8"))
-            return self._finish(OP_JSON if request_op == OP_JSON else request_op)
-        return self._finish(request_op)
+            self._put_results(resp["results"], self._encode_prediction)
+        return self._finish(request_op)  # OP_PING: the v byte is all of it
+
+    def _put_error(self, resp: Dict[str, Any]) -> None:
+        code, message = _error_fields(resp)
+        self._put_str(code)
+        self._put_str(message)
+
+    def _put_ack(self, ack: Dict[str, Any]) -> None:
+        self._pack(_U64, int(ack["version"]))
+        self._put_str(ack["link"])
+
+    def _put_results(self, results, put_ok: Callable[[Dict[str, Any]], None]) -> None:
+        """The per-item ``ok | {code, message}`` entries of a batch response."""
+        self._pack(_U32, len(results))
+        for entry in results:
+            if entry.get("ok"):
+                self._pack(_U8, _ITEM_OK)
+                put_ok(entry)
+            else:
+                self._pack(_U8, 0)
+                self._put_error(entry)
 
     def _encode_prediction(self, p: Dict[str, Any]) -> None:
         value = p["value"]
@@ -571,7 +521,11 @@ def _trace_ids(req: Dict[str, Any]) -> Optional[Tuple[int, int]]:
 
 
 def _error_fields(resp: Dict[str, Any]) -> Tuple[str, str]:
-    """``(code, message)`` from either error shape (dict or bare string)."""
+    """``(code, message)`` of a failed response or batch entry.
+
+    Tolerant of what a peer may send: a bare-string ``error`` (the
+    pre-envelope shape) encodes as code ``"error"``.
+    """
     error = resp.get("error")
     if isinstance(error, dict):
         return str(error.get("code", "error")), str(error.get("message", ""))
@@ -639,6 +593,29 @@ def _decode_json(payload: bytes) -> Dict[str, Any]:
     return obj
 
 
+def _read_envelope(r: _Reader, op: str) -> Tuple[Dict[str, Any], int]:
+    """``v``, flags, [trace] — how every struct request but ping and
+    status starts — as ``(req, flags)``."""
+    v, flags = r.u8(), r.u8()
+    req: Dict[str, Any] = {"op": op, "v": v}
+    if flags & _HAS_TRACE:
+        req["trace"] = {"trace_id": r.u64(), "span_id": r.u64()}
+    return req, flags
+
+
+def _read_head(
+    r: _Reader, op: str, sized: bool = True
+) -> Tuple[Dict[str, Any], int]:
+    """The head :meth:`FrameWriter._put_head` wrote, as ``(req, flags)``;
+    the caller reads ``spec`` at its op's position when flagged."""
+    req, flags = _read_envelope(r, op)
+    if sized:
+        req["size"] = r.u64()
+    if flags & _HAS_NOW:
+        req["now"] = r.f64()
+    return req, flags
+
+
 def decode_request(op: int, payload: bytes) -> Dict[str, Any]:
     """A request frame's payload back into the JSON-protocol dict."""
     if op == OP_JSON:
@@ -649,36 +626,19 @@ def decode_request(op: int, payload: bytes) -> Dict[str, Any]:
     if op == OP_STATUS:
         return {"op": "status", "v": r.u8()}
     if op == OP_PREDICT:
-        v, flags = r.u8(), r.u8()
-        req: Dict[str, Any] = {"op": "predict", "v": v}
-        if flags & _HAS_TRACE:
-            req["trace"] = {"trace_id": r.u64(), "span_id": r.u64()}
-        req["size"] = r.u64()
-        if flags & _HAS_NOW:
-            req["now"] = r.f64()
+        req, flags = _read_head(r, "predict")
         req["link"] = r.str_()
         if flags & _HAS_SPEC:
             req["spec"] = r.str_()
         return req
     if op == OP_RANK:
-        v, flags = r.u8(), r.u8()
-        req = {"op": "rank", "v": v}
-        if flags & _HAS_TRACE:
-            req["trace"] = {"trace_id": r.u64(), "span_id": r.u64()}
-        req["size"] = r.u64()
-        if flags & _HAS_NOW:
-            req["now"] = r.f64()
+        req, flags = _read_head(r, "rank")
         if flags & _HAS_SPEC:
             req["spec"] = r.str_()
         req["candidates"] = [r.str_() for _ in range(r.u32())]
         return req
     if op == OP_BATCH:
-        v, flags = r.u8(), r.u8()
-        req = {"op": "predict_batch", "v": v}
-        if flags & _HAS_TRACE:
-            req["trace"] = {"trace_id": r.u64(), "span_id": r.u64()}
-        if flags & _HAS_NOW:
-            req["now"] = r.f64()
+        req, flags = _read_head(r, "predict_batch", sized=False)
         if flags & _HAS_SPEC:
             req["spec"] = r.str_()
         items = []
@@ -694,42 +654,19 @@ def decode_request(op: int, payload: bytes) -> Dict[str, Any]:
         req["items"] = items
         return req
     if op == OP_OBSERVE:
-        v, flags = r.u8(), r.u8()
-        req = {"op": "observe", "v": v}
-        if flags & _HAS_TRACE:
-            req["trace"] = {"trace_id": r.u64(), "span_id": r.u64()}
-        size, start, end, bandwidth, streams, tcp_buffer = r.multi(_OBS_FIXED)
-        req.update({
-            "size": size,
-            "start": start,
-            "end": end,
-            "bandwidth": bandwidth,
-            "operation": "write" if flags & _OBS_WRITE else "read",
-            "streams": streams,
-            "tcp_buffer": tcp_buffer,
-        })
-        if flags & _OBS_HAS_OFFSET:
-            req["offset"] = r.u64()
-        req["link"] = r.str_()
-        if flags & _OBS_HAS_META:
-            req["source_ip"] = r.str_()
-            req["file_name"] = r.str_()
-            req["volume"] = r.str_()
-        return req
+        req, flags = _read_envelope(r, "observe")
+        return _read_observation(r, flags, req)
     if op == OP_OBSERVE_BATCH:
-        v, flags = r.u8(), r.u8()
-        req = {"op": "observe_batch", "v": v}
-        if flags & _HAS_TRACE:
-            req["trace"] = {"trace_id": r.u64(), "span_id": r.u64()}
-        req["items"] = [_decode_observe_item(r) for _ in range(r.u32())]
+        req, flags = _read_envelope(r, "observe_batch")
+        req["items"] = [_read_observation(r, r.u8(), {}) for _ in range(r.u32())]
         return req
     raise FrameError(f"unknown request op 0x{op:02x}")
 
 
-def _decode_observe_item(r: _Reader) -> Dict[str, Any]:
-    flags = r.u8()
+def _read_observation(r: _Reader, flags: int, into: Dict[str, Any]) -> Dict[str, Any]:
+    """What follows the flags (and trace) of one observation, into ``into``."""
     size, start, end, bandwidth, streams, tcp_buffer = r.multi(_OBS_FIXED)
-    item: Dict[str, Any] = {
+    into.update({
         "size": size,
         "start": start,
         "end": end,
@@ -737,15 +674,15 @@ def _decode_observe_item(r: _Reader) -> Dict[str, Any]:
         "operation": "write" if flags & _OBS_WRITE else "read",
         "streams": streams,
         "tcp_buffer": tcp_buffer,
-    }
+    })
     if flags & _OBS_HAS_OFFSET:
-        item["offset"] = r.u64()
-    item["link"] = r.str_()
+        into["offset"] = r.u64()
+    into["link"] = r.str_()
     if flags & _OBS_HAS_META:
-        item["source_ip"] = r.str_()
-        item["file_name"] = r.str_()
-        item["volume"] = r.str_()
-    return item
+        into["source_ip"] = r.str_()
+        into["file_name"] = r.str_()
+        into["volume"] = r.str_()
+    return into
 
 
 def _decode_prediction(r: _Reader) -> Dict[str, Any]:
@@ -769,25 +706,38 @@ def _decode_prediction(r: _Reader) -> Dict[str, Any]:
     }
 
 
+def _decode_ack(r: _Reader) -> Dict[str, Any]:
+    version = r.u64()
+    return {"link": r.str_(), "version": version}
+
+
+def _decode_results(
+    r: _Reader, v: int, read_ok: Callable[[_Reader], Dict[str, Any]]
+) -> Dict[str, Any]:
+    """A batch response: the entries :meth:`FrameWriter._put_results` wrote."""
+    results = []
+    for _ in range(r.u32()):
+        if r.u8() & _ITEM_OK:
+            results.append({"ok": True, **read_ok(r)})
+        else:
+            results.append(error_entry(r.str_(), r.str_()))
+    return {"ok": True, "v": v, "count": len(results), "results": results}
+
+
 def decode_response(op: int, payload: bytes) -> Dict[str, Any]:
     """A response frame's payload back into the JSON-protocol dict."""
     if op == OP_JSON or op == OP_STATUS:
         return _decode_json(payload)
     r = _Reader(payload)
+    v = r.u8()
     if op == OP_ERROR:
-        v = r.u8()
         code, message = r.str_(), r.str_()
-        if code == "error":
-            # A legacy bare-string error round-trips as one.
-            return {"ok": False, "v": v, "error": message}
         return {"ok": False, "v": v, "error": {"code": code, "message": message}}
     if op == OP_PING:
-        return {"ok": True, "v": r.u8(), "pong": True}
+        return {"ok": True, "v": v, "pong": True}
     if op == OP_PREDICT:
-        v = r.u8()
         return {"ok": True, "v": v, **_decode_prediction(r)}
     if op == OP_RANK:
-        v = r.u8()
         ranking = []
         for _ in range(r.u32()):
             flags = r.u8()
@@ -801,46 +751,21 @@ def decode_response(op: int, payload: bytes) -> Dict[str, Any]:
             })
         return {"ok": True, "v": v, "ranking": ranking}
     if op == OP_BATCH:
-        v = r.u8()
-        results = []
-        for _ in range(r.u32()):
-            flags = r.u8()
-            if flags & _ITEM_OK:
-                results.append({"ok": True, **_decode_prediction(r)})
-            else:
-                code, message = r.str_(), r.str_()
-                results.append({
-                    "ok": False,
-                    "error": {"code": code, "message": message},
-                })
-        return {"ok": True, "v": v, "count": len(results), "results": results}
+        return _decode_results(r, v, _decode_prediction)
     if op == OP_OBSERVE:
-        v = r.u8()
-        version = r.u64()
-        return {"ok": True, "v": v, "link": r.str_(), "version": version}
+        return {"ok": True, "v": v, **_decode_ack(r)}
     if op == OP_OBSERVE_BATCH:
-        v = r.u8()
-        results = []
-        for _ in range(r.u32()):
-            flags = r.u8()
-            if flags & _ITEM_OK:
-                version = r.u64()
-                results.append({"ok": True, "link": r.str_(),
-                                "version": version})
-            else:
-                code, message = r.str_(), r.str_()
-                results.append({
-                    "ok": False,
-                    "error": {"code": code, "message": message},
-                })
-        return {"ok": True, "v": v, "count": len(results), "results": results}
+        return _decode_results(r, v, _decode_ack)
     raise FrameError(f"unknown response op 0x{op:02x}")
 
 
-def error_response(code: str, message: str, legacy: bool = False) -> Dict[str, Any]:
-    """The versioned error envelope (or its legacy bare-string form)."""
-    if legacy:
-        return {"ok": False, "v": PROTOCOL_VERSION, "error": message}
+def error_entry(code: str, message: str) -> Dict[str, Any]:
+    """One failed item of a batch response: ``{"ok": false, "error"}``."""
+    return {"ok": False, "error": {"code": code, "message": message}}
+
+
+def error_response(code: str, message: str) -> Dict[str, Any]:
+    """The versioned error envelope."""
     return {
         "ok": False,
         "v": PROTOCOL_VERSION,

@@ -169,22 +169,6 @@ def test_bad_protocol_version_is_a_bad_request(client):
         assert response["error"]["code"] == "bad_request", v
 
 
-def test_legacy_errors_flag_restores_bare_strings(service, tmp_path):
-    with ServiceServer(service, tmp_path / "legacy.sock",
-                       legacy_errors=True) as server:
-        with ServiceClient(server.socket_path) as client:
-            response = client.request({"op": "warp"})
-    assert response == {"ok": False, "v": 1, "error": "unknown op 'warp'"}
-
-
-def test_server_request_helper_is_deprecated_but_works(server):
-    from repro.service.server import request
-
-    with pytest.warns(DeprecationWarning):
-        response = request(server.socket_path, {"op": "ping"})
-    assert response == {"ok": True, "v": 1, "pong": True}
-
-
 def test_stop_removes_the_socket(service, tmp_path):
     path = tmp_path / "gone.sock"
     server = ServiceServer(service, path).start()
@@ -195,38 +179,40 @@ def test_stop_removes_the_socket(service, tmp_path):
 
 # ----------------------------------------------------------------------
 # resilience: malformed input, oversized requests, startup races, deadlines
+# (the two raw-socket cases take a Target and run again against a fleet
+# front: test_wire_protocol.py::test_the_front_answers_like_the_worker)
 # ----------------------------------------------------------------------
-def test_malformed_json_keeps_the_connection_alive(server):
+def test_malformed_json_keeps_the_connection_alive(endpoint):
     import json as jsonlib
 
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(5.0)
-        sock.connect(str(server.socket_path))
-        fh = sock.makefile("rwb")
-        fh.write(b"{this is not json}\n")
-        fh.flush()
-        bad = jsonlib.loads(fh.readline())
+    sock, rfile = endpoint.connect()
+    with sock, endpoint.counting("json") as moved:
+        sock.sendall(b"{this is not json}\n")
+        bad = jsonlib.loads(rfile.readline())
         assert not bad["ok"] and bad["error"]["code"] == "bad_request"
         # Same connection, same thread: a valid request still answers.
-        fh.write(b'{"op": "ping"}\n')
-        fh.flush()
-        assert jsonlib.loads(fh.readline()) == {"ok": True, "v": 1, "pong": True}
+        sock.sendall(b'{"op": "ping"}\n')
+        assert jsonlib.loads(rfile.readline()) == {
+            "ok": True, "v": 1, "pong": True}
+    # The malformed line was answered, so it counts as a request too.
+    assert moved == {"requests": 2, "bad": 1}
 
 
-def test_oversized_request_answers_in_band_then_closes(server):
+def test_oversized_request_answers_in_band_then_closes(endpoint):
     import json as jsonlib
 
-    from repro.service.server import MAX_REQUEST_BYTES
+    from repro.endpoint import MAX_REQUEST_BYTES
 
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(5.0)
-        sock.connect(str(server.socket_path))
-        fh = sock.makefile("rwb")
-        fh.write(b'{"op": "ping", "pad": "' + b"x" * MAX_REQUEST_BYTES + b'"}\n')
-        fh.flush()
-        response = jsonlib.loads(fh.readline())
+    sock, rfile = endpoint.connect()
+    with sock, endpoint.counting("json") as moved:
+        # One byte past the bound and no newline: the server must answer
+        # from what it has, not wait for a line end that may never come.
+        sock.sendall(b'{"op": "ping", "pad": "' + b"x" * (MAX_REQUEST_BYTES - 22))
+        response = jsonlib.loads(rfile.readline())
         assert not response["ok"]
         assert response["error"]["code"] == "oversized_request"
+        assert rfile.read(1) == b""  # closed after answering
+    assert moved == {"requests": 0, "bad": 1}
 
 
 def test_client_retries_through_a_startup_race(service, tmp_path):
@@ -360,6 +346,7 @@ def test_observed_records_persist_through_a_durable_store(tmp_path):
 # accept-loop hardening: fd exhaustion backs off instead of dying
 # ----------------------------------------------------------------------
 def test_accept_loop_survives_fd_exhaustion(service, tmp_path):
+    # The accept loop is repro.endpoint's, so this covers the front too.
     import errno
     import socketserver
 
@@ -369,7 +356,7 @@ def test_accept_loop_survives_fd_exhaustion(service, tmp_path):
         inner = server._server
         counter = get_registry().counter("server_accept_errors")
         before = counter.value
-        real_get_request = socketserver.UnixStreamServer.get_request
+        real_get_request = socketserver.TCPServer.get_request
         remaining = [3]
 
         def starved(self):
@@ -378,14 +365,14 @@ def test_accept_loop_survives_fd_exhaustion(service, tmp_path):
                 raise OSError(errno.EMFILE, "Too many open files")
             return real_get_request(self)
 
-        socketserver.UnixStreamServer.get_request = starved
+        socketserver.TCPServer.get_request = starved
         try:
             # Each failed accept backs off and is swallowed by
             # serve_forever; the next real connection still answers.
             with ServiceClient(server.socket_path) as probe:
                 assert probe.ping() is True
         finally:
-            socketserver.UnixStreamServer.get_request = real_get_request
+            socketserver.TCPServer.get_request = real_get_request
         assert remaining[0] == 0
         assert counter.value == before + 3
         assert inner._accept_delay == 0.0  # reset by the first success

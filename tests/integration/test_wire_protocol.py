@@ -7,7 +7,6 @@ errors in-band without taking the connection thread down.
 """
 
 import socket
-import struct
 
 import pytest
 
@@ -16,6 +15,7 @@ from repro.client import ServiceClient
 from repro.service import PredictionService, ServiceServer
 from repro.units import MB
 from tests.conftest import make_record
+from tests.integration import test_service_server as json_cases
 
 pytestmark = pytest.mark.skipif(
     not hasattr(socket, "AF_UNIX"), reason="unix domain sockets unavailable"
@@ -137,17 +137,17 @@ def test_batch_mid_batch_errors_are_per_item(server):
 
 
 # ----------------------------------------------------------------------
-# broken binary clients: errors in-band, connection thread survives
+# broken binary clients: errors in-band, connection thread survives.
+# Each case takes a Target (tests/integration/conftest.py): it runs here
+# against the worker and, below, again against a fleet front.
 # ----------------------------------------------------------------------
-def _raw_binary(server):
-    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    sock.settimeout(5.0)
-    sock.connect(str(server.socket_path))
-    return sock, sock.makefile("rb")
+def read_response(rfile):
+    op, payload = wire.read_frame(rfile)
+    return op, wire.decode_response(op, payload)
 
 
-def test_corrupt_payload_answers_in_band_and_keeps_the_connection(server):
-    sock, rfile = _raw_binary(server)
+def test_corrupt_payload_answers_in_band_and_keeps_the_connection(endpoint):
+    sock, rfile = endpoint.connect()
     writer = wire.FrameWriter()
     try:
         good = bytes(writer.encode_request(
@@ -155,36 +155,33 @@ def test_corrupt_payload_answers_in_band_and_keeps_the_connection(server):
         ))
         # Rewrite the header to truncate the payload mid-string: the
         # frame boundary holds, only the payload is garbage.
-        cut = good[: wire.HEADER.size + 5]
         header = wire.HEADER.pack(
             wire.MAGIC, wire.FRAME_VERSION, wire.OP_PREDICT, 5)
-        sock.sendall(header + cut[wire.HEADER.size:])
-        op, payload = wire.read_frame(rfile)
-        assert op == wire.OP_ERROR
-        error = wire.decode_response(op, payload)
-        assert error["error"]["code"] == "bad_frame"
-        # Same connection: a well-formed frame still answers.
-        sock.sendall(writer.encode_request({"op": "ping"}))
-        op, payload = wire.read_frame(rfile)
-        assert wire.decode_response(op, payload) == {
-            "ok": True, "v": 1, "pong": True,
-        }
+        with endpoint.counting("binary") as moved:
+            sock.sendall(header + good[wire.HEADER.size: wire.HEADER.size + 5])
+            op, error = read_response(rfile)
+            assert op == wire.OP_ERROR
+            assert error["error"]["code"] == "bad_frame"
+            # Same connection: a well-formed frame still answers.
+            sock.sendall(writer.encode_request({"op": "ping"}))
+            assert read_response(rfile)[1] == {"ok": True, "v": 1, "pong": True}
+        assert moved == {"requests": 1, "bad": 1}
     finally:
         sock.close()
 
 
-def test_a_large_answer_after_a_small_one_keeps_the_connection(server, service):
+def test_a_large_answer_after_a_small_one_keeps_the_connection(endpoint):
     # No client-side reconnect to hide behind: the server's per-connection
     # frame buffer must grow past its 4 KiB start while the loop still
     # holds the previous (ping) answer's view.
     for i in range(150):  # one status row per link
-        service.ingest_records(f"SITE{i}-ANL", [make_record(start=1000.0 + i)])
-    sock, rfile = _raw_binary(server)
+        endpoint.service.ingest_records(
+            f"SITE{i}-ANL", [make_record(start=1000.0 + i)])
+    sock, rfile = endpoint.connect()
     writer = wire.FrameWriter()
     try:
         sock.sendall(writer.encode_request({"op": "ping"}))
-        op, payload = wire.read_frame(rfile)
-        assert wire.decode_response(op, payload)["pong"] is True
+        assert read_response(rfile)[1]["pong"] is True
         sock.sendall(writer.encode_request({"op": "status"}))
         op, payload = wire.read_frame(rfile)
         assert len(payload) > 4096
@@ -193,82 +190,94 @@ def test_a_large_answer_after_a_small_one_keeps_the_connection(server, service):
         sock.close()
 
 
-def test_bad_magic_answers_in_band_then_closes(server):
-    sock, rfile = _raw_binary(server)
+def test_bad_magic_answers_in_band_then_closes(endpoint):
+    sock, rfile = endpoint.connect()
     try:
         # First byte 0xA5 routes to the binary loop; the *second* frame
         # starts with garbage the loop cannot resync past.
-        writer = wire.FrameWriter()
-        sock.sendall(writer.encode_request({"op": "ping"}))
-        op, payload = wire.read_frame(rfile)
-        assert wire.decode_response(op, payload)["ok"]
-        sock.sendall(b"\xa5\x00garbagegarbage")
-        op, payload = wire.read_frame(rfile)
-        error = wire.decode_response(op, payload)
-        assert not error["ok"] and error["error"]["code"] == "bad_frame"
-        assert rfile.read(1) == b""  # server closed after answering
+        with endpoint.counting("binary") as moved:
+            sock.sendall(wire.FrameWriter().encode_request({"op": "ping"}))
+            assert read_response(rfile)[1]["ok"]
+            sock.sendall(b"\xa5\x00garbagegarbage")
+            error = read_response(rfile)[1]
+            assert not error["ok"] and error["error"]["code"] == "bad_frame"
+            assert rfile.read(1) == b""  # server closed after answering
+        assert moved == {"requests": 1, "bad": 1}
     finally:
         sock.close()
 
 
-def test_truncated_frame_answers_in_band_when_possible(server):
-    sock, rfile = _raw_binary(server)
+def test_truncated_frame_answers_in_band_when_possible(endpoint):
+    sock, rfile = endpoint.connect()
     try:
         frame = bytes(wire.FrameWriter().encode_request({"op": "ping"}))
-        sock.sendall(frame[:-2])
-        sock.shutdown(socket.SHUT_WR)  # half-close mid-frame
-        op, payload = wire.read_frame(rfile)
-        error = wire.decode_response(op, payload)
-        assert not error["ok"] and error["error"]["code"] == "bad_frame"
-        assert rfile.read(1) == b""
+        with endpoint.counting("binary") as moved:
+            sock.sendall(frame[:-2])
+            sock.shutdown(socket.SHUT_WR)  # half-close mid-frame
+            error = read_response(rfile)[1]
+            assert not error["ok"] and error["error"]["code"] == "bad_frame"
+            assert rfile.read(1) == b""
+        assert moved == {"requests": 0, "bad": 1}
     finally:
         sock.close()
 
 
-def test_oversized_frame_is_refused_in_band(server):
-    sock, rfile = _raw_binary(server)
+def test_oversized_frame_is_refused_in_band(endpoint):
+    sock, rfile = endpoint.connect()
     try:
         header = wire.HEADER.pack(wire.MAGIC, wire.FRAME_VERSION,
                                   wire.OP_PING, wire.MAX_FRAME_BYTES + 1)
-        sock.sendall(header)
-        op, payload = wire.read_frame(rfile)
-        error = wire.decode_response(op, payload)
-        assert not error["ok"]
-        assert error["error"]["code"] == "oversized_request"
-        assert rfile.read(1) == b""
+        with endpoint.counting("binary") as moved:
+            sock.sendall(header)
+            error = read_response(rfile)[1]
+            assert not error["ok"]
+            assert error["error"]["code"] == "oversized_request"
+            assert rfile.read(1) == b""
+        assert moved == {"requests": 0, "bad": 1}
     finally:
         sock.close()
 
 
-def test_unknown_frame_op_answers_in_band_and_survives(server):
-    sock, rfile = _raw_binary(server)
+def test_unknown_frame_op_answers_in_band_and_survives(endpoint):
+    sock, rfile = endpoint.connect()
     try:
         sock.sendall(wire.HEADER.pack(wire.MAGIC, wire.FRAME_VERSION, 0x66, 0))
-        op, payload = wire.read_frame(rfile)
-        error = wire.decode_response(op, payload)
+        error = read_response(rfile)[1]
         assert not error["ok"] and error["error"]["code"] == "bad_frame"
         # The payload decoded cleanly as "no such op"; the stream is
         # still framed, so the connection keeps serving.
         sock.sendall(wire.FrameWriter().encode_request({"op": "ping"}))
-        op, payload = wire.read_frame(rfile)
-        assert wire.decode_response(op, payload)["ok"]
+        assert read_response(rfile)[1]["ok"]
     finally:
         sock.close()
 
 
-def test_server_errors_on_binary_are_always_normalized(service, tmp_path):
-    # legacy_errors only bends the JSON dialect; binary clients are new
-    # API and never see bare-string errors.
-    with ServiceServer(service, tmp_path / "legacy.sock",
-                       legacy_errors=True) as server:
-        with ServiceClient(server.socket_path, binary=True) as client:
-            response = client.request({"op": "warp"})
-        assert response["error"] == {
-            "code": "unknown_op", "message": "unknown op 'warp'",
-        }
-        with ServiceClient(server.socket_path) as client:
-            response = client.request({"op": "warp"})
-        assert response["error"] == "unknown op 'warp'"
+FRONT_CASES = [
+    test_corrupt_payload_answers_in_band_and_keeps_the_connection,
+    test_a_large_answer_after_a_small_one_keeps_the_connection,
+    test_bad_magic_answers_in_band_then_closes,
+    test_truncated_frame_answers_in_band_when_possible,
+    test_oversized_frame_is_refused_in_band,
+    test_unknown_frame_op_answers_in_band_and_survives,
+    json_cases.test_malformed_json_keeps_the_connection_alive,
+    json_cases.test_oversized_request_answers_in_band_then_closes,
+]
+
+
+@pytest.mark.parametrize("case", FRONT_CASES, ids=lambda case: case.__name__)
+def test_the_front_answers_like_the_worker(case, front_endpoint):
+    # One serving loop: a front on TCP over this worker gives every
+    # malformed, truncated or oversized request the same answer, the
+    # same connection fate and the same counter movement.
+    case(front_endpoint)
+
+
+def test_server_errors_on_binary_are_always_normalized(server):
+    with ServiceClient(server.socket_path, binary=True) as client:
+        response = client.request({"op": "warp"})
+    assert response["error"] == {
+        "code": "unknown_op", "message": "unknown op 'warp'",
+    }
 
 
 def test_batch_over_socket_matches_per_query_over_socket(server):

@@ -17,6 +17,7 @@ interpreter (this test process has the whole package loaded through
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -35,6 +36,14 @@ SIMULATION = ("networkx", "repro.sim", "repro.gridftp", "repro.nws.sensor",
               "repro.workload", "repro.analysis")
 #: What a process that only speaks the wire protocol must also not load.
 SERVING = ("numpy", "repro.core", "repro.data", "repro.service", "repro.store")
+#: No process serves from an event loop (both servers are repro.endpoint's
+#: threads), so none pays for one — or for the ssl it drags in.  Spelled
+#: in halves: a grep for the module's name over src/ and tests/ coming
+#: back empty is itself one of the gates.
+EVENT_LOOP = ("async" + "io", "ssl")
+#: A worker runs inside repro.fleet and needs none of the rest of it.
+FLEET_FRONT = ("repro.fleet.front", "repro.fleet.supervisor",
+               "repro.fleet.runner")
 
 
 def _python(code: str, *argv: str) -> str:
@@ -67,18 +76,20 @@ print("\\n".join(sorted(sys.modules)))
 
 CLOSURES = [
     # (the five kinds of process) x (what each must not have loaded)
-    ("client", "import repro.client", SIMULATION + SERVING),
-    ("front", "import repro.fleet.runner", SIMULATION + SERVING),
-    ("serve", "import repro.service, repro.store", SIMULATION),
-    ("worker", "run('repro.fleet.worker', '--help')", SIMULATION),
+    ("client", "import repro.client", SIMULATION + SERVING + EVENT_LOOP),
+    ("front", "import repro.fleet.runner", SIMULATION + SERVING + EVENT_LOOP),
+    ("serve", "import repro.service, repro.store", SIMULATION + EVENT_LOOP),
+    ("worker", "run('repro.fleet.worker', '--help')",
+     SIMULATION + EVENT_LOOP + FLEET_FRONT),
     ("evaluate", "import repro.core.engine, repro.data",
      SIMULATION + ("repro.service", "repro.store", "repro.fleet")),
     ("cli", "import repro.cli", SIMULATION + SERVING),
-    ("cli-serve-help", "run('repro.cli', 'serve', '--help')", SIMULATION),
+    ("cli-serve-help", "run('repro.cli', 'serve', '--help')",
+     SIMULATION + EVENT_LOOP),
     ("cli-query-help", "run('repro.cli', 'query', '--help')",
-     SIMULATION + SERVING),
+     SIMULATION + SERVING + EVENT_LOOP),
     ("cli-fleet-help", "run('repro.cli', 'fleet', '--help')",
-     SIMULATION + SERVING),
+     SIMULATION + SERVING + EVENT_LOOP),
     # --help stops before the subcommand body; these two run it.
     ("cli-query-logs",
      "run('repro.cli', 'query', 'predict', '--logs', {log!r}, "
@@ -174,7 +185,7 @@ def test_serving_and_evaluation_do_not_need_networkx(tmp_path):
 # the lazy packages' public surface
 # ----------------------------------------------------------------------
 LAZY_PACKAGES = ["repro", "repro.core", "repro.core.predictors", "repro.nws",
-                 "repro.net", "repro.analysis"]
+                 "repro.net", "repro.analysis", "repro.fleet"]
 
 _SURFACE = """
 import importlib, json, sys
@@ -230,3 +241,51 @@ def test_top_level_names_import_and_version_is_eager():
         "print('ok')\n"
     )
     assert out.strip() == "ok"
+
+
+# ----------------------------------------------------------------------
+# one serving loop (static: reads the source, imports nothing)
+# ----------------------------------------------------------------------
+def _imports(tree: ast.AST):
+    """Every module name an ``import`` / ``from ... import`` mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_event_loop_and_one_connection_handler():
+    trees = {
+        path.relative_to(REPO / "src").as_posix(): ast.parse(path.read_text())
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+    }
+    loop = EVENT_LOOP[0]
+    uses = {name: sorted(set(_imports(tree))) for name, tree in trees.items()}
+    assert [name for name, mods in uses.items()
+            if any(m == loop or m.startswith(loop + ".") for m in mods)] == []
+    # Exactly one module accepts connections, and it defines exactly one
+    # request handler: the class every listening socket is served by.
+    assert [name for name, mods in uses.items() if "socketserver" in mods] == [
+        "repro/endpoint.py"]
+    handlers = [
+        node.name for node in ast.walk(trees["repro/endpoint.py"])
+        if isinstance(node, ast.ClassDef)
+        and any("RequestHandler" in ast.unparse(base) for base in node.bases)
+    ]
+    assert handlers == ["ConnectionHandler"]
+    # ServiceServer and FleetFront are both that module's Endpoint.
+    for name in ("repro/service/server.py", "repro/fleet/front.py"):
+        names = {
+            alias.name for node in ast.walk(trees[name])
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.endpoint"
+            for alias in node.names
+        }
+        assert "Endpoint" in names, name
+    # ... and wire.read_frame is the only frame reader there is.
+    assert [
+        (name, node.name) for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "read_frame" in node.name
+    ] == [("repro/wire.py", "read_frame")]

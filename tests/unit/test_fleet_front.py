@@ -7,7 +7,6 @@ the front's own logic: routing, fan-out/reassembly, merging, admission
 control, breaker failover, and last-good degraded answers.
 """
 
-import asyncio
 import socket
 import time
 
@@ -91,9 +90,7 @@ def kill_worker(front, servers, shard):
     link = front._links[shard]
     deadline = time.monotonic() + 5.0
     while True:
-        asyncio.run_coroutine_threadsafe(
-            link.reset(), front._loop
-        ).result(timeout=5.0)
+        link.reset()
         if link._created == 0:
             return
         assert time.monotonic() < deadline, "pooled connections never drained"

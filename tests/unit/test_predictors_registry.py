@@ -1,7 +1,5 @@
 """The Figure 4 registry."""
 
-import pytest
-
 from repro.core.predictors import (
     PAPER_PREDICTOR_NAMES,
     ArModel,
@@ -13,7 +11,6 @@ from repro.core.predictors import (
     WindowedAverage,
     WindowedMedian,
     classified_predictors,
-    make_predictor,
     paper_predictors,
 )
 
@@ -62,15 +59,6 @@ def test_total_battery_is_thirty():
     """The paper's headline: 30 predictors."""
     battery = {**paper_predictors(), **classified_predictors()}
     assert len(battery) == 30
-
-
-def test_make_predictor_by_name():
-    assert make_predictor("AVG5").name == "AVG5"
-    assert make_predictor("C-MED15").name == "C-MED15"
-    with pytest.raises(KeyError):
-        make_predictor("NOPE")
-    with pytest.raises(KeyError):
-        make_predictor("C-NOPE")
 
 
 def test_registry_builds_fresh_instances():

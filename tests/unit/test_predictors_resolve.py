@@ -1,4 +1,4 @@
-"""The resolve() spec-string API and its deprecated aliases."""
+"""The resolve() spec-string API."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.core.predictors import (
     KERNEL_SPECS,
     PAPER_PREDICTOR_NAMES,
     ClassifiedPredictor,
-    make_predictor,
     resolve,
     resolve_battery,
 )
@@ -73,15 +72,3 @@ def test_kernel_specs_are_exactly_the_battery():
         CLASSIFIED_PREDICTOR_NAMES
     )
     assert "SIZE" not in KERNEL_SPECS
-
-
-def test_make_predictor_is_a_deprecated_alias():
-    with pytest.warns(DeprecationWarning, match="resolve"):
-        predictor = make_predictor("AVG15")
-    assert predictor.name == "AVG15"
-
-
-def test_make_predictor_still_raises_on_unknown():
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(KeyError):
-            make_predictor("NOPE")

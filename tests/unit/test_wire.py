@@ -133,11 +133,14 @@ def test_error_response_roundtrips_both_shapes():
         "ok": False, "v": 1,
         "error": {"code": "unknown_op", "message": "unknown op 'warp'"},
     }
-    # A legacy bare-string error survives the binary hop as one.
-    _, legacy = roundtrip_response(
+    # A peer's bare-string error still encodes (the tolerant reader), but
+    # a frame only ever decodes to the normalized shape.
+    _, bare = roundtrip_response(
         wire.OP_PREDICT, {"ok": False, "v": 1, "error": "boom"}
     )
-    assert legacy == {"ok": False, "v": 1, "error": "boom"}
+    assert bare == {
+        "ok": False, "v": 1, "error": {"code": "error", "message": "boom"},
+    }
 
 
 def test_status_response_rides_as_json():
