@@ -82,18 +82,15 @@ def compute_class_errors_dataset(
     dataset: Mapping[str, EvaluationData],
     classification: Optional[Classification] = None,
     training: int = 15,
-    max_workers: Optional[int] = None,
 ) -> Dict[str, ClassErrors]:
-    """Class-error tables for every link of a dataset, evaluated in parallel.
+    """Class-error tables for every link of a dataset.
 
-    One :func:`repro.core.engine.evaluate_dataset` call walks all links on
-    a thread pool; each link's table is identical to a standalone
+    One :func:`repro.core.engine.evaluate_dataset` call walks all links;
+    each link's table is identical to a standalone
     :func:`compute_class_errors` run.
     """
     cls = classification or paper_classification()
-    results = evaluate_dataset(
-        dataset, training=training, classification=cls, max_workers=max_workers
-    )
+    results = evaluate_dataset(dataset, training=training, classification=cls)
     return {link: _bucket(link, result, cls) for link, result in results.items()}
 
 

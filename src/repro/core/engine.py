@@ -24,9 +24,7 @@ The CLI, the analysis layer, and the benchmarks all call this facade.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Mapping, Optional, Sequence, Union
 
 from repro.core.classification import Classification
@@ -41,7 +39,7 @@ from repro.core.predictors.registry import (
 )
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import current_span, span as _span
+from repro.obs.tracing import span as _span
 
 __all__ = ["ENGINES", "evaluate", "evaluate_dataset", "select_engine"]
 
@@ -51,9 +49,6 @@ _H_EVALUATE = _REG.histogram(
     "evaluate_seconds", "one evaluate() walk, labeled by engine")
 _H_LINK = _REG.histogram(
     "evaluate_link_seconds", "per-link walk latency inside evaluate_dataset")
-_H_QUEUE = _REG.histogram(
-    "evaluate_queue_wait_seconds",
-    "time a link waited for a pool thread in evaluate_dataset")
 _M_LINKS = _REG.counter(
     "evaluate_links", "links walked by evaluate_dataset")
 
@@ -187,36 +182,25 @@ def evaluate_dataset(
     engine: str = "auto",
     classification: Optional[Classification] = None,
     fallback: bool = False,
-    max_workers: Optional[int] = None,
 ) -> Dict[str, EvaluationResult]:
-    """Walk the predictor battery over every link of a dataset in parallel.
+    """Walk the predictor battery over every link of a dataset.
 
     Accepts any link -> data mapping — most usefully a
     :class:`repro.data.dataset.Dataset` of columnar frames — and runs
-    :func:`evaluate` per link on a thread pool (the vectorized kernels
-    spend their time in NumPy, which releases the GIL).  Results keep the
-    dataset's link order; per-link results are identical to serial
-    :func:`evaluate` calls, as each walk touches only its own arrays.
-
-    ``max_workers`` defaults to one thread per link, capped by the CPU
-    count; pass ``1`` to force a serial walk.
+    :func:`evaluate` per link, one after the other (on links of the
+    paper's size a thread pool costs more than it overlaps).  Results
+    keep the dataset's link order; per-link results are those of
+    standalone :func:`evaluate` calls.
     """
-    links = list(dataset)
-    if not links:
-        return {}
     # Validate the request (and the engine choice) once, up front, so a
-    # bad spec raises immediately rather than from inside a pool thread.
+    # bad spec raises before any link is walked.
     select_engine(predictors, engine=engine, fallback=fallback)
-
-    # Pool threads start with an empty contextvars context, so the
-    # caller's span is captured here and passed to each link explicitly.
-    parent = current_span()
     obs = _obs_enabled()
-
-    def _one(link: str, submitted: float) -> EvaluationResult:
+    results: Dict[str, EvaluationResult] = {}
+    for link in dataset:
         started = time.perf_counter()
-        with _span("evaluate.link", parent=parent, link=link) as sp:
-            result = evaluate(
+        with _span("evaluate.link", link=link):
+            results[link] = evaluate(
                 dataset[link],
                 predictors,
                 training=training,
@@ -224,17 +208,7 @@ def evaluate_dataset(
                 classification=classification,
                 fallback=fallback,
             )
-            if obs:
-                _M_LINKS.inc()
-                _H_QUEUE.observe(started - submitted)
-                _H_LINK.observe(time.perf_counter() - started)
-                sp.set_attribute("queue_wait_seconds", started - submitted)
-        return result
-
-    workers = max_workers or min(len(links), os.cpu_count() or 1)
-    if workers <= 1 or len(links) == 1:
-        return {link: _one(link, time.perf_counter()) for link in links}
-    submitted = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda link: _one(link, submitted), links))
-    return dict(zip(links, results))
+        if obs:
+            _M_LINKS.inc()
+            _H_LINK.observe(time.perf_counter() - started)
+    return results

@@ -14,14 +14,16 @@ any estimate, for ranking purposes) but are reported with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.core.history import History
 from repro.core.predictors.base import Predictor
 from repro.logs.filters import by_operation, by_source_ip, chain
 from repro.logs.logfile import TransferLog
 from repro.logs.record import Operation
-from repro.storage.filesystem import ReplicaCatalog
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.filesystem import ReplicaCatalog
 
 __all__ = ["RankedReplica", "ReplicaBroker"]
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,12 +59,10 @@ from repro.core.predictors.classified import ClassifiedPredictor
 from repro.core.predictors.last_value import LastValue
 from repro.core.predictors.mean import TemporalAverage, TotalAverage, WindowedAverage
 from repro.core.predictors.median import TotalMedian, WindowedMedian
-from repro.logs.stats import BandwidthSummary, RunningSummary
 from repro.units import DAY, HOUR
 
 __all__ = [
     "RING_CAPACITY",
-    "RECENT_CAPACITY",
     "StreamingUnavailable",
     "SeriesSummaries",
     "StreamingBank",
@@ -80,9 +77,6 @@ TEMPORAL_HOURS: Tuple[float, ...] = (5.0, 15.0, 25.0)
 
 #: AR fit windows kept incrementally (days); ``None`` (all data) is always kept.
 AR_DAYS: Tuple[float, ...] = (5.0, 10.0)
-
-#: Recent read bandwidths retained for the MDS ``recentrdbandwidth`` attribute.
-RECENT_CAPACITY = 64
 
 
 class StreamingUnavailable(RuntimeError):
@@ -568,7 +562,7 @@ class SeriesSummaries:
 # the per-link bank
 # ----------------------------------------------------------------------
 class StreamingBank:
-    """Per-link incremental summaries: global, per class, and per op.
+    """Per-link incremental summaries: the link's series and one per class.
 
     Owned by a :class:`~repro.service.state.LinkState`; all mutation and
     all queries happen under the owner's per-link lock (time-window
@@ -582,31 +576,22 @@ class StreamingBank:
     on_rebuild:
         Called with a reason string (``"out_of_order"`` or ``"bulk"``)
         whenever the bank is rebuilt from the history arrays.
-    read_op:
-        The op-column code marking read transfers (the MDS ``rd``
-        attributes aggregate these; default matches
-        ``repro.data.frame.OP_READ``).
+
+    ``add`` / ``extend`` / ``rebuild`` accept ``op`` / ``ops`` and never read it.
     """
 
     def __init__(
         self,
         classification: Classification,
         on_rebuild: Optional[Callable[[str], None]] = None,
-        read_op: int = 0,
     ) -> None:
         self.classification = classification
         self.on_rebuild = on_rebuild
-        self.read_op = read_op
         self.rebuilds = 0
         self.count = 0
         self._global = SeriesSummaries()
         self._classes: Dict[str, SeriesSummaries] = {}
         self._label_cache: Dict[int, str] = {}
-        # MDS attribute state: per-direction summary stats, per-class
-        # read means, and the recent read bandwidths.
-        self._op_stats: Dict[int, RunningSummary] = {}
-        self._class_read: Dict[str, List] = {}  # label -> [longdouble sum, count]
-        self._recent_reads: deque = deque(maxlen=RECENT_CAPACITY)
 
     # ------------------------------------------------------------------
     # mutation
@@ -630,18 +615,6 @@ class StreamingBank:
             series = self._classes[label] = SeriesSummaries()
         series.add(time, value)
 
-        stats = self._op_stats.get(op)
-        if stats is None:
-            stats = self._op_stats[op] = RunningSummary()
-        stats.add(value)
-        if op == self.read_op:
-            self._recent_reads.append(value)
-            bucket = self._class_read.get(label)
-            if bucket is None:
-                bucket = self._class_read[label] = [np.longdouble(0.0), 0]
-            bucket[0] += value
-            bucket[1] += 1
-
     def extend(
         self,
         times: np.ndarray,
@@ -651,17 +624,16 @@ class StreamingBank:
     ) -> None:
         """Fold an in-order batch, bit-identical to sequential :meth:`add`.
 
-        The batch scatters into per-class / per-op subsequences exactly
-        once (one ``classify`` per distinct size, as :meth:`rebuild`
-        does); each series then folds its own subsequence in arrival
-        order, which is precisely what the interleaved per-record path
-        would have fed it.  Longdouble sums vectorize via
-        :func:`_fold_sum`; heap-backed structures keep per-record folds.
+        The batch scatters into per-class subsequences exactly once
+        (one ``classify`` per distinct size, as :meth:`rebuild` does);
+        each series then folds its own subsequence in arrival order,
+        which is precisely what the interleaved per-record path would
+        have fed it.  Longdouble sums vectorize via :func:`_fold_sum`;
+        heap-backed structures keep per-record folds.
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
         sizes = np.asarray(sizes)
-        ops = np.asarray(ops)
         n = len(values)
         if n == 0:
             return
@@ -672,7 +644,7 @@ class StreamingBank:
         unique_labels = np.array([self._label(int(s)) for s in unique_sizes])
         labels = unique_labels[inverse]
         # First-occurrence iteration order (dict.fromkeys, not set), so
-        # new per-label/per-op entries are created in the same order the
+        # new per-label entries are created in the same order the
         # per-record path would have — checkpoint state stays identical
         # down to dict insertion order.
         for label in dict.fromkeys(labels.tolist()):
@@ -681,27 +653,6 @@ class StreamingBank:
             if series is None:
                 series = self._classes[label] = SeriesSummaries()
             series.extend(times[mask], values[mask])
-
-        for op in dict.fromkeys(ops.tolist()):
-            op = int(op)
-            stats = self._op_stats.get(op)
-            if stats is None:
-                stats = self._op_stats[op] = RunningSummary()
-            for value in values[ops == op].tolist():
-                stats.add(value)
-
-        read_mask = ops == self.read_op
-        if read_mask.any():
-            read_values = values[read_mask]
-            self._recent_reads.extend(read_values.tolist())
-            read_labels = labels[read_mask]
-            for label in dict.fromkeys(read_labels.tolist()):
-                sub = read_values[read_labels == label]
-                bucket = self._class_read.get(label)
-                if bucket is None:
-                    bucket = self._class_read[label] = [np.longdouble(0.0), 0]
-                bucket[0] = _fold_sum(bucket[0], sub)
-                bucket[1] += len(sub)
 
     def rebuild(
         self,
@@ -725,31 +676,14 @@ class StreamingBank:
 
         # One classify per *distinct* size, scattered back.
         self._classes = {}
-        self._class_read = {}
         if len(sizes):
             unique_sizes, inverse = np.unique(sizes, return_inverse=True)
             unique_labels = np.array([self._label(int(s)) for s in unique_sizes])
             labels = unique_labels[inverse]
-            read_mask = np.asarray(ops) == self.read_op
             for label in sorted(set(labels.tolist())):
                 mask = labels == label
                 series = self._classes[label] = SeriesSummaries()
                 series.build(times[mask], values[mask])
-                class_read = values[mask & read_mask]
-                if len(class_read):
-                    self._class_read[label] = [
-                        class_read.astype(np.longdouble).sum(), len(class_read)
-                    ]
-        else:
-            read_mask = np.zeros(0, dtype=bool)
-
-        self._op_stats = {}
-        for op in sorted(set(np.asarray(ops).tolist())):
-            self._op_stats[int(op)] = RunningSummary.from_values(
-                values[np.asarray(ops) == op]
-            )
-        self._recent_reads = deque(values[read_mask][-RECENT_CAPACITY:].tolist(),
-                                   maxlen=RECENT_CAPACITY)
 
         self.rebuilds += 1
         if self.on_rebuild is not None:
@@ -772,36 +706,21 @@ class StreamingBank:
         return {
             "count": self.count,
             "rebuilds": self.rebuilds,
-            "read_op": self.read_op,
             "global": self._global.state(),
             "classes": {label: s.state() for label, s in self._classes.items()},
-            "op_stats": {str(op): s.state() for op, s in self._op_stats.items()},
-            "class_read": {
-                label: {"sum": total, "count": count}
-                for label, (total, count) in self._class_read.items()
-            },
-            "recent_reads": list(self._recent_reads),
         }
 
     def load_state(self, state: dict) -> None:
+        """Restore :meth:`state`; keys it does not name are ignored
+        (an earlier build's checkpoint also carried MDS statistics)."""
         self.count = int(state["count"])
         self.rebuilds = int(state["rebuilds"])
-        self.read_op = int(state["read_op"])
         self._global = SeriesSummaries()
         self._global.load_state(state["global"])
         self._classes = {}
         for label, sub in state["classes"].items():
             series = self._classes[label] = SeriesSummaries()
             series.load_state(sub)
-        self._op_stats = {
-            int(op): RunningSummary.from_state(sub)
-            for op, sub in state["op_stats"].items()
-        }
-        self._class_read = {
-            label: [np.longdouble(sub["sum"]), int(sub["count"])]
-            for label, sub in state["class_read"].items()
-        }
-        self._recent_reads = deque(state["recent_reads"], maxlen=RECENT_CAPACITY)
         self._label_cache = {}
 
     # ------------------------------------------------------------------
@@ -866,34 +785,6 @@ class StreamingBank:
             return series._ar[base.window_days].value(
                 series, anchor, base.min_points, base.clamp)
         raise StreamingUnavailable(f"unbanked predictor {base!r}")
-
-    # ------------------------------------------------------------------
-    # MDS attribute queries
-    # ------------------------------------------------------------------
-    def op_summary(self, op: int) -> BandwidthSummary:
-        """:class:`~repro.logs.stats.BandwidthSummary` for one direction."""
-        stats = self._op_stats.get(op)
-        if stats is None:
-            return BandwidthSummary.empty()
-        return stats.summary()
-
-    def class_read_means(self) -> Dict[str, float]:
-        """Mean read bandwidth per size class, for classes with reads."""
-        return {
-            label: float(total / count)
-            for label, (total, count) in sorted(self._class_read.items())
-        }
-
-    def recent_reads(self, n: int) -> Optional[List[float]]:
-        """The last ``n`` read bandwidths, or ``None`` if the bank's ring
-        is too short to answer (the caller slices the columns instead)."""
-        recent = self._recent_reads
-        if len(recent) >= n:
-            return list(recent)[len(recent) - n :]
-        stats = self._op_stats.get(self.read_op)
-        if stats is None or stats.count <= len(recent):
-            return list(recent)  # the ring holds every read there is
-        return None
 
 
 _BANKED_TYPES = (

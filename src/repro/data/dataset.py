@@ -3,8 +3,8 @@
 A :class:`Dataset` maps link names to :class:`TransferFrame` columns —
 the unit the production layers move around: the CLI bulk-loads one per
 ``repro evaluate``/``repro serve`` invocation, the analysis layer walks
-the predictor battery over each link (in parallel via
-:func:`repro.core.engine.evaluate_dataset`), and campaign outputs
+the predictor battery over each link
+(:func:`repro.core.engine.evaluate_dataset`), and campaign outputs
 convert straight into one.
 
 Construction never mutates frames; a dataset is an ordered, read-only

@@ -15,9 +15,11 @@ discoverable:
 * :mod:`repro.mds.giis` — the Grid Index Information Service: aggregates
   registered GRISes into one searchable directory.
 * :mod:`repro.mds.provider` — the GridFTP performance information
-  provider: filters the transfer log, classifies entries, computes
-  summary statistics and predictions, publishes them as LDIF
-  (Figure 6's ``minrdbandwidth`` / ``avgrdbandwidthtenmbrange`` output).
+  providers: filter the transfer log, classify entries, compute summary
+  statistics and predictions, publish them as LDIF (Figure 6's
+  ``minrdbandwidth`` / ``avgrdbandwidthtenmbrange`` output) — from a
+  log rescan, from running summaries, or from a warm prediction
+  service's columns, through one entry renderer.
 """
 
 from repro.mds.ldif import Entry, LdifError, format_entries, parse_ldif
@@ -36,6 +38,7 @@ from repro.mds.provider import (
     GridFTPInfoProvider,
     IncrementalGridFTPInfoProvider,
     ProviderReport,
+    ServicePerfProvider,
 )
 from repro.mds.broker import MdsRankedReplica, MdsReplicaBroker
 
@@ -59,6 +62,7 @@ __all__ = [
     "GridFTPInfoProvider",
     "IncrementalGridFTPInfoProvider",
     "ProviderReport",
+    "ServicePerfProvider",
     "MdsRankedReplica",
     "MdsReplicaBroker",
 ]

@@ -1,9 +1,20 @@
-"""The GridFTP performance information provider (Section 5.1, Figure 6).
+"""The GridFTP performance information providers (Section 5.1, Figure 6).
 
 Bridges the instrumentation and delivery layers: reads the server's
 transfer log, filters it, classifies entries into file-size classes,
 computes summary statistics and per-class predictions, and publishes one
 LDIF entry per server under the ``GridFTPPerf`` object class.
+
+Three providers differ in where the summaries come from — a rescan of
+the log (:class:`GridFTPInfoProvider`, the paper's), running summaries
+folded per appended record (:class:`IncrementalGridFTPInfoProvider`),
+the columns a warm prediction service already holds
+(:class:`ServicePerfProvider`) — and share the entry itself:
+:func:`perf_entry` is the only place the DN, the attribute names, their
+order and the ``K`` rendering are written down, so the three publish
+byte-identical LDIF for the same log (the service predicts from a
+link's whole history, so for it that holds while no size class mixes
+reads and writes).
 
 Bandwidths are rendered the way Figure 6 prints them — integer KB/s with a
 ``K`` suffix (``avgrdbandwidth: 6062K``).
@@ -19,12 +30,23 @@ from __future__ import annotations
 import collections
 import time
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from types import SimpleNamespace
+from typing import (
+    TYPE_CHECKING,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core.classification import Classification, paper_classification
 from repro.core.predictors.base import Predictor
 from repro.core.predictors.mean import TotalAverage
-from repro.data.frame import TransferFrame
+from repro.data.frame import OP_READ, OP_WRITE, TransferFrame
 from repro.logs.logfile import TransferLog
 from repro.logs.record import Operation, TransferRecord
 from repro.logs.stats import (
@@ -40,7 +62,16 @@ from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as _span
 from repro.units import bytes_per_sec_to_kbps
 
-__all__ = ["ProviderReport", "GridFTPInfoProvider", "IncrementalGridFTPInfoProvider"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.service import PredictionService
+
+__all__ = [
+    "ProviderReport",
+    "perf_entry",
+    "GridFTPInfoProvider",
+    "IncrementalGridFTPInfoProvider",
+    "ServicePerfProvider",
+]
 
 # Process-wide MDS instrumentation (see docs/observability.md).
 _M_RENDERS = get_registry().counter(
@@ -54,9 +85,71 @@ def _kb(rate_bytes_per_sec: float) -> str:
     return f"{int(round(bytes_per_sec_to_kbps(rate_bytes_per_sec)))}K"
 
 
-def _class_attr_label(label: str) -> str:
-    """Class label -> attribute fragment (``10MB`` -> ``10mb``)."""
-    return label.lower()
+def perf_entry(
+    site: Site,
+    url: str,
+    now: float,
+    n_transfers: int,
+    reads: BandwidthSummary,
+    writes: BandwidthSummary,
+    class_means: Mapping[str, float],
+    predictions: Mapping[str, float],
+    recent: Iterable[float],
+) -> Entry:
+    """The ``GridFTPPerf`` entry of Figure 6, from computed summaries.
+
+    Attributes appear in the order given: the per-direction block, every
+    ``avgrdbandwidth<class>range`` in ``class_means`` order (providers
+    pass labels string-sorted), every ``predictedrdbandwidth<class>range``
+    in ``predictions`` order (size-class order), then the ``recent`` read
+    bandwidths, oldest first.
+    """
+    if _obs_enabled():
+        _M_RENDERS.inc()
+    dcs = ",".join(f"dc={part}" for part in site.domain.split("."))
+    entry = Entry(f"cn={site.address},hostname={site.hostname},{dcs},o=grid")
+    entry.add("objectclass", "GridFTPPerf")
+    entry.add("cn", site.address)
+    entry.add("hostname", site.hostname)
+    entry.add("gridftpurl", url)
+    entry.add("numtransfers", n_transfers)
+    entry.add("lastupdate", repr(now))
+    for prefix, summary in (("rd", reads), ("wr", writes)):
+        if summary.count:
+            entry.add(f"min{prefix}bandwidth", _kb(summary.minimum))
+            entry.add(f"max{prefix}bandwidth", _kb(summary.maximum))
+            entry.add(f"avg{prefix}bandwidth", _kb(summary.mean))
+            entry.add(f"med{prefix}bandwidth", _kb(summary.median))
+    for label, mean in class_means.items():
+        entry.add(f"avgrdbandwidth{label.lower()}range", _kb(mean))
+    for label, predicted in predictions.items():
+        entry.add(f"predictedrdbandwidth{label.lower()}range", _kb(predicted))
+    for bandwidth in recent:
+        entry.add("recentrdbandwidth", _kb(float(bandwidth)))
+    return entry
+
+
+def _column_summaries(reads, write_values, classify):
+    """``(read summary, write summary, class read means)`` of a link's
+    columns; ``reads`` carries parallel ``sizes`` / ``bandwidths``."""
+    per_class = summarize_frame_by_class(reads, classify)
+    return (
+        summarize_values(reads.bandwidths),
+        summarize_values(write_values),
+        {label: summary.mean for label, summary in per_class.items()},
+    )
+
+
+def _tail(values, recent: int):
+    """The last ``recent`` read bandwidths of a column (none for 0)."""
+    return values[-recent:] if recent else values[:0]
+
+
+def _representative_size(classification: Classification, label: str) -> int:
+    """The size a class's prediction is asked for: the midpoint of a
+    finite class, 1.25x the lower bound of the unbounded top class."""
+    lo, hi = classification.bounds(label)
+    return int((lo + hi) / 2) if hi != float("inf") else int(lo * 1.25)
 
 
 @dataclass(frozen=True)
@@ -117,13 +210,6 @@ class GridFTPInfoProvider:
         self.recent = recent
 
     # ------------------------------------------------------------------
-    # DN
-    # ------------------------------------------------------------------
-    def dn(self) -> str:
-        dcs = ",".join(f"dc={part}" for part in self.site.domain.split("."))
-        return f"cn={self.site.address},hostname={self.site.hostname},{dcs},o=grid"
-
-    # ------------------------------------------------------------------
     # entry generation
     # ------------------------------------------------------------------
     def entries(self, now: float) -> List[Entry]:
@@ -149,8 +235,6 @@ class GridFTPInfoProvider:
                    host=self.site.hostname):
             entry, report = self._report(now, t0)
         if _obs_enabled():
-            if entry is not None:
-                _M_RENDERS.inc()
             _H_RENDER.observe(time.perf_counter() - t0)
         return entry, report
 
@@ -160,9 +244,8 @@ class GridFTPInfoProvider:
         writes = frame.writes()
         t1 = time.perf_counter()
 
-        read_summary = summarize_values(reads.bandwidths)
-        write_summary = summarize_values(writes.bandwidths)
-        per_class = summarize_frame_by_class(reads, self.classification.classify)
+        summaries = _column_summaries(
+            reads, writes.bandwidths, self.classification.classify)
         t2 = time.perf_counter()
 
         predictions = self._per_class_predictions(reads, now)
@@ -176,34 +259,10 @@ class GridFTPInfoProvider:
         )
         if not len(frame):
             return None, report
-
-        entry = Entry(self.dn())
-        entry.add("objectclass", "GridFTPPerf")
-        entry.add("cn", self.site.address)
-        entry.add("hostname", self.site.hostname)
-        entry.add("gridftpurl", self.url)
-        entry.add("numtransfers", len(frame))
-        entry.add("lastupdate", repr(now))
-        if read_summary.count:
-            entry.add("minrdbandwidth", _kb(read_summary.minimum))
-            entry.add("maxrdbandwidth", _kb(read_summary.maximum))
-            entry.add("avgrdbandwidth", _kb(read_summary.mean))
-            entry.add("medrdbandwidth", _kb(read_summary.median))
-        if write_summary.count:
-            entry.add("minwrbandwidth", _kb(write_summary.minimum))
-            entry.add("maxwrbandwidth", _kb(write_summary.maximum))
-            entry.add("avgwrbandwidth", _kb(write_summary.mean))
-            entry.add("medwrbandwidth", _kb(write_summary.median))
-        for label, summary in per_class.items():
-            entry.add(f"avgrdbandwidth{_class_attr_label(label)}range", _kb(summary.mean))
-        for label, predicted in predictions.items():
-            entry.add(
-                f"predictedrdbandwidth{_class_attr_label(label)}range", _kb(predicted)
-            )
-        # Note: ``recent=0`` slices ``[-0:]`` — the whole column — matching
-        # the record-list provider's historical behavior exactly.
-        for bandwidth in reads.bandwidths[-self.recent:]:
-            entry.add("recentrdbandwidth", _kb(float(bandwidth)))
+        entry = perf_entry(
+            self.site, self.url, now, len(frame), *summaries,
+            predictions, _tail(reads.bandwidths, self.recent),
+        )
         return entry, report
 
     def _per_class_predictions(
@@ -218,12 +277,10 @@ class GridFTPInfoProvider:
             class_history = history.of_class(self.classification, label)
             if len(class_history) == 0:
                 continue
-            # Representative size: midpoint of the class (finite classes)
-            # or its lower bound (the unbounded top class).
-            lo, hi = self.classification.bounds(label)
-            representative = int((lo + hi) / 2) if hi != float("inf") else int(lo * 1.25)
             predicted = self.predictor.predict(
-                class_history, target_size=representative, now=now
+                class_history,
+                target_size=_representative_size(self.classification, label),
+                now=now,
             )
             if predicted is not None:
                 out[label] = predicted
@@ -269,7 +326,7 @@ class IncrementalGridFTPInfoProvider:
         self._reads = RunningSummary()
         self._writes = RunningSummary()
         self._per_class: Dict[str, RunningSummary] = {}
-        self._recent_reads: Deque[float] = collections.deque(maxlen=max(recent, 1))
+        self._recent_reads: Deque[float] = collections.deque(maxlen=recent)
 
         for record in log.records():
             self._ingest(record)
@@ -285,8 +342,7 @@ class IncrementalGridFTPInfoProvider:
             self._reads.add(record.bandwidth)
             label = self.classification.classify(record.file_size)
             self._per_class.setdefault(label, RunningSummary()).add(record.bandwidth)
-            if self.recent:
-                self._recent_reads.append(record.bandwidth)
+            self._recent_reads.append(record.bandwidth)
         else:
             self._writes.add(record.bandwidth)
 
@@ -299,40 +355,93 @@ class IncrementalGridFTPInfoProvider:
     # ------------------------------------------------------------------
     # inquiry
     # ------------------------------------------------------------------
-    def dn(self) -> str:
-        dcs = ",".join(f"dc={part}" for part in self.site.domain.split("."))
-        return f"cn={self.site.address},hostname={self.site.hostname},{dcs},o=grid"
-
     def entries(self, now: float) -> List[Entry]:
         if self._n_records == 0:
             return []
-        if _obs_enabled():
-            _M_RENDERS.inc()
-        entry = Entry(self.dn())
-        entry.add("objectclass", "GridFTPPerf")
-        entry.add("cn", self.site.address)
-        entry.add("hostname", self.site.hostname)
-        entry.add("gridftpurl", self.url)
-        entry.add("numtransfers", self._n_records)
-        entry.add("lastupdate", repr(now))
+        means = {label: self._per_class[label].summary().mean
+                 for label in sorted(self._per_class)}
+        # TotalAverage over class history == the class running mean.
+        predictions = {label: means[label]
+                       for label in self.classification.labels if label in means}
+        return [perf_entry(
+            self.site, self.url, now, self._n_records,
+            self._reads.summary(), self._writes.summary(),
+            means, predictions, self._recent_reads,
+        )]
 
-        def emit(prefix: str, summary: BandwidthSummary) -> None:
-            entry.add(f"min{prefix}bandwidth", _kb(summary.minimum))
-            entry.add(f"max{prefix}bandwidth", _kb(summary.maximum))
-            entry.add(f"avg{prefix}bandwidth", _kb(summary.mean))
-            entry.add(f"med{prefix}bandwidth", _kb(summary.median))
 
-        if self._reads.count:
-            emit("rd", self._reads.summary())
-        if self._writes.count:
-            emit("wr", self._writes.summary())
-        for label in sorted(self._per_class):
-            summary = self._per_class[label].summary()
-            fragment = _class_attr_label(label)
-            entry.add(f"avgrdbandwidth{fragment}range", _kb(summary.mean))
-            # TotalAverage over class history == the class running mean.
-            entry.add(f"predictedrdbandwidth{fragment}range", _kb(summary.mean))
-        if self.recent:
-            for bandwidth in self._recent_reads:
-                entry.add("recentrdbandwidth", _kb(bandwidth))
-        return [entry]
+class ServicePerfProvider:
+    """The provider over a warm prediction service's link (Section 5).
+
+    Instead of re-reading the transfer log on every GRIS cache miss, this
+    provider summarizes the columns the service already holds for the
+    link — one O(n) pass per render, which a :class:`~repro.mds.gris.GRIS`
+    caches for its ``cache_ttl`` — and takes its
+    ``predictedrdbandwidth<class>range`` values from ``service.predict``,
+    so MDS answers flow through the same versioned cache as broker
+    queries.  Rendering a link the durable store has evicted hydrates
+    its columns.
+
+    Parameters
+    ----------
+    service:
+        The warm :class:`~repro.service.service.PredictionService`
+        holding the link's state (anything with its ``link_state`` /
+        ``classification`` / ``predict``).
+    link:
+        The service link name this provider reports on.
+    site, url:
+        Identity of the GridFTP server (DN, hostname, gsiftp URL).
+    spec:
+        Predictor spec for the per-class prediction attributes.  The
+        default ``"C-AVG"`` (classified total average) publishes the same
+        numbers as a stock deployment's class means.
+    recent:
+        Number of recent read bandwidths in ``recentrdbandwidth``.
+    """
+
+    def __init__(
+        self,
+        service: PredictionService,
+        link: str,
+        site: Site,
+        url: str,
+        spec: str = "C-AVG",
+        recent: int = 10,
+    ):
+        if recent < 0:
+            raise ValueError(f"recent must be >= 0, got {recent}")
+        self.service = service
+        self.link = link
+        self.site = site
+        self.url = url
+        self.spec = spec
+        self.recent = recent
+
+    def entries(self, now: float) -> List[Entry]:
+        state = self.service.link_state(self.link)
+        if state is None:
+            return []
+        _times, values, sizes, ops, _version = state.snapshot()
+        if len(values) == 0:
+            return []
+        with _span("mds.render", provider=type(self).__name__, link=self.link):
+            is_read = ops == OP_READ
+            reads = SimpleNamespace(sizes=sizes[is_read], bandwidths=values[is_read])
+            classification = self.service.classification
+            read_summary, write_summary, class_means = _column_summaries(
+                reads, values[ops == OP_WRITE], classification.classify)
+            predictions = {}
+            for label in classification.labels:
+                if label in class_means:
+                    predicted = self.service.predict(
+                        self.link, _representative_size(classification, label),
+                        spec=self.spec, now=now,
+                    ).value
+                    if predicted is not None:
+                        predictions[label] = predicted
+            return [perf_entry(
+                self.site, self.url, now, len(values),
+                read_summary, write_summary, class_means,
+                predictions, _tail(reads.bandwidths, self.recent),
+            )]

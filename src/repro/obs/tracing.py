@@ -16,8 +16,7 @@ Finished spans land in a bounded in-memory :class:`SpanExporter`
 
 Threads start with an empty context, so work fanned out to a pool does
 not inherit the submitting thread's span automatically — pass
-``parent=current_span()`` explicitly (see
-:func:`repro.core.engine.evaluate_dataset`).
+``parent=current_span()`` explicitly.
 
 When observability is disabled (:mod:`repro.obs.config`), :func:`span`
 returns a shared no-op object and records nothing.

@@ -10,9 +10,7 @@ serves predictions *live*, the deployment posture of Sections 5–6:
 * :mod:`repro.service.tail` — follow a growing ULM log file;
 * :mod:`repro.service.server` — the op table (``handle_request``) and
   the Unix-socket server that serves it through the shared
-  :mod:`repro.endpoint` loop (``repro serve`` / ``repro query``);
-* :mod:`repro.service.provider` — a ``GridFTPPerf`` MDS provider
-  rendered from warm state.
+  :mod:`repro.endpoint` loop (``repro serve`` / ``repro query``).
 
 Talk to a server through :class:`repro.client.ServiceClient`.
 Metrics/tracing/events live in :mod:`repro.obs`.
@@ -20,7 +18,6 @@ Metrics/tracing/events live in :mod:`repro.obs`.
 
 from repro.obs.events import TraceEvent, TraceLog
 from repro.obs.metrics import MetricsRegistry
-from repro.service.provider import ServicePerfProvider
 from repro.service.server import ServiceServer, handle_request
 from repro.service.service import (
     DEFAULT_SPEC,
@@ -35,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
     "TraceEvent",
     "TraceLog",
-    "ServicePerfProvider",
     "ServiceServer",
     "handle_request",
     "DEFAULT_SPEC",

@@ -6,7 +6,7 @@ logs in 1–2 seconds (Sections 5–6).  :class:`PredictionService` is that
 serving path:
 
 * **Ingest** — ULM records arrive incrementally (:meth:`observe`,
-  :meth:`ingest_records`, :meth:`ingest_ulm`, :meth:`attach_log`, or the
+  :meth:`ingest_records`, :meth:`ingest_ulm`, or the
   tail-follower in :mod:`repro.service.tail`) and fold into per-link
   :class:`~repro.service.state.LinkState` arrays.  No query ever re-reads
   a log file.
@@ -341,7 +341,6 @@ class PredictionService:
         self._predictors_lock = threading.Lock()
         self._plans: Dict[str, Tuple[bool, bool, bool]] = {}
         self._latency_children: Dict[str, Histogram] = {}
-        self._listeners: List[Callable[[str, TransferRecord], None]] = []
 
         m = self.metrics
         self._m_ingested = m.counter(
@@ -713,13 +712,6 @@ class PredictionService:
     # ------------------------------------------------------------------
     # ingest
     # ------------------------------------------------------------------
-    def subscribe(self, listener: Callable[[str, TransferRecord], None]) -> None:
-        """Call ``listener(link, record)`` after every observed record."""
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[str, TransferRecord], None]) -> None:
-        self._listeners.remove(listener)
-
     def observe(
         self, link: str, record: TransferRecord, source_offset: int = 0
     ) -> int:
@@ -747,8 +739,6 @@ class PredictionService:
         self._m_ingested.inc()
         self.trace.emit("observe", link=link, version=version,
                         size=record.file_size, bandwidth=record.bandwidth)
-        for listener in list(self._listeners):
-            listener(link, record)
         return version
 
     def observe_batch(self, items: Sequence) -> List[int]:
@@ -769,10 +759,7 @@ class PredictionService:
         store is attached — per-link appends defer their fsync to a
         single cross-link :meth:`~repro.store.LinkStore.group_commit`,
         so ``--fsync`` deployments pay at most one fsync per (link,
-        batch) while the returned versions still mean *durable*.  With
-        record listeners subscribed the batch degrades to per-record
-        :meth:`observe` calls (every record must be announced), leaving
-        identical state and versions.
+        batch) while the returned versions still mean *durable*.
         """
         n = len(items)
         if n == 0:
@@ -782,12 +769,6 @@ class PredictionService:
              int(item[2]) if len(item) > 2 else 0)
             for item in items
         ]
-        if self._listeners:
-            return [
-                self.observe(link, record, source_offset=offset)
-                for link, record, offset in norm
-            ]
-
         groups: Dict[str, List[int]] = {}
         for i, (link, _, _) in enumerate(norm):
             groups.setdefault(link, []).append(i)
@@ -847,18 +828,14 @@ class PredictionService:
     ) -> int:
         """Bulk-fold a columnar frame into a link; returns how many records.
 
-        With no subscribed listeners the frame lands through
-        :meth:`LinkState.extend` — one sorted merge, version advanced by
-        the record count, a single ``ingest`` trace event.  With listeners
-        present every record must be announced individually, so the frame
-        degrades to per-record :meth:`observe` calls; either path leaves
-        byte-identical link state and version.
+        The frame lands through :meth:`LinkState.extend` — one sorted
+        merge, version advanced by the record count, a single ``ingest``
+        trace event — leaving the link state and version that per-record
+        :meth:`observe` calls would.
         """
         n = len(frame)
         if n == 0:
             return 0
-        if self._listeners:
-            return self.ingest_records(link, frame.to_records())
         state = self._state(link, create=True)
         version = state.extend(frame, source_offset=source_offset)
         if self.quality is not None:
@@ -905,24 +882,6 @@ class PredictionService:
             name, load_ulm(path, cache=cache), source_offset=offset)
         self.trace.emit("ingest_ulm", link=name, path=str(path), records=count)
         return name, count
-
-    def attach_log(self, link: str, log) -> Callable[[], None]:
-        """Fold a live :class:`~repro.logs.logfile.TransferLog` and follow it.
-
-        Existing records are ingested immediately; future appends arrive
-        through the log's subscribe hook.  Returns a detach callable.
-        """
-        self.ingest_records(link, log.records())
-
-        def _on_append(record: TransferRecord) -> None:
-            self.observe(link, record)
-
-        log.subscribe(_on_append)
-
-        def detach() -> None:
-            log.unsubscribe(_on_append)
-
-        return detach
 
     # ------------------------------------------------------------------
     # predictors and cache keys

@@ -205,28 +205,11 @@ class LinkState:
         hook for crash-consistent log-follower resume.
         """
         with self.lock:
-            op = OP_READ if record.operation is Operation.READ else OP_WRITE
-            in_order = record.end_time >= self._last_time
-            if not in_order:
-                self._hydrate_locked()
-            self._buffer.append(
-                (record.end_time, record.bandwidth, record.file_size, op)
+            self._append_one_locked(
+                record.end_time, record.bandwidth, record.file_size,
+                OP_READ if record.operation is Operation.READ else OP_WRITE,
+                source_offset, None,
             )
-            if self.bank is not None:
-                if in_order:
-                    self.bank.add(
-                        record.end_time, record.bandwidth, record.file_size, op
-                    )
-                else:
-                    self._rebuild_bank("out_of_order")
-            if in_order:
-                self._last_time = record.end_time
-            self._version += 1
-            if self._persist is not None:
-                self._persist(
-                    (record.end_time,), (record.bandwidth,),
-                    (record.file_size,), (op,), source_offset,
-                )
             return self._version
 
     def append_batch(
@@ -305,7 +288,7 @@ class LinkState:
         self, time: float, value: float, size: int, op: int,
         source_offset, sync: Optional[bool],
     ) -> None:
-        """One record via :meth:`append`'s exact fold, lock already held."""
+        """Fold one record, lock already held (see :meth:`append`)."""
         in_order = time >= self._last_time
         if not in_order:
             self._hydrate_locked()

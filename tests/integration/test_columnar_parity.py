@@ -96,13 +96,3 @@ def test_service_bulk_ingest_equals_per_record(path):
         a = bulk.predict("link", 100_000_000, spec=spec, now=now)
         b = incremental.predict("link", 100_000_000, spec=spec, now=now)
         assert a.value == b.value
-
-    # A service with listeners must fall back to per-record announcement.
-    listened = PredictionService()
-    seen = []
-    listened.subscribe(lambda link, record: seen.append(record))
-    listened.ingest_frame("link", frame)
-    assert len(seen) == len(records)
-    assert listened.version("link") == len(records)
-    l_times = listened.link_state("link").snapshot()[0]
-    assert np.array_equal(l_times, b_times)

@@ -195,6 +195,65 @@ class TestUpgrade:
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
 
+    def test_checkpoints_carrying_mds_statistics_revive_as_checkpoints(
+            self, tmp_path):
+        """Until the MDS statistics left the bank a checkpoint carried
+        four more keys; such a state dir serves with no rebuild."""
+        from repro.logs.stats import RunningSummary
+        from repro.mds import ServicePerfProvider, format_entries
+        from repro.net import Site
+        from repro.obs import get_registry
+        from repro.store import checkpoint as ck
+        from tests.conftest import make_record
+
+        resident = PredictionService()
+        _ingest_logs(resident)
+        store = LinkStore(tmp_path / "state")
+        first = PredictionService(store=store)
+        _ingest_logs(first)
+        assert first.checkpoint_all(seal=True) == len(LOGS)
+        store.close()
+        for link in resident.links():
+            path = tmp_path / "state" / "links" / link / "checkpoint.bin"
+            payload = ck.loads(path.read_bytes())
+            values = resident.link_state(link).snapshot()[1]
+            payload["bank"].update(
+                read_op=0, recent_reads=values[-64:].tolist(),
+                op_stats={"0": RunningSummary.from_values(values).state()},
+                class_read={"10MB": {"sum": np.longdouble(values.sum()),
+                                     "count": len(values)}})
+            path.write_bytes(ck.dumps(payload))
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        tiered = PredictionService(
+            store=LinkStore(tmp_path / "state"), max_resident=1)
+        assert _answers(tiered, CHECKPOINT_SPECS) == \
+            _answers(resident, CHECKPOINT_SPECS)
+        revivals = tiered.trace.events(kind="revive")
+        assert len(revivals) >= len(LOGS)
+        assert {event.fields["how"] for event in revivals} == {"checkpoint"}
+        assert quarantined.value == before
+
+        # The provider reads columns, so a render hydrates the evicted link.
+        site = Site(name="LBL", domain="lbl.gov", address="131.243.2.91",
+                    hostname="dpsslx04.lbl.gov")
+        link, other = sorted(resident.links())
+        tiered.predict(other, 100 * MB, now=NOW)   # evicts ``link``
+        rendered = [
+            format_entries(ServicePerfProvider(
+                service, link, site, "gsiftp://dpsslx04.lbl.gov:61000",
+            ).entries(NOW))
+            for service in (tiered, resident)]
+        assert rendered[0] == rendered[1] != ""
+        # ... and the link's next checkpoint is written without the keys.
+        tiered.observe(link, make_record(start=NOW - 5.0, duration=1.0))
+        assert tiered.checkpoint_all() >= 1
+        path = tmp_path / "state" / "links" / link / "checkpoint.bin"
+        assert set(ck.loads(path.read_bytes())["bank"]) == {
+            "count", "rebuilds", "global", "classes"}
+
+
 class TestKillNine:
     """SIGKILL an ingester mid-append; recover; serve only the truth."""
 

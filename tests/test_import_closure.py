@@ -41,6 +41,9 @@ SERVING = ("numpy", "repro.core", "repro.data", "repro.service", "repro.store")
 #: in halves: a grep for the module's name over src/ and tests/ coming
 #: back empty is itself one of the gates.
 EVENT_LOOP = ("async" + "io", "ssl")
+#: What renders directory entries or models the grid; a serving process
+#: answers from its own columns and reads none of their value types.
+DELIVERY = ("repro.mds", "repro.net", "repro.storage", "repro.nws")
 #: A worker runs inside repro.fleet and needs none of the rest of it.
 FLEET_FRONT = ("repro.fleet.front", "repro.fleet.supervisor",
                "repro.fleet.runner")
@@ -78,9 +81,10 @@ CLOSURES = [
     # (the five kinds of process) x (what each must not have loaded)
     ("client", "import repro.client", SIMULATION + SERVING + EVENT_LOOP),
     ("front", "import repro.fleet.runner", SIMULATION + SERVING + EVENT_LOOP),
-    ("serve", "import repro.service, repro.store", SIMULATION + EVENT_LOOP),
+    ("serve", "import repro.service, repro.store",
+     SIMULATION + EVENT_LOOP + DELIVERY),
     ("worker", "run('repro.fleet.worker', '--help')",
-     SIMULATION + EVENT_LOOP + FLEET_FRONT),
+     SIMULATION + EVENT_LOOP + FLEET_FRONT + DELIVERY),
     ("evaluate", "import repro.core.engine, repro.data",
      SIMULATION + ("repro.service", "repro.store", "repro.fleet")),
     ("cli", "import repro.cli", SIMULATION + SERVING),

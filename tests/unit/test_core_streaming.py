@@ -1,6 +1,7 @@
 """Unit tests for the incremental streaming summaries."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from repro.core.classification import paper_classification
 from repro.core.history import History
 from repro.core.predictors.registry import ALL_PREDICTOR_NAMES, resolve
 from repro.core.streaming import (
-    RECENT_CAPACITY,
     RING_CAPACITY,
     StreamingBank,
     StreamingUnavailable,
@@ -20,13 +20,11 @@ from repro.units import DAY, GB, HOUR, MB
 CLS = paper_classification()
 
 
-def make_bank(times, values, sizes=None, ops=None):
+def make_bank(times, values, sizes=None):
     bank = StreamingBank(CLS)
-    n = len(times)
-    sizes = sizes if sizes is not None else [100 * MB] * n
-    ops = ops if ops is not None else [0] * n
-    for t, v, s, op in zip(times, values, sizes, ops):
-        bank.add(float(t), float(v), int(s), int(op))
+    sizes = sizes if sizes is not None else [100 * MB] * len(times)
+    for t, v, s in zip(times, values, sizes):
+        bank.add(float(t), float(v), int(s), 0)
     return bank
 
 
@@ -186,34 +184,6 @@ class TestRebuild:
             assert a == pytest.approx(b, rel=1e-12), spec
 
 
-class TestMdsAttributes:
-    def test_op_summaries_split_by_direction(self):
-        bank = make_bank([1, 2, 3, 4], [10.0, 99.0, 20.0, 77.0],
-                         ops=[0, 1, 0, 1])
-        reads = bank.op_summary(0)
-        writes = bank.op_summary(1)
-        assert reads.count == 2 and reads.mean == pytest.approx(15.0)
-        assert writes.count == 2 and writes.maximum == 99.0
-        assert bank.op_summary(7).count == 0
-
-    def test_class_read_means_only_count_reads(self):
-        bank = make_bank([1, 2, 3], [10.0, 30.0, 999.0],
-                         sizes=[10 * MB, 10 * MB, 10 * MB], ops=[0, 0, 1])
-        means = bank.class_read_means()
-        assert list(means.values()) == [pytest.approx(20.0)]
-
-    def test_recent_reads_tail_and_overflow(self):
-        n = RECENT_CAPACITY + 10
-        bank = make_bank(np.arange(float(n)), np.arange(1.0, n + 1.0))
-        assert bank.recent_reads(5) == [n - 4.0, n - 3.0, n - 2.0, n - 1.0, float(n)]
-        # More reads exist than the ring holds: the bank cannot answer.
-        assert bank.recent_reads(RECENT_CAPACITY + 5) is None
-
-    def test_recent_reads_short_history_returns_everything(self):
-        bank = make_bank([1, 2], [5.0, 6.0])
-        assert bank.recent_reads(10) == [5.0, 6.0]
-
-
 class TestAnchorDefault:
     def test_all_data_ar_needs_no_anchor_after_windows_expired(self):
         times = np.arange(12.0) * HOUR
@@ -318,6 +288,23 @@ class TestMemoryShape:
         for series in all_series(bank):
             assert series._n == series.count
 
+    def test_resident_bytes_per_record(self):
+        # 400 records in 4 classes: the columns (43 B/record), the MED
+        # heaps (65) and the fixed per-series part measure 141 in all; a
+        # per-direction copy of every bandwidth beside them measured 181.
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            bank = StreamingBank(CLS)
+            for i in range(400):
+                bank.add(float(FEED_TIMES[i]), float(FEED_VALUES[i]),
+                         int(FEED_SIZES[i]), 0)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert bank.count == 400 and len(bank._classes) == 4
+        assert held <= 160 * 400
+
     def test_queried_windows_trim_the_column_and_stay_exact(self):
         bank = queried_bank()
         for series in all_series(bank):
@@ -340,3 +327,26 @@ class TestMemoryShape:
                 answer(b, spec, now=float(FEED_TIMES[1499]))
         assert bank._global._n < 1500
         assert exact_repr(revived.state()) == exact_repr(bank.state())
+
+    def test_state_with_an_earlier_builds_mds_keys_loads(self):
+        """Checkpoints written before the MDS statistics left the bank
+        carry four more keys; they load, and are not written back."""
+        bank = StreamingBank(CLS)
+        feed(bank, 0, 400)
+        state = bank.state()
+        earlier = dict(
+            state, read_op=0, recent_reads=FEED_VALUES[336:400].tolist(),
+            op_stats={"0": {"count": 400, "mean": 1.0, "m2": 2.0, "min": 0.5,
+                            "max": 9.0, "lower": [-1.0], "upper": [2.0]}},
+            class_read={"10MB": {"sum": np.longdouble(7.0), "count": 100}},
+        )
+        revived = StreamingBank(CLS)
+        revived.load_state(checkpoint.loads(checkpoint.dumps(earlier)))
+        now = float(FEED_TIMES[399]) + 60.0
+        for name in ALL_PREDICTOR_NAMES:
+            for size in FEED_SIZES[:4].tolist():
+                assert repr(answer(revived, name, size, now)) == repr(
+                    answer(bank, name, size, now)), (name, size)
+        assert exact_repr(revived.state()) == exact_repr(bank.state())
+        assert set(revived.state()) == set(state) == {
+            "count", "rebuilds", "global", "classes"}

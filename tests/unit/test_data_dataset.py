@@ -98,11 +98,12 @@ class TestEvaluateDataset:
 
     def test_forced_serial_matches_pool(self, two_logs):
         dataset = Dataset.from_ulm(two_logs, cache=False)
-        pooled = evaluate_dataset(dataset, "AVG", training=5, max_workers=4)
-        serial = evaluate_dataset(dataset, "AVG", training=5, max_workers=1)
+        together = evaluate_dataset(dataset, "AVG", training=5)
+        assert list(together) == dataset.links()
         for link in dataset:
+            alone = evaluate(dataset[link], "AVG", training=5)
             assert np.array_equal(
-                pooled[link]["AVG"].predicted, serial[link]["AVG"].predicted
+                together[link]["AVG"].predicted, alone["AVG"].predicted
             )
 
     def test_empty_dataset(self):
