@@ -47,6 +47,7 @@ handled the same way: the owner rebuilds the bank from the arrays via
 from __future__ import annotations
 
 import heapq
+import struct
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -77,6 +78,10 @@ TEMPORAL_HOURS: Tuple[float, ...] = (5.0, 15.0, 25.0)
 
 #: AR fit windows kept incrementally (days); ``None`` (all data) is always kept.
 AR_DAYS: Tuple[float, ...] = (5.0, 10.0)
+
+
+#: Where every longdouble sum starts (scalars are immutable: ``+=`` rebinds).
+_ZERO = np.longdouble(0.0)
 
 
 class StreamingUnavailable(RuntimeError):
@@ -135,7 +140,7 @@ class _RunningMedian:
         k = (len(ordered) + 1) // 2
         # An ascending list is a valid min-heap; the negated, reversed
         # lower half likewise — no heapify needed.
-        self._lower = [-v for v in ordered[k - 1 :: -1]] if k else []
+        self._lower = (-ordered[k - 1::-1]).tolist()
         self._upper = ordered[k:].tolist()
 
     def value(self) -> Optional[float]:
@@ -144,15 +149,6 @@ class _RunningMedian:
         if len(self._lower) > len(self._upper):
             return float(-self._lower[0])
         return float((-self._lower[0] + self._upper[0]) / 2.0)
-
-    def state(self) -> dict:
-        # Heap arrays round-trip verbatim: the heap invariant is a
-        # property of the list ordering, which the pools preserve.
-        return {"lower": list(self._lower), "upper": list(self._upper)}
-
-    def load_state(self, state: dict) -> None:
-        self._lower = [float(v) for v in state["lower"]]
-        self._upper = [float(v) for v in state["upper"]]
 
 
 def _expired(cursor, col: "SeriesSummaries", cutoff: float) -> int:
@@ -176,7 +172,7 @@ class _TemporalMean:
     def __init__(self, seconds: float) -> None:
         self.seconds = seconds
         self.start = 0
-        self._sum = np.longdouble(0.0)
+        self._sum = _ZERO
         self._expired_to = -np.inf
 
     def add(self, value: float) -> None:
@@ -187,7 +183,7 @@ class _TemporalMean:
 
     def build(self, values: np.ndarray) -> None:
         self.start = 0
-        self._sum = values.astype(np.longdouble).sum() if len(values) else np.longdouble(0.0)
+        self._sum = values.astype(np.longdouble).sum() if len(values) else _ZERO
         self._expired_to = -np.inf
 
     def value(self, col: "SeriesSummaries", anchor: float) -> Optional[float]:
@@ -199,15 +195,6 @@ class _TemporalMean:
             col._trim()
         live = col._n - self.start
         return float(self._sum / live) if live else None
-
-    def state(self) -> dict:
-        return {"start": self.start, "sum": self._sum,
-                "expired_to": float(self._expired_to)}
-
-    def load_state(self, state: dict) -> None:
-        self.start = int(state["start"])
-        self._sum = np.longdouble(state["sum"])
-        self._expired_to = float(state["expired_to"])
 
 
 class _ArSummary:
@@ -231,14 +218,11 @@ class _ArSummary:
         self.seconds = seconds
         self.count = 0
         self.start = 0
-        self._sum = np.longdouble(0.0)
+        self._sum = _ZERO
         self._last = 0.0
         self._min = np.inf
         self._m = 0
-        self._sx = np.longdouble(0.0)
-        self._sy = np.longdouble(0.0)
-        self._sxx = np.longdouble(0.0)
-        self._sxy = np.longdouble(0.0)
+        self._sx = self._sy = self._sxx = self._sxy = _ZERO
         self._mins: List[int] = []  # windowed only: monotonic min chain
         self._expired_to = -np.inf
 
@@ -316,7 +300,7 @@ class _ArSummary:
         self.count = n
         self.start = 0
         wide = values.astype(np.longdouble)
-        self._sum = wide.sum() if n else np.longdouble(0.0)
+        self._sum = wide.sum() if n else _ZERO
         self._last = float(values[-1]) if n else 0.0
         self._expired_to = -np.inf
         if n >= 2:
@@ -328,7 +312,7 @@ class _ArSummary:
             self._sxy = (x * y).sum()
         else:
             self._m = 0
-            self._sx = self._sy = self._sxx = self._sxy = np.longdouble(0.0)
+            self._sx = self._sy = self._sxx = self._sxy = _ZERO
         if self.seconds is None:
             self._min = float(values.min()) if n else np.inf
         else:
@@ -379,38 +363,24 @@ class _ArSummary:
                          else col._values[self._mins[0]])
         return max(prediction, float(floor))
 
-    def state(self) -> dict:
-        state = {
-            "count": self.count,
-            "sum": self._sum,
-            "last": float(self._last),
-            "min": float(self._min),
-            "m": self._m,
-            "sx": self._sx,
-            "sy": self._sy,
-            "sxx": self._sxx,
-            "sxy": self._sxy,
-            "expired_to": float(self._expired_to),
-        }
-        if self.seconds is not None:
-            state["start"] = self.start
-            state["mins"] = list(self._mins)
-        return state
 
-    def load_state(self, state: dict) -> None:
-        self.count = int(state["count"])
-        self._sum = np.longdouble(state["sum"])
-        self._last = float(state["last"])
-        self._min = float(state["min"])
-        self._m = int(state["m"])
-        self._sx = np.longdouble(state["sx"])
-        self._sy = np.longdouble(state["sy"])
-        self._sxx = np.longdouble(state["sxx"])
-        self._sxy = np.longdouble(state["sxy"])
-        self._expired_to = float(state["expired_to"])
-        if self.seconds is not None:
-            self.start = int(state["start"])
-            self._mins = [int(i) for i in state["mins"]]
+#: The checkpoint of one series: these scalars; one longdouble per
+#: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy); the
+#: two min chains as u4; and as f8 the ``(time, value)`` rows and the
+#: dropped values counted in the last line.  :meth:`SeriesSummaries._dump`
+#: and :meth:`SeriesSummaries._load` walk it in this order and nothing
+#: else knows it.
+_SERIES = struct.Struct(
+    "<" + "Id" * len(TEMPORAL_HOURS)   # AVG{h}hr: start, expired_to
+    + "qqdd" * (1 + len(AR_DAYS))      # AR, AR{d}d: count, m, min, expired_to
+    + "II" * len(AR_DAYS)              # AR{d}d: start, min-chain length
+    + "BIII")  # class tag; rows stored here; link rows skipped; values dropped
+_SERIES_LONGDOUBLES = len(TEMPORAL_HOURS) + 5 * (1 + len(AR_DAYS))
+
+#: What a bank's checkpoint opens with: rebuilds, class series held.
+_BANK = struct.Struct("<qH")
+
+_COLUMNS = ("_times", "_values", "_tags")
 
 
 class SeriesSummaries:
@@ -422,17 +392,23 @@ class SeriesSummaries:
     values)`` column (amortised-doubling buffers, ``_n`` live rows):
     count windows are views of its tail, time windows are cursors into
     it, and :meth:`_trim` drops the prefix no window can reach any more.
+    The link's series (``tagged``) also keeps each row's class index, so
+    a checkpoint can name a class's rows instead of repeating them.
     """
 
-    __slots__ = ("count", "last", "last_time", "_times", "_values", "_n",
-                 "_median", "_temporal", "_ar", "_cursors")
+    __slots__ = ("count", "last", "last_time", "_times", "_values", "_tags",
+                 "_n", "_dropped", "_median", "_temporal", "_ar", "_cursors")
 
-    def __init__(self) -> None:
+    def __init__(self, tagged: bool = False) -> None:
         self.count = 0
         self.last: Optional[float] = None
         self.last_time = -np.inf
         self._times = self._values = np.empty(0, dtype=np.float64)
+        self._tags = np.empty(0, dtype=np.uint8) if tagged else None
         self._n = 0
+        #: Values trimmed off the column, oldest first: with the column,
+        #: everything ``MED`` has seen.
+        self._dropped: List[np.ndarray] = []
         self._median = _RunningMedian()
         self._temporal = {h: _TemporalMean(h * HOUR) for h in TEMPORAL_HOURS}
         self._ar = {d: _ArSummary(None if d is None else d * DAY)
@@ -440,15 +416,19 @@ class SeriesSummaries:
         self._cursors = (*self._temporal.values(),
                          *(self._ar[d] for d in AR_DAYS))
 
+    def _move(self, lo: int, capacity: int) -> None:
+        """Rows ``lo:_n`` of every column, at the front of new buffers."""
+        for name in _COLUMNS:
+            old = getattr(self, name)
+            if old is not None:
+                new = np.empty(capacity, dtype=old.dtype)
+                new[:self._n - lo] = old[lo:self._n]
+                setattr(self, name, new)
+
     def _reserve(self, n: int) -> None:
-        """Make room for ``n`` rows (doubling; appends never touch rows
-        below ``_n``, so views handed out by :meth:`state` stay valid)."""
+        """Make room for ``n`` rows (doubling)."""
         if n > len(self._times):
-            capacity = max(n, 2 * len(self._times), 16)
-            for name in ("_times", "_values"):
-                grown = np.empty(capacity, dtype=np.float64)
-                grown[:self._n] = getattr(self, name)[:self._n]
-                setattr(self, name, grown)
+            self._move(0, max(n, 2 * len(self._times), 16))
 
     def _trim(self) -> None:
         """Drop the dead prefix once it is more than half the column.
@@ -463,19 +443,21 @@ class SeriesSummaries:
         dead = min(min(c.start for c in self._cursors), n - RING_CAPACITY)
         if 2 * dead <= n:
             return
-        self._times = self._times[dead:n].copy()
-        self._values = self._values[dead:n].copy()
+        self._dropped.append(self._values[:dead].copy())
+        self._move(dead, n - dead)
         self._n = n - dead
         for cursor in self._cursors:
             cursor.start -= dead
         for d in AR_DAYS:
             self._ar[d]._mins = [i - dead for i in self._ar[d]._mins]
 
-    def add(self, time: float, value: float) -> None:
+    def add(self, time: float, value: float, tag: Optional[int] = None) -> None:
         n = self._n
         self._reserve(n + 1)
         self._times[n] = time
         self._values[n] = value
+        if tag is not None:
+            self._tags[n] = tag
         self._n = n + 1
         self.count += 1
         self.last = value
@@ -486,7 +468,8 @@ class SeriesSummaries:
         for summary in self._ar.values():
             summary.add(self, value)
 
-    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
+    def extend(self, times: np.ndarray, values: np.ndarray,
+               tags: Optional[np.ndarray] = None) -> None:
         """Fold an in-order batch; same final state as n ``add`` calls.
 
         The column takes the batch in one slice assignment and the
@@ -501,6 +484,8 @@ class SeriesSummaries:
         self._reserve(n + k)
         self._times[n:n + k] = times
         self._values[n:n + k] = values
+        if tags is not None:
+            self._tags[n:n + k] = tags
         self._n = n + k
         self.count += k
         self.last = float(values[-1])
@@ -513,10 +498,14 @@ class SeriesSummaries:
         for summary in self._ar.values():
             summary.extend(self, values)
 
-    def build(self, times: np.ndarray, values: np.ndarray) -> None:
+    def build(self, times: np.ndarray, values: np.ndarray,
+              tags: Optional[np.ndarray] = None) -> None:
         self._times = np.array(times, dtype=np.float64)
         self._values = values = np.array(values, dtype=np.float64)
+        if tags is not None:
+            self._tags = np.array(tags, dtype=np.uint8)
         self._n = self.count = len(values)
+        self._dropped = []
         self.last = float(values[-1]) if len(values) else None
         self.last_time = float(times[-1]) if len(values) else -np.inf
         self._median.build(values)
@@ -529,33 +518,67 @@ class SeriesSummaries:
         """The last ``window`` values, oldest first (fewer if short)."""
         return self._values[max(self._n - window, 0):self._n]
 
-    # -- checkpoint state ----------------------------------------------
-    def state(self) -> dict:
-        return {
-            "count": self.count,
-            "last": self.last,
-            "last_time": float(self.last_time),
-            "times": self._times[:self._n],
-            "values": self._values[:self._n],
-            "median": self._median.state(),
-            "temporal": {f"{h:g}": s.state() for h, s in self._temporal.items()},
-            "ar": {("all" if d is None else f"{d:g}"): s.state()
-                   for d, s in self._ar.items()},
-        }
+    # -- checkpoint state (the layout is _SERIES, above) ---------------
+    def _dump(self, out, tag: int, rows: int, skip: int) -> None:
+        """Append this series to ``out`` (four lists: fixed, ld, f8, idx),
+        its first ``rows`` rows spelled out."""
+        fixed, ld, f8, idx = out
+        fields: list = []
+        for summary in self._temporal.values():
+            fields += (summary.start, summary._expired_to)
+            ld.append(summary._sum)
+        for ar in self._ar.values():
+            fields += (ar.count, ar._m, ar._min, ar._expired_to)
+            ld += (ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy)
+        for ar in self._cursors[-len(AR_DAYS):]:
+            fields += (ar.start, len(ar._mins))
+            idx += ar._mins
+        fixed.append(_SERIES.pack(
+            *fields, tag, rows, skip, sum(map(len, self._dropped))))
+        f8 += (self._times[:rows], self._values[:rows], *self._dropped)
 
-    def load_state(self, state: dict) -> None:
-        self.count = int(state["count"])
-        last = state["last"]
-        self.last = None if last is None else float(last)
-        self.last_time = float(state["last_time"])
-        self._times = np.array(state["times"], dtype=np.float64)
-        self._values = np.array(state["values"], dtype=np.float64)
-        self._n = len(self._values)
-        self._median.load_state(state["median"])
-        for h, summary in self._temporal.items():
-            summary.load_state(state["temporal"][f"{h:g}"])
-        for d, summary in self._ar.items():
-            summary.load_state(state["ar"]["all" if d is None else f"{d:g}"])
+    def _load(self, src, link: Optional["SeriesSummaries"] = None) -> int:
+        """Restore what :meth:`_dump` wrote and return the class tag; a
+        class series takes the rows it did not spell out from ``link``."""
+        field = iter(src.unpack(_SERIES)).__next__
+        wide = iter(src.ld(_SERIES_LONGDOUBLES)).__next__
+        for summary in self._temporal.values():
+            summary.start, summary._expired_to = field(), field()
+            summary._sum = wide()
+        for ar in self._ar.values():
+            ar.count, ar._m, ar._min, ar._expired_to = (
+                field(), field(), field(), field())
+            ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy = (
+                wide(), wide(), wide(), wide(), wide())
+        for ar in self._cursors[-len(AR_DAYS):]:
+            ar.start, ar._mins = field(), src.idx(field()).tolist()
+        tag, rows, skip, dropped = field(), field(), field(), field()
+        times, values = src.f8(rows), src.f8(rows)
+        if link is None:
+            times, values = times.copy(), values.copy()
+        else:
+            shared = np.flatnonzero(link._tags[:link._n] == tag)
+            src.require(skip <= len(shared),
+                        "a class skips more link rows than carry its tag")
+            shared = shared[skip:]
+            times = np.concatenate((times, link._times[shared]))
+            values = np.concatenate((values, link._values[shared]))
+        self._times, self._values = times, values
+        n = self._n = len(values)
+        src.require(all(c.start <= n for c in self._cursors),
+                    "a window starts beyond its column")
+        src.require(all(i < n for d in AR_DAYS for i in self._ar[d]._mins),
+                    "a min-chain entry beyond its column")
+        gone = src.f8(dropped)
+        self._dropped = [gone.copy()] if dropped else []
+        self.count = dropped + n
+        # MED depends on the values it has seen, not on the heaps' layout.
+        self._median.build(np.concatenate((gone, values)))
+        if n:  # the newest row is every summary's "last"
+            self.last, self.last_time = float(values[-1]), float(times[-1])
+            for ar in self._ar.values():
+                ar._last = self.last
+        return tag
 
 
 # ----------------------------------------------------------------------
@@ -585,34 +608,43 @@ class StreamingBank:
         classification: Classification,
         on_rebuild: Optional[Callable[[str], None]] = None,
     ) -> None:
+        if len(classification.labels) > 256:
+            raise ValueError("a row's class index is kept in one byte")
         self.classification = classification
         self.on_rebuild = on_rebuild
         self.rebuilds = 0
         self.count = 0
-        self._global = SeriesSummaries()
-        self._classes: Dict[str, SeriesSummaries] = {}
-        self._label_cache: Dict[int, str] = {}
+        self._global = SeriesSummaries(tagged=True)
+        #: One series per observed class, keyed by its index in
+        #: ``classification.labels`` (the link series' row tags).
+        self._classes: Dict[int, SeriesSummaries] = {}
+        self._tag_cache: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _label(self, size: int) -> str:
-        label = self._label_cache.get(size)
-        if label is None:
-            if len(self._label_cache) > 4096:  # fuzz-resistant bound
-                self._label_cache.clear()
-            label = self.classification.classify(size)
-            self._label_cache[size] = label
-        return label
+    def _tag(self, size: int) -> int:
+        tag = self._tag_cache.get(size)
+        if tag is None:
+            if len(self._tag_cache) > 4096:  # fuzz-resistant bound
+                self._tag_cache.clear()
+            tag = self._tag_cache[size] = self.classification.index_of(size)
+        return tag
+
+    def _tags(self, sizes: np.ndarray) -> np.ndarray:
+        """One classify per *distinct* size, scattered back."""
+        unique_sizes, inverse = np.unique(sizes, return_inverse=True)
+        return np.array([self._tag(int(s)) for s in unique_sizes],
+                        dtype=np.uint8)[inverse]
 
     def add(self, time: float, value: float, size: int, op: int) -> None:
         """Fold one in-order observation; O(1) amortized."""
         self.count += 1
-        self._global.add(time, value)
-        label = self._label(int(size))
-        series = self._classes.get(label)
+        tag = self._tag(int(size))
+        self._global.add(time, value, tag)
+        series = self._classes.get(tag)
         if series is None:
-            series = self._classes[label] = SeriesSummaries()
+            series = self._classes[tag] = SeriesSummaries()
         series.add(time, value)
 
     def extend(
@@ -624,8 +656,7 @@ class StreamingBank:
     ) -> None:
         """Fold an in-order batch, bit-identical to sequential :meth:`add`.
 
-        The batch scatters into per-class subsequences exactly once
-        (one ``classify`` per distinct size, as :meth:`rebuild` does);
+        The batch scatters into per-class subsequences exactly once;
         each series then folds its own subsequence in arrival order,
         which is precisely what the interleaved per-record path would
         have fed it.  Longdouble sums vectorize via :func:`_fold_sum`;
@@ -633,25 +664,19 @@ class StreamingBank:
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        sizes = np.asarray(sizes)
         n = len(values)
         if n == 0:
             return
         self.count += n
-        self._global.extend(times, values)
-
-        unique_sizes, inverse = np.unique(sizes, return_inverse=True)
-        unique_labels = np.array([self._label(int(s)) for s in unique_sizes])
-        labels = unique_labels[inverse]
-        # First-occurrence iteration order (dict.fromkeys, not set), so
-        # new per-label entries are created in the same order the
-        # per-record path would have — checkpoint state stays identical
-        # down to dict insertion order.
-        for label in dict.fromkeys(labels.tolist()):
-            mask = labels == label
-            series = self._classes.get(label)
+        tags = self._tags(np.asarray(sizes))
+        self._global.extend(times, values, tags)
+        # First-occurrence order (dict.fromkeys, not set): new class
+        # series are created in the order the per-record path would have.
+        for tag in dict.fromkeys(tags.tolist()):
+            mask = tags == tag
+            series = self._classes.get(tag)
             if series is None:
-                series = self._classes[label] = SeriesSummaries()
+                series = self._classes[tag] = SeriesSummaries()
             series.extend(times[mask], values[mask])
 
     def rebuild(
@@ -670,20 +695,14 @@ class StreamingBank:
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)
-        sizes = np.asarray(sizes)
         self.count = len(values)
-        self._global.build(times, values)
-
-        # One classify per *distinct* size, scattered back.
+        tags = self._tags(np.asarray(sizes))
+        self._global.build(times, values, tags)
         self._classes = {}
-        if len(sizes):
-            unique_sizes, inverse = np.unique(sizes, return_inverse=True)
-            unique_labels = np.array([self._label(int(s)) for s in unique_sizes])
-            labels = unique_labels[inverse]
-            for label in sorted(set(labels.tolist())):
-                mask = labels == label
-                series = self._classes[label] = SeriesSummaries()
-                series.build(times[mask], values[mask])
+        for tag in np.unique(tags).tolist():
+            mask = tags == tag
+            series = self._classes[tag] = SeriesSummaries()
+            series.build(times[mask], values[mask])
 
         self.rebuilds += 1
         if self.on_rebuild is not None:
@@ -692,36 +711,58 @@ class StreamingBank:
     # ------------------------------------------------------------------
     # checkpoint state
     # ------------------------------------------------------------------
-    def state(self) -> dict:
-        """Serializable snapshot of every accumulator.
+    def state(self) -> tuple:
+        """Every accumulator, as one part of a checkpoint: ``(fixed, ld,
+        f8, idx)`` — bytes, then a longdouble, a float64 and a uint32 pool.
 
-        Longdouble sums and heap orderings are preserved verbatim, so a
-        bank restored with :meth:`load_state` answers every query
-        bit-identically to the original — the property the evict→revive
-        parity gate in the durable store rests on.  The classification
-        itself is *not* captured (it is identity-compared in
-        :meth:`answer`); callers must pair the state with a fingerprint
-        of the classification it was built against.
+        ``fixed`` is :data:`_BANK`, the link series (:data:`_SERIES`), its
+        row tags, then one :data:`_SERIES` per class.  The link's column
+        is written once: a class series is the link rows carrying its
+        tag, less the first ``skip`` of them, after the rows it still
+        holds from before the link's column starts (expiry is lazy, so
+        either column can reach further back).  Both columns end at the
+        newest row, so the two counts are a subtraction.
+
+        Longdouble sums are preserved verbatim and ``MED`` is the values
+        themselves, so a bank restored with :meth:`load_state` answers
+        every query bit-identically to the original — the property the
+        evict→revive parity gate in the durable store rests on.  The
+        classification itself is *not* captured (it is identity-compared
+        in :meth:`answer`); callers must pair the state with a
+        fingerprint of the classification it was built against.
         """
-        return {
-            "count": self.count,
-            "rebuilds": self.rebuilds,
-            "global": self._global.state(),
-            "classes": {label: s.state() for label, s in self._classes.items()},
-        }
+        link = self._global
+        tags = link._tags[:link._n]
+        out = fixed, ld, f8, idx = [], [], [], []
+        fixed.append(_BANK.pack(self.rebuilds, len(self._classes)))
+        link._dump(out, 0, link._n, 0)
+        fixed.append(tags.tobytes())
+        for tag, series in self._classes.items():
+            ahead = series._n - int(np.count_nonzero(tags == tag))
+            series._dump(out, tag, max(ahead, 0), max(-ahead, 0))
+        return (b"".join(fixed), np.array(ld, dtype=np.longdouble),
+                np.concatenate(f8), np.array(idx, dtype=np.uint32))
 
-    def load_state(self, state: dict) -> None:
-        """Restore :meth:`state`; keys it does not name are ignored
-        (an earlier build's checkpoint also carried MDS statistics)."""
-        self.count = int(state["count"])
-        self.rebuilds = int(state["rebuilds"])
-        self._global = SeriesSummaries()
-        self._global.load_state(state["global"])
+    def load_state(self, src) -> None:
+        """Restore :meth:`state` from a :class:`repro.store.checkpoint.Reader`
+        over it; what does not add up raises the reader's error."""
+        self.rebuilds, classes = src.unpack(_BANK)
+        link = self._global = SeriesSummaries(tagged=True)
+        link._load(src)
+        link._tags = np.frombuffer(src.raw(link._n), dtype=np.uint8).copy()
+        self.count = link.count
         self._classes = {}
-        for label, sub in state["classes"].items():
-            series = self._classes[label] = SeriesSummaries()
-            series.load_state(sub)
-        self._label_cache = {}
+        for _ in range(classes):
+            series = SeriesSummaries()
+            tag = series._load(src, link)
+            src.require(tag < len(self.classification.labels)
+                        and tag not in self._classes, "not a new class index")
+            self._classes[tag] = series
+        held = np.bincount(link._tags, minlength=256)[list(self._classes)]
+        src.require(held.sum() == link._n,
+                    "a row is tagged with a class that has no series")
+        src.finish()
+        self._tag_cache = {}
 
     # ------------------------------------------------------------------
     # predictor queries
@@ -741,7 +782,7 @@ class StreamingBank:
         if isinstance(predictor, ClassifiedPredictor):
             if predictor.classification is not self.classification:
                 raise StreamingUnavailable("classification mismatch")
-            series = self._classes.get(self._label(int(size)))
+            series = self._classes.get(self._tag(int(size)))
             value = self._answer_series(predictor.base, series, now)
             if value is None and predictor.fallback:
                 value = self._answer_series(predictor.base, self._global, now)

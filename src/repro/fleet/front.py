@@ -89,13 +89,15 @@ def _error_of(failure: Exception) -> Tuple[str, str]:
         if _obs_enabled():
             _M_UNAVAILABLE.inc()
         return "unavailable", str(failure)
+    if isinstance(failure, wire.FrameError):  # never left the front
+        return "bad_request", f"{type(failure).__name__}: {failure}"
     return "internal", f"{type(failure).__name__}: {failure}"
 
 
 class _Conn:
     """One pooled binary connection to a worker."""
 
-    __slots__ = ("sock", "rfile", "framer")
+    __slots__ = ("sock", "rfile")
 
     def __init__(self, socket_path: str, timeout: float):
         self.sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -106,7 +108,6 @@ class _Conn:
             self.sock.close()
             raise
         self.rfile = self.sock.makefile("rb")
-        self.framer = wire.FrameWriter()
 
     def close(self) -> None:
         for closable in (self.rfile, self.sock):
@@ -171,6 +172,11 @@ class _ShardLink:
 
     def begin(self, req: Dict[str, Any], timeout: Optional[float] = None) -> _Ticket:
         """Admit and send one request; :meth:`finish` redeems the ticket."""
+        # Encoded before admission: a request no frame can carry
+        # (``FrameError``: a link name over 65,535 bytes from a JSON
+        # client) is its sender's mistake and raises as that, with the
+        # breaker, the admission count and the pool untouched.
+        frame = wire.FrameWriter().encode_request(req)
         with self._cond:
             if self.pending >= self.max_pending:
                 if _obs_enabled():
@@ -190,7 +196,7 @@ class _ShardLink:
         try:
             conn = self._acquire(deadline)
             conn.sock.settimeout(max(deadline - time.monotonic(), 1e-3))
-            conn.sock.sendall(conn.framer.encode_request(req))
+            conn.sock.sendall(frame)
         except BaseException as exc:
             self._abandon(conn, exc)
         return conn, deadline

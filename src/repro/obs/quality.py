@@ -49,10 +49,10 @@ the service's predict+observe path, ``bench_claim_quality_overhead.py``).
 Reads always drain first, so deferral is invisible to every consumer.
 
 State survives eviction and restart: :meth:`AccuracyTracker.link_state`
-emits a checkpoint-codec-safe dict (dicts, flat numeric lists, scalars —
-see :mod:`repro.store.checkpoint`) that rides alongside the streaming
-bank in the link checkpoint, and :meth:`load_link_state` folds it back on
-revival.  In-flight pending predictions are deliberately *not*
+emits one part of a checkpoint (packed structs and the windows as
+floats — see :mod:`repro.store.checkpoint`) that rides alongside the
+streaming bank in the link checkpoint, and :meth:`load_link_state` folds
+it back on revival.  In-flight pending predictions are deliberately *not*
 persisted — an unscored answer from a previous process has no matching
 observation stream to pair against.
 """
@@ -60,6 +60,7 @@ observation stream to pair against.
 from __future__ import annotations
 
 import math
+import struct
 import threading
 import time
 from bisect import bisect_right
@@ -120,6 +121,16 @@ ANSWER_KINDS = (KIND_DEGRADED, KIND_CACHED, KIND_STREAMED, KIND_RECOMPUTED)
 #: when no pair crossed the threshold — the overwhelmingly common case,
 #: kept allocation-free.  Callers must treat it as read-only.
 _NO_BAD: List[Tuple[str, Optional[float], float, str]] = []
+
+
+#: Checkpointed scalars of one :class:`ErrorStats`: the three counts, the
+#: three sums, the calibration buckets, the window's capacity and length.
+_STATS = struct.Struct(f"<qqqddd{len(CALIBRATION_EDGES) + 1}qII")
+
+#: What a link's checkpointed quality opens with: hits per answer kind,
+#: per-spec stats held, whether degraded stats follow them.
+_LINK = struct.Struct(f"<{len(ANSWER_KINDS)}qH?")
+_NAME = struct.Struct("<H")
 
 
 class ErrorStats:
@@ -235,46 +246,27 @@ class ErrorStats:
         return out
 
     # ------------------------------------------------------------------
-    # persistence (checkpoint-codec-safe: dicts, flat numeric lists,
-    # scalars — see repro.store.checkpoint)
+    # persistence: one part of a checkpoint (repro.store.checkpoint)
     # ------------------------------------------------------------------
-    def state(self) -> Dict[str, Any]:
-        flat: List[float] = []
-        for when, frac, sq, signed in self.window:
-            flat.append(when)
-            flat.append(frac)
-            flat.append(sq)
-            flat.append(signed)
-        return {
-            "counts": [self.count, self.abstentions, self.unscorable],
-            "sums": [self.sum_abs_frac, self.sum_sq_err, self.sum_signed_frac],
-            "buckets": list(self.buckets),
-            "window_maxlen": self.window.maxlen,
-            "window": flat,
-            "last_abs_pct": self.last_abs_pct,
-            "last_time": self.last_time,
-        }
+    def state(self) -> tuple:
+        """``(fixed, ld, f8, idx)``: :data:`_STATS`, then the window flat."""
+        window = self.window
+        fixed = _STATS.pack(
+            self.count, self.abstentions, self.unscorable, self.sum_abs_frac,
+            self.sum_sq_err, self.sum_signed_frac, *self.buckets,
+            window.maxlen, len(window))
+        return fixed, (), [x for entry in window for x in entry], ()
 
     @classmethod
-    def load_state(cls, payload: Dict[str, Any]) -> "ErrorStats":
-        window = int(payload.get("window_maxlen") or DEFAULT_WINDOW)
-        stats = cls(window=window)
-        counts = payload.get("counts") or (0, 0, 0)
-        stats.count = int(counts[0])
-        stats.abstentions = int(counts[1])
-        stats.unscorable = int(counts[2])
-        sums = payload.get("sums") or (0.0, 0.0, 0.0)
-        stats.sum_abs_frac = float(sums[0])
-        stats.sum_sq_err = float(sums[1])
-        stats.sum_signed_frac = float(sums[2])
-        buckets = payload.get("buckets")
-        if buckets is not None and len(buckets) == len(stats.buckets):
-            stats.buckets = [int(b) for b in buckets]
-        flat = payload.get("window") or ()
-        for i in range(0, len(flat) - 3, 4):
-            stats.window.append(
-                (float(flat[i]), float(flat[i + 1]), float(flat[i + 2]), float(flat[i + 3]))
-            )
+    def load_state(cls, src) -> "ErrorStats":
+        """Restore :meth:`state` from a checkpoint ``Reader`` over it."""
+        *fields, maxlen, held = src.unpack(_STATS)
+        src.require(0 < maxlen and held <= maxlen, "impossible error window")
+        stats = cls(window=maxlen)
+        (stats.count, stats.abstentions, stats.unscorable, stats.sum_abs_frac,
+         stats.sum_sq_err, stats.sum_signed_frac, *stats.buckets) = fields
+        flat = src.f8(4 * held).tolist()
+        stats.window.extend(zip(*[iter(flat)] * 4))
         # last_abs_pct / last_time derive from the restored window tail.
         return stats
 
@@ -561,45 +553,47 @@ class AccuracyTracker:
     # ------------------------------------------------------------------
     # persistence (rides in the link checkpoint next to the bank)
     # ------------------------------------------------------------------
-    def link_state(self, link: str) -> Optional[Dict[str, Any]]:
-        """Checkpoint-codec-safe scored state for one link, or ``None``."""
+    def link_state(self, link: str) -> Optional[tuple]:
+        """One link's scored state as a checkpoint part, or ``None``:
+        :data:`_LINK`, the spec names, each spec's stats, then degraded's."""
         with self._lock:
             self._drain_locked()
             quality = self._links.get(link)
             if quality is None:
                 return None
-            payload: Dict[str, Any] = {
-                "kinds": dict(quality.kinds),
-                "specs": {
-                    spec: stats.state()
-                    for spec, stats in quality.by_spec.items()
-                },
-            }
+            names = [spec.encode() for spec in quality.by_spec]
+            held = list(quality.by_spec.values())
             if quality.degraded is not None:
-                payload["degraded"] = quality.degraded.state()
-            return payload
+                held.append(quality.degraded)
+            fixed = [_LINK.pack(*(quality.kinds[k] for k in ANSWER_KINDS),
+                                len(names), quality.degraded is not None)]
+            fixed += [_NAME.pack(len(name)) + name for name in names]
+            windows: List[float] = []
+            for stats in held:
+                packed, _, window, _ = stats.state()
+                fixed.append(packed)
+                windows += window
+            return b"".join(fixed), (), windows, ()
 
-    def load_link_state(self, link: str, payload: Dict[str, Any]) -> bool:
-        """Restore a link's scored state from :meth:`link_state` output.
+    def load_link_state(self, link: str, src) -> bool:
+        """Restore a link's scored state from a checkpoint ``Reader`` over
+        :meth:`link_state` output.
 
         In-process scored state wins over the checkpoint (an evict→revive
         cycle must not double-count); on a warm restart the links dict is
         empty and the checkpoint lands.  Returns whether it was applied.
         """
-        if not isinstance(payload, dict):
-            return False
         with self._lock:
             if link in self._links:
                 return False
             quality = _LinkQuality()
-            kinds = payload.get("kinds") or {}
-            for kind in ANSWER_KINDS:
-                quality.kinds[kind] = int(kinds.get(kind, 0))
-            for spec, stats_payload in (payload.get("specs") or {}).items():
-                quality.by_spec[str(spec)] = ErrorStats.load_state(stats_payload)
-            degraded = payload.get("degraded")
-            if degraded is not None:
-                quality.degraded = ErrorStats.load_state(degraded)
+            *kinds, specs, degraded = src.unpack(_LINK)
+            quality.kinds = dict(zip(ANSWER_KINDS, kinds))
+            names = [src.raw(*src.unpack(_NAME)).decode() for _ in range(specs)]
+            quality.by_spec = {n: ErrorStats.load_state(src) for n in names}
+            if degraded:
+                quality.degraded = ErrorStats.load_state(src)
+            src.finish()
             self._links[link] = quality
             self.scored += sum(s.count for s in quality.by_spec.values())
             if quality.degraded is not None:

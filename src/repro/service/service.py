@@ -521,18 +521,17 @@ class PredictionService:
             # Rows made durable after the checkpoint (the write-through
             # of appends the evicted state folded before it died, or a
             # crash took the process).  Fold them exactly as the live
-            # path would have: one in-order bank.add per row.  A
-            # non-monotone suffix means the live path would have
-            # rebuilt positional windows — fall back to the rebuild.
+            # path would have (extend is bit-identical to one in-order
+            # bank.add per row).  A non-monotone suffix means the live
+            # path would have rebuilt positional windows — fall back to
+            # the rebuild.
             times, values, sizes, ops = store.load_columns(link, start_row=n)
             if len(times) != delta:
                 return None
             if times[0] < last_time or (np.diff(times) < 0).any():
                 return None
             if bank is not None:
-                for i in range(delta):
-                    bank.add(float(times[i]), float(values[i]),
-                             int(sizes[i]), int(ops[i]))
+                bank.extend(times, values, sizes, ops)
             last_time = float(times[-1])
             version += delta
         state = LinkState.revive(

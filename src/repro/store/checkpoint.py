@@ -1,24 +1,29 @@
-"""Packed binary checkpoints for streaming-bank state.
+"""Link checkpoints: a fixed schema in four typed pools.
 
 A checkpoint is what makes cold-link revival O(1): restore the bank's
-sufficient statistics and answer, instead of replaying history.  Three
-requirements shape the format:
+sufficient statistics and answer, instead of replaying history.  The
+payload is the dict the serving layer passes around — ``meta`` (every
+key optional), ``bank`` (:meth:`StreamingBank.state`) and ``accuracy``
+(:meth:`AccuracyTracker.link_state`) — and the two states are *parts*:
+``(fixed, ld, f8, idx)``, packed structs as bytes plus a longdouble, a
+float64 and a uint32 pool, laid out by the module that owns the state
+(:data:`repro.core.streaming._SERIES` defines a series).  The file is
+the four pools of both parts end to end, ``fixed`` opening with
+:data:`_META`, the two strings it counts, and one :data:`_PART` of pool
+lengths per part.  :func:`loads` hands each part back as a
+:class:`Reader` for its owner's ``load_state``.
 
 * **Exactness.**  The evict→revive parity gate demands bit-identical
-  answers, and bank state mixes python scalars, float64 arrays (each
-  series' ``(times, values)`` column, once), float lists (heaps) and
-  ``np.longdouble`` accumulators.  JSON cannot represent the 80-bit
-  sums, so values are split: structure and scalars go in a JSON
-  *layout*, while arrays, float lists and longdouble scalars live in
-  raw typed pools the layout points into (``tobytes``/``frombuffer``
-  round-trips are exact by construction).  Arrays enter the pool as
-  bytes and come back as arrays; lists come back as lists.
-* **Size.**  A link's checkpoint is most of what it costs on disk, and
-  the raw body repeats itself: the layout writes the same ~40 key names
-  once per series, the f8 pool holds every value three times (link
-  series, class series, median heaps) and a longdouble is 6/16 padding.
-  The three sections (layout, f8 pool, ld pool) are deflated as one
-  stream; deflate finds all three.
+  answers.  Scalars travel through ``struct``, columns and the 80-bit
+  sums through ``tobytes`` / ``frombuffer``: exact by construction.
+  What the column already says is not stored (a series' last value and
+  time), and ``MED`` is stored as values, not heaps: a median depends
+  on what it has seen, not on the heaps' layout.
+* **Size.**  A link's checkpoint is most of what it costs on disk.  No
+  names are written, and each ``(time, value)`` row once: a class series
+  is the link's rows carrying its tag, ``MED`` is the column plus what
+  was trimmed off it.  What is left is mostly the column, 16 B a row,
+  which barely deflates; a longdouble's 6/16 padding does.
 * **Speed.**  Revival must stay sub-millisecond, so the whole file is
   one read, one digest check and one bounded inflate: the shared file
   envelope (:mod:`repro.envelope`), whose ``aux`` field carries the
@@ -27,10 +32,10 @@ requirements shape the format:
 Corruption (torn write, bit rot, injected fault at the
 ``store.checkpoint`` site) surfaces as :class:`CorruptCheckpoint`; the
 store quarantines the file and the link rebuilds from its segments —
-slower, never wrong.  An intact file of an earlier format is
+slower, never wrong.  An intact file of an earlier format (1-3) is
 :class:`StaleCheckpoint`: same rebuild, but nothing is wrong with the
-file, so it stays where it is until the next checkpoint replaces it.
-Earlier formats are read only that far.
+file, so it stays where it is until the link's next checkpoint replaces
+it.  Earlier formats are read only that far.
 
 Longdouble width is platform-dependent; a checkpoint written on a
 different ABI fails the width check and is treated as corrupt, which
@@ -40,29 +45,17 @@ degrades to a rebuild.
 from __future__ import annotations
 
 import hashlib
-import json
 import struct
-from typing import Any, Callable, Dict, List, NoReturn
+from typing import Any, Dict, NoReturn
 
 import numpy as np
 
 from repro.envelope import Envelope
 
-__all__ = ["CorruptCheckpoint", "StaleCheckpoint", "dumps", "loads"]
+__all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps", "loads"]
 
 _MAGIC = b"RSCK"
-_FORMAT = 3  # 2 stored the body raw; 1 also kept every window's entries
-# Formats 1 and 2: raw body, the digest over the body alone.
-_RAW_HEADER = struct.Struct("<4sHHIQQ32s")
-
-# Layout markers: a list whose first element is one of these denotes a
-# pool reference, not a literal.  The NUL prefix cannot appear in real
-# state keys or labels.
-_F8 = "\x00f8"  # float list
-_A8 = "\x00a8"  # float64 ndarray
-_LD = "\x00ld"
-
-_NUMBERS = (int, float, np.integer, np.floating)
+_FORMAT = 4  # 3 walked a state dict into a JSON layout; 2 stored that raw
 
 _LD_SIZE = np.dtype(np.longdouble).itemsize
 #: Leading bytes of a longdouble that hold its value.  x87 extended
@@ -70,6 +63,19 @@ _LD_SIZE = np.dtype(np.longdouble).itemsize
 #: whatever was in memory, and left alone it would give the same state a
 #: different stored length from one write to the next.
 _LD_VALUE_BYTES = 10 if np.finfo(np.longdouble).nmant == 63 else _LD_SIZE
+
+#: The pools after ``fixed``, in file order.
+_POOLS = (np.dtype(np.longdouble), np.dtype("<f8"), np.dtype("<u4"))
+_PARTS = ("bank", "accuracy")
+
+#: ``meta``: version, n, last_time, streaming, then the byte lengths of
+#: link and classification, which follow.  A key left out is stored as
+#: the value no live link has.
+_META = struct.Struct("<qqd?HH")
+_META_DEFAULTS = {"version": -1, "n": -1, "last_time": -np.inf,
+                  "streaming": False, "link": "", "classification": ""}
+#: Items one part holds in each pool; all zero when the part is absent.
+_PART = struct.Struct("<IIII")
 
 
 class CorruptCheckpoint(Exception):
@@ -80,178 +86,122 @@ class StaleCheckpoint(Exception):
     """An intact checkpoint in a format this build does not read."""
 
 
-# Sections: layout (u32 length), f8 pool and ld pool (u64 lengths).
-_FILE = Envelope(_MAGIC, _FORMAT, "IQQ", error=CorruptCheckpoint)
+_FILE = Envelope(_MAGIC, _FORMAT, "IIII", error=CorruptCheckpoint)
+_FORMAT_3 = Envelope(_MAGIC, 3, "IQQ", error=CorruptCheckpoint)
+# Formats 1 and 2: raw body, the digest over the body alone.
+_RAW_HEADER = struct.Struct("<4sHHIQQ32s")
 
 
-# ----------------------------------------------------------------------
-# state tree -> layout + pools
-# ----------------------------------------------------------------------
-def _pack_dict(node, f8, ld):
-    out = {}
-    for key in sorted(node):
-        value = node[key]
-        kind = type(value)
-        if kind in _LITERALS:
-            out[str(key)] = value
-        else:
-            pack = _PACKERS.get(kind) or _packer_for(value)
-            out[str(key)] = pack(value, f8, ld)
-    return out
+class Reader:
+    """One part of a checkpoint as its owner reads it back: the four
+    pools and a cursor in each.  Whatever does not fit is
+    :class:`CorruptCheckpoint`, here and in the owner's ``require``."""
+
+    def __init__(self, fixed, ld, f8, idx) -> None:
+        self._pools = [memoryview(fixed), *(
+            np.asarray(pool, dtype) for pool, dtype in zip((ld, f8, idx), _POOLS))]
+        self._at = [0] * len(self._pools)
+
+    def _take(self, pool: int, count: int):
+        start = self._at[pool]
+        self._at[pool] = end = start + count
+        if end > len(self._pools[pool]):
+            raise CorruptCheckpoint("a pool holds less than was claimed of it")
+        return self._pools[pool][start:end]
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self._take(0, layout.size))
+
+    def raw(self, count: int) -> bytes:
+        return bytes(self._take(0, count))
+
+    def ld(self, count: int) -> np.ndarray:
+        return self._take(1, count)
+
+    def f8(self, count: int) -> np.ndarray:
+        return self._take(2, count)
+
+    def idx(self, count: int) -> np.ndarray:
+        return self._take(3, count)
+
+    def part(self, counts) -> "Reader":
+        """The next ``counts`` items of each pool, as a reader of their own."""
+        return Reader(*(self._take(i, count) for i, count in enumerate(counts)))
+
+    def require(self, ok, what: str) -> None:
+        if not ok:
+            raise CorruptCheckpoint(what)
+
+    def finish(self) -> None:
+        if self._at != [len(pool) for pool in self._pools]:
+            raise CorruptCheckpoint("a pool holds more than was claimed of it")
 
 
-def _pack_array(node, f8, ld):
-    if node.dtype != np.float64 or node.ndim != 1:
-        raise TypeError(f"unsupported array: {node.dtype} {node.shape}")
-    f8.append(node.astype("<f8", copy=False).tobytes())
-    return [_A8, len(node)]
+def dumps(payload) -> bytes:
+    """Serialize ``{"meta", "bank", "accuracy"}``, each optional; a bare
+    bank state stands for ``{"bank": state}``."""
+    if not isinstance(payload, dict):
+        payload = {"bank": payload}
+    meta = {**_META_DEFAULTS, **payload.get("meta", {})}
+    if len(meta) > len(_META_DEFAULTS) or set(payload) - {"meta", *_PARTS}:
+        raise TypeError(f"not a checkpoint payload: {sorted(payload)}")
+    link, classification = meta["link"].encode(), meta["classification"].encode()
+    parts = [payload.get(name) or (b"", (), (), ()) for name in _PARTS]
+    pools = [np.concatenate([np.asarray(part[i], dtype) for part in parts])
+             for i, dtype in enumerate(_POOLS, 1)]
+    fixed = [
+        _META.pack(meta["version"], meta["n"], meta["last_time"],
+                   meta["streaming"], len(link), len(classification)),
+        link, classification,
+        *(_PART.pack(*map(len, part)) for part in parts),
+        *(part[0] for part in parts)]
+    if _LD_VALUE_BYTES < _LD_SIZE:  # pools[0] is concatenate's own copy
+        pools[0].view(np.uint8).reshape(-1, _LD_SIZE)[:, _LD_VALUE_BYTES:] = 0
+    return _FILE.pack((b"".join(fixed), *(pool.tobytes() for pool in pools)),
+                      aux=_LD_SIZE)
 
 
-def _pack_sequence(node, f8, ld):
-    items = list(node)
-    kinds = set(map(type, items))
-    if all(issubclass(k, _NUMBERS) and k is not bool for k in kinds):
-        f8.append(np.array(items, dtype="<f8").tobytes())
-        return [_F8, len(items)]
-    if kinds == {str}:
-        if any(x.startswith("\x00") for x in items):
-            raise TypeError("string values may not start with NUL")
-        return items
-    raise TypeError(f"unsupported list content: {items!r}")
-
-
-def _pack_longdouble(node, f8, ld):
-    ld.append(node)
-    return [_LD]
-
-
-def _pack_literal(node, f8, ld):
-    return node
-
-
-def _pack_int(node, f8, ld):
-    return int(node)
-
-
-def _pack_float(node, f8, ld):
-    return float(node)
-
-
-#: Exact types the layout carries as they are.
-_LITERALS = frozenset((type(None), bool, str, int, float))
-
-#: One handler per exact node type; anything else (a subclass, another
-#: numpy width) resolves through :func:`_packer_for`.  ``np.longdouble``
-#: comes last so it wins where it aliases ``np.float64``.
-_PACKERS: Dict[type, Callable[[Any, List[bytes], List[np.longdouble]], Any]] = {
-    dict: _pack_dict,
-    np.ndarray: _pack_array,
-    list: _pack_sequence,
-    tuple: _pack_sequence,
-    np.int64: _pack_int,
-    np.float64: _pack_float,
-    np.longdouble: _pack_longdouble,
-}
-
-
-def _packer_for(node: Any):
-    """The handler for a node whose exact type is not in the table."""
-    for kinds, pack in (
-        (dict, _pack_dict), (np.ndarray, _pack_array),
-        ((list, tuple), _pack_sequence), (np.longdouble, _pack_longdouble),
-        ((bool, str), _pack_literal), ((int, np.integer), _pack_int),
-        ((float, np.floating), _pack_float),
-    ):
-        if isinstance(node, kinds):
-            return pack
-    raise TypeError(f"unsupported checkpoint value: {node!r}")
-
-
-def dumps(state: Dict[str, Any]) -> bytes:
-    """Serialize a nested state dict (see module docstring for types)."""
-    f8: List[bytes] = []
-    ld: List[np.longdouble] = []
-    layout = json.dumps(_pack_dict(state, f8, ld),
-                        separators=(",", ":")).encode()
-    f8_bytes = b"".join(f8)
-    ld_pool = np.array(ld, dtype=np.longdouble)
-    if _LD_VALUE_BYTES < _LD_SIZE:
-        ld_pool.view(np.uint8).reshape(-1, _LD_SIZE)[:, _LD_VALUE_BYTES:] = 0
-    return _FILE.pack((layout, f8_bytes, ld_pool.tobytes()), aux=_LD_SIZE)
-
-
-# ----------------------------------------------------------------------
-# bytes -> verified sections -> state tree
-# ----------------------------------------------------------------------
-def _reject_raw_format(data: bytes, version: int) -> NoReturn:
-    """An intact format-1/2 file is stale; anything else is corrupt."""
-    if len(data) >= _RAW_HEADER.size:
-        _, _, _, layout_len, f8_len, ld_len, digest = \
-            _RAW_HEADER.unpack_from(data)
-        body = memoryview(data)[_RAW_HEADER.size:]
-        if (len(body) == layout_len + f8_len + ld_len
-                and hashlib.sha256(body).digest() == digest):
-            raise StaleCheckpoint(
-                f"format {version}, this build reads {_FORMAT}")
-    raise CorruptCheckpoint(f"unreadable as format {version}")
-
-
-def _unpack_dict(node, f8, ld, cursor):
-    out = {}
-    for key, value in node.items():
-        unpack = _UNPACKERS.get(type(value))
-        out[key] = unpack(value, f8, ld, cursor) if unpack else value
-    return out
-
-
-def _unpack_list(node, f8, ld, cursor):
-    marker = node[0] if node else None
-    if marker == _LD:
-        index = cursor[1]
-        cursor[1] = index + 1
-        if cursor[1] > len(ld):
-            raise CorruptCheckpoint("longdouble pool exhausted")
-        return ld[index]
-    if marker == _F8 or marker == _A8:
-        count = int(node[1])
-        start = cursor[0]
-        cursor[0] = start + count
-        if cursor[0] > len(f8):
-            raise CorruptCheckpoint("float pool exhausted")
-        chunk = f8[start:cursor[0]]
-        return chunk.tolist() if marker == _F8 else chunk
-    return node
-
-
-#: JSON yields dicts, lists and scalars; scalars pass through.
-_UNPACKERS = {dict: _unpack_dict, list: _unpack_list}
+def _reject_stale(data: bytes, version: int) -> NoReturn:
+    """An intact file of format 1-3 is stale; a damaged one corrupt."""
+    if version == 3:
+        _FORMAT_3.verify(data)
+    else:
+        intact = len(data) >= _RAW_HEADER.size
+        if intact:
+            *_, layout_len, f8_len, ld_len, digest = \
+                _RAW_HEADER.unpack_from(data)
+            body = memoryview(data)[_RAW_HEADER.size:]
+            intact = (len(body) == layout_len + f8_len + ld_len
+                      and hashlib.sha256(body).digest() == digest)
+        if not intact:
+            raise CorruptCheckpoint(f"unreadable as format {version}")
+    raise StaleCheckpoint(f"format {version}, this build reads {_FORMAT}")
 
 
 def loads(data: bytes) -> Dict[str, Any]:
-    """Deserialize; raises :class:`CorruptCheckpoint` on anything off
-    and :class:`StaleCheckpoint` for an intact file of an earlier format."""
-    if data[:4] == _MAGIC and data[4:6] in (b"\1\0", b"\2\0"):
-        _reject_raw_format(data, data[4])
+    """``{"meta": dict, "bank": Reader, "accuracy": Reader}``, a part the
+    file does not hold left out; raises :class:`CorruptCheckpoint` on
+    anything off and :class:`StaleCheckpoint` for an intact file of an
+    earlier format."""
+    if data[:4] == _MAGIC and data[4:6] in (b"\1\0", b"\2\0", b"\3\0"):
+        _reject_stale(data, data[4])
     head = _FILE.verify(data)
-    layout_len, f8_len, ld_len = head.lengths
     if head.aux != _LD_SIZE:
         raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
-    if f8_len % 8 or ld_len % _LD_SIZE:
+    if any(length % dtype.itemsize
+           for length, dtype in zip(head.lengths[1:], _POOLS)):
         raise CorruptCheckpoint("pool length is not a whole number of items")
-    layout_bytes, f8_bytes, ld_bytes = _FILE.inflate(head)
+    fixed, *pools = _FILE.inflate(head)
+    src = Reader(fixed, *(np.frombuffer(pool, dtype)
+                          for pool, dtype in zip(pools, _POOLS)))
+    *scalars, link_len, classification_len = src.unpack(_META)
     try:
-        layout = json.loads(bytes(layout_bytes))
-    except ValueError as exc:
-        raise CorruptCheckpoint(f"undecodable layout: {exc}") from None
-    if not isinstance(layout, dict):
-        raise CorruptCheckpoint("layout root is not an object")
-    f8 = np.frombuffer(f8_bytes, dtype="<f8")
-    ld = np.frombuffer(ld_bytes, dtype=np.longdouble)
-    cursor = [0, 0]
-    try:
-        state = _unpack_dict(layout, f8, ld, cursor)
-    except (LookupError, TypeError, ValueError) as exc:
-        raise CorruptCheckpoint(f"malformed pool reference: {exc!r}") from None
-    if cursor[0] != len(f8) or cursor[1] != len(ld):
-        raise CorruptCheckpoint("pool not fully consumed")
+        names = src.raw(link_len).decode(), src.raw(classification_len).decode()
+    except UnicodeDecodeError as exc:
+        raise CorruptCheckpoint(f"undecodable name: {exc}") from None
+    state: Dict[str, Any] = {"meta": dict(zip(_META_DEFAULTS, (*scalars, *names)))}
+    for name, counts in [(name, src.unpack(_PART)) for name in _PARTS]:
+        if counts[0]:
+            state[name] = src.part(counts)
+    src.finish()
     return state

@@ -170,7 +170,7 @@ class TestCheckpointFaults:
         # checkpoint replaces it with the current format.
         assert second.checkpoint_all() == len(LOGS)
         for path in paths:
-            assert path.read_bytes()[4:6] == struct.pack("<H", 3)
+            assert path.read_bytes()[4:6] == struct.pack("<H", 4)
             assert "bank" in ck.loads(path.read_bytes())
 
     def test_unwritable_checkpoints_degrade_eviction_not_answers(

@@ -61,7 +61,38 @@ def _ingest_logs(service):
         service.ingest_ulm(DATA_DIR / name)
 
 
+def _interleaved(service):
+    """All 30 specs at each link's own newest time, links innermost, so
+    with one resident slot every answer crosses an evict→revive."""
+    from repro.core.predictors.registry import ALL_PREDICTOR_NAMES
+
+    links = sorted(service.links())
+    nows = {link: service.link_state(link).last_time + 60.0 for link in links}
+    return [(link, spec, size, repr(p.value), p.version, p.history_length)
+            for spec in ALL_PREDICTOR_NAMES for size in SIZES for link in links
+            for p in [service.predict(link, size, spec, now=nows[link])]]
+
+
 class TestEvictRevive:
+    def test_every_spec_on_the_four_logs_across_eviction_and_restart(
+            self, tmp_path):
+        logs = sorted(DATA_DIR.glob("*.ulm"))
+        assert len(logs) == 4
+        resident = PredictionService()
+        tiered = PredictionService(
+            store=LinkStore(tmp_path / "state", segment_rows=128), max_resident=1)
+        for service in (resident, tiered):
+            for log in logs:
+                service.ingest_ulm(log)
+        expected = _interleaved(resident)
+        assert _interleaved(tiered) == expected
+        assert tiered.status()["store"]["revivals"] >= len(expected) - 4
+        assert tiered.checkpoint_all(seal=True) >= 1
+        tiered.store.close()
+        warm = PredictionService(
+            store=LinkStore(tmp_path / "state", segment_rows=128))
+        assert _interleaved(warm) == expected
+
     def test_parity_under_constant_eviction(self, tmp_path):
         resident = PredictionService()
         _ingest_logs(resident)
@@ -195,63 +226,49 @@ class TestUpgrade:
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
 
-    def test_checkpoints_carrying_mds_statistics_revive_as_checkpoints(
+    def test_format_3_checkpoint_costs_one_rebuild_and_is_rewritten(
             self, tmp_path):
-        """Until the MDS statistics left the bank a checkpoint carried
-        four more keys; such a state dir serves with no rebuild."""
-        from repro.logs.stats import RunningSummary
-        from repro.mds import ServicePerfProvider, format_entries
-        from repro.net import Site
+        """A state dir written before checkpoint format 4: the file is
+        intact but stale, so the link's first touch rebuilds it from its
+        rows, nothing is quarantined, and its next eviction leaves a
+        format-4 file that the touch after that revives from."""
         from repro.obs import get_registry
         from repro.store import checkpoint as ck
-        from tests.conftest import make_record
+        from tests.unit.test_store import FORMAT_3_FILE, stale_link_records
 
-        resident = PredictionService()
-        _ingest_logs(resident)
-        store = LinkStore(tmp_path / "state")
-        first = PredictionService(store=store)
-        _ingest_logs(first)
-        assert first.checkpoint_all(seal=True) == len(LOGS)
-        store.close()
-        for link in resident.links():
-            path = tmp_path / "state" / "links" / link / "checkpoint.bin"
-            payload = ck.loads(path.read_bytes())
-            values = resident.link_state(link).snapshot()[1]
-            payload["bank"].update(
-                read_op=0, recent_reads=values[-64:].tolist(),
-                op_stats={"0": RunningSummary.from_values(values).state()},
-                class_read={"10MB": {"sum": np.longdouble(values.sum()),
-                                     "count": len(values)}})
-            path.write_bytes(ck.dumps(payload))
+        def seeded(root):
+            service = PredictionService(store=LinkStore(root), max_resident=1)
+            for record in stale_link_records():
+                service.observe("stale", record)
+            service.observe("other", stale_link_records()[0])  # evicts "stale"
+            return service
+
+        fresh = seeded(tmp_path / "fresh")
+        old = seeded(tmp_path / "old")
+        path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
+        assert path.read_bytes()[:6] == b"RSCK\4\0"
+        path.write_bytes(FORMAT_3_FILE.read_bytes())
+        old.store.close()
 
         quarantined = get_registry().counter("store_quarantined", "")
         before = quarantined.value
-        tiered = PredictionService(
-            store=LinkStore(tmp_path / "state"), max_resident=1)
-        assert _answers(tiered, CHECKPOINT_SPECS) == \
-            _answers(resident, CHECKPOINT_SPECS)
-        revivals = tiered.trace.events(kind="revive")
-        assert len(revivals) >= len(LOGS)
-        assert {event.fields["how"] for event in revivals} == {"checkpoint"}
+        served = PredictionService(
+            store=LinkStore(tmp_path / "old"), max_resident=1)
+        for round_, how in enumerate(["rebuild", "checkpoint"]):
+            assert _answers(served, SPECS) == _answers(fresh, SPECS)
+            revivals = [event.fields["how"]
+                        for event in served.trace.events(kind="revive")
+                        if event.fields["link"] == "stale"]
+            assert revivals[round_] == how
+            if round_ == 0:
+                assert path.read_bytes()[:6] == b"RSCK\3\0"  # left in place
+                served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale"
+                assert path.read_bytes()[:6] == b"RSCK\4\0"
+                assert ck.loads(path.read_bytes())["meta"]["n"] == 30
         assert quarantined.value == before
-
-        # The provider reads columns, so a render hydrates the evicted link.
-        site = Site(name="LBL", domain="lbl.gov", address="131.243.2.91",
-                    hostname="dpsslx04.lbl.gov")
-        link, other = sorted(resident.links())
-        tiered.predict(other, 100 * MB, now=NOW)   # evicts ``link``
-        rendered = [
-            format_entries(ServicePerfProvider(
-                service, link, site, "gsiftp://dpsslx04.lbl.gov:61000",
-            ).entries(NOW))
-            for service in (tiered, resident)]
-        assert rendered[0] == rendered[1] != ""
-        # ... and the link's next checkpoint is written without the keys.
-        tiered.observe(link, make_record(start=NOW - 5.0, duration=1.0))
-        assert tiered.checkpoint_all() >= 1
-        path = tmp_path / "state" / "links" / link / "checkpoint.bin"
-        assert set(ck.loads(path.read_bytes())["bank"]) == {
-            "count", "rebuilds", "global", "classes"}
+        assert not list((tmp_path / "old").rglob("*.quarantined"))
+        assert sorted(p.name for p in path.parent.iterdir() if
+                      p.name.startswith("checkpoint")) == ["checkpoint.bin"]
 
 
 class TestKillNine:
@@ -329,6 +346,49 @@ class TestKillNine:
                 b = resident.predict("victim", size, spec, now=NOW)
                 assert a.value == b.value, (spec, size)
                 assert a.history_length == b.history_length == durable
+
+    def test_rows_past_the_checkpoint_fold_as_the_per_row_path_would(
+            self, tmp_path):
+        """A killed process leaves every un-checkpointed row in the WAL;
+        revival folds them with one ``extend``, which must leave the bank
+        a per-row ``add`` of the same rows would have."""
+        from repro.core.predictors.registry import ALL_PREDICTOR_NAMES, resolve
+        from repro.core.streaming import StreamingBank
+        from tests.conftest import make_record
+
+        sizes = (10 * MB, 100 * MB, 500 * MB, 1000 * MB)
+        records = [make_record(start=1e6 + 900.0 * i, duration=5.0 + i % 11,
+                               size=sizes[(i * 7) % 4],
+                               bandwidth=2e6 + 1e5 * ((i * 13) % 17))
+                   for i in range(400)]
+        dying = PredictionService(store=LinkStore(tmp_path / "state"))
+        for record in records[:100]:
+            dying.observe("victim", record)
+        assert dying.checkpoint_all() == 1
+        for record in records[100:]:
+            dying.observe("victim", record)
+        # ... and it dies here: no checkpoint, no seal, 300 rows of suffix.
+
+        store = LinkStore(tmp_path / "state")
+        revived = PredictionService(store=store)
+        by_row = StreamingBank(revived.classification)
+        by_row.load_state(store.read_checkpoint("victim")["bank"])
+        assert by_row.count == 100
+        suffix = store.load_columns("victim", start_row=100)
+        for t, v, s, o in zip(*(column.tolist() for column in suffix)):
+            by_row.add(t, v, s, o)
+
+        bank = revived.link_state("victim").bank
+        (event,) = revived.trace.events(kind="revive")
+        assert (event.fields["how"], event.fields["records"]) == ("checkpoint", 400)
+        with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
+            assert repr(bank.state()) == repr(by_row.state())
+        now = records[-1].end_time + 60.0
+        for name in ALL_PREDICTOR_NAMES:
+            predictor = resolve(name, classification=revived.classification)
+            for size in sizes:
+                assert repr(revived.predict("victim", size, name, now=now).value) \
+                    == repr(by_row.answer(predictor, size, now)), (name, size)
 
     def test_restart_after_kill_continues_ingest(self, tmp_path):
         from tests.conftest import make_record

@@ -205,12 +205,14 @@ class TestAnchorDefault:
 # the memory shape: one (time, value) column per series
 # ----------------------------------------------------------------------
 N_FEED = 10_000
-FEED_TIMES = np.arange(N_FEED, dtype=np.float64) * HOUR
-FEED_VALUES = 50.0 + 40.0 * np.sin(np.arange(N_FEED) * 0.37) \
-    + (np.arange(N_FEED) % 7)
-FEED_SIZES = np.array([10 * MB, 100 * MB, 500 * MB, 1 * GB] * (N_FEED // 4),
-                      dtype=np.int64)
-FEED_OPS = np.zeros(N_FEED, dtype=np.int8)
+N_MORE = 1_100  # rows past the feed, for what a revived bank does next
+FEED_TIMES = np.arange(N_FEED + N_MORE, dtype=np.float64) * HOUR
+FEED_VALUES = 50.0 + 40.0 * np.sin(np.arange(N_FEED + N_MORE) * 0.37) \
+    + (np.arange(N_FEED + N_MORE) % 7)
+FEED_SIZES = np.array(
+    [10 * MB, 100 * MB, 500 * MB, 1 * GB] * ((N_FEED + N_MORE) // 4),
+    dtype=np.int64)
+FEED_OPS = np.zeros(N_FEED + N_MORE, dtype=np.int8)
 WINDOW_SPECS = ("AVG5hr", "AVG15hr", "AVG25hr", "AR5d", "AR10d")
 
 
@@ -223,29 +225,16 @@ def all_series(bank):
     return [bank._global, *bank._classes.values()]
 
 
-def arrays_in(node):
-    if isinstance(node, np.ndarray):
-        return [node]
-    if isinstance(node, dict):
-        return [a for child in node.values() for a in arrays_in(child)]
-    return []
-
-
 def exact_repr(state):
-    """Every bit of a state dict as text (the codec sorts dict keys, so
-    key order is not part of the state)."""
-    def canonical(node):
-        if isinstance(node, dict):
-            return [(key, canonical(node[key])) for key in sorted(node)]
-        return node
-
+    """Every bit of a bank state as text."""
     with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
-        return repr(canonical(state))
+        return repr(state)
 
 
 def roundtrip(bank):
     revived = StreamingBank(CLS)
-    revived.load_state(checkpoint.loads(checkpoint.dumps(bank.state())))
+    revived.load_state(
+        checkpoint.loads(checkpoint.dumps(bank.state()))["bank"])
     return revived
 
 
@@ -275,23 +264,54 @@ def queried_bank():
     return bank
 
 
+def all_answers(bank, now):
+    return [repr(answer(bank, name, size, now))
+            for name in ALL_PREDICTOR_NAMES for size in FEED_SIZES[:4].tolist()]
+
+
+def explicit_and_skipped(bank):
+    """Per class: rows its checkpoint spells out, link rows it skips."""
+    link = bank._global
+    tagged = {tag: int((link._tags[:link._n] == tag).sum())
+              for tag in bank._classes}
+    return {tag: (max(series._n - tagged[tag], 0), max(tagged[tag] - series._n, 0))
+            for tag, series in bank._classes.items()}
+
+
 class TestMemoryShape:
     def test_unqueried_bank_holds_each_observation_once_per_series(self):
         bank = StreamingBank(CLS)
         feed(bank, 0, N_FEED)
-        state = bank.state()
-        # Format 3 measures 42.1 B/record here (56.8 raw: two (t, v)
-        # copies and the median heaps; a sin feed's values barely deflate).
-        assert len(checkpoint.dumps(state)) <= 48 * N_FEED
-        # (t, v) once in the link series and once in its class series.
-        assert sum(len(a) for a in arrays_in(state)) == 2 * 2 * N_FEED
+        fixed, ld, f8, idx = state = bank.state()
+        # Format 4 measures 10.3 B/record here (format 3: 42.1): the
+        # values, which a sin feed barely lets deflate, evenly spaced
+        # times and a tag.
+        assert len(checkpoint.dumps(state)) <= 11.4 * N_FEED
+        # (t, v) once: the class series are the link's rows, by tag.
+        assert len(f8) == 2 * N_FEED
+        assert len(fixed) < N_FEED + 1024
         for series in all_series(bank):
             assert series._n == series.count
 
+    def test_a_small_link_checkpoints_in_little_over_a_kilobyte(self):
+        # 30 rows in 4 classes, as the ledger's cold links are (1,961 B
+        # in format 3); this one measures 1,073.
+        rng = np.random.default_rng(21)
+        bank = StreamingBank(CLS)
+        times = 1e9 + np.cumsum(rng.uniform(60.0, 7200.0, 30))
+        for t, v, s in zip(times, rng.lognormal(15.0, 0.6, 30), FEED_SIZES):
+            bank.add(float(t), float(v), int(s), 0)
+        payload = {"meta": {"link": "lbl-anl", "version": 30, "n": 30,
+                            "last_time": float(times[-1]), "streaming": True,
+                            "classification": "50,250,750|10MB,100MB,500MB,1GB"},
+                   "bank": bank.state()}
+        assert len(checkpoint.dumps(payload)) <= 1300
+
     def test_resident_bytes_per_record(self):
-        # 400 records in 4 classes: the columns (43 B/record), the MED
-        # heaps (65) and the fixed per-series part measure 141 in all; a
-        # per-direction copy of every bandwidth beside them measured 181.
+        # 400 records in 4 classes: the columns (44 B/record with the
+        # link's tag byte), the MED heaps (65) and the fixed per-series
+        # part measure 135 in all; a per-direction copy of every
+        # bandwidth beside them measured 181.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -309,6 +329,7 @@ class TestMemoryShape:
         bank = queried_bank()
         for series in all_series(bank):
             assert series._n < series.count / 4  # the dead prefix is gone
+            assert sum(map(len, series._dropped)) == series.count - series._n
         assert exact_repr(roundtrip(bank).state()) == exact_repr(bank.state())
 
     def test_state_roundtrip_is_repr_identical(self):
@@ -328,25 +349,97 @@ class TestMemoryShape:
         assert bank._global._n < 1500
         assert exact_repr(revived.state()) == exact_repr(bank.state())
 
-    def test_state_with_an_earlier_builds_mds_keys_loads(self):
-        """Checkpoints written before the MDS statistics left the bank
-        carry four more keys; they load, and are not written back."""
-        bank = StreamingBank(CLS)
-        feed(bank, 0, 400)
-        state = bank.state()
-        earlier = dict(
-            state, read_op=0, recent_reads=FEED_VALUES[336:400].tolist(),
-            op_stats={"0": {"count": 400, "mean": 1.0, "m2": 2.0, "min": 0.5,
-                            "max": 9.0, "lower": [-1.0], "upper": [2.0]}},
-            class_read={"10MB": {"sum": np.longdouble(7.0), "count": 100}},
-        )
-        revived = StreamingBank(CLS)
-        revived.load_state(checkpoint.loads(checkpoint.dumps(earlier)))
-        now = float(FEED_TIMES[399]) + 60.0
-        for name in ALL_PREDICTOR_NAMES:
-            for size in FEED_SIZES[:4].tolist():
-                assert repr(answer(revived, name, size, now)) == repr(
-                    answer(bank, name, size, now)), (name, size)
-        assert exact_repr(revived.state()) == exact_repr(bank.state())
-        assert set(revived.state()) == set(state) == {
-            "count", "rebuilds", "global", "classes"}
+    def test_same_state_same_bytes(self):
+        bank = queried_bank()
+        blob = checkpoint.dumps(bank.state())
+        assert checkpoint.dumps(bank.state()) == blob
+        assert checkpoint.dumps(roundtrip(bank).state()) == blob
+
+
+# ----------------------------------------------------------------------
+# evict -> revive on the cases the one-column layout introduces
+# ----------------------------------------------------------------------
+def _link_windows_only():
+    """(a) Only the link's windows are queried: its column is trimmed,
+    the class columns reach back before it starts."""
+    bank = StreamingBank(CLS)
+    for hi in range(100, 2001, 100):
+        feed(bank, hi - 100, hi)
+        for spec in WINDOW_SPECS:
+            answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
+    assert all(explicit > 0 and skipped == 0
+               for explicit, skipped in explicit_and_skipped(bank).values())
+    return bank, FEED_TIMES, FEED_SIZES
+
+
+def _one_class_only():
+    """(b) Only one class is queried: its column is trimmed, the link's
+    still holds rows the class has dropped."""
+    bank = StreamingBank(CLS)
+    for hi in range(100, 2001, 100):
+        feed(bank, hi - 100, hi)
+        for spec in WINDOW_SPECS:
+            answer(bank, "C-" + spec, 10 * MB, now=float(FEED_TIMES[hi - 1]))
+    shape = explicit_and_skipped(bank)
+    assert shape[0][0] == 0 and shape[0][1] > 0
+    assert all(shape[tag] == (0, 0) for tag in (1, 2, 3))
+    return bank, FEED_TIMES, FEED_SIZES
+
+
+def _equal_timestamps():
+    """(c) Every timestamp twice, in two different classes."""
+    times = np.repeat(FEED_TIMES[::2], 2)
+    bank = StreamingBank(CLS)
+    bank.extend(times[:600], FEED_VALUES[:600], FEED_SIZES[:600], FEED_OPS[:600])
+    for spec in WINDOW_SPECS:
+        answer(bank, spec, now=float(times[599]))
+    return bank, times, FEED_SIZES
+
+
+def _just_rebuilt():
+    """(d) Rebuilt from the sorted arrays after an out-of-order insert."""
+    bank = StreamingBank(CLS)
+    feed(bank, 0, 300)
+    feed(bank, 301, 600)
+    bank.rebuild(FEED_TIMES[:600], FEED_VALUES[:600], FEED_SIZES[:600],
+                 FEED_OPS[:600], reason="out_of_order")
+    assert bank.rebuilds == 1
+    return bank, FEED_TIMES, FEED_SIZES
+
+
+def _trimmed():
+    """(e) Every series queried and trimmed all the way along."""
+    return queried_bank(), FEED_TIMES, FEED_SIZES
+
+
+def _class_gone_from_the_link_column():
+    """(f) A class whose rows all lie before the link column's start."""
+    sizes = np.where(np.arange(N_FEED + N_MORE) < 40, 1 * GB, 10 * MB)
+    bank = StreamingBank(CLS)
+    for hi in range(100, 2001, 100):
+        bank.extend(FEED_TIMES[hi - 100:hi], FEED_VALUES[hi - 100:hi],
+                    sizes[hi - 100:hi], FEED_OPS[hi - 100:hi])
+        for spec in WINDOW_SPECS:
+            answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
+    assert explicit_and_skipped(bank)[3] == (40, 0)
+    assert not (bank._global._tags[:bank._global._n] == 3).any()
+    return bank, FEED_TIMES, sizes
+
+
+@pytest.mark.parametrize("case", [
+    _link_windows_only, _one_class_only, _equal_timestamps, _just_rebuilt,
+    _trimmed, _class_gone_from_the_link_column])
+def test_revived_bank_is_the_bank(case):
+    bank, times, sizes = case()
+    revived = roundtrip(bank)
+    assert exact_repr(revived.state()) == exact_repr(bank.state())
+    lo = bank.count
+    now = float(times[lo - 1]) + 60.0
+    assert all_answers(revived, now) == all_answers(bank, now)
+    # ... and they stay one bank through more rows and more queries.
+    for b in (bank, revived):
+        b.extend(times[lo:lo + N_MORE], FEED_VALUES[lo:lo + N_MORE],
+                 sizes[lo:lo + N_MORE], FEED_OPS[lo:lo + N_MORE])
+    now = float(times[lo + N_MORE - 1]) + 60.0
+    assert all_answers(revived, now) == all_answers(bank, now)
+    assert exact_repr(revived.state()) == exact_repr(bank.state())

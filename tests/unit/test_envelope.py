@@ -25,7 +25,7 @@ from repro.store import CorruptCheckpoint, CorruptSegment
 from repro.store import checkpoint as ck
 from repro.store import segments as seg
 from tests.conftest import make_record
-from tests.unit.test_store import LD_SIZE, SMALL_STATE
+from tests.unit.test_store import LD_SIZE, revive, small_bank
 
 LOG_DIGEST = hashlib.sha256(b"the log's bytes").hexdigest()
 
@@ -47,16 +47,18 @@ class Kind:
 
 class CheckpointKind(Kind):
     name = "checkpoint.bin"
-    fields = struct.Struct("<4sHHIIQQ")
-    magic, version, aux, meta = b"RSCK", 3, LD_SIZE, ()
+    fields = struct.Struct("<4sHHIIIII")
+    magic, version, aux, meta = b"RSCK", 4, LD_SIZE, ()
     error = CorruptCheckpoint
-    bomb_lengths = (1024, 0, 0)
+    bomb_lengths = (1024, 0, 0, 0)
 
     def blob(self):
-        return ck.dumps(SMALL_STATE)
+        """A real bank's: 3 rows in 3 classes, one window queried."""
+        return ck.dumps({"meta": {"link": "x", "n": 3},
+                         "bank": small_bank(rows=3).state()})
 
     def decode(self, data):
-        return ck.loads(data)
+        return revive(data)  # the file, then the bank's reading of it
 
 
 class SegmentKind(Kind):
@@ -126,7 +128,7 @@ def test_every_truncation_is_corrupt(kind):
 
 def test_every_single_bit_flip_is_corrupt(kind):
     blob = kind.blob()
-    assert len(blob) < 400  # keeps the sweep at a few thousand decodes
+    assert len(blob) < 500  # keeps the sweep at a few thousand decodes
     for at in range(len(blob)):
         for bit in range(8):
             flipped = bytearray(blob)
@@ -258,3 +260,14 @@ def test_no_private_container_outside_the_envelope():
     assert ("np.load", "_read_legacy") in legacy
     shared = list(_references(ast.parse((SRC / "envelope.py").read_text())))
     assert ("tempfile.mkstemp", "atomic_write") in shared
+
+
+def test_the_store_writes_no_json():
+    """What ``repro.store`` puts on disk is laid out by ``struct``: a
+    checkpoint is a schema in code, not a layout document beside pools."""
+    for path in sorted((SRC / "store").rglob("*.py")):
+        names = {name for name, _ in _references(ast.parse(path.read_text()))}
+        assert not {n for n in names if n.split(".")[0] == "json"}, path.name
+    # The guard sees an import where there is one.
+    seen = {name for name, _ in _references(ast.parse("import json\njson.dumps"))}
+    assert {"json", "json.dumps"} <= seen

@@ -229,6 +229,51 @@ def test_status_sums_workers_and_reports_fleet_health(fleet2):
                    for s in fleet["shards"])
 
 
+def test_a_request_no_frame_can_carry_is_the_senders_mistake(fleet2):
+    # A JSON client may name a link longer than a frame's string field
+    # holds (65,535 bytes); the front cannot forward it.  That is a
+    # bad_request — it used to count as a failure of the shard, so bad
+    # input could walk a healthy worker's breaker open.
+    services, _, front = fleet2
+    long_link = "L" * 70_000
+    shard = front.ring.shard_of(long_link)
+    link = next(name for name in (f"SITE{i}-DEST" for i in range(64))
+                if front.ring.shard_of(name) == shard)
+    unavailable = front_counter("fleet_unavailable")
+    with fleet_client(front, binary=False) as client:
+        client.observe(link, 10 * MB, 1000.0, 1001.0)
+        for _ in range(50):
+            refused = client.request(
+                {"op": "predict", "link": long_link, "size": MB})
+            assert refused["error"]["code"] == "bad_request"
+            assert "65535" in refused["error"]["message"]
+        # The shard is as healthy as it was, its pool and admission
+        # count as they were, and it answers the next request.
+        breaker = front._links[shard].breaker.status()
+        assert (breaker["state"], breaker["trips"]) == ("closed", 0)
+        assert breaker["consecutive_failures"] == 0
+        assert front._links[shard].pending == 0
+        assert front_counter("fleet_unavailable") == unavailable
+        assert client.predict(link, MB)["ok"]
+        assert client.status()["fleet"]["shards"][shard]["up"]
+        # The envelope is the one the worker itself gives a request it
+        # cannot act on (a JSON line reaches it at any length).
+        with ServiceClient(front._links[shard].socket_path, binary=False,
+                           retry=FAIL_FAST) as direct:
+            malformed = direct.request({"op": "predict", "link": link})
+        assert malformed["error"]["code"] == "bad_request"
+        assert {k: type(v) for k, v in refused.items()} == \
+            {k: type(v) for k, v in malformed.items()}
+        assert refused["ok"] is False and refused["v"] == malformed["v"] == 1
+        assert set(refused["error"]) == set(malformed["error"])
+
+
+def front_counter(name):
+    from repro.obs import get_registry
+
+    return get_registry().counter(name, "").value
+
+
 # ----------------------------------------------------------------------
 # admission control
 # ----------------------------------------------------------------------

@@ -73,7 +73,9 @@ def test_state_roundtrips_through_checkpoint_codec():
     stats.add_abstention()
     stats.add_unscorable()
 
-    revived = ErrorStats.load_state(loads(dumps(stats.state())))
+    part = loads(dumps({"accuracy": stats.state()}))["accuracy"]
+    revived = ErrorStats.load_state(part)
+    part.finish()  # one struct and the window, nothing over
     assert revived.summary() == stats.summary()
     assert isinstance(revived.count, int)
     assert all(isinstance(b, int) for b in revived.buckets)
@@ -81,7 +83,8 @@ def test_state_roundtrips_through_checkpoint_codec():
 
 
 def test_empty_state_roundtrips():
-    revived = ErrorStats.load_state(loads(dumps(ErrorStats(window=8).state())))
+    empty = ErrorStats(window=8).state()
+    revived = ErrorStats.load_state(loads(dumps({"accuracy": empty}))["accuracy"])
     assert revived.summary() == ErrorStats(window=8).summary()
 
 
@@ -228,16 +231,18 @@ def test_tracker_link_state_roundtrips_and_ram_wins():
     tracker = AccuracyTracker(window=8)
     tracker.record("L", "C-AVG15", 120.0, version=1, kind="streamed")
     tracker.score("L", actual=100.0, when=1.0, version=2)
+    tracker.record("L", "AVG", 80.0, version=2, kind="degraded")
+    tracker.score("L", actual=100.0, when=2.0, version=3)
     payload = loads(dumps({"accuracy": tracker.link_state("L")}))["accuracy"]
 
     fresh = AccuracyTracker(window=8)
     assert fresh.load_link_state("L", payload)
     assert fresh.status()["links"]["L"] == tracker.status()["links"]["L"]
-    assert fresh.scored == 1
+    assert fresh.scored == 2
     # A second load for a link already resident is a no-op (the live
     # in-RAM state is always at least as fresh as its checkpoint).
-    fresh.record("L", "C-AVG15", 90.0, version=2, kind="streamed")
-    fresh.score("L", actual=90.0, when=2.0, version=3)
+    fresh.record("L", "C-AVG15", 90.0, version=3, kind="streamed")
+    fresh.score("L", actual=90.0, when=3.0, version=4)
     assert not fresh.load_link_state("L", payload)
     assert fresh.status()["links"]["L"]["overall"]["count"] == 2
 

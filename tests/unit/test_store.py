@@ -13,15 +13,22 @@ import hashlib
 import os
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import streaming
+from repro.core.classification import paper_classification
+from repro.core.predictors.registry import resolve
+from repro.core.streaming import StreamingBank
 from repro.obs import get_registry
 from repro.store import CorruptCheckpoint, CorruptSegment, LinkStore
 from repro.store import checkpoint as ck
 from repro.store import segments as seg
 from repro.store import wal
+from repro.units import GB, MB
+from tests.conftest import make_record
 
 
 def _rows(n, t0=1000.0):
@@ -175,48 +182,145 @@ def as_npz_state_dir(root):
 # checkpoint codec
 # ----------------------------------------------------------------------
 LD_SIZE = np.dtype(np.longdouble).itemsize
-# The format-3 header, packed by hand here so the tests pin the bytes.
-FORMAT_3_FIELDS = struct.Struct("<4sHHIIQQ")
-SMALL_STATE = {"heap": [1.5, 2.5, 3.5], "series": np.array([4.0, 5.0]),
-               "sums": {"sx": np.longdouble(1) / 3, "sy": np.longdouble(7)},
-               "tag": "x", "n": 3}
+CLS = paper_classification()
+# The format-4 header, packed by hand here so the tests pin the bytes:
+# magic, format, long-double width, stored length, then the raw lengths
+# of the fixed section and the ld, f8 and idx pools.
+FORMAT_4_FIELDS = struct.Struct("<4sHHIIIII")
+#: A checkpoint written by the commit before format 4, for a 30-row,
+#: 4-class link (``stale_link_records``); see tests/data/README.md.
+FORMAT_3_FILE = Path(__file__).resolve().parents[1] / "data" / "checkpoint-format3.bin"
 
 
-def frame_format_3(stored, layout_len, f8_len, ld_len):
-    """A format-3 file around ``stored`` with a digest that verifies."""
-    fields = FORMAT_3_FIELDS.pack(b"RSCK", 3, LD_SIZE, len(stored),
-                                  layout_len, f8_len, ld_len)
+def stale_link_records():
+    """The 30 records, one size class after another, whose link
+    ``FORMAT_3_FILE`` is the checkpoint of."""
+    sizes = (10 * MB, 100 * MB, 500 * MB, 1 * GB)
+    return [make_record(start=1_000_000.0 + 3600.0 * i, duration=10.0 + i % 7,
+                        size=sizes[i % 4]) for i in range(30)]
+
+
+def small_bank(rows=12):
+    """A real bank: ``rows`` rows over 4 classes, a window queried so a
+    cursor sits mid-column and the min chains are in use."""
+    bank = StreamingBank(CLS)
+    sizes = (10 * MB, 100 * MB, 500 * MB, 1 * GB)
+    for i in range(rows):
+        bank.add(1e6 + 3600.0 * i, 1e6 / 3 + 1e5 * ((7 * i) % 5),
+                 sizes[i % 4], 0)
+    bank.answer(resolve("AVG5hr"), 10 * MB, 1e6 + 3600.0 * rows)
+    return bank
+
+
+def small_payload(bank=None):
+    bank = bank or small_bank()
+    return {"meta": {"link": "x", "version": bank.count + 2, "n": bank.count,
+                     "last_time": bank._global.last_time, "streaming": True,
+                     "classification": "50,250|a,b,c"},
+            "bank": bank.state()}
+
+
+def revive(blob):
+    """Decode all the way: the file, then the bank's own reading of it."""
+    state = ck.loads(blob)
+    bank = StreamingBank(CLS)
+    bank.load_state(state["bank"])
+    return state["meta"], bank
+
+
+def sections(blob):
+    """The raw ``[fixed, ld, f8, idx]`` of a format-4 file."""
+    lengths = FORMAT_4_FIELDS.unpack_from(blob)[4:]
+    body = zlib.decompress(blob[FORMAT_4_FIELDS.size + 32:])
+    out, at = [], 0
+    for length in lengths:
+        out.append(bytearray(body[at:at + length]))
+        at += length
+    assert at == len(body)
+    return out
+
+
+def frame_format_4(fixed, ld=b"", f8=b"", idx=b"", ld_size=LD_SIZE):
+    """A format-4 file around these sections with a digest that verifies."""
+    stored = zlib.compress(bytes(fixed) + bytes(ld) + bytes(f8) + bytes(idx), 1)
+    fields = FORMAT_4_FIELDS.pack(b"RSCK", 4, ld_size, len(stored),
+                                  len(fixed), len(ld), len(f8), len(idx))
     return fields + hashlib.sha256(fields + stored).digest() + stored
 
 
 def as_format_2(blob):
     """The same body as format 2 stored it: raw, the digest over it alone."""
-    _, _, _, _, layout_len, f8_len, ld_len = FORMAT_3_FIELDS.unpack_from(blob)
-    body = zlib.decompress(blob[FORMAT_3_FIELDS.size + 32:])
-    return struct.pack("<4sHHIQQ32s", b"RSCK", 2, LD_SIZE, layout_len, f8_len,
-                       ld_len, hashlib.sha256(body).digest()) + body
+    body = zlib.decompress(blob[FORMAT_4_FIELDS.size + 32:])
+    return struct.pack("<4sHHIQQ32s", b"RSCK", 2, LD_SIZE, len(body), 0, 0,
+                       hashlib.sha256(body).digest()) + body
+
+
+class Tampered:
+    """A real checkpoint taken apart so one claim in it can be changed;
+    ``blob()`` frames it again with a digest that verifies.
+
+    The bank's part starts after meta, its two strings and the two part
+    headers: bank header, the link series, one tag per link row, then
+    one series per class.
+    """
+
+    #: Scalars of one series, by position in ``streaming._SERIES``.
+    AVG5HR_START, AR5D_CHAIN, TAG, ROWS, SKIP, DROPPED = 0, 19, 22, 23, 24, 25
+
+    def __init__(self, bank=None):
+        bank = bank or small_bank()
+        self.rows = bank._global._n
+        self.payload = small_payload(bank)
+        self.fixed, self.ld, self.f8, self.idx = sections(ck.dumps(self.payload))
+        meta = self.payload["meta"]
+        self.parts_at = (ck._META.size + len(meta["link"])
+                         + len(meta["classification"]))
+        self.bank_at = self.parts_at + 2 * ck._PART.size
+        self.tags_at = self.bank_at + streaming._BANK.size + streaming._SERIES.size
+
+    def series_at(self, k):
+        """Offset of series ``k``: 0 the link's, 1.. the classes'."""
+        if k == 0:
+            return self.bank_at + streaming._BANK.size
+        return self.tags_at + self.rows + (k - 1) * streaming._SERIES.size
+
+    def set(self, k, field, value):
+        at = self.series_at(k)
+        scalars = list(streaming._SERIES.unpack_from(self.fixed, at))
+        scalars[field] = value
+        streaming._SERIES.pack_into(self.fixed, at, *scalars)
+        return self
+
+    def claim(self, pool, delta):
+        """Change how many items of ``pool`` (1 ld, 2 f8, 3 idx) the
+        bank's part header says it holds."""
+        counts = list(ck._PART.unpack_from(self.fixed, self.parts_at))
+        counts[pool] += delta
+        ck._PART.pack_into(self.fixed, self.parts_at, *counts)
+        return self
+
+    def blob(self, **kwargs):
+        return frame_format_4(self.fixed, self.ld, self.f8, self.idx, **kwargs)
 
 
 class TestCheckpoint:
     def test_longdouble_roundtrip_is_exact(self):
         # A sum that differs from its float64 rounding — the whole point
         # of the longdouble pool.
-        total = np.longdouble(0)
+        bank = StreamingBank(CLS)
         for i in range(1000):
-            total += np.longdouble(0.1) * i
-        state = {"sum": total, "count": 1000, "tag": "x",
-                 "ring": [1.5, 2.5, float("inf")], "names": ["a", "b"],
-                 "none": None, "flag": True}
-        out = ck.loads(ck.dumps(state))
-        assert isinstance(out["sum"], np.longdouble)
-        assert out["sum"] == total  # bit-exact, not approx
-        assert out["ring"] == [1.5, 2.5, float("inf")]
-        assert out["names"] == ["a", "b"]
-        assert out["none"] is None and out["flag"] is True
+            bank.add(float(i), 0.1 * i, 10 * MB, 0)
+        total = bank._global._ar[None]._sum
+        assert float(total) != total
+        meta, revived = revive(ck.dumps({"meta": {"n": 1000}, "bank": bank.state()}))
+        restored = revived._global._ar[None]._sum
+        assert isinstance(restored, np.longdouble)
+        assert restored == total  # bit-exact, not approx
+        assert meta["n"] == 1000 and revived.count == 1000
+        assert repr(revived.state()) == repr(bank.state())
 
     def test_deterministic_bytes(self):
-        state = {"b": [1.0, 2.0], "a": {"z": 1, "y": np.longdouble(2)}}
-        assert ck.dumps(state) == ck.dumps(state)
+        assert ck.dumps(small_payload()) == ck.dumps(small_payload())
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63,
                         reason="longdouble has no padding bytes here")
@@ -224,64 +328,172 @@ class TestCheckpoint:
         # x87 long doubles carry 10 value bytes; the rest is whatever was
         # in memory (format 2 stored it), which would change the deflated
         # length from one write of the same state to the next.
-        state = {f"s{i:02d}": np.longdouble(i) / 3 for i in range(50)}
-        blob = ck.dumps(state)
-        pool = zlib.decompress(blob[FORMAT_3_FIELDS.size + 32:])[-50 * LD_SIZE:]
+        payload = small_payload()
+        fixed, ld, f8, idx = payload["bank"]
+        dirty = ld.copy()
+        dirty.view(np.uint8).reshape(-1, LD_SIZE)[:, 10:] = 0xAB
+        blob = ck.dumps(dict(payload, bank=(fixed, dirty, f8, idx)))
+        assert blob == ck.dumps(payload)
+        pool = sections(blob)[1]
+        assert len(pool) == 5 * 18 * LD_SIZE  # the link and 4 classes
         for at in range(0, len(pool), LD_SIZE):
             assert pool[at + 10:at + LD_SIZE] == bytes(LD_SIZE - 10)
-        assert ck.loads(blob) == state
+        assert repr(revive(blob)[1].state()) == repr(small_bank().state())
 
     def test_flipped_byte_raises(self):
-        blob = bytearray(ck.dumps({"x": [1.0, 2.0, 3.0]}))
+        blob = bytearray(ck.dumps(small_payload()))
         blob[-3] ^= 0xFF
         with pytest.raises(CorruptCheckpoint):
             ck.loads(bytes(blob))
 
     def test_truncation_raises(self):
-        blob = ck.dumps({"x": [1.0, 2.0, 3.0]})
+        blob = ck.dumps(small_payload())
         with pytest.raises(CorruptCheckpoint):
             ck.loads(blob[:-4])
         with pytest.raises(CorruptCheckpoint):
             ck.loads(b"")
 
     def test_bad_magic_raises(self):
-        blob = ck.dumps({"x": 1})
+        blob = ck.dumps(small_payload())
         with pytest.raises(CorruptCheckpoint):
             ck.loads(b"XXXX" + blob[4:])
 
     def test_header_carries_stored_and_raw_lengths(self):
-        blob = ck.dumps(SMALL_STATE)
-        magic, version, ld_size, stored, layout, f8, ld = \
-            FORMAT_3_FIELDS.unpack_from(blob)
-        assert (magic, version) == (b"RSCK", 3)
+        blob = ck.dumps(small_payload())
+        magic, version, ld_size, stored, fixed, ld, f8, idx = \
+            FORMAT_4_FIELDS.unpack_from(blob)
+        assert (magic, version) == (b"RSCK", 4)
         assert ld_size == LD_SIZE
-        assert len(blob) == FORMAT_3_FIELDS.size + 32 + stored
-        body = zlib.decompress(blob[FORMAT_3_FIELDS.size + 32:])
-        assert len(body) == layout + f8 + ld
-        assert (f8, ld) == (5 * 8, 2 * LD_SIZE)
-        assert body[:layout].startswith(b'{"heap":["\\u0000f8",3]')
+        assert len(blob) == FORMAT_4_FIELDS.size + 32 + stored
+        body = zlib.decompress(blob[FORMAT_4_FIELDS.size + 32:])
+        assert len(body) == fixed + ld + f8 + idx
+        # 12 rows once, five series' sums, the two min chains of each.
+        assert (ld, f8) == (5 * 18 * LD_SIZE, 12 * 2 * 8)
+        assert idx % 4 == 0 and idx >= 5 * 2 * 4
+        assert body[ck._META.size:][:1] == b"x"  # the link's name, in the clear
+
+    def test_a_bare_bank_state_and_the_payload_around_it_both_encode(self):
+        # The ledger's probes pass either.
+        state = small_bank().state()
+        bare = ck.loads(ck.dumps(state))
+        assert bare["meta"]["n"] == -1 and "accuracy" not in bare
+        probe = ck.loads(ck.dumps(
+            {"meta": {"link": "probe", "version": 400, "n": 400}, "bank": state}))
+        assert probe["meta"]["link"] == "probe"
+        assert probe["meta"]["classification"] == ""
+        for loaded in (bare, probe):
+            bank = StreamingBank(CLS)
+            bank.load_state(loaded["bank"])
+            assert repr(bank.state()) == repr(state)
+        assert set(ck.loads(ck.dumps({"meta": {"n": 1}}))) == {"meta"}
 
     # Every truncation, every single-bit flip and the bounded inflate are
     # tests/unit/test_envelope.py, once for each kind of file.
 
     def test_stream_shorter_than_declared_is_corrupt(self):
-        layout = b'{"x":1}'
-        short = frame_format_3(zlib.compress(layout, 1), len(layout) + 8, 0, 0)
-        with pytest.raises(CorruptCheckpoint, match="declared lengths"):
-            ck.loads(short)
-        ragged = frame_format_3(zlib.compress(layout + bytes(4), 1),
-                                len(layout), 4, 0)
+        fixed, ld, f8, idx = sections(ck.dumps(small_payload()))
+        body = bytes(fixed + ld + f8 + idx)
+        for stored, lengths in [
+                (body[:-8], (len(fixed), len(ld), len(f8), len(idx))),
+                (body, (len(fixed), len(ld), len(f8) - 8, len(idx)))]:
+            fields = FORMAT_4_FIELDS.pack(
+                b"RSCK", 4, LD_SIZE, len(zlib.compress(stored, 1)), *lengths)
+            stored = zlib.compress(stored, 1)
+            with pytest.raises(CorruptCheckpoint, match="declared lengths"):
+                ck.loads(fields + hashlib.sha256(fields + stored).digest() + stored)
+        ragged = frame_format_4(fixed, ld, f8 + bytes(4), idx)
         with pytest.raises(CorruptCheckpoint, match="whole number"):
             ck.loads(ragged)
 
     def test_dangling_pool_reference_is_corrupt(self):
-        layout = b'{"x":["\\u0000f8"]}'  # a reference with no count
-        with pytest.raises(CorruptCheckpoint, match="malformed"):
-            ck.loads(frame_format_3(zlib.compress(layout, 1),
-                                    len(layout), 0, 0))
+        """A digest-valid body whose claims outrun its pools."""
+        last = 4  # the last class series: nothing after it to borrow from
+        cases = {
+            "rows": Tampered().set(0, Tampered.ROWS, 1000),
+            "class rows": Tampered().set(last, Tampered.ROWS, 3),
+            "dropped values": Tampered().set(last, Tampered.DROPPED, 7),
+            "min-chain entries": Tampered().set(last, Tampered.AR5D_CHAIN, 9),
+        }
+        short = Tampered().claim(1, -1)   # 18 longdoubles a series, one gone
+        del short.ld[-LD_SIZE:]
+        cases["longdoubles"] = short
+        for name, case in cases.items():
+            with pytest.raises(CorruptCheckpoint, match="less than was claimed"):
+                revive(case.blob())
+
+    def test_claims_that_contradict_the_column_are_corrupt(self):
+        sizes = (10 * MB, 100 * MB, 500 * MB, 1 * GB)
+
+        def queried(sizes_of_rows, prefix, size):
+            bank = StreamingBank(CLS)
+            for i, row_size in enumerate(sizes_of_rows):
+                bank.add(1e6 + 6 * 3600.0 * i, 1e6 + i, row_size, 0)
+            for spec in ("AVG5hr", "AVG15hr", "AVG25hr", "AR5d", "AR10d"):
+                bank.answer(resolve(prefix + spec, classification=CLS), size,
+                            bank._global.last_time)
+            return bank
+
+        # Class 0 has trimmed its column and skips its first 35 link
+        # rows: make that 34, and the 35th a row of a class nobody holds.
+        wrong_tag = Tampered(queried([sizes[i % 4] for i in range(240)],
+                                     "C-", sizes[0]))
+        assert streaming._SERIES.unpack_from(
+            wrong_tag.fixed, wrong_tag.series_at(1))[Tampered.SKIP] == 35
+        wrong_tag.set(1, Tampered.SKIP, 34).fixed[wrong_tag.tags_at] = 9
+        # The link has trimmed its column past every row of class 3,
+        # which spells its 40 rows out and takes none by tag.
+
+        def gone():
+            case = Tampered(queried([sizes[3]] * 40 + [sizes[0]] * 200, "", sizes[0]))
+            assert streaming._SERIES.unpack_from(
+                case.fixed, case.series_at(1))[Tampered.TAG:] == (3, 40, 0, 0)
+            return case
+
+        far_chain = Tampered()
+        far_chain.idx[0:4] = struct.pack("<I", 10_000)
+        cases = [
+            (wrong_tag, "no series"),
+            (gone().set(1, Tampered.TAG, 200), "class index"),
+            (gone().set(1, Tampered.TAG, 0), "class index"),  # then 0 again
+            (Tampered().set(3, Tampered.SKIP, 1000), "skips more"),
+            (far_chain, "min-chain"),
+            (Tampered().set(0, Tampered.AVG5HR_START, 10_000), "window starts"),
+            (Tampered().set(1, Tampered.AVG5HR_START, 4), "window starts"),
+        ]
+        for case, message in cases:
+            with pytest.raises(CorruptCheckpoint, match=message):
+                revive(case.blob())
+
+    def test_a_pool_with_bytes_left_over_is_corrupt(self):
+        loose = Tampered()
+        loose.f8 += bytes(8)   # in the file, in no part
+        with pytest.raises(CorruptCheckpoint, match="more than was claimed"):
+            ck.loads(loose.blob())
+        claimed = Tampered().claim(2, 1)   # in the bank's part, in no series
+        claimed.f8 += bytes(8)
+        with pytest.raises(CorruptCheckpoint, match="more than was claimed"):
+            revive(claimed.blob())
+        spare_index = Tampered().claim(3, 1)
+        spare_index.idx += bytes(4)
+        with pytest.raises(CorruptCheckpoint, match="more than was claimed"):
+            revive(spare_index.blob())
+
+    def test_a_foreign_longdouble_width_is_corrupt(self):
+        with pytest.raises(CorruptCheckpoint, match="foreign ABI"):
+            ck.loads(Tampered().blob(ld_size=LD_SIZE ^ 4))
 
     def test_intact_format_2_is_stale_and_a_damaged_one_corrupt(self):
-        old = as_format_2(ck.dumps(SMALL_STATE))
+        self._stale_then_corrupt(as_format_2(ck.dumps(small_payload())))
+
+    def test_intact_format_1_and_3_are_stale_and_damaged_ones_corrupt(self):
+        old = as_format_2(ck.dumps(small_payload()))
+        self._stale_then_corrupt(old[:4] + struct.pack("<H", 1) + old[6:])
+        written_by_the_parent_commit = FORMAT_3_FILE.read_bytes()
+        assert written_by_the_parent_commit[:6] == b"RSCK\3\0"
+        self._stale_then_corrupt(written_by_the_parent_commit)
+
+    @staticmethod
+    def _stale_then_corrupt(old):
         with pytest.raises(ck.StaleCheckpoint):
             ck.loads(old)
         damaged = bytearray(old)
@@ -290,18 +502,25 @@ class TestCheckpoint:
             ck.loads(bytes(damaged))
         with pytest.raises(CorruptCheckpoint):
             ck.loads(old[:-1])
+        with pytest.raises(CorruptCheckpoint):
+            ck.loads(old[:20])
 
     def test_unlisted_scalar_types_pack_like_their_bases(self):
         class Label(str):
             pass
 
-        state = {"n": np.int32(7), "x": np.float32(0.5), "tag": Label("t"),
-                 "pair": (1.0, np.float32(2.0))}
-        out = ck.loads(ck.dumps(state))
-        assert out == {"n": 7, "x": 0.5, "tag": "t", "pair": [1.0, 2.0]}
-        assert type(out["n"]) is int and type(out["x"]) is float
+        meta = {"n": np.int32(7), "version": np.int64(9),
+                "last_time": np.float32(0.5), "link": Label("t"),
+                "streaming": np.bool_(True)}
+        out = ck.loads(ck.dumps({"meta": meta}))["meta"]
+        assert out == {"n": 7, "version": 9, "last_time": 0.5, "link": "t",
+                       "streaming": True, "classification": ""}
+        assert type(out["n"]) is int and type(out["last_time"]) is float
+        assert type(out["link"]) is str and out["streaming"] is True
         with pytest.raises(TypeError):
-            ck.dumps({"bad": {1, 2}})
+            ck.dumps({"meta": {"n": 1, "colour": "red"}})
+        with pytest.raises(TypeError):
+            ck.dumps({"meta": {"n": 1}, "banks": small_bank().state()})
 
 
 # ----------------------------------------------------------------------
@@ -480,11 +699,12 @@ class TestLinkStore:
 
     def test_checkpoint_roundtrip_and_quarantine(self, tmp_path):
         store = LinkStore(tmp_path)
-        state = {"meta": {"n": 3}, "bank": {"sum": np.longdouble(1.25)}}
-        assert store.write_checkpoint("x", state)
+        assert store.write_checkpoint("x", small_payload())
         out = store.read_checkpoint("x")
-        assert out["meta"]["n"] == 3
-        assert out["bank"]["sum"] == np.longdouble(1.25)
+        assert out["meta"]["n"] == 12
+        bank = StreamingBank(CLS)
+        bank.load_state(out["bank"])
+        assert repr(bank.state()) == repr(small_bank().state())
         path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
         path.write_bytes(b"rot" + path.read_bytes()[3:])
         assert store.read_checkpoint("x") is None
@@ -492,7 +712,7 @@ class TestLinkStore:
 
     def test_stale_format_2_checkpoint_is_left_in_place(self, tmp_path):
         store = LinkStore(tmp_path)
-        assert store.write_checkpoint("x", SMALL_STATE)
+        assert store.write_checkpoint("x", small_payload())
         path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
         path.write_bytes(as_format_2(path.read_bytes()))
         quarantined = get_registry().counter("store_quarantined", "")
@@ -500,9 +720,9 @@ class TestLinkStore:
         assert store.read_checkpoint("x") is None
         assert quarantined.value == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["checkpoint.bin"]
-        assert store.write_checkpoint("x", SMALL_STATE)
-        assert path.read_bytes()[4:6] == struct.pack("<H", 3)
-        assert store.read_checkpoint("x")["n"] == 3
+        assert store.write_checkpoint("x", small_payload())
+        assert path.read_bytes()[4:6] == struct.pack("<H", 4)
+        assert store.read_checkpoint("x")["meta"]["n"] == 12
 
     @pytest.mark.parametrize("failure", ["replace", "short-write"])
     def test_failed_checkpoint_write_leaves_no_temp_file(
@@ -510,7 +730,7 @@ class TestLinkStore:
         import repro.envelope as envelope_module
 
         store = LinkStore(tmp_path)
-        assert store.write_checkpoint("x", {"n": 1})
+        assert store.write_checkpoint("x", {"meta": {"n": 1}})
         link_dir = next((tmp_path / "links").iterdir())
 
         def refuse(*args, **kwargs):
@@ -534,11 +754,11 @@ class TestLinkStore:
                                   else ("fdopen", fdopen_short)))
         errors = get_registry().counter("store_checkpoint_errors", "")
         before = errors.value
-        assert store.write_checkpoint("x", {"n": 2}) is False
+        assert store.write_checkpoint("x", {"meta": {"n": 2}}) is False
         monkeypatch.undo()
         assert errors.value == before + 1
         assert sorted(p.name for p in link_dir.iterdir()) == ["checkpoint.bin"]
-        assert store.read_checkpoint("x") == {"n": 1}
+        assert store.read_checkpoint("x")["meta"]["n"] == 1
 
     def test_checkpoint_write_and_read_are_timed_and_sized(self, tmp_path):
         registry = get_registry()
@@ -548,7 +768,7 @@ class TestLinkStore:
         before = (written.summary()["count"], read.summary()["count"],
                   stored.value)
         store = LinkStore(tmp_path)
-        assert store.write_checkpoint("x", SMALL_STATE)
+        assert store.write_checkpoint("x", small_payload())
         assert store.read_checkpoint("x") is not None
         path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
         assert written.summary()["count"] == before[0] + 1
