@@ -9,14 +9,17 @@ campaign log.
 
 import pytest
 
-from repro.core import evaluate
+from repro.core.evaluation import evaluate as generic_evaluate
+from repro.core.fast import fast_evaluate
+from repro.core.predictors import ALL_PREDICTOR_NAMES, resolve_battery
 
 
 @pytest.mark.benchmark(group="ablation-fast-evaluate")
 def test_generic_evaluator(benchmark, august):
     records = august["LBL-ANL"].log.records()
+    battery = resolve_battery(ALL_PREDICTOR_NAMES)
     result = benchmark.pedantic(
-        lambda: evaluate(records, engine="generic"), rounds=3, iterations=1
+        lambda: generic_evaluate(records, battery), rounds=3, iterations=1
     )
     assert len(result.names()) == 30
 
@@ -24,5 +27,5 @@ def test_generic_evaluator(benchmark, august):
 @pytest.mark.benchmark(group="ablation-fast-evaluate")
 def test_vectorized_evaluator(benchmark, august):
     records = august["LBL-ANL"].log.records()
-    result = benchmark(lambda: evaluate(records, engine="fast"))
+    result = benchmark(lambda: fast_evaluate(records))
     assert len(result.names()) == 30

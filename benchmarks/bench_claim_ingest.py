@@ -23,7 +23,9 @@ import numpy as np
 import pytest
 
 from artifacts import record
-from repro.core.engine import evaluate, evaluate_dataset
+from repro.core.engine import evaluate_dataset
+from repro.core.evaluation import evaluate as generic_evaluate
+from repro.core.predictors import ALL_PREDICTOR_NAMES, resolve_battery
 from repro.data import Dataset, cache_path
 from repro.logs.ulm import parse_lines
 
@@ -36,16 +38,17 @@ MIN_SPEEDUP = 5.0
 def _seed_path():
     """Per-record parse + generic 30-predictor walk, per log."""
     results = {}
+    battery = resolve_battery(ALL_PREDICTOR_NAMES)
     for path in LOGS:
         records = list(parse_lines(path.read_text().splitlines()))
-        results[path.stem] = evaluate(records, engine="generic")
+        results[path.stem] = generic_evaluate(records, battery)
     return results
 
 
 def _columnar_path():
     """Warm-cache columnar load + vectorized battery across all links."""
     dataset = Dataset.from_ulm(LOGS, cache=True)
-    return evaluate_dataset(dataset, engine="fast")
+    return evaluate_dataset(dataset)  # the full battery: the fast engine
 
 
 @pytest.mark.benchmark(group="claim-ingest")

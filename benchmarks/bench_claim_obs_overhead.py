@@ -54,7 +54,7 @@ def _ingest_workload():
 
 
 def _evaluate_workload(dataset):
-    return evaluate_dataset(dataset, engine="fast")
+    return evaluate_dataset(dataset)  # the full battery: the fast engine
 
 
 def _paired_best(workload, rounds):

@@ -36,6 +36,8 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from repro import serving  # argparse only; the serving stack loads on use
+
 if TYPE_CHECKING:
     from repro.workload.campaigns import CampaignOutput
 
@@ -90,17 +92,6 @@ def _parse_specs(text: str) -> List[str]:
                 f"(optionally C- prefixed) or SIZE"
             ) from None
     return names
-
-
-def _engine_name(text: str) -> str:
-    """``--engine`` value, checked against the engine module's own list."""
-    from repro.core.engine import ENGINES
-
-    if text not in ENGINES:
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {', '.join(ENGINES)})"
-        )
-    return text
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -255,9 +246,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                 f"{link_paths[link]}: {len(frame)} records, need more than "
                 f"the training prefix ({args.training})"
             )
-    results = evaluate_dataset(
-        dataset, names, training=args.training, engine=args.engine
-    )
+    results = evaluate_dataset(dataset, names, training=args.training)
 
     cls = paper_classification()
     labels = _labels(args.size_class)
@@ -308,18 +297,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # serve / query
 # ----------------------------------------------------------------------
-def _build_service(log_paths: List[str], spec: str, cache_size: int,
-                   link: Optional[str] = None, degraded_fallback: bool = False,
-                   store=None, max_resident: Optional[int] = None,
-                   quality: bool = True,
-                   quality_threshold: Optional[float] = 1.0):
-    from repro.service import PredictionService
-
-    service = PredictionService(default_spec=spec, cache_size=cache_size,
-                                degraded_fallback=degraded_fallback,
-                                store=store, max_resident=max_resident,
-                                quality=quality,
-                                quality_threshold=quality_threshold)
+def _ingest_logs(service, log_paths: List[str], link: Optional[str] = None):
+    """Bulk-ingest ULM logs into ``service`` (link = file stem); returns it."""
+    store = service.store
     if link is not None and len(log_paths) > 1:
         raise SystemExit("--link only applies to a single log file")
     for path in log_paths:
@@ -339,27 +319,23 @@ def _build_service(log_paths: List[str], spec: str, cache_size: int,
     return service
 
 
+def _service_over_logs(logs: str, spec: Optional[str]):
+    """The in-process service behind ``query --logs`` / ``status --logs``."""
+    from repro.service import PredictionService
+
+    return _ingest_logs(
+        PredictionService(default_spec=spec or "C-AVG15"),
+        [p.strip() for p in logs.split(",") if p.strip()],
+    )
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core.predictors.registry import resolve
-    from repro.service import LogFollower, ServiceServer
+    from repro.service import LogFollower
 
-    try:
-        resolve(args.spec)
-    except KeyError:
-        raise SystemExit(f"unknown predictor {args.spec!r}") from None
-
-    store = None
-    if args.state_dir:
-        from repro.store import LinkStore
-
-        store = LinkStore(args.state_dir, fsync=args.fsync)
-    elif args.max_resident is not None:
-        raise SystemExit("--max-resident needs --state-dir (nowhere to evict to)")
-    service = _build_service(args.logs, args.spec, args.cache_size, args.link,
-                             degraded_fallback=args.fallback,
-                             store=store, max_resident=args.max_resident,
-                             quality=not args.no_quality,
-                             quality_threshold=args.quality_threshold)
+    if not (args.socket or args.oneshot):
+        raise SystemExit("serve needs --socket (or --oneshot)")
+    service = _ingest_logs(serving.open_service(args), args.logs, args.link)
+    store = service.store
 
     followers = []
     if args.follow:
@@ -382,81 +358,35 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 # should flow through the follower.
                 follower.seek_to_end()
 
-    def _flush_store() -> None:
-        if store is None:
-            return
-        written = service.checkpoint_all(seal=True)
-        store.close()
-        print(f"checkpointed {written} links to {args.state_dir}",
-              file=sys.stderr)
-
     if args.oneshot:
-        if args.follow:
-            for follower in followers:
-                follower.poll()
+        for follower in followers:
+            follower.poll()
         if args.metrics_file:
             _dump_metrics_snapshot(service, args.metrics_file)
         print(json.dumps(service.status(), indent=2))
-        _flush_store()
+        serving.close_service(service)
         return 0
 
-    if not args.socket:
-        raise SystemExit("serve needs --socket (or --oneshot)")
-    server = ServiceServer(service, args.socket)
-    print(f"serving {len(service.links())} links on {args.socket}", file=sys.stderr)
+    def _poll_loop(stopping) -> None:
+        while not stopping.is_set():
+            for follower in followers:
+                follower.poll()
+            stopping.wait(args.interval)
 
-    import signal
-    import threading
+    def _metrics_loop(stopping) -> None:
+        while not stopping.is_set():
+            stopping.wait(args.metrics_interval)
+            try:
+                _dump_metrics_snapshot(service, args.metrics_file)
+            except OSError:
+                pass  # an unwritable dump file must not kill serving
 
-    stopping = threading.Event()
-
-    def _graceful(signum, frame) -> None:
-        # First signal: drain and flush (the accept loop exits, the
-        # finally below checkpoints).  A second SIGINT still kills.
-        if not stopping.is_set():
-            stopping.set()
-            server.request_stop()
-
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
-
-    poll_thread = None
-    if args.follow:
-
-        def _poll_loop() -> None:
-            while not stopping.is_set():
-                for follower in followers:
-                    follower.poll()
-                stopping.wait(args.interval)
-
-        poll_thread = threading.Thread(
-            target=_poll_loop, name="repro-tail", daemon=True)
-        poll_thread.start()
+    background = []
+    if followers:
+        background.append(("repro-tail", _poll_loop))
     if args.metrics_file:
-
-        def _metrics_loop() -> None:
-            while not stopping.is_set():
-                stopping.wait(args.metrics_interval)
-                try:
-                    _dump_metrics_snapshot(service, args.metrics_file)
-                except OSError:
-                    pass  # an unwritable dump file must not kill serving
-
-        threading.Thread(
-            target=_metrics_loop, name="repro-metrics", daemon=True
-        ).start()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stopping.set()
-        if poll_thread is not None:
-            # Let in-flight deliveries finish so the final checkpoint
-            # covers them; a wedged poll must not block shutdown forever.
-            poll_thread.join(timeout=5.0)
-        _flush_store()
-    return 0
+        background.append(("repro-metrics", _metrics_loop))
+    return serving.serve_until_signalled(service, args, background)
 
 
 def _dump_metrics_snapshot(service, path: str) -> None:
@@ -517,10 +447,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
             raise SystemExit("--binary needs a live server (--socket)")
         from repro.service.server import merged_snapshot
 
-        service = _build_service(
-            [p.strip() for p in args.logs.split(",") if p.strip()],
-            args.spec or "C-AVG15", cache_size=2048,
-        )
+        service = _service_over_logs(args.logs, args.spec)
 
         def fetch():
             return service.status(), merged_snapshot(service)
@@ -603,18 +530,16 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     except ValueError:
         raise SystemExit(f"bad --listen {args.listen!r} "
                          f"(expected HOST or HOST:PORT)") from None
+    # ``--fallback`` goes by keyword, not in ``service_args``: the front
+    # reads it too, and the runner spells it out for the workers.
+    fallback, args.fallback = args.fallback, False
     runner = FleetRunner(
         args.workers,
         args.state_dir,
         host=host or "127.0.0.1",
         port=port,
-        spec=args.spec,
-        cache_size=args.cache_size,
-        max_resident=args.max_resident,
-        fallback=args.fallback,
-        fsync=args.fsync,
-        quality=not args.no_quality,
-        quality_threshold=args.quality_threshold,
+        service_args=serving.service_argv(args),
+        fallback=fallback,
         pool_size=args.pool_size,
         max_pending=args.max_pending,
         call_timeout=args.call_timeout,
@@ -802,11 +727,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
             raise SystemExit("--binary needs a live server (--socket)")
         from repro.service.server import handle_request
 
-        service = _build_service(
-            [p.strip() for p in args.logs.split(",") if p.strip()],
-            args.spec or "C-AVG15", cache_size=2048,
-        )
-        response = handle_request(service, req)
+        response = handle_request(
+            _service_over_logs(args.logs, args.spec), req)
     else:
         raise SystemExit("query needs --socket (live server) or --logs (in-process)")
 
@@ -941,11 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument("--training", type=int, default=15)
     evaluate_cmd.add_argument("--class", dest="size_class", default=None,
                               help="restrict the per-class columns to one class")
-    evaluate_cmd.add_argument(
-        "--engine", type=_engine_name, default="auto",
-        help="evaluation engine: auto, generic or fast (auto picks the "
-             "vectorized path when possible)",
-    )
     evaluate_cmd.add_argument("--json", action="store_true",
                               help="emit machine-readable JSON instead of a table")
     evaluate_cmd.set_defaults(func=_cmd_evaluate)
@@ -964,45 +881,22 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve", help="run the online prediction service over ULM logs"
     )
-    serve.add_argument("logs", nargs="+", help="ULM log files to ingest (link = stem)")
-    serve.add_argument("--socket", default=None,
-                       help="unix socket path to answer queries on")
+    serve.add_argument("logs", nargs="*",
+                       help="ULM log files to ingest (link = stem); none is "
+                            "a fleet worker: observations arrive by `observe`")
+    serving.add_serve_options(serve)
     serve.add_argument("--link", default=None,
                        help="override the link name (single log only)")
-    serve.add_argument("--spec", default="C-AVG15",
-                       help="default predictor spec for unqualified queries")
-    serve.add_argument("--cache-size", type=int, default=2048,
-                       help="prediction LRU capacity")
     serve.add_argument("--follow", action="store_true",
                        help="keep tailing the logs for appended records")
     serve.add_argument("--interval", type=float, default=1.0,
                        help="tail poll interval in seconds")
-    serve.add_argument("--fallback", action="store_true",
-                       help="answer unknown links with a low-confidence "
-                            "link-agnostic aggregate instead of no value")
     serve.add_argument("--oneshot", action="store_true",
                        help="ingest, print service status JSON, and exit")
     serve.add_argument("--metrics-interval", type=float, default=60.0,
                        help="seconds between --metrics-file snapshots")
     serve.add_argument("--metrics-file", default=None,
                        help="append periodic registry snapshots (JSONL) here")
-    serve.add_argument("--state-dir", default=None, metavar="DIR",
-                       help="durable tiered store directory: write-through "
-                            "history, checkpoint on shutdown, warm restart")
-    serve.add_argument("--max-resident", type=int, default=None, metavar="N",
-                       help="evict least-recently-used links to the state "
-                            "dir past N resident links (needs --state-dir)")
-    serve.add_argument("--fsync", action="store_true",
-                       help="fsync store writes (power-loss durability; "
-                            "default covers process death only)")
-    serve.add_argument("--no-quality", action="store_true",
-                       help="disable the online accuracy tracker "
-                            "(prediction/observation pairing)")
-    serve.add_argument("--quality-threshold", type=float, default=1.0,
-                       metavar="FRAC",
-                       help="log prediction.bad events for scored "
-                            "predictions whose absolute fractional error "
-                            "meets FRAC (default 1.0 = 100%%)")
     serve.set_defaults(func=_cmd_serve)
 
     ingest = sub.add_parser(
@@ -1031,22 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a temp dir that dies with the fleet)")
     fleet.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                        help="front-tier TCP address (port 0 picks a free one)")
-    fleet.add_argument("--spec", default="C-AVG15",
-                       help="default predictor spec for unqualified queries")
-    fleet.add_argument("--cache-size", type=int, default=2048,
-                       help="per-worker prediction LRU capacity")
-    fleet.add_argument("--max-resident", type=int, default=None, metavar="N",
-                       help="per-worker resident-link cap (evict to store)")
-    fleet.add_argument("--fallback", action="store_true",
-                       help="serve last-good degraded answers while a shard "
-                            "is down (and aggregate answers for unknown links)")
-    fleet.add_argument("--fsync", action="store_true",
-                       help="fsync store writes in every worker")
-    fleet.add_argument("--no-quality", action="store_true",
-                       help="disable the per-worker accuracy trackers")
-    fleet.add_argument("--quality-threshold", type=float, default=1.0,
-                       metavar="FRAC", help="per-worker bad-prediction "
-                       "event threshold (see `repro serve`)")
+    serving.add_service_options(fleet)  # handed to every worker
     fleet.add_argument("--pool-size", type=int, default=4,
                        help="front-tier connections pooled per worker")
     fleet.add_argument("--max-pending", type=int, default=64, metavar="N",

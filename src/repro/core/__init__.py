@@ -37,7 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "percentage_error",
     ),
     "repro.core.engine": (
-        "ENGINES",
         "evaluate",
         "evaluate_dataset",
         "select_engine",

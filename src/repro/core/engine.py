@@ -1,23 +1,22 @@
 """One evaluation facade over the generic and vectorized engines.
 
-The repo grew two walk-forward evaluators: the generic
+The repo has two walk-forward evaluators: the generic
 :func:`repro.core.evaluation.evaluate` (any predictor, one Python call
 per record) and the vectorized :func:`repro.core.fast.fast_evaluate`
 (the fixed 30-predictor battery, NumPy kernels, typically >10x faster —
-trace-identical by the parity tests).  Callers used to pick one by hand.
+trace-identical by the parity tests).
 
 :func:`evaluate` here is the single entry point: it accepts predictor
 *specs* (strings understood by :func:`repro.core.predictors.resolve`) or
-a prebuilt name -> predictor mapping, and picks the engine:
-
-* ``engine="auto"`` (default) — the vectorized path when every requested
-  predictor is spec-addressed and has a kernel (i.e. is one of the 30
-  battery names with default parameters and no fallback); the generic
-  walk otherwise.  A prebuilt mapping always takes the generic path:
-  arbitrary predictor instances cannot be proven kernel-equivalent.
-* ``engine="fast"`` — force the vectorized path; raises ``ValueError``
-  when any requested predictor has no kernel.
-* ``engine="generic"`` — force the per-record walk.
+a prebuilt name -> predictor mapping, and :func:`select_engine` picks
+the engine from the request alone: the vectorized path when every
+requested predictor is spec-addressed and has a kernel (one of the 30
+battery names with default parameters and no fallback), the generic walk
+otherwise.  A prebuilt mapping always takes the generic path: arbitrary
+predictor instances cannot be proven kernel-equivalent.  There is no
+switch to force one; a caller that wants an engine by name (the parity
+tests, the ablation benches) calls ``fast_evaluate`` or the generic
+``evaluate`` directly.
 
 The CLI, the analysis layer, and the benchmarks all call this facade.
 """
@@ -41,7 +40,7 @@ from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as _span
 
-__all__ = ["ENGINES", "evaluate", "evaluate_dataset", "select_engine"]
+__all__ = ["evaluate", "evaluate_dataset", "select_engine"]
 
 # Process-wide evaluation instrumentation (see docs/observability.md).
 _REG = get_registry()
@@ -51,8 +50,6 @@ _H_LINK = _REG.histogram(
     "evaluate_link_seconds", "per-link walk latency inside evaluate_dataset")
 _M_LINKS = _REG.counter(
     "evaluate_links", "links walked by evaluate_dataset")
-
-ENGINES = ("auto", "generic", "fast")
 
 PredictorRequest = Union[None, str, Sequence[str], Mapping[str, Predictor]]
 
@@ -70,47 +67,21 @@ def _as_specs(predictors: PredictorRequest) -> Optional[Sequence[str]]:
 
 def select_engine(
     predictors: PredictorRequest = None,
-    engine: str = "auto",
     fallback: bool = False,
 ) -> str:
-    """The engine :func:`evaluate` would run for this request.
-
-    Returns ``"fast"`` or ``"generic"``; raises ``ValueError`` for an
-    unknown engine or an explicit ``"fast"`` request that cannot be
-    vectorized.
-    """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    specs = _as_specs(predictors)
-    vectorizable = (
-        specs is not None
-        and not fallback
-        and bool(specs)
-        and all(spec in KERNEL_SPECS for spec in specs)
-    )
-    if engine == "fast":
-        if specs is None:
-            raise ValueError(
-                "engine='fast' requires predictor specs (strings); a prebuilt "
-                "mapping cannot be proven kernel-equivalent"
-            )
-        if not vectorizable:
-            missing = [s for s in specs if s not in KERNEL_SPECS] or ["<empty>"]
-            raise ValueError(
-                f"engine='fast' has no kernel for {missing}; "
-                f"use engine='auto' or 'generic'"
-            )
+    """The engine :func:`evaluate` runs for this request: ``"fast"`` when
+    every spec has a kernel and nothing asks for class-miss fallback,
+    ``"generic"`` otherwise."""
+    specs = _as_specs(predictors)  # None for a mapping, maybe empty
+    if specs and not fallback and all(spec in KERNEL_SPECS for spec in specs):
         return "fast"
-    if engine == "generic":
-        return "generic"
-    return "fast" if vectorizable else "generic"
+    return "generic"
 
 
 def evaluate(
     data: EvaluationData,
     predictors: PredictorRequest = None,
     training: int = DEFAULT_TRAINING,
-    engine: str = "auto",
     classification: Optional[Classification] = None,
     fallback: bool = False,
 ) -> EvaluationResult:
@@ -131,15 +102,12 @@ def evaluate(
         * a prebuilt name -> :class:`Predictor` mapping (generic engine).
     training:
         Leading records assumed present before the first prediction.
-    engine:
-        ``"auto"`` / ``"generic"`` / ``"fast"`` (see module docstring).
     classification:
         Size classes for ``C-`` specs (both engines honor it).
     fallback:
-        Build ``C-`` specs with class-miss fallback (generic engine only;
-        forcing ``engine="fast"`` with fallback raises).
+        Build ``C-`` specs with class-miss fallback (generic engine only).
     """
-    chosen = select_engine(predictors, engine=engine, fallback=fallback)
+    chosen = select_engine(predictors, fallback=fallback)
     specs = _as_specs(predictors)
     obs = _obs_enabled()
     t0 = time.perf_counter()
@@ -179,7 +147,6 @@ def evaluate_dataset(
     dataset: Mapping[str, EvaluationData],
     predictors: PredictorRequest = None,
     training: int = DEFAULT_TRAINING,
-    engine: str = "auto",
     classification: Optional[Classification] = None,
     fallback: bool = False,
 ) -> Dict[str, EvaluationResult]:
@@ -192,9 +159,6 @@ def evaluate_dataset(
     keep the dataset's link order; per-link results are those of
     standalone :func:`evaluate` calls.
     """
-    # Validate the request (and the engine choice) once, up front, so a
-    # bad spec raises before any link is walked.
-    select_engine(predictors, engine=engine, fallback=fallback)
     obs = _obs_enabled()
     results: Dict[str, EvaluationResult] = {}
     for link in dataset:
@@ -204,7 +168,6 @@ def evaluate_dataset(
                 dataset[link],
                 predictors,
                 training=training,
-                engine=engine,
                 classification=classification,
                 fallback=fallback,
             )

@@ -194,6 +194,8 @@ def _ar_model(
     sxx = pxx[pair_hi] - pxx[pair_lo]
     sxy = pxy[pair_hi] - pxy[pair_lo]
 
+    # arima.fit_ar1_sums over arrays: the same expressions and the same
+    # singular rule (var not positive and finite -> the window mean).
     with np.errstate(invalid="ignore", divide="ignore"):
         var = sxx - sx * sx / np.where(m > 0, m, 1.0)
         cov = sxy - sx * sy / np.where(m > 0, m, 1.0)

@@ -28,27 +28,42 @@ from repro.core.history import History
 from repro.core.predictors.base import Predictor, PredictorError
 from repro.units import DAY
 
-__all__ = ["ArModel", "fit_ar1"]
+__all__ = ["ArModel", "fit_ar1", "fit_ar1_sums"]
+
+
+def fit_ar1_sums(m, sx, sy, sxx, sxy) -> Optional[Tuple[float, float]]:
+    """The least-squares ``(a, b)`` from the lag sums; ``None`` if singular.
+
+    ``m`` lag pairs ``(x, y) = (Y_{t-1}, Y_t)`` and their sums ``Σx, Σy,
+    Σxx, Σxy``, in longdouble.  This is the singular rule, and the only
+    place it is written for one fit at a time: the generic predictor
+    below and the streaming bank's ``_ArSummary`` both call it, and
+    :func:`repro.core.fast._ar_model` spells the same expressions over
+    arrays of prefix-sum differences.  A lag variance that is not
+    positive and finite — a constant series, or one whose spread the
+    sums cannot resolve — has no slope to fit, and the caller predicts
+    the window mean: an AR fit on a constant series predicts the
+    constant.
+    """
+    var = sxx - sx * sx / m
+    if not (var > 0) or not np.isfinite(var):
+        return None
+    cov = sxy - sx * sy / m
+    b = cov / var
+    return (sy - b * sx) / m, b
 
 
 def fit_ar1(values: np.ndarray) -> Optional[Tuple[float, float]]:
     """Least-squares fit of ``Y_t = a + b*Y_{t-1}``; ``None`` if singular.
 
-    Returns ``(a, b)``.  Requires at least 3 values (2 lag pairs); a
-    constant series has zero lag variance and is reported as singular.
+    Returns ``(a, b)`` as longdoubles.  Requires at least 3 values (2
+    lag pairs); see :func:`fit_ar1_sums` for what counts as singular.
     """
     if len(values) < 3:
         return None
-    x = values[:-1]
-    y = values[1:]
-    x_mean = x.mean()
-    var = float(((x - x_mean) ** 2).sum())
-    if var <= 0.0 or not np.isfinite(var):
-        return None
-    cov = float(((x - x_mean) * (y - y.mean())).sum())
-    b = cov / var
-    a = float(y.mean() - b * x_mean)
-    return a, b
+    wide = np.asarray(values, dtype=np.longdouble)
+    x, y = wide[:-1], wide[1:]
+    return fit_ar1_sums(len(x), x.sum(), y.sum(), (x * x).sum(), (x * y).sum())
 
 
 class ArModel(Predictor):
@@ -107,6 +122,6 @@ class ArModel(Predictor):
         if fit is None:
             return float(values.mean())
         a, b = fit
-        prediction = a + b * float(values[-1])
+        prediction = float(a + b * values[-1])
         floor = self.clamp * float(values.min())
         return max(prediction, floor)

@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.classification import Classification
-from repro.core.predictors.arima import ArModel
+from repro.core.predictors.arima import ArModel, fit_ar1_sums
 from repro.core.predictors.base import Predictor
 from repro.core.predictors.classified import ClassifiedPredictor
 from repro.core.predictors.last_value import LastValue
@@ -200,13 +200,14 @@ class _TemporalMean:
 class _ArSummary:
     """``AR`` / ``AR{d}d``: lag-pair sufficient statistics.
 
-    The fit is the closed-form least squares of
-    :func:`repro.core.predictors.arima.fit_ar1` expressed through the
-    sufficient statistics ``Σx, Σy, Σxx, Σxy, m`` — the exact formulation
-    (and longdouble precision) of the vectorized kernel in
-    :mod:`repro.core.fast`.  The all-data variant needs only running
-    scalars; the windowed variants add a cursor into the series column
-    and a monotonic min chain of column indices for the clamp floor.
+    The fit (and its singular rule) is
+    :func:`repro.core.predictors.arima.fit_ar1_sums` over the sufficient
+    statistics ``m, Σx, Σy, Σxx, Σxy`` kept here in longdouble — what the
+    generic predictor computes from the window and the vectorized kernel
+    in :mod:`repro.core.fast` from prefix sums.  The all-data variant
+    needs only running scalars; the windowed variants add a cursor into
+    the series column and a monotonic min chain of column indices for
+    the clamp floor.
     """
 
     __slots__ = (
@@ -351,13 +352,10 @@ class _ArSummary:
         mean = float(self._sum / n)
         if n < min_points or self._m < 2:
             return mean
-        m = self._m
-        var = self._sxx - self._sx * self._sx / m
-        if not (var > 0) or not np.isfinite(float(var)):
+        fit = fit_ar1_sums(self._m, self._sx, self._sy, self._sxx, self._sxy)
+        if fit is None:
             return mean
-        cov = self._sxy - self._sx * self._sy / m
-        b = cov / var
-        a = (self._sy - b * self._sx) / m
+        a, b = fit
         prediction = float(a + b * np.longdouble(self._last))
         floor = clamp * (self._min if self.seconds is None
                          else col._values[self._mins[0]])

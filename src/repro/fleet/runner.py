@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.fleet.front import FleetFront
 from repro.fleet.hashing import ShardRing
@@ -41,14 +41,8 @@ class FleetRunner:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        spec: str = "C-AVG15",
-        cache_size: int = 2048,
-        max_resident: Optional[int] = None,
+        service_args: Sequence[str] = (),
         fallback: bool = False,
-        fsync: bool = False,
-        quality: bool = True,
-        quality_threshold: float = 1.0,
-        request_timeout: float = 30.0,
         pool_size: int = 4,
         max_pending: int = 64,
         call_timeout: float = 5.0,
@@ -70,6 +64,13 @@ class FleetRunner:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.ring = ShardRing(workers)
+        # The workers' service options, as argv (repro.serving.service_argv)
+        # without ``--fallback``: that one is said by keyword because the
+        # front reads it too (it serves last-good answers for a down shard,
+        # the workers aggregate ones for an unknown link).
+        service_args = list(service_args)
+        if fallback:
+            service_args.append("--fallback")
         specs = []
         for shard in range(workers):
             shard_dir = self.state_dir / f"shard-{shard}"
@@ -78,14 +79,7 @@ class FleetRunner:
                 shard=shard,
                 socket_path=self.state_dir / f"w{shard}.sock",
                 state_dir=shard_dir,
-                spec=spec,
-                cache_size=cache_size,
-                max_resident=max_resident,
-                fallback=fallback,
-                fsync=fsync,
-                quality=quality,
-                quality_threshold=quality_threshold,
-                request_timeout=request_timeout,
+                service_args=service_args,
             ))
         self.supervisor = WorkerSupervisor(
             specs, startup_timeout=startup_timeout, stable_after=stable_after

@@ -31,7 +31,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -55,43 +55,27 @@ def _src_root() -> Path:
 
 @dataclass
 class WorkerSpec:
-    """Everything needed to (re)spawn one shard's worker process."""
+    """Everything needed to (re)spawn one shard's worker process.
+
+    ``service_args`` is the worker's service options as argv
+    (:func:`repro.serving.service_argv`); the supervisor passes them
+    through without reading them.
+    """
 
     shard: int
     socket_path: Path
     state_dir: Optional[Path] = None
-    spec: str = "C-AVG15"
-    cache_size: int = 2048
-    max_resident: Optional[int] = None
-    fallback: bool = False
-    fsync: bool = False
-    quality: bool = True
-    quality_threshold: float = 1.0
-    request_timeout: float = 30.0
-    extra_args: List[str] = field(default_factory=list)
+    service_args: Sequence[str] = ()
 
     def command(self) -> List[str]:
         argv = [
             sys.executable, "-m", "repro.fleet.worker",
             "--socket", str(self.socket_path),
             "--shard", str(self.shard),
-            "--spec", self.spec,
-            "--cache-size", str(self.cache_size),
-            "--request-timeout", str(self.request_timeout),
         ]
         if self.state_dir is not None:
             argv += ["--state-dir", str(self.state_dir)]
-        if self.max_resident is not None:
-            argv += ["--max-resident", str(self.max_resident)]
-        if self.fallback:
-            argv.append("--fallback")
-        if self.fsync:
-            argv.append("--fsync")
-        if not self.quality:
-            argv.append("--no-quality")
-        if self.quality_threshold != 1.0:
-            argv += ["--quality-threshold", str(self.quality_threshold)]
-        return argv + list(self.extra_args)
+        return argv + list(self.service_args)
 
 
 class _Handle:

@@ -1,15 +1,17 @@
-"""One fleet worker: a PredictionService shard behind a Unix socket.
+"""One fleet worker: ``repro serve`` without logs, on a shard.
 
-``python -m repro.fleet.worker --socket S --state-dir D`` is what the
-:class:`~repro.fleet.supervisor.WorkerSupervisor` spawns, once per
-shard.  A worker is deliberately nothing special — the same
+``python -m repro.fleet.worker --socket S --state-dir D --shard K`` is
+what the :class:`~repro.fleet.supervisor.WorkerSupervisor` spawns, once
+per shard.  A worker is deliberately nothing special: the options, the
 :class:`~repro.service.service.PredictionService` +
-:class:`~repro.service.server.ServiceServer` pair ``repro serve`` runs,
-minus log ingestion (observations arrive over the wire via the
-``observe`` op, routed by the front tier).  That sameness is the crash
--recovery story: a respawned worker warm-revives from its store shard's
-WAL tails and checkpoints exactly like a ``repro serve`` warm restart,
-so every observation acked before a ``kill -9`` is still there after.
+:class:`~repro.service.server.ServiceServer` pair and the
+signal-drain-checkpoint loop are :mod:`repro.serving`'s, the ones
+``repro serve`` runs, and no log is ingested (observations arrive over
+the wire via the ``observe`` op, routed by the front tier).  That
+sameness is the crash-recovery story: a respawned worker warm-revives
+from its store shard's WAL tails and checkpoints exactly like a ``repro
+serve`` warm restart, so every observation acked before a ``kill -9`` is
+still there after.
 
 SIGTERM/SIGINT drain gracefully: the accept loop exits, resident links
 checkpoint, and the store seals — a rolling restart loses nothing and
@@ -19,90 +21,26 @@ revives O(1) from checkpoints instead of folding WAL deltas.
 from __future__ import annotations
 
 import argparse
-import signal
 import sys
-import threading
 
-__all__ = ["main", "build_parser"]
+from repro import serving
+
+__all__ = ["main"]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-fleet-worker",
         description="One prediction-service shard of a repro fleet.",
     )
-    parser.add_argument("--socket", required=True,
-                        help="unix socket path to serve this shard on")
-    parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="durable store shard (WAL + checkpoints)")
     parser.add_argument("--shard", type=int, default=0,
-                        help="shard index (labels logs and metrics)")
-    parser.add_argument("--spec", default="C-AVG15",
-                        help="default predictor spec")
-    parser.add_argument("--cache-size", type=int, default=2048)
-    parser.add_argument("--max-resident", type=int, default=None)
-    parser.add_argument("--fallback", action="store_true",
-                        help="serve low-confidence aggregate answers for "
-                             "unknown links")
-    parser.add_argument("--fsync", action="store_true")
-    parser.add_argument("--no-quality", action="store_true")
-    parser.add_argument("--quality-threshold", type=float, default=1.0)
-    parser.add_argument("--request-timeout", type=float, default=30.0)
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
-    # Imports after parse so --help stays instant.
-    from repro.service import PredictionService, ServiceServer
-
-    store = None
-    if args.state_dir:
-        from repro.store import LinkStore
-
-        store = LinkStore(args.state_dir, fsync=args.fsync)
-    elif args.max_resident is not None:
-        parser = build_parser()
-        parser.error("--max-resident needs --state-dir (nowhere to evict to)")
-
-    service = PredictionService(
-        default_spec=args.spec,
-        cache_size=args.cache_size,
-        degraded_fallback=args.fallback,
-        store=store,
-        max_resident=args.max_resident,
-        quality=not args.no_quality,
-        quality_threshold=args.quality_threshold,
-    )
-    server = ServiceServer(
-        service, args.socket, request_timeout=args.request_timeout
-    )
-
-    stopping = threading.Event()
-
-    def _graceful(signum, frame) -> None:
-        if not stopping.is_set():
-            stopping.set()
-            server.request_stop()
-
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
-
-    print(f"fleet worker shard={args.shard} serving on {args.socket}"
-          + (f" (state: {args.state_dir})" if args.state_dir else ""),
-          file=sys.stderr, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if store is not None:
-            written = service.checkpoint_all(seal=True)
-            store.close()
-            print(f"shard {args.shard}: checkpointed {written} links",
-                  file=sys.stderr, flush=True)
-    return 0
+                        help="shard index: names the process on its "
+                             "command line, changes nothing it does")
+    serving.add_serve_options(parser)
+    args = parser.parse_args(argv)
+    if not args.socket:
+        parser.error("the following arguments are required: --socket")
+    return serving.serve_until_signalled(serving.open_service(args), args)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,9 @@ the outside world — composable, observable, deterministic under test:
   time budget propagated through a call chain;
 * :mod:`repro.resilience.breaker` — :class:`CircuitBreaker`:
   closed → open → half-open with observable state counters, so one
-  wedged dependency degrades instead of cascading;
-* :mod:`repro.resilience.fallback` — the :func:`fallback` combinator:
-  try alternatives in order, serve the first that answers.
+  wedged dependency degrades instead of cascading.
 
-All retry, trip, and fallback activity is visible through the
+All retry and trip activity is visible through the
 process-wide :func:`repro.obs.get_registry` counters and
 :func:`repro.obs.get_event_bus` events (see docs/resilience.md).
 Deterministic fault *injection* lives next door in :mod:`repro.faults`.
@@ -25,7 +23,6 @@ Deterministic fault *injection* lives next door in :mod:`repro.faults`.
 
 from repro.resilience.breaker import CircuitBreaker, CircuitOpenError
 from repro.resilience.deadline import Deadline, DeadlineExceeded
-from repro.resilience.fallback import fallback
 from repro.resilience.retry import RetryError, RetryPolicy
 
 __all__ = [
@@ -33,7 +30,6 @@ __all__ = [
     "CircuitOpenError",
     "Deadline",
     "DeadlineExceeded",
-    "fallback",
     "RetryError",
     "RetryPolicy",
 ]

@@ -222,6 +222,10 @@ def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
     start = float(item["start"])
     end = float(item["end"])
     bandwidth = item.get("bandwidth")
+    if bandwidth is None:
+        if end <= start:
+            raise ValueError(f"end ({end}) must follow start ({start})")
+        bandwidth = size / (end - start)
     record = TransferRecord(
         source_ip=str(item.get("source_ip", "0.0.0.0")),
         file_name=str(item.get("file_name", "/transfer")),
@@ -229,9 +233,7 @@ def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
         volume=str(item.get("volume", "/")),
         start_time=start,
         end_time=end,
-        bandwidth=(
-            float(bandwidth) if bandwidth is not None else size / (end - start)
-        ),
+        bandwidth=float(bandwidth),
         operation=str(item.get("operation", "read")),
         streams=int(item.get("streams", 1)),
         tcp_buffer=int(item.get("tcp_buffer", 65536)),
@@ -263,7 +265,7 @@ def _observe_batch_payload(
             if not isinstance(item, dict):
                 raise ValueError("batch item must be an object")
             valid.append((pos, _observe_record(item)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             entries[pos] = wire.error_entry(
                 "bad_request", f"item {pos}: {type(exc).__name__}: {exc}")
     versions = service.observe_batch([item for _, item in valid])

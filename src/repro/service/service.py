@@ -13,7 +13,14 @@ serving path:
 * **Serve** — :meth:`predict` answers ``(link, size, predictor spec)``
   queries from warm state through an LRU cache; :meth:`rank_replicas`
   ranks candidate source links for a transfer, the broker use case of
-  Section 1.
+  Section 1.  Every link carries a
+  :class:`~repro.core.streaming.StreamingBank`, and a cache miss on a
+  battery spec is answered from it in O(1)/O(log n), independent of
+  history length.  The generic predictors run where the bank raises
+  :class:`~repro.core.streaming.StreamingUnavailable` — a spec with no
+  incremental form (``SIZE``, hybrids) or an anchor behind an expired
+  window — over a snapshot of the link's columns; which of the two
+  answers is decided by the query, never by a setting.
 * **Caching** — entries are keyed on ``(link, spec, context, version)``.
   The version component makes invalidation *precise*: the moment a
   link's history grows its version moves and every stale entry becomes
@@ -131,7 +138,7 @@ class Prediction:
     #: instead of answering nothing; see ``degraded_fallback``).
     degraded: bool = False
     #: True when the value came off the O(1) streaming bank rather than a
-    #: cache hit or a full-history recompute (see ``streaming``).
+    #: cache hit or a full-history recompute.
     streamed: bool = False
 
 
@@ -226,16 +233,6 @@ class PredictionService:
         ``value=None`` — graceful degradation for brokers that must
         rank a replica nobody has measured yet.  Off by default:
         abstention is the honest answer unless the deployment opts in.
-    streaming:
-        When True (the default), every link carries a
-        :class:`~repro.core.streaming.StreamingBank` of incremental
-        sufficient statistics, and battery-spec queries are answered
-        from it in O(1)/O(log n) — independent of history length — when
-        the LRU misses.  Specs outside the banked battery (``SIZE``,
-        hybrids) and queries the bank cannot serve (anchors behind an
-        expired window) recompute from a snapshot exactly as before;
-        answers are numerically identical either way (the parity suite
-        walks every prefix of the shipped logs on both paths).
     store:
         A :class:`~repro.store.LinkStore` for durable tiered history.
         When set, every fold is written through to disk, queries for
@@ -280,7 +277,6 @@ class PredictionService:
         metrics: Optional[MetricsRegistry] = None,
         trace_capacity: int = 256,
         degraded_fallback: bool = False,
-        streaming: bool = True,
         store: Optional["LinkStore"] = None,
         max_resident: Optional[int] = None,
         quality: bool = True,
@@ -293,7 +289,6 @@ class PredictionService:
                 f"max_resident must be positive, got {max_resident}")
         self.default_spec = default_spec
         self.degraded_fallback = degraded_fallback
-        self.streaming = streaming
         self.classification = classification or paper_classification()
         self.clock = clock
         self.metrics = metrics or MetricsRegistry()
@@ -445,9 +440,7 @@ class PredictionService:
             state.touch = next(self._touch)
             return state
 
-    def _new_bank(self) -> Optional[StreamingBank]:
-        if not self.streaming:
-            return None
+    def _new_bank(self) -> StreamingBank:
         return StreamingBank(self.classification, on_rebuild=self._on_bank_rebuild)
 
     def _persist_for(self, link: str):
@@ -498,8 +491,6 @@ class PredictionService:
             return None
         if meta.get("classification") != self._fingerprint:
             return None
-        if bool(meta.get("streaming")) != self.streaming:
-            return None
         if store.degraded(link):
             # A quarantine broke row accounting; the checkpoint's n can
             # no longer be reconciled against what survives on disk.
@@ -511,11 +502,10 @@ class PredictionService:
             return None
         last_time = float(meta.get("last_time", -float("inf")))
         bank = self._new_bank()
-        if bank is not None:
-            try:
-                bank.load_state(ckpt["bank"])
-            except Exception:
-                return None
+        try:
+            bank.load_state(ckpt["bank"])
+        except Exception:
+            return None
         delta = durable - n
         if delta:
             # Rows made durable after the checkpoint (the write-through
@@ -530,8 +520,7 @@ class PredictionService:
                 return None
             if times[0] < last_time or (np.diff(times) < 0).any():
                 return None
-            if bank is not None:
-                bank.extend(times, values, sizes, ops)
+            bank.extend(times, values, sizes, ops)
             last_time = float(times[-1])
             version += delta
         state = LinkState.revive(
@@ -562,8 +551,7 @@ class PredictionService:
         order = np.argsort(times, kind="stable")
         columns = (times[order], values[order], sizes[order], ops[order])
         bank = self._new_bank()
-        if bank is not None:
-            bank.rebuild(*columns, reason="revive")
+        bank.rebuild(*columns, reason="revive")
         return LinkState.from_columns(
             link, bank, n, columns, persist=self._persist_for(link))
 
@@ -999,13 +987,10 @@ class PredictionService:
                     value, cached = hit, True
                 else:
                     value, cached = None, False
-                    if state.bank is not None:
-                        try:
-                            value = state.bank.answer(predictor, size, anchor)
-                            streamed = True
-                        except StreamingUnavailable:
-                            history = state.history()
-                    else:
+                    try:
+                        value = state.bank.answer(predictor, size, anchor)
+                        streamed = True
+                    except StreamingUnavailable:
                         history = state.history()
         if length == 0:
             return self._finish(t0, link, spec, size, value=None, cached=False,
@@ -1019,7 +1004,7 @@ class PredictionService:
             self._m_misses.inc()
             if streamed:
                 self._m_streamed.inc()
-            elif self.streaming:
+            else:
                 self._m_stream_fallbacks.inc()
             self._m_cache_size.set(self._cache.put(key, value))
         return self._finish(t0, link, spec, size, value=value, cached=cached,
@@ -1133,7 +1118,7 @@ class PredictionService:
                     elif key in group_new:
                         dups.append((i, key))
                         hits += 1
-                    elif state.bank is not None:
+                    else:
                         try:
                             value = state.bank.answer(predictor, size, now_i)
                         except StreamingUnavailable:
@@ -1146,11 +1131,6 @@ class PredictionService:
                             streamed_n += 1
                             puts.append((key, value))
                             group_new[key] = value
-                    else:
-                        if history is None:
-                            history = state.history()
-                        pending.append((i, predictor, key, size, now_i))
-                        group_new[key] = None
             # Snapshot recomputes for this group, outside the lock.
             for i, predictor, key, size, now_i in pending:
                 value = predictor.predict(history, target_size=size, now=now_i)
@@ -1198,7 +1178,7 @@ class PredictionService:
             self._m_misses.inc(n - hits)
         if streamed_n:
             self._m_streamed.inc(streamed_n)
-        if recomputed and self.streaming:
+        if recomputed:
             self._m_stream_fallbacks.inc(recomputed)
         self._m_batches.inc()
         self._m_batch_items.inc(n)
@@ -1281,11 +1261,15 @@ class PredictionService:
         """
         with self._links_lock:
             states = list(self._links.values())
-        means = [
-            float(history.values.mean())
-            for history in (state.history() for state in states)
-            if len(history)
-        ]
+        # Each link's mean is its bank's ``AVG`` answer: a revived
+        # link's columns stay on disk (``history()`` would load them).
+        average = self._resolve("AVG")
+        means = []
+        for state in states:
+            with state.lock:
+                mean = state.bank.answer(average, 0, None)
+            if mean is not None:
+                means.append(mean)
         if not means:
             return None
         return sum(means) / len(means)

@@ -21,7 +21,7 @@ serialized by the per-link lock (the buffer itself holds no locks).
 instead of N appends, bumping the version by the record count so
 version-keyed caches stay exact.
 
-A :class:`~repro.core.streaming.StreamingBank` may ride along: in-order
+A :class:`~repro.core.streaming.StreamingBank` rides along: in-order
 appends fold into it in O(1) under the same lock, bulk extends rebuild it
 once from the merged columns (vectorized), and the rare out-of-order
 insert — which invalidates every positional window — rebuilds it too,
@@ -85,7 +85,7 @@ class LinkState:
     def __init__(
         self,
         link: str,
-        bank: Optional[StreamingBank] = None,
+        bank: StreamingBank,
         persist: Optional[PersistFn] = None,
     ):
         if not link:
@@ -110,7 +110,7 @@ class LinkState:
     def revive(
         cls,
         link: str,
-        bank: Optional[StreamingBank],
+        bank: StreamingBank,
         version: int,
         base_n: int,
         last_time: float,
@@ -134,7 +134,7 @@ class LinkState:
     def from_columns(
         cls,
         link: str,
-        bank: Optional[StreamingBank],
+        bank: StreamingBank,
         version: int,
         columns: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         persist: Optional[PersistFn] = None,
@@ -260,9 +260,8 @@ class LinkState:
                     self._buffer.extend_sorted(
                         (times[run], values[run], sizes[run], ops[run])
                     )
-                    if self.bank is not None:
-                        self.bank.extend(times[run], values[run],
-                                         sizes[run], ops[run])
+                    self.bank.extend(times[run], values[run],
+                                     sizes[run], ops[run])
                     self._last_time = float(times[hi - 1])
                     self._version += hi - lo
                     if self._persist is not None:
@@ -293,13 +292,11 @@ class LinkState:
         if not in_order:
             self._hydrate_locked()
         self._buffer.append((time, value, size, op))
-        if self.bank is not None:
-            if in_order:
-                self.bank.add(time, value, size, op)
-            else:
-                self._rebuild_bank("out_of_order")
         if in_order:
+            self.bank.add(time, value, size, op)
             self._last_time = time
+        else:
+            self._rebuild_bank("out_of_order")
         self._version += 1
         if self._persist is not None:
             self._persist_rows((time,), (value,), (size,), (op,),
@@ -334,8 +331,7 @@ class LinkState:
                 )
                 times, _, _, _ = self._buffer.views()
                 self._last_time = float(times[-1])
-                if self.bank is not None:
-                    self._rebuild_bank("bulk")
+                self._rebuild_bank("bulk")
                 if self._persist is not None:
                     self._persist(
                         ordered.end_times, ordered.bandwidths,
@@ -400,19 +396,16 @@ class LinkState:
         fingerprint differs from the serving classification.
         """
         with self.lock:
-            state = {
+            return {
                 "meta": {
                     "link": self.link,
                     "version": self._version,
                     "n": self._base_n + len(self._buffer),
                     "last_time": float(self._last_time),
                     "classification": fingerprint,
-                    "streaming": self.bank is not None,
-                }
+                },
+                "bank": self.bank.state(),
             }
-            if self.bank is not None:
-                state["bank"] = self.bank.state()
-            return state
 
     def __repr__(self) -> str:
         return f"<LinkState {self.link} n={len(self)} v={self.version}>"

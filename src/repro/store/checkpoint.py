@@ -68,12 +68,15 @@ _LD_VALUE_BYTES = 10 if np.finfo(np.longdouble).nmant == 63 else _LD_SIZE
 _POOLS = (np.dtype(np.longdouble), np.dtype("<f8"), np.dtype("<u4"))
 _PARTS = ("bank", "accuracy")
 
-#: ``meta``: version, n, last_time, streaming, then the byte lengths of
-#: link and classification, which follow.  A key left out is stored as
-#: the value no live link has.
-_META = struct.Struct("<qqd?HH")
+#: ``meta``: version, n, last_time, one reserved byte, then the byte
+#: lengths of link and classification, which follow.  A key left out is
+#: stored as the value no live link has.  The reserved byte said whether
+#: the writer kept a bank, while a service could run without one; every
+#: checkpoint a default service wrote holds 1 there (a bare bank state or
+#: a ``meta`` without the key held 0), so 1 is written and never read.
+_META = struct.Struct("<qqdBHH")
 _META_DEFAULTS = {"version": -1, "n": -1, "last_time": -np.inf,
-                  "streaming": False, "link": "", "classification": ""}
+                  "link": "", "classification": ""}
 #: Items one part holds in each pool; all zero when the part is absent.
 _PART = struct.Struct("<IIII")
 
@@ -151,7 +154,7 @@ def dumps(payload) -> bytes:
              for i, dtype in enumerate(_POOLS, 1)]
     fixed = [
         _META.pack(meta["version"], meta["n"], meta["last_time"],
-                   meta["streaming"], len(link), len(classification)),
+                   1, len(link), len(classification)),
         link, classification,
         *(_PART.pack(*map(len, part)) for part in parts),
         *(part[0] for part in parts)]
@@ -194,7 +197,7 @@ def loads(data: bytes) -> Dict[str, Any]:
     fixed, *pools = _FILE.inflate(head)
     src = Reader(fixed, *(np.frombuffer(pool, dtype)
                           for pool, dtype in zip(pools, _POOLS)))
-    *scalars, link_len, classification_len = src.unpack(_META)
+    *scalars, _, link_len, classification_len = src.unpack(_META)
     try:
         names = src.raw(link_len).decode(), src.raw(classification_len).decode()
     except UnicodeDecodeError as exc:

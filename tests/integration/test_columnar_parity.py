@@ -15,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.engine import evaluate
+from repro.core.evaluation import evaluate as generic_evaluate
+from repro.core.fast import fast_evaluate
+from repro.core.predictors import resolve_battery
 from repro.data import load_ulm
 from repro.logs import TransferLog
 from repro.logs.ulm import parse_lines
@@ -35,6 +37,13 @@ def _records(path):
     return list(parse_lines(path.read_text().splitlines()))
 
 
+#: The two evaluators, called directly: the facade would pick by spec.
+EVALUATORS = {
+    "fast": lambda data, specs: fast_evaluate(data),
+    "generic": lambda data, specs: generic_evaluate(data, resolve_battery(specs)),
+}
+
+
 @pytest.mark.parametrize("path", LOGS, ids=lambda p: p.name)
 @pytest.mark.parametrize("engine", ["fast", "generic"])
 def test_frame_evaluation_trace_identical(path, engine):
@@ -43,8 +52,8 @@ def test_frame_evaluation_trace_identical(path, engine):
     specs = ["C-AVG15", "AVG", "MED5", "AR", "AVG5hr"]
     if engine == "generic":
         specs = specs[:2]  # the generic walk is slow; two specs suffice
-    from_records = evaluate(records, specs, engine=engine)
-    from_frame = evaluate(frame, specs, engine=engine)
+    from_records = EVALUATORS[engine](records, specs)
+    from_frame = EVALUATORS[engine](frame, specs)
     for spec in specs:
         a, b = from_records[spec], from_frame[spec]
         assert np.array_equal(a.indices, b.indices)

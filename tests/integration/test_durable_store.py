@@ -24,6 +24,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.logs.record import Operation
 from repro.service import PredictionService
@@ -163,6 +164,28 @@ class TestWarmRestart:
         second = PredictionService(store=LinkStore(tmp_path / "state"))
         for link, version in versions.items():
             assert second.version(link) == version
+
+
+    def test_a_degraded_answer_leaves_revived_links_on_disk(self, tmp_path):
+        """The link-agnostic aggregate reads each link's mean off its
+        bank; it used to take ``history()`` of every resident link, so one
+        unknown-link query loaded every revived link's columns."""
+        first = PredictionService(store=LinkStore(tmp_path / "state"))
+        _ingest_logs(first)
+        means = [first.history(link).values.mean()
+                 for link in sorted(first.links())]
+        first.checkpoint_all(seal=True)
+        first.store.close()
+
+        warm = PredictionService(store=LinkStore(tmp_path / "state"),
+                                 max_resident=8, degraded_fallback=True)
+        states = [warm.link_state(link) for link in sorted(warm.links())]
+        assert len(states) == len(LOGS)
+        assert not any(state.hydrated for state in states)
+        answer = warm.predict("unknown", 100 * MB, now=NOW)
+        assert answer.degraded
+        assert answer.value == pytest.approx(sum(means) / len(means), rel=1e-12)
+        assert not any(state.hydrated for state in states)
 
 
 class TestUpgrade:

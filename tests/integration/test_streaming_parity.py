@@ -1,14 +1,15 @@
-"""The streaming fast path answers exactly like the snapshot path.
+"""The streaming fast path answers exactly like the generic predictors.
 
-A service with the default streaming bank must be indistinguishable —
-answer for answer, abstention for abstention — from one with
-``streaming=False`` that recomputes every miss from the history arrays,
-while actually taking the fast path (asserted through the service's
-streaming counters).  Covers in-order walks over the shipped campaign
-logs for the full 30-spec battery, out-of-order arrivals (bank rebuild),
-bulk ingest (vectorized rebuild then incremental resume), non-battery
-specs (snapshot fallback), regressed temporal anchors (window fallback),
-and the MDS provider's per-class predictions.
+A service must be indistinguishable — answer for answer, abstention for
+abstention — from the generic predictor of each spec run over the link's
+own columns (``resolve(spec).predict(service.history(link), ...)``, the
+reference the bank's summaries are defined against), while actually
+taking the fast path (asserted through the service's streaming
+counters).  Covers in-order walks over the shipped campaign logs for the
+full 30-spec battery, out-of-order arrivals (bank rebuild), bulk ingest
+(vectorized rebuild then incremental resume), non-battery specs
+(snapshot fallback), regressed temporal anchors (window fallback), and
+the MDS provider's per-class predictions.
 """
 
 from pathlib import Path
@@ -16,11 +17,11 @@ from pathlib import Path
 import pytest
 
 from repro.core.classification import paper_classification
-from repro.core.predictors import ALL_PREDICTOR_NAMES
+from repro.core.predictors import ALL_PREDICTOR_NAMES, resolve
 from repro.core.streaming import StreamingBank
 from repro.data.ingest import load_ulm
 from repro.logs import TransferLog
-from repro.mds import ServicePerfProvider, format_entries
+from repro.mds import GridFTPInfoProvider, ServicePerfProvider, format_entries
 from repro.net import Site
 from repro.service import PredictionService
 
@@ -31,30 +32,39 @@ SITE = Site(name="LBL", domain="lbl.gov", address="131.243.2.91",
 URL = "gsiftp://dpsslx04.lbl.gov:61000"
 
 
-def walk_both(records, specs, mutate=None):
-    """Walk two services in lockstep; assert identical answers throughout.
+def generic(service, link, size, spec, now=None):
+    """The reference answer: the generic predictor over the link's columns."""
+    return resolve(spec).predict(
+        service.history(link), target_size=size, now=now)
 
-    ``mutate`` optionally reorders/edits the record list first (both
-    services see the same stream).  Returns the streaming service.
+
+def assert_same(value, reference, what):
+    if reference is None:
+        assert value is None, f"{what}: {value} vs abstain"
+    else:
+        assert value == pytest.approx(reference, rel=1e-12), what
+
+
+def walk_both(records, specs, mutate=None):
+    """Walk a service and the generic predictors in lockstep; assert
+    identical answers throughout.
+
+    ``mutate`` optionally reorders/edits the record list first.  Returns
+    the service.
     """
-    streaming = PredictionService()
-    snapshot = PredictionService(streaming=False)
+    service = PredictionService()
     records = list(records) if mutate is None else mutate(list(records))
     for i, record in enumerate(records):
         if i >= 5:
             for spec in specs:
-                a = streaming.predict("walk", record.file_size, spec=spec,
-                                      now=record.start_time)
-                b = snapshot.predict("walk", record.file_size, spec=spec,
-                                     now=record.start_time)
-                assert a.version == b.version == i
-                if b.value is None:
-                    assert a.value is None, f"{spec}@{i}: {a.value} vs abstain"
-                else:
-                    assert a.value == pytest.approx(b.value, rel=1e-12), f"{spec}@{i}"
-        streaming.observe("walk", record)
-        snapshot.observe("walk", record)
-    return streaming
+                a = service.predict("walk", record.file_size, spec=spec,
+                                    now=record.start_time)
+                assert a.version == i
+                assert_same(a.value, generic(service, "walk", record.file_size,
+                                             spec, record.start_time),
+                            f"{spec}@{i}")
+        service.observe("walk", record)
+    return service
 
 
 def test_streaming_walk_matches_snapshot_walk_full_battery():
@@ -96,59 +106,42 @@ def test_out_of_order_arrivals_rebuild_the_bank_and_stay_identical():
 
 def test_bulk_ingest_rebuilds_then_resumes_incrementally():
     records = TransferLog.load(DATA_DIR / "aug-LBL-ANL.ulm").records()
-    streaming = PredictionService()
-    snapshot = PredictionService(streaming=False)
-    streaming.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
-    snapshot.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
-    assert streaming._m_rebuilds.value == 1  # one vectorized fold, not N
+    service = PredictionService()
+    service.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
+    assert service._m_rebuilds.value == 1  # one vectorized fold, not N
 
     now = records[-1].end_time + 60.0
     for spec in ALL_PREDICTOR_NAMES:
-        a = streaming.predict("L", 600_000_000, spec=spec, now=now)
-        b = snapshot.predict("L", 600_000_000, spec=spec, now=now)
+        a = service.predict("L", 600_000_000, spec=spec, now=now)
         assert not a.cached and a.streamed
-        if b.value is None:
-            assert a.value is None, spec
-        else:
-            assert a.value == pytest.approx(b.value, rel=1e-12), spec
-    assert streaming._m_stream_fallbacks.value == 0
+        assert_same(a.value, generic(service, "L", 600_000_000, spec, now), spec)
+    assert service._m_stream_fallbacks.value == 0
 
 
 def test_non_battery_spec_falls_back_to_snapshot():
-    streaming = PredictionService()
-    streaming.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
-    snapshot = PredictionService(streaming=False)
-    snapshot.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
+    service = PredictionService()
+    service.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
 
-    a = streaming.predict("L", 600_000_000, spec="SIZE")
-    b = snapshot.predict("L", 600_000_000, spec="SIZE")
+    a = service.predict("L", 600_000_000, spec="SIZE")
     assert not a.streamed
-    assert streaming._m_stream_fallbacks.value == 1
-    if b.value is None:
-        assert a.value is None
-    else:
-        assert a.value == pytest.approx(b.value, rel=1e-12)
+    assert service._m_stream_fallbacks.value == 1
+    assert_same(a.value, generic(service, "L", 600_000_000, "SIZE"), "SIZE")
 
 
 def test_regressed_anchor_falls_back_and_stays_correct():
     records = TransferLog.load(DATA_DIR / "aug-LBL-ANL.ulm").records()
-    streaming = PredictionService()
-    snapshot = PredictionService(streaming=False)
-    streaming.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
-    snapshot.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
+    service = PredictionService()
+    service.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
 
     late = records[-1].end_time + 60.0
     early = records[len(records) // 2].end_time  # behind the expired boundary
-    a1 = streaming.predict("L", 600_000_000, spec="AVG5hr", now=late)
+    a1 = service.predict("L", 600_000_000, spec="AVG5hr", now=late)
     assert a1.streamed
-    a2 = streaming.predict("L", 600_000_000, spec="AVG5hr", now=early)
-    b2 = snapshot.predict("L", 600_000_000, spec="AVG5hr", now=early)
+    a2 = service.predict("L", 600_000_000, spec="AVG5hr", now=early)
     assert not a2.streamed  # lazy expiry cannot rewind; snapshot answered
-    assert streaming._m_stream_fallbacks.value >= 1
-    if b2.value is None:
-        assert a2.value is None
-    else:
-        assert a2.value == pytest.approx(b2.value, rel=1e-12)
+    assert service._m_stream_fallbacks.value >= 1
+    assert_same(a2.value, generic(service, "L", 600_000_000, "AVG5hr", early),
+                "AVG5hr")
 
 
 def test_empty_link_short_circuits_without_resolution():
@@ -166,38 +159,38 @@ def test_empty_link_short_circuits_without_resolution():
 
 
 def test_mds_provider_bank_path_matches_column_path():
-    """The entry's class predictions come off the bank on one service
-    and from a snapshot recompute on the other; the LDIF is the same."""
-    def render(service):
-        service.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
-        provider = ServicePerfProvider(service, "L", SITE, URL)
-        return format_entries(provider.entries(1e9))
-
-    streaming = PredictionService()
-    assert render(streaming) == render(PredictionService(streaming=False)) != ""
-    assert streaming._m_streamed.value > 0
+    """The service's entry takes its class predictions off the bank, the
+    log-backed provider's from the generic predictor over the log's
+    columns; the LDIF is the same."""
+    service = PredictionService()
+    service.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
+    served = ServicePerfProvider(service, "L", SITE, URL)
+    batch = GridFTPInfoProvider(
+        log=TransferLog.load(DATA_DIR / "aug-LBL-ANL.ulm"), site=SITE, url=URL)
+    assert (format_entries(served.entries(1e9))
+            == format_entries(batch.entries(1e9)) != "")
+    assert service._m_streamed.value > 0
 
 
 def test_rank_replicas_resolves_once_and_ranks_identically():
-    streaming = PredictionService()
-    snapshot = PredictionService(streaming=False)
+    service = PredictionService()
     records = TransferLog.load(DATA_DIR / "aug-LBL-ANL.ulm").records()
     for i, record in enumerate(records[:60]):
-        link = f"link-{i % 3}"
-        streaming.observe(link, record)
-        snapshot.observe(link, record)
+        service.observe(f"link-{i % 3}", record)
 
     now = records[59].end_time + 30.0
     candidates = ["link-0", "link-1", "link-2", "ghost", "link-0"]
-    a = streaming.rank_replicas(candidates, 600_000_000, now=now)
-    b = snapshot.rank_replicas(candidates, 600_000_000, now=now)
-    assert [r.site for r in a] == [r.site for r in b]
-    for ra, rb in zip(a, b):
-        if rb.predicted_bandwidth is None:
-            assert ra.predicted_bandwidth is None
-        else:
-            assert ra.predicted_bandwidth == pytest.approx(
-                rb.predicted_bandwidth, rel=1e-12)
+    ranked = service.rank_replicas(candidates, 600_000_000, now=now)
+    # The reference ranking: the generic predictor of the default spec
+    # per distinct candidate, best first, candidates without a value last.
+    expected = {
+        link: generic(service, link, 600_000_000, service.default_spec, now)
+        for link in dict.fromkeys(candidates)}
+    order = sorted(expected, key=lambda link: (
+        expected[link] is None, -(expected[link] or 0.0)))
+    assert [r.site for r in ranked] == order
+    for r in ranked:
+        assert_same(r.predicted_bandwidth, expected[r.site], r.site)
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from repro import wire
 from repro.client import ServiceClient
+from repro.obs import get_registry
 from repro.service import PredictionService, ServiceServer
 from repro.units import MB
 from tests.conftest import make_record
@@ -252,7 +253,33 @@ def test_unknown_frame_op_answers_in_band_and_survives(endpoint):
         sock.close()
 
 
+def test_zero_duration_observe_is_a_bad_request(endpoint):
+    # start == end and no bandwidth: nothing to divide the size by.  The
+    # single op used to let the ZeroDivisionError out as `internal` (and
+    # count it), while the same item in an observe_batch was a per-item
+    # bad_request.
+    address = endpoint.address
+    if isinstance(address, tuple):
+        address = "{}:{}".format(*address)
+    internal = get_registry().counter("server_internal_errors")
+    before = internal.value
+    item = {"link": "ZERO", "size": 10 * MB, "start": 5.0, "end": 5.0}
+    for binary in (False, True):
+        with ServiceClient(address, binary=binary) as client:
+            single = client.request({"op": "observe", **item})
+            assert (single["ok"], single["v"]) == (False, 1)
+            assert single["error"]["code"] == "bad_request"
+            assert "must follow" in single["error"]["message"]
+            batched = client.request({"op": "observe_batch", "items": [item]})
+            assert batched["results"][0]["error"]["code"] == "bad_request"
+            # The connection is as good as it was.
+            version = client.observe("ZERO", 10 * MB, 5.0, 6.0 + binary)
+            assert version == 1 + binary
+    assert internal.value == before
+
+
 FRONT_CASES = [
+    test_zero_duration_observe_is_a_bad_request,
     test_corrupt_payload_answers_in_band_and_keeps_the_connection,
     test_a_large_answer_after_a_small_one_keeps_the_connection,
     test_bad_magic_answers_in_band_then_closes,

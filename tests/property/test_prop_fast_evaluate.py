@@ -21,9 +21,10 @@ REL_EPS = 1e-4
 
 #: The shrunk failure this test used to find about one run in three: the
 #: first lag pair differs by 2 ulps, so the fit of the fourth record has
-#: lag variance ~1e-26.  The generic two-pass formula resolves it and
-#: extrapolates the slope 1/eps to 4.4e12; the prefix sums cancel to
-#: zero variance and fall back to the window mean (docs/performance.md).
+#: lag variance ~1e-26, below what the lag sums resolve.  Every path now
+#: applies one rule to it (``arima.fit_ar1_sums``: variance not positive
+#: -> the window mean); the two-pass fit this repo used to ship in the
+#: generic predictor extrapolated a slope of 1/eps to 4.4e12.
 NEAR_SINGULAR = History(
     times=np.arange(1.0, 5.0),
     values=np.array([1000.0, 1000.0000000000002, 1001.0, 1000.0]),
@@ -56,13 +57,10 @@ def test_fast_matches_generic_everywhere(history, training):
         assert list(f.indices) == list(g.indices), name
         assert f.abstentions == g.abstentions, name
         if "AR" in name and history is NEAR_SINGULAR:
-            # The engines legitimately part ways here; pin the sensible one.
-            np.testing.assert_allclose(
-                f.predicted[-1], history.values[:3].mean(), err_msg=name)
-            continue
-        # AR fits via prefix sums lose digits to cancellation that the
-        # generic two-pass formula keeps; within the conditioning the
-        # strategy guarantees both agree to ~1e-4.
+            assert f.predicted[-1] == g.predicted[-1] == 1000.3333333333334, name
+        # AR fits via differences of prefix sums lose digits to
+        # cancellation that the generic per-window sums keep; within the
+        # conditioning the strategy guarantees both agree to ~1e-4.
         rtol = 1e-4 if "AR" in name else 1e-7
         np.testing.assert_allclose(
             f.predicted, g.predicted, rtol=rtol, atol=1e-12,

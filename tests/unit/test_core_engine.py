@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import evaluate
-from repro.core.engine import ENGINES, select_engine
+from repro.core import evaluate, fast_evaluate
+from repro.core.engine import select_engine
+from repro.core.evaluation import evaluate as generic_evaluate
 from repro.core.predictors import ALL_PREDICTOR_NAMES, resolve_battery
 
 
@@ -13,7 +14,7 @@ from repro.core.predictors import ALL_PREDICTOR_NAMES, resolve_battery
 # ----------------------------------------------------------------------
 def test_default_battery_is_vectorized():
     assert select_engine() == "fast"
-    assert select_engine(None, engine="auto") == "fast"
+    assert select_engine(None) == "fast"
 
 
 def test_kernel_specs_go_fast_others_generic():
@@ -35,34 +36,15 @@ def test_fallback_forces_generic():
     assert select_engine(["C-AVG15"], fallback=True) == "generic"
 
 
-def test_forced_engines():
-    assert select_engine(["SIZE"], engine="generic") == "generic"
-    assert select_engine(["C-AVG15"], engine="fast") == "fast"
-
-
-def test_forced_fast_without_kernel_raises():
-    with pytest.raises(ValueError, match="no kernel"):
-        select_engine(["SIZE"], engine="fast")
-    with pytest.raises(ValueError, match="mapping"):
-        select_engine(resolve_battery(["AVG"]), engine="fast")
-    with pytest.raises(ValueError, match="no kernel"):
-        select_engine([], engine="fast")
-
-
-def test_unknown_engine_raises():
-    with pytest.raises(ValueError, match="unknown engine"):
-        select_engine(["AVG"], engine="turbo")
-    assert ENGINES == ("auto", "generic", "fast")
-
-
 # ----------------------------------------------------------------------
 # evaluate
 # ----------------------------------------------------------------------
 def test_facade_engines_agree(sample_records):
     specs = ["AVG", "C-AVG15", "LV", "C-MED5"]
-    fast = evaluate(sample_records, specs, training=5, engine="fast")
-    generic = evaluate(sample_records, specs, training=5, engine="generic")
-    assert set(fast.traces) == set(generic.traces) == set(specs)
+    fast = fast_evaluate(sample_records, training=5)
+    generic = generic_evaluate(
+        sample_records, resolve_battery(specs), training=5)
+    assert set(specs) == set(generic.traces) <= set(fast.traces)
     for name in specs:
         np.testing.assert_allclose(
             fast[name].predicted, generic[name].predicted, rtol=1e-7

@@ -118,6 +118,24 @@ class TestArSummaries:
         bank = make_bank(np.arange(6.0), [42.0] * 6)
         assert answer(bank, "AR", now=5.0) == pytest.approx(42.0)
 
+    def test_near_singular_fit_has_one_answer_on_and_off_the_bank(self):
+        """The first lag pair differs by 2 ulps: lag variance ~1e-26.  The
+        bank and the generic predictor its caller falls back to (here: an
+        anchor behind the expired boundary) apply one singular rule and
+        answer the window mean; the parent's two-pass generic fit
+        extrapolated the same history to 4.4e12."""
+        times = np.array([1.0, 2.0, 3.0])
+        values = np.array([1000.0, 1000.0000000000002, 1001.0])
+        history = History(times=times, values=values,
+                          sizes=np.full(3, 100 * MB, dtype=np.int64))
+        bank = make_bank(times, values)
+        assert answer(bank, "AR", now=4.0) == 1000.3333333333334
+        assert answer(bank, "AR5d", now=100.0) == 1000.3333333333334
+        with pytest.raises(StreamingUnavailable):
+            answer(bank, "AR5d", now=50.0)
+        for spec in ("AR", "AR5d"):
+            assert resolve(spec).predict(history, now=50.0) == 1000.3333333333334
+
     def test_windowed_ar_evicts_pairs_and_min(self):
         from repro.core.history import History
         from repro.units import DAY
@@ -302,7 +320,7 @@ class TestMemoryShape:
         for t, v, s in zip(times, rng.lognormal(15.0, 0.6, 30), FEED_SIZES):
             bank.add(float(t), float(v), int(s), 0)
         payload = {"meta": {"link": "lbl-anl", "version": 30, "n": 30,
-                            "last_time": float(times[-1]), "streaming": True,
+                            "last_time": float(times[-1]),
                             "classification": "50,250,750|10MB,100MB,500MB,1GB"},
                    "bank": bank.state()}
         assert len(checkpoint.dumps(payload)) <= 1300

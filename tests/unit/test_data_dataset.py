@@ -111,5 +111,5 @@ class TestEvaluateDataset:
 
     def test_bad_spec_raises_before_spawning(self, two_logs):
         dataset = Dataset.from_ulm(two_logs, cache=False)
-        with pytest.raises(ValueError):
-            evaluate_dataset(dataset, "NOPE", engine="fast")
+        with pytest.raises(KeyError):
+            evaluate_dataset(dataset, "NOPE")

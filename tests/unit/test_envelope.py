@@ -271,3 +271,19 @@ def test_the_store_writes_no_json():
     # The guard sees an import where there is one.
     seen = {name for name, _ in _references(ast.parse("import json\njson.dumps"))}
     assert {"json", "json.dumps"} <= seen
+
+
+def test_no_caller_picks_the_implementation():
+    """Which code answers is decided from the request: the bank or the
+    generic predictor by what the bank can serve, the fast or the generic
+    evaluator by ``select_engine``.  Neither has a switch to put back."""
+    import inspect
+
+    from repro.core import engine
+    from repro.service import PredictionService
+
+    assert "streaming" not in inspect.signature(
+        PredictionService.__init__).parameters
+    for function in (engine.evaluate, engine.evaluate_dataset,
+                     engine.select_engine):
+        assert "engine" not in inspect.signature(function).parameters

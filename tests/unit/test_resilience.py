@@ -9,7 +9,6 @@ from repro.resilience import (
     DeadlineExceeded,
     RetryError,
     RetryPolicy,
-    fallback,
 )
 
 
@@ -308,40 +307,6 @@ class TestCircuitBreaker:
             CircuitBreaker("x", failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker("x", reset_timeout=0.0)
-
-
-# ----------------------------------------------------------------------
-# fallback combinator
-# ----------------------------------------------------------------------
-class TestFallback:
-    def test_primary_answer_wins(self):
-        run = fallback(lambda: "primary", lambda: "backup")
-        assert run() == "primary"
-
-    def test_degrades_through_alternatives_in_order(self):
-        def dead():
-            raise OSError("down")
-
-        run = fallback(dead, dead, lambda: "third", label="chain")
-        assert run() == "third"
-
-    def test_last_failure_propagates_unchanged(self):
-        def dead():
-            raise OSError("really down")
-
-        with pytest.raises(OSError, match="really down"):
-            fallback(dead, dead)()
-
-    def test_only_listed_exceptions_degrade(self):
-        def typo():
-            raise ValueError("bug, not outage")
-
-        with pytest.raises(ValueError):
-            fallback(typo, lambda: "never", exceptions=(OSError,))()
-
-    def test_needs_at_least_one_alternative(self):
-        with pytest.raises(ValueError):
-            fallback()
 
 
 # ----------------------------------------------------------------------

@@ -149,7 +149,7 @@ class TestObservabilityFlags:
 class TestEvaluateJson:
     def test_json_output_and_engine_flag(self, log_path, capsys):
         rc = main(["evaluate", str(log_path), "--predictors", "AVG,C-AVG15",
-                   "--engine", "fast", "--json"])
+                   "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["records"] == 30
@@ -241,3 +241,42 @@ class TestQualityServeFlags:
         assert "accuracy_pairs_scored" in merged
         assert "accuracy_pending_predictions" in merged
         assert "server_requests" in merged
+
+
+class TestServingProcessOptions:
+    def test_socketless_serve_leaves_the_state_dir_alone(self, log_path, tmp_path):
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit, match="--socket"):
+            main(["serve", str(log_path), "--state-dir", str(state)])
+        assert not state.exists()
+
+    def test_socketless_worker_is_a_usage_error_before_the_store_opens(
+            self, tmp_path):
+        from repro.fleet import worker
+
+        state = tmp_path / "state"
+        with pytest.raises(SystemExit) as exc:
+            worker.main(["--shard", "0", "--state-dir", str(state)])
+        assert exc.value.code == 2 and not state.exists()
+
+    def test_fleet_says_fallback_once_to_each_worker_and_to_the_front(
+            self, tmp_path, monkeypatch):
+        import repro.fleet
+
+        built = []
+
+        class Recorded(repro.fleet.FleetRunner):
+            def start(self):
+                built.append(self)
+                raise RuntimeError("recorded")
+
+        monkeypatch.setattr(repro.fleet, "FleetRunner", Recorded)
+        with pytest.raises(SystemExit, match="recorded"):
+            main(["fleet", "--workers", "2", "--state-dir", str(tmp_path),
+                  "--fallback", "--spec", "AVG"])
+        (runner,) = built
+        assert runner.front.fallback is True
+        for handle in runner.supervisor._handles:
+            argv = handle.spec.command()
+            assert argv.count("--fallback") == 1
+            assert argv[argv.index("--spec") + 1] == "AVG"

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core.classification import paper_classification
+from repro.core.streaming import StreamingBank
 from repro.service.state import OP_READ, OP_WRITE, LinkState
 from tests.conftest import make_record
 
 
+def _bank():
+    return StreamingBank(paper_classification())
+
+
 def test_version_increments_per_append():
-    state = LinkState("LBL-ANL")
+    state = LinkState("LBL-ANL", _bank())
     assert state.version == 0 and len(state) == 0
     for i in range(5):
         version = state.append(make_record(start=1000.0 + 100 * i))
@@ -17,7 +23,7 @@ def test_version_increments_per_append():
 
 
 def test_history_matches_appended_records():
-    state = LinkState("LBL-ANL")
+    state = LinkState("LBL-ANL", _bank())
     records = [make_record(start=1000.0 + 100 * i, size=(i + 1) * 10_000)
                for i in range(10)]
     for r in records:
@@ -29,7 +35,7 @@ def test_history_matches_appended_records():
 
 
 def test_snapshot_survives_growth():
-    state = LinkState("LBL-ANL")
+    state = LinkState("LBL-ANL", _bank())
     for i in range(10):
         state.append(make_record(start=1000.0 + 100 * i))
     frozen = state.history()
@@ -42,7 +48,7 @@ def test_snapshot_survives_growth():
 
 
 def test_snapshot_survives_out_of_order_insert():
-    state = LinkState("LBL-ANL")
+    state = LinkState("LBL-ANL", _bank())
     for i in range(5):
         state.append(make_record(start=1000.0 + 100 * i))
     frozen = state.history()
@@ -58,7 +64,7 @@ def test_snapshot_survives_out_of_order_insert():
 def test_ops_recorded_in_snapshot():
     from repro.logs.record import Operation
 
-    state = LinkState("LBL-ANL")
+    state = LinkState("LBL-ANL", _bank())
     state.append(make_record(start=1000.0))
     state.append(make_record(start=1100.0, operation=Operation.WRITE))
     _, _, _, ops, version = state.snapshot()
@@ -68,4 +74,4 @@ def test_ops_recorded_in_snapshot():
 
 def test_empty_link_name_rejected():
     with pytest.raises(ValueError):
-        LinkState("")
+        LinkState("", _bank())

@@ -83,9 +83,19 @@ class TestFromColumns:
 # ----------------------------------------------------------------------
 # LinkState revival
 # ----------------------------------------------------------------------
-def _revived(times, version=None, loads=None, bank=None):
+def _bank(columns=None):
+    """A bank holding the fold of arrival-order ``columns`` (none: empty)."""
+    bank = StreamingBank(paper_classification())
+    if columns is not None:
+        order = np.argsort(columns[0], kind="stable")
+        bank.rebuild(*(column[order] for column in columns), reason="revive")
+    return bank
+
+
+def _revived(times, version=None, loads=None):
     """A revived LinkState over arrival-order ``times`` (+ a load counter)."""
     columns = _columns(times)
+    bank = _bank(columns)
     version = len(times) if version is None else version
 
     def loader():
@@ -186,13 +196,13 @@ class TestRevive:
             calls.append((tuple(times), offset))
             return True
 
-        state = LinkState("L", persist=persist)
+        state = LinkState("L", _bank(), persist=persist)
         state.append(make_record(start=10.0, duration=1.0), source_offset=55)
         assert calls == [((11.0,), 55)]
 
     def test_from_columns_fully_hydrated(self):
         columns = _columns([1.0, 2.0, 3.0])
-        state = LinkState.from_columns("L", None, 3, columns)
+        state = LinkState.from_columns("L", _bank(columns), 3, columns)
         assert state.hydrated
         assert state.version == 3
         assert state.last_time == 3.0

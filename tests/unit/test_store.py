@@ -215,7 +215,7 @@ def small_bank(rows=12):
 def small_payload(bank=None):
     bank = bank or small_bank()
     return {"meta": {"link": "x", "version": bank.count + 2, "n": bank.count,
-                     "last_time": bank._global.last_time, "streaming": True,
+                     "last_time": bank._global.last_time,
                      "classification": "50,250|a,b,c"},
             "bank": bank.state()}
 
@@ -510,13 +510,12 @@ class TestCheckpoint:
             pass
 
         meta = {"n": np.int32(7), "version": np.int64(9),
-                "last_time": np.float32(0.5), "link": Label("t"),
-                "streaming": np.bool_(True)}
+                "last_time": np.float32(0.5), "link": Label("t")}
         out = ck.loads(ck.dumps({"meta": meta}))["meta"]
         assert out == {"n": 7, "version": 9, "last_time": 0.5, "link": "t",
-                       "streaming": True, "classification": ""}
+                       "classification": ""}
         assert type(out["n"]) is int and type(out["last_time"]) is float
-        assert type(out["link"]) is str and out["streaming"] is True
+        assert type(out["link"]) is str
         with pytest.raises(TypeError):
             ck.dumps({"meta": {"n": 1, "colour": "red"}})
         with pytest.raises(TypeError):
