@@ -610,8 +610,20 @@ class PredictionService:
                 payload["accuracy"] = accuracy
         return payload
 
+    def _checkpoint_locked(self, state: LinkState) -> bool:
+        """Make the link's checkpoint on disk current (caller holds
+        ``state.lock``).  A link revived from its checkpoint and never
+        appended to is still covered by it — the read-mostly churn case
+        — and is not serialized again."""
+        if state.version != state.ckpt_version and self.store.write_checkpoint(
+                state.link, self._checkpoint_payload(state)):
+            state.ckpt_version = state.version
+        return state.version == state.ckpt_version
+
     def _evict_locked(self, state: LinkState) -> bool:
-        """Spill one resident link to the store and drop it from RAM.
+        """Spill one resident link to the store and drop it from RAM:
+        checkpoint, then seal the tail when the rewrite pays for itself
+        (:meth:`LinkStore.seal`, ``amortized``).
 
         Refuses (returns False) when the store holds fewer rows than
         RAM does — a write-through failure left rows only in memory,
@@ -622,14 +634,8 @@ class PredictionService:
             if self.store.durable_rows(state.link) < n:
                 return False
             state.evicted = True
-            # Read-mostly churn optimization: a link revived from its
-            # checkpoint and never appended to is still covered by the
-            # checkpoint on disk — re-serializing the bank would buy
-            # nothing.
-            if state.version != state.ckpt_version:
-                if self.store.write_checkpoint(
-                        state.link, self._checkpoint_payload(state)):
-                    state.ckpt_version = state.version
+            self._checkpoint_locked(state)
+            self.store.seal(state.link, amortized=True)
         del self._links[state.link]
         self._m_links.set(len(self._links))
         self._m_evictions.inc()
@@ -640,11 +646,12 @@ class PredictionService:
     def checkpoint_all(self, seal: bool = False) -> int:
         """Checkpoint every resident link to the store (warm-restart spill).
 
-        With ``seal=True`` each link's tail is also sealed into a
-        column segment, so the next process reads columns instead of
-        scanning WAL records.  Links whose on-disk checkpoint is already
-        current are counted but not re-serialized.  Returns how many
-        links have a current checkpoint.  No-op (0) without a store.
+        With ``seal=True`` each link's tail is also folded into its
+        open segment, whatever its size, so the next process reads
+        columns instead of scanning WAL records.  Links whose on-disk
+        checkpoint is already current are counted but not re-serialized.
+        Returns how many links have a current checkpoint.  No-op (0)
+        without a store.
         """
         if self.store is None:
             return 0
@@ -655,15 +662,7 @@ class PredictionService:
             with state.lock:
                 if len(state) == 0:
                     continue
-                if state.version == state.ckpt_version:
-                    ok = True  # on-disk checkpoint is already current
-                else:
-                    ok = self.store.write_checkpoint(
-                        state.link, self._checkpoint_payload(state))
-                    if ok:
-                        state.ckpt_version = state.version
-            if ok:
-                written += 1
+                written += self._checkpoint_locked(state)
             if seal:
                 self.store.seal(state.link)
         self.trace.emit("checkpoint_all", links=written, seal=seal)

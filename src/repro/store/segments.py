@@ -1,13 +1,16 @@
 """Sealed column segments in the shared file envelope.
 
-A segment is an immutable slab of link history in arrival order: four
-parallel columns (``times``/``values``/``sizes``/``ops``) deflated
-behind a verified header (:mod:`repro.envelope`) that carries the
-framing — ``start_row``, ``rows``, ``max_offset`` — so recovery learns a
-link's shape from headers alone and columns are inflated only when
-someone wants the rows.  Numbered segments cover consecutive row ranges
+A segment is a slab of link history in arrival order: four parallel
+columns (``times``/``values``/``sizes``/``ops``) deflated behind a
+verified header (:mod:`repro.envelope`) that carries the framing —
+``start_row``, ``rows``, ``max_offset`` — so recovery learns a link's
+shape from headers alone and columns are inflated only when someone
+wants the rows.  Numbered segments cover consecutive row ranges
 (``seg-<start_row>.col``); a compaction writes the special
 ``seg-full.col``, which supersedes every segment whose rows it covers.
+A file is never edited: the store grows a link's last (*open*) segment
+by writing a longer one under the same name, which :func:`atomic_write`
+swaps in whole, and every earlier segment is immutable.
 
 Reads pass through the ``store.segment`` fault site so the chaos suite
 can corrupt or truncate them; anything whose digest, lengths or stream

@@ -2,8 +2,11 @@
 
 Layout, under ``root/links/<urlquoted link>/``::
 
-    tail.wal              CRC-framed active tail (repro.store.wal)
-    seg-<start>.col       sealed column segments (repro.store.segments)
+    tail.wal              CRC-framed active tail (repro.store.wal);
+                          absent once a seal has folded its rows away
+    seg-<start>.col       sealed column segments (repro.store.segments);
+                          the last one is *open* while it holds fewer
+                          than ``segment_rows`` rows
     seg-full.col          compacted whole-history segment, if any
     checkpoint.bin        latest streaming-bank checkpoint
     *.quarantined         corrupt files moved aside, never consulted
@@ -12,6 +15,14 @@ Segments and checkpoints are two kinds of one file envelope
 (:mod:`repro.envelope`): verified header, one deflated body.  A
 ``seg-*.npz`` is a segment written by an earlier build; it is read where
 it lies and rewritten as ``.col`` by the next compaction.
+
+A seal does not drop a new small file beside the last one: while the
+open segment and the tail together fit in ``segment_rows`` it reads that
+segment, appends the tail's rows and rewrites it under the same name,
+then removes ``tail.wal``.  A new numbered segment starts only when the
+rows would not fit, or the last segment is a ``.npz`` or does not end
+where the tail begins.  A link that is evicted or shut down is therefore
+one segment, one checkpoint and (between seals) a short tail.
 
 Durability contract
 -------------------
@@ -22,8 +33,13 @@ Durability contract
   fsynced, and ``os.replace``d — readers see the old file or the new
   one, never a partial.  A ``*.tmp`` stranded by a kill mid-write is
   removed on recovery (its rows are still in the tail).
-* A crash between segment seal and tail truncation leaves sealed rows
-  duplicated in the tail; WAL ``seq`` numbers dedup them on every scan.
+* A seal replaces the segment first and removes the tail second; a
+  crash in between leaves the sealed rows in both, and WAL ``seq``
+  numbers dedup them on every scan.  A tail that could not be read in
+  full (torn bytes, fewer rows than were acked) is never removed.
+* A tail append that the filesystem cut short is refused like one it
+  rejected: not acked, and the partial record is cut off before the next
+  append so no acked row ever lands behind a torn one.
 * Anything that fails checksum verification is quarantined
   (``*.quarantined``), counted, and announced — after which the link is
   *degraded*: its checkpoint is no longer trusted (row counts can no
@@ -47,6 +63,7 @@ import threading
 import time
 import urllib.parse
 from collections import OrderedDict
+from contextlib import suppress
 from pathlib import Path
 from typing import Dict, IO, List, Optional, Tuple, Union
 
@@ -77,6 +94,9 @@ _M_APPEND_ERRORS = _REG.counter(
     "store_append_errors", "tail appends refused by the filesystem")
 _M_SEALS = _REG.counter(
     "store_segments_sealed", "tails sealed into column segments")
+_M_SEALED_ROWS = _REG.counter(
+    "store_rows_sealed",
+    "rows written into segment files, rewrites of an open segment included")
 _M_SEAL_ERRORS = _REG.counter(
     "store_seal_errors", "segment seals that failed (rows stay in the tail)")
 _M_COMPACTIONS = _REG.counter(
@@ -125,7 +145,8 @@ class _LinkMeta:
     """In-memory framing state for one link's directory."""
 
     __slots__ = ("link", "directory", "segments", "sealed_rows", "tail_rows",
-                 "next_seq", "max_offset", "degraded")
+                 "tail_bytes", "tail_torn", "next_seq", "max_offset",
+                 "degraded")
 
     def __init__(self, link: str, directory: Path):
         self.link = link
@@ -133,6 +154,8 @@ class _LinkMeta:
         self.segments: List[_Segment] = []
         self.sealed_rows = 0          # rows covered by sealed segments
         self.tail_rows = 0            # live (deduped) rows in the tail
+        self.tail_bytes = 0           # length of the tail's good records
+        self.tail_torn = False        # bytes past tail_bytes await a cut
         self.next_seq = 0             # seq for the next appended row
         self.max_offset = 0           # largest source offset made durable
         self.degraded = False         # a quarantine broke row accounting
@@ -147,6 +170,13 @@ class _LinkMeta:
 
     def durable_rows(self) -> int:
         return sum(seg.rows for seg in self.segments) + self.tail_rows
+
+
+def _tail_columns(tail: _wal.TailScan) -> List[np.ndarray]:
+    """The scan's rows as the four typed columns a segment holds."""
+    return [np.asarray(column, dtype=dtype) for column, dtype in zip(
+        (tail.times, tail.values, tail.sizes, tail.ops),
+        (np.float64, np.float64, np.int64, np.int8))]
 
 
 def _quote(link: str) -> str:
@@ -230,7 +260,7 @@ class LinkStore:
     def close(self) -> None:
         """Close cached tail handles (data is already flushed per append)."""
         with self._registry_lock:
-            handles, self._handles = self._handles, {}
+            handles, self._handles = self._handles, OrderedDict()
         for handle in handles.values():
             try:
                 handle.close()
@@ -304,6 +334,7 @@ class LinkStore:
 
         tail = self._read_tail(meta, recover=True)
         meta.tail_rows = len(tail)
+        meta.tail_bytes = tail.valid_bytes
         if tail.seqs:
             meta.next_seq = tail.seqs[-1] + 1
         else:
@@ -327,8 +358,8 @@ class LinkStore:
         """Scan the tail's valid, deduped rows; truncate torn bytes once.
 
         Every scan applies the same dedup rule, so repeated reads are
-        deterministic even when a seal-then-truncate pair was split by a
-        crash.
+        deterministic even when a crash split a seal from the removal of
+        the tail it sealed.
         """
         path = meta.tail_path
         try:
@@ -345,7 +376,7 @@ class LinkStore:
             try:
                 os.truncate(path, scan.valid_bytes)
             except OSError:
-                meta.degraded = True
+                meta.degraded = meta.tail_torn = True
             if _obs_enabled():
                 _M_TORN.inc()
                 get_event_bus().emit(
@@ -415,23 +446,30 @@ class LinkStore:
             try:
                 _faults.check(
                     "store.segment", path=str(meta.tail_path), op="tail-write")
+                self._cut_torn_locked(meta)
                 try:
                     handle = self._tail_handle(meta)
-                    handle.write(blob)
+                    written = handle.write(blob)
                 except ValueError:
                     # The LRU closed this handle under us (another link's
                     # append evicted it); the cache miss reopens it.
                     with self._registry_lock:
                         self._handles.pop(link, None)
                     handle = self._tail_handle(meta)
-                    handle.write(blob)
+                    written = handle.write(blob)
+                if written != len(blob):
+                    # The handle is unbuffered: a full disk or a quota
+                    # shows up here as a count, not as an exception.
+                    raise OSError(f"short write: {written} of {len(blob)}")
             except OSError:
+                meta.tail_torn = True
                 if _obs_enabled():
                     _M_APPEND_ERRORS.inc()
                     get_event_bus().emit(
                         "store.append_error", link=link, rows=n)
                 return False
             meta.tail_rows += n
+            meta.tail_bytes += len(blob)
             meta.next_seq = seq0 + n
             if last_offset:
                 meta.max_offset = max(meta.max_offset, last_offset)
@@ -443,6 +481,15 @@ class LinkStore:
             if meta.tail_rows >= self.segment_rows:
                 self._seal_locked(meta)
             return synced
+
+    def _cut_torn_locked(self, meta: _LinkMeta) -> None:
+        """Cut off what a refused append left past the last good record,
+        so the next acked row is not written behind it.  Raises
+        ``OSError`` when the filesystem refuses that too."""
+        if meta.tail_torn:
+            with suppress(FileNotFoundError):
+                os.truncate(meta.tail_path, meta.tail_bytes)
+            meta.tail_torn = False
 
     def _tail_handle(self, meta: _LinkMeta) -> IO[bytes]:
         """An O_APPEND handle for the link's tail, LRU-cached."""
@@ -491,7 +538,9 @@ class LinkStore:
             for link in touched:
                 with self._lock_for(link):
                     meta = self._metas.get(link)
-                    if meta is None:
+                    if meta is None or not meta.tail_rows:
+                        # Nothing in the tail (a seal took the rows, and
+                        # synced them): do not open an empty one.
                         continue
                     try:
                         handle = self._tail_handle(meta)
@@ -512,50 +561,117 @@ class LinkStore:
     # ------------------------------------------------------------------
     # sealing and compaction
     # ------------------------------------------------------------------
-    def seal(self, link: str) -> bool:
-        """Seal the link's tail into a segment now (no-op when empty)."""
+    def seal(self, link: str, amortized: bool = False) -> bool:
+        """Fold the link's tail into its open segment now (no-op when
+        the tail is empty).
+
+        ``amortized`` is the evict path's form: seal only when the tail
+        holds at least as many rows as the open segment, or there is no
+        open segment.  Rewriting a segment costs its whole length, so
+        this is the doubling rule: a row is rewritten O(log
+        ``segment_rows``) times, an evicted link never holds more rows
+        in the tail than in its open segment, and one new row on a cold
+        link does not rewrite the link.  Shutdown seals unconditionally.
+        """
         with self._lock_for(link):
             meta = self._meta(link)
             if meta is None:
                 return False
+            if amortized and meta.segments:
+                last = meta.segments[-1]
+                if meta.tail_rows < last.rows and self._extends(
+                        last, meta.next_seq - meta.tail_rows, meta.tail_rows):
+                    return False
             return self._seal_locked(meta)
 
+    def _extends(self, seg: _Segment, first_seq: int, rows: int) -> bool:
+        """Can ``rows`` rows starting at ``first_seq`` be folded into
+        this segment?  It must be a file of this build, end where they
+        begin, and stay within ``segment_rows`` with them."""
+        return (seg.path.suffix == ".col" and seg.end_row == first_seq
+                and seg.rows + rows <= self.segment_rows)
+
     def _seal_locked(self, meta: _LinkMeta) -> bool:
-        tail = self._read_tail(meta)
-        if not tail.seqs:
+        if not meta.tail_rows:
             return False
-        start_row = tail.seqs[0]
-        path = meta.directory / segment_name(start_row)
+        held = meta.tail_rows
+        with suppress(OSError):
+            self._cut_torn_locked(meta)
+        tail = self._read_tail(meta)
+        if tail.torn_bytes or len(tail) < held:
+            # Not read in full: removing it would lose acked rows.
+            return self._seal_failed(meta, meta.tail_path)
+        columns = _tail_columns(tail)
+        start_row, rows = tail.seqs[0], len(tail)
         max_offset = max(meta.max_offset, max(tail.offsets))
+        # The open segment — and, in a state dir of an earlier build,
+        # the small segments each restart left before it.
+        folded: List[_Segment] = []
+        for seg in reversed(meta.segments):
+            if not self._extends(seg, start_row, rows):
+                break
+            data = self._read_segment_locked(meta, seg)
+            if data is None:
+                # Quarantined.  Start over: the tail is rescanned against
+                # what survives and sealed to a segment of its own.
+                return self._seal_locked(meta)
+            columns = [np.concatenate(pair) for pair in zip(data[3:], columns)]
+            start_row, rows = seg.start_row, rows + seg.rows
+            folded.append(seg)
+        path = (folded[-1].path if folded
+                else meta.directory / segment_name(start_row))
         try:
             _segments.write_segment(
-                path, start_row,
-                np.asarray(tail.times), np.asarray(tail.values),
-                np.asarray(tail.sizes), np.asarray(tail.ops),
+                path, start_row, *columns,
                 max_offset=max_offset, fsync=self.fsync,
             )
         except Exception:
             # Rows stay safe in the tail; sealing retries on later growth.
-            if _obs_enabled():
-                _M_SEAL_ERRORS.inc()
-                get_event_bus().emit(
-                    "store.seal_error", link=meta.link, path=str(path))
-            return False
-        try:
-            os.truncate(meta.tail_path, 0)
-        except OSError:
-            pass  # seq dedup keeps the duplicate rows harmless
-        meta.segments.append(
-            _Segment(path, start_row, len(tail.seqs), max_offset))
+            return self._seal_failed(meta, path)
+        for seg in folded[:-1]:
+            # Superseded by the file just written (recovery would sweep
+            # them the same way).
+            with suppress(OSError):
+                seg.path.unlink()
+        self._drop_tail_locked(meta)
+        meta.segments = [seg for seg in meta.segments if seg not in folded]
+        meta.segments.append(_Segment(path, start_row, rows, max_offset))
         meta.segments.sort(key=lambda seg: seg.start_row)
-        meta.sealed_rows = max(meta.sealed_rows, start_row + len(tail.seqs))
-        meta.tail_rows = 0
+        meta.sealed_rows = max(meta.sealed_rows, start_row + rows)
         if _obs_enabled():
             _M_SEALS.inc()
+            _M_SEALED_ROWS.inc(rows)
             get_event_bus().emit(
-                "store.seal", link=meta.link, rows=len(tail.seqs),
-                path=str(path))
+                "store.seal", link=meta.link, rows=len(tail),
+                merged=bool(folded), path=str(path))
         return True
+
+    def _seal_failed(self, meta: _LinkMeta, path: Path) -> bool:
+        if _obs_enabled():
+            _M_SEAL_ERRORS.inc()
+            get_event_bus().emit(
+                "store.seal_error", link=meta.link, path=str(path))
+        return False
+
+    def _drop_tail_locked(self, meta: _LinkMeta) -> None:
+        """Remove the tail once its rows are in a segment.
+
+        The cached handle goes first: an ``O_APPEND`` handle on an
+        unlinked inode would swallow every later row.  A tail that will
+        not go stays as duplicates, which ``seq`` dedup hides.
+        """
+        with self._registry_lock:
+            handle = self._handles.pop(meta.link, None)
+        meta.tail_rows = 0
+        try:
+            if handle is not None:
+                handle.close()
+            meta.tail_path.unlink()
+        except FileNotFoundError:
+            pass
+        except OSError:
+            return
+        meta.tail_bytes, meta.tail_torn = 0, False
 
     def compact(self, link: str) -> bool:
         """Merge all segments and the tail into one ``seg-full.col``.
@@ -568,35 +684,31 @@ class LinkStore:
             meta = self._meta(link)
             if meta is None:
                 return False
-            times, values, sizes, ops, _ = self._load_locked(meta)
+            held = meta.tail_rows
+            times, values, sizes, ops, tail = self._load_locked(meta)
             total = len(times)
             full = meta.directory / FULL_NAME
+            if tail.torn_bytes or len(tail) < held:
+                return self._seal_failed(meta, meta.tail_path)
             try:
                 _segments.write_segment(
                     full, 0, times, values, sizes, ops,
                     max_offset=meta.max_offset, fsync=self.fsync,
                 )
             except Exception:
-                if _obs_enabled():
-                    _M_SEAL_ERRORS.inc()
-                return False
+                return self._seal_failed(meta, full)
             for seg in meta.segments:
                 if seg.path != full:
-                    try:
+                    with suppress(OSError):
                         seg.path.unlink()
-                    except OSError:
-                        pass
-            try:
-                os.truncate(meta.tail_path, 0)
-            except OSError:
-                pass
+            self._drop_tail_locked(meta)
             meta.segments = [_Segment(full, 0, total, meta.max_offset)]
             meta.sealed_rows = total
-            meta.tail_rows = 0
             meta.next_seq = total
             meta.degraded = False
             if _obs_enabled():
                 _M_COMPACTIONS.inc()
+                _M_SEALED_ROWS.inc(total)
                 get_event_bus().emit("store.compact", link=link, rows=total)
             return True
 
@@ -639,29 +751,32 @@ class LinkStore:
                 sizes, ops = sizes[start_row:], ops[start_row:]
             return times, values, sizes, ops
 
+    def _read_segment_locked(
+            self, meta: _LinkMeta, seg: _Segment) -> Optional[_segments.SegmentData]:
+        """One segment's rows, or None for a file that cannot be trusted:
+        it is quarantined, leaves the segment list, and the link degrades."""
+        try:
+            return _segments.read_segment(seg.path)
+        except Exception:
+            self._quarantine_file(meta, seg.path, kind="segment")
+            meta.degraded = True
+            meta.segments.remove(seg)
+            meta.sealed_rows = max(
+                (s.end_row for s in meta.segments), default=0)
+            return None
+
     def _load_locked(self, meta: _LinkMeta):
         """Concatenate segment columns and live tail rows, arrival order."""
         parts: Tuple[List[np.ndarray], ...] = ([], [], [], [])
-        surviving: List[_Segment] = []
-        for seg in meta.segments:
-            try:
-                data = _segments.read_segment(seg.path)
-            except Exception:
-                self._quarantine_file(meta, seg.path, kind="segment")
-                meta.degraded = True
-                continue
-            surviving.append(seg)
-            for part, column in zip(parts, data[3:]):
-                part.append(column)
-        if len(surviving) != len(meta.segments):
-            meta.segments = surviving
-            meta.sealed_rows = max((s.end_row for s in surviving), default=0)
+        for seg in list(meta.segments):
+            data = self._read_segment_locked(meta, seg)
+            if data is not None:
+                for part, column in zip(parts, data[3:]):
+                    part.append(column)
         tail = self._read_tail(meta)
         meta.tail_rows = len(tail)
-        for part, column, dtype in zip(
-                parts, (tail.times, tail.values, tail.sizes, tail.ops),
-                (np.float64, np.float64, np.int64, np.int8)):
-            part.append(np.asarray(column, dtype=dtype))
+        for part, column in zip(parts, _tail_columns(tail)):
+            part.append(column)
         times, values, sizes, ops = (np.concatenate(part) for part in parts)
         return times, values, sizes, ops, tail
 

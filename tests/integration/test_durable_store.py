@@ -74,6 +74,35 @@ def _interleaved(service):
             for p in [service.predict(link, size, spec, now=nows[link])]]
 
 
+def _synthetic_records(count, phase=0):
+    sizes = (10 * MB, 100 * MB, 500 * MB, 1000 * MB)
+    from tests.conftest import make_record
+
+    return [make_record(start=1e6 + 900.0 * i + phase, duration=5.0 + i % 11,
+                        size=sizes[(i * 7 + phase) % 4],
+                        bandwidth=2e6 + 1e5 * ((i * 13 + phase) % 17))
+            for i in range(count)]
+
+
+def _tail_and_open_segment_rows(link_dir):
+    """Rows a link holds in WAL form, and in its last segment."""
+    from tests.unit.test_store import segment_shapes
+
+    tail = link_dir / "tail.wal"
+    in_tail = tail.stat().st_size // wal.RECORD_SIZE if tail.exists() else 0
+    shapes = sorted(segment_shapes(link_dir).values())
+    return in_tail, (shapes[-1][1] if shapes else 0)
+
+
+def _assert_no_tail_outgrew_its_segment(root, but=()):
+    """What eviction leaves behind: never more rows in the tail than in
+    the open segment (``but`` names the links still resident)."""
+    for link_dir in (Path(root) / "links").iterdir():
+        if link_dir.name not in but:
+            in_tail, in_segment = _tail_and_open_segment_rows(link_dir)
+            assert in_tail <= in_segment, link_dir.name
+
+
 class TestEvictRevive:
     def test_every_spec_on_the_four_logs_across_eviction_and_restart(
             self, tmp_path):
@@ -88,6 +117,7 @@ class TestEvictRevive:
         expected = _interleaved(resident)
         assert _interleaved(tiered) == expected
         assert tiered.status()["store"]["revivals"] >= len(expected) - 4
+        _assert_no_tail_outgrew_its_segment(tmp_path / "state")
         assert tiered.checkpoint_all(seal=True) >= 1
         tiered.store.close()
         warm = PredictionService(
@@ -248,6 +278,59 @@ class TestUpgrade:
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
+
+    def test_state_dir_of_the_commit_before_eviction_sealed_converges(
+            self, tmp_path):
+        """Before eviction sealed, an evicted link was a tail and a
+        checkpoint, and a link resident at five shutdowns had five small
+        segments.  Both serve as they are, and one eviction each leaves
+        one segment per link."""
+        from repro.obs import get_registry
+        from repro.store import segments
+
+        links = {f"L{k}": _synthetic_records(40, phase=k) for k in range(4)}
+        fresh = PredictionService()
+        old = PredictionService(store=LinkStore(tmp_path / "state"))
+        for service in (fresh, old):
+            for link, records in links.items():
+                for record in records:
+                    service.observe(link, record)
+        assert old.checkpoint_all() == len(links)  # no seal: tails stay
+        old.store.close()
+        restarted = tmp_path / "state" / "links" / "L0"
+        scan = wal.scan((restarted / "tail.wal").read_bytes())
+        columns = (scan.times, scan.values, scan.sizes, scan.ops, scan.offsets)
+        for lo in range(0, 30, 6):
+            segments.write_segment(
+                restarted / segments.segment_name(lo), lo,
+                *(column[lo:lo + 6] for column in columns[:4]))
+        (restarted / "tail.wal").write_bytes(wal.encode_columns(
+            30, *(column[30:] for column in columns)))
+        assert sorted(p.name for p in restarted.iterdir()) == [
+            "checkpoint.bin", *(segments.segment_name(lo)
+                                for lo in range(0, 30, 6)), "tail.wal"]
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = PredictionService(
+            store=LinkStore(tmp_path / "state"), max_resident=1)
+        expected = _interleaved(fresh)
+        assert _interleaved(served) == expected
+        revivals = served.metrics.snapshot()["service_link_revivals"]
+        assert [series["labels"] for series in revivals["series"]] == [
+            {"how": "checkpoint"}]  # never a rebuild
+        # The ten rows L0 kept in its tail are at least the six of its
+        # last segment, so its eviction sealed too.
+        served.checkpoint_all(seal=True)
+        served.store.close()
+        for link_dir in (tmp_path / "state" / "links").iterdir():
+            assert sorted(p.name for p in link_dir.iterdir()) == [
+                "checkpoint.bin", "seg-000000000000.col"], link_dir.name
+            assert segments.read_framing(
+                link_dir / "seg-000000000000.col")[:2] == (0, 40)
+        warm = PredictionService(store=LinkStore(tmp_path / "state"))
+        assert _interleaved(warm) == expected
+        assert quarantined.value == before
 
     def test_format_3_checkpoint_costs_one_rebuild_and_is_rewritten(
             self, tmp_path):
@@ -412,6 +495,43 @@ class TestKillNine:
             for size in sizes:
                 assert repr(revived.predict("victim", size, name, now=now).value) \
                     == repr(by_row.answer(predictor, size, now)), (name, size)
+
+    def test_rows_past_an_evict_sealed_segment_survive_the_kill(self, tmp_path):
+        """Eviction moved each link's rows into a segment; what came
+        after is in the tail, some of it past the last checkpoint.  A
+        killed process must come back with every acked row, through the
+        checkpoint, with the suffix folded."""
+        links = {f"L{k}": _synthetic_records(44, phase=k) for k in range(3)}
+        resident = PredictionService()
+        dying = PredictionService(
+            store=LinkStore(tmp_path / "state"), max_resident=1)
+        for lo, hi in ((0, 30), (30, 36), (36, 40)):
+            for link, records in links.items():
+                for record in records[lo:hi]:
+                    dying.observe(link, record)
+        for record in links["L0"][40:]:
+            dying.observe("L0", record)
+        # ... and it dies here, L0 resident: no checkpoint, no seal.
+        for link, records in links.items():
+            for record in records[:44 if link == "L0" else 40]:
+                resident.observe(link, record)
+        rows = {link_dir.name: _tail_and_open_segment_rows(link_dir)
+                for link_dir in (tmp_path / "state" / "links").iterdir()}
+        # 30 sealed at the first eviction; 6 and then 4 more never
+        # matched the segment, so they (and L0's last 4) are WAL rows.
+        assert rows == {"L0": (14, 30), "L1": (10, 30), "L2": (10, 30)}
+
+        store = LinkStore(tmp_path / "state")
+        revived = PredictionService(store=store)
+        for link, records in links.items():
+            acked = [r.end_time for r in records[:44 if link == "L0" else 40]]
+            assert store.load_columns(link)[0].tolist() == acked
+        assert [revived.version(link) for link in links] == [44, 40, 40]
+        assert [(e.fields["link"], e.fields["how"], e.fields["records"])
+                for e in revived.trace.events(kind="revive")] == [
+            ("L0", "checkpoint", 44), ("L1", "checkpoint", 40),
+            ("L2", "checkpoint", 40)]
+        assert _interleaved(revived) == _interleaved(resident)
 
     def test_restart_after_kill_continues_ingest(self, tmp_path):
         from tests.conftest import make_record

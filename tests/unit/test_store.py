@@ -797,3 +797,192 @@ class TestLinkStore:
         assert store.link_count() == 2
         assert not store.has("c")
         assert store.bytes_on_disk(max_age=0.0) > 0
+
+
+# ----------------------------------------------------------------------
+# sealing: the open segment, the tail that leaves, the evict-path rule
+# ----------------------------------------------------------------------
+def _link_dir(root):
+    return next((root / "links").iterdir())
+
+
+def segment_shapes(link_dir):
+    """``{file name: (start_row, rows)}`` of the live segments."""
+    return {p.name: seg.read_framing(p)[:2]
+            for p in sorted(link_dir.glob("seg-*.col"))}
+
+
+class TestSeal:
+    def test_seal_grows_the_open_segment_and_removes_the_tail(self, tmp_path):
+        from repro.obs import get_event_bus
+
+        sealed = get_registry().counter("store_rows_sealed", "")
+        before = sealed.value
+        seen = len(get_event_bus().events(kind="store.seal"))
+        store = LinkStore(tmp_path, segment_rows=16)
+        _append(store, "x", 5, t0=1000.0)
+        assert store.seal("x")
+        link_dir = _link_dir(tmp_path)
+        assert sorted(p.name for p in link_dir.iterdir()) == [
+            "seg-000000000000.col"]
+        _append(store, "x", 4, t0=2000.0)
+        assert store.seal("x")  # same name, more rows, tail gone again
+        assert segment_shapes(link_dir) == {"seg-000000000000.col": (0, 9)}
+        assert not (link_dir / "tail.wal").exists()
+        _append(store, "x", 8, t0=3000.0)
+        assert store.seal("x")  # 9 + 8 > 16: the last one counts as full
+        assert segment_shapes(link_dir) == {
+            "seg-000000000000.col": (0, 9), "seg-000000000009.col": (9, 8)}
+        # Rows written into segment files, the rewrite included.
+        assert sealed.value - before == 5 + 9 + 8
+        events = get_event_bus().events(kind="store.seal")[seen:]
+        assert [(e.fields["rows"], e.fields["merged"]) for e in events] == [
+            (5, False), (4, True), (8, False)]
+        want = [sum(cols, []) for cols in zip(
+            _rows(5, 1000.0), _rows(4, 2000.0), _rows(8, 3000.0))]
+        store.close()
+        for opened in (store, LinkStore(tmp_path, segment_rows=16)):
+            assert opened.durable_rows("x") == 17
+            for got, column in zip(opened.load_columns("x"), want):
+                np.testing.assert_array_equal(got, column)
+
+    def test_seal_of_an_empty_tail_touches_no_file(self, tmp_path, monkeypatch):
+        store = LinkStore(tmp_path)
+        _append(store, "x", 3)
+        assert store.seal("x")
+
+        def touched(*args, **kwargs):
+            raise AssertionError("an empty tail was read")
+
+        monkeypatch.setattr(LinkStore, "_read_tail", touched)
+        assert store.seal("x") is False
+        assert store.seal("x", amortized=True) is False
+
+    @pytest.mark.parametrize("kept", [0.5, 0.4],
+                             ids=["short-by-whole-records", "torn"])
+    def test_seal_keeps_a_tail_it_could_not_read_in_full(self, tmp_path, kept):
+        from repro.faults import FaultInjector, injected
+
+        store = LinkStore(tmp_path)
+        _append(store, "x", 6)
+        tail = _link_dir(tmp_path) / "tail.wal"
+        errors = get_registry().counter("store_seal_errors", "")
+        before = errors.value
+        injector = FaultInjector()
+        injector.inject("store.segment", truncate=kept, path=str(tail))
+        with injected(injector):
+            assert store.seal("x") is False
+        assert injector.total_fired() == 1
+        assert errors.value == before + 1
+        assert tail.stat().st_size == 6 * wal.RECORD_SIZE
+        assert not list(_link_dir(tmp_path).glob("seg-*"))
+        assert store.seal("x")  # the next one reads it whole
+        assert store.durable_rows("x") == 6
+        assert len(LinkStore(tmp_path).load_columns("x")[0]) == 6
+
+    def test_corrupt_open_segment_met_while_merging(self, tmp_path):
+        store = LinkStore(tmp_path)
+        _append(store, "x", 5, t0=1000.0)
+        assert store.seal("x")
+        link_dir = _link_dir(tmp_path)
+        victim = link_dir / "seg-000000000000.col"
+        raw = bytearray(victim.read_bytes())
+        raw[-3] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        _append(store, "x", 3, t0=2000.0)
+        assert store.seal("x")  # the tail's rows get a segment of their own
+        assert store.degraded("x")
+        assert sorted(p.name for p in link_dir.iterdir()) == [
+            "seg-000000000000.col.quarantined", "seg-000000000005.col"]
+        np.testing.assert_array_equal(
+            store.load_columns("x")[0], _rows(3, 2000.0)[0])
+
+    def test_amortized_seal_waits_for_the_tail_to_match_the_open_segment(
+            self, tmp_path):
+        store = LinkStore(tmp_path, segment_rows=16)
+        _append(store, "x", 8, t0=1000.0)
+        assert store.seal("x", amortized=True)  # no open segment yet
+        link_dir = _link_dir(tmp_path)
+        _append(store, "x", 3, t0=2000.0)
+        assert store.seal("x", amortized=True) is False  # 3 < 8: not worth 11
+        assert (link_dir / "tail.wal").stat().st_size == 3 * wal.RECORD_SIZE
+        _append(store, "x", 5, t0=3000.0)
+        assert store.seal("x", amortized=True)  # 8 >= 8: doubles it
+        assert segment_shapes(link_dir) == {"seg-000000000000.col": (0, 16)}
+        _append(store, "x", 1, t0=4000.0)
+        assert store.seal("x", amortized=True)  # a full segment is not open
+        assert segment_shapes(link_dir) == {
+            "seg-000000000000.col": (0, 16), "seg-000000000016.col": (16, 1)}
+        assert store.durable_rows("x") == 17 and not store.degraded("x")
+
+    def test_small_segments_of_an_earlier_build_fold_into_one(self, tmp_path):
+        """Before seals grew the open segment, every restart left each
+        link it had resident one more small file."""
+        link_dir = tmp_path / "links" / "x"
+        link_dir.mkdir(parents=True)
+        for k in range(5):
+            seg.write_segment(link_dir / seg.segment_name(6 * k), 6 * k,
+                              *_rows(6, 1000.0 * (k + 1)))
+        store = LinkStore(tmp_path)
+        assert store.durable_rows("x") == 30
+        _append(store, "x", 2, t0=9000.0)
+        assert store.seal("x")
+        assert segment_shapes(link_dir) == {"seg-000000000000.col": (0, 32)}
+        for opened in (store, LinkStore(tmp_path)):
+            times = opened.load_columns("x")[0]
+            assert not opened.degraded("x")
+            np.testing.assert_array_equal(times, sum(
+                (_rows(6, 1000.0 * (k + 1))[0] for k in range(5)), [])
+                + _rows(2, 9000.0)[0])
+
+    def test_group_commit_after_an_auto_seal_opens_no_empty_tail(self, tmp_path):
+        store = LinkStore(tmp_path, segment_rows=4, fsync=True)
+        assert store.append_rows("x", *_rows(4), sync=False)  # seals itself
+        assert store.group_commit(["x"])
+        assert sorted(p.name for p in _link_dir(tmp_path).iterdir()) == [
+            "seg-000000000000.col"]
+
+    def test_close_leaves_the_handle_cache_an_lru(self, tmp_path):
+        store = LinkStore(tmp_path, max_open_tails=2)
+        _append(store, "a", 1)
+        store.close()
+        for link in "bcde":  # past max_open_tails: the cache must evict
+            _append(store, link, 1)
+
+    def test_short_write_is_refused_and_cut_off_before_the_next_append(
+            self, tmp_path, monkeypatch):
+        """An unbuffered handle reports a full disk as a count.  The
+        append must not be acked, and the partial record must not stay
+        in front of rows that are."""
+        store = LinkStore(tmp_path)
+        _append(store, "x", 2)
+        tail = _link_dir(tmp_path) / "tail.wal"
+        real = LinkStore._tail_handle
+
+        class ShortOnce:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, blob):
+                return self.handle.write(blob[:20])
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        monkeypatch.setattr(
+            LinkStore, "_tail_handle", lambda self, meta: ShortOnce(real(self, meta)))
+        errors = get_registry().counter("store_append_errors", "")
+        before = errors.value
+        times, values, sizes, ops = _rows(1, t0=2000.0)
+        assert store.append_rows("x", times, values, sizes, ops) is False
+        assert errors.value == before + 1
+        assert store.durable_rows("x") == 2
+        monkeypatch.undo()
+        _append(store, "x", 2, t0=3000.0)  # acked: must survive a reopen
+        assert tail.stat().st_size == 4 * wal.RECORD_SIZE
+        assert wal.scan(tail.read_bytes()).seqs == [0, 1, 2, 3]
+        store.close()
+        fresh = LinkStore(tmp_path)
+        assert fresh.durable_rows("x") == 4
+        np.testing.assert_array_equal(
+            fresh.load_columns("x")[0], _rows(2)[0] + _rows(2, 3000.0)[0])
