@@ -340,12 +340,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     followers = []
     if args.follow:
         followers = [
-            # Batch delivery: each poll's new records fold through one
-            # observe_batch sweep (grouped locks, one WAL group commit)
-            # instead of a per-record write path.
-            LogFollower(path, None, link=args.link,
-                        deliver_offsets=store is not None,
-                        batch_sink=service.observe_batch)
+            # Each poll's new records fold through one observe_batch
+            # sweep (grouped locks, one WAL group commit).
+            LogFollower(path, service.observe_batch, link=args.link)
             for path in args.logs
         ]
         for follower in followers:

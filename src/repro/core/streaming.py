@@ -39,9 +39,15 @@ Time-window summaries expire lazily from the front and therefore assume
 query anchors move forward.  A query anchored *before* an already
 expired boundary raises :class:`StreamingUnavailable`; the serving layer
 falls back to a snapshot recompute, so correctness never depends on the
-anchor pattern.  Out-of-order history growth (overlapping transfers) is
-handled the same way: the owner rebuilds the bank from the arrays via
-:meth:`StreamingBank.rebuild` (vectorized, counted).
+anchor pattern.
+
+A bank grows one way: :meth:`StreamingBank.extend` folds an in-order run
+of rows (:meth:`StreamingBank.add` is its one-row form, bit for bit), and
+:meth:`StreamingBank.rebuild` — what the owner does after rows landed
+out of order (overlapping transfers), counted — is ``extend`` of the
+whole sorted history into fresh series.  So however a link's rows
+arrived, the accumulators are those of the in-order fold, and differ
+between two banks only by what their windows have expired since.
 """
 
 from __future__ import annotations
@@ -181,11 +187,6 @@ class _TemporalMean:
     def extend(self, values: np.ndarray) -> None:
         self._sum = _fold_sum(self._sum, values)
 
-    def build(self, values: np.ndarray) -> None:
-        self.start = 0
-        self._sum = values.astype(np.longdouble).sum() if len(values) else _ZERO
-        self._expired_to = -np.inf
-
     def value(self, col: "SeriesSummaries", anchor: float) -> Optional[float]:
         expired = _expired(self, col, anchor - self.seconds)
         if expired:
@@ -295,31 +296,6 @@ class _ArSummary:
                 self._min = low
         else:
             self._push_mins(col, values)
-
-    def build(self, col: "SeriesSummaries", values: np.ndarray) -> None:
-        n = len(values)
-        self.count = n
-        self.start = 0
-        wide = values.astype(np.longdouble)
-        self._sum = wide.sum() if n else _ZERO
-        self._last = float(values[-1]) if n else 0.0
-        self._expired_to = -np.inf
-        if n >= 2:
-            x, y = wide[:-1], wide[1:]
-            self._m = n - 1
-            self._sx = x.sum()
-            self._sy = y.sum()
-            self._sxx = (x * x).sum()
-            self._sxy = (x * y).sum()
-        else:
-            self._m = 0
-            self._sx = self._sy = self._sxx = self._sxy = _ZERO
-        if self.seconds is None:
-            self._min = float(values.min()) if n else np.inf
-        else:
-            self._mins = []
-            if n:
-                self._push_mins(col, values)
 
     def _expire(self, col: "SeriesSummaries", expired: int) -> None:
         """Advance the cursor past ``expired`` rows, unfolding each row
@@ -471,9 +447,10 @@ class SeriesSummaries:
         """Fold an in-order batch; same final state as n ``add`` calls.
 
         The column takes the batch in one slice assignment and the
-        running sums vectorize (:func:`_fold_sum`); only the dual-heap
-        median — an inherently sequential structure — stays a
-        per-record loop.
+        running sums vectorize (:func:`_fold_sum`).  The dual-heap
+        median is sequential, so it takes the rows one by one — except
+        into an empty series, where one sort seeds both heaps (``MED``
+        depends on the values seen, not on the heaps' layout).
         """
         k = len(values)
         if k == 0:
@@ -488,29 +465,16 @@ class SeriesSummaries:
         self.count += k
         self.last = float(values[-1])
         self.last_time = float(times[-1])
-        median = self._median
-        for value in values.tolist():
-            median.add(value)
+        if self.count == k:
+            self._median.build(values)
+        else:
+            median = self._median
+            for value in values.tolist():
+                median.add(value)
         for summary in self._temporal.values():
             summary.extend(values)
         for summary in self._ar.values():
             summary.extend(self, values)
-
-    def build(self, times: np.ndarray, values: np.ndarray,
-              tags: Optional[np.ndarray] = None) -> None:
-        self._times = np.array(times, dtype=np.float64)
-        self._values = values = np.array(values, dtype=np.float64)
-        if tags is not None:
-            self._tags = np.array(tags, dtype=np.uint8)
-        self._n = self.count = len(values)
-        self._dropped = []
-        self.last = float(values[-1]) if len(values) else None
-        self.last_time = float(times[-1]) if len(values) else -np.inf
-        self._median.build(values)
-        for summary in self._temporal.values():
-            summary.build(values)
-        for summary in self._ar.values():
-            summary.build(self, values)
 
     def window_values(self, window: int) -> np.ndarray:
         """The last ``window`` values, oldest first (fewer if short)."""
@@ -595,8 +559,9 @@ class StreamingBank:
         Size classes for the ``C-`` summary banks (must be the same
         object the serving layer resolves ``C-`` specs with).
     on_rebuild:
-        Called with a reason string (``"out_of_order"`` or ``"bulk"``)
-        whenever the bank is rebuilt from the history arrays.
+        Called with a reason string (``"out_of_order"`` or ``"revive"``
+        from the service) whenever the bank is rebuilt from the history
+        arrays.
 
     ``add`` / ``extend`` / ``rebuild`` accept ``op`` / ``ops`` and never read it.
     """
@@ -685,23 +650,17 @@ class StreamingBank:
         ops: np.ndarray,
         reason: str = "bulk",
     ) -> None:
-        """Rebuild every summary from the full arrays, vectorized.
+        """Start over from the full arrays: :meth:`extend` into fresh
+        series, so a rebuilt bank is the folded one bit for bit (but for
+        windows the folded one has already expired).
 
-        Used after a bulk ``extend`` (fold the batch with array kernels,
-        then resume incrementally) and after the rare out-of-order insert
-        that invalidates positional windows.
+        What the owner does after rows landed out of order, which moves
+        every positional window, and what a checkpointless revival does.
         """
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        self.count = len(values)
-        tags = self._tags(np.asarray(sizes))
-        self._global.build(times, values, tags)
+        self.count = 0
+        self._global = SeriesSummaries(tagged=True)
         self._classes = {}
-        for tag in np.unique(tags).tolist():
-            mask = tags == tag
-            series = self._classes[tag] = SeriesSummaries()
-            series.build(times[mask], values[mask])
-
+        self.extend(times, values, sizes, ops)
         self.rebuilds += 1
         if self.on_rebuild is not None:
             self.on_rebuild(reason)

@@ -9,16 +9,16 @@ the service layer depends on for lock-free reads:
   ``n`` slots;
 * an in-order append writes only at index ``n`` — outside every existing
   view;
-* growth and out-of-order insertion allocate *fresh* arrays rather than
+* growth and an out-of-order merge allocate *fresh* arrays rather than
   resizing in place;
 
 so a snapshot taken at any moment stays internally consistent forever.
 Callers serialize mutation themselves (the service uses a per-link
 lock); this class holds no locks.
 
-:meth:`extend_sorted` is the bulk path: a presorted batch lands in one
-vectorized merge instead of N appends — the difference between O(N) and
-O(N^2) when a whole log file is folded into warm state.
+:meth:`append` writes one in-order row; :meth:`extend_sorted` merges a
+presorted batch — of any length, anywhere in the key range — in one
+vectorized pass, and is the only way a row lands before the tail.
 """
 
 from __future__ import annotations
@@ -103,44 +103,31 @@ class ColumnBuffer:
         self._columns = fresh
 
     def append(self, values: Sequence) -> None:
-        """Insert one row, keeping the key column non-decreasing.
+        """Write one row at the tail, O(1) amortized.
 
-        The common in-order row is O(1) amortized; a row whose key falls
-        before the current tail — overlapping transfers can complete out
-        of order — is inserted at its sorted position (after equal keys)
-        via a copy, leaving previously taken snapshots untouched.
+        The key must not fall before the current tail (``ValueError``):
+        a row out of order is a batch of one for :meth:`extend_sorted`.
         """
         if len(values) != len(self._columns):
             raise ValueError(
                 f"expected {len(self._columns)} values, got {len(values)}"
             )
         n = self._n
+        if n and values[0] < self._columns[0][n - 1]:
+            raise ValueError("key falls before the tail; use extend_sorted")
         if n == self.capacity:
             self._grow(max(2 * n, _INITIAL_CAPACITY))
-        key = values[0]
-        if n and key < self._columns[0][n - 1]:
-            pos = int(np.searchsorted(self._columns[0][:n], key, side="right"))
-            fresh = []
-            for old, value in zip(self._columns, values):
-                new = np.empty(len(old), dtype=old.dtype)
-                new[:pos] = old[:pos]
-                new[pos] = value
-                new[pos + 1 : n + 1] = old[pos:n]
-                fresh.append(new)
-            self._columns = fresh
-        else:
-            for column, value in zip(self._columns, values):
-                column[n] = value
+        for column, value in zip(self._columns, values):
+            column[n] = value
         self._n = n + 1
 
     def extend_sorted(self, batch: Sequence[np.ndarray]) -> None:
         """Merge a batch of rows already sorted by the key column.
 
-        Equal-key ordering matches a sequence of :meth:`append` calls:
-        existing rows stay ahead of incoming ones, and incoming rows keep
-        their batch order.  Appending at the tail reuses spare capacity
-        (those slots are outside every snapshot); anything else merges
-        into fresh arrays.
+        Equal keys keep arrival order: existing rows stay ahead of
+        incoming ones, and incoming rows keep their batch order.
+        Appending at the tail reuses spare capacity (those slots are
+        outside every snapshot); anything else merges into fresh arrays.
         """
         if len(batch) != len(self._columns):
             raise ValueError(

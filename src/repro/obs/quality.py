@@ -17,9 +17,9 @@ entries with ``entry.version < version`` and scores them against the new
 actual.  This makes pairing exact without coupling the tracker to the
 per-link lock: bulk :meth:`~repro.service.PredictionService.ingest_frame`
 advances the version by the frame length and scores the backlog against
-the frame's earliest record, and out-of-order observes behave identically
-to the append path because the version counter is the clock, not wall
-time.
+the frame's first row, as the first item of an ``observe_batch`` does,
+and out-of-order observes behave identically to the append path because
+the version counter is the clock, not wall time.
 
 **What is maintained per (link, spec)** — an :class:`ErrorStats`:
 

@@ -215,10 +215,25 @@ def _observe_payload(
     return {"link": link, "version": version}
 
 
+_INT64_MAX = 2**63 - 1
+
+
 def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
-    """Build ``(link, record, source_offset)`` from an observe payload."""
+    """Build ``(link, record, source_offset)`` from an observe payload.
+
+    The one place ``observe`` and every ``observe_batch`` item pass
+    through: what is refused here is one ``bad_request`` for one item.
+    ``size`` and ``offset`` land in int64 columns.
+    """
     link = str(item["link"])
+    if not link:
+        raise ValueError("link name must be non-empty")
     size = int(item["size"])
+    offset = int(item.get("offset", 0))
+    if not 0 < size <= _INT64_MAX:
+        raise ValueError(f"size must be in 1..2**63-1, got {size}")
+    if not 0 <= offset <= _INT64_MAX:
+        raise ValueError(f"offset must be in 0..2**63-1, got {offset}")
     start = float(item["start"])
     end = float(item["end"])
     bandwidth = item.get("bandwidth")
@@ -238,7 +253,7 @@ def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
         streams=int(item.get("streams", 1)),
         tcp_buffer=int(item.get("tcp_buffer", 65536)),
     )
-    return link, record, int(item.get("offset", 0))
+    return link, record, offset
 
 
 def _observe_batch_payload(

@@ -313,7 +313,7 @@ class PredictionService:
         self._hist_seen: Dict[Tuple[str, str], int] = {}
         # The bus mutates its subscriber list in place, so holding the
         # list is a stable, descriptor-free emptiness probe for the
-        # per-observation force-drain decision (see _score_quality).
+        # per-observation force-drain decision (see _drain_scored).
         self._trace_subscribers = self.trace._subscribers
         # The classification identity a checkpointed bank is keyed by;
         # revival rejects checkpoints written against a different one.
@@ -739,9 +739,10 @@ class PredictionService:
 
         This is ``predict_batch``'s write-path twin: the batch is
         grouped per link so each link pays one lock acquisition, one
-        vectorized :meth:`StreamingBank.extend` fold and one WAL write
-        per contiguous in-order run (instead of one of each per record),
-        quality staging drains **once** at the end, and — when a durable
+        vectorized :meth:`StreamingBank.extend` fold (plus one merge and
+        one rebuild if any of its rows land out of order) and one WAL
+        write, instead of one of each per record; quality staging
+        drains **once** at the end, and — when a durable
         store is attached — per-link appends defer their fsync to a
         single cross-link :meth:`~repro.store.LinkStore.group_commit`,
         so ``--fsync`` deployments pay at most one fsync per (link,
@@ -793,10 +794,7 @@ class PredictionService:
             stage_obs = stage.append
             for (link, record, _), version in zip(norm, versions):
                 stage_obs((link, record.bandwidth, record.end_time, version))
-            if len(stage) >= _SCORED_EVENT_BATCH or self._trace_subscribers:
-                scored = self.quality.drain()
-                if scored[0]:
-                    self._emit_scored(norm[-1][0], scored)
+            self._drain_scored(norm[-1][0])
         self._m_ingested.inc(n)
         self.trace.emit("observe_batch", items=n, links=len(groups))
         return versions
@@ -814,27 +812,28 @@ class PredictionService:
     ) -> int:
         """Bulk-fold a columnar frame into a link; returns how many records.
 
-        The frame lands through :meth:`LinkState.extend` — one sorted
-        merge, version advanced by the record count, a single ``ingest``
-        trace event — leaving the link state and version that per-record
-        :meth:`observe` calls would.
+        The frame's columns go through :meth:`LinkState.append_batch` as
+        they are — a sorted log is one ``extend``, rows out of order are
+        merged at once — with a single ``ingest`` trace event, leaving the
+        link state and version that per-record :meth:`observe` calls
+        would.
         """
         n = len(frame)
         if n == 0:
             return 0
         state = self._state(link, create=True)
-        version = state.extend(frame, source_offset=source_offset)
-        if self.quality is not None:
-            # The backlog pairs against the frame's *earliest* record —
-            # the next observed transfer after those answers were
-            # served.  Extend advances the version by n, so scoring at
-            # ``version - n + 1`` consumes exactly the pre-frame
-            # backlog, just as the first record of a per-record replay
-            # would.
-            i = int(np.argmin(frame.end_times))
-            self._score_quality(
-                link, float(frame.bandwidths[i]),
-                float(frame.end_times[i]), version - n + 1)
+        version = state.append_batch(
+            frame.end_times, frame.bandwidths, frame.sizes, frame.ops,
+            source_offset=source_offset)
+        stage = self._q_stage
+        if stage is not None:
+            # The version moved by n under one lock, so every answer
+            # still pending was served before the frame's first row and
+            # pairs with it, as with the first item of an observe_batch;
+            # the rows after it would find nothing left to score.
+            stage.append((link, float(frame.bandwidths[0]),
+                          float(frame.end_times[0]), version - n + 1))
+            self._drain_scored(link)
         self._m_ingested.inc(n)
         self.trace.emit("ingest", link=link, version=version, records=n)
         return n
@@ -1327,28 +1326,24 @@ class PredictionService:
     # ------------------------------------------------------------------
     # prediction quality
     # ------------------------------------------------------------------
-    def _score_quality(
-        self, link: str, actual: float, when: float, version: int
-    ) -> None:
-        """Score the link's pending answers against a new observation.
+    def _drain_scored(self, link: str) -> None:
+        """Score what a bulk ingest just staged, once it is worth it.
 
-        Runs on the ingest path right after the fold, outside the link
-        lock — the version gate inside the tracker makes pairing exact
-        regardless (see :mod:`repro.obs.quality`).  The common call
-        just stages the observation; once the stage holds
-        :data:`_SCORED_EVENT_BATCH` entries
-        the tracker drains the backlog and hands back aggregates plus
-        threshold-crossing detail, which :meth:`_emit_scored` turns into
-        one ``prediction.scored`` event (``pairs`` carries the batch
+        Observations only stage (see :mod:`repro.obs.quality`); the
+        tracker drains the backlog once the stage holds
+        :data:`_SCORED_EVENT_BATCH` entries and hands back aggregates
+        plus threshold-crossing detail, which :meth:`_emit_scored` turns
+        into one ``prediction.scored`` event (``pairs`` carries the batch
         size) and a ``prediction.bad`` event + counter per crosser.  A
-        live event subscriber forces a drain every observation, so
-        followers still see each scoring promptly.  The error histogram
-        is fed at scrape time by :meth:`publish_quality`, never here.
+        live event subscriber forces the drain, so followers still see
+        each scoring promptly.  The error histogram is fed at scrape time
+        by :meth:`publish_quality`, never here.  (:meth:`observe` inlines
+        the same rule: a frame per record is measurable there.)
         """
-        scored = self.quality.score(
-            link, actual, when, version, self._trace_subscribers)
-        if scored[0]:
-            self._emit_scored(link, scored)
+        if len(self._q_stage) >= _SCORED_EVENT_BATCH or self._trace_subscribers:
+            scored = self.quality.drain()
+            if scored[0]:
+                self._emit_scored(link, scored)
 
     def _emit_scored(
         self,

@@ -16,32 +16,32 @@ out-of-order insertion allocates fresh arrays — a snapshot taken at
 version ``v`` stays internally consistent forever.  Mutation is
 serialized by the per-link lock (the buffer itself holds no locks).
 
-:meth:`extend` is the bulk ingest path: a whole
-:class:`~repro.data.frame.TransferFrame` folds in with one sorted merge
-instead of N appends, bumping the version by the record count so
-version-keyed caches stay exact.
+Rows enter through :meth:`append_batch` — a tailed record, an
+``observe_batch`` group and a whole log file alike — and :meth:`append`
+is its O(1) single-row form.  The version advances one per row, so
+version-keyed caches cannot tell the two apart.
 
 A :class:`~repro.core.streaming.StreamingBank` rides along: in-order
-appends fold into it in O(1) under the same lock, bulk extends rebuild it
-once from the merged columns (vectorized), and the rare out-of-order
-insert — which invalidates every positional window — rebuilds it too,
-reported through the bank's ``on_rebuild`` hook.  The bank is how the
-serving layer answers warm queries without walking the arrays; see
-:mod:`repro.core.streaming`.
+rows fold into it under the same lock (``add`` for one,
+``extend`` for a run), and rows that land out of order — which moves
+every positional window — are merged into the columns at once and
+followed by one rebuild, reported through the bank's ``on_rebuild``
+hook.  The bank is how the serving layer answers warm queries without
+walking the arrays; see :mod:`repro.core.streaming`.
 
 Tiered storage (:mod:`repro.store`) hooks in at two seams:
 
 * **Write-through** — a ``persist`` callable receives every appended
   row (under the link lock, after the in-memory fold) so history is
-  durable the moment :meth:`append`/:meth:`extend` return.  Persist
+  durable the moment :meth:`append`/:meth:`append_batch` return.  Persist
   failures degrade durability, never serving; the store counts them.
 * **Evict/revive** — :meth:`revive` rebuilds a state from a checkpoint
   with **version continuity**: the version picks up exactly where the
   evicted state left off, so version-keyed cache entries stay exact
   across an evict→revive cycle.  History columns stay on disk until
-  something actually needs them (:meth:`history`, :meth:`snapshot`, an
-  out-of-order insert, a bulk extend); in-order appends and bank
-  answers never touch them.  Hydration loads the spilled columns and
+  something actually needs them (:meth:`history`, :meth:`snapshot`, a
+  row out of order); in-order appends and bank answers never touch
+  them.  Hydration loads the spilled columns and
   stable-sorts them by end time — bit-identical row order, including
   tie-breaks, to the always-resident buffer, because the buffer's own
   merge discipline *is* a stable sort by (end time, arrival order).
@@ -57,7 +57,7 @@ import numpy as np
 from repro.core.history import History
 from repro.core.streaming import StreamingBank
 from repro.data.buffer import ColumnBuffer
-from repro.data.frame import OP_READ, OP_WRITE, TransferFrame
+from repro.data.frame import OP_READ, OP_WRITE
 from repro.logs.record import Operation, TransferRecord
 
 __all__ = ["LinkState", "OP_READ", "OP_WRITE"]
@@ -71,8 +71,9 @@ _DTYPES = (
     ("ops", np.dtype(np.int8)),
 )
 
-#: ``persist(times, values, sizes, ops, source_offset)`` — called under
-#: the link lock with the rows just folded in, in arrival order.
+#: ``persist(times, values, sizes, ops, source_offset, sync=...)`` —
+#: called under the link lock, once per append, with the rows just folded
+#: in, in arrival order.
 PersistFn = Callable[..., bool]
 
 #: ``loader()`` -> (times, values, sizes, ops) in arrival order.
@@ -194,22 +195,25 @@ class LinkState:
     def append(self, record: TransferRecord, source_offset: int = 0) -> int:
         """Fold one completed transfer; returns the new version.
 
-        Records usually arrive in end-time order (O(1) amortized); the
-        rare out-of-order record — two transfers can overlap — is
-        inserted at its sorted position via a copy, which leaves
-        previously taken snapshots untouched.  An in-order append also
-        folds into the streaming bank in O(1); out-of-order insertion
-        rebuilds the bank, since it shifts every positional window (and
-        hydrates a revived state first — position is meaningless against
-        spilled rows).  ``source_offset`` is threaded to the persist
-        hook for crash-consistent log-follower resume.
+        Records usually arrive in end-time order: one buffer slot, one
+        O(1) :meth:`StreamingBank.add`, one persisted row.  Two transfers
+        can overlap, and the one that ends out of order is a batch of one
+        (:meth:`append_batch`).  ``source_offset`` is threaded to the
+        persist hook for crash-consistent log-follower resume.
         """
+        time, value, size = record.end_time, record.bandwidth, record.file_size
+        op = OP_READ if record.operation is Operation.READ else OP_WRITE
         with self.lock:
-            self._append_one_locked(
-                record.end_time, record.bandwidth, record.file_size,
-                OP_READ if record.operation is Operation.READ else OP_WRITE,
-                source_offset, None,
-            )
+            if time < self._last_time:
+                return self.append_batch(
+                    (time,), (value,), (size,), (op,), source_offset)
+            self._buffer.append((time, value, size, op))
+            self.bank.add(time, value, size, op)
+            self._last_time = time
+            self._version += 1
+            if self._persist is not None:
+                self._persist((time,), (value,), (size,), (op,),
+                              source_offset, sync=None)
             return self._version
 
     def append_batch(
@@ -221,128 +225,47 @@ class LinkState:
         source_offset=0,
         sync: Optional[bool] = None,
     ) -> int:
-        """Fold a batch of records under one lock; returns the new version.
+        """Fold rows in arrival order under one lock; returns the new version.
 
-        The write-path counterpart of ``predict_batch``'s grouped reads:
-        each maximal contiguous in-order run costs one buffer extend,
-        one vectorized :meth:`StreamingBank.extend` fold, and **one**
-        persist call (one WAL write downstream) instead of N of each.
-        The version still advances exactly one per record — the i-th
-        record of the batch got version ``returned - n + 1 + i`` — so
-        version-keyed caches and quality pairing behave identically to
-        sequential :meth:`append`.  Out-of-order stragglers take the
-        per-record insert path (sorted-position copy + bank rebuild),
-        preserving :meth:`append` semantics bit for bit.
+        The one way rows enter a link.  Rows in end-time order cost one
+        buffer extend and one :meth:`StreamingBank.extend`.  If any row
+        ends before its predecessor (or before the link's last row), the
+        batch is merged into the hydrated columns at once — stable by end
+        time, so equal keys keep arrival order, as one sorted insert per
+        row would — and the bank is rebuilt once, which moves every
+        positional window and leaves the accumulators the in-order fold
+        of the merged columns would have.  The version advances one per
+        row — the i-th row of the batch got version ``returned - n + 1 +
+        i`` — so version-keyed caches and quality pairing cannot tell a
+        batch from n appends.
 
-        ``source_offset`` is either one scalar (recorded on the batch's
-        last row, as :meth:`extend` does) or a per-row array from a
-        batching log follower.  ``sync`` threads through to the persist
-        hook (``None`` keeps the store's default) so a service-level
-        group commit can defer fsync across links.
+        The persist hook is called once, with every row in arrival order.
+        ``source_offset`` is one scalar (the store records it on the last
+        row) or a per-row array from the log follower; ``sync`` overrides
+        the store's fsync policy (``False`` defers to a group commit).
         """
         with self.lock:
             times = np.asarray(times, dtype=np.float64)
-            values = np.asarray(values, dtype=np.float64)
-            sizes = np.asarray(sizes, dtype=np.int64)
-            ops = np.asarray(ops, dtype=np.int8)
+            batch = (times, np.asarray(values, dtype=np.float64),
+                     np.asarray(sizes, dtype=np.int64),
+                     np.asarray(ops, dtype=np.int8))
             n = len(times)
             if n == 0:
                 return self._version
-            offsets = (np.asarray(source_offset, dtype=np.int64)
-                       if np.ndim(source_offset) else None)
-            lo = 0
-            while lo < n:
-                if times[lo] >= self._last_time:
-                    hi = lo + 1
-                    while hi < n and times[hi] >= times[hi - 1]:
-                        hi += 1
-                    run = slice(lo, hi)
-                    self._buffer.extend_sorted(
-                        (times[run], values[run], sizes[run], ops[run])
-                    )
-                    self.bank.extend(times[run], values[run],
-                                     sizes[run], ops[run])
-                    self._last_time = float(times[hi - 1])
-                    self._version += hi - lo
-                    if self._persist is not None:
-                        self._persist_rows(
-                            times[run], values[run], sizes[run], ops[run],
-                            offsets[run] if offsets is not None
-                            else (source_offset if hi == n else 0),
-                            sync,
-                        )
-                    lo = hi
-                else:
-                    self._append_one_locked(
-                        float(times[lo]), float(values[lo]),
-                        int(sizes[lo]), int(ops[lo]),
-                        int(offsets[lo]) if offsets is not None
-                        else (source_offset if lo == n - 1 else 0),
-                        sync,
-                    )
-                    lo += 1
-            return self._version
-
-    def _append_one_locked(
-        self, time: float, value: float, size: int, op: int,
-        source_offset, sync: Optional[bool],
-    ) -> None:
-        """Fold one record, lock already held (see :meth:`append`)."""
-        in_order = time >= self._last_time
-        if not in_order:
-            self._hydrate_locked()
-        self._buffer.append((time, value, size, op))
-        if in_order:
-            self.bank.add(time, value, size, op)
-            self._last_time = time
-        else:
-            self._rebuild_bank("out_of_order")
-        self._version += 1
-        if self._persist is not None:
-            self._persist_rows((time,), (value,), (size,), (op,),
-                               source_offset, sync)
-
-    def _persist_rows(self, times, values, sizes, ops, source_offset,
-                      sync: Optional[bool]) -> None:
-        """Invoke the persist hook, passing ``sync`` only when overridden
-        (plain 5-argument persist callables keep working)."""
-        if sync is None:
-            self._persist(times, values, sizes, ops, source_offset)
-        else:
-            self._persist(times, values, sizes, ops, source_offset,
-                          sync=sync)
-
-    def extend(self, frame: TransferFrame, source_offset: int = 0) -> int:
-        """Fold a whole frame in one sorted merge; returns the new version.
-
-        The version advances by ``len(frame)`` — exactly as if each record
-        had been appended individually — so version-keyed cache entries
-        behave identically on either ingest path.  The streaming bank is
-        rebuilt once from the merged columns (array kernels, not N folds)
-        and resumes incrementally from there.
-        """
-        with self.lock:
-            if len(frame):
+            if times[0] < self._last_time or (np.diff(times) < 0).any():
                 self._hydrate_locked()
-                ordered = frame if frame.is_sorted else frame.sort_by_end_time()
-                ops = ordered.ops.astype(np.int8)
+                order = np.argsort(times, kind="stable")
                 self._buffer.extend_sorted(
-                    (ordered.end_times, ordered.bandwidths, ordered.sizes, ops)
-                )
-                times, _, _, _ = self._buffer.views()
-                self._last_time = float(times[-1])
-                self._rebuild_bank("bulk")
-                if self._persist is not None:
-                    self._persist(
-                        ordered.end_times, ordered.bandwidths,
-                        ordered.sizes, ops, source_offset,
-                    )
-            self._version += len(frame)
+                    tuple(column[order] for column in batch))
+                self.bank.rebuild(*self._buffer.views(), reason="out_of_order")
+            else:
+                self._buffer.extend_sorted(batch)
+                self.bank.extend(*batch)
+            self._last_time = float(self._buffer.views()[0][-1])
+            self._version += n
+            if self._persist is not None:
+                self._persist(*batch, source_offset, sync=sync)
             return self._version
-
-    def _rebuild_bank(self, reason: str) -> None:
-        times, values, sizes, ops = self._buffer.views()
-        self.bank.rebuild(times, values, sizes, ops, reason=reason)
 
     # ------------------------------------------------------------------
     # snapshots

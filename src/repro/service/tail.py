@@ -4,8 +4,8 @@ The paper's deployment has the GridFTP server appending one ULM line per
 completed transfer while the information provider reads the log on
 inquiry.  :class:`LogFollower` replaces re-reading with incremental
 consumption: each :meth:`poll` reads only the bytes appended since the
-last call, parses the complete new lines, and feeds them to a sink
-(typically ``service.observe``).
+last call, parses the complete new lines, and hands them to a sink
+(``service.observe_batch``) in one call.
 
 Robustness rules (this is a boundary with the outside world — a poll
 must *never* kill the caller's loop):
@@ -35,7 +35,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro import faults as _faults
-from repro.logs.record import TransferRecord
 from repro.logs.ulm import ULMError, parse_record
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
@@ -57,37 +56,27 @@ _M_ROTATIONS = _REG.counter(
 class LogFollower:
     """Incrementally deliver new ULM records from ``path`` to ``sink``.
 
-    ``sink(link, record)`` is called once per newly appended record —
-    pass ``service.observe`` directly.  ``link`` defaults to the file
-    stem, matching ``PredictionService.ingest_ulm``.
-
-    With ``deliver_offsets=True`` the sink is called as ``sink(link,
-    record, source_offset=pos)`` where ``pos`` is the file offset just
-    past the record's line — the resume point a durable store needs to
-    stamp on each row so a crashed process can restart the follower
-    exactly where durability reached (see :meth:`seek_to`).
-
-    With ``batch_sink`` set, each poll delivers all of its new records
-    in **one** call as a list of ``(link, record, source_offset)``
-    tuples — the shape :meth:`PredictionService.observe_batch` accepts
-    directly, so a burst of appends costs one grouped fold and one WAL
-    group commit instead of a per-record write path.  ``batch_sink``
-    takes precedence over ``sink`` (which may then be ``None``).
+    Each poll that finds new records calls ``sink`` once with a list of
+    ``(link, record, source_offset)`` tuples — the shape
+    :meth:`PredictionService.observe_batch` accepts directly, so a burst
+    of appends costs one grouped fold and one WAL group commit.
+    ``link`` defaults to the file stem, matching
+    ``PredictionService.ingest_ulm``.  ``source_offset`` is the file
+    offset just past the record's line: the resume point a durable store
+    stamps on each row so a crashed process can restart the follower
+    exactly where durability reached (see :meth:`seek_to`); a service
+    without a store ignores it.
     """
 
     def __init__(
         self,
         path: Union[str, Path],
-        sink: Optional[Callable[..., None]],
+        sink: Callable[[list], object],
         link: Optional[str] = None,
-        deliver_offsets: bool = False,
-        batch_sink: Optional[Callable[[list], None]] = None,
     ):
         self.path = Path(path)
         self.sink = sink
         self.link = link or self.path.stem
-        self.deliver_offsets = deliver_offsets
-        self.batch_sink = batch_sink
         self.offset = 0          # bytes consumed so far
         self._partial = b""      # trailing incomplete line (raw bytes)
         self._inode: Optional[int] = None  # identity of the file last read
@@ -186,8 +175,7 @@ class LogFollower:
         # being written — hold it back (as bytes) for the next poll.
         self._partial = lines.pop()
 
-        delivered = 0
-        batch = [] if self.batch_sink is not None else None
+        batch = []
         # File position just past each delivered line: data ends at the
         # new offset, so it begins len(data) bytes before it.
         pos = new_offset - len(data)
@@ -205,16 +193,10 @@ class LogFollower:
                 if _obs_enabled():
                     _M_PARSE_ERRORS.inc()
                 continue
-            if batch is not None:
-                batch.append((
-                    self.link, record, pos if self.deliver_offsets else 0))
-            elif self.deliver_offsets:
-                self.sink(self.link, record, source_offset=pos)
-            else:
-                self.sink(self.link, record)
-            delivered += 1
+            batch.append((self.link, record, pos))
         if batch:
-            self.batch_sink(batch)
+            self.sink(batch)
+        delivered = len(batch)
         self.records += delivered
         if delivered and _obs_enabled():
             _M_RECORDS.inc(delivered)

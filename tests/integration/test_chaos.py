@@ -103,7 +103,7 @@ def _replay(workdir, injector):
         # 2. Live appends through the tail follower (site: tail.read).
         followers = {}
         for name in LOGS:
-            follower = LogFollower(workdir / name, service.observe)
+            follower = LogFollower(workdir / name, service.observe_batch)
             follower.seek_to_end()
             followers[name] = follower
         for name in LOGS:

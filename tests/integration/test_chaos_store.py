@@ -13,12 +13,6 @@ loses rows.  There the contract is containment — the bad file is
 quarantined, the link is flagged degraded, and the service keeps
 serving exactly the rows that survived, with no exception and no
 garbage values.
-
-Prediction specs are restricted to ring/heap summaries (``LV``,
-``MED``/``MED{n}``, ``AVG{n}``, and their ``C-`` variants), which are
-exact under a vectorized rebuild; full-history running sums (``AVG``,
-``AR``) are only bit-stable through the checkpoint path, which these
-faults disable on purpose.
 """
 
 from __future__ import annotations
@@ -37,7 +31,8 @@ from tests.unit.test_store import as_format_2
 
 DATA_DIR = Path(__file__).resolve().parents[2] / "data"
 LOGS = ["aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm"]
-SPECS = ["C-AVG15", "AVG5", "C-MED15", "MED", "LV"]
+SPECS = ["C-AVG15", "AVG5", "C-MED15", "MED", "LV",
+         "AVG", "C-AVG", "AR", "C-AR"]
 SIZES = [10 * MB, 100 * MB, 1000 * MB]
 NOW = 10_000_000.0
 
@@ -66,8 +61,13 @@ def _answers(service):
 
 @pytest.fixture(scope="module")
 def baseline():
+    """Fault-free, always resident, one ``observe`` per record."""
+    from repro.data import load_ulm
+
     service = PredictionService()
-    _ingest_logs(service)
+    for name in LOGS:
+        service.ingest_records(
+            Path(name).stem, load_ulm(DATA_DIR / name, cache=False).to_records())
     return _answers(service)
 
 

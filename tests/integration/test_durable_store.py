@@ -34,22 +34,19 @@ from repro.units import MB
 
 DATA_DIR = Path(__file__).resolve().parents[2] / "data"
 LOGS = ["aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm"]
-#: Exact under every revival path, including the checkpointless rebuild
-#: (ring/heap summaries are recomputed from identical values at query
-#: time; see docs/architecture.md on fold exactness).
-SPECS = ["C-AVG15", "AVG5", "C-MED15", "MED", "LV"]
-#: Exact only when revival restores the checkpointed longdouble
-#: accumulators (running sums fold sequentially; a vectorized rebuild
-#: may differ in the last bits).  Used on the checkpoint paths.
-CHECKPOINT_SPECS = SPECS + ["AVG", "C-AVG", "AR"]
+#: Exact under every revival path: a checkpoint restores the longdouble
+#: accumulators and a rebuild folds them again in the same order (see
+#: docs/architecture.md on fold exactness).
+SPECS = ["C-AVG15", "AVG5", "C-MED15", "MED", "LV",
+         "AVG", "C-AVG", "AR", "C-AR"]
 SIZES = [10 * MB, 100 * MB, 1000 * MB]
 NOW = 10_000_000.0
 
 
-def _answers(service, specs):
+def _answers(service):
     out = []
     for link in sorted(service.links()):
-        for spec in specs:
+        for spec in SPECS:
             for size in SIZES:
                 p = service.predict(link, size, spec, now=NOW)
                 out.append((link, spec, size, p.value, p.version,
@@ -60,6 +57,18 @@ def _answers(service, specs):
 def _ingest_logs(service):
     for name in LOGS:
         service.ingest_ulm(DATA_DIR / name)
+
+
+def _observed():
+    """The reference: an always-resident service that saw the same logs
+    one ``observe`` at a time."""
+    from repro.data import load_ulm
+
+    service = PredictionService()
+    for name in LOGS:
+        service.ingest_records(
+            Path(name).stem, load_ulm(DATA_DIR / name, cache=False).to_records())
+    return service
 
 
 def _interleaved(service):
@@ -124,18 +133,45 @@ class TestEvictRevive:
             store=LinkStore(tmp_path / "state", segment_rows=128))
         assert _interleaved(warm) == expected
 
-    def test_parity_under_constant_eviction(self, tmp_path):
+    def test_late_rows_in_batches_under_eviction_answer_as_per_record_observes(
+            self, tmp_path):
+        """300 rows a link, eight pairs of neighbours swapped, arriving
+        as 16-row ``observe_batch`` calls at a service with one resident
+        slot: one merge and one rebuild per batch that holds a late row,
+        against one rebuild per late row when the same rows are observed
+        one by one — and all 30 specs answer the same, bit for bit."""
+        links = {}
+        for k in range(3):
+            rows = _synthetic_records(300, phase=k)
+            for i in (3, 9, 40, 44, 100, 150, 200, 250):  # six batches of 16
+                rows[i], rows[i + 1] = rows[i + 1], rows[i]
+            links[f"L{k}"] = rows
         resident = PredictionService()
-        _ingest_logs(resident)
+        for link, rows in links.items():
+            for record in rows:
+                resident.observe(link, record)
+        tiered = PredictionService(
+            store=LinkStore(tmp_path / "state", segment_rows=128), max_resident=1)
+        for lo in range(0, 300, 16):
+            for link, rows in links.items():
+                tiered.observe_batch([(link, r) for r in rows[lo:lo + 16]])
+        assert resident._m_rebuilds.value == 3 * 8
+        assert tiered._m_rebuilds.value == 3 * 6
+        assert tiered.status()["store"]["evictions"] >= 3 * 18
+        for link in links:
+            assert tiered.history(link).times.tolist() == \
+                resident.history(link).times.tolist()
+        assert _interleaved(tiered) == _interleaved(resident)
 
+    def test_parity_under_constant_eviction(self, tmp_path):
+        resident = _observed()
         store = LinkStore(tmp_path / "state", segment_rows=128)
         tiered = PredictionService(store=store, max_resident=1)
         _ingest_logs(tiered)
 
         # Interleave queries across links so every one crosses an
         # evict→revive boundary (only one link fits in RAM).
-        assert _answers(tiered, CHECKPOINT_SPECS) == \
-            _answers(resident, CHECKPOINT_SPECS)
+        assert _answers(tiered) == _answers(resident)
 
         status = tiered.status()["store"]
         assert status["resident_links"] <= 1
@@ -146,10 +182,9 @@ class TestEvictRevive:
     def test_ingest_continues_after_revival(self, tmp_path):
         from tests.conftest import make_record
 
-        resident = PredictionService()
+        resident = _observed()
         store = LinkStore(tmp_path / "state", segment_rows=64)
         tiered = PredictionService(store=store, max_resident=1)
-        _ingest_logs(resident)
         _ingest_logs(tiered)
 
         # Touch the other link so the first is evicted, then append to
@@ -159,15 +194,12 @@ class TestEvictRevive:
         record = make_record(start=NOW - 5.0, duration=1.0, size=100 * MB)
         for service in (resident, tiered):
             service.observe(links[0], record)
-        assert _answers(tiered, CHECKPOINT_SPECS) == \
-            _answers(resident, CHECKPOINT_SPECS)
+        assert _answers(tiered) == _answers(resident)
 
 
 class TestWarmRestart:
     def test_checkpoint_all_then_reopen_is_trace_identical(self, tmp_path):
-        resident = PredictionService()
-        _ingest_logs(resident)
-
+        resident = _observed()
         store = LinkStore(tmp_path / "state")
         first = PredictionService(store=store)
         _ingest_logs(first)
@@ -177,8 +209,7 @@ class TestWarmRestart:
         reopened = LinkStore(tmp_path / "state")
         second = PredictionService(store=reopened)
         assert second.links() == sorted(resident.links())
-        assert _answers(second, CHECKPOINT_SPECS) == \
-            _answers(resident, CHECKPOINT_SPECS)
+        assert _answers(second) == _answers(resident)
         # Every link came back through the O(1) checkpoint path, not a
         # rebuild.
         assert second.status()["store"]["revivals"] == len(LOGS)
@@ -254,7 +285,7 @@ class TestUpgrade:
         new = PredictionService(
             store=LinkStore(tmp_path / "new", segment_rows=64))
         assert old.links() == new.links()
-        assert _answers(old, CHECKPOINT_SPECS) == _answers(new, CHECKPOINT_SPECS)
+        assert _answers(old) == _answers(new)
         for link in old.links():
             for column_old, column_new in zip(
                     old_store.load_columns(link), new.store.load_columns(link)):
@@ -263,7 +294,7 @@ class TestUpgrade:
         # New rows seal as .col beside the old files ...
         for service in (old, new):
             observe_more(service, 64)
-        assert _answers(old, CHECKPOINT_SPECS) == _answers(new, CHECKPOINT_SPECS)
+        assert _answers(old) == _answers(new)
         assert all(path.exists() for path in legacy)
         assert len(list((tmp_path / "old").rglob("seg-*.col"))) == len(LOGS)
 
@@ -274,7 +305,7 @@ class TestUpgrade:
             assert [p.name for p in link_dir.glob("seg-*")] == ["seg-full.col"]
         reopened = PredictionService(
             store=LinkStore(tmp_path / "old", segment_rows=64))
-        assert _answers(reopened, SPECS) == _answers(new, SPECS)
+        assert _answers(reopened) == _answers(new)
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
@@ -361,7 +392,7 @@ class TestUpgrade:
         served = PredictionService(
             store=LinkStore(tmp_path / "old"), max_resident=1)
         for round_, how in enumerate(["rebuild", "checkpoint"]):
-            assert _answers(served, SPECS) == _answers(fresh, SPECS)
+            assert _answers(served) == _answers(fresh)
             revivals = [event.fields["how"]
                         for event in served.trace.events(kind="revive")
                         if event.fields["link"] == "stale"]

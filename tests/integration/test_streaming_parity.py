@@ -7,9 +7,9 @@ reference the bank's summaries are defined against), while actually
 taking the fast path (asserted through the service's streaming
 counters).  Covers in-order walks over the shipped campaign logs for the
 full 30-spec battery, out-of-order arrivals (bank rebuild), bulk ingest
-(vectorized rebuild then incremental resume), non-battery specs
-(snapshot fallback), regressed temporal anchors (window fallback), and
-the MDS provider's per-class predictions.
+(one fold, or one merge and one rebuild, then incremental resume),
+non-battery specs (snapshot fallback), regressed temporal anchors
+(window fallback), and the MDS provider's per-class predictions.
 """
 
 from pathlib import Path
@@ -104,18 +104,37 @@ def test_out_of_order_arrivals_rebuild_the_bank_and_stay_identical():
     assert service._m_streamed.value > 0
 
 
-def test_bulk_ingest_rebuilds_then_resumes_incrementally():
+def test_bulk_ingest_rebuilds_then_resumes_incrementally(tmp_path):
+    """A sorted log folds with zero rebuilds; a file whose lines are out
+    of end-time order costs one merge and one rebuild, however many
+    lines are late.  Both then resume with O(1) folds."""
+    from repro.logs.ulm import format_record
+
     records = TransferLog.load(DATA_DIR / "aug-LBL-ANL.ulm").records()
-    service = PredictionService()
-    service.ingest_ulm(DATA_DIR / "aug-LBL-ANL.ulm", link="L")
-    assert service._m_rebuilds.value == 1  # one vectorized fold, not N
+    shuffled = list(records)
+    for i in (10, 25, 40, 60):
+        shuffled[i], shuffled[i + 1] = shuffled[i + 1], shuffled[i]
+    unsorted = tmp_path / "unsorted.ulm"
+    unsorted.write_text("".join(format_record(r) + "\n" for r in shuffled))
 
     now = records[-1].end_time + 60.0
-    for spec in ALL_PREDICTOR_NAMES:
-        a = service.predict("L", 600_000_000, spec=spec, now=now)
-        assert not a.cached and a.streamed
-        assert_same(a.value, generic(service, "L", 600_000_000, spec, now), spec)
-    assert service._m_stream_fallbacks.value == 0
+    histories = []
+    for path, rebuilds in ((DATA_DIR / "aug-LBL-ANL.ulm", 0), (unsorted, 1)):
+        service = PredictionService()
+        assert service.ingest_ulm(path, link="L", cache=False) == (
+            "L", len(records))
+        assert service._m_rebuilds.value == rebuilds
+        assert service.version("L") == len(records)
+        for spec in ALL_PREDICTOR_NAMES:
+            a = service.predict("L", 600_000_000, spec=spec, now=now)
+            assert not a.cached and a.streamed
+            assert_same(a.value, generic(service, "L", 600_000_000, spec, now),
+                        spec)
+        assert service._m_stream_fallbacks.value == 0
+        service.observe("L", records[-1])  # an equal end time is in order
+        assert service._m_rebuilds.value == rebuilds
+        histories.append(service.history("L"))
+    assert histories[0].times.tolist() == histories[1].times.tolist()
 
 
 def test_non_battery_spec_falls_back_to_snapshot():

@@ -253,19 +253,21 @@ def test_unknown_frame_op_answers_in_band_and_survives(endpoint):
         sock.close()
 
 
+def _client_address(endpoint):
+    address = endpoint.address
+    return "{}:{}".format(*address) if isinstance(address, tuple) else address
+
+
 def test_zero_duration_observe_is_a_bad_request(endpoint):
     # start == end and no bandwidth: nothing to divide the size by.  The
     # single op used to let the ZeroDivisionError out as `internal` (and
     # count it), while the same item in an observe_batch was a per-item
     # bad_request.
-    address = endpoint.address
-    if isinstance(address, tuple):
-        address = "{}:{}".format(*address)
     internal = get_registry().counter("server_internal_errors")
     before = internal.value
     item = {"link": "ZERO", "size": 10 * MB, "start": 5.0, "end": 5.0}
     for binary in (False, True):
-        with ServiceClient(address, binary=binary) as client:
+        with ServiceClient(_client_address(endpoint), binary=binary) as client:
             single = client.request({"op": "observe", **item})
             assert (single["ok"], single["v"]) == (False, 1)
             assert single["error"]["code"] == "bad_request"
@@ -278,7 +280,65 @@ def test_zero_duration_observe_is_a_bad_request(endpoint):
     assert internal.value == before
 
 
+@pytest.mark.parametrize("field, value", [
+    ("size", 2**63),      # fits the binary dialect's u64, not an int64 column
+    ("size", 2**70),
+    ("size", 0),
+    ("offset", 2**70),
+    ("offset", -5),
+])
+def test_size_and_offset_beyond_int64_are_bad_requests(
+        endpoint, tmp_path, field, value):
+    # These used to reach numpy as `internal: OverflowError` (counted, and
+    # in a batch failing every sibling); the offset only with a store
+    # attached, so the worker gets one here.
+    from repro.store import LinkStore
+
+    endpoint.service.store = LinkStore(tmp_path / "state")
+    internal = get_registry().counter("server_internal_errors")
+    before = internal.value
+    good = {"link": "WIDE", "size": 10 * MB, "start": 5.0, "end": 6.0}
+    bad = {**good, field: value}
+    for binary in (False, True):
+        with ServiceClient(_client_address(endpoint), binary=binary) as client:
+            single = client.request({"op": "observe", **bad})
+            assert single["ok"] is False
+            assert single["error"]["code"] == "bad_request"
+            assert field in single["error"]["message"]
+            batched = client.request(
+                {"op": "observe_batch", "items": [good, bad, good]})
+            first, refused, last = batched["results"]
+            assert refused["error"]["code"] == "bad_request"
+            assert (first["version"], last["version"]) == (
+                1 + 2 * binary, 2 + 2 * binary)
+    assert internal.value == before
+
+
+def test_a_bad_item_does_not_half_apply_an_observe_batch(endpoint):
+    # An empty link name used to surface from LinkState as one
+    # whole-batch bad_request *after* the items before it were folded:
+    # nothing acked, and a retrying monitor folded them twice.
+    a = {"link": "A-ANL", "size": 10 * MB, "start": 5.0, "end": 6.0}
+    b = {**a, "link": "B-ANL"}
+    for binary in (False, True):
+        with ServiceClient(_client_address(endpoint), binary=binary) as client:
+            response = client.request(
+                {"op": "observe_batch", "items": [a, a, {**a, "link": ""}, b]})
+            assert response["ok"] and response["count"] == 4
+            acked = [r.get("version") for r in response["results"]]
+            assert acked == [1 + 2 * binary, 2 + 2 * binary, None, 1 + binary]
+            refused = response["results"][2]
+            assert refused["error"]["code"] == "bad_request"
+            assert "item" in refused["error"]["message"]
+            assert "non-empty" in refused["error"]["message"]
+            single = client.request({"op": "observe", **a, "link": ""})
+            assert single["error"]["code"] == "bad_request"
+    assert endpoint.service.version("A-ANL") == 4
+    assert endpoint.service.version("B-ANL") == 2
+
+
 FRONT_CASES = [
+    test_a_bad_item_does_not_half_apply_an_observe_batch,
     test_zero_duration_observe_is_a_bad_request,
     test_corrupt_payload_answers_in_band_and_keeps_the_connection,
     test_a_large_answer_after_a_small_one_keeps_the_connection,

@@ -2,9 +2,13 @@
 
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.classification import paper_classification
 from repro.core.history import History
@@ -14,10 +18,12 @@ from repro.core.streaming import (
     StreamingBank,
     StreamingUnavailable,
 )
+from repro.data.ingest import load_ulm
 from repro.store import checkpoint
 from repro.units import DAY, GB, HOUR, MB
 
 CLS = paper_classification()
+DATA_DIR = Path(__file__).resolve().parents[2] / "data"
 
 
 def make_bank(times, values, sizes=None):
@@ -202,6 +208,69 @@ class TestRebuild:
             assert a == pytest.approx(b, rel=1e-12), spec
 
 
+# ----------------------------------------------------------------------
+# one fold: add, extend and rebuild leave the same accumulators
+# ----------------------------------------------------------------------
+def exact_repr(state):
+    """Every bit of a bank state as text."""
+    with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
+        return repr(state)
+
+
+def assert_one_fold(times, values, sizes):
+    """The ``add`` chain, 16-row ``extend`` runs and a ``rebuild`` over a
+    bank that held something else: the same ``fixed`` bytes and the same
+    ``ld``, ``f8`` and ``idx`` pools, but for the rebuild count."""
+    ops = np.zeros(len(times), dtype=np.int8)
+    added = make_bank(times, values, sizes)
+    chunked = StreamingBank(CLS)
+    for lo in range(0, len(times), 16):
+        chunked.extend(times[lo:lo + 16], values[lo:lo + 16],
+                       sizes[lo:lo + 16], ops[lo:lo + 16])
+    rebuilt = make_bank([1.0, 2.0], [5.0, 7.0], [10 * MB, 1 * GB])
+    rebuilt.rebuild(times, values, sizes, ops)
+    assert (rebuilt.rebuilds, rebuilt.count) == (1, len(times))
+    rebuilt.rebuilds = 0
+    assert list(rebuilt._classes) == list(added._classes)  # first appearance
+    reference = exact_repr(added.state())
+    assert exact_repr(chunked.state()) == reference
+    assert exact_repr(rebuilt.state()) == reference
+
+
+@st.composite
+def in_order_series(draw, max_rows):
+    """End times that never go back (and often stand still), bandwidths
+    across six decades, sizes from the first 1-4 paper classes."""
+    n = draw(st.integers(0, max_rows))
+    gaps = draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
+        [0.0, 0.0, 1.0, 61.5, HOUR / 3, 7 * HOUR, 3 * DAY])))
+    values = draw(hnp.arrays(np.float64, n, elements=st.floats(1e3, 1e9)))
+    classes = [10 * MB, 100 * MB, 500 * MB, 1 * GB][:draw(st.integers(1, 4))]
+    sizes = draw(hnp.arrays(np.int64, n, elements=st.sampled_from(classes)))
+    return 1e9 + np.cumsum(gaps), values, sizes
+
+
+class TestOneFold:
+    @pytest.mark.parametrize("log_name", [
+        "aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm",
+        "dec-LBL-ANL.ulm", "dec-ISI-ANL.ulm"])
+    def test_rebuild_is_the_add_chain_on_a_shipped_log(self, log_name):
+        frame = load_ulm(DATA_DIR / log_name, cache=False)
+        assert frame.is_sorted
+        assert_one_fold(frame.end_times, frame.bandwidths, frame.sizes)
+
+    @given(in_order_series(max_rows=120))
+    @settings(max_examples=40, deadline=None)
+    def test_rebuild_is_the_add_chain(self, series):
+        assert_one_fold(*series)
+
+    @pytest.mark.exhaustive
+    @given(in_order_series(max_rows=600))
+    @settings(max_examples=300, deadline=None)
+    def test_rebuild_is_the_add_chain_exhaustive(self, series):
+        assert_one_fold(*series)
+
+
 class TestAnchorDefault:
     def test_all_data_ar_needs_no_anchor_after_windows_expired(self):
         times = np.arange(12.0) * HOUR
@@ -241,12 +310,6 @@ def feed(bank, lo, hi):
 
 def all_series(bank):
     return [bank._global, *bank._classes.values()]
-
-
-def exact_repr(state):
-    """Every bit of a bank state as text."""
-    with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
-        return repr(state)
 
 
 def roundtrip(bank):

@@ -124,16 +124,29 @@ class TestColumnBuffer:
         assert keys.tolist() == [1.0, 2.0, 3.0]
         assert vals.tolist() == [10, 20, 30]
 
+    @staticmethod
+    def _merge_row(buf, row):
+        buf.extend_sorted(tuple(np.array([x]) for x in row))
+
     def test_snapshot_survives_growth_and_insert(self):
         buf = ColumnBuffer(self.DTYPES, capacity=2)
         buf.append((1.0, 10))
         buf.append((3.0, 30))
         keys, vals = buf.views()
-        buf.append((2.0, 20))   # out-of-order: fresh arrays
+        self._merge_row(buf, (2.0, 20))   # out-of-order: fresh arrays
         buf.append((4.0, 40))
         assert keys.tolist() == [1.0, 3.0]
         assert vals.tolist() == [10, 30]
         assert buf.column("key").tolist() == [1.0, 2.0, 3.0, 4.0]
+
+    def test_append_refuses_a_key_before_the_tail(self):
+        buf = ColumnBuffer(self.DTYPES, capacity=2)
+        buf.append((1.0, 10))
+        buf.append((3.0, 30))
+        with pytest.raises(ValueError, match="extend_sorted"):
+            buf.append((2.0, 20))
+        buf.append((3.0, 31))  # an equal key is in order
+        assert buf.column("val").tolist() == [10, 30, 31]
 
     def test_extend_sorted_matches_appends(self):
         sequential = ColumnBuffer(self.DTYPES, capacity=4)
@@ -143,11 +156,13 @@ class TestColumnBuffer:
             bulk.append((key, val))
         batch_rows = [(2.0, 2), (5.0, 50), (7.0, 7)]
         for row in batch_rows:
-            sequential.append(row)
+            self._merge_row(sequential, row)
         bulk.extend_sorted((
             np.array([r[0] for r in batch_rows]),
             np.array([r[1] for r in batch_rows]),
         ))
+        # A row lands after the rows that share its key.
+        assert sequential.column("val").tolist() == [1, 2, 5, 50, 7]
         assert bulk.column("key").tolist() == sequential.column("key").tolist()
         assert bulk.column("val").tolist() == sequential.column("val").tolist()
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.classification import paper_classification
 from repro.core.streaming import StreamingBank
 from repro.service.state import OP_READ, OP_WRITE, LinkState
+from repro.units import MB
 from tests.conftest import make_record
 
 
@@ -75,3 +76,52 @@ def test_ops_recorded_in_snapshot():
 def test_empty_link_name_rejected():
     with pytest.raises(ValueError):
         LinkState("", _bank())
+
+
+@pytest.mark.parametrize("revived", [False, True], ids=["resident", "revived"])
+def test_a_batch_with_stragglers_is_one_rebuild_and_n_appends_otherwise(revived):
+    """Three of a batch's nine rows end before a row already folded (one
+    of them on an end time the link already holds): one merge and one
+    rebuild leave the columns, the version, ``last_time`` and the bank's
+    accumulators that nine ``append`` calls leave after three rebuilds."""
+    sizes = (10 * MB, 100 * MB, 600 * MB)
+    base = [make_record(start=1000.0 + 100 * i, size=sizes[i % 3],
+                        bandwidth=2e6 + 1e5 * (i % 7)) for i in range(30)]
+    ends = [4010.0, 4110.0, 2555.0, 4210.0, 4210.0, 1510.0, 4310.0, 4115.0,
+            4410.0]
+    batch = [make_record(start=end - 10.0, size=sizes[i % 3],
+                         bandwidth=3e6 + 1e5 * i)
+             for i, end in enumerate(ends)]
+    assert base[5].end_time == 1510.0
+
+    def start():
+        state = LinkState("LBL-ANL", _bank())
+        for record in base:
+            state.append(record)
+        if revived:  # what an eviction keeps in RAM, columns behind a loader
+            *columns, version = state.snapshot()
+            columns = [column.copy() for column in columns]
+            state = LinkState.revive(
+                "LBL-ANL", state.bank, version, len(base), state.last_time,
+                loader=lambda: columns)
+        return state
+
+    batched, sequential = start(), start()
+    for record in batch:
+        sequential.append(record)
+    version = batched.append_batch(
+        [r.end_time for r in batch], [r.bandwidth for r in batch],
+        [r.file_size for r in batch], [OP_READ] * len(batch))
+
+    assert version == batched.version == sequential.version == 39
+    assert batched.last_time == sequential.last_time == 4410.0
+    assert batched.hydrated and sequential.hydrated
+    for got, want in zip(batched.snapshot()[:4], sequential.snapshot()[:4]):
+        np.testing.assert_array_equal(got, want)
+    assert (batched.bank.rebuilds, sequential.bank.rebuilds) == (1, 3)
+    sequential.bank.rebuilds = 1
+    fixed, *pools = batched.bank.state()
+    want_fixed, *want_pools = sequential.bank.state()
+    assert fixed == want_fixed
+    for got, want in zip(pools, want_pools):
+        np.testing.assert_array_equal(got, want)

@@ -7,7 +7,9 @@ from tests.conftest import make_record
 
 def collect(path, **kwargs):
     seen = []
-    follower = LogFollower(path, lambda link, r: seen.append((link, r)), **kwargs)
+    follower = LogFollower(
+        path, lambda batch: seen.extend((link, r) for link, r, _ in batch),
+        **kwargs)
     return follower, seen
 
 
@@ -25,6 +27,26 @@ def test_poll_delivers_only_new_records(tmp_path):
     assert follower.poll() == 0
     assert [r.start_time for _, r in seen] == [1000.0, 2000.0]
     assert seen[0][0] == "LBL-ANL"  # link defaults to the file stem
+
+
+def test_each_poll_is_one_call_carrying_every_resume_offset(tmp_path):
+    path = tmp_path / "log.ulm"
+    lines = [format_record(make_record(start=1000.0 * i)) + "\n"
+             for i in (1, 2, 3)]
+    path.write_text(lines[0] + "# a comment\n" + lines[1])
+    calls = []
+    follower = LogFollower(path, calls.append, link="L")
+    assert follower.poll() == 2
+    assert follower.poll() == 0          # nothing new: the sink is not called
+    with path.open("a") as fh:
+        fh.write(lines[2])
+    assert follower.poll() == 1
+    assert [[(link, r.start_time) for link, r, _ in batch] for batch in calls] \
+        == [[("L", 1000.0), ("L", 2000.0)], [("L", 3000.0)]]
+    # Each offset is the file position just past that record's line.
+    after_second = len(lines[0]) + len("# a comment\n") + len(lines[1])
+    assert [[offset for _, _, offset in batch] for batch in calls] == [
+        [len(lines[0]), after_second], [after_second + len(lines[2])]]
 
 
 def test_partial_line_is_held_until_complete(tmp_path):
@@ -104,7 +126,7 @@ def test_follower_feeds_the_service_observe(tmp_path):
     path.write_text("".join(format_record(r) + "\n" for r in records))
 
     service = PredictionService()
-    follower = LogFollower(path, service.observe)
+    follower = LogFollower(path, service.observe_batch)
     assert follower.poll() == 5
     assert service.version("LBL-ANL") == 5
     assert len(service.history("LBL-ANL")) == 5

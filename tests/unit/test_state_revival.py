@@ -68,7 +68,9 @@ class TestFromColumns:
     def test_snapshot_survives_out_of_order_insert_after_load(self):
         buffer = ColumnBuffer.from_columns(_DTYPES, _columns([1.0, 5.0]))
         snap = buffer.views()
-        buffer.append((3.0, 30.0, 1, 0))  # lands between the rows
+        with pytest.raises(ValueError):
+            buffer.append((3.0, 30.0, 1, 0))  # would land between the rows
+        buffer.extend_sorted(_columns([3.0]))  # the one-row merge does
         np.testing.assert_array_equal(snap[0], [1.0, 5.0])
         np.testing.assert_array_equal(buffer.views()[0], [1.0, 3.0, 5.0])
 
@@ -129,8 +131,9 @@ class TestRevive:
         arrival = [1.0, 5.0, 3.0, 5.0]
         state = _revived(arrival)
         resident = ColumnBuffer(_DTYPES, capacity=4)
-        for t, v, s, o in zip(*_columns(arrival)):
-            resident.append((t, v, s, o))
+        for i in range(len(arrival)):  # one-row merges, in arrival order
+            resident.extend_sorted(
+                tuple(column[i:i + 1] for column in _columns(arrival)))
         np.testing.assert_array_equal(
             state.history().times, resident.views()[0])
         np.testing.assert_array_equal(
@@ -192,13 +195,17 @@ class TestRevive:
     def test_persist_called_with_appended_rows(self):
         calls = []
 
-        def persist(times, values, sizes, ops, offset):
-            calls.append((tuple(times), offset))
+        def persist(times, values, sizes, ops, offset, sync):
+            calls.append((tuple(times), offset, sync))
             return True
 
         state = LinkState("L", _bank(), persist=persist)
         state.append(make_record(start=10.0, duration=1.0), source_offset=55)
-        assert calls == [((11.0,), 55)]
+        # A batch with a straggler is still one call, in arrival order.
+        state.append_batch([20.0, 5.0, 30.0], [1.0] * 3, [1] * 3, [0] * 3,
+                           source_offset=[60, 70, 80], sync=False)
+        assert calls == [((11.0,), 55, None),
+                         ((20.0, 5.0, 30.0), [60, 70, 80], False)]
 
     def test_from_columns_fully_hydrated(self):
         columns = _columns([1.0, 2.0, 3.0])
