@@ -110,6 +110,18 @@ def error_info(response: Dict[str, Any]) -> Tuple[str, str]:
     return "error", str(error)
 
 
+def _fill_bandwidth(entry: Dict[str, Any]) -> None:
+    """Set a missing ``bandwidth`` to ``size / (end - start)`` in place,
+    or leave it out for the server to refuse (a zero duration)."""
+    if entry.get("bandwidth") is None:
+        try:
+            entry["bandwidth"] = (
+                int(entry["size"]) / (float(entry["end"]) - float(entry["start"]))
+            )
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            entry.pop("bandwidth", None)
+
+
 class _Unavailable(Exception):
     """Internal retry marker wrapping an ``unavailable`` ServiceError."""
 
@@ -417,21 +429,21 @@ class ServiceClient:
         dir persists the record before answering, so an acked observe
         survives the server being killed outright.  ``bandwidth``
         defaults to ``size / (end - start)`` (computed client-side so
-        the request stays on the struct-packed binary codec).
+        the request stays on the struct-packed binary codec); when that
+        is not a number the server refuses the observation, which
+        raises :class:`ServiceError` ``bad_request``.
         """
         req: Dict[str, Any] = {
             "link": link,
             "size": int(size),
             "start": float(start),
             "end": float(end),
-            "bandwidth": (
-                float(bandwidth) if bandwidth is not None
-                else int(size) / (float(end) - float(start))
-            ),
+            "bandwidth": None if bandwidth is None else float(bandwidth),
             "operation": operation,
             "streams": int(streams),
             "tcp_buffer": int(tcp_buffer),
         }
+        _fill_bandwidth(req)
         if source_ip is not None or file_name is not None or volume is not None:
             req["source_ip"] = source_ip if source_ip is not None else "0.0.0.0"
             req["file_name"] = file_name if file_name is not None else "/transfer"
@@ -463,14 +475,7 @@ class ServiceClient:
                          "start": float(item[2]), "end": float(item[3])}
                 if len(item) > 4 and item[4] is not None:
                     entry["bandwidth"] = float(item[4])
-            if "bandwidth" not in entry or entry["bandwidth"] is None:
-                try:
-                    entry["bandwidth"] = (
-                        int(entry["size"])
-                        / (float(entry["end"]) - float(entry["start"]))
-                    )
-                except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                    entry.pop("bandwidth", None)  # let the server reject it
+            _fill_bandwidth(entry)
             entry.setdefault("operation", "read")
             entry.setdefault("streams", 1)
             entry.setdefault("tcp_buffer", 65536)

@@ -35,6 +35,9 @@ class RankedReplica:
     site: str
     predicted_bandwidth: Optional[float]  # bytes/s; None = no history
     history_length: int
+    #: The bandwidth is a link-agnostic guess, not this link's history
+    #: (a service's ``degraded_fallback``); it ranks after measured ones.
+    degraded: bool = False
 
     def estimated_time(self, size: int) -> Optional[float]:
         """Predicted transfer duration for ``size`` bytes, if predictable."""

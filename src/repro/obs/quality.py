@@ -45,7 +45,8 @@ itself is *deferred*: predictions and observations stage onto a single
 shared deque and drain in batches by replaying in arrival order (see
 the :class:`AccuracyTracker` docstring for why batching, not just
 leanness, is what holds the tracker inside the <5% overhead budget on
-the service's predict+observe path, ``bench_claim_quality_overhead.py``).
+the service's predict+observe path, the perf ledger's
+``obs.quality.overhead_ratio``).
 Reads always drain first, so deferral is invisible to every consumer.
 
 State survives eviction and restart: :meth:`AccuracyTracker.link_state`
@@ -334,7 +335,7 @@ class AccuracyTracker:
     instruction cache every iteration, so per-call scoring pays a ~3x
     cache-refill multiplier that a consecutive drain loop does not.
     That is what holds the tracker inside its <5% predict+observe
-    budget (``bench_claim_quality_overhead.py``).
+    budget (the perf ledger's ``obs.quality.overhead_ratio``).
 
     Deferral never changes the statistics: the drain replays staged
     entries in their original arrival order — predictions route into

@@ -305,6 +305,7 @@ def _rank_payload(
                 "site": r.site,
                 "predicted_bandwidth": r.predicted_bandwidth,
                 "history_length": r.history_length,
+                "degraded": r.degraded,
             }
             for r in ranked
         ]

@@ -84,7 +84,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience import Deadline
     from repro.store import LinkStore
 
-from repro.core.classification import Classification, paper_classification
+from repro.core.classification import paper_classification
 from repro.core.history import History
 from repro.core.predictors.arima import ArModel
 from repro.core.predictors.base import Predictor
@@ -221,8 +221,6 @@ class PredictionService:
         Predictor spec used when a query names none.
     cache_size:
         LRU capacity (entries, across all links and specs).
-    classification:
-        Size classes for ``C-`` specs and :meth:`links`' class views.
     clock:
         Time source for default query anchors and trace timestamps
         (injectable for tests).
@@ -259,28 +257,28 @@ class PredictionService:
         (:meth:`publish_quality`), and ``prediction.scored`` /
         ``prediction.bad`` trace events.  The tracker never changes an
         answer: predictions are trace-identical with it on or off.
-    quality_window:
-        Rolling-window size for the windowed accuracy statistics.
     quality_threshold:
         Normalized-error threshold (``|pred - actual| / actual``) above
         which a scored answer is logged as a ``prediction.bad`` event
         and counted in ``accuracy_bad_predictions``.  ``None`` disables
         the bad-prediction log.
+
+    What no caller sets is fixed: the paper's size classes
+    (:func:`~repro.core.classification.paper_classification`) for
+    ``C-`` specs and :meth:`links`' class views, a registry of the
+    service's own (``self.metrics``), a 256-event trace ring
+    (``self.trace``), and the tracker's 128-pair rolling window.
     """
 
     def __init__(
         self,
         default_spec: str = DEFAULT_SPEC,
         cache_size: int = 2048,
-        classification: Optional[Classification] = None,
         clock: Callable[[], float] = time.time,
-        metrics: Optional[MetricsRegistry] = None,
-        trace_capacity: int = 256,
         degraded_fallback: bool = False,
         store: Optional["LinkStore"] = None,
         max_resident: Optional[int] = None,
         quality: bool = True,
-        quality_window: int = 128,
         quality_threshold: Optional[float] = 1.0,
     ):
         resolve(default_spec)  # fail fast on a bad default
@@ -289,17 +287,17 @@ class PredictionService:
                 f"max_resident must be positive, got {max_resident}")
         self.default_spec = default_spec
         self.degraded_fallback = degraded_fallback
-        self.classification = classification or paper_classification()
+        self.classification = paper_classification()
         self.clock = clock
-        self.metrics = metrics or MetricsRegistry()
-        self.trace = TraceLog(trace_capacity, clock=clock)
+        self.metrics = MetricsRegistry()
+        self.trace = TraceLog(256, clock=clock)
         self.store = store
         self.max_resident = max_resident
         self.quality_threshold = (
             None if quality_threshold is None else float(quality_threshold)
         )
         self.quality: Optional[AccuracyTracker] = (
-            AccuracyTracker(window=quality_window, clock=clock,
+            AccuracyTracker(clock=clock,
                             threshold=self.quality_threshold,
                             score_batch=_SCORED_EVENT_BATCH)
             if quality else None
@@ -1319,6 +1317,7 @@ class PredictionService:
                 site=link,
                 predicted_bandwidth=p.value,
                 history_length=p.history_length,
+                degraded=p.degraded,
             )
             for link, p in order
         ]

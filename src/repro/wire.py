@@ -130,6 +130,22 @@ REQUEST_OPS = {
     "observe_batch": OP_OBSERVE_BATCH,
 }
 
+#: The top-level request keys each struct layout has a slot for; any
+#: other key that is not None sends the request as OP_JSON instead.
+_ENVELOPE = frozenset({"op", "v"})
+_HEAD = _ENVELOPE | {"trace", "spec", "now"}
+_SLOTS = {
+    OP_PING: _ENVELOPE,
+    OP_STATUS: _ENVELOPE,
+    OP_PREDICT: _HEAD | {"size", "link"},
+    OP_RANK: _HEAD | {"size", "candidates"},
+    OP_BATCH: _HEAD | {"items"},
+    OP_OBSERVE: _ENVELOPE | {
+        "trace", "link", "size", "start", "end", "bandwidth", "operation",
+        "streams", "tcp_buffer", "offset", "source_ip", "file_name", "volume"},
+    OP_OBSERVE_BATCH: _ENVELOPE | {"trace", "items"},
+}
+
 #: The normalized error-code vocabulary of the v1 envelope — every
 #: ``{"ok": false, "error": {"code", ...}}`` a conforming server (or the
 #: federation front tier) emits uses one of these.  ``overloaded`` means
@@ -176,6 +192,7 @@ _HAS_VALUE = 0x01
 _CACHED = 0x02
 _DEGRADED = 0x04
 _ITEM_OK = 0x08
+# rank entry flag bits (a degraded entry shares _DEGRADED = 0x04)
 _HAS_BW = 0x01
 
 # observe request flag bits (trace shares _HAS_TRACE = 0x04).  The
@@ -274,24 +291,20 @@ class FrameWriter:
         """One request dict (JSON-protocol shape) as a binary frame.
 
         A hot-path op the struct codec cannot express (a field missing
-        or of the wrong type) falls back to an ``OP_JSON`` frame: the
-        server still answers its ``bad_request`` in-band, exactly as the
-        JSON dialect would — malformedness is the server's to judge.
+        or of the wrong type, or a top-level key its layout has no slot
+        for) falls back to an ``OP_JSON`` frame: the server still answers
+        its ``bad_request`` in-band, exactly as the JSON dialect would —
+        malformedness is the server's to judge — and no field is dropped.
         """
         op = REQUEST_OPS.get(req.get("op"), OP_JSON)
+        if op != OP_JSON and not _SLOTS[op].issuperset(req) and any(
+                req[key] is not None for key in req.keys() - _SLOTS[op]):
+            op = OP_JSON
         if op != OP_JSON:
             self._begin()
             try:
                 v = int(req.get("v", PROTOCOL_VERSION))
                 if op in (OP_PING, OP_STATUS):
-                    if req.get("trace") is not None:
-                        # u8-only payloads cannot carry trace context;
-                        # ride the JSON dialect instead of dropping it.
-                        raise ValueError("trace context needs OP_JSON")
-                    if req.get("shard") is not None:
-                        # The fleet front's single-shard escape hatch is
-                        # a passenger field too — same rule as trace.
-                        raise ValueError("shard addressing needs OP_JSON")
                     self._pack(_U8, v)
                 elif op == OP_PREDICT:
                     self._encode_predict_req(v, req)
@@ -453,7 +466,8 @@ class FrameWriter:
             self._pack(_U32, len(ranking))
             for entry in ranking:
                 bw = entry["predicted_bandwidth"]
-                self._pack(_U8, _HAS_BW if bw is not None else 0)
+                self._pack(_U8, (_HAS_BW if bw is not None else 0)
+                           | (_DEGRADED if entry.get("degraded") else 0))
                 if bw is not None:
                     self._pack(_F64, float(bw))
                 self._pack(_U64, int(entry["history_length"]))
@@ -748,6 +762,7 @@ def decode_response(op: int, payload: bytes) -> Dict[str, Any]:
                 "site": site,
                 "predicted_bandwidth": bw,
                 "history_length": length,
+                "degraded": bool(flags & _DEGRADED),
             })
         return {"ok": True, "v": v, "ranking": ranking}
     if op == OP_BATCH:

@@ -3,7 +3,8 @@
 Three parity claims over the shipped campaign logs:
 
 * evaluating a :class:`TransferFrame` from the vectorized ingest yields
-  trace-identical predictions to evaluating the per-record parse;
+  trace-identical predictions to evaluating the per-record parse (also
+  end to end: sidecar load + vectorized battery, all 30 predictors);
 * the MDS information provider publishes byte-identical LDIF from a
   frame and from a record-list log;
 * service state built by bulk frame ingest equals state built by
@@ -15,10 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.engine import evaluate_dataset
 from repro.core.evaluation import evaluate as generic_evaluate
 from repro.core.fast import fast_evaluate
-from repro.core.predictors import resolve_battery
-from repro.data import load_ulm
+from repro.core.predictors import ALL_PREDICTOR_NAMES, resolve_battery
+from repro.data import Dataset, cache_path, load_ulm
 from repro.logs import TransferLog
 from repro.logs.ulm import parse_lines
 from repro.mds.ldif import format_entries
@@ -61,6 +63,25 @@ def test_frame_evaluation_trace_identical(path, engine):
         assert np.array_equal(a.actual, b.actual)
         assert np.array_equal(a.times, b.times)
         assert a.abstentions == b.abstentions
+
+
+@pytest.mark.parametrize("path", LOGS, ids=lambda p: p.name)
+def test_seed_path_equals_the_cached_columnar_path(path, tmp_path):
+    """The whole pipeline both ways, all 30 predictors: the per-record
+    parse and the generic walk against a warm sidecar load and the
+    facade's vectorized battery."""
+    log = tmp_path / path.name
+    log.write_bytes(path.read_bytes())
+    load_ulm(log, cache=True)  # writes the sidecar the next load reads
+    assert cache_path(log).exists()
+    columnar = evaluate_dataset(Dataset.from_ulm([log], cache=True))[log.stem]
+    seed = generic_evaluate(_records(path), resolve_battery(ALL_PREDICTOR_NAMES))
+    assert seed.names() == columnar.names()
+    for name in seed.names():
+        a, b = seed[name], columnar[name]
+        assert np.array_equal(a.indices, b.indices), name
+        assert np.allclose(a.predicted, b.predicted, rtol=1e-9), name
+        assert a.abstentions == b.abstentions, name
 
 
 @pytest.mark.parametrize("path", LOGS, ids=lambda p: p.name)

@@ -124,7 +124,8 @@ class TestEvictRevive:
             for log in logs:
                 service.ingest_ulm(log)
         expected = _interleaved(resident)
-        assert _interleaved(tiered) == expected
+        assert all(answer[3] != repr(None) for answer in expected)
+        assert _interleaved(tiered) == expected  # so revived answers too
         assert tiered.status()["store"]["revivals"] >= len(expected) - 4
         _assert_no_tail_outgrew_its_segment(tmp_path / "state")
         assert tiered.checkpoint_all(seal=True) >= 1
@@ -195,6 +196,29 @@ class TestEvictRevive:
         for service in (resident, tiered):
             service.observe(links[0], record)
         assert _answers(tiered) == _answers(resident)
+
+
+def test_fsync_server_acks_each_batch_item_with_the_links_next_version(tmp_path):
+    """Per-item acks in request order, one group commit per batch, one
+    fsync per link it touched."""
+    from repro.client import ServiceClient
+    from repro.service import ServiceServer
+
+    service = PredictionService(store=LinkStore(tmp_path / "state", fsync=True))
+    last = {}
+    with ServiceServer(service, tmp_path / "repro.sock") as server, \
+            ServiceClient(server.socket_path, binary=True) as client:
+        for batch in range(3):
+            items = [(f"L{i % 3}", 10 * MB, 1e6 + 100.0 * batch + i,
+                      1e6 + 100.0 * batch + i + 1.0) for i in range(60)]
+            for (link, *_), ack in zip(items, client.observe_batch(items),
+                                       strict=True):
+                assert ack["ok"] and ack["link"] == link
+                assert ack["version"] == last.get(link, 0) + 1
+                last[link] = ack["version"]
+        store = client.status()["store"]
+    assert last == {"L0": 60, "L1": 60, "L2": 60}
+    assert (store["group_commits"], store["fsyncs"]) == (3, 9)
 
 
 class TestWarmRestart:

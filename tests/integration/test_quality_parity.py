@@ -74,7 +74,7 @@ def test_tracker_on_and_off_answer_identically(frame):
 def test_live_rolling_errors_match_offline_analysis(frame):
     from repro.analysis import compute_class_errors
 
-    service = PredictionService(quality=True, quality_window=64)
+    service = PredictionService(quality=True)
     _replay(service, frame)
 
     trace = compute_class_errors(LINK, frame).result.traces["C-AVG15"]
@@ -95,10 +95,11 @@ def test_live_rolling_errors_match_offline_analysis(frame):
         float(np.mean((predicted[scored] - actual[scored]) ** 2)), rel=1e-9)
     assert stats["bias_pct"] == pytest.approx(
         float(np.mean(frac)) * 100.0, rel=1e-9)
-    # The rolling window covers exactly the newest 64 scored pairs.
-    assert stats["window"]["count"] == 64
+    # The rolling window covers exactly the newest 128 scored pairs.
+    assert len(frac) > 128
+    assert stats["window"]["count"] == 128
     assert stats["window"]["mape"] == pytest.approx(
-        float(np.mean(np.abs(frac[-64:]))) * 100.0, rel=1e-9)
+        float(np.mean(np.abs(frac[-128:]))) * 100.0, rel=1e-9)
 
 
 def test_out_of_order_append_scores_against_the_next_observation():

@@ -11,7 +11,7 @@ import socket
 import pytest
 
 from repro import wire
-from repro.client import ServiceClient
+from repro.client import ServiceClient, ServiceError
 from repro.obs import get_registry
 from repro.service import PredictionService, ServiceServer
 from repro.units import MB
@@ -274,6 +274,11 @@ def test_zero_duration_observe_is_a_bad_request(endpoint):
             assert "must follow" in single["error"]["message"]
             batched = client.request({"op": "observe_batch", "items": [item]})
             assert batched["results"][0]["error"]["code"] == "bad_request"
+            # The helper leaves the bandwidth it cannot compute to the
+            # server (it used to raise ZeroDivisionError itself).
+            with pytest.raises(ServiceError) as refused:
+                client.observe("ZERO", 10 * MB, 5.0, 5.0)
+            assert refused.value.code == "bad_request"
             # The connection is as good as it was.
             version = client.observe("ZERO", 10 * MB, 5.0, 6.0 + binary)
             assert version == 1 + binary

@@ -13,8 +13,7 @@ import time
 import pytest
 
 from repro.client import ServiceClient, ServiceError
-from repro.fleet.front import FleetFront, ShardOverloaded, ShardUnavailable
-from repro.fleet.hashing import ShardRing
+from repro.fleet.front import FleetFront
 from repro.resilience import RetryPolicy
 from repro.service import PredictionService, ServiceServer
 from repro.units import MB
@@ -28,11 +27,12 @@ NOW = 10_000_000.0
 FAIL_FAST = RetryPolicy(max_attempts=1)
 
 
-def make_workers(tmp_path, count):
-    """``count`` in-process worker servers plus their socket paths."""
+def make_workers(tmp_path, count, **options):
+    """``count`` in-process worker servers plus their socket paths;
+    ``options`` go to each worker's ``PredictionService``."""
     services, servers, sockets = [], [], []
     for shard in range(count):
-        service = PredictionService(clock=lambda: NOW)
+        service = PredictionService(clock=lambda: NOW, **options)
         server = ServiceServer(service, tmp_path / f"w{shard}.sock")
         server.start()
         services.append(service)
@@ -97,6 +97,12 @@ def kill_worker(front, servers, shard):
         time.sleep(0.01)
 
 
+def link_on(front, shard, prefix):
+    """The first ``<prefix><i>`` name the front's ring places on ``shard``."""
+    return next(name for name in (f"{prefix}{i}" for i in range(64))
+                if front.ring.shard_of(name) == shard)
+
+
 def shard_split(front, links):
     """(a link on shard 0's side, a link on the other side) of the ring."""
     groups = front.ring.partition(links)
@@ -149,14 +155,22 @@ def test_unknown_op_and_bad_version_answer_in_band(fleet2):
 
 
 def test_shard_escape_hatch_addresses_one_worker(fleet2):
-    # The ``shard`` passenger field rides OP_JSON in both dialects (the
-    # binary status struct cannot carry it, so the encoder falls back).
-    _, _, front = fleet2
-    with fleet_client(front) as client:
-        response = client.request({"op": "status", "shard": 1})
-        assert response["ok"] and "fleet" not in response
-        response = client.request({"op": "status", "shard": 7})
-        assert response["error"]["code"] == "bad_request"
+    # The ``shard`` passenger field rides OP_JSON in both dialects: no
+    # binary struct layout has a slot for it.  A binary predict used to
+    # drop it and be hash-routed to the owner, which lacks these rows.
+    services, _, front = fleet2
+    link = link_on(front, 0, "ELSEWHERE-")
+    services[1].observe(link, make_record(size=10 * MB, bandwidth=7 * MB))
+    for binary in (False, True):
+        with fleet_client(front, binary=binary) as client:
+            response = client.request({"op": "status", "shard": 1})
+            assert response["ok"] and "fleet" not in response
+            response = client.request({"op": "status", "shard": 7})
+            assert response["error"]["code"] == "bad_request"
+            addressed = client.request(
+                {"op": "predict", "shard": 1, "link": link, "size": 10 * MB})
+            assert (addressed["value"], addressed["history_length"]) == (7 * MB, 1)
+            assert client.predict(link, 10 * MB)["value"] is None  # the owner
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +221,35 @@ def test_rank_merges_across_shards_best_bandwidth_first(fleet2):
         assert [r["site"] for r in ranking[:-1]] == list(reversed(links))
         assert ranking[-1]["site"] == "UNSEEN-SITE"
         assert ranking[-1]["predicted_bandwidth"] is None
+
+
+def test_a_workers_degraded_guess_ranks_after_measured_links(tmp_path):
+    # A fallback worker guesses an unmeasured link from *its shard's*
+    # links (here 100 MB/s); the guess used to reach the front unmarked
+    # and outrank a measured 10 MB/s link on the other shard.
+    services, servers, sockets = make_workers(
+        tmp_path, 2, degraded_fallback=True)
+    front = FleetFront(sockets, fallback=True, call_timeout=2.0).start()
+    try:
+        fast, unmeasured = link_on(front, 0, "FAST-"), link_on(front, 0, "NEW-")
+        measured = link_on(front, 1, "SLOW-")
+        one = PredictionService(clock=lambda: NOW, degraded_fallback=True)
+        for link, bandwidth in ((fast, 100 * MB), (measured, 10 * MB)):
+            record = make_record(size=10 * MB, bandwidth=bandwidth)
+            one.observe(link, record)
+            services[front.ring.shard_of(link)].observe(link, record)
+        expected = [r.site for r in one.rank_replicas(
+            [unmeasured, measured], 10 * MB, now=NOW)]
+        assert expected == [measured, unmeasured]
+        for binary in (False, True):
+            with fleet_client(front, binary=binary) as client:
+                ranking = client.rank([unmeasured, measured], 10 * MB, now=NOW)
+            assert [r["site"] for r in ranking] == expected
+            assert [r["degraded"] for r in ranking] == [False, True]
+    finally:
+        front.stop()
+        for server in servers:
+            server.stop()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The binary frame protocol: codecs, framing, and failure shapes."""
 
 import io
+import re
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -105,8 +107,12 @@ def test_predict_response_none_value_and_flags():
 
 def test_rank_response_roundtrips():
     ranking = [
-        {"site": "LBL-ANL", "predicted_bandwidth": 4.5e6, "history_length": 30},
-        {"site": "NOWHERE", "predicted_bandwidth": None, "history_length": 0},
+        {"site": "LBL-ANL", "predicted_bandwidth": 4.5e6, "history_length": 30,
+         "degraded": False},
+        {"site": "NEW-ANL", "predicted_bandwidth": 3.0e6, "history_length": 0,
+         "degraded": True},
+        {"site": "NOWHERE", "predicted_bandwidth": None, "history_length": 0,
+         "degraded": False},
     ]
     _, resp = roundtrip_response(
         wire.OP_RANK, {"ok": True, "v": 1, "ranking": ranking}
@@ -449,6 +455,32 @@ def test_shard_addressed_ping_and_status_fall_back_to_json():
         op, payload = wire.read_frame(io.BytesIO(bytes(frame)))
         assert op == wire.OP_JSON
         assert wire.decode_request(op, payload)["shard"] == 2
+
+
+@pytest.mark.parametrize("request_", [
+    {"op": "predict", "link": "L", "size": 9},
+    {"op": "rank", "candidates": ["A", "B"], "size": 9},
+    {"op": "predict_batch", "items": [{"link": "L", "size": 9}]},
+    dict(FULL_OBSERVE),
+    {"op": "observe_batch", "items": [_obs_item()]},
+], ids=lambda request: request["op"])
+def test_a_key_the_layout_has_no_slot_for_rides_as_json(request_):
+    # One rule for every struct op: a binary predict used to drop the
+    # front's ``shard`` and be hash-routed instead of forwarded.
+    op, decoded = roundtrip_request({**request_, "shard": 1})
+    assert (op, decoded) == (wire.OP_JSON, {**request_, "shard": 1})
+    assert bytes(wire.FrameWriter().encode_request({**request_, "shard": None})) \
+        == bytes(wire.FrameWriter().encode_request(request_))  # still a struct
+
+
+def test_the_documented_op_table_is_the_codec():
+    doc = Path(__file__).resolve().parents[2] / "docs" / "wire-protocol.md"
+    table = doc.read_text().split("## Op table", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `0x([0-9A-F]{2})` \| `?(\w+)`? \|", table, re.M)
+    assert {int(code, 16): name for code, name in rows} == {
+        **{code: name for name, code in wire.REQUEST_OPS.items()},
+        wire.OP_JSON: "json", wire.OP_ERROR: "error",
+    }
 
 
 def test_error_code_vocabulary_is_closed_and_complete():

@@ -72,8 +72,10 @@ RESPONSES = [
     ("predict", wire.OP_PREDICT, {"ok": True, "v": 1, **PRED}),
     ("predict-no-value", wire.OP_PREDICT, {"ok": True, "v": 1, **NOVAL}),
     ("rank", wire.OP_RANK, {"ok": True, "v": 1, "ranking": [
-        {"site": "LBL-ANL", "predicted_bandwidth": 4.5e6, "history_length": 30},
-        {"site": "NOWHERE", "predicted_bandwidth": None, "history_length": 0}]}),
+        {"site": "LBL-ANL", "predicted_bandwidth": 4.5e6, "history_length": 30,
+         "degraded": False},
+        {"site": "NOWHERE", "predicted_bandwidth": None, "history_length": 0,
+         "degraded": False}]}),
     ("rank-empty", wire.OP_RANK, {"ok": True, "v": 1, "ranking": []}),
     ("batch", wire.OP_BATCH, {"ok": True, "v": 1, "count": 3, "results": [
         {"ok": True, **PRED}, ITEM_ERROR, {"ok": True, **NOVAL}]}),
