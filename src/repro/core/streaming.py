@@ -339,22 +339,24 @@ class _ArSummary:
 
 
 #: The checkpoint of one series: these scalars; one longdouble per
-#: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy); the
-#: two min chains as u4; and as f8 the ``(time, value)`` rows and the
-#: dropped values counted in the last line.  :meth:`SeriesSummaries._dump`
-#: and :meth:`SeriesSummaries._load` walk it in this order and nothing
-#: else knows it.
+#: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy); and
+#: the two min chains as u4.  No row is stored: a series is a view of
+#: the link's rows (see :meth:`StreamingBank.load_state`), its live
+#: column their last ``live``, ``_dropped`` the rest.
+#: :meth:`SeriesSummaries._dump` and :meth:`SeriesSummaries._load` walk
+#: it in this order and nothing else knows it.
 _SERIES = struct.Struct(
     "<" + "Id" * len(TEMPORAL_HOURS)   # AVG{h}hr: start, expired_to
     + "qqdd" * (1 + len(AR_DAYS))      # AR, AR{d}d: count, m, min, expired_to
     + "II" * len(AR_DAYS)              # AR{d}d: start, min-chain length
-    + "BIII")  # class tag; rows stored here; link rows skipped; values dropped
+    + "I")                             # live: the column's length
 _SERIES_LONGDOUBLES = len(TEMPORAL_HOURS) + 5 * (1 + len(AR_DAYS))
 
-#: What a bank's checkpoint opens with: rebuilds, class series held.
+#: What a bank's checkpoint opens with: rebuilds, class series held (the
+#: class indexes follow, one byte each, in series order).
 _BANK = struct.Struct("<qH")
 
-_COLUMNS = ("_times", "_values", "_tags")
+_COLUMNS = ("_times", "_values")
 
 
 class SeriesSummaries:
@@ -366,19 +368,16 @@ class SeriesSummaries:
     values)`` column (amortised-doubling buffers, ``_n`` live rows):
     count windows are views of its tail, time windows are cursors into
     it, and :meth:`_trim` drops the prefix no window can reach any more.
-    The link's series (``tagged``) also keeps each row's class index, so
-    a checkpoint can name a class's rows instead of repeating them.
     """
 
-    __slots__ = ("count", "last", "last_time", "_times", "_values", "_tags",
+    __slots__ = ("count", "last", "last_time", "_times", "_values",
                  "_n", "_dropped", "_median", "_temporal", "_ar", "_cursors")
 
-    def __init__(self, tagged: bool = False) -> None:
+    def __init__(self) -> None:
         self.count = 0
         self.last: Optional[float] = None
         self.last_time = -np.inf
         self._times = self._values = np.empty(0, dtype=np.float64)
-        self._tags = np.empty(0, dtype=np.uint8) if tagged else None
         self._n = 0
         #: Values trimmed off the column, oldest first: with the column,
         #: everything ``MED`` has seen.
@@ -393,11 +392,9 @@ class SeriesSummaries:
     def _move(self, lo: int, capacity: int) -> None:
         """Rows ``lo:_n`` of every column, at the front of new buffers."""
         for name in _COLUMNS:
-            old = getattr(self, name)
-            if old is not None:
-                new = np.empty(capacity, dtype=old.dtype)
-                new[:self._n - lo] = old[lo:self._n]
-                setattr(self, name, new)
+            new = np.empty(capacity, dtype=np.float64)
+            new[:self._n - lo] = getattr(self, name)[lo:self._n]
+            setattr(self, name, new)
 
     def _reserve(self, n: int) -> None:
         """Make room for ``n`` rows (doubling)."""
@@ -425,13 +422,11 @@ class SeriesSummaries:
         for d in AR_DAYS:
             self._ar[d]._mins = [i - dead for i in self._ar[d]._mins]
 
-    def add(self, time: float, value: float, tag: Optional[int] = None) -> None:
+    def add(self, time: float, value: float) -> None:
         n = self._n
         self._reserve(n + 1)
         self._times[n] = time
         self._values[n] = value
-        if tag is not None:
-            self._tags[n] = tag
         self._n = n + 1
         self.count += 1
         self.last = value
@@ -442,8 +437,7 @@ class SeriesSummaries:
         for summary in self._ar.values():
             summary.add(self, value)
 
-    def extend(self, times: np.ndarray, values: np.ndarray,
-               tags: Optional[np.ndarray] = None) -> None:
+    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
         """Fold an in-order batch; same final state as n ``add`` calls.
 
         The column takes the batch in one slice assignment and the
@@ -459,8 +453,6 @@ class SeriesSummaries:
         self._reserve(n + k)
         self._times[n:n + k] = times
         self._values[n:n + k] = values
-        if tags is not None:
-            self._tags[n:n + k] = tags
         self._n = n + k
         self.count += k
         self.last = float(values[-1])
@@ -481,10 +473,9 @@ class SeriesSummaries:
         return self._values[max(self._n - window, 0):self._n]
 
     # -- checkpoint state (the layout is _SERIES, above) ---------------
-    def _dump(self, out, tag: int, rows: int, skip: int) -> None:
-        """Append this series to ``out`` (four lists: fixed, ld, f8, idx),
-        its first ``rows`` rows spelled out."""
-        fixed, ld, f8, idx = out
+    def _dump(self, out) -> None:
+        """Append this series to ``out`` (three lists: fixed, ld, idx)."""
+        fixed, ld, idx = out
         fields: list = []
         for summary in self._temporal.values():
             fields += (summary.start, summary._expired_to)
@@ -495,13 +486,11 @@ class SeriesSummaries:
         for ar in self._cursors[-len(AR_DAYS):]:
             fields += (ar.start, len(ar._mins))
             idx += ar._mins
-        fixed.append(_SERIES.pack(
-            *fields, tag, rows, skip, sum(map(len, self._dropped))))
-        f8 += (self._times[:rows], self._values[:rows], *self._dropped)
+        fixed.append(_SERIES.pack(*fields, self._n))
 
-    def _load(self, src, link: Optional["SeriesSummaries"] = None) -> int:
-        """Restore what :meth:`_dump` wrote and return the class tag; a
-        class series takes the rows it did not spell out from ``link``."""
+    def _load(self, src, times: np.ndarray, values: np.ndarray) -> None:
+        """Restore what :meth:`_dump` wrote over the series' rows, oldest
+        first: the live column is their tail, ``_dropped`` the rest."""
         field = iter(src.unpack(_SERIES)).__next__
         wide = iter(src.ld(_SERIES_LONGDOUBLES)).__next__
         for summary in self._temporal.values():
@@ -514,33 +503,22 @@ class SeriesSummaries:
                 wide(), wide(), wide(), wide(), wide())
         for ar in self._cursors[-len(AR_DAYS):]:
             ar.start, ar._mins = field(), src.idx(field()).tolist()
-        tag, rows, skip, dropped = field(), field(), field(), field()
-        times, values = src.f8(rows), src.f8(rows)
-        if link is None:
-            times, values = times.copy(), values.copy()
-        else:
-            shared = np.flatnonzero(link._tags[:link._n] == tag)
-            src.require(skip <= len(shared),
-                        "a class skips more link rows than carry its tag")
-            shared = shared[skip:]
-            times = np.concatenate((times, link._times[shared]))
-            values = np.concatenate((values, link._values[shared]))
-        self._times, self._values = times, values
-        n = self._n = len(values)
+        n = self._n = field()
+        src.require(n <= len(values), "a column longer than its series")
         src.require(all(c.start <= n for c in self._cursors),
                     "a window starts beyond its column")
         src.require(all(i < n for d in AR_DAYS for i in self._ar[d]._mins),
                     "a min-chain entry beyond its column")
-        gone = src.f8(dropped)
-        self._dropped = [gone.copy()] if dropped else []
-        self.count = dropped + n
+        gone = len(values) - n
+        self._times, self._values = times[gone:].copy(), values[gone:].copy()
+        self._dropped = [values[:gone].copy()] if gone else []
+        self.count = len(values)
         # MED depends on the values it has seen, not on the heaps' layout.
-        self._median.build(np.concatenate((gone, values)))
+        self._median.build(values)
         if n:  # the newest row is every summary's "last"
             self.last, self.last_time = float(values[-1]), float(times[-1])
             for ar in self._ar.values():
                 ar._last = self.last
-        return tag
 
 
 # ----------------------------------------------------------------------
@@ -572,14 +550,14 @@ class StreamingBank:
         on_rebuild: Optional[Callable[[str], None]] = None,
     ) -> None:
         if len(classification.labels) > 256:
-            raise ValueError("a row's class index is kept in one byte")
+            raise ValueError("a class index is kept in one byte")
         self.classification = classification
         self.on_rebuild = on_rebuild
         self.rebuilds = 0
         self.count = 0
-        self._global = SeriesSummaries(tagged=True)
+        self._global = SeriesSummaries()
         #: One series per observed class, keyed by its index in
-        #: ``classification.labels`` (the link series' row tags).
+        #: ``classification.labels`` (a row's tag, :meth:`_tags`).
         self._classes: Dict[int, SeriesSummaries] = {}
         self._tag_cache: Dict[int, int] = {}
 
@@ -604,7 +582,7 @@ class StreamingBank:
         """Fold one in-order observation; O(1) amortized."""
         self.count += 1
         tag = self._tag(int(size))
-        self._global.add(time, value, tag)
+        self._global.add(time, value)
         series = self._classes.get(tag)
         if series is None:
             series = self._classes[tag] = SeriesSummaries()
@@ -632,7 +610,7 @@ class StreamingBank:
             return
         self.count += n
         tags = self._tags(np.asarray(sizes))
-        self._global.extend(times, values, tags)
+        self._global.extend(times, values)
         # First-occurrence order (dict.fromkeys, not set): new class
         # series are created in the order the per-record path would have.
         for tag in dict.fromkeys(tags.tolist()):
@@ -658,7 +636,7 @@ class StreamingBank:
         every positional window, and what a checkpointless revival does.
         """
         self.count = 0
-        self._global = SeriesSummaries(tagged=True)
+        self._global = SeriesSummaries()
         self._classes = {}
         self.extend(times, values, sizes, ops)
         self.rebuilds += 1
@@ -672,54 +650,51 @@ class StreamingBank:
         """Every accumulator, as one part of a checkpoint: ``(fixed, ld,
         f8, idx)`` — bytes, then a longdouble, a float64 and a uint32 pool.
 
-        ``fixed`` is :data:`_BANK`, the link series (:data:`_SERIES`), its
-        row tags, then one :data:`_SERIES` per class.  The link's column
-        is written once: a class series is the link rows carrying its
-        tag, less the first ``skip`` of them, after the rows it still
-        holds from before the link's column starts (expiry is lazy, so
-        either column can reach further back).  Both columns end at the
-        newest row, so the two counts are a subtraction.
+        ``fixed`` is :data:`_BANK`, the class indexes, then the link's
+        :data:`_SERIES` and one per class.  No row is written, and the
+        f8 pool is empty: every series is a view of the link's rows
+        sorted by end time, which its durable store holds (see
+        :meth:`load_state`).
 
         Longdouble sums are preserved verbatim and ``MED`` is the values
-        themselves, so a bank restored with :meth:`load_state` answers
-        every query bit-identically to the original — the property the
-        evict→revive parity gate in the durable store rests on.  The
-        classification itself is *not* captured (it is identity-compared
-        in :meth:`answer`); callers must pair the state with a
-        fingerprint of the classification it was built against.
+        themselves, so a bank restored with :meth:`load_state` over the
+        same rows answers every query bit-identically to the original —
+        the property the evict→revive parity gate in the durable store
+        rests on.  The classification itself is *not* captured (it is
+        identity-compared in :meth:`answer`); callers must pair the
+        state with a fingerprint of the classification it was built
+        against.
         """
-        link = self._global
-        tags = link._tags[:link._n]
-        out = fixed, ld, f8, idx = [], [], [], []
-        fixed.append(_BANK.pack(self.rebuilds, len(self._classes)))
-        link._dump(out, 0, link._n, 0)
-        fixed.append(tags.tobytes())
-        for tag, series in self._classes.items():
-            ahead = series._n - int(np.count_nonzero(tags == tag))
-            series._dump(out, tag, max(ahead, 0), max(-ahead, 0))
+        out = fixed, ld, idx = [], [], []
+        fixed += (_BANK.pack(self.rebuilds, len(self._classes)),
+                  bytes(self._classes))
+        for series in (self._global, *self._classes.values()):
+            series._dump(out)
         return (b"".join(fixed), np.array(ld, dtype=np.longdouble),
-                np.concatenate(f8), np.array(idx, dtype=np.uint32))
+                np.empty(0), np.array(idx, dtype=np.uint32))
 
-    def load_state(self, src) -> None:
+    def load_state(self, src, times: np.ndarray, values: np.ndarray,
+                   sizes: np.ndarray) -> None:
         """Restore :meth:`state` from a :class:`repro.store.checkpoint.Reader`
-        over it; what does not add up raises the reader's error."""
+        over it and the rows the bank held: the link's, stably sorted by
+        end time (its ``LinkState`` buffer's order).  The link series is
+        all of them, a class series those :meth:`_tags` gives its index;
+        what does not add up raises the reader's error."""
         self.rebuilds, classes = src.unpack(_BANK)
-        link = self._global = SeriesSummaries(tagged=True)
-        link._load(src)
-        link._tags = np.frombuffer(src.raw(link._n), dtype=np.uint8).copy()
-        self.count = link.count
+        held = list(src.raw(classes))
+        tags = self._tags(sizes)
+        src.require(len(set(held)) == classes
+                    and set(held) == set(tags.tolist()),
+                    "the class series are not the rows' classes")
+        self._global = SeriesSummaries()
+        self._global._load(src, times, values)
+        self.count = len(values)
         self._classes = {}
-        for _ in range(classes):
-            series = SeriesSummaries()
-            tag = series._load(src, link)
-            src.require(tag < len(self.classification.labels)
-                        and tag not in self._classes, "not a new class index")
-            self._classes[tag] = series
-        held = np.bincount(link._tags, minlength=256)[list(self._classes)]
-        src.require(held.sum() == link._n,
-                    "a row is tagged with a class that has no series")
+        for tag in held:
+            mask = tags == tag
+            series = self._classes[tag] = SeriesSummaries()
+            series._load(src, times[mask], values[mask])
         src.finish()
-        self._tag_cache = {}
 
     # ------------------------------------------------------------------
     # predictor queries

@@ -34,8 +34,8 @@ serving path:
   (or even the same link) proceed in parallel with ingest.
 * **Durability** — with a :class:`~repro.store.LinkStore` attached,
   every fold writes through to an append-only tail log, cold links
-  revive transparently on first touch (checkpoint restore in O(1), or
-  a rebuild from the durable columns), and an LRU ``max_resident``
+  revive transparently on first touch (their checkpoint loaded over
+  their durable rows, or a rebuild from them), and an LRU ``max_resident``
   ceiling bounds RAM no matter how many links the store holds.
   Revival preserves version continuity — cache keys survive an
   evict→revive cycle — and revived answers are trace-identical to an
@@ -63,6 +63,7 @@ import itertools
 import threading
 import time
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -101,7 +102,7 @@ from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import TraceLog
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.quality import AccuracyTracker
-from repro.service.state import OP_READ, OP_WRITE, LinkState
+from repro.service.state import OP_READ, OP_WRITE, LinkState, row_digest
 
 __all__ = ["Prediction", "PredictionCache", "PredictionService", "DEFAULT_SPEC"]
 
@@ -110,6 +111,9 @@ __all__ = ["Prediction", "PredictionCache", "PredictionService", "DEFAULT_SPEC"]
 DEFAULT_SPEC = "C-AVG15"
 
 _MISSING = object()
+
+#: What revival reads for a link whose store holds no checkpoint.
+_NO_CHECKPOINT = {"meta": {"n": 0, "version": 0}}
 
 #: Entries (predictions + observations) on the accuracy tracker's
 #: staging deque before the observe path drains and scores them in one
@@ -376,6 +380,10 @@ class PredictionService:
             "cold links revived from the durable store")
         self._m_revival_latency = m.histogram(
             "service_revival_seconds", "cold-link revival wall-clock latency")
+        self._m_stale = m.counter(
+            "store_checkpoints_stale",
+            "revivals that rebuilt past a checkpoint they could not use "
+            "(reason=format|rows|digest)")
         # Accuracy telemetry.  Nothing here is touched per pair on the
         # observe path — gauges *and* the error histogram are published
         # at scrape time by publish_quality() (the Prometheus collector
@@ -450,108 +458,98 @@ class PredictionService:
     # tiered storage: evict and revive
     # ------------------------------------------------------------------
     def _revive_locked(self, link: str) -> Optional[LinkState]:
-        """Rebuild a cold link's state from the durable store.
+        """Bring a cold link back from the durable store: its rows, then
+        its checkpoint, one read each.
 
-        Checkpoint restore is O(1) in history length: the bank's
-        sufficient statistics come back exactly, rows appended after the
-        checkpoint fold in incrementally, and the history columns stay
-        on disk until something actually needs them.  Anything that
-        makes the checkpoint untrustworthy — fingerprint mismatch, a
-        degraded link, row counts that no longer reconcile, a
-        non-monotone post-checkpoint suffix — falls back to a full
-        rebuild from the surviving columns: slower, never wrong.
-        Returns None when the store holds no rows at all.
+        One stable argsort of the rows (arrival order) is the order the
+        resident buffer held them in.  The checkpoint names rows ``[0,
+        n)``; when it was written against this classification and they
+        still reconcile (``n`` durable, the link not degraded) and hash
+        to its ``row_digest``, the bank loads over them, sorted, and the
+        rows past ``n`` fold in as the live path would have — if the
+        argsort leaves them behind the others, in arrival order.
+        Otherwise the bank is rebuilt from the same arrays: a checkpoint
+        that cannot be used is *stale* (``format``, ``rows`` or
+        ``digest``, counted), never quarantined.  Returns None when the
+        store holds neither rows nor a checkpoint.
         """
         t0 = time.perf_counter()
-        state = self._restore_from_checkpoint(link)
-        how = "checkpoint"
-        if state is None:
-            state = self._rebuild_from_columns(link)
-            how = "rebuild"
-        if state is None:
+        times, values, sizes, ops = self.store.load_columns(link)
+        durable = len(times)
+        ckpt, reason = self._checkpoint_for(link, durable)
+        if durable == 0 and reason == "absent":
             return None
-        latency = time.perf_counter() - t0
+        meta = ckpt["meta"]
+        n = meta["n"] if reason is None else 0
+        digest = row_digest(times[:n], values[:n], sizes[:n])
+        if reason is None and digest.digest() != meta["row_digest"]:
+            reason = "digest"
+        row_digest(times[n:], values[n:], sizes[n:], into=digest)
+        order = np.argsort(times, kind="stable")
+        columns = tuple(column[order] for column in (times, values, sizes, ops))
+        if reason is None and (order[n:] != np.arange(n, durable)).any():
+            reason = "out_of_order"  # a late row: the live path rebuilt too
+        if reason is None:
+            bank = self._new_bank()
+            try:
+                bank.load_state(ckpt["bank"], *(c[:n] for c in columns[:3]))
+            except Exception:
+                reason = "rows"
+        if reason is None:
+            bank.extend(*(column[n:] for column in columns))
+            state = LinkState.revive(
+                link, bank, meta["version"] + durable - n, durable,
+                float(columns[0][-1]) if durable else -np.inf,
+                loader=partial(self.store.load_columns, link),
+                persist=self._persist_for(link), digest=digest)
+            # The checkpoint covers the pre-delta version; with no delta
+            # the state is clean and eviction skips re-serializing it.
+            state.ckpt_version = meta["version"]
+        else:
+            bank = self._new_bank()
+            bank.rebuild(*columns, reason="revive")
+            # Rows lost or changed under the checkpoint: the counter moves
+            # on, so no cache entry of the old rows answers for the new.
+            version = (max(durable, meta["version"] + 1)
+                       if reason in ("rows", "digest") else durable)
+            state = LinkState.from_columns(
+                link, bank, version, columns,
+                persist=self._persist_for(link), digest=digest)
         self._m_revivals.inc()
-        self._m_revival_latency.observe(latency)
+        self._m_revival_latency.observe(time.perf_counter() - t0)
+        how = "checkpoint" if reason is None else "rebuild"
         if _obs_enabled():
             self._m_revivals.labels(how=how).inc()
-        self.trace.emit("revive", link=link, how=how,
+        if reason in ("format", "rows", "digest"):
+            self._m_stale.inc()
+            if _obs_enabled():
+                self._m_stale.labels(reason=reason).inc()
+        self.trace.emit("revive", link=link, how=how, reason=reason,
                         version=state.version, records=len(state))
         return state
 
-    def _restore_from_checkpoint(self, link: str) -> Optional[LinkState]:
-        store = self.store
-        ckpt = store.read_checkpoint(link)
+    def _checkpoint_for(self, link: str, durable: int) -> Tuple[dict, Optional[str]]:
+        """The link's checkpoint, and why its bank cannot be loaded as it
+        stands (None when it might: its rows' digest is checked next).
+        Its accuracy part loads whenever it was written against this
+        classification, whatever becomes of the bank part."""
+        ckpt = self.store.read_checkpoint(link)
         if ckpt is None:
-            return None
-        meta = ckpt.get("meta")
-        if not isinstance(meta, dict):
-            return None
-        if meta.get("classification") != self._fingerprint:
-            return None
-        if store.degraded(link):
-            # A quarantine broke row accounting; the checkpoint's n can
-            # no longer be reconciled against what survives on disk.
-            return None
-        n = int(meta.get("n", -1))
-        version = int(meta.get("version", -1))
-        durable = store.durable_rows(link)
-        if n < 0 or version < n or n > durable:
-            return None
-        last_time = float(meta.get("last_time", -float("inf")))
-        bank = self._new_bank()
-        try:
-            bank.load_state(ckpt["bank"])
-        except Exception:
-            return None
-        delta = durable - n
-        if delta:
-            # Rows made durable after the checkpoint (the write-through
-            # of appends the evicted state folded before it died, or a
-            # crash took the process).  Fold them exactly as the live
-            # path would have (extend is bit-identical to one in-order
-            # bank.add per row).  A non-monotone suffix means the live
-            # path would have rebuilt positional windows — fall back to
-            # the rebuild.
-            times, values, sizes, ops = store.load_columns(link, start_row=n)
-            if len(times) != delta:
-                return None
-            if times[0] < last_time or (np.diff(times) < 0).any():
-                return None
-            bank.extend(times, values, sizes, ops)
-            last_time = float(times[-1])
-            version += delta
-        state = LinkState.revive(
-            link, bank, version, durable, last_time,
-            loader=partial(store.load_columns, link),
-            persist=self._persist_for(link),
-        )
-        # The checkpoint on disk covers the pre-delta version; if no
-        # delta rows folded in, the state is clean and eviction can
-        # skip re-serializing it.
-        state.ckpt_version = version - delta
-        if self.quality is not None:
-            accuracy = ckpt.get("accuracy")
-            if accuracy is not None:
-                # No-op when the link already has scored state in RAM
-                # (evict→revive in one process must not double-count);
-                # on a warm restart the checkpointed sums land exactly.
-                self.quality.load_link_state(link, accuracy)
-        return state
-
-    def _rebuild_from_columns(self, link: str) -> Optional[LinkState]:
-        """Checkpointless revival: reload, re-sort, re-fold everything."""
-        store = self.store
-        times, values, sizes, ops = store.load_columns(link)
-        n = len(times)
-        if n == 0:
-            return None
-        order = np.argsort(times, kind="stable")
-        columns = (times[order], values[order], sizes[order], ops[order])
-        bank = self._new_bank()
-        bank.rebuild(*columns, reason="revive")
-        return LinkState.from_columns(
-            link, bank, n, columns, persist=self._persist_for(link))
+            return _NO_CHECKPOINT, "absent"
+        meta = ckpt["meta"]
+        if meta["classification"] != self._fingerprint:
+            return ckpt, "format"
+        if self.quality is not None and "accuracy" in ckpt:
+            # A no-op when the link has scored state in RAM (an
+            # evict→revive cycle must not double-count).
+            with suppress(Exception):
+                self.quality.load_link_state(link, ckpt["accuracy"])
+        if "bank" not in ckpt:
+            return ckpt, "format"
+        if (not 0 <= meta["n"] <= min(durable, meta["version"])
+                or self.store.degraded(link)):
+            return ckpt, "rows"  # e.g. a quarantine broke row accounting
+        return ckpt, None
 
     def _evict_overflow_locked(self, keep: Optional[LinkState] = None) -> None:
         """Checkpoint and drop LRU links past the resident ceiling."""
@@ -658,7 +656,7 @@ class PredictionService:
         written = 0
         for state in states:
             with state.lock:
-                if len(state) == 0:
+                if state.version == 0:  # never held a row
                     continue
                 written += self._checkpoint_locked(state)
             if seal:

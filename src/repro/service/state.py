@@ -45,10 +45,15 @@ Tiered storage (:mod:`repro.store`) hooks in at two seams:
   stable-sorts them by end time — bit-identical row order, including
   tie-breaks, to the always-resident buffer, because the buffer's own
   merge discipline *is* a stable sort by (end time, arrival order).
+  A running :func:`row_digest` of every row in arrival order rides
+  along, so a checkpoint can name the rows its bank holds without
+  holding them, hydrated or not.
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 import threading
 from typing import Callable, Optional, Tuple
 
@@ -60,7 +65,7 @@ from repro.data.buffer import ColumnBuffer
 from repro.data.frame import OP_READ, OP_WRITE
 from repro.logs.record import Operation, TransferRecord
 
-__all__ = ["LinkState", "OP_READ", "OP_WRITE"]
+__all__ = ["LinkState", "OP_READ", "OP_WRITE", "row_digest"]
 
 _INITIAL_CAPACITY = 64
 
@@ -78,6 +83,21 @@ PersistFn = Callable[..., bool]
 
 #: ``loader()`` -> (times, values, sizes, ops) in arrival order.
 LoaderFn = Callable[[], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+#: A row as :func:`row_digest` reads it: what the bank folds of it.
+_ROW = np.dtype([("time", "<f8"), ("value", "<f8"), ("size", "<i8")])
+_ONE_ROW = struct.Struct("<ddq")
+
+
+def row_digest(times=(), values=(), sizes=(), into=None):
+    """A running BLAKE2b-128 over rows in arrival order — each row's end
+    time, bandwidth and size, little-endian — continuing ``into`` when
+    given: how a checkpoint names the rows ``[0, n)`` its bank holds."""
+    rows = np.empty(len(times), dtype=_ROW)
+    rows["time"], rows["value"], rows["size"] = times, values, sizes
+    digest = hashlib.blake2b(digest_size=16) if into is None else into
+    digest.update(rows)
+    return digest
 
 
 class LinkState:
@@ -103,6 +123,7 @@ class LinkState:
         self._last_time = -np.inf
         self._base_n = 0                 # spilled rows not yet hydrated
         self._base_loader: Optional[LoaderFn] = None
+        self._digest = row_digest()      # of every row, arrival order
 
     # ------------------------------------------------------------------
     # revival (the durable store's load seam)
@@ -117,14 +138,18 @@ class LinkState:
         last_time: float,
         loader: LoaderFn,
         persist: Optional[PersistFn] = None,
+        digest=None,
     ) -> "LinkState":
         """An O(1) cold revival: framing numbers now, columns on demand.
 
         ``version`` continues the evicted state's counter (cache-key
         continuity); ``base_n`` rows stay on disk behind ``loader``
-        until hydration; ``bank`` must already hold their fold.
+        until hydration; ``bank`` must already hold their fold, and
+        ``digest`` is their :func:`row_digest` (without one, a checkpoint
+        of this state does not verify: its link rebuilds on revival).
         """
         state = cls(link, bank=bank, persist=persist)
+        state._digest = digest or state._digest
         state._version = int(version)
         state._base_n = int(base_n)
         state._base_loader = loader if base_n else None
@@ -139,13 +164,16 @@ class LinkState:
         version: int,
         columns: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         persist: Optional[PersistFn] = None,
+        digest=None,
     ) -> "LinkState":
         """A fully hydrated state from end-time-sorted columns.
 
-        The checkpointless revival path: the caller already loaded and
-        sorted the columns (and rebuilt ``bank`` from them).
+        The rebuilding revival path: the caller already loaded and
+        sorted the columns (and rebuilt ``bank`` from them); ``digest``
+        is as for :meth:`revive`.
         """
         state = cls(link, bank=bank, persist=persist)
+        state._digest = digest or state._digest
         state._buffer = ColumnBuffer.from_columns(_DTYPES, columns)
         state._version = int(version)
         if len(columns[0]):
@@ -184,11 +212,6 @@ class LinkState:
         with self.lock:
             return self._base_loader is None
 
-    def resident_nbytes(self) -> int:
-        """RAM held by the history columns (what eviction frees)."""
-        with self.lock:
-            return self._buffer.nbytes
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -209,6 +232,7 @@ class LinkState:
                     (time,), (value,), (size,), (op,), source_offset)
             self._buffer.append((time, value, size, op))
             self.bank.add(time, value, size, op)
+            self._digest.update(_ONE_ROW.pack(time, value, size))
             self._last_time = time
             self._version += 1
             if self._persist is not None:
@@ -261,6 +285,7 @@ class LinkState:
             else:
                 self._buffer.extend_sorted(batch)
                 self.bank.extend(*batch)
+            row_digest(*batch[:3], into=self._digest)
             self._last_time = float(self._buffer.views()[0][-1])
             self._version += n
             if self._persist is not None:
@@ -316,7 +341,9 @@ class LinkState:
 
         ``fingerprint`` identifies the classification the bank's class
         series are keyed by; revival rejects a checkpoint whose
-        fingerprint differs from the serving classification.
+        fingerprint differs from the serving classification.  The bank
+        holds no rows: ``n`` and ``row_digest`` name the link's first
+        ``n`` rows in arrival order, which its store holds.
         """
         with self.lock:
             return {
@@ -324,7 +351,7 @@ class LinkState:
                     "link": self.link,
                     "version": self._version,
                     "n": self._base_n + len(self._buffer),
-                    "last_time": float(self._last_time),
+                    "row_digest": self._digest.digest(),
                     "classification": fingerprint,
                 },
                 "bank": self.bank.state(),

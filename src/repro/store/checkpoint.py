@@ -1,29 +1,32 @@
 """Link checkpoints: a fixed schema in four typed pools.
 
-A checkpoint is what makes cold-link revival O(1): restore the bank's
-sufficient statistics and answer, instead of replaying history.  The
-payload is the dict the serving layer passes around — ``meta`` (every
-key optional), ``bank`` (:meth:`StreamingBank.state`) and ``accuracy``
-(:meth:`AccuracyTracker.link_state`) — and the two states are *parts*:
-``(fixed, ld, f8, idx)``, packed structs as bytes plus a longdouble, a
-float64 and a uint32 pool, laid out by the module that owns the state
-(:data:`repro.core.streaming._SERIES` defines a series).  The file is
-the four pools of both parts end to end, ``fixed`` opening with
-:data:`_META`, the two strings it counts, and one :data:`_PART` of pool
-lengths per part.  :func:`loads` hands each part back as a
-:class:`Reader` for its owner's ``load_state``.
+A checkpoint is what makes cold-link revival cheap: restore the bank's
+sufficient statistics over the link's rows instead of folding them
+again.  The payload is the dict the serving layer passes around —
+``meta`` (every key optional), ``bank`` (:meth:`StreamingBank.state`)
+and ``accuracy`` (:meth:`AccuracyTracker.link_state`) — and the two
+states are *parts*: ``(fixed, ld, f8, idx)``, packed structs as bytes
+plus a longdouble, a float64 and a uint32 pool, laid out by the module
+that owns the state (:data:`repro.core.streaming._SERIES` defines a
+series).  The file is the four pools of both parts end to end,
+``fixed`` opening with :data:`_META`, the two strings it counts, and
+one :data:`_PART` of pool lengths per part.  :func:`loads` hands each
+part back as a :class:`Reader` for its owner's ``load_state``.
 
 * **Exactness.**  The evict→revive parity gate demands bit-identical
-  answers.  Scalars travel through ``struct``, columns and the 80-bit
-  sums through ``tobytes`` / ``frombuffer``: exact by construction.
-  What the column already says is not stored (a series' last value and
-  time), and ``MED`` is stored as values, not heaps: a median depends
-  on what it has seen, not on the heaps' layout.
-* **Size.**  A link's checkpoint is most of what it costs on disk.  No
-  names are written, and each ``(time, value)`` row once: a class series
-  is the link's rows carrying its tag, ``MED`` is the column plus what
-  was trimmed off it.  What is left is mostly the column, 16 B a row,
-  which barely deflates; a longdouble's 6/16 padding does.
+  answers.  Scalars travel through ``struct``, the 80-bit sums and the
+  pools through ``tobytes`` / ``frombuffer``: exact by construction.
+  What the rows already say is not stored: a series' last value and
+  time, and ``MED``, which depends on the values seen, not on the
+  heaps' layout.
+* **Size.**  The link's history is on disk once, in its segments and
+  tail; a checkpoint holds no row of it.  It refers to rows ``[0, n)``
+  of the link in arrival order by ``n`` and ``row_digest`` (see
+  :func:`repro.service.state.row_digest`), a reference that survives
+  seals and compaction, which rewrite files but not rows; every bank
+  series is a view of those rows sorted by end time.  What is left is
+  structs, longdoubles (whose 6/16 padding deflates) and min chains,
+  about 450-700 B a link whatever its length, plus its accuracy part.
 * **Speed.**  Revival must stay sub-millisecond, so the whole file is
   one read, one digest check and one bounded inflate: the shared file
   envelope (:mod:`repro.envelope`), whose ``aux`` field carries the
@@ -32,10 +35,12 @@ lengths per part.  :func:`loads` hands each part back as a
 Corruption (torn write, bit rot, injected fault at the
 ``store.checkpoint`` site) surfaces as :class:`CorruptCheckpoint`; the
 store quarantines the file and the link rebuilds from its segments —
-slower, never wrong.  An intact file of an earlier format (1-3) is
+slower, never wrong.  An intact file of format 1-3 is
 :class:`StaleCheckpoint`: same rebuild, but nothing is wrong with the
 file, so it stays where it is until the link's next checkpoint replaces
-it.  Earlier formats are read only that far.
+it.  Format 4 shares this framing but stored the rows; :func:`loads`
+reads its ``meta`` and accuracy part and leaves out its bank, which
+revival then rebuilds.  Earlier formats are read only that far.
 
 Longdouble width is platform-dependent; a checkpoint written on a
 different ABI fails the width check and is treated as corrupt, which
@@ -55,7 +60,9 @@ from repro.envelope import Envelope
 __all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps", "loads"]
 
 _MAGIC = b"RSCK"
-_FORMAT = 4  # 3 walked a state dict into a JSON layout; 2 stored that raw
+#: 4 stored the rows; 3 walked a state dict into a JSON layout; 2 stored
+#: that raw.
+_FORMAT = 5
 
 _LD_SIZE = np.dtype(np.longdouble).itemsize
 #: Leading bytes of a longdouble that hold its value.  x87 extended
@@ -68,15 +75,16 @@ _LD_VALUE_BYTES = 10 if np.finfo(np.longdouble).nmant == 63 else _LD_SIZE
 _POOLS = (np.dtype(np.longdouble), np.dtype("<f8"), np.dtype("<u4"))
 _PARTS = ("bank", "accuracy")
 
-#: ``meta``: version, n, last_time, one reserved byte, then the byte
-#: lengths of link and classification, which follow.  A key left out is
-#: stored as the value no live link has.  The reserved byte said whether
-#: the writer kept a bank, while a service could run without one; every
-#: checkpoint a default service wrote holds 1 there (a bare bank state or
-#: a ``meta`` without the key held 0), so 1 is written and never read.
-_META = struct.Struct("<qqdBHH")
-_META_DEFAULTS = {"version": -1, "n": -1, "last_time": -np.inf,
+#: ``meta``: version, n, row_digest, then the byte lengths of link and
+#: classification, which follow.  A key left out is stored as the value
+#: no live link has.
+_META = struct.Struct("<qq16sHH")
+_META_DEFAULTS = {"version": -1, "n": -1, "row_digest": bytes(16),
                   "link": "", "classification": ""}
+#: Format 4's ``meta``: version, n, then a last_time and a byte this
+#: build skips (the rows say when the link's last one ended), and no
+#: row_digest.
+_META_4 = struct.Struct("<qq9xHH")
 #: Items one part holds in each pool; all zero when the part is absent.
 _PART = struct.Struct("<IIII")
 
@@ -90,6 +98,7 @@ class StaleCheckpoint(Exception):
 
 
 _FILE = Envelope(_MAGIC, _FORMAT, "IIII", error=CorruptCheckpoint)
+_FORMAT_4 = Envelope(_MAGIC, 4, "IIII", error=CorruptCheckpoint)
 _FORMAT_3 = Envelope(_MAGIC, 3, "IQQ", error=CorruptCheckpoint)
 # Formats 1 and 2: raw body, the digest over the body alone.
 _RAW_HEADER = struct.Struct("<4sHHIQQ32s")
@@ -153,8 +162,8 @@ def dumps(payload) -> bytes:
     pools = [np.concatenate([np.asarray(part[i], dtype) for part in parts])
              for i, dtype in enumerate(_POOLS, 1)]
     fixed = [
-        _META.pack(meta["version"], meta["n"], meta["last_time"],
-                   1, len(link), len(classification)),
+        _META.pack(meta["version"], meta["n"], bytes(meta["row_digest"]),
+                   len(link), len(classification)),
         link, classification,
         *(_PART.pack(*map(len, part)) for part in parts),
         *(part[0] for part in parts)]
@@ -183,28 +192,36 @@ def _reject_stale(data: bytes, version: int) -> NoReturn:
 
 def loads(data: bytes) -> Dict[str, Any]:
     """``{"meta": dict, "bank": Reader, "accuracy": Reader}``, a part the
-    file does not hold left out; raises :class:`CorruptCheckpoint` on
-    anything off and :class:`StaleCheckpoint` for an intact file of an
-    earlier format."""
+    file does not hold left out (a format-4 file's bank, always); raises
+    :class:`CorruptCheckpoint` on anything off and
+    :class:`StaleCheckpoint` for an intact file of format 1-3."""
     if data[:4] == _MAGIC and data[4:6] in (b"\1\0", b"\2\0", b"\3\0"):
         _reject_stale(data, data[4])
-    head = _FILE.verify(data)
+    envelope = _FORMAT_4 if data[4:6] == b"\4\0" else _FILE
+    head = envelope.verify(data)
     if head.aux != _LD_SIZE:
         raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
     if any(length % dtype.itemsize
            for length, dtype in zip(head.lengths[1:], _POOLS)):
         raise CorruptCheckpoint("pool length is not a whole number of items")
-    fixed, *pools = _FILE.inflate(head)
+    fixed, *pools = envelope.inflate(head)
     src = Reader(fixed, *(np.frombuffer(pool, dtype)
                           for pool, dtype in zip(pools, _POOLS)))
-    *scalars, _, link_len, classification_len = src.unpack(_META)
+    if envelope is _FILE:
+        version, n, digest, link_len, classification_len = src.unpack(_META)
+    else:
+        version, n, link_len, classification_len = src.unpack(_META_4)
+        digest = _META_DEFAULTS["row_digest"]
     try:
         names = src.raw(link_len).decode(), src.raw(classification_len).decode()
     except UnicodeDecodeError as exc:
         raise CorruptCheckpoint(f"undecodable name: {exc}") from None
-    state: Dict[str, Any] = {"meta": dict(zip(_META_DEFAULTS, (*scalars, *names)))}
+    state: Dict[str, Any] = {
+        "meta": dict(zip(_META_DEFAULTS, (version, n, digest, *names)))}
     for name, counts in [(name, src.unpack(_PART)) for name in _PARTS]:
         if counts[0]:
             state[name] = src.part(counts)
     src.finish()
+    if envelope is _FORMAT_4:
+        state.pop("bank", None)  # its rows are in the file, not in the store
     return state

@@ -731,10 +731,8 @@ class LinkStore:
             meta = self._meta(link)
             return meta.max_offset if meta is not None else 0
 
-    def load_columns(
-        self, link: str, start_row: int = 0
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All durable rows from ``start_row`` on, in arrival order.
+    def load_columns(self, link: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """All durable rows, in arrival order.
 
         Returns ``(times, values, sizes, ops)``.  Corrupt segments hit
         mid-read are quarantined and skipped (the link degrades).
@@ -745,11 +743,7 @@ class LinkStore:
                 empty = np.empty(0)
                 return (empty.astype(np.float64), empty.astype(np.float64),
                         empty.astype(np.int64), empty.astype(np.int8))
-            times, values, sizes, ops, _ = self._load_locked(meta)
-            if start_row:
-                times, values = times[start_row:], values[start_row:]
-                sizes, ops = sizes[start_row:], ops[start_row:]
-            return times, values, sizes, ops
+            return self._load_locked(meta)[:4]
 
     def _read_segment_locked(
             self, meta: _LinkMeta, seg: _Segment) -> Optional[_segments.SegmentData]:
@@ -807,8 +801,9 @@ class LinkStore:
             return True
 
     def read_checkpoint(self, link: str) -> Optional[dict]:
-        """The link's checkpoint state, or None (absent, stale format,
-        or corrupt and now quarantined)."""
+        """The link's checkpoint state, or None (absent, format 1-3, or
+        corrupt and now quarantined); a format-4 file comes back without
+        its bank part (:func:`repro.store.checkpoint.loads`)."""
         observed = _obs_enabled()
         started = time.perf_counter() if observed else 0.0
         with self._lock_for(link):

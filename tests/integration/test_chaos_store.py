@@ -170,7 +170,7 @@ class TestCheckpointFaults:
         # checkpoint replaces it with the current format.
         assert second.checkpoint_all() == len(LOGS)
         for path in paths:
-            assert path.read_bytes()[4:6] == struct.pack("<H", 4)
+            assert path.read_bytes()[4:6] == struct.pack("<H", 5)
             assert "bank" in ck.loads(path.read_bytes())
 
     def test_unwritable_checkpoints_degrade_eviction_not_answers(
@@ -199,6 +199,37 @@ class TestSegmentCorruption:
 
     def test_truncated_segment_is_contained(self, tmp_path):
         self._damaged_segment_is_contained(tmp_path, truncate=0.5)
+
+    def test_a_quarantined_segment_keeps_the_links_accuracy(self, tmp_path):
+        """A warm restart after a segment went bad: the link rebuilds from
+        the rows that survive, and its scored accuracy still comes back
+        from the checkpoint whose bank part could not be used."""
+        from repro.data.ingest import load_ulm
+
+        link = "lbl-anl"
+        store = LinkStore(tmp_path / "state", segment_rows=64)
+        first = PredictionService(store=store)
+        records = load_ulm(DATA_DIR / LOGS[0]).to_records()
+        for record in records:
+            first.predict(link, record.file_size, now=record.end_time)
+            first.observe(link, record)
+        accuracy = first.status()["accuracy"]["links"][link]
+        assert accuracy["overall"]["count"] > 400
+        assert first.checkpoint_all(seal=True) == 1
+        store.close()
+        segment = sorted((tmp_path / "state").rglob("seg-*.col"))[0]
+        raw = bytearray(segment.read_bytes())
+        raw[len(raw) // 2] ^= 0x5A
+        segment.write_bytes(bytes(raw))
+
+        second = PredictionService(store=LinkStore(
+            tmp_path / "state", segment_rows=64))
+        assert 0 < len(second.history(link)) < len(records)
+        (event,) = second.trace.events(kind="revive")
+        assert (event.fields["how"], event.fields["reason"]) == ("rebuild", "rows")
+        assert second.status()["accuracy"]["links"][link] == accuracy
+        assert [q.name for q in _quarantined(tmp_path / "state")] == [
+            segment.name + ".quarantined"]
 
     def _damaged_segment_is_contained(self, tmp_path, **damage):
         from repro.data.ingest import load_ulm

@@ -17,6 +17,7 @@ The ISSUE 7 parity gates:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -159,6 +160,12 @@ class TestEvictRevive:
         assert resident._m_rebuilds.value == 3 * 8
         assert tiered._m_rebuilds.value == 3 * 6
         assert tiered.status()["store"]["evictions"] >= 3 * 18
+        # The late rows are in the store in arrival order; one stable
+        # argsort of them is the order the bank held, so every revival
+        # loads its checkpoint.
+        revivals = tiered.metrics.snapshot()["service_link_revivals"]
+        assert [series["labels"] for series in revivals["series"]] == [
+            {"how": "checkpoint"}]
         for link in links:
             assert tiered.history(link).times.tolist() == \
                 resident.history(link).times.tolist()
@@ -179,6 +186,31 @@ class TestEvictRevive:
         assert status["evictions"] >= 1
         assert status["revivals"] >= 1
         assert status["bytes_on_disk"] > 0
+
+    @pytest.mark.parametrize("between", ["seal", "compact"])
+    def test_a_seal_or_compaction_between_checkpoint_and_revival_changes_nothing(
+            self, tmp_path, between):
+        """A checkpoint names rows, not files: the seal that follows an
+        eviction's checkpoint, or a compaction, rewrites the segments it
+        was taken over and the link still revives from it."""
+        links = {f"L{k}": _synthetic_records(40, phase=k) for k in range(2)}
+        resident = PredictionService()
+        tiered = PredictionService(
+            store=LinkStore(tmp_path / "state", segment_rows=16), max_resident=1)
+        for lo in range(0, 40, 7):
+            for link, records in links.items():
+                for service in (resident, tiered):
+                    service.observe_batch([(link, r) for r in records[lo:lo + 7]])
+                getattr(tiered.store, between)(link)
+        expected = _interleaved(resident)
+        for link in links:
+            getattr(tiered.store, between)(link)
+        assert _interleaved(tiered) == expected
+        events = tiered.trace.events(kind="revive")
+        assert events and {e.fields["how"] for e in events} == {"checkpoint"}
+        assert "store_checkpoints_stale" not in {
+            name for name, metric in tiered.metrics.snapshot().items()
+            if metric.get("value")}
 
     def test_ingest_continues_after_revival(self, tmp_path):
         from tests.conftest import make_record
@@ -392,7 +424,7 @@ class TestUpgrade:
         """A state dir written before checkpoint format 4: the file is
         intact but stale, so the link's first touch rebuilds it from its
         rows, nothing is quarantined, and its next eviction leaves a
-        format-4 file that the touch after that revives from."""
+        current file that the touch after that revives from."""
         from repro.obs import get_registry
         from repro.store import checkpoint as ck
         from tests.unit.test_store import FORMAT_3_FILE, stale_link_records
@@ -407,7 +439,7 @@ class TestUpgrade:
         fresh = seeded(tmp_path / "fresh")
         old = seeded(tmp_path / "old")
         path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
-        assert path.read_bytes()[:6] == b"RSCK\4\0"
+        assert path.read_bytes()[:6] == b"RSCK\5\0"
         path.write_bytes(FORMAT_3_FILE.read_bytes())
         old.store.close()
 
@@ -424,12 +456,110 @@ class TestUpgrade:
             if round_ == 0:
                 assert path.read_bytes()[:6] == b"RSCK\3\0"  # left in place
                 served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale"
-                assert path.read_bytes()[:6] == b"RSCK\4\0"
+                assert path.read_bytes()[:6] == b"RSCK\5\0"
                 assert ck.loads(path.read_bytes())["meta"]["n"] == 30
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
         assert sorted(p.name for p in path.parent.iterdir() if
                       p.name.startswith("checkpoint")) == ["checkpoint.bin"]
+
+
+    def test_format_4_checkpoint_reads_stale_and_keeps_its_accuracy(
+            self, tmp_path):
+        """The file the commit before format 5 wrote for a link whose
+        answers were scored: its bank is rebuilt from the link's rows
+        (one stale revival, nothing quarantined), and its accuracy part
+        is what the restarted service reports for the link."""
+        from repro.obs import get_registry
+        from tests.unit.test_store import FORMAT_4_FILE, stale_link_records
+
+        def seeded(root):
+            service = PredictionService(
+                store=LinkStore(root), max_resident=1, clock=lambda: 0.0)
+            for record in stale_link_records():
+                service.predict("stale", record.file_size, now=record.end_time)
+                service.observe("stale", record)
+            service.observe("other", stale_link_records()[0])  # evicts "stale"
+            return service
+
+        fresh = seeded(tmp_path / "fresh")
+        seeded(tmp_path / "old").store.close()
+        path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
+        path.write_bytes(FORMAT_4_FILE.read_bytes())
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = PredictionService(store=LinkStore(tmp_path / "old"),
+                                   max_resident=1, clock=lambda: 0.0)
+        assert served.version("stale") == 30
+        accuracy = served.status()["accuracy"]["links"]["stale"]
+        assert accuracy == fresh.status()["accuracy"]["links"]["stale"]
+        assert accuracy["overall"]["count"] == 26
+        (event,) = served.trace.events(kind="revive")
+        assert (event.fields["how"], event.fields["reason"]) == ("rebuild", "format")
+        stale = served.metrics.snapshot()["store_checkpoints_stale"]
+        assert [(s["labels"], s["value"]) for s in stale["series"]] == [
+            ({"reason": "format"}, 1.0)]
+        # Answering "other" evicts "stale", which writes format 5 over
+        # the old file, and every later revival loads it.
+        for _ in range(2):
+            assert _answers(served) == _answers(fresh)
+        assert path.read_bytes()[:6] == b"RSCK\5\0"
+        hows = [e.fields["how"] for e in served.trace.events(kind="revive")
+                if e.fields["link"] == "stale"]
+        assert hows == ["rebuild", "checkpoint", "checkpoint"]
+        assert quarantined.value == before
+        assert not list((tmp_path / "old").rglob("*.quarantined"))
+
+
+class TestStaleCheckpoint:
+    """A checkpoint whose bank cannot be used costs one rebuild and says
+    why: never a quarantine, never an answer."""
+
+    def _evicted(self, root):
+        records = _synthetic_records(40)
+        service = PredictionService(store=LinkStore(root), max_resident=1)
+        for record in records:
+            service.observe("L", record)
+        service.observe("other", records[0])  # evicts "L": checkpoint + seal
+        service.store.close()
+        return records
+
+    def _revive(self, root):
+        service = PredictionService(store=LinkStore(root))
+        state = service.link_state("L")
+        (event,) = service.trace.events(kind="revive")
+        return service, state, event.fields
+
+    def test_rows_that_changed_under_the_checkpoint_fail_its_digest(
+            self, tmp_path):
+        from repro.store import segments
+
+        records = self._evicted(tmp_path / "state")
+        path = tmp_path / "state" / "links" / "L" / "seg-000000000000.col"
+        data = segments.read_segment(path)
+        values = data.values.copy()
+        values[7] += 1.0  # same rows, one bandwidth rewritten
+        segments.write_segment(path, 0, data.times, values, data.sizes,
+                               data.ops, max_offset=data.max_offset)
+        service, state, fields = self._revive(tmp_path / "state")
+        assert (fields["how"], fields["reason"]) == ("rebuild", "digest")
+        assert fields["version"] == 41  # moved past the checkpoint's 40
+        reference = PredictionService()
+        for record, value in zip(records, values.tolist()):
+            reference.observe("L", dataclasses.replace(record, bandwidth=value))
+        for spec in SPECS:
+            assert repr(service.predict("L", 100 * MB, spec, now=NOW).value) \
+                == repr(reference.predict("L", 100 * MB, spec, now=NOW).value)
+
+    def test_a_degraded_link_reads_its_checkpoint_stale_by_rows(self, tmp_path):
+        self._evicted(tmp_path / "state")
+        link_dir = tmp_path / "state" / "links" / "L"
+        (link_dir / "seg-000000000000.col").write_bytes(b"rot")
+        service, state, fields = self._revive(tmp_path / "state")
+        assert (fields["how"], fields["reason"]) == ("rebuild", "rows")
+        assert len(state) == 0 and state.version == 41
+        assert service.predict("L", 100 * MB, now=NOW).value is None
 
 
 class TestKillNine:
@@ -533,10 +663,11 @@ class TestKillNine:
         store = LinkStore(tmp_path / "state")
         revived = PredictionService(store=store)
         by_row = StreamingBank(revived.classification)
-        by_row.load_state(store.read_checkpoint("victim")["bank"])
+        columns = store.load_columns("victim")
+        by_row.load_state(store.read_checkpoint("victim")["bank"],
+                          *(column[:100] for column in columns[:3]))
         assert by_row.count == 100
-        suffix = store.load_columns("victim", start_row=100)
-        for t, v, s, o in zip(*(column.tolist() for column in suffix)):
+        for t, v, s, o in zip(*(column[100:].tolist() for column in columns)):
             by_row.add(t, v, s, o)
 
         bank = revived.link_state("victim").bank

@@ -312,10 +312,14 @@ def all_series(bank):
     return [bank._global, *bank._classes.values()]
 
 
-def roundtrip(bank):
+def roundtrip(bank, times=FEED_TIMES, sizes=FEED_SIZES):
+    """``bank`` restored from its checkpoint over the rows it folded: the
+    first ``bank.count`` of ``times`` / ``FEED_VALUES`` / ``sizes``."""
+    n = bank.count
     revived = StreamingBank(CLS)
     revived.load_state(
-        checkpoint.loads(checkpoint.dumps(bank.state()))["bank"])
+        checkpoint.loads(checkpoint.dumps(bank.state()))["bank"],
+        times[:n], FEED_VALUES[:n], sizes[:n])
     return revived
 
 
@@ -350,11 +354,13 @@ def all_answers(bank, now):
             for name in ALL_PREDICTOR_NAMES for size in FEED_SIZES[:4].tolist()]
 
 
-def explicit_and_skipped(bank):
-    """Per class: rows its checkpoint spells out, link rows it skips."""
+def explicit_and_skipped(bank, sizes=FEED_SIZES):
+    """Per class: rows its column holds from before the link column's
+    start, and rows of the link column it has dropped (format 4 spelled
+    the first out and skipped the second)."""
     link = bank._global
-    tagged = {tag: int((link._tags[:link._n] == tag).sum())
-              for tag in bank._classes}
+    tags = bank._tags(sizes[bank.count - link._n:bank.count])
+    tagged = {tag: int((tags == tag).sum()) for tag in bank._classes}
     return {tag: (max(series._n - tagged[tag], 0), max(tagged[tag] - series._n, 0))
             for tag, series in bank._classes.items()}
 
@@ -364,35 +370,33 @@ class TestMemoryShape:
         bank = StreamingBank(CLS)
         feed(bank, 0, N_FEED)
         fixed, ld, f8, idx = state = bank.state()
-        # Format 4 measures 10.3 B/record here (format 3: 42.1): the
-        # values, which a sin feed barely lets deflate, evenly spaced
-        # times and a tag.
-        assert len(checkpoint.dumps(state)) <= 11.4 * N_FEED
-        # (t, v) once: the class series are the link's rows, by tag.
-        assert len(f8) == 2 * N_FEED
-        assert len(fixed) < N_FEED + 1024
+        # No row: five series' structs, sums and min chains, 590 B
+        # however long the feed (format 4 measured 10.3 B/record here,
+        # format 3 42.1).
+        assert len(checkpoint.dumps(state)) <= 700
+        assert len(f8) == 0 and len(fixed) < 1024
         for series in all_series(bank):
             assert series._n == series.count
 
-    def test_a_small_link_checkpoints_in_little_over_a_kilobyte(self):
+    def test_a_small_link_checkpoints_in_about_640_bytes(self):
         # 30 rows in 4 classes, as the ledger's cold links are (1,961 B
-        # in format 3); this one measures 1,073.
+        # in format 3, 1,073 in format 4); this one measures 635 with a
+        # row digest.
         rng = np.random.default_rng(21)
         bank = StreamingBank(CLS)
         times = 1e9 + np.cumsum(rng.uniform(60.0, 7200.0, 30))
         for t, v, s in zip(times, rng.lognormal(15.0, 0.6, 30), FEED_SIZES):
             bank.add(float(t), float(v), int(s), 0)
         payload = {"meta": {"link": "lbl-anl", "version": 30, "n": 30,
-                            "last_time": float(times[-1]),
+                            "row_digest": bytes(range(16)),
                             "classification": "50,250,750|10MB,100MB,500MB,1GB"},
                    "bank": bank.state()}
-        assert len(checkpoint.dumps(payload)) <= 1300
+        assert len(checkpoint.dumps(payload)) <= 700
 
     def test_resident_bytes_per_record(self):
-        # 400 records in 4 classes: the columns (44 B/record with the
-        # link's tag byte), the MED heaps (65) and the fixed per-series
-        # part measure 135 in all; a per-direction copy of every
-        # bandwidth beside them measured 181.
+        # 400 records in 4 classes: the columns, the MED heaps (65) and
+        # the fixed per-series part measure 138 in all; a per-direction
+        # copy of every bandwidth beside them measured 181.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -502,8 +506,9 @@ def _class_gone_from_the_link_column():
                     sizes[hi - 100:hi], FEED_OPS[hi - 100:hi])
         for spec in WINDOW_SPECS:
             answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
-    assert explicit_and_skipped(bank)[3] == (40, 0)
-    assert not (bank._global._tags[:bank._global._n] == 3).any()
+    assert explicit_and_skipped(bank, sizes)[3] == (40, 0)
+    assert not (bank._tags(sizes[bank.count - bank._global._n:bank.count])
+                == 3).any()
     return bank, FEED_TIMES, sizes
 
 
@@ -512,7 +517,7 @@ def _class_gone_from_the_link_column():
     _trimmed, _class_gone_from_the_link_column])
 def test_revived_bank_is_the_bank(case):
     bank, times, sizes = case()
-    revived = roundtrip(bank)
+    revived = roundtrip(bank, times, sizes)
     assert exact_repr(revived.state()) == exact_repr(bank.state())
     lo = bank.count
     now = float(times[lo - 1]) + 60.0

@@ -48,7 +48,7 @@ class Kind:
 class CheckpointKind(Kind):
     name = "checkpoint.bin"
     fields = struct.Struct("<4sHHIIIII")
-    magic, version, aux, meta = b"RSCK", 4, LD_SIZE, ()
+    magic, version, aux, meta = b"RSCK", 5, LD_SIZE, ()
     error = CorruptCheckpoint
     bomb_lengths = (1024, 0, 0, 0)
 
