@@ -315,6 +315,11 @@ class _SocketServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
         self.request_timeout = request_timeout
         super().__init__(address if tcp else str(address), ConnectionHandler)
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        # How often the loop looks for a shutdown request: the most a
+        # stop waits (socketserver's 0.5 s made every stop cost that).
+        super().serve_forever(poll_interval)
+
     def get_request(self):
         try:
             request, client_address = super().get_request()

@@ -67,7 +67,11 @@ import time
 from bisect import bisect_right
 from collections import deque
 from itertools import islice
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.events import EventBus
+    from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "CALIBRATION_EDGES",
@@ -76,8 +80,10 @@ __all__ = [
     "DEFAULT_MAX_PENDING",
     "DEFAULT_SCORE_BATCH",
     "DEFAULT_STAGE_LIMIT",
+    "SCORED_EVENT_BATCH",
     "ErrorStats",
     "AccuracyTracker",
+    "QualityFeed",
     "merge_stats",
 ]
 
@@ -109,6 +115,12 @@ DEFAULT_SCORE_BATCH = 32
 #: Staging-queue length at which :meth:`AccuracyTracker.record` forces a
 #: drain, bounding memory in predict-only workloads that never observe.
 DEFAULT_STAGE_LIMIT = 4096
+
+#: Staged entries before a serving process's observe path drains and
+#: scores them in one ordered replay (:class:`QualityFeed`): one
+#: ``prediction.scored`` event per drain, ``pairs`` carrying the count,
+#: keeps both the fold and the event bus off the per-record hot path.
+SCORED_EVENT_BATCH = 128
 
 # Answer kinds, in the order they are tested on the score path.
 KIND_DEGRADED = "degraded"
@@ -714,3 +726,113 @@ class AccuracyTracker:
             if len(self._links) <= max_links:
                 out["links"] = links_section
             return out
+
+
+class QualityFeed:
+    """What a serving process publishes of its :class:`AccuracyTracker`.
+
+    Two outlets, both off the per-pair path.  :meth:`drain` turns a
+    batch of scorings into one ``prediction.scored`` event (``pairs``
+    carries the batch size) and, when any pair crossed the tracker's
+    threshold, one ``prediction.bad`` event plus the
+    ``accuracy_bad_predictions`` counter.  :meth:`publish` refreshes the
+    ``accuracy_*`` gauges and feeds the error histogram at scrape time
+    (the Prometheus collector pattern).  The six instruments register in
+    ``metrics`` whether or not a tracker is given (``tracker=None``:
+    quality is off, and :meth:`publish` leaves them untouched).
+    """
+
+    def __init__(self, tracker: Optional[AccuracyTracker],
+                 metrics: "MetricsRegistry", trace: "EventBus"):
+        self.tracker = tracker
+        self.trace = trace
+        # The bus mutates its subscriber list in place, so holding the
+        # list is a stable, descriptor-free emptiness probe for the
+        # per-observation force-drain decision.
+        self.subscribers = trace._subscribers
+        # (link, stream) -> scored-count high-water marks for the
+        # scrape-time error-histogram feed (see publish).
+        self._hist_seen: Dict[Tuple[str, str], int] = {}
+        m = metrics
+        self._m_error = m.histogram(
+            "accuracy_abs_pct_error",
+            "absolute percentage error per scored prediction")
+        self._m_bad = m.counter(
+            "accuracy_bad_predictions",
+            "scored predictions whose normalized error exceeded the "
+            "quality threshold")
+        self._m_scored = m.gauge(
+            "accuracy_pairs_scored",
+            "prediction-observation pairs scored so far")
+        self._m_pending = m.gauge(
+            "accuracy_pending_predictions",
+            "served answers awaiting their matching observation")
+        self._m_mape = m.gauge(
+            "accuracy_mape_pct",
+            "running mean absolute percentage error of served predictions")
+        self._m_mse = m.gauge(
+            "accuracy_mse",
+            "running mean squared error of served predictions ((bytes/s)^2)")
+
+    def drain(self, link: str) -> None:
+        """Score what was staged once it is worth it, and publish it.
+
+        The tracker drains once its stage holds
+        :data:`SCORED_EVENT_BATCH` entries, or at once while an event
+        subscriber listens, so followers still see each
+        scoring promptly.  One aggregated ``prediction.bad`` event per
+        drain carries the worst miss in full and the crosser count: a
+        live follower forces a drain per observation, so watchers still
+        see every miss individually, while unwatched the summary keeps a
+        noisy predictor from flooding the ring (the counter stays exact
+        either way).
+        """
+        if len(self.tracker.stage) < SCORED_EVENT_BATCH and not self.subscribers:
+            return
+        pairs, worst, bad = self.tracker.drain()
+        if not pairs:
+            return
+        if bad:
+            self._m_bad.inc(len(bad))
+            bad_link, spec, predicted, bad_actual, frac, kind = max(
+                bad, key=lambda b: b[4])
+            self.trace.emit(
+                "prediction.bad", link=bad_link, spec=spec,
+                predicted=predicted, actual=bad_actual,
+                error_pct=frac * 100.0, answer=kind, count=len(bad))
+        self.trace.emit("prediction.scored", link=link, pairs=pairs,
+                        worst_pct=worst * 100.0)
+
+    def publish(self) -> None:
+        """Refresh the accuracy gauges from the tracker.
+
+        Callers that export or render metrics — the socket server's
+        ``metrics`` op, ``serve --metrics-file`` snapshots — call this
+        first, so the hot path never pays for gauge fan-out.  Labeled
+        children carry per-spec and per-link running MAPE/MSE.  The
+        error histogram is fed here too, from the errors scored since
+        the previous scrape (bounded by the tracker's rolling window —
+        see :meth:`AccuracyTracker.new_error_pcts`).
+        """
+        tracker = self.tracker
+        if tracker is None:
+            return
+        observe_error = self._m_error.observe
+        for pct in tracker.new_error_pcts(self._hist_seen):
+            observe_error(pct)
+        accuracy = tracker.status()
+        self._m_scored.set(float(accuracy["scored"]))
+        self._m_pending.set(float(accuracy["pending"]))
+        overall = accuracy["overall"]
+        if overall["mape"] is not None:
+            self._m_mape.set(overall["mape"])
+            self._m_mse.set(overall["mse"])
+        for spec, summary in accuracy["by_spec"].items():
+            if summary["mape"] is not None:
+                self._m_mape.labels(spec=spec).set(summary["mape"])
+                self._m_mse.labels(spec=spec).set(summary["mse"])
+        for link, entry in (accuracy.get("links") or {}).items():
+            link_overall = entry["overall"]
+            if link_overall["mape"] is not None:
+                self._m_mape.labels(link=link).set(link_overall["mape"])
+                self._m_mse.labels(link=link).set(link_overall["mse"])

@@ -88,7 +88,7 @@ def merged_snapshot(service: PredictionService) -> Dict[str, Any]:
     snapshot.  ``serve --metrics-file`` writes exactly this, one JSONL
     object per interval.
     """
-    service.publish_quality()
+    service.quality_feed.publish()
     merged = get_registry().snapshot()
     merged.update(service.metrics.snapshot())
     return merged
@@ -96,7 +96,7 @@ def merged_snapshot(service: PredictionService) -> Dict[str, Any]:
 
 def merged_render(service: PredictionService) -> str:
     """One Prometheus exposition covering both registries."""
-    service.publish_quality()
+    service.quality_feed.publish()
     return MetricsRegistry().merge(get_registry()).merge(service.metrics).render()
 
 
@@ -292,12 +292,12 @@ def _observe_batch_payload(
 def _rank_payload(
     service: PredictionService, req: Dict[str, Any], deadline: Deadline
 ) -> Dict[str, Any]:
-    deadline.check("rank")
     ranked = service.rank_replicas(
         [str(c) for c in req["candidates"]],
         int(req["size"]),
         spec=req.get("spec"),
         now=req.get("now"),
+        deadline=deadline,
     )
     return {
         "ranking": [
@@ -363,7 +363,7 @@ def handle_request(
 
     ``deadline``, when given, bounds the whole request: it is checked
     before dispatch and propagated into multi-step operations (``rank``
-    checks it between candidates' predictions, ``predict_batch`` between
+    checks it before each candidate's lookup, ``predict_batch`` between
     link groups), so one slow request can never hold a connection thread
     indefinitely.  The envelope handling around the op table is
     :func:`repro.endpoint.answer`, shared with the fleet front.

@@ -33,9 +33,11 @@ serving path:
   on immutable snapshots outside any lock, so queries on different links
   (or even the same link) proceed in parallel with ingest.
 * **Durability** — with a :class:`~repro.store.LinkStore` attached,
-  every fold writes through to an append-only tail log, cold links
-  revive transparently on first touch (their checkpoint loaded over
-  their durable rows, or a rebuild from them), and an LRU ``max_resident``
+  every fold writes through to an append-only tail log.  Which links are
+  in RAM is :attr:`PredictionService.residency`
+  (:class:`~repro.service.residency.Residency`): cold links revive
+  transparently on first touch (their checkpoint loaded over their
+  durable rows, or a rebuild from them), and an LRU ``max_resident``
   ceiling bounds RAM no matter how many links the store holds.
   Revival preserves version continuity — cache keys survive an
   evict→revive cycle — and revived answers are trace-identical to an
@@ -58,14 +60,10 @@ campaign logs).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import threading
 import time
 from collections import OrderedDict
-from contextlib import suppress
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -78,8 +76,6 @@ from typing import (
     Tuple,
     Union,
 )
-
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience import Deadline
@@ -94,15 +90,16 @@ from repro.core.predictors.mean import TemporalAverage
 from repro.core.predictors.registry import resolve
 from repro.core.predictors.size_model import SizeScaledPredictor
 from repro.core.selection import RankedReplica
-from repro.core.streaming import StreamingBank, StreamingUnavailable
+from repro.core.streaming import StreamingUnavailable
 from repro.data.frame import TransferFrame
 from repro.data.ingest import load_ulm
 from repro.logs.record import Operation, TransferRecord
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import TraceLog
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.quality import AccuracyTracker
-from repro.service.state import OP_READ, OP_WRITE, LinkState, row_digest
+from repro.obs.quality import SCORED_EVENT_BATCH, AccuracyTracker, QualityFeed
+from repro.service.residency import Residency
+from repro.service.state import OP_READ, OP_WRITE, LinkState
 
 __all__ = ["Prediction", "PredictionCache", "PredictionService", "DEFAULT_SPEC"]
 
@@ -111,18 +108,6 @@ __all__ = ["Prediction", "PredictionCache", "PredictionService", "DEFAULT_SPEC"]
 DEFAULT_SPEC = "C-AVG15"
 
 _MISSING = object()
-
-#: What revival reads for a link whose store holds no checkpoint.
-_NO_CHECKPOINT = {"meta": {"n": 0, "version": 0}}
-
-#: Entries (predictions + observations) on the accuracy tracker's
-#: staging deque before the observe path drains and scores them in one
-#: ordered replay (see repro.obs.quality).  One ``prediction.scored``
-#: event is emitted per drain with the ``pairs`` field carrying the
-#: count, keeping both the fold and the event bus off the per-record hot
-#: path.  Event subscribers bypass the batching — every observation
-#: drains immediately while someone is listening.
-_SCORED_EVENT_BATCH = 128
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,12 +156,7 @@ class PredictionCache:
     def put(self, key: Tuple, value: Optional[float]) -> int:
         """Insert and return the live entry count (saves a second lock
         round-trip for callers that gauge the size after every put)."""
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-            return len(self._data)
+        return self.put_many(((key, value),))
 
     def get_many(self, keys: Sequence[Tuple]) -> List:
         """One lookup per key under a single lock acquisition.
@@ -211,10 +191,6 @@ class PredictionCache:
         with self._lock:
             return len(self._data)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
 
 class PredictionService:
     """Warm per-link state + cached predictions + metrics.
@@ -248,8 +224,9 @@ class PredictionService:
         Resident-link ceiling.  When the store is set and the resident
         count would exceed this, the least-recently-used links are
         checkpointed and dropped from RAM, bounding the service's
-        footprint no matter how many links the store holds.  ``None``
-        (the default) never evicts.
+        footprint no matter how many links the store holds.  A link whose
+        store holds fewer rows than RAM (a refused write-through) is
+        skipped and stays resident.  ``None`` (the default) never evicts.
     quality:
         When True (the default), an :class:`~repro.obs.quality.
         AccuracyTracker` pairs every served answer with the next
@@ -258,7 +235,8 @@ class PredictionService:
         buckets) per link and per spec — the live counterpart of the
         paper's offline observed-vs-predicted evaluation, surfaced
         through :meth:`status`, the metrics registry
-        (:meth:`publish_quality`), and ``prediction.scored`` /
+        (:meth:`QualityFeed.publish <repro.obs.quality.QualityFeed.publish>`
+        via :attr:`quality_feed`), and ``prediction.scored`` /
         ``prediction.bad`` trace events.  The tracker never changes an
         answer: predictions are trace-identical with it on or off.
     quality_threshold:
@@ -296,43 +274,26 @@ class PredictionService:
         self.metrics = MetricsRegistry()
         self.trace = TraceLog(256, clock=clock)
         self.store = store
-        self.max_resident = max_resident
         self.quality_threshold = (
             None if quality_threshold is None else float(quality_threshold)
         )
         self.quality: Optional[AccuracyTracker] = (
             AccuracyTracker(clock=clock,
                             threshold=self.quality_threshold,
-                            score_batch=_SCORED_EVENT_BATCH)
+                            score_batch=SCORED_EVENT_BATCH)
             if quality else None
         )
         # The tracker's staging deque, bound once: the predict/observe
         # hot paths stage through this single attribute (None when the
         # tracker is disabled) instead of two loads per call.
         self._q_stage = self.quality.stage if self.quality is not None else None
-        # (link, stream) -> scored-count high-water marks for the
-        # scrape-time error-histogram feed (see publish_quality).
-        self._hist_seen: Dict[Tuple[str, str], int] = {}
-        # The bus mutates its subscriber list in place, so holding the
-        # list is a stable, descriptor-free emptiness probe for the
-        # per-observation force-drain decision (see _drain_scored).
-        self._trace_subscribers = self.trace._subscribers
-        # The classification identity a checkpointed bank is keyed by;
-        # revival rejects checkpoints written against a different one.
-        self._fingerprint = "{}|{}".format(
-            ",".join(str(e) for e in self.classification.edges),
-            ",".join(self.classification.labels),
-        )
-        self._touch = itertools.count()  # LRU recency stamps
-        # Lazy eviction heap of (touch, link) entries: pushed on insert,
-        # re-pushed with the current stamp when a popped entry is stale.
-        # Keeps victim selection O(log resident) instead of an O(resident)
-        # scan per eviction (the scan dominated revival latency at 100k
-        # links).  Guarded by _links_lock.
-        self._lru_heap: List[Tuple[int, str]] = []
+        self.quality_feed = QualityFeed(self.quality, self.metrics, self.trace)
+        self.residency = Residency(
+            self.classification, self.metrics, self.trace, store=store,
+            max_resident=max_resident, quality=self.quality)
+        self._get = self.residency.get
+        self._m_rebuilds = self.residency.rebuilds  # the parity suites read it
 
-        self._links: Dict[str, LinkState] = {}
-        self._links_lock = threading.Lock()
         self._cache = PredictionCache(cache_size)
         self._predictors: Dict[str, Predictor] = {}
         self._predictors_lock = threading.Lock()
@@ -346,7 +307,6 @@ class PredictionService:
             "service_predict_requests", "predict() calls answered")
         self._m_hits = m.counter("service_cache_hits", "predictions served from LRU")
         self._m_misses = m.counter("service_cache_misses", "predictions computed")
-        self._m_links = m.gauge("service_links", "links with state")
         self._m_cache_size = m.gauge("service_cache_entries", "live LRU entries")
         self._m_latency = m.histogram(
             "service_predict_seconds", "predict() wall-clock latency")
@@ -360,9 +320,6 @@ class PredictionService:
             "service_streaming_fallbacks",
             "cache misses recomputed from a snapshot (unbanked spec or "
             "expired window)")
-        self._m_rebuilds = m.counter(
-            "streaming_rebuilds",
-            "streaming banks rebuilt from history arrays")
         self._m_batches = m.counter(
             "service_batch_requests", "predict_batch() calls answered")
         self._m_batch_items = m.counter(
@@ -372,324 +329,31 @@ class PredictionService:
             "service_batch_size", "items per predict_batch() call")
         self._m_batch_latency = m.histogram(
             "service_batch_seconds", "predict_batch() wall-clock latency")
-        self._m_evictions = m.counter(
-            "service_link_evictions",
-            "resident links checkpointed and dropped from RAM")
-        self._m_revivals = m.counter(
-            "service_link_revivals",
-            "cold links revived from the durable store")
-        self._m_revival_latency = m.histogram(
-            "service_revival_seconds", "cold-link revival wall-clock latency")
-        self._m_stale = m.counter(
-            "store_checkpoints_stale",
-            "revivals that rebuilt past a checkpoint they could not use "
-            "(reason=format|rows|digest)")
-        # Accuracy telemetry.  Nothing here is touched per pair on the
-        # observe path — gauges *and* the error histogram are published
-        # at scrape time by publish_quality() (the Prometheus collector
-        # pattern), which is what holds the tracker inside its <5%
-        # predict+observe overhead budget.
-        self._m_acc_error = m.histogram(
-            "accuracy_abs_pct_error",
-            "absolute percentage error per scored prediction")
-        self._m_acc_bad = m.counter(
-            "accuracy_bad_predictions",
-            "scored predictions whose normalized error exceeded the "
-            "quality threshold")
-        self._m_acc_scored = m.gauge(
-            "accuracy_pairs_scored",
-            "prediction-observation pairs scored so far")
-        self._m_acc_pending = m.gauge(
-            "accuracy_pending_predictions",
-            "served answers awaiting their matching observation")
-        self._m_acc_mape = m.gauge(
-            "accuracy_mape_pct",
-            "running mean absolute percentage error of served predictions")
-        self._m_acc_mse = m.gauge(
-            "accuracy_mse",
-            "running mean squared error of served predictions ((bytes/s)^2)")
 
     # ------------------------------------------------------------------
     # link state
     # ------------------------------------------------------------------
-    def _state(self, link: str, create: bool = False) -> Optional[LinkState]:
-        # Lock-free fast path: a plain dict read is GIL-atomic.  With no
-        # store, states are only ever added, never removed; with one,
-        # eviction removes entries — but a stale reference stays valid
-        # (write-through keeps its appends durable, so a later revival
-        # recovers them) and revival preserves the version counter, so
-        # nothing a racing reader computed or cached goes wrong.
-        state = self._links.get(link)
-        if state is not None:
-            state.touch = next(self._touch)
-            return state
-        if not create and (self.store is None or not self.store.has(link)):
-            return None
-        with self._links_lock:
-            state = self._links.get(link)
-            if state is None:
-                if self.store is not None and self.store.has(link):
-                    state = self._revive_locked(link)
-                if state is None:
-                    if not create:
-                        return None
-                    state = LinkState(
-                        link, bank=self._new_bank(),
-                        persist=self._persist_for(link),
-                    )
-                self._links[link] = state
-                self._m_links.set(len(self._links))
-                state.touch = next(self._touch)
-                heapq.heappush(self._lru_heap, (state.touch, link))
-                self._evict_overflow_locked(keep=state)
-                return state
-            state.touch = next(self._touch)
-            return state
-
-    def _new_bank(self) -> StreamingBank:
-        return StreamingBank(self.classification, on_rebuild=self._on_bank_rebuild)
-
-    def _persist_for(self, link: str):
-        if self.store is None:
-            return None
-        return partial(self.store.append_rows, link)
-
-    # ------------------------------------------------------------------
-    # tiered storage: evict and revive
-    # ------------------------------------------------------------------
-    def _revive_locked(self, link: str) -> Optional[LinkState]:
-        """Bring a cold link back from the durable store: its rows, then
-        its checkpoint, one read each.
-
-        One stable argsort of the rows (arrival order) is the order the
-        resident buffer held them in.  The checkpoint names rows ``[0,
-        n)``; when it was written against this classification and they
-        still reconcile (``n`` durable, the link not degraded) and hash
-        to its ``row_digest``, the bank loads over them, sorted, and the
-        rows past ``n`` fold in as the live path would have — if the
-        argsort leaves them behind the others, in arrival order.
-        Otherwise the bank is rebuilt from the same arrays: a checkpoint
-        that cannot be used is *stale* (``format``, ``rows`` or
-        ``digest``, counted), never quarantined.  Returns None when the
-        store holds neither rows nor a checkpoint.
-        """
-        t0 = time.perf_counter()
-        times, values, sizes, ops = self.store.load_columns(link)
-        durable = len(times)
-        ckpt, reason = self._checkpoint_for(link, durable)
-        if durable == 0 and reason == "absent":
-            return None
-        meta = ckpt["meta"]
-        n = meta["n"] if reason is None else 0
-        digest = row_digest(times[:n], values[:n], sizes[:n])
-        if reason is None and digest.digest() != meta["row_digest"]:
-            reason = "digest"
-        row_digest(times[n:], values[n:], sizes[n:], into=digest)
-        order = np.argsort(times, kind="stable")
-        columns = tuple(column[order] for column in (times, values, sizes, ops))
-        if reason is None and (order[n:] != np.arange(n, durable)).any():
-            reason = "out_of_order"  # a late row: the live path rebuilt too
-        if reason is None:
-            bank = self._new_bank()
-            try:
-                bank.load_state(ckpt["bank"], *(c[:n] for c in columns[:3]))
-            except Exception:
-                reason = "rows"
-        if reason is None:
-            bank.extend(*(column[n:] for column in columns))
-            state = LinkState.revive(
-                link, bank, meta["version"] + durable - n, durable,
-                float(columns[0][-1]) if durable else -np.inf,
-                loader=partial(self.store.load_columns, link),
-                persist=self._persist_for(link), digest=digest)
-            # The checkpoint covers the pre-delta version; with no delta
-            # the state is clean and eviction skips re-serializing it.
-            state.ckpt_version = meta["version"]
-        else:
-            bank = self._new_bank()
-            bank.rebuild(*columns, reason="revive")
-            # Rows lost or changed under the checkpoint: the counter moves
-            # on, so no cache entry of the old rows answers for the new.
-            version = (max(durable, meta["version"] + 1)
-                       if reason in ("rows", "digest") else durable)
-            state = LinkState.from_columns(
-                link, bank, version, columns,
-                persist=self._persist_for(link), digest=digest)
-        self._m_revivals.inc()
-        self._m_revival_latency.observe(time.perf_counter() - t0)
-        how = "checkpoint" if reason is None else "rebuild"
-        if _obs_enabled():
-            self._m_revivals.labels(how=how).inc()
-        if reason in ("format", "rows", "digest"):
-            self._m_stale.inc()
-            if _obs_enabled():
-                self._m_stale.labels(reason=reason).inc()
-        self.trace.emit("revive", link=link, how=how, reason=reason,
-                        version=state.version, records=len(state))
-        return state
-
-    def _checkpoint_for(self, link: str, durable: int) -> Tuple[dict, Optional[str]]:
-        """The link's checkpoint, and why its bank cannot be loaded as it
-        stands (None when it might: its rows' digest is checked next).
-        Its accuracy part loads whenever it was written against this
-        classification, whatever becomes of the bank part."""
-        ckpt = self.store.read_checkpoint(link)
-        if ckpt is None:
-            return _NO_CHECKPOINT, "absent"
-        meta = ckpt["meta"]
-        if meta["classification"] != self._fingerprint:
-            return ckpt, "format"
-        if self.quality is not None and "accuracy" in ckpt:
-            # A no-op when the link has scored state in RAM (an
-            # evict→revive cycle must not double-count).
-            with suppress(Exception):
-                self.quality.load_link_state(link, ckpt["accuracy"])
-        if "bank" not in ckpt:
-            return ckpt, "format"
-        if (not 0 <= meta["n"] <= min(durable, meta["version"])
-                or self.store.degraded(link)):
-            return ckpt, "rows"  # e.g. a quarantine broke row accounting
-        return ckpt, None
-
-    def _evict_overflow_locked(self, keep: Optional[LinkState] = None) -> None:
-        """Checkpoint and drop LRU links past the resident ceiling."""
-        if self.store is None or self.max_resident is None:
-            return
-        while len(self._links) > self.max_resident:
-            victim = self._pop_lru_locked(keep)
-            if victim is None:
-                return
-            if not self._evict_locked(victim):
-                # Refused (write-through deficit): the victim must stay
-                # resident and findable for a later attempt.  Stop here —
-                # it is still the LRU, so retrying now would spin.
-                heapq.heappush(self._lru_heap, (victim.touch, victim.link))
-                return
-
-    def _pop_lru_locked(self, keep: Optional[LinkState]) -> Optional[LinkState]:
-        """The least-recently-touched resident state, via the lazy heap.
-
-        Entries whose stamp is older than the state's current ``touch``
-        (the lock-free fast path bumps stamps without heap writes) are
-        re-pushed at their true position; entries for links no longer
-        resident are dropped.  Touches only grow, so each pop either
-        discards, corrects, or terminates — amortized O(log resident).
-        """
-        skipped = []
-        victim = None
-        while self._lru_heap:
-            touch, link = heapq.heappop(self._lru_heap)
-            state = self._links.get(link)
-            if state is None or state.evicted:
-                continue
-            if state.touch != touch:
-                heapq.heappush(self._lru_heap, (state.touch, link))
-                continue
-            if state is keep:
-                skipped.append((touch, link))
-                continue
-            victim = state
-            break
-        for entry in skipped:
-            heapq.heappush(self._lru_heap, entry)
-        return victim
-
-    def _checkpoint_payload(self, state: LinkState) -> dict:
-        """The link checkpoint, with accuracy sufficient statistics
-        riding alongside the bank — ``status()`` accuracy survives an
-        evict→revive cycle and a warm restart.  Pending (unscored)
-        predictions are deliberately not persisted."""
-        payload = state.checkpoint_state(self._fingerprint)
-        if self.quality is not None:
-            accuracy = self.quality.link_state(state.link)
-            if accuracy is not None:
-                payload["accuracy"] = accuracy
-        return payload
-
-    def _checkpoint_locked(self, state: LinkState) -> bool:
-        """Make the link's checkpoint on disk current (caller holds
-        ``state.lock``).  A link revived from its checkpoint and never
-        appended to is still covered by it — the read-mostly churn case
-        — and is not serialized again."""
-        if state.version != state.ckpt_version and self.store.write_checkpoint(
-                state.link, self._checkpoint_payload(state)):
-            state.ckpt_version = state.version
-        return state.version == state.ckpt_version
-
-    def _evict_locked(self, state: LinkState) -> bool:
-        """Spill one resident link to the store and drop it from RAM:
-        checkpoint, then seal the tail when the rewrite pays for itself
-        (:meth:`LinkStore.seal`, ``amortized``).
-
-        Refuses (returns False) when the store holds fewer rows than
-        RAM does — a write-through failure left rows only in memory,
-        and evicting would silently stop serving them.
-        """
-        with state.lock:
-            n = len(state)
-            if self.store.durable_rows(state.link) < n:
-                return False
-            state.evicted = True
-            self._checkpoint_locked(state)
-            self.store.seal(state.link, amortized=True)
-        del self._links[state.link]
-        self._m_links.set(len(self._links))
-        self._m_evictions.inc()
-        self.trace.emit("evict", link=state.link, records=n,
-                        version=state.version)
-        return True
-
-    def checkpoint_all(self, seal: bool = False) -> int:
-        """Checkpoint every resident link to the store (warm-restart spill).
-
-        With ``seal=True`` each link's tail is also folded into its
-        open segment, whatever its size, so the next process reads
-        columns instead of scanning WAL records.  Links whose on-disk
-        checkpoint is already current are counted but not re-serialized.
-        Returns how many links have a current checkpoint.  No-op (0)
-        without a store.
-        """
-        if self.store is None:
-            return 0
-        with self._links_lock:
-            states = list(self._links.values())
-        written = 0
-        for state in states:
-            with state.lock:
-                if state.version == 0:  # never held a row
-                    continue
-                written += self._checkpoint_locked(state)
-            if seal:
-                self.store.seal(state.link)
-        self.trace.emit("checkpoint_all", links=written, seal=seal)
-        return written
-
-    def _on_bank_rebuild(self, reason: str) -> None:
-        self._m_rebuilds.inc()
-        if _obs_enabled():
-            self._m_rebuilds.labels(reason=reason).inc()
-
     def links(self) -> List[str]:
         """Every link the service can answer for — resident or spilled."""
-        with self._links_lock:
-            names = set(self._links)
-        if self.store is not None:
-            names.update(self.store.link_names())
-        return sorted(names)
+        return self.residency.names()
+
+    def checkpoint_all(self, seal: bool = False) -> int:
+        """Checkpoint every resident link (:meth:`Residency.checkpoint_all`)."""
+        return self.residency.checkpoint_all(seal)
 
     def version(self, link: str) -> int:
         """Current history version of a link (0 = never observed)."""
-        state = self._state(link)
+        state = self._get(link)
         return state.version if state is not None else 0
 
     def history(self, link: str) -> History:
         """Immutable snapshot of a link's observations."""
-        state = self._state(link)
+        state = self._get(link)
         return state.history() if state is not None else History.empty()
 
     def link_state(self, link: str) -> Optional[LinkState]:
         """The raw per-link state (providers use :meth:`LinkState.snapshot`)."""
-        return self._state(link)
+        return self._get(link)
 
     # ------------------------------------------------------------------
     # ingest
@@ -704,7 +368,7 @@ class PredictionService:
         a warm restart resumes the follower exactly where durability
         actually reached.
         """
-        state = self._state(link, create=True)
+        state = self._get(link, create=True)
         version = state.append(record, source_offset=source_offset)
         stage = self._q_stage
         if stage is not None:
@@ -712,12 +376,10 @@ class PredictionService:
             # call site and a Python frame per record is measurable, so
             # the observation goes straight onto the staging deque (a
             # GIL-atomic C append — the tracker's documented hot-path
-            # contract) and the batched drain runs from here.
+            # contract) and the feed's drain rule is tested here.
             stage.append((link, record.bandwidth, record.end_time, version))
-            if len(stage) >= _SCORED_EVENT_BATCH or self._trace_subscribers:
-                scored = self.quality.drain()
-                if scored[0]:
-                    self._emit_scored(link, scored)
+            if len(stage) >= SCORED_EVENT_BATCH or self.quality_feed.subscribers:
+                self.quality_feed.drain(link)
         self._m_ingested.inc()
         self.trace.emit("observe", link=link, version=version,
                         size=record.file_size, bandwidth=record.bandwidth)
@@ -759,25 +421,15 @@ class PredictionService:
         versions: List[int] = [0] * n
         batch_sync = False if self.store is not None else None
         for link, idxs in groups.items():
-            state = self._state(link, create=True)
-            k = len(idxs)
-            times = np.empty(k, dtype=np.float64)
-            values = np.empty(k, dtype=np.float64)
-            sizes = np.empty(k, dtype=np.int64)
-            ops = np.empty(k, dtype=np.int8)
-            offsets = np.zeros(k, dtype=np.int64)
-            for pos, i in enumerate(idxs):
-                _, record, offset = norm[i]
-                times[pos] = record.end_time
-                values[pos] = record.bandwidth
-                sizes[pos] = record.file_size
-                ops[pos] = (OP_READ if record.operation is Operation.READ
-                            else OP_WRITE)
-                offsets[pos] = offset
+            state = self._get(link, create=True)
+            _, records, offsets = zip(*(norm[i] for i in idxs))
             last = state.append_batch(
-                times, values, sizes, ops,
-                source_offset=offsets, sync=batch_sync,
-            )
+                [r.end_time for r in records], [r.bandwidth for r in records],
+                [r.file_size for r in records],
+                [OP_READ if r.operation is Operation.READ else OP_WRITE
+                 for r in records],
+                source_offset=offsets, sync=batch_sync)
+            k = len(idxs)
             for pos, i in enumerate(idxs):
                 versions[i] = last - k + 1 + pos
         if self.store is not None:
@@ -790,7 +442,7 @@ class PredictionService:
             stage_obs = stage.append
             for (link, record, _), version in zip(norm, versions):
                 stage_obs((link, record.bandwidth, record.end_time, version))
-            self._drain_scored(norm[-1][0])
+            self.quality_feed.drain(norm[-1][0])
         self._m_ingested.inc(n)
         self.trace.emit("observe_batch", items=n, links=len(groups))
         return versions
@@ -817,7 +469,7 @@ class PredictionService:
         n = len(frame)
         if n == 0:
             return 0
-        state = self._state(link, create=True)
+        state = self._get(link, create=True)
         version = state.append_batch(
             frame.end_times, frame.bandwidths, frame.sizes, frame.ops,
             source_offset=source_offset)
@@ -829,7 +481,7 @@ class PredictionService:
             # the rows after it would find nothing left to score.
             stage.append((link, float(frame.bandwidths[0]),
                           float(frame.end_times[0]), version - n + 1))
-            self._drain_scored(link)
+            self.quality_feed.drain(link)
         self._m_ingested.inc(n)
         self.trace.emit("ingest", link=link, version=version, records=n)
         return n
@@ -883,30 +535,6 @@ class PredictionService:
                 self._predictors[spec] = predictor
             return predictor
 
-    def _context_plan(self, spec: str, predictor: Predictor) -> Tuple[bool, bool, bool]:
-        """``(classified, size_sensitive, now_sensitive)`` for a spec.
-
-        The plan is a pure function of the (stateless) predictor, so it
-        is computed once per spec and memoized — the isinstance chain is
-        measurable on the per-query hot path.  The benign race on the
-        memo dict is harmless: both writers store the same tuple.
-        """
-        plan = self._plans.get(spec)
-        if plan is None:
-            base = (
-                predictor.base
-                if isinstance(predictor, ClassifiedPredictor)
-                else predictor
-            )
-            plan = (
-                isinstance(predictor, ClassifiedPredictor),
-                isinstance(base, SizeScaledPredictor),
-                isinstance(base, TemporalAverage)
-                or (isinstance(base, ArModel) and base.window_days is not None),
-            )
-            self._plans[spec] = plan
-        return plan
-
     def _context(self, spec: str, predictor: Predictor, size: int, now: float) -> Tuple:
         """The non-(link, spec, version) inputs the answer depends on.
 
@@ -915,9 +543,23 @@ class PredictionService:
         * temporal windows (``AVG{n}hr``, ``AR{n}d``) anchor at ``now``.
 
         Everything else is insensitive to both, so distinct queries can
-        share one cache entry.
+        share one cache entry.  Which of the three a spec depends on is a
+        pure function of the (stateless) predictor, so it is worked out
+        once per spec and memoized — the isinstance chain is measurable
+        on the per-query hot path.  The benign race on the memo dict is
+        harmless: both writers store the same tuple.
         """
-        classified, size_sensitive, now_sensitive = self._context_plan(spec, predictor)
+        plan = self._plans.get(spec)
+        if plan is None:
+            classified = isinstance(predictor, ClassifiedPredictor)
+            base = predictor.base if classified else predictor
+            plan = self._plans[spec] = (
+                classified,
+                isinstance(base, SizeScaledPredictor),
+                isinstance(base, TemporalAverage)
+                or (isinstance(base, ArModel) and base.window_days is not None),
+            )
+        classified, size_sensitive, now_sensitive = plan
         return (
             self.classification.classify(size) if classified else None,
             size if size_sensitive else None,
@@ -948,7 +590,7 @@ class PredictionService:
         """
         t0 = time.perf_counter()
         spec = spec or self.default_spec
-        return self._predict_on(self._state(link), link, size, spec, now, t0)
+        return self._predict_on(self._get(link), link, size, spec, now, t0)
 
     def _predict_on(
         self,
@@ -959,39 +601,33 @@ class PredictionService:
         now: Optional[float],
         t0: float,
     ) -> Prediction:
-        # Empty-history short-circuit: no predictor resolution, no
-        # context/cache-key work — unmeasured-link misses are near-free.
-        if state is None:
-            return self._finish(t0, link, spec, size, value=None, cached=False,
-                                version=0, length=0, streamed=False)
-
-        anchor = self.clock() if now is None else now
+        value, cached, streamed = None, False, False
         history: Optional[History] = None
-        streamed = False
-        with state.lock:
-            # One locked region: the version, the bank's contents, and
-            # the cache key must all describe the same history prefix.
-            version, length = state.meta()
-            if length:
-                predictor = self._resolve(spec)
-                key = (link, spec,
-                       self._context(spec, predictor, size, anchor), version)
-                hit = self._cache.get(key)
-                if hit is not _MISSING:
-                    value, cached = hit, True
-                else:
-                    value, cached = None, False
-                    try:
-                        value = state.bank.answer(predictor, size, anchor)
-                        streamed = True
-                    except StreamingUnavailable:
-                        history = state.history()
-        if length == 0:
-            return self._finish(t0, link, spec, size, value=None, cached=False,
-                                version=version, length=0, streamed=False)
+        version = length = 0
+        # An unknown link costs no predictor resolution and no
+        # context/cache-key work: unmeasured-link misses are near-free.
+        if state is not None:
+            anchor = self.clock() if now is None else now
+            with state.lock:
+                # One locked region: the version, the bank's contents, and
+                # the cache key must all describe the same history prefix.
+                version, length = state.meta()
+                if length:
+                    predictor = self._resolve(spec)
+                    key = (link, spec,
+                           self._context(spec, predictor, size, anchor), version)
+                    hit = self._cache.get(key)
+                    if hit is not _MISSING:
+                        value, cached = hit, True
+                    else:
+                        try:
+                            value = state.bank.answer(predictor, size, anchor)
+                            streamed = True
+                        except StreamingUnavailable:
+                            history = state.history()
         if cached:
             self._m_hits.inc()
-        else:
+        elif length:
             if history is not None:
                 # Snapshot recompute, outside the lock.
                 value = predictor.predict(history, target_size=size, now=anchor)
@@ -1001,8 +637,43 @@ class PredictionService:
             else:
                 self._m_stream_fallbacks.inc()
             self._m_cache_size.set(self._cache.put(key, value))
-        return self._finish(t0, link, spec, size, value=value, cached=cached,
-                            version=version, length=length, streamed=streamed)
+        degraded = False
+        if value is None and length == 0 and self.degraded_fallback:
+            # Graceful degradation: a link nobody has measured yet gets
+            # the link-agnostic aggregate, explicitly marked low-confidence.
+            value = self._fallback_value(link, spec, size)
+            degraded = value is not None
+
+        latency = time.perf_counter() - t0
+        self._m_predicts.inc()
+        self._m_latency.observe(latency)
+        if _obs_enabled():
+            # The labeled child is looked up per spec once and memoized:
+            # labels() costs a sort + lock per call, which is measurable
+            # at streaming-path latencies.  Benign race: same child.
+            child = self._latency_children.get(spec)
+            if child is None:
+                child = self._m_latency.labels(spec=spec)
+                self._latency_children[spec] = child
+            child.observe(latency)
+        self.trace.emit("predict", link=link, spec=spec, size=size,
+                        cached=cached, value=value, version=version)
+        stage = self._q_stage
+        if stage is not None:
+            # Inlined tracker.record(): one staged append on the predict
+            # hot path; the observe side (or the stage cap) drains it.
+            stage.append((
+                link, spec, value, version,
+                "degraded" if degraded else "cached" if cached
+                else "streamed" if streamed else "recomputed",
+            ))
+            if len(stage) >= self.quality.stage_limit:
+                self.quality.flush()
+        return Prediction(
+            link=link, spec=spec, target_size=size, value=value, cached=cached,
+            version=version, history_length=length, latency_seconds=latency,
+            degraded=degraded, streamed=streamed,
+        )
 
     def predict_batch(
         self,
@@ -1069,7 +740,7 @@ class PredictionService:
         for link, idxs in groups.items():
             if deadline is not None:
                 deadline.check("predict_batch")
-            state = self._state(link)
+            state = self._get(link)
             if state is None:
                 for i in idxs:
                     partial[i] = (None, False, 0, 0, False)
@@ -1154,26 +825,20 @@ class PredictionService:
 
         stage = self._q_stage
         if stage is not None:
-            stage_answer = stage.append
-            for p in results:
-                stage_answer((
-                    p.link, p.spec, p.value, p.version,
-                    "degraded" if p.degraded else "cached" if p.cached
-                    else "streamed" if p.streamed else "recomputed",
-                ))
+            stage.extend(
+                (p.link, p.spec, p.value, p.version,
+                 "degraded" if p.degraded else "cached" if p.cached
+                 else "streamed" if p.streamed else "recomputed")
+                for p in results)
             if len(stage) >= self.quality.stage_limit:
                 self.quality.flush()
 
         # Batched instrument updates: one inc per counter per sweep.
         self._m_predicts.inc(n)
-        if hits:
-            self._m_hits.inc(hits)
-        if n - hits:
-            self._m_misses.inc(n - hits)
-        if streamed_n:
-            self._m_streamed.inc(streamed_n)
-        if recomputed:
-            self._m_stream_fallbacks.inc(recomputed)
+        self._m_hits.inc(hits)
+        self._m_misses.inc(n - hits)
+        self._m_streamed.inc(streamed_n)
+        self._m_stream_fallbacks.inc(recomputed)
         self._m_batches.inc()
         self._m_batch_items.inc(n)
         self._m_batch_size.observe(float(n))
@@ -1194,57 +859,6 @@ class PredictionService:
                             size=size, value=value)
         return value
 
-    def _finish(
-        self,
-        t0: float,
-        link: str,
-        spec: str,
-        size: int,
-        *,
-        value: Optional[float],
-        cached: bool,
-        version: int,
-        length: int,
-        streamed: bool,
-    ) -> Prediction:
-        degraded = False
-        if value is None and length == 0 and self.degraded_fallback:
-            # Graceful degradation: a link nobody has measured yet gets
-            # the link-agnostic aggregate, explicitly marked low-confidence.
-            value = self._fallback_value(link, spec, size)
-            degraded = value is not None
-
-        latency = time.perf_counter() - t0
-        self._m_predicts.inc()
-        self._m_latency.observe(latency)
-        if _obs_enabled():
-            # The labeled child is looked up per spec once and memoized:
-            # labels() costs a sort + lock per call, which is measurable
-            # at streaming-path latencies.  Benign race: same child.
-            child = self._latency_children.get(spec)
-            if child is None:
-                child = self._m_latency.labels(spec=spec)
-                self._latency_children[spec] = child
-            child.observe(latency)
-        self.trace.emit("predict", link=link, spec=spec, size=size,
-                        cached=cached, value=value, version=version)
-        stage = self._q_stage
-        if stage is not None:
-            # Inlined tracker.record(): one staged append on the predict
-            # hot path; the observe side (or the stage cap) drains it.
-            stage.append((
-                link, spec, value, version,
-                "degraded" if degraded else "cached" if cached
-                else "streamed" if streamed else "recomputed",
-            ))
-            if len(stage) >= self.quality.stage_limit:
-                self.quality.flush()
-        return Prediction(
-            link=link, spec=spec, target_size=size, value=value, cached=cached,
-            version=version, history_length=length, latency_seconds=latency,
-            degraded=degraded, streamed=streamed,
-        )
-
     def aggregate_bandwidth(self) -> Optional[float]:
         """Link-agnostic aggregate: the mean of per-link mean bandwidths.
 
@@ -1253,8 +867,7 @@ class PredictionService:
         a plausible low-confidence prior, not a forecast.  ``None``
         when no link has any history at all.
         """
-        with self._links_lock:
-            states = list(self._links.values())
+        states = self.residency.resident().values()
         # Each link's mean is its bank's ``AVG`` answer: a revived
         # link's columns stay on disk (``history()`` would load them).
         average = self._resolve("AVG")
@@ -1274,6 +887,7 @@ class PredictionService:
         size: int,
         spec: Optional[str] = None,
         now: Optional[float] = None,
+        deadline: Optional["Deadline"] = None,
     ) -> List[RankedReplica]:
         """Rank candidate source links for a ``size``-byte transfer.
 
@@ -1287,119 +901,33 @@ class PredictionService:
         gathered (reviving spilled links from the durable store) before
         any prediction runs; all candidates share one anchor time, so
         the ranking is a consistent snapshot rather than a drifting one.
+        ``deadline`` is checked before each candidate's lookup, so a
+        ranking of many cold links cannot outlive its request budget.
         """
         spec = spec or self.default_spec
         unique = list(dict.fromkeys(candidates))
         if unique:
             self._resolve(spec)  # memoize once, not once per candidate
         anchor = self.clock() if now is None else now
-        # _state (not a raw dict read) so a candidate the store knows
+        # A lookup (not a raw dict read), so a candidate the store knows
         # but RAM does not revives transparently — a broker ranking a
         # cold link gets its real history, not an unknown-link shrug.
-        states = [(link, self._state(link)) for link in unique]
-        predictions = [
-            (link, self._predict_on(state, link, size, spec, anchor,
-                                    time.perf_counter()))
-            for link, state in states
-        ]
-        order = sorted(
-            predictions,
-            key=lambda item: (
-                item[1].value is None,
-                item[1].degraded,
-                -(item[1].value or 0.0),
-            ),
+        states = []
+        for link in unique:
+            if deadline is not None:
+                deadline.check("rank")
+            states.append((link, self._get(link)))
+        ranked = sorted(
+            (self._predict_on(state, link, size, spec, anchor,
+                              time.perf_counter())
+             for link, state in states),
+            key=lambda p: (p.value is None, p.degraded, -(p.value or 0.0)),
         )
         return [
-            RankedReplica(
-                site=link,
-                predicted_bandwidth=p.value,
-                history_length=p.history_length,
-                degraded=p.degraded,
-            )
-            for link, p in order
+            RankedReplica(site=p.link, predicted_bandwidth=p.value,
+                          history_length=p.history_length, degraded=p.degraded)
+            for p in ranked
         ]
-
-    # ------------------------------------------------------------------
-    # prediction quality
-    # ------------------------------------------------------------------
-    def _drain_scored(self, link: str) -> None:
-        """Score what a bulk ingest just staged, once it is worth it.
-
-        Observations only stage (see :mod:`repro.obs.quality`); the
-        tracker drains the backlog once the stage holds
-        :data:`_SCORED_EVENT_BATCH` entries and hands back aggregates
-        plus threshold-crossing detail, which :meth:`_emit_scored` turns
-        into one ``prediction.scored`` event (``pairs`` carries the batch
-        size) and a ``prediction.bad`` event + counter per crosser.  A
-        live event subscriber forces the drain, so followers still see
-        each scoring promptly.  The error histogram is fed at scrape time
-        by :meth:`publish_quality`, never here.  (:meth:`observe` inlines
-        the same rule: a frame per record is measurable there.)
-        """
-        if len(self._q_stage) >= _SCORED_EVENT_BATCH or self._trace_subscribers:
-            scored = self.quality.drain()
-            if scored[0]:
-                self._emit_scored(link, scored)
-
-    def _emit_scored(
-        self,
-        link: str,
-        scored: Tuple[int, float, List[Tuple[str, str, float, float, float, str]]],
-    ) -> None:
-        """Publish one drained scoring batch to the event bus."""
-        pairs, worst, bad = scored
-        if bad:
-            # One aggregated event per drain, carrying the worst miss
-            # in full and the crosser count.  A live follower forces a
-            # drain per observation, so watchers still see every miss
-            # individually; unwatched, the summary keeps a noisy
-            # predictor from flooding the ring (and keeps the emit cost
-            # off the serving loop — the counter stays exact either way).
-            self._m_acc_bad.inc(len(bad))
-            bad_link, spec, predicted, bad_actual, frac, kind = max(
-                bad, key=lambda b: b[4])
-            self.trace.emit(
-                "prediction.bad", link=bad_link, spec=spec,
-                predicted=predicted, actual=bad_actual,
-                error_pct=frac * 100.0, answer=kind, count=len(bad))
-        self.trace.emit("prediction.scored", link=link, pairs=pairs,
-                        worst_pct=worst * 100.0)
-
-    def publish_quality(self) -> None:
-        """Refresh the accuracy gauges from the tracker.
-
-        Scrape-time publication (the Prometheus collector pattern):
-        callers that export or render metrics — the socket server's
-        ``metrics`` op, ``serve --metrics-file`` snapshots — call this
-        first, so the hot path never pays for gauge fan-out.  Labeled
-        children carry per-spec and per-link running MAPE/MSE.  The
-        error histogram is fed here too, from the errors scored since
-        the previous scrape (bounded by the tracker's rolling window —
-        see :meth:`AccuracyTracker.new_error_pcts`).
-        """
-        quality = self.quality
-        if quality is None:
-            return
-        observe_error = self._m_acc_error.observe
-        for pct in quality.new_error_pcts(self._hist_seen):
-            observe_error(pct)
-        accuracy = quality.status()
-        self._m_acc_scored.set(float(accuracy["scored"]))
-        self._m_acc_pending.set(float(accuracy["pending"]))
-        overall = accuracy["overall"]
-        if overall["mape"] is not None:
-            self._m_acc_mape.set(overall["mape"])
-            self._m_acc_mse.set(overall["mse"])
-        for spec, summary in accuracy["by_spec"].items():
-            if summary["mape"] is not None:
-                self._m_acc_mape.labels(spec=spec).set(summary["mape"])
-                self._m_acc_mse.labels(spec=spec).set(summary["mse"])
-        for link, entry in (accuracy.get("links") or {}).items():
-            link_overall = entry["overall"]
-            if link_overall["mape"] is not None:
-                self._m_acc_mape.labels(link=link).set(link_overall["mape"])
-                self._m_acc_mse.labels(link=link).set(link_overall["mse"])
 
     # ------------------------------------------------------------------
     # introspection
@@ -1423,8 +951,7 @@ class PredictionService:
         status answer should not serialize a 100k-entry map); the
         counts always appear.
         """
-        with self._links_lock:
-            resident = dict(self._links)
+        resident = self.residency.resident()
         links: Dict[str, object] = {}
         if len(resident) <= 1000:
             links = {
@@ -1447,21 +974,7 @@ class PredictionService:
                 else {"enabled": False}
             ),
         }
-        if self.store is not None:
-            stored = self.store.link_count()
-            evicted = len(
-                set(self.store.link_names()).difference(resident)
-            )
-            status["store"] = {
-                "root": str(self.store.root),
-                "resident_links": len(resident),
-                "evicted_links": evicted,
-                "stored_links": stored,
-                "bytes_on_disk": self.store.bytes_on_disk(),
-                "evictions": self._m_evictions.value,
-                "revivals": self._m_revivals.value,
-                "max_resident": self.max_resident,
-                "group_commits": self.store.group_commits,
-                "fsyncs": self.store.tail_fsyncs,
-            }
+        store = self.residency.status()
+        if store is not None:
+            status["store"] = store
         return status

@@ -114,8 +114,6 @@ class LinkState:
         self.link = link
         self.lock = threading.RLock()
         self.bank = bank
-        self.evicted = False       # set (under lock) when spilled to disk
-        self.touch = 0             # LRU recency stamp, service-managed
         self.ckpt_version = -1     # version the on-disk checkpoint covers
         self._persist = persist
         self._buffer = ColumnBuffer(_DTYPES, capacity=_INITIAL_CAPACITY)

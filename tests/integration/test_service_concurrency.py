@@ -9,12 +9,14 @@ The service's contract under concurrency:
   exactly what a serial execution would produce.
 """
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from repro.service import PredictionService
+from repro.store import LinkStore
 from repro.units import MB
 from tests.conftest import make_record
 
@@ -119,3 +121,64 @@ def test_concurrent_multi_link_ingest():
     snap = service.metrics.snapshot()
     assert snap["service_ingested_records"]["value"] == 600
     assert snap["service_links"]["value"] == len(links)
+
+
+def test_concurrent_traffic_under_a_resident_ceiling(tmp_path):
+    # Four threads, each owning 8 of 32 links, interleave observes and
+    # predicts on them while a ceiling of 8 keeps evicting and reviving
+    # whatever another thread touched less recently.  One thread per
+    # link is the service's contract: one observer per link.
+    max_resident, threads_n, per_thread, rows = 8, 4, 8, 12
+    links = [f"SITE{k}-ANL" for k in range(threads_n * per_thread)]
+    service = PredictionService(store=LinkStore(tmp_path / "state"),
+                                max_resident=max_resident,
+                                clock=lambda: 10_000_000.0)
+
+    def records(k):
+        return [make_record(start=1000.0 + 100 * i,
+                            size=(10 + ((i + k) % 4) * 300) * MB,
+                            bandwidth=1e6 * (1 + (i * 7 + k) % 13))
+                for i in range(rows)]
+
+    errors = []
+
+    def drive(owned):
+        try:
+            for i in range(rows):
+                for k in owned:
+                    service.observe(links[k], records(k)[i])
+                    service.predict(links[(k + 1) % len(owned) + owned[0]],
+                                    100 * MB)
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=drive, args=(
+            list(range(t * per_thread, (t + 1) * per_thread)),))
+        for t in range(threads_n)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave touches, evictions, revivals
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    store = service.status()["store"]
+    assert store["resident_links"] <= max_resident
+    assert store["evictions"] > 0 and store["revivals"] > 0
+    resident = PredictionService(clock=lambda: 10_000_000.0)
+    for k, link in enumerate(links):
+        resident.ingest_records(link, records(k))
+    for link in links:
+        for spec in ("LV", "C-AVG15", "MED25", "AR5d"):
+            for size in (10 * MB, 620 * MB):
+                got = service.predict(link, size, spec=spec)
+                want = resident.predict(link, size, spec=spec)
+                assert repr((got.value, got.version, got.history_length)) == \
+                    repr((want.value, want.version, want.history_length))
