@@ -577,7 +577,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     exactly as the in-process follower would.
     """
     from repro.client import ServiceClient
-    from repro.logs.ulm import ULMError, parse_record
+    from repro.logs.ulm import parse_raw_lines
 
     if args.batch < 1:
         raise SystemExit("--batch must be >= 1")
@@ -589,15 +589,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     link = args.link or path.stem
     items: List[Dict[str, object]] = []
     skipped = 0
-    pos = 0
-    for line in raw.split(b"\n"):
-        pos = min(pos + len(line) + 1, len(raw))
-        stripped = line.decode("utf-8", errors="replace").strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            record = parse_record(stripped)
-        except ULMError:
+    for record, end in parse_raw_lines(raw.split(b"\n")):
+        if record is None:
             skipped += 1
             continue
         items.append({
@@ -606,7 +599,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             "bandwidth": record.bandwidth,
             "operation": record.operation.value,
             "streams": record.streams, "tcp_buffer": record.tcp_buffer,
-            "offset": pos,
+            # An unterminated last line is parsed; it ends at the file's end.
+            "offset": min(end, len(raw)),
         })
     if not items:
         raise SystemExit(f"no parseable records in {path}")

@@ -342,7 +342,7 @@ class _ArSummary:
 #: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy); and
 #: the two min chains as u4.  No row is stored: a series is a view of
 #: the link's rows (see :meth:`StreamingBank.load_state`), its live
-#: column their last ``live``, ``_dropped`` the rest.
+#: column their last ``live``.
 #: :meth:`SeriesSummaries._dump` and :meth:`SeriesSummaries._load` walk
 #: it in this order and nothing else knows it.
 _SERIES = struct.Struct(
@@ -371,7 +371,7 @@ class SeriesSummaries:
     """
 
     __slots__ = ("count", "last", "last_time", "_times", "_values",
-                 "_n", "_dropped", "_median", "_temporal", "_ar", "_cursors")
+                 "_n", "_median", "_temporal", "_ar", "_cursors")
 
     def __init__(self) -> None:
         self.count = 0
@@ -379,9 +379,6 @@ class SeriesSummaries:
         self.last_time = -np.inf
         self._times = self._values = np.empty(0, dtype=np.float64)
         self._n = 0
-        #: Values trimmed off the column, oldest first: with the column,
-        #: everything ``MED`` has seen.
-        self._dropped: List[np.ndarray] = []
         self._median = _RunningMedian()
         self._temporal = {h: _TemporalMean(h * HOUR) for h in TEMPORAL_HOURS}
         self._ar = {d: _ArSummary(None if d is None else d * DAY)
@@ -414,7 +411,6 @@ class SeriesSummaries:
         dead = min(min(c.start for c in self._cursors), n - RING_CAPACITY)
         if 2 * dead <= n:
             return
-        self._dropped.append(self._values[:dead].copy())
         self._move(dead, n - dead)
         self._n = n - dead
         for cursor in self._cursors:
@@ -490,7 +486,7 @@ class SeriesSummaries:
 
     def _load(self, src, times: np.ndarray, values: np.ndarray) -> None:
         """Restore what :meth:`_dump` wrote over the series' rows, oldest
-        first: the live column is their tail, ``_dropped`` the rest."""
+        first: the live column is their tail."""
         field = iter(src.unpack(_SERIES)).__next__
         wide = iter(src.ld(_SERIES_LONGDOUBLES)).__next__
         for summary in self._temporal.values():
@@ -511,7 +507,6 @@ class SeriesSummaries:
                     "a min-chain entry beyond its column")
         gone = len(values) - n
         self._times, self._values = times[gone:].copy(), values[gone:].copy()
-        self._dropped = [values[:gone].copy()] if gone else []
         self.count = len(values)
         # MED depends on the values it has seen, not on the heaps' layout.
         self._median.build(values)

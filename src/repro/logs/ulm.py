@@ -20,11 +20,12 @@ Rules implemented here:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.logs.record import Operation, TransferRecord
 
-__all__ = ["ULMError", "format_record", "parse_record", "parse_lines", "format_fields", "parse_fields"]
+__all__ = ["ULMError", "format_record", "parse_record", "parse_lines",
+           "parse_raw_lines", "format_fields", "parse_fields"]
 
 
 class ULMError(ValueError):
@@ -173,3 +174,30 @@ def parse_lines(lines: Iterable[str]) -> Iterator[TransferRecord]:
             yield parse_record(stripped)
         except ULMError as exc:
             raise ULMError(f"line {lineno}: {exc}") from None
+
+
+def parse_raw_lines(
+    lines: Iterable[bytes], start: int = 0,
+) -> Iterator[Tuple[Optional[TransferRecord], int]]:
+    """Parse a log's raw lines (bytes, ``\\n`` split off), the first of
+    them at byte ``start`` of the file, skipping blanks and ``#``
+    comments.
+
+    Yields ``(record, end)`` per other line: ``record`` is None for a
+    malformed one, and ``end`` is the byte offset one past the line's
+    ``\\n`` — the resume point a durable store stamps on the row.  The
+    caller decides what an unterminated last line is.  Undecodable bytes
+    decode with ``errors="replace"`` and fail the parse, so a line never
+    raises.
+    """
+    end = start
+    for raw in lines:
+        end += len(raw) + 1
+        stripped = raw.decode("utf-8", errors="replace").strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            record: Optional[TransferRecord] = parse_record(stripped)
+        except ULMError:
+            record = None
+        yield record, end

@@ -379,8 +379,8 @@ class ServicePerfProvider:
     caches for its ``cache_ttl`` — and takes its
     ``predictedrdbandwidth<class>range`` values from ``service.predict``,
     so MDS answers flow through the same versioned cache as broker
-    queries.  Rendering a link the durable store has evicted hydrates
-    its columns.
+    queries.  Rendering a link the durable store has evicted revives
+    it, columns and all.
 
     Parameters
     ----------

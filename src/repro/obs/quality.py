@@ -78,7 +78,6 @@ __all__ = [
     "CALIBRATION_LABELS",
     "DEFAULT_WINDOW",
     "DEFAULT_MAX_PENDING",
-    "DEFAULT_SCORE_BATCH",
     "DEFAULT_STAGE_LIMIT",
     "SCORED_EVENT_BATCH",
     "ErrorStats",
@@ -108,9 +107,6 @@ DEFAULT_WINDOW = 128
 
 #: Per-link cap on unscored predictions awaiting their observation.
 DEFAULT_MAX_PENDING = 64
-
-#: Staged entries (predictions + observations) per batched drain.
-DEFAULT_SCORE_BATCH = 32
 
 #: Staging-queue length at which :meth:`AccuracyTracker.record` forces a
 #: drain, bounding memory in predict-only workloads that never observe.
@@ -341,11 +337,11 @@ class AccuracyTracker:
     a measured hot path may append to :attr:`stage` directly and skip
     the method frame entirely; the service does).  All pairing and
     folding happens in *batched drains*: once :attr:`stage` holds
-    ``score_batch`` entries (or at any read) the backlog replays in one
-    tight loop.  Batching matters beyond amortized call overhead: the
-    serving loop's working set evicts cold telemetry code from the
-    instruction cache every iteration, so per-call scoring pays a ~3x
-    cache-refill multiplier that a consecutive drain loop does not.
+    :data:`SCORED_EVENT_BATCH` entries (or at any read) the backlog
+    replays in one tight loop.  Batching matters beyond amortized call
+    overhead: the serving loop's working set evicts cold telemetry code
+    from the instruction cache every iteration, so per-call scoring pays
+    a ~3x cache-refill multiplier that a consecutive drain loop does not.
     That is what holds the tracker inside its <5% predict+observe
     budget (the perf ledger's ``obs.quality.overhead_ratio``).
 
@@ -372,16 +368,12 @@ class AccuracyTracker:
         max_pending: int = DEFAULT_MAX_PENDING,
         clock: Callable[[], float] = time.time,
         threshold: Optional[float] = None,
-        score_batch: int = DEFAULT_SCORE_BATCH,
     ):
         if max_pending <= 0:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
-        if score_batch <= 0:
-            raise ValueError(f"score_batch must be positive, got {score_batch}")
         self.window = int(window)
         self.max_pending = int(max_pending)
         self.threshold = None if threshold is None else float(threshold)
-        self.score_batch = int(score_batch)
         self._clock = clock
         self._lock = threading.Lock()
         #: The shared staging deque.  Predictions stage as 5-tuples
@@ -438,9 +430,9 @@ class AccuracyTracker:
         The observation pairs with every pending answer recorded at
         ``entry.version < version`` — exactly the answers served before
         it folded into link state.  The drain is deferred until the
-        stage holds ``score_batch`` entries, or ``force`` is truthy
-        (callers pass their live-subscriber state so followers see every
-        scoring promptly).
+        stage holds :data:`SCORED_EVENT_BATCH` entries, or ``force`` is
+        truthy (callers pass their live-subscriber state so followers see
+        every scoring promptly).
 
         Returns ``(pairs, worst, bad)`` — the error-scored pair count,
         worst absolute fractional error, and ``(link, spec, predicted,
@@ -450,7 +442,7 @@ class AccuracyTracker:
         """
         stage = self.stage
         stage.append((link, actual, when, version))
-        if not force and len(stage) < self.score_batch:
+        if not force and len(stage) < SCORED_EVENT_BATCH:
             return _NOTHING
         return self.drain()
 

@@ -196,8 +196,11 @@ class Residency:
         argsort leaves them behind the others, in arrival order.
         Otherwise the bank is rebuilt from the same arrays: a checkpoint
         that cannot be used is *stale* (``format``, ``rows`` or
-        ``digest``, counted), never quarantined.  Returns None when the
-        store holds neither rows nor a checkpoint.
+        ``digest``, counted), never quarantined.  Either way the state
+        keeps the sorted rows (:meth:`LinkState.from_columns`): a revived
+        link holds what an always-resident one holds and never reads the
+        store again.  Returns None when the store holds neither rows nor
+        a checkpoint.
         """
         t0 = time.perf_counter()
         times, values, sizes, ops = self.store.load_columns(link)
@@ -223,14 +226,7 @@ class Residency:
                 reason = "rows"
         if reason is None:
             bank.extend(*(column[n:] for column in columns))
-            state = LinkState.revive(
-                link, bank, meta["version"] + durable - n, durable,
-                float(columns[0][-1]) if durable else -np.inf,
-                loader=partial(self.store.load_columns, link),
-                persist=self._persist_for(link), digest=digest)
-            # The checkpoint covers the pre-delta version; with no delta
-            # the state is clean and eviction skips re-serializing it.
-            state.ckpt_version = meta["version"]
+            version = meta["version"] + durable - n
         else:
             bank = self._new_bank()
             bank.rebuild(*columns, reason="revive")
@@ -238,9 +234,13 @@ class Residency:
             # on, so no cache entry of the old rows answers for the new.
             version = (max(durable, meta["version"] + 1)
                        if reason in ("rows", "digest") else durable)
-            state = LinkState.from_columns(
-                link, bank, version, columns,
-                persist=self._persist_for(link), digest=digest)
+        state = LinkState.from_columns(
+            link, bank, version, columns,
+            persist=self._persist_for(link), digest=digest)
+        if reason is None:
+            # The checkpoint covers the pre-delta version; with no delta
+            # the state is clean and eviction skips re-serializing it.
+            state.ckpt_version = meta["version"]
         self._m_revivals.inc()
         self._m_revival_latency.observe(time.perf_counter() - t0)
         how = "checkpoint" if reason is None else "rebuild"

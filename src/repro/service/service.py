@@ -278,9 +278,7 @@ class PredictionService:
             None if quality_threshold is None else float(quality_threshold)
         )
         self.quality: Optional[AccuracyTracker] = (
-            AccuracyTracker(clock=clock,
-                            threshold=self.quality_threshold,
-                            score_batch=SCORED_EVENT_BATCH)
+            AccuracyTracker(clock=clock, threshold=self.quality_threshold)
             if quality else None
         )
         # The tracker's staging deque, bound once: the predict/observe
@@ -868,8 +866,8 @@ class PredictionService:
         when no link has any history at all.
         """
         states = self.residency.resident().values()
-        # Each link's mean is its bank's ``AVG`` answer: a revived
-        # link's columns stay on disk (``history()`` would load them).
+        # Each link's mean is its bank's ``AVG`` answer: O(1) a link,
+        # where a mean over ``history()`` would walk its columns.
         average = self._resolve("AVG")
         means = []
         for state in states:

