@@ -2,8 +2,9 @@
 
 Section 5.1's cost (1-2 s to process ~700 entries) is a rescan cost: the
 provider walks the whole log per inquiry.  The incremental provider folds
-each record into running summaries at append time (O(log n) for the exact
-median) and renders entries in O(attributes).  This benchmark times an
+each record into running summaries at append time (a binary search and
+an O(n) memmove for the exact median's sorted column) and renders entries
+in O(attributes).  This benchmark times an
 inquiry against a large log under both designs and checks they publish
 identical attributes.
 """

@@ -4,16 +4,19 @@ Every Figure 4 predictor is defined by a handful of running moments —
 *Using Regression Techniques to Predict Large Data Transfers* (Vazhkudai
 & Schopf) spells this out for the regression family, and the rest are
 classical streaming summaries.  This module folds one observation into
-those moments in O(1)/O(log n) and answers the *current* prediction
-without touching the history arrays, so a warm ``predict`` under live
-ingest no longer pays the O(n) recompute that the version-keyed LRU
-cannot absorb (every append kills its entries):
+those moments in O(1) amortised (``MED``'s one shift of a sorted column
+aside) and answers the *current* prediction without touching the history
+arrays, so a warm ``predict`` under live ingest no longer pays the O(n)
+recompute that the version-keyed LRU cannot absorb (every append kills
+its entries):
 
 * ``AVG`` — a longdouble running sum and count (the all-data ``AR``'s);
 * ``LV`` — the last value;
 * ``AVG{n}`` / ``MED{n}`` — the last :data:`RING_CAPACITY` rows of the
   series column (any window that fits is answerable);
-* ``MED`` — the classic dual-heap running median;
+* ``MED`` — every value seen, as one sorted float64 column
+  (:class:`repro.logs.stats.RunningMedian`: 8 B a value, an insert is a
+  binary search and an O(n) shift of the tail);
 * ``AVG{h}hr`` — a cursor into the series column with lazy front expiry
   and a longdouble window sum;
 * ``AR`` / ``AR{d}d`` — incremental lag-pair accumulators
@@ -52,7 +55,6 @@ between two banks only by what their windows have expired since.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from bisect import bisect_left
 from typing import Callable, Dict, List, Optional, Tuple
@@ -66,6 +68,7 @@ from repro.core.predictors.classified import ClassifiedPredictor
 from repro.core.predictors.last_value import LastValue
 from repro.core.predictors.mean import TemporalAverage, TotalAverage, WindowedAverage
 from repro.core.predictors.median import TotalMedian, WindowedMedian
+from repro.logs.stats import RunningMedian
 from repro.units import DAY, HOUR
 
 __all__ = [
@@ -126,37 +129,6 @@ def _fold_sum(current: np.longdouble, values: np.ndarray,
 # ----------------------------------------------------------------------
 # per-series summaries
 # ----------------------------------------------------------------------
-class _RunningMedian:
-    """``MED``: dual-heap running median, O(log n) per add, O(1) per query."""
-
-    __slots__ = ("_lower", "_upper")
-
-    def __init__(self) -> None:
-        self._lower: List[float] = []  # max-heap (negated)
-        self._upper: List[float] = []  # min-heap
-
-    def add(self, value: float) -> None:
-        heapq.heappush(self._lower, -value)
-        heapq.heappush(self._upper, -heapq.heappop(self._lower))
-        if len(self._upper) > len(self._lower):
-            heapq.heappush(self._lower, -heapq.heappop(self._upper))
-
-    def build(self, values: np.ndarray) -> None:
-        ordered = np.sort(values)
-        k = (len(ordered) + 1) // 2
-        # An ascending list is a valid min-heap; the negated, reversed
-        # lower half likewise — no heapify needed.
-        self._lower = (-ordered[k - 1::-1]).tolist()
-        self._upper = ordered[k:].tolist()
-
-    def value(self) -> Optional[float]:
-        if not self._lower:
-            return None
-        if len(self._lower) > len(self._upper):
-            return float(-self._lower[0])
-        return float((-self._lower[0] + self._upper[0]) / 2.0)
-
-
 def _expired(cursor, col: "SeriesSummaries", cutoff: float) -> int:
     """Rows at ``cursor.start`` older than ``cutoff`` (boundary recorded)."""
     if cutoff < cursor._expired_to:
@@ -379,7 +351,7 @@ class SeriesSummaries:
         self.last_time = -np.inf
         self._times = self._values = np.empty(0, dtype=np.float64)
         self._n = 0
-        self._median = _RunningMedian()
+        self._median = RunningMedian()
         self._temporal = {h: _TemporalMean(h * HOUR) for h in TEMPORAL_HOURS}
         self._ar = {d: _ArSummary(None if d is None else d * DAY)
                     for d in (None, *AR_DAYS)}
@@ -436,11 +408,10 @@ class SeriesSummaries:
     def extend(self, times: np.ndarray, values: np.ndarray) -> None:
         """Fold an in-order batch; same final state as n ``add`` calls.
 
-        The column takes the batch in one slice assignment and the
-        running sums vectorize (:func:`_fold_sum`).  The dual-heap
-        median is sequential, so it takes the rows one by one — except
-        into an empty series, where one sort seeds both heaps (``MED``
-        depends on the values seen, not on the heaps' layout).
+        The column takes the batch in one slice assignment, the running
+        sums vectorize (:func:`_fold_sum`) and the median's sorted
+        column merges it in with one stable sort (``MED`` depends on the
+        values seen, not on the order they came in).
         """
         k = len(values)
         if k == 0:
@@ -453,12 +424,7 @@ class SeriesSummaries:
         self.count += k
         self.last = float(values[-1])
         self.last_time = float(times[-1])
-        if self.count == k:
-            self._median.build(values)
-        else:
-            median = self._median
-            for value in values.tolist():
-                median.add(value)
+        self._median.extend(values)
         for summary in self._temporal.values():
             summary.extend(values)
         for summary in self._ar.values():
@@ -508,8 +474,8 @@ class SeriesSummaries:
         gone = len(values) - n
         self._times, self._values = times[gone:].copy(), values[gone:].copy()
         self.count = len(values)
-        # MED depends on the values it has seen, not on the heaps' layout.
-        self._median.build(values)
+        # MED is every value the series has seen, sorted; nothing stores it.
+        self._median.extend(values)
         if n:  # the newest row is every summary's "last"
             self.last, self.last_time = float(values[-1]), float(times[-1])
             for ar in self._ar.values():
@@ -596,7 +562,7 @@ class StreamingBank:
         each series then folds its own subsequence in arrival order,
         which is precisely what the interleaved per-record path would
         have fed it.  Longdouble sums vectorize via :func:`_fold_sum`;
-        heap-backed structures keep per-record folds.
+        the min chains and the median fold the batch wholesale too.
         """
         times = np.asarray(times, dtype=np.float64)
         values = np.asarray(values, dtype=np.float64)

@@ -53,6 +53,7 @@ from repro import faults as _faults
 from repro.data.frame import (
     COLUMN_NAMES, NUMERIC_COLUMNS, OP_READ, OP_WRITE, TransferFrame)
 from repro.envelope import Envelope, Verified, atomic_write, quarantine
+from repro.logs.record import BANDWIDTH_LIMIT
 from repro.logs.ulm import _KEYS as _WRITER_KEYS
 from repro.logs.ulm import ULMError, parse_fields, parse_lines, parse_record
 from repro.obs.config import enabled as _obs_enabled
@@ -237,8 +238,8 @@ def _build(columns: Sequence[Sequence[str]], kept: Sequence[str],
         & np.isfinite(frame.start_times)
         & np.isfinite(frame.end_times)
         & (frame.end_times > frame.start_times)
-        & np.isfinite(frame.bandwidths)
         & (frame.bandwidths > 0)
+        & (frame.bandwidths < BANDWIDTH_LIMIT)
         & (frame.streams > 0)
         & (frame.buffers > 0)
     )

@@ -33,7 +33,13 @@ from typing import Any, Dict
 
 from repro.units import bytes_per_sec_to_kbps
 
-__all__ = ["Operation", "TransferRecord"]
+__all__ = ["BANDWIDTH_LIMIT", "Operation", "TransferRecord"]
+
+#: Bandwidths must lie below this, so at most 2**63 - 1 B/s: the ceiling
+#: ``file_size`` has in its int64 column, and far enough from the float64
+#: maximum that no sum or midpoint a predictor forms over a link's rows
+#: overflows to ``inf``.
+BANDWIDTH_LIMIT = 2.0 ** 63
 
 
 class Operation(str, enum.Enum):
@@ -82,8 +88,9 @@ class TransferRecord:
             raise ValueError(
                 f"end_time ({self.end_time}) must follow start_time ({self.start_time})"
             )
-        if not math.isfinite(self.bandwidth) or self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0 < self.bandwidth < BANDWIDTH_LIMIT:
+            raise ValueError(
+                f"bandwidth must be in (0, 2**63-1] B/s, got {self.bandwidth}")
         if self.streams <= 0:
             raise ValueError(f"streams must be positive, got {self.streams}")
         if self.tcp_buffer <= 0:

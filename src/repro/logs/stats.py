@@ -9,9 +9,9 @@ tens of thousands of records and the provider recomputes on every poll.
 
 from __future__ import annotations
 
-import heapq
+from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.logs.record import Operation, TransferRecord
 
 __all__ = [
     "BandwidthSummary",
+    "RunningMedian",
     "RunningSummary",
     "summarize",
     "summarize_by_class",
@@ -48,15 +49,54 @@ class BandwidthSummary:
         return self.stddev / self.mean if self.mean > 0 else 0.0
 
 
-class RunningSummary:
-    """Exact incremental bandwidth statistics, O(log n) per observation.
+class RunningMedian:
+    """The exact median of every value seen: one sorted float64 column.
 
-    Mean and variance use Welford's algorithm; the median uses the
-    classic two-heap split (max-heap of the lower half, min-heap of the
-    upper).  ``summary()`` produces the same :class:`BandwidthSummary` a
-    batch :func:`summarize` would — verified property-style in the tests
-    — which is what lets the incremental information provider answer
-    inquiries without rescanning the log (Section 5.1's cost).
+    The column is an ``array("d")`` — 8 B a value, unboxed, grown
+    geometrically.  An insert is a binary search and a shift of the
+    tail by one slot (``insort``: an O(n) memmove; a heap push is
+    O(log n) but boxes every value, four times the RAM); a batch joins
+    the column and one stable sort merges it in (timsort takes the
+    sorted column as one run); a query reads the
+    middle, with the same float arithmetic as ``(lo + hi) / 2.0`` over
+    ``sorted()``.
+    """
+
+    __slots__ = ("_sorted",)
+
+    def __init__(self) -> None:
+        # Imported here: a replay process loads this module and keeps no
+        # median, and the extension module would be its only cost there.
+        from array import array
+
+        self._sorted = array("d")
+
+    def add(self, value: float) -> None:
+        insort(self._sorted, value)
+
+    def extend(self, values: np.ndarray) -> None:
+        self._sorted.frombytes(np.asarray(values, dtype=np.float64).tobytes())
+        # A view: sorts the column in place.
+        np.frombuffer(self._sorted).sort(kind="stable")
+
+    def value(self) -> Optional[float]:
+        column = self._sorted
+        n = len(column)
+        mid = n // 2
+        if n % 2:
+            return column[mid]
+        return (column[mid - 1] + column[mid]) / 2.0 if n else None
+
+
+class RunningSummary:
+    """Exact incremental bandwidth statistics.
+
+    Mean and variance use Welford's algorithm; the median is a
+    :class:`RunningMedian`.  ``summary()`` produces the same
+    :class:`BandwidthSummary` a batch :func:`summarize` would — verified
+    property-style in the tests — which is what lets the incremental
+    information provider answer inquiries without rescanning the log
+    (Section 5.1's cost).
     """
 
     def __init__(self) -> None:
@@ -65,17 +105,15 @@ class RunningSummary:
         self._m2 = 0.0
         self._min = float("inf")
         self._max = float("-inf")
-        self._lower: List[float] = []  # max-heap (negated values)
-        self._upper: List[float] = []  # min-heap
+        self._median = RunningMedian()
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "RunningSummary":
         """Vectorized bulk construction, then resume incrementally.
 
-        An ascending list is a valid min-heap, and its negation reversed
-        is a valid max-heap, so one sort seeds both median heaps with no
-        ``heapify``.  The moments come from array reductions; subsequent
-        :meth:`add` calls continue Welford's recurrence from them.
+        The moments come from array reductions and the median from one
+        sort; subsequent :meth:`add` calls continue Welford's recurrence
+        from them.
         """
         summary = cls()
         bw = np.asarray(values, dtype=np.float64)
@@ -86,39 +124,7 @@ class RunningSummary:
         summary._m2 = float(((bw - bw.mean()) ** 2).sum())
         summary._min = float(bw.min())
         summary._max = float(bw.max())
-        ordered = np.sort(bw)
-        k = (len(ordered) + 1) // 2
-        summary._lower = [-v for v in ordered[k - 1 :: -1]]
-        summary._upper = ordered[k:].tolist()
-        return summary
-
-    def state(self) -> dict:
-        """Serializable snapshot; :meth:`from_state` restores it exactly.
-
-        The heap lists round-trip verbatim (the heap invariant is an
-        ordering property, preserved by serialization), so a restored
-        summary continues Welford's recurrence bit-identically.
-        """
-        return {
-            "count": self._count,
-            "mean": self._mean,
-            "m2": self._m2,
-            "min": self._min,
-            "max": self._max,
-            "lower": list(self._lower),
-            "upper": list(self._upper),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RunningSummary":
-        summary = cls()
-        summary._count = int(state["count"])
-        summary._mean = float(state["mean"])
-        summary._m2 = float(state["m2"])
-        summary._min = float(state["min"])
-        summary._max = float(state["max"])
-        summary._lower = [float(v) for v in state["lower"]]
-        summary._upper = [float(v) for v in state["upper"]]
+        summary._median.extend(bw)
         return summary
 
     def add(self, value: float) -> None:
@@ -129,22 +135,11 @@ class RunningSummary:
         self._m2 += delta * (value - self._mean)
         self._min = min(self._min, value)
         self._max = max(self._max, value)
-        # Median heaps: push to lower, rebalance through upper.
-        heapq.heappush(self._lower, -value)
-        heapq.heappush(self._upper, -heapq.heappop(self._lower))
-        if len(self._upper) > len(self._lower):
-            heapq.heappush(self._lower, -heapq.heappop(self._upper))
+        self._median.add(value)
 
     @property
     def count(self) -> int:
         return self._count
-
-    def _median(self) -> float:
-        if self._count == 0:
-            return 0.0
-        if len(self._lower) > len(self._upper):
-            return -self._lower[0]
-        return (-self._lower[0] + self._upper[0]) / 2.0
 
     def summary(self) -> BandwidthSummary:
         """Current statistics as an immutable snapshot."""
@@ -155,7 +150,7 @@ class RunningSummary:
             minimum=self._min,
             maximum=self._max,
             mean=self._mean,
-            median=self._median(),
+            median=self._median.value(),
             stddev=(self._m2 / self._count) ** 0.5,
         )
 

@@ -17,8 +17,8 @@ part back as a :class:`Reader` for its owner's ``load_state``.
   answers.  Scalars travel through ``struct``, the 80-bit sums and the
   pools through ``tobytes`` / ``frombuffer``: exact by construction.
   What the rows already say is not stored: a series' last value and
-  time, and ``MED``, which depends on the values seen, not on the
-  heaps' layout.
+  time, and ``MED``, which is the values seen, sorted: loading sorts
+  them once.
 * **Size.**  The link's history is on disk once, in its segments and
   tail; a checkpoint holds no row of it.  It refers to rows ``[0, n)``
   of the link in arrival order by ``n`` and ``row_digest`` (see

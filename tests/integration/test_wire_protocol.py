@@ -291,6 +291,8 @@ def test_zero_duration_observe_is_a_bad_request(endpoint):
     ("size", 0),
     ("offset", 2**70),
     ("offset", -5),
+    ("bandwidth", 2.0 ** 63),  # the size ceiling, as a bandwidth in B/s
+    ("bandwidth", 1.6e308),    # MED and AVG5 answered inf, JSON "Infinity"
 ])
 def test_size_and_offset_beyond_int64_are_bad_requests(
         endpoint, tmp_path, field, value):
@@ -317,6 +319,24 @@ def test_size_and_offset_beyond_int64_are_bad_requests(
             assert (first["version"], last["version"]) == (
                 1 + 2 * binary, 2 + 2 * binary)
     assert internal.value == before
+
+
+def test_a_derived_bandwidth_past_the_ceiling_is_a_bad_request(endpoint):
+    # 10 MB in about a picosecond: size / (end - start) is 1.05e19 B/s.
+    good = {"link": "FAST", "size": 10 * MB, "start": 5.0, "end": 6.0}
+    bad = {**good, "end": 5.0 + 1e-12}
+    for binary in (False, True):
+        with ServiceClient(_client_address(endpoint), binary=binary) as client:
+            single = client.request({"op": "observe", **bad})
+            assert single["error"]["code"] == "bad_request"
+            assert "bandwidth" in single["error"]["message"]
+            batched = client.request(
+                {"op": "observe_batch", "items": [good, bad, good]})
+            assert [r.get("version") for r in batched["results"]] == [
+                1 + 2 * binary, None, 2 + 2 * binary]
+            answer = client.predict("FAST", 10 * MB, "MED")
+            assert answer["value"] == 10 * MB
+    assert endpoint.service.version("FAST") == 4
 
 
 def test_a_bad_item_does_not_half_apply_an_observe_batch(endpoint):

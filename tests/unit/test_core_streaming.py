@@ -19,6 +19,7 @@ from repro.core.streaming import (
     StreamingUnavailable,
 )
 from repro.data.ingest import load_ulm
+from repro.logs.stats import RunningMedian
 from repro.store import checkpoint
 from repro.units import DAY, GB, HOUR, MB
 
@@ -271,6 +272,73 @@ class TestOneFold:
         assert_one_fold(*series)
 
 
+# ----------------------------------------------------------------------
+# MED: one sorted column, against sorted() and (a + b) / 2.0
+# ----------------------------------------------------------------------
+def sorted_median(values):
+    """The ledger oracle's median: ``sorted()``, then the middle value or
+    the two middle values' ``(a + b) / 2.0``."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    return ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+
+
+#: Bandwidth-like values: a small pool, so duplicates are common, and any
+#: positive float up to the record ceiling.
+MEDIAN_VALUES = st.one_of(
+    st.sampled_from([1.0, 2.0, 2.5, 1e6, 1e6 + 1.0, 1e9]),
+    st.floats(min_value=5e-324, max_value=2.0 ** 63, exclude_max=True))
+
+MEDIAN_STEPS = st.lists(st.one_of(
+    st.tuples(st.just("add"), MEDIAN_VALUES),
+    st.tuples(st.just("extend"), st.lists(MEDIAN_VALUES, max_size=40)),
+    st.tuples(st.just("revive"), st.none()),
+), max_size=60)
+
+
+def assert_median_is_sorted_median(steps):
+    """``add``, ``extend``, and a revival (a fresh median extended over
+    every value seen, as ``SeriesSummaries._load`` builds one), each
+    followed by ``value``: ``repr``-identical to :func:`sorted_median`."""
+    median, seen = RunningMedian(), []
+    assert median.value() is None
+    for step, arg in steps:
+        if step == "add":
+            median.add(arg)
+            seen.append(arg)
+        elif step == "extend":
+            median.extend(np.array(arg, dtype=np.float64))
+            seen += arg
+        else:
+            median = RunningMedian()
+            median.extend(np.array(seen, dtype=np.float64))
+        expected = sorted_median(seen) if seen else None
+        assert repr(median.value()) == repr(expected), (step, len(seen))
+    assert median._sorted.tolist() == sorted(seen)
+
+
+class TestRunningMedian:
+    def test_one_row_odd_even_and_duplicates(self):
+        assert_median_is_sorted_median([
+            ("add", 3.0), ("add", 1.0), ("extend", [2.0, 2.0, 9.0]),
+            ("revive", None), ("add", 2.0), ("extend", []), ("add", 0.5)])
+        # (a + b) / 2.0, not a / 2 + b / 2: halving the smallest
+        # subnormal first rounds it to zero.
+        assert_median_is_sorted_median([("add", 5e-324), ("add", 5e-324)])
+
+    @given(MEDIAN_STEPS)
+    @settings(max_examples=100, deadline=None)
+    def test_any_interleaving_is_the_sorted_median(self, steps):
+        assert_median_is_sorted_median(steps)
+
+    @pytest.mark.exhaustive
+    @given(st.lists(MEDIAN_STEPS, min_size=1, max_size=8).map(
+        lambda runs: [step for run in runs for step in run]))
+    @settings(max_examples=1000, deadline=None)
+    def test_any_interleaving_is_the_sorted_median_exhaustive(self, steps):
+        assert_median_is_sorted_median(steps)
+
+
 class TestAnchorDefault:
     def test_all_data_ar_needs_no_anchor_after_windows_expired(self):
         times = np.arange(12.0) * HOUR
@@ -394,9 +462,10 @@ class TestMemoryShape:
         assert len(checkpoint.dumps(payload)) <= 700
 
     def test_resident_bytes_per_record(self):
-        # 400 records in 4 classes: the columns, the MED heaps (65) and
-        # the fixed per-series part measure 138 in all; a per-direction
-        # copy of every bandwidth beside them measured 181.
+        # 400 records in 4 classes: the columns, the MED sorted columns
+        # and the fixed per-series part measure about 90 in all; with
+        # MED as two heaps of boxed floats they measured 138, and a
+        # per-direction copy of every bandwidth beside those 181.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -408,14 +477,13 @@ class TestMemoryShape:
         finally:
             tracemalloc.stop()
         assert bank.count == 400 and len(bank._classes) == 4
-        assert held <= 160 * 400
+        assert held <= 110 * 400
 
     def test_queried_windows_trim_the_column_and_stay_exact(self):
         bank = queried_bank()
         for series in all_series(bank):
             assert series._n < series.count / 4  # the dead prefix is gone
-            median = series._median  # MED still holds every row it saw
-            assert len(median._lower) + len(median._upper) == series.count
+            assert len(series._median._sorted) == series.count  # MED holds every row
         assert exact_repr(roundtrip(bank).state()) == exact_repr(bank.state())
 
     def test_state_roundtrip_is_repr_identical(self):

@@ -68,6 +68,21 @@ class TestParse:
         with pytest.raises(ULMError, match="line 1"):
             parse_ulm_text(text)
 
+    def test_bandwidth_ceiling_matches_per_record_path(self, sample_records):
+        # The vectorized mask and TransferRecord refuse the same rows: the
+        # largest float under 2**63 B/s is a bandwidth, 2**63 is not.
+        line = format_record(sample_records[0])
+        old = f"GFTP.BW={sample_records[0].bandwidth!r}"
+        under = line.replace(old, f"GFTP.BW={2.0 ** 63 - 1024!r}")
+        assert parse_ulm_text(under).equals(
+            TransferFrame.from_records(parse_lines([under])))
+        for bad in (2.0 ** 63, 1.6e308):
+            text = line + "\n" + line.replace(old, f"GFTP.BW={bad!r}")
+            with pytest.raises(ULMError, match="line 2.*bandwidth"):
+                parse_ulm_text(text)
+            with pytest.raises(ULMError, match="line 2.*bandwidth"):
+                list(parse_lines(text.splitlines()))
+
     def test_operation_spellings_match_per_record_path(self, sample_records):
         # Operation.parse strips and lowercases; the vectorized comparison
         # must accept the same spellings and reject the same strangers.

@@ -38,6 +38,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_record(**kw)
 
+    def test_bandwidth_ceiling_is_the_int64_one(self):
+        # The largest float under 2**63 passes; 2**63 and the float64
+        # range past it are refused (two rows near 1.6e308 on one link
+        # made MED, MED5, AVG5 and C-MED answer inf).
+        assert make_record(bandwidth=2.0 ** 63 - 1024).bandwidth == 2.0 ** 63 - 1024
+        for bandwidth in (2.0 ** 63, 1.6e308, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="bandwidth"):
+                make_record(bandwidth=bandwidth)
+        with pytest.raises(ValueError, match="bandwidth"):
+            # A derived bandwidth: 100 MB in about a picosecond.
+            make_record(start=5.0, duration=1e-12)
+
     def test_nonfinite_timestamps(self):
         with pytest.raises(ValueError):
             make_record(start=float("nan"))

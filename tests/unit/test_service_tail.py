@@ -73,6 +73,20 @@ def test_malformed_lines_are_counted_and_skipped(tmp_path):
     assert len(seen) == 1
 
 
+def test_a_bandwidth_past_the_ceiling_is_a_bad_line(tmp_path):
+    path = tmp_path / "log.ulm"
+    record = make_record(start=1000.0)
+    good = format_record(record)
+    huge = good.replace(f"GFTP.BW={record.bandwidth!r}", "GFTP.BW=1.6e308")
+    assert huge != good
+    path.write_text(huge + "\n" + good + "\n")
+
+    follower, seen = collect(path)
+    assert follower.poll() == 1
+    assert follower.errors == 1
+    assert [r for _, r in seen] == [record]
+
+
 def test_truncation_restarts_from_zero(tmp_path):
     path = tmp_path / "log.ulm"
     r1 = make_record(start=1000.0)
