@@ -12,18 +12,32 @@ A file is never edited: the store grows a link's last (*open*) segment
 by writing a longer one under the same name, which :func:`atomic_write`
 swaps in whole, and every earlier segment is immutable.
 
+Format 2 stores each float64 column as eight *byte planes* — byte 0 of
+every row, then byte 1, … byte 7 — and ``sizes`` / ``ops`` row-major.
+An end time's sign, exponent and leading mantissa bytes barely change
+within a link, and as planes they are runs deflate can see; row-major,
+six noisy bytes sit between them in every value.  This module is the
+only one that knows the layout: the store seals, compacts and loads
+through :func:`write_segment` and :func:`read_segment`.
+
 Reads pass through the ``store.segment`` fault site so the chaos suite
 can corrupt or truncate them; anything whose digest, lengths or stream
 disagree raises :class:`CorruptSegment` and the store quarantines the
-file.  A state dir written by an earlier build holds ``seg-*.npz``
-files: primary data, so still read (by suffix, through ``np.load``),
-never written; compaction rewrites them as ``.col``.
+file.  A file whose magic is intact but whose format is newer than this
+build raises :class:`UnknownSegmentFormat` instead, and the store leaves
+it where it lies: it is primary data some other build can read.  Earlier
+builds' files are primary data too, so they are read, never written: a
+format-1 ``.col`` (the same header, every column row-major), picked by
+the header's format as :func:`repro.store.checkpoint.loads` picks format
+4, and a ``seg-*.npz`` (by suffix, through ``np.load``).  A link's next
+seal or compaction rewrites what it touches as format 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import struct
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -32,22 +46,38 @@ import numpy as np
 from repro import faults as _faults
 from repro.envelope import Envelope, Verified, atomic_write
 
-__all__ = ["FULL_NAME", "CorruptSegment", "SegmentData", "is_segment_name",
-           "segment_name", "write_segment", "read_framing", "read_segment"]
+__all__ = ["FULL_NAME", "CorruptSegment", "SegmentData", "UnknownSegmentFormat",
+           "is_segment_name", "segment_name", "write_segment", "read_framing",
+           "read_segment"]
 
 #: The compacted whole-history segment; supersedes the segments it covers.
 FULL_NAME = "seg-full.col"
 
 _LEGACY_SUFFIX = ".npz"
 _COLUMNS = (("times", "<f8"), ("values", "<f8"), ("sizes", "<i8"), ("ops", "i1"))
+#: The leading columns format 2 stores as byte planes.
+_PLANED = 2
 
 
 class CorruptSegment(Exception):
     """The segment cannot be trusted (bad digest, layout, or read)."""
 
 
+class UnknownSegmentFormat(CorruptSegment):
+    """An intact magic ahead of a format newer than this build reads.
+
+    Nothing is known to be wrong with the file, so it is not quarantined;
+    the link it belongs to cannot be served until a build that reads it
+    does.  A flipped bit in the format field of a file this build wrote
+    is told apart by its digest, and is corrupt.
+    """
+
+
 # Four column sections; the kind's own fields are the framing.
-_FILE = Envelope(b"RSSG", 1, "IIII", meta="QQQ", error=CorruptSegment)
+_FILE = Envelope(b"RSSG", 2, "IIII", meta="QQQ", error=CorruptSegment)
+#: Format 1: the same header, every column row-major.
+_FORMAT_1 = Envelope(b"RSSG", 1, "IIII", meta="QQQ", error=CorruptSegment)
+_U16 = struct.Struct("<H")
 
 
 class SegmentData(NamedTuple):
@@ -79,11 +109,24 @@ def write_segment(path: Path, start_row: int, times, values, sizes, ops,
     Raises ``OSError`` on filesystem refusal; the caller decides whether
     that degrades (rows stay in the tail) or aborts (compaction).
     """
-    sections = [np.ascontiguousarray(column, dtype=dtype).tobytes()
-                for column, (_, dtype) in zip((times, values, sizes, ops), _COLUMNS)]
+    columns = [np.ascontiguousarray(column, dtype=dtype)
+               for column, (_, dtype) in zip((times, values, sizes, ops), _COLUMNS)]
+    sections = [_planes(column) for column in columns[:_PLANED]]
+    sections += [column.tobytes() for column in columns[_PLANED:]]
     _faults.check("store.segment", path=str(path), op="write")
     atomic_write(path, _FILE.pack(
         sections, meta=(start_row, len(times), max_offset)), fsync)
+
+
+def _planes(column: np.ndarray) -> bytes:
+    """Byte ``k`` of every row, for ``k`` in 0..7: the column transposed
+    as a ``(rows, 8)`` byte matrix."""
+    return column.view(np.uint8).reshape(-1, 8).T.tobytes()
+
+
+def _from_planes(section: memoryview) -> np.ndarray:
+    planes = np.frombuffer(section, dtype=np.uint8).reshape(8, -1)
+    return planes.T.copy().view("<f8").ravel()
 
 
 def _read(path: Path) -> bytes:
@@ -92,12 +135,33 @@ def _read(path: Path) -> bytes:
                                 path=str(path))
 
 
-def _header(path: Path) -> Verified:
-    head = _FILE.verify(_read(path))
+def _header(path: Path) -> Tuple[Envelope, Verified]:
+    """The file's envelope (format 1 or 2) and its verified header."""
+    data = _read(path)
+    version = _U16.unpack_from(data, 4)[0] if len(data) >= 6 else 0
+    if (version > _FILE.version and data[:4] == _FILE.magic
+            and not _renumbered(data)):
+        raise UnknownSegmentFormat(
+            f"{path}: format {version}, this build reads 1-{_FILE.version}")
+    envelope = _FORMAT_1 if version == 1 else _FILE
+    head = envelope.verify(data)
     rows = head.meta[1]
     if head.lengths != (8 * rows, 8 * rows, 8 * rows, rows):
         raise CorruptSegment(f"column lengths disagree with rows in {path}")
-    return head
+    return envelope, head
+
+
+def _renumbered(data: bytes) -> bool:
+    """Does a file of format 1 or 2 with its format field overwritten
+    verify?  Then the field flipped, and the file is corrupt."""
+    for envelope in (_FORMAT_1, _FILE):
+        try:
+            envelope.verify(b"".join((
+                data[:4], _U16.pack(envelope.version), data[6:])))
+        except CorruptSegment:
+            continue
+        return True
+    return False
 
 
 def read_framing(path: Path) -> Tuple[int, int, int]:
@@ -105,21 +169,25 @@ def read_framing(path: Path) -> Tuple[int, int, int]:
     columns stay deflated.  Raises as :func:`read_segment` does."""
     if path.suffix == _LEGACY_SUFFIX:
         return _read_legacy(path)[:3]
-    return _header(path).meta
+    return _header(path)[1].meta
 
 
 def read_segment(path: Path) -> SegmentData:
     """Read, verify and inflate one segment.
 
-    Raises :class:`CorruptSegment` on anything untrustworthy and
+    Raises :class:`CorruptSegment` on anything untrustworthy (its
+    subclass :class:`UnknownSegmentFormat` on a newer format) and
     ``FileNotFoundError`` when the file is simply absent.
     """
     if path.suffix == _LEGACY_SUFFIX:
         return _read_legacy(path)
-    head = _header(path)
-    return SegmentData(*head.meta, *(
-        np.frombuffer(section, dtype=dtype)
-        for section, (_, dtype) in zip(_FILE.inflate(head), _COLUMNS)))
+    envelope, head = _header(path)
+    sections = envelope.inflate(head)
+    planed = _PLANED if envelope is _FILE else 0
+    columns = [_from_planes(section) for section in sections[:planed]]
+    columns += [np.frombuffer(section, dtype=dtype) for section, (_, dtype)
+                in zip(sections[planed:], _COLUMNS[planed:])]
+    return SegmentData(*head.meta, *columns)
 
 
 def _read_legacy(path: Path) -> SegmentData:

@@ -12,9 +12,13 @@ Layout, under ``root/links/<urlquoted link>/``::
     *.quarantined         corrupt files moved aside, never consulted
 
 Segments and checkpoints are two kinds of one file envelope
-(:mod:`repro.envelope`): verified header, one deflated body.  A
-``seg-*.npz`` is a segment written by an earlier build; it is read where
-it lies and rewritten as ``.col`` by the next compaction.
+(:mod:`repro.envelope`): verified header, one deflated body.  How a
+segment lays out its columns is :mod:`repro.store.segments`' business
+alone; this module seals, compacts and loads through
+``write_segment`` / ``read_segment``.  A segment an earlier build wrote
+(a format-1 ``.col``, a ``seg-*.npz``) is read where it lies; the seal
+that next extends it, or a compaction, rewrites it in this build's
+format.
 
 A seal does not drop a new small file beside the last one: while the
 open segment and the tail together fit in ``segment_rows`` it reads that
@@ -45,6 +49,12 @@ Durability contract
   *degraded*: its checkpoint is no longer trusted (row counts can no
   longer be reconciled) and revival falls back to rebuilding from the
   surviving rows.
+* A segment of a format newer than this build reads is not damage: it
+  stays where it is, nothing is counted, and every call that recovers
+  its link raises :class:`~repro.store.segments.UnknownSegmentFormat`
+  (a request for that link answers an in-band error; other links are
+  untouched).  Serving it as the link's history without those rows
+  would renumber acked rows.
 
 Fault sites: ``store.segment`` (segment read/write, tail read/append)
 and ``store.checkpoint`` (checkpoint read/write), matching the chaos
@@ -348,6 +358,8 @@ class LinkStore:
             start_row, rows, max_offset = _segments.read_framing(path)
         except FileNotFoundError:
             return None
+        except _segments.UnknownSegmentFormat:
+            raise  # another build's primary data: left where it lies
         except Exception:
             self._quarantine_file(meta, path, kind="segment")
             meta.degraded = True
@@ -748,9 +760,13 @@ class LinkStore:
     def _read_segment_locked(
             self, meta: _LinkMeta, seg: _Segment) -> Optional[_segments.SegmentData]:
         """One segment's rows, or None for a file that cannot be trusted:
-        it is quarantined, leaves the segment list, and the link degrades."""
+        it is quarantined, leaves the segment list, and the link degrades.
+        A newer format raises :class:`~repro.store.segments.UnknownSegmentFormat`
+        and stays."""
         try:
             return _segments.read_segment(seg.path)
+        except _segments.UnknownSegmentFormat:
+            raise
         except Exception:
             self._quarantine_file(meta, seg.path, kind="segment")
             meta.degraded = True

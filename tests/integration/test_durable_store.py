@@ -41,6 +41,10 @@ LOGS = ["aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm"]
 SPECS = ["C-AVG15", "AVG5", "C-MED15", "MED", "LV",
          "AVG", "C-AVG", "AR", "C-AR"]
 SIZES = [10 * MB, 100 * MB, 1000 * MB]
+#: The ledger's eight specs (``benchmarks/ledger/workloads.py``), and the
+#: two medians over a whole history.
+UPGRADE_SPECS = ["AVG", "LV", "AVG15", "MED5", "C-AVG15", "C-MED15",
+                 "AVG15hr", "AR5d", "MED", "C-MED"]
 NOW = 10_000_000.0
 
 
@@ -507,6 +511,115 @@ class TestUpgrade:
         assert hows == ["rebuild", "checkpoint", "checkpoint"]
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
+
+
+    def test_format_1_segments_serve_as_format_2_and_one_seal_upgrades(
+            self, tmp_path):
+        """A state dir whose segments the commit before byte planes wrote
+        (format 1, every column row-major): every link revives from its
+        checkpoint, answers ``repr``-identically to the same rows stored
+        as format 2, and the link's next seal or compaction leaves format
+        2 alone."""
+        from repro.obs import get_registry
+        from tests.unit.test_store import as_format_1_state_dir
+
+        links = {f"L{k}": _synthetic_records(30 + 40 * k, phase=k)
+                 for k in range(6)}
+
+        def build(root):
+            service = PredictionService(store=LinkStore(root))
+            for link, records in links.items():
+                for record in records:
+                    service.observe(link, record)
+            assert service.checkpoint_all(seal=True) == len(links)
+            service.store.close()
+
+        def formats(root):
+            return {path.read_bytes()[4] for path in root.rglob("seg-*.col")}
+
+        def answers(service):
+            return [(link, spec, size, repr(p.value), p.version,
+                     p.history_length)
+                    for link in sorted(links) for spec in UPGRADE_SPECS
+                    for size in SIZES
+                    for p in [service.predict(link, size, spec, now=NOW)]]
+
+        old, new = tmp_path / "old", tmp_path / "new"
+        build(old)
+        build(new)
+        assert len(as_format_1_state_dir(old)) == len(links)
+        assert (formats(old), formats(new)) == ({1}, {2})
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = {root: PredictionService(store=LinkStore(root), max_resident=2)
+                  for root in (old, new)}
+        expected = answers(served[new])
+        assert answers(served[old]) == expected
+        revivals = served[old].metrics.snapshot()["service_link_revivals"]
+        assert [series["labels"] for series in revivals["series"]] == [
+            {"how": "checkpoint"}]  # never a rebuild for the format
+
+        # One more row a link; half the links seal, half compact.
+        for service in served.values():
+            for k, link in enumerate(sorted(links)):
+                last = service.link_state(link).last_time
+                service.observe(link, dataclasses.replace(
+                    links[link][0], start_time=last + 10.0,
+                    end_time=last + 15.0))
+                assert (service.store.seal(link) if k % 2
+                        else service.store.compact(link))
+        assert formats(old) == {2}
+        assert answers(served[old]) == answers(served[new])
+        for root in (old, new):
+            served[root].store.close()
+        reopened = {root: PredictionService(store=LinkStore(root))
+                    for root in (old, new)}
+        assert answers(reopened[old]) == answers(reopened[new])
+        assert quarantined.value == before
+        assert not list(old.rglob("*.quarantined"))
+
+    def test_a_segment_of_a_newer_format_refuses_its_link_in_band(
+            self, tmp_path):
+        """Rolling a state dir back across a segment format bump: the
+        newer file is left where it lies and nothing is quarantined; a
+        request that touches its link answers an in-band error, and
+        every other link keeps serving."""
+        from repro.obs import get_registry
+        from repro.service import handle_request
+        from repro.store import segments
+        from tests.unit.test_store import format_3_segment
+
+        service = PredictionService(store=LinkStore(tmp_path))
+        for link in ("A", "B"):
+            for record in _synthetic_records(20):
+                service.observe(link, record)
+        expected = service.predict("A", 10 * MB, "AVG", now=NOW).value
+        service.checkpoint_all(seal=True)
+        service.store.close()
+        newer = tmp_path / "links" / "B" / segments.segment_name(0)
+        rows = segments.read_segment(newer)
+        newer.write_bytes(format_3_segment(0, *rows[3:]))
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = PredictionService(store=LinkStore(tmp_path))
+        for request in (
+                {"op": "predict", "link": "B", "size": 10 * MB},
+                {"op": "observe", "link": "B", "start": NOW, "end": NOW + 5.0,
+                 "size": MB},
+                {"op": "rank", "candidates": ["A", "B"], "size": 10 * MB}):
+            response = handle_request(served, request)
+            assert response["ok"] is False, request
+            assert "UnknownSegmentFormat" in response["error"]["message"]
+        response = handle_request(served, {
+            "op": "predict", "link": "A", "size": 10 * MB, "spec": "AVG",
+            "now": NOW})
+        assert response["ok"] and response["value"] == expected
+        assert handle_request(served, {"op": "status"})["ok"]
+        assert newer.read_bytes()[:6] == b"RSSG\3\0"
+        assert quarantined.value == before
+        assert not list(tmp_path.rglob("*.quarantined"))
 
 
 class TestStaleCheckpoint:

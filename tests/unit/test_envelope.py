@@ -1,8 +1,9 @@
 """The shared file envelope, through each of its three callers.
 
-One decoder contract, three kinds of file (checkpoint, sealed segment,
-ingest sidecar): damaged bytes raise the kind's own error — or read as
-status ``"corrupt"`` for the sidecar — and nothing else, never a decoded
+One decoder contract, three kinds of file (checkpoint, sealed segment
+in its current format and in the one it still reads, ingest sidecar):
+damaged bytes raise the kind's own error — or read as status
+``"corrupt"`` for the sidecar — and nothing else, never a decoded
 value; and nothing is inflated past what the verified header declared.
 Each kind's header is packed by hand here, so the tests pin the bytes.
 """
@@ -16,6 +17,7 @@ import tracemalloc
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.data import TransferFrame
@@ -37,11 +39,11 @@ class Kind:
     def __init__(self, tmp_path):
         self.path = tmp_path / self.name
 
-    def frame(self, stored, lengths):
+    def frame(self, stored, lengths, meta=None):
         """A file of this kind around ``stored`` whose digest verifies."""
         fields = self.fields.pack(
             self.magic, self.version, self.aux, len(stored), *lengths,
-            *self.meta)
+            *(self.meta if meta is None else meta))
         return fields + hashlib.sha256(fields + stored).digest() + stored
 
 
@@ -64,19 +66,34 @@ class CheckpointKind(Kind):
 class SegmentKind(Kind):
     name = "seg-000000000007.col"
     fields = struct.Struct("<4sHHIIIIIQQQ")
-    magic, version, aux, meta = b"RSSG", 1, 0, (7, 40, 0)
+    magic, version, aux, meta = b"RSSG", 2, 0, (7, 40, 0)
     error = CorruptSegment
     bomb_lengths = (320, 320, 320, 40)  # what 40 rows declare: 1,000 B
+    ROWS = ([1.5, 2.5, 4.0], [9.0, 8.0, 7.0], [10, 20, 30], [0, 1, 0])
 
     def blob(self):
-        seg.write_segment(self.path, 7, [1.5, 2.5, 4.0], [9.0, 8.0, 7.0],
-                          [10, 20, 30], [0, 1, 0], max_offset=99)
+        seg.write_segment(self.path, 7, *self.ROWS, max_offset=99)
         return self.path.read_bytes()
 
     def decode(self, data):
         self.path.write_bytes(data)
         seg.read_framing(self.path)
-        return seg.read_segment(self.path)
+        data = seg.read_segment(self.path)
+        assert [column.tolist() for column in data[3:]] == list(self.ROWS)
+        return data
+
+
+class Format1SegmentKind(SegmentKind):
+    """What builds before byte planes wrote: the same header, every
+    column row-major.  Read, never written, so packed here by hand."""
+
+    version = 1
+
+    def blob(self):
+        sections = [np.asarray(column, dtype=dtype).tobytes() for column, dtype
+                    in zip(self.ROWS, ("<f8", "<f8", "<i8", "i1"))]
+        return self.frame(zlib.compress(b"".join(sections), 1),
+                          [len(section) for section in sections], (7, 3, 99))
 
 
 class SidecarKind(Kind):
@@ -101,8 +118,9 @@ class SidecarKind(Kind):
         return frame, status
 
 
-@pytest.fixture(params=[CheckpointKind, SegmentKind, SidecarKind],
-                ids=["checkpoint", "segment", "sidecar"])
+@pytest.fixture(params=[CheckpointKind, SegmentKind, Format1SegmentKind,
+                        SidecarKind],
+                ids=["checkpoint", "segment", "segment-format-1", "sidecar"])
 def kind(request, tmp_path):
     return request.param(tmp_path)
 

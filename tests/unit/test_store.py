@@ -22,6 +22,7 @@ from repro.core import streaming
 from repro.core.classification import paper_classification
 from repro.core.predictors.registry import resolve
 from repro.core.streaming import StreamingBank
+from repro.envelope import Envelope
 from repro.obs import get_registry
 from repro.store import CorruptCheckpoint, CorruptSegment, LinkStore
 from repro.store import checkpoint as ck
@@ -78,6 +79,30 @@ class TestWal:
         assert scan.seqs == [0]  # everything after the bad record is torn
         assert scan.torn_bytes == 3 * wal.RECORD_SIZE
 
+    def test_every_truncation_and_bit_flip_scans_to_a_prefix(self):
+        """The tail's decoder under the envelope kinds' damage sweep:
+        whatever the bytes, ``scan`` returns the rows of the records
+        before the first damaged one, accounts for every byte, and never
+        raises."""
+        rows = [(7 + i, 1e6 + 0.25 * i, 3e6 - i, 10 * MB * (i + 1), i % 2,
+                 100 * i) for i in range(4)]
+        blob = wal.encode(rows)
+
+        def assert_prefix(data, records):
+            scan = wal.scan(data)
+            assert list(zip(scan.seqs, scan.times, scan.values, scan.sizes,
+                            scan.ops, scan.offsets)) == rows[:records]
+            assert scan.valid_bytes == records * wal.RECORD_SIZE
+            assert scan.valid_bytes + scan.torn_bytes == len(data)
+
+        for length in range(len(blob) + 1):
+            assert_prefix(blob[:length], length // wal.RECORD_SIZE)
+        for at in range(len(blob)):
+            for bit in range(8):
+                flipped = bytearray(blob)
+                flipped[at] ^= 1 << bit
+                assert_prefix(bytes(flipped), at // wal.RECORD_SIZE)
+
     def test_dedup_drops_rows_below_sealed(self):
         scan = wal.scan(wal.encode(
             [(i, float(i), 1.0, 1, 0, 0) for i in range(5)]))
@@ -131,6 +156,64 @@ class TestSegments:
         seg.write_segment(path, 0, *_rows(488))
         assert path.stat().st_size < 488 * 25
 
+    def test_float_columns_are_byte_planes(self, tmp_path):
+        """Format 2: byte ``k`` of every time, for ``k`` = 0..7, then the
+        values the same way; sizes and ops row-major."""
+        times, values, sizes, ops = (np.asarray(c) for c in _rows(5))
+        path = tmp_path / seg.segment_name(0)
+        seg.write_segment(path, 0, times, values, sizes, ops)
+        raw = path.read_bytes()
+        assert raw[:6] == b"RSSG\2\0"
+        body = zlib.decompress(raw[84:])  # fields 52 B, digest 32 B
+        planes = [times.astype("<f8").view(np.uint8).reshape(5, 8)[:, k]
+                  for k in range(8)]
+        assert body[:40] == b"".join(plane.tobytes() for plane in planes)
+        assert body[80:] == (sizes.astype("<i8").tobytes()
+                             + ops.astype("i1").tobytes())
+
+    def test_format_1_segment_of_the_parent_commit_reads_bit_exactly(
+            self, tmp_path):
+        path = FORMAT_1_SEGMENT
+        assert path.read_bytes()[:6] == b"RSSG\1\0"
+        assert seg.read_framing(path) == (0, 30, 0)
+        data = seg.read_segment(path)
+        records = stale_link_records()
+        assert data.times.tobytes() == np.array(
+            [r.end_time for r in records]).tobytes()
+        assert data.values.tobytes() == np.array(
+            [r.bandwidth for r in records]).tobytes()
+        assert data.sizes.tolist() == [r.file_size for r in records]
+        assert data.ops.tolist() == [0] * 30
+        # The same rows written by this build: format 2, and smaller.
+        path = tmp_path / seg.segment_name(0)
+        seg.write_segment(path, *data[:1], *data[3:])
+        assert seg.read_segment(path)[:2] == (0, 30)
+        assert path.stat().st_size < FORMAT_1_SEGMENT.stat().st_size
+
+    def test_a_newer_format_is_its_own_error(self, tmp_path):
+        path = tmp_path / seg.segment_name(0)
+        path.write_bytes(format_3_segment(0, *_rows(4)))
+        for read in (seg.read_framing, seg.read_segment):
+            with pytest.raises(seg.UnknownSegmentFormat, match="format 3"):
+                read(path)
+
+    def test_a_flipped_format_field_is_corrupt_not_newer(self, tmp_path):
+        """Bit rot in the format field of a file this build reads: its
+        digest still verifies under the format it was written as, so it
+        is damage (quarantined), not a newer build's file (kept)."""
+        path = tmp_path / seg.segment_name(0)
+        seg.write_segment(path, 0, *_rows(4))
+        current = path.read_bytes()
+        for blob in (current, format_1_segment(0, *_rows(4))):
+            for at in (4, 5):
+                for bit in range(8):
+                    flipped = bytearray(blob)
+                    flipped[at] ^= 1 << bit
+                    path.write_bytes(bytes(flipped))
+                    with pytest.raises(CorruptSegment) as err:
+                        seg.read_framing(path)
+                    assert type(err.value) is CorruptSegment, (at, bit)
+
     def test_npz_segment_of_an_earlier_build_still_reads(self, tmp_path):
         path = tmp_path / "seg-000000000040.npz"
         write_npz_segment(path, 40, *_rows(10), max_offset=77)
@@ -144,6 +227,37 @@ class TestSegments:
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptSegment):
             seg.read_segment(path)
+
+
+#: Segment formats this build reads but does not write, and one it does
+#: not read: the same header, every column row-major.
+_FORMAT_1 = Envelope(b"RSSG", 1, "IIII", meta="QQQ")
+_FORMAT_3 = Envelope(b"RSSG", 3, "IIII", meta="QQQ")
+
+
+def format_1_segment(start_row, times, values, sizes, ops, max_offset=0,
+                     envelope=_FORMAT_1):
+    """A segment's bytes as builds before byte planes wrote them."""
+    sections = [np.ascontiguousarray(column, dtype=dtype).tobytes()
+                for column, dtype in zip((times, values, sizes, ops),
+                                         ("<f8", "<f8", "<i8", "i1"))]
+    return envelope.pack(sections, meta=(start_row, len(times), max_offset))
+
+
+def format_3_segment(start_row, times, values, sizes, ops):
+    """An intact segment of a format no build reads yet."""
+    return format_1_segment(start_row, times, values, sizes, ops,
+                            envelope=_FORMAT_3)
+
+
+def as_format_1_state_dir(root):
+    """Rewrite every ``.col`` segment under ``root`` as format 1; returns
+    the paths."""
+    paths = sorted(root.rglob("seg-*.col"))
+    for path in paths:
+        data = seg.read_segment(path)
+        path.write_bytes(format_1_segment(*data[:1], *data[3:], data.max_offset))
+    return paths
 
 
 def write_npz_segment(path, start_row, times, values, sizes, ops,
@@ -192,6 +306,9 @@ DATA = Path(__file__).resolve().parents[1] / "data"
 #: 30-row, 4-class link (``stale_link_records``); see tests/data/README.md.
 FORMAT_3_FILE = DATA / "checkpoint-format3.bin"
 FORMAT_4_FILE = DATA / "checkpoint-format4.bin"
+#: The same link's sealed segment as the commit before segment format 2
+#: wrote it (see tests/data/README.md).
+FORMAT_1_SEGMENT = DATA / "segment-format1.col"
 SMALL_SIZES = np.array([10 * MB, 100 * MB, 500 * MB, 1 * GB], dtype=np.int64)
 
 
@@ -616,6 +733,34 @@ class TestLinkStore:
         assert quarantined.value == before + 1
         assert (link_dir / (victim.name + ".quarantined")).exists()
         assert not victim.exists()
+
+    def test_a_newer_format_segment_is_kept_and_its_link_refused(
+            self, tmp_path):
+        """What a rollback across a segment format bump meets: the file is
+        another build's primary data, so it stays where it is, nothing is
+        quarantined, and the link is refused rather than served (and
+        numbered) without those rows.  Other links are untouched."""
+        store = LinkStore(tmp_path, segment_rows=4)
+        _append(store, "x", 6, t0=1000.0)
+        _append(store, "y", 6, t0=1000.0)
+        store.close()
+        link_dir = tmp_path / "links" / "x"
+        newer = link_dir / seg.segment_name(0)
+        newer.write_bytes(format_3_segment(0, *_rows(4)))
+        before = sorted(p.name for p in link_dir.iterdir())
+        quarantined = get_registry().counter("store_quarantined", "")
+        count = quarantined.value
+        fresh = LinkStore(tmp_path, segment_rows=4)
+        for call in (fresh.durable_rows, fresh.load_columns, fresh.compact,
+                     fresh.seal, fresh.read_checkpoint,
+                     lambda link: _append(fresh, link, 1, t0=9000.0)):
+            with pytest.raises(seg.UnknownSegmentFormat):
+                call("x")
+        assert sorted(p.name for p in link_dir.iterdir()) == before
+        assert newer.read_bytes()[:6] == b"RSSG\3\0"
+        assert quarantined.value == count
+        assert fresh.link_names() == ["x", "y"]
+        assert fresh.durable_rows("y") == 6 and not fresh.degraded("y")
 
     def test_compaction_repairs_degraded_link(self, tmp_path):
         store = LinkStore(tmp_path, segment_rows=4)
