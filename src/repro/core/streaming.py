@@ -22,8 +22,8 @@ its entries):
 * ``AR`` / ``AR{d}d`` — incremental lag-pair accumulators
   (``Σx, Σy, Σxx, Σxy, m`` in longdouble, exactly the prefix-sum
   statistics of :mod:`repro.core.fast`), plus a cursor and a monotonic
-  min chain of column indices for the clamp floor on the windowed
-  variants;
+  min chain of column indices (the window's strict suffix minima) for
+  the clamp floor on the windowed variants;
 * ``C-`` variants — a bank of the same summaries per observed size
   class.
 
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -126,6 +127,27 @@ def _fold_sum(current: np.longdouble, values: np.ndarray,
     return ufunc.accumulate(acc)[-1]
 
 
+def _suffix_minima(values: np.ndarray) -> List[int]:
+    """Positions of the values below every value after them, ascending:
+    a windowed AR's min chain over its window's rows.
+
+    Like :func:`_fold_sum`, a short run is a loop and a long one numpy's
+    (they cost the same near 100 values).
+    """
+    if len(values) <= 100:
+        chain, low = [], np.inf
+        for i, value in zip(range(len(values) - 1, -1, -1),
+                            reversed(values.tolist())):
+            if value < low:
+                chain.append(i)
+                low = value
+        return chain[::-1]
+    suffix_min = np.minimum.accumulate(values[::-1])[::-1]
+    chain = np.flatnonzero(values[:-1] < suffix_min[1:]).tolist()
+    chain.append(len(values) - 1)  # the last value is below nothing after it
+    return chain
+
+
 # ----------------------------------------------------------------------
 # per-series summaries
 # ----------------------------------------------------------------------
@@ -178,43 +200,39 @@ class _ArSummary:
     statistics ``m, Σx, Σy, Σxx, Σxy`` kept here in longdouble — what the
     generic predictor computes from the window and the vectorized kernel
     in :mod:`repro.core.fast` from prefix sums.  The all-data variant
-    needs only running scalars; the windowed variants add a cursor into
-    the series column and a monotonic min chain of column indices for
-    the clamp floor.
+    needs only running scalars, and takes its clamp floor from ``MED``'s
+    sorted column; the windowed variants add a cursor into the series
+    column and a monotonic min chain of column indices for theirs.  A
+    window's row count is where its cursor stands, as ``AVG{h}hr``'s is,
+    and ``m`` is one less.
     """
 
-    __slots__ = (
-        "seconds", "count", "start", "_sum", "_last", "_min",
-        "_m", "_sx", "_sy", "_sxx", "_sxy", "_mins", "_expired_to",
-    )
+    __slots__ = ("seconds", "start", "_sum", "_last",
+                 "_sx", "_sy", "_sxx", "_sxy", "_mins", "_expired_to")
 
     def __init__(self, seconds: Optional[float]) -> None:
         self.seconds = seconds
-        self.count = 0
         self.start = 0
         self._sum = _ZERO
         self._last = 0.0
-        self._min = np.inf
-        self._m = 0
         self._sx = self._sy = self._sxx = self._sxy = _ZERO
         self._mins: List[int] = []  # windowed only: monotonic min chain
         self._expired_to = -np.inf
 
+    def rows(self, col: "SeriesSummaries") -> int:
+        """Rows in the window: all of the series' for ``AR``."""
+        return col.count if self.seconds is None else col._n - self.start
+
     def add(self, col: "SeriesSummaries", value: float) -> None:
-        if self.count:
+        if self.rows(col) > 1:  # the column holds the new row already
             x = np.longdouble(self._last)  # float64 operands widen exactly
-            self._m += 1
             self._sx += x
             self._sy += value
             self._sxx += x * x
             self._sxy += x * value
-        self.count += 1
         self._sum += value
         self._last = value
-        if self.seconds is None:
-            if value < self._min:
-                self._min = value
-        else:
+        if self.seconds is not None:
             mins, values = self._mins, col._values
             while mins and values[mins[-1]] >= value:
                 mins.pop()
@@ -224,17 +242,16 @@ class _ArSummary:
         """Fold the column's last ``len(values)`` rows into the min chain.
 
         The sequential pop-while replayed wholesale: survivors of the
-        old chain are those strictly below the batch minimum, and the
-        appended entries are the batch's strictly-decreasing
+        old chain are those strictly below the batch minimum (the batch
+        chain's first value), and the appended entries are the batch's
         suffix-minima chain.
         """
         mins, column = self._mins, col._values
-        batch_min = values.min()
+        chain = _suffix_minima(values)
+        batch_min = values[chain[0]]
         while mins and column[mins[-1]] >= batch_min:
             mins.pop()
-        suffix_min = np.minimum.accumulate(values[::-1])[::-1]
-        keep = values < np.concatenate([suffix_min[1:], [np.inf]])
-        mins.extend((np.flatnonzero(keep) + (col._n - len(values))).tolist())
+        mins += [i + col._n - len(values) for i in chain]
 
     def extend(self, col: "SeriesSummaries", values: np.ndarray) -> None:
         """Fold an in-order batch; identical final state to n ``add``\\ s.
@@ -246,7 +263,7 @@ class _ArSummary:
         """
         n = len(values)
         wide = values.astype(np.longdouble)
-        if self.count:
+        if self.rows(col) > n:  # the column holds the batch already
             x = np.empty(n, dtype=np.longdouble)
             x[0] = np.longdouble(self._last)
             x[1:] = wide[:-1]
@@ -254,19 +271,13 @@ class _ArSummary:
         else:
             x, y = wide[:-1], wide[1:]
         if len(x):
-            self._m += len(x)
             self._sx = _fold_sum(self._sx, x)
             self._sy = _fold_sum(self._sy, y)
             self._sxx = _fold_sum(self._sxx, x * x)
             self._sxy = _fold_sum(self._sxy, x * y)
-        self.count += n
         self._sum = _fold_sum(self._sum, values)
         self._last = float(values[-1])
-        if self.seconds is None:
-            low = float(values.min())
-            if low < self._min:
-                self._min = low
-        else:
+        if self.seconds is not None:
             self._push_mins(col, values)
 
     def _expire(self, col: "SeriesSummaries", expired: int) -> None:
@@ -276,10 +287,8 @@ class _ArSummary:
         wide = col._values[self.start:min(stop + 1, col._n)].astype(np.longdouble)
         x, y = wide[:expired], wide[1:]  # y is one short when the window empties
         self._sum = _fold_sum(self._sum, x, np.subtract)
-        self.count -= expired
         if len(y):
             x = x[:len(y)]
-            self._m -= len(y)
             self._sx = _fold_sum(self._sx, x, np.subtract)
             self._sy = _fold_sum(self._sy, y, np.subtract)
             self._sxx = _fold_sum(self._sxx, x * x, np.subtract)
@@ -294,33 +303,35 @@ class _ArSummary:
             expired = _expired(self, col, anchor - self.seconds)
             if expired:
                 self._expire(col, expired)
-        n = self.count
+        n = self.rows(col)
         if n == 0:
             return None
         mean = float(self._sum / n)
-        if n < min_points or self._m < 2:
+        if n < min_points or n < 3:  # fewer than two lag pairs
             return mean
-        fit = fit_ar1_sums(self._m, self._sx, self._sy, self._sxx, self._sxy)
+        fit = fit_ar1_sums(n - 1, self._sx, self._sy, self._sxx, self._sxy)
         if fit is None:
             return mean
         a, b = fit
         prediction = float(a + b * np.longdouble(self._last))
-        floor = clamp * (self._min if self.seconds is None
+        floor = clamp * (col._median.minimum() if self.seconds is None
                          else col._values[self._mins[0]])
         return max(prediction, float(floor))
 
 
-#: The checkpoint of one series: these scalars; one longdouble per
-#: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy); and
-#: the two min chains as u4.  No row is stored: a series is a view of
-#: the link's rows (see :meth:`StreamingBank.load_state`), its live
-#: column their last ``live``.
+#: The checkpoint of one series: these scalars, then one longdouble per
+#: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy) — only
+#: what the rows cannot give back.  A windowed sum depends on when each
+#: expiry ran (its ``-=`` interleaves with the ``+=`` of new rows) and an
+#: all-data one would take a fold.  No row is stored: a series is a view
+#: of the link's rows (see :meth:`StreamingBank.load_state`), its live
+#: column their last ``live``, and each min chain their suffix minima
+#: from its window's start.
 #: :meth:`SeriesSummaries._dump` and :meth:`SeriesSummaries._load` walk
 #: it in this order and nothing else knows it.
 _SERIES = struct.Struct(
     "<" + "Id" * len(TEMPORAL_HOURS)   # AVG{h}hr: start, expired_to
-    + "qqdd" * (1 + len(AR_DAYS))      # AR, AR{d}d: count, m, min, expired_to
-    + "II" * len(AR_DAYS)              # AR{d}d: start, min-chain length
+    + "Id" * len(AR_DAYS)              # AR{d}d: start, expired_to
     + "I")                             # live: the column's length
 _SERIES_LONGDOUBLES = len(TEMPORAL_HOURS) + 5 * (1 + len(AR_DAYS))
 
@@ -436,46 +447,42 @@ class SeriesSummaries:
 
     # -- checkpoint state (the layout is _SERIES, above) ---------------
     def _dump(self, out) -> None:
-        """Append this series to ``out`` (three lists: fixed, ld, idx)."""
-        fixed, ld, idx = out
-        fields: list = []
-        for summary in self._temporal.values():
-            fields += (summary.start, summary._expired_to)
-            ld.append(summary._sum)
+        """Append this series to ``out`` (two lists: fixed, ld)."""
+        fixed, ld = out
+        fixed.append(_SERIES.pack(*(field for cursor in self._cursors for field
+                                    in (cursor.start, cursor._expired_to)), self._n))
+        ld += [summary._sum for summary in self._temporal.values()]
         for ar in self._ar.values():
-            fields += (ar.count, ar._m, ar._min, ar._expired_to)
             ld += (ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy)
-        for ar in self._cursors[-len(AR_DAYS):]:
-            fields += (ar.start, len(ar._mins))
-            idx += ar._mins
-        fixed.append(_SERIES.pack(*fields, self._n))
 
     def _load(self, src, times: np.ndarray, values: np.ndarray) -> None:
         """Restore what :meth:`_dump` wrote over the series' rows, oldest
-        first: the live column is their tail."""
+        first: the live column is their tail, and what the file leaves
+        out comes back from them."""
         field = iter(src.unpack(_SERIES)).__next__
-        wide = iter(src.ld(_SERIES_LONGDOUBLES)).__next__
-        for summary in self._temporal.values():
-            summary.start, summary._expired_to = field(), field()
-            summary._sum = wide()
+        sums = iter(src.ld(_SERIES_LONGDOUBLES))
+        for cursor in self._cursors:
+            cursor.start, cursor._expired_to = field(), field()
+        for summary, total in zip(self._temporal.values(), sums):
+            summary._sum = total
         for ar in self._ar.values():
-            ar.count, ar._m, ar._min, ar._expired_to = (
-                field(), field(), field(), field())
-            ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy = (
-                wide(), wide(), wide(), wide(), wide())
-        for ar in self._cursors[-len(AR_DAYS):]:
-            ar.start, ar._mins = field(), src.idx(field()).tolist()
+            ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy = islice(sums, 5)
         n = self._n = field()
         src.require(n <= len(values), "a column longer than its series")
         src.require(all(c.start <= n for c in self._cursors),
                     "a window starts beyond its column")
-        src.require(all(i < n for d in AR_DAYS for i in self._ar[d]._mins),
-                    "a min-chain entry beyond its column")
         gone = len(values) - n
         self._times, self._values = times[gone:].copy(), values[gone:].copy()
         self.count = len(values)
         # MED is every value the series has seen, sorted; nothing stores it.
         self._median.extend(values)
+        # A min chain is its window's suffix minima: the later window's
+        # chain is the other's tail.
+        windowed = self._cursors[-len(AR_DAYS):]
+        low = min(ar.start for ar in windowed)
+        chain = [low + i for i in _suffix_minima(self._values[low:n])]
+        for ar in windowed:
+            ar._mins = chain[bisect_left(chain, ar.start):]
         if n:  # the newest row is every summary's "last"
             self.last, self.last_time = float(values[-1]), float(times[-1])
             for ar in self._ar.values():
@@ -608,8 +615,9 @@ class StreamingBank:
     # checkpoint state
     # ------------------------------------------------------------------
     def state(self) -> tuple:
-        """Every accumulator, as one part of a checkpoint: ``(fixed, ld,
-        f8, idx)`` — bytes, then a longdouble, a float64 and a uint32 pool.
+        """The accumulators the rows cannot give back, as one part of a
+        checkpoint: ``(fixed, ld, f8)`` — bytes, then a longdouble and a
+        float64 pool.
 
         ``fixed`` is :data:`_BANK`, the class indexes, then the link's
         :data:`_SERIES` and one per class.  No row is written, and the
@@ -617,22 +625,22 @@ class StreamingBank:
         sorted by end time, which its durable store holds (see
         :meth:`load_state`).
 
-        Longdouble sums are preserved verbatim and ``MED`` is the values
-        themselves, so a bank restored with :meth:`load_state` over the
-        same rows answers every query bit-identically to the original —
+        Longdouble sums are preserved verbatim, and ``MED`` and the min
+        chains come back from the rows, so a bank restored with
+        :meth:`load_state` over the same rows answers every query
+        bit-identically to the original —
         the property the evict→revive parity gate in the durable store
         rests on.  The classification itself is *not* captured (it is
         identity-compared in :meth:`answer`); callers must pair the
         state with a fingerprint of the classification it was built
         against.
         """
-        out = fixed, ld, idx = [], [], []
+        out = fixed, ld = [], []
         fixed += (_BANK.pack(self.rebuilds, len(self._classes)),
                   bytes(self._classes))
         for series in (self._global, *self._classes.values()):
             series._dump(out)
-        return (b"".join(fixed), np.array(ld, dtype=np.longdouble),
-                np.empty(0), np.array(idx, dtype=np.uint32))
+        return b"".join(fixed), np.array(ld, dtype=np.longdouble), np.empty(0)
 
     def load_state(self, src, times: np.ndarray, values: np.ndarray,
                    sizes: np.ndarray) -> None:
@@ -697,8 +705,7 @@ class StreamingBank:
         # Each branch mirrors one predictor's semantics exactly.
         kind = type(base)
         if kind is TotalAverage:
-            total = series._ar[None]  # the all-data AR's sum and count are AVG's
-            return float(total._sum / total.count)
+            return float(series._ar[None]._sum / series.count)  # AR's sum is AVG's
         if kind is LastValue:
             return series.last
         if kind is WindowedAverage or kind is WindowedMedian:

@@ -16,7 +16,8 @@ header's integers; :meth:`Envelope.inflate` inflates no further than the
 header declared and requires the stream to end exactly there.  Any
 disagreement raises the kind's ``error``; nothing else escapes.
 :func:`atomic_write` and :func:`quarantine` are how such a file arrives
-and how one that failed verification leaves.  No numpy here.
+and how one that failed verification leaves; :func:`newer_format` tells
+a file some newer build wrote from a damaged one.  No numpy here.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Type
 
-__all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write", "quarantine"]
+__all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write",
+           "newer_format", "quarantine"]
 
 #: Deflate level of every stored stream.  Level 1 already finds repeated
 #: key names, values and the zero bytes of wide integers; higher levels
@@ -39,6 +41,7 @@ __all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write", "quarantine"]
 LEVEL = 1
 
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_FORMAT_FIELD = struct.Struct("<H")
 
 
 class CorruptFile(ValueError):
@@ -117,6 +120,30 @@ class Envelope:
         view = memoryview(body)
         return [view[end - length:end]
                 for end, length in zip(accumulate(lengths), lengths)]
+
+
+def newer_format(data: bytes, known: Sequence[Envelope]) -> int:
+    """The format ``data`` names when it is newer than every format of
+    ``known`` (one kind, one magic), else 0.
+
+    A newer format is primary data some other build can read, so it is
+    left where it lies.  The exception is a file of a ``known`` format
+    whose format field flipped: put back, the field makes it verify, and
+    it is corrupt (0 here; the caller's ``verify`` then says so).
+    """
+    if len(data) < 6 or data[:4] != known[0].magic:
+        return 0
+    version = _FORMAT_FIELD.unpack_from(data, 4)[0]
+    if version <= max(envelope.version for envelope in known):
+        return 0
+    for envelope in known:
+        try:
+            envelope.verify(b"".join(
+                (data[:4], _FORMAT_FIELD.pack(envelope.version), data[6:])))
+        except envelope.error:
+            continue
+        return 0
+    return version
 
 
 def atomic_write(path: Path, data: bytes, fsync: bool = False) -> None:

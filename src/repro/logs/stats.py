@@ -79,6 +79,11 @@ class RunningMedian:
         # A view: sorts the column in place.
         np.frombuffer(self._sorted).sort(kind="stable")
 
+    def minimum(self) -> float:
+        """The smallest value seen (of equal ones, the first); there must
+        be one."""
+        return self._sorted[0]
+
     def value(self) -> Optional[float]:
         column = self._sorted
         n = len(column)

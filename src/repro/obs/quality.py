@@ -258,13 +258,13 @@ class ErrorStats:
     # persistence: one part of a checkpoint (repro.store.checkpoint)
     # ------------------------------------------------------------------
     def state(self) -> tuple:
-        """``(fixed, ld, f8, idx)``: :data:`_STATS`, then the window flat."""
+        """``(fixed, ld, f8)``: :data:`_STATS`, then the window flat."""
         window = self.window
         fixed = _STATS.pack(
             self.count, self.abstentions, self.unscorable, self.sum_abs_frac,
             self.sum_sq_err, self.sum_signed_frac, *self.buckets,
             window.maxlen, len(window))
-        return fixed, (), [x for entry in window for x in entry], ()
+        return fixed, (), [x for entry in window for x in entry]
 
     @classmethod
     def load_state(cls, src) -> "ErrorStats":
@@ -575,10 +575,10 @@ class AccuracyTracker:
             fixed += [_NAME.pack(len(name)) + name for name in names]
             windows: List[float] = []
             for stats in held:
-                packed, _, window, _ = stats.state()
+                packed, _, window = stats.state()
                 fixed.append(packed)
                 windows += window
-            return b"".join(fixed), (), windows, ()
+            return b"".join(fixed), (), windows
 
     def load_link_state(self, link: str, src) -> bool:
         """Restore a link's scored state from a checkpoint ``Reader`` over

@@ -24,12 +24,13 @@ Reads pass through the ``store.segment`` fault site so the chaos suite
 can corrupt or truncate them; anything whose digest, lengths or stream
 disagree raises :class:`CorruptSegment` and the store quarantines the
 file.  A file whose magic is intact but whose format is newer than this
-build raises :class:`UnknownSegmentFormat` instead, and the store leaves
-it where it lies: it is primary data some other build can read.  Earlier
+build raises :class:`UnknownSegmentFormat` instead
+(:func:`repro.envelope.newer_format`), and the store leaves it where it
+lies: it is primary data some other build can read.  Earlier
 builds' files are primary data too, so they are read, never written: a
 format-1 ``.col`` (the same header, every column row-major), picked by
-the header's format as :func:`repro.store.checkpoint.loads` picks format
-4, and a ``seg-*.npz`` (by suffix, through ``np.load``).  A link's next
+the header's format as :func:`repro.store.checkpoint.loads` picks formats
+4 and 5, and a ``seg-*.npz`` (by suffix, through ``np.load``).  A link's next
 seal or compaction rewrites what it touches as format 2.
 """
 
@@ -37,14 +38,13 @@ from __future__ import annotations
 
 import hashlib
 import io
-import struct
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
 import numpy as np
 
 from repro import faults as _faults
-from repro.envelope import Envelope, Verified, atomic_write
+from repro.envelope import Envelope, Verified, atomic_write, newer_format
 
 __all__ = ["FULL_NAME", "CorruptSegment", "SegmentData", "UnknownSegmentFormat",
            "is_segment_name", "segment_name", "write_segment", "read_framing",
@@ -77,7 +77,6 @@ class UnknownSegmentFormat(CorruptSegment):
 _FILE = Envelope(b"RSSG", 2, "IIII", meta="QQQ", error=CorruptSegment)
 #: Format 1: the same header, every column row-major.
 _FORMAT_1 = Envelope(b"RSSG", 1, "IIII", meta="QQQ", error=CorruptSegment)
-_U16 = struct.Struct("<H")
 
 
 class SegmentData(NamedTuple):
@@ -138,30 +137,16 @@ def _read(path: Path) -> bytes:
 def _header(path: Path) -> Tuple[Envelope, Verified]:
     """The file's envelope (format 1 or 2) and its verified header."""
     data = _read(path)
-    version = _U16.unpack_from(data, 4)[0] if len(data) >= 6 else 0
-    if (version > _FILE.version and data[:4] == _FILE.magic
-            and not _renumbered(data)):
+    newer = newer_format(data, (_FORMAT_1, _FILE))
+    if newer:
         raise UnknownSegmentFormat(
-            f"{path}: format {version}, this build reads 1-{_FILE.version}")
-    envelope = _FORMAT_1 if version == 1 else _FILE
+            f"{path}: format {newer}, this build reads 1-{_FILE.version}")
+    envelope = _FORMAT_1 if data[4:6] == b"\1\0" else _FILE
     head = envelope.verify(data)
     rows = head.meta[1]
     if head.lengths != (8 * rows, 8 * rows, 8 * rows, rows):
         raise CorruptSegment(f"column lengths disagree with rows in {path}")
     return envelope, head
-
-
-def _renumbered(data: bytes) -> bool:
-    """Does a file of format 1 or 2 with its format field overwritten
-    verify?  Then the field flipped, and the file is corrupt."""
-    for envelope in (_FORMAT_1, _FILE):
-        try:
-            envelope.verify(b"".join((
-                data[:4], _U16.pack(envelope.version), data[6:])))
-        except CorruptSegment:
-            continue
-        return True
-    return False
 
 
 def read_framing(path: Path) -> Tuple[int, int, int]:

@@ -440,7 +440,7 @@ class TestUpgrade:
         fresh = seeded(tmp_path / "fresh")
         old = seeded(tmp_path / "old")
         path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
-        assert path.read_bytes()[:6] == b"RSCK\5\0"
+        assert path.read_bytes()[:6] == b"RSCK\6\0"
         path.write_bytes(FORMAT_3_FILE.read_bytes())
         old.store.close()
 
@@ -457,7 +457,7 @@ class TestUpgrade:
             if round_ == 0:
                 assert path.read_bytes()[:6] == b"RSCK\3\0"  # left in place
                 served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale"
-                assert path.read_bytes()[:6] == b"RSCK\5\0"
+                assert path.read_bytes()[:6] == b"RSCK\6\0"
                 assert ck.loads(path.read_bytes())["meta"]["n"] == 30
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
@@ -501,17 +501,67 @@ class TestUpgrade:
         stale = served.metrics.snapshot()["store_checkpoints_stale"]
         assert [(s["labels"], s["value"]) for s in stale["series"]] == [
             ({"reason": "format"}, 1.0)]
-        # Answering "other" evicts "stale", which writes format 5 over
+        # Answering "other" evicts "stale", which writes format 6 over
         # the old file, and every later revival loads it.
         for _ in range(2):
             assert _answers(served) == _answers(fresh)
-        assert path.read_bytes()[:6] == b"RSCK\5\0"
+        assert path.read_bytes()[:6] == b"RSCK\6\0"
         hows = [e.fields["how"] for e in served.trace.events(kind="revive")
                 if e.fields["link"] == "stale"]
         assert hows == ["rebuild", "checkpoint", "checkpoint"]
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
+
+    def test_format_5_checkpoint_reads_stale_and_keeps_its_accuracy(
+            self, tmp_path):
+        """The file the commit before format 6 wrote for a link whose
+        answers were scored (format 5 stored the min chains and every
+        count): its bank is rebuilt from the link's rows (one stale
+        revival, nothing quarantined), and its accuracy part is what the
+        restarted service reports for the link."""
+        from repro.obs import get_registry
+        from tests.unit.test_store import FORMAT_5_FILE, stale_link_records
+
+        def seeded(root):
+            service = PredictionService(
+                store=LinkStore(root), max_resident=1, clock=lambda: 0.0)
+            for record in stale_link_records():
+                service.predict("stale", record.file_size, now=record.end_time)
+                service.observe("stale", record)
+            service.observe("other", stale_link_records()[0])  # evicts "stale"
+            return service
+
+        fresh = seeded(tmp_path / "fresh")
+        seeded(tmp_path / "old").store.close()
+        path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
+        written_by_the_parent_commit = FORMAT_5_FILE.read_bytes()
+        assert written_by_the_parent_commit[:6] == b"RSCK\5\0"
+        path.write_bytes(written_by_the_parent_commit)
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = PredictionService(store=LinkStore(tmp_path / "old"),
+                                   max_resident=1, clock=lambda: 0.0)
+        assert served.version("stale") == 30
+        accuracy = served.status()["accuracy"]["links"]["stale"]
+        assert accuracy == fresh.status()["accuracy"]["links"]["stale"]
+        assert accuracy["overall"]["count"] == 26
+        (event,) = served.trace.events(kind="revive")
+        assert (event.fields["how"], event.fields["reason"]) == ("rebuild", "format")
+        stale = served.metrics.snapshot()["store_checkpoints_stale"]
+        assert [(s["labels"], s["value"]) for s in stale["series"]] == [
+            ({"reason": "format"}, 1.0)]
+        # Answering "other" evicts "stale", which writes format 6 over
+        # the old file, and every later revival loads it.
+        for _ in range(2):
+            assert _answers(served) == _answers(fresh)
+        assert path.read_bytes()[:6] == b"RSCK\6\0"
+        hows = [e.fields["how"] for e in served.trace.events(kind="revive")
+                if e.fields["link"] == "stale"]
+        assert hows == ["rebuild", "checkpoint", "checkpoint"]
+        assert quarantined.value == before
+        assert not list((tmp_path / "old").rglob("*.quarantined"))
 
     def test_format_1_segments_serve_as_format_2_and_one_seal_upgrades(
             self, tmp_path):

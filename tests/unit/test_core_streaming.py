@@ -221,7 +221,7 @@ def exact_repr(state):
 def assert_one_fold(times, values, sizes):
     """The ``add`` chain, 16-row ``extend`` runs and a ``rebuild`` over a
     bank that held something else: the same ``fixed`` bytes and the same
-    ``ld``, ``f8`` and ``idx`` pools, but for the rebuild count."""
+    ``ld`` and ``f8`` pools, but for the rebuild count."""
     ops = np.zeros(len(times), dtype=np.int8)
     added = make_bank(times, values, sizes)
     chunked = StreamingBank(CLS)
@@ -239,10 +239,10 @@ def assert_one_fold(times, values, sizes):
 
 
 @st.composite
-def in_order_series(draw, max_rows):
+def in_order_series(draw, max_rows, min_rows=0):
     """End times that never go back (and often stand still), bandwidths
     across six decades, sizes from the first 1-4 paper classes."""
-    n = draw(st.integers(0, max_rows))
+    n = draw(st.integers(min_rows, max_rows))
     gaps = draw(hnp.arrays(np.float64, n, elements=st.sampled_from(
         [0.0, 0.0, 1.0, 61.5, HOUR / 3, 7 * HOUR, 3 * DAY])))
     values = draw(hnp.arrays(np.float64, n, elements=st.floats(1e3, 1e9)))
@@ -380,14 +380,14 @@ def all_series(bank):
     return [bank._global, *bank._classes.values()]
 
 
-def roundtrip(bank, times=FEED_TIMES, sizes=FEED_SIZES):
+def roundtrip(bank, times=FEED_TIMES, sizes=FEED_SIZES, values=FEED_VALUES):
     """``bank`` restored from its checkpoint over the rows it folded: the
-    first ``bank.count`` of ``times`` / ``FEED_VALUES`` / ``sizes``."""
+    first ``bank.count`` of ``times`` / ``values`` / ``sizes``."""
     n = bank.count
     revived = StreamingBank(CLS)
     revived.load_state(
         checkpoint.loads(checkpoint.dumps(bank.state()))["bank"],
-        times[:n], FEED_VALUES[:n], sizes[:n])
+        times[:n], values[:n], sizes[:n])
     return revived
 
 
@@ -437,19 +437,19 @@ class TestMemoryShape:
     def test_unqueried_bank_holds_each_observation_once_per_series(self):
         bank = StreamingBank(CLS)
         feed(bank, 0, N_FEED)
-        fixed, ld, f8, idx = state = bank.state()
-        # No row: five series' structs, sums and min chains, 590 B
-        # however long the feed (format 4 measured 10.3 B/record here,
-        # format 3 42.1).
-        assert len(checkpoint.dumps(state)) <= 700
+        fixed, ld, f8 = state = bank.state()
+        # No row: five series' structs and sums, 377 B however long the
+        # feed (590 with format 5's counts and min chains; format 4
+        # measured 10.3 B/record here, format 3 42.1).
+        assert len(checkpoint.dumps(state)) <= 450
         assert len(f8) == 0 and len(fixed) < 1024
         for series in all_series(bank):
             assert series._n == series.count
 
-    def test_a_small_link_checkpoints_in_about_640_bytes(self):
+    def test_a_small_link_checkpoints_in_about_460_bytes(self):
         # 30 rows in 4 classes, as the ledger's cold links are (1,961 B
-        # in format 3, 1,073 in format 4); this one measures 635 with a
-        # row digest.
+        # in format 3, 1,073 in format 4, 635 in format 5); this one
+        # measures 456 with a row digest.
         rng = np.random.default_rng(21)
         bank = StreamingBank(CLS)
         times = 1e9 + np.cumsum(rng.uniform(60.0, 7200.0, 30))
@@ -459,7 +459,7 @@ class TestMemoryShape:
                             "row_digest": bytes(range(16)),
                             "classification": "50,250,750|10MB,100MB,500MB,1GB"},
                    "bank": bank.state()}
-        assert len(checkpoint.dumps(payload)) <= 700
+        assert len(checkpoint.dumps(payload)) <= 520
 
     def test_resident_bytes_per_record(self):
         # 400 records in 4 classes: the columns, the MED sorted columns
@@ -508,6 +508,63 @@ class TestMemoryShape:
         blob = checkpoint.dumps(bank.state())
         assert checkpoint.dumps(bank.state()) == blob
         assert checkpoint.dumps(roundtrip(bank).state()) == blob
+
+
+# ----------------------------------------------------------------------
+# a revived bank holds what the folded one holds, slot for slot
+# ----------------------------------------------------------------------
+def slots(series):
+    """Every slot of a series and of each of its summaries, as exact
+    text; the columns as their live rows' bytes.  ``state()`` leaves out
+    what revival derives (the min chains, ``MED``), so it cannot tell a
+    wrong derivation from a right one; this can."""
+    out = {"_n": series._n, "count": series.count,
+           "last": exact_repr((series.last, series.last_time)),
+           "_times": series._times[:series._n].tobytes(),
+           "_values": series._values[:series._n].tobytes(),
+           "MED": bytes(series._median._sorted)}
+    for name, summaries in (("AVG{}hr", series._temporal), ("AR{}d", series._ar)):
+        for key, summary in summaries.items():
+            for slot in type(summary).__slots__:
+                out[f"{name.format(key)}.{slot}"] = exact_repr(
+                    getattr(summary, slot))
+    return out
+
+
+def assert_revival_restores_every_slot(times, values, sizes, lags):
+    """Fold 16-row runs, query every window at an advancing ``now`` (so
+    expiry and ``_trim`` run), and revive after every run."""
+    ops = np.zeros(len(times), dtype=np.int8)
+    bank = StreamingBank(CLS)
+    now = -np.inf
+    for step, lo in enumerate(range(0, len(times), 16)):
+        hi = lo + 16
+        bank.extend(times[lo:hi], values[lo:hi], sizes[lo:hi], ops[lo:hi])
+        now = max(now, float(times[:hi][-1]) + lags[step % len(lags)])
+        for spec in WINDOW_SPECS:
+            answer(bank, spec, now=now)
+            for size in dict.fromkeys(sizes[:hi].tolist()):
+                answer(bank, "C-" + spec, size, now=now)
+        revived = roundtrip(bank, times, sizes, values)
+        assert list(revived._classes) == list(bank._classes)
+        for mine, theirs in zip(all_series(revived), all_series(bank)):
+            assert slots(mine) == slots(theirs), step
+
+
+class TestRevivedSlots:
+    LAGS = st.lists(st.sampled_from([0.0, 60.0, 6 * HOUR, DAY, 4 * DAY,
+                                     12 * DAY]), min_size=1, max_size=4)
+
+    @given(in_order_series(max_rows=160, min_rows=32), LAGS)
+    @settings(max_examples=40, deadline=None)
+    def test_revival_restores_every_slot(self, series, lags):
+        assert_revival_restores_every_slot(*series, lags)
+
+    @pytest.mark.exhaustive
+    @given(in_order_series(max_rows=600, min_rows=32), LAGS)
+    @settings(max_examples=300, deadline=None)
+    def test_revival_restores_every_slot_exhaustive(self, series, lags):
+        assert_revival_restores_every_slot(*series, lags)
 
 
 # ----------------------------------------------------------------------

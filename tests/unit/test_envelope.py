@@ -49,10 +49,10 @@ class Kind:
 
 class CheckpointKind(Kind):
     name = "checkpoint.bin"
-    fields = struct.Struct("<4sHHIIIII")
-    magic, version, aux, meta = b"RSCK", 5, LD_SIZE, ()
+    fields = struct.Struct("<4sHHIIII")
+    magic, version, aux, meta = b"RSCK", 6, LD_SIZE, ()
     error = CorruptCheckpoint
-    bomb_lengths = (1024, 0, 0, 0)
+    bomb_lengths = (1024, 0, 0)
 
     def blob(self):
         """A real bank's: 3 rows in 3 classes, one window queried."""

@@ -297,15 +297,17 @@ def as_npz_state_dir(root):
 # ----------------------------------------------------------------------
 LD_SIZE = np.dtype(np.longdouble).itemsize
 CLS = paper_classification()
-# The checkpoint header of formats 4 and 5, packed by hand here so the
-# tests pin the bytes: magic, format, long-double width, stored length,
-# then the raw lengths of the fixed section and the ld, f8 and idx pools.
-CHECKPOINT_FIELDS = struct.Struct("<4sHHIIIII")
+# The checkpoint header of format 6, packed by hand here so the tests pin
+# the bytes: magic, format, long-double width, stored length, then the
+# raw lengths of the fixed section and the ld and f8 pools.  Formats 4
+# and 5 had one more length, of an idx pool.
+CHECKPOINT_FIELDS = struct.Struct("<4sHHIIII")
 DATA = Path(__file__).resolve().parents[1] / "data"
-#: Checkpoints written by the commits before formats 4 and 5, for a
+#: Checkpoints written by the commits before formats 4, 5 and 6, for a
 #: 30-row, 4-class link (``stale_link_records``); see tests/data/README.md.
 FORMAT_3_FILE = DATA / "checkpoint-format3.bin"
 FORMAT_4_FILE = DATA / "checkpoint-format4.bin"
+FORMAT_5_FILE = DATA / "checkpoint-format5.bin"
 #: The same link's sealed segment as the commit before segment format 2
 #: wrote it (see tests/data/README.md).
 FORMAT_1_SEGMENT = DATA / "segment-format1.col"
@@ -314,7 +316,8 @@ SMALL_SIZES = np.array([10 * MB, 100 * MB, 500 * MB, 1 * GB], dtype=np.int64)
 
 def stale_link_records():
     """The 30 records, one size class after another, whose link
-    ``FORMAT_3_FILE`` and ``FORMAT_4_FILE`` are checkpoints of."""
+    ``FORMAT_3_FILE``, ``FORMAT_4_FILE`` and ``FORMAT_5_FILE`` are
+    checkpoints of."""
     sizes = (10 * MB, 100 * MB, 500 * MB, 1 * GB)
     return [make_record(start=1_000_000.0 + 3600.0 * i, duration=10.0 + i % 7,
                         size=sizes[i % 4]) for i in range(30)]
@@ -355,7 +358,7 @@ def revive(blob, rows=None):
 
 
 def sections(blob):
-    """The raw ``[fixed, ld, f8, idx]`` of a format-4 or -5 file."""
+    """The raw ``[fixed, ld, f8]`` of a format-6 file."""
     lengths = CHECKPOINT_FIELDS.unpack_from(blob)[4:]
     body = zlib.decompress(blob[CHECKPOINT_FIELDS.size + 32:])
     out, at = [], 0
@@ -366,11 +369,11 @@ def sections(blob):
     return out
 
 
-def frame_checkpoint(fixed, ld=b"", f8=b"", idx=b"", ld_size=LD_SIZE, version=5):
+def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=6):
     """A checkpoint file around these sections with a digest that verifies."""
-    stored = zlib.compress(bytes(fixed) + bytes(ld) + bytes(f8) + bytes(idx), 1)
+    stored = zlib.compress(bytes(fixed) + bytes(ld) + bytes(f8), 1)
     fields = CHECKPOINT_FIELDS.pack(b"RSCK", version, ld_size, len(stored),
-                                    len(fixed), len(ld), len(f8), len(idx))
+                                    len(fixed), len(ld), len(f8))
     return fields + hashlib.sha256(fields + stored).digest() + stored
 
 
@@ -391,12 +394,12 @@ class Tampered:
     """
 
     #: Scalars of one series, by position in ``streaming._SERIES``.
-    AVG5HR_START, AR5D_CHAIN, LIVE = 0, 19, 22
+    AVG5HR_START, AR5D_START, LIVE = 0, 6, 10
 
     def __init__(self, bank=None):
         bank = bank or small_bank()
         self.payload = small_payload(bank)
-        self.fixed, self.ld, self.f8, self.idx = sections(ck.dumps(self.payload))
+        self.fixed, self.ld, self.f8 = sections(ck.dumps(self.payload))
         meta = self.payload["meta"]
         self.parts_at = (ck._META.size + len(meta["link"])
                          + len(meta["classification"]))
@@ -416,15 +419,15 @@ class Tampered:
         return self
 
     def claim(self, pool, delta):
-        """Change how many items of ``pool`` (1 ld, 2 f8, 3 idx) the
-        bank's part header says it holds."""
+        """Change how many items of ``pool`` (1 ld, 2 f8) the bank's
+        part header says it holds."""
         counts = list(ck._PART.unpack_from(self.fixed, self.parts_at))
         counts[pool] += delta
         ck._PART.pack_into(self.fixed, self.parts_at, *counts)
         return self
 
     def blob(self, **kwargs):
-        return frame_checkpoint(self.fixed, self.ld, self.f8, self.idx, **kwargs)
+        return frame_checkpoint(self.fixed, self.ld, self.f8, **kwargs)
 
 
 class TestCheckpoint:
@@ -456,10 +459,10 @@ class TestCheckpoint:
         # in memory (format 2 stored it), which would change the deflated
         # length from one write of the same state to the next.
         payload = small_payload()
-        fixed, ld, f8, idx = payload["bank"]
+        fixed, ld, f8 = payload["bank"]
         dirty = ld.copy()
         dirty.view(np.uint8).reshape(-1, LD_SIZE)[:, 10:] = 0xAB
-        blob = ck.dumps(dict(payload, bank=(fixed, dirty, f8, idx)))
+        blob = ck.dumps(dict(payload, bank=(fixed, dirty, f8)))
         assert blob == ck.dumps(payload)
         pool = sections(blob)[1]
         assert len(pool) == 5 * 18 * LD_SIZE  # the link and 4 classes
@@ -487,16 +490,18 @@ class TestCheckpoint:
 
     def test_header_carries_stored_and_raw_lengths(self):
         blob = ck.dumps(small_payload())
-        magic, version, ld_size, stored, fixed, ld, f8, idx = \
+        magic, version, ld_size, stored, fixed, ld, f8 = \
             CHECKPOINT_FIELDS.unpack_from(blob)
-        assert (magic, version) == (b"RSCK", 5)
+        assert (magic, version) == (b"RSCK", 6)
         assert ld_size == LD_SIZE
         assert len(blob) == CHECKPOINT_FIELDS.size + 32 + stored
         body = zlib.decompress(blob[CHECKPOINT_FIELDS.size + 32:])
-        assert len(body) == fixed + ld + f8 + idx
-        # No row: five series' sums, the two min chains of each.
+        assert len(body) == fixed + ld + f8
+        # No row and no min chain: five series' sums and their scalars.
         assert (ld, f8) == (5 * 18 * LD_SIZE, 0)
-        assert idx % 4 == 0 and idx >= 5 * 2 * 4
+        assert fixed == (ck._META.size + 1 + len("50,250|a,b,c")
+                         + 2 * ck._PART.size + streaming._BANK.size + 4
+                         + 5 * streaming._SERIES.size)
         assert body[ck._META.size:][:1] == b"x"  # the link's name, in the clear
 
     def test_a_bare_bank_state_and_the_payload_around_it_both_encode(self):
@@ -518,17 +523,17 @@ class TestCheckpoint:
     # tests/unit/test_envelope.py, once for each kind of file.
 
     def test_stream_shorter_than_declared_is_corrupt(self):
-        fixed, ld, f8, idx = sections(ck.dumps(small_payload()))
-        body = bytes(fixed + ld + f8 + idx)
+        fixed, ld, f8 = sections(ck.dumps(small_payload()))
+        body = bytes(fixed + ld + f8)
         for stored, lengths in [
-                (body[:-8], (len(fixed), len(ld), len(f8), len(idx))),
-                (body, (len(fixed), len(ld), len(f8), len(idx) - 4))]:
+                (body[:-8], (len(fixed), len(ld), len(f8))),
+                (body, (len(fixed), len(ld) - LD_SIZE, len(f8)))]:
             fields = CHECKPOINT_FIELDS.pack(
-                b"RSCK", 5, LD_SIZE, len(zlib.compress(stored, 1)), *lengths)
+                b"RSCK", 6, LD_SIZE, len(zlib.compress(stored, 1)), *lengths)
             stored = zlib.compress(stored, 1)
             with pytest.raises(CorruptCheckpoint, match="declared lengths"):
                 ck.loads(fields + hashlib.sha256(fields + stored).digest() + stored)
-        ragged = frame_checkpoint(fixed, ld, f8 + bytes(4), idx)
+        ragged = frame_checkpoint(fixed, ld, f8 + bytes(4))
         with pytest.raises(CorruptCheckpoint, match="whole number"):
             ck.loads(ragged)
 
@@ -538,10 +543,7 @@ class TestCheckpoint:
         more_classes = Tampered()
         streaming._BANK.pack_into(more_classes.fixed, more_classes.classes_at
                                   - streaming._BANK.size, 0, 1000)
-        cases = {
-            "class indexes": more_classes,
-            "min-chain entries": Tampered().set(last, Tampered.AR5D_CHAIN, 9),
-        }
+        cases = {"class indexes": more_classes}
         short = Tampered().claim(1, -1)   # 18 longdoubles a series, one gone
         del short.ld[-LD_SIZE:]
         cases["longdoubles"] = short
@@ -551,8 +553,6 @@ class TestCheckpoint:
 
     def test_claims_that_contradict_the_column_are_corrupt(self):
         # The bank holds 12 rows in 4 classes, 3 rows each.
-        far_chain = Tampered()
-        far_chain.idx[0:4] = struct.pack("<I", 10_000)
         twice = Tampered()
         twice.fixed[twice.classes_at + 1] = twice.fixed[twice.classes_at]
         nobody = Tampered()
@@ -562,9 +562,12 @@ class TestCheckpoint:
             (nobody, "not the rows' classes"),  # a class no row is in
             (Tampered().set(0, Tampered.LIVE, 13), "longer than its series"),
             (Tampered().set(2, Tampered.LIVE, 4), "longer than its series"),
-            (far_chain, "min-chain"),
             (Tampered().set(0, Tampered.AVG5HR_START, 10_000), "window starts"),
             (Tampered().set(1, Tampered.AVG5HR_START, 4), "window starts"),
+            # A min chain comes from its window's rows; what the file
+            # claims about it is where the window starts.
+            (Tampered().set(0, Tampered.AR5D_START, 13), "window starts"),
+            (Tampered().set(4, Tampered.AR5D_START, 4), "window starts"),
         ]
         for case, message in cases:
             with pytest.raises(CorruptCheckpoint, match=message):
@@ -586,10 +589,10 @@ class TestCheckpoint:
         claimed.f8 += bytes(8)
         with pytest.raises(CorruptCheckpoint, match="more than was claimed"):
             revive(claimed.blob())
-        spare_index = Tampered().claim(3, 1)
-        spare_index.idx += bytes(4)
+        spare_sum = Tampered().claim(1, 1)   # in the bank's part, in no series
+        spare_sum.ld += bytes(LD_SIZE)
         with pytest.raises(CorruptCheckpoint, match="more than was claimed"):
-            revive(spare_index.blob())
+            revive(spare_sum.blob())
 
     def test_a_foreign_longdouble_width_is_corrupt(self):
         with pytest.raises(CorruptCheckpoint, match="foreign ABI"):
@@ -612,6 +615,40 @@ class TestCheckpoint:
         damaged[-1] ^= 0x01
         with pytest.raises(CorruptCheckpoint):
             ck.loads(bytes(damaged))
+
+    def test_format_5_reads_its_meta_and_accuracy_and_no_bank(self):
+        written_by_the_parent_commit = FORMAT_5_FILE.read_bytes()
+        assert written_by_the_parent_commit[:6] == b"RSCK\5\0"
+        old = ck.loads(written_by_the_parent_commit)
+        assert set(old) == {"meta", "accuracy"}
+        assert old["meta"]["n"] == old["meta"]["version"] == 30
+        assert old["meta"]["link"] == "stale"
+        assert old["meta"]["row_digest"] != bytes(16)
+        from repro.obs.quality import AccuracyTracker
+
+        tracker = AccuracyTracker()
+        assert tracker.load_link_state("stale", old["accuracy"])
+        assert tracker.status()["links"]["stale"]["overall"]["count"] == 26
+        damaged = bytearray(written_by_the_parent_commit)
+        damaged[-1] ^= 0x01
+        with pytest.raises(CorruptCheckpoint):
+            ck.loads(bytes(damaged))
+
+    def test_a_newer_format_is_stale_and_a_flipped_format_field_corrupt(self):
+        # What a later build might write: the same magic, any layout.
+        newer = Envelope(b"RSCK", 7, "IIII", error=CorruptCheckpoint).pack(
+            (b"a later build's fixed part", bytes(LD_SIZE), b"", b""),
+            aux=LD_SIZE)
+        with pytest.raises(ck.StaleCheckpoint, match="format 7"):
+            ck.loads(newer)
+        # A file this build wrote whose format field flipped, to a newer
+        # format or an older one, is damage.
+        blob = ck.dumps(small_payload())
+        for bit in range(16):
+            flipped = bytearray(blob)
+            flipped[4 + bit // 8] ^= 1 << bit % 8
+            with pytest.raises(CorruptCheckpoint):
+                ck.loads(bytes(flipped))
 
     def test_intact_format_2_is_stale_and_a_damaged_one_corrupt(self):
         self._stale_then_corrupt(as_format_2(ck.dumps(small_payload())))
@@ -872,8 +909,27 @@ class TestLinkStore:
         assert quarantined.value == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["checkpoint.bin"]
         assert store.write_checkpoint("x", small_payload())
-        assert path.read_bytes()[4:6] == struct.pack("<H", 5)
+        assert path.read_bytes()[4:6] == struct.pack("<H", 6)
         assert store.read_checkpoint("x")["meta"]["n"] == 12
+
+    def test_newer_format_checkpoint_is_left_in_place(self, tmp_path):
+        store = LinkStore(tmp_path)
+        assert store.write_checkpoint("x", small_payload())
+        path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
+        current = path.read_bytes()
+        newer = Envelope(b"RSCK", 7, "III", error=CorruptCheckpoint).pack(
+            (b"a later build's fixed part", b"", b""), aux=LD_SIZE)
+        path.write_bytes(newer)
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        assert store.read_checkpoint("x") is None
+        assert quarantined.value == before
+        assert path.read_bytes() == newer
+        # The same field flipped in this build's own file: quarantined.
+        path.write_bytes(current[:4] + struct.pack("<H", 7) + current[6:])
+        assert store.read_checkpoint("x") is None
+        assert quarantined.value == before + 1
+        assert path.with_name(path.name + ".quarantined").exists()
 
     @pytest.mark.parametrize("failure", ["replace", "short-write"])
     def test_failed_checkpoint_write_leaves_no_temp_file(

@@ -6,8 +6,12 @@ folded onto shared helpers (generated at the parent of that commit).  A
 worker and a front of different builds share a socket, so a codec
 refactor must leave these bytes alone — and must decode them to exactly
 the message that produced them.  What the fields *mean* is
-``test_wire.py``'s job; this file only holds the bytes still.
+``test_wire.py``'s job; this file only holds the bytes still — and
+checks that no damage to them gets anything but :class:`wire.FrameError`
+out of the decoders.
 """
+
+import io
 
 import pytest
 
@@ -234,3 +238,46 @@ def test_one_writer_reused_across_every_case_writes_the_same_bytes():
     for name, request_op, resp in RESPONSES:
         assert (bytes(writer.encode_response(request_op, resp)).hex()
                 == FRAMES["resp:" + name])
+
+
+class _Recording(io.BytesIO):
+    """A stream that remembers the largest read asked of it."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.largest = 0
+
+    def read(self, size=-1):
+        assert size >= 0, "a frame is never read to the end of the stream"
+        self.largest = max(self.largest, size)
+        return super().read(size)
+
+
+def _damaged(frame):
+    """Every truncation and every single-bit flip of ``frame``."""
+    for length in range(len(frame)):
+        yield frame[:length]
+    for at in range(len(frame)):
+        for bit in range(8):
+            flipped = bytearray(frame)
+            flipped[at] ^= 1 << bit
+            yield bytes(flipped)
+
+
+@pytest.mark.parametrize("key", sorted(FRAMES))
+def test_every_truncation_and_bit_flip_decodes_or_is_a_frame_error(key):
+    """What a peer's damaged frame gets out of ``read_frame`` and the
+    decoders: a message or a :class:`wire.FrameError`, nothing else, and
+    never a read of more than the frame cap."""
+    assert len(FRAMES) == 35
+    decode = (wire.decode_request if key.startswith("req:")
+              else wire.decode_response)
+    for data in _damaged(bytes.fromhex(FRAMES[key])):
+        stream = _Recording(data)
+        try:
+            frame = wire.read_frame(stream)
+            if frame is not None:
+                decode(*frame)
+        except wire.FrameError:
+            pass
+        assert stream.largest <= wire.MAX_FRAME_BYTES
