@@ -190,7 +190,7 @@ class Residency:
         One stable argsort of the rows (arrival order) is the order the
         resident buffer held them in.  The checkpoint names rows ``[0,
         n)``; when it was written against this classification and they
-        still reconcile (``n`` durable, the link not degraded) and hash
+        are still there (``n`` no more than the durable rows) and hash
         to its ``row_digest``, the bank loads over them, sorted, and the
         rows past ``n`` fold in as the live path would have — if the
         argsort leaves them behind the others, in arrival order.
@@ -199,8 +199,10 @@ class Residency:
         ``digest``, counted), never quarantined.  Either way the state
         keeps the sorted rows (:meth:`LinkState.from_columns`): a revived
         link holds what an always-resident one holds and never reads the
-        store again.  Returns None when the store holds neither rows nor
-        a checkpoint.
+        store again.  A quarantine that took rows under the checkpoint
+        therefore costs one rebuild: the next eviction checkpoints the
+        survivors, and the revival after it loads.  Returns None when the
+        store holds neither rows nor a checkpoint.
         """
         t0 = time.perf_counter()
         times, values, sizes, ops = self.store.load_columns(link)
@@ -272,9 +274,8 @@ class Residency:
                 self.quality.load_link_state(link, ckpt["accuracy"])
         if "bank" not in ckpt:
             return ckpt, "format"
-        if (not 0 <= meta["n"] <= min(durable, meta["version"])
-                or self.store.degraded(link)):
-            return ckpt, "rows"  # e.g. a quarantine broke row accounting
+        if not 0 <= meta["n"] <= min(durable, meta["version"]):
+            return ckpt, "rows"  # e.g. a quarantine took rows under it
         return ckpt, None
 
     # ------------------------------------------------------------------

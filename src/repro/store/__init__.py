@@ -4,8 +4,8 @@ Three layers under one per-link directory (see
 :mod:`repro.store.store` for the full durability contract):
 
 * :mod:`repro.store.wal` — the CRC-framed active tail, torn-tail safe;
-* :mod:`repro.store.segments` — sealed column segments with
-  compaction;
+* :mod:`repro.store.segments` — sealed column segments, each rewritten
+  only by the seal that grows it;
 * :mod:`repro.store.checkpoint` — packed streaming-bank checkpoints
   (exact longdouble round-trip) for O(1) cold-link revival.
 

@@ -20,7 +20,7 @@ pool lengths per part.  :func:`loads` hands each part back as a
   tail; a checkpoint holds no row of it.  It refers to rows ``[0, n)``
   of the link in arrival order by ``n`` and ``row_digest`` (see
   :func:`repro.service.state.row_digest`), a reference that survives
-  seals and compaction, which rewrite files but not rows; every bank
+  seals, which rewrite files but never renumber rows; every bank
   series is a view of those rows sorted by end time.  So it holds only
   what the rows cannot give back: window cursors and the longdouble
   sums (whose 6/16 padding deflates).  Whatever the rows determine — a

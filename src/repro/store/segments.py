@@ -5,20 +5,20 @@ columns (``times``/``values``/``sizes``/``ops``) deflated behind a
 verified header (:mod:`repro.envelope`) that carries the framing —
 ``start_row``, ``rows``, ``max_offset`` — so recovery learns a link's
 shape from headers alone and columns are inflated only when someone
-wants the rows.  Numbered segments cover consecutive row ranges
-(``seg-<start_row>.col``); a compaction writes the special
-``seg-full.col``, which supersedes every segment whose rows it covers.
-A file is never edited: the store grows a link's last (*open*) segment
-by writing a longer one under the same name, which :func:`atomic_write`
-swaps in whole, and every earlier segment is immutable.
+wants the rows.  Segments are named by their first row
+(``seg-<start_row>.col``) and cover disjoint row ranges, with a gap
+where a quarantined segment's rows were.  A file is never edited: the
+store grows a link's last (*open*) segment by writing a longer one under
+the same name, which :func:`atomic_write` swaps in whole, and every
+earlier segment is immutable.
 
 Format 2 stores each float64 column as eight *byte planes* — byte 0 of
 every row, then byte 1, … byte 7 — and ``sizes`` / ``ops`` row-major.
 An end time's sign, exponent and leading mantissa bytes barely change
 within a link, and as planes they are runs deflate can see; row-major,
 six noisy bytes sit between them in every value.  This module is the
-only one that knows the layout: the store seals, compacts and loads
-through :func:`write_segment` and :func:`read_segment`.
+only one that knows the layout: the store seals and loads through
+:func:`write_segment` and :func:`read_segment`.
 
 Reads pass through the ``store.segment`` fault site so the chaos suite
 can corrupt or truncate them; anything whose digest, lengths or stream
@@ -31,7 +31,10 @@ builds' files are primary data too, so they are read, never written: a
 format-1 ``.col`` (the same header, every column row-major), picked by
 the header's format as :func:`repro.store.checkpoint.loads` picks formats
 4 and 5, and a ``seg-*.npz`` (by suffix, through ``np.load``).  A link's next
-seal or compaction rewrites what it touches as format 2.
+seal rewrites the format-1 segment it extends as format 2; a ``.npz``
+stays as it is.  An earlier build's compaction wrote ``seg-full.col``:
+it is read like any other segment, and the store's recovery sweeps the
+segments whose rows it covers.
 """
 
 from __future__ import annotations
@@ -46,12 +49,9 @@ import numpy as np
 from repro import faults as _faults
 from repro.envelope import Envelope, Verified, atomic_write, newer_format
 
-__all__ = ["FULL_NAME", "CorruptSegment", "SegmentData", "UnknownSegmentFormat",
+__all__ = ["CorruptSegment", "SegmentData", "UnknownSegmentFormat",
            "is_segment_name", "segment_name", "write_segment", "read_framing",
            "read_segment"]
-
-#: The compacted whole-history segment; supersedes the segments it covers.
-FULL_NAME = "seg-full.col"
 
 _LEGACY_SUFFIX = ".npz"
 _COLUMNS = (("times", "<f8"), ("values", "<f8"), ("sizes", "<i8"), ("ops", "i1"))
@@ -105,8 +105,8 @@ def write_segment(path: Path, start_row: int, times, values, sizes, ops,
                   max_offset: int = 0, fsync: bool = True) -> None:
     """Atomically write a segment (temp file, optional fsync, rename).
 
-    Raises ``OSError`` on filesystem refusal; the caller decides whether
-    that degrades (rows stay in the tail) or aborts (compaction).
+    Raises ``OSError`` on filesystem refusal; the store's seal then
+    leaves the rows in the tail and retries on later growth.
     """
     columns = [np.ascontiguousarray(column, dtype=dtype)
                for column, (_, dtype) in zip((times, values, sizes, ops), _COLUMNS)]

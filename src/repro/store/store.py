@@ -7,18 +7,16 @@ Layout, under ``root/links/<urlquoted link>/``::
     seg-<start>.col       sealed column segments (repro.store.segments);
                           the last one is *open* while it holds fewer
                           than ``segment_rows`` rows
-    seg-full.col          compacted whole-history segment, if any
     checkpoint.bin        latest streaming-bank checkpoint
     *.quarantined         corrupt files moved aside, never consulted
 
 Segments and checkpoints are two kinds of one file envelope
 (:mod:`repro.envelope`): verified header, one deflated body.  How a
 segment lays out its columns is :mod:`repro.store.segments`' business
-alone; this module seals, compacts and loads through
-``write_segment`` / ``read_segment``.  A segment an earlier build wrote
-(a format-1 ``.col``, a ``seg-*.npz``) is read where it lies; the seal
-that next extends it, or a compaction, rewrites it in this build's
-format.
+alone; this module seals and loads through ``write_segment`` /
+``read_segment``.  A segment an earlier build wrote (a format-1 ``.col``,
+a ``seg-*.npz``, a compacted ``seg-full.col``) is read where it lies; the
+seal that next extends a ``.col`` rewrites it in this build's format.
 
 A seal does not drop a new small file beside the last one: while the
 open segment and the tail together fit in ``segment_rows`` it reads that
@@ -26,7 +24,8 @@ segment, appends the tail's rows and rewrites it under the same name,
 then removes ``tail.wal``.  A new numbered segment starts only when the
 rows would not fit, or the last segment is a ``.npz`` or does not end
 where the tail begins.  A link that is evicted or shut down is therefore
-one segment, one checkpoint and (between seals) a short tail.
+one segment, one checkpoint and (between seals) a short tail.  The seal
+is the store's only rewrite, and it never renumbers a row.
 
 Durability contract
 -------------------
@@ -37,18 +36,21 @@ Durability contract
   fsynced, and ``os.replace``d — readers see the old file or the new
   one, never a partial.  A ``*.tmp`` stranded by a kill mid-write is
   removed on recovery (its rows are still in the tail).
-* A seal replaces the segment first and removes the tail second; a
-  crash in between leaves the sealed rows in both, and WAL ``seq``
-  numbers dedup them on every scan.  A tail that could not be read in
-  full (torn bytes, fewer rows than were acked) is never removed.
+* A seal replaces the segment first, unlinks the small segments it
+  merged second and removes the tail last.  A crash in between leaves
+  the sealed rows in two places: recovery sweeps a segment that a wider
+  one covers, and WAL ``seq`` numbers dedup the tail on every scan.  A
+  tail that could not be read in full (torn bytes, fewer rows than were
+  acked) is never removed.
 * A tail append that the filesystem cut short is refused like one it
   rejected: not acked, and the partial record is cut off before the next
   append so no acked row ever lands behind a torn one.
 * Anything that fails checksum verification is quarantined
-  (``*.quarantined``), counted, and announced — after which the link is
-  *degraded*: its checkpoint is no longer trusted (row counts can no
-  longer be reconciled) and revival falls back to rebuilding from the
-  surviving rows.
+  (``*.quarantined``), counted, and announced.  A quarantined segment's
+  rows leave the link as a gap in its row numbers; the survivors keep
+  theirs.  The digest decides what that does to the checkpoint: one whose
+  rows ``[0, n)`` are no longer the rows it hashed is stale, revival
+  rebuilds from the survivors, and the next checkpoint covers them.
 * A segment of a format newer than this build reads is not damage: it
   stays where it is, nothing is counted, and every call that recovers
   its link raises :class:`~repro.store.segments.UnknownSegmentFormat`
@@ -87,7 +89,7 @@ from repro.obs.metrics import get_registry
 from repro.store import checkpoint as _checkpoint
 from repro.store import segments as _segments
 from repro.store import wal as _wal
-from repro.store.segments import FULL_NAME, segment_name
+from repro.store.segments import segment_name
 
 __all__ = ["LinkStore", "DEFAULT_SEGMENT_ROWS"]
 
@@ -109,8 +111,6 @@ _M_SEALED_ROWS = _REG.counter(
     "rows written into segment files, rewrites of an open segment included")
 _M_SEAL_ERRORS = _REG.counter(
     "store_seal_errors", "segment seals that failed (rows stay in the tail)")
-_M_COMPACTIONS = _REG.counter(
-    "store_compactions", "whole-history segment compactions")
 _M_CHECKPOINTS = _REG.counter(
     "store_checkpoints_written", "streaming-bank checkpoints written")
 _M_CHECKPOINT_ERRORS = _REG.counter(
@@ -155,8 +155,7 @@ class _LinkMeta:
     """In-memory framing state for one link's directory."""
 
     __slots__ = ("link", "directory", "segments", "sealed_rows", "tail_rows",
-                 "tail_bytes", "tail_torn", "next_seq", "max_offset",
-                 "degraded")
+                 "tail_bytes", "tail_torn", "next_seq", "max_offset")
 
     def __init__(self, link: str, directory: Path):
         self.link = link
@@ -168,7 +167,6 @@ class _LinkMeta:
         self.tail_torn = False        # bytes past tail_bytes await a cut
         self.next_seq = 0             # seq for the next appended row
         self.max_offset = 0           # largest source offset made durable
-        self.degraded = False         # a quarantine broke row accounting
 
     @property
     def tail_path(self) -> Path:
@@ -321,21 +319,21 @@ class LinkStore:
                 if seg is not None:
                     found.append(seg)
 
-        # Row order, the widest first where two start together (a
-        # compacted seg-full over the segments it merged).
+        # Row order, the widest first where two start together (an
+        # earlier build's compacted seg-full beside the seg-0 it merged).
+        # A gap a quarantine left is ordinary.
         found.sort(key=lambda seg: (seg.start_row, -seg.rows, seg.path.name))
         covered = 0
         for seg in found:
             if seg.end_row <= covered:
-                # Superseded by the compacted segment; a crash mid-compaction
-                # left it behind.  Finish the cleanup.
+                # Superseded by a wider segment: a kill between writing
+                # it and unlinking the segments it merged left this one
+                # behind.  Finish the cleanup.
                 try:
                     seg.path.unlink()
                 except OSError:
                     pass
                 continue
-            if seg.start_row != covered:
-                meta.degraded = True
             meta.segments.append(seg)
             covered = seg.end_row
         meta.sealed_rows = covered
@@ -362,7 +360,6 @@ class LinkStore:
             raise  # another build's primary data: left where it lies
         except Exception:
             self._quarantine_file(meta, path, kind="segment")
-            meta.degraded = True
             return None
         return _Segment(path, start_row, rows, max_offset)
 
@@ -377,10 +374,7 @@ class LinkStore:
         try:
             _faults.check("store.segment", path=str(path), op="tail-read")
             raw = path.read_bytes()
-        except FileNotFoundError:
-            return _wal.TailScan()
         except OSError:
-            meta.degraded = True
             return _wal.TailScan()
         raw = _faults.filter_bytes("store.segment", raw, path=str(path))
         scan = _wal.scan(raw)
@@ -388,7 +382,7 @@ class LinkStore:
             try:
                 os.truncate(path, scan.valid_bytes)
             except OSError:
-                meta.degraded = meta.tail_torn = True
+                meta.tail_torn = True
             if _obs_enabled():
                 _M_TORN.inc()
                 get_event_bus().emit(
@@ -571,7 +565,7 @@ class LinkStore:
         return ok
 
     # ------------------------------------------------------------------
-    # sealing and compaction
+    # sealing
     # ------------------------------------------------------------------
     def seal(self, link: str, amortized: bool = False) -> bool:
         """Fold the link's tail into its open segment now (no-op when
@@ -685,45 +679,6 @@ class LinkStore:
             return
         meta.tail_bytes, meta.tail_torn = 0, False
 
-    def compact(self, link: str) -> bool:
-        """Merge all segments and the tail into one ``seg-full.col``.
-
-        Also repairs a degraded link: survivors are renumbered 0..n, so
-        row accounting becomes trustworthy again (with the lost rows
-        acknowledged as gone).
-        """
-        with self._lock_for(link):
-            meta = self._meta(link)
-            if meta is None:
-                return False
-            held = meta.tail_rows
-            times, values, sizes, ops, tail = self._load_locked(meta)
-            total = len(times)
-            full = meta.directory / FULL_NAME
-            if tail.torn_bytes or len(tail) < held:
-                return self._seal_failed(meta, meta.tail_path)
-            try:
-                _segments.write_segment(
-                    full, 0, times, values, sizes, ops,
-                    max_offset=meta.max_offset, fsync=self.fsync,
-                )
-            except Exception:
-                return self._seal_failed(meta, full)
-            for seg in meta.segments:
-                if seg.path != full:
-                    with suppress(OSError):
-                        seg.path.unlink()
-            self._drop_tail_locked(meta)
-            meta.segments = [_Segment(full, 0, total, meta.max_offset)]
-            meta.sealed_rows = total
-            meta.next_seq = total
-            meta.degraded = False
-            if _obs_enabled():
-                _M_COMPACTIONS.inc()
-                _M_SEALED_ROWS.inc(total)
-                get_event_bus().emit("store.compact", link=link, rows=total)
-            return True
-
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
@@ -731,11 +686,6 @@ class LinkStore:
         with self._lock_for(link):
             meta = self._meta(link)
             return meta.durable_rows() if meta is not None else 0
-
-    def degraded(self, link: str) -> bool:
-        with self._lock_for(link):
-            meta = self._meta(link)
-            return meta.degraded if meta is not None else False
 
     def resume_offset(self, link: str) -> int:
         """Largest source-log offset made durable for this link."""
@@ -747,7 +697,7 @@ class LinkStore:
         """All durable rows, in arrival order.
 
         Returns ``(times, values, sizes, ops)``.  Corrupt segments hit
-        mid-read are quarantined and skipped (the link degrades).
+        mid-read are quarantined and skipped: their rows leave the link.
         """
         with self._lock_for(link):
             meta = self._meta(link)
@@ -760,7 +710,7 @@ class LinkStore:
     def _read_segment_locked(
             self, meta: _LinkMeta, seg: _Segment) -> Optional[_segments.SegmentData]:
         """One segment's rows, or None for a file that cannot be trusted:
-        it is quarantined, leaves the segment list, and the link degrades.
+        it is quarantined and leaves the segment list, its rows a gap.
         A newer format raises :class:`~repro.store.segments.UnknownSegmentFormat`
         and stays."""
         try:
@@ -769,7 +719,6 @@ class LinkStore:
             raise
         except Exception:
             self._quarantine_file(meta, seg.path, kind="segment")
-            meta.degraded = True
             meta.segments.remove(seg)
             meta.sealed_rows = max(
                 (s.end_row for s in meta.segments), default=0)

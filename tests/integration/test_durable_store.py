@@ -191,12 +191,11 @@ class TestEvictRevive:
         assert status["revivals"] >= 1
         assert status["bytes_on_disk"] > 0
 
-    @pytest.mark.parametrize("between", ["seal", "compact"])
     def test_a_seal_or_compaction_between_checkpoint_and_revival_changes_nothing(
-            self, tmp_path, between):
+            self, tmp_path):
         """A checkpoint names rows, not files: the seal that follows an
-        eviction's checkpoint, or a compaction, rewrites the segments it
-        was taken over and the link still revives from it."""
+        eviction's checkpoint rewrites the segment it was taken over and
+        the link still revives from it."""
         links = {f"L{k}": _synthetic_records(40, phase=k) for k in range(2)}
         resident = PredictionService()
         tiered = PredictionService(
@@ -205,10 +204,10 @@ class TestEvictRevive:
             for link, records in links.items():
                 for service in (resident, tiered):
                     service.observe_batch([(link, r) for r in records[lo:lo + 7]])
-                getattr(tiered.store, between)(link)
+                tiered.store.seal(link)
         expected = _interleaved(resident)
         for link in links:
-            getattr(tiered.store, between)(link)
+            tiered.store.seal(link)
         assert _interleaved(tiered) == expected
         events = tiered.trace.events(kind="revive")
         assert events and {e.fields["how"] for e in events} == {"checkpoint"}
@@ -355,14 +354,12 @@ class TestUpgrade:
         assert all(path.exists() for path in legacy)
         assert len(list((tmp_path / "old").rglob("seg-*.col"))) == len(LOGS)
 
-        # ... and compaction leaves one seg-full.col and no .npz.
-        for link in old.links():
-            assert old_store.compact(link)
-        for link_dir in (tmp_path / "old" / "links").iterdir():
-            assert [p.name for p in link_dir.glob("seg-*")] == ["seg-full.col"]
+        # ... and a restart reads both where they lie.
+        old_store.close()
         reopened = PredictionService(
             store=LinkStore(tmp_path / "old", segment_rows=64))
         assert _answers(reopened) == _answers(new)
+        assert all(path.exists() for path in legacy)
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
@@ -568,8 +565,7 @@ class TestUpgrade:
         """A state dir whose segments the commit before byte planes wrote
         (format 1, every column row-major): every link revives from its
         checkpoint, answers ``repr``-identically to the same rows stored
-        as format 2, and the link's next seal or compaction leaves format
-        2 alone."""
+        as format 2, and the link's next seal leaves format 2 alone."""
         from repro.obs import get_registry
         from tests.unit.test_store import as_format_1_state_dir
 
@@ -610,15 +606,14 @@ class TestUpgrade:
         assert [series["labels"] for series in revivals["series"]] == [
             {"how": "checkpoint"}]  # never a rebuild for the format
 
-        # One more row a link; half the links seal, half compact.
+        # One more row a link, and a seal.
         for service in served.values():
-            for k, link in enumerate(sorted(links)):
+            for link in sorted(links):
                 last = service.link_state(link).last_time
                 service.observe(link, dataclasses.replace(
                     links[link][0], start_time=last + 10.0,
                     end_time=last + 15.0))
-                assert (service.store.seal(link) if k % 2
-                        else service.store.compact(link))
+                assert service.store.seal(link)
         assert formats(old) == {2}
         assert answers(served[old]) == answers(served[new])
         for root in (old, new):

@@ -4,17 +4,19 @@ never evicts.
 
 Every rule is something a serving process meets: a batch of
 observations in order, late, or at one timestamp; an eviction; a seal; a
-compaction; a graceful restart; a kill between the checkpoints a spill
-writes and the seals that follow them; a kill with nothing written; a
-flipped byte in a segment, under a cold link or a resident one.  After
-every rule the tiered service answers the perf ledger's 8 specs x 3
-sizes on every link ``repr``-identically to the reference, which has
-seen the same rows and nothing else.  A
-revival rebuilds only where a rule made it: after a flip (the link's
-rows changed under its checkpoint) or a kill (rows past the checkpoint,
-one of them late, no checkpoint at all, or one a flip left stale and
-nothing has written over since).  A flip under a resident link changes
-none of its answers until the segment is read again.
+graceful restart; a kill between the checkpoints a spill writes and the
+seals that follow them; a kill with nothing written; a flipped byte in a
+segment, under a cold link or a resident one.  After every rule the
+tiered service answers the perf ledger's 8 specs x 3 sizes on every link
+``repr``-identically to the reference, which has seen the same rows and
+nothing else.  A revival rebuilds only where a rule made it: the one
+revival that meets a flip (the link's rows changed under its
+checkpoint), or the first after a kill (rows past the checkpoint, one of
+them late, no checkpoint at all, or one a flip left stale and nothing
+has written over since).  So a link whose rot has been met rebuilds
+once, and from its next eviction on loads its checkpoint again: the
+digest decides, and nothing marks the link.  A flip under a resident
+link changes none of its answers until the segment is read again.
 ``store_quarantined`` moves on the flip and nowhere else.
 
 Bandwidths are whole numbers, so every longdouble sum is exact and an
@@ -74,11 +76,12 @@ class ServiceMachine(RuleBasedStateMachine):
         self.quarantined = get_registry().counter("store_quarantined", "")
         self.quarantined_seen = self.quarantined.value
         #: Rebuilds a rule allows: link -> reasons, until the link's next
-        #: revival (kill), or until its compaction and the revival after
-        #: it (flip: a degraded link rebuilds at every revival).
+        #: revival (kill); links whose next revival meets a flip.
         self.after_kill = {}
-        self.damaged = {}
+        self.damaged = set()
         self.unexpected = []
+        #: Every revival: (link, how, reason).
+        self.revivals = []
         self.reference = PredictionService()
         self._open()
 
@@ -95,11 +98,11 @@ class ServiceMachine(RuleBasedStateMachine):
         if event.kind != "revive":
             return
         link, how = event.fields["link"], event.fields["how"]
+        self.revivals.append((link, how, event.fields["reason"]))
         allowed = self.after_kill.pop(link, set())
         if link in self.damaged:
+            self.damaged.discard(link)
             allowed = allowed | {"rows", "digest"}
-            if self.damaged[link] == "compacted":
-                del self.damaged[link]
         if how == "rebuild" and event.fields["reason"] not in allowed:
             self.unexpected.append((link, event.fields["reason"]))
 
@@ -140,14 +143,6 @@ class ServiceMachine(RuleBasedStateMachine):
     @rule(link=links)
     def seal(self, link):
         self.service.store.seal(link)
-
-    @rule(link=links)
-    def compact(self, link):
-        if not self.service.store.has(link):
-            return
-        assert self.service.store.compact(link)
-        if link in self.damaged:
-            self.damaged[link] = "compacted"
 
     @rule()
     def graceful_restart(self):
@@ -236,8 +231,9 @@ class ServiceMachine(RuleBasedStateMachine):
     def _meet_the_rot(self, link):
         """Revive a link whose segment was flipped: one quarantine, and
         the rows that survive are the model from now on."""
-        self.damaged[link] = "degraded"
+        self.damaged.add(link)
         self.service.version(link)
+        assert link not in self.damaged  # that was the revival
         assert self.quarantined.value == self.quarantined_seen + 1
         self.quarantined_seen = self.quarantined.value
         times, values, sizes, ops = self.service.store.load_columns(link)
@@ -285,6 +281,26 @@ def test_rot_under_a_revived_link_leaves_its_answers_until_it_is_read():
         machine.flip_a_byte_under_a_resident_link("a", 0, 100, late=False)
         machine.answers_match_a_service_that_never_evicts()
         machine.rebuilds_and_quarantines_only_where_a_rule_made_them()
+    finally:
+        machine.teardown()
+
+
+def test_a_link_whose_rot_was_met_rebuilds_once_then_loads_its_checkpoint():
+    """One flipped segment under a cold link: the revival that meets it
+    rebuilds from the survivors, the eviction after it checkpoints them,
+    and every later revival loads that checkpoint."""
+    machine = ServiceMachine()
+    try:
+        for link, n in (("a", 6), ("a", 6), ("a", 6), ("d", 1)):
+            machine.observe(link, n, "in_order")
+        machine.flip_a_byte_in_a_segment("a", 0, 100)
+        for _ in range(3):
+            machine.evict("a")
+            machine.service.version("a")
+            machine.answers_match_a_service_that_never_evicts()
+            machine.rebuilds_and_quarantines_only_where_a_rule_made_them()
+        hows = [how for link, how, _ in machine.revivals if link == "a"]
+        assert hows == ["rebuild"] + ["checkpoint"] * 3
     finally:
         machine.teardown()
 

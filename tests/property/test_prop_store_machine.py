@@ -2,13 +2,15 @@
 
 Every rule is something a serving process does to a link's directory —
 append, seal at shutdown, seal on the evict path, restart, die between
-the segment replace and the tail removal, compact — plus one thing a
-disk does (a flipped byte in the open segment).  After every rule the
-store must hand back exactly the rows the model holds, in order, and
-keep them in a bounded number of files.  A link whose segment was
-damaged is held to the weaker contract the store documents: nothing is
-served that was not written, nothing is lost but the damaged segment's
-rows, and compaction makes the link whole again.
+the segment replace and the tail removal — plus one thing a disk does
+(a flipped byte in the open segment).  After every rule the store must
+hand back exactly the rows the model holds, in order, and keep them in
+a bounded number of files.  A flipped segment is held to the weaker
+contract the store documents until a read meets it (``store_quarantined``
+moves): nothing is served that was not written, and nothing is lost but
+the damaged segment's rows.  From then on what survives is the model,
+held to the exact contract again: a quarantine leaves a gap in the row
+numbers, which nothing renumbers.
 """
 
 import tempfile
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant, rule,
                                  run_state_machine_as_test)
 
+from repro.obs import get_registry
 from repro.store import LinkStore, segments, wal
 
 SEGMENT_ROWS = 8
@@ -43,8 +46,10 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = LinkStore(self.root, segment_rows=SEGMENT_ROWS)
         self.model = {link: [] for link in LINKS}
         #: link -> model indexes a flipped byte may have taken; a link
-        #: stays here from the flip to the next compaction.
+        #: stays here from the flip until a read quarantines the file.
         self.damaged = {}
+        self.quarantined = get_registry().counter("store_quarantined", "")
+        self.quarantined_seen = self.quarantined.value
         self.counter = 0
 
     def teardown(self):
@@ -109,20 +114,14 @@ class StoreMachine(RuleBasedStateMachine):
         found = self._segments(link)
         if not found:
             return
-        start_row, rows, path = found[-1]
+        _, rows, path = found[-1]
         raw = bytearray(path.read_bytes())
         raw[at % len(raw)] ^= 0x5A
         path.write_bytes(bytes(raw))
-        self.damaged[link] = set(range(start_row, start_row + rows))
-
-    @rule(link=links)
-    def compact(self, link):
-        if not self.model[link]:
-            return
-        assert self.store.compact(link)
-        if self.damaged.pop(link, None) is not None:
-            self.model[link] = list(zip(*(
-                column.tolist() for column in self.store.load_columns(link))))
+        # Model indexes, not row numbers: a gap an earlier quarantine
+        # left sets the two apart.
+        before = sum(held for _, held, _ in found[:-1])
+        self.damaged[link] = set(range(before, before + rows))
 
     # -- what must hold after every rule --------------------------------
     @invariant()
@@ -136,8 +135,13 @@ class StoreMachine(RuleBasedStateMachine):
                 assert _is_subsequence(
                     [row for at, row in enumerate(model) if at not in lost],
                     got)
-                continue
-            assert not self.store.degraded(link)
+                if self.quarantined.value == self.quarantined_seen:
+                    continue
+                # The flipped file was met: what survives is the model.
+                self.quarantined_seen += 1
+                del self.damaged[link]
+                self.model[link] = model = got
+            assert self.quarantined.value == self.quarantined_seen
             want = zip(*model) if model else ((), (), (), ())
             for column, values, dtype in zip(columns, want, _DTYPES):
                 assert column.dtype == dtype

@@ -2,8 +2,9 @@
 
 The WAL framing, segment container, checkpoint codec, and the
 LinkStore's recovery ladder: torn tails truncate, crash-split
-seal/truncate pairs dedup, corrupt files quarantine, and compaction
-collapses everything back to one trustworthy segment.
+seal/truncate pairs dedup, corrupt files quarantine and leave a gap in
+the row numbers, and a kill at any point of a seal leaves every
+surviving row exactly once.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import errno
 import hashlib
 import os
+import signal
 import struct
+import time
 import zlib
 from pathlib import Path
 
@@ -720,9 +723,9 @@ class TestLinkStore:
         assert len(segs) == 2
         fresh = LinkStore(tmp_path, segment_rows=8)
         assert fresh.durable_rows("x") == 20
-        assert not fresh.degraded("x")
         times, _, _, _ = fresh.load_columns("x")
         assert len(times) == 20
+        assert not list(link_dir.glob("*.quarantined"))
 
     def test_torn_tail_truncated_on_recovery(self, tmp_path):
         store = LinkStore(tmp_path, segment_rows=1000)
@@ -766,10 +769,11 @@ class TestLinkStore:
         before = quarantined.value
         fresh = LinkStore(tmp_path)
         assert fresh.durable_rows("x") == 4  # survivors only
-        assert fresh.degraded("x")
         assert quarantined.value == before + 1
-        assert (link_dir / (victim.name + ".quarantined")).exists()
-        assert not victim.exists()
+        assert sorted(p.name for p in link_dir.iterdir()) == [
+            victim.name + ".quarantined", "seg-000000000004.col"]
+        np.testing.assert_array_equal(
+            fresh.load_columns("x")[0], _rows(4, 2000.0)[0])
 
     def test_a_newer_format_segment_is_kept_and_its_link_refused(
             self, tmp_path):
@@ -788,7 +792,7 @@ class TestLinkStore:
         quarantined = get_registry().counter("store_quarantined", "")
         count = quarantined.value
         fresh = LinkStore(tmp_path, segment_rows=4)
-        for call in (fresh.durable_rows, fresh.load_columns, fresh.compact,
+        for call in (fresh.durable_rows, fresh.load_columns,
                      fresh.seal, fresh.read_checkpoint,
                      lambda link: _append(fresh, link, 1, t0=9000.0)):
             with pytest.raises(seg.UnknownSegmentFormat):
@@ -797,28 +801,8 @@ class TestLinkStore:
         assert newer.read_bytes()[:6] == b"RSSG\3\0"
         assert quarantined.value == count
         assert fresh.link_names() == ["x", "y"]
-        assert fresh.durable_rows("y") == 6 and not fresh.degraded("y")
-
-    def test_compaction_repairs_degraded_link(self, tmp_path):
-        store = LinkStore(tmp_path, segment_rows=4)
-        _append(store, "x", 4, t0=1000.0)
-        _append(store, "x", 4, t0=2000.0)
-        store.close()
-        link_dir = next((tmp_path / "links").iterdir())
-        victim = sorted(p for p in link_dir.iterdir()
-                        if p.name.endswith(".col"))[0]
-        victim.write_bytes(b"junk")
-        fresh = LinkStore(tmp_path, segment_rows=4)
-        assert fresh.degraded("x")
-        assert fresh.compact("x")
-        assert not fresh.degraded("x")
-        assert fresh.durable_rows("x") == 4
-        # Exactly one seg-full remains; appends continue cleanly.
-        left = [p.name for p in link_dir.iterdir() if p.name.startswith("seg-")
-                and not p.name.endswith(".quarantined")]
-        assert left == [seg.FULL_NAME]
-        _append(fresh, "x", 3, t0=5000.0)
-        assert fresh.durable_rows("x") == 7
+        assert fresh.durable_rows("y") == 6
+        assert not list((tmp_path / "links" / "y").glob("*.quarantined"))
 
     def test_stranded_temp_files_are_removed_on_recovery(self, tmp_path):
         """A kill between mkstemp and os.replace leaves a ``*.tmp``; the
@@ -836,9 +820,11 @@ class TestLinkStore:
         for name in (segment.name + ".k1ll3d.tmp", "checkpoint.bin.tmp"):
             (link_dir / name).write_bytes(segment.read_bytes()[:50])
 
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
         fresh = LinkStore(tmp_path / "killed", segment_rows=8)
         assert fresh.durable_rows("x") == 11
-        assert not fresh.degraded("x")
+        assert quarantined.value == before
         assert len(fresh.load_columns("x")[0]) == 11
         assert sorted(p.name for p in link_dir.iterdir()) == \
             sorted(p.name for p in clean.iterdir())
@@ -856,34 +842,37 @@ class TestLinkStore:
         before = quarantined.value
 
         fresh = LinkStore(tmp_path, segment_rows=4)
-        assert fresh.durable_rows("x") == 8 and not fresh.degraded("x")
+        assert fresh.durable_rows("x") == 8
         _append(fresh, "x", 4, t0=3000.0)  # seals beside the old files
         assert sorted(p.name for p in link_dir.glob("seg-*")) == [
             "seg-000000000000.npz", "seg-000000000004.npz",
             "seg-000000000008.col"]
-        times, _, _, _ = fresh.load_columns("x")
-        np.testing.assert_array_equal(
-            times, _rows(4, 1000.0)[0] + _rows(4, 2000.0)[0] + _rows(4, 3000.0)[0])
-        assert fresh.compact("x")
-        assert [p.name for p in link_dir.glob("seg-*")] == [seg.FULL_NAME]
-        assert LinkStore(tmp_path).durable_rows("x") == 12
+        want = _rows(4, 1000.0)[0] + _rows(4, 2000.0)[0] + _rows(4, 3000.0)[0]
+        for opened in (fresh, LinkStore(tmp_path)):
+            np.testing.assert_array_equal(opened.load_columns("x")[0], want)
         assert quarantined.value == before
         assert not list(link_dir.glob("*.quarantined"))
 
     def test_crash_mid_upgrade_compaction_keeps_one_copy(self, tmp_path):
-        # seg-full.col written, the .npz files it merged not yet deleted.
-        store = LinkStore(tmp_path, segment_rows=4)
-        _append(store, "x", 4, t0=1000.0)
-        _append(store, "x", 4, t0=2000.0)
-        assert store.compact("x")
-        store.close()
-        link_dir = next((tmp_path / "links").iterdir())
-        write_npz_segment(link_dir / "seg-full.npz", 0, *_rows(4, 1000.0))
-        write_npz_segment(link_dir / "seg-000000000004.npz", 4,
-                          *_rows(4, 2000.0))
+        """What a kill in an earlier build's compaction left: its
+        ``seg-full.col`` written, the segments it merged not yet deleted.
+        Recovery still reads one copy of each row and sweeps the rest."""
+        link_dir = tmp_path / "links" / "x"
+        link_dir.mkdir(parents=True)
+        times, values, sizes, ops = (a + b for a, b in zip(
+            _rows(4, 1000.0), _rows(4, 2000.0)))
+        seg.write_segment(link_dir / "seg-full.col", 0,
+                          times, values, sizes, ops)
+        write_npz_segment(link_dir / "seg-000000000000.npz", 0,
+                          *_rows(4, 1000.0))
+        seg.write_segment(link_dir / seg.segment_name(4), 4, *_rows(4, 2000.0))
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
         fresh = LinkStore(tmp_path)
-        assert fresh.durable_rows("x") == 8 and not fresh.degraded("x")
-        assert [p.name for p in link_dir.glob("seg-*")] == [seg.FULL_NAME]
+        assert fresh.durable_rows("x") == 8
+        np.testing.assert_array_equal(fresh.load_columns("x")[0], times)
+        assert [p.name for p in link_dir.glob("seg-*")] == ["seg-full.col"]
+        assert quarantined.value == before
 
     def test_checkpoint_roundtrip_and_quarantine(self, tmp_path):
         store = LinkStore(tmp_path)
@@ -1100,8 +1089,10 @@ class TestSeal:
         raw[-3] ^= 0xFF
         victim.write_bytes(bytes(raw))
         _append(store, "x", 3, t0=2000.0)
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
         assert store.seal("x")  # the tail's rows get a segment of their own
-        assert store.degraded("x")
+        assert quarantined.value == before + 1
         assert sorted(p.name for p in link_dir.iterdir()) == [
             "seg-000000000000.col.quarantined", "seg-000000000005.col"]
         np.testing.assert_array_equal(
@@ -1123,7 +1114,8 @@ class TestSeal:
         assert store.seal("x", amortized=True)  # a full segment is not open
         assert segment_shapes(link_dir) == {
             "seg-000000000000.col": (0, 16), "seg-000000000016.col": (16, 1)}
-        assert store.durable_rows("x") == 17 and not store.degraded("x")
+        assert store.durable_rows("x") == 17
+        assert not list(link_dir.glob("*.quarantined"))
 
     def test_small_segments_of_an_earlier_build_fold_into_one(self, tmp_path):
         """Before seals grew the open segment, every restart left each
@@ -1133,6 +1125,8 @@ class TestSeal:
         for k in range(5):
             seg.write_segment(link_dir / seg.segment_name(6 * k), 6 * k,
                               *_rows(6, 1000.0 * (k + 1)))
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
         store = LinkStore(tmp_path)
         assert store.durable_rows("x") == 30
         _append(store, "x", 2, t0=9000.0)
@@ -1140,10 +1134,80 @@ class TestSeal:
         assert segment_shapes(link_dir) == {"seg-000000000000.col": (0, 32)}
         for opened in (store, LinkStore(tmp_path)):
             times = opened.load_columns("x")[0]
-            assert not opened.degraded("x")
+            assert quarantined.value == before
             np.testing.assert_array_equal(times, sum(
                 (_rows(6, 1000.0 * (k + 1))[0] for k in range(5)), [])
                 + _rows(2, 9000.0)[0])
+
+    @pytest.mark.parametrize("segments, kill_after", [
+        (2, "write seg-000000000004.col"),
+        (2, "unlink tail.wal"),
+        (4, "write seg-000000000004.col"),
+        (4, "unlink seg-000000000012.col"),
+        (4, "unlink seg-000000000008.col"),
+        (4, "unlink tail.wal"),
+    ])
+    def test_a_kill_anywhere_in_a_seal_of_a_gapped_link_keeps_one_copy(
+            self, tmp_path, segments, kill_after):
+        """The seal is the store's only rewrite.  On a link whose
+        ``seg-0`` rotted, a seal with room to fold the small segments an
+        earlier build left writes one segment, unlinks the ones it
+        merged, then the tail; a kill after any of those steps leaves
+        each surviving row exactly once, numbered as it was."""
+        store = LinkStore(tmp_path, segment_rows=4)
+        for k in range(segments):
+            _append(store, "x", 4, t0=1000.0 * (k + 1))
+        _append(store, "x", 2, t0=9000.0)
+        store.close()
+        link_dir = _link_dir(tmp_path)
+        first = link_dir / seg.segment_name(0)
+        raw = bytearray(first.read_bytes())
+        raw[-3] ^= 0xFF
+        first.write_bytes(bytes(raw))
+        survivors = sum((_rows(4, 1000.0 * (k + 1))[0]
+                         for k in range(1, segments)), []) + _rows(2, 9000.0)[0]
+        np.testing.assert_array_equal(
+            LinkStore(tmp_path).load_columns("x")[0], survivors)
+        assert first.with_name(first.name + ".quarantined").exists()
+
+        pid = os.fork()
+        if pid == 0:  # the process that dies mid-seal
+            code = 1
+            try:
+                real_write, real_unlink = seg.write_segment, Path.unlink
+
+                def step(event):
+                    if event == kill_after:
+                        os._exit(86)
+
+                def write(path, *args, **kwargs):
+                    real_write(path, *args, **kwargs)
+                    step(f"write {path.name}")
+
+                def unlink(path, *args, **kwargs):
+                    real_unlink(path, *args, **kwargs)
+                    step(f"unlink {path.name}")
+
+                seg.write_segment, Path.unlink = write, unlink
+                code = 0 if LinkStore(tmp_path, segment_rows=64).seal("x") else 2
+            finally:
+                os._exit(code)
+        for _ in range(3000):
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the sealing process hung")
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 86
+
+        fresh = LinkStore(tmp_path, segment_rows=64)
+        assert fresh.durable_rows("x") == len(survivors)
+        np.testing.assert_array_equal(fresh.load_columns("x")[0], survivors)
+        assert segment_shapes(link_dir) == {
+            "seg-000000000004.col": (4, len(survivors))}
 
     def test_group_commit_after_an_auto_seal_opens_no_empty_tail(self, tmp_path):
         store = LinkStore(tmp_path, segment_rows=4, fsync=True)
