@@ -3,7 +3,7 @@ more accurate than the simple techniques.
 
 Two timed groups compare one prediction with AR vs the windowed mean on
 the same 450-record history; the accuracy half of the claim is asserted
-from the walk-forward tables (as in the Figures 8-11 benchmark).
+from the walk-forward tables (as tier-1's Section 6.2 claims test does).
 """
 
 import pytest

@@ -1,9 +1,10 @@
-"""Shared benchmark fixtures.
+"""Shared claim-bench fixtures.
 
-Every figure benchmark consumes the regenerated August datasets (seed 1 —
-the reference seed used throughout EXPERIMENTS.md).  Campaigns run once
-per session; rendered tables are printed so a ``pytest benchmarks/
---benchmark-only -s`` run reproduces the paper's figures as text.
+``bench_claim_ar_cost.py`` times predictions over the regenerated August
+datasets (seed 1, the reference seed of EXPERIMENTS.md) and reads the
+AR-versus-simple error from their 30-predictor tables.  Campaigns run
+once per session.  The paper's figures are asserted in tier-1
+(``tests/``), not here.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import pytest
 
 from repro.analysis import compute_class_errors_dataset
 from repro.data import Dataset
-from repro.workload import AUG_2001, DEC_2001, run_month
-from repro.workload.campaigns import run_month_with_nws
+from repro.workload import AUG_2001, run_month
 
 REFERENCE_SEED = 1
 
@@ -22,18 +22,6 @@ REFERENCE_SEED = 1
 def august():
     """The August datasets (both links), reference seed."""
     return run_month(start_epoch=AUG_2001, seed=REFERENCE_SEED)
-
-
-@pytest.fixture(scope="session")
-def december():
-    """The December datasets."""
-    return run_month(start_epoch=DEC_2001, seed=REFERENCE_SEED)
-
-
-@pytest.fixture(scope="session")
-def august_nws():
-    """August with concurrent NWS probes (Figures 1-2)."""
-    return run_month_with_nws(start_epoch=AUG_2001, seed=REFERENCE_SEED)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,10 @@ paper's (Section 6.1 / Figure 7)."""
 import numpy as np
 import pytest
 
+from repro.analysis import compute_census
 from repro.core import paper_classification
 from repro.units import MB
+from repro.workload import DEC_2001, run_month
 
 
 class TestTransferCensus:
@@ -28,6 +30,23 @@ class TestTransferCensus:
             assert fractions["100MB"] == pytest.approx(3 / 13, abs=0.08)
             assert fractions["500MB"] == pytest.approx(3 / 13, abs=0.08)
             assert fractions["1GB"] == pytest.approx(2 / 13, abs=0.08)
+
+    def test_census_holds_in_both_months(self, august_outputs):
+        """Figure 7's table, as ``repro report census`` computes it."""
+        months = {"August": august_outputs,
+                  "December": run_month(start_epoch=DEC_2001, seed=1)}
+        census = compute_census(months)
+        expected = dict(zip(paper_classification().labels,
+                            (5 / 13, 3 / 13, 3 / 13, 2 / 13)))
+        for month in months:
+            for link in ("LBL-ANL", "ISI-ANL"):
+                total = census.count(month, link, "All")
+                assert 330 <= total <= 560, (month, link)
+                assert total == sum(census.count(month, link, label)
+                                    for label in expected)
+                for label, fraction in expected.items():
+                    observed = census.count(month, link, label) / total
+                    assert observed == pytest.approx(fraction, abs=0.08)
 
 
 class TestBandwidthShape:

@@ -63,6 +63,20 @@ class TestDirectory:
             assert entry.has("predictedrdbandwidth1gbrange")
             assert entry.has("avgrdbandwidth10mbrange")
 
+    def test_lbl_entry_carries_the_figure6_fragment(self, directory):
+        """Figure 6's attributes, in its ``6062K`` rendering."""
+        giis, _ = directory
+        entry, = giis.search(now=10.0, flt="(hostname=dpsslx04.lbl.gov)")
+        assert entry.first("cn") == "131.243.2.91"
+        assert entry.first("gridftpurl") == "gsiftp://dpsslx04.lbl.gov:61000"
+        kb = {}
+        for attr in ("minrdbandwidth", "maxrdbandwidth", "avgrdbandwidth",
+                     "avgrdbandwidth10mbrange"):
+            value = entry.first(attr)
+            assert value is not None and value.endswith("K"), attr
+            kb[attr] = float(value[:-1])
+        assert kb["minrdbandwidth"] <= kb["avgrdbandwidth"] <= kb["maxrdbandwidth"]
+
     def test_ldif_round_trip_through_text(self, directory):
         """What a remote user actually receives: LDIF text."""
         giis, _ = directory

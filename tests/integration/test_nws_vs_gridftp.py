@@ -1,8 +1,12 @@
 """Integration: the Figures 1-2 contrast on regenerated data."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import compare_probe_vs_gridftp, render_nws_comparison
+from repro.core import evaluate, paper_classification
+from repro.core.predictors import ClassifiedPredictor, HybridPredictor, resolve
+from repro.nws import DynamicForecaster, standard_battery
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +56,6 @@ class TestScalingIsNotEnough:
     def test_no_constant_scaling_fixes_probes(self, august_with_nws):
         """'Simple data transformations will not improve its predictive
         merits': the best constant multiplier still leaves large error."""
-        import numpy as np
-
         for output in august_with_nws.values():
             records = output.log.records()
             probes = output.probes
@@ -67,6 +69,49 @@ class TestScalingIsNotEnough:
             scale = float(np.median(bw / pv))
             residual = np.abs(bw - scale * pv) / bw
             assert residual.mean() > 0.2  # >20% error even after rescaling
+
+
+class TestSection7Extensions:
+    def test_dynamic_forecaster_tracks_the_best_member(self, august_with_nws):
+        """The NWS's own dynamic selection, on its probe series."""
+        values = august_with_nws["LBL-ANL"].probes.values
+
+        def one_step_mape(forecaster):
+            errors = []
+            for value in values:
+                forecast = forecaster.forecast()
+                if forecast is not None:
+                    errors.append(abs(value - forecast) / value)
+                forecaster.update(float(value))
+            return 100.0 * float(np.mean(errors))
+
+        members = [one_step_mape(f) for f in standard_battery()]
+        dynamic = one_step_mape(DynamicForecaster(standard_battery()))
+        assert dynamic <= min(members) * 1.25
+        assert dynamic < max(members)
+        assert min(members) < 10.0  # probes are far smoother than GridFTP
+
+    def test_class_aware_hybrid_rescues_the_probe_signal(self, august_with_nws):
+        """'Basic predictions on the sporadic data combined with more
+        regular NWS measurements': the probe scaled by a per-class learned
+        GridFTP/probe ratio."""
+        output = august_with_nws["LBL-ANL"]
+        records = output.log.records()
+        cls = paper_classification()
+        hybrid = ClassifiedPredictor(
+            HybridPredictor(output.probes, window=25, max_probe_age=3600.0), cls)
+        result = evaluate(records, {"C-AVG15": resolve("C-AVG15"),
+                                    "C-HYBRID": hybrid})
+        raw = [abs(r.bandwidth - p) / r.bandwidth * 100 for r in records
+               if (p := output.probes.value_at(r.start_time))]
+        raw_mape = float(np.mean(raw))
+        assert raw_mape > 90.0  # probes alone are hopeless as predictions
+        for label in ("100MB", "500MB", "1GB"):
+            mape = {name: trace.mean_abs_pct_error(trace.class_mask(cls, label))
+                    for name, trace in result.traces.items()}
+            assert mape["C-HYBRID"] < raw_mape / 2, label
+            assert mape["C-HYBRID"] < 2.0 * mape["C-AVG15"], label
+        assert result["C-HYBRID"].abstentions < len(records) * 0.5
 
 
 def test_render_smoke(comparisons):

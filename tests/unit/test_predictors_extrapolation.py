@@ -6,6 +6,7 @@ import pytest
 from repro.core import History, paper_classification
 from repro.core.predictors import SiteFactorModel
 from repro.units import MB
+from repro.workload import AUG_2001, CampaignConfig, ControlledCampaign, build_testbed
 
 
 def pair_history(bandwidth, n=20, sizes=None, noise=0.0, seed=0):
@@ -95,3 +96,31 @@ class TestClassFilter:
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SiteFactorModel(**kw)
+
+
+def test_extrapolates_an_unseen_pair_of_the_testbed():
+    """Section 7's 'no previous transfer data between two sites': fit on
+    LBL->ANL and ISI->ANL, predict ISI->LBL, whose ground truth is a third
+    campaign over a two-hop path the model never saw."""
+    bed = build_testbed(seed=9, start_time=AUG_2001)
+    cfg = CampaignConfig(start_epoch=AUG_2001, days=7)
+    pairs = [("LBL", "ANL"), ("ISI", "ANL"), ("ISI", "LBL")]
+    campaigns = [ControlledCampaign(bed, server, client, cfg)
+                 for server, client in pairs]
+    for campaign in campaigns:
+        campaign.start()
+    bed.engine.run(until=cfg.end_epoch)
+    histories = {}
+    for (server, client), campaign in zip(pairs, campaigns):
+        campaign.stop()
+        histories[(server, client)] = History.from_records([
+            r for r in bed.servers[server].monitor.log.records()
+            if r.source_ip == bed.sites[client].address
+        ])
+    truth = histories.pop(("ISI", "LBL"))
+    cls = paper_classification()
+    for label in ("100MB", "500MB", "1GB"):
+        model = SiteFactorModel(window=50, classification=cls, label=label)
+        predicted = model.predict_pair(histories, "ISI", "LBL")
+        actual = float(np.median(truth.of_class(cls, label).values))
+        assert max(predicted, actual) / min(predicted, actual) < 1.6, label

@@ -1,5 +1,6 @@
 """The Figure 4 registry."""
 
+from repro.core import History
 from repro.core.predictors import (
     PAPER_PREDICTOR_NAMES,
     ArModel,
@@ -59,6 +60,15 @@ def test_total_battery_is_thirty():
     """The paper's headline: 30 predictors."""
     battery = {**paper_predictors(), **classified_predictors()}
     assert len(battery) == 30
+
+
+def test_every_predictor_answers_on_a_campaign_log(august_outputs):
+    """Every cell of the grid predicts from a real ~450-record history."""
+    history = History.from_records(august_outputs["LBL-ANL"].log.records())
+    now = float(history.times[-1]) + 60.0
+    for name, predictor in paper_predictors().items():
+        predicted = predictor.predict(history, target_size=500_000_000, now=now)
+        assert predicted is not None and predicted > 0, name
 
 
 def test_registry_builds_fresh_instances():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.units import GB, MB
+from repro.units import GB, MB, parse_size
 from repro.workload import AUG_2001, DEC_2001, PAPER_SIZES, build_testbed
 
 
@@ -71,3 +71,21 @@ class TestBuild:
         # The ANL client host in Figure 3's log.
         assert testbed.sites["ANL"].address == "140.221.65.69"
         assert testbed.sites["LBL"].hostname == "dpsslx04.lbl.gov"
+
+
+def test_figure3_sample_sweep():
+    """Figure 3's sample log: one 10 MB ... 1 GB sweep from LBL to the ANL
+    client with 8 streams and 1 MB buffers, bandwidth rising with size."""
+    bed = build_testbed(seed=1, start_time=AUG_2001)
+    client, server = bed.clients["ANL"], bed.servers["LBL"]
+    sizes = ["10M", "25M", "50M", "100M", "250M", "500M", "750M", "1G"]
+    for name in sizes:
+        outcome = client.get(server, f"/home/ftp/data/{name}",
+                             streams=8, buffer=1 * MB)
+        bed.engine.run(until=outcome.end_time + 5.0)
+    records = server.monitor.log.records()
+    assert [r.file_size for r in records] == [parse_size(n) for n in sizes]
+    for record in records:
+        assert (record.streams, record.tcp_buffer) == (8, 1 * MB)
+        assert record.volume == "/home/ftp"
+    assert records[-1].bandwidth > 1.5 * records[0].bandwidth
