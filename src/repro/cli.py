@@ -20,10 +20,10 @@ specs), size classes are always ``--class``, machine-readable output is
 always ``--json``.  Exit codes: 0 success, 1 operational error (bad
 predictor name, missing link, server unreachable), 2 usage error.
 
-Observability: ``repro --profile <subcommand> ...`` wraps any subcommand
-in cProfile (pstats dump to ``--profile-out``, top-N hotspots on
-stderr); ``repro serve --metrics-interval N --metrics-file F`` appends
-one JSON registry snapshot per interval to ``F`` for offline analysis.
+Observability: ``repro serve --metrics-interval N --metrics-file F``
+appends one JSON registry snapshot per interval to ``F`` for offline
+analysis.  To profile a subcommand, run it under the standard library:
+``python -m cProfile -o repro.pstats -m repro.cli <subcommand> ...``.
 """
 
 from __future__ import annotations
@@ -680,7 +680,7 @@ def _load_batch_items(path: str) -> List[Dict[str, object]]:
 
 def _cmd_query(args: argparse.Namespace) -> int:
     req: Dict[str, object] = {"op": args.op}
-    if args.kind and args.op in ("trace", "events"):
+    if args.kind and args.op == "events":
         req["kind"] = args.kind
     if args.limit is not None and args.op in ("spans", "events"):
         req["limit"] = args.limit
@@ -801,15 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce the IPPS 2002 wide-area transfer prediction paper.",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="run the subcommand under cProfile: dump pstats to "
-             "--profile-out and print a hotspot summary to stderr",
-    )
-    parser.add_argument(
-        "--profile-out", default="repro.pstats", metavar="PATH",
-        help="where --profile writes the raw pstats dump",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -951,7 +942,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "op",
         choices=["ping", "predict", "batch", "rank", "status", "metrics",
-                 "spans", "events", "trace"],
+                 "spans", "events"],
     )
     query.add_argument("--socket", default=None, help="socket of a running server")
     query.add_argument("--binary", action="store_true",
@@ -970,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--now", type=float, default=None,
                        help="anchor time (epoch seconds; default: wall clock)")
     query.add_argument("--kind", default=None,
-                       help="filter events/trace by event kind")
+                       help="filter events by event kind")
     query.add_argument("--limit", type=int, default=None,
                        help="keep only the newest N spans/events")
     query.add_argument("--json", action="store_true",
@@ -982,14 +973,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.profile:
-            from repro.obs.profile import run_profiled
-
-            code, report = run_profiled(args.func, args)
-            report.dump(args.profile_out)
-            print(f"profile written to {args.profile_out}", file=sys.stderr)
-            print(report.summary(15), file=sys.stderr)
-            return code
         return args.func(args)
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe; not an error.

@@ -18,7 +18,8 @@ Range          Label         Representative
 The labels follow Figure 7's row names.  The class *edges* are explicitly
 testbed-specific in the paper ("these classes apply to the set of hosts
 for our testbed only"), so :class:`Classification` takes arbitrary edges —
-the ablation benchmark varies them.
+``tests/integration/test_prediction_pipeline.py::TestClassEdges`` varies
+them.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ battery names with default parameters and no fallback), the generic walk
 otherwise.  A prebuilt mapping always takes the generic path: arbitrary
 predictor instances cannot be proven kernel-equivalent.  There is no
 switch to force one; a caller that wants an engine by name (the parity
-tests, the ablation benches) calls ``fast_evaluate`` or the generic
-``evaluate`` directly.
+suite, ``tests/integration/test_fast_evaluate_parity.py``) calls
+``fast_evaluate`` or the generic ``evaluate`` directly.
 
 The CLI, the analysis layer, and the benchmarks all call this facade.
 """

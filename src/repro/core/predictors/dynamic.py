@@ -112,5 +112,6 @@ class DynamicSelector(Predictor):
         return member.predict(history, target_size=target_size, now=now)
 
     def mape_table(self) -> Dict[str, float]:
-        """Per-member running MAPE (for the ablation benchmark)."""
+        """Per-member running MAPE, for diagnostics (the experiment is
+        ``tests/integration/test_prediction_pipeline.py::TestDynamicSelection``)."""
         return {m.name: self._mape(m) for m in self.members}

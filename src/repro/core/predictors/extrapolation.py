@@ -17,7 +17,9 @@ An unobserved pair's bandwidth is then ``exp(mu + a_src + b_dst)``.
 
 With two sites on a path crossing a shared bottleneck this is exact;
 with heterogeneous paths it degrades gracefully toward the grid mean.
-The ablation benchmark measures it on a genuinely held-out pair.
+``tests/unit/test_predictors_extrapolation.py::
+test_extrapolates_an_unseen_pair_of_the_testbed`` measures it on a
+genuinely held-out pair.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ still consume half the time.  This predictor:
 
 Compared to classification it shares strength across all sizes (no
 starved bins) and interpolates between the paper's 13 discrete sizes.
-The ablation benchmark compares the two approaches.
+``tests/integration/test_prediction_pipeline.py::TestSizeModel`` compares
+the two approaches.
 """
 
 from __future__ import annotations

@@ -205,7 +205,9 @@ class DynamicForecaster(Forecaster):
         return self.best().forecast()
 
     def mse_table(self) -> Dict[str, float]:
-        """Per-member MSE, for diagnostics and the ablation benchmark."""
+        """Per-member MSE, for diagnostics (the experiment is
+        ``tests/integration/test_nws_vs_gridftp.py::TestSection7Extensions::
+        test_dynamic_forecaster_tracks_the_best_member``)."""
         return {m.name: self._mse(m) for m in self._battery}
 
     def reset(self) -> None:

@@ -12,14 +12,12 @@ serve → MDS):
 * :mod:`repro.obs.tracing` — :class:`Span` context managers with
   ``contextvars`` parent propagation, a bounded :class:`SpanExporter`,
   and the :func:`traced` decorator;
-* :mod:`repro.obs.events` — the subscriber-capable, JSONL-exportable
-  :class:`EventBus` (née ``TraceLog``);
+* :mod:`repro.obs.events` — :class:`EventBus`, the bounded ring of
+  rare structured events (revivals, evictions, ingests, store faults);
 * :mod:`repro.obs.quality` — online prediction-quality telemetry: the
   :class:`AccuracyTracker` pairs served predictions with observed
   transfers and keeps O(1) streaming error statistics (running and
   windowed MAPE/MSE, bias, calibration buckets) per link and per spec;
-* :mod:`repro.obs.profile` — opt-in cProfile wrapping for
-  ``repro --profile``;
 * :mod:`repro.obs.config` — the process-wide on/off switch, so the
   self-overhead benchmark can measure exactly what this layer costs
   (<5% on the ingest and evaluate claims, by assertion).
@@ -29,7 +27,7 @@ names from here.
 """
 
 from repro.obs.config import disabled, enabled, set_enabled
-from repro.obs.events import EventBus, TraceEvent, TraceLog, get_event_bus
+from repro.obs.events import EventBus, TraceEvent, get_event_bus
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -38,7 +36,6 @@ from repro.obs.metrics import (
     get_registry,
     set_registry,
 )
-from repro.obs.profile import ProfileReport, profiled, run_profiled
 from repro.obs.quality import (
     AccuracyTracker,
     ErrorStats,
@@ -61,7 +58,6 @@ __all__ = [
     "set_enabled",
     "EventBus",
     "TraceEvent",
-    "TraceLog",
     "get_event_bus",
     "Counter",
     "Gauge",
@@ -69,9 +65,6 @@ __all__ = [
     "MetricsRegistry",
     "get_registry",
     "set_registry",
-    "ProfileReport",
-    "profiled",
-    "run_profiled",
     "AccuracyTracker",
     "ErrorStats",
     "merge_stats",

@@ -1,28 +1,23 @@
-"""Structured events: a bounded, subscriber-capable event bus.
+"""Structured events: a bounded event ring.
 
 The paper's instrumentation is fundamentally an event log — one ULM
-record per completed transfer.  :class:`EventBus` generalizes the
-service's original trace ring into the process-wide equivalent for the
-reproduction itself: every layer emits ``(time, kind, fields)`` events,
-recent events stay queryable in a deque-backed ring, subscribers see
-every event as it happens (the tail-follower pattern, in-process), and
-the whole ring exports as JSON lines for offline analysis.
-
-``TraceLog`` is the historical name and remains an alias — existing
-``service.trace`` call sites and imports keep working unchanged.
+record per completed transfer.  :class:`EventBus` is the reproduction's
+equivalent for its own rare events: a layer emits ``(time, kind,
+fields)`` and the newest ones stay queryable in a deque-backed ring.
+Per-request work is counted in the metrics registry, not here, so the
+ring keeps what an operator asks it for (revivals, evictions, ingests,
+store faults) under any traffic.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional
 
-__all__ = ["TraceEvent", "EventBus", "TraceLog", "get_event_bus"]
+__all__ = ["TraceEvent", "EventBus", "get_event_bus"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,17 +33,11 @@ class TraceEvent:
 
 
 class EventBus:
-    """A bounded ring of :class:`TraceEvent` with live subscribers.
+    """A bounded ring of :class:`TraceEvent`.
 
-    * **Ring** — the newest ``capacity`` events are kept in a
-      ``deque(maxlen=capacity)``; eviction is O(1) and counted in
-      :attr:`dropped`.
-    * **Subscribers** — callables registered via :meth:`subscribe` are
-      invoked synchronously with each event as it is emitted.  A raising
-      subscriber never breaks the emitter: the exception is swallowed
-      and counted in :attr:`subscriber_errors`.
-    * **Export** — :meth:`export_jsonl` writes the current ring as one
-      JSON object per line.
+    The newest ``capacity`` events are kept in a
+    ``deque(maxlen=capacity)``; eviction is O(1) and counted in
+    :attr:`dropped`.
     """
 
     def __init__(self, capacity: int = 256, clock: Callable[[], float] = time.time):
@@ -59,49 +48,15 @@ class EventBus:
         self._lock = threading.Lock()
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self._dropped = 0
-        self._subscriber_errors = 0
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
 
-    # ------------------------------------------------------------------
-    # emission
-    # ------------------------------------------------------------------
     def emit(self, kind: str, **fields: Any) -> TraceEvent:
         event = TraceEvent(time=self._clock(), kind=kind, fields=fields)
         with self._lock:
             if len(self._events) == self.capacity:
                 self._dropped += 1  # the append below evicts the oldest
             self._events.append(event)
-            # Copy only when there is someone to notify: emit() runs on
-            # per-query hot paths where an empty-list copy is measurable.
-            subscribers = list(self._subscribers) if self._subscribers else ()
-        for subscriber in subscribers:
-            try:
-                subscriber(event)
-            except Exception:
-                with self._lock:
-                    self._subscriber_errors += 1
         return event
 
-    # ------------------------------------------------------------------
-    # subscription
-    # ------------------------------------------------------------------
-    def subscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        """Call ``listener(event)`` synchronously for every future emit."""
-        with self._lock:
-            self._subscribers.append(listener)
-
-    def unsubscribe(self, listener: Callable[[TraceEvent], None]) -> None:
-        with self._lock:
-            self._subscribers.remove(listener)
-
-    @property
-    def has_subscribers(self) -> bool:
-        """Cheap hint for emitters that batch when nobody is listening."""
-        return bool(self._subscribers)
-
-    # ------------------------------------------------------------------
-    # queries and export
-    # ------------------------------------------------------------------
     def events(
         self, kind: Optional[str] = None, limit: Optional[int] = None
     ) -> List[TraceEvent]:
@@ -117,32 +72,14 @@ class EventBus:
             events = events[len(events) - limit:] if limit else []
         return events
 
-    def export_jsonl(self, path: Union[str, Path]) -> int:
-        """Write the retained events as JSON lines; returns the count."""
-        events = self.events()
-        path = Path(path)
-        with path.open("w", encoding="utf-8") as handle:
-            for event in events:
-                handle.write(json.dumps(event.as_dict(), default=str) + "\n")
-        return len(events)
-
     @property
     def dropped(self) -> int:
         with self._lock:
             return self._dropped
 
-    @property
-    def subscriber_errors(self) -> int:
-        with self._lock:
-            return self._subscriber_errors
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._events)
-
-
-#: Historical name: the service's trace ring predates the event bus.
-TraceLog = EventBus
 
 
 _default_bus = EventBus(capacity=1024)

@@ -423,16 +423,14 @@ class AccuracyTracker:
 
     def score(
         self, link: str, actual: float, when: float, version: int,
-        force: Any = False,
     ) -> Tuple[int, float, List[Tuple[str, str, float, float, float, str]]]:
         """Stage an observation; drain and score once per batch.
 
         The observation pairs with every pending answer recorded at
         ``entry.version < version`` — exactly the answers served before
         it folded into link state.  The drain is deferred until the
-        stage holds :data:`SCORED_EVENT_BATCH` entries, or ``force`` is
-        truthy (callers pass their live-subscriber state so followers see
-        every scoring promptly).
+        stage holds :data:`SCORED_EVENT_BATCH` entries; :meth:`drain`
+        scores the stage at once.
 
         Returns ``(pairs, worst, bad)`` — the error-scored pair count,
         worst absolute fractional error, and ``(link, spec, predicted,
@@ -442,7 +440,7 @@ class AccuracyTracker:
         """
         stage = self.stage
         stage.append((link, actual, when, version))
-        if not force and len(stage) < SCORED_EVENT_BATCH:
+        if len(stage) < SCORED_EVENT_BATCH:
             return _NOTHING
         return self.drain()
 
@@ -738,10 +736,6 @@ class QualityFeed:
                  metrics: "MetricsRegistry", trace: "EventBus"):
         self.tracker = tracker
         self.trace = trace
-        # The bus mutates its subscriber list in place, so holding the
-        # list is a stable, descriptor-free emptiness probe for the
-        # per-observation force-drain decision.
-        self.subscribers = trace._subscribers
         # (link, stream) -> scored-count high-water marks for the
         # scrape-time error-histogram feed (see publish).
         self._hist_seen: Dict[Tuple[str, str], int] = {}
@@ -770,16 +764,12 @@ class QualityFeed:
         """Score what was staged once it is worth it, and publish it.
 
         The tracker drains once its stage holds
-        :data:`SCORED_EVENT_BATCH` entries, or at once while an event
-        subscriber listens, so followers still see each
-        scoring promptly.  One aggregated ``prediction.bad`` event per
-        drain carries the worst miss in full and the crosser count: a
-        live follower forces a drain per observation, so watchers still
-        see every miss individually, while unwatched the summary keeps a
-        noisy predictor from flooding the ring (the counter stays exact
-        either way).
+        :data:`SCORED_EVENT_BATCH` entries.  One aggregated
+        ``prediction.bad`` event per drain carries the worst miss in
+        full and the crosser count, so a noisy predictor cannot flood
+        the ring (the counter stays exact).
         """
-        if len(self.tracker.stage) < SCORED_EVENT_BATCH and not self.subscribers:
+        if len(self.tracker.stage) < SCORED_EVENT_BATCH:
             return
         pairs, worst, bad = self.tracker.drain()
         if not pairs:
@@ -792,8 +782,9 @@ class QualityFeed:
                 "prediction.bad", link=bad_link, spec=spec,
                 predicted=predicted, actual=bad_actual,
                 error_pct=frac * 100.0, answer=kind, count=len(bad))
-        self.trace.emit("prediction.scored", link=link, pairs=pairs,
-                        worst_pct=worst * 100.0)
+        self.trace.emit(
+            "prediction.scored", link=link, pairs=pairs,
+            worst_pct=worst * 100.0)
 
     def publish(self) -> None:
         """Refresh the accuracy gauges from the tracker.

@@ -16,7 +16,7 @@ Talk to a server through :class:`repro.client.ServiceClient`.
 Metrics/tracing/events live in :mod:`repro.obs`.
 """
 
-from repro.obs.events import TraceEvent, TraceLog
+from repro.obs.events import TraceEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.service.server import ServiceServer, handle_request
 from repro.service.service import (
@@ -31,7 +31,6 @@ from repro.service.tail import LogFollower
 __all__ = [
     "MetricsRegistry",
     "TraceEvent",
-    "TraceLog",
     "ServiceServer",
     "handle_request",
     "DEFAULT_SPEC",

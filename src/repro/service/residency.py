@@ -48,7 +48,7 @@ from repro.service.state import LinkState, row_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.classification import Classification
-    from repro.obs.events import TraceLog
+    from repro.obs.events import EventBus
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.quality import AccuracyTracker
     from repro.store import LinkStore
@@ -71,7 +71,7 @@ class Residency:
         self,
         classification: "Classification",
         metrics: "MetricsRegistry",
-        trace: "TraceLog",
+        trace: "EventBus",
         store: Optional["LinkStore"] = None,
         max_resident: Optional[int] = None,
         quality: Optional["AccuracyTracker"] = None,

@@ -25,7 +25,6 @@ op                  request fields                          response payload
 ``metrics``         [``format``]                            merged registry snapshot
 ``spans``           [``name``, ``limit``]                   finished spans
 ``events``          [``kind``, ``limit``, ``scope``]        structured events
-``trace``           [``kind``]                              recent trace events
 =================  ======================================= =====================
 
 **Envelope.**  Every request may carry ``v`` — the protocol schema
@@ -331,13 +330,6 @@ def _spans_payload(
     return {"spans": [s.as_dict() for s in spans]}
 
 
-def _trace_payload(
-    service: PredictionService, req: Dict[str, Any], deadline: Deadline
-) -> Dict[str, Any]:
-    events = service.trace.events(kind=req.get("kind"))
-    return {"events": [e.as_dict() for e in events]}
-
-
 #: op name -> ``(service, req, deadline) -> payload``: the whole surface.
 _OPS: Dict[str, Callable[[PredictionService, Dict[str, Any], Deadline], Dict[str, Any]]] = {
     "ping": lambda service, req, deadline: {"pong": True},
@@ -350,7 +342,6 @@ _OPS: Dict[str, Callable[[PredictionService, Dict[str, Any], Deadline], Dict[str
     "metrics": _metrics_payload,
     "spans": _spans_payload,
     "events": _events_payload,
-    "trace": _trace_payload,
 }
 
 

@@ -45,8 +45,10 @@ serving path:
   the shipped logs).
 * **Observability** — every ingest and query updates the service's
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges, a
-  predict-latency histogram with per-spec labeled children) and the
-  structured :class:`~repro.obs.events.EventBus` at ``service.trace``.
+  predict-latency histogram); the rare events — ingests, revivals,
+  evictions, scored and bad predictions — go to the
+  :class:`~repro.obs.events.EventBus` ring at ``service.trace``, which
+  per-request traffic never touches, so it still holds them under load.
   The registry is per-service so two services never mix their counts;
   pipeline-level metrics (ingest, evaluation, MDS) live in the
   process-wide :func:`repro.obs.get_registry`, and the socket server's
@@ -94,9 +96,8 @@ from repro.core.streaming import StreamingUnavailable
 from repro.data.frame import TransferFrame
 from repro.data.ingest import load_ulm
 from repro.logs.record import Operation, TransferRecord
-from repro.obs.config import enabled as _obs_enabled
-from repro.obs.events import TraceLog
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.events import EventBus
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import SCORED_EVENT_BATCH, AccuracyTracker, QualityFeed
 from repro.service.residency import Residency
 from repro.service.state import OP_READ, OP_WRITE, LinkState
@@ -272,7 +273,7 @@ class PredictionService:
         self.classification = paper_classification()
         self.clock = clock
         self.metrics = MetricsRegistry()
-        self.trace = TraceLog(256, clock=clock)
+        self.trace = EventBus(256, clock=clock)
         self.store = store
         self.quality_threshold = (
             None if quality_threshold is None else float(quality_threshold)
@@ -296,7 +297,6 @@ class PredictionService:
         self._predictors: Dict[str, Predictor] = {}
         self._predictors_lock = threading.Lock()
         self._plans: Dict[str, Tuple[bool, bool, bool]] = {}
-        self._latency_children: Dict[str, Histogram] = {}
 
         m = self.metrics
         self._m_ingested = m.counter(
@@ -376,11 +376,9 @@ class PredictionService:
             # GIL-atomic C append — the tracker's documented hot-path
             # contract) and the feed's drain rule is tested here.
             stage.append((link, record.bandwidth, record.end_time, version))
-            if len(stage) >= SCORED_EVENT_BATCH or self.quality_feed.subscribers:
+            if len(stage) >= SCORED_EVENT_BATCH:
                 self.quality_feed.drain(link)
         self._m_ingested.inc()
-        self.trace.emit("observe", link=link, version=version,
-                        size=record.file_size, bandwidth=record.bandwidth)
         return version
 
     def observe_batch(self, items: Sequence) -> List[int]:
@@ -442,7 +440,6 @@ class PredictionService:
                 stage_obs((link, record.bandwidth, record.end_time, version))
             self.quality_feed.drain(norm[-1][0])
         self._m_ingested.inc(n)
-        self.trace.emit("observe_batch", items=n, links=len(groups))
         return versions
 
     def ingest_records(self, link: str, records: Iterable[TransferRecord]) -> int:
@@ -639,23 +636,12 @@ class PredictionService:
         if value is None and length == 0 and self.degraded_fallback:
             # Graceful degradation: a link nobody has measured yet gets
             # the link-agnostic aggregate, explicitly marked low-confidence.
-            value = self._fallback_value(link, spec, size)
+            value = self._fallback_value()
             degraded = value is not None
 
         latency = time.perf_counter() - t0
         self._m_predicts.inc()
         self._m_latency.observe(latency)
-        if _obs_enabled():
-            # The labeled child is looked up per spec once and memoized:
-            # labels() costs a sort + lock per call, which is measurable
-            # at streaming-path latencies.  Benign race: same child.
-            child = self._latency_children.get(spec)
-            if child is None:
-                child = self._m_latency.labels(spec=spec)
-                self._latency_children[spec] = child
-            child.observe(latency)
-        self.trace.emit("predict", link=link, spec=spec, size=size,
-                        cached=cached, value=value, version=version)
         stage = self._q_stage
         if stage is not None:
             # Inlined tracker.record(): one staged append on the predict
@@ -813,7 +799,7 @@ class PredictionService:
                                       streamed) in zip(norm, partial):
             degraded = False
             if value is None and length == 0 and self.degraded_fallback:
-                value = self._fallback_value(link, spec_i, size)
+                value = self._fallback_value()
                 degraded = value is not None
             results.append(Prediction(
                 link=link, spec=spec_i, target_size=size, value=value,
@@ -841,20 +827,16 @@ class PredictionService:
         self._m_batch_items.inc(n)
         self._m_batch_size.observe(float(n))
         self._m_batch_latency.observe(elapsed)
-        self.trace.emit("predict_batch", items=n, links=len(groups),
-                        hits=hits, streamed=streamed_n)
         return results
 
-    def _fallback_value(self, link: str, spec: str, size: int) -> Optional[float]:
-        """The degraded link-agnostic answer, counted and traced.
+    def _fallback_value(self) -> Optional[float]:
+        """The degraded link-agnostic answer, counted.
 
         Never cached — it depends on every *other* link's state.
         """
         value = self.aggregate_bandwidth()
         if value is not None:
             self._m_fallbacks.inc()
-            self.trace.emit("predict.fallback", link=link, spec=spec,
-                            size=size, value=value)
         return value
 
     def aggregate_bandwidth(self) -> Optional[float]:

@@ -9,8 +9,9 @@ consider that approach here."
 probe file from a server at a regular period (with jitter), so the
 server's log — and therefore every predictor — sees *regularly spaced*,
 *size-controlled* samples in addition to whatever organic traffic
-occurs.  The trade-off the ablation benchmark quantifies: fresher,
-regular history against the bandwidth spent carrying probe bytes.
+occurs.  The trade-off ``tests/unit/test_workload_active_probe.py::
+test_active_probing_cuts_same_class_error`` quantifies: fresher, regular
+history against the bandwidth spent carrying probe bytes.
 """
 
 from __future__ import annotations

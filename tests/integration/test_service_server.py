@@ -57,13 +57,21 @@ def test_rank_over_socket(client):
     assert [r["site"] for r in ranking] == ["LBL-ANL", "NOWHERE"]
 
 
-def test_status_metrics_trace_over_socket(client):
+def test_status_metrics_trace_over_socket(client, server, service):
     status = client.status()
     assert status["links"]["LBL-ANL"]["records"] == 30
     metrics = client.request({"op": "metrics"})
     assert metrics["metrics"]["service_ingested_records"]["value"] == 30
-    trace = client.request({"op": "trace", "kind": "observe"})
-    assert all(e["kind"] == "observe" for e in trace["events"])
+    service.trace.emit("server.test.service", probe=2)
+    events = client.request({"op": "events", "kind": "server.test.service"})
+    assert [e["probe"] for e in events["events"]] == [2]
+    # The service's ring is the events op's default scope; there is no
+    # second op for it, on either dialect.
+    for binary in (False, True):
+        with ServiceClient(server.socket_path, binary=binary) as other:
+            response = other.request({"op": "trace"})
+        assert response["error"] == {
+            "code": "unknown_op", "message": "unknown op 'trace'"}
 
 
 def test_metrics_text_format_over_socket(client):
@@ -88,19 +96,21 @@ def test_spans_op_serves_the_process_exporter(client):
     assert exported["duration"] >= 0
 
 
-def test_events_op_scopes(client):
+def test_events_op_scopes(client, service):
     from repro.obs.events import get_event_bus
 
-    get_event_bus().emit("server.test.global", probe=1)
-    service_events = client.request({"op": "events", "kind": "observe"})
+    for probe in range(3):
+        get_event_bus().emit("server.test.global", probe=probe)
+        service.trace.emit("server.test.service", probe=probe)
+    service_events = client.request(
+        {"op": "events", "kind": "server.test.service"})
     assert service_events["ok"]
-    assert len(service_events["events"]) > 0
-    assert all(e["kind"] == "observe" for e in service_events["events"])
+    assert [e["probe"] for e in service_events["events"]] == [0, 1, 2]
 
     global_events = client.request(
         {"op": "events", "scope": "global", "kind": "server.test.global"}
     )
-    assert [e["probe"] for e in global_events["events"]] == [1]
+    assert [e["probe"] for e in global_events["events"]] == [0, 1, 2]
 
     merged = client.request({"op": "events", "scope": "all", "limit": 5})
     assert merged["ok"] and len(merged["events"]) == 5

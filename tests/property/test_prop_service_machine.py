@@ -92,7 +92,17 @@ class ServiceMachine(RuleBasedStateMachine):
     def _open(self):
         self.service = PredictionService(
             store=LinkStore(self.root, segment_rows=8), max_resident=1)
-        self.service.trace.subscribe(self._on_event)
+        # A spy on this instance's ring: each revival is checked as it
+        # is emitted, in emission order, by the thread that emits it.
+        trace = self.service.trace
+        emit = trace.emit
+
+        def spy(kind, **fields):
+            event = emit(kind, **fields)
+            self._on_event(event)
+            return event
+
+        trace.emit = spy
 
     def _on_event(self, event):
         if event.kind != "revive":

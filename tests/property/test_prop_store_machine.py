@@ -38,6 +38,20 @@ def _is_subsequence(short, long):
     return all(row in rest for row in short)
 
 
+def _runs(found):
+    """``(files, rows)`` of each gap-free run of ``(start_row, rows,
+    path)`` segments: a run continues while a segment starts where the
+    one before it ends."""
+    runs, end = [], None
+    for start_row, rows, _ in found:
+        if start_row != end:
+            runs.append([0, 0])
+        runs[-1][0] += 1
+        runs[-1][1] += rows
+        end = start_row + rows
+    return runs
+
+
 class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -150,9 +164,11 @@ class StoreMachine(RuleBasedStateMachine):
             # A new segment starts only when the last one cannot take
             # the tail, so any two neighbours hold more than one
             # segment's worth: at most twice the files a perfect packing
-            # would need, however the seals fall.
-            files = len(self._segments(link)) if model else 0
-            assert (files // 2) * SEGMENT_ROWS < max(len(model), 1)
+            # would need, however the seals fall.  A quarantine gap is
+            # never renumbered and the next seal starts after it, so the
+            # bound holds for each gap-free run of segments.
+            for files, rows in _runs(self._segments(link)):
+                assert (files // 2) * SEGMENT_ROWS < rows
 
     @invariant()
     def no_tail_is_left_empty(self):
@@ -163,6 +179,29 @@ class StoreMachine(RuleBasedStateMachine):
 def test_store_machine():
     run_state_machine_as_test(StoreMachine, settings=settings(
         max_examples=30, stateful_step_count=25, deadline=None))
+
+
+@pytest.mark.parametrize("at", [0, 37, 999_999])
+def test_a_seal_after_a_quarantine_gap_starts_a_new_run(at):
+    # Row 0 sealed alone; rows 1-8 sealed next to it and then flipped
+    # and quarantined; row 9 sealed after the gap: two files for two
+    # rows, which is one segment each side of the gap.
+    machine = StoreMachine()
+    try:
+        for step in (lambda: machine.append("a", 1),
+                     lambda: machine.die_between_replace_and_tail_removal("a"),
+                     lambda: machine.append("a", 8),
+                     lambda: machine.append("a", 1),
+                     lambda: machine.flip_a_byte_in_the_open_segment("a", at),
+                     lambda: machine.die_between_replace_and_tail_removal("a")):
+            step()
+            machine.the_store_holds_the_model()
+            machine.no_tail_is_left_empty()
+        assert [(start, rows) for start, rows, _ in machine._segments("a")] \
+            == [(0, 1), (9, 1)]
+        assert machine.model["a"] == [(0.0, 0.5, 0, 0), (9.0, 9.5, 9000, 1)]
+    finally:
+        machine.teardown()
 
 
 @pytest.mark.exhaustive

@@ -1,11 +1,10 @@
-"""The event bus: bounded ring, subscribers, JSONL export."""
+"""The event bus: a bounded ring of structured events."""
 
 import itertools
-import json
 
 import pytest
 
-from repro.obs.events import EventBus, TraceEvent, TraceLog, get_event_bus
+from repro.obs.events import EventBus, TraceEvent, get_event_bus
 
 
 def _bus(capacity=8):
@@ -42,50 +41,11 @@ def test_events_filter_by_kind_and_limit_keeps_newest():
     assert bus.events(limit=0) == []
 
 
-def test_subscribers_see_every_emit_and_can_leave():
-    bus = _bus()
-    seen = []
-    bus.subscribe(seen.append)
-    first = bus.emit("a")
-    bus.unsubscribe(seen.append)
-    bus.emit("b")
-    assert seen == [first]
-
-
-def test_raising_subscriber_never_breaks_the_emitter():
-    bus = _bus()
-
-    def bad(event):
-        raise RuntimeError("subscriber bug")
-
-    good_seen = []
-    bus.subscribe(bad)
-    bus.subscribe(good_seen.append)
-    bus.emit("a")
-    bus.emit("b")
-    assert bus.subscriber_errors == 2
-    assert [e.kind for e in good_seen] == ["a", "b"]
-    assert len(bus) == 2  # the ring kept both events regardless
-
-
-def test_export_jsonl_round_trips(tmp_path):
-    bus = _bus()
-    bus.emit("transfer", link="a-b", size=1024)
-    bus.emit("cache", hit=True)
-    out = tmp_path / "events.jsonl"
-    assert bus.export_jsonl(out) == 2
-    lines = [json.loads(line) for line in out.read_text().splitlines()]
-    assert lines == [
-        {"time": 1.0, "kind": "transfer", "link": "a-b", "size": 1024},
-        {"time": 2.0, "kind": "cache", "hit": True},
-    ]
-
-
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         EventBus(capacity=0)
 
 
-def test_tracelog_alias_and_default_bus():
-    assert TraceLog is EventBus
+def test_default_bus_is_process_wide():
+    assert isinstance(get_event_bus(), EventBus)
     assert get_event_bus() is get_event_bus()

@@ -114,21 +114,21 @@ def test_merge_stats_is_exact_over_partitions():
 # AccuracyTracker pairing
 # ----------------------------------------------------------------------
 def test_score_consumes_only_predictions_before_the_version():
-    # force=True drains every observation; threshold=0.0 surfaces
+    # drain() scores each observation at once; threshold=0.0 surfaces
     # every scored pair as bad-detail, which makes pairing observable.
     tracker = AccuracyTracker(window=8, threshold=0.0)
     tracker.record("L", "C-AVG15", 100.0, version=5, kind="streamed")
     tracker.record("L", "C-AVG15", 110.0, version=6, kind="streamed")
     # An observation producing version 6 pairs only with the version-5
     # prediction; the version-6 one waits for the next transfer.
-    pairs, worst, bad = tracker.score(
-        "L", actual=100.0, when=1.0, version=6, force=True)
+    tracker.score("L", actual=100.0, when=1.0, version=6)
+    pairs, worst, bad = tracker.drain()
     assert (pairs, worst) == (1, 0.0)
     assert [(ln, s, p, a) for ln, s, p, a, _, _ in bad] == \
         [("L", "C-AVG15", 100.0, 100.0)]
     assert tracker.pending_count() == 1
-    pairs, worst, bad = tracker.score(
-        "L", actual=100.0, when=2.0, version=7, force=True)
+    tracker.score("L", actual=100.0, when=2.0, version=7)
+    pairs, worst, bad = tracker.drain()
     assert (pairs, worst) == (1, pytest.approx(0.1))
     assert [(s, p) for _, s, p, _, _, _ in bad] == [("C-AVG15", 110.0)]
     assert tracker.pending_count() == 0
@@ -158,10 +158,10 @@ def test_scoring_defers_until_the_batch_then_drains_exactly():
             assert worst == pytest.approx(1.0)
             assert [p for _, _, p, _, _, _ in bad] == [100.0] * rounds
     assert tracker.scored == rounds
-    # force=True bypasses the batch for live subscribers.
+    # drain() scores a part batch at once.
     tracker.record("L", "C-AVG15", 75.0, version=rounds, kind="streamed")
-    pairs, worst, _ = tracker.score(
-        "L", actual=50.0, when=float(rounds), version=rounds + 1, force=True)
+    tracker.score("L", actual=50.0, when=float(rounds), version=rounds + 1)
+    pairs, worst, _ = tracker.drain()
     assert (pairs, worst) == (1, pytest.approx(0.5))
 
 
@@ -208,8 +208,8 @@ def test_pending_queue_is_bounded_and_drops_are_counted():
         tracker.record("L", "C-AVG15", float(i), version=1, kind="streamed")
     assert tracker.pending_count() == 4
     assert tracker.dropped == 6
-    pairs, _, bad = tracker.score(
-        "L", actual=1.0, when=1.0, version=2, force=True)
+    tracker.score("L", actual=1.0, when=1.0, version=2)
+    pairs, _, bad = tracker.drain()
     # Only the newest four predictions survived the cap.
     assert pairs == 4
     assert [p for _, _, p, _, _, _ in bad] == [6.0, 7.0, 8.0, 9.0]

@@ -103,6 +103,32 @@ def test_an_unbounded_service_evicts_nothing(tiered):
     assert service.status()["store"]["evictions"] == 0
 
 
+def test_a_revival_outlives_request_traffic_in_the_ring(tiered):
+    # The ring keeps rare events; per-request work is counted instead.
+    service = tiered(max_resident=2)
+    for link in ("A", "B", "C"):
+        _observe(service, link)            # C's arrival evicts A
+    assert _evicted(service) == ["A"]
+    service.predict("A", 100 * MB, now=NOW)  # revives A, evicts B
+    (revival,) = service.trace.events(kind="revive")
+    assert revival.fields["link"] == "A"
+
+    for _ in range(1000):
+        service.predict("A", 100 * MB, now=NOW)
+    for i in range(1000):
+        _observe(service, "A", i + 1)
+    for k in range(50):
+        service.predict_batch([("A", 100 * MB), ("C", 10 * MB)], now=NOW)
+        service.observe_batch(
+            [("C", make_record(start=1000.0 + 100 * (k + 1)))])
+
+    assert service.trace.events(kind="revive") == [revival]
+    assert _counter(service, "service_predict_requests") == 1101
+    assert _counter(service, "service_ingested_records") == 1053
+    kinds = {e.kind for e in service.trace.events()}
+    assert kinds <= {"evict", "revive", "prediction.scored", "prediction.bad"}
+
+
 def test_rank_checks_its_deadline_between_cold_candidates(tiered):
     service = tiered(max_resident=1)
     links = [f"SITE{k}-ANL" for k in range(5)]

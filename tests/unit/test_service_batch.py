@@ -143,8 +143,11 @@ def test_batch_metrics_and_trace():
     assert snap["service_batch_size"]["mean"] == float(len(items))
     # One predict counter bump per item, exactly like the single path.
     assert snap["service_predict_requests"]["value"] == len(items)
-    events = service.trace.events(kind="predict_batch")
-    assert events and events[-1].as_dict()["items"] == len(items)
+    hits = snap["service_cache_hits"]["value"]
+    assert hits + snap["service_cache_misses"]["value"] == len(items)
+    assert snap["service_batch_seconds"]["count"] == 1
+    # A sweep is counted, not traced.
+    assert not service.trace.events(kind="predict_batch")
 
 
 def test_batch_anchors_the_whole_sweep_at_one_clock_read():
