@@ -14,29 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.logs.stats import BandwidthSummary, summarize
-from repro.nws.series import TimeSeries
+from repro.logs.stats import BandwidthSummary, summarize_values
 from repro.workload.campaigns import CampaignOutput
 
 from repro.analysis.report import render_table
 
 __all__ = ["NwsComparison", "compare_probe_vs_gridftp", "render_nws_comparison"]
-
-
-def _series_summary(series: TimeSeries) -> BandwidthSummary:
-    values = series.values
-    if len(values) == 0:
-        return BandwidthSummary.empty()
-    return BandwidthSummary(
-        count=len(values),
-        minimum=float(values.min()),
-        maximum=float(values.max()),
-        mean=float(values.mean()),
-        median=float(np.median(values)),
-        stddev=float(values.std(ddof=0)),
-    )
 
 
 @dataclass(frozen=True)
@@ -72,8 +55,8 @@ def compare_probe_vs_gridftp(output: CampaignOutput) -> NwsComparison:
         )
     return NwsComparison(
         link=output.link,
-        gridftp=summarize(output.log.records()),
-        probes=_series_summary(output.probes),
+        gridftp=summarize_values(output.log.to_frame().bandwidths),
+        probes=summarize_values(output.probes.values),
     )
 
 

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from repro.core.history import History
 from repro.core.predictors.base import Predictor
-from repro.logs.filters import by_operation, by_source_ip, chain
 from repro.logs.logfile import TransferLog
 from repro.logs.record import Operation
 
@@ -75,10 +74,10 @@ class ReplicaBroker:
         log = self.logs.get(site)
         if log is None:
             return History.empty()
-        relevant = chain(
-            by_operation(Operation.READ), by_source_ip(client_address)
-        )(log.records())
-        return History.from_records(relevant)
+        return History.from_records([
+            r for r in log
+            if r.operation is Operation.READ and r.source_ip == client_address
+        ])
 
     def rank(
         self,

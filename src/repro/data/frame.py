@@ -26,7 +26,7 @@ the end-time-sorted invariant call :meth:`sort_by_end_time`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, List
 
 import numpy as np
 
@@ -259,8 +259,3 @@ class TransferFrame:
         if missing:
             raise ValueError(f"missing columns: {missing}")
         return cls(**{name: arrays[name] for name in COLUMN_NAMES})
-
-
-def frame_of(records: Sequence[TransferRecord]) -> TransferFrame:
-    """Module-level alias used by layers that only need construction."""
-    return TransferFrame.from_records(records)

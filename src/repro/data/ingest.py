@@ -55,7 +55,7 @@ from repro.data.frame import (
 from repro.envelope import Envelope, Verified, atomic_write, quarantine
 from repro.logs.record import BANDWIDTH_LIMIT
 from repro.logs.ulm import _KEYS as _WRITER_KEYS
-from repro.logs.ulm import ULMError, parse_fields, parse_lines, parse_record
+from repro.logs.ulm import ULMError, parse_fields, parse_record
 from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
@@ -420,8 +420,3 @@ def load_ulm(path: Union[str, Path], cache: bool = True) -> TransferFrame:
                 cached=from_cache, bytes=len(raw),
             )
     return frame
-
-
-def iter_records(path: Union[str, Path]):
-    """Per-record iteration over a log file (the legacy row-wise path)."""
-    return parse_lines(Path(path).read_text().splitlines())

@@ -485,10 +485,10 @@ class FleetFront:
         return outcome
 
     def _route_observe(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        return self._forward(self.ring.shard_of(str(req["link"])), req)
+        return self._forward(self.ring.shard_of(wire.check_link(req["link"])), req)
 
     def _route_predict(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        outcome = self._ask(self.ring.shard_of(str(req["link"])), req)
+        outcome = self._ask(self.ring.shard_of(wire.check_link(req["link"])), req)
         if isinstance(outcome, Exception):
             return self._stale_or_error(req, req, outcome)
         if outcome.get("ok"):
@@ -531,7 +531,7 @@ class FleetFront:
             try:
                 if not isinstance(item, dict):
                     raise ValueError("batch item must be an object")
-                shard = self.ring.shard_of(str(item["link"]))
+                shard = self.ring.shard_of(wire.check_link(item["link"]))
             except (KeyError, TypeError, ValueError) as exc:
                 entries[pos] = wire.error_entry(
                     "bad_request", f"item {pos}: {type(exc).__name__}: {exc}")
@@ -573,8 +573,10 @@ class FleetFront:
 
     # -- rank fan-out / merge ------------------------------------------
     def _route_rank(self, req: Dict[str, Any]) -> Dict[str, Any]:
-        int(req["size"])  # validate like the worker does
-        groups = self.ring.partition(str(c) for c in req["candidates"])
+        # Refused here as the worker would, before any fan-out.
+        wire.check_int("size", req["size"])
+        wire.check_now(req.get("now"))
+        groups = self.ring.partition(wire.check_candidates(req["candidates"]))
         outcomes = self._scatter({
             shard: self._sub(
                 req, ("op", "v", "size", "spec", "now", "trace"), candidates=sites)

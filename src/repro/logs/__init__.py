@@ -12,10 +12,13 @@ of the paper).  This package provides:
 * :mod:`repro.logs.logfile` — :class:`TransferLog`, an append-only log with
   the trimming strategies the paper discusses (NWS-style running window,
   NetLogger-style flush-and-restart) and file persistence.
-* :mod:`repro.logs.filters` — composable record filters (operation, host,
-  size class, time window, last-n).
-* :mod:`repro.logs.stats` — summary statistics over a record set, feeding
-  the MDS information provider (Figure 6's ``minrdbandwidth`` etc.).
+* :mod:`repro.logs.stats` — summary statistics over a bandwidth column,
+  feeding the MDS information provider (Figure 6's ``minrdbandwidth``
+  etc.).
+
+Selecting history (by size class, time window, last n) is
+:class:`repro.core.history.History`'s job; direction and class filtering
+for the provider run on :class:`repro.data.frame.TransferFrame` columns.
 """
 
 from repro.logs.record import Operation, TransferRecord
@@ -28,21 +31,8 @@ from repro.logs.logfile import (
     MaxCount,
     FlushRestart,
 )
-from repro.logs.filters import (
-    by_operation,
-    by_source_ip,
-    by_size_class,
-    by_size_range,
-    by_time_window,
-    since,
-    last_n,
-    chain,
-)
 from repro.logs.stats import (
     BandwidthSummary,
-    RunningSummary,
-    summarize,
-    summarize_by_class,
     summarize_frame_by_class,
     summarize_values,
 )
@@ -60,18 +50,7 @@ __all__ = [
     "RunningWindow",
     "MaxCount",
     "FlushRestart",
-    "by_operation",
-    "by_source_ip",
-    "by_size_class",
-    "by_size_range",
-    "by_time_window",
-    "since",
-    "last_n",
-    "chain",
     "BandwidthSummary",
-    "RunningSummary",
-    "summarize",
-    "summarize_by_class",
     "summarize_frame_by_class",
     "summarize_values",
 ]

@@ -135,23 +135,6 @@ class TransferLog:
         self.host = host
         self.trim = trim or KeepAll()
         self._records: List[TransferRecord] = []
-        self._listeners: List[Callable[[TransferRecord], None]] = []
-
-    # ------------------------------------------------------------------
-    # observation
-    # ------------------------------------------------------------------
-    def subscribe(self, listener: Callable[[TransferRecord], None]) -> None:
-        """Call ``listener(record)`` after every append.
-
-        Listeners power incremental consumers (the O(1)-per-transfer
-        information provider) without coupling them to the writers.  A
-        listener sees every appended record, including ones a trim policy
-        immediately drops.
-        """
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[TransferRecord], None]) -> None:
-        self._listeners.remove(listener)
 
     # ------------------------------------------------------------------
     # mutation
@@ -177,8 +160,6 @@ class TransferLog:
         else:
             records.append(record)
         self._records = self.trim.apply(records, now=record.end_time)
-        for listener in self._listeners:
-            listener(record)
 
     def extend(self, records: Sequence[TransferRecord]) -> None:
         """Bulk-append a batch: one sorted merge, one trim application.
@@ -188,8 +169,6 @@ class TransferLog:
         single trim-policy application — the policies for which a final
         application gives the same retained set declare ``batch_safe``;
         :class:`FlushRestart` does not and keeps the per-record path.
-        Listeners fire once per record, in merged order, exactly as they
-        would under sequential appends.
         """
         batch = list(records)
         if not batch:
@@ -220,9 +199,6 @@ class TransferLog:
         # time in turn; for batch-safe policies the final application (the
         # batch's latest end time) subsumes the earlier ones.
         self._records = self.trim.apply(merged, now=batch[-1].end_time)
-        for record in batch:
-            for listener in self._listeners:
-                listener(record)
 
     def clear(self) -> None:
         self._records = []

@@ -1,28 +1,26 @@
-"""Summary statistics over transfer records.
+"""Summary statistics over bandwidth columns.
 
 The MDS information provider (Section 5.1, Figure 6) publishes per-server
 attributes such as ``minrdbandwidth``, ``maxrdbandwidth``,
-``avgrdbandwidth`` and per-class variants; this module computes them.
-Bandwidths are aggregated with NumPy for speed — a busy server can hold
-tens of thousands of records and the provider recomputes on every poll.
+``avgrdbandwidth`` and per-class variants; this module computes them from
+a log's columns (the provider filters by direction first).  Bandwidths
+are aggregated with NumPy for speed — a busy server can hold tens of
+thousands of records and the provider recomputes on every poll.
+:class:`RunningMedian` is the exact median the prediction bank's ``MED``
+keeps between observations.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
-
-from repro.logs.record import Operation, TransferRecord
 
 __all__ = [
     "BandwidthSummary",
     "RunningMedian",
-    "RunningSummary",
-    "summarize",
-    "summarize_by_class",
     "summarize_values",
     "summarize_frame_by_class",
 ]
@@ -93,79 +91,8 @@ class RunningMedian:
         return (column[mid - 1] + column[mid]) / 2.0 if n else None
 
 
-class RunningSummary:
-    """Exact incremental bandwidth statistics.
-
-    Mean and variance use Welford's algorithm; the median is a
-    :class:`RunningMedian`.  ``summary()`` produces the same
-    :class:`BandwidthSummary` a batch :func:`summarize` would — verified
-    property-style in the tests — which is what lets the incremental
-    information provider answer inquiries without rescanning the log
-    (Section 5.1's cost).
-    """
-
-    def __init__(self) -> None:
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self._median = RunningMedian()
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "RunningSummary":
-        """Vectorized bulk construction, then resume incrementally.
-
-        The moments come from array reductions and the median from one
-        sort; subsequent :meth:`add` calls continue Welford's recurrence
-        from them.
-        """
-        summary = cls()
-        bw = np.asarray(values, dtype=np.float64)
-        if len(bw) == 0:
-            return summary
-        summary._count = len(bw)
-        summary._mean = float(bw.mean())
-        summary._m2 = float(((bw - bw.mean()) ** 2).sum())
-        summary._min = float(bw.min())
-        summary._max = float(bw.max())
-        summary._median.extend(bw)
-        return summary
-
-    def add(self, value: float) -> None:
-        """Fold one bandwidth observation in."""
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
-        self._min = min(self._min, value)
-        self._max = max(self._max, value)
-        self._median.add(value)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    def summary(self) -> BandwidthSummary:
-        """Current statistics as an immutable snapshot."""
-        if self._count == 0:
-            return BandwidthSummary.empty()
-        return BandwidthSummary(
-            count=self._count,
-            minimum=self._min,
-            maximum=self._max,
-            mean=self._mean,
-            median=self._median.value(),
-            stddev=(self._m2 / self._count) ** 0.5,
-        )
-
-
 def summarize_values(bandwidths: np.ndarray) -> BandwidthSummary:
-    """Aggregate a bandwidth column directly (the columnar fast path).
-
-    :func:`summarize` on a record list produces the identical summary:
-    both reduce the same float64 array in the same order.
-    """
+    """min/max/mean/median/stddev of a bandwidth column, in its order."""
     bw = np.asarray(bandwidths, dtype=np.float64)
     if len(bw) == 0:
         return BandwidthSummary.empty()
@@ -179,48 +106,17 @@ def summarize_values(bandwidths: np.ndarray) -> BandwidthSummary:
     )
 
 
-def summarize(
-    records: Sequence[TransferRecord],
-    operation: Operation | None = None,
-) -> BandwidthSummary:
-    """Aggregate bandwidth statistics, optionally for one direction only."""
-    if operation is not None:
-        records = [r for r in records if r.operation is operation]
-    if not records:
-        return BandwidthSummary.empty()
-    bw = np.fromiter((r.bandwidth for r in records), dtype=np.float64, count=len(records))
-    return summarize_values(bw)
-
-
-def summarize_by_class(
-    records: Sequence[TransferRecord],
-    classify: Callable[[int], str],
-    operation: Operation | None = None,
-) -> Dict[str, BandwidthSummary]:
-    """Per-file-size-class summaries, keyed by class label.
-
-    Only classes that actually occur in the records appear in the result;
-    the provider publishes an attribute per present class.
-    """
-    if operation is not None:
-        records = [r for r in records if r.operation is operation]
-    buckets: Dict[str, list] = {}
-    for record in records:
-        buckets.setdefault(classify(record.file_size), []).append(record)
-    return {label: summarize(bucket) for label, bucket in sorted(buckets.items())}
-
-
 def summarize_frame_by_class(
     frame, classify: Callable[[int], str]
 ) -> Dict[str, BandwidthSummary]:
-    """Columnar :func:`summarize_by_class`: classify once per *distinct* size.
+    """Per-file-size-class summaries, keyed by class label (sorted).
 
     ``frame`` is anything with parallel ``sizes`` / ``bandwidths`` columns
     (a :class:`~repro.data.frame.TransferFrame`; duck-typed so this layer
-    needs no import from above).  Labels come from one ``classify`` call
-    per unique size instead of one per record, and each class's summary
-    reduces a sliced column — identical values, in identical order, to the
-    per-record path, so the provider parity tests hold bit for bit.
+    needs no import from above).  Only classes that occur appear — the
+    provider publishes an attribute per present class.  Labels come from
+    one ``classify`` call per *distinct* size, and each class's summary
+    reduces its slice of the column in record order.
     """
     sizes = np.asarray(frame.sizes)
     if len(sizes) == 0:

@@ -18,8 +18,8 @@ discoverable:
   providers: filter the transfer log, classify entries, compute summary
   statistics and predictions, publish them as LDIF (Figure 6's
   ``minrdbandwidth`` / ``avgrdbandwidthtenmbrange`` output) — from a
-  log rescan, from running summaries, or from a warm prediction
-  service's columns, through one entry renderer.
+  log rescan or from a warm prediction service's columns, through one
+  entry renderer.
 """
 
 from repro.mds.ldif import Entry, LdifError, format_entries, parse_ldif
@@ -36,7 +36,6 @@ from repro.mds.gris import GRIS, InformationProvider
 from repro.mds.giis import GIIS
 from repro.mds.provider import (
     GridFTPInfoProvider,
-    IncrementalGridFTPInfoProvider,
     ProviderReport,
     ServicePerfProvider,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "InformationProvider",
     "GIIS",
     "GridFTPInfoProvider",
-    "IncrementalGridFTPInfoProvider",
     "ProviderReport",
     "ServicePerfProvider",
     "MdsRankedReplica",

@@ -5,16 +5,16 @@ transfer log, filters it, classifies entries into file-size classes,
 computes summary statistics and per-class predictions, and publishes one
 LDIF entry per server under the ``GridFTPPerf`` object class.
 
-Three providers differ in where the summaries come from — a rescan of
-the log (:class:`GridFTPInfoProvider`, the paper's), running summaries
-folded per appended record (:class:`IncrementalGridFTPInfoProvider`),
-the columns a warm prediction service already holds
+Two providers differ in where the summaries come from — a rescan of
+the log (:class:`GridFTPInfoProvider`, the paper's; over a live
+:class:`~repro.logs.logfile.TransferLog` each render sees every append),
+or the columns a warm prediction service already holds
 (:class:`ServicePerfProvider`) — and share the entry itself:
 :func:`perf_entry` is the only place the DN, the attribute names, their
-order and the ``K`` rendering are written down, so the three publish
+order and the ``K`` rendering are written down, so the two publish
 byte-identical LDIF for the same log (the service predicts from a
-link's whole history, so for it that holds while no size class mixes
-reads and writes).
+link's whole history, so that holds while no size class mixes reads
+and writes).
 
 Bandwidths are rendered the way Figure 6 prints them — integer KB/s with a
 ``K`` suffix (``avgrdbandwidth: 6062K``).
@@ -27,13 +27,11 @@ implementation.
 
 from __future__ import annotations
 
-import collections
 import time
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import (
     TYPE_CHECKING,
-    Deque,
     Dict,
     Iterable,
     List,
@@ -48,10 +46,8 @@ from repro.core.predictors.base import Predictor
 from repro.core.predictors.mean import TotalAverage
 from repro.data.frame import OP_READ, OP_WRITE, TransferFrame
 from repro.logs.logfile import TransferLog
-from repro.logs.record import Operation, TransferRecord
 from repro.logs.stats import (
     BandwidthSummary,
-    RunningSummary,
     summarize_frame_by_class,
     summarize_values,
 )
@@ -69,7 +65,6 @@ __all__ = [
     "ProviderReport",
     "perf_entry",
     "GridFTPInfoProvider",
-    "IncrementalGridFTPInfoProvider",
     "ServicePerfProvider",
 ]
 
@@ -285,89 +280,6 @@ class GridFTPInfoProvider:
             if predicted is not None:
                 out[label] = predicted
         return out
-
-
-class IncrementalGridFTPInfoProvider:
-    """Constant-work-per-transfer variant of the provider.
-
-    The batch provider rescans the log on every (cache-miss) inquiry —
-    the cost the paper measured at 1-2 s for 700 entries.  This variant
-    subscribes to the transfer log and folds each record into running
-    summaries as it is appended, so an inquiry only renders the entry:
-    O(attributes), independent of log size.
-
-    The published attributes match the batch provider configured with the
-    total-average predictor exactly (a parity test asserts it): the
-    per-class prediction of ``TotalAverage`` over class history *is* the
-    class's running mean, which the summaries already carry.
-
-    Records appended before construction are folded at construction, so
-    attaching to a live log mid-campaign is safe.  Call :meth:`close` to
-    detach.
-    """
-
-    def __init__(
-        self,
-        log: TransferLog,
-        site: Site,
-        url: str,
-        classification: Optional[Classification] = None,
-        recent: int = 10,
-    ):
-        if recent < 0:
-            raise ValueError(f"recent must be >= 0, got {recent}")
-        self.log = log
-        self.site = site
-        self.url = url
-        self.classification = classification or paper_classification()
-        self.recent = recent
-
-        self._n_records = 0
-        self._reads = RunningSummary()
-        self._writes = RunningSummary()
-        self._per_class: Dict[str, RunningSummary] = {}
-        self._recent_reads: Deque[float] = collections.deque(maxlen=recent)
-
-        for record in log.records():
-            self._ingest(record)
-        log.subscribe(self._ingest)
-        self._attached = True
-
-    # ------------------------------------------------------------------
-    # ingestion
-    # ------------------------------------------------------------------
-    def _ingest(self, record: TransferRecord) -> None:
-        self._n_records += 1
-        if record.operation is Operation.READ:
-            self._reads.add(record.bandwidth)
-            label = self.classification.classify(record.file_size)
-            self._per_class.setdefault(label, RunningSummary()).add(record.bandwidth)
-            self._recent_reads.append(record.bandwidth)
-        else:
-            self._writes.add(record.bandwidth)
-
-    def close(self) -> None:
-        """Detach from the log (idempotent)."""
-        if self._attached:
-            self.log.unsubscribe(self._ingest)
-            self._attached = False
-
-    # ------------------------------------------------------------------
-    # inquiry
-    # ------------------------------------------------------------------
-    def entries(self, now: float) -> List[Entry]:
-        if self._n_records == 0:
-            return []
-        means = {label: self._per_class[label].summary().mean
-                 for label in sorted(self._per_class)}
-        # TotalAverage over class history == the class running mean.
-        predictions = {label: means[label]
-                       for label in self.classification.labels if label in means}
-        return [perf_entry(
-            self.site, self.url, now, self._n_records,
-            self._reads.summary(), self._writes.summary(),
-            means, predictions, self._recent_reads,
-        )]
 
 
 class ServicePerfProvider:

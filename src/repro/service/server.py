@@ -137,10 +137,10 @@ def _predict_payload(
     service: PredictionService, req: Dict[str, Any], deadline: Deadline
 ) -> Dict[str, Any]:
     prediction = service.predict(
-        str(req["link"]),
-        int(req["size"]),
+        wire.check_link(req["link"]),
+        wire.check_int("size", req["size"]),
         spec=req.get("spec"),
-        now=req.get("now"),
+        now=wire.check_now(req.get("now")),
     )
     return _prediction_fields(prediction)
 
@@ -160,7 +160,7 @@ def _batch_payload(
     spec_default = req.get("spec")
     if spec_default is not None:
         _resolve_spec(str(spec_default))  # a bad default fails the batch
-    now_default = req.get("now")
+    now_default = wire.check_now(req.get("now"))  # and so does a bad now
     entries: List[Optional[Dict[str, Any]]] = [None] * len(items)
     valid: List[Tuple[int, Tuple[str, int, Optional[str], Optional[float]]]] = []
     known_specs = set()
@@ -168,16 +168,15 @@ def _batch_payload(
         try:
             if not isinstance(item, dict):
                 raise ValueError("batch item must be an object")
-            link = str(item["link"])
-            size = int(item["size"])
+            link = wire.check_link(item["link"])
+            size = wire.check_int("size", item["size"])
             spec_i = item.get("spec")
             if spec_i is not None:
                 spec_i = str(spec_i)
                 if spec_i not in known_specs:
                     _resolve_spec(spec_i)  # KeyError -> this item only
                     known_specs.add(spec_i)
-            now_i = item.get("now", now_default)
-            now_i = None if now_i is None else float(now_i)
+            now_i = wire.check_now(item.get("now", now_default))
         except (KeyError, TypeError, ValueError) as exc:
             entries[pos] = wire.error_entry(
                 "bad_request", f"item {pos}: {type(exc).__name__}: {exc}")
@@ -186,7 +185,7 @@ def _batch_payload(
     predictions = service.predict_batch(
         [item for _, item in valid],
         spec=spec_default,
-        now=None if now_default is None else float(now_default),
+        now=now_default,
         deadline=deadline,
     )
     for (pos, _), prediction in zip(valid, predictions):
@@ -224,11 +223,11 @@ def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
     through: what is refused here is one ``bad_request`` for one item.
     ``size`` and ``offset`` land in int64 columns.
     """
-    link = str(item["link"])
+    link = wire.check_link(item["link"])
     if not link:
         raise ValueError("link name must be non-empty")
-    size = int(item["size"])
-    offset = int(item.get("offset", 0))
+    size = wire.check_int("size", item["size"])
+    offset = wire.check_int("offset", item.get("offset", 0))
     if not 0 < size <= _INT64_MAX:
         raise ValueError(f"size must be in 1..2**63-1, got {size}")
     if not 0 <= offset <= _INT64_MAX:
@@ -249,8 +248,8 @@ def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
         end_time=end,
         bandwidth=float(bandwidth),
         operation=str(item.get("operation", "read")),
-        streams=int(item.get("streams", 1)),
-        tcp_buffer=int(item.get("tcp_buffer", 65536)),
+        streams=wire.check_int("streams", item.get("streams", 1)),
+        tcp_buffer=wire.check_int("tcp_buffer", item.get("tcp_buffer", 65536)),
     )
     return link, record, offset
 
@@ -292,10 +291,10 @@ def _rank_payload(
     service: PredictionService, req: Dict[str, Any], deadline: Deadline
 ) -> Dict[str, Any]:
     ranked = service.rank_replicas(
-        [str(c) for c in req["candidates"]],
-        int(req["size"]),
+        wire.check_candidates(req["candidates"]),
+        wire.check_int("size", req["size"]),
         spec=req.get("spec"),
-        now=req.get("now"),
+        now=wire.check_now(req.get("now")),
         deadline=deadline,
     )
     return {

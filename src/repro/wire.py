@@ -57,8 +57,9 @@ identity.  See ``docs/wire-protocol.md``.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "MAGIC",
@@ -86,6 +87,10 @@ __all__ = [
     "decode_response",
     "error_entry",
     "error_response",
+    "check_link",
+    "check_int",
+    "check_now",
+    "check_candidates",
 ]
 
 MAGIC = b"\xa5\x57"
@@ -222,6 +227,58 @@ class TruncatedFrame(FrameError):
 
 
 # ----------------------------------------------------------------------
+# field checks: one rule per request field, for the worker's op table,
+# the front's routing and the struct encoder alike.  A value is taken
+# as it is or refused (TypeError / ValueError: ``bad_request``), never
+# coerced — ``str(["x"])`` would name a link "['x']", ``int(1.5)``
+# would store one byte.
+# ----------------------------------------------------------------------
+def check_link(value: Any) -> str:
+    """A link name: a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"link must be a string, got {type(value).__name__}")
+    return value
+
+
+def check_int(name: str, value: Any) -> int:
+    """An integer field: an integer, or a float without a fraction; a
+    bool is neither."""
+    if isinstance(value, float):
+        if value.is_integer():
+            return int(value)
+    elif hasattr(value, "__index__") and not isinstance(value, bool):
+        return value.__index__()  # an int, or a numpy integer
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value: Any) -> float:
+    """A number as a float, NaN and infinities included."""
+    if isinstance(value, float) or (
+            hasattr(value, "__index__") and not isinstance(value, bool)):
+        return float(value)
+    raise TypeError(f"{name} must be a number, got {value!r}")
+
+
+def check_now(value: Any) -> Optional[float]:
+    """An anchor time: absent (``None``), or a finite number."""
+    if value is None:
+        return None
+    now = _real("now", value)
+    if not math.isfinite(now):
+        raise ValueError(f"now must be finite, got {now}")
+    return now
+
+
+def check_candidates(value: Any) -> List[str]:
+    """``rank``'s candidates: a list of link names (a string is not a
+    list of its characters, a dict not a list of its keys)."""
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(
+            f"candidates must be a list of link names, got {type(value).__name__}")
+    return [check_link(candidate) for candidate in value]
+
+
+# ----------------------------------------------------------------------
 # writer: one reusable buffer per connection
 # ----------------------------------------------------------------------
 class FrameWriter:
@@ -344,14 +401,14 @@ class FrameWriter:
         ))
         self._put_trace(trace)
         if sized:
-            self._pack(_U64, int(req["size"]))
+            self._pack(_U64, check_int("size", req["size"]))
         if now is not None:
-            self._pack(_F64, float(now))
+            self._pack(_F64, _real("now", now))
         return spec
 
     def _encode_predict_req(self, v: int, req: Dict[str, Any]) -> None:
         spec = self._put_head(v, req)
-        self._put_str(str(req["link"]))
+        self._put_str(check_link(req["link"]))
         if spec is not None:
             self._put_str(str(spec))
 
@@ -359,10 +416,10 @@ class FrameWriter:
         spec = self._put_head(v, req)
         if spec is not None:
             self._put_str(str(spec))
-        candidates = req["candidates"]
+        candidates = check_candidates(req["candidates"])
         self._pack(_U32, len(candidates))
         for candidate in candidates:
-            self._put_str(str(candidate))
+            self._put_str(candidate)
 
     def _encode_batch_req(self, v: int, req: Dict[str, Any]) -> None:
         spec = self._put_head(v, req, sized=False)
@@ -376,10 +433,10 @@ class FrameWriter:
                 _HAS_NOW if inow is not None else 0
             )
             self._pack(_U8, iflags)
-            self._pack(_U64, int(item["size"]))
+            self._pack(_U64, check_int("size", item["size"]))
             if inow is not None:
-                self._pack(_F64, float(inow))
-            self._put_str(str(item["link"]))
+                self._pack(_F64, _real("now", inow))
+            self._put_str(check_link(item["link"]))
             if ispec is not None:
                 self._put_str(str(ispec))
 
@@ -412,16 +469,16 @@ class FrameWriter:
         self._put_trace(trace)
         self._pack(
             _OBS_FIXED,
-            int(item["size"]),
+            check_int("size", item["size"]),
             float(item["start"]),
             float(item["end"]),
             float(item["bandwidth"]),
-            int(item["streams"]),
-            int(item["tcp_buffer"]),
+            check_int("streams", item["streams"]),
+            check_int("tcp_buffer", item["tcp_buffer"]),
         )
         if offset is not None:
-            self._pack(_U64, int(offset))
-        self._put_str(str(item["link"]))
+            self._pack(_U64, check_int("offset", offset))
+        self._put_str(check_link(item["link"]))
         if meta:
             self._put_str(str(item["source_ip"]))
             self._put_str(str(item["file_name"]))

@@ -1,19 +1,13 @@
 """The complete Figure 5 loop, end to end:
 
-instrumented servers -> incremental providers -> per-site GRIS ->
+instrumented servers -> log providers -> per-site GRIS ->
 organization GIIS -> a *remote* broker that sees only directory entries
 -> replica choice -> an actual transfer that lands back in the logs.
 """
 
 import pytest
 
-from repro.core import paper_classification
-from repro.mds import (
-    GIIS,
-    GRIS,
-    IncrementalGridFTPInfoProvider,
-    MdsReplicaBroker,
-)
+from repro.mds import GIIS, GRIS, GridFTPInfoProvider, MdsReplicaBroker
 from repro.storage import ReplicaCatalog
 from repro.units import GB, MB
 from repro.workload import AUG_2001, build_testbed
@@ -36,7 +30,7 @@ def grid():
     now = bed.engine.now
     for name in ("LBL", "ISI"):
         server = bed.servers[name]
-        provider = IncrementalGridFTPInfoProvider(
+        provider = GridFTPInfoProvider(
             log=server.monitor.log, site=server.site, url=server.url
         )
         gris = GRIS(f"gris-{name.lower()}", cache_ttl=0.0)
@@ -93,8 +87,8 @@ def test_directory_choice_agrees_with_log_level_broker(grid):
 
 
 def test_choice_feeds_back_into_the_directory(grid):
-    """Fetch from the chosen site; the provider (incremental, attached to
-    the live log) reflects the new transfer on the next inquiry."""
+    """Fetch from the chosen site; the provider (re-reading the live log
+    on every uncached inquiry) reflects the new transfer on the next one."""
     bed, giis, broker = grid
     now = bed.engine.now
     choice = broker.select("lfn://dataset", now)
@@ -115,7 +109,6 @@ def test_choice_feeds_back_into_the_directory(grid):
 
 def test_class_specific_attributes_drive_small_files(grid):
     bed, _, broker = grid
-    cls = paper_classification()
     broker.catalog.register("lfn://thumbnail", "LBL", 5 * MB)
     broker.catalog.register("lfn://thumbnail", "ISI", 5 * MB)
     ranked = broker.rank("lfn://thumbnail", bed.engine.now)

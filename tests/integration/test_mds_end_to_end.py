@@ -93,12 +93,13 @@ class TestDirectory:
 
 class TestIncrementalProviderLive:
     def test_incremental_provider_tracks_live_log_through_gris(self, testbed):
-        """Records appended mid-session surface in the next uncached inquiry."""
-        from repro.mds import GRIS, IncrementalGridFTPInfoProvider
+        """Records appended mid-session surface in the next uncached
+        inquiry: the provider re-reads the live log on each one."""
+        from repro.mds import GRIS
         from repro.units import MB
 
         server = testbed.servers["LBL"]
-        provider = IncrementalGridFTPInfoProvider(
+        provider = GridFTPInfoProvider(
             log=server.monitor.log, site=server.site, url=server.url
         )
         gris = GRIS("gris-lbl", cache_ttl=0.0)  # always fresh

@@ -9,7 +9,6 @@ from repro.logs import Operation, TransferLog
 from repro.mds import (
     GRIS,
     GridFTPInfoProvider,
-    IncrementalGridFTPInfoProvider,
     ServicePerfProvider,
     format_entries,
 )
@@ -82,13 +81,6 @@ def test_entry_matches_batch_provider_exactly():
         now = log.latest().end_time + 60.0
         batch = GridFTPInfoProvider(log=log, site=SITE, url=URL)
         assert served_ldif(log, now) == ldif(batch, now)
-
-
-def test_entry_matches_incremental_provider():
-    for log in parity_logs():
-        now = log.latest().end_time + 60.0
-        incremental = IncrementalGridFTPInfoProvider(log=log, site=SITE, url=URL)
-        assert served_ldif(log, now) == ldif(incremental, now)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_LDIF_SHA256))

@@ -1,11 +1,11 @@
-"""Property tests: incremental summaries equal batch summaries, always.
+"""Property tests: the streaming bank answers like the batch kernels.
 
-Covers :class:`~repro.logs.stats.RunningSummary` (the MDS op statistics)
-and the :class:`~repro.core.streaming.StreamingBank` behind the serving
-fast path: on fuzzed histories — duplicate end timestamps, single-class
-logs, out-of-order arrivals — the bank's answers must match the
-vectorized kernels of :mod:`repro.core.fast` at every prefix, at the
-kernel parity tolerances.
+Covers the :class:`~repro.core.streaming.StreamingBank` behind the
+serving fast path: on fuzzed histories — duplicate end timestamps,
+single-class logs, out-of-order arrivals — the bank's answers must match
+the vectorized kernels of :mod:`repro.core.fast` at every prefix, at the
+kernel parity tolerances, and a rebuilt bank must answer like a folded
+one.
 """
 
 import numpy as np
@@ -19,86 +19,9 @@ from repro.core.history import History
 from repro.core.predictors import ALL_PREDICTOR_NAMES
 from repro.core.predictors.registry import resolve
 from repro.core.streaming import StreamingBank
-from repro.logs import RunningSummary
-from repro.logs.stats import BandwidthSummary
 from repro.units import GB, HOUR, MB
 
 
-@given(values=st.lists(
-    st.floats(min_value=1e-3, max_value=1e12, allow_nan=False),
-    min_size=1, max_size=200,
-))
-@settings(max_examples=200)
-def test_incremental_equals_batch(values):
-    running = RunningSummary()
-    for v in values:
-        running.add(v)
-    incremental = running.summary()
-
-    arr = np.asarray(values)
-    assert incremental.count == len(values)
-    assert incremental.minimum == arr.min()
-    assert incremental.maximum == arr.max()
-    assert np.isclose(incremental.mean, arr.mean(), rtol=1e-9)
-    assert np.isclose(incremental.median, np.median(arr), rtol=1e-9)
-    # Welford and numpy's two-pass formula legitimately differ in the last
-    # few bits when the spread is ~12 orders below the mean.
-    assert np.isclose(incremental.stddev, arr.std(ddof=0),
-                      rtol=1e-4, atol=1e-12 * arr.mean())
-
-
-@given(values=st.lists(
-    st.floats(min_value=1e-3, max_value=1e9, allow_nan=False),
-    min_size=1, max_size=50,
-))
-@settings(max_examples=100)
-def test_order_independence(values):
-    a, b = RunningSummary(), RunningSummary()
-    for v in values:
-        a.add(v)
-    for v in sorted(values, reverse=True):
-        b.add(v)
-    sa, sb = a.summary(), b.summary()
-    assert sa.count == sb.count
-    assert sa.minimum == sb.minimum and sa.maximum == sb.maximum
-    assert np.isclose(sa.mean, sb.mean, rtol=1e-9)
-    assert np.isclose(sa.median, sb.median, rtol=1e-9)
-
-
-def test_empty_summary_is_canonical():
-    assert RunningSummary().summary() == BandwidthSummary.empty()
-
-
-@given(values=st.lists(
-    st.floats(min_value=1e-3, max_value=1e9, allow_nan=False),
-    min_size=0, max_size=120,
-))
-@settings(max_examples=100)
-def test_from_values_equals_incremental(values):
-    """Vectorized bulk construction == the same values folded one by one."""
-    incremental = RunningSummary()
-    for v in values:
-        incremental.add(v)
-    bulk = RunningSummary.from_values(np.asarray(values, dtype=np.float64))
-    a, b = incremental.summary(), bulk.summary()
-    assert a.count == b.count
-    assert a.minimum == b.minimum and a.maximum == b.maximum
-    assert np.isclose(a.mean, b.mean, rtol=1e-9) if values else a == b
-    if values:
-        assert a.median == b.median  # same middle elements either way
-        # Welford vs the two-pass formula: last-bits disagreement when
-        # the spread is ~12 orders below the mean (same bound as above).
-        assert np.isclose(a.stddev, b.stddev, rtol=1e-4, atol=1e-12 * a.mean)
-        # Bulk construction must *resume* correctly: fold one more value
-        # into both and they must still agree.
-        incremental.add(5e5)
-        bulk.add(5e5)
-        assert incremental.summary().median == bulk.summary().median
-
-
-# ----------------------------------------------------------------------
-# streaming bank vs the vectorized kernels
-# ----------------------------------------------------------------------
 @st.composite
 def fuzzed_histories(draw, min_size=2, max_size=40):
     """Histories with the corners the serving path must survive:

@@ -223,6 +223,33 @@ def test_rank_merges_across_shards_best_bandwidth_first(fleet2):
         assert ranking[-1]["predicted_bandwidth"] is None
 
 
+@pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
+def test_the_front_refuses_what_a_worker_would_never_store(fleet2, binary):
+    # The front used to str() what it routed: "SITE0-DEST" as candidates
+    # ranked the one-letter links S, I, T, E, ...; [7] ranked link "7";
+    # an observe of link 7 was stored on a worker as "7".
+    services, _, front = fleet2
+    with fleet_client(front, binary=binary) as client:
+        seed_links(front, client, count=2)
+        for candidates in ("SITE0-DEST", {"SITE0-DEST": 1}, ["SITE0-DEST", 7]):
+            response = client.request(
+                {"op": "rank", "candidates": candidates, "size": 10 * MB})
+            assert response["error"]["code"] == "bad_request", response
+        for hostile in ({"link": 7}, {"link": ["SITE0-DEST"]},
+                        {"link": "SITE0-DEST", "size": 1.5}):
+            observe = {"op": "observe", "link": "SITE0-DEST", "size": 10 * MB,
+                       "start": 5000.0, "end": 5001.0, **hostile}
+            assert client.request(observe)["error"]["code"] == "bad_request"
+            predict = {"op": "predict", "link": "SITE0-DEST", "size": 10 * MB,
+                       **hostile}
+            assert client.request(predict)["error"]["code"] == "bad_request"
+        response = client.request({"op": "rank", "candidates": ["SITE0-DEST"],
+                                   "size": 10 * MB, "now": float("nan")})
+        assert response["error"]["code"] == "bad_request"
+    assert sorted(link for s in services for link in s.links()) == [
+        "SITE0-DEST", "SITE1-DEST"]
+
+
 def test_a_workers_degraded_guess_ranks_after_measured_links(tmp_path):
     # A fallback worker guesses an unmeasured link from *its shard's*
     # links (here 100 MB/s); the guess used to reach the front unmarked

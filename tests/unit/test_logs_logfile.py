@@ -166,14 +166,6 @@ class TestBulkExtend:
         log.extend(records_at(300.0, 50.0))
         assert [r.start_time for r in log] == [50.0, 100.0, 300.0, 500.0]
 
-    def test_extend_notifies_listeners_in_sorted_order(self):
-        log = TransferLog()
-        seen = []
-        log.subscribe(seen.append)
-        batch = records_at(300.0, 100.0, 200.0)
-        log.extend(batch)
-        assert [r.start_time for r in seen] == [100.0, 200.0, 300.0]
-
     def test_extend_empty_batch_is_noop(self):
         log = TransferLog()
         log.extend([])
