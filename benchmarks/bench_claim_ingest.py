@@ -1,8 +1,8 @@
 """Ingest claim: a warm sidecar load beats re-parsing the ULM text.
 
 :func:`repro.data.ingest.load_ulm` with ``cache=True`` keys an
-``x.ulm.col`` sidecar (the shared file envelope) on the SHA-256 of the
-log bytes; a repeat load of an unchanged file verifies and inflates it
+``x.ulm.col`` sidecar (the shared file envelope) on the BLAKE2b-256 of
+the log bytes; a repeat load of an unchanged file verifies and inflates it
 instead of tokenizing text.  This times both loads of the four shipped
 campaign logs and asserts the cached one is faster.
 

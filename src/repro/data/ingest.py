@@ -27,7 +27,7 @@ property tests assert frame-identical output on real and fuzzed logs.
 
 **Binary cache.**  :func:`load_ulm` keys a sidecar (``x.ulm.col``, the
 shared file envelope of :mod:`repro.envelope` around the ten frame
-columns) on the SHA-256 of the log's bytes, carried in the sidecar's
+columns) on the BLAKE2b-256 of the log's bytes, carried in the sidecar's
 verified header: the first load parses and writes the sidecar, every
 later load of unchanged content is one read, one digest check and one
 inflate straight into arrays (no string parsing at all), so a rewritten
@@ -41,7 +41,6 @@ never consulted again (see docs/resilience.md).
 
 from __future__ import annotations
 
-import hashlib
 import re
 import time
 from pathlib import Path
@@ -52,6 +51,7 @@ import numpy as np
 from repro import faults as _faults
 from repro.data.frame import (
     COLUMN_NAMES, NUMERIC_COLUMNS, OP_READ, OP_WRITE, TransferFrame)
+from repro.digests import blake2b
 from repro.envelope import Envelope, Verified, atomic_write, quarantine
 from repro.logs.record import BANDWIDTH_LIMIT
 from repro.logs.ulm import _KEYS as _WRITER_KEYS
@@ -70,9 +70,10 @@ __all__ = [
     "read_cache_status",
 ]
 
-#: Bump when the cache layout changes; readers reject other versions.
-#: 1 was an ``.npz`` beside the log (``x.ulm.npz``), no longer looked at.
-CACHE_VERSION = 2
+#: Bump when the cache layout or key changes; readers reject other versions.
+#: 1 was an ``.npz`` beside the log (``x.ulm.npz``), no longer looked at;
+#: 2 keyed the same layout on the log's SHA-256.
+CACHE_VERSION = 3
 
 # Process-wide ingest instrumentation (see docs/observability.md).
 _REG = get_registry()
@@ -296,6 +297,9 @@ def parse_ulm_text(text: str) -> TransferFrame:
 #: One section per frame column; the kind's own fields are the log's
 #: content digest and the row count.
 _FILE = Envelope(b"RSUL", CACHE_VERSION, "I" * len(COLUMN_NAMES), meta="32sI")
+#: What the build before wrote: intact, it is stale (its key is another
+#: digest's), not corrupt.
+_FORMAT_2 = Envelope(b"RSUL", 2, "I" * len(COLUMN_NAMES), meta="32sI")
 _NUMERIC_DTYPES = tuple(
     np.dtype(dtype).newbyteorder("<") for _, dtype in NUMERIC_COLUMNS)
 
@@ -307,7 +311,9 @@ def cache_path(path: Union[str, Path]) -> Path:
 
 
 def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    """The sidecar's key: BLAKE2b-256 of the log's bytes, in hex.  The
+    one digest over a whole log, so the fastest the interpreter has."""
+    return blake2b(data, digest_size=32).hexdigest()
 
 
 def _frame_of(head: Verified) -> TransferFrame:
@@ -334,7 +340,8 @@ def read_cache_status(sidecar: Path, digest: str) -> Tuple[Optional[TransferFram
     * ``"hit"`` — the sidecar verified, is for this digest, and inflated;
     * ``"absent"`` — no sidecar file exists;
     * ``"stale"`` — the sidecar is intact but for other content (normal
-      after a log rewrite); the next write replaces it;
+      after a log rewrite) or in format 2, keyed on another digest; the
+      next write replaces it;
     * ``"corrupt"`` — the sidecar exists but its bytes cannot be trusted
       (truncated write, bit rot, injected fault).  Callers should
       quarantine it: unlike ``stale`` it will never heal by itself.
@@ -349,8 +356,15 @@ def read_cache_status(sidecar: Path, digest: str) -> Tuple[Optional[TransferFram
         return None, "corrupt"
     try:
         head = _FILE.verify(raw)
-        if head.meta[0] != want:
-            return None, "stale"
+    except ValueError:
+        try:
+            _FORMAT_2.verify(raw)
+        except ValueError:
+            return None, "corrupt"
+        return None, "stale"
+    if head.meta[0] != want:
+        return None, "stale"
+    try:
         return _frame_of(head), "hit"
     except ValueError:
         return None, "corrupt"

@@ -22,7 +22,6 @@ a file some newer build wrote from a damaged one.  No numpy here.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import struct
 import tempfile
@@ -32,6 +31,8 @@ from itertools import accumulate
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Type
 
+from repro.digests import sha256
+
 __all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write",
            "newer_format", "quarantine"]
 
@@ -40,7 +41,7 @@ __all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write",
 #: buy a few percent for twice the write time.
 LEVEL = 1
 
-_DIGEST_SIZE = hashlib.sha256().digest_size
+_DIGEST_SIZE = sha256().digest_size
 _FORMAT_FIELD = struct.Struct("<H")
 
 
@@ -81,7 +82,7 @@ class Envelope:
         except struct.error as exc:
             raise ValueError(f"does not fit the header: {exc}") from None
         return b"".join(
-            (fields, hashlib.sha256(fields + stored).digest(), stored))
+            (fields, sha256(fields + stored).digest(), stored))
 
     def verify(self, data: bytes) -> Verified:
         """Check everything that can be checked without inflating."""
@@ -98,7 +99,7 @@ class Envelope:
             raise self.error(
                 f"length mismatch: {len(data)} != {size + stored_len}")
         view = memoryview(data)
-        digest = hashlib.sha256(view[:fields.size])
+        digest = sha256(view[:fields.size])
         digest.update(view[size:])
         if digest.digest() != view[fields.size:size]:
             raise self.error("digest mismatch")

@@ -19,15 +19,16 @@ N+1 moves only ~1/(N+1) of the links.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from repro.digests import blake2b
 
 __all__ = ["ShardRing", "stable_hash"]
 
 
 def stable_hash(key: str) -> int:
     """A process-stable 64-bit hash of ``key`` (BLAKE2b, first 8 bytes)."""
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+    digest = blake2b(key.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 

@@ -49,7 +49,6 @@ Tiered storage (:mod:`repro.store`) hooks in at two seams:
 
 from __future__ import annotations
 
-import hashlib
 import struct
 import threading
 from typing import Callable, Optional, Tuple
@@ -60,6 +59,7 @@ from repro.core.history import History
 from repro.core.streaming import StreamingBank
 from repro.data.buffer import ColumnBuffer
 from repro.data.frame import OP_READ, OP_WRITE
+from repro.digests import blake2b
 from repro.logs.record import Operation, TransferRecord
 
 __all__ = ["LinkState", "OP_READ", "OP_WRITE", "row_digest"]
@@ -89,7 +89,7 @@ def row_digest(times=(), values=(), sizes=(), into=None):
     given: how a checkpoint names the rows ``[0, n)`` its bank holds."""
     rows = np.empty(len(times), dtype=_ROW)
     rows["time"], rows["value"], rows["size"] = times, values, sizes
-    digest = hashlib.blake2b(digest_size=16) if into is None else into
+    digest = blake2b(digest_size=16) if into is None else into
     digest.update(rows)
     return digest
 

@@ -52,12 +52,12 @@ degrades to a rebuild.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from typing import Any, Dict, NoReturn
 
 import numpy as np
 
+from repro.digests import sha256
 from repro.envelope import Envelope, newer_format
 
 __all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps", "loads"]
@@ -193,7 +193,7 @@ def _reject_stale(data: bytes, version: int) -> NoReturn:
                 _RAW_HEADER.unpack_from(data)
             body = memoryview(data)[_RAW_HEADER.size:]
             intact = (len(body) == layout_len + f8_len + ld_len
-                      and hashlib.sha256(body).digest() == digest)
+                      and sha256(body).digest() == digest)
         if not intact:
             raise CorruptCheckpoint(f"unreadable as format {version}")
     raise StaleCheckpoint(f"format {version}, this build reads {_FORMAT}")

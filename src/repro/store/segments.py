@@ -39,7 +39,6 @@ segments whose rows it covers.
 
 from __future__ import annotations
 
-import hashlib
 import io
 from pathlib import Path
 from typing import NamedTuple, Tuple
@@ -47,6 +46,7 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from repro import faults as _faults
+from repro.digests import sha256
 from repro.envelope import Envelope, Verified, atomic_write, newer_format
 
 __all__ = ["CorruptSegment", "SegmentData", "UnknownSegmentFormat",
@@ -189,7 +189,7 @@ def _read_legacy(path: Path) -> SegmentData:
                        for name, dtype in _COLUMNS]
     except Exception as exc:
         raise CorruptSegment(f"undecodable segment {path}: {exc}") from None
-    sha = hashlib.sha256(f"1:{framing[0]}:{len(columns[0])}".encode())
+    sha = sha256(f"1:{framing[0]}:{len(columns[0])}".encode())
     for column in columns:
         sha.update(column.tobytes())
     if (version != "1" or framing[1] != len(columns[0])

@@ -5,11 +5,13 @@ interpreter (this test process has the whole package loaded through
 ``tests/conftest.py``, so nothing about closures can be seen from here):
 
 * every entry point's ``sys.modules`` after start-up holds none of the
-  simulation side — and, for the client and the fleet front, no numpy;
+  simulation side and no OpenSSL — and, for the client and the fleet
+  front, no numpy;
 * the serving and evaluation paths answer identically with networkx
-  unimportable (the other side of that split — a ``Topology`` still
-  routes, ``run_month(seed=1)`` still writes the shipped logs byte for
-  byte — is ``tests/unit/test_net_topology.py`` and
+  unimportable, and load no OpenSSL doing it (the other side of that
+  split — a ``Topology`` still routes, ``run_month(seed=1)`` still
+  writes the shipped logs byte for byte — is
+  ``tests/unit/test_net_topology.py`` and
   ``tests/integration/test_sample_data.py``);
 * the packages that resolve their re-exports on first access keep
   their whole public surface.
@@ -41,6 +43,9 @@ SERVING = ("numpy", "repro.core", "repro.data", "repro.service", "repro.store")
 #: in halves: a grep for the module's name over src/ and tests/ coming
 #: back empty is itself one of the gates.
 EVENT_LOOP = ("async" + "io", "ssl")
+#: Every digest is the interpreter's own (repro.digests), so no process
+#: maps OpenSSL's libcrypto to hash a header.
+OPENSSL = ("_hashlib",)
 #: What renders directory entries or models the grid; a serving process
 #: answers from its own columns and reads none of their value types.
 DELIVERY = ("repro.mds", "repro.net", "repro.storage", "repro.nws")
@@ -79,28 +84,30 @@ print("\\n".join(sorted(sys.modules)))
 
 CLOSURES = [
     # (the five kinds of process) x (what each must not have loaded)
-    ("client", "import repro.client", SIMULATION + SERVING + EVENT_LOOP),
-    ("front", "import repro.fleet.runner", SIMULATION + SERVING + EVENT_LOOP),
+    ("client", "import repro.client",
+     SIMULATION + SERVING + EVENT_LOOP + OPENSSL),
+    ("front", "import repro.fleet.runner",
+     SIMULATION + SERVING + EVENT_LOOP + OPENSSL),
     ("serve", "import repro.service, repro.store",
-     SIMULATION + EVENT_LOOP + DELIVERY),
+     SIMULATION + EVENT_LOOP + DELIVERY + OPENSSL),
     ("worker", "run('repro.fleet.worker', '--help')",
-     SIMULATION + EVENT_LOOP + FLEET_FRONT + DELIVERY),
+     SIMULATION + EVENT_LOOP + FLEET_FRONT + DELIVERY + OPENSSL),
     ("evaluate", "import repro.core.engine, repro.data",
-     SIMULATION + ("repro.service", "repro.store", "repro.fleet")),
-    ("cli", "import repro.cli", SIMULATION + SERVING),
+     SIMULATION + ("repro.service", "repro.store", "repro.fleet") + OPENSSL),
+    ("cli", "import repro.cli", SIMULATION + SERVING + OPENSSL),
     ("cli-serve-help", "run('repro.cli', 'serve', '--help')",
-     SIMULATION + EVENT_LOOP),
+     SIMULATION + EVENT_LOOP + OPENSSL),
     ("cli-query-help", "run('repro.cli', 'query', '--help')",
-     SIMULATION + SERVING + EVENT_LOOP),
+     SIMULATION + SERVING + EVENT_LOOP + OPENSSL),
     ("cli-fleet-help", "run('repro.cli', 'fleet', '--help')",
-     SIMULATION + SERVING + EVENT_LOOP),
+     SIMULATION + SERVING + EVENT_LOOP + OPENSSL),
     # --help stops before the subcommand body; these two run it.
     ("cli-query-logs",
      "run('repro.cli', 'query', 'predict', '--logs', {log!r}, "
-     "'--link', 'aug-LBL-ANL', '--size', '1GB')", SIMULATION),
+     "'--link', 'aug-LBL-ANL', '--size', '1GB')", SIMULATION + OPENSSL),
     # Renders with repro.analysis.report, so the package itself may load.
     ("cli-evaluate", "run('repro.cli', 'evaluate', {log!r})",
-     tuple(root for root in SIMULATION if root != "repro.analysis")),
+     tuple(root for root in SIMULATION if root != "repro.analysis") + OPENSSL),
 ]
 
 
@@ -160,6 +167,10 @@ result = evaluate(frame)
 answers["battery"] = len(result.traces)
 answers["mape"] = result.mape_table()
 answers["networkx"] = sys.modules.get("networkx", "absent") is not None
+# Sidecar ingest, evict, revive, checkpoint, batch fold and the battery
+# hashed what they hash without OpenSSL: a lazy `import hashlib` on a
+# cold path would have put it back.
+assert "_hashlib" not in sys.modules
 print(json.dumps(answers))
 """
 
@@ -293,3 +304,25 @@ def test_no_event_loop_and_one_connection_handler():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and "read_frame" in node.name
     ] == [("repro/wire.py", "read_frame")]
+
+
+def test_one_module_imports_hashlib_and_only_as_a_fallback():
+    """Every digest comes through ``repro.digests``; ``hashlib`` (and
+    with it OpenSSL) is imported nowhere else under ``src/repro``, and
+    there only inside the fallback for a missing built-in."""
+    def hashlib_imports(tree, function=None):
+        if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = tree.name
+        if isinstance(tree, (ast.Import, ast.ImportFrom)) and any(
+                name == "hashlib" or name.startswith("hashlib.")
+                for name in _imports(tree)):
+            yield function
+        for child in ast.iter_child_nodes(tree):
+            yield from hashlib_imports(child, function)
+
+    found = [
+        (path.relative_to(REPO / "src").as_posix(), function)
+        for path in sorted((REPO / "src" / "repro").rglob("*.py"))
+        for function in hashlib_imports(ast.parse(path.read_text()))
+    ]
+    assert found == [("repro/digests.py", "__getattr__")]

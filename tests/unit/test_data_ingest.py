@@ -6,6 +6,7 @@ import pytest
 
 from repro.data import TransferFrame, cache_path, load_ulm, parse_ulm_text
 from repro.data.ingest import CACHE_VERSION, read_cache_status, write_cache
+from repro.data.ingest import _digest as key  # the sidecar's own key
 from repro.logs.ulm import ULMError, format_record, parse_lines
 
 from tests.conftest import make_record
@@ -138,15 +139,30 @@ class TestCache:
 
         frame = load_ulm(log_path)
         sidecar = cache_path(log_path)
-        digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
+        raw = log_path.read_bytes()
+        digest = key(raw)
         assert read_cache_status(sidecar, digest)[0].equals(frame)
-        # The same file, as a build with another cache layout wrote it.
-        monkeypatch.setattr(
-            ingest, "_FILE", Envelope(b"RSUL", 999, "I" * 10, meta="32sI"))
-        assert write_cache(sidecar, digest, frame)
-        monkeypatch.undo()
+        quarantined = sidecar.with_name(sidecar.name + ".quarantined")
+
+        def written_by(version, log_key):
+            monkeypatch.setattr(ingest, "_FILE", Envelope(
+                b"RSUL", version, "I" * 10, meta="32sI"))
+            assert write_cache(sidecar, log_key, frame)
+            monkeypatch.undo()
+
+        # The same file as the build before wrote it, keyed on the log's
+        # SHA-256: intact, so stale, and overwritten in place.
+        written_by(2, hashlib.sha256(raw).hexdigest())
+        assert read_cache_status(sidecar, digest) == (None, "stale")
+        assert load_ulm(log_path).equals(frame)
+        assert not quarantined.exists()
+        assert sidecar.read_bytes()[4:6] == bytes([CACHE_VERSION, 0])
+        assert read_cache_status(sidecar, digest)[0].equals(frame)
+        # ... and as a build with another cache layout wrote it: corrupt.
+        written_by(999, digest)
         assert read_cache_status(sidecar, digest) == (None, "corrupt")
         assert load_ulm(log_path).equals(frame)  # reparses and rewrites
+        assert quarantined.exists()
         assert read_cache_status(sidecar, digest)[0].equals(frame)
 
     def test_version_1_npz_sidecar_is_not_looked_at(self, log_path):
@@ -175,7 +191,7 @@ class TestCache:
         parsed = load_ulm(log_path)          # writes sidecar
         cached = load_ulm(log_path)          # reads it back
         assert cached.equals(parsed)
-        assert CACHE_VERSION == 2
+        assert CACHE_VERSION == 3
         for name in ("sources", "files", "volumes"):
             assert getattr(cached, name).dtype == getattr(parsed, name).dtype
 
@@ -184,7 +200,7 @@ class TestCache:
         path.write_text("# nothing yet\n")
         assert len(load_ulm(path)) == 0
         frame, status = read_cache_status(
-            cache_path(path), hashlib.sha256(path.read_bytes()).hexdigest())
+            cache_path(path), key(path.read_bytes()))
         assert status == "hit" and len(frame) == 0
 
 
@@ -200,7 +216,7 @@ class TestCacheQuarantine:
         assert quarantined.exists()          # corrupt file moved aside
         assert sidecar.exists()              # fresh cache rewritten
         frame2, status = read_cache_status(
-            sidecar, hashlib.sha256(log_path.read_bytes()).hexdigest())
+            sidecar, key(log_path.read_bytes()))
         assert status == "hit" and frame2.equals(baseline)
 
     def test_truncated_sidecar_is_treated_as_corrupt(self, log_path):
@@ -216,8 +232,8 @@ class TestCacheQuarantine:
 
         frame = load_ulm(log_path, cache=False)
         sidecar = cache_path(log_path)
-        digest = hashlib.sha256(log_path.read_bytes()).hexdigest()
-        other = hashlib.sha256(b"what the log used to say").hexdigest()
+        digest = key(log_path.read_bytes())
+        other = key(b"what the log used to say")
         assert write_cache(sidecar, other, frame.prefix(2))
         assert read_cache_status(sidecar, digest) == (None, "stale")
         counter = get_registry().counter("ingest_cache_quarantined", "")

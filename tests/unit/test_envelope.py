@@ -99,7 +99,7 @@ class Format1SegmentKind(SegmentKind):
 class SidecarKind(Kind):
     name = "x.ulm.col"
     fields = struct.Struct("<4sHHI10I32sI")
-    magic, version, aux = b"RSUL", 2, 0
+    magic, version, aux = b"RSUL", 3, 0
     meta = (bytes.fromhex(LOG_DIGEST), 128)
     error = CorruptFile
     bomb_lengths = (1024,) + (0,) * 9
