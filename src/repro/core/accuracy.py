@@ -26,6 +26,7 @@ from typing import List, Optional
 from repro.core.history import History
 from repro.core.predictors.base import Predictor
 from repro.core.selection import RankedReplica, ReplicaBroker
+from repro.wire import rank_key
 
 __all__ = ["backtest_error", "RiskAssessedReplica", "RiskAdjustedRanking"]
 
@@ -65,19 +66,11 @@ def backtest_error(
 
 
 @dataclass(frozen=True)
-class RiskAssessedReplica:
+class RiskAssessedReplica(RankedReplica):
     """A ranked candidate with its backtested uncertainty."""
 
-    site: str
-    predicted_bandwidth: Optional[float]
-    error: Optional[float]           # mean absolute fractional error
-    adjusted_bandwidth: Optional[float]
-    history_length: int
-
-    def estimated_time(self, size: int) -> Optional[float]:
-        if self.predicted_bandwidth is None or self.predicted_bandwidth <= 0:
-            return None
-        return size / self.predicted_bandwidth
+    error: Optional[float] = None               # mean absolute fractional error
+    adjusted_bandwidth: Optional[float] = None  # what the ranking sorts on
 
 
 class RiskAdjustedRanking:
@@ -110,13 +103,7 @@ class RiskAdjustedRanking:
         self, ranked: RankedReplica, logical_name: str, client_address: str, now: float
     ) -> RiskAssessedReplica:
         if ranked.predicted_bandwidth is None:
-            return RiskAssessedReplica(
-                site=ranked.site,
-                predicted_bandwidth=None,
-                error=None,
-                adjusted_bandwidth=None,
-                history_length=ranked.history_length,
-            )
+            return RiskAssessedReplica(**vars(ranked))
         history = self.broker._history_for(ranked.site, client_address)
         size = self.broker.catalog.size_of(logical_name)
         error = backtest_error(
@@ -126,30 +113,17 @@ class RiskAdjustedRanking:
         adjusted = ranked.predicted_bandwidth * (
             1.0 - self.risk_aversion * effective_error
         )
-        return RiskAssessedReplica(
-            site=ranked.site,
-            predicted_bandwidth=ranked.predicted_bandwidth,
-            error=error,
-            adjusted_bandwidth=adjusted,
-            history_length=ranked.history_length,
-        )
+        return RiskAssessedReplica(**vars(ranked), error=error, adjusted_bandwidth=adjusted)
 
     def rank(
         self, logical_name: str, client_address: str, now: float
     ) -> List[RiskAssessedReplica]:
         """Candidates ordered by certainty-discounted bandwidth."""
-        assessed = [
-            self._assess(r, logical_name, client_address, now)
-            for r in self.broker.rank(logical_name, client_address, now)
-        ]
-        assessed.sort(
-            key=lambda r: (
-                r.adjusted_bandwidth is None,
-                -(r.adjusted_bandwidth or 0.0),
-                r.site,
-            )
+        return sorted(
+            (self._assess(r, logical_name, client_address, now)
+             for r in self.broker._predictions(logical_name, client_address, now)),
+            key=lambda r: rank_key(r.adjusted_bandwidth),
         )
-        return assessed
 
     def select(
         self, logical_name: str, client_address: str, now: float

@@ -6,9 +6,14 @@ requesting client — using that candidate's own transfer log, filtered to
 transfers involving that client — and ranks the candidates.  This is the
 "intelligent replica selection" of Section 1 / reference [41].
 
-Candidates with no usable history are ranked last (unknown is worse than
-any estimate, for ranking purposes) but are reported with
+Every ranking — this broker's, the risk-adjusted and MDS brokers', a
+service's and the fleet front's — sorts stably by one key,
+:func:`repro.wire.rank_key`, so ties keep candidate order (here the
+catalog's).  Candidates with no usable history rank last (unknown is
+worse than any estimate, for ranking purposes) but are reported with
 ``predicted_bandwidth=None`` so a caller can choose to explore them.
+Each entry is a :class:`RankedReplica`; a broker that knows more adds
+its own fields in a subclass.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from repro.core.history import History
 from repro.core.predictors.base import Predictor
 from repro.logs.logfile import TransferLog
 from repro.logs.record import Operation
+from repro.wire import rank_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.filesystem import ReplicaCatalog
@@ -79,6 +85,23 @@ class ReplicaBroker:
             if r.operation is Operation.READ and r.source_ip == client_address
         ])
 
+    def _predictions(
+        self, logical_name: str, client_address: str, now: float
+    ) -> List[RankedReplica]:
+        """Every candidate replica's prediction, in catalog order."""
+        size = self.catalog.size_of(logical_name)
+        out: List[RankedReplica] = []
+        for site in self.catalog.locations(logical_name):
+            history = self._history_for(site, client_address)
+            predicted = (
+                self.predictor.predict(history, target_size=size, now=now)
+                if len(history) > 0
+                else None
+            )
+            out.append(RankedReplica(
+                site=site, predicted_bandwidth=predicted, history_length=len(history)))
+        return out
+
     def rank(
         self,
         logical_name: str,
@@ -89,30 +112,8 @@ class ReplicaBroker:
 
         Raises ``KeyError`` if the file has no registered replicas.
         """
-        size = self.catalog.size_of(logical_name)
-        ranked: List[RankedReplica] = []
-        for site in self.catalog.locations(logical_name):
-            history = self._history_for(site, client_address)
-            predicted = (
-                self.predictor.predict(history, target_size=size, now=now)
-                if len(history) > 0
-                else None
-            )
-            ranked.append(
-                RankedReplica(
-                    site=site,
-                    predicted_bandwidth=predicted,
-                    history_length=len(history),
-                )
-            )
-        ranked.sort(
-            key=lambda r: (
-                r.predicted_bandwidth is None,           # unknowns last
-                -(r.predicted_bandwidth or 0.0),          # fastest first
-                r.site,                                   # stable tie-break
-            )
-        )
-        return ranked
+        return sorted(self._predictions(logical_name, client_address, now),
+                      key=lambda r: rank_key(r.predicted_bandwidth))
 
     def select(
         self, logical_name: str, client_address: str, now: float

@@ -576,24 +576,22 @@ class FleetFront:
         # Refused here as the worker would, before any fan-out.
         wire.check_int("size", req["size"])
         wire.check_now(req.get("now"))
-        groups = self.ring.partition(wire.check_candidates(req["candidates"]))
+        candidates = list(dict.fromkeys(wire.check_candidates(req["candidates"])))
+        groups = self.ring.partition(candidates)
         outcomes = self._scatter({
             shard: self._sub(
                 req, ("op", "v", "size", "spec", "now", "trace"), candidates=sites)
             for shard, sites in groups.items()
         })
-        confident: List[Dict[str, Any]] = []
-        degraded: List[Dict[str, Any]] = []
-        empty: List[Dict[str, Any]] = []
+        entries: List[Dict[str, Any]] = []
         for shard in sorted(groups):
             outcome = outcomes[shard]
             if isinstance(outcome, ShardUnavailable) and self.fallback:
                 # Last-good failover: every candidate this shard owns
-                # ranks from the front's memory, marked degraded and
-                # sorted after every confident answer.
+                # ranks from the front's memory, marked degraded.
                 for site in groups[shard]:
                     stale = self._recall(site, req.get("spec"), req)
-                    (degraded if stale else empty).append({
+                    entries.append({
                         "site": site,
                         "predicted_bandwidth": stale["value"] if stale else None,
                         "history_length": stale["history_length"] if stale else 0,
@@ -608,17 +606,13 @@ class FleetFront:
                 return wire.error_entry(code, message)
             if not outcome.get("ok"):
                 return outcome
-            for entry in outcome["ranking"]:
-                if entry.get("predicted_bandwidth") is None:
-                    empty.append(entry)
-                elif entry.get("degraded"):
-                    degraded.append(entry)
-                else:
-                    confident.append(entry)
-        key = lambda entry: -entry["predicted_bandwidth"]  # noqa: E731
-        return {
-            "ranking": sorted(confident, key=key) + sorted(degraded, key=key) + empty
-        }
+            entries.extend(outcome["ranking"])
+        # One server's order: the shared key, ties in request order.
+        position = {site: i for i, site in enumerate(candidates)}
+        entries.sort(key=lambda e: (
+            *wire.rank_key(e["predicted_bandwidth"], e["degraded"]),
+            position[e["site"]]))
+        return {"ranking": entries}
 
     # -- status aggregation --------------------------------------------
     def _route_status(self, req: Dict[str, Any]) -> Dict[str, Any]:

@@ -26,9 +26,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.classification import Classification, paper_classification
+from repro.core.selection import RankedReplica
 from repro.mds.ldif import Entry
 from repro.storage.filesystem import ReplicaCatalog
 from repro.units import KB
+from repro.wire import rank_key
 
 __all__ = ["MdsRankedReplica", "MdsReplicaBroker"]
 
@@ -44,19 +46,13 @@ def _parse_kb(value: Optional[str]) -> Optional[float]:
 
 
 @dataclass(frozen=True)
-class MdsRankedReplica:
-    """A candidate ranked from directory information."""
+class MdsRankedReplica(RankedReplica):
+    """A candidate ranked from directory information (``history_length``
+    is 0: this broker reads no log)."""
 
-    site: str
-    hostname: Optional[str]
-    gridftp_url: Optional[str]
-    predicted_bandwidth: Optional[float]  # bytes/s; None = no usable entry
-    source_attribute: Optional[str]       # which attribute supplied the value
-
-    def estimated_time(self, size: int) -> Optional[float]:
-        if self.predicted_bandwidth is None or self.predicted_bandwidth <= 0:
-            return None
-        return size / self.predicted_bandwidth
+    hostname: Optional[str] = None
+    gridftp_url: Optional[str] = None
+    source_attribute: Optional[str] = None  # which attribute supplied the value
 
 
 class MdsReplicaBroker:
@@ -124,26 +120,15 @@ class MdsReplicaBroker:
         for site in self.catalog.locations(logical_name):
             hostname = self.site_hostnames.get(site)
             entry = entries.get(hostname) if hostname else None
-            if entry is None:
-                ranked.append(MdsRankedReplica(
-                    site=site, hostname=hostname, gridftp_url=None,
-                    predicted_bandwidth=None, source_attribute=None,
-                ))
-                continue
-            bandwidth, attribute = self._predicted_from(entry, size)
+            bandwidth = attribute = url = None
+            if entry is not None:
+                bandwidth, attribute = self._predicted_from(entry, size)
+                url = entry.first("gridftpurl")
             ranked.append(MdsRankedReplica(
-                site=site,
-                hostname=hostname,
-                gridftp_url=entry.first("gridftpurl"),
-                predicted_bandwidth=bandwidth,
-                source_attribute=attribute,
+                site=site, predicted_bandwidth=bandwidth, history_length=0,
+                hostname=hostname, gridftp_url=url, source_attribute=attribute,
             ))
-        ranked.sort(key=lambda r: (
-            r.predicted_bandwidth is None,
-            -(r.predicted_bandwidth or 0.0),
-            r.site,
-        ))
-        return ranked
+        return sorted(ranked, key=lambda r: rank_key(r.predicted_bandwidth))
 
     def select(self, logical_name: str, now: float) -> MdsRankedReplica:
         return self.rank(logical_name, now)[0]

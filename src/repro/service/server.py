@@ -232,22 +232,22 @@ def _observe_record(item: Dict[str, Any]) -> Tuple[str, TransferRecord, int]:
         raise ValueError(f"size must be in 1..2**63-1, got {size}")
     if not 0 <= offset <= _INT64_MAX:
         raise ValueError(f"offset must be in 0..2**63-1, got {offset}")
-    start = float(item["start"])
-    end = float(item["end"])
+    start = wire.check_real("start", item["start"])
+    end = wire.check_real("end", item["end"])
     bandwidth = item.get("bandwidth")
     if bandwidth is None:
         if end <= start:
             raise ValueError(f"end ({end}) must follow start ({start})")
         bandwidth = size / (end - start)
     record = TransferRecord(
-        source_ip=str(item.get("source_ip", "0.0.0.0")),
-        file_name=str(item.get("file_name", "/transfer")),
+        source_ip=wire.check_str("source_ip", item.get("source_ip", "0.0.0.0")),
+        file_name=wire.check_str("file_name", item.get("file_name", "/transfer")),
         file_size=size,
-        volume=str(item.get("volume", "/")),
+        volume=wire.check_str("volume", item.get("volume", "/")),
         start_time=start,
         end_time=end,
-        bandwidth=float(bandwidth),
-        operation=str(item.get("operation", "read")),
+        bandwidth=wire.check_real("bandwidth", bandwidth),
+        operation=wire.check_str("operation", item.get("operation", "read")),
         streams=wire.check_int("streams", item.get("streams", 1)),
         tcp_buffer=wire.check_int("tcp_buffer", item.get("tcp_buffer", 65536)),
     )

@@ -101,6 +101,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.quality import SCORED_EVENT_BATCH, AccuracyTracker, QualityFeed
 from repro.service.residency import Residency
 from repro.service.state import OP_READ, OP_WRITE, LinkState
+from repro.wire import rank_key
 
 __all__ = ["Prediction", "PredictionCache", "PredictionService", "DEFAULT_SPEC"]
 
@@ -871,11 +872,12 @@ class PredictionService:
     ) -> List[RankedReplica]:
         """Rank candidate source links for a ``size``-byte transfer.
 
-        Candidates with a confident prediction sort by descending
-        bandwidth; degraded fallback answers (see ``degraded_fallback``)
-        sort after every confident one; candidates with no value at all
-        (unknown link, abstaining predictor) rank last but are reported
-        so a caller may explore them.
+        Candidates sort stably by :func:`repro.wire.rank_key`:
+        confident predictions by descending bandwidth, then degraded
+        fallback answers (see ``degraded_fallback``), then candidates
+        with no value at all (unknown link, abstaining predictor), which
+        are reported so a caller may explore them; ties keep the order
+        of ``candidates``, a repeat counted at its first place.
 
         The spec is resolved once and every candidate's link state is
         gathered (reviving spilled links from the durable store) before
@@ -901,7 +903,7 @@ class PredictionService:
             (self._predict_on(state, link, size, spec, anchor,
                               time.perf_counter())
              for link, state in states),
-            key=lambda p: (p.value is None, p.degraded, -(p.value or 0.0)),
+            key=lambda p: rank_key(p.value, p.degraded),
         )
         return [
             RankedReplica(site=p.link, predicted_bandwidth=p.value,

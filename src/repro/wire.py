@@ -87,10 +87,13 @@ __all__ = [
     "decode_response",
     "error_entry",
     "error_response",
+    "check_str",
     "check_link",
     "check_int",
+    "check_real",
     "check_now",
     "check_candidates",
+    "rank_key",
 ]
 
 MAGIC = b"\xa5\x57"
@@ -233,11 +236,16 @@ class TruncatedFrame(FrameError):
 # coerced — ``str(["x"])`` would name a link "['x']", ``int(1.5)``
 # would store one byte.
 # ----------------------------------------------------------------------
+def check_str(name: str, value: Any) -> str:
+    """A string field: a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+    return value
+
+
 def check_link(value: Any) -> str:
     """A link name: a string."""
-    if not isinstance(value, str):
-        raise TypeError(f"link must be a string, got {type(value).__name__}")
-    return value
+    return check_str("link", value)
 
 
 def check_int(name: str, value: Any) -> int:
@@ -251,8 +259,9 @@ def check_int(name: str, value: Any) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _real(name: str, value: Any) -> float:
-    """A number as a float, NaN and infinities included."""
+def check_real(name: str, value: Any) -> float:
+    """A number as a float, NaN and infinities included; a bool or a
+    numeric string is not a number."""
     if isinstance(value, float) or (
             hasattr(value, "__index__") and not isinstance(value, bool)):
         return float(value)
@@ -263,7 +272,7 @@ def check_now(value: Any) -> Optional[float]:
     """An anchor time: absent (``None``), or a finite number."""
     if value is None:
         return None
-    now = _real("now", value)
+    now = check_real("now", value)
     if not math.isfinite(now):
         raise ValueError(f"now must be finite, got {now}")
     return now
@@ -276,6 +285,16 @@ def check_candidates(value: Any) -> List[str]:
         raise TypeError(
             f"candidates must be a list of link names, got {type(value).__name__}")
     return [check_link(candidate) for candidate in value]
+
+
+def rank_key(value: Optional[float], degraded: bool = False) -> Tuple[bool, bool, float]:
+    """The one ranking order, for every broker, worker and front: a
+    value before none, a measured value before a degraded guess, then
+    the fastest first.  Every ranking sorts its candidates *stably* by
+    this key, so ties keep the candidates' order.  It lives here, not
+    in ``repro.core``, because the front (which loads no numpy) merges
+    by it too."""
+    return (value is None, degraded, -(value or 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +422,7 @@ class FrameWriter:
         if sized:
             self._pack(_U64, check_int("size", req["size"]))
         if now is not None:
-            self._pack(_F64, _real("now", now))
+            self._pack(_F64, check_real("now", now))
         return spec
 
     def _encode_predict_req(self, v: int, req: Dict[str, Any]) -> None:
@@ -435,7 +454,7 @@ class FrameWriter:
             self._pack(_U8, iflags)
             self._pack(_U64, check_int("size", item["size"]))
             if inow is not None:
-                self._pack(_F64, _real("now", inow))
+                self._pack(_F64, check_real("now", inow))
             self._put_str(check_link(item["link"]))
             if ispec is not None:
                 self._put_str(str(ispec))
@@ -470,9 +489,9 @@ class FrameWriter:
         self._pack(
             _OBS_FIXED,
             check_int("size", item["size"]),
-            float(item["start"]),
-            float(item["end"]),
-            float(item["bandwidth"]),
+            check_real("start", item["start"]),
+            check_real("end", item["end"]),
+            check_real("bandwidth", item["bandwidth"]),
             check_int("streams", item["streams"]),
             check_int("tcp_buffer", item["tcp_buffer"]),
         )
@@ -480,9 +499,8 @@ class FrameWriter:
             self._pack(_U64, check_int("offset", offset))
         self._put_str(check_link(item["link"]))
         if meta:
-            self._put_str(str(item["source_ip"]))
-            self._put_str(str(item["file_name"]))
-            self._put_str(str(item["volume"]))
+            for name in ("source_ip", "file_name", "volume"):
+                self._put_str(check_str(name, item[name]))
 
     def _encode_observe_req(self, v: int, req: Dict[str, Any]) -> None:
         trace = _trace_ids(req)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core import ReplicaBroker
+from repro.core import RankedReplica, ReplicaBroker, RiskAdjustedRanking
 from repro.core.predictors import TotalAverage, classified_predictors
 from repro.logs import Operation, TransferLog
+from repro.mds import Entry, MdsReplicaBroker
 from repro.storage import ReplicaCatalog
 from repro.units import MB
 from tests.conftest import make_record
@@ -106,4 +107,47 @@ def test_deterministic_tiebreak_on_equal_predictions():
         catalog.register("f", site, 500 * MB)
     logs = {"LBL": site_log(5e6), "ISI": site_log(5e6)}
     ranked = ReplicaBroker(catalog, logs, TotalAverage()).rank("f", CLIENT, 1e6)
-    assert [r.site for r in ranked] == ["ISI", "LBL"]  # alphabetical on tie
+    assert [r.site for r in ranked] == ["ISI", "LBL"]  # catalog order on tie
+
+
+class EqualDirectory:
+    """A directory publishing the same average (5000K) for every host."""
+
+    def __init__(self, hostnames):
+        self.entries = []
+        for hostname in hostnames:
+            entry = Entry(f"hostname={hostname},o=grid")
+            entry.add("objectclass", "GridFTPPerf")
+            entry.add("hostname", hostname)
+            entry.add("avgrdbandwidth", "5000K")
+            self.entries.append(entry)
+
+    def search(self, now, flt=None):
+        return list(self.entries)
+
+
+BROKERS = {
+    "log": lambda catalog, logs: ReplicaBroker(
+        catalog, logs, TotalAverage()).rank("f", CLIENT, 1e6),
+    "risk-adjusted": lambda catalog, logs: RiskAdjustedRanking(
+        ReplicaBroker(catalog, logs, TotalAverage())).rank("f", CLIENT, 1e6),
+    "mds": lambda catalog, logs: MdsReplicaBroker(
+        catalog, EqualDirectory(logs), {site: site for site in catalog.locations("f")}
+    ).rank("f", now=0.0),
+}
+
+
+@pytest.mark.parametrize("rank", BROKERS.values(), ids=BROKERS.keys())
+def test_every_broker_ranks_one_type_with_ties_in_catalog_order(rank):
+    # Three sites measured at an equal 5 MB/s and one with nothing known,
+    # registered out of order: the catalog sorts them, ties keep that
+    # order, and the unknown site ranks last wherever it sits.
+    catalog = ReplicaCatalog()
+    for site in ("LBL", "CERN", "ISI", "ANL"):
+        catalog.register("f", site, 500 * MB)
+    ranked = rank(catalog, {site: site_log(5e6) for site in ("LBL", "ISI", "ANL")})
+    assert all(isinstance(r, RankedReplica) for r in ranked)
+    assert all(type(r).estimated_time is RankedReplica.estimated_time for r in ranked)
+    assert [r.site for r in ranked] == ["ANL", "ISI", "LBL", "CERN"]
+    assert [r.estimated_time(500 * MB) for r in ranked] == [
+        pytest.approx(100.0)] * 3 + [None]

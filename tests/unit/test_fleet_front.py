@@ -17,6 +17,7 @@ from repro.fleet.front import FleetFront
 from repro.resilience import RetryPolicy
 from repro.service import PredictionService, ServiceServer
 from repro.units import MB
+from repro.wire import rank_key
 from tests.conftest import make_record
 
 pytestmark = pytest.mark.skipif(
@@ -243,11 +244,18 @@ def test_the_front_refuses_what_a_worker_would_never_store(fleet2, binary):
             predict = {"op": "predict", "link": "SITE0-DEST", "size": 10 * MB,
                        **hostile}
             assert client.request(predict)["error"]["code"] == "bad_request"
+        for hostile in ({"start": True}, {"start": "1000", "end": "1001"},
+                        {"bandwidth": True}, {"bandwidth": "5e6"}, {"source_ip": [1]},
+                        {"file_name": {}}, {"volume": {}}):
+            observe = {"op": "observe", "link": "SITE0-DEST", "size": 10 * MB,
+                       "start": 5000.0, "end": 5001.0, **hostile}
+            assert client.request(observe)["error"]["code"] == "bad_request", hostile
         response = client.request({"op": "rank", "candidates": ["SITE0-DEST"],
                                    "size": 10 * MB, "now": float("nan")})
         assert response["error"]["code"] == "bad_request"
     assert sorted(link for s in services for link in s.links()) == [
         "SITE0-DEST", "SITE1-DEST"]
+    assert [len(s.history(link)) for s in services for link in s.links()] == [3, 3]
 
 
 def test_a_workers_degraded_guess_ranks_after_measured_links(tmp_path):
@@ -277,6 +285,70 @@ def test_a_workers_degraded_guess_ranks_after_measured_links(tmp_path):
         front.stop()
         for server in servers:
             server.stop()
+
+
+@pytest.mark.parametrize("degraded_fallback", [False, True], ids=["plain", "guessing"])
+@pytest.mark.parametrize("binary", [False, True], ids=["json", "binary"])
+def test_the_front_ranks_as_one_server_does(tmp_path, binary, degraded_fallback):
+    # Eight links with equal rows tie under AVG and the default spec; an
+    # unmeasured link answers None, or a worker's degraded guess that
+    # ties them too; at a far `now` AVG5hr abstains on every measured
+    # link.  The front used to break ties by shard (SITE1, SITE7, SITE0,
+    # ...) where one server keeps the request's order.
+    services, servers, sockets = make_workers(
+        tmp_path, 2, degraded_fallback=degraded_fallback)
+    front = FleetFront(sockets, fallback=True, call_timeout=2.0,
+                       breaker_reset=0.2).start()
+    one = PredictionService(clock=lambda: NOW, degraded_fallback=degraded_fallback)
+    measured = [f"SITE{i}" for i in range(8)]
+    candidates = ["NEW3", "SITE5", "SITE1", "NEW0", "SITE7", "SITE1", "SITE0",
+                  "NEW2", "SITE3", "SITE6", "NEW1", "SITE2", "SITE4"]
+    try:
+        for names in (measured, ["NEW0", "NEW1", "NEW2", "NEW3"]):
+            assert {front.ring.shard_of(name) for name in names} == {0, 1}
+        for link in measured:
+            for k in range(3):
+                # A whole-number bandwidth keeps every mean of means exact,
+                # so each shard's guess is bit-equal to one server's.
+                record = make_record(start=1000.0 + 100 * k, size=10 * MB,
+                                     bandwidth=10 * MB)
+                one.observe(link, record)
+                services[front.ring.shard_of(link)].observe(link, record)
+        with fleet_client(front, binary=binary) as client:
+            for spec, now in (("AVG", None), (None, None), ("AVG5hr", 10 * NOW)):
+                expected = [(r.site, r.predicted_bandwidth, r.degraded) for r in
+                            one.rank_replicas(candidates, 10 * MB, spec=spec, now=now)]
+                ranking = client.rank(candidates, 10 * MB, spec=spec, now=now)
+                assert [(r["site"], r["predicted_bandwidth"], r["degraded"])
+                        for r in ranking] == expected, (spec, now)
+            # One shard down: its candidates rank from the front's
+            # last-good answers (some have one, some not) by the same key,
+            # ties in request order.
+            for link in candidates[:7]:
+                client.predict(link, 10 * MB, spec="AVG")
+            kill_worker(front, servers, 0)
+            ranking = client.rank(candidates, 10 * MB, spec="AVG")
+        unique = list(dict.fromkeys(candidates))
+        assert sorted(r["site"] for r in ranking) == sorted(unique)
+        assert ranking == sorted(ranking, key=lambda r: (
+            *rank_key(r["predicted_bandwidth"], r["degraded"]), unique.index(r["site"])))
+        assert any(r["degraded"] and r["predicted_bandwidth"] for r in ranking)
+    finally:
+        front.stop()
+        for server in servers:
+            server.stop()
+
+
+def test_a_repeated_candidate_ranks_once_with_its_shard_down(fleet2):
+    services, servers, front = fleet2
+    with fleet_client(front) as client:
+        links = seed_links(front, client)
+        shard, down, _, up = shard_split(front, links)
+        client.predict(down, 10 * MB)  # a last-good answer to fall back on
+        assert [r["site"] for r in client.rank([down, down, up], 10 * MB)] == [down, up]
+        kill_worker(front, servers, shard)
+        ranking = client.rank([down, down, up], 10 * MB)
+    assert [(r["site"], r["degraded"]) for r in ranking] == [(up, False), (down, True)]
 
 
 # ----------------------------------------------------------------------

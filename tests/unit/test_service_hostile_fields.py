@@ -2,8 +2,9 @@
 
 A field is taken as it is or refused, never coerced: a non-string link
 is not stored under its ``str()``, a string of candidates is not ranked
-character by character, a NaN or infinite ``now`` is not an anchor, and
-a bool or a fractional float is not an integer.  Every case runs as a
+character by character, a NaN or infinite ``now`` is not an anchor, a
+bool or a fractional float is not an integer, and a bool or a numeric
+string is not a time or a bandwidth.  Every case runs as a
 JSON dict through :func:`handle_request` and again as a binary frame
 (:class:`repro.wire.FrameWriter` -> :func:`repro.wire.decode_request`),
 which is what a worker does with either dialect.
@@ -124,6 +125,32 @@ def test_an_integer_field_is_never_truncated(ask, service, field, value):
             ask({"op": "rank", "candidates": ["GOOD"], "size": value}), "size")
 
 
+HOSTILE_OBSERVE_FIELDS = [
+    {"start": True}, {"start": "1000", "end": "1001"}, {"bandwidth": True},
+    {"bandwidth": "5e6"}, {"source_ip": [1]}, {"file_name": {}}, {"volume": {}},
+]
+#: Every field the struct layout has a slot for, so the binary dialect
+#: carries it as a struct, not as JSON inside the frame.
+FULL_OBSERVE = {**OBSERVE, "link": "NEW", "bandwidth": 1e6, "operation": "read",
+                "streams": 8, "tcp_buffer": 1 << 20, "source_ip": "10.0.0.1",
+                "file_name": "/data/f", "volume": "/data"}
+
+
+@pytest.mark.parametrize("hostile", HOSTILE_OBSERVE_FIELDS, ids=repr)
+def test_an_observe_field_is_never_coerced(ask, service, hostile):
+    # A bool time was stored as 1.0, "5e6" as a bandwidth, [1] as the
+    # source address "[1]".
+    field = next(iter(hostile))
+    assert_bad_request(ask({**FULL_OBSERVE, **hostile}), field)
+    assert "NEW" not in service.links()
+    item = {k: v for k, v in FULL_OBSERVE.items() if k != "op"}
+    acked, refused = ask({"op": "observe_batch",
+                          "items": [item, {**item, **hostile}]})["results"]
+    assert acked["ok"] and acked["version"] == 1
+    assert_bad_request(refused, field)
+    assert service.history("NEW").sizes.tolist() == [10 * MB]
+
+
 def test_integral_floats_and_finite_times_still_answer(ask, service):
     ack = ask({**OBSERVE, "link": "NEW", "size": 2.0 * MB, "streams": 8.0})
     assert ack["ok"] and ack["version"] == 1
@@ -137,7 +164,8 @@ def test_the_encoder_carries_hostile_values_to_the_server_unchanged():
     # inside the frame; a NaN anchor is an f64 and stays one.
     for req in ({**OBSERVE, "link": ["x"]}, {**OBSERVE, "size": 1.5},
                 {"op": "rank", "candidates": "GOOD", "size": SIZE},
-                {"op": "predict", "link": "GOOD", "size": SIZE, "now": True}):
+                {"op": "predict", "link": "GOOD", "size": SIZE, "now": True},
+                {**FULL_OBSERVE, "start": "1000"}, {**FULL_OBSERVE, "source_ip": [1]}):
         assert binary(req) == req
     nan = binary({"op": "predict", "link": "GOOD", "size": SIZE, "now": math.nan})
     assert math.isnan(nan["now"])
