@@ -16,14 +16,18 @@ whole log into a :class:`~repro.data.frame.TransferFrame` in one pass:
   quote-aware :func:`~repro.logs.ulm.parse_fields` scanner, so escaping
   semantics are shared, not reimplemented;
 * **columnar conversion** — raw value strings convert to typed NumPy
-  columns in bulk, and record invariants (positive sizes, ordered
-  timestamps, positive bandwidth) are checked as vectorized masks.
+  columns in bulk, and the record's invariants
+  (:data:`~repro.logs.record.INVARIANTS`: non-empty names, sizes,
+  streams and buffers in 1..2**63-1, finite and ordered timestamps, a
+  bandwidth in (0, 2**63)) judge the whole columns at once: the same
+  code that judges one :class:`~repro.logs.record.TransferRecord`, so
+  ingest keeps no copy of its own.
 
-Any anomaly — a malformed line, a value the bulk cast rejects, a row
-failing validation — re-parses through the canonical per-record path so
-errors carry the exact message and line number :func:`parse_lines` would
-raise.  The per-record parser stays the single source of truth; the
-property tests assert frame-identical output on real and fuzzed logs.
+Any anomaly — a malformed line, a value the bulk cast rejects (an
+integer past int64 included), a row the invariants refuse — re-parses
+through the canonical per-record path so errors carry the exact message
+and line number :func:`parse_lines` would raise.  The property tests
+assert frame-identical output on real and fuzzed logs.
 
 **Binary cache.**  :func:`load_ulm` keys a sidecar (``x.ulm.col``, the
 shared file envelope of :mod:`repro.envelope` around the ten frame
@@ -53,7 +57,7 @@ from repro.data.frame import (
     COLUMN_NAMES, NUMERIC_COLUMNS, OP_READ, OP_WRITE, TransferFrame)
 from repro.digests import blake2b
 from repro.envelope import Envelope, Verified, atomic_write, quarantine
-from repro.logs.record import BANDWIDTH_LIMIT
+from repro.logs.record import INVARIANTS
 from repro.logs.ulm import _KEYS as _WRITER_KEYS
 from repro.logs.ulm import ULMError, parse_fields, parse_record
 from repro.obs.config import enabled as _obs_enabled
@@ -206,8 +210,9 @@ def _build(columns: Sequence[Sequence[str]], kept: Sequence[str],
     """Raw per-column strings -> typed, validated frame.
 
     Conversions are the per-record parser's own (``float``/``int`` per
-    value); anything they or the validity mask reject goes back through
-    that parser, which owns the error message.
+    value), and the columns are judged by the record's own invariants
+    (:data:`~repro.logs.record.INVARIANTS`); anything either rejects
+    goes back through that parser, which owns the error message.
     """
     n = len(kept)
     if n == 0:
@@ -227,28 +232,18 @@ def _build(columns: Sequence[Sequence[str]], kept: Sequence[str],
             volumes=np.array(vols, dtype=np.str_),
         )
     except (ValueError, OverflowError):
-        if _obs_enabled():
-            _M_FALLBACK.inc()
-        return _reparse(kept, numbers)
-
-    # Record invariants, vectorized (mirrors TransferRecord.__post_init__).
-    valid = (
-        (np.char.str_len(frame.sources) > 0)
-        & (np.char.str_len(frame.files) > 0)
-        & (frame.sizes > 0)
-        & np.isfinite(frame.start_times)
-        & np.isfinite(frame.end_times)
-        & (frame.end_times > frame.start_times)
-        & (frame.bandwidths > 0)
-        & (frame.bandwidths < BANDWIDTH_LIMIT)
-        & (frame.streams > 0)
-        & (frame.buffers > 0)
-    )
-    if not valid.all():
-        if _obs_enabled():
-            _M_FALLBACK.inc()
-        return _reparse(kept, numbers)
-    return frame
+        frame = None
+    if frame is not None:
+        columns = dict(
+            source_ip=frame.sources, file_name=frame.files,
+            file_size=frame.sizes, start_time=frame.start_times,
+            end_time=frame.end_times, bandwidth=frame.bandwidths,
+            streams=frame.streams, tcp_buffer=frame.buffers)
+        if all(holds(columns).all() for _, holds in INVARIANTS):
+            return frame
+    if _obs_enabled():
+        _M_FALLBACK.inc()
+    return _reparse(kept, numbers)
 
 
 def parse_ulm_lines(lines: Iterable[str]) -> TransferFrame:

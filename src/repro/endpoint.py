@@ -279,7 +279,7 @@ class ConnectionHandler(socketserver.StreamRequestHandler):
             response = self._dispatch(req, "binary")
             try:
                 out = writer.encode_response(op, response)
-            except wire.FrameError as exc:
+            except ValueError as exc:  # a FrameError, or a value no slot holds
                 out = writer.encode_response(op, wire.error_response(
                     "internal", f"unencodable response: {exc}"
                 ))

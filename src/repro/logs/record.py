@@ -33,13 +33,37 @@ from typing import Any, Dict
 
 from repro.units import bytes_per_sec_to_kbps
 
-__all__ = ["BANDWIDTH_LIMIT", "Operation", "TransferRecord"]
+__all__ = ["BANDWIDTH_LIMIT", "INT64_MAX", "INVARIANTS", "Operation", "TransferRecord"]
+
+#: The ceiling of the int64 columns ``file_size``, ``streams`` and
+#: ``tcp_buffer`` land in.
+INT64_MAX = 2**63 - 1
 
 #: Bandwidths must lie below this, so at most 2**63 - 1 B/s: the ceiling
 #: ``file_size`` has in its int64 column, and far enough from the float64
 #: maximum that no sum or midpoint a predictor forms over a link's rows
 #: overflows to ``inf``.
 BANDWIDTH_LIMIT = 2.0 ** 63
+
+
+#: The record's invariants, in the order a bad row names them: a reason,
+#: formatted with the row's fields, and a predicate over the fields.
+#: Comparisons and ``&`` only, so one record's values and a frame's
+#: columns (under the record's field names) are judged by the same code.
+INVARIANTS = (
+    ("source_ip must be non-empty", lambda f: f["source_ip"] != ""),
+    ("file_name must be non-empty", lambda f: f["file_name"] != ""),
+    *((f"{name} must be in 1..2**63-1, got {{{name}}}",
+       lambda f, name=name: (f[name] > 0) & (f[name] <= INT64_MAX))
+      for name in ("file_size", "streams", "tcp_buffer")),
+    *((f"{name} must be finite, got {{{name}}}",
+       lambda f, name=name: (f[name] > -math.inf) & (f[name] < math.inf))
+      for name in ("start_time", "end_time")),
+    ("end_time ({end_time}) must follow start_time ({start_time})",
+     lambda f: f["end_time"] > f["start_time"]),
+    ("bandwidth must be in (0, 2**63-1] B/s, got {bandwidth}",
+     lambda f: (f["bandwidth"] > 0) & (f["bandwidth"] < BANDWIDTH_LIMIT)),
+)
 
 
 class Operation(str, enum.Enum):
@@ -76,25 +100,9 @@ class TransferRecord:
     tcp_buffer: int
 
     def __post_init__(self) -> None:
-        if not self.source_ip:
-            raise ValueError("source_ip must be non-empty")
-        if not self.file_name:
-            raise ValueError("file_name must be non-empty")
-        if self.file_size <= 0:
-            raise ValueError(f"file_size must be positive, got {self.file_size}")
-        if not math.isfinite(self.start_time) or not math.isfinite(self.end_time):
-            raise ValueError("timestamps must be finite")
-        if self.end_time <= self.start_time:
-            raise ValueError(
-                f"end_time ({self.end_time}) must follow start_time ({self.start_time})"
-            )
-        if not 0 < self.bandwidth < BANDWIDTH_LIMIT:
-            raise ValueError(
-                f"bandwidth must be in (0, 2**63-1] B/s, got {self.bandwidth}")
-        if self.streams <= 0:
-            raise ValueError(f"streams must be positive, got {self.streams}")
-        if self.tcp_buffer <= 0:
-            raise ValueError(f"tcp_buffer must be positive, got {self.tcp_buffer}")
+        for reason, holds in INVARIANTS:
+            if not holds(self.__dict__):
+                raise ValueError(reason.format(**self.__dict__))
         if not isinstance(self.operation, Operation):
             object.__setattr__(self, "operation", Operation.parse(str(self.operation)))
 

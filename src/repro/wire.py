@@ -328,8 +328,8 @@ class FrameWriter:
         self._ensure(st.size)
         try:
             st.pack_into(self._buf, self._end, *values)
-        except struct.error as exc:
-            raise FrameError(f"unencodable field {values!r}: {exc}") from None
+        except struct.error as exc:  # a value, not the frame: ValueError
+            raise ValueError(f"unencodable field {values!r}: {exc}") from None
         self._end += st.size
 
     def _put_str(self, text: str) -> None:
@@ -367,10 +367,11 @@ class FrameWriter:
         """One request dict (JSON-protocol shape) as a binary frame.
 
         A hot-path op the struct codec cannot express (a field missing
-        or of the wrong type, or a top-level key its layout has no slot
-        for) falls back to an ``OP_JSON`` frame: the server still answers
-        its ``bad_request`` in-band, exactly as the JSON dialect would —
-        malformedness is the server's to judge — and no field is dropped.
+        or of the wrong type, an integer its layout cannot hold, or a
+        top-level key its layout has no slot for) falls back to an
+        ``OP_JSON`` frame: the server answers it exactly as the JSON
+        dialect would — values are the server's to judge — and no field
+        is dropped.
         """
         op = REQUEST_OPS.get(req.get("op"), OP_JSON)
         if op != OP_JSON and not _SLOTS[op].issuperset(req) and any(
@@ -595,18 +596,14 @@ class FrameWriter:
 def _trace_ids(req: Dict[str, Any]) -> Optional[Tuple[int, int]]:
     """``(trace_id, span_id)`` from a request's trace context, if any.
 
-    Out-of-range ids raise ``ValueError`` so :meth:`encode_request`
-    falls back to the JSON dialect rather than mangling the frame.
+    Ids out of u64 range fail to pack (``ValueError``), so
+    :meth:`encode_request` falls back to the JSON dialect rather than
+    mangling the frame.
     """
     trace = req.get("trace")
     if trace is None:
         return None
-    trace_id = int(trace["trace_id"])
-    span_id = int(trace["span_id"])
-    if not (0 <= trace_id <= 0xFFFFFFFFFFFFFFFF
-            and 0 <= span_id <= 0xFFFFFFFFFFFFFFFF):
-        raise ValueError(f"trace ids out of u64 range: {trace!r}")
-    return trace_id, span_id
+    return int(trace["trace_id"]), int(trace["span_id"])
 
 
 def _error_fields(resp: Dict[str, Any]) -> Tuple[str, str]:

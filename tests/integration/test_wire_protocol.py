@@ -288,6 +288,8 @@ def test_zero_duration_observe_is_a_bad_request(endpoint):
 @pytest.mark.parametrize("field, value", [
     ("size", 2**63),      # fits the binary dialect's u64, not an int64 column
     ("size", 2**70),
+    # Past float64, so the derived bandwidth overflows.
+    pytest.param("size", 10**400, id="size-10**400"),
     ("size", 0),
     ("offset", 2**70),
     ("offset", -5),
@@ -319,6 +321,31 @@ def test_size_and_offset_beyond_int64_are_bad_requests(
             assert (first["version"], last["version"]) == (
                 1 + 2 * binary, 2 + 2 * binary)
     assert internal.value == before
+
+
+def test_a_full_observe_is_judged_by_the_record(endpoint):
+    # ServiceClient.observe sends every field.  The binary encoder used to
+    # refuse an integer its struct layout cannot hold (streams is a u16)
+    # with a local FrameError, a front (which re-encodes for its workers)
+    # answered bad_request where one server acked, and a tcp_buffer past
+    # int64 was taken by the record.
+    for binary in (False, True):
+        with ServiceClient(_client_address(endpoint), binary=binary) as client:
+            version = client.observe("WIDE", 10 * MB, 5.0, 6.0, streams=70000)
+            assert version == 1 + 4 * binary
+            for k, (field, value) in enumerate(
+                    (("streams", -1), ("size", -1), ("tcp_buffer", 2**64))):
+                good = {"link": "WIDE", "size": 10 * MB, "start": 7.0 + k,
+                        "end": 8.0 + k}
+                bad = {**good, field: value}
+                with pytest.raises(ServiceError) as refused:
+                    client.observe(**bad)
+                assert refused.value.code == "bad_request"
+                assert field in refused.value.message
+                good_ack, refusal = client.observe_batch([good, bad])
+                assert good_ack["version"] == version + 1 + k
+                assert refusal["error"]["code"] == "bad_request"
+    assert len(endpoint.service.history("WIDE")) == 8
 
 
 def test_a_derived_bandwidth_past_the_ceiling_is_a_bad_request(endpoint):
@@ -365,6 +392,7 @@ def test_a_bad_item_does_not_half_apply_an_observe_batch(endpoint):
 FRONT_CASES = [
     test_a_bad_item_does_not_half_apply_an_observe_batch,
     test_zero_duration_observe_is_a_bad_request,
+    test_a_full_observe_is_judged_by_the_record,
     test_corrupt_payload_answers_in_band_and_keeps_the_connection,
     test_a_large_answer_after_a_small_one_keeps_the_connection,
     test_bad_magic_answers_in_band_then_closes,

@@ -70,19 +70,29 @@ class TestParse:
             parse_ulm_text(text)
 
     def test_bandwidth_ceiling_matches_per_record_path(self, sample_records):
-        # The vectorized mask and TransferRecord refuse the same rows: the
-        # largest float under 2**63 B/s is a bandwidth, 2**63 is not.
-        line = format_record(sample_records[0])
-        old = f"GFTP.BW={sample_records[0].bandwidth!r}"
-        under = line.replace(old, f"GFTP.BW={2.0 ** 63 - 1024!r}")
-        assert parse_ulm_text(under).equals(
-            TransferFrame.from_records(parse_lines([under])))
-        for bad in (2.0 ** 63, 1.6e308):
-            text = line + "\n" + line.replace(old, f"GFTP.BW={bad!r}")
-            with pytest.raises(ULMError, match="line 2.*bandwidth"):
-                parse_ulm_text(text)
-            with pytest.raises(ULMError, match="line 2.*bandwidth"):
-                list(parse_lines(text.splitlines()))
+        # Both parsers refuse the same rows by the record's one rule: the
+        # largest float under 2**63 B/s is a bandwidth, 2**63 is not; an
+        # int64 field holds 2**63 - 1, not 2**63 (which the columnar path
+        # used to raise as a bare OverflowError, with no line number).
+        record = sample_records[0]
+        line = format_record(record)
+        for key, attr, under, beyond in (
+                ("GFTP.BW", "bandwidth", 2.0 ** 63 - 1024, (2.0 ** 63, 1.6e308)),
+                ("GFTP.NBYTES", "file_size", 2**63 - 1, (2**63,)),
+                ("GFTP.STREAMS", "streams", 2**63 - 1, (2**63,)),
+                ("GFTP.BUFFER", "tcp_buffer", 2**63 - 1, (2**63,))):
+            old = f"{key}={getattr(record, attr)!r}"
+            ceiling = line.replace(old, f"{key}={under!r}")
+            assert ceiling != line
+            assert parse_ulm_text(ceiling).equals(
+                TransferFrame.from_records(parse_lines([ceiling])))
+            for bad in beyond:
+                text = line + "\n" + line.replace(old, f"{key}={bad!r}")
+                with pytest.raises(ULMError, match=f"line 2.*{attr}") as columnar:
+                    parse_ulm_text(text)
+                with pytest.raises(ULMError) as per_record:
+                    list(parse_lines(text.splitlines()))
+                assert str(columnar.value) == str(per_record.value)
 
     def test_operation_spellings_match_per_record_path(self, sample_records):
         # Operation.parse strips and lowercases; the vectorized comparison

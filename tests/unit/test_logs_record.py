@@ -49,6 +49,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="bandwidth"):
             # A derived bandwidth: 100 MB in about a picosecond.
             make_record(start=5.0, duration=1e-12)
+        # The int64 fields hold 2**63 - 1 and refuse 2**63.
+        for kwarg, field in (("size", "file_size"), ("streams", "streams"),
+                             ("buffer", "tcp_buffer")):
+            ceiling = make_record(**{kwarg: 2**63 - 1, "bandwidth": 1.0})
+            assert getattr(ceiling, field) == 2**63 - 1
+            with pytest.raises(ValueError, match=field):
+                make_record(**{kwarg: 2**63, "bandwidth": 1.0})
 
     def test_nonfinite_timestamps(self):
         with pytest.raises(ValueError):

@@ -74,17 +74,31 @@ def test_malformed_lines_are_counted_and_skipped(tmp_path):
 
 
 def test_a_bandwidth_past_the_ceiling_is_a_bad_line(tmp_path):
-    path = tmp_path / "log.ulm"
+    # And so is an int64 field at 2**63: the record used to take it, the
+    # sink's int64 columns raised OverflowError out of poll (its offset
+    # already advanced), and the poll's good rows were lost.
     record = make_record(start=1000.0)
     good = format_record(record)
-    huge = good.replace(f"GFTP.BW={record.bandwidth!r}", "GFTP.BW=1.6e308")
-    assert huge != good
-    path.write_text(huge + "\n" + good + "\n")
+    for key, value, huge in (("GFTP.BW", record.bandwidth, 1.6e308),
+                             ("GFTP.NBYTES", record.file_size, 2**63),
+                             ("GFTP.STREAMS", record.streams, 2**63),
+                             ("GFTP.BUFFER", record.tcp_buffer, 2**63)):
+        bad = good.replace(f"{key}={value!r}", f"{key}={huge!r}")
+        assert bad != good
+        path = tmp_path / f"{key}.ulm"
+        path.write_text(bad + "\n" + good + "\n")
 
-    follower, seen = collect(path)
-    assert follower.poll() == 1
-    assert follower.errors == 1
-    assert [r for _, r in seen] == [record]
+        service, delivered = PredictionService(), []
+
+        def sink(batch, service=service, delivered=delivered):
+            delivered.extend(r for _, r, _ in batch)
+            return service.observe_batch(batch)
+
+        follower = LogFollower(path, sink, link="L")
+        assert follower.poll() == 1, key
+        assert follower.errors == 1
+        assert delivered == [record]
+        assert service.history("L").values.tolist() == [record.bandwidth]
 
 
 def test_truncation_restarts_from_zero(tmp_path):
