@@ -290,8 +290,11 @@ def parse_ulm_text(text: str) -> TransferFrame:
 # binary cache
 # ----------------------------------------------------------------------
 #: One section per frame column; the kind's own fields are the log's
-#: content digest and the row count.
-_FILE = Envelope(b"RSUL", CACHE_VERSION, "I" * len(COLUMN_NAMES), meta="32sI")
+#: content digest and the row count.  A cache written on ``serve``'s
+#: cold start, so level 1: level 6 would store 11 % less for about
+#: 0.35 ms more a 400-row log.
+_FILE = Envelope(b"RSUL", CACHE_VERSION, "I" * len(COLUMN_NAMES), meta="32sI",
+                 level=1)
 #: What the build before wrote: intact, it is stale (its key is another
 #: digest's), not corrupt.
 _FORMAT_2 = Envelope(b"RSUL", 2, "I" * len(COLUMN_NAMES), meta="32sI")

@@ -36,11 +36,6 @@ from repro.digests import sha256
 __all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write",
            "newer_format", "quarantine"]
 
-#: Deflate level of every stored stream.  Level 1 already finds repeated
-#: key names, values and the zero bytes of wide integers; higher levels
-#: buy a few percent for twice the write time.
-LEVEL = 1
-
 _DIGEST_SIZE = sha256().digest_size
 _FORMAT_FIELD = struct.Struct("<H")
 
@@ -62,19 +57,23 @@ class Envelope:
     """One kind of file: its magic, format and header layout.
 
     ``lengths`` is one ``struct`` code per section (the width its raw
-    length is stored in), ``meta`` the codes of the kind's own fields.
+    length is stored in), ``meta`` the codes of the kind's own fields,
+    ``level`` the deflate level its stream is written at (zlib's own
+    default unless the kind says otherwise; inflating does not need it).
     """
 
     def __init__(self, magic: bytes, version: int, lengths: str,
-                 meta: str = "", error: Type[Exception] = CorruptFile) -> None:
+                 meta: str = "", error: Type[Exception] = CorruptFile,
+                 level: int = 6) -> None:
         self.magic, self.version, self.error = magic, version, error
+        self.level = level
         self._sections = len(lengths)
         self._fields = struct.Struct("<4sHHI" + lengths + meta)
         self._size = self._fields.size + _DIGEST_SIZE
 
     def pack(self, sections: Sequence[bytes], meta: Sequence = (),
              aux: int = 0) -> bytes:
-        stored = zlib.compress(b"".join(sections), LEVEL)
+        stored = zlib.compress(b"".join(sections), self.level)
         try:
             fields = self._fields.pack(
                 self.magic, self.version, aux, len(stored),

@@ -83,10 +83,16 @@ class Residency:
         self.quality = quality
         # The classification identity a checkpointed bank is keyed by;
         # revival rejects checkpoints written against a different one.
-        self._fingerprint = "{}|{}".format(
-            ",".join(str(e) for e in classification.edges),
-            ",".join(classification.labels),
-        )
+        # Only a store reads or writes checkpoints, and only then is the
+        # store's code loaded.
+        self._fingerprint = None
+        if store is not None:
+            from repro.store.checkpoint import fingerprint
+
+            self._fingerprint = fingerprint("{}|{}".format(
+                ",".join(str(e) for e in classification.edges),
+                ",".join(classification.labels),
+            ))
         self._bounded = store is not None and max_resident is not None
         self._links: "OrderedDict[str, LinkState]" = OrderedDict()
         self._lock = threading.Lock()

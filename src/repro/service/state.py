@@ -266,7 +266,7 @@ class LinkState:
     # ------------------------------------------------------------------
     # checkpointing (the durable store's spill seam)
     # ------------------------------------------------------------------
-    def checkpoint_state(self, fingerprint: str) -> dict:
+    def checkpoint_state(self, fingerprint: bytes) -> dict:
         """The serializable state an eviction writes (under the lock).
 
         ``fingerprint`` identifies the classification the bank's class
@@ -278,7 +278,6 @@ class LinkState:
         with self.lock:
             return {
                 "meta": {
-                    "link": self.link,
                     "version": self._version,
                     "n": len(self._buffer),
                     "row_digest": self._digest.digest(),

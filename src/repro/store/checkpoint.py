@@ -9,9 +9,9 @@ states are *parts*: ``(fixed, ld, f8)``, packed structs as bytes plus a
 longdouble and a float64 pool, laid out by the module that owns the
 state (:data:`repro.core.streaming._SERIES` defines a series).  The
 file is the three pools of both parts end to end, ``fixed`` opening
-with :data:`_META`, the two strings it counts, and one :data:`_PART` of
-pool lengths per part.  :func:`loads` hands each part back as a
-:class:`Reader` for its owner's ``load_state``.
+with :data:`_META` and one :data:`_PART` of pool lengths per part.
+:func:`loads` hands each part back as a :class:`Reader` for its owner's
+``load_state``.
 
 * **Exactness.**  The evict→revive parity gate demands bit-identical
   answers.  Scalars travel through ``struct``, the 80-bit sums and the
@@ -26,8 +26,11 @@ pool lengths per part.  :func:`loads` hands each part back as a
   sums (whose 6/16 padding deflates).  Whatever the rows determine — a
   series' last value and time, ``MED`` (whose first entry is the
   all-data min) and the windowed min chains — loading derives from
-  them, and a window's count is where its cursor stands.  About 450 B
-  a 30-row link, whatever its length, plus its accuracy part.
+  them, and a window's count is where its cursor stands.  Nor does it
+  name its link (the directory does, and a file in another link's
+  directory fails its ``row_digest``) or spell out its classification
+  (:func:`fingerprint` stands for it).  About 400 B a 30-row link,
+  whatever its length, plus its accuracy part.
 * **Speed.**  Revival must stay sub-millisecond, so the whole file is
   one read, one digest check and one bounded inflate: the shared file
   envelope (:mod:`repro.envelope`), whose ``aux`` field carries the
@@ -39,7 +42,9 @@ store quarantines the file and the link rebuilds from its segments —
 slower, never wrong.  An intact file of format 1-3, or of a format newer
 than this build's, is :class:`StaleCheckpoint`: same rebuild, but
 nothing is wrong with the file, so it stays where it is until the
-link's next checkpoint replaces it.  Formats 4 and 5 share this framing
+link's next checkpoint replaces it.  Format 6 is this one with the link
+name and the classification string in ``meta``; :func:`loads` reads it
+whole, fingerprinting the string.  Formats 4 and 5 share this framing
 with a fourth pool (format 4 stored the rows, 5 the min chains);
 :func:`loads` reads their ``meta`` and accuracy part and leaves out
 their bank, which revival then rebuilds.  Earlier formats are read only
@@ -57,15 +62,18 @@ from typing import Any, Dict, NoReturn
 
 import numpy as np
 
+from repro import digests
 from repro.digests import sha256
 from repro.envelope import Envelope, newer_format
 
-__all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps", "loads"]
+__all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps",
+           "fingerprint", "loads"]
 
 _MAGIC = b"RSCK"
-#: 5 stored every count and the min chains; 4 stored the rows; 3 walked a
-#: state dict into a JSON layout; 2 stored that raw.
-_FORMAT = 6
+#: 6 stored the link name and the classification string; 5 every count
+#: and the min chains; 4 the rows; 3 walked a state dict into a JSON
+#: layout; 2 stored that raw.
+_FORMAT = 7
 
 _LD_SIZE = np.dtype(np.longdouble).itemsize
 #: Leading bytes of a longdouble that hold its value.  x87 extended
@@ -80,15 +88,17 @@ _POOLS = (np.dtype(np.longdouble), np.dtype("<f8"))
 _POOLS_5 = (*_POOLS, np.dtype("<u4"))
 _PARTS = ("bank", "accuracy")
 
-#: ``meta``: version, n, row_digest, then the byte lengths of link and
-#: classification, which follow.  A key left out is stored as the value
-#: no live link has.
-_META = struct.Struct("<qq16sHH")
+#: ``meta``: version, n, row_digest and the classification's
+#: :func:`fingerprint`.  A key left out is stored as the value no live
+#: link has.
+_META = struct.Struct("<qq16s16s")
 _META_DEFAULTS = {"version": -1, "n": -1, "row_digest": bytes(16),
-                  "link": "", "classification": ""}
-#: Format 4's ``meta``: version, n, then a last_time and a byte this
-#: build skips (the rows say when the link's last one ended), and no
-#: row_digest.
+                  "classification": bytes(16)}
+#: Formats 5 and 6's ``meta``: version, n, row_digest, then the byte
+#: lengths of the link name and the classification string, which follow.
+_META_6 = struct.Struct("<qq16sHH")
+#: Format 4's: version, n, then a last_time and a byte this build skips
+#: (the rows say when the link's last one ended), and no row_digest.
 _META_4 = struct.Struct("<qq9xHH")
 #: Items one part holds in each pool; all zero when the part is absent.
 _PART = struct.Struct("<III")
@@ -103,16 +113,20 @@ class StaleCheckpoint(Exception):
     """An intact checkpoint in a format this build does not read."""
 
 
-_FILE = Envelope(_MAGIC, _FORMAT, "III", error=CorruptCheckpoint)
+#: Level 6 stores about 9 % less than level 1 for some 15 us a write;
+#: 7-9, 0.2 % less for up to twice that.
+_FILE = Envelope(_MAGIC, _FORMAT, "III", error=CorruptCheckpoint, level=6)
+_FORMAT_6 = Envelope(_MAGIC, 6, "III", error=CorruptCheckpoint)
 _FORMAT_5 = Envelope(_MAGIC, 5, "IIII", error=CorruptCheckpoint)
 _FORMAT_4 = Envelope(_MAGIC, 4, "IIII", error=CorruptCheckpoint)
 _FORMAT_3 = Envelope(_MAGIC, 3, "IQQ", error=CorruptCheckpoint)
 #: How each format this build reads is read, by its format field: the
-#: envelope, ``meta``, part header and pools.  Only the current one keeps
-#: its bank.
-_READS = {b"\6\0": (_FILE, _META, _PART, _POOLS),
-          b"\5\0": (_FORMAT_5, _META, _PART_5, _POOLS_5),
-          b"\4\0": (_FORMAT_4, _META_4, _PART_5, _POOLS_5)}
+#: envelope, ``meta``, part header, pools and whether its bank is this
+#: build's.
+_READS = {b"\7\0": (_FILE, _META, _PART, _POOLS, True),
+          b"\6\0": (_FORMAT_6, _META_6, _PART, _POOLS, True),
+          b"\5\0": (_FORMAT_5, _META_6, _PART_5, _POOLS_5, False),
+          b"\4\0": (_FORMAT_4, _META_4, _PART_5, _POOLS_5, False)}
 # Formats 1 and 2: raw body, the digest over the body alone.
 _RAW_HEADER = struct.Struct("<4sHHIQQ32s")
 
@@ -158,22 +172,30 @@ class Reader:
             raise CorruptCheckpoint("a pool holds more than was claimed of it")
 
 
+def fingerprint(classification: str) -> bytes:
+    """What ``meta`` holds of the classification a bank was built
+    against: BLAKE2b-128 of its text, the width of ``row_digest``.
+    BLAKE2b is looked up on call, so a build without it still reads and
+    writes a checkpoint that names no classification."""
+    return digests.blake2b(classification.encode(), digest_size=16).digest()
+
+
 def dumps(payload) -> bytes:
     """Serialize ``{"meta", "bank", "accuracy"}``, each optional; a bare
-    bank state stands for ``{"bank": state}``."""
+    bank state stands for ``{"bank": state}``.  A ``link`` in ``meta`` is
+    not stored: the link's directory names it."""
     if not isinstance(payload, dict):
         payload = {"bank": payload}
     meta = {**_META_DEFAULTS, **payload.get("meta", {})}
+    meta.pop("link", None)
     if len(meta) > len(_META_DEFAULTS) or set(payload) - {"meta", *_PARTS}:
         raise TypeError(f"not a checkpoint payload: {sorted(payload)}")
-    link, classification = meta["link"].encode(), meta["classification"].encode()
     parts = [payload.get(name) or (b"", (), ()) for name in _PARTS]
     pools = [np.concatenate([np.asarray(part[i], dtype) for part in parts])
              for i, dtype in enumerate(_POOLS, 1)]
     fixed = [
         _META.pack(meta["version"], meta["n"], bytes(meta["row_digest"]),
-                   len(link), len(classification)),
-        link, classification,
+                   bytes(meta["classification"])),
         *(_PART.pack(*map(len, part)) for part in parts),
         *(part[0] for part in parts)]
     if _LD_VALUE_BYTES < _LD_SIZE:  # pools[0] is concatenate's own copy
@@ -203,13 +225,16 @@ def loads(data: bytes) -> Dict[str, Any]:
     """``{"meta": dict, "bank": Reader, "accuracy": Reader}``, a part the
     file does not hold left out (a format-4 or -5 file's bank, always);
     raises :class:`CorruptCheckpoint` on anything off and
-    :class:`StaleCheckpoint` for an intact file of format 1-3 or newer."""
+    :class:`StaleCheckpoint` for an intact file of format 1-3 or newer.
+    A format-4 to -6 file's ``meta`` comes back as format 7 has it."""
     if data[:4] == _MAGIC and data[4:6] in (b"\1\0", b"\2\0", b"\3\0"):
         _reject_stale(data, data[4])
-    newer = newer_format(data, (_FORMAT_3, _FORMAT_4, _FORMAT_5, _FILE))
+    newer = newer_format(
+        data, (_FORMAT_3, _FORMAT_4, _FORMAT_5, _FORMAT_6, _FILE))
     if newer:
         raise StaleCheckpoint(f"format {newer}, this build reads {_FORMAT}")
-    envelope, meta, part, pools = _READS.get(bytes(data[4:6]), _READS[b"\6\0"])
+    envelope, meta, part, pools, bank = _READS.get(
+        bytes(data[4:6]), _READS[b"\7\0"])
     head = envelope.verify(data)
     if head.aux != _LD_SIZE:
         raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
@@ -219,19 +244,24 @@ def loads(data: bytes) -> Dict[str, Any]:
     fixed, *sections = envelope.inflate(head)
     src = Reader(fixed, *(np.frombuffer(section, dtype)
                           for section, dtype in zip(sections, pools)))
-    *fields, link_len, classification_len = src.unpack(meta)
-    try:
-        names = src.raw(link_len).decode(), src.raw(classification_len).decode()
-    except UnicodeDecodeError as exc:
-        raise CorruptCheckpoint(f"undecodable name: {exc}") from None
+    fields, spelled = src.unpack(meta), {}
+    if meta is not _META:
+        # Formats 4-6 spelled out the link's name, which its directory
+        # gives, and the classification.
+        *fields, link_len, classification_len = fields
+        src.raw(link_len)
+        try:
+            spelled["classification"] = fingerprint(
+                src.raw(classification_len).decode())
+        except UnicodeDecodeError as exc:
+            raise CorruptCheckpoint(f"undecodable name: {exc}") from None
     # Format 4 stored no row_digest: the default stands for it.
     state: Dict[str, Any] = {"meta": {
-        **_META_DEFAULTS, **dict(zip(_META_DEFAULTS, fields)),
-        "link": names[0], "classification": names[1]}}
+        **_META_DEFAULTS, **dict(zip(_META_DEFAULTS, fields)), **spelled}}
     for name, counts in [(name, src.unpack(part)) for name in _PARTS]:
         if counts[0]:
             state[name] = src.part(counts)
     src.finish()
-    if envelope is not _FILE:
+    if not bank:
         state.pop("bank", None)  # a bank this build does not read
     return state

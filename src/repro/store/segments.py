@@ -73,8 +73,12 @@ class UnknownSegmentFormat(CorruptSegment):
     """
 
 
-# Four column sections; the kind's own fields are the framing.
-_FILE = Envelope(b"RSSG", 2, "IIII", meta="QQQ", error=CorruptSegment)
+# Four column sections; the kind's own fields are the framing.  Level 6
+# stores 3-4 % less than level 1; its deflate takes as long on a 30-row
+# segment and twice as long (+1 ms) on a 4,000-row one.  7-9 store 0.2 %
+# less again.
+_FILE = Envelope(b"RSSG", 2, "IIII", meta="QQQ", error=CorruptSegment,
+                 level=6)
 #: Format 1: the same header, every column row-major.
 _FORMAT_1 = Envelope(b"RSSG", 1, "IIII", meta="QQQ", error=CorruptSegment)
 

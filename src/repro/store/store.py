@@ -766,9 +766,10 @@ class LinkStore:
             return True
 
     def read_checkpoint(self, link: str) -> Optional[dict]:
-        """The link's checkpoint state, or None (absent, format 1-3, or
-        corrupt and now quarantined); a format-4 file comes back without
-        its bank part (:func:`repro.store.checkpoint.loads`)."""
+        """The link's checkpoint state, or None (absent, format 1-3 or
+        newer than this build's, or corrupt and now quarantined); a
+        format-4 or -5 file comes back without its bank part
+        (:func:`repro.store.checkpoint.loads`)."""
         observed = _obs_enabled()
         started = time.perf_counter() if observed else 0.0
         with self._lock_for(link):

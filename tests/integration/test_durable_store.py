@@ -437,7 +437,7 @@ class TestUpgrade:
         fresh = seeded(tmp_path / "fresh")
         old = seeded(tmp_path / "old")
         path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
-        assert path.read_bytes()[:6] == b"RSCK\6\0"
+        assert path.read_bytes()[:6] == b"RSCK\7\0"
         path.write_bytes(FORMAT_3_FILE.read_bytes())
         old.store.close()
 
@@ -454,7 +454,7 @@ class TestUpgrade:
             if round_ == 0:
                 assert path.read_bytes()[:6] == b"RSCK\3\0"  # left in place
                 served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale"
-                assert path.read_bytes()[:6] == b"RSCK\6\0"
+                assert path.read_bytes()[:6] == b"RSCK\7\0"
                 assert ck.loads(path.read_bytes())["meta"]["n"] == 30
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
@@ -498,11 +498,11 @@ class TestUpgrade:
         stale = served.metrics.snapshot()["store_checkpoints_stale"]
         assert [(s["labels"], s["value"]) for s in stale["series"]] == [
             ({"reason": "format"}, 1.0)]
-        # Answering "other" evicts "stale", which writes format 6 over
+        # Answering "other" evicts "stale", which writes format 7 over
         # the old file, and every later revival loads it.
         for _ in range(2):
             assert _answers(served) == _answers(fresh)
-        assert path.read_bytes()[:6] == b"RSCK\6\0"
+        assert path.read_bytes()[:6] == b"RSCK\7\0"
         hows = [e.fields["how"] for e in served.trace.events(kind="revive")
                 if e.fields["link"] == "stale"]
         assert hows == ["rebuild", "checkpoint", "checkpoint"]
@@ -549,14 +549,77 @@ class TestUpgrade:
         stale = served.metrics.snapshot()["store_checkpoints_stale"]
         assert [(s["labels"], s["value"]) for s in stale["series"]] == [
             ({"reason": "format"}, 1.0)]
-        # Answering "other" evicts "stale", which writes format 6 over
+        # Answering "other" evicts "stale", which writes format 7 over
         # the old file, and every later revival loads it.
         for _ in range(2):
             assert _answers(served) == _answers(fresh)
-        assert path.read_bytes()[:6] == b"RSCK\6\0"
+        assert path.read_bytes()[:6] == b"RSCK\7\0"
         hows = [e.fields["how"] for e in served.trace.events(kind="revive")
                 if e.fields["link"] == "stale"]
         assert hows == ["rebuild", "checkpoint", "checkpoint"]
+        assert quarantined.value == before
+        assert not list((tmp_path / "old").rglob("*.quarantined"))
+
+    def test_format_6_checkpoint_loads_its_bank_and_is_rewritten_as_7(
+            self, tmp_path):
+        """The file the commit before format 7 wrote, link name and
+        classification string in its ``meta``: its bank loads over the
+        link's rows (no rebuild, nothing stale, nothing quarantined), the
+        link answers ``repr``-identically to one that folded the same
+        rows, and its next dirty eviction leaves format 7."""
+        from repro.obs import get_registry
+        from tests.unit.test_store import FORMAT_6_FILE, stale_link_records
+
+        records = stale_link_records()
+
+        def seeded(root=None):
+            service = PredictionService(
+                store=root and LinkStore(root), max_resident=1,
+                clock=lambda: 0.0)
+            for record in records:
+                service.predict("stale", record.file_size, now=record.end_time)
+                service.observe("stale", record)
+            service.observe("other", records[0])  # evicts "stale"
+            return service
+
+        folded, old = seeded(), seeded(tmp_path / "old")
+        assert old.checkpoint_all() == 1  # "other"
+        old.store.close()
+        path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
+        written_by_the_parent_commit = FORMAT_6_FILE.read_bytes()
+        assert written_by_the_parent_commit[:6] == b"RSCK\6\0"
+        path.write_bytes(written_by_the_parent_commit)
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = PredictionService(store=LinkStore(tmp_path / "old"),
+                                   max_resident=1, clock=lambda: 0.0)
+        assert served.version("stale") == 30
+        accuracy = served.status()["accuracy"]["links"]["stale"]
+        assert accuracy == folded.status()["accuracy"]["links"]["stale"]
+        assert accuracy["overall"]["count"] == 26
+        (event,) = served.trace.events(kind="revive")
+        assert (event.fields["how"], event.fields["reason"]) == (
+            "checkpoint", None)
+        # Every answer crosses an evict->revive; a clean eviction leaves
+        # the format-6 file where it is.
+        assert _interleaved(served) == _interleaved(folded)
+        assert path.read_bytes() == written_by_the_parent_commit
+        later = dataclasses.replace(
+            records[-1], start_time=records[-1].start_time + 3600.0,
+            end_time=records[-1].end_time + 3600.0)
+        for service in (served, folded):
+            service.observe("stale", later)
+            service.observe("other", records[1])  # evicts "stale", dirty
+        assert path.read_bytes()[:6] == b"RSCK\7\0"
+        assert _interleaved(served) == _interleaved(folded)
+        snapshot = served.metrics.snapshot()
+        assert {e.fields["how"] for e in served.trace.events(kind="revive")
+                if e.fields["link"] == "stale"} == {"checkpoint"}
+        assert [s["labels"] for s in snapshot["service_link_revivals"][
+            "series"]] == [{"how": "checkpoint"}]
+        assert snapshot["store_checkpoints_stale"]["value"] == 0
+        assert snapshot["streaming_rebuilds"]["value"] == 0
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
@@ -706,6 +769,58 @@ class TestStaleCheckpoint:
         for spec in SPECS:
             assert repr(service.predict("L", 100 * MB, spec, now=NOW).value) \
                 == repr(reference.predict("L", 100 * MB, spec, now=NOW).value)
+
+    def test_a_checkpoint_in_another_links_directory_fails_its_digest(
+            self, tmp_path):
+        """A checkpoint names no link; copied into another link's
+        directory it does not name that link's rows either."""
+        self._evicted(tmp_path / "state")
+        records = _synthetic_records(40, phase=1)
+        service = PredictionService(store=LinkStore(tmp_path / "state"))
+        for record in records:
+            service.observe("M", record)
+        service.checkpoint_all()
+        service.store.close()
+        links = tmp_path / "state" / "links"
+        (links / "M" / "checkpoint.bin").write_bytes(
+            (links / "L" / "checkpoint.bin").read_bytes())
+        service = PredictionService(store=LinkStore(tmp_path / "state"))
+        service.link_state("M")
+        (event,) = service.trace.events(kind="revive")
+        assert (event.fields["how"], event.fields["reason"]) == (
+            "rebuild", "digest")
+        snapshot = service.metrics.snapshot()
+        assert [(s["labels"], s["value"]) for s in snapshot[
+            "store_checkpoints_stale"]["series"]] == [({"reason": "digest"}, 1.0)]
+        assert snapshot["streaming_rebuilds"]["value"] == 1
+        folded = PredictionService()
+        for record in records:
+            folded.observe("M", record)
+        for spec in SPECS:
+            assert repr(service.predict("M", 100 * MB, spec, now=NOW).value) \
+                == repr(folded.predict("M", 100 * MB, spec, now=NOW).value)
+
+    def test_a_checkpoint_of_another_classification_reads_stale_by_format(
+            self, tmp_path):
+        """The same rows, digest and bank, keyed by another
+        classification's fingerprint: the bank is not loaded."""
+        from repro.store import checkpoint as ck
+
+        records = self._evicted(tmp_path / "state")
+        folded = PredictionService()
+        for record in records:
+            folded.observe("L", record)
+        foreign = folded.link_state("L").checkpoint_state(
+            ck.fingerprint("100000000|small,large"))
+        store = LinkStore(tmp_path / "state")
+        assert store.write_checkpoint("L", foreign)
+        store.close()
+        service, state, fields = self._revive(tmp_path / "state")
+        assert (fields["how"], fields["reason"]) == ("rebuild", "format")
+        assert state.version == 40
+        for spec in SPECS:
+            assert repr(service.predict("L", 100 * MB, spec, now=NOW).value) \
+                == repr(folded.predict("L", 100 * MB, spec, now=NOW).value)
 
     def test_a_degraded_link_reads_its_checkpoint_stale_by_rows(self, tmp_path):
         self._evicted(tmp_path / "state")

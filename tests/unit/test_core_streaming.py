@@ -438,28 +438,31 @@ class TestMemoryShape:
         bank = StreamingBank(CLS)
         feed(bank, 0, N_FEED)
         fixed, ld, f8 = state = bank.state()
-        # No row: five series' structs and sums, 377 B however long the
-        # feed (590 with format 5's counts and min chains; format 4
-        # measured 10.3 B/record here, format 3 42.1).
+        # No row: five series' structs and sums, 355 B however long the
+        # feed (377 at deflate level 1, 590 with format 5's counts and
+        # min chains; format 4 measured 10.3 B/record here, format 3 42.1).
         assert len(checkpoint.dumps(state)) <= 450
         assert len(f8) == 0 and len(fixed) < 1024
         for series in all_series(bank):
             assert series._n == series.count
 
-    def test_a_small_link_checkpoints_in_about_460_bytes(self):
+    def test_a_small_link_checkpoints_in_about_400_bytes(self):
         # 30 rows in 4 classes, as the ledger's cold links are (1,961 B
-        # in format 3, 1,073 in format 4, 635 in format 5); this one
-        # measures 456 with a row digest.
+        # in format 3, 1,073 in format 4, 635 in format 5, 458 in format
+        # 6 with the link and classification names); this one measures
+        # 405 with a row digest and a classification digest.
         rng = np.random.default_rng(21)
         bank = StreamingBank(CLS)
         times = 1e9 + np.cumsum(rng.uniform(60.0, 7200.0, 30))
         for t, v, s in zip(times, rng.lognormal(15.0, 0.6, 30), FEED_SIZES):
             bank.add(float(t), float(v), int(s), 0)
-        payload = {"meta": {"link": "lbl-anl", "version": 30, "n": 30,
+        payload = {"meta": {"version": 30, "n": 30,
                             "row_digest": bytes(range(16)),
-                            "classification": "50,250,750|10MB,100MB,500MB,1GB"},
+                            "classification": checkpoint.fingerprint(
+                                "50000000,250000000,750000000"
+                                "|10MB,100MB,500MB,1GB")},
                    "bank": bank.state()}
-        assert len(checkpoint.dumps(payload)) <= 520
+        assert len(checkpoint.dumps(payload)) <= 460
 
     def test_resident_bytes_per_record(self):
         # 400 records in 4 classes: the columns, the MED sorted columns

@@ -89,13 +89,13 @@ FILE = Envelope(b"TEST", 1, "II", meta="Q")
 blob = FILE.pack((b"abc", b"de"), meta=(7,), aux=3)
 head = FILE.verify(blob)
 assert [bytes(s) for s in FILE.inflate(head)] == [b"abc", b"de"]
-checkpoint = ck.dumps({"meta": {"link": "x", "n": 3},
+checkpoint = ck.dumps({"meta": {"classification": b"x" * 16, "n": 3},
                        "bank": small_bank(rows=3).state()})
 state = ck.loads(checkpoint)
 print(json.dumps({
     "sha256": digests.sha256.__module__,
     "envelope": blob.hex(), "checkpoint": checkpoint.hex(),
-    "meta": [state["meta"]["link"], state["meta"]["n"]],
+    "meta": [state["meta"]["classification"].decode(), state["meta"]["n"]],
 }))
 """
 
@@ -114,6 +114,6 @@ def test_a_build_without_the_built_ins_falls_back_to_hashlib():
         (b"abc", b"de"), meta=(7,), aux=3)
     assert seen["envelope"] == blob.hex()
     assert seen["checkpoint"] == ck.dumps(
-        {"meta": {"link": "x", "n": 3},
+        {"meta": {"classification": b"x" * 16, "n": 3},
          "bank": small_bank(rows=3).state()}).hex()
-    assert seen["meta"] == ["x", 3]
+    assert seen["meta"] == ["x" * 16, 3]

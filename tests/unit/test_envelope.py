@@ -5,7 +5,8 @@ in its current format and in the one it still reads, ingest sidecar):
 damaged bytes raise the kind's own error — or read as status
 ``"corrupt"`` for the sidecar — and nothing else, never a decoded
 value; and nothing is inflated past what the verified header declared.
-Each kind's header is packed by hand here, so the tests pin the bytes.
+Each kind's header is packed by hand here, so the tests pin the bytes,
+and so is the deflate level each kind writes at.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ class Kind:
 class CheckpointKind(Kind):
     name = "checkpoint.bin"
     fields = struct.Struct("<4sHHIIII")
-    magic, version, aux, meta = b"RSCK", 6, LD_SIZE, ()
+    magic, version, aux, meta = b"RSCK", 7, LD_SIZE, ()
+    level = 6
     error = CorruptCheckpoint
     bomb_lengths = (1024, 0, 0)
 
     def blob(self):
         """A real bank's: 3 rows in 3 classes, one window queried."""
-        return ck.dumps({"meta": {"link": "x", "n": 3},
-                         "bank": small_bank(rows=3).state()})
+        return ck.dumps({"meta": {"n": 3}, "bank": small_bank(rows=3).state()})
 
     def decode(self, data):
         return revive(data)  # the file, then the bank's reading of it
@@ -67,6 +68,7 @@ class SegmentKind(Kind):
     name = "seg-000000000007.col"
     fields = struct.Struct("<4sHHIIIIIQQQ")
     magic, version, aux, meta = b"RSSG", 2, 0, (7, 40, 0)
+    level = 6
     error = CorruptSegment
     bomb_lengths = (320, 320, 320, 40)  # what 40 rows declare: 1,000 B
     ROWS = ([1.5, 2.5, 4.0], [9.0, 8.0, 7.0], [10, 20, 30], [0, 1, 0])
@@ -87,12 +89,12 @@ class Format1SegmentKind(SegmentKind):
     """What builds before byte planes wrote: the same header, every
     column row-major.  Read, never written, so packed here by hand."""
 
-    version = 1
+    version, level = 1, 1
 
     def blob(self):
         sections = [np.asarray(column, dtype=dtype).tobytes() for column, dtype
                     in zip(self.ROWS, ("<f8", "<f8", "<i8", "i1"))]
-        return self.frame(zlib.compress(b"".join(sections), 1),
+        return self.frame(zlib.compress(b"".join(sections), self.level),
                           [len(section) for section in sections], (7, 3, 99))
 
 
@@ -101,6 +103,7 @@ class SidecarKind(Kind):
     fields = struct.Struct("<4sHHI10I32sI")
     magic, version, aux = b"RSUL", 3, 0
     meta = (bytes.fromhex(LOG_DIGEST), 128)
+    level = 1  # a cache written on serve's cold start
     error = CorruptFile
     bomb_lengths = (1024,) + (0,) * 9
 
@@ -132,6 +135,7 @@ def test_header_is_the_pinned_struct(kind):
     assert len(blob) == kind.fields.size + 32 + stored
     body = zlib.decompress(blob[kind.fields.size + 32:])
     assert len(body) == sum(rest[:len(kind.bomb_lengths)])
+    assert blob[kind.fields.size + 32:] == zlib.compress(body, kind.level)
     kind.decode(blob)  # and it reads
 
 

@@ -300,17 +300,21 @@ def as_npz_state_dir(root):
 # ----------------------------------------------------------------------
 LD_SIZE = np.dtype(np.longdouble).itemsize
 CLS = paper_classification()
-# The checkpoint header of format 6, packed by hand here so the tests pin
-# the bytes: magic, format, long-double width, stored length, then the
-# raw lengths of the fixed section and the ld and f8 pools.  Formats 4
-# and 5 had one more length, of an idx pool.
+# The checkpoint header of format 7 (and 6), packed by hand here so the
+# tests pin the bytes: magic, format, long-double width, stored length,
+# then the raw lengths of the fixed section and the ld and f8 pools.
+# Formats 4 and 5 had one more length, of an idx pool.
 CHECKPOINT_FIELDS = struct.Struct("<4sHHIIII")
 DATA = Path(__file__).resolve().parents[1] / "data"
-#: Checkpoints written by the commits before formats 4, 5 and 6, for a
+#: Checkpoints written by the commits before formats 4, 5, 6 and 7, for a
 #: 30-row, 4-class link (``stale_link_records``); see tests/data/README.md.
 FORMAT_3_FILE = DATA / "checkpoint-format3.bin"
 FORMAT_4_FILE = DATA / "checkpoint-format4.bin"
 FORMAT_5_FILE = DATA / "checkpoint-format5.bin"
+FORMAT_6_FILE = DATA / "checkpoint-format6.bin"
+#: The text ``Residency`` fingerprints for ``paper_classification()``,
+#: which format 6 stored as it stands.
+PAPER_CLASSIFICATION = "50000000,250000000,750000000|10MB,100MB,500MB,1GB"
 #: The same link's sealed segment as the commit before segment format 2
 #: wrote it (see tests/data/README.md).
 FORMAT_1_SEGMENT = DATA / "segment-format1.col"
@@ -319,8 +323,7 @@ SMALL_SIZES = np.array([10 * MB, 100 * MB, 500 * MB, 1 * GB], dtype=np.int64)
 
 def stale_link_records():
     """The 30 records, one size class after another, whose link
-    ``FORMAT_3_FILE``, ``FORMAT_4_FILE`` and ``FORMAT_5_FILE`` are
-    checkpoints of."""
+    ``FORMAT_3_FILE`` to ``FORMAT_6_FILE`` are checkpoints of."""
     sizes = (10 * MB, 100 * MB, 500 * MB, 1 * GB)
     return [make_record(start=1_000_000.0 + 3600.0 * i, duration=10.0 + i % 7,
                         size=sizes[i % 4]) for i in range(30)]
@@ -345,8 +348,8 @@ def small_bank(rows=12):
 
 def small_payload(bank=None):
     bank = bank or small_bank()
-    return {"meta": {"link": "x", "version": bank.count + 2, "n": bank.count,
-                     "classification": "50,250|a,b,c"},
+    return {"meta": {"version": bank.count + 2, "n": bank.count,
+                     "classification": ck.fingerprint("50,250|a,b,c")},
             "bank": bank.state()}
 
 
@@ -361,7 +364,7 @@ def revive(blob, rows=None):
 
 
 def sections(blob):
-    """The raw ``[fixed, ld, f8]`` of a format-6 file."""
+    """The raw ``[fixed, ld, f8]`` of a format-7 file."""
     lengths = CHECKPOINT_FIELDS.unpack_from(blob)[4:]
     body = zlib.decompress(blob[CHECKPOINT_FIELDS.size + 32:])
     out, at = [], 0
@@ -372,7 +375,7 @@ def sections(blob):
     return out
 
 
-def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=6):
+def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=7):
     """A checkpoint file around these sections with a digest that verifies."""
     stored = zlib.compress(bytes(fixed) + bytes(ld) + bytes(f8), 1)
     fields = CHECKPOINT_FIELDS.pack(b"RSCK", version, ld_size, len(stored),
@@ -391,9 +394,9 @@ class Tampered:
     """A real checkpoint taken apart so one claim in it can be changed;
     ``blob()`` frames it again with a digest that verifies.
 
-    The bank's part starts after meta, its two strings and the two part
-    headers: bank header, one class index per class series, the link
-    series, then one series per class.
+    The bank's part starts after meta and the two part headers: bank
+    header, one class index per class series, the link series, then one
+    series per class.
     """
 
     #: Scalars of one series, by position in ``streaming._SERIES``.
@@ -403,9 +406,7 @@ class Tampered:
         bank = bank or small_bank()
         self.payload = small_payload(bank)
         self.fixed, self.ld, self.f8 = sections(ck.dumps(self.payload))
-        meta = self.payload["meta"]
-        self.parts_at = (ck._META.size + len(meta["link"])
-                         + len(meta["classification"]))
+        self.parts_at = ck._META.size
         self.classes_at = (self.parts_at + 2 * ck._PART.size
                            + streaming._BANK.size)
         self.series_from = self.classes_at + len(bank._classes)
@@ -495,27 +496,34 @@ class TestCheckpoint:
         blob = ck.dumps(small_payload())
         magic, version, ld_size, stored, fixed, ld, f8 = \
             CHECKPOINT_FIELDS.unpack_from(blob)
-        assert (magic, version) == (b"RSCK", 6)
+        assert (magic, version) == (b"RSCK", 7)
         assert ld_size == LD_SIZE
         assert len(blob) == CHECKPOINT_FIELDS.size + 32 + stored
         body = zlib.decompress(blob[CHECKPOINT_FIELDS.size + 32:])
         assert len(body) == fixed + ld + f8
         # No row and no min chain: five series' sums and their scalars.
         assert (ld, f8) == (5 * 18 * LD_SIZE, 0)
-        assert fixed == (ck._META.size + 1 + len("50,250|a,b,c")
-                         + 2 * ck._PART.size + streaming._BANK.size + 4
+        assert fixed == (ck._META.size + 2 * ck._PART.size
+                         + streaming._BANK.size + 4
                          + 5 * streaming._SERIES.size)
-        assert body[ck._META.size:][:1] == b"x"  # the link's name, in the clear
+        # No name: the classification as its digest, and no link at all.
+        assert ck._META.size == 48
+        assert body[:ck._META.size] == ck._META.pack(
+            14, 12, bytes(16), ck.fingerprint("50,250|a,b,c"))
 
     def test_a_bare_bank_state_and_the_payload_around_it_both_encode(self):
         # The ledger's probes pass either.
         state = small_bank().state()
         bare = ck.loads(ck.dumps(state))
         assert bare["meta"]["n"] == -1 and "accuracy" not in bare
+        # A link name is taken and not stored: its directory names it.
         probe = ck.loads(ck.dumps(
             {"meta": {"link": "probe", "version": 400, "n": 400}, "bank": state}))
-        assert probe["meta"]["link"] == "probe"
-        assert probe["meta"]["classification"] == ""
+        assert ck.dumps({"meta": {"link": "probe", "version": 400, "n": 400},
+                         "bank": state}) == ck.dumps(
+            {"meta": {"version": 400, "n": 400}, "bank": state})
+        assert "link" not in probe["meta"]
+        assert probe["meta"]["classification"] == bytes(16)
         for loaded in (bare, probe):
             bank = StreamingBank(CLS)
             bank.load_state(loaded["bank"], *small_rows())
@@ -532,7 +540,7 @@ class TestCheckpoint:
                 (body[:-8], (len(fixed), len(ld), len(f8))),
                 (body, (len(fixed), len(ld) - LD_SIZE, len(f8)))]:
             fields = CHECKPOINT_FIELDS.pack(
-                b"RSCK", 6, LD_SIZE, len(zlib.compress(stored, 1)), *lengths)
+                b"RSCK", 7, LD_SIZE, len(zlib.compress(stored, 1)), *lengths)
             stored = zlib.compress(stored, 1)
             with pytest.raises(CorruptCheckpoint, match="declared lengths"):
                 ck.loads(fields + hashlib.sha256(fields + stored).digest() + stored)
@@ -607,7 +615,8 @@ class TestCheckpoint:
         old = ck.loads(written_by_the_parent_commit)
         assert set(old) == {"meta", "accuracy"}
         assert old["meta"]["n"] == old["meta"]["version"] == 30
-        assert old["meta"]["link"] == "stale"
+        assert old["meta"]["classification"] == ck.fingerprint(
+            PAPER_CLASSIFICATION)
         assert old["meta"]["row_digest"] == bytes(16)
         from repro.obs.quality import AccuracyTracker
 
@@ -625,7 +634,8 @@ class TestCheckpoint:
         old = ck.loads(written_by_the_parent_commit)
         assert set(old) == {"meta", "accuracy"}
         assert old["meta"]["n"] == old["meta"]["version"] == 30
-        assert old["meta"]["link"] == "stale"
+        assert old["meta"]["classification"] == ck.fingerprint(
+            PAPER_CLASSIFICATION)
         assert old["meta"]["row_digest"] != bytes(16)
         from repro.obs.quality import AccuracyTracker
 
@@ -637,12 +647,42 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint):
             ck.loads(bytes(damaged))
 
+    def test_format_6_reads_whole_with_its_classification_as_a_digest(self):
+        from repro.service.state import row_digest
+
+        written_by_the_parent_commit = FORMAT_6_FILE.read_bytes()
+        assert written_by_the_parent_commit[:6] == b"RSCK\6\0"
+        old = ck.loads(written_by_the_parent_commit)
+        assert set(old) == {"meta", "bank", "accuracy"}
+        assert old["meta"] == {
+            "version": 30, "n": 30,
+            "row_digest": old["meta"]["row_digest"],
+            "classification": ck.fingerprint(PAPER_CLASSIFICATION)}
+        times = np.array([r.end_time for r in stale_link_records()])
+        values = np.array([r.bandwidth for r in stale_link_records()])
+        sizes = np.array([r.file_size for r in stale_link_records()])
+        assert old["meta"]["row_digest"] == row_digest(
+            times, values, sizes).digest()
+        bank, folded = StreamingBank(CLS), StreamingBank(CLS)
+        bank.load_state(old["bank"], times, values, sizes)
+        for row in zip(times.tolist(), values.tolist(), sizes.tolist()):
+            folded.add(*row, 0)
+        assert repr(bank.state()) == repr(folded.state())
+        # Written again, the same state is format 7 with the same meta.
+        again = ck.dumps({"meta": old["meta"], "bank": bank.state()})
+        assert again[:6] == b"RSCK\7\0"
+        assert ck.loads(again)["meta"] == old["meta"]
+        damaged = bytearray(written_by_the_parent_commit)
+        damaged[-1] ^= 0x01
+        with pytest.raises(CorruptCheckpoint):
+            ck.loads(bytes(damaged))
+
     def test_a_newer_format_is_stale_and_a_flipped_format_field_corrupt(self):
         # What a later build might write: the same magic, any layout.
-        newer = Envelope(b"RSCK", 7, "IIII", error=CorruptCheckpoint).pack(
+        newer = Envelope(b"RSCK", 8, "IIII", error=CorruptCheckpoint).pack(
             (b"a later build's fixed part", bytes(LD_SIZE), b"", b""),
             aux=LD_SIZE)
-        with pytest.raises(ck.StaleCheckpoint, match="format 7"):
+        with pytest.raises(ck.StaleCheckpoint, match="format 8"):
             ck.loads(newer)
         # A file this build wrote whose format field flipped, to a newer
         # format or an older one, is damage.
@@ -677,16 +717,14 @@ class TestCheckpoint:
             ck.loads(old[:20])
 
     def test_unlisted_scalar_types_pack_like_their_bases(self):
-        class Label(str):
-            pass
-
-        meta = {"n": np.int32(7), "version": np.int64(9), "link": Label("t"),
-                "row_digest": bytearray(range(16))}
+        meta = {"n": np.int32(7), "version": np.int64(9),
+                "row_digest": bytearray(range(16)),
+                "classification": memoryview(bytes(range(16, 32)))}
         out = ck.loads(ck.dumps({"meta": meta}))["meta"]
         assert out == {"n": 7, "version": 9, "row_digest": bytes(range(16)),
-                       "link": "t", "classification": ""}
+                       "classification": bytes(range(16, 32))}
         assert type(out["n"]) is int and type(out["row_digest"]) is bytes
-        assert type(out["link"]) is str
+        assert type(out["classification"]) is bytes
         with pytest.raises(TypeError):
             ck.dumps({"meta": {"n": 1, "colour": "red"}})
         with pytest.raises(TypeError):
@@ -898,7 +936,7 @@ class TestLinkStore:
         assert quarantined.value == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["checkpoint.bin"]
         assert store.write_checkpoint("x", small_payload())
-        assert path.read_bytes()[4:6] == struct.pack("<H", 6)
+        assert path.read_bytes()[4:6] == struct.pack("<H", 7)
         assert store.read_checkpoint("x")["meta"]["n"] == 12
 
     def test_newer_format_checkpoint_is_left_in_place(self, tmp_path):
@@ -906,7 +944,7 @@ class TestLinkStore:
         assert store.write_checkpoint("x", small_payload())
         path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
         current = path.read_bytes()
-        newer = Envelope(b"RSCK", 7, "III", error=CorruptCheckpoint).pack(
+        newer = Envelope(b"RSCK", 8, "III", error=CorruptCheckpoint).pack(
             (b"a later build's fixed part", b"", b""), aux=LD_SIZE)
         path.write_bytes(newer)
         quarantined = get_registry().counter("store_quarantined", "")
@@ -915,7 +953,7 @@ class TestLinkStore:
         assert quarantined.value == before
         assert path.read_bytes() == newer
         # The same field flipped in this build's own file: quarantined.
-        path.write_bytes(current[:4] + struct.pack("<H", 7) + current[6:])
+        path.write_bytes(current[:4] + struct.pack("<H", 8) + current[6:])
         assert store.read_checkpoint("x") is None
         assert quarantined.value == before + 1
         assert path.with_name(path.name + ".quarantined").exists()
