@@ -23,6 +23,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.core.predictors.registry import PAPER_PREDICTOR_NAMES
+from repro.logs.stats import median
 
 from repro.analysis.classification_impact import compute_classification_impact
 from repro.analysis.errors import ClassErrors
@@ -106,6 +107,11 @@ def _finite_mean(values: List[float]) -> float:
     return float(np.mean(finite)) if finite else float("nan")
 
 
+def _finite_median(values: List[float]) -> float:
+    finite = [v for v in values if v == v]
+    return median(finite) if finite else float("nan")
+
+
 def check_summary_claims(errors: ClassErrors) -> SummaryClaims:
     """Evaluate every claim from one link's per-class error tables."""
     impact = compute_classification_impact(errors)
@@ -113,7 +119,7 @@ def check_summary_claims(errors: ClassErrors) -> SummaryClaims:
     large_best = max(errors.best(label) for label in LARGE_CLASSES)
     large_worst = max(errors.worst(label) for label in LARGE_CLASSES)
     large_median = max(
-        float(np.median([v for v in errors.classified[label].values() if v == v]))
+        _finite_median(list(errors.classified[label].values()))
         for label in LARGE_CLASSES
     )
 

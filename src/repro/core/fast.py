@@ -10,18 +10,22 @@ Python calls:
 * ``AVG`` — prefix sums;
 * ``LV`` — a shift;
 * ``AVG{n}`` — differences of prefix sums;
-* ``MED{n}`` — a strided sliding-window view + ``np.median`` per axis;
+* ``MED{n}`` — a strided sliding-window view, one
+  :func:`repro.logs.stats.median` a row;
 * ``MED`` — an insertion-sorted running list (O(n·k) C-speed memmoves);
 * ``AVG{h}hr`` — prefix sums with window starts from ``searchsorted``;
 * ``AR``/``AR{d}d`` — closed-form least squares over lag pairs from five
-  prefix-sum arrays, window starts from ``searchsorted``.
+  prefix-sum arrays, window starts from ``searchsorted``, the floor's
+  window minimum from a sparse table.
 
 Classified variants run the same kernels on each class's subseries and
 scatter the results back to global indices.
 
 Semantics match the generic path exactly — the parity tests assert
-bitwise-close equality for every predictor on real campaign logs.  The
-speedup benchmark measures the difference (typically >10x).
+bitwise-close equality for every predictor on real campaign logs, and
+``tests/integration/test_trace_digests.py`` pins every trace on the
+shipped logs bit for bit.  The ledger's ``replay_eval`` measures the
+cost (``core.fast.evaluate_us_per_kpred``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from repro.core.evaluation import (
     resolve_history,
 )
 from repro.core.predictors.registry import PAPER_PREDICTOR_NAMES
+from repro.logs.stats import median
 from repro.units import DAY, HOUR
 
 __all__ = ["fast_evaluate"]
@@ -84,11 +89,11 @@ def _windowed_median(values: np.ndarray, window: int) -> np.ndarray:
     out = np.full(n, np.nan)
     # Short prefixes (< window) one by one; full windows vectorized.
     for i in range(1, min(window, n)):
-        out[i] = np.median(values[:i])
+        out[i] = median(values[:i])
     if n > window:
         windows = np.lib.stride_tricks.sliding_window_view(values, window)
         # windows[j] = v[j : j+window] predicts index j+window.
-        out[window:] = np.median(windows[: n - window], axis=1)
+        out[window:] = median(windows[: n - window])
     return out
 
 
@@ -126,6 +131,34 @@ def _temporal_mean(
         means = (csum[idx] - csum[lo]) / counts
     out[1:] = np.where(counts > 0, means, np.nan)
     return out
+
+
+def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``values[lo[k]:hi[k]].min()`` for every k, NaN where the range is empty.
+
+    A sparse table: row p holds the minimum of every run of ``2**p``
+    values, so a range of length L is the minimum of two runs of length
+    ``2**floor(log2 L)``, one from each end.  O(n log n) to build and
+    O(1) a range, for any bounds: AR's window starts come from start-time
+    anchors and are not monotone.  A minimum picks one of its operands,
+    so the result is ``.min()``'s bit for bit.
+    """
+    n = len(values)
+    levels = max(n, 1).bit_length()
+    # Column n is NaN: an empty range reads it from both ends.
+    table = np.full((levels, n + 1), np.nan)
+    table[0, :n] = values
+    for p in range(1, levels):
+        half, width = 1 << (p - 1), n - (1 << p) + 1
+        np.minimum(table[p - 1, :width], table[p - 1, half:half + width],
+                   out=table[p, :width])
+    lengths = hi - lo
+    live = lengths > 0
+    # floor(log2 L), exactly: L = m * 2**e with 0.5 <= m < 1.
+    p = np.frexp(np.where(live, lengths, 1))[1] - 1
+    left = np.where(live, lo, n)
+    right = np.where(live, hi - (1 << p), n)
+    return np.minimum(table[p, left], table[p, right])
 
 
 def _ar_model(
@@ -169,12 +202,8 @@ def _ar_model(
     with np.errstate(invalid="ignore"):
         window_mean = ((vsum[idx] - vsum[lo]) / counts).astype(np.float64)
 
-    # Running window minimum: O(n * w) worst case is fine at log scale,
-    # but a vectorized suffix approach keeps it O(n log n): use a loop —
-    # windows share structure poorly; do it directly (C-speed np.min).
-    window_min = np.empty(n - 1)
-    for k, (j, i) in enumerate(zip(lo, idx)):
-        window_min[k] = values[j:i].min() if i > j else np.nan
+    # The floor's window minimum, two sparse-table lookups a window.
+    window_min = _range_min(values, lo, idx)
 
     # Lag-pair prefix sums: pair p = (x=v[p], y=v[p+1]) for p in [0, n-1).
     x = wide[:-1]

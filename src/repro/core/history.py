@@ -6,6 +6,13 @@ Predictors slice it with the window operations of Section 4.2 (last-n,
 temporal window) and the class filter of Section 4.3; all views share the
 underlying arrays so walk-forward evaluation over growing prefixes costs
 no copies.
+
+A history is validated once, at construction (equal lengths, times
+non-decreasing).  Every view is by a forward slice or a boolean mask
+(``filter_sizes`` refuses a predicate that returns anything else), which
+keeps rows in their order, so it is sorted because its parent is, and is
+built without re-checking: a re-check is a pass over the prefix, and the
+generic walk takes a view or two a prediction.
 """
 
 from __future__ import annotations
@@ -88,7 +95,13 @@ class History:
     # views (no copies)
     # ------------------------------------------------------------------
     def _view(self, selector) -> "History":
-        return History(self.times[selector], self.values[selector], self.sizes[selector])
+        """The rows ``selector`` picks, built without re-checking the
+        order: every caller passes a forward slice or a boolean mask,
+        which keep the parent's order."""
+        view = History.__new__(History)
+        view.times, view.values, view.sizes = (
+            self.times[selector], self.values[selector], self.sizes[selector])
+        return view
 
     def prefix(self, n: int) -> "History":
         """The first ``n`` observations — the walk-forward training view."""
@@ -112,8 +125,16 @@ class History:
         return self._view(slice(lo, len(self)))
 
     def filter_sizes(self, predicate: Callable[[np.ndarray], np.ndarray]) -> "History":
-        """Boolean-mask view by a vectorized size predicate."""
-        mask = predicate(self.sizes)
+        """Boolean-mask view by a vectorized size predicate.
+
+        The predicate must return one bool per observation: an index
+        array could repeat or reorder rows, which is not a view.
+        """
+        mask = np.asarray(predicate(self.sizes))
+        if mask.dtype != np.bool_ or mask.shape != self.sizes.shape:
+            raise TypeError(
+                f"filter_sizes needs a boolean mask of shape {self.sizes.shape}, "
+                f"got {mask.dtype} of shape {mask.shape}")
         return self._view(mask)
 
     def of_class(self, classification, label: str) -> "History":

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.classification import Classification
 from repro.core.history import History
+from repro.logs.stats import median
 
 __all__ = ["PairKey", "SiteFactorModel"]
 
@@ -88,7 +89,7 @@ class SiteFactorModel:
         if len(history) == 0:
             return None
         values = history.last(self.window).values
-        return float(np.median(values))
+        return median(values)
 
     def fit(self, pair_histories: Mapping[PairKey, History]) -> Optional[_Fit]:
         """Least-squares site factors from the observed pair summaries.

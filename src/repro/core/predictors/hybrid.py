@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.history import History
 from repro.core.predictors.base import Predictor, PredictorError
+from repro.logs.stats import median
 from repro.nws.series import TimeSeries
 
 __all__ = ["HybridPredictor"]
@@ -93,5 +94,5 @@ class HybridPredictor(Predictor):
                 ratios.append(float(bw) / probe)
         if len(ratios) < self.min_pairs:
             return None
-        ratio = float(np.median(np.asarray(ratios)))
+        ratio = median(np.asarray(ratios))
         return ratio * current_probe

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.history import History
 from repro.core.predictors.base import Predictor, PredictorError
+from repro.logs.stats import median
 
 __all__ = ["SizeScaledPredictor", "fit_saturating_curve"]
 
@@ -51,13 +52,15 @@ def fit_saturating_curve(
     x = sizes.astype(np.float64)
     y = x / bandwidths
     x_mean = x.mean()
-    var = float(((x - x_mean) ** 2).sum())
+    dx = x - x_mean
+    var = float((dx ** 2).sum())
     if var <= 0:
         return None
-    slope = float(((x - x_mean) * (y - y.mean())).sum()) / var
+    y_mean = y.mean()
+    slope = float((dx * (y - y_mean)).sum()) / var
     if slope <= 0 or not np.isfinite(slope):
         return None
-    intercept = float(y.mean() - slope * x_mean)
+    intercept = float(y_mean - slope * x_mean)
     rate = 1.0 / slope
     half_size = max(intercept * rate, 0.0)
     return rate, half_size
@@ -115,5 +118,5 @@ class SizeScaledPredictor(Predictor):
         with np.errstate(divide="ignore", invalid="ignore"):
             ratios = recent.values / expected
         ratios = ratios[np.isfinite(ratios) & (ratios > 0)]
-        level = float(np.median(ratios)) if len(ratios) else 1.0
+        level = median(ratios) if len(ratios) else 1.0
         return level * float(curve(float(target_size)))

@@ -69,7 +69,7 @@ from repro.core.predictors.classified import ClassifiedPredictor
 from repro.core.predictors.last_value import LastValue
 from repro.core.predictors.mean import TemporalAverage, TotalAverage, WindowedAverage
 from repro.core.predictors.median import TotalMedian, WindowedMedian
-from repro.logs.stats import RunningMedian
+from repro.logs.stats import RunningMedian, median
 from repro.units import DAY, HOUR
 
 __all__ = [
@@ -712,7 +712,7 @@ class StreamingBank:
             if base.window > RING_CAPACITY:
                 raise StreamingUnavailable(f"window {base.window} exceeds ring")
             tail = series.window_values(base.window)
-            return float(tail.mean() if kind is WindowedAverage else np.median(tail))
+            return float(tail.mean()) if kind is WindowedAverage else median(tail)
         if kind is TotalMedian:
             return series._median.value()
         anchor = now if now is not None else series.last_time

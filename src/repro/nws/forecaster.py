@@ -20,6 +20,8 @@ from typing import Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.logs.stats import median
+
 __all__ = [
     "Forecaster",
     "RunningMean",
@@ -112,7 +114,7 @@ class SlidingMedian(Forecaster):
     def forecast(self) -> Optional[float]:
         if not self._buf:
             return None
-        return float(np.median(np.fromiter(self._buf, dtype=np.float64)))
+        return median(np.fromiter(self._buf, dtype=np.float64))
 
     def reset(self) -> None:
         self._buf.clear()

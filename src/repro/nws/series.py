@@ -14,6 +14,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from repro.logs.stats import median as _median
+
 __all__ = ["TimeSeries"]
 
 
@@ -104,7 +106,7 @@ class TimeSeries:
     def median(self) -> float:
         if self._len == 0:
             raise ValueError("median of empty series")
-        return float(np.median(self._data[: self._len, 1]))
+        return _median(self._data[: self._len, 1])
 
     def stddev(self) -> float:
         if self._len == 0:

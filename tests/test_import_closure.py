@@ -8,9 +8,9 @@ interpreter (this test process has the whole package loaded through
   simulation side and no OpenSSL — and, for the client and the fleet
   front, no numpy;
 * the serving and evaluation paths answer identically with networkx
-  unimportable, and load no OpenSSL doing it (the other side of that
-  split — a ``Topology`` still routes, ``run_month(seed=1)`` still
-  writes the shipped logs byte for byte — is
+  unimportable, and load no OpenSSL and (numpy 2) no ``numpy.ma`` doing it (the
+  other side of that split — a ``Topology`` still routes,
+  ``run_month(seed=1)`` still writes the shipped logs byte for byte — is
   ``tests/unit/test_net_topology.py`` and
   ``tests/integration/test_sample_data.py``);
 * the packages that resolve their re-exports on first access keep
@@ -157,6 +157,8 @@ fresh = [
 ]
 answers["versions"] = service.observe_batch(fresh)
 answers["after"] = service.predict("a", size, spec="C-AR", now=now).value
+answers["medians"] = [service.predict("a", size, spec=spec, now=now).value
+                      for spec in ("MED5", "C-MED15")]
 answers["rank"] = [
     [r.site, r.predicted_bandwidth, r.history_length]
     for r in service.rank_replicas(["a", "b", "nowhere"], size, now=now)
@@ -166,11 +168,17 @@ answers["evictions"], answers["revivals"] = store["evictions"], store["revivals"
 result = evaluate(frame)
 answers["battery"] = len(result.traces)
 answers["mape"] = result.mape_table()
+answers["size"] = evaluate(frame, ["SIZE"]).mape_table()
 answers["networkx"] = sys.modules.get("networkx", "absent") is not None
 # Sidecar ingest, evict, revive, checkpoint, batch fold and the battery
 # hashed what they hash without OpenSSL: a lazy `import hashlib` on a
 # cold path would have put it back.
 assert "_hashlib" not in sys.modules
+# Window medians, the battery and the generic walk took their medians
+# from repro.logs.stats: the first np.median call imports numpy.ma.
+# numpy 1.x imports numpy.ma with numpy itself, so only 2.x can tell.
+import numpy
+assert int(numpy.__version__.split(".")[0]) < 2 or "numpy.ma" not in sys.modules
 print(json.dumps(answers))
 """
 
@@ -190,6 +198,7 @@ def test_serving_and_evaluation_do_not_need_networkx(tmp_path):
     assert runs["blocked"] == runs["free"]
     answers = runs["blocked"]
     assert answers["predict"] is not None and answers["after"] is not None
+    assert None not in answers["medians"] and answers["size"]["SIZE"] > 0
     assert answers["versions"] == [448, 449, 450]
     assert answers["evictions"] >= 2 and answers["revivals"] >= 1
     assert answers["battery"] == 30

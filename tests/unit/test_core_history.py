@@ -90,3 +90,31 @@ class TestViews:
     def test_filter_sizes(self, history):
         big = history.filter_sizes(lambda s: s > 500 * MB)
         assert len(big) == 2
+
+    def test_filter_sizes_refuses_what_is_not_a_mask(self, history):
+        # Index arrays would repeat or reorder rows; a short mask is not
+        # one bool per observation.
+        for predicate in (lambda s: np.array([3, 0]),
+                          lambda s: np.array([0, 0, 1]),
+                          lambda s: np.array([True, False]),
+                          lambda s: (s > 500 * MB).astype(int)):
+            with pytest.raises(TypeError, match="boolean mask"):
+                history.filter_sizes(predicate)
+
+
+class TestTrustedViews:
+    """Views by slice or mask are built without re-checking the order:
+    their parent was checked, and they keep its order."""
+
+    def test_views_skip_the_order_check(self, history, classification, monkeypatch):
+        def no_diff(*args, **kwargs):
+            raise AssertionError("a view re-checked its parent's order")
+
+        monkeypatch.setattr(np, "diff", no_diff)
+        views = [history.prefix(3), history.last(2), history.since(1.5 * HOUR),
+                 history.of_class(classification, "1GB"),
+                 history.filter_sizes(lambda s: s > 50 * MB)]
+        assert [len(v) for v in views] == [3, 2, 2, 1, 3]
+        for view in views:
+            assert type(view) is History
+            assert view.times.dtype == np.float64 and view.sizes.dtype == np.int64
