@@ -2,7 +2,7 @@
 
 Models the end-to-end network half of a GridFTP transfer:
 
-* :mod:`repro.net.topology` — sites, links, and routed paths (networkx).
+* :mod:`repro.net.topology` — sites, links, and paths routed by RTT.
 * :mod:`repro.net.load` — background (cross-traffic) utilization processes:
   a diurnal cycle, AR(1) noise, and heavy-tailed bursts.  These are what
   give the synthetic GridFTP series the variability and asymmetric

@@ -1,9 +1,9 @@
 """Sites, links, and routed paths.
 
 A :class:`Topology` is an undirected graph of :class:`Site` nodes joined by
-:class:`Link` edges.  Routing uses networkx shortest paths weighted by RTT,
-mirroring the fact that on the paper's testbed (ANL, ISI, LBL over ESnet)
-each site pair effectively had one stable route.
+:class:`Link` edges, held as an adjacency map.  Routing takes the shortest
+path by RTT, mirroring the fact that on the paper's testbed (ANL, ISI, LBL
+over ESnet) each site pair effectively had one stable route.
 
 Each link owns a background-load model (attached separately, see
 :mod:`repro.net.load`); a :class:`Path` aggregates its links' RTTs and
@@ -12,8 +12,10 @@ exposes the instantaneous bottleneck availability used by the TCP model.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.net.load import ConstantLoad, LoadModel
 
@@ -149,12 +151,9 @@ class Topology:
     """The testbed graph: add sites and links, then query routed paths."""
 
     def __init__(self) -> None:
-        # networkx loads with the first graph, not with ``Site``: the
-        # information providers import this module for the value type alone.
-        import networkx as nx
-
-        self._graph = nx.Graph()
         self._sites: Dict[str, Site] = {}
+        #: site name -> neighbour name -> the link between them.
+        self._adjacent: Dict[str, Dict[str, Link]] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -163,16 +162,16 @@ class Topology:
         if site.name in self._sites:
             raise ValueError(f"duplicate site {site.name!r}")
         self._sites[site.name] = site
-        self._graph.add_node(site.name)
+        self._adjacent[site.name] = {}
         return site
 
     def add_link(self, link: Link) -> Link:
         for end in (link.a, link.b):
             if end not in self._sites:
                 raise ValueError(f"link endpoint {end!r} is not a known site")
-        if self._graph.has_edge(link.a, link.b):
+        if link.b in self._adjacent[link.a]:
             raise ValueError(f"duplicate link {link.name}")
-        self._graph.add_edge(link.a, link.b, link=link, weight=link.rtt)
+        self._adjacent[link.a][link.b] = self._adjacent[link.b][link.a] = link
         return link
 
     # ------------------------------------------------------------------
@@ -184,34 +183,40 @@ class Topology:
         except KeyError:
             raise KeyError(f"unknown site {name!r}") from None
 
-    def sites(self) -> List[Site]:
-        return list(self._sites.values())
-
-    def links(self) -> List[Link]:
-        return [data["link"] for _, _, data in self._graph.edges(data=True)]
-
     def link_between(self, a: str, b: str) -> Optional[Link]:
-        data = self._graph.get_edge_data(a, b)
-        return None if data is None else data["link"]
+        return self._adjacent.get(a, {}).get(b)
 
     def path(self, src: str, dst: str) -> Path:
-        """Shortest path by RTT between two sites.
+        """Shortest path by RTT between two sites (Dijkstra).
 
         Raises
         ------
         KeyError
             If either site is unknown.
-        networkx.NetworkXNoPath
-            If the sites are not connected.
+        ValueError
+            If the sites are the same, or no route joins them.
         """
-        import networkx as nx
-
         source, sink = self.site(src), self.site(dst)
         if src == dst:
             raise ValueError("source and destination are the same site")
-        hops: Iterable[str] = nx.shortest_path(self._graph, src, dst, weight="weight")
-        hops = list(hops)
-        links = tuple(
-            self._graph[u][v]["link"] for u, v in zip(hops[:-1], hops[1:])
-        )
-        return Path(src=source, dst=sink, links=links)
+        best = {src: 0.0}
+        via: Dict[str, Tuple[str, Link]] = {}   # site -> its best route's last hop
+        heap = [(0.0, src)]
+        while heap:
+            rtt, here = heapq.heappop(heap)
+            if here == dst:
+                break
+            if rtt > best[here]:
+                continue              # superseded by a shorter route here
+            for there, link in self._adjacent[here].items():
+                if rtt + link.rtt < best.get(there, math.inf):
+                    best[there] = rtt + link.rtt
+                    via[there] = (here, link)
+                    heapq.heappush(heap, (best[there], there))
+        else:
+            raise ValueError(f"no path from {src!r} to {dst!r}")
+        links: List[Link] = []
+        while here != src:
+            here, link = via[here]
+            links.append(link)
+        return Path(src=source, dst=sink, links=tuple(reversed(links)))

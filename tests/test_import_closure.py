@@ -6,15 +6,15 @@ interpreter (this test process has the whole package loaded through
 
 * every entry point's ``sys.modules`` after start-up holds none of the
   simulation side and no OpenSSL — and, for the client and the fleet
-  front, no numpy;
-* the serving and evaluation paths answer identically with networkx
-  unimportable, and load no OpenSSL and (numpy 2) no ``numpy.ma`` doing it (the
-  other side of that split — a ``Topology`` still routes,
-  ``run_month(seed=1)`` still writes the shipped logs byte for byte — is
-  ``tests/unit/test_net_topology.py`` and
-  ``tests/integration/test_sample_data.py``);
+  front, no numpy — and a simulating run holds none of the serving side;
+* one serve/evaluate run — ingest, evict, revive, batch fold, window
+  medians, the battery and the ``SIZE`` walk — answers and loads no
+  OpenSSL and no ``numpy.ma`` doing it;
 * the packages that resolve their re-exports on first access keep
   their whole public surface.
+
+That no process can load a graph library, or any other third-party
+package but numpy, is static: ``tests/test_dependencies.py``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 DATA = REPO / "data"
 
-#: The simulation side plus the graph library only it calls.
-SIMULATION = ("networkx", "repro.sim", "repro.gridftp", "repro.nws.sensor",
+#: The simulation side.
+SIMULATION = ("repro.sim", "repro.gridftp", "repro.nws.sensor",
               "repro.workload", "repro.analysis")
 #: What a process that only speaks the wire protocol must also not load.
 SERVING = ("numpy", "repro.core", "repro.data", "repro.service", "repro.store")
@@ -83,7 +83,7 @@ print("\\n".join(sorted(sys.modules)))
 """
 
 CLOSURES = [
-    # (the five kinds of process) x (what each must not have loaded)
+    # (the six kinds of process) x (what each must not have loaded)
     ("client", "import repro.client",
      SIMULATION + SERVING + EVENT_LOOP + OPENSSL),
     ("front", "import repro.fleet.runner",
@@ -108,6 +108,12 @@ CLOSURES = [
     # Renders with repro.analysis.report, so the package itself may load.
     ("cli-evaluate", "run('repro.cli', 'evaluate', {log!r})",
      tuple(root for root in SIMULATION if root != "repro.analysis") + OPENSSL),
+    # The simulator routes its testbed without a graph library.  It does
+    # load _hashlib: the campaign seeds np.random.SeedSequence
+    # (repro.sim.rng), and numpy.random imports secrets -> hmac -> _hashlib.
+    ("cli-campaign", "run('repro.cli', 'campaign', '--out-dir', {out!r})",
+     ("networkx",) + EVENT_LOOP + ("repro.service", "repro.store",
+                                   "repro.fleet", "repro.endpoint")),
 ]
 
 
@@ -117,7 +123,8 @@ CLOSURES = [
 )
 def test_entry_point_loads_only_its_own_closure(statement, forbidden, tmp_path):
     log = shutil.copy(DATA / "aug-LBL-ANL.ulm", tmp_path)   # sidecars land here
-    out = _python(_PRELUDE + statement.format(log=log) + _EPILOGUE)
+    out = _python(_PRELUDE + statement.format(log=log, out=str(tmp_path))
+                  + _EPILOGUE)
     loaded = out.split("--modules--\n", 1)[1].split()
     assert "repro" in loaded
     dragged = sorted(
@@ -128,14 +135,12 @@ def test_entry_point_loads_only_its_own_closure(statement, forbidden, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# networkx unimportable
+# one serve/evaluate run
 # ----------------------------------------------------------------------
 _SERVE_AND_EVALUATE = """
 import dataclasses, json, sys
 
-blocked, log_a, log_b, state_dir = sys.argv[1:]
-if blocked == "blocked":
-    sys.modules["networkx"] = None   # any `import networkx` now raises
+log_a, log_b, state_dir = sys.argv[1:]
 
 from repro.core import evaluate
 from repro.data import load_ulm
@@ -169,40 +174,33 @@ result = evaluate(frame)
 answers["battery"] = len(result.traces)
 answers["mape"] = result.mape_table()
 answers["size"] = evaluate(frame, ["SIZE"]).mape_table()
-answers["networkx"] = sys.modules.get("networkx", "absent") is not None
 # Sidecar ingest, evict, revive, checkpoint, batch fold and the battery
 # hashed what they hash without OpenSSL: a lazy `import hashlib` on a
 # cold path would have put it back.
 assert "_hashlib" not in sys.modules
 # Window medians, the battery and the generic walk took their medians
 # from repro.logs.stats: the first np.median call imports numpy.ma.
-# numpy 1.x imports numpy.ma with numpy itself, so only 2.x can tell.
-import numpy
-assert int(numpy.__version__.split(".")[0]) < 2 or "numpy.ma" not in sys.modules
+assert "numpy.ma" not in sys.modules
 print(json.dumps(answers))
 """
 
 
-def test_serving_and_evaluation_do_not_need_networkx(tmp_path):
+def test_serving_and_evaluation_answer_without_openssl_or_numpy_ma(tmp_path):
     logs = [shutil.copy(DATA / name, tmp_path)
             for name in ("aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm")]
-    runs = {}
-    for mode in ("blocked", "free"):
-        state = tmp_path / mode
-        state.mkdir()
-        runs[mode] = json.loads(
-            _python(_SERVE_AND_EVALUATE, mode, *logs, str(state)))
-    # "absent" (never imported) in the free run, None (blocked) in the other.
-    assert runs["free"].pop("networkx") is True
-    assert runs["blocked"].pop("networkx") is False
-    assert runs["blocked"] == runs["free"]
-    answers = runs["blocked"]
+    state = tmp_path / "state"
+    state.mkdir()
+    answers = json.loads(_python(_SERVE_AND_EVALUATE, *logs, str(state)))
     assert answers["predict"] is not None and answers["after"] is not None
     assert None not in answers["medians"] and answers["size"]["SIZE"] > 0
     assert answers["versions"] == [448, 449, 450]
     assert answers["evictions"] >= 2 and answers["revivals"] >= 1
     assert answers["battery"] == 30
     assert [site for site, _, _ in answers["rank"]][-1] == "nowhere"
+    # The same battery in this process, whose closure is the whole package.
+    from repro.core import evaluate
+    from repro.data import load_ulm
+    assert answers["mape"] == evaluate(load_ulm(logs[0], cache=False)).mape_table()
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Topology: sites, links, routed paths."""
 
-import networkx as nx
 import pytest
 
 from repro.net import ConstantLoad, Link, Path, Site, Topology
@@ -65,8 +64,12 @@ class TestTopology:
 
     def test_duplicate_link_rejected(self):
         topo = make_topology()
-        with pytest.raises(ValueError):
-            topo.add_link(Link(a="B", b="A", capacity=1e6, rtt=0.01))
+        first = topo.link_between("A", "B")
+        for a, b in (("B", "A"), ("A", "B")):      # either order is the same link
+            with pytest.raises(ValueError, match="duplicate link A-B"):
+                topo.add_link(Link(a=a, b=b, capacity=1e6, rtt=0.001))
+        assert topo.link_between("A", "B") is topo.link_between("B", "A") is first
+        assert topo.path("B", "A").links == (first,)
 
     def test_link_to_unknown_site_rejected(self):
         topo = make_topology()
@@ -88,6 +91,21 @@ class TestTopology:
         assert path.rtt == pytest.approx(0.07)
         assert path.bottleneck_capacity == pytest.approx(5e6)
 
+    def test_route_is_shortest_by_rtt_not_by_hops(self):
+        topo = make_topology()                      # A-B-C: 0.05 + 0.02 s
+        topo.add_link(Link(a="C", b="A", capacity=1e9, rtt=0.08))
+        path = topo.path("A", "C")
+        assert [l.name for l in path.links] == ["A-B", "B-C"]
+        assert path.rtt == pytest.approx(0.07)
+        assert [l.name for l in topo.path("C", "A").links] == ["B-C", "A-B"]
+        topo.add_site(Site(name="D"))
+        topo.add_link(Link(a="D", b="C", capacity=1e9, rtt=0.01))
+        assert [l.name for l in topo.path("A", "D").links] == ["A-B", "B-C", "C-D"]
+        # A direct link faster than the two hops is the route.
+        topo = make_topology()
+        direct = topo.add_link(Link(a="C", b="A", capacity=1e9, rtt=0.06))
+        assert topo.path("A", "C").links == (direct,)
+
     def test_same_site_path_rejected(self):
         with pytest.raises(ValueError):
             make_topology().path("A", "A")
@@ -95,7 +113,7 @@ class TestTopology:
     def test_disconnected_sites_raise(self):
         topo = make_topology()
         topo.add_site(Site(name="D"))
-        with pytest.raises(nx.NetworkXNoPath):
+        with pytest.raises(ValueError, match="no path from 'A' to 'D'"):
             topo.path("A", "D")
 
     def test_link_between(self):
