@@ -56,7 +56,8 @@ from repro import faults as _faults
 from repro.data.frame import (
     COLUMN_NAMES, NUMERIC_COLUMNS, OP_READ, OP_WRITE, TransferFrame)
 from repro.digests import blake2b
-from repro.envelope import Envelope, Verified, atomic_write, quarantine
+from repro.envelope import (Envelope, Verified, atomic_write, foreign_format,
+                            quarantine)
 from repro.logs.record import INVARIANTS
 from repro.logs.ulm import _KEYS as _WRITER_KEYS
 from repro.logs.ulm import ULMError, parse_fields, parse_record
@@ -74,7 +75,8 @@ __all__ = [
     "read_cache_status",
 ]
 
-#: Bump when the cache layout or key changes; readers reject other versions.
+#: Bump when the cache layout or key changes; a sidecar of another
+#: version reads as stale.
 #: 1 was an ``.npz`` beside the log (``x.ulm.npz``), no longer looked at;
 #: 2 keyed the same layout on the log's SHA-256.
 CACHE_VERSION = 3
@@ -295,9 +297,6 @@ def parse_ulm_text(text: str) -> TransferFrame:
 #: 0.35 ms more a 400-row log.
 _FILE = Envelope(b"RSUL", CACHE_VERSION, "I" * len(COLUMN_NAMES), meta="32sI",
                  level=1)
-#: What the build before wrote: intact, it is stale (its key is another
-#: digest's), not corrupt.
-_FORMAT_2 = Envelope(b"RSUL", 2, "I" * len(COLUMN_NAMES), meta="32sI")
 _NUMERIC_DTYPES = tuple(
     np.dtype(dtype).newbyteorder("<") for _, dtype in NUMERIC_COLUMNS)
 
@@ -338,8 +337,9 @@ def read_cache_status(sidecar: Path, digest: str) -> Tuple[Optional[TransferFram
     * ``"hit"`` — the sidecar verified, is for this digest, and inflated;
     * ``"absent"`` — no sidecar file exists;
     * ``"stale"`` — the sidecar is intact but for other content (normal
-      after a log rewrite) or in format 2, keyed on another digest; the
-      next write replaces it;
+      after a log rewrite) or in a format this build does not read
+      (:func:`repro.envelope.foreign_format`); the next write replaces
+      it;
     * ``"corrupt"`` — the sidecar exists but its bytes cannot be trusted
       (truncated write, bit rot, injected fault).  Callers should
       quarantine it: unlike ``stale`` it will never heal by itself.
@@ -352,14 +352,12 @@ def read_cache_status(sidecar: Path, digest: str) -> Tuple[Optional[TransferFram
         return None, "absent"
     except OSError:
         return None, "corrupt"
+    if foreign_format(raw, (_FILE,)) is not None:
+        return None, "stale"
     try:
         head = _FILE.verify(raw)
     except ValueError:
-        try:
-            _FORMAT_2.verify(raw)
-        except ValueError:
-            return None, "corrupt"
-        return None, "stale"
+        return None, "corrupt"
     if head.meta[0] != want:
         return None, "stale"
     try:

@@ -16,8 +16,9 @@ header's integers; :meth:`Envelope.inflate` inflates no further than the
 header declared and requires the stream to end exactly there.  Any
 disagreement raises the kind's ``error``; nothing else escapes.
 :func:`atomic_write` and :func:`quarantine` are how such a file arrives
-and how one that failed verification leaves; :func:`newer_format` tells
-a file some newer build wrote from a damaged one.  No numpy here.
+and how one that failed verification leaves; :func:`foreign_format`
+tells a file of a format the caller does not read from a damaged one of
+a format it does.  No numpy here.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Type
 from repro.digests import sha256
 
 __all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write",
-           "newer_format", "quarantine"]
+           "foreign_format", "quarantine"]
 
 _DIGEST_SIZE = sha256().digest_size
 _FORMAT_FIELD = struct.Struct("<H")
@@ -122,27 +123,30 @@ class Envelope:
                 for end, length in zip(accumulate(lengths), lengths)]
 
 
-def newer_format(data: bytes, known: Sequence[Envelope]) -> int:
-    """The format ``data`` names when it is newer than every format of
-    ``known`` (one kind, one magic), else 0.
+def foreign_format(data: bytes, readable: Sequence[Envelope]) -> Optional[int]:
+    """The format ``data`` names when it is none of ``readable``'s (one
+    kind, one magic), else None.
 
-    A newer format is primary data some other build can read, so it is
-    left where it lies.  The exception is a file of a ``known`` format
+    A file of a foreign format is another build's, older or newer, and
+    not this one's to judge, so the caller leaves it where it lies: a
+    derived file (checkpoint, sidecar) is stale and rebuilt from what it
+    was derived from, and primary data (a segment) waits for a build
+    that reads it.  The exception is a file of a ``readable`` format
     whose format field flipped: put back, the field makes it verify, and
-    it is corrupt (0 here; the caller's ``verify`` then says so).
+    it is corrupt (None here; the caller's ``verify`` then says so).
     """
-    if len(data) < 6 or data[:4] != known[0].magic:
-        return 0
+    if len(data) < 6 or data[:4] != readable[0].magic:
+        return None
     version = _FORMAT_FIELD.unpack_from(data, 4)[0]
-    if version <= max(envelope.version for envelope in known):
-        return 0
-    for envelope in known:
+    if version in [envelope.version for envelope in readable]:
+        return None
+    for envelope in readable:
         try:
             envelope.verify(b"".join(
                 (data[:4], _FORMAT_FIELD.pack(envelope.version), data[6:])))
         except envelope.error:
             continue
-        return 0
+        return None
     return version
 
 

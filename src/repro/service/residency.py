@@ -267,7 +267,12 @@ class Residency:
         stands (None when it might: its rows' digest is checked next).
         Its accuracy part loads whenever it was written against this
         classification, whatever becomes of the bank part."""
-        ckpt = self.store.read_checkpoint(link)
+        from repro.store.checkpoint import StaleCheckpoint
+
+        try:
+            ckpt = self.store.read_checkpoint(link)
+        except StaleCheckpoint:  # another build's file: the rows decide
+            return _NO_CHECKPOINT, "format"
         if ckpt is None:
             return _NO_CHECKPOINT, "absent"
         meta = ckpt["meta"]
@@ -278,8 +283,6 @@ class Residency:
             # evict→revive cycle must not double-count).
             with suppress(Exception):
                 self.quality.load_link_state(link, ckpt["accuracy"])
-        if "bank" not in ckpt:
-            return ckpt, "format"
         if not 0 <= meta["n"] <= min(durable, meta["version"]):
             return ckpt, "rows"  # e.g. a quarantine took rows under it
         return ckpt, None

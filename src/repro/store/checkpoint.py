@@ -39,16 +39,12 @@ with :data:`_META` and one :data:`_PART` of pool lengths per part.
 Corruption (torn write, bit rot, injected fault at the
 ``store.checkpoint`` site) surfaces as :class:`CorruptCheckpoint`; the
 store quarantines the file and the link rebuilds from its segments —
-slower, never wrong.  An intact file of format 1-3, or of a format newer
-than this build's, is :class:`StaleCheckpoint`: same rebuild, but
-nothing is wrong with the file, so it stays where it is until the
-link's next checkpoint replaces it.  Format 6 is this one with the link
-name and the classification string in ``meta``; :func:`loads` reads it
-whole, fingerprinting the string.  Formats 4 and 5 share this framing
-with a fourth pool (format 4 stored the rows, 5 the min chains);
-:func:`loads` reads their ``meta`` and accuracy part and leaves out
-their bank, which revival then rebuilds.  Earlier formats are read only
-that far.
+slower, never wrong.  A file of any other format, older or newer, is
+:class:`StaleCheckpoint` (:func:`repro.envelope.foreign_format`): the
+same rebuild, but the file is another build's to judge, so it stays
+where it is until the link's next checkpoint replaces it.  A checkpoint
+is a cache of what the rows determine, so this build reads its own
+format and no other.
 
 Longdouble width is platform-dependent; a checkpoint written on a
 different ABI fails the width check and is treated as corrupt, which
@@ -58,21 +54,18 @@ degrades to a rebuild.
 from __future__ import annotations
 
 import struct
-from typing import Any, Dict, NoReturn
+from typing import Any, Dict
 
 import numpy as np
 
 from repro import digests
-from repro.digests import sha256
-from repro.envelope import Envelope, newer_format
+from repro.envelope import Envelope, foreign_format
 
 __all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps",
            "fingerprint", "loads"]
 
 _MAGIC = b"RSCK"
-#: 6 stored the link name and the classification string; 5 every count
-#: and the min chains; 4 the rows; 3 walked a state dict into a JSON
-#: layout; 2 stored that raw.
+#: Superseded formats and what each changed: docs/performance.md.
 _FORMAT = 7
 
 _LD_SIZE = np.dtype(np.longdouble).itemsize
@@ -82,10 +75,8 @@ _LD_SIZE = np.dtype(np.longdouble).itemsize
 #: different stored length from one write to the next.
 _LD_VALUE_BYTES = 10 if np.finfo(np.longdouble).nmant == 63 else _LD_SIZE
 
-#: The pools after ``fixed``, in file order; formats 4 and 5 had a third,
-#: of uint32 min-chain entries.
+#: The pools after ``fixed``, in file order.
 _POOLS = (np.dtype(np.longdouble), np.dtype("<f8"))
-_POOLS_5 = (*_POOLS, np.dtype("<u4"))
 _PARTS = ("bank", "accuracy")
 
 #: ``meta``: version, n, row_digest and the classification's
@@ -94,15 +85,8 @@ _PARTS = ("bank", "accuracy")
 _META = struct.Struct("<qq16s16s")
 _META_DEFAULTS = {"version": -1, "n": -1, "row_digest": bytes(16),
                   "classification": bytes(16)}
-#: Formats 5 and 6's ``meta``: version, n, row_digest, then the byte
-#: lengths of the link name and the classification string, which follow.
-_META_6 = struct.Struct("<qq16sHH")
-#: Format 4's: version, n, then a last_time and a byte this build skips
-#: (the rows say when the link's last one ended), and no row_digest.
-_META_4 = struct.Struct("<qq9xHH")
 #: Items one part holds in each pool; all zero when the part is absent.
 _PART = struct.Struct("<III")
-_PART_5 = struct.Struct("<IIII")
 
 
 class CorruptCheckpoint(Exception):
@@ -110,25 +94,12 @@ class CorruptCheckpoint(Exception):
 
 
 class StaleCheckpoint(Exception):
-    """An intact checkpoint in a format this build does not read."""
+    """A checkpoint in a format this build does not read."""
 
 
 #: Level 6 stores about 9 % less than level 1 for some 15 us a write;
 #: 7-9, 0.2 % less for up to twice that.
 _FILE = Envelope(_MAGIC, _FORMAT, "III", error=CorruptCheckpoint, level=6)
-_FORMAT_6 = Envelope(_MAGIC, 6, "III", error=CorruptCheckpoint)
-_FORMAT_5 = Envelope(_MAGIC, 5, "IIII", error=CorruptCheckpoint)
-_FORMAT_4 = Envelope(_MAGIC, 4, "IIII", error=CorruptCheckpoint)
-_FORMAT_3 = Envelope(_MAGIC, 3, "IQQ", error=CorruptCheckpoint)
-#: How each format this build reads is read, by its format field: the
-#: envelope, ``meta``, part header, pools and whether its bank is this
-#: build's.
-_READS = {b"\7\0": (_FILE, _META, _PART, _POOLS, True),
-          b"\6\0": (_FORMAT_6, _META_6, _PART, _POOLS, True),
-          b"\5\0": (_FORMAT_5, _META_6, _PART_5, _POOLS_5, False),
-          b"\4\0": (_FORMAT_4, _META_4, _PART_5, _POOLS_5, False)}
-# Formats 1 and 2: raw body, the digest over the body alone.
-_RAW_HEADER = struct.Struct("<4sHHIQQ32s")
 
 
 class Reader:
@@ -204,64 +175,27 @@ def dumps(payload) -> bytes:
                       aux=_LD_SIZE)
 
 
-def _reject_stale(data: bytes, version: int) -> NoReturn:
-    """An intact file of format 1-3 is stale; a damaged one corrupt."""
-    if version == 3:
-        _FORMAT_3.verify(data)
-    else:
-        intact = len(data) >= _RAW_HEADER.size
-        if intact:
-            *_, layout_len, f8_len, ld_len, digest = \
-                _RAW_HEADER.unpack_from(data)
-            body = memoryview(data)[_RAW_HEADER.size:]
-            intact = (len(body) == layout_len + f8_len + ld_len
-                      and sha256(body).digest() == digest)
-        if not intact:
-            raise CorruptCheckpoint(f"unreadable as format {version}")
-    raise StaleCheckpoint(f"format {version}, this build reads {_FORMAT}")
-
-
 def loads(data: bytes) -> Dict[str, Any]:
     """``{"meta": dict, "bank": Reader, "accuracy": Reader}``, a part the
-    file does not hold left out (a format-4 or -5 file's bank, always);
-    raises :class:`CorruptCheckpoint` on anything off and
-    :class:`StaleCheckpoint` for an intact file of format 1-3 or newer.
-    A format-4 to -6 file's ``meta`` comes back as format 7 has it."""
-    if data[:4] == _MAGIC and data[4:6] in (b"\1\0", b"\2\0", b"\3\0"):
-        _reject_stale(data, data[4])
-    newer = newer_format(
-        data, (_FORMAT_3, _FORMAT_4, _FORMAT_5, _FORMAT_6, _FILE))
-    if newer:
-        raise StaleCheckpoint(f"format {newer}, this build reads {_FORMAT}")
-    envelope, meta, part, pools, bank = _READS.get(
-        bytes(data[4:6]), _READS[b"\7\0"])
-    head = envelope.verify(data)
+    file does not hold left out; raises :class:`CorruptCheckpoint` on
+    anything off and :class:`StaleCheckpoint` for a file of another
+    format."""
+    foreign = foreign_format(data, (_FILE,))
+    if foreign is not None:
+        raise StaleCheckpoint(f"format {foreign}, this build reads {_FORMAT}")
+    head = _FILE.verify(data)
     if head.aux != _LD_SIZE:
         raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
     if any(length % dtype.itemsize
-           for length, dtype in zip(head.lengths[1:], pools)):
+           for length, dtype in zip(head.lengths[1:], _POOLS)):
         raise CorruptCheckpoint("pool length is not a whole number of items")
-    fixed, *sections = envelope.inflate(head)
+    fixed, *sections = _FILE.inflate(head)
     src = Reader(fixed, *(np.frombuffer(section, dtype)
-                          for section, dtype in zip(sections, pools)))
-    fields, spelled = src.unpack(meta), {}
-    if meta is not _META:
-        # Formats 4-6 spelled out the link's name, which its directory
-        # gives, and the classification.
-        *fields, link_len, classification_len = fields
-        src.raw(link_len)
-        try:
-            spelled["classification"] = fingerprint(
-                src.raw(classification_len).decode())
-        except UnicodeDecodeError as exc:
-            raise CorruptCheckpoint(f"undecodable name: {exc}") from None
-    # Format 4 stored no row_digest: the default stands for it.
-    state: Dict[str, Any] = {"meta": {
-        **_META_DEFAULTS, **dict(zip(_META_DEFAULTS, fields)), **spelled}}
-    for name, counts in [(name, src.unpack(part)) for name in _PARTS]:
+                          for section, dtype in zip(sections, _POOLS)))
+    state: Dict[str, Any] = {"meta": dict(zip(_META_DEFAULTS,
+                                              src.unpack(_META)))}
+    for name, counts in [(name, src.unpack(_PART)) for name in _PARTS]:
         if counts[0]:
             state[name] = src.part(counts)
     src.finish()
-    if not bank:
-        state.pop("bank", None)  # a bank this build does not read
     return state

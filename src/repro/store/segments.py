@@ -23,16 +23,15 @@ only one that knows the layout: the store seals and loads through
 Reads pass through the ``store.segment`` fault site so the chaos suite
 can corrupt or truncate them; anything whose digest, lengths or stream
 disagree raises :class:`CorruptSegment` and the store quarantines the
-file.  A file whose magic is intact but whose format is newer than this
-build raises :class:`UnknownSegmentFormat` instead
-(:func:`repro.envelope.newer_format`), and the store leaves it where it
-lies: it is primary data some other build can read.  Earlier
+file.  A file whose magic is intact but whose format this build does
+not read raises :class:`UnknownSegmentFormat` instead
+(:func:`repro.envelope.foreign_format`), and the store leaves it where
+it lies: it is primary data some other build can read.  Earlier
 builds' files are primary data too, so they are read, never written: a
 format-1 ``.col`` (the same header, every column row-major), picked by
-the header's format as :func:`repro.store.checkpoint.loads` picks formats
-4 and 5, and a ``seg-*.npz`` (by suffix, through ``np.load``).  A link's next
-seal rewrites the format-1 segment it extends as format 2; a ``.npz``
-stays as it is.  An earlier build's compaction wrote ``seg-full.col``:
+the header's format, and a ``seg-*.npz`` (by suffix, through
+``np.load``).  A link's next seal rewrites the format-1 segment it
+extends as format 2; a ``.npz`` stays as it is.  An earlier build's compaction wrote ``seg-full.col``:
 it is read like any other segment, and the store's recovery sweeps the
 segments whose rows it covers.
 """
@@ -47,7 +46,7 @@ import numpy as np
 
 from repro import faults as _faults
 from repro.digests import sha256
-from repro.envelope import Envelope, Verified, atomic_write, newer_format
+from repro.envelope import Envelope, Verified, atomic_write, foreign_format
 
 __all__ = ["CorruptSegment", "SegmentData", "UnknownSegmentFormat",
            "is_segment_name", "segment_name", "write_segment", "read_framing",
@@ -64,7 +63,7 @@ class CorruptSegment(Exception):
 
 
 class UnknownSegmentFormat(CorruptSegment):
-    """An intact magic ahead of a format newer than this build reads.
+    """An intact magic ahead of a format this build does not read.
 
     Nothing is known to be wrong with the file, so it is not quarantined;
     the link it belongs to cannot be served until a build that reads it
@@ -141,10 +140,10 @@ def _read(path: Path) -> bytes:
 def _header(path: Path) -> Tuple[Envelope, Verified]:
     """The file's envelope (format 1 or 2) and its verified header."""
     data = _read(path)
-    newer = newer_format(data, (_FORMAT_1, _FILE))
-    if newer:
+    foreign = foreign_format(data, (_FORMAT_1, _FILE))
+    if foreign is not None:
         raise UnknownSegmentFormat(
-            f"{path}: format {newer}, this build reads 1-{_FILE.version}")
+            f"{path}: format {foreign}, this build reads 1-{_FILE.version}")
     envelope = _FORMAT_1 if data[4:6] == b"\1\0" else _FILE
     head = envelope.verify(data)
     rows = head.meta[1]
@@ -165,7 +164,7 @@ def read_segment(path: Path) -> SegmentData:
     """Read, verify and inflate one segment.
 
     Raises :class:`CorruptSegment` on anything untrustworthy (its
-    subclass :class:`UnknownSegmentFormat` on a newer format) and
+    subclass :class:`UnknownSegmentFormat` on a foreign format) and
     ``FileNotFoundError`` when the file is simply absent.
     """
     if path.suffix == _LEGACY_SUFFIX:

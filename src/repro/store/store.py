@@ -51,7 +51,7 @@ Durability contract
   theirs.  The digest decides what that does to the checkpoint: one whose
   rows ``[0, n)`` are no longer the rows it hashed is stale, revival
   rebuilds from the survivors, and the next checkpoint covers them.
-* A segment of a format newer than this build reads is not damage: it
+* A segment of a format this build does not read is not damage: it
   stays where it is, nothing is counted, and every call that recovers
   its link raises :class:`~repro.store.segments.UnknownSegmentFormat`
   (a request for that link answers an in-band error; other links are
@@ -711,7 +711,7 @@ class LinkStore:
             self, meta: _LinkMeta, seg: _Segment) -> Optional[_segments.SegmentData]:
         """One segment's rows, or None for a file that cannot be trusted:
         it is quarantined and leaves the segment list, its rows a gap.
-        A newer format raises :class:`~repro.store.segments.UnknownSegmentFormat`
+        A foreign format raises :class:`~repro.store.segments.UnknownSegmentFormat`
         and stays."""
         try:
             return _segments.read_segment(seg.path)
@@ -766,10 +766,10 @@ class LinkStore:
             return True
 
     def read_checkpoint(self, link: str) -> Optional[dict]:
-        """The link's checkpoint state, or None (absent, format 1-3 or
-        newer than this build's, or corrupt and now quarantined); a
-        format-4 or -5 file comes back without its bank part
-        (:func:`repro.store.checkpoint.loads`)."""
+        """The link's checkpoint state, or None (absent, or corrupt and
+        now quarantined).  A file of a format this build does not read
+        raises :class:`~repro.store.checkpoint.StaleCheckpoint` and stays
+        where it is until the link's next checkpoint replaces it."""
         observed = _obs_enabled()
         started = time.perf_counter() if observed else 0.0
         with self._lock_for(link):
@@ -789,9 +789,7 @@ class LinkStore:
             try:
                 state = _checkpoint.loads(raw)
             except _checkpoint.StaleCheckpoint:
-                # Intact, just another format: rebuild from the rows and
-                # let the next checkpoint overwrite it.
-                return None
+                raise
             except Exception:
                 self._quarantine_file(meta, path, kind="checkpoint")
                 return None

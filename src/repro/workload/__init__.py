@@ -11,7 +11,8 @@
   August/December campaigns over both links (optionally with concurrent
   NWS sensors) and hand back the logs the evaluation consumes.
 * :mod:`repro.workload.open_workload` — Poisson-arrival request streams
-  used by the replica-selection example and ablation.
+  for logical files, the setting of the replica-selection example
+  (``examples/replica_selection.py``).
 """
 
 from repro.workload.scenarios import Testbed, build_testbed, AUG_2001, DEC_2001, PAPER_SIZES

@@ -1,10 +1,10 @@
 """Open (Poisson) request workloads.
 
 The controlled campaign is closed-loop: one transfer at a time, then a
-sleep.  The replica-selection example and ablation need an *open* workload
-— requests for logical files arriving at random times regardless of
-whether earlier transfers finished — to show the broker choosing among
-sources under drifting load.
+sleep.  Replica selection (``examples/replica_selection.py``) is an
+*open* workload — requests for logical files arriving at random times
+regardless of whether earlier transfers finished — in which the broker
+chooses among sources under drifting load.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class OpenWorkload:
 
     The handler performs whatever action the experiment studies (e.g.
     "ask the broker, then do the transfer"); the workload only owns the
-    arrival process, so the same stream drives both the predictive broker
-    and its baselines in an ablation.
+    arrival process, so the same stream can drive the predictive broker
+    and the random choice the replica-selection example compares it with.
     """
 
     def __init__(

@@ -142,8 +142,8 @@ class TestCheckpointFaults:
 
     def test_stale_format_checkpoint_rebuilds_without_quarantine(
             self, tmp_path, baseline):
-        """Stale is not corrupt: an intact checkpoint of an older format
-        costs a rebuild, and the next checkpoint overwrites it."""
+        """Stale is not corrupt: a checkpoint of an older format costs a
+        counted rebuild, and the next checkpoint overwrites it."""
         from repro.obs import get_registry
         from repro.store import checkpoint as ck
 
@@ -164,6 +164,8 @@ class TestCheckpointFaults:
         second = PredictionService(store=LinkStore(tmp_path / "state"))
         assert _answers(second) == baseline
         assert second.status()["store"]["revivals"] == len(LOGS)
+        stale = second.metrics.snapshot()["store_checkpoints_stale"]
+        assert stale["value"] == len(LOGS)  # each a rebuild, reason=format
         assert _quarantined(tmp_path / "state") == []
         assert counter.value == before
         # The rebuilt links are dirty against the stale file: the next

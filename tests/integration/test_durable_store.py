@@ -417,158 +417,18 @@ class TestUpgrade:
         assert _interleaved(warm) == expected
         assert quarantined.value == before
 
-    def test_format_3_checkpoint_costs_one_rebuild_and_is_rewritten(
-            self, tmp_path):
-        """A state dir written before checkpoint format 4: the file is
-        intact but stale, so the link's first touch rebuilds it from its
-        rows, nothing is quarantined, and its next eviction leaves a
-        current file that the touch after that revives from."""
+    @pytest.mark.parametrize("format_", [3, 4, 5, 6])
+    def test_an_earlier_checkpoint_costs_one_rebuild(
+            self, tmp_path, format_):
+        """A state dir written before checkpoint format 7: the file is
+        stale, so the link's first touch rebuilds it from its rows
+        (counted, nothing quarantined, version continuous), its online
+        accuracy starts again, it answers ``repr``-identically to a link
+        that folded the same rows, and its next dirty eviction leaves a
+        format-7 file that the revival after it loads."""
         from repro.obs import get_registry
-        from repro.store import checkpoint as ck
-        from tests.unit.test_store import FORMAT_3_FILE, stale_link_records
-
-        def seeded(root):
-            service = PredictionService(store=LinkStore(root), max_resident=1)
-            for record in stale_link_records():
-                service.observe("stale", record)
-            service.observe("other", stale_link_records()[0])  # evicts "stale"
-            return service
-
-        fresh = seeded(tmp_path / "fresh")
-        old = seeded(tmp_path / "old")
-        path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
-        assert path.read_bytes()[:6] == b"RSCK\7\0"
-        path.write_bytes(FORMAT_3_FILE.read_bytes())
-        old.store.close()
-
-        quarantined = get_registry().counter("store_quarantined", "")
-        before = quarantined.value
-        served = PredictionService(
-            store=LinkStore(tmp_path / "old"), max_resident=1)
-        for round_, how in enumerate(["rebuild", "checkpoint"]):
-            assert _answers(served) == _answers(fresh)
-            revivals = [event.fields["how"]
-                        for event in served.trace.events(kind="revive")
-                        if event.fields["link"] == "stale"]
-            assert revivals[round_] == how
-            if round_ == 0:
-                assert path.read_bytes()[:6] == b"RSCK\3\0"  # left in place
-                served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale"
-                assert path.read_bytes()[:6] == b"RSCK\7\0"
-                assert ck.loads(path.read_bytes())["meta"]["n"] == 30
-        assert quarantined.value == before
-        assert not list((tmp_path / "old").rglob("*.quarantined"))
-        assert sorted(p.name for p in path.parent.iterdir() if
-                      p.name.startswith("checkpoint")) == ["checkpoint.bin"]
-
-
-    def test_format_4_checkpoint_reads_stale_and_keeps_its_accuracy(
-            self, tmp_path):
-        """The file the commit before format 5 wrote for a link whose
-        answers were scored: its bank is rebuilt from the link's rows
-        (one stale revival, nothing quarantined), and its accuracy part
-        is what the restarted service reports for the link."""
-        from repro.obs import get_registry
-        from tests.unit.test_store import FORMAT_4_FILE, stale_link_records
-
-        def seeded(root):
-            service = PredictionService(
-                store=LinkStore(root), max_resident=1, clock=lambda: 0.0)
-            for record in stale_link_records():
-                service.predict("stale", record.file_size, now=record.end_time)
-                service.observe("stale", record)
-            service.observe("other", stale_link_records()[0])  # evicts "stale"
-            return service
-
-        fresh = seeded(tmp_path / "fresh")
-        seeded(tmp_path / "old").store.close()
-        path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
-        path.write_bytes(FORMAT_4_FILE.read_bytes())
-
-        quarantined = get_registry().counter("store_quarantined", "")
-        before = quarantined.value
-        served = PredictionService(store=LinkStore(tmp_path / "old"),
-                                   max_resident=1, clock=lambda: 0.0)
-        assert served.version("stale") == 30
-        accuracy = served.status()["accuracy"]["links"]["stale"]
-        assert accuracy == fresh.status()["accuracy"]["links"]["stale"]
-        assert accuracy["overall"]["count"] == 26
-        (event,) = served.trace.events(kind="revive")
-        assert (event.fields["how"], event.fields["reason"]) == ("rebuild", "format")
-        stale = served.metrics.snapshot()["store_checkpoints_stale"]
-        assert [(s["labels"], s["value"]) for s in stale["series"]] == [
-            ({"reason": "format"}, 1.0)]
-        # Answering "other" evicts "stale", which writes format 7 over
-        # the old file, and every later revival loads it.
-        for _ in range(2):
-            assert _answers(served) == _answers(fresh)
-        assert path.read_bytes()[:6] == b"RSCK\7\0"
-        hows = [e.fields["how"] for e in served.trace.events(kind="revive")
-                if e.fields["link"] == "stale"]
-        assert hows == ["rebuild", "checkpoint", "checkpoint"]
-        assert quarantined.value == before
-        assert not list((tmp_path / "old").rglob("*.quarantined"))
-
-
-    def test_format_5_checkpoint_reads_stale_and_keeps_its_accuracy(
-            self, tmp_path):
-        """The file the commit before format 6 wrote for a link whose
-        answers were scored (format 5 stored the min chains and every
-        count): its bank is rebuilt from the link's rows (one stale
-        revival, nothing quarantined), and its accuracy part is what the
-        restarted service reports for the link."""
-        from repro.obs import get_registry
-        from tests.unit.test_store import FORMAT_5_FILE, stale_link_records
-
-        def seeded(root):
-            service = PredictionService(
-                store=LinkStore(root), max_resident=1, clock=lambda: 0.0)
-            for record in stale_link_records():
-                service.predict("stale", record.file_size, now=record.end_time)
-                service.observe("stale", record)
-            service.observe("other", stale_link_records()[0])  # evicts "stale"
-            return service
-
-        fresh = seeded(tmp_path / "fresh")
-        seeded(tmp_path / "old").store.close()
-        path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
-        written_by_the_parent_commit = FORMAT_5_FILE.read_bytes()
-        assert written_by_the_parent_commit[:6] == b"RSCK\5\0"
-        path.write_bytes(written_by_the_parent_commit)
-
-        quarantined = get_registry().counter("store_quarantined", "")
-        before = quarantined.value
-        served = PredictionService(store=LinkStore(tmp_path / "old"),
-                                   max_resident=1, clock=lambda: 0.0)
-        assert served.version("stale") == 30
-        accuracy = served.status()["accuracy"]["links"]["stale"]
-        assert accuracy == fresh.status()["accuracy"]["links"]["stale"]
-        assert accuracy["overall"]["count"] == 26
-        (event,) = served.trace.events(kind="revive")
-        assert (event.fields["how"], event.fields["reason"]) == ("rebuild", "format")
-        stale = served.metrics.snapshot()["store_checkpoints_stale"]
-        assert [(s["labels"], s["value"]) for s in stale["series"]] == [
-            ({"reason": "format"}, 1.0)]
-        # Answering "other" evicts "stale", which writes format 7 over
-        # the old file, and every later revival loads it.
-        for _ in range(2):
-            assert _answers(served) == _answers(fresh)
-        assert path.read_bytes()[:6] == b"RSCK\7\0"
-        hows = [e.fields["how"] for e in served.trace.events(kind="revive")
-                if e.fields["link"] == "stale"]
-        assert hows == ["rebuild", "checkpoint", "checkpoint"]
-        assert quarantined.value == before
-        assert not list((tmp_path / "old").rglob("*.quarantined"))
-
-    def test_format_6_checkpoint_loads_its_bank_and_is_rewritten_as_7(
-            self, tmp_path):
-        """The file the commit before format 7 wrote, link name and
-        classification string in its ``meta``: its bank loads over the
-        link's rows (no rebuild, nothing stale, nothing quarantined), the
-        link answers ``repr``-identically to one that folded the same
-        rows, and its next dirty eviction leaves format 7."""
-        from repro.obs import get_registry
-        from tests.unit.test_store import FORMAT_6_FILE, stale_link_records
+        from tests.unit.test_store import (EARLIER_CHECKPOINTS,
+                                           stale_link_records)
 
         records = stale_link_records()
 
@@ -586,40 +446,33 @@ class TestUpgrade:
         assert old.checkpoint_all() == 1  # "other"
         old.store.close()
         path = tmp_path / "old" / "links" / "stale" / "checkpoint.bin"
-        written_by_the_parent_commit = FORMAT_6_FILE.read_bytes()
-        assert written_by_the_parent_commit[:6] == b"RSCK\6\0"
-        path.write_bytes(written_by_the_parent_commit)
+        written_by_an_earlier_commit = EARLIER_CHECKPOINTS[format_].read_bytes()
+        assert written_by_an_earlier_commit[:6] == b"RSCK" + bytes([format_, 0])
+        path.write_bytes(written_by_an_earlier_commit)
 
         quarantined = get_registry().counter("store_quarantined", "")
         before = quarantined.value
         served = PredictionService(store=LinkStore(tmp_path / "old"),
                                    max_resident=1, clock=lambda: 0.0)
         assert served.version("stale") == 30
-        accuracy = served.status()["accuracy"]["links"]["stale"]
-        assert accuracy == folded.status()["accuracy"]["links"]["stale"]
-        assert accuracy["overall"]["count"] == 26
         (event,) = served.trace.events(kind="revive")
         assert (event.fields["how"], event.fields["reason"]) == (
-            "checkpoint", None)
-        # Every answer crosses an evict->revive; a clean eviction leaves
-        # the format-6 file where it is.
-        assert _interleaved(served) == _interleaved(folded)
-        assert path.read_bytes() == written_by_the_parent_commit
-        later = dataclasses.replace(
-            records[-1], start_time=records[-1].start_time + 3600.0,
-            end_time=records[-1].end_time + 3600.0)
-        for service in (served, folded):
-            service.observe("stale", later)
-            service.observe("other", records[1])  # evicts "stale", dirty
-        assert path.read_bytes()[:6] == b"RSCK\7\0"
-        assert _interleaved(served) == _interleaved(folded)
+            "rebuild", "format")
         snapshot = served.metrics.snapshot()
-        assert {e.fields["how"] for e in served.trace.events(kind="revive")
-                if e.fields["link"] == "stale"} == {"checkpoint"}
-        assert [s["labels"] for s in snapshot["service_link_revivals"][
-            "series"]] == [{"how": "checkpoint"}]
-        assert snapshot["store_checkpoints_stale"]["value"] == 0
-        assert snapshot["streaming_rebuilds"]["value"] == 0
+        assert [(s["labels"], s["value"]) for s in snapshot[
+            "store_checkpoints_stale"]["series"]] == [({"reason": "format"}, 1.0)]
+        assert snapshot["streaming_rebuilds"]["value"] == 1
+        assert "stale" not in served.status()["accuracy"]["links"]
+        assert path.read_bytes() == written_by_an_earlier_commit  # left in place
+
+        served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale", dirty
+        assert path.read_bytes()[:6] == b"RSCK\7\0"
+        served.predict("stale", 10 * MB, "LV", now=NOW)  # evicts "other"
+        assert [e.fields["how"] for e in served.trace.events(kind="revive")
+                if e.fields["link"] == "stale"] == ["rebuild", "checkpoint"]
+        # Every answer crosses an evict->revive, and none rebuilds.
+        assert _interleaved(served) == _interleaved(folded)
+        assert served.metrics.snapshot()["streaming_rebuilds"]["value"] == 1
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 

@@ -168,8 +168,16 @@ class TestCache:
         assert not quarantined.exists()
         assert sidecar.read_bytes()[4:6] == bytes([CACHE_VERSION, 0])
         assert read_cache_status(sidecar, digest)[0].equals(frame)
-        # ... and as a build with another cache layout wrote it: corrupt.
+        # ... and as a build with another cache layout wrote it: stale
+        # too, whatever its body, and overwritten in place.
         written_by(999, digest)
+        assert read_cache_status(sidecar, digest) == (None, "stale")
+        assert load_ulm(log_path).equals(frame)
+        assert not quarantined.exists()
+        # This build's file with a flipped format field: corrupt.
+        current = sidecar.read_bytes()
+        sidecar.write_bytes(current[:4] + bytes([CACHE_VERSION ^ 4, 0])
+                            + current[6:])
         assert read_cache_status(sidecar, digest) == (None, "corrupt")
         assert load_ulm(log_path).equals(frame)  # reparses and rewrites
         assert quarantined.exists()

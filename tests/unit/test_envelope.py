@@ -4,7 +4,9 @@ One decoder contract, three kinds of file (checkpoint, sealed segment
 in its current format and in the one it still reads, ingest sidecar):
 damaged bytes raise the kind's own error — or read as status
 ``"corrupt"`` for the sidecar — and nothing else, never a decoded
-value; and nothing is inflated past what the verified header declared.
+value; nothing is inflated past what the verified header declared; and
+a file of a format the kind does not read is another build's, by one
+rule for all three.
 Each kind's header is packed by hand here, so the tests pin the bytes,
 and so is the deflate level each kind writes at.
 """
@@ -28,7 +30,7 @@ from repro.store import CorruptCheckpoint, CorruptSegment
 from repro.store import checkpoint as ck
 from repro.store import segments as seg
 from tests.conftest import make_record
-from tests.unit.test_store import LD_SIZE, revive, small_bank
+from tests.unit.test_store import LD_SIZE, as_format_2, revive, small_bank
 
 LOG_DIGEST = hashlib.sha256(b"the log's bytes").hexdigest()
 
@@ -40,10 +42,11 @@ class Kind:
     def __init__(self, tmp_path):
         self.path = tmp_path / self.name
 
-    def frame(self, stored, lengths, meta=None):
+    def frame(self, stored, lengths, meta=None, version=None):
         """A file of this kind around ``stored`` whose digest verifies."""
         fields = self.fields.pack(
-            self.magic, self.version, self.aux, len(stored), *lengths,
+            self.magic, self.version if version is None else version,
+            self.aux, len(stored), *lengths,
             *(self.meta if meta is None else meta))
         return fields + hashlib.sha256(fields + stored).digest() + stored
 
@@ -52,6 +55,7 @@ class CheckpointKind(Kind):
     name = "checkpoint.bin"
     fields = struct.Struct("<4sHHIIII")
     magic, version, aux, meta = b"RSCK", 7, LD_SIZE, ()
+    readable = (7,)
     level = 6
     error = CorruptCheckpoint
     bomb_lengths = (1024, 0, 0)
@@ -63,11 +67,16 @@ class CheckpointKind(Kind):
     def decode(self, data):
         return revive(data)  # the file, then the bank's reading of it
 
+    def assert_foreign(self, data, format_):
+        with pytest.raises(ck.StaleCheckpoint, match=f"format {format_},"):
+            self.decode(data)
+
 
 class SegmentKind(Kind):
     name = "seg-000000000007.col"
     fields = struct.Struct("<4sHHIIIIIQQQ")
     magic, version, aux, meta = b"RSSG", 2, 0, (7, 40, 0)
+    readable = (1, 2)
     level = 6
     error = CorruptSegment
     bomb_lengths = (320, 320, 320, 40)  # what 40 rows declare: 1,000 B
@@ -83,6 +92,10 @@ class SegmentKind(Kind):
         data = seg.read_segment(self.path)
         assert [column.tolist() for column in data[3:]] == list(self.ROWS)
         return data
+
+    def assert_foreign(self, data, format_):
+        with pytest.raises(seg.UnknownSegmentFormat, match=f"format {format_},"):
+            self.decode(data)
 
 
 class Format1SegmentKind(SegmentKind):
@@ -102,6 +115,7 @@ class SidecarKind(Kind):
     name = "x.ulm.col"
     fields = struct.Struct("<4sHHI10I32sI")
     magic, version, aux = b"RSUL", 3, 0
+    readable = (3,)
     meta = (bytes.fromhex(LOG_DIGEST), 128)
     level = 1  # a cache written on serve's cold start
     error = CorruptFile
@@ -119,6 +133,9 @@ class SidecarKind(Kind):
         if status == "corrupt" and frame is None:
             raise CorruptFile("status corrupt")
         return frame, status
+
+    def assert_foreign(self, data, format_):
+        assert self.decode(data) == (None, "stale")
 
 
 @pytest.fixture(params=[CheckpointKind, SegmentKind, Format1SegmentKind,
@@ -157,6 +174,33 @@ def test_every_single_bit_flip_is_corrupt(kind):
             flipped[at] ^= 1 << bit
             with pytest.raises(kind.error):
                 kind.decode(bytes(flipped))
+
+
+def test_a_foreign_format_is_another_builds_and_a_flipped_one_corrupt(kind):
+    """:func:`repro.envelope.foreign_format`, through each kind: a file
+    written in a format the kind does not read, older or newer, is left
+    to the build that reads it (a derived file is stale, a segment its
+    own error), whatever its body; this build's file with any bit of its
+    format field flipped is corrupt."""
+    blob = kind.blob()
+    rest = kind.fields.unpack_from(blob)[4:]
+    stored, sections = blob[kind.fields.size + 32:], len(kind.bomb_lengths)
+    for format_ in sorted(set(range(9)) - set(kind.readable)) + [0xFFFF]:
+        kind.assert_foreign(kind.frame(stored, rest[:sections],
+                                       rest[sections:], version=format_),
+                            format_)
+    for bit in range(16):
+        flipped = bytearray(blob)
+        flipped[4 + bit // 8] ^= 1 << bit % 8
+        with pytest.raises(kind.error) as err:
+            kind.decode(bytes(flipped))
+        assert type(err.value) is kind.error, bit
+    if isinstance(kind, CheckpointKind):
+        # Formats 1 and 2 stored the body raw, the digest over it alone.
+        raw = as_format_2(blob)
+        for format_ in (1, 2):
+            kind.assert_foreign(
+                raw[:4] + struct.pack("<H", format_) + raw[6:], format_)
 
 
 def test_inflate_stops_at_the_declared_lengths(kind):

@@ -300,21 +300,15 @@ def as_npz_state_dir(root):
 # ----------------------------------------------------------------------
 LD_SIZE = np.dtype(np.longdouble).itemsize
 CLS = paper_classification()
-# The checkpoint header of format 7 (and 6), packed by hand here so the
-# tests pin the bytes: magic, format, long-double width, stored length,
-# then the raw lengths of the fixed section and the ld and f8 pools.
-# Formats 4 and 5 had one more length, of an idx pool.
+# The checkpoint header of format 7, packed by hand here so the tests
+# pin the bytes: magic, format, long-double width, stored length, then
+# the raw lengths of the fixed section and the ld and f8 pools.
 CHECKPOINT_FIELDS = struct.Struct("<4sHHIIII")
 DATA = Path(__file__).resolve().parents[1] / "data"
 #: Checkpoints written by the commits before formats 4, 5, 6 and 7, for a
 #: 30-row, 4-class link (``stale_link_records``); see tests/data/README.md.
-FORMAT_3_FILE = DATA / "checkpoint-format3.bin"
-FORMAT_4_FILE = DATA / "checkpoint-format4.bin"
-FORMAT_5_FILE = DATA / "checkpoint-format5.bin"
-FORMAT_6_FILE = DATA / "checkpoint-format6.bin"
-#: The text ``Residency`` fingerprints for ``paper_classification()``,
-#: which format 6 stored as it stands.
-PAPER_CLASSIFICATION = "50000000,250000000,750000000|10MB,100MB,500MB,1GB"
+EARLIER_CHECKPOINTS = {format_: DATA / f"checkpoint-format{format_}.bin"
+                       for format_ in (3, 4, 5, 6)}
 #: The same link's sealed segment as the commit before segment format 2
 #: wrote it (see tests/data/README.md).
 FORMAT_1_SEGMENT = DATA / "segment-format1.col"
@@ -323,7 +317,7 @@ SMALL_SIZES = np.array([10 * MB, 100 * MB, 500 * MB, 1 * GB], dtype=np.int64)
 
 def stale_link_records():
     """The 30 records, one size class after another, whose link
-    ``FORMAT_3_FILE`` to ``FORMAT_6_FILE`` are checkpoints of."""
+    ``EARLIER_CHECKPOINTS`` are checkpoints of."""
     sizes = (10 * MB, 100 * MB, 500 * MB, 1 * GB)
     return [make_record(start=1_000_000.0 + 3600.0 * i, duration=10.0 + i % 7,
                         size=sizes[i % 4]) for i in range(30)]
@@ -609,74 +603,6 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpoint, match="foreign ABI"):
             ck.loads(Tampered().blob(ld_size=LD_SIZE ^ 4))
 
-    def test_format_4_reads_its_meta_and_accuracy_and_no_bank(self):
-        written_by_the_parent_commit = FORMAT_4_FILE.read_bytes()
-        assert written_by_the_parent_commit[:6] == b"RSCK\4\0"
-        old = ck.loads(written_by_the_parent_commit)
-        assert set(old) == {"meta", "accuracy"}
-        assert old["meta"]["n"] == old["meta"]["version"] == 30
-        assert old["meta"]["classification"] == ck.fingerprint(
-            PAPER_CLASSIFICATION)
-        assert old["meta"]["row_digest"] == bytes(16)
-        from repro.obs.quality import AccuracyTracker
-
-        tracker = AccuracyTracker()
-        assert tracker.load_link_state("stale", old["accuracy"])
-        assert tracker.status()["links"]["stale"]["overall"]["count"] == 26
-        damaged = bytearray(written_by_the_parent_commit)
-        damaged[-1] ^= 0x01
-        with pytest.raises(CorruptCheckpoint):
-            ck.loads(bytes(damaged))
-
-    def test_format_5_reads_its_meta_and_accuracy_and_no_bank(self):
-        written_by_the_parent_commit = FORMAT_5_FILE.read_bytes()
-        assert written_by_the_parent_commit[:6] == b"RSCK\5\0"
-        old = ck.loads(written_by_the_parent_commit)
-        assert set(old) == {"meta", "accuracy"}
-        assert old["meta"]["n"] == old["meta"]["version"] == 30
-        assert old["meta"]["classification"] == ck.fingerprint(
-            PAPER_CLASSIFICATION)
-        assert old["meta"]["row_digest"] != bytes(16)
-        from repro.obs.quality import AccuracyTracker
-
-        tracker = AccuracyTracker()
-        assert tracker.load_link_state("stale", old["accuracy"])
-        assert tracker.status()["links"]["stale"]["overall"]["count"] == 26
-        damaged = bytearray(written_by_the_parent_commit)
-        damaged[-1] ^= 0x01
-        with pytest.raises(CorruptCheckpoint):
-            ck.loads(bytes(damaged))
-
-    def test_format_6_reads_whole_with_its_classification_as_a_digest(self):
-        from repro.service.state import row_digest
-
-        written_by_the_parent_commit = FORMAT_6_FILE.read_bytes()
-        assert written_by_the_parent_commit[:6] == b"RSCK\6\0"
-        old = ck.loads(written_by_the_parent_commit)
-        assert set(old) == {"meta", "bank", "accuracy"}
-        assert old["meta"] == {
-            "version": 30, "n": 30,
-            "row_digest": old["meta"]["row_digest"],
-            "classification": ck.fingerprint(PAPER_CLASSIFICATION)}
-        times = np.array([r.end_time for r in stale_link_records()])
-        values = np.array([r.bandwidth for r in stale_link_records()])
-        sizes = np.array([r.file_size for r in stale_link_records()])
-        assert old["meta"]["row_digest"] == row_digest(
-            times, values, sizes).digest()
-        bank, folded = StreamingBank(CLS), StreamingBank(CLS)
-        bank.load_state(old["bank"], times, values, sizes)
-        for row in zip(times.tolist(), values.tolist(), sizes.tolist()):
-            folded.add(*row, 0)
-        assert repr(bank.state()) == repr(folded.state())
-        # Written again, the same state is format 7 with the same meta.
-        again = ck.dumps({"meta": old["meta"], "bank": bank.state()})
-        assert again[:6] == b"RSCK\7\0"
-        assert ck.loads(again)["meta"] == old["meta"]
-        damaged = bytearray(written_by_the_parent_commit)
-        damaged[-1] ^= 0x01
-        with pytest.raises(CorruptCheckpoint):
-            ck.loads(bytes(damaged))
-
     def test_a_newer_format_is_stale_and_a_flipped_format_field_corrupt(self):
         # What a later build might write: the same magic, any layout.
         newer = Envelope(b"RSCK", 8, "IIII", error=CorruptCheckpoint).pack(
@@ -693,28 +619,30 @@ class TestCheckpoint:
             with pytest.raises(CorruptCheckpoint):
                 ck.loads(bytes(flipped))
 
-    def test_intact_format_2_is_stale_and_a_damaged_one_corrupt(self):
-        self._stale_then_corrupt(as_format_2(ck.dumps(small_payload())))
-
-    def test_intact_format_1_and_3_are_stale_and_damaged_ones_corrupt(self):
-        old = as_format_2(ck.dumps(small_payload()))
-        self._stale_then_corrupt(old[:4] + struct.pack("<H", 1) + old[6:])
-        written_by_the_parent_commit = FORMAT_3_FILE.read_bytes()
-        assert written_by_the_parent_commit[:6] == b"RSCK\3\0"
-        self._stale_then_corrupt(written_by_the_parent_commit)
-
-    @staticmethod
-    def _stale_then_corrupt(old):
-        with pytest.raises(ck.StaleCheckpoint):
-            ck.loads(old)
+    @pytest.mark.parametrize("format_", [1, 2, 3, 4, 5, 6],
+                             ids=lambda format_: f"format-{format_}")
+    def test_an_earlier_format_is_stale_however_damaged(self, format_):
+        """Formats 1 and 2 stored the body raw, the digest over it alone;
+        3-6 are what the commits before formats 4-7 wrote.  This build
+        reads none of them, so it cannot tell their damage from their
+        layout: damaged or not, they are stale and left to the rows."""
+        if format_ in EARLIER_CHECKPOINTS:
+            old = EARLIER_CHECKPOINTS[format_].read_bytes()
+        else:
+            old = as_format_2(ck.dumps(small_payload()))
+            old = old[:4] + struct.pack("<H", format_) + old[6:]
+        assert old[:6] == b"RSCK" + struct.pack("<H", format_)
         damaged = bytearray(old)
         damaged[-1] ^= 0x01
-        with pytest.raises(CorruptCheckpoint):
-            ck.loads(bytes(damaged))
-        with pytest.raises(CorruptCheckpoint):
-            ck.loads(old[:-1])
-        with pytest.raises(CorruptCheckpoint):
-            ck.loads(old[:20])
+        for blob in (old, bytes(damaged), old[:-1], old[:6]):
+            with pytest.raises(ck.StaleCheckpoint,
+                               match=f"format {format_}, this build reads 7"):
+                ck.loads(blob)
+        # Damage to the magic, or a file too short to name its format,
+        # is still corrupt.
+        for blob in (b"rsck" + old[4:], old[:5]):
+            with pytest.raises(CorruptCheckpoint):
+                ck.loads(blob)
 
     def test_unlisted_scalar_types_pack_like_their_bases(self):
         meta = {"n": np.int32(7), "version": np.int64(9),
@@ -932,7 +860,8 @@ class TestLinkStore:
         path.write_bytes(as_format_2(path.read_bytes()))
         quarantined = get_registry().counter("store_quarantined", "")
         before = quarantined.value
-        assert store.read_checkpoint("x") is None
+        with pytest.raises(ck.StaleCheckpoint):
+            store.read_checkpoint("x")
         assert quarantined.value == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["checkpoint.bin"]
         assert store.write_checkpoint("x", small_payload())
@@ -949,7 +878,8 @@ class TestLinkStore:
         path.write_bytes(newer)
         quarantined = get_registry().counter("store_quarantined", "")
         before = quarantined.value
-        assert store.read_checkpoint("x") is None
+        with pytest.raises(ck.StaleCheckpoint):
+            store.read_checkpoint("x")
         assert quarantined.value == before
         assert path.read_bytes() == newer
         # The same field flipped in this build's own file: quarantined.
