@@ -36,7 +36,6 @@ from repro.core.predictors.registry import (
     KERNEL_SPECS,
     resolve_battery,
 )
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as _span
 
@@ -109,7 +108,6 @@ def evaluate(
     """
     chosen = select_engine(predictors, fallback=fallback)
     specs = _as_specs(predictors)
-    obs = _obs_enabled()
     t0 = time.perf_counter()
 
     with _span("evaluate", engine=chosen) as sp:
@@ -134,12 +132,11 @@ def evaluate(
                     specs, classification=classification, fallback=fallback
                 )
             result = generic_evaluate(data, battery, training=training)
-        if obs:
-            elapsed = time.perf_counter() - t0
-            # Parent series totals across engines; children split per engine.
-            _H_EVALUATE.observe(elapsed)
-            _H_EVALUATE.labels(engine=chosen).observe(elapsed)
-            sp.set_attribute("n_records", result.n_records)
+        elapsed = time.perf_counter() - t0
+        # Parent series totals across engines; children split per engine.
+        _H_EVALUATE.observe(elapsed)
+        _H_EVALUATE.labels(engine=chosen).observe(elapsed)
+        sp.set_attribute("n_records", result.n_records)
     return result
 
 
@@ -159,7 +156,6 @@ def evaluate_dataset(
     keep the dataset's link order; per-link results are those of
     standalone :func:`evaluate` calls.
     """
-    obs = _obs_enabled()
     results: Dict[str, EvaluationResult] = {}
     for link in dataset:
         started = time.perf_counter()
@@ -171,7 +167,6 @@ def evaluate_dataset(
                 classification=classification,
                 fallback=fallback,
             )
-        if obs:
-            _M_LINKS.inc()
-            _H_LINK.observe(time.perf_counter() - started)
+        _M_LINKS.inc()
+        _H_LINK.observe(time.perf_counter() - started)
     return results

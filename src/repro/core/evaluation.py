@@ -31,7 +31,6 @@ from repro.core.history import History
 from repro.core.predictors.base import Predictor
 from repro.data.frame import TransferFrame
 from repro.logs.record import TransferRecord
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
 
 #: Cumulative predict() time per predictor over one walk, one labeled
@@ -199,8 +198,7 @@ def evaluate(
     }
     abstentions = {name: 0 for name in predictors}
 
-    obs = _obs_enabled()
-    spent = {name: 0.0 for name in predictors} if obs else None
+    spent = {name: 0.0 for name in predictors}
 
     for i in range(training, n):
         prefix = history.prefix(i)
@@ -208,12 +206,9 @@ def evaluate(
         size = int(history.sizes[i])
         now = float(anchors[i])
         for name, predictor in predictors.items():
-            if obs:
-                t0 = time.perf_counter()
-                predicted = predictor.predict(prefix, target_size=size, now=now)
-                spent[name] += time.perf_counter() - t0
-            else:
-                predicted = predictor.predict(prefix, target_size=size, now=now)
+            t0 = time.perf_counter()
+            predicted = predictor.predict(prefix, target_size=size, now=now)
+            spent[name] += time.perf_counter() - t0
             if predicted is None:
                 abstentions[name] += 1
                 continue
@@ -224,7 +219,7 @@ def evaluate(
             bucket["s"].append(size)
             bucket["t"].append(now)
 
-    if obs and n > training:
+    if n > training:
         for name, seconds in spent.items():
             _H_PREDICTOR.labels(predictor=name).observe(seconds)
 

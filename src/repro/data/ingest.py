@@ -61,7 +61,6 @@ from repro.envelope import (Envelope, Verified, atomic_write, foreign_format,
 from repro.logs.record import INVARIANTS
 from repro.logs.ulm import _KEYS as _WRITER_KEYS
 from repro.logs.ulm import ULMError, parse_fields, parse_record
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as _span
@@ -243,8 +242,7 @@ def _build(columns: Sequence[Sequence[str]], kept: Sequence[str],
             streams=frame.streams, tcp_buffer=frame.buffers)
         if all(holds(columns).all() for _, holds in INVARIANTS):
             return frame
-    if _obs_enabled():
-        _M_FALLBACK.inc()
+    _M_FALLBACK.inc()
     return _reparse(kept, numbers)
 
 
@@ -389,7 +387,6 @@ def load_ulm(path: Union[str, Path], cache: bool = True) -> TransferFrame:
     ``cache=False`` to force a parse and skip sidecar reads and writes.
     """
     path = Path(path)
-    obs = _obs_enabled()
     t0 = time.perf_counter()
     with _span("ingest.load_ulm", path=str(path)) as sp:
         raw = path.read_bytes()
@@ -403,30 +400,28 @@ def load_ulm(path: Union[str, Path], cache: bool = True) -> TransferFrame:
             # A sidecar that cannot even deserialize never heals on its
             # own — move it aside loudly and rebuild from the log.
             quarantined = quarantine(sidecar)
-            if obs:
-                _M_QUARANTINED.inc()
-                get_event_bus().emit(
-                    "ingest.cache_quarantine", path=str(path),
-                    sidecar=str(sidecar),
-                    quarantined=str(quarantined) if quarantined else None,
-                )
+            _M_QUARANTINED.inc()
+            get_event_bus().emit(
+                "ingest.cache_quarantine", path=str(path),
+                sidecar=str(sidecar),
+                quarantined=str(quarantined) if quarantined else None,
+            )
         from_cache = frame is not None
         if frame is None:
             frame = parse_ulm_text(raw.decode("utf-8"))
             if cache:
                 write_cache(sidecar, digest, frame)
-        if obs:
-            elapsed = time.perf_counter() - t0
-            _M_BYTES.inc(len(raw))
-            (_M_CACHE_HITS if from_cache else _M_CACHE_MISSES).inc()
-            _M_RECORDS.inc(len(frame))
-            _H_LOAD.observe(elapsed)
-            if elapsed > 0:
-                _G_RATE.set(len(raw) / elapsed)
-            sp.set_attribute("records", len(frame))
-            sp.set_attribute("cached", from_cache)
-            get_event_bus().emit(
-                "ingest.load_ulm", path=str(path), records=len(frame),
-                cached=from_cache, bytes=len(raw),
-            )
+        elapsed = time.perf_counter() - t0
+        _M_BYTES.inc(len(raw))
+        (_M_CACHE_HITS if from_cache else _M_CACHE_MISSES).inc()
+        _M_RECORDS.inc(len(frame))
+        _H_LOAD.observe(elapsed)
+        if elapsed > 0:
+            _G_RATE.set(len(raw) / elapsed)
+        sp.set_attribute("records", len(frame))
+        sp.set_attribute("cached", from_cache)
+        get_event_bus().emit(
+            "ingest.load_ulm", path=str(path), records=len(frame),
+            cached=from_cache, bytes=len(raw),
+        )
     return frame

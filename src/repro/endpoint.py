@@ -56,7 +56,6 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro import wire
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import SpanContext, span
 from repro.resilience import Deadline, DeadlineExceeded
@@ -152,16 +151,14 @@ def answer(
         deadline.check("request")
         return {"ok": True, "v": wire.PROTOCOL_VERSION, **payload}
     except DeadlineExceeded as exc:
-        if _obs_enabled():
-            _M_DEADLINES.inc()
+        _M_DEADLINES.inc()
         return wire.error_response(
             "deadline_exceeded", f"DeadlineExceeded: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
         return wire.error_response(
             "bad_request", f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # the boundary: a connection thread never dies
-        if _obs_enabled():
-            _M_INTERNAL.inc()
+        _M_INTERNAL.inc()
         return wire.error_response(
             "internal", f"internal error: {type(exc).__name__}: {exc}")
 
@@ -196,9 +193,8 @@ class ConnectionHandler(socketserver.StreamRequestHandler):
 
     @staticmethod
     def _count(counter, protocol: str) -> None:
-        if _obs_enabled():
-            counter.inc()
-            counter.labels(protocol=protocol).inc()
+        counter.inc()
+        counter.labels(protocol=protocol).inc()
 
     def _write(self, data) -> bool:
         try:

@@ -41,7 +41,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Type
 
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 
@@ -154,15 +153,14 @@ class FaultInjector:
     def _record(self, site: str, fault: _Fault, ctx: Dict[str, object]) -> None:
         with self._lock:
             self.fired[site] = self.fired.get(site, 0) + 1
-        if _obs_enabled():
-            _M_INJECTED.inc()
-            get_event_bus().emit(
-                "fault.injected", site=site,
-                fault=(fault.error.__name__ if fault.error else
-                       "latency" if fault.latency else
-                       "truncate" if fault.truncate is not None else "corrupt"),
-                **{k: str(v) for k, v in ctx.items()},
-            )
+        _M_INJECTED.inc()
+        get_event_bus().emit(
+            "fault.injected", site=site,
+            fault=(fault.error.__name__ if fault.error else
+                   "latency" if fault.latency else
+                   "truncate" if fault.truncate is not None else "corrupt"),
+            **{k: str(v) for k, v in ctx.items()},
+        )
 
     def check(self, site: str, **ctx: object) -> None:
         """Fire scheduled error/latency faults for this call, if any."""

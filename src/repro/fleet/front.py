@@ -54,7 +54,6 @@ from repro import faults as _faults
 from repro import wire
 from repro.endpoint import Endpoint, answer
 from repro.fleet.hashing import ShardRing
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import current_span
@@ -86,8 +85,7 @@ def _error_of(failure: Exception) -> Tuple[str, str]:
     if isinstance(failure, ShardOverloaded):
         return "overloaded", str(failure)
     if isinstance(failure, ShardUnavailable):
-        if _obs_enabled():
-            _M_UNAVAILABLE.inc()
+        _M_UNAVAILABLE.inc()
         return "unavailable", str(failure)
     if isinstance(failure, wire.FrameError):  # never left the front
         return "bad_request", f"{type(failure).__name__}: {failure}"
@@ -179,8 +177,7 @@ class _ShardLink:
         frame = wire.FrameWriter().encode_request(req)
         with self._cond:
             if self.pending >= self.max_pending:
-                if _obs_enabled():
-                    _M_OVERLOADED.inc()
+                _M_OVERLOADED.inc()
                 raise ShardOverloaded(
                     f"shard {self.shard} is at its admission bound "
                     f"({self.max_pending} requests in flight); load shed"
@@ -412,8 +409,7 @@ class FleetFront:
     # dispatch
     # ------------------------------------------------------------------
     def _dispatch(self, req: Dict[str, Any], deadline: Deadline) -> Dict[str, Any]:
-        if _obs_enabled():
-            _M_REQUESTS.inc()
+        _M_REQUESTS.inc()
         return answer(req, deadline, self._route, span_prefix="front")
 
     def _route(
@@ -574,7 +570,7 @@ class FleetFront:
     # -- rank fan-out / merge ------------------------------------------
     def _route_rank(self, req: Dict[str, Any]) -> Dict[str, Any]:
         # Refused here as the worker would, before any fan-out.
-        wire.check_int("size", req["size"])
+        wire.check_size(req["size"])
         wire.check_now(req.get("now"))
         candidates = list(dict.fromkeys(wire.check_candidates(req["candidates"])))
         groups = self.ring.partition(candidates)
@@ -750,12 +746,11 @@ class FleetFront:
             entry = self._last_good.get((link_name, spec))
         if entry is None:
             return None
-        if _obs_enabled():
-            _M_FAILOVERS.inc()
-            get_event_bus().emit(
-                "fleet.failover", link=link_name,
-                spec=entry["spec"], version=entry["version"],
-            )
+        _M_FAILOVERS.inc()
+        get_event_bus().emit(
+            "fleet.failover", link=link_name,
+            spec=entry["spec"], version=entry["version"],
+        )
         return {
             "link": entry["link"],
             "spec": entry["spec"],

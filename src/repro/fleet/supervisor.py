@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import faults as _faults
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 
@@ -213,14 +212,13 @@ class WorkerSupervisor:
                         )
                         handle.proc = None
                         handle.respawn_at = now + delay
-                        if _obs_enabled():
-                            get_event_bus().emit(
-                                "fleet.worker_exit",
-                                shard=handle.spec.shard,
-                                exit_code=handle.last_exit,
-                                uptime=uptime,
-                                respawn_in=delay,
-                            )
+                        get_event_bus().emit(
+                            "fleet.worker_exit",
+                            shard=handle.spec.shard,
+                            exit_code=handle.last_exit,
+                            uptime=uptime,
+                            respawn_in=delay,
+                        )
                     if handle.respawn_at is not None and now >= handle.respawn_at:
                         try:
                             self._spawn(handle)
@@ -233,12 +231,11 @@ class WorkerSupervisor:
                             continue
                         handle.restarts += 1
                         _M_RESTARTS.inc()
-                        if _obs_enabled():
-                            get_event_bus().emit(
-                                "fleet.worker_respawn",
-                                shard=handle.spec.shard,
-                                restarts=handle.restarts,
-                            )
+                        get_event_bus().emit(
+                            "fleet.worker_respawn",
+                            shard=handle.spec.shard,
+                            restarts=handle.restarts,
+                        )
 
     def stop(self, graceful_timeout: float = 10.0) -> None:
         """Rolling shutdown: drain workers one at a time, then escalate.

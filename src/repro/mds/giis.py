@@ -29,7 +29,6 @@ from repro import faults as _faults
 from repro.mds.ldif import Entry
 from repro.mds.query import Filter, parse_filter
 from repro.mds.registration import SoftStateRegistry
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 from repro.resilience.breaker import CircuitBreaker
@@ -107,13 +106,11 @@ class GIIS:
         if source is self:
             raise ValueError("a GIIS cannot register with itself")
         self._registry.register(source.name, source, ttl or self.default_ttl, now)
-        if _obs_enabled():
-            _M_REGISTER.inc()
+        _M_REGISTER.inc()
 
     def renew(self, source_name: str, now: float) -> None:
         self._registry.renew(source_name, now)
-        if _obs_enabled():
-            _M_RENEW.inc()
+        _M_RENEW.inc()
 
     def registered(self, now: float) -> List[str]:
         """Names of currently live sources."""
@@ -161,13 +158,12 @@ class GIIS:
                 entries = registration.payload.search(now, parsed, base)
             except Exception as exc:
                 breaker.record_failure(now)
-                if _obs_enabled():
-                    _M_SOURCE_ERRORS.inc()
-                    get_event_bus().emit(
-                        "mds.giis_source_error", giis=self.name, source=name,
-                        error=f"{type(exc).__name__}: {exc}",
-                        breaker=breaker.state(now),
-                    )
+                _M_SOURCE_ERRORS.inc()
+                get_event_bus().emit(
+                    "mds.giis_source_error", giis=self.name, source=name,
+                    error=f"{type(exc).__name__}: {exc}",
+                    breaker=breaker.state(now),
+                )
             else:
                 breaker.record_success(now)
                 self._last_good[key] = entries
@@ -175,7 +171,7 @@ class GIIS:
         # Benched or just-failed: degrade to the last answer that worked
         # for this same (filter, base) inquiry.
         stale = self._last_good.get(key, [])
-        if stale and _obs_enabled():
+        if stale:
             _M_STALE.inc()
         return stale
 
@@ -197,8 +193,7 @@ class GIIS:
         (see the module docstring) — one wedged provider can no longer
         take the whole aggregate down.
         """
-        if _obs_enabled():
-            _M_SEARCH.inc()
+        _M_SEARCH.inc()
         parsed: Optional[Filter]
         parsed = parse_filter(flt) if isinstance(flt, str) else flt
         seen: set[str] = set()

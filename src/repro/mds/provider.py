@@ -53,7 +53,6 @@ from repro.logs.stats import (
 )
 from repro.mds.ldif import Entry
 from repro.net.topology import Site
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as _span
 from repro.units import bytes_per_sec_to_kbps
@@ -99,8 +98,7 @@ def perf_entry(
     in ``predictions`` order (size-class order), then the ``recent`` read
     bandwidths, oldest first.
     """
-    if _obs_enabled():
-        _M_RENDERS.inc()
+    _M_RENDERS.inc()
     dcs = ",".join(f"dc={part}" for part in site.domain.split("."))
     entry = Entry(f"cn={site.address},hostname={site.hostname},{dcs},o=grid")
     entry.add("objectclass", "GridFTPPerf")
@@ -229,8 +227,7 @@ class GridFTPInfoProvider:
         with _span("mds.render", provider=type(self).__name__,
                    host=self.site.hostname):
             entry, report = self._report(now, t0)
-        if _obs_enabled():
-            _H_RENDER.observe(time.perf_counter() - t0)
+        _H_RENDER.observe(time.perf_counter() - t0)
         return entry, report
 
     def _report(self, now: float, t0: float) -> Tuple[Optional[Entry], ProviderReport]:

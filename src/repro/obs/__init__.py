@@ -10,23 +10,22 @@ serve → MDS):
   a registry with JSON ``snapshot()`` and Prometheus ``render()``, and
   the process-wide default registry (:func:`get_registry`);
 * :mod:`repro.obs.tracing` — :class:`Span` context managers with
-  ``contextvars`` parent propagation, a bounded :class:`SpanExporter`,
-  and the :func:`traced` decorator;
+  ``contextvars`` parent propagation and a bounded :class:`SpanExporter`;
 * :mod:`repro.obs.events` — :class:`EventBus`, the bounded ring of
   rare structured events (revivals, evictions, ingests, store faults);
 * :mod:`repro.obs.quality` — online prediction-quality telemetry: the
   :class:`AccuracyTracker` pairs served predictions with observed
   transfers and keeps O(1) streaming error statistics (running and
-  windowed MAPE/MSE, bias, calibration buckets) per link and per spec;
-* :mod:`repro.obs.config` — the process-wide on/off switch, so the
-  self-overhead benchmark can measure exactly what this layer costs
-  (<5% on the ingest and evaluate claims, by assertion).
+  windowed MAPE/MSE, bias, calibration buckets) per link and per spec.
+
+The layer has one mode: every call site always records.  What it costs
+is measured by the perf ledger (``benchmarks/ledger``), not by turning
+it off.
 
 The historical ``repro.service.metrics`` shim is gone; import these
 names from here.
 """
 
-from repro.obs.config import disabled, enabled, set_enabled
 from repro.obs.events import EventBus, TraceEvent, get_event_bus
 from repro.obs.metrics import (
     Counter,
@@ -34,7 +33,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     get_registry,
-    set_registry,
 )
 from repro.obs.quality import (
     AccuracyTracker,
@@ -49,13 +47,9 @@ from repro.obs.tracing import (
     current_span,
     get_span_exporter,
     span,
-    traced,
 )
 
 __all__ = [
-    "disabled",
-    "enabled",
-    "set_enabled",
     "EventBus",
     "TraceEvent",
     "get_event_bus",
@@ -64,7 +58,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "set_registry",
     "AccuracyTracker",
     "ErrorStats",
     "merge_stats",
@@ -75,5 +68,4 @@ __all__ = [
     "current_span",
     "get_span_exporter",
     "span",
-    "traced",
 ]

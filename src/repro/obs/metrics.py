@@ -33,7 +33,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "set_registry",
 ]
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -419,23 +418,8 @@ class MetricsRegistry:
 # the process-wide registry
 # ----------------------------------------------------------------------
 _default_registry = MetricsRegistry()
-_default_lock = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
     """The process-wide registry shared by every instrumented layer."""
     return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry; returns the previous one.
-
-    Intended for tests and embedders that want an isolated scrape
-    surface.  Instruments already handed out keep updating the old
-    registry's series.
-    """
-    global _default_registry
-    with _default_lock:
-        previous = _default_registry
-        _default_registry = registry
-        return previous

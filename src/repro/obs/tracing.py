@@ -12,27 +12,21 @@ The current span lives in a :mod:`contextvars` context variable, so
 
 Finished spans land in a bounded in-memory :class:`SpanExporter`
 (deque-backed, oldest dropped first) that the Unix-socket server's
-``spans`` op serves.  :func:`traced` wraps a whole function in a span.
+``spans`` op serves.
 
 Threads start with an empty context, so work fanned out to a pool does
 not inherit the submitting thread's span automatically — pass
 ``parent=current_span()`` explicitly.
-
-When observability is disabled (:mod:`repro.obs.config`), :func:`span`
-returns a shared no-op object and records nothing.
 """
 
 from __future__ import annotations
 
 import contextvars
-import functools
 import itertools
 import threading
 import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, NamedTuple, Optional
-
-from repro.obs import config as _config
 
 __all__ = [
     "Span",
@@ -40,7 +34,6 @@ __all__ = [
     "SpanExporter",
     "current_span",
     "span",
-    "traced",
     "get_span_exporter",
 ]
 
@@ -148,24 +141,6 @@ class Span:
         return f"<Span {self.name} id={self.span_id} {self.status} {dur}>"
 
 
-class _NoopSpan:
-    """What :func:`span` hands out when observability is off."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-    def set_attribute(self, key: str, value: Any) -> "_NoopSpan":
-        return self
-
-
-_NOOP = _NoopSpan()
-
-
 class SpanExporter:
     """A bounded in-memory sink of finished spans (oldest dropped)."""
 
@@ -227,24 +202,6 @@ def span(
     parent: Optional[Span] = None,
     exporter: Optional[SpanExporter] = None,
     **attributes: Any,
-):
-    """A context-managed span, or a shared no-op when obs is disabled."""
-    if not _config.enabled():
-        return _NOOP
+) -> Span:
+    """A context-managed span (see :class:`Span`)."""
     return Span(name, parent=parent, exporter=exporter, **attributes)
-
-
-def traced(name: Optional[str] = None, **attributes: Any):
-    """Decorator: run the function inside a span named after it."""
-
-    def decorate(func: Callable) -> Callable:
-        span_name = name or f"{func.__module__}.{func.__qualname__}"
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with span(span_name, **attributes):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

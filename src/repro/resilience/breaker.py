@@ -22,7 +22,6 @@ import threading
 import time
 from typing import Callable, Optional, TypeVar
 
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 
@@ -136,17 +135,14 @@ class CircuitBreaker:
             if self._state == HALF_OPEN:
                 if self._probes_in_flight < self.half_open_probes:
                     self._probes_in_flight += 1
-                    if _obs_enabled():
-                        _M_PROBES.inc()
+                    _M_PROBES.inc()
                     return True
                 self.rejections += 1
-                if _obs_enabled():
-                    _M_REJECTIONS.inc()
+                _M_REJECTIONS.inc()
                 return False
             # OPEN
             self.rejections += 1
-            if _obs_enabled():
-                _M_REJECTIONS.inc()
+            _M_REJECTIONS.inc()
             return False
 
     def record_success(self, now: Optional[float] = None) -> None:
@@ -156,10 +152,9 @@ class CircuitBreaker:
                 self._state = CLOSED
                 self._probes_in_flight = 0
                 self.resets += 1
-                if _obs_enabled():
-                    _M_RESETS.inc()
-                    get_event_bus().emit(
-                        "resilience.breaker_close", breaker=self.name)
+                _M_RESETS.inc()
+                get_event_bus().emit(
+                    "resilience.breaker_close", breaker=self.name)
 
     def record_failure(self, now: Optional[float] = None) -> None:
         now = self._now(now)
@@ -178,11 +173,10 @@ class CircuitBreaker:
                 self._failures = 0
                 self._probes_in_flight = 0
                 self.trips += 1
-                if _obs_enabled():
-                    _M_TRIPS.inc()
-                    get_event_bus().emit(
-                        "resilience.breaker_open", breaker=self.name,
-                        reset_timeout=self.reset_timeout)
+                _M_TRIPS.inc()
+                get_event_bus().emit(
+                    "resilience.breaker_open", breaker=self.name,
+                    reset_timeout=self.reset_timeout)
 
     def retry_after(self, now: Optional[float] = None) -> float:
         """Seconds until an open breaker will admit a probe (0 if not open)."""

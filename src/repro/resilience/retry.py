@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Tuple, Type, TypeVar
 
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 from repro.resilience.deadline import Deadline, DeadlineExceeded
@@ -136,22 +135,20 @@ class RetryPolicy:
                         # not the policy, is what ends this loop.
                         deadline_cut = True
                         break
-                if _obs_enabled():
-                    _M_RETRIES.inc()
-                    get_event_bus().emit(
-                        "resilience.retry", label=label, attempt=attempt,
-                        error=f"{type(exc).__name__}: {exc}", delay=delay,
-                    )
+                _M_RETRIES.inc()
+                get_event_bus().emit(
+                    "resilience.retry", label=label, attempt=attempt,
+                    error=f"{type(exc).__name__}: {exc}", delay=delay,
+                )
                 if on_retry is not None:
                     on_retry(attempt, exc, delay)
                 if delay > 0:
                     sleep(delay)
-        if _obs_enabled():
-            _M_GIVEUPS.inc()
-            get_event_bus().emit(
-                "resilience.giveup", label=label,
-                error=f"{type(last_error).__name__}: {last_error}",
-            )
+        _M_GIVEUPS.inc()
+        get_event_bus().emit(
+            "resilience.giveup", label=label,
+            error=f"{type(last_error).__name__}: {last_error}",
+        )
         if deadline is not None and (deadline_cut or deadline.expired()):
             raise DeadlineExceeded(
                 f"{label or 'retry loop'} exceeded its deadline"

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.streaming import StreamingBank
-from repro.obs.config import enabled as _obs_enabled
 from repro.service.state import LinkState, row_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -178,8 +177,7 @@ class Residency:
 
     def _on_bank_rebuild(self, reason: str) -> None:
         self.rebuilds.inc()
-        if _obs_enabled():
-            self.rebuilds.labels(reason=reason).inc()
+        self.rebuilds.labels(reason=reason).inc()
 
     def _persist_for(self, link: str):
         if self.store is None:
@@ -252,12 +250,10 @@ class Residency:
         self._m_revivals.inc()
         self._m_revival_latency.observe(time.perf_counter() - t0)
         how = "checkpoint" if reason is None else "rebuild"
-        if _obs_enabled():
-            self._m_revivals.labels(how=how).inc()
+        self._m_revivals.labels(how=how).inc()
         if reason in ("format", "rows", "digest"):
             self._m_stale.inc()
-            if _obs_enabled():
-                self._m_stale.labels(reason=reason).inc()
+            self._m_stale.labels(reason=reason).inc()
         self.trace.emit("revive", link=link, how=how, reason=reason,
                         version=state.version, records=len(state))
         return state

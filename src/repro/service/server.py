@@ -138,7 +138,7 @@ def _predict_payload(
 ) -> Dict[str, Any]:
     prediction = service.predict(
         wire.check_link(req["link"]),
-        wire.check_int("size", req["size"]),
+        wire.check_size(req["size"]),
         spec=req.get("spec"),
         now=wire.check_now(req.get("now")),
     )
@@ -169,7 +169,7 @@ def _batch_payload(
             if not isinstance(item, dict):
                 raise ValueError("batch item must be an object")
             link = wire.check_link(item["link"])
-            size = wire.check_int("size", item["size"])
+            size = wire.check_size(item["size"])
             spec_i = item.get("spec")
             if spec_i is not None:
                 spec_i = str(spec_i)
@@ -290,7 +290,7 @@ def _rank_payload(
 ) -> Dict[str, Any]:
     ranked = service.rank_replicas(
         wire.check_candidates(req["candidates"]),
-        wire.check_int("size", req["size"]),
+        wire.check_size(req["size"]),
         spec=req.get("spec"),
         now=wire.check_now(req.get("now")),
         deadline=deadline,

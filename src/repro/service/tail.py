@@ -36,7 +36,6 @@ from typing import Callable, Optional, Union
 
 from repro import faults as _faults
 from repro.logs.ulm import parse_raw_lines
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.metrics import get_registry
 
 __all__ = ["LogFollower"]
@@ -125,8 +124,7 @@ class LogFollower:
         self.offset = 0
         self._partial = b""
         self.truncations += 1
-        if _obs_enabled():
-            _M_ROTATIONS.inc()
+        _M_ROTATIONS.inc()
 
     def poll(self) -> int:
         """Consume everything appended since the last poll.
@@ -143,8 +141,7 @@ class LogFollower:
             return 0
         except OSError:
             self.io_errors += 1
-            if _obs_enabled():
-                _M_IO_ERRORS.inc()
+            _M_IO_ERRORS.inc()
             return 0
         if self._inode is not None and stat.st_ino != self._inode:
             # Rotated to a fresh file — even one of the exact same size.
@@ -163,8 +160,7 @@ class LogFollower:
                 new_offset = fh.tell()
         except OSError:
             self.io_errors += 1
-            if _obs_enabled():
-                _M_IO_ERRORS.inc()
+            _M_IO_ERRORS.inc()
             return 0
         chunk = _faults.filter_bytes("tail.read", chunk, path=str(self.path))
         self.offset = new_offset
@@ -180,15 +176,14 @@ class LogFollower:
         for record, end in parse_raw_lines(lines, new_offset - len(data)):
             if record is None:
                 self.errors += 1
-                if _obs_enabled():
-                    _M_PARSE_ERRORS.inc()
+                _M_PARSE_ERRORS.inc()
                 continue
             batch.append((self.link, record, end))
         if batch:
             self.sink(batch)
         delivered = len(batch)
         self.records += delivered
-        if delivered and _obs_enabled():
+        if delivered:
             _M_RECORDS.inc(delivered)
         return delivered
 

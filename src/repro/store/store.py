@@ -83,7 +83,6 @@ import numpy as np
 
 from repro import faults as _faults
 from repro.envelope import atomic_write, quarantine
-from repro.obs.config import enabled as _obs_enabled
 from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 from repro.store import checkpoint as _checkpoint
@@ -383,25 +382,23 @@ class LinkStore:
                 os.truncate(path, scan.valid_bytes)
             except OSError:
                 meta.tail_torn = True
-            if _obs_enabled():
-                _M_TORN.inc()
-                get_event_bus().emit(
-                    "store.torn_tail", link=meta.link, path=str(path),
-                    kept=scan.valid_bytes, dropped=scan.torn_bytes,
-                )
+            _M_TORN.inc()
+            get_event_bus().emit(
+                "store.torn_tail", link=meta.link, path=str(path),
+                kept=scan.valid_bytes, dropped=scan.torn_bytes,
+            )
         kept, dropped = _wal.dedup(scan, meta.sealed_rows)
-        if dropped and _obs_enabled():
+        if dropped:
             _M_DEDUPED.inc(dropped)
         return kept
 
     def _quarantine_file(self, meta: _LinkMeta, path: Path, kind: str) -> None:
         target = quarantine(path)
-        if _obs_enabled():
-            _M_QUARANTINED.inc()
-            get_event_bus().emit(
-                "store.quarantine", link=meta.link, file=kind, path=str(path),
-                quarantined=str(target) if target else None,
-            )
+        _M_QUARANTINED.inc()
+        get_event_bus().emit(
+            "store.quarantine", link=meta.link, file=kind, path=str(path),
+            quarantined=str(target) if target else None,
+        )
 
     # ------------------------------------------------------------------
     # appends
@@ -469,18 +466,16 @@ class LinkStore:
                     raise OSError(f"short write: {written} of {len(blob)}")
             except OSError:
                 meta.tail_torn = True
-                if _obs_enabled():
-                    _M_APPEND_ERRORS.inc()
-                    get_event_bus().emit(
-                        "store.append_error", link=link, rows=n)
+                _M_APPEND_ERRORS.inc()
+                get_event_bus().emit(
+                    "store.append_error", link=link, rows=n)
                 return False
             meta.tail_rows += n
             meta.tail_bytes += len(blob)
             meta.next_seq = seq0 + n
             if last_offset:
                 meta.max_offset = max(meta.max_offset, last_offset)
-            if _obs_enabled():
-                _M_APPENDED.inc(n)
+            _M_APPENDED.inc(n)
             synced = True
             if self.fsync if sync is None else sync:
                 synced = self._fsync_handle(handle)
@@ -523,8 +518,7 @@ class LinkStore:
         except (OSError, ValueError):
             return False
         self.tail_fsyncs += 1
-        if _obs_enabled():
-            _M_FSYNCS.inc()
+        _M_FSYNCS.inc()
         return True
 
     def group_commit(self, links) -> bool:
@@ -558,10 +552,9 @@ class LinkStore:
                     else:
                         ok = False
         self.group_commits += 1
-        if _obs_enabled():
-            _M_GROUP_COMMITS.inc()
-            get_event_bus().emit(
-                "wal.group_commit", links=len(touched), fsyncs=fsyncs)
+        _M_GROUP_COMMITS.inc()
+        get_event_bus().emit(
+            "wal.group_commit", links=len(touched), fsyncs=fsyncs)
         return ok
 
     # ------------------------------------------------------------------
@@ -644,19 +637,17 @@ class LinkStore:
         meta.segments.append(_Segment(path, start_row, rows, max_offset))
         meta.segments.sort(key=lambda seg: seg.start_row)
         meta.sealed_rows = max(meta.sealed_rows, start_row + rows)
-        if _obs_enabled():
-            _M_SEALS.inc()
-            _M_SEALED_ROWS.inc(rows)
-            get_event_bus().emit(
-                "store.seal", link=meta.link, rows=len(tail),
-                merged=bool(folded), path=str(path))
+        _M_SEALS.inc()
+        _M_SEALED_ROWS.inc(rows)
+        get_event_bus().emit(
+            "store.seal", link=meta.link, rows=len(tail),
+            merged=bool(folded), path=str(path))
         return True
 
     def _seal_failed(self, meta: _LinkMeta, path: Path) -> bool:
-        if _obs_enabled():
-            _M_SEAL_ERRORS.inc()
-            get_event_bus().emit(
-                "store.seal_error", link=meta.link, path=str(path))
+        _M_SEAL_ERRORS.inc()
+        get_event_bus().emit(
+            "store.seal_error", link=meta.link, path=str(path))
         return False
 
     def _drop_tail_locked(self, meta: _LinkMeta) -> None:
@@ -744,8 +735,7 @@ class LinkStore:
     # ------------------------------------------------------------------
     def write_checkpoint(self, link: str, state: dict) -> bool:
         """Atomically persist a checkpoint; never raises (returns False)."""
-        observed = _obs_enabled()
-        started = time.perf_counter() if observed else 0.0
+        started = time.perf_counter()
         with self._lock_for(link):
             meta = self._meta(link, create=True)
             path = meta.checkpoint_path
@@ -754,15 +744,13 @@ class LinkStore:
                 _faults.check("store.checkpoint", path=str(path), op="write")
                 atomic_write(path, data, self.fsync)
             except Exception:
-                if observed:
-                    _M_CHECKPOINT_ERRORS.inc()
-                    get_event_bus().emit(
-                        "store.checkpoint_error", link=link, path=str(path))
+                _M_CHECKPOINT_ERRORS.inc()
+                get_event_bus().emit(
+                    "store.checkpoint_error", link=link, path=str(path))
                 return False
-            if observed:
-                _M_CHECKPOINTS.inc()
-                _M_CHECKPOINT_BYTES.inc(len(data))
-                _H_CHECKPOINT_WRITE.observe(time.perf_counter() - started)
+            _M_CHECKPOINTS.inc()
+            _M_CHECKPOINT_BYTES.inc(len(data))
+            _H_CHECKPOINT_WRITE.observe(time.perf_counter() - started)
             return True
 
     def read_checkpoint(self, link: str) -> Optional[dict]:
@@ -770,8 +758,7 @@ class LinkStore:
         now quarantined).  A file of a format this build does not read
         raises :class:`~repro.store.checkpoint.StaleCheckpoint` and stays
         where it is until the link's next checkpoint replaces it."""
-        observed = _obs_enabled()
-        started = time.perf_counter() if observed else 0.0
+        started = time.perf_counter()
         with self._lock_for(link):
             meta = self._meta(link)
             if meta is None:
@@ -793,8 +780,7 @@ class LinkStore:
             except Exception:
                 self._quarantine_file(meta, path, kind="checkpoint")
                 return None
-            if observed:
-                _H_CHECKPOINT_READ.observe(time.perf_counter() - started)
+            _H_CHECKPOINT_READ.observe(time.perf_counter() - started)
             return state
 
     # ------------------------------------------------------------------

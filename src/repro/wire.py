@@ -90,6 +90,7 @@ __all__ = [
     "check_str",
     "check_link",
     "check_int",
+    "check_size",
     "check_real",
     "check_now",
     "check_candidates",
@@ -259,12 +260,32 @@ def check_int(name: str, value: Any) -> int:
     raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+#: The top of ``file_size``'s range in the record's invariants
+#: (``repro.logs.record.INVARIANTS``), spelled here because the client
+#: and the front, which import this module, load nothing of repro.logs.
+_SIZE_MAX = 2**63 - 1
+
+
+def check_size(value: Any) -> int:
+    """A transfer size to predict for: an integer in the range of the
+    record's ``file_size``, refused in the record's words, so no spec
+    answers for a size that no observe could store."""
+    size = check_int("size", value)
+    if not 0 < size <= _SIZE_MAX:
+        raise ValueError(f"file_size must be in 1..2**63-1, got {size}")
+    return size
+
+
 def check_real(name: str, value: Any) -> float:
     """A number as a float, NaN and infinities included; a bool or a
-    numeric string is not a number."""
+    numeric string is not a number, and an integer beyond the float64
+    range is refused."""
     if isinstance(value, float) or (
             hasattr(value, "__index__") and not isinstance(value, bool)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be within the float64 range") from None
     raise TypeError(f"{name} must be a number, got {value!r}")
 
 

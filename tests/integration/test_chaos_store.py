@@ -175,6 +175,36 @@ class TestCheckpointFaults:
             assert path.read_bytes()[4:6] == struct.pack("<H", 7)
             assert "bank" in ck.loads(path.read_bytes())
 
+    def test_a_stale_revival_counts_in_the_total_and_one_reason(self, tmp_path):
+        """Telemetry has one mode: each revival counter's total is the sum
+        of its labeled children, a ``reason=format`` revival included."""
+        from tests.conftest import make_record
+
+        store = LinkStore(tmp_path / "state")
+        first = PredictionService(store=store)
+        first.ingest_records("LINK", [
+            make_record(start=1000.0 + 100 * i, size=(50 + 7 * i) * MB)
+            for i in range(30)])
+        first.checkpoint_all(seal=True)
+        store.close()
+        (path,) = (tmp_path / "state").rglob("checkpoint.bin")
+        path.write_bytes(as_format_2(path.read_bytes()))
+
+        second = PredictionService(store=LinkStore(tmp_path / "state"))
+        assert second.predict("LINK", 100 * MB, "AVG", now=NOW).value is not None
+        snapshot = second.metrics.snapshot()
+        children = {}
+        for name, label in (("store_checkpoints_stale", "reason"),
+                            ("service_link_revivals", "how"),
+                            ("streaming_rebuilds", "reason")):
+            family = snapshot[name]
+            children[name] = {series["labels"][label]: series["value"]
+                              for series in family["series"]}
+            assert family["value"] == sum(children[name].values()), name
+        assert children["store_checkpoints_stale"] == {"format": 1.0}
+        assert children["service_link_revivals"] == {"rebuild": 1.0}
+        assert children["streaming_rebuilds"] == {"revive": 1.0}
+
     def test_unwritable_checkpoints_degrade_eviction_not_answers(
             self, tmp_path, baseline):
         injector = FaultInjector(seed=17)

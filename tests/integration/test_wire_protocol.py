@@ -389,6 +389,90 @@ def test_a_bad_item_does_not_half_apply_an_observe_batch(endpoint):
     assert endpoint.service.version("B-ANL") == 2
 
 
+
+#: An integer JSON carries exactly and float64 cannot hold.
+HUGE = 10**400
+GOOD_OBSERVATION = {"link": "HUGE", "size": 10 * MB, "start": 1.0, "end": 5.0}
+HUGE_OBSERVATION = {**GOOD_OBSERVATION, "start": HUGE, "end": HUGE + 5}
+GOOD_PREDICTION = {"link": "LBL-ANL", "size": 100 * MB}
+#: op -> a request with one time past float64; a batch's second item is good.
+HUGE_REQUESTS = {
+    "observe": {"op": "observe", **HUGE_OBSERVATION},
+    "observe_batch": {"op": "observe_batch",
+                      "items": [HUGE_OBSERVATION, GOOD_OBSERVATION]},
+    "predict": {"op": "predict", **GOOD_PREDICTION, "now": HUGE},
+    "predict_batch": {"op": "predict_batch",
+                      "items": [{**GOOD_PREDICTION, "now": HUGE}, GOOD_PREDICTION]},
+    "rank": {"op": "rank", "candidates": ["LBL-ANL", "ISI-ANL"],
+             "size": 100 * MB, "now": HUGE},
+}
+
+
+@pytest.fixture(params=["in-process", "worker", "front"])
+def ask(request, service):
+    """One request -> its response: straight into ``handle_request``, or
+    over the JSON dialect to the worker or to a 1-worker front over it."""
+    if request.param == "in-process":
+        from repro.service import handle_request
+
+        yield lambda req: handle_request(service, req)
+        return
+    target = request.getfixturevalue(
+        "endpoint" if request.param == "worker" else "front_endpoint")
+    with ServiceClient(_client_address(target), binary=False) as client:
+        yield client.request
+
+
+@pytest.mark.parametrize("op", sorted(HUGE_REQUESTS))
+def test_an_integer_past_float64_is_a_bad_request(ask, service, op):
+    # float(10**400) raises OverflowError, which answered `internal` and,
+    # in a batch, refused every item with it.
+    internal = get_registry().counter("server_internal_errors")
+    before = internal.value
+    response = ask(HUGE_REQUESTS[op])
+    if op.endswith("_batch"):
+        assert response["ok"], response
+        refused, answered = response["results"]
+        assert answered["ok"], answered
+    else:
+        refused = response
+    assert refused["ok"] is False
+    assert refused["error"]["code"] == "bad_request", refused
+    assert "float64" in refused["error"]["message"]
+    assert service.version("HUGE") == (op == "observe_batch")
+    assert internal.value == before
+
+
+@pytest.mark.parametrize("size", [0, -1, 2**63], ids=repr)
+@pytest.mark.parametrize("site", ["predict", "predict_batch", "rank", "front-rank"])
+def test_every_predict_takes_the_sizes_a_record_holds(
+        request, service, site, size):
+    # Only the classification refused a size below 1, so AVG, SIZE and AR
+    # answered for size 0 or -5, and every spec for 2**63.
+    from repro.service import handle_request
+
+    if site == "front-rank":
+        front = request.getfixturevalue("front_endpoint")
+        with front.counting("binary") as moved, ServiceClient(
+                _client_address(front), binary=False) as client:
+            refused = client.request(
+                {"op": "rank", "candidates": ["LBL-ANL"], "size": size})
+        assert moved["requests"] == 0  # refused before any fan-out
+    elif site == "predict_batch":
+        response = handle_request(service, {"op": "predict_batch", "items": [
+            {**GOOD_PREDICTION, "spec": "AVG"},
+            {**GOOD_PREDICTION, "size": size, "spec": "AVG"}]})
+        answered, refused = response["results"]
+        assert answered["ok"] and answered["value"] is not None
+    else:
+        req = ({"op": "rank", "candidates": ["LBL-ANL"]} if site == "rank"
+               else {"op": "predict", "link": "LBL-ANL"})
+        refused = handle_request(service, {**req, "size": size, "spec": "AVG"})
+    assert refused["ok"] is False
+    assert refused["error"]["code"] == "bad_request", refused
+    assert "file_size must be in 1..2**63-1" in refused["error"]["message"]
+
+
 FRONT_CASES = [
     test_a_bad_item_does_not_half_apply_an_observe_batch,
     test_zero_duration_observe_is_a_bad_request,

@@ -10,8 +10,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
-    set_registry,
 )
 
 
@@ -169,17 +167,6 @@ def test_registry_merge_shares_instruments_live():
     merged = MetricsRegistry().merge(a).merge(b)
     counter.inc()  # after the merge: the view must be live, not copied
     assert merged.snapshot()["hits"]["value"] == 2.0
-
-
-def test_default_registry_is_process_wide_and_swappable():
-    assert get_registry() is get_registry()
-    replacement = MetricsRegistry()
-    previous = set_registry(replacement)
-    try:
-        assert get_registry() is replacement
-    finally:
-        set_registry(previous)
-    assert get_registry() is previous
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,8 @@
-"""Span tracing: nesting, status capture, export bounds, the kill switch."""
+"""Span tracing: nesting, status capture, export bounds."""
 
 import pytest
 
-from repro.obs.config import disabled, enabled, set_enabled
-from repro.obs.tracing import (
-    Span,
-    SpanExporter,
-    _NOOP,
-    current_span,
-    get_span_exporter,
-    span,
-    traced,
-)
+from repro.obs.tracing import Span, SpanExporter, current_span
 
 
 @pytest.fixture
@@ -77,54 +68,3 @@ def test_exporter_is_bounded_and_counts_drops():
     assert len(exporter) == 0
     with pytest.raises(ValueError):
         SpanExporter(capacity=0)
-
-
-def test_span_factory_honors_the_kill_switch(exporter):
-    assert enabled()
-    assert isinstance(span("live", exporter=exporter), Span)
-    with disabled():
-        noop = span("dead", exporter=exporter)
-        assert noop is _NOOP
-        with noop as sp:
-            sp.set_attribute("ignored", 1)  # must not raise
-        assert current_span() is None
-    assert exporter.spans() == []
-
-
-def test_set_enabled_returns_the_previous_state():
-    assert set_enabled(False) is True
-    try:
-        assert not enabled()
-    finally:
-        assert set_enabled(True) is False
-    assert enabled()
-
-
-def test_traced_decorator_wraps_the_function(exporter, monkeypatch):
-    import repro.obs.tracing as tracing
-
-    monkeypatch.setattr(tracing, "_default_exporter", exporter)
-    assert get_span_exporter() is exporter
-
-    @traced(stage="unit")
-    def add(a, b):
-        return a + b
-
-    assert add(2, 3) == 5
-    (sp,) = exporter.spans()
-    assert sp.name.endswith("add")
-    assert sp.attributes == {"stage": "unit"}
-    assert add.__name__ == "add"
-
-
-def test_traced_with_explicit_name(exporter, monkeypatch):
-    import repro.obs.tracing as tracing
-
-    monkeypatch.setattr(tracing, "_default_exporter", exporter)
-
-    @traced("custom.op")
-    def work():
-        return 42
-
-    assert work() == 42
-    assert exporter.spans()[0].name == "custom.op"

@@ -259,7 +259,6 @@ class TestCircuitBreaker:
 
     def test_half_open_losers_increment_the_rejection_metric(self):
         from repro.obs import get_registry
-        from repro.obs.config import enabled as obs_enabled
 
         clock = FakeClock()
         breaker = self.make(clock, half_open_probes=1)
@@ -270,8 +269,7 @@ class TestCircuitBreaker:
         assert breaker.allow()          # the probe: not a rejection
         assert not breaker.allow()      # the loser
         assert breaker.rejections >= 1
-        if obs_enabled():
-            assert metric.value == before + 1
+        assert metric.value == before + 1
 
     def test_explicit_now_drives_transitions(self):
         # The GIIS drives breakers on simulation time, not wall clock.
