@@ -33,6 +33,7 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional
 
@@ -217,12 +218,23 @@ def _labels(size_class: Optional[str]) -> tuple:
 # ----------------------------------------------------------------------
 # evaluate
 # ----------------------------------------------------------------------
+@contextmanager
+def _reading(path):
+    """A malformed log ends the command with one line naming it."""
+    from repro.logs.ulm import ULMError
+
+    try:
+        yield
+    except ULMError as exc:
+        raise SystemExit(f"{path}: {exc}") from None
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     """Walk predictors over one or more external ULM log files.
 
-    Files load through the columnar ingest (with binary sidecar caching
-    unless ``--no-cache``) into a :class:`~repro.data.dataset.Dataset` —
-    one link per file, keyed by stem — and all links evaluate in one
+    Files load through the columnar ingest into a
+    :class:`~repro.data.dataset.Dataset` — one link per file, keyed by
+    stem — and all links evaluate in one
     :func:`~repro.core.engine.evaluate_dataset` call.  A single file
     keeps the original output and JSON shape exactly.
     """
@@ -237,9 +249,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             raise SystemExit(f"no such log file: {path}")
     names = _parse_specs(args.predictors)
     link_paths: Dict[str, str] = {}
+    dataset = Dataset({})
     for path in paths:
         link_paths.setdefault(path.stem, str(path))
-    dataset = Dataset.from_ulm(paths, cache=not args.no_cache)
+        with _reading(path):
+            dataset = dataset.merge(Dataset.from_ulm(path))
     for link, frame in dataset.items():
         if len(frame) <= args.training:
             raise SystemExit(
@@ -314,7 +328,8 @@ def _ingest_logs(service, log_paths: List[str], link: Optional[str] = None):
             print(f"{name}: warm ({store.durable_rows(name)} durable records, "
                   f"resume offset {store.resume_offset(name)})", file=sys.stderr)
             continue
-        name, count = service.ingest_ulm(path, link=link)
+        with _reading(path):
+            name, count = service.ingest_ulm(path, link=link)
         print(f"{name}: ingested {count} records from {path}", file=sys.stderr)
     return service
 
@@ -833,10 +848,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd.add_argument(
         "log_files", nargs="+", metavar="log_file",
         help="ULM transfer logs (one evaluated link per file, keyed by stem)",
-    )
-    evaluate_cmd.add_argument(
-        "--no-cache", action="store_true",
-        help="skip reading/writing the binary sidecar next to each log",
     )
     evaluate_cmd.add_argument(
         "--predictors", default="C-AVG15,C-MED,C-LV,SIZE",

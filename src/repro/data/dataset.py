@@ -44,14 +44,10 @@ class Dataset(Mapping[str, TransferFrame]):
     def from_ulm(
         cls,
         paths: Union[str, Path, Sequence[Union[str, Path]]],
-        cache: bool = True,
         links: Optional[Sequence[str]] = None,
     ) -> "Dataset":
-        """Load ULM files, one link per file (default link: the file stem).
-
-        Goes through :func:`repro.data.ingest.load_ulm`, so repeat loads
-        of unchanged files come from the binary sidecar cache.
-        """
+        """Load ULM files, one link per file (default link: the file stem),
+        each through :func:`repro.data.ingest.load_ulm`."""
         if isinstance(paths, (str, Path)):
             paths = [paths]
         paths = [Path(p) for p in paths]
@@ -62,7 +58,7 @@ class Dataset(Mapping[str, TransferFrame]):
         names = list(links) if links is not None else [p.stem for p in paths]
         frames: Dict[str, TransferFrame] = {}
         for name, path in zip(names, paths):
-            frame = load_ulm(path, cache=cache)
+            frame = load_ulm(path)
             frames[name] = frames[name].merge(frame) if name in frames else frame
         return cls(frames)
 

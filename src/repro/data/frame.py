@@ -12,8 +12,7 @@ derives from a frame:
   filters, summaries, and the vectorized prediction kernels run at C
   speed over any number of records;
 * string columns (``sources``, ``files``, ``volumes``) are NumPy unicode
-  arrays, which round-trip losslessly through the binary sidecar cache
-  (:mod:`repro.data.ingest`) as fixed-width bytes, without pickling;
+  arrays;
 * views (:meth:`view`, :meth:`reads`, :meth:`prefix`) slice all columns
   together, zero-copy for contiguous selections.
 
@@ -248,7 +247,7 @@ class TransferFrame:
         return self.start_times
 
     # ------------------------------------------------------------------
-    # (de)serialization to plain arrays (the sidecar cache payload)
+    # (de)serialization to plain arrays
     # ------------------------------------------------------------------
     def to_arrays(self) -> dict:
         return {name: getattr(self, name) for name in COLUMN_NAMES}

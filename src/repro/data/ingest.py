@@ -1,4 +1,4 @@
-"""Vectorized ULM ingest with a content-addressed binary cache.
+"""Vectorized ULM ingest.
 
 The row-at-a-time loader (:func:`repro.logs.ulm.parse_lines`) costs one
 quote-aware character scan, one dict, and one frozen dataclass per line —
@@ -26,21 +26,13 @@ whole log into a :class:`~repro.data.frame.TransferFrame` in one pass:
 Any anomaly — a malformed line, a value the bulk cast rejects (an
 integer past int64 included), a row the invariants refuse — re-parses
 through the canonical per-record path so errors carry the exact message
-and line number :func:`parse_lines` would raise.  The property tests
-assert frame-identical output on real and fuzzed logs.
+and line number :func:`parse_lines` would raise; bytes that are not
+UTF-8 raise a :class:`ULMError` naming their line too.  The property
+tests assert frame-identical output on real and fuzzed logs.
 
-**Binary cache.**  :func:`load_ulm` keys a sidecar (``x.ulm.col``, the
-shared file envelope of :mod:`repro.envelope` around the ten frame
-columns) on the BLAKE2b-256 of the log's bytes, carried in the sidecar's
-verified header: the first load parses and writes the sidecar, every
-later load of unchanged content is one read, one digest check and one
-inflate straight into arrays (no string parsing at all), so a rewritten
-or truncated log can never serve stale arrays.  Cache files are
-best-effort — an unwritable directory degrades to a parse, and a
-*corrupt* sidecar (truncated write, bit rot) is quarantined
-(``*.col.quarantined``), counted, announced on the event bus, and
-rebuilt from the log — it never raises out of :func:`load_ulm` and is
-never consulted again (see docs/resilience.md).
+:func:`load_ulm` reads a log and parses it, every time: it writes
+nothing, and a service that wants to skip the parse on restart keeps
+its links in the durable store (:mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -48,16 +40,11 @@ from __future__ import annotations
 import re
 import time
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro import faults as _faults
-from repro.data.frame import (
-    COLUMN_NAMES, NUMERIC_COLUMNS, OP_READ, OP_WRITE, TransferFrame)
-from repro.digests import blake2b
-from repro.envelope import (Envelope, Verified, atomic_write, foreign_format,
-                            quarantine)
+from repro.data.frame import OP_READ, OP_WRITE, TransferFrame
 from repro.logs.record import INVARIANTS
 from repro.logs.ulm import _KEYS as _WRITER_KEYS
 from repro.logs.ulm import ULMError, parse_fields, parse_record
@@ -65,20 +52,7 @@ from repro.obs.events import get_event_bus
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as _span
 
-__all__ = [
-    "parse_ulm_lines",
-    "parse_ulm_text",
-    "load_ulm",
-    "cache_path",
-    "write_cache",
-    "read_cache_status",
-]
-
-#: Bump when the cache layout or key changes; a sidecar of another
-#: version reads as stale.
-#: 1 was an ``.npz`` beside the log (``x.ulm.npz``), no longer looked at;
-#: 2 keyed the same layout on the log's SHA-256.
-CACHE_VERSION = 3
+__all__ = ["parse_ulm_lines", "parse_ulm_text", "load_ulm"]
 
 # Process-wide ingest instrumentation (see docs/observability.md).
 _REG = get_registry()
@@ -87,16 +61,10 @@ _M_RECORDS = _REG.counter(
 _M_FALLBACK = _REG.counter(
     "ingest_fallback_reparses",
     "vectorized parses that fell back to the per-record path")
-_M_CACHE_HITS = _REG.counter(
-    "ingest_cache_hits", "log loads served from the binary sidecar")
-_M_CACHE_MISSES = _REG.counter(
-    "ingest_cache_misses", "log loads that parsed log text")
 _M_BYTES = _REG.counter("ingest_bytes", "log bytes read by load_ulm")
 _H_LOAD = _REG.histogram("ingest_seconds", "load_ulm wall-clock latency")
 _G_RATE = _REG.gauge(
     "ingest_bytes_per_second", "throughput of the most recent load_ulm")
-_M_QUARANTINED = _REG.counter(
-    "ingest_cache_quarantined", "corrupt sidecars quarantined by load_ulm")
 
 #: ULM keys of the GridFTP transfer object, in frame column order.
 _RAW_KEYS: Tuple[str, ...] = (
@@ -286,142 +254,33 @@ def parse_ulm_text(text: str) -> TransferFrame:
                   range(1, len(lines) + 1))
 
 
-# ----------------------------------------------------------------------
-# binary cache
-# ----------------------------------------------------------------------
-#: One section per frame column; the kind's own fields are the log's
-#: content digest and the row count.  A cache written on ``serve``'s
-#: cold start, so level 1: level 6 would store 11 % less for about
-#: 0.35 ms more a 400-row log.
-_FILE = Envelope(b"RSUL", CACHE_VERSION, "I" * len(COLUMN_NAMES), meta="32sI",
-                 level=1)
-_NUMERIC_DTYPES = tuple(
-    np.dtype(dtype).newbyteorder("<") for _, dtype in NUMERIC_COLUMNS)
-
-
-def cache_path(path: Union[str, Path]) -> Path:
-    """The sidecar for a log file (``x.ulm`` -> ``x.ulm.col``)."""
-    path = Path(path)
-    return path.with_name(path.name + ".col")
-
-
-def _digest(data: bytes) -> str:
-    """The sidecar's key: BLAKE2b-256 of the log's bytes, in hex.  The
-    one digest over a whole log, so the fastest the interpreter has."""
-    return blake2b(data, digest_size=32).hexdigest()
-
-
-def _frame_of(head: Verified) -> TransferFrame:
-    """Inflate a verified sidecar; ``ValueError`` if a section is not a
-    whole column of the declared row count."""
-    rows = head.meta[1]
-    sections = _FILE.inflate(head)
-    dtypes = list(_NUMERIC_DTYPES) + [
-        # Fixed-width UCS-4: the width is whatever fills the section.
-        f"<U{len(section) // (4 * rows) if rows else 1}"
-        for section in sections[len(_NUMERIC_DTYPES):]]
-    columns = [np.frombuffer(section, dtype=dtype)
-               for section, dtype in zip(sections, dtypes)]
-    if any(len(column) != rows for column in columns):
-        raise ValueError("column lengths disagree with the row count")
-    return TransferFrame.from_arrays(dict(zip(COLUMN_NAMES, columns)))
-
-
-def read_cache_status(sidecar: Path, digest: str) -> Tuple[Optional[TransferFrame], str]:
-    """Read the sidecar, reporting *why* it missed.
-
-    Returns ``(frame, status)`` where status is one of:
-
-    * ``"hit"`` — the sidecar verified, is for this digest, and inflated;
-    * ``"absent"`` — no sidecar file exists;
-    * ``"stale"`` — the sidecar is intact but for other content (normal
-      after a log rewrite) or in a format this build does not read
-      (:func:`repro.envelope.foreign_format`); the next write replaces
-      it;
-    * ``"corrupt"`` — the sidecar exists but its bytes cannot be trusted
-      (truncated write, bit rot, injected fault).  Callers should
-      quarantine it: unlike ``stale`` it will never heal by itself.
-    """
-    want = bytes.fromhex(digest)
+def _decode(raw: bytes) -> str:
+    """The log's text; undecodable bytes are a :class:`ULMError` naming
+    the line they sit on."""
     try:
-        _faults.check("ingest.cache", path=str(sidecar))
-        raw = sidecar.read_bytes()
-    except FileNotFoundError:
-        return None, "absent"
-    except OSError:
-        return None, "corrupt"
-    if foreign_format(raw, (_FILE,)) is not None:
-        return None, "stale"
-    try:
-        head = _FILE.verify(raw)
-    except ValueError:
-        return None, "corrupt"
-    if head.meta[0] != want:
-        return None, "stale"
-    try:
-        return _frame_of(head), "hit"
-    except ValueError:
-        return None, "corrupt"
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ULMError(f"line {line}: not UTF-8 ({exc.reason} at byte "
+                       f"{exc.start})") from None
 
 
-def write_cache(sidecar: Path, digest: str, frame: TransferFrame) -> bool:
-    """Atomically write the sidecar; returns False when the directory
-    refuses (read-only media is a supported deployment)."""
-    sections = [
-        np.ascontiguousarray(
-            column, dtype=column.dtype.newbyteorder("<")).tobytes()
-        for column in frame.to_arrays().values()]
-    try:
-        atomic_write(sidecar, _FILE.pack(
-            sections, meta=(bytes.fromhex(digest), len(frame))))
-    except (OSError, ValueError):  # refused, or too large for the header
-        return False
-    return True
-
-
-def load_ulm(path: Union[str, Path], cache: bool = True) -> TransferFrame:
-    """Load a ULM log as a frame, through the binary sidecar cache.
-
-    The cache key is the content digest: editing the log in place, even
-    without touching its mtime, invalidates the sidecar.  Pass
-    ``cache=False`` to force a parse and skip sidecar reads and writes.
-    """
+def load_ulm(path: Union[str, Path]) -> TransferFrame:
+    """Read and parse a ULM log as a frame (see :func:`parse_ulm_text`)."""
     path = Path(path)
     t0 = time.perf_counter()
     with _span("ingest.load_ulm", path=str(path)) as sp:
         raw = path.read_bytes()
-        sidecar = cache_path(path)
-        if cache:
-            digest = _digest(raw)
-            frame, status = read_cache_status(sidecar, digest)
-        else:
-            frame, status = None, "skipped"
-        if status == "corrupt":
-            # A sidecar that cannot even deserialize never heals on its
-            # own — move it aside loudly and rebuild from the log.
-            quarantined = quarantine(sidecar)
-            _M_QUARANTINED.inc()
-            get_event_bus().emit(
-                "ingest.cache_quarantine", path=str(path),
-                sidecar=str(sidecar),
-                quarantined=str(quarantined) if quarantined else None,
-            )
-        from_cache = frame is not None
-        if frame is None:
-            frame = parse_ulm_text(raw.decode("utf-8"))
-            if cache:
-                write_cache(sidecar, digest, frame)
+        frame = parse_ulm_text(_decode(raw))
         elapsed = time.perf_counter() - t0
         _M_BYTES.inc(len(raw))
-        (_M_CACHE_HITS if from_cache else _M_CACHE_MISSES).inc()
         _M_RECORDS.inc(len(frame))
         _H_LOAD.observe(elapsed)
         if elapsed > 0:
             _G_RATE.set(len(raw) / elapsed)
         sp.set_attribute("records", len(frame))
-        sp.set_attribute("cached", from_cache)
         get_event_bus().emit(
             "ingest.load_ulm", path=str(path), records=len(frame),
-            cached=from_cache, bytes=len(raw),
+            bytes=len(raw),
         )
     return frame

@@ -2,7 +2,7 @@
 
 The chaos suite needs to make the outside world misbehave *on
 schedule*: an ``OSError`` on exactly the third tail read, a corrupt
-sidecar on the next cache load, a refused connection during a server
+segment on the next store read, a refused connection during a server
 startup race, one wedged GRIS among many.  This module is that
 switchboard:
 
@@ -18,7 +18,7 @@ switchboard:
   ``random.Random(seed)``, so a failing chaos run replays exactly.
 
 Sites currently declared: ``socket.connect`` (client dials a server),
-``ingest.cache`` (sidecar load), ``tail.read`` (log tailing),
+``tail.read`` (log tailing),
 ``store.segment`` / ``store.checkpoint`` (durable store I/O),
 ``gris.search`` (directory fan-out), ``fleet.spawn`` (supervisor forks
 a worker) and ``fleet.route`` (front tier routes a request to a

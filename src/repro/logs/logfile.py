@@ -254,20 +254,16 @@ class TransferLog:
         return len(lines)
 
     @classmethod
-    def load(
-        cls, path: str | Path, host: str = "localhost", cache: bool = False
-    ) -> "TransferLog":
+    def load(cls, path: str | Path, host: str = "localhost") -> "TransferLog":
         """Read a ULM log file written by :meth:`save`.
 
         Parses the whole file with the vectorized one-pass ingest and
         bulk-extends the new log — one sorted merge instead of N binary
-        inserts.  ``cache=True`` additionally reads/writes the binary
-        sidecar next to the file (off by default: loading should not
-        surprise callers by creating files).
+        inserts.
         """
         from repro.data.ingest import load_ulm
 
         log = cls(host=host)
-        frame = load_ulm(path, cache=cache)
+        frame = load_ulm(path)
         log.extend(frame.to_records())
         return log

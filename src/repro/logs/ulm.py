@@ -186,14 +186,18 @@ def parse_raw_lines(
     Yields ``(record, end)`` per other line: ``record`` is None for a
     malformed one, and ``end`` is the byte offset one past the line's
     ``\\n`` — the resume point a durable store stamps on the row.  The
-    caller decides what an unterminated last line is.  Undecodable bytes
-    decode with ``errors="replace"`` and fail the parse, so a line never
-    raises.
+    caller decides what an unterminated last line is.  A line that is
+    not UTF-8 is malformed, as :func:`repro.data.ingest.load_ulm` judges
+    it, so a line never raises.
     """
     end = start
     for raw in lines:
         end += len(raw) + 1
-        stripped = raw.decode("utf-8", errors="replace").strip()
+        try:
+            stripped = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            yield None, end
+            continue
         if not stripped or stripped.startswith("#"):
             continue
         try:

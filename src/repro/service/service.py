@@ -491,9 +491,9 @@ class PredictionService:
         """Load a ULM log file into a link (default link: the file stem).
 
         The file is parsed by the vectorized one-pass ingest and folded in
-        bulk; ``cache=True`` (the default) also consults/writes the
-        binary sidecar so a service restart re-reads warm logs in
-        milliseconds.  Returns ``(link, records ingested)``.
+        bulk.  Returns ``(link, records ingested)``.  ``cache`` is
+        accepted and ignored: the benchmark ledger's traced pass still
+        passes ``cache=False``.
         """
         path = Path(path)
         name = link or path.stem
@@ -508,7 +508,7 @@ class PredictionService:
             except OSError:
                 offset = 0
         count = self.ingest_frame(
-            name, load_ulm(path, cache=cache), source_offset=offset)
+            name, load_ulm(path), source_offset=offset)
         self.trace.emit("ingest_ulm", link=name, path=str(path), records=count)
         return name, count
 

@@ -14,8 +14,7 @@ must *never* kill the caller's loop):
   and completed on a later poll — the buffer holds raw **bytes**, so a
   torn multi-byte UTF-8 sequence can never raise a decode error;
 * a malformed line is counted and skipped — one corrupt entry must not
-  wedge the service; undecodable bytes inside a complete line decode
-  with ``errors="replace"`` and fall out as a counted parse error;
+  wedge the service; a complete line that is not UTF-8 is one of them;
 * truncation (log rotation) is detected by the file shrinking **or by
   the inode changing** — a rotation that replaces the file with one of
   the same size is still a restart from offset zero;

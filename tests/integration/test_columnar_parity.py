@@ -4,7 +4,7 @@ Three parity claims over the shipped campaign logs:
 
 * evaluating a :class:`TransferFrame` from the vectorized ingest yields
   trace-identical predictions to evaluating the per-record parse (also
-  end to end: sidecar load + vectorized battery, all 30 predictors);
+  end to end: file load + vectorized battery, all 30 predictors);
 * the MDS information provider publishes byte-identical LDIF from a
   frame and from a record-list log;
 * service state built by bulk frame ingest equals state built by
@@ -20,7 +20,7 @@ from repro.core.engine import evaluate_dataset
 from repro.core.evaluation import evaluate as generic_evaluate
 from repro.core.fast import fast_evaluate
 from repro.core.predictors import ALL_PREDICTOR_NAMES, resolve_battery
-from repro.data import Dataset, cache_path, load_ulm
+from repro.data import Dataset, load_ulm
 from repro.logs import TransferLog
 from repro.logs.ulm import parse_lines
 from repro.mds.ldif import format_entries
@@ -50,7 +50,7 @@ EVALUATORS = {
 @pytest.mark.parametrize("engine", ["fast", "generic"])
 def test_frame_evaluation_trace_identical(path, engine):
     records = _records(path)
-    frame = load_ulm(path, cache=False)
+    frame = load_ulm(path)
     specs = ["C-AVG15", "AVG", "MED5", "AR", "AVG5hr"]
     if engine == "generic":
         specs = specs[:2]  # the generic walk is slow; two specs suffice
@@ -66,15 +66,11 @@ def test_frame_evaluation_trace_identical(path, engine):
 
 
 @pytest.mark.parametrize("path", LOGS, ids=lambda p: p.name)
-def test_seed_path_equals_the_cached_columnar_path(path, tmp_path):
+def test_seed_path_equals_the_columnar_path(path):
     """The whole pipeline both ways, all 30 predictors: the per-record
-    parse and the generic walk against a warm sidecar load and the
+    parse and the generic walk against the columnar file load and the
     facade's vectorized battery."""
-    log = tmp_path / path.name
-    log.write_bytes(path.read_bytes())
-    load_ulm(log, cache=True)  # writes the sidecar the next load reads
-    assert cache_path(log).exists()
-    columnar = evaluate_dataset(Dataset.from_ulm([log], cache=True))[log.stem]
+    columnar = evaluate_dataset(Dataset.from_ulm([path]))[path.stem]
     seed = generic_evaluate(_records(path), resolve_battery(ALL_PREDICTOR_NAMES))
     assert seed.names() == columnar.names()
     for name in seed.names():
@@ -89,7 +85,7 @@ def test_provider_attributes_identical_on_both_paths(path):
     records = _records(path)
     log = TransferLog()
     log.extend(records)
-    frame = load_ulm(path, cache=False)
+    frame = load_ulm(path)
 
     now = float(frame.end_times[-1]) + 60.0
     from_log = GridFTPInfoProvider(log=log, site=SITE, url="gsiftp://x")
@@ -103,7 +99,7 @@ def test_provider_attributes_identical_on_both_paths(path):
 @pytest.mark.parametrize("path", LOGS[:2], ids=lambda p: p.name)
 def test_service_bulk_ingest_equals_per_record(path):
     records = _records(path)
-    frame = load_ulm(path, cache=False)
+    frame = load_ulm(path)
 
     bulk = PredictionService()
     bulk.ingest_frame("link", frame)

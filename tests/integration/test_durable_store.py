@@ -72,7 +72,7 @@ def _observed():
     service = PredictionService()
     for name in LOGS:
         service.ingest_records(
-            Path(name).stem, load_ulm(DATA_DIR / name, cache=False).to_records())
+            Path(name).stem, load_ulm(DATA_DIR / name).to_records())
     return service
 
 

@@ -121,7 +121,7 @@ def test_bulk_ingest_rebuilds_then_resumes_incrementally(tmp_path):
     histories = []
     for path, rebuilds in ((DATA_DIR / "aug-LBL-ANL.ulm", 0), (unsorted, 1)):
         service = PredictionService()
-        assert service.ingest_ulm(path, link="L", cache=False) == (
+        assert service.ingest_ulm(path, link="L") == (
             "L", len(records))
         assert service._m_rebuilds.value == rebuilds
         assert service.version("L") == len(records)
@@ -232,7 +232,7 @@ def test_extend_bit_parity_at_every_prefix(log_name):
     bit-parity of every running sum, window structure, and heap — the
     acceptance gate for the vectorized write path.
     """
-    frame = load_ulm(DATA_DIR / log_name, cache=False)
+    frame = load_ulm(DATA_DIR / log_name)
     seq, bat = _fresh_bank(), _fresh_bank()
     for i in range(len(frame)):
         seq.add(float(frame.end_times[i]), float(frame.bandwidths[i]),
@@ -245,7 +245,7 @@ def test_extend_bit_parity_at_every_prefix(log_name):
 @pytest.mark.parametrize("log_name", ALL_LOGS)
 def test_extend_bit_parity_under_mixed_chunking(log_name):
     """Arbitrary chunk boundaries leave the same bank as one-by-one adds."""
-    frame = load_ulm(DATA_DIR / log_name, cache=False)
+    frame = load_ulm(DATA_DIR / log_name)
     seq = _fresh_bank()
     for i in range(len(frame)):
         seq.add(float(frame.end_times[i]), float(frame.bandwidths[i]),

@@ -49,6 +49,9 @@ OPENSSL = ("_hashlib",)
 #: What renders directory entries or models the grid; a serving process
 #: answers from its own columns and reads none of their value types.
 DELIVERY = ("repro.mds", "repro.net", "repro.storage", "repro.nws")
+#: The file envelope, its digests and the fault sites: an evaluating run
+#: only reads its logs.
+WRITING = ("repro.envelope", "repro.digests", "repro.faults")
 #: A worker runs inside repro.fleet and needs none of the rest of it.
 FLEET_FRONT = ("repro.fleet.front", "repro.fleet.supervisor",
                "repro.fleet.runner")
@@ -93,7 +96,8 @@ CLOSURES = [
     ("worker", "run('repro.fleet.worker', '--help')",
      SIMULATION + EVENT_LOOP + FLEET_FRONT + DELIVERY + OPENSSL),
     ("evaluate", "import repro.core.engine, repro.data",
-     SIMULATION + ("repro.service", "repro.store", "repro.fleet") + OPENSSL),
+     SIMULATION + ("repro.service", "repro.store", "repro.fleet") + WRITING
+     + OPENSSL),
     ("cli", "import repro.cli", SIMULATION + SERVING + OPENSSL),
     ("cli-serve-help", "run('repro.cli', 'serve', '--help')",
      SIMULATION + EVENT_LOOP + OPENSSL),
@@ -107,7 +111,8 @@ CLOSURES = [
      "'--link', 'aug-LBL-ANL', '--size', '1GB')", SIMULATION + OPENSSL),
     # Renders with repro.analysis.report, so the package itself may load.
     ("cli-evaluate", "run('repro.cli', 'evaluate', {log!r})",
-     tuple(root for root in SIMULATION if root != "repro.analysis") + OPENSSL),
+     tuple(root for root in SIMULATION if root != "repro.analysis") + WRITING
+     + OPENSSL),
     # The simulator routes its testbed without a graph library.  It does
     # load _hashlib: the campaign seeds np.random.SeedSequence
     # (repro.sim.rng), and numpy.random imports secrets -> hmac -> _hashlib.
@@ -122,7 +127,7 @@ CLOSURES = [
     ids=[row[0] for row in CLOSURES],
 )
 def test_entry_point_loads_only_its_own_closure(statement, forbidden, tmp_path):
-    log = shutil.copy(DATA / "aug-LBL-ANL.ulm", tmp_path)   # sidecars land here
+    log = shutil.copy(DATA / "aug-LBL-ANL.ulm", tmp_path)
     out = _python(_PRELUDE + statement.format(log=log, out=str(tmp_path))
                   + _EPILOGUE)
     loaded = out.split("--modules--\n", 1)[1].split()
@@ -151,7 +156,7 @@ size = 600 * 10**6
 service = PredictionService(store=LinkStore(state_dir), max_resident=1)
 service.ingest_ulm(log_a, link="a")
 service.ingest_ulm(log_b, link="b")          # evicts a
-frame = load_ulm(log_a, cache=False)
+frame = load_ulm(log_a)
 last = frame.record(len(frame) - 1)
 now = last.end_time + 3600.0
 answers = {"predict": service.predict("a", size, now=now).value}   # revives a
@@ -174,7 +179,7 @@ result = evaluate(frame)
 answers["battery"] = len(result.traces)
 answers["mape"] = result.mape_table()
 answers["size"] = evaluate(frame, ["SIZE"]).mape_table()
-# Sidecar ingest, evict, revive, checkpoint, batch fold and the battery
+# Ingest, evict, revive, checkpoint, batch fold and the battery
 # hashed what they hash without OpenSSL: a lazy `import hashlib` on a
 # cold path would have put it back.
 assert "_hashlib" not in sys.modules
@@ -200,7 +205,7 @@ def test_serving_and_evaluation_answer_without_openssl_or_numpy_ma(tmp_path):
     # The same battery in this process, whose closure is the whole package.
     from repro.core import evaluate
     from repro.data import load_ulm
-    assert answers["mape"] == evaluate(load_ulm(logs[0], cache=False)).mape_table()
+    assert answers["mape"] == evaluate(load_ulm(logs[0])).mape_table()
 
 
 # ----------------------------------------------------------------------

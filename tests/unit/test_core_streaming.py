@@ -256,7 +256,7 @@ class TestOneFold:
         "aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm",
         "dec-LBL-ANL.ulm", "dec-ISI-ANL.ulm"])
     def test_rebuild_is_the_add_chain_on_a_shipped_log(self, log_name):
-        frame = load_ulm(DATA_DIR / log_name, cache=False)
+        frame = load_ulm(DATA_DIR / log_name)
         assert frame.is_sorted
         assert_one_fold(frame.end_times, frame.bandwidths, frame.sizes)
 

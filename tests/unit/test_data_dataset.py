@@ -33,17 +33,17 @@ def two_logs(tmp_path):
 
 class TestConstruction:
     def test_from_ulm_links_by_stem(self, two_logs):
-        dataset = Dataset.from_ulm(two_logs, cache=False)
+        dataset = Dataset.from_ulm(two_logs)
         assert dataset.links() == ["LBL-ANL", "ISI-ANL"]
         assert dataset.total_records == 50
         assert len(dataset["LBL-ANL"]) == 25
 
     def test_explicit_links(self, two_logs):
-        dataset = Dataset.from_ulm(two_logs, cache=False, links=["a", "b"])
+        dataset = Dataset.from_ulm(two_logs, links=["a", "b"])
         assert dataset.links() == ["a", "b"]
 
     def test_duplicate_stems_merge(self, tmp_path, two_logs):
-        dataset = Dataset.from_ulm([two_logs[0], two_logs[0]], cache=False)
+        dataset = Dataset.from_ulm([two_logs[0], two_logs[0]])
         assert dataset.links() == ["LBL-ANL"]
         assert len(dataset["LBL-ANL"]) == 50
 
@@ -76,15 +76,15 @@ class TestConstruction:
         assert set(dataset.links()) == {"big", "small"}
 
     def test_merge(self, two_logs):
-        a = Dataset.from_ulm(two_logs[0], cache=False)
-        b = Dataset.from_ulm(two_logs[1], cache=False)
+        a = Dataset.from_ulm(two_logs[0])
+        b = Dataset.from_ulm(two_logs[1])
         merged = a.merge(b)
         assert merged.links() == ["LBL-ANL", "ISI-ANL"]
 
 
 class TestEvaluateDataset:
     def test_matches_serial_evaluate(self, two_logs):
-        dataset = Dataset.from_ulm(two_logs, cache=False)
+        dataset = Dataset.from_ulm(two_logs)
         parallel = evaluate_dataset(dataset, ["C-AVG15", "AVG"], training=5)
         for link in dataset:
             serial = evaluate(dataset[link], ["C-AVG15", "AVG"], training=5)
@@ -97,7 +97,7 @@ class TestEvaluateDataset:
                 )
 
     def test_forced_serial_matches_pool(self, two_logs):
-        dataset = Dataset.from_ulm(two_logs, cache=False)
+        dataset = Dataset.from_ulm(two_logs)
         together = evaluate_dataset(dataset, "AVG", training=5)
         assert list(together) == dataset.links()
         for link in dataset:
@@ -110,6 +110,6 @@ class TestEvaluateDataset:
         assert evaluate_dataset(Dataset({})) == {}
 
     def test_bad_spec_raises_before_spawning(self, two_logs):
-        dataset = Dataset.from_ulm(two_logs, cache=False)
+        dataset = Dataset.from_ulm(two_logs)
         with pytest.raises(KeyError):
             evaluate_dataset(dataset, "NOPE")

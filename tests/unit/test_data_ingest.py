@@ -1,12 +1,8 @@
-"""Vectorized ULM ingest and the binary sidecar cache."""
-
-import hashlib
+"""Vectorized ULM ingest."""
 
 import pytest
 
-from repro.data import TransferFrame, cache_path, load_ulm, parse_ulm_text
-from repro.data.ingest import CACHE_VERSION, read_cache_status, write_cache
-from repro.data.ingest import _digest as key  # the sidecar's own key
+from repro.data import TransferFrame, load_ulm, parse_ulm_text
 from repro.logs.ulm import ULMError, format_record, parse_lines
 
 from tests.conftest import make_record
@@ -113,177 +109,13 @@ class TestParse:
         assert "line 3" in str(vectorized.value)
 
 
-class TestCache:
-    def test_first_load_writes_sidecar(self, log_path):
-        frame = load_ulm(log_path)
-        sidecar = cache_path(log_path)
-        assert sidecar.exists()
-        assert load_ulm(log_path).equals(frame)
+class TestLoad:
+    def test_loads_what_the_text_parses_to(self, log_path, ulm_text):
+        assert load_ulm(log_path).equals(parse_ulm_text(ulm_text))
 
-    def test_cache_false_never_touches_disk(self, log_path, monkeypatch):
-        # ... nor hashes the log: the digest is the sidecar's key only.
-        monkeypatch.setattr(
-            "repro.data.ingest._digest",
-            lambda raw: pytest.fail("hashed a log whose digest nobody reads"))
-        load_ulm(log_path, cache=False)
-        assert not cache_path(log_path).exists()
-
-    def test_content_change_invalidates(self, log_path, sample_records):
-        load_ulm(log_path)
-        extra = make_record(start=9_999_999.0)
-        log_path.write_text(
-            log_path.read_text() + format_record(extra) + "\n"
-        )
-        frame = load_ulm(log_path)
-        assert len(frame) == len(sample_records) + 1
-        assert frame.to_records()[-1] == extra
-
-    def test_corrupt_sidecar_degrades_to_parse(self, log_path):
-        frame = load_ulm(log_path)
-        cache_path(log_path).write_bytes(b"not a sidecar")
-        assert load_ulm(log_path).equals(frame)
-
-    def test_version_mismatch_rejected(self, log_path, monkeypatch):
-        from repro.data import ingest
-        from repro.envelope import Envelope
-
-        frame = load_ulm(log_path)
-        sidecar = cache_path(log_path)
-        raw = log_path.read_bytes()
-        digest = key(raw)
-        assert read_cache_status(sidecar, digest)[0].equals(frame)
-        quarantined = sidecar.with_name(sidecar.name + ".quarantined")
-
-        def written_by(version, log_key):
-            monkeypatch.setattr(ingest, "_FILE", Envelope(
-                b"RSUL", version, "I" * 10, meta="32sI"))
-            assert write_cache(sidecar, log_key, frame)
-            monkeypatch.undo()
-
-        # The same file as the build before wrote it, keyed on the log's
-        # SHA-256: intact, so stale, and overwritten in place.
-        written_by(2, hashlib.sha256(raw).hexdigest())
-        assert read_cache_status(sidecar, digest) == (None, "stale")
-        assert load_ulm(log_path).equals(frame)
-        assert not quarantined.exists()
-        assert sidecar.read_bytes()[4:6] == bytes([CACHE_VERSION, 0])
-        assert read_cache_status(sidecar, digest)[0].equals(frame)
-        # ... and as a build with another cache layout wrote it: stale
-        # too, whatever its body, and overwritten in place.
-        written_by(999, digest)
-        assert read_cache_status(sidecar, digest) == (None, "stale")
-        assert load_ulm(log_path).equals(frame)
-        assert not quarantined.exists()
-        # This build's file with a flipped format field: corrupt.
-        current = sidecar.read_bytes()
-        sidecar.write_bytes(current[:4] + bytes([CACHE_VERSION ^ 4, 0])
-                            + current[6:])
-        assert read_cache_status(sidecar, digest) == (None, "corrupt")
-        assert load_ulm(log_path).equals(frame)  # reparses and rewrites
-        assert quarantined.exists()
-        assert read_cache_status(sidecar, digest)[0].equals(frame)
-
-    def test_version_1_npz_sidecar_is_not_looked_at(self, log_path):
-        # What an earlier build left beside the log: never opened,
-        # never quarantined, never rewritten.
-        old = log_path.with_name(log_path.name + ".npz")
-        old.write_bytes(b"PK\x03\x04 whatever an old build wrote")
-        frame = load_ulm(log_path)
-        assert load_ulm(log_path).equals(frame)
-        assert old.read_bytes().startswith(b"PK")
-        assert sorted(p.name for p in log_path.parent.iterdir()) == [
-            "link.ulm", "link.ulm.col", "link.ulm.npz"]
-
-    def test_digest_mismatch_rejected(self, log_path):
-        load_ulm(log_path)
-        assert read_cache_status(cache_path(log_path), "0" * 64) == (None, "stale")
-
-    def test_write_cache_unwritable_destination(self, log_path, tmp_path):
-        # Best-effort contract: an unwritable sidecar location (here a
-        # missing parent directory) reports False instead of raising.
-        frame = load_ulm(log_path, cache=False)
-        ok = write_cache(tmp_path / "missing" / "x.ulm.col", "0" * 64, frame)
-        assert ok is False
-
-    def test_round_trip_preserves_every_column(self, log_path):
-        parsed = load_ulm(log_path)          # writes sidecar
-        cached = load_ulm(log_path)          # reads it back
-        assert cached.equals(parsed)
-        assert CACHE_VERSION == 3
-        for name in ("sources", "files", "volumes"):
-            assert getattr(cached, name).dtype == getattr(parsed, name).dtype
-
-    def test_empty_log_round_trips(self, tmp_path):
-        path = tmp_path / "empty.ulm"
-        path.write_text("# nothing yet\n")
-        assert len(load_ulm(path)) == 0
-        frame, status = read_cache_status(
-            cache_path(path), key(path.read_bytes()))
-        assert status == "hit" and len(frame) == 0
-
-
-class TestCacheQuarantine:
-    def test_corrupt_sidecar_is_quarantined_and_rebuilt(self, log_path):
-        baseline = load_ulm(log_path, cache=False)
-        sidecar = cache_path(log_path)
-        sidecar.write_bytes(b"definitely not a sidecar")
-
-        frame = load_ulm(log_path)           # must not raise
-        assert frame.equals(baseline)
-        quarantined = sidecar.with_name(sidecar.name + ".quarantined")
-        assert quarantined.exists()          # corrupt file moved aside
-        assert sidecar.exists()              # fresh cache rewritten
-        frame2, status = read_cache_status(
-            sidecar, key(log_path.read_bytes()))
-        assert status == "hit" and frame2.equals(baseline)
-
-    def test_truncated_sidecar_is_treated_as_corrupt(self, log_path):
-        load_ulm(log_path)                    # write a real sidecar
-        sidecar = cache_path(log_path)
-        sidecar.write_bytes(sidecar.read_bytes()[: sidecar.stat().st_size // 2])
-        frame = load_ulm(log_path)            # must not raise
-        assert frame.equals(load_ulm(log_path, cache=False))
-        assert sidecar.with_name(sidecar.name + ".quarantined").exists()
-
-    def test_stale_format_falls_back_without_quarantine(self, log_path):
-        from repro.obs import get_registry
-
-        frame = load_ulm(log_path, cache=False)
-        sidecar = cache_path(log_path)
-        digest = key(log_path.read_bytes())
-        other = key(b"what the log used to say")
-        assert write_cache(sidecar, other, frame.prefix(2))
-        assert read_cache_status(sidecar, digest) == (None, "stale")
-        counter = get_registry().counter("ingest_cache_quarantined", "")
-        before = counter.value
-        assert load_ulm(log_path).equals(frame)
-        # An intact sidecar for other content is stale, not corrupt: it
-        # is overwritten in place, never quarantined.
-        assert counter.value == before
-        assert not sidecar.with_name(sidecar.name + ".quarantined").exists()
-        assert read_cache_status(sidecar, digest)[1] == "hit"
-
-    def test_quarantine_is_counted_and_announced(self, log_path):
-        from repro.obs import get_event_bus, get_registry
-
-        before = get_registry().counter("ingest_cache_quarantined", "").value
-        cache_path(log_path).write_bytes(b"garbage")
-        load_ulm(log_path)
-        assert (
-            get_registry().counter("ingest_cache_quarantined", "").value
-            == before + 1
-        )
-        events = get_event_bus().events(kind="ingest.cache_quarantine")
-        assert any(e.fields.get("path") == str(log_path) for e in events)
-
-    def test_injected_cache_fault_degrades_to_reparse(self, log_path):
-        from repro import faults
-        from repro.faults import FaultInjector
-
-        baseline = load_ulm(log_path, cache=False)
-        load_ulm(log_path)                    # warm, valid sidecar
-        injector = FaultInjector().inject("ingest.cache", error=IOError, times=1)
-        with faults.injected(injector):
-            assert load_ulm(log_path).equals(baseline)   # reparse, no raise
-        assert injector.fired["ingest.cache"] == 1
-        assert load_ulm(log_path).equals(baseline)       # cache healed
+    def test_undecodable_byte_is_a_line_numbered_error(self, log_path):
+        lines = log_path.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b"/", b"/\xff", 1)
+        log_path.write_bytes(b"".join(lines))
+        with pytest.raises(ULMError, match=r"^line 3: not UTF-8"):
+            load_ulm(log_path)

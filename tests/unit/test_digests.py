@@ -1,8 +1,8 @@
 """``repro.digests``: the interpreter's own SHA-256 and BLAKE2b give
 ``hashlib``'s bytes, and a build without them falls back to ``hashlib``.
 
-Every file header, checkpoint, legacy segment, sidecar key, row digest
-and shard placement is one of these digests, so each is pinned against
+Every file header, checkpoint, legacy segment, row digest and shard
+placement is one of these digests, so each is pinned against
 ``hashlib`` at every size the tree asks for.
 """
 
@@ -47,7 +47,7 @@ def test_sha256_gives_hashlibs_bytes(data):
     assert ours.digest_size == 32
 
 
-@pytest.mark.parametrize("size", [8, 16, 32])   # shard hash, rows, sidecar key
+@pytest.mark.parametrize("size", [8, 16, 32])   # shard hash, rows, default
 @pytest.mark.parametrize("data", INPUTS, ids=IDS)
 def test_blake2b_gives_hashlibs_bytes(data, size):
     ours = digests.blake2b(data, digest_size=size)

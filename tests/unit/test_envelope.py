@@ -1,14 +1,12 @@
-"""The shared file envelope, through each of its three callers.
+"""The shared file envelope, through each of its callers.
 
-One decoder contract, three kinds of file (checkpoint, sealed segment
-in its current format and in the one it still reads, ingest sidecar):
-damaged bytes raise the kind's own error — or read as status
-``"corrupt"`` for the sidecar — and nothing else, never a decoded
-value; nothing is inflated past what the verified header declared; and
-a file of a format the kind does not read is another build's, by one
-rule for all three.
+One decoder contract, two kinds of file (checkpoint, sealed segment in
+its current format and in the one it still reads): damaged bytes raise
+the kind's own error and nothing else, never a decoded value; nothing
+is inflated past what the verified header declared; and a file of a
+format the kind does not read is another build's, by one rule for both.
 Each kind's header is packed by hand here, so the tests pin the bytes,
-and so is the deflate level each kind writes at.
+and so is the deflate level they are written at.
 """
 
 from __future__ import annotations
@@ -23,16 +21,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.data import TransferFrame
-from repro.data.ingest import read_cache_status, write_cache
 from repro.envelope import CorruptFile, Envelope, atomic_write
 from repro.store import CorruptCheckpoint, CorruptSegment
 from repro.store import checkpoint as ck
 from repro.store import segments as seg
-from tests.conftest import make_record
 from tests.unit.test_store import LD_SIZE, as_format_2, revive, small_bank
-
-LOG_DIGEST = hashlib.sha256(b"the log's bytes").hexdigest()
 
 
 class Kind:
@@ -111,36 +104,8 @@ class Format1SegmentKind(SegmentKind):
                           [len(section) for section in sections], (7, 3, 99))
 
 
-class SidecarKind(Kind):
-    name = "x.ulm.col"
-    fields = struct.Struct("<4sHHI10I32sI")
-    magic, version, aux = b"RSUL", 3, 0
-    readable = (3,)
-    meta = (bytes.fromhex(LOG_DIGEST), 128)
-    level = 1  # a cache written on serve's cold start
-    error = CorruptFile
-    bomb_lengths = (1024,) + (0,) * 9
-
-    def blob(self):
-        frame = TransferFrame.from_records(
-            [make_record(start=10.0), make_record(start=30.0, file_name="/b")])
-        assert write_cache(self.path, LOG_DIGEST, frame)
-        return self.path.read_bytes()
-
-    def decode(self, data):
-        self.path.write_bytes(data)
-        frame, status = read_cache_status(self.path, LOG_DIGEST)
-        if status == "corrupt" and frame is None:
-            raise CorruptFile("status corrupt")
-        return frame, status
-
-    def assert_foreign(self, data, format_):
-        assert self.decode(data) == (None, "stale")
-
-
-@pytest.fixture(params=[CheckpointKind, SegmentKind, Format1SegmentKind,
-                        SidecarKind],
-                ids=["checkpoint", "segment", "segment-format-1", "sidecar"])
+@pytest.fixture(params=[CheckpointKind, SegmentKind, Format1SegmentKind],
+                ids=["checkpoint", "segment", "segment-format-1"])
 def kind(request, tmp_path):
     return request.param(tmp_path)
 
@@ -179,8 +144,8 @@ def test_every_single_bit_flip_is_corrupt(kind):
 def test_a_foreign_format_is_another_builds_and_a_flipped_one_corrupt(kind):
     """:func:`repro.envelope.foreign_format`, through each kind: a file
     written in a format the kind does not read, older or newer, is left
-    to the build that reads it (a derived file is stale, a segment its
-    own error), whatever its body; this build's file with any bit of its
+    to the build that reads it (a checkpoint is stale, a segment its own
+    error), whatever its body; this build's file with any bit of its
     format field flipped is corrupt."""
     blob = kind.blob()
     rest = kind.fields.unpack_from(blob)[4:]

@@ -188,15 +188,4 @@ class TestFrameBridge:
         log.save(path)
         loaded = TransferLog.load(path)
         assert loaded.records() == log.records()
-        # cache defaults off: no sidecar appears next to the log
         assert list(tmp_path.iterdir()) == [path]
-
-    def test_load_with_cache_writes_sidecar(self, tmp_path):
-        log = TransferLog()
-        log.extend(records_at(100.0, 200.0))
-        path = tmp_path / "x.ulm"
-        log.save(path)
-        TransferLog.load(path, cache=True)
-        assert (tmp_path / "x.ulm.col").exists()
-        reloaded = TransferLog.load(path, cache=True)  # warm read
-        assert reloaded.records() == log.records()

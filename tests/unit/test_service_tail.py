@@ -215,6 +215,18 @@ def test_undecodable_complete_line_is_a_counted_parse_error(tmp_path):
     assert len(seen) == 1
 
 
+def test_a_record_with_an_undecodable_byte_is_a_parse_error(tmp_path):
+    # The bulk load refuses the same line (tests/integration/test_log_inputs.py).
+    path = tmp_path / "log.ulm"
+    good = format_record(make_record(start=1000.0)).encode("utf-8")
+    path.write_bytes(good.replace(b"=/", b"=/\xff", 1) + b"\n" + good + b"\n")
+
+    follower, seen = collect(path)
+    assert follower.poll() == 1
+    assert follower.errors == 1
+    assert len(seen) == 1
+
+
 def test_rotation_to_same_size_is_detected_via_inode(tmp_path):
     path = tmp_path / "log.ulm"
     line = format_record(make_record(start=1000.0)) + "\n"
