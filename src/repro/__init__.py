@@ -37,7 +37,7 @@ __version__ = "1.0.0"
 # ``repro.run_month`` never imports the simulator behind it.
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.classification": ("Classification", "paper_classification"),
-    "repro.core.evaluation": ("EvaluationResult", "percentage_error"),
+    "repro.core.evaluation": ("EvaluationResult",),
     "repro.core.history": ("History", "Observation"),
     "repro.core.selection": ("ReplicaBroker",),
     "repro.core.engine": ("evaluate",),

@@ -54,5 +54,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "render_summary",
     ),
     "repro.analysis.export": ("export_all",),
-    "repro.analysis.sweep": ("SweepResult", "render_sweep", "sweep_claims"),
+    "repro.analysis.sweep": ("SweepResult", "sweep_claims"),
 })

@@ -13,17 +13,16 @@ evaluation costs well under a second.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.workload import AUG_2001, run_month
 
 from repro.analysis.errors import compute_class_errors
-from repro.analysis.report import render_table
 from repro.analysis.summary import SummaryClaims, check_summary_claims
 
-__all__ = ["SweepResult", "sweep_claims", "render_sweep"]
+__all__ = ["SweepResult", "sweep_claims"]
 
 
 @dataclass(frozen=True)
@@ -34,13 +33,6 @@ class SweepResult:
 
     def metric(self, extract) -> np.ndarray:
         return np.array([extract(c) for c in self.claims.values()])
-
-    def all_hold(self) -> bool:
-        return all(c.all_hold() for c in self.claims.values())
-
-    def holding_fraction(self) -> float:
-        values = [c.all_hold() for c in self.claims.values()]
-        return sum(values) / len(values)
 
     def aggregate(self) -> Dict[str, Tuple[float, float]]:
         """Metric name -> (mean, std) across configurations."""
@@ -75,19 +67,3 @@ def sweep_claims(
             errors = compute_class_errors(link, output.log.to_frame())
             claims[(seed, link)] = check_summary_claims(errors)
     return SweepResult(claims=claims)
-
-
-def render_sweep(result: SweepResult) -> str:
-    rows: List[List[object]] = [
-        [name, mean, std]
-        for name, (mean, std) in result.aggregate().items()
-    ]
-    table = render_table(
-        ["metric", "mean", "std"],
-        rows,
-        title=f"Seed sweep over {len(result.claims)} (seed, link) configurations",
-    )
-    footer = (
-        f"claims hold in {result.holding_fraction() * 100:.0f}% of configurations"
-    )
-    return f"{table}\n{footer}"

@@ -31,11 +31,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.core.classification": ("Classification", "paper_classification"),
     "repro.core.history": ("History", "Observation"),
-    "repro.core.evaluation": (
-        "EvaluationResult",
-        "PredictionTrace",
-        "percentage_error",
-    ),
+    "repro.core.evaluation": ("EvaluationResult", "PredictionTrace"),
     "repro.core.engine": (
         "evaluate",
         "evaluate_dataset",

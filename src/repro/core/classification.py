@@ -25,7 +25,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.units import MB
 
@@ -81,10 +81,6 @@ class Classification:
         lo = self.edges[i - 1] if i > 0 else 0
         hi: float = self.edges[i] if i < len(self.edges) else float("inf")
         return lo, hi
-
-    def class_sizes(self) -> List[Tuple[str, int, float]]:
-        """All ``(label, lo, hi)`` triples in order."""
-        return [(label, *self.bounds(label)) for label in self.labels]
 
 
 def paper_classification() -> Classification:

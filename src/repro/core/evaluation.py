@@ -41,7 +41,6 @@ _H_PREDICTOR = get_registry().histogram(
 )
 
 __all__ = [
-    "percentage_error",
     "resolve_history",
     "EvaluationData",
     "PredictionTrace",
@@ -73,13 +72,6 @@ def resolve_history(data: EvaluationData):
         (r.start_time for r in records), dtype=np.float64, count=len(records)
     )
     return history, anchors
-
-
-def percentage_error(measured: float, predicted: float) -> float:
-    """The paper's accuracy metric: absolute percentage error."""
-    if measured <= 0:
-        raise ValueError(f"measured value must be positive, got {measured}")
-    return abs(measured - predicted) / measured * 100.0
 
 
 @dataclass(frozen=True)
@@ -153,15 +145,6 @@ class EvaluationResult:
                 mask = trace.class_mask(classification, label)
             out[name] = trace.mean_abs_pct_error(mask)
         return out
-
-    def errors_by_class(
-        self, classification: Classification
-    ) -> Dict[str, Dict[str, float]]:
-        """Class label -> (predictor -> MAPE); the data behind Figures 8–11."""
-        return {
-            label: self.mape_table(classification, label)
-            for label in classification.labels
-        }
 
 
 def evaluate(

@@ -8,17 +8,16 @@ underlying arrays so walk-forward evaluation over growing prefixes costs
 no copies.
 
 A history is validated once, at construction (equal lengths, times
-non-decreasing).  Every view is by a forward slice or a boolean mask
-(``filter_sizes`` refuses a predicate that returns anything else), which
-keeps rows in their order, so it is sorted because its parent is, and is
-built without re-checking: a re-check is a pass over the prefix, and the
-generic walk takes a view or two a prediction.
+non-decreasing).  Every view is by a forward slice or a boolean mask,
+which keeps rows in their order, so it is sorted because its parent is,
+and is built without re-checking: a re-check is a pass over the prefix,
+and the generic walk takes a view or two a prediction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,14 +63,6 @@ class History:
         times = np.fromiter((r.end_time for r in records), dtype=np.float64, count=n)
         values = np.fromiter((r.bandwidth for r in records), dtype=np.float64, count=n)
         sizes = np.fromiter((r.file_size for r in records), dtype=np.int64, count=n)
-        return cls(times, values, sizes)
-
-    @classmethod
-    def from_observations(cls, observations: Iterable[Observation]) -> "History":
-        obs = list(observations)
-        times = np.array([o.time for o in obs], dtype=np.float64)
-        values = np.array([o.bandwidth for o in obs], dtype=np.float64)
-        sizes = np.array([o.size for o in obs], dtype=np.int64)
         return cls(times, values, sizes)
 
     # ------------------------------------------------------------------
@@ -123,19 +114,6 @@ class History:
         """Observations at or after time ``t`` — the temporal window."""
         lo = int(np.searchsorted(self.times, t, side="left"))
         return self._view(slice(lo, len(self)))
-
-    def filter_sizes(self, predicate: Callable[[np.ndarray], np.ndarray]) -> "History":
-        """Boolean-mask view by a vectorized size predicate.
-
-        The predicate must return one bool per observation: an index
-        array could repeat or reorder rows, which is not a view.
-        """
-        mask = np.asarray(predicate(self.sizes))
-        if mask.dtype != np.bool_ or mask.shape != self.sizes.shape:
-            raise TypeError(
-                f"filter_sizes needs a boolean mask of shape {self.sizes.shape}, "
-                f"got {mask.dtype} of shape {mask.shape}")
-        return self._view(mask)
 
     def of_class(self, classification, label: str) -> "History":
         """Observations whose size falls in the named class (vectorized)."""

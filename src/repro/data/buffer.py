@@ -83,12 +83,6 @@ class ColumnBuffer:
     def capacity(self) -> int:
         return len(self._columns[0])
 
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the backing arrays (capacity, not just n) —
-        what eviction actually frees."""
-        return sum(column.nbytes for column in self._columns)
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------

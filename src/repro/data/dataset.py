@@ -14,9 +14,7 @@ mapping.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
 
 from repro.data.frame import TransferFrame
 from repro.data.ingest import load_ulm
@@ -63,43 +61,9 @@ class Dataset(Mapping[str, TransferFrame]):
         return cls(frames)
 
     @classmethod
-    def from_log(cls, link: str, log) -> "Dataset":
-        """One link from a live :class:`~repro.logs.logfile.TransferLog`."""
-        return cls({link: log.to_frame()})
-
-    @classmethod
     def from_logs(cls, logs: Mapping[str, object]) -> "Dataset":
         """Many links from a link -> :class:`TransferLog` mapping."""
         return cls({link: log.to_frame() for link, log in logs.items()})
-
-    @classmethod
-    def partition_by_link(
-        cls,
-        frame: TransferFrame,
-        key: Union[str, Callable[[TransferFrame], np.ndarray]] = "sources",
-    ) -> "Dataset":
-        """Split one mixed frame into per-link frames.
-
-        ``key`` names a string column (``"sources"`` — the remote peer,
-        the paper's notion of a link — or ``"volumes"``) or is a callable
-        producing one label per row.  Row order inside each partition is
-        preserved; links appear in sorted label order.
-        """
-        if callable(key):
-            labels = np.asarray(key(frame), dtype=np.str_)
-            if len(labels) != len(frame):
-                raise ValueError(
-                    f"key callable produced {len(labels)} labels for "
-                    f"{len(frame)} rows"
-                )
-        else:
-            if key not in ("sources", "volumes", "files"):
-                raise ValueError(f"cannot partition on column {key!r}")
-            labels = getattr(frame, key)
-        frames: Dict[str, TransferFrame] = {}
-        for label in np.unique(labels):
-            frames[str(label)] = frame.view(labels == label)
-        return cls(frames)
 
     # ------------------------------------------------------------------
     # mapping protocol

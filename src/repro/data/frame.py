@@ -168,13 +168,24 @@ class TransferFrame:
         return [self.record(i) for i in range(len(self))]
 
     def equals(self, other: "TransferFrame") -> bool:
-        """Exact column-wise equality (for tests and cache validation)."""
+        """Exact column-wise equality: each column's dtype kind agrees,
+        float columns match bit for bit (so ``-0.0`` is not ``0.0``), and
+        the rest match by value (a sliced frame keeps its parent's string
+        width)."""
         if len(self) != len(other):
             return False
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in COLUMN_NAMES
-        )
+        for name in COLUMN_NAMES:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine.dtype.kind != theirs.dtype.kind:
+                return False
+            if mine.dtype.kind == "f":
+                if mine.dtype != theirs.dtype:
+                    return False
+                bits = np.dtype(f"u{mine.itemsize}")
+                mine, theirs = mine.view(bits), theirs.view(bits)
+            if not np.array_equal(mine, theirs):
+                return False
+        return True
 
     def __repr__(self) -> str:
         return f"<TransferFrame n={len(self)}>"
@@ -245,16 +256,3 @@ class TransferFrame:
         a replica decision would be made), matching the record-based
         evaluation path."""
         return self.start_times
-
-    # ------------------------------------------------------------------
-    # (de)serialization to plain arrays
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict:
-        return {name: getattr(self, name) for name in COLUMN_NAMES}
-
-    @classmethod
-    def from_arrays(cls, arrays) -> "TransferFrame":
-        missing = [name for name in COLUMN_NAMES if name not in arrays]
-        if missing:
-            raise ValueError(f"missing columns: {missing}")
-        return cls(**{name: arrays[name] for name in COLUMN_NAMES})

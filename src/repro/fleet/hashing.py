@@ -19,7 +19,7 @@ N+1 moves only ~1/(N+1) of the links.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.digests import blake2b
 
@@ -77,13 +77,6 @@ class ShardRing:
         for link in links:
             groups.setdefault(self.shard_of(link), []).append(link)
         return groups
-
-    def distribution(self, links: Sequence[str]) -> List[int]:
-        """Per-shard link counts — how balanced this population lands."""
-        counts = [0] * self.shards
-        for link in links:
-            counts[self.shard_of(link)] += 1
-        return counts
 
     def __repr__(self) -> str:
         return f"<ShardRing shards={self.shards} replicas={self.replicas}>"

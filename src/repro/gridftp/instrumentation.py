@@ -7,21 +7,18 @@ transfer operation."  :class:`Monitor` is that layer — it converts a
 :class:`~repro.logs.record.TransferRecord` and appends it to the server's
 :class:`~repro.logs.logfile.TransferLog`.
 
-For the Section 3 overhead claim (≈25 ms per transfer, entries < 512
-bytes) the monitor also offers :meth:`timed_record`, which measures the
-wall-clock cost of the full record-build + serialize + append path so the
-benchmark can report a measured number rather than restating the paper's.
+The Section 3 overhead claim (≈25 ms per transfer, entries < 512 bytes)
+is measured over :meth:`Monitor.record` plus the ULM formatting, by
+``benchmarks/bench_claim_logging_overhead.py``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.gridftp.transfer import TransferOutcome
 from repro.logs.logfile import TransferLog
 from repro.logs.record import Operation, TransferRecord
-from repro.logs.ulm import format_record
 
 __all__ = ["Monitor"]
 
@@ -61,31 +58,3 @@ class Monitor:
         )
         self.log.append(record)
         return record
-
-    def timed_record(
-        self,
-        outcome: TransferOutcome,
-        *,
-        source_ip: str,
-        file_name: str,
-        volume: str,
-        operation: Operation,
-    ) -> Tuple[TransferRecord, float, int]:
-        """Like :meth:`record` but measures the real logging cost.
-
-        Returns ``(record, wall_seconds, serialized_bytes)`` where
-        ``wall_seconds`` covers building the record, formatting the ULM
-        line, and appending to the log — the analogue of the paper's 25 ms
-        figure — and ``serialized_bytes`` checks the "< 512 bytes" claim.
-        """
-        t0 = time.perf_counter()
-        record = self.record(
-            outcome,
-            source_ip=source_ip,
-            file_name=file_name,
-            volume=volume,
-            operation=operation,
-        )
-        line = format_record(record, host=self.log.host)
-        elapsed = time.perf_counter() - t0
-        return record, elapsed, len(line.encode("utf-8"))

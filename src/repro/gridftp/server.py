@@ -206,11 +206,6 @@ class GridFTPServer:
             self._open_sessions -= 1
 
     @property
-    def open_sessions(self) -> int:
-        """Number of currently open control connections."""
-        return self._open_sessions
-
-    @property
     def url(self) -> str:
         """The gsiftp URL advertised by the information provider (Figure 6)."""
         return f"gsiftp://{self.site.hostname}:{self.port}"

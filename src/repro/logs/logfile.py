@@ -14,10 +14,9 @@ A :class:`TransferLog` may also be persisted to/loaded from a ULM file, one
 record per line, which is how workload campaigns hand data to the analysis
 and benchmark layers.  Bulk ingestion (:meth:`TransferLog.extend`,
 :meth:`TransferLog.load`) folds a whole batch in one sorted merge — one
-trim-policy application instead of N — and :meth:`TransferLog.to_frame` /
-:meth:`TransferLog.from_frame` bridge to the columnar
-:class:`~repro.data.frame.TransferFrame` substrate the analysis, MDS, and
-service layers evaluate on.
+trim-policy application instead of N — and :meth:`TransferLog.to_frame`
+bridges to the columnar :class:`~repro.data.frame.TransferFrame` substrate
+the analysis, MDS, and service layers evaluate on.
 """
 
 from __future__ import annotations
@@ -231,18 +230,6 @@ class TransferLog:
         from repro.data.frame import TransferFrame
 
         return TransferFrame.from_records(self._records)
-
-    @classmethod
-    def from_frame(
-        cls,
-        frame,
-        host: str = "localhost",
-        trim: Optional[TrimPolicy] = None,
-    ) -> "TransferLog":
-        """Build a log from a :class:`~repro.data.frame.TransferFrame`."""
-        log = cls(host=host, trim=trim)
-        log.extend(frame.to_records())
-        return log
 
     # ------------------------------------------------------------------
     # persistence

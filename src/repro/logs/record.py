@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict
 
 from repro.units import bytes_per_sec_to_kbps
@@ -118,41 +118,6 @@ class TransferRecord:
     def bandwidth_kbps(self) -> float:
         """Bandwidth in KB/s, the unit printed in the paper's log."""
         return bytes_per_sec_to_kbps(self.bandwidth)
-
-    @classmethod
-    def from_timing(
-        cls,
-        *,
-        source_ip: str,
-        file_name: str,
-        file_size: int,
-        volume: str,
-        start_time: float,
-        end_time: float,
-        operation: Operation,
-        streams: int,
-        tcp_buffer: int,
-    ) -> "TransferRecord":
-        """Build a record computing bandwidth = size / (end - start)."""
-        duration = end_time - start_time
-        if duration <= 0:
-            raise ValueError("transfer duration must be positive")
-        return cls(
-            source_ip=source_ip,
-            file_name=file_name,
-            file_size=file_size,
-            volume=volume,
-            start_time=start_time,
-            end_time=end_time,
-            bandwidth=file_size / duration,
-            operation=operation,
-            streams=streams,
-            tcp_buffer=tcp_buffer,
-        )
-
-    def with_bandwidth(self, bandwidth: float) -> "TransferRecord":
-        """Copy with a replaced bandwidth (used for perturbation tests)."""
-        return replace(self, bandwidth=bandwidth)
 
     def as_row(self) -> Dict[str, Any]:
         """Flat dict mirroring the paper's Figure 3 columns, for rendering."""

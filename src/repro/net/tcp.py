@@ -91,13 +91,6 @@ class TransferTiming:
             return 0.0
         return self.size / self.duration
 
-    @property
-    def startup_fraction(self) -> float:
-        """Share of the transfer spent before steady state — the size tax."""
-        if self.duration <= 0:
-            return 0.0
-        return (self.setup_time + self.slow_start_time) / self.duration
-
 
 class TcpModel:
     """Compute transfer timings under the analytic model."""

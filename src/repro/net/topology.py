@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.net.load import ConstantLoad, LoadModel
 
@@ -182,9 +182,6 @@ class Topology:
             return self._sites[name]
         except KeyError:
             raise KeyError(f"unknown site {name!r}") from None
-
-    def link_between(self, a: str, b: str) -> Optional[Link]:
-        return self._adjacent.get(a, {}).get(b)
 
     def path(self, src: str, dst: str) -> Path:
         """Shortest path by RTT between two sites (Dijkstra).

@@ -206,12 +206,6 @@ class DynamicForecaster(Forecaster):
     def forecast(self) -> Optional[float]:
         return self.best().forecast()
 
-    def mse_table(self) -> Dict[str, float]:
-        """Per-member MSE, for diagnostics (the experiment is
-        ``tests/integration/test_nws_vs_gridftp.py::TestSection7Extensions::
-        test_dynamic_forecaster_tracks_the_best_member``)."""
-        return {m.name: self._mse(m) for m in self._battery}
-
     def reset(self) -> None:
         for member in self._battery:
             member.reset()

@@ -74,13 +74,6 @@ class TimeSeries:
         t, v = self._data[self._len - 1]
         return float(t), float(v)
 
-    def last_n(self, n: int) -> np.ndarray:
-        """Values of the most recent ``n`` observations (fewer if short)."""
-        if n <= 0:
-            raise ValueError(f"n must be positive, got {n}")
-        lo = max(0, self._len - n)
-        return self._data[lo : self._len, 1].copy()
-
     def since(self, t: float) -> np.ndarray:
         """Values of observations with time >= ``t``."""
         times = self._data[: self._len, 0]

@@ -192,23 +192,6 @@ class Histogram(_Instrument):
         with self._lock:
             return self._sum / self._count if self._count else float("nan")
 
-    def percentile(self, q: float) -> float:
-        """Nearest-rank percentile (``q`` in [0, 100]) over the reservoir.
-
-        Covers only the newest ``window`` observations — consistent with
-        ``window_min``/``window_max``, *not* with the all-time ``min``/
-        ``max``.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        with self._lock:
-            ordered = self._ordered()
-            if not ordered:
-                return float("nan")
-            rank = max(0, min(len(ordered) - 1,
-                              round(q / 100.0 * (len(ordered) - 1))))
-            return ordered[rank]
-
     def summary(self) -> Dict[str, float]:
         """All-time aggregates plus reservoir percentiles.
 

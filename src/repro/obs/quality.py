@@ -208,12 +208,6 @@ class ErrorStats:
         window = self.window
         return window[-1][0] if window else None
 
-    def add_abstention(self) -> None:
-        self.abstentions += 1
-
-    def add_unscorable(self) -> None:
-        self.unscorable += 1
-
     # ------------------------------------------------------------------
     # read side
     # ------------------------------------------------------------------
@@ -602,17 +596,6 @@ class AccuracyTracker:
             if quality.degraded is not None:
                 self.scored += quality.degraded.count
             return True
-
-    def forget(self, link: str) -> None:
-        """Drop all state for a link (pairs with store deletion paths).
-
-        The stage is replayed first so entries for *other* links are
-        never lost, then the forgotten link's routed state is dropped.
-        """
-        with self._lock:
-            self._drain_locked()
-            self._pending.pop(link, None)
-            self._links.pop(link, None)
 
     # ------------------------------------------------------------------
     # read side

@@ -71,7 +71,6 @@ class Engine:
         self._now = float(start_time)
         self._queue: list[Event] = []
         self._seq = itertools.count()
-        self._events_fired = 0
         self._running = False
 
     # ------------------------------------------------------------------
@@ -81,11 +80,6 @@ class Engine:
     def now(self) -> float:
         """Current simulation time in epoch seconds."""
         return self._now
-
-    @property
-    def events_fired(self) -> int:
-        """Number of events executed so far (skipped cancellations excluded)."""
-        return self._events_fired
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
@@ -139,7 +133,6 @@ class Engine:
                 continue
             self._now = event.time
             event.callback(*event.args)
-            self._events_fired += 1
             return True
         return False
 

@@ -90,10 +90,3 @@ class Disk:
     def write_rate(self, extra_active: int = 1) -> float:
         """Per-transfer write rate if ``extra_active`` more transfers start now."""
         return self._per_stream(self.spec.sustained_write, extra_active)
-
-    def access_time(self, size: int, write: bool = False, extra_active: int = 1) -> float:
-        """Seek latency plus streaming time for ``size`` bytes."""
-        if size < 0:
-            raise ValueError(f"size must be non-negative, got {size}")
-        rate = self.write_rate(extra_active) if write else self.read_rate(extra_active)
-        return self.spec.seek_time + size / rate

@@ -98,15 +98,6 @@ class ReplicaCatalog:
         self._sizes[logical_name] = size
         self._entries.setdefault(logical_name, set()).add(site)
 
-    def unregister(self, logical_name: str, site: str) -> None:
-        sites = self._entries.get(logical_name)
-        if not sites or site not in sites:
-            raise KeyError(f"no replica of {logical_name!r} at {site!r}")
-        sites.discard(site)
-        if not sites:
-            del self._entries[logical_name]
-            del self._sizes[logical_name]
-
     def locations(self, logical_name: str) -> List[str]:
         """Sites holding a copy, sorted for determinism."""
         sites = self._entries.get(logical_name)

@@ -16,9 +16,9 @@ from __future__ import annotations
 __all__ = [
     "KB", "MB", "GB",
     "MINUTE", "HOUR", "DAY",
-    "bytes_per_sec_to_kbps", "bytes_per_sec_to_mbps",
+    "bytes_per_sec_to_kbps",
     "mbps_network_to_bytes_per_sec",
-    "fmt_size", "fmt_bandwidth", "parse_size",
+    "fmt_size", "fmt_bandwidth",
 ]
 
 KB = 1_000
@@ -33,11 +33,6 @@ DAY = 86_400.0
 def bytes_per_sec_to_kbps(rate: float) -> float:
     """Bytes/s -> KB/s (decimal), the unit of the paper's log `Bandwidth` field."""
     return rate / KB
-
-
-def bytes_per_sec_to_mbps(rate: float) -> float:
-    """Bytes/s -> MB/s (decimal), the unit of Figures 1-2."""
-    return rate / MB
 
 
 def mbps_network_to_bytes_per_sec(megabits: float) -> float:
@@ -56,28 +51,6 @@ def fmt_size(size: int) -> str:
                 return f"{size // unit}{suffix}"
             return f"{size / unit:.1f}{suffix}"
     return str(size)
-
-
-def parse_size(text: str) -> int:
-    """Parse ``'10M'``/``'1G'``/``'512'`` into bytes.
-
-    Accepts an optional decimal multiplier suffix K/M/G (case-insensitive,
-    optionally followed by 'B').
-    """
-    s = text.strip().upper().removesuffix("B")
-    if not s:
-        raise ValueError(f"empty size string: {text!r}")
-    multiplier = 1
-    if s[-1] in "KMG":
-        multiplier = {"K": KB, "M": MB, "G": GB}[s[-1]]
-        s = s[:-1]
-    try:
-        value = float(s)
-    except ValueError as exc:
-        raise ValueError(f"unparseable size: {text!r}") from exc
-    if value < 0:
-        raise ValueError(f"negative size: {text!r}")
-    return int(round(value * multiplier))
 
 
 def fmt_bandwidth(rate: float) -> str:

@@ -52,11 +52,6 @@ class ActiveProbeConfig:
         if self.period_jitter >= self.period:
             raise ValueError("period_jitter must be smaller than period")
 
-    @property
-    def bytes_per_day(self) -> float:
-        """Probe traffic cost, for budget comparisons."""
-        return self.size * (86_400.0 / self.period)
-
 
 class ActiveProber:
     """Periodically fetches a probe file from one server.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.sweep import render_sweep, sweep_claims
+from repro.analysis.sweep import sweep_claims
 
 
 @pytest.fixture(scope="module")
@@ -25,17 +25,6 @@ def test_aggregate_has_all_metrics(sweep):
     for mean, std in aggregate.values():
         assert mean == mean  # not NaN
         assert std >= 0
-
-
-def test_holding_fraction_bounds(sweep):
-    assert 0.0 <= sweep.holding_fraction() <= 1.0
-    assert sweep.all_hold() == (sweep.holding_fraction() == 1.0)
-
-
-def test_render(sweep):
-    text = render_sweep(sweep)
-    assert "Seed sweep over 4" in text
-    assert "claims hold in" in text
 
 
 def test_metric_extraction(sweep):

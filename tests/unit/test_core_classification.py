@@ -38,10 +38,10 @@ class TestPaperClasses:
             classification.classify(0)
 
     def test_class_sizes_covers_all(self, classification):
-        triples = classification.class_sizes()
-        assert len(triples) == 4
+        bounds = [classification.bounds(label) for label in classification.labels]
+        assert len(bounds) == 4
         # Contiguity: each class starts where the previous ended.
-        for (_, _, hi), (_, lo, _) in zip(triples, triples[1:]):
+        for (_, hi), (lo, _) in zip(bounds, bounds[1:]):
             assert hi == lo
 
 

@@ -3,21 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core import History, evaluate, percentage_error
+from repro.core import History, evaluate
 from repro.core.evaluation import PredictionTrace
 from repro.core.predictors import LastValue, TotalAverage, classified_predictors
 from repro.units import MB
 from tests.conftest import make_record
-
-
-class TestPercentageError:
-    def test_formula(self):
-        assert percentage_error(measured=100.0, predicted=75.0) == pytest.approx(25.0)
-        assert percentage_error(measured=100.0, predicted=125.0) == pytest.approx(25.0)
-
-    def test_nonpositive_measured_rejected(self):
-        with pytest.raises(ValueError):
-            percentage_error(0.0, 1.0)
 
 
 class TestTrace:
@@ -117,8 +107,8 @@ class TestEvaluate:
         )
         table = result.mape_table()
         assert set(table) == {"AVG", "LV"}
-        by_class = result.errors_by_class(classification)
-        assert set(by_class) == set(classification.labels)
+        for label in classification.labels:
+            assert set(result.mape_table(classification, label)) == {"AVG", "LV"}
 
     def test_validation(self, sample_records):
         with pytest.raises(ValueError):

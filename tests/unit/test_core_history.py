@@ -23,12 +23,6 @@ class TestConstruction:
         assert h.values[0] == pytest.approx(sample_records[0].bandwidth)
         assert h.sizes[3] == sample_records[3].file_size
 
-    def test_from_observations(self):
-        h = History.from_observations(
-            [Observation(time=1.0, bandwidth=5.0, size=100)]
-        )
-        assert len(h) == 1 and h[0].bandwidth == 5.0
-
     def test_empty(self):
         assert len(History.empty()) == 0
 
@@ -87,20 +81,6 @@ class TestViews:
         empty = history.of_class(classification, "100MB")
         assert len(empty) == 1  # the 100 MB observation
 
-    def test_filter_sizes(self, history):
-        big = history.filter_sizes(lambda s: s > 500 * MB)
-        assert len(big) == 2
-
-    def test_filter_sizes_refuses_what_is_not_a_mask(self, history):
-        # Index arrays would repeat or reorder rows; a short mask is not
-        # one bool per observation.
-        for predicate in (lambda s: np.array([3, 0]),
-                          lambda s: np.array([0, 0, 1]),
-                          lambda s: np.array([True, False]),
-                          lambda s: (s > 500 * MB).astype(int)):
-            with pytest.raises(TypeError, match="boolean mask"):
-                history.filter_sizes(predicate)
-
 
 class TestTrustedViews:
     """Views by slice or mask are built without re-checking the order:
@@ -112,9 +92,8 @@ class TestTrustedViews:
 
         monkeypatch.setattr(np, "diff", no_diff)
         views = [history.prefix(3), history.last(2), history.since(1.5 * HOUR),
-                 history.of_class(classification, "1GB"),
-                 history.filter_sizes(lambda s: s > 50 * MB)]
-        assert [len(v) for v in views] == [3, 2, 2, 1, 3]
+                 history.of_class(classification, "1GB")]
+        assert [len(v) for v in views] == [3, 2, 2, 1]
         for view in views:
             assert type(view) is History
             assert view.times.dtype == np.float64 and view.sizes.dtype == np.int64

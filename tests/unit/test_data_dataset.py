@@ -1,10 +1,10 @@
-"""Dataset: multi-link construction, partitioning, parallel evaluation."""
+"""Dataset: multi-link construction, merging, parallel evaluation."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import evaluate, evaluate_dataset
-from repro.data import Dataset, TransferFrame
+from repro.data import Dataset
 from repro.logs.logfile import TransferLog
 from repro.logs.ulm import format_record
 
@@ -56,24 +56,6 @@ class TestConstruction:
     def test_rejects_non_frames(self):
         with pytest.raises(TypeError):
             Dataset({"x": [1, 2, 3]})
-
-    def test_partition_by_source(self):
-        mixed = TransferFrame.from_records(
-            _records(4, source="10.0.0.1") + _records(4, source="10.0.0.2")
-        )
-        dataset = Dataset.partition_by_link(mixed, key="sources")
-        assert dataset.links() == ["10.0.0.1", "10.0.0.2"]
-        assert all(
-            (dataset[link].sources == link).all() for link in dataset
-        )
-        assert dataset.total_records == len(mixed)
-
-    def test_partition_by_callable(self):
-        frame = TransferFrame.from_records(_records(6))
-        dataset = Dataset.partition_by_link(
-            frame, key=lambda f: np.where(f.sizes > 20_000_000, "big", "small")
-        )
-        assert set(dataset.links()) == {"big", "small"}
 
     def test_merge(self, two_logs):
         a = Dataset.from_ulm(two_logs[0])

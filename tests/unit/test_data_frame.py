@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import OP_READ, OP_WRITE, TransferFrame
 from repro.data.buffer import ColumnBuffer
+from repro.data.frame import COLUMN_NAMES
 from repro.logs.record import Operation
 from repro.units import MB
 
@@ -34,20 +35,29 @@ class TestConstruction:
         assert frame.ops[0] == OP_WRITE
 
     def test_mismatched_column_lengths_rejected(self, frame):
-        arrays = frame.to_arrays()
+        arrays = {name: getattr(frame, name) for name in COLUMN_NAMES}
         arrays["sizes"] = arrays["sizes"][:-1]
         with pytest.raises(ValueError, match="length"):
             TransferFrame(**arrays)
 
-    def test_from_arrays_missing_column_rejected(self, frame):
-        arrays = frame.to_arrays()
-        del arrays["volumes"]
-        with pytest.raises(ValueError, match="missing columns"):
-            TransferFrame.from_arrays(arrays)
-
     def test_equals(self, sample_records, frame):
         assert frame.equals(TransferFrame.from_records(sample_records))
         assert not frame.equals(frame.prefix(3))
+
+    def test_equals_tells_negative_zero_from_zero(self):
+        # A start time of -0.0 is a valid record, and == calls it 0.0.
+        negative, positive = (
+            TransferFrame.from_records([make_record(start=start)])
+            for start in (-0.0, 0.0))
+        assert negative.start_times[0] == positive.start_times[0]
+        assert not negative.equals(positive)
+        assert negative.equals(negative.view(slice(0, 1)))
+
+    def test_equals_requires_the_same_column_kinds(self, frame):
+        other = frame.view(slice(0, len(frame)))
+        other.sizes = other.sizes.astype(np.float64)
+        assert np.array_equal(frame.sizes, other.sizes)
+        assert not frame.equals(other)
 
 
 class TestViews:

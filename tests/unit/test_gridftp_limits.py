@@ -19,10 +19,13 @@ class TestSessionLimits:
             server.open_session(Credential("/CN=u"), remote, disk)
             for _ in range(50)
         ]
-        assert server.open_sessions == 50
         for s in sessions:
             s.close()
-        assert server.open_sessions == 0
+        server.max_sessions = 50  # every slot was freed
+        for _ in range(50):
+            server.open_session(Credential("/CN=u"), remote, disk)
+        with pytest.raises(ServerBusyError, match="50/50"):
+            server.open_session(Credential("/CN=u"), remote, disk)
 
     def test_limit_enforced(self):
         server, remote, disk = make_limited(2)
@@ -42,9 +45,10 @@ class TestSessionLimits:
         session = server.open_session(Credential("/CN=a"), remote, disk)
         session.close()
         session.close()
-        assert server.open_sessions == 0
         server.open_session(Credential("/CN=b"), remote, disk)
-        assert server.open_sessions == 1
+        server.open_session(Credential("/CN=c"), remote, disk)
+        with pytest.raises(ServerBusyError, match="2/2"):
+            server.open_session(Credential("/CN=d"), remote, disk)
 
     def test_busy_check_precedes_auth(self):
         """A full server refuses connections before looking at credentials."""
@@ -62,9 +66,10 @@ class TestSessionLimits:
         server = bed.servers["LBL"]
         server.max_sessions = 1
         client = bed.clients["ANL"]
-        for _ in range(3):  # would deadlock if sessions leaked
+        for _ in range(3):  # the second would be refused if one leaked
             client.get(server, bed.data_path(10 * MB))
-        assert server.open_sessions == 0
+        # The third get's slot was freed too.
+        server.open_session(client.credential, client.site, client.disk)
 
     def test_invalid_limit_rejected(self):
         from repro.gridftp import GridFTPServer

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.logs import Operation, TransferRecord
+from repro.logs import Operation
 from tests.conftest import make_record
 
 
@@ -71,34 +71,6 @@ class TestDerived:
         # Figure 3: 10 MB in 4 s -> 2560 KB/s.
         r = make_record(size=10_240_000, duration=4.0)
         assert r.bandwidth_kbps == pytest.approx(2560)
-
-    def test_from_timing_computes_bandwidth(self):
-        r = TransferRecord.from_timing(
-            source_ip="1.2.3.4",
-            file_name="/v/f",
-            file_size=1_000_000,
-            volume="/v",
-            start_time=0.0,
-            end_time=4.0,
-            operation=Operation.READ,
-            streams=2,
-            tcp_buffer=64_000,
-        )
-        assert r.bandwidth == pytest.approx(250_000)
-
-    def test_from_timing_zero_duration_rejected(self):
-        with pytest.raises(ValueError):
-            TransferRecord.from_timing(
-                source_ip="1.2.3.4", file_name="/v/f", file_size=1, volume="/v",
-                start_time=5.0, end_time=5.0, operation=Operation.READ,
-                streams=1, tcp_buffer=1,
-            )
-
-    def test_with_bandwidth_replaces_only_bandwidth(self):
-        r = make_record()
-        r2 = r.with_bandwidth(123.0)
-        assert r2.bandwidth == 123.0
-        assert r2.file_size == r.file_size
 
     def test_as_row_matches_figure3_columns(self):
         row = make_record().as_row()

@@ -54,11 +54,11 @@ class TestTiming:
         t = tcp.timing(32_000, rtt=0.05, available_bw=10e6, buffer=64_000, streams=1)
         assert t.steady_time == 0.0
         assert t.slow_start_time > 0.0
-        assert t.startup_fraction == pytest.approx(1.0)
+        assert t.setup_time + t.slow_start_time == pytest.approx(t.duration)
 
     def test_large_transfer_dominated_by_steady_state(self, tcp):
         t = tcp.timing(1000 * MB, rtt=0.05, available_bw=10e6, buffer=1 * MB, streams=8)
-        assert t.startup_fraction < 0.05
+        assert t.setup_time + t.slow_start_time < 0.05 * t.duration
         assert t.bandwidth == pytest.approx(10e6, rel=0.05)
 
     def test_bandwidth_grows_with_size(self, tcp):

@@ -64,12 +64,11 @@ class TestTopology:
 
     def test_duplicate_link_rejected(self):
         topo = make_topology()
-        first = topo.link_between("A", "B")
+        (first,) = topo.path("A", "B").links
         for a, b in (("B", "A"), ("A", "B")):      # either order is the same link
             with pytest.raises(ValueError, match="duplicate link A-B"):
                 topo.add_link(Link(a=a, b=b, capacity=1e6, rtt=0.001))
-        assert topo.link_between("A", "B") is topo.link_between("B", "A") is first
-        assert topo.path("B", "A").links == (first,)
+        assert topo.path("A", "B").links == topo.path("B", "A").links == (first,)
 
     def test_link_to_unknown_site_rejected(self):
         topo = make_topology()
@@ -115,11 +114,6 @@ class TestTopology:
         topo.add_site(Site(name="D"))
         with pytest.raises(ValueError, match="no path from 'A' to 'D'"):
             topo.path("A", "D")
-
-    def test_link_between(self):
-        topo = make_topology()
-        assert topo.link_between("A", "B") is not None
-        assert topo.link_between("A", "C") is None
 
 
 class TestPath:

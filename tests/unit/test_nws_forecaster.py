@@ -85,14 +85,6 @@ class TestDynamicForecaster:
         dyn.update(42.0)
         assert dyn.forecast() == 42.0
 
-    def test_mse_table_has_all_members(self):
-        dyn = DynamicForecaster(standard_battery())
-        for v in [10, 12, 11, 13, 12]:
-            dyn.update(v)
-        table = dyn.mse_table()
-        assert len(table) == len(standard_battery())
-        assert all(v >= 0 or v == float("inf") for v in table.values())
-
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
             DynamicForecaster([LastValue(), LastValue()])
@@ -103,8 +95,13 @@ class TestDynamicForecaster:
 
     def test_reset_clears_scores(self):
         dyn = DynamicForecaster([LastValue(), RunningMean()])
-        for v in [1, 2, 3]:
+        for v in range(1, 101):  # a trend: last_value far ahead
             dyn.update(float(v))
         dyn.reset()
         assert dyn.forecast() is None
-        assert all(v == float("inf") for v in dyn.mse_table().values())
+        fresh = DynamicForecaster([LastValue(), RunningMean()])
+        for v in [10.0, 20.0, 10.0, 20.0]:  # running_mean ahead from scratch
+            dyn.update(v)
+            fresh.update(v)
+        assert dyn.best().name == fresh.best().name == "running_mean"
+        assert dyn.forecast() == fresh.forecast()

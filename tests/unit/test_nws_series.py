@@ -48,12 +48,6 @@ class TestViews:
         assert series.last() == (30.0, 40.0)
         assert TimeSeries().last() is None
 
-    def test_last_n(self, series):
-        assert list(series.last_n(2)) == [30.0, 40.0]
-        assert list(series.last_n(99)) == [10.0, 20.0, 30.0, 40.0]
-        with pytest.raises(ValueError):
-            series.last_n(0)
-
     def test_since(self, series):
         assert list(series.since(10.0)) == [20.0, 30.0, 40.0]
         assert list(series.since(100.0)) == []

@@ -39,9 +39,8 @@ def test_histogram_summary_and_percentiles():
     assert h.count == 100
     assert h.total == pytest.approx(5050.0)
     assert h.mean() == pytest.approx(50.5)
-    assert h.percentile(0) == 1.0
-    assert h.percentile(100) == 100.0
     summary = h.summary()
+    assert summary["window_min"] == 1.0 and summary["window_max"] == 100.0
     assert summary["min"] == 1.0 and summary["max"] == 100.0
     assert summary["p99"] >= summary["p90"] >= summary["p50"]
 
@@ -52,7 +51,7 @@ def test_histogram_window_bounds_the_reservoir():
         h.observe(float(v))
     # Lifetime aggregates see everything; percentiles only the newest 10.
     assert h.count == 1000
-    assert h.percentile(0) == 990.0
+    assert h.summary()["window_min"] == 990.0
 
 
 def test_histogram_lifetime_vs_window_extremes():
@@ -70,15 +69,6 @@ def test_histogram_lifetime_vs_window_extremes():
     assert summary["max"] == 100.0            # all-time, evicted from window
     assert summary["window_min"] == 5.0       # what p0 actually covers
     assert summary["window_max"] == 8.0       # what p100 actually covers
-    assert h.percentile(0) == summary["window_min"]
-    assert h.percentile(100) == summary["window_max"]
-
-
-def test_histogram_empty_percentile_is_nan():
-    h = Histogram("latency")
-    assert h.percentile(50) != h.percentile(50)  # NaN
-    with pytest.raises(ValueError):
-        h.percentile(101)
 
 
 # ----------------------------------------------------------------------

@@ -71,8 +71,8 @@ def test_state_roundtrips_through_checkpoint_codec():
     stats = ErrorStats(window=16)
     for i in range(40):
         stats.add(100.0 + i, 90.0 + 2 * i, when=1000.0 + i)
-    stats.add_abstention()
-    stats.add_unscorable()
+    stats.abstentions += 1  # as the tracker's drain counts them
+    stats.unscorable += 1
 
     part = loads(dumps({"accuracy": stats.state()}))["accuracy"]
     revived = ErrorStats.load_state(part)
@@ -249,14 +249,3 @@ def test_tracker_link_state_roundtrips_and_ram_wins():
     fresh.score("L", actual=90.0, when=3.0, version=4)
     assert not fresh.load_link_state("L", payload)
     assert fresh.status()["links"]["L"]["overall"]["count"] == 2
-
-
-def test_forget_drops_pending_and_stats():
-    tracker = AccuracyTracker(window=8)
-    tracker.record("L", "C-AVG15", 1.0, version=1, kind="streamed")
-    tracker.score("L", actual=1.0, when=1.0, version=2)
-    tracker.record("L", "C-AVG15", 2.0, version=2, kind="streamed")
-    tracker.forget("L")
-    assert tracker.pending_count() == 0
-    assert tracker.link_state("L") is None
-    assert tracker.status()["link_count"] == 0

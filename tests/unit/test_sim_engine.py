@@ -105,13 +105,6 @@ class TestRunBounds:
         assert eng.run(max_events=2) == 2
         assert eng.pending() == 3
 
-    def test_events_fired_counter(self):
-        eng = Engine()
-        eng.schedule(1.0, lambda: None)
-        eng.schedule(2.0, lambda: None)
-        eng.run()
-        assert eng.events_fired == 2
-
     def test_step_returns_false_on_empty(self):
         assert Engine().step() is False
 

@@ -78,13 +78,6 @@ class TestFromColumns:
         np.testing.assert_array_equal(snap[0], [1.0, 5.0])
         np.testing.assert_array_equal(buffer.views()[0], [1.0, 3.0, 5.0])
 
-    def test_nbytes_counts_backing_capacity(self):
-        buffer = ColumnBuffer(_DTYPES, capacity=100)
-        per_row = 8 + 8 + 8 + 1
-        assert buffer.nbytes == 100 * per_row
-        buffer.append((1.0, 1.0, 1, 0))
-        assert buffer.nbytes == 100 * per_row  # capacity, not n
-
 
 # ----------------------------------------------------------------------
 # LinkState revival

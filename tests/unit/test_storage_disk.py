@@ -32,15 +32,6 @@ class TestRates:
         disk = Disk("d")
         assert disk.write_rate() < disk.read_rate()
 
-    def test_access_time_includes_seek(self):
-        disk = Disk("d", DiskSpec(sustained_read=50e6, seek_time=0.01,
-                                  contention_exponent=1.0))
-        assert disk.access_time(50_000_000) == pytest.approx(0.01 + 1.0)
-
-    def test_access_time_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            Disk("d").access_time(-1)
-
 
 class TestBookkeeping:
     def test_acquire_release_cycle(self):

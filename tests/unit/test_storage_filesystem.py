@@ -71,14 +71,6 @@ class TestReplicaCatalog:
         with pytest.raises(KeyError):
             cat.size_of("nope")
 
-    def test_unregister_last_replica_removes_entry(self):
-        cat = ReplicaCatalog()
-        cat.register("f", "A", 1)
-        cat.unregister("f", "A")
-        assert "f" not in cat
-        with pytest.raises(KeyError):
-            cat.unregister("f", "A")
-
     def test_logical_names_sorted(self):
         cat = ReplicaCatalog()
         cat.register("b", "X", 1)

@@ -7,11 +7,9 @@ from repro.units import (
     KB,
     MB,
     bytes_per_sec_to_kbps,
-    bytes_per_sec_to_mbps,
     fmt_bandwidth,
     fmt_size,
     mbps_network_to_bytes_per_sec,
-    parse_size,
 )
 
 
@@ -22,9 +20,6 @@ class TestConversions:
     def test_kbps_matches_paper_log(self):
         # Figure 3: 10240000 bytes in 4 s -> 2560 KB/s.
         assert bytes_per_sec_to_kbps(10_240_000 / 4) == 2560
-
-    def test_mbps(self):
-        assert bytes_per_sec_to_mbps(2_500_000) == 2.5
 
     def test_network_mbps(self):
         # OC-3: 155 Mb/s = 19.375 MB/s.
@@ -41,27 +36,6 @@ class TestFmtSize:
 
     def test_non_integral(self):
         assert fmt_size(1_500_000) == "1.5M"
-
-
-class TestParseSize:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [("10M", 10 * MB), ("1G", GB), ("64K", 64 * KB), ("512", 512),
-         ("10MB", 10 * MB), ("1.5M", 1_500_000), (" 25m ", 25 * MB)],
-    )
-    def test_valid(self, text, expected):
-        assert parse_size(text) == expected
-
-    @pytest.mark.parametrize("text", ["", "abc", "-5M", "M"])
-    def test_invalid(self, text):
-        with pytest.raises(ValueError):
-            parse_size(text)
-
-    def test_roundtrip_paper_sizes(self):
-        from repro.workload import PAPER_SIZES
-
-        for size in PAPER_SIZES:
-            assert parse_size(fmt_size(size)) == size
 
 
 class TestFmtBandwidth:

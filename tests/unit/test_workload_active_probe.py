@@ -20,7 +20,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = ActiveProbeConfig()
         assert cfg.size == 100 * MB
-        assert cfg.bytes_per_day == pytest.approx(100 * MB * 48)
 
     @pytest.mark.parametrize("kw", [
         dict(size=0), dict(streams=0), dict(buffer=0), dict(period=0),

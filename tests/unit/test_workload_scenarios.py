@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.units import GB, MB, parse_size
+from repro.units import GB, MB
 from repro.workload import AUG_2001, DEC_2001, PAPER_SIZES, build_testbed
 
 
@@ -29,9 +29,10 @@ class TestSizes:
 class TestBuild:
     def test_sites_and_links(self, testbed):
         assert set(testbed.sites) == {"ANL", "ISI", "LBL"}
-        assert testbed.topology.link_between("ANL", "LBL") is not None
-        assert testbed.topology.link_between("ANL", "ISI") is not None
-        assert testbed.topology.link_between("ISI", "LBL") is None
+        hops = lambda a, b: len(testbed.topology.path(a, b).links)
+        assert hops("ANL", "LBL") == 1
+        assert hops("ANL", "ISI") == 1
+        assert hops("ISI", "LBL") == 2  # no direct link: through ANL
 
     def test_paths_resolve(self, testbed):
         path = testbed.topology.path("LBL", "ANL")
@@ -52,15 +53,15 @@ class TestBuild:
         b = build_testbed(seed=0, start_time=AUG_2001)
         c = build_testbed(seed=9, start_time=AUG_2001)
         t = AUG_2001 + 3600.0
-        link = lambda bed: bed.topology.link_between("ANL", "LBL")
+        link = lambda bed: bed.topology.path("ANL", "LBL").links[0]
         assert link(a).available(t) == link(b).available(t)
         assert link(a).available(t) != link(c).available(t)
 
     def test_months_differ_for_same_seed(self):
         aug = build_testbed(seed=0, start_time=AUG_2001)
         dec = build_testbed(seed=0, start_time=DEC_2001)
-        aug_u = aug.topology.link_between("ANL", "LBL").utilization(AUG_2001 + 7200)
-        dec_u = dec.topology.link_between("ANL", "LBL").utilization(DEC_2001 + 7200)
+        aug_u = aug.topology.path("ANL", "LBL").links[0].utilization(AUG_2001 + 7200)
+        dec_u = dec.topology.path("ANL", "LBL").links[0].utilization(DEC_2001 + 7200)
         assert aug_u != dec_u
 
     def test_data_path_naming(self, testbed):
@@ -78,13 +79,14 @@ def test_figure3_sample_sweep():
     client with 8 streams and 1 MB buffers, bandwidth rising with size."""
     bed = build_testbed(seed=1, start_time=AUG_2001)
     client, server = bed.clients["ANL"], bed.servers["LBL"]
-    sizes = ["10M", "25M", "50M", "100M", "250M", "500M", "750M", "1G"]
+    sizes = {"10M": 10 * MB, "25M": 25 * MB, "50M": 50 * MB, "100M": 100 * MB,
+             "250M": 250 * MB, "500M": 500 * MB, "750M": 750 * MB, "1G": 1 * GB}
     for name in sizes:
         outcome = client.get(server, f"/home/ftp/data/{name}",
                              streams=8, buffer=1 * MB)
         bed.engine.run(until=outcome.end_time + 5.0)
     records = server.monitor.log.records()
-    assert [r.file_size for r in records] == [parse_size(n) for n in sizes]
+    assert [r.file_size for r in records] == list(sizes.values())
     for record in records:
         assert (record.streams, record.tcp_buffer) == (8, 1 * MB)
         assert record.volume == "/home/ftp"
