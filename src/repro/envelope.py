@@ -6,15 +6,18 @@ instead of each rolling their own::
 
     magic 4s | format u16 | aux u16 | stored length u32
     | one raw length per section | the kind's own fields      <- "fields"
-    SHA-256 over the fields and the stored stream             <- 32 bytes
-    one zlib stream of the sections, concatenated             <- "stored"
+    the first 16 bytes of SHA-256 over the fields and stored  <- digest
+    one raw deflate stream of the sections, concatenated      <- "stored"
 
-Reading is two steps so a caller can stop after the first:
-:meth:`Envelope.verify` checks magic, format, total length and the
-digest *before* anything is inflated or parsed and hands back the
-header's integers; :meth:`Envelope.inflate` inflates no further than the
-header declared and requires the stream to end exactly there.  Any
-disagreement raises the kind's ``error``; nothing else escapes.
+The digest is the integrity check, so the stream carries none of its
+own: no zlib header, no Adler-32.  Reading is two steps so a caller can
+stop after the first: :meth:`Envelope.verify` checks magic, format,
+total length and the digest *before* anything is inflated or parsed and
+hands back the header's integers; :meth:`Envelope.inflate` inflates no
+further than the header declared and requires the stream to end exactly
+there.  Any disagreement raises the kind's ``error``; nothing else
+escapes.  :class:`LegacyEnvelope` reads the formats earlier builds wrote
+(a 32-byte SHA-256, a zlib stream) and writes none.
 :func:`atomic_write` and :func:`quarantine` are how such a file arrives
 and how one that failed verification leaves; :func:`foreign_format`
 tells a file of a format the caller does not read from a damaged one of
@@ -34,10 +37,9 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Type
 
 from repro.digests import sha256
 
-__all__ = ["CorruptFile", "Envelope", "Verified", "atomic_write",
-           "foreign_format", "quarantine"]
+__all__ = ["CorruptFile", "Envelope", "LegacyEnvelope", "Verified",
+           "atomic_write", "foreign_format", "quarantine"]
 
-_DIGEST_SIZE = sha256().digest_size
 #: The deflate level every stream is written at (zlib's own default;
 #: inflating does not need it).  Checkpoints store about 9 % less than
 #: at level 1 for some 15 us a write, segments 3-4 % less; 7-9 store
@@ -66,24 +68,33 @@ class Envelope:
     length is stored in), ``meta`` the codes of the kind's own fields.
     """
 
+    #: Leading bytes of the SHA-256 the header keeps, and the stream's
+    #: window bits (negative: raw deflate, no wrapper).
+    digest_size, wbits = 16, -zlib.MAX_WBITS
+
     def __init__(self, magic: bytes, version: int, lengths: str,
                  meta: str = "", error: Type[Exception] = CorruptFile) -> None:
         self.magic, self.version, self.error = magic, version, error
         self._sections = len(lengths)
         self._fields = struct.Struct("<4sHHI" + lengths + meta)
-        self._size = self._fields.size + _DIGEST_SIZE
+        self._size = self._fields.size + self.digest_size
+
+    def _digest(self, fields, stored) -> bytes:
+        digest = sha256(fields)
+        digest.update(stored)
+        return digest.digest()[:self.digest_size]
 
     def pack(self, sections: Sequence[bytes], meta: Sequence = (),
              aux: int = 0) -> bytes:
-        stored = zlib.compress(b"".join(sections), _LEVEL)
+        deflater = zlib.compressobj(_LEVEL, zlib.DEFLATED, self.wbits)
+        stored = deflater.compress(b"".join(sections)) + deflater.flush()
         try:
             fields = self._fields.pack(
                 self.magic, self.version, aux, len(stored),
                 *map(len, sections), *meta)
         except struct.error as exc:
             raise ValueError(f"does not fit the header: {exc}") from None
-        return b"".join(
-            (fields, sha256(fields + stored).digest(), stored))
+        return b"".join((fields, self._digest(fields, stored), stored))
 
     def verify(self, data: bytes) -> Verified:
         """Check everything that can be checked without inflating."""
@@ -100,9 +111,7 @@ class Envelope:
             raise self.error(
                 f"length mismatch: {len(data)} != {size + stored_len}")
         view = memoryview(data)
-        digest = sha256(view[:fields.size])
-        digest.update(view[size:])
-        if digest.digest() != view[fields.size:size]:
+        if self._digest(view[:fields.size], view[size:]) != view[fields.size:size]:
             raise self.error("digest mismatch")
         return Verified(aux, tuple(rest[:self._sections]),
                         tuple(rest[self._sections:]), view[size:])
@@ -110,7 +119,7 @@ class Envelope:
     def inflate(self, verified: Verified) -> List[memoryview]:
         """The sections, inflated no further than the header declared."""
         lengths = verified.lengths
-        inflater = zlib.decompressobj()
+        inflater = zlib.decompressobj(self.wbits)
         try:
             # One byte of slack lets the stream reach its end marker; a
             # stream that fills it inflates to more than it declared.
@@ -122,6 +131,19 @@ class Envelope:
         view = memoryview(body)
         return [view[end - length:end]
                 for end, length in zip(accumulate(lengths), lengths)]
+
+
+class LegacyEnvelope(Envelope):
+    """A format earlier builds wrote and this one reads, never writes:
+    the whole 32-byte SHA-256 and a zlib stream, whose Adler-32 repeats
+    what the digest covers."""
+
+    digest_size, wbits = 32, zlib.MAX_WBITS
+
+    def pack(self, sections: Sequence[bytes], meta: Sequence = (),
+             aux: int = 0) -> bytes:
+        raise TypeError(
+            f"{self.magic!r} format {self.version} is read, never written")
 
 
 def foreign_format(data: bytes, readable: Sequence[Envelope]) -> Optional[int]:

@@ -26,46 +26,22 @@ The historical ``repro.service.metrics`` shim is gone; import these
 names from here.
 """
 
-from repro.obs.events import EventBus, TraceEvent, get_event_bus
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
-)
-from repro.obs.quality import (
-    AccuracyTracker,
-    ErrorStats,
-    merge_stats,
-)
-from repro.obs.scoreboard import render_scoreboard
-from repro.obs.tracing import (
-    Span,
-    SpanContext,
-    SpanExporter,
-    current_span,
-    get_span_exporter,
-    span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EventBus",
-    "TraceEvent",
-    "get_event_bus",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
-    "AccuracyTracker",
-    "ErrorStats",
-    "merge_stats",
-    "render_scoreboard",
-    "Span",
-    "SpanContext",
-    "SpanExporter",
-    "current_span",
-    "get_span_exporter",
-    "span",
-]
+# Resolved on first access: a process that records metrics never
+# compiles the quality tracker or the scoreboard behind it.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.obs.events": ("EventBus", "TraceEvent", "get_event_bus"),
+    "repro.obs.metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "get_registry"),
+    "repro.obs.quality": ("AccuracyTracker", "ErrorStats", "merge_stats"),
+    "repro.obs.scoreboard": ("render_scoreboard",),
+    "repro.obs.tracing": (
+        "Span",
+        "SpanContext",
+        "SpanExporter",
+        "current_span",
+        "get_span_exporter",
+        "span",
+    ),
+})

@@ -66,7 +66,7 @@ __all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps",
 
 _MAGIC = b"RSCK"
 #: Superseded formats and what each changed: docs/performance.md.
-_FORMAT = 7
+_FORMAT = 8
 
 _LD_SIZE = np.dtype(np.longdouble).itemsize
 #: Leading bytes of a longdouble that hold its value.  x87 extended

@@ -12,12 +12,14 @@ store grows a link's last (*open*) segment by writing a longer one under
 the same name, which :func:`atomic_write` swaps in whole, and every
 earlier segment is immutable.
 
-Format 2 stores each float64 column as eight *byte planes* — byte 0 of
-every row, then byte 1, … byte 7 — and ``sizes`` / ``ops`` row-major.
-An end time's sign, exponent and leading mantissa bytes barely change
-within a link, and as planes they are runs deflate can see; row-major,
-six noisy bytes sit between them in every value.  This module is the
-only one that knows the layout: the store seals and loads through
+Format 3 stores the four columns as one section of 25 bytes a row: each
+float64 column as eight *byte planes* — byte 0 of every row, then byte
+1, … byte 7 — then ``sizes`` and ``ops`` row-major.  An end time's
+sign, exponent and leading mantissa bytes barely change within a link,
+and as planes they are runs deflate can see; row-major, six noisy bytes
+sit between them in every value.  The header declares the one section's
+length, which must be ``25 · rows``.  This module is the only one that
+knows the layout: the store seals and loads through
 :func:`write_segment` and :func:`read_segment`.
 
 Reads pass through the ``store.segment`` fault site so the chaos suite
@@ -27,18 +29,21 @@ file.  A file whose magic is intact but whose format this build does
 not read raises :class:`UnknownSegmentFormat` instead
 (:func:`repro.envelope.foreign_format`), and the store leaves it where
 it lies: it is primary data some other build can read.  Earlier
-builds' files are primary data too, so they are read, never written: a
-format-1 ``.col`` (the same header, every column row-major), picked by
-the header's format, and a ``seg-*.npz`` (by suffix, through
-``np.load``).  A link's next seal rewrites the format-1 segment it
-extends as format 2; a ``.npz`` stays as it is.  An earlier build's compaction wrote ``seg-full.col``:
-it is read like any other segment, and the store's recovery sweeps the
+builds' files are primary data too, so they are read, never written,
+picked by the header's format: format 2 (the same columns, one section
+each) and format 1 (every column row-major), both in the legacy
+envelope (:class:`repro.envelope.LegacyEnvelope`), and a ``seg-*.npz``
+(by suffix, through ``np.load``).  A link's next seal rewrites the
+format-1 or format-2 segment it extends as format 3; a ``.npz`` stays
+as it is.  An earlier build's compaction wrote ``seg-full.col``: it is
+read like any other segment, and the store's recovery sweeps the
 segments whose rows it covers.
 """
 
 from __future__ import annotations
 
 import io
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Tuple
 
@@ -46,7 +51,8 @@ import numpy as np
 
 from repro import faults as _faults
 from repro.digests import sha256
-from repro.envelope import Envelope, Verified, atomic_write, foreign_format
+from repro.envelope import (Envelope, LegacyEnvelope, Verified, atomic_write,
+                            foreign_format)
 
 __all__ = ["CorruptSegment", "SegmentData", "UnknownSegmentFormat",
            "is_segment_name", "segment_name", "write_segment", "read_framing",
@@ -54,12 +60,14 @@ __all__ = ["CorruptSegment", "SegmentData", "UnknownSegmentFormat",
 
 _LEGACY_SUFFIX = ".npz"
 _COLUMNS = (("times", "<f8"), ("values", "<f8"), ("sizes", "<i8"), ("ops", "i1"))
-#: The leading columns format 2 stores as byte planes.
+_WIDTHS = tuple(np.dtype(dtype).itemsize for _, dtype in _COLUMNS)
+#: The leading columns formats 2 and 3 store as byte planes.
 _PLANED = 2
 
 
 class CorruptSegment(Exception):
-    """The segment cannot be trusted (bad digest, layout, or read)."""
+    """The segment cannot be trusted (its digest, lengths, stream or
+    layout disagree)."""
 
 
 class UnknownSegmentFormat(CorruptSegment):
@@ -72,10 +80,14 @@ class UnknownSegmentFormat(CorruptSegment):
     """
 
 
-# Four column sections; the kind's own fields are the framing.
-_FILE = Envelope(b"RSSG", 2, "IIII", meta="QQQ", error=CorruptSegment)
-#: Format 1: the same header, every column row-major.
-_FORMAT_1 = Envelope(b"RSSG", 1, "IIII", meta="QQQ", error=CorruptSegment)
+# One section of four columns; the kind's own fields are the framing.
+_FILE = Envelope(b"RSSG", 3, "I", meta="QQQ", error=CorruptSegment)
+#: Every format this build reads, by number: its own, and the legacy 1
+#: (every column row-major) and 2 (one section a column).
+_READABLE = {envelope.version: envelope for envelope in (
+    LegacyEnvelope(b"RSSG", 1, "IIII", meta="QQQ", error=CorruptSegment),
+    LegacyEnvelope(b"RSSG", 2, "IIII", meta="QQQ", error=CorruptSegment),
+    _FILE)}
 
 
 class SegmentData(NamedTuple):
@@ -113,7 +125,7 @@ def write_segment(path: Path, start_row: int, times, values, sizes, ops,
     sections += [column.tobytes() for column in columns[_PLANED:]]
     _faults.check("store.segment", path=str(path), op="write")
     atomic_write(path, _FILE.pack(
-        sections, meta=(start_row, len(times), max_offset)), fsync)
+        (b"".join(sections),), meta=(start_row, len(times), max_offset)), fsync)
 
 
 def _planes(column: np.ndarray) -> bytes:
@@ -134,16 +146,17 @@ def _read(path: Path) -> bytes:
 
 
 def _header(path: Path) -> Tuple[Envelope, Verified]:
-    """The file's envelope (format 1 or 2) and its verified header."""
+    """The file's envelope (format 1, 2 or 3) and its verified header."""
     data = _read(path)
-    foreign = foreign_format(data, (_FORMAT_1, _FILE))
+    foreign = foreign_format(data, tuple(_READABLE.values()))
     if foreign is not None:
         raise UnknownSegmentFormat(
             f"{path}: format {foreign}, this build reads 1-{_FILE.version}")
-    envelope = _FORMAT_1 if data[4:6] == b"\1\0" else _FILE
+    envelope = _READABLE.get(int.from_bytes(data[4:6], "little"), _FILE)
     head = envelope.verify(data)
     rows = head.meta[1]
-    if head.lengths != (8 * rows, 8 * rows, 8 * rows, rows):
+    widths = (sum(_WIDTHS),) if envelope is _FILE else _WIDTHS
+    if head.lengths != tuple(width * rows for width in widths):
         raise CorruptSegment(f"column lengths disagree with rows in {path}")
     return envelope, head
 
@@ -167,7 +180,11 @@ def read_segment(path: Path) -> SegmentData:
         return _read_legacy(path)
     envelope, head = _header(path)
     sections = envelope.inflate(head)
-    planed = _PLANED if envelope is _FILE else 0
+    if envelope is _FILE:  # one section: cut it at the column widths
+        (body,), rows = sections, head.meta[1]
+        cuts = [0, *accumulate(width * rows for width in _WIDTHS)]
+        sections = [body[start:end] for start, end in zip(cuts, cuts[1:])]
+    planed = 0 if envelope.version == 1 else _PLANED
     columns = [_from_planes(section) for section in sections[:planed]]
     columns += [np.frombuffer(section, dtype=dtype) for section, (_, dtype)
                 in zip(sections[planed:], _COLUMNS[planed:])]

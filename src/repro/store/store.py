@@ -14,9 +14,10 @@ Segments and checkpoints are two kinds of one file envelope
 (:mod:`repro.envelope`): verified header, one deflated body.  How a
 segment lays out its columns is :mod:`repro.store.segments`' business
 alone; this module seals and loads through ``write_segment`` /
-``read_segment``.  A segment an earlier build wrote (a format-1 ``.col``,
-a ``seg-*.npz``, a compacted ``seg-full.col``) is read where it lies; the
-seal that next extends a ``.col`` rewrites it in this build's format.
+``read_segment``.  A segment an earlier build wrote (a format-1 or
+format-2 ``.col``, a ``seg-*.npz``, a compacted ``seg-full.col``) is read
+where it lies; the seal that next extends a ``.col`` rewrites it in this
+build's format.
 
 A seal does not drop a new small file beside the last one: while the
 open segment and the tail together fit in ``segment_rows`` it reads that
@@ -45,8 +46,12 @@ Durability contract
 * A tail append that the filesystem cut short is refused like one it
   rejected: not acked, and the partial record is cut off before the next
   append so no acked row ever lands behind a torn one.
-* Anything that fails checksum verification is quarantined
-  (``*.quarantined``), counted, and announced.  A quarantined segment's
+* Anything that fails verification (digest, lengths, stream or layout)
+  is quarantined (``*.quarantined``), counted, and announced.  Nothing
+  else is: a read the system refuses (no file descriptor left, an I/O
+  error) raises its ``OSError`` out of the call, every file stays where
+  it is, and the next touch of the link reads again; a seal that cannot
+  read returns False and leaves the rows in the tail.  A quarantined segment's
   rows leave the link as a gap in its row numbers; the survivors keep
   theirs.  The digest decides what that does to the checkpoint: one whose
   rows ``[0, n)`` are no longer the rows it hashed is stale, revival
@@ -357,7 +362,7 @@ class LinkStore:
             return None
         except _segments.UnknownSegmentFormat:
             raise  # another build's primary data: left where it lies
-        except Exception:
+        except _segments.CorruptSegment:
             self._quarantine_file(meta, path, kind="segment")
             return None
         return _Segment(path, start_row, rows, max_offset)
@@ -367,13 +372,14 @@ class LinkStore:
 
         Every scan applies the same dedup rule, so repeated reads are
         deterministic even when a crash split a seal from the removal of
-        the tail it sealed.
+        the tail it sealed.  An absent tail is empty; any other refusal
+        raises, since an empty scan would hand its rows' numbers out again.
         """
         path = meta.tail_path
         try:
             _faults.check("store.segment", path=str(path), op="tail-read")
             raw = path.read_bytes()
-        except OSError:
+        except FileNotFoundError:
             return _wal.TailScan()
         raw = _faults.filter_bytes("store.segment", raw, path=str(path))
         scan = _wal.scan(raw)
@@ -596,7 +602,10 @@ class LinkStore:
         held = meta.tail_rows
         with suppress(OSError):
             self._cut_torn_locked(meta)
-        tail = self._read_tail(meta)
+        try:
+            tail = self._read_tail(meta)
+        except OSError:
+            return self._seal_failed(meta, meta.tail_path)
         if tail.torn_bytes or len(tail) < held:
             # Not read in full: removing it would lose acked rows.
             return self._seal_failed(meta, meta.tail_path)
@@ -609,7 +618,10 @@ class LinkStore:
         for seg in reversed(meta.segments):
             if not self._extends(seg, start_row, rows):
                 break
-            data = self._read_segment_locked(meta, seg)
+            try:
+                data = self._read_segment_locked(meta, seg)
+            except OSError:
+                return self._seal_failed(meta, seg.path)
             if data is None:
                 # Quarantined.  Start over: the tail is rescanned against
                 # what survives and sealed to a segment of its own.
@@ -689,6 +701,7 @@ class LinkStore:
 
         Returns ``(times, values, sizes, ops)``.  Corrupt segments hit
         mid-read are quarantined and skipped: their rows leave the link.
+        A read refused for another reason raises ``OSError``.
         """
         with self._lock_for(link):
             meta = self._meta(link)
@@ -700,20 +713,22 @@ class LinkStore:
 
     def _read_segment_locked(
             self, meta: _LinkMeta, seg: _Segment) -> Optional[_segments.SegmentData]:
-        """One segment's rows, or None for a file that cannot be trusted:
-        it is quarantined and leaves the segment list, its rows a gap.
-        A foreign format raises :class:`~repro.store.segments.UnknownSegmentFormat`
-        and stays."""
+        """One segment's rows, or None for a file that cannot be trusted
+        (quarantined) or is gone: it leaves the segment list, its rows a
+        gap.  A foreign format raises
+        :class:`~repro.store.segments.UnknownSegmentFormat` and stays; a
+        refused read raises its ``OSError``, and the file stays too."""
         try:
             return _segments.read_segment(seg.path)
         except _segments.UnknownSegmentFormat:
             raise
-        except Exception:
+        except _segments.CorruptSegment:
             self._quarantine_file(meta, seg.path, kind="segment")
-            meta.segments.remove(seg)
-            meta.sealed_rows = max(
-                (s.end_row for s in meta.segments), default=0)
-            return None
+        except FileNotFoundError:
+            pass
+        meta.segments.remove(seg)
+        meta.sealed_rows = max((s.end_row for s in meta.segments), default=0)
+        return None
 
     def _load_locked(self, meta: _LinkMeta):
         """Concatenate segment columns and live tail rows, arrival order."""
@@ -757,7 +772,8 @@ class LinkStore:
         """The link's checkpoint state, or None (absent, or corrupt and
         now quarantined).  A file of a format this build does not read
         raises :class:`~repro.store.checkpoint.StaleCheckpoint` and stays
-        where it is until the link's next checkpoint replaces it."""
+        where it is until the link's next checkpoint replaces it; a
+        refused read raises its ``OSError``, and the file stays too."""
         started = time.perf_counter()
         with self._lock_for(link):
             meta = self._meta(link)
@@ -769,15 +785,10 @@ class LinkStore:
                 raw = path.read_bytes()
             except FileNotFoundError:
                 return None
-            except Exception:
-                self._quarantine_file(meta, path, kind="checkpoint")
-                return None
             raw = _faults.filter_bytes("store.checkpoint", raw, path=str(path))
             try:
                 state = _checkpoint.loads(raw)
-            except _checkpoint.StaleCheckpoint:
-                raise
-            except Exception:
+            except _checkpoint.CorruptCheckpoint:
                 self._quarantine_file(meta, path, kind="checkpoint")
                 return None
             _H_CHECKPOINT_READ.observe(time.perf_counter() - started)

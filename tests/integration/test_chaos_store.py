@@ -12,11 +12,14 @@ The one deliberate exception: a corrupt *sealed segment* genuinely
 loses rows.  There the contract is containment — the bad file is
 quarantined, the link is flagged degraded, and the service keeps
 serving exactly the rows that survived, with no exception and no
-garbage values.
+garbage values.  A read the system refuses (no file descriptor left) is
+no proof of damage: the request answers an in-band error, every file
+stays, and the next touch serves every acked row.
 """
 
 from __future__ import annotations
 
+import errno
 import struct
 from pathlib import Path
 
@@ -172,7 +175,7 @@ class TestCheckpointFaults:
         # checkpoint replaces it with the current format.
         assert second.checkpoint_all() == len(LOGS)
         for path in paths:
-            assert path.read_bytes()[4:6] == struct.pack("<H", 7)
+            assert path.read_bytes()[4:6] == struct.pack("<H", 8)
             assert "bank" in ck.loads(path.read_bytes())
 
     def test_a_stale_revival_counts_in_the_total_and_one_reason(self, tmp_path):
@@ -298,3 +301,90 @@ class TestSegmentCorruption:
         quarantined = _quarantined(tmp_path / "state")
         assert len(quarantined) == 1
         assert quarantined[0].name.startswith("seg-")
+
+
+class OutOfDescriptors(OSError):
+    """What ``open`` raises in a process with no file descriptor left."""
+
+    def __init__(self, message):
+        super().__init__(errno.EMFILE, message)
+
+
+class TestReadRefusals:
+    """ROADMAP 2(e)'s EMFILE, met at the store: 20 rows sealed and
+    checkpointed, 3 more in the tail, and the first read of a fresh
+    process refused."""
+
+    LINK = "lbl-anl"
+    PREDICT = {"op": "predict", "link": LINK, "size": 100 * MB,
+               "spec": "C-AVG15", "now": NOW}
+
+    def _records(self):
+        from repro.data.ingest import load_ulm
+
+        return load_ulm(DATA_DIR / LOGS[0]).to_records()[:24]
+
+    def _state_dir(self, root):
+        records = self._records()
+        first = PredictionService(store=LinkStore(root))
+        for record in records[:20]:
+            first.observe(self.LINK, record)
+        assert first.checkpoint_all(seal=True) == 1
+        for record in records[20:23]:
+            first.observe(self.LINK, record)
+        first.store.close()
+        return sorted(path.relative_to(root) for path in root.rglob("*"))
+
+    def _answer(self, service):
+        """``(repr(value), version, history_length)`` of the request."""
+        from repro.service import handle_request
+
+        response = handle_request(service, self.PREDICT)
+        assert response["ok"], response
+        return (repr(response["value"]), response["version"],
+                response["history_length"])
+
+    def _expected(self, count):
+        reference = PredictionService()
+        for record in self._records()[:count]:
+            reference.observe(self.LINK, record)
+        return self._answer(reference)
+
+    @pytest.mark.parametrize("site,op,after", [
+        ("store.segment", "read", 0),        # recovery's framing read
+        ("store.segment", "read", 1),        # revival's column read
+        ("store.segment", "tail-read", 0),   # recovery's tail scan
+        ("store.checkpoint", "read", 0),     # revival's checkpoint read
+    ], ids=["segment-framing", "segment-columns", "tail", "checkpoint"])
+    def test_a_refused_read_answers_in_band_and_moves_no_file(
+            self, tmp_path, site, op, after):
+        from repro.obs import get_registry
+        from repro.service import handle_request
+
+        root = tmp_path / "state"
+        files = self._state_dir(root)
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        injector = FaultInjector(seed=23)
+        injector.inject(site, error=OutOfDescriptors, op=op, after=after)
+        served = PredictionService(store=LinkStore(root))
+        with faults.injected(injector):
+            refused = handle_request(served, self.PREDICT)
+        assert injector.fired.get(site, 0) == 1
+        assert refused["ok"] is False
+        assert refused["error"]["code"] == "internal"
+        assert "OutOfDescriptors" in refused["error"]["message"]
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) == files
+        assert quarantined.value == before
+
+        # The fault cleared: the next touch reads every acked row, and
+        # the next append takes the row number after them.
+        answer = self._answer(served)
+        assert answer == self._expected(23) and answer[2] == 23
+        served.observe(self.LINK, self._records()[23])
+        served.store.close()
+        reopened = PredictionService(store=LinkStore(root))
+        assert reopened.store.durable_rows(self.LINK) == 24
+        assert self._answer(reopened) == self._expected(24)
+        assert quarantined.value == before
+        assert not _quarantined(root)

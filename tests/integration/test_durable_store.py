@@ -417,15 +417,15 @@ class TestUpgrade:
         assert _interleaved(warm) == expected
         assert quarantined.value == before
 
-    @pytest.mark.parametrize("format_", [3, 4, 5, 6])
+    @pytest.mark.parametrize("format_", [3, 4, 5, 6, 7])
     def test_an_earlier_checkpoint_costs_one_rebuild(
             self, tmp_path, format_):
-        """A state dir written before checkpoint format 7: the file is
+        """A state dir written before checkpoint format 8: the file is
         stale, so the link's first touch rebuilds it from its rows
         (counted, nothing quarantined, version continuous), its online
         accuracy starts again, it answers ``repr``-identically to a link
         that folded the same rows, and its next dirty eviction leaves a
-        format-7 file that the revival after it loads."""
+        format-8 file that the revival after it loads."""
         from repro.obs import get_registry
         from tests.unit.test_store import (EARLIER_CHECKPOINTS,
                                            stale_link_records)
@@ -466,7 +466,7 @@ class TestUpgrade:
         assert path.read_bytes() == written_by_an_earlier_commit  # left in place
 
         served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale", dirty
-        assert path.read_bytes()[:6] == b"RSCK\7\0"
+        assert path.read_bytes()[:6] == b"RSCK\x08\0"
         served.predict("stale", 10 * MB, "LV", now=NOW)  # evicts "other"
         assert [e.fields["how"] for e in served.trace.events(kind="revive")
                 if e.fields["link"] == "stale"] == ["rebuild", "checkpoint"]
@@ -476,12 +476,12 @@ class TestUpgrade:
         assert quarantined.value == before
         assert not list((tmp_path / "old").rglob("*.quarantined"))
 
-    def test_format_1_segments_serve_as_format_2_and_one_seal_upgrades(
+    def test_format_1_segments_serve_as_format_3_and_one_seal_upgrades(
             self, tmp_path):
         """A state dir whose segments the commit before byte planes wrote
         (format 1, every column row-major): every link revives from its
         checkpoint, answers ``repr``-identically to the same rows stored
-        as format 2, and the link's next seal leaves format 2 alone."""
+        as format 3, and the link's next seal leaves format 3 alone."""
         from repro.obs import get_registry
         from tests.unit.test_store import as_format_1_state_dir
 
@@ -510,7 +510,7 @@ class TestUpgrade:
         build(old)
         build(new)
         assert len(as_format_1_state_dir(old)) == len(links)
-        assert (formats(old), formats(new)) == ({1}, {2})
+        assert (formats(old), formats(new)) == ({1}, {3})
 
         quarantined = get_registry().counter("store_quarantined", "")
         before = quarantined.value
@@ -530,7 +530,7 @@ class TestUpgrade:
                     links[link][0], start_time=last + 10.0,
                     end_time=last + 15.0))
                 assert service.store.seal(link)
-        assert formats(old) == {2}
+        assert formats(old) == {3}
         assert answers(served[old]) == answers(served[new])
         for root in (old, new):
             served[root].store.close()
@@ -549,7 +549,7 @@ class TestUpgrade:
         from repro.obs import get_registry
         from repro.service import handle_request
         from repro.store import segments
-        from tests.unit.test_store import format_3_segment
+        from tests.unit.test_store import format_4_segment
 
         service = PredictionService(store=LinkStore(tmp_path))
         for link in ("A", "B"):
@@ -560,7 +560,7 @@ class TestUpgrade:
         service.store.close()
         newer = tmp_path / "links" / "B" / segments.segment_name(0)
         rows = segments.read_segment(newer)
-        newer.write_bytes(format_3_segment(0, *rows[3:]))
+        newer.write_bytes(format_4_segment(0, *rows[3:]))
 
         quarantined = get_registry().counter("store_quarantined", "")
         before = quarantined.value
@@ -578,9 +578,113 @@ class TestUpgrade:
             "now": NOW})
         assert response["ok"] and response["value"] == expected
         assert handle_request(served, {"op": "status"})["ok"]
-        assert newer.read_bytes()[:6] == b"RSSG\3\0"
+        assert newer.read_bytes()[:6] == b"RSSG\4\0"
         assert quarantined.value == before
         assert not list(tmp_path.rglob("*.quarantined"))
+
+
+    def test_a_parent_state_dir_serves_as_a_fresh_one_and_one_seal_upgrades(
+            self, tmp_path):
+        """A state dir of the commit before segment format 3 and
+        checkpoint format 8 (format-2 segments and format-7 checkpoints,
+        both in the legacy envelope): nothing is quarantined, each link
+        rebuilds once (its checkpoint is stale) and loads the format-8
+        checkpoint its eviction wrote ever after, every answer is
+        ``repr``-identical to a service that never evicted, and the seal
+        that extends a format-2 segment rewrites it as format 3 under its
+        own name and row numbers."""
+        from repro.obs import get_registry
+        from repro.store import segments
+        from tests.unit.test_store import as_parent_state_dir
+
+        links = {f"L{k}": _synthetic_records(30 + 40 * k, phase=k)
+                 for k in range(4)}
+        root = tmp_path / "state"
+        fresh = PredictionService()
+        built = PredictionService(store=LinkStore(root))
+        for service in (fresh, built):
+            for link, records in links.items():
+                for record in records:
+                    service.observe(link, record)
+        assert built.checkpoint_all(seal=True) == len(links)
+        built.store.close()
+        rewritten = as_parent_state_dir(root)
+        assert {path.read_bytes()[:6] for path in rewritten} == {
+            b"RSSG\2\0", b"RSCK\7\0"}
+        assert len(rewritten) == 2 * len(links)
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = PredictionService(store=LinkStore(root), max_resident=1)
+        assert _interleaved(served) == _interleaved(fresh)
+        snapshot = served.metrics.snapshot()
+        assert snapshot["streaming_rebuilds"]["value"] == len(links)
+        assert [(s["labels"], s["value"]) for s in snapshot[
+            "store_checkpoints_stale"]["series"]] == [
+                ({"reason": "format"}, float(len(links)))]
+        assert {series["labels"]["how"]: series["value"] for series in
+                snapshot["service_link_revivals"]["series"]}["rebuild"] \
+            == len(links)
+        assert {path.read_bytes()[:6]
+                for path in root.rglob("checkpoint.bin")} == {b"RSCK\x08\0"}
+
+        # One more row a link, and the seal that folds it in.
+        for link, records in sorted(links.items()):
+            last = fresh.link_state(link).last_time
+            extra = dataclasses.replace(records[0], start_time=last + 10.0,
+                                        end_time=last + 15.0)
+            for service in (fresh, served):
+                service.observe(link, extra)
+            assert served.store.seal(link)
+            path = root / "links" / link / segments.segment_name(0)
+            assert path.read_bytes()[:6] == b"RSSG\3\0"
+            assert segments.read_framing(path)[:2] == (0, len(records) + 1)
+            assert [p.name for p in path.parent.glob("seg-*")] == [path.name]
+        assert _interleaved(served) == _interleaved(fresh)
+        served.store.close()
+        reopened = PredictionService(store=LinkStore(root), max_resident=1)
+        assert _interleaved(reopened) == _interleaved(fresh)
+        assert reopened.metrics.snapshot()["streaming_rebuilds"]["value"] == 0
+        assert quarantined.value == before
+        assert not list(root.rglob("*.quarantined"))
+
+    @pytest.mark.exhaustive
+    def test_a_thousand_link_parent_state_dir_serves_with_one_rebuild_a_link(
+            self, tmp_path):
+        """The shape of the ledger's ``cold_revive``, 1,000 links of 30
+        rows, left by the commit before segment format 3 and checkpoint
+        format 8: served through 16 resident slots it quarantines
+        nothing, rebuilds each link once, and answers ``repr``-identically
+        to a service that never evicted."""
+        from repro.obs import get_registry
+        from tests.unit.test_store import as_parent_state_dir
+
+        links = {f"L{k:04d}": _synthetic_records(30, phase=k)
+                 for k in range(1000)}
+        root = tmp_path / "state"
+        fresh = PredictionService()
+        built = PredictionService(store=LinkStore(root))
+        for service in (fresh, built):
+            for link, records in links.items():
+                service.ingest_records(link, records)
+        assert built.checkpoint_all(seal=True) == len(links)
+        built.store.close()
+        assert len(as_parent_state_dir(root)) == 2 * len(links)
+
+        def answers(service):
+            return [(link, spec, repr(p.value), p.version, p.history_length)
+                    for spec in ("AVG15", "C-MED15") for link in links
+                    for p in [service.predict(link, 100 * MB, spec, now=NOW)]]
+
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        served = PredictionService(store=LinkStore(root), max_resident=16)
+        assert answers(served) == answers(fresh)
+        snapshot = served.metrics.snapshot()
+        assert snapshot["streaming_rebuilds"]["value"] == len(links)
+        assert snapshot["store_checkpoints_stale"]["value"] == len(links)
+        assert quarantined.value == before
+        assert not list(root.rglob("*.quarantined"))
 
 
 class TestStaleCheckpoint:

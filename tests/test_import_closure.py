@@ -52,6 +52,9 @@ DELIVERY = ("repro.mds", "repro.net", "repro.storage", "repro.nws")
 #: The file envelope, its digests and the fault sites: an evaluating run
 #: only reads its logs.
 WRITING = ("repro.envelope", "repro.digests", "repro.faults")
+#: Online accuracy and its rendering: only a serving process scores, and
+#: only ``repro status`` renders the scoreboard.
+QUALITY = ("repro.obs.quality", "repro.obs.scoreboard")
 #: A worker runs inside repro.fleet and needs none of the rest of it.
 FLEET_FRONT = ("repro.fleet.front", "repro.fleet.supervisor",
                "repro.fleet.runner")
@@ -88,16 +91,16 @@ print("\\n".join(sorted(sys.modules)))
 CLOSURES = [
     # (the six kinds of process) x (what each must not have loaded)
     ("client", "import repro.client",
-     SIMULATION + SERVING + EVENT_LOOP + OPENSSL),
+     SIMULATION + SERVING + EVENT_LOOP + OPENSSL + QUALITY),
     ("front", "import repro.fleet.runner",
-     SIMULATION + SERVING + EVENT_LOOP + OPENSSL),
+     SIMULATION + SERVING + EVENT_LOOP + OPENSSL + QUALITY),
     ("serve", "import repro.service, repro.store",
      SIMULATION + EVENT_LOOP + DELIVERY + OPENSSL),
     ("worker", "run('repro.fleet.worker', '--help')",
      SIMULATION + EVENT_LOOP + FLEET_FRONT + DELIVERY + OPENSSL),
     ("evaluate", "import repro.core.engine, repro.data",
      SIMULATION + ("repro.service", "repro.store", "repro.fleet") + WRITING
-     + OPENSSL),
+     + OPENSSL + QUALITY),
     ("cli", "import repro.cli", SIMULATION + SERVING + OPENSSL),
     ("cli-serve-help", "run('repro.cli', 'serve', '--help')",
      SIMULATION + EVENT_LOOP + OPENSSL),
@@ -212,7 +215,7 @@ def test_serving_and_evaluation_answer_without_openssl_or_numpy_ma(tmp_path):
 # the lazy packages' public surface
 # ----------------------------------------------------------------------
 LAZY_PACKAGES = ["repro", "repro.core", "repro.core.predictors", "repro.nws",
-                 "repro.net", "repro.analysis", "repro.fleet"]
+                 "repro.net", "repro.analysis", "repro.fleet", "repro.obs"]
 
 _SURFACE = """
 import importlib, json, sys

@@ -1,12 +1,12 @@
 """The shared file envelope, through each of its callers.
 
 One decoder contract, two kinds of file (checkpoint, sealed segment in
-its current format and in the one it still reads): damaged bytes raise
+its current format and in the two it still reads): damaged bytes raise
 the kind's own error and nothing else, never a decoded value; nothing
 is inflated past what the verified header declared; and a file of a
 format the kind does not read is another build's, by one rule for both.
 Each kind's header is packed by hand here, so the tests pin the bytes,
-and so is the deflate level they are written at.
+and so are its digest, its stream's wrapper and its deflate level.
 """
 
 from __future__ import annotations
@@ -21,19 +21,32 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.envelope import CorruptFile, Envelope, atomic_write
+from repro.envelope import CorruptFile, Envelope, LegacyEnvelope, atomic_write
 from repro.store import CorruptCheckpoint, CorruptSegment
 from repro.store import checkpoint as ck
 from repro.store import segments as seg
-from tests.unit.test_store import LD_SIZE, as_format_2, revive, small_bank
+from tests.unit.test_store import (LD_SIZE, as_format_2, as_format_7, revive,
+                                   small_bank)
 
 
 class Kind:
     """One caller of the envelope: a small valid file, its hand-packed
-    header, and a ``decode`` that raises ``error`` on untrusted bytes."""
+    header, and a ``decode`` that raises ``error`` on untrusted bytes.
+    This build writes the first 16 bytes of SHA-256 and a raw deflate
+    stream; a legacy kind the whole digest and a zlib stream."""
+
+    digest_size, wbits = 16, -zlib.MAX_WBITS
 
     def __init__(self, tmp_path):
         self.path = tmp_path / self.name
+
+    def deflate(self, body, level=None):
+        deflater = zlib.compressobj(
+            self.level if level is None else level, zlib.DEFLATED, self.wbits)
+        return deflater.compress(body) + deflater.flush()
+
+    def inflate(self, stored):
+        return zlib.decompress(stored, self.wbits)
 
     def frame(self, stored, lengths, meta=None, version=None):
         """A file of this kind around ``stored`` whose digest verifies."""
@@ -41,14 +54,15 @@ class Kind:
             self.magic, self.version if version is None else version,
             self.aux, len(stored), *lengths,
             *(self.meta if meta is None else meta))
-        return fields + hashlib.sha256(fields + stored).digest() + stored
+        digest = hashlib.sha256(fields + stored).digest()[:self.digest_size]
+        return fields + digest + stored
 
 
 class CheckpointKind(Kind):
     name = "checkpoint.bin"
     fields = struct.Struct("<4sHHIIII")
-    magic, version, aux, meta = b"RSCK", 7, LD_SIZE, ()
-    readable = (7,)
+    magic, version, aux, meta = b"RSCK", 8, LD_SIZE, ()
+    readable = (8,)
     level = 6
     error = CorruptCheckpoint
     bomb_lengths = (1024, 0, 0)
@@ -66,13 +80,15 @@ class CheckpointKind(Kind):
 
 
 class SegmentKind(Kind):
+    """Format 3: the four columns as one section, 25 bytes a row."""
+
     name = "seg-000000000007.col"
-    fields = struct.Struct("<4sHHIIIIIQQQ")
-    magic, version, aux, meta = b"RSSG", 2, 0, (7, 40, 0)
-    readable = (1, 2)
+    fields = struct.Struct("<4sHHIIQQQ")
+    magic, version, aux, meta = b"RSSG", 3, 0, (7, 40, 0)
+    readable = (1, 2, 3)
     level = 6
     error = CorruptSegment
-    bomb_lengths = (320, 320, 320, 40)  # what 40 rows declare: 1,000 B
+    bomb_lengths = (1000,)  # what 40 rows declare
     ROWS = ([1.5, 2.5, 4.0], [9.0, 8.0, 7.0], [10, 20, 30], [0, 1, 0])
 
     def blob(self):
@@ -91,21 +107,44 @@ class SegmentKind(Kind):
             self.decode(data)
 
 
-class Format1SegmentKind(SegmentKind):
-    """What builds before byte planes wrote: the same header, every
-    column row-major.  Read, never written, so packed here by hand."""
+class Format2SegmentKind(SegmentKind):
+    """What builds before format 3 wrote: the same columns, one section
+    each, in the legacy envelope.  Read, never written, so packed here
+    by hand."""
 
-    version, level = 1, 1
+    digest_size, wbits = 32, zlib.MAX_WBITS
+    fields = struct.Struct("<4sHHIIIIIQQQ")
+    version = 2
+    bomb_lengths = (320, 320, 320, 40)  # what 40 rows declare: 1,000 B
+
+    def sections(self):
+        columns = [np.asarray(column, dtype=dtype) for column, dtype
+                   in zip(self.ROWS, ("<f8", "<f8", "<i8", "i1"))]
+        return ([column.view(np.uint8).reshape(-1, 8).T.tobytes()
+                 for column in columns[:2]]
+                + [column.tobytes() for column in columns[2:]])
 
     def blob(self):
-        sections = [np.asarray(column, dtype=dtype).tobytes() for column, dtype
-                    in zip(self.ROWS, ("<f8", "<f8", "<i8", "i1"))]
-        return self.frame(zlib.compress(b"".join(sections), self.level),
+        sections = self.sections()
+        return self.frame(self.deflate(b"".join(sections)),
                           [len(section) for section in sections], (7, 3, 99))
 
 
-@pytest.fixture(params=[CheckpointKind, SegmentKind, Format1SegmentKind],
-                ids=["checkpoint", "segment", "segment-format-1"])
+class Format1SegmentKind(Format2SegmentKind):
+    """What builds before byte planes wrote: every column row-major, at
+    the deflate level of its day."""
+
+    version, level = 1, 1
+
+    def sections(self):
+        return [np.asarray(column, dtype=dtype).tobytes() for column, dtype
+                in zip(self.ROWS, ("<f8", "<f8", "<i8", "i1"))]
+
+
+@pytest.fixture(params=[CheckpointKind, SegmentKind, Format2SegmentKind,
+                        Format1SegmentKind],
+                ids=["checkpoint", "segment", "segment-format-2",
+                     "segment-format-1"])
 def kind(request, tmp_path):
     return request.param(tmp_path)
 
@@ -114,10 +153,13 @@ def test_header_is_the_pinned_struct(kind):
     blob = kind.blob()
     magic, version, aux, stored, *rest = kind.fields.unpack_from(blob)
     assert (magic, version, aux) == (kind.magic, kind.version, kind.aux)
-    assert len(blob) == kind.fields.size + 32 + stored
-    body = zlib.decompress(blob[kind.fields.size + 32:])
+    head = kind.fields.size + kind.digest_size
+    assert len(blob) == head + stored
+    body = kind.inflate(blob[head:])
     assert len(body) == sum(rest[:len(kind.bomb_lengths)])
-    assert blob[kind.fields.size + 32:] == zlib.compress(body, kind.level)
+    assert blob[head:] == kind.deflate(body)
+    assert blob == kind.frame(blob[head:], rest[:len(kind.bomb_lengths)],
+                              rest[len(kind.bomb_lengths):])
     kind.decode(blob)  # and it reads
 
 
@@ -149,8 +191,9 @@ def test_a_foreign_format_is_another_builds_and_a_flipped_one_corrupt(kind):
     format field flipped is corrupt."""
     blob = kind.blob()
     rest = kind.fields.unpack_from(blob)[4:]
-    stored, sections = blob[kind.fields.size + 32:], len(kind.bomb_lengths)
-    for format_ in sorted(set(range(9)) - set(kind.readable)) + [0xFFFF]:
+    stored = blob[kind.fields.size + kind.digest_size:]
+    sections = len(kind.bomb_lengths)
+    for format_ in sorted(set(range(10)) - set(kind.readable)) + [0xFFFF]:
         kind.assert_foreign(kind.frame(stored, rest[:sections],
                                        rest[sections:], version=format_),
                             format_)
@@ -161,17 +204,19 @@ def test_a_foreign_format_is_another_builds_and_a_flipped_one_corrupt(kind):
             kind.decode(bytes(flipped))
         assert type(err.value) is kind.error, bit
     if isinstance(kind, CheckpointKind):
-        # Formats 1 and 2 stored the body raw, the digest over it alone.
+        # Formats 1 and 2 stored the body raw, the digest over it alone;
+        # format 7 is this body in the legacy envelope.
         raw = as_format_2(blob)
         for format_ in (1, 2):
             kind.assert_foreign(
                 raw[:4] + struct.pack("<H", format_) + raw[6:], format_)
+        kind.assert_foreign(as_format_7(blob), 7)
 
 
 def test_inflate_stops_at_the_declared_lengths(kind):
     # An intact digest over a stream that inflates to 1 MB behind a
     # header that claims 1 KB: rejected, and never inflated.
-    bomb = kind.frame(zlib.compress(bytes(1 << 20), 1), kind.bomb_lengths)
+    bomb = kind.frame(kind.deflate(bytes(1 << 20), 1), kind.bomb_lengths)
     tracemalloc.start()
     try:
         with pytest.raises(kind.error):
@@ -184,7 +229,7 @@ def test_inflate_stops_at_the_declared_lengths(kind):
 
 def test_stream_shorter_than_declared_is_corrupt(kind):
     lengths = kind.bomb_lengths
-    short = kind.frame(zlib.compress(bytes(sum(lengths) - 1), 1), lengths)
+    short = kind.frame(kind.deflate(bytes(sum(lengths) - 1), 1), lengths)
     with pytest.raises(kind.error):
         kind.decode(short)
 
@@ -212,6 +257,38 @@ class TestEnvelope:
             self.FILE.verify(b"NOPE" + self.FILE.pack((b"", b""), (0,))[4:])
         with pytest.raises(CorruptFile, match="format 2"):
             self.FILE.verify(Envelope(b"TEST", 2, "II", "Q").pack((b"", b""), (0,)))
+
+    def test_sixteen_bytes_of_sha256_over_a_raw_deflate_stream(self):
+        """The stream has no zlib header and no Adler-32: the digest, the
+        first 16 bytes of SHA-256 over fields and stream, is the check."""
+        blob = self.FILE.pack((b"abc" * 40, b"de"), meta=(7,), aux=3)
+        fields = struct.Struct("<4sHHIIIQ")
+        stored = blob[fields.size + 16:]
+        assert fields.unpack_from(blob) == (
+            b"TEST", 1, 3, len(stored), 120, 2, 7)
+        assert blob[fields.size:fields.size + 16] == hashlib.sha256(
+            blob[:fields.size] + stored).digest()[:16]
+        deflater = zlib.compressobj(6, zlib.DEFLATED, -zlib.MAX_WBITS)
+        assert stored == deflater.compress(b"abc" * 40 + b"de") + deflater.flush()
+        assert stored == zlib.compress(b"abc" * 40 + b"de", 6)[2:-4]
+
+    def test_a_legacy_envelope_reads_and_never_writes(self):
+        """The formats earlier builds wrote: the whole SHA-256 and a zlib
+        stream.  Each flavour refuses the other's bytes as corrupt."""
+        legacy = LegacyEnvelope(b"TEST", 1, "II", meta="Q")
+        with pytest.raises(TypeError, match="read, never written"):
+            legacy.pack((b"abc", b""), meta=(7,))
+        fields = struct.pack("<4sHHIIIQ", b"TEST", 1, 3,
+                             len(zlib.compress(b"abc", 6)), 3, 0, 7)
+        stored = zlib.compress(b"abc", 6)
+        blob = fields + hashlib.sha256(fields + stored).digest() + stored
+        head = legacy.verify(blob)
+        assert (head.aux, head.lengths, head.meta) == (3, (3, 0), (7,))
+        assert [bytes(s) for s in legacy.inflate(head)] == [b"abc", b""]
+        with pytest.raises(CorruptFile):
+            self.FILE.verify(blob)
+        with pytest.raises(CorruptFile):
+            legacy.verify(self.FILE.pack((b"abc", b""), meta=(7,), aux=3))
 
     def test_a_value_too_wide_for_its_field_is_a_value_error(self):
         with pytest.raises(ValueError, match="does not fit"):

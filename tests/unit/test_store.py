@@ -160,24 +160,30 @@ class TestSegments:
         assert path.stat().st_size < 488 * 25
 
     def test_float_columns_are_byte_planes(self, tmp_path):
-        """Format 2: byte ``k`` of every time, for ``k`` = 0..7, then the
+        """Format 3: one section of 25 bytes a row, declared by one
+        length: byte ``k`` of every time, for ``k`` = 0..7, then the
         values the same way; sizes and ops row-major."""
         times, values, sizes, ops = (np.asarray(c) for c in _rows(5))
         path = tmp_path / seg.segment_name(0)
-        seg.write_segment(path, 0, times, values, sizes, ops)
+        seg.write_segment(path, 0, times, values, sizes, ops, max_offset=9)
         raw = path.read_bytes()
-        assert raw[:6] == b"RSSG\2\0"
-        body = zlib.decompress(raw[84:])  # fields 52 B, digest 32 B
+        magic, version, aux, stored, length, *framing = \
+            SEGMENT_FIELDS.unpack_from(raw)
+        assert (magic, version, aux, length, framing) == (
+            b"RSSG", 3, 0, 5 * 25, [0, 5, 9])
+        assert SEGMENT_FIELDS.size + DIGEST_SIZE == 56  # fields 40 B
+        assert len(raw) == 56 + stored
+        body = inflate(raw[56:])
+        assert len(body) == 5 * 25
         planes = [times.astype("<f8").view(np.uint8).reshape(5, 8)[:, k]
                   for k in range(8)]
         assert body[:40] == b"".join(plane.tobytes() for plane in planes)
         assert body[80:] == (sizes.astype("<i8").tobytes()
                              + ops.astype("i1").tobytes())
 
-    def test_format_1_segment_of_the_parent_commit_reads_bit_exactly(
-            self, tmp_path):
-        path = FORMAT_1_SEGMENT
-        assert path.read_bytes()[:6] == b"RSSG\1\0"
+    def _reads_the_stale_link_bit_exactly(self, format_):
+        path = EARLIER_SEGMENTS[format_]
+        assert path.read_bytes()[:6] == b"RSSG" + struct.pack("<H", format_)
         assert seg.read_framing(path) == (0, 30, 0)
         data = seg.read_segment(path)
         records = stale_link_records()
@@ -187,17 +193,38 @@ class TestSegments:
             [r.bandwidth for r in records]).tobytes()
         assert data.sizes.tolist() == [r.file_size for r in records]
         assert data.ops.tolist() == [0] * 30
-        # The same rows written by this build: format 2, and smaller.
+        return data
+
+    def test_format_1_segment_of_the_parent_commit_reads_bit_exactly(
+            self, tmp_path):
+        data = self._reads_the_stale_link_bit_exactly(1)
+        # The same rows written by this build: format 3, and smaller.
         path = tmp_path / seg.segment_name(0)
         seg.write_segment(path, *data[:1], *data[3:])
         assert seg.read_segment(path)[:2] == (0, 30)
-        assert path.stat().st_size < FORMAT_1_SEGMENT.stat().st_size
+        assert path.stat().st_size < EARLIER_SEGMENTS[1].stat().st_size
+
+    def test_format_2_segment_of_the_commit_before_format_3_reads_bit_exactly(
+            self, tmp_path):
+        """What the parent wrote, and what this build writes for the same
+        30 rows: the same deflated columns, 34 bytes less framing (16 of
+        digest, 12 of three column lengths, 6 of zlib header and
+        Adler-32).  A change that puts framing back fails here."""
+        data = self._reads_the_stale_link_bit_exactly(2)
+        parent = EARLIER_SEGMENTS[2].read_bytes()
+        assert format_2_segment(*data[:1], *data[3:]) == parent
+        path = tmp_path / seg.segment_name(0)
+        seg.write_segment(path, *data[:1], *data[3:])
+        ours = path.read_bytes()
+        assert len(ours) == len(parent) - 34 == 343
+        assert ours[SEGMENT_FIELDS.size + DIGEST_SIZE:] == \
+            parent[LEGACY_SEGMENT_FIELDS.size + LEGACY_DIGEST_SIZE + 2:-4]
 
     def test_a_newer_format_is_its_own_error(self, tmp_path):
         path = tmp_path / seg.segment_name(0)
-        path.write_bytes(format_3_segment(0, *_rows(4)))
+        path.write_bytes(format_4_segment(0, *_rows(4)))
         for read in (seg.read_framing, seg.read_segment):
-            with pytest.raises(seg.UnknownSegmentFormat, match="format 3"):
+            with pytest.raises(seg.UnknownSegmentFormat, match="format 4"):
                 read(path)
 
     def test_a_flipped_format_field_is_corrupt_not_newer(self, tmp_path):
@@ -207,7 +234,8 @@ class TestSegments:
         path = tmp_path / seg.segment_name(0)
         seg.write_segment(path, 0, *_rows(4))
         current = path.read_bytes()
-        for blob in (current, format_1_segment(0, *_rows(4))):
+        for blob in (current, format_2_segment(0, *_rows(4)),
+                     format_1_segment(0, *_rows(4))):
             for at in (4, 5):
                 for bit in range(8):
                     flipped = bytearray(blob)
@@ -232,25 +260,81 @@ class TestSegments:
             seg.read_segment(path)
 
 
-#: Segment formats this build reads but does not write, and one it does
-#: not read: the same header, every column row-major.
-_FORMAT_1 = Envelope(b"RSSG", 1, "IIII", meta="QQQ")
-_FORMAT_3 = Envelope(b"RSSG", 3, "IIII", meta="QQQ")
+# ----------------------------------------------------------------------
+# the envelope's bytes, packed by hand so the tests pin them
+# ----------------------------------------------------------------------
+#: What this build writes: the first 16 bytes of SHA-256 over the fields
+#: and the stream, and a raw deflate stream (no zlib header, no Adler-32).
+DIGEST_SIZE = 16
+#: What segment formats 1-2 and checkpoint formats 3-7 were written in:
+#: the whole SHA-256 and a zlib stream.
+LEGACY_DIGEST_SIZE = 32
 
 
-def format_1_segment(start_row, times, values, sizes, ops, max_offset=0,
-                     envelope=_FORMAT_1):
+def deflate(body, level=6):
+    """``body`` as the raw deflate stream this build stores."""
+    deflater = zlib.compressobj(level, zlib.DEFLATED, -zlib.MAX_WBITS)
+    return deflater.compress(body) + deflater.flush()
+
+
+def inflate(stored):
+    return zlib.decompress(stored, -zlib.MAX_WBITS)
+
+
+def framed(fields, stored):
+    """A file of this build around ``stored``: fields, digest, stream."""
+    return (fields + hashlib.sha256(fields + stored).digest()[:DIGEST_SIZE]
+            + stored)
+
+
+def legacy_framed(layout, magic, version, aux, sections, meta=()):
+    """A file in the legacy envelope (the whole SHA-256, a zlib stream),
+    deflated at level 6 as the commit before segment format 3 wrote it."""
+    stored = zlib.compress(b"".join(sections), 6)
+    fields = struct.pack(layout, magic, version, aux, len(stored),
+                         *map(len, sections), *meta)
+    return fields + hashlib.sha256(fields + stored).digest() + stored
+
+
+#: Segment headers: format 3 declares one section, 25 bytes a row;
+#: formats 1 and 2 one section a column.
+SEGMENT_FIELDS = struct.Struct("<4sHHIIQQQ")
+LEGACY_SEGMENT_FIELDS = struct.Struct("<4sHHIIIIIQQQ")
+
+
+def _columns(times, values, sizes, ops):
+    return [np.ascontiguousarray(column, dtype=dtype) for column, dtype in
+            zip((times, values, sizes, ops), ("<f8", "<f8", "<i8", "i1"))]
+
+
+def _planes(column):
+    return column.view(np.uint8).reshape(-1, 8).T.tobytes()
+
+
+def format_1_segment(start_row, times, values, sizes, ops, max_offset=0):
     """A segment's bytes as builds before byte planes wrote them."""
-    sections = [np.ascontiguousarray(column, dtype=dtype).tobytes()
-                for column, dtype in zip((times, values, sizes, ops),
-                                         ("<f8", "<f8", "<i8", "i1"))]
-    return envelope.pack(sections, meta=(start_row, len(times), max_offset))
+    return legacy_framed(
+        LEGACY_SEGMENT_FIELDS.format, b"RSSG", 1, 0,
+        [column.tobytes() for column in _columns(times, values, sizes, ops)],
+        (start_row, len(times), max_offset))
 
 
-def format_3_segment(start_row, times, values, sizes, ops):
+def format_2_segment(start_row, times, values, sizes, ops, max_offset=0):
+    """A segment's bytes as the builds before format 3 wrote them: the
+    same columns as format 3, one section each, in the legacy envelope."""
+    columns = _columns(times, values, sizes, ops)
+    return legacy_framed(
+        LEGACY_SEGMENT_FIELDS.format, b"RSSG", 2, 0,
+        [_planes(column) for column in columns[:2]]
+        + [column.tobytes() for column in columns[2:]],
+        (start_row, len(times), max_offset))
+
+
+def format_4_segment(start_row, times, values, sizes, ops):
     """An intact segment of a format no build reads yet."""
-    return format_1_segment(start_row, times, values, sizes, ops,
-                            envelope=_FORMAT_3)
+    return Envelope(b"RSSG", 4, "IIII", meta="QQQ").pack(
+        [column.tobytes() for column in _columns(times, values, sizes, ops)],
+        meta=(start_row, len(times), 0))
 
 
 def as_format_1_state_dir(root):
@@ -261,6 +345,20 @@ def as_format_1_state_dir(root):
         data = seg.read_segment(path)
         path.write_bytes(format_1_segment(*data[:1], *data[3:], data.max_offset))
     return paths
+
+
+def as_parent_state_dir(root):
+    """Rewrite every ``.col`` segment under ``root`` as format 2 and every
+    checkpoint as format 7, as the builds before segment format 3 and
+    checkpoint format 8 left a state dir; returns the paths."""
+    paths = sorted(root.rglob("seg-*.col"))
+    for path in paths:
+        data = seg.read_segment(path)
+        path.write_bytes(format_2_segment(*data[:1], *data[3:], data.max_offset))
+    checkpoints = sorted(root.rglob("checkpoint.bin"))
+    for path in checkpoints:
+        path.write_bytes(as_format_7(path.read_bytes()))
+    return paths + checkpoints
 
 
 def write_npz_segment(path, start_row, times, values, sizes, ops,
@@ -300,18 +398,20 @@ def as_npz_state_dir(root):
 # ----------------------------------------------------------------------
 LD_SIZE = np.dtype(np.longdouble).itemsize
 CLS = paper_classification()
-# The checkpoint header of format 7, packed by hand here so the tests
-# pin the bytes: magic, format, long-double width, stored length, then
-# the raw lengths of the fixed section and the ld and f8 pools.
+# The checkpoint header of formats 7 and 8, packed by hand here so the
+# tests pin the bytes: magic, format, long-double width, stored length,
+# then the raw lengths of the fixed section and the ld and f8 pools.
 CHECKPOINT_FIELDS = struct.Struct("<4sHHIIII")
 DATA = Path(__file__).resolve().parents[1] / "data"
-#: Checkpoints written by the commits before formats 4, 5, 6 and 7, for a
-#: 30-row, 4-class link (``stale_link_records``); see tests/data/README.md.
+#: Checkpoints written by the commits before formats 4, 5, 6, 7 and 8,
+#: for a 30-row, 4-class link (``stale_link_records``); see
+#: tests/data/README.md.
 EARLIER_CHECKPOINTS = {format_: DATA / f"checkpoint-format{format_}.bin"
-                       for format_ in (3, 4, 5, 6)}
-#: The same link's sealed segment as the commit before segment format 2
-#: wrote it (see tests/data/README.md).
-FORMAT_1_SEGMENT = DATA / "segment-format1.col"
+                       for format_ in (3, 4, 5, 6, 7)}
+#: The same link's sealed segment as the commits before segment formats
+#: 2 and 3 wrote it (see tests/data/README.md).
+EARLIER_SEGMENTS = {format_: DATA / f"segment-format{format_}.col"
+                    for format_ in (1, 2)}
 SMALL_SIZES = np.array([10 * MB, 100 * MB, 500 * MB, 1 * GB], dtype=np.int64)
 
 
@@ -321,6 +421,22 @@ def stale_link_records():
     sizes = (10 * MB, 100 * MB, 500 * MB, 1 * GB)
     return [make_record(start=1_000_000.0 + 3600.0 * i, duration=10.0 + i % 7,
                         size=sizes[i % 4]) for i in range(30)]
+
+
+def stale_link_files(root):
+    """The files ``stale_link_records``' link leaves in a state dir under
+    ``root``, by name, as ``tests/data/README.md`` says the earlier
+    commits' files were made."""
+    from repro.service import PredictionService
+
+    service = PredictionService(store=LinkStore(root), clock=lambda: 0.0)
+    for record in stale_link_records():
+        service.predict("stale", record.file_size, now=record.end_time)
+        service.observe("stale", record)
+    assert service.checkpoint_all(seal=True) == 1
+    service.store.close()
+    return {path.name: path.read_bytes()
+            for path in (root / "links" / "stale").iterdir()}
 
 
 def small_rows(rows=12):
@@ -358,9 +474,9 @@ def revive(blob, rows=None):
 
 
 def sections(blob):
-    """The raw ``[fixed, ld, f8]`` of a format-7 file."""
+    """The raw ``[fixed, ld, f8]`` of a format-8 file."""
     lengths = CHECKPOINT_FIELDS.unpack_from(blob)[4:]
-    body = zlib.decompress(blob[CHECKPOINT_FIELDS.size + 32:])
+    body = inflate(blob[CHECKPOINT_FIELDS.size + DIGEST_SIZE:])
     out, at = [], 0
     for length in lengths:
         out.append(bytearray(body[at:at + length]))
@@ -369,17 +485,23 @@ def sections(blob):
     return out
 
 
-def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=7):
+def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=8):
     """A checkpoint file around these sections with a digest that verifies."""
-    stored = zlib.compress(bytes(fixed) + bytes(ld) + bytes(f8), 1)
+    stored = deflate(bytes(fixed) + bytes(ld) + bytes(f8), 1)
     fields = CHECKPOINT_FIELDS.pack(b"RSCK", version, ld_size, len(stored),
                                     len(fixed), len(ld), len(f8))
-    return fields + hashlib.sha256(fields + stored).digest() + stored
+    return framed(fields, stored)
+
+
+def as_format_7(blob):
+    """The same checkpoint as format 7 stored it: the legacy envelope."""
+    return legacy_framed(CHECKPOINT_FIELDS.format, b"RSCK", 7, LD_SIZE,
+                         sections(blob))
 
 
 def as_format_2(blob):
     """The same body as format 2 stored it: raw, the digest over it alone."""
-    body = zlib.decompress(blob[CHECKPOINT_FIELDS.size + 32:])
+    body = b"".join(sections(blob))
     return struct.pack("<4sHHIQQ32s", b"RSCK", 2, LD_SIZE, len(body), 0, 0,
                        hashlib.sha256(body).digest()) + body
 
@@ -490,10 +612,11 @@ class TestCheckpoint:
         blob = ck.dumps(small_payload())
         magic, version, ld_size, stored, fixed, ld, f8 = \
             CHECKPOINT_FIELDS.unpack_from(blob)
-        assert (magic, version) == (b"RSCK", 7)
+        assert (magic, version) == (b"RSCK", 8)
         assert ld_size == LD_SIZE
-        assert len(blob) == CHECKPOINT_FIELDS.size + 32 + stored
-        body = zlib.decompress(blob[CHECKPOINT_FIELDS.size + 32:])
+        assert CHECKPOINT_FIELDS.size + DIGEST_SIZE == 40  # fields 24 B
+        assert len(blob) == 40 + stored
+        body = inflate(blob[40:])
         assert len(body) == fixed + ld + f8
         # No row and no min chain: five series' sums and their scalars.
         assert (ld, f8) == (5 * 18 * LD_SIZE, 0)
@@ -533,11 +656,11 @@ class TestCheckpoint:
         for stored, lengths in [
                 (body[:-8], (len(fixed), len(ld), len(f8))),
                 (body, (len(fixed), len(ld) - LD_SIZE, len(f8)))]:
+            stored = deflate(stored, 1)
             fields = CHECKPOINT_FIELDS.pack(
-                b"RSCK", 7, LD_SIZE, len(zlib.compress(stored, 1)), *lengths)
-            stored = zlib.compress(stored, 1)
+                b"RSCK", 8, LD_SIZE, len(stored), *lengths)
             with pytest.raises(CorruptCheckpoint, match="declared lengths"):
-                ck.loads(fields + hashlib.sha256(fields + stored).digest() + stored)
+                ck.loads(framed(fields, stored))
         ragged = frame_checkpoint(fixed, ld, f8 + bytes(4))
         with pytest.raises(CorruptCheckpoint, match="whole number"):
             ck.loads(ragged)
@@ -605,10 +728,10 @@ class TestCheckpoint:
 
     def test_a_newer_format_is_stale_and_a_flipped_format_field_corrupt(self):
         # What a later build might write: the same magic, any layout.
-        newer = Envelope(b"RSCK", 8, "IIII", error=CorruptCheckpoint).pack(
+        newer = Envelope(b"RSCK", 9, "IIII", error=CorruptCheckpoint).pack(
             (b"a later build's fixed part", bytes(LD_SIZE), b"", b""),
             aux=LD_SIZE)
-        with pytest.raises(ck.StaleCheckpoint, match="format 8"):
+        with pytest.raises(ck.StaleCheckpoint, match="format 9"):
             ck.loads(newer)
         # A file this build wrote whose format field flipped, to a newer
         # format or an older one, is damage.
@@ -619,11 +742,11 @@ class TestCheckpoint:
             with pytest.raises(CorruptCheckpoint):
                 ck.loads(bytes(flipped))
 
-    @pytest.mark.parametrize("format_", [1, 2, 3, 4, 5, 6],
+    @pytest.mark.parametrize("format_", [1, 2, 3, 4, 5, 6, 7],
                              ids=lambda format_: f"format-{format_}")
     def test_an_earlier_format_is_stale_however_damaged(self, format_):
         """Formats 1 and 2 stored the body raw, the digest over it alone;
-        3-6 are what the commits before formats 4-7 wrote.  This build
+        3-7 are what the commits before formats 4-8 wrote.  This build
         reads none of them, so it cannot tell their damage from their
         layout: damaged or not, they are stale and left to the rows."""
         if format_ in EARLIER_CHECKPOINTS:
@@ -636,13 +759,26 @@ class TestCheckpoint:
         damaged[-1] ^= 0x01
         for blob in (old, bytes(damaged), old[:-1], old[:6]):
             with pytest.raises(ck.StaleCheckpoint,
-                               match=f"format {format_}, this build reads 7"):
+                               match=f"format {format_}, this build reads 8"):
                 ck.loads(blob)
         # Damage to the magic, or a file too short to name its format,
         # is still corrupt.
         for blob in (b"rsck" + old[4:], old[:5]):
             with pytest.raises(CorruptCheckpoint):
                 ck.loads(blob)
+
+    def test_format_7_of_the_commit_before_format_8_is_22_bytes_longer(
+            self, tmp_path):
+        """The parent's checkpoint of the stale link holds the very body
+        this build stores, behind 22 bytes more framing (16 of digest, 6
+        of zlib header and Adler-32).  A change that puts framing back
+        fails here."""
+        checkpoint = stale_link_files(tmp_path)["checkpoint.bin"]
+        parent = EARLIER_CHECKPOINTS[7].read_bytes()
+        assert as_format_7(checkpoint) == parent
+        assert len(checkpoint) == len(parent) - 22 == 1043
+        assert checkpoint[CHECKPOINT_FIELDS.size + DIGEST_SIZE:] == \
+            parent[CHECKPOINT_FIELDS.size + LEGACY_DIGEST_SIZE + 2:-4]
 
     def test_unlisted_scalar_types_pack_like_their_bases(self):
         meta = {"n": np.int32(7), "version": np.int64(9),
@@ -741,6 +877,40 @@ class TestLinkStore:
         np.testing.assert_array_equal(
             fresh.load_columns("x")[0], _rows(4, 2000.0)[0])
 
+    def test_a_read_refused_for_want_of_a_descriptor_moves_no_file(
+            self, tmp_path):
+        """No file descriptor left is no proof of damage: the read raises
+        ``EMFILE``, the segment stays where it is, and once descriptors
+        are back the link holds every acked row (a quarantine here used
+        to take the 20 sealed rows for good)."""
+        resource = pytest.importorskip("resource")
+        store = LinkStore(tmp_path)
+        _append(store, "x", 20)
+        assert store.seal("x")
+        _append(store, "x", 3, t0=2000.0)
+        store.close()
+        store = LinkStore(tmp_path)
+        assert store.durable_rows("x") == 23  # recovered: the framing read
+        files = sorted(p.name for p in (tmp_path / "links" / "x").iterdir())
+        quarantined = get_registry().counter("store_quarantined", "")
+        before = quarantined.value
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        lowest_free = os.dup(0)
+        os.close(lowest_free)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (lowest_free, hard))
+        try:
+            with pytest.raises(OSError) as refused:
+                store.load_columns("x")
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert refused.value.errno == errno.EMFILE
+        assert sorted(p.name for p in (tmp_path / "links" / "x").iterdir()) \
+            == files
+        assert quarantined.value == before
+        want = _rows(20)[0] + _rows(3, 2000.0)[0]
+        for opened in (store, LinkStore(tmp_path)):
+            np.testing.assert_array_equal(opened.load_columns("x")[0], want)
+
     def test_a_newer_format_segment_is_kept_and_its_link_refused(
             self, tmp_path):
         """What a rollback across a segment format bump meets: the file is
@@ -753,7 +923,7 @@ class TestLinkStore:
         store.close()
         link_dir = tmp_path / "links" / "x"
         newer = link_dir / seg.segment_name(0)
-        newer.write_bytes(format_3_segment(0, *_rows(4)))
+        newer.write_bytes(format_4_segment(0, *_rows(4)))
         before = sorted(p.name for p in link_dir.iterdir())
         quarantined = get_registry().counter("store_quarantined", "")
         count = quarantined.value
@@ -764,7 +934,7 @@ class TestLinkStore:
             with pytest.raises(seg.UnknownSegmentFormat):
                 call("x")
         assert sorted(p.name for p in link_dir.iterdir()) == before
-        assert newer.read_bytes()[:6] == b"RSSG\3\0"
+        assert newer.read_bytes()[:6] == b"RSSG\4\0"
         assert quarantined.value == count
         assert fresh.link_names() == ["x", "y"]
         assert fresh.durable_rows("y") == 6
@@ -865,7 +1035,7 @@ class TestLinkStore:
         assert quarantined.value == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["checkpoint.bin"]
         assert store.write_checkpoint("x", small_payload())
-        assert path.read_bytes()[4:6] == struct.pack("<H", 7)
+        assert path.read_bytes()[4:6] == struct.pack("<H", 8)
         assert store.read_checkpoint("x")["meta"]["n"] == 12
 
     def test_newer_format_checkpoint_is_left_in_place(self, tmp_path):
@@ -873,7 +1043,7 @@ class TestLinkStore:
         assert store.write_checkpoint("x", small_payload())
         path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
         current = path.read_bytes()
-        newer = Envelope(b"RSCK", 8, "III", error=CorruptCheckpoint).pack(
+        newer = Envelope(b"RSCK", 9, "III", error=CorruptCheckpoint).pack(
             (b"a later build's fixed part", b"", b""), aux=LD_SIZE)
         path.write_bytes(newer)
         quarantined = get_registry().counter("store_quarantined", "")
@@ -883,7 +1053,7 @@ class TestLinkStore:
         assert quarantined.value == before
         assert path.read_bytes() == newer
         # The same field flipped in this build's own file: quarantined.
-        path.write_bytes(current[:4] + struct.pack("<H", 8) + current[6:])
+        path.write_bytes(current[:4] + struct.pack("<H", 9) + current[6:])
         assert store.read_checkpoint("x") is None
         assert quarantined.value == before + 1
         assert path.with_name(path.name + ".quarantined").exists()
