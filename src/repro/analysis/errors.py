@@ -35,15 +35,14 @@ class ClassErrors:
     unclassified: Dict[str, Dict[str, float]]  # same, context-insensitive mode
     result: EvaluationResult
 
-    def worst(self, label: str, mode: str = "classified") -> float:
-        """Worst predictor MAPE within a class (NaN entries ignored)."""
-        table = (self.classified if mode == "classified" else self.unclassified)[label]
-        finite = [v for v in table.values() if v == v]
+    def worst(self, label: str) -> float:
+        """Worst classified predictor MAPE within a class (NaN entries
+        ignored)."""
+        finite = [v for v in self.classified[label].values() if v == v]
         return max(finite) if finite else float("nan")
 
-    def best(self, label: str, mode: str = "classified") -> float:
-        table = (self.classified if mode == "classified" else self.unclassified)[label]
-        finite = [v for v in table.values() if v == v]
+    def best(self, label: str) -> float:
+        finite = [v for v in self.classified[label].values() if v == v]
         return min(finite) if finite else float("nan")
 
 
@@ -80,8 +79,6 @@ def compute_class_errors(
 
 def compute_class_errors_dataset(
     dataset: Mapping[str, EvaluationData],
-    classification: Optional[Classification] = None,
-    training: int = 15,
 ) -> Dict[str, ClassErrors]:
     """Class-error tables for every link of a dataset.
 
@@ -89,8 +86,8 @@ def compute_class_errors_dataset(
     each link's table is identical to a standalone
     :func:`compute_class_errors` run.
     """
-    cls = classification or paper_classification()
-    results = evaluate_dataset(dataset, training=training, classification=cls)
+    cls = paper_classification()
+    results = evaluate_dataset(dataset, classification=cls)
     return {link: _bucket(link, result, cls) for link, result in results.items()}
 
 

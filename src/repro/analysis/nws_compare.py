@@ -51,7 +51,7 @@ def compare_probe_vs_gridftp(output: CampaignOutput) -> NwsComparison:
     if output.probes is None:
         raise ValueError(
             f"campaign {output.link} ran without NWS probes; "
-            "use run_month_with_nws / with_nws=True"
+            "use run_month_with_nws"
         )
     return NwsComparison(
         link=output.link,

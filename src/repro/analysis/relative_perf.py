@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.classification import Classification, paper_classification
+from repro.core.classification import paper_classification
 from repro.core.evaluation import EvaluationResult
 from repro.core.relative import RelativePerformance, relative_performance
 
@@ -53,7 +53,6 @@ def compute_relative_table(
     link: str,
     result: EvaluationResult,
     predictor_names: Optional[tuple] = None,
-    classification: Optional[Classification] = None,
 ) -> RelativeTable:
     """Tally best/worst per class from an evaluation.
 
@@ -61,7 +60,7 @@ def compute_relative_table(
     compare the 15 classified predictors among themselves); defaults to
     every trace in the result.
     """
-    cls = classification or paper_classification()
+    cls = paper_classification()
     names = predictor_names or tuple(result.names())
     restricted = EvaluationResult(
         traces={n: result[n] for n in names},

@@ -552,9 +552,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         port=port,
         service_args=serving.service_argv(args),
         fallback=fallback,
-        pool_size=args.pool_size,
-        max_pending=args.max_pending,
-        call_timeout=args.call_timeout,
     )
     stopping = threading.Event()
 
@@ -919,14 +916,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                        help="front-tier TCP address (port 0 picks a free one)")
     serving.add_service_options(fleet)  # handed to every worker
-    fleet.add_argument("--pool-size", type=int, default=4,
-                       help="front-tier connections pooled per worker")
-    fleet.add_argument("--max-pending", type=int, default=64, metavar="N",
-                       help="admission bound: shed load past N in-flight "
-                            "requests per worker (answers 'overloaded')")
-    fleet.add_argument("--call-timeout", type=float, default=5.0,
-                       help="per-request worker timeout before the front "
-                            "counts a failure against the shard's breaker")
     fleet.set_defaults(func=_cmd_fleet)
 
     status_cmd = sub.add_parser(

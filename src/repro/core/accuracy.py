@@ -31,23 +31,26 @@ from repro.wire import rank_key
 __all__ = ["backtest_error", "RiskAssessedReplica", "RiskAdjustedRanking"]
 
 
+#: Fewest scored observations a backtest reports an error from.
+_MIN_SCORED = 3
+
+
 def backtest_error(
     predictor: Predictor,
     history: History,
     target_size: Optional[int] = None,
     lookback: int = 10,
-    min_scored: int = 3,
 ) -> Optional[float]:
     """Mean absolute fractional error of ``predictor`` on recent history.
 
     For each of the last ``lookback`` observations, predict it from the
     strictly-earlier prefix and score ``|actual - predicted| / actual``.
-    Returns ``None`` if fewer than ``min_scored`` observations could be
+    Returns ``None`` if fewer than ``_MIN_SCORED`` observations could be
     scored (the predictor abstained or the history is too short) —
     an uncertainty estimate that is itself too uncertain to report.
     """
-    if lookback < 1 or min_scored < 1:
-        raise ValueError("lookback and min_scored must be positive")
+    if lookback < 1:
+        raise ValueError("lookback must be positive")
     n = len(history)
     errors: List[float] = []
     for i in range(max(1, n - lookback), n):
@@ -60,7 +63,7 @@ def backtest_error(
         )
         if predicted is not None and actual > 0:
             errors.append(abs(actual - predicted) / actual)
-    if len(errors) < min_scored:
+    if len(errors) < _MIN_SCORED:
         return None
     return sum(errors) / len(errors)
 

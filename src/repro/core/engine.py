@@ -11,9 +11,11 @@ trace-identical by the parity tests).
 a prebuilt name -> predictor mapping, and :func:`select_engine` picks
 the engine from the request alone: the vectorized path when every
 requested predictor is spec-addressed and has a kernel (one of the 30
-battery names with default parameters and no fallback), the generic walk
-otherwise.  A prebuilt mapping always takes the generic path: arbitrary
-predictor instances cannot be proven kernel-equivalent.  There is no
+battery names with default parameters), the generic walk otherwise.  A
+prebuilt mapping always takes the generic path: arbitrary predictor
+instances cannot be proven kernel-equivalent, and a battery with
+class-miss fallback is one such mapping
+(``resolve_battery(specs, fallback=True)``).  There is no
 switch to force one; a caller that wants an engine by name (the parity
 suite, ``tests/integration/test_fast_evaluate_parity.py``) calls
 ``fast_evaluate`` or the generic ``evaluate`` directly.
@@ -64,15 +66,11 @@ def _as_specs(predictors: PredictorRequest) -> Optional[Sequence[str]]:
     return [str(s).strip() for s in predictors]
 
 
-def select_engine(
-    predictors: PredictorRequest = None,
-    fallback: bool = False,
-) -> str:
+def select_engine(predictors: PredictorRequest = None) -> str:
     """The engine :func:`evaluate` runs for this request: ``"fast"`` when
-    every spec has a kernel and nothing asks for class-miss fallback,
-    ``"generic"`` otherwise."""
+    every spec has a kernel, ``"generic"`` otherwise."""
     specs = _as_specs(predictors)  # None for a mapping, maybe empty
-    if specs and not fallback and all(spec in KERNEL_SPECS for spec in specs):
+    if specs and all(spec in KERNEL_SPECS for spec in specs):
         return "fast"
     return "generic"
 
@@ -82,7 +80,6 @@ def evaluate(
     predictors: PredictorRequest = None,
     training: int = DEFAULT_TRAINING,
     classification: Optional[Classification] = None,
-    fallback: bool = False,
 ) -> EvaluationResult:
     """Walk predictors forward over a log, picking the best engine.
 
@@ -103,10 +100,8 @@ def evaluate(
         Leading records assumed present before the first prediction.
     classification:
         Size classes for ``C-`` specs (both engines honor it).
-    fallback:
-        Build ``C-`` specs with class-miss fallback (generic engine only).
     """
-    chosen = select_engine(predictors, fallback=fallback)
+    chosen = select_engine(predictors)
     specs = _as_specs(predictors)
     t0 = time.perf_counter()
 
@@ -128,9 +123,7 @@ def evaluate(
             if specs is None:
                 battery = dict(predictors)  # type: ignore[arg-type]
             else:
-                battery = resolve_battery(
-                    specs, classification=classification, fallback=fallback
-                )
+                battery = resolve_battery(specs, classification=classification)
             result = generic_evaluate(data, battery, training=training)
         elapsed = time.perf_counter() - t0
         # Parent series totals across engines; children split per engine.
@@ -145,7 +138,6 @@ def evaluate_dataset(
     predictors: PredictorRequest = None,
     training: int = DEFAULT_TRAINING,
     classification: Optional[Classification] = None,
-    fallback: bool = False,
 ) -> Dict[str, EvaluationResult]:
     """Walk the predictor battery over every link of a dataset.
 
@@ -165,7 +157,6 @@ def evaluate_dataset(
                 predictors,
                 training=training,
                 classification=classification,
-                fallback=fallback,
             )
         _M_LINKS.inc()
         _H_LINK.observe(time.perf_counter() - started)

@@ -166,15 +166,14 @@ def _ar_model(
     times: np.ndarray,
     anchors: np.ndarray,
     window_seconds: Optional[float],
-    min_points: int = 3,
-    clamp: float = 0.1,
 ) -> np.ndarray:
-    """Vectorized :class:`~repro.core.predictors.arima.ArModel`.
+    """Vectorized :class:`~repro.core.predictors.arima.ArModel` at its
+    default parameters.
 
     For each i, the model fits ``y = a + b x`` over the lag pairs of the
     (optionally time-windowed) prefix and predicts ``a + b * v[last]``,
-    falling back to the window mean below ``min_points`` observations or
-    on a singular fit, flooring at ``clamp * window_min``.
+    falling back to the window mean below 3 observations or on a
+    singular fit, flooring at ``0.1 * window_min``.
     """
     n = len(values)
     out = np.full(n, np.nan)
@@ -231,10 +230,10 @@ def _ar_model(
         b = cov / var
         a = (sy - b * sx) / np.where(m > 0, m, 1.0)
         prediction = a + b * values[idx - 1]
-        floor = clamp * window_min
+        floor = 0.1 * window_min
         prediction = np.maximum(prediction, floor)
 
-    fittable = (counts >= min_points) & (var > 0) & np.isfinite(var)
+    fittable = (counts >= 3) & (var > 0) & np.isfinite(var)
     out[1:] = np.where(fittable, prediction, window_mean)
     out[1:] = np.where(counts > 0, out[1:], np.nan)
     return out

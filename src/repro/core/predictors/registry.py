@@ -163,11 +163,7 @@ def paper_predictors() -> Dict[str, Predictor]:
     return resolve_battery(PAPER_PREDICTOR_NAMES)
 
 
-def classified_predictors(
-    classification: Optional[Classification] = None,
-    fallback: bool = False,
-) -> Dict[str, Predictor]:
-    """The 15 classified variants, named ``C-<base>``."""
-    return resolve_battery(
-        CLASSIFIED_PREDICTOR_NAMES, classification=classification, fallback=fallback
-    )
+def classified_predictors(fallback: bool = False) -> Dict[str, Predictor]:
+    """The 15 classified variants, named ``C-<base>``, over the paper's
+    size classes."""
+    return resolve_battery(CLASSIFIED_PREDICTOR_NAMES, fallback=fallback)

@@ -71,6 +71,9 @@ _M_OVERLOADED = _REG.counter(
 _M_FAILOVERS = _REG.counter(
     "fleet_failovers", "degraded last-good answers served for down shards")
 
+#: ``(link, spec)`` answers a front with fallback remembers, newest kept.
+_LAST_GOOD_CAPACITY = 4096
+
 
 class ShardUnavailable(ConnectionError):
     """The owning worker is down, unreachable, or circuit-open."""
@@ -304,7 +307,6 @@ class FleetFront:
         heartbeat_timeout: float = 1.0,
         breaker_threshold: int = 3,
         breaker_reset: float = 1.0,
-        last_good_capacity: int = 4096,
         info_hook: Optional[Callable[[int], Dict[str, Any]]] = None,
     ):
         if not shard_sockets:
@@ -335,7 +337,6 @@ class FleetFront:
         self._last_good: "OrderedDict[Tuple[str, Optional[str]], Dict[str, Any]]" = (
             OrderedDict()
         )
-        self._last_good_capacity = last_good_capacity
         self._last_good_lock = threading.Lock()
         self._routes: Dict[str, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
             "predict": self._route_predict,
@@ -487,7 +488,7 @@ class FleetFront:
         outcome = self._ask(self.ring.shard_of(wire.check_link(req["link"])), req)
         if isinstance(outcome, Exception):
             return self._stale_or_error(req, req, outcome)
-        if outcome.get("ok"):
+        if self.fallback and outcome.get("ok"):
             self._remember([outcome])
         return outcome
 
@@ -555,7 +556,9 @@ class FleetFront:
             req, ("op", "v", "spec", "now", "trace"),
             lambda item, failure: self._stale_or_error(req, item, failure),
         )
-        self._remember(entry for entry in payload["results"] if entry.get("ok"))
+        if self.fallback:
+            self._remember(
+                entry for entry in payload["results"] if entry.get("ok"))
         return payload
 
     def _route_observe_batch(self, req: Dict[str, Any]) -> Dict[str, Any]:
@@ -731,7 +734,7 @@ class FleetFront:
                             (payload["link"], None)):
                     cache[key] = entry
                     cache.move_to_end(key)
-            while len(cache) > self._last_good_capacity:
+            while len(cache) > _LAST_GOOD_CAPACITY:
                 cache.popitem(last=False)
 
     def _recall(

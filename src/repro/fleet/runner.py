@@ -43,14 +43,11 @@ class FleetRunner:
         port: int = 0,
         service_args: Sequence[str] = (),
         fallback: bool = False,
-        pool_size: int = 4,
-        max_pending: int = 64,
         call_timeout: float = 5.0,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 1.0,
         breaker_threshold: int = 3,
         breaker_reset: float = 1.0,
-        startup_timeout: float = 60.0,
         stable_after: float = 5.0,
     ):
         if workers < 1:
@@ -82,7 +79,7 @@ class FleetRunner:
                 service_args=service_args,
             ))
         self.supervisor = WorkerSupervisor(
-            specs, startup_timeout=startup_timeout, stable_after=stable_after
+            specs, startup_timeout=60.0, stable_after=stable_after
         )
         self.front = FleetFront(
             [s.socket_path for s in specs],
@@ -90,8 +87,6 @@ class FleetRunner:
             port=port,
             ring=self.ring,
             fallback=fallback,
-            pool_size=pool_size,
-            max_pending=max_pending,
             call_timeout=call_timeout,
             heartbeat_interval=heartbeat_interval,
             heartbeat_timeout=heartbeat_timeout,

@@ -44,6 +44,15 @@ __all__ = ["WorkerSpec", "WorkerSupervisor"]
 _M_RESTARTS = get_registry().counter(
     "fleet_worker_restarts", "fleet workers respawned after an unexpected exit")
 
+#: Seconds between the monitor's liveness checks.
+_POLL_INTERVAL = 0.2
+
+
+def _next_backoff(backoff: float) -> float:
+    """A crash-looping worker's next respawn delay: 0.1 s, doubling per
+    quick death, at most 2 s."""
+    return min(backoff * 2 or 0.1, 2.0)
+
 
 def _src_root() -> Path:
     """The import root holding the ``repro`` package (for PYTHONPATH)."""
@@ -101,18 +110,12 @@ class WorkerSupervisor:
         self,
         specs: Sequence[WorkerSpec],
         *,
-        poll_interval: float = 0.2,
         startup_timeout: float = 30.0,
-        respawn_backoff: float = 0.1,
-        respawn_backoff_max: float = 2.0,
         stable_after: float = 5.0,
     ):
         if not specs:
             raise ValueError("a fleet needs at least one worker spec")
-        self.poll_interval = poll_interval
         self.startup_timeout = startup_timeout
-        self.respawn_backoff = respawn_backoff
-        self.respawn_backoff_max = respawn_backoff_max
         self.stable_after = stable_after
         self._handles = [_Handle(spec) for spec in specs]
         self._lock = threading.Lock()
@@ -187,7 +190,7 @@ class WorkerSupervisor:
                 pause = min(pause * 2, 0.05)
 
     def _monitor_loop(self) -> None:
-        while not self._stopping.wait(self.poll_interval):
+        while not self._stopping.wait(_POLL_INTERVAL):
             now = time.monotonic()
             for handle in self._handles:
                 with self._lock:
@@ -202,10 +205,7 @@ class WorkerSupervisor:
                         uptime = now - handle.started_at
                         if uptime >= self.stable_after:
                             handle.backoff = 0.0
-                        handle.backoff = min(
-                            handle.backoff * 2 or self.respawn_backoff,
-                            self.respawn_backoff_max,
-                        )
+                        handle.backoff = _next_backoff(handle.backoff)
                         delay = (
                             0.0 if uptime >= self.stable_after
                             else handle.backoff
@@ -223,10 +223,7 @@ class WorkerSupervisor:
                         try:
                             self._spawn(handle)
                         except OSError:
-                            handle.backoff = min(
-                                handle.backoff * 2 or self.respawn_backoff,
-                                self.respawn_backoff_max,
-                            )
+                            handle.backoff = _next_backoff(handle.backoff)
                             handle.respawn_at = now + handle.backoff
                             continue
                         handle.restarts += 1

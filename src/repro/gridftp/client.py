@@ -32,12 +32,11 @@ class GridFTPClient:
         site: Site,
         disk: Disk,
         engine: Engine,
-        credential: Optional[Credential] = None,
     ):
         self.site = site
         self.disk = disk
         self.engine = engine
-        self.credential = credential or Credential(subject=f"/O=Grid/CN={site.name}")
+        self.credential = Credential(subject=f"/O=Grid/CN={site.name}")
 
     # ------------------------------------------------------------------
     # operations

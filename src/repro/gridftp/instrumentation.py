@@ -14,8 +14,6 @@ is measured over :meth:`Monitor.record` plus the ULM formatting, by
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.gridftp.transfer import TransferOutcome
 from repro.logs.logfile import TransferLog
 from repro.logs.record import Operation, TransferRecord
@@ -26,8 +24,8 @@ __all__ = ["Monitor"]
 class Monitor:
     """Per-server transfer monitor writing ULM records to a log."""
 
-    def __init__(self, log: Optional[TransferLog] = None, host: str = "localhost"):
-        self.log = log if log is not None else TransferLog(host=host)
+    def __init__(self, host: str = "localhost"):
+        self.log = TransferLog(host=host)
 
     def record(
         self,

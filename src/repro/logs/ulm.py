@@ -117,12 +117,12 @@ def parse_fields(line: str) -> Dict[str, str]:
     return fields
 
 
-def format_record(record: TransferRecord, host: str = "", prog: str = "gridftp") -> str:
+def format_record(record: TransferRecord, host: str = "") -> str:
     """Serialize a :class:`TransferRecord` to one ULM line."""
     fields: List[Tuple[str, str]] = [
         ("DATE", repr(record.end_time)),
         ("HOST", host or "localhost"),
-        ("PROG", prog),
+        ("PROG", "gridftp"),
         ("LVL", "INFO"),
     ]
     for key, attr in _KEYS:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.classification import Classification, paper_classification
+from repro.core.classification import paper_classification
 from repro.core.selection import RankedReplica
 from repro.mds.ldif import Entry
 from repro.storage.filesystem import ReplicaCatalog
@@ -68,8 +68,8 @@ class MdsReplicaBroker:
     site_hostnames:
         Site name -> hostname, used to match catalog sites to directory
         entries (the catalog speaks site names, the directory DNs).
-    classification:
-        Size classes; selects which per-class attribute to read.
+
+    The paper's size classes select which per-class attribute to read.
     """
 
     def __init__(
@@ -77,12 +77,11 @@ class MdsReplicaBroker:
         catalog: ReplicaCatalog,
         directory,
         site_hostnames: Dict[str, str],
-        classification: Optional[Classification] = None,
     ):
         self.catalog = catalog
         self.directory = directory
         self.site_hostnames = dict(site_hostnames)
-        self.classification = classification or paper_classification()
+        self.classification = paper_classification()
 
     # ------------------------------------------------------------------
     # directory access

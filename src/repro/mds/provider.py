@@ -173,8 +173,6 @@ class GridFTPInfoProvider:
         The server's site (drives the DN and hostname attributes).
     url:
         The advertised gsiftp URL.
-    classification:
-        Size classes for the per-class attributes.
     predictor:
         Predictor used for the ``predictedrdbandwidth<class>range``
         attributes; the default total average matches what a stock
@@ -182,6 +180,8 @@ class GridFTPInfoProvider:
     recent:
         Number of recent read bandwidths published as the multi-valued
         ``recentrdbandwidth`` attribute.
+
+    The per-class attributes use the paper's size classes.
     """
 
     def __init__(
@@ -189,7 +189,6 @@ class GridFTPInfoProvider:
         log: Union[TransferLog, TransferFrame],
         site: Site,
         url: str,
-        classification: Optional[Classification] = None,
         predictor: Optional[Predictor] = None,
         recent: int = 10,
     ):
@@ -198,7 +197,7 @@ class GridFTPInfoProvider:
         self.log = log
         self.site = site
         self.url = url
-        self.classification = classification or paper_classification()
+        self.classification = paper_classification()
         self.predictor = predictor or TotalAverage()
         self.recent = recent
 
@@ -301,12 +300,11 @@ class ServicePerfProvider:
         The service link name this provider reports on.
     site, url:
         Identity of the GridFTP server (DN, hostname, gsiftp URL).
-    spec:
-        Predictor spec for the per-class prediction attributes.  The
-        default ``"C-AVG"`` (classified total average) publishes the same
-        numbers as a stock deployment's class means.
-    recent:
-        Number of recent read bandwidths in ``recentrdbandwidth``.
+
+    The per-class prediction attributes come from ``"C-AVG"`` (the
+    classified total average), the same numbers as a stock deployment's
+    class means, and ``recentrdbandwidth`` holds the last 10 read
+    bandwidths.
     """
 
     def __init__(
@@ -315,17 +313,11 @@ class ServicePerfProvider:
         link: str,
         site: Site,
         url: str,
-        spec: str = "C-AVG",
-        recent: int = 10,
     ):
-        if recent < 0:
-            raise ValueError(f"recent must be >= 0, got {recent}")
         self.service = service
         self.link = link
         self.site = site
         self.url = url
-        self.spec = spec
-        self.recent = recent
 
     def entries(self, now: float) -> List[Entry]:
         state = self.service.link_state(self.link)
@@ -345,12 +337,12 @@ class ServicePerfProvider:
                 if label in class_means:
                     predicted = self.service.predict(
                         self.link, _representative_size(classification, label),
-                        spec=self.spec, now=now,
+                        spec="C-AVG", now=now,
                     ).value
                     if predicted is not None:
                         predictions[label] = predicted
             return [perf_entry(
                 self.site, self.url, now, len(values),
                 read_summary, write_summary, class_means,
-                predictions, _tail(reads.bandwidths, self.recent),
+                predictions, _tail(reads.bandwidths, 10),
             )]

@@ -133,8 +133,8 @@ class BurstLoad:
 
     Bursts arrive with mean inter-arrival ``mean_interarrival`` seconds;
     each adds ``magnitude ~ U(min_magnitude, max_magnitude)`` utilization
-    for a duration drawn from a Pareto(``shape``) with scale
-    ``min_duration``.  Overlapping bursts stack.
+    for a duration drawn from a Pareto(1.5) with a scale of 120 s.
+    Overlapping bursts stack.
     """
 
     def __init__(
@@ -142,19 +142,15 @@ class BurstLoad:
         rng: np.random.Generator,
         t0: float,
         mean_interarrival: float = 4 * HOUR,
-        min_duration: float = 120.0,
-        shape: float = 1.5,
         min_magnitude: float = 0.12,
         max_magnitude: float = 0.35,
     ):
-        if mean_interarrival <= 0 or min_duration <= 0 or shape <= 0:
-            raise ValueError("burst parameters must be positive")
+        if mean_interarrival <= 0:
+            raise ValueError("mean_interarrival must be positive")
         if not (0 <= min_magnitude <= max_magnitude):
             raise ValueError("need 0 <= min_magnitude <= max_magnitude")
         self._rng = rng
         self._mean_interarrival = mean_interarrival
-        self._min_duration = min_duration
-        self._shape = shape
         self._min_mag = min_magnitude
         self._max_mag = max_magnitude
         self._horizon = float(t0)
@@ -165,7 +161,7 @@ class BurstLoad:
         while self._horizon <= t:
             gap = float(self._rng.exponential(self._mean_interarrival))
             start = self._horizon + gap
-            duration = float(self._min_duration * self._rng.pareto(self._shape) + self._min_duration)
+            duration = float(120.0 * self._rng.pareto(1.5) + 120.0)
             magnitude = float(self._rng.uniform(self._min_mag, self._max_mag))
             self._bursts.append((start, start + duration, magnitude))
             self._horizon = start
@@ -203,8 +199,6 @@ def standard_link_load(
     t0: float,
     mean: float = 0.45,
     diurnal_amplitude: float = 0.22,
-    ar_sigma: float = 0.025,
-    burst_interarrival: float = 5 * HOUR,
 ) -> CompositeLoad:
     """The default testbed link load: diurnal + AR(1) + bursts.
 
@@ -214,6 +208,6 @@ def standard_link_load(
     """
     return CompositeLoad(
         DiurnalLoad(mean=mean, amplitude=diurnal_amplitude),
-        Ar1Load(rng, t0=t0, sigma=ar_sigma),
-        BurstLoad(rng, t0=t0, mean_interarrival=burst_interarrival),
+        Ar1Load(rng, t0=t0, sigma=0.025),
+        BurstLoad(rng, t0=t0, mean_interarrival=5 * HOUR),
     )

@@ -95,8 +95,8 @@ class TransferTiming:
 class TcpModel:
     """Compute transfer timings under the analytic model."""
 
-    def __init__(self, config: TcpConfig | None = None):
-        self.config = config or TcpConfig()
+    def __init__(self):
+        self.config = TcpConfig()
 
     # ------------------------------------------------------------------
     # steady-state helpers

@@ -131,20 +131,21 @@ class Path:
         """End-to-end RTT including per-link queueing delay at time ``t``."""
         return sum(link.effective_rtt(t) for link in self.links)
 
-    def mean_available(self, t0: float, duration: float, samples: int = 5) -> float:
-        """Average availability over ``[t0, t0+duration]``.
+    def mean_available(self, t0: float, duration: float) -> float:
+        """Average availability at five evenly spaced points of
+        ``[t0, t0+duration]``.
 
         Transfers of a gigabyte last minutes; sampling the load at a few
         points and averaging captures within-transfer load drift without
         simulating packet-level dynamics.
         """
-        if duration <= 0 or samples <= 1:
+        if duration <= 0:
             return self.available(t0)
-        step = duration / (samples - 1)
+        step = duration / 4
         total = 0.0
-        for i in range(samples):
+        for i in range(5):
             total += self.available(t0 + i * step)
-        return total / samples
+        return total / 5
 
 
 class Topology:

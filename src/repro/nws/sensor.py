@@ -58,12 +58,11 @@ class NwsSensor:
         path: Path,
         rng: np.random.Generator,
         config: Optional[ProbeConfig] = None,
-        tcp: Optional[TcpModel] = None,
     ):
         self.engine = engine
         self.path = path
         self.config = config or ProbeConfig()
-        self.tcp = tcp or TcpModel()
+        self.tcp = TcpModel()
         self._rng = rng
         self.series = TimeSeries()
         self._process: Optional[Process] = None

@@ -201,8 +201,6 @@ class PredictionService:
     ----------
     default_spec:
         Predictor spec used when a query names none.
-    cache_size:
-        LRU capacity (entries, across all links and specs).
     clock:
         Time source for default query anchors and trace timestamps
         (injectable for tests).
@@ -241,29 +239,26 @@ class PredictionService:
         via :attr:`quality_feed`), and ``prediction.scored`` /
         ``prediction.bad`` trace events.  The tracker never changes an
         answer: predictions are trace-identical with it on or off.
-    quality_threshold:
-        Normalized-error threshold (``|pred - actual| / actual``) above
-        which a scored answer is logged as a ``prediction.bad`` event
-        and counted in ``accuracy_bad_predictions``.  ``None`` disables
-        the bad-prediction log.
 
     What no caller sets is fixed: the paper's size classes
     (:func:`~repro.core.classification.paper_classification`) for
-    ``C-`` specs and :meth:`links`' class views, a registry of the
+    ``C-`` specs and :meth:`links`' class views, a 2,048-entry
+    prediction LRU across all links and specs, a registry of the
     service's own (``self.metrics``), a 256-event trace ring
-    (``self.trace``), and the tracker's 128-pair rolling window.
+    (``self.trace``), the tracker's 128-pair rolling window, and its
+    bad-prediction threshold of 1.0: a scored answer whose normalized
+    error ``|pred - actual| / actual`` meets it is logged as a
+    ``prediction.bad`` event and counted in ``accuracy_bad_predictions``.
     """
 
     def __init__(
         self,
         default_spec: str = DEFAULT_SPEC,
-        cache_size: int = 2048,
         clock: Callable[[], float] = time.time,
         degraded_fallback: bool = False,
         store: Optional["LinkStore"] = None,
         max_resident: Optional[int] = None,
         quality: bool = True,
-        quality_threshold: Optional[float] = 1.0,
     ):
         resolve(default_spec)  # fail fast on a bad default
         if max_resident is not None and max_resident <= 0:
@@ -276,12 +271,8 @@ class PredictionService:
         self.metrics = MetricsRegistry()
         self.trace = EventBus(256, clock=clock)
         self.store = store
-        self.quality_threshold = (
-            None if quality_threshold is None else float(quality_threshold)
-        )
         self.quality: Optional[AccuracyTracker] = (
-            AccuracyTracker(clock=clock, threshold=self.quality_threshold)
-            if quality else None
+            AccuracyTracker(clock=clock, threshold=1.0) if quality else None
         )
         # The tracker's staging deque, bound once: the predict/observe
         # hot paths stage through this single attribute (None when the
@@ -294,7 +285,7 @@ class PredictionService:
         self._get = self.residency.get
         self._m_rebuilds = self.residency.rebuilds  # the parity suites read it
 
-        self._cache = PredictionCache(cache_size)
+        self._cache = PredictionCache(2048)
         self._predictors: Dict[str, Predictor] = {}
         self._predictors_lock = threading.Lock()
         self._plans: Dict[str, Tuple[bool, bool, bool]] = {}

@@ -38,8 +38,6 @@ SERVICE_OPTIONS: Tuple[Tuple[str, dict], ...] = (
     ("--spec", dict(
         default="C-AVG15",
         help="default predictor spec for unqualified queries")),
-    ("--cache-size", dict(
-        type=int, default=2048, help="prediction LRU capacity")),
     ("--max-resident", dict(
         type=int, default=None, metavar="N",
         help="evict least-recently-used links to the state dir past N "
@@ -57,10 +55,6 @@ SERVICE_OPTIONS: Tuple[Tuple[str, dict], ...] = (
         action="store_true",
         help="disable the online accuracy tracker "
              "(prediction/observation pairing)")),
-    ("--quality-threshold", dict(
-        type=float, default=1.0, metavar="FRAC",
-        help="log prediction.bad events for scored predictions whose "
-             "absolute fractional error meets FRAC (default 1.0 = 100%%)")),
 )
 
 
@@ -112,12 +106,10 @@ def open_service(args: argparse.Namespace):
         raise SystemExit("--max-resident needs --state-dir (nowhere to evict to)")
     return PredictionService(
         default_spec=args.spec,
-        cache_size=args.cache_size,
         degraded_fallback=args.fallback,
         store=store,
         max_resident=args.max_resident,
         quality=not args.no_quality,
-        quality_threshold=args.quality_threshold,
     )
 
 

@@ -78,15 +78,15 @@ class Disk:
     # ------------------------------------------------------------------
     # rates
     # ------------------------------------------------------------------
-    def _per_stream(self, sustained: float, extra_active: int) -> float:
-        n = max(1, self._active + extra_active)
+    def _per_stream(self, sustained: float) -> float:
+        n = max(1, self._active + 1)
         aggregate = sustained / (n ** (self.spec.contention_exponent - 1.0))
         return aggregate / n
 
-    def read_rate(self, extra_active: int = 1) -> float:
-        """Per-transfer read rate if ``extra_active`` more transfers start now."""
-        return self._per_stream(self.spec.sustained_read, extra_active)
+    def read_rate(self) -> float:
+        """Per-transfer read rate if one more transfer starts now."""
+        return self._per_stream(self.spec.sustained_read)
 
-    def write_rate(self, extra_active: int = 1) -> float:
-        """Per-transfer write rate if ``extra_active`` more transfers start now."""
-        return self._per_stream(self.spec.sustained_write, extra_active)
+    def write_rate(self) -> float:
+        """Per-transfer write rate if one more transfer starts now."""
+        return self._per_stream(self.spec.sustained_write)

@@ -434,14 +434,20 @@ class LinkStore:
         per-record append pays one fsync per record, which is exactly
         the cost the group commit amortizes.
 
-        Returns False when the filesystem refused (counted; serving
-        continues from RAM).
+        Returns False when the filesystem refused the write, or the
+        recovery of a link this store has not touched yet (counted;
+        serving continues from RAM).
         """
         n = len(times)
         if n == 0:
             return True
         with self._lock_for(link):
-            meta = self._meta(link, create=True)
+            try:
+                meta = self._meta(link, create=True)
+            except OSError:
+                # Recovery refused (no descriptor for the scan, say).
+                # Nothing is cached, so the next touch recovers again.
+                return self._append_refused(link, n)
             seq0 = meta.next_seq
             if np.ndim(source_offset):
                 offsets = np.asarray(source_offset, dtype=np.int64)
@@ -472,10 +478,7 @@ class LinkStore:
                     raise OSError(f"short write: {written} of {len(blob)}")
             except OSError:
                 meta.tail_torn = True
-                _M_APPEND_ERRORS.inc()
-                get_event_bus().emit(
-                    "store.append_error", link=link, rows=n)
-                return False
+                return self._append_refused(link, n)
             meta.tail_rows += n
             meta.tail_bytes += len(blob)
             meta.next_seq = seq0 + n
@@ -488,6 +491,12 @@ class LinkStore:
             if meta.tail_rows >= self.segment_rows:
                 self._seal_locked(meta)
             return synced
+
+    @staticmethod
+    def _append_refused(link: str, rows: int) -> bool:
+        _M_APPEND_ERRORS.inc()
+        get_event_bus().emit("store.append_error", link=link, rows=rows)
+        return False
 
     def _cut_torn_locked(self, meta: _LinkMeta) -> None:
         """Cut off what a refused append left past the last good record,

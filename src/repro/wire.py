@@ -881,14 +881,12 @@ def error_response(code: str, message: str) -> Dict[str, Any]:
     }
 
 
-def read_frame(
-    stream: BinaryIO, max_bytes: int = MAX_FRAME_BYTES
-) -> Optional[Tuple[int, bytes]]:
+def read_frame(stream: BinaryIO) -> Optional[Tuple[int, bytes]]:
     """Read one ``(op, payload)`` frame; ``None`` on clean EOF.
 
     Raises :class:`TruncatedFrame` when the stream ends mid-frame,
     :class:`OversizedFrame` when the declared length exceeds
-    ``max_bytes`` (the frame body is left unread), and plain
+    :data:`MAX_FRAME_BYTES` (the frame body is left unread), and plain
     :class:`FrameError` on a bad magic or frame version.
     """
     header = stream.read(HEADER.size)
@@ -904,8 +902,9 @@ def read_frame(
             f"unsupported frame version {version} (this side speaks "
             f"{FRAME_VERSION})"
         )
-    if length > max_bytes:
-        raise OversizedFrame(f"frame payload of {length} bytes exceeds {max_bytes}")
+    if length > MAX_FRAME_BYTES:
+        raise OversizedFrame(
+            f"frame payload of {length} bytes exceeds {MAX_FRAME_BYTES}")
     payload = stream.read(length) if length else b""
     if len(payload) < length:
         raise TruncatedFrame(

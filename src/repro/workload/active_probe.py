@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional
 
-import numpy as np
-
 from repro.gridftp.transfer import TransferOutcome
 from repro.sim.process import Delay, Process
 from repro.units import MB, MINUTE
@@ -67,7 +65,6 @@ class ActiveProber:
         server_site: str,
         client_site: str,
         config: Optional[ActiveProbeConfig] = None,
-        rng: Optional[np.random.Generator] = None,
     ):
         if server_site == client_site:
             raise ValueError("prober needs two distinct sites")
@@ -75,9 +72,8 @@ class ActiveProber:
         self.server = testbed.servers[server_site]
         self.client = testbed.clients[client_site]
         self.config = config or ActiveProbeConfig()
-        self._rng = rng if rng is not None else testbed.streams.get(
-            f"active-probe:{server_site}->{client_site}"
-        )
+        self._rng = testbed.streams.get(
+            f"active-probe:{server_site}->{client_site}")
         self.outcomes: List[TransferOutcome] = []
         self._process: Optional[Process] = None
         self._path = testbed.data_path(self.config.size)

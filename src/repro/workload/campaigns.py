@@ -3,7 +3,7 @@
 These are the one-call entry points the analysis layer, benchmarks, and
 examples use:
 
-* :func:`run_link_campaign` — one link, one two-week campaign.
+* :func:`run_link_campaign` — one link, one campaign on its own testbed.
 * :func:`run_month` — both measured links (LBL->ANL and ISI->ANL) on one
   shared testbed/engine, exactly like the paper's data sets.  The two
   campaigns share the ANL client host, so their transfers contend for its
@@ -66,42 +66,31 @@ def _attach_sensor(
 def run_link_campaign(
     server_site: str = "LBL",
     client_site: str = "ANL",
-    start_epoch: float = AUG_2001,
-    days: int = 14,
     seed: int = 0,
-    with_nws: bool = False,
     config: Optional[CampaignConfig] = None,
-    testbed: Optional[Testbed] = None,
 ) -> CampaignOutput:
-    """Run one controlled campaign and return its log."""
-    bed = testbed or build_testbed(seed=seed, start_time=start_epoch)
-    cfg = config or CampaignConfig(start_epoch=start_epoch, days=days)
+    """Run one controlled campaign on its own testbed and return its log
+    (two weeks from August 2001 unless ``config`` says otherwise)."""
+    bed = build_testbed(seed=seed, start_time=AUG_2001)
+    cfg = config or CampaignConfig(start_epoch=AUG_2001)
     campaign = ControlledCampaign(bed, server_site, client_site, cfg)
     campaign.start()
-    sensor = _attach_sensor(bed, server_site, client_site) if with_nws else None
     bed.engine.run(until=cfg.end_epoch)
     campaign.stop()
-    if sensor is not None:
-        sensor.stop()
     return CampaignOutput(
         link=f"{server_site}-{client_site}",
         server_site=server_site,
         client_site=client_site,
         log=bed.servers[server_site].monitor.log,
         outcomes=campaign.outcomes,
-        probes=sensor.series if sensor is not None else None,
     )
 
 
 def _run_shared(
-    start_epoch: float,
-    days: int,
-    seed: int,
-    with_nws: bool,
-    config: Optional[CampaignConfig],
+    start_epoch: float, days: int, seed: int, with_nws: bool
 ) -> Dict[str, CampaignOutput]:
     bed = build_testbed(seed=seed, start_time=start_epoch)
-    cfg = config or CampaignConfig(start_epoch=start_epoch, days=days)
+    cfg = CampaignConfig(start_epoch=start_epoch, days=days)
     campaigns: Dict[str, ControlledCampaign] = {}
     sensors: Dict[str, NwsSensor] = {}
     for link, (server_site, client_site) in PAPER_LINKS.items():
@@ -132,17 +121,15 @@ def run_month(
     start_epoch: float = AUG_2001,
     days: int = 14,
     seed: int = 0,
-    config: Optional[CampaignConfig] = None,
 ) -> Dict[str, CampaignOutput]:
     """Both paper links on one shared testbed; keys ``LBL-ANL``/``ISI-ANL``."""
-    return _run_shared(start_epoch, days, seed, with_nws=False, config=config)
+    return _run_shared(start_epoch, days, seed, with_nws=False)
 
 
 def run_month_with_nws(
     start_epoch: float = AUG_2001,
-    days: int = 14,
     seed: int = 0,
-    config: Optional[CampaignConfig] = None,
 ) -> Dict[str, CampaignOutput]:
-    """Like :func:`run_month`, plus a 5-minute NWS sensor per path."""
-    return _run_shared(start_epoch, days, seed, with_nws=True, config=config)
+    """Like :func:`run_month` over two weeks, plus a 5-minute NWS sensor
+    per path."""
+    return _run_shared(start_epoch, 14, seed, with_nws=True)

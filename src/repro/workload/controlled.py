@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.gridftp.transfer import TransferOutcome
 from repro.sim.process import Delay, Process
 from repro.units import DAY, HOUR, MB, MINUTE
@@ -94,7 +92,6 @@ class ControlledCampaign:
         server_site: str,
         client_site: str,
         config: CampaignConfig,
-        rng: Optional[np.random.Generator] = None,
     ):
         if server_site == client_site:
             raise ValueError("campaign needs two distinct sites")
@@ -102,9 +99,7 @@ class ControlledCampaign:
         self.server = testbed.servers[server_site]
         self.client = testbed.clients[client_site]
         self.config = config
-        self._rng = rng if rng is not None else testbed.streams.get(
-            f"campaign:{server_site}->{client_site}"
-        )
+        self._rng = testbed.streams.get(f"campaign:{server_site}->{client_site}")
         self.outcomes: List[TransferOutcome] = []
         self._process: Optional[Process] = None
 

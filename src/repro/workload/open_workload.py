@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.sim.process import Delay, Process
 from repro.units import HOUR
 from repro.workload.scenarios import Testbed
@@ -50,12 +48,11 @@ class OpenWorkload:
         testbed: Testbed,
         config: OpenWorkloadConfig,
         handler: Callable[[str, float], None],
-        rng: Optional[np.random.Generator] = None,
     ):
         self.testbed = testbed
         self.config = config
         self.handler = handler
-        self._rng = rng if rng is not None else testbed.streams.get("open-workload")
+        self._rng = testbed.streams.get("open-workload")
         self.requests: List[Tuple[float, str]] = []
         self._process: Optional[Process] = None
 

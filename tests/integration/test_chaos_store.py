@@ -30,7 +30,7 @@ from repro.faults import FaultInjector
 from repro.service import PredictionService
 from repro.store import LinkStore
 from repro.units import MB
-from tests.unit.test_store import as_format_2
+from tests.unit.test_store import as_format_2, out_of_descriptors
 
 DATA_DIR = Path(__file__).resolve().parents[2] / "data"
 LOGS = ["aug-LBL-ANL.ulm", "aug-ISI-ANL.ulm"]
@@ -388,3 +388,28 @@ class TestReadRefusals:
         assert self._answer(reopened) == self._expected(24)
         assert quarantined.value == before
         assert not _quarantined(root)
+
+    def test_an_observe_whose_recovery_is_refused_advances_once(
+            self, tmp_path):
+        """An observe whose write-through cannot even recover the link's
+        directory still answers, and each observe moves the version by
+        exactly one: the row is folded once, the refusal is the store's
+        (counted), and a retried observe is a second row, not a repeat
+        of a half-failed first."""
+        from repro.obs import get_registry
+        from repro.service import handle_request
+
+        records = self._records()[:2]
+        errors = get_registry().counter("store_append_errors", "")
+        before = errors.value
+        served = PredictionService(store=LinkStore(tmp_path / "state"))
+        observes = [{"op": "observe", "link": self.LINK,
+                     "size": record.file_size, "start": record.start_time,
+                     "end": record.end_time} for record in records]
+        with out_of_descriptors():
+            first = handle_request(served, observes[0])
+        second = handle_request(served, observes[1])
+        assert first["ok"] and second["ok"], (first, second)
+        assert (first["version"], second["version"]) == (1, 2)
+        assert errors.value == before + 1
+        assert served.store.durable_rows(self.LINK) == 1

@@ -1,4 +1,5 @@
-"""Every public name in ``src/repro`` has a caller or a stated reason.
+"""Every public name in ``src/repro`` has a caller, and every defaulted
+parameter a setter, or a stated reason.
 
 Static: parses the sources with ``ast`` and imports nothing from the
 package.  A public name is a top-level function or class whose name does
@@ -16,6 +17,20 @@ process, and a deletion leaves its callees behind unless something
 checks; the table is the one place a name without a caller explains
 itself.  An entry whose name is gone, or has since gained a caller, is
 stale and fails too.
+
+The parameter pass asks the same of defaults.  Every parameter with a
+default, of any function or method in ``src/repro`` (nested ones too),
+must be passed by some call in ``src/``, ``examples/``, ``benchmarks/``
+or ``tests/``, or be listed in :data:`ALLOWED_PARAMETERS`; a default no
+call overrides is a constant with a knob on it, and every knob doubles
+what tests and benchmarks must cover.  A call is matched by the bare
+name it spells (a class's name for its ``__init__``, or the name of a
+subclass without an ``__init__`` of its own), and it sets a parameter
+by keyword, by position (``self`` and ``cls`` skipped), by ``*args``
+for a positional one, or by a ``**mapping`` it builds.  A ``**kwargs``
+the caller only passes on sets what the callers of *that* function
+pass.  ``super().__init__(...)`` and ``Base.__init__(self, ...)`` call
+the enclosing class's bases.
 """
 
 from __future__ import annotations
@@ -23,7 +38,10 @@ from __future__ import annotations
 import ast
 import textwrap
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple,
+                    Optional, Set, Tuple)
+
+import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 USERS = ("src", "examples", "benchmarks")
@@ -107,6 +125,23 @@ ALLOWED: Dict[str, str] = {
     "repro.mds.registration.SoftStateRegistry.deregister": _MDS,
 }
 
+#: ``module.qualname(param)`` -> why a default no call overrides stays a
+#: parameter rather than a constant.
+ALLOWED_PARAMETERS: Dict[str, str] = {
+    "repro.gridftp.client.GridFTPClient.partial_get(buffer)":
+        "paper: the TCP buffer, a GridFTP option each log record carries "
+        "(Section 3)",
+    "repro.gridftp.client.GridFTPClient.partial_get(streams)":
+        "paper: parallel streams, a GridFTP option each log record carries "
+        "(Section 3)",
+    "repro.gridftp.client.GridFTPClient.put(buffer)":
+        "paper: the TCP buffer, a GridFTP option each log record carries "
+        "(Section 3)",
+    "repro.gridftp.client.GridFTPClient.put(streams)":
+        "paper: parallel streams, a GridFTP option each log record carries "
+        "(Section 3)",
+}
+
 
 def _python_files(roots: Iterable[Path]) -> List[Path]:
     return sorted(path for root in roots if root.is_dir()
@@ -179,24 +214,201 @@ def unreferenced(package_root: Path, roots: Iterable[Path]) -> Set[str]:
     return dead
 
 
-def audit(package_root: Path, roots: Iterable[Path],
+def audit(dead: Set[str],
           allowed: Mapping[str, str]) -> Tuple[List[str], List[str]]:
-    """``(unexplained, stale)``: names with no use and no entry, and
-    entries whose name is gone or now has a use."""
-    dead = unreferenced(package_root, roots)
+    """``(unexplained, stale)``: what a scan found ``dead`` with no
+    entry, and entries whose name is gone or no longer dead."""
     return sorted(dead - set(allowed)), sorted(set(allowed) - dead)
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    unexplained, stale = audit(REPO / "src" / "repro",
-                               [REPO / root for root in USERS], ALLOWED)
+    unexplained, stale = audit(
+        unreferenced(REPO / "src" / "repro", [REPO / root for root in USERS]),
+        ALLOWED)
     assert unexplained == [], "no caller in src/, examples/ or benchmarks/"
     assert stale == [], "ALLOWED entry whose name is gone or has a caller"
 
 
 def test_every_allowed_entry_states_its_reason():
-    assert [name for name, reason in ALLOWED.items()
+    assert [name for name, reason in {**ALLOWED, **ALLOWED_PARAMETERS}.items()
             if not reason.strip()] == []
+
+
+# ----------------------------------------------------------------------
+# parameters: every default is one some caller overrides
+# ----------------------------------------------------------------------
+PARAMETER_USERS = USERS + ("tests",)
+
+
+class Parameter(NamedTuple):
+    """A defaulted parameter as a call reaches it."""
+
+    callee: str              # the bare name a call spells (a class's for __init__)
+    position: Optional[int]  # among the explicit arguments; None if keyword-only
+    name: str
+
+
+class Call(NamedTuple):
+    """What one call passes, by shape."""
+
+    positional: int          # positional arguments before any ``*args``
+    starred: bool            # a ``*args``
+    keywords: FrozenSet[str]
+    spread: bool             # a ``**mapping`` the caller built
+    forwards: Optional[str]  # a ``**kwargs`` that is the caller's own: its callee
+
+
+def _bare(node: ast.expr) -> Optional[str]:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _callee(function: ast.AST, owner: Optional[ast.ClassDef]) -> str:
+    """The bare name a call spells to reach ``function``: its class's
+    for an ``__init__``."""
+    if owner is not None and function.name == "__init__":
+        return owner.name
+    return function.name
+
+
+def parameters(package_root: Path) -> Dict[str, Parameter]:
+    """``module.qualname(param)`` -> every parameter of a function or
+    method, nested ones too, that has a default."""
+    found: Dict[str, Parameter] = {}
+
+    def visit(node, prefix, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}", child)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                static = any(_bare(d) == "staticmethod"
+                             for d in child.decorator_list)
+                bound = 1 if owner is not None and not static else 0
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                qualified = f"{prefix}.{child.name}"
+                callee = _callee(child, owner)
+                for index in range(first, len(positional)):
+                    found[f"{qualified}({positional[index].arg})"] = Parameter(
+                        callee, index - bound, positional[index].arg)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        found[f"{qualified}({arg.arg})"] = Parameter(
+                            callee, None, arg.arg)
+                visit(child, qualified, None)
+            else:
+                visit(child, prefix, owner)
+
+    for path in _python_files([package_root]):
+        visit(ast.parse(path.read_text()), _module_name(path, package_root),
+              None)
+    return found
+
+
+def calls(roots: Iterable[Path]) -> Tuple[Dict[str, List[Call]],
+                                          Dict[str, Set[str]]]:
+    """``(callee -> its calls, class -> its subclasses without an
+    __init__)``.  ``super().__init__`` and ``Base.__init__(self, ...)``
+    inside a class call its bases by name."""
+    found: Dict[str, List[Call]] = {}
+    inherits: Dict[str, Set[str]] = {}
+
+    def record(call: ast.Call, names, shift, enclosing):
+        arguments = call.args
+        stars = [i for i, arg in enumerate(arguments)
+                 if isinstance(arg, ast.Starred)]
+        spreads = [k.value for k in call.keywords if k.arg is None]
+        own = enclosing[1] if enclosing is not None else None
+        forwarded = [v for v in spreads
+                     if isinstance(v, ast.Name) and v.id == own]
+        shape = Call(
+            positional=(stars[0] if stars else len(arguments)) - shift,
+            starred=bool(stars),
+            keywords=frozenset(k.arg for k in call.keywords if k.arg),
+            spread=len(spreads) > len(forwarded),
+            forwards=enclosing[0] if forwarded else None)
+        for name in names:
+            found.setdefault(name, []).append(shape)
+
+    def visit(node, owner, enclosing):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if not any(isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                           and m.name == "__init__" for m in child.body):
+                    for base in child.bases:
+                        inherits.setdefault(_bare(base), set()).add(child.name)
+                visit(child, child, enclosing)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                kwarg = child.args.kwarg
+                visit(child, owner, (_callee(child, owner),
+                                     kwarg.arg if kwarg else None))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if isinstance(func, ast.Attribute) and func.attr == "__init__":
+                    if isinstance(func.value, ast.Call) and \
+                            _bare(func.value.func) == "super":
+                        names = [_bare(base) for base in owner.bases] \
+                            if owner is not None else []
+                        record(child, names, 0, enclosing)
+                    else:
+                        record(child, [_bare(func.value)], 1, enclosing)
+                elif _bare(func) is not None:
+                    record(child, [_bare(func)], 0, enclosing)
+            visit(child, owner, enclosing)
+
+    for path in _python_files(roots):
+        visit(ast.parse(path.read_text()), None, None)
+    return found, inherits
+
+
+def unset(package_root: Path, roots: Iterable[Path]) -> Set[str]:
+    """The defaulted parameters of ``package_root`` that no call under
+    ``roots`` passes, so only the default ever runs."""
+    found, inherits = calls(roots)
+
+    def spelled(callee: str) -> Set[str]:
+        names, todo = set(), [callee]
+        while todo:
+            name = todo.pop()
+            if name not in names:
+                names.add(name)
+                todo.extend(inherits.get(name, ()))
+        return names
+
+    def sets(parameter: Parameter, seen: Set[str]) -> bool:
+        for name in spelled(parameter.callee):
+            for call in found.get(name, ()):
+                if (parameter.name in call.keywords or call.spread
+                        or parameter.position is not None and (
+                            parameter.position < call.positional
+                            or call.starred)):
+                    return True
+                if call.forwards is not None and call.forwards not in seen \
+                        and sets(Parameter(call.forwards, None, parameter.name),
+                                 seen | {call.forwards}):
+                    return True
+        return False
+
+    return {qualified for qualified, parameter
+            in parameters(package_root).items()
+            if not sets(parameter, {parameter.callee})}
+
+
+def test_every_defaulted_parameter_has_a_setter_or_a_reason():
+    unexplained, stale = audit(
+        unset(REPO / "src" / "repro",
+              [REPO / root for root in PARAMETER_USERS]),
+        ALLOWED_PARAMETERS)
+    assert unexplained == [], \
+        "no call in src/, examples/, benchmarks/ or tests/ passes it"
+    assert stale == [], \
+        "ALLOWED_PARAMETERS entry whose parameter is gone or has a setter"
 
 
 # ----------------------------------------------------------------------
@@ -240,22 +452,23 @@ _PLANTED = {
 }
 
 
-def _plant(root: Path) -> Tuple[Path, List[Path]]:
-    for name, text in _PLANTED.items():
+def _plant(root: Path, files: Mapping[str, str]) -> Tuple[Path, List[Path]]:
+    for name, text in files.items():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
-    return root / "src" / "pkg", [root / "src", root / "examples"]
+    return root / "src" / "pkg", [root / top for top in ("src", "examples",
+                                                         "tests")]
 
 
 def test_the_scanner_reports_an_unused_function_and_method(tmp_path):
-    package, roots = _plant(tmp_path)
+    package, roots = _plant(tmp_path, _PLANTED)
     assert unreferenced(package, roots) == {"pkg.mod.dead",
                                             "pkg.mod.Box.orphan"}
 
 
 def test_an_fstring_an_import_and_a_method_call_are_uses(tmp_path):
-    package, roots = _plant(tmp_path)
+    package, roots = _plant(tmp_path, _PLANTED)
     dead = unreferenced(package, roots)
     for name in ("shown", "imported", "Box.called", "Box"):
         assert f"pkg.mod.{name}" in definitions(package)
@@ -263,8 +476,101 @@ def test_an_fstring_an_import_and_a_method_call_are_uses(tmp_path):
 
 
 def test_a_stale_entry_is_reported(tmp_path):
-    package, roots = _plant(tmp_path)
+    package, roots = _plant(tmp_path, _PLANTED)
     allowed = {"pkg.mod.dead": "planted", "pkg.mod.gone": "deleted",
                "pkg.mod.imported": "has a caller"}
-    assert audit(package, roots, allowed) == (
+    assert audit(unreferenced(package, roots), allowed) == (
         ["pkg.mod.Box.orphan"], ["pkg.mod.gone", "pkg.mod.imported"])
+
+
+_PLANTED_PARAMETERS = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/params.py": """
+        def unset(a, b=1):
+            return a + b
+
+
+        def keyword(a, b=1):
+            return a + b
+
+
+        def positional(a, b=1, *, c=2):
+            return a + b + c
+
+
+        def star(a, b=1):
+            return a + b
+
+
+        def spread(a, b=1):
+            return a + b
+
+
+        def forwarded(a, b=1, c=2):
+            return a + b + c
+
+
+        def forwards(**options):
+            return forwarded(0, **options)
+
+
+        class Base:
+            def __init__(self, x=0, y=0):
+                self.total = x + y
+
+
+        class Super(Base):
+            def __init__(self):
+                super().__init__(y=1)
+
+
+        class Subclass(Base):
+            pass
+
+
+        class Box:
+            def method(self, a, b=1):
+                return a + b
+        """,
+    "tests/use.py": """
+        from pkg import params
+
+        params.keyword(0, b=2)
+        params.positional(0, 2)
+        params.star(*[0, 2])
+        params.spread(0, **{"b": 2})
+        params.forwards(c=3)
+        params.Subclass(1)
+        params.Box().method(0, 2)
+        """,
+}
+
+
+def test_the_parameter_scan_reports_a_default_nothing_overrides(tmp_path):
+    package, roots = _plant(tmp_path, _PLANTED_PARAMETERS)
+    assert unset(package, roots) == {
+        "pkg.params.unset(b)",
+        "pkg.params.positional(c)",   # keyword-only: two positionals miss it
+        "pkg.params.forwarded(b)",    # the forwarder's callers pass only c
+    }
+
+
+@pytest.mark.parametrize("parameter", [
+    "keyword(b)", "positional(b)", "star(b)", "spread(b)", "forwarded(c)",
+    "Base.__init__(y)", "Base.__init__(x)", "Box.method(b)",
+], ids=["keyword", "positional", "args", "kwargs", "forwarded-kwargs",
+        "super-init", "subclass", "method"])
+def test_each_kind_of_setter_counts(tmp_path, parameter):
+    package, roots = _plant(tmp_path, _PLANTED_PARAMETERS)
+    assert f"pkg.params.{parameter}" in parameters(package)
+    assert f"pkg.params.{parameter}" not in unset(package, roots)
+
+
+def test_a_stale_parameter_entry_is_reported(tmp_path):
+    package, roots = _plant(tmp_path, _PLANTED_PARAMETERS)
+    allowed = {"pkg.params.unset(b)": "planted",
+               "pkg.params.unset(gone)": "deleted",
+               "pkg.params.keyword(b)": "has a setter"}
+    assert audit(unset(package, roots), allowed) == (
+        ["pkg.params.forwarded(b)", "pkg.params.positional(c)"],
+        ["pkg.params.keyword(b)", "pkg.params.unset(gone)"])

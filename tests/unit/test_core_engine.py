@@ -32,10 +32,6 @@ def test_mapping_always_generic():
     assert select_engine(resolve_battery(["AVG"])) == "generic"
 
 
-def test_fallback_forces_generic():
-    assert select_engine(["C-AVG15"], fallback=True) == "generic"
-
-
 # ----------------------------------------------------------------------
 # evaluate
 # ----------------------------------------------------------------------

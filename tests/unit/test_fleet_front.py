@@ -453,6 +453,12 @@ def test_down_shard_answers_unavailable_without_fallback(tmp_path):
     try:
         with fleet_client(front) as client:
             links = seed_links(front, client)
+            for link in links:
+                assert client.predict(link, MB)["value"] is not None
+            assert all(entry["ok"] for entry in client.predict_batch(
+                [{"link": link, "size": MB} for link in links]))
+            # Nothing reads a last-good answer here, so none is kept.
+            assert client.status()["fleet"]["last_good_entries"] == 0
             s1, link_down, s2, link_up = shard_split(front, links)
             kill_worker(front, servers, s1)
             with pytest.raises(ServiceError) as excinfo:

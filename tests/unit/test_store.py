@@ -16,6 +16,7 @@ import signal
 import struct
 import time
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,22 @@ def _append(store, link, n, t0=1000.0, offset=0):
     times, values, sizes, ops = _rows(n, t0)
     assert store.append_rows(link, times, values, sizes, ops,
                              source_offset=offset)
+
+
+@contextmanager
+def out_of_descriptors():
+    """Lower this process's soft ``RLIMIT_NOFILE`` to its lowest free
+    descriptor for one with-block: the next ``open`` or ``scandir``
+    fails with ``EMFILE``."""
+    resource = pytest.importorskip("resource")
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    lowest_free = os.dup(0)
+    os.close(lowest_free)
+    resource.setrlimit(resource.RLIMIT_NOFILE, (lowest_free, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
 
 
 # ----------------------------------------------------------------------
@@ -883,7 +900,6 @@ class TestLinkStore:
         ``EMFILE``, the segment stays where it is, and once descriptors
         are back the link holds every acked row (a quarantine here used
         to take the 20 sealed rows for good)."""
-        resource = pytest.importorskip("resource")
         store = LinkStore(tmp_path)
         _append(store, "x", 20)
         assert store.seal("x")
@@ -894,15 +910,8 @@ class TestLinkStore:
         files = sorted(p.name for p in (tmp_path / "links" / "x").iterdir())
         quarantined = get_registry().counter("store_quarantined", "")
         before = quarantined.value
-        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-        lowest_free = os.dup(0)
-        os.close(lowest_free)
-        resource.setrlimit(resource.RLIMIT_NOFILE, (lowest_free, hard))
-        try:
-            with pytest.raises(OSError) as refused:
-                store.load_columns("x")
-        finally:
-            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        with out_of_descriptors(), pytest.raises(OSError) as refused:
+            store.load_columns("x")
         assert refused.value.errno == errno.EMFILE
         assert sorted(p.name for p in (tmp_path / "links" / "x").iterdir()) \
             == files
@@ -910,6 +919,33 @@ class TestLinkStore:
         want = _rows(20)[0] + _rows(3, 2000.0)[0]
         for opened in (store, LinkStore(tmp_path)):
             np.testing.assert_array_equal(opened.load_columns("x")[0], want)
+
+    @pytest.mark.parametrize("stored", [0, 5], ids=["new-link", "unrecovered"])
+    def test_an_append_whose_recovery_is_refused_returns_false(
+            self, tmp_path, stored):
+        """``append_rows`` never raises: on a link this store has not
+        recovered yet, a recovery refused for want of a descriptor is a
+        refused append (False, counted).  Nothing of it is cached, so the
+        next append recovers and takes the row number after the stored
+        rows."""
+        if stored:
+            first = LinkStore(tmp_path)
+            _append(first, "x", stored)
+            first.close()
+        store = LinkStore(tmp_path)
+        errors = get_registry().counter("store_append_errors", "")
+        before = errors.value
+        with out_of_descriptors():
+            refused = store.append_rows("x", *_rows(1, 500.0))
+        assert refused is False
+        assert errors.value == before + 1
+        _append(store, "x", 2, t0=2000.0)
+        store.close()
+        tail = wal.scan((tmp_path / "links" / "x" / "tail.wal").read_bytes())
+        assert tail.seqs == list(range(stored + 2))
+        np.testing.assert_array_equal(
+            LinkStore(tmp_path).load_columns("x")[0],
+            _rows(stored)[0] + _rows(2, 2000.0)[0])
 
     def test_a_newer_format_segment_is_kept_and_its_link_refused(
             self, tmp_path):
