@@ -78,9 +78,7 @@ class FleetRunner:
                 state_dir=shard_dir,
                 service_args=service_args,
             ))
-        self.supervisor = WorkerSupervisor(
-            specs, startup_timeout=60.0, stable_after=stable_after
-        )
+        self.supervisor = WorkerSupervisor(specs, stable_after=stable_after)
         self.front = FleetFront(
             [s.socket_path for s in specs],
             host=host,

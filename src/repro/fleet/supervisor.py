@@ -47,6 +47,10 @@ _M_RESTARTS = get_registry().counter(
 #: Seconds between the monitor's liveness checks.
 _POLL_INTERVAL = 0.2
 
+#: Seconds :meth:`WorkerSupervisor.start` waits for every worker to
+#: answer ``ping``.
+_STARTUP_TIMEOUT = 60.0
+
 
 def _next_backoff(backoff: float) -> float:
     """A crash-looping worker's next respawn delay: 0.1 s, doubling per
@@ -110,12 +114,10 @@ class WorkerSupervisor:
         self,
         specs: Sequence[WorkerSpec],
         *,
-        startup_timeout: float = 30.0,
         stable_after: float = 5.0,
     ):
         if not specs:
             raise ValueError("a fleet needs at least one worker spec")
-        self.startup_timeout = startup_timeout
         self.stable_after = stable_after
         self._handles = [_Handle(spec) for spec in specs]
         self._lock = threading.Lock()
@@ -137,7 +139,7 @@ class WorkerSupervisor:
         """Spawn every worker, wait until all answer ping, start watching."""
         for handle in self._handles:
             self._spawn(handle)
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + _STARTUP_TIMEOUT
         for handle in self._handles:
             self._wait_ready(handle, deadline)
         self._monitor = threading.Thread(
@@ -184,7 +186,7 @@ class WorkerSupervisor:
                 if time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"fleet worker shard {handle.spec.shard} not ready "
-                        f"within {self.startup_timeout}s"
+                        f"within {_STARTUP_TIMEOUT}s"
                     )
                 sleep(pause)
                 pause = min(pause * 2, 0.05)
