@@ -528,6 +528,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     respawned and warm-revive from their WAL/checkpoints; SIGTERM takes
     the fleet down gracefully — front first, then a rolling worker
     shutdown with per-shard checkpoints.
+
+    Unlike ``repro serve``, a second SIGINT does not kill the front:
+    the front is its workers' parent, and dying mid-roll would leave
+    the workers not yet signalled serving with no supervisor.  The roll
+    is bounded instead (each worker gets its graceful timeout, then
+    SIGKILL), and a second Ctrl-C at a terminal reaches the workers too
+    — one process group — whose own second SIGINT kills them, so the
+    roll then ends at once.
     """
     import signal
     import threading

@@ -12,24 +12,30 @@ its entries):
 
 * ``AVG`` — a longdouble running sum and count (the all-data ``AR``'s);
 * ``LV`` — the last value;
-* ``AVG{n}`` / ``MED{n}`` — the last :data:`RING_CAPACITY` rows of the
-  series column (any window that fits is answerable);
+* ``AVG{n}`` / ``MED{n}`` — the series' last :data:`RING_CAPACITY` rows
+  (any window that fits is answerable);
 * ``MED`` — every value seen, as one sorted float64 column
   (:class:`repro.logs.stats.RunningMedian`: 8 B a value, an insert is a
   binary search and an O(n) shift of the tail);
-* ``AVG{h}hr`` — a cursor into the series column with lazy front expiry
-  and a longdouble window sum;
+* ``AVG{h}hr`` — a cursor into the series with lazy front expiry and a
+  longdouble window sum;
 * ``AR`` / ``AR{d}d`` — incremental lag-pair accumulators
   (``Σx, Σy, Σxx, Σxy, m`` in longdouble, exactly the prefix-sum
   statistics of :mod:`repro.core.fast`), plus a cursor and a monotonic
-  min chain of column indices (the window's strict suffix minima) for
-  the clamp floor on the windowed variants;
+  min chain of row indices (the window's strict suffix minima) for the
+  clamp floor on the windowed variants;
 * ``C-`` variants — a bank of the same summaries per observed size
   class.
 
-Every window above is a suffix of one ``(time, value)`` series, so each
-series is held once, as a float64 column; the windows keep indices into
-it and the prefix behind all of them is dropped as they advance.
+Every window above is a suffix of one ``(time, value)`` series, and
+every series is some of the link's rows, which the bank holds once: one
+:class:`~repro.data.buffer.ColumnBuffer` of ``(time, value, size, op)``
+columns sorted by end time, whose views are the link's ``history()``.
+The link series reads those columns in place; a class series keeps a
+``uint32`` column of its rows' positions in them (4 B a row), and a time
+window's expiry searches the link's times, then those positions.  The
+windows keep indices into their series, and a class series drops the
+positions behind all of them as they advance.
 
 Numerical contract: answers match the generic predictors within the
 established longdouble tolerance — bit-identical for ``LV``, ``MED``,
@@ -44,13 +50,15 @@ expired boundary raises :class:`StreamingUnavailable`; the serving layer
 falls back to a snapshot recompute, so correctness never depends on the
 anchor pattern.
 
-A bank grows one way: :meth:`StreamingBank.extend` folds an in-order run
-of rows (:meth:`StreamingBank.add` is its one-row form, bit for bit), and
-:meth:`StreamingBank.rebuild` — what the owner does after rows landed
-out of order (overlapping transfers), counted — is ``extend`` of the
-whole sorted history into fresh series.  So however a link's rows
-arrived, the accumulators are those of the in-order fold, and differ
-between two banks only by what their windows have expired since.
+A bank grows one way: :meth:`StreamingBank.extend` takes rows in arrival
+order (:meth:`StreamingBank.add` is its one-row form, bit for bit) and
+folds an in-order run into the series.  Rows that land out of order
+(overlapping transfers) are merged into the columns, and every series
+is folded again from the first row, counted as a rebuild — as is
+:meth:`StreamingBank.rebuild`, a bank started over from given rows.  So
+however a link's rows arrived, the accumulators are those of the
+in-order fold, and differ between two banks only by what their windows
+have expired since.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ from repro.core.predictors.classified import ClassifiedPredictor
 from repro.core.predictors.last_value import LastValue
 from repro.core.predictors.mean import TemporalAverage, TotalAverage, WindowedAverage
 from repro.core.predictors.median import TotalMedian, WindowedMedian
+from repro.data.buffer import ColumnBuffer
 from repro.logs.stats import RunningMedian, median
 from repro.units import DAY, HOUR
 
@@ -158,14 +167,14 @@ def _expired(cursor, col: "SeriesSummaries", cutoff: float) -> int:
             f"window start {cutoff} precedes expired boundary {cursor._expired_to}"
         )
     cursor._expired_to = cutoff
-    start, n = cursor.start, col._n
-    if start == n or not col._times[start] < cutoff:
+    start = cursor.start
+    if start == col.count or not col._time(start) < cutoff:
         return 0
-    return int(col._times[start:n].searchsorted(cutoff, side="left"))
+    return col._before(start, cutoff)
 
 
 class _TemporalMean:
-    """``AVG{h}hr``: a cursor into the series column + the window sum."""
+    """``AVG{h}hr``: a cursor into the series + the window sum."""
 
     __slots__ = ("seconds", "start", "_sum", "_expired_to")
 
@@ -185,10 +194,11 @@ class _TemporalMean:
         expired = _expired(self, col, anchor - self.seconds)
         if expired:
             stop = self.start + expired
-            self._sum = _fold_sum(self._sum, col._values[self.start:stop], np.subtract)
+            self._sum = _fold_sum(self._sum, col._values(self.start, stop),
+                                  np.subtract)
             self.start = stop
             col._trim()
-        live = col._n - self.start
+        live = col.count - self.start
         return float(self._sum / live) if live else None
 
 
@@ -202,7 +212,7 @@ class _ArSummary:
     in :mod:`repro.core.fast` from prefix sums.  The all-data variant
     needs only running scalars, and takes its clamp floor from ``MED``'s
     sorted column; the windowed variants add a cursor into the series
-    column and a monotonic min chain of column indices for theirs.  A
+    and a monotonic min chain of the series' row indices for theirs.  A
     window's row count is where its cursor stands, as ``AVG{h}hr``'s is,
     and ``m`` is one less.
     """
@@ -221,10 +231,10 @@ class _ArSummary:
 
     def rows(self, col: "SeriesSummaries") -> int:
         """Rows in the window: all of the series' for ``AR``."""
-        return col.count if self.seconds is None else col._n - self.start
+        return col.count if self.seconds is None else col.count - self.start
 
     def add(self, col: "SeriesSummaries", value: float) -> None:
-        if self.rows(col) > 1:  # the column holds the new row already
+        if self.rows(col) > 1:  # the series holds the new row already
             x = np.longdouble(self._last)  # float64 operands widen exactly
             self._sx += x
             self._sy += value
@@ -233,25 +243,26 @@ class _ArSummary:
         self._sum += value
         self._last = value
         if self.seconds is not None:
-            mins, values = self._mins, col._values
-            while mins and values[mins[-1]] >= value:
+            mins = self._mins
+            while mins and col._value(mins[-1]) >= value:
                 mins.pop()
-            mins.append(col._n - 1)
+            mins.append(col.count - 1)
 
     def _push_mins(self, col: "SeriesSummaries", values: np.ndarray) -> None:
-        """Fold the column's last ``len(values)`` rows into the min chain.
+        """Fold the series' last ``len(values)`` rows into the min chain.
 
         The sequential pop-while replayed wholesale: survivors of the
         old chain are those strictly below the batch minimum (the batch
         chain's first value), and the appended entries are the batch's
         suffix-minima chain.
         """
-        mins, column = self._mins, col._values
+        mins = self._mins
         chain = _suffix_minima(values)
         batch_min = values[chain[0]]
-        while mins and column[mins[-1]] >= batch_min:
+        while mins and col._value(mins[-1]) >= batch_min:
             mins.pop()
-        mins += [i + col._n - len(values) for i in chain]
+        first = col.count - len(values)
+        mins += [first + i for i in chain]
 
     def extend(self, col: "SeriesSummaries", values: np.ndarray) -> None:
         """Fold an in-order batch; identical final state to n ``add``\\ s.
@@ -263,7 +274,7 @@ class _ArSummary:
         """
         n = len(values)
         wide = values.astype(np.longdouble)
-        if self.rows(col) > n:  # the column holds the batch already
+        if self.rows(col) > n:  # the series holds the batch already
             x = np.empty(n, dtype=np.longdouble)
             x[0] = np.longdouble(self._last)
             x[1:] = wide[:-1]
@@ -284,7 +295,8 @@ class _ArSummary:
         """Advance the cursor past ``expired`` rows, unfolding each row
         and its lag pair — the per-row ``-=`` chain as subtracting folds."""
         stop = self.start + expired
-        wide = col._values[self.start:min(stop + 1, col._n)].astype(np.longdouble)
+        wide = col._values(self.start, min(stop + 1, col.count)).astype(
+            np.longdouble)
         x, y = wide[:expired], wide[1:]  # y is one short when the window empties
         self._sum = _fold_sum(self._sum, x, np.subtract)
         if len(y):
@@ -315,7 +327,7 @@ class _ArSummary:
         a, b = fit
         prediction = float(a + b * np.longdouble(self._last))
         floor = clamp * (col._median.minimum() if self.seconds is None
-                         else col._values[self._mins[0]])
+                         else col._value(self._mins[0]))
         return max(prediction, float(floor))
 
 
@@ -323,45 +335,54 @@ class _ArSummary:
 #: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy) — only
 #: what the rows cannot give back.  A windowed sum depends on when each
 #: expiry ran (its ``-=`` interleaves with the ``+=`` of new rows) and an
-#: all-data one would take a fold.  No row is stored: a series is a view
-#: of the link's rows (see :meth:`StreamingBank.load_state`), its live
-#: column their last ``live``, and each min chain their suffix minima
-#: from its window's start.
+#: all-data one would take a fold.  No row is stored: a series is some of
+#: the link's rows (see :meth:`StreamingBank.load_state`), ``live`` the
+#: count of them :meth:`SeriesSummaries._trim` has not dropped, each
+#: cursor counted from the first of those, and each min chain their
+#: suffix minima from its window's start.
 #: :meth:`SeriesSummaries._dump` and :meth:`SeriesSummaries._load` walk
 #: it in this order and nothing else knows it.
 _SERIES = struct.Struct(
     "<" + "Id" * len(TEMPORAL_HOURS)   # AVG{h}hr: start, expired_to
     + "Id" * len(AR_DAYS)              # AR{d}d: start, expired_to
-    + "I")                             # live: the column's length
+    + "I")                             # live: rows not dropped
 _SERIES_LONGDOUBLES = len(TEMPORAL_HOURS) + 5 * (1 + len(AR_DAYS))
 
 #: What a bank's checkpoint opens with: rebuilds, class series held (the
 #: class indexes follow, one byte each, in series order).
 _BANK = struct.Struct("<qH")
 
-_COLUMNS = ("_times", "_values")
+#: A link's rows, as the bank holds them, sorted by end time.
+_DTYPES = (
+    ("times", np.dtype(np.float64)),
+    ("values", np.dtype(np.float64)),
+    ("sizes", np.dtype(np.int64)),
+    ("ops", np.dtype(np.int8)),
+)
 
 
 class SeriesSummaries:
-    """All banked summaries for one observation series.
+    """All banked summaries for one observation series: the link's.
 
-    One instance serves the 15 context-insensitive predictors; the
-    classified variants use one instance per observed size class.  The
-    series itself is held once, as an append-only float64 ``(times,
-    values)`` column (amortised-doubling buffers, ``_n`` live rows):
-    count windows are views of its tail, time windows are cursors into
-    it, and :meth:`_trim` drops the prefix no window can reach any more.
+    One instance serves the 15 context-insensitive predictors over every
+    row of the link; the classified variants use one
+    :class:`_ClassSeries` per observed size class.  No series holds a
+    row.  This one reads the bank's columns in place (its row ``i`` is
+    the link's row ``i``), a class series through a column of row
+    positions.  Count windows are the last rows, time windows are
+    cursors (row indices into the series), and the first ``_dead`` rows
+    are those :meth:`_trim` found no window can reach any more.
     """
 
-    __slots__ = ("count", "last", "last_time", "_times", "_values",
-                 "_n", "_median", "_temporal", "_ar", "_cursors")
+    __slots__ = ("count", "last", "last_time", "_rows", "_dead",
+                 "_median", "_temporal", "_ar", "_cursors")
 
-    def __init__(self) -> None:
+    def __init__(self, rows: ColumnBuffer) -> None:
         self.count = 0
         self.last: Optional[float] = None
         self.last_time = -np.inf
-        self._times = self._values = np.empty(0, dtype=np.float64)
-        self._n = 0
+        self._rows = rows
+        self._dead = 0
         self._median = RunningMedian()
         self._temporal = {h: _TemporalMean(h * HOUR) for h in TEMPORAL_HOURS}
         self._ar = {d: _ArSummary(None if d is None else d * DAY)
@@ -369,44 +390,47 @@ class SeriesSummaries:
         self._cursors = (*self._temporal.values(),
                          *(self._ar[d] for d in AR_DAYS))
 
-    def _move(self, lo: int, capacity: int) -> None:
-        """Rows ``lo:_n`` of every column, at the front of new buffers."""
-        for name in _COLUMNS:
-            new = np.empty(capacity, dtype=np.float64)
-            new[:self._n - lo] = getattr(self, name)[lo:self._n]
-            setattr(self, name, new)
+    # -- the series' rows: the link's, in place -------------------------
+    def _time(self, i: int) -> float:
+        return self._rows.columns[0][i]
 
-    def _reserve(self, n: int) -> None:
-        """Make room for ``n`` rows (doubling)."""
-        if n > len(self._times):
-            self._move(0, max(n, 2 * len(self._times), 16))
+    def _value(self, i: int) -> float:
+        return self._rows.columns[1][i]
+
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        return self._rows.columns[1][lo:hi]
+
+    def _before(self, start: int, cutoff: float) -> int:
+        """Rows from ``start`` on that end before ``cutoff``."""
+        return int(self._rows.columns[0][start:self.count].searchsorted(
+            cutoff, side="left"))
+
+    def _drop(self, dead: int) -> None:
+        """Forget the first ``dead`` live rows: nothing, here — the
+        link's rows are its history.  ``_dead`` moves all the same: a
+        checkpoint counts the cursors from the first live row, as files
+        written when every series kept a trimmed column of its own did."""
 
     def _trim(self) -> None:
-        """Drop the dead prefix once it is more than half the column.
+        """Drop the dead prefix once it is more than half the live rows.
 
         Dead rows lie before every cursor and outside the last
-        :data:`RING_CAPACITY`; the rule reads only ``_n`` and the
-        cursors, so a revived bank trims exactly where the original would.
+        :data:`RING_CAPACITY`; the rule reads only the counts and the
+        cursors, so a revived bank trims exactly where the original
+        would.
         """
-        n = self._n
-        if 2 * self._cursors[-1].start <= n:
+        dead, live = self._dead, self.count - self._dead
+        if 2 * (self._cursors[-1].start - dead) <= live:
             return  # the widest window alone rules it out, as it mostly does
-        dead = min(min(c.start for c in self._cursors), n - RING_CAPACITY)
-        if 2 * dead <= n:
+        drop = min(min(c.start for c in self._cursors) - dead,
+                   live - RING_CAPACITY)
+        if 2 * drop <= live:
             return
-        self._move(dead, n - dead)
-        self._n = n - dead
-        for cursor in self._cursors:
-            cursor.start -= dead
-        for d in AR_DAYS:
-            self._ar[d]._mins = [i - dead for i in self._ar[d]._mins]
+        self._drop(drop)
+        self._dead = dead + drop
 
     def add(self, time: float, value: float) -> None:
-        n = self._n
-        self._reserve(n + 1)
-        self._times[n] = time
-        self._values[n] = value
-        self._n = n + 1
+        """Fold the link's newest row (the bank holds it already)."""
         self.count += 1
         self.last = value
         self.last_time = time
@@ -419,19 +443,13 @@ class SeriesSummaries:
     def extend(self, times: np.ndarray, values: np.ndarray) -> None:
         """Fold an in-order batch; same final state as n ``add`` calls.
 
-        The column takes the batch in one slice assignment, the running
-        sums vectorize (:func:`_fold_sum`) and the median's sorted
-        column merges it in with one stable sort (``MED`` depends on the
-        values seen, not on the order they came in).
+        The running sums vectorize (:func:`_fold_sum`) and the median's
+        sorted column merges the batch in with one stable sort (``MED``
+        depends on the values seen, not on the order they came in).
         """
         k = len(values)
         if k == 0:
             return
-        n = self._n
-        self._reserve(n + k)
-        self._times[n:n + k] = times
-        self._values[n:n + k] = values
-        self._n = n + k
         self.count += k
         self.last = float(values[-1])
         self.last_time = float(times[-1])
@@ -443,22 +461,25 @@ class SeriesSummaries:
 
     def window_values(self, window: int) -> np.ndarray:
         """The last ``window`` values, oldest first (fewer if short)."""
-        return self._values[max(self._n - window, 0):self._n]
+        return self._values(max(self.count - window, 0), self.count)
 
     # -- checkpoint state (the layout is _SERIES, above) ---------------
     def _dump(self, out) -> None:
         """Append this series to ``out`` (two lists: fixed, ld)."""
         fixed, ld = out
-        fixed.append(_SERIES.pack(*(field for cursor in self._cursors for field
-                                    in (cursor.start, cursor._expired_to)), self._n))
+        dead = self._dead
+        fixed.append(_SERIES.pack(
+            *(field for cursor in self._cursors
+              for field in (cursor.start - dead, cursor._expired_to)),
+            self.count - dead))
         ld += [summary._sum for summary in self._temporal.values()]
         for ar in self._ar.values():
             ld += (ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy)
 
-    def _load(self, src, times: np.ndarray, values: np.ndarray) -> None:
-        """Restore what :meth:`_dump` wrote over the series' rows, oldest
-        first: the live column is their tail, and what the file leaves
-        out comes back from them."""
+    def _load(self, src, rows) -> None:
+        """Restore what :meth:`_dump` wrote over the series' rows: those
+        ``rows`` picks out of the link's (a slice, or positions), oldest
+        first.  What the file leaves out comes back from them."""
         field = iter(src.unpack(_SERIES)).__next__
         sums = iter(src.ld(_SERIES_LONGDOUBLES))
         for cursor in self._cursors:
@@ -467,37 +488,109 @@ class SeriesSummaries:
             summary._sum = total
         for ar in self._ar.values():
             ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy = islice(sums, 5)
-        n = self._n = field()
-        src.require(n <= len(values), "a column longer than its series")
-        src.require(all(c.start <= n for c in self._cursors),
+        live = field()
+        times, values = (column[rows] for column in self._rows.columns[:2])
+        count = self.count = len(values)
+        src.require(live <= count, "a column longer than its series")
+        src.require(all(c.start <= live for c in self._cursors),
                     "a window starts beyond its column")
-        gone = len(values) - n
-        self._times, self._values = times[gone:].copy(), values[gone:].copy()
-        self.count = len(values)
+        dead = self._dead = count - live
+        for cursor in self._cursors:
+            cursor.start += dead
         # MED is every value the series has seen, sorted; nothing stores it.
         self._median.extend(values)
         # A min chain is its window's suffix minima: the later window's
         # chain is the other's tail.
         windowed = self._cursors[-len(AR_DAYS):]
         low = min(ar.start for ar in windowed)
-        chain = [low + i for i in _suffix_minima(self._values[low:n])]
+        chain = [low + i for i in _suffix_minima(values[low:])]
         for ar in windowed:
             ar._mins = chain[bisect_left(chain, ar.start):]
-        if n:  # the newest row is every summary's "last"
+        if count:  # the newest row is every summary's "last"
             self.last, self.last_time = float(values[-1]), float(times[-1])
             for ar in self._ar.values():
                 ar._last = self.last
+
+
+class _ClassSeries(SeriesSummaries):
+    """The series of one size class: the link's rows of that class,
+    through ``_pos``, a ``uint32`` column of their positions (4 B a row;
+    amortised doubling, the live rows only).
+
+    A time window's expiry stays a binary search: the link's rows that
+    end before the cutoff are its first ``p``, so the class's are those
+    at positions below ``p``.
+    """
+
+    __slots__ = ("_pos",)
+
+    def __init__(self, rows: ColumnBuffer) -> None:
+        super().__init__(rows)
+        self._pos = np.empty(0, dtype=np.uint32)
+
+    def _time(self, i: int) -> float:
+        return self._rows.columns[0][self._pos[i - self._dead]]
+
+    def _value(self, i: int) -> float:
+        return self._rows.columns[1][self._pos[i - self._dead]]
+
+    def _values(self, lo: int, hi: int) -> np.ndarray:
+        dead = self._dead
+        return self._rows.columns[1][self._pos[lo - dead:hi - dead]]
+
+    def _before(self, start: int, cutoff: float) -> int:
+        rows, dead = self._rows, self._dead
+        p = rows.columns[0][:len(rows)].searchsorted(cutoff, side="left")
+        # A uint32 needle: any other dtype would convert the whole column.
+        return int(self._pos[start - dead:self.count - dead].searchsorted(
+            np.uint32(p), side="left"))
+
+    def _move(self, lo: int, capacity: int) -> None:
+        """Live positions ``lo:``, at the front of a new column."""
+        live = self.count - self._dead
+        pos = np.empty(capacity, dtype=np.uint32)
+        pos[:live - lo] = self._pos[lo:live]
+        self._pos = pos
+
+    def _drop(self, dead: int) -> None:
+        self._move(dead, self.count - self._dead - dead)
+
+    def add(self, time: float, value: float, row: int) -> None:
+        """Fold the link's row ``row``, the newest of this class."""
+        live = self.count - self._dead
+        if live == len(self._pos):
+            self._move(0, max(2 * live, 16))
+        self._pos[live] = row
+        super().add(time, value)
+
+    def extend(self, times: np.ndarray, values: np.ndarray,
+               rows: np.ndarray) -> None:
+        """Fold the link's rows ``rows``, in order, all of this class."""
+        live, k = self.count - self._dead, len(rows)
+        if live + k > len(self._pos):
+            self._move(0, max(live + k, 2 * len(self._pos), 16))
+        self._pos[live:live + k] = rows
+        super().extend(times, values)
+
+    def _load(self, src, rows: np.ndarray) -> None:
+        super()._load(src, rows)
+        self._pos = rows[self._dead:].astype(np.uint32)
 
 
 # ----------------------------------------------------------------------
 # the per-link bank
 # ----------------------------------------------------------------------
 class StreamingBank:
-    """Per-link incremental summaries: the link's series and one per class.
+    """A link's rows and its incremental summaries: the link's series
+    and one per class.
 
-    Owned by a :class:`~repro.service.state.LinkState`; all mutation and
-    all queries happen under the owner's per-link lock (time-window
-    queries expire entries lazily, so even reads mutate).
+    The rows are one :class:`~repro.data.buffer.ColumnBuffer` of ``(end
+    time, bandwidth, size, operation)`` columns sorted by end time —
+    :meth:`views` are its zero-copy snapshots, which stay consistent
+    however the bank grows.  Owned by a
+    :class:`~repro.service.state.LinkState`; all mutation and all
+    queries happen under the owner's per-link lock (time-window queries
+    expire entries lazily, so even reads mutate).
 
     Parameters
     ----------
@@ -505,11 +598,9 @@ class StreamingBank:
         Size classes for the ``C-`` summary banks (must be the same
         object the serving layer resolves ``C-`` specs with).
     on_rebuild:
-        Called with a reason string (``"out_of_order"`` or ``"revive"``
-        from the service) whenever the bank is rebuilt from the history
-        arrays.
-
-    ``add`` / ``extend`` / ``rebuild`` accept ``op`` / ``ops`` and never read it.
+        Called with a reason string (``"out_of_order"`` here, or what
+        the caller of :meth:`rebuild` gives) whenever the summaries are
+        folded again from the first row.
     """
 
     def __init__(
@@ -522,12 +613,21 @@ class StreamingBank:
         self.classification = classification
         self.on_rebuild = on_rebuild
         self.rebuilds = 0
-        self.count = 0
-        self._global = SeriesSummaries()
+        self._rows = ColumnBuffer(_DTYPES)
+        self._global = SeriesSummaries(self._rows)
         #: One series per observed class, keyed by its index in
         #: ``classification.labels`` (a row's tag, :meth:`_tags`).
-        self._classes: Dict[int, SeriesSummaries] = {}
+        self._classes: Dict[int, _ClassSeries] = {}
         self._tag_cache: Dict[int, int] = {}
+
+    @property
+    def count(self) -> int:
+        """Rows the bank holds."""
+        return len(self._rows)
+
+    def views(self) -> Tuple[np.ndarray, ...]:
+        """``(times, values, sizes, ops)``: zero-copy views of the rows."""
+        return self._rows.views()
 
     # ------------------------------------------------------------------
     # mutation
@@ -547,46 +647,82 @@ class StreamingBank:
                         dtype=np.uint8)[inverse]
 
     def add(self, time: float, value: float, size: int, op: int) -> None:
-        """Fold one in-order observation; O(1) amortized."""
-        self.count += 1
+        """Hold and fold one row; O(1) amortized when it ends no earlier
+        than the last (else it is a batch of one for :meth:`extend`)."""
+        rows = self._rows
+        row = len(rows)
+        if row and time < rows.columns[0][row - 1]:
+            return self.extend((time,), (value,), (size,), (op,))
+        rows.append((time, value, size, op))
         tag = self._tag(int(size))
         self._global.add(time, value)
         series = self._classes.get(tag)
         if series is None:
-            series = self._classes[tag] = SeriesSummaries()
-        series.add(time, value)
+            series = self._classes[tag] = _ClassSeries(rows)
+        series.add(time, value, row)
 
-    def extend(
-        self,
-        times: np.ndarray,
-        values: np.ndarray,
-        sizes: np.ndarray,
-        ops: np.ndarray,
-    ) -> None:
-        """Fold an in-order batch, bit-identical to sequential :meth:`add`.
+    def extend(self, times, values, sizes, ops) -> None:
+        """Hold and fold a batch of rows in arrival order.
 
-        The batch scatters into per-class subsequences exactly once;
-        each series then folds its own subsequence in arrival order,
-        which is precisely what the interleaved per-record path would
-        have fed it.  Longdouble sums vectorize via :func:`_fold_sum`;
-        the min chains and the median fold the batch wholesale too.
+        Rows in end-time order, none before the last held, fold in
+        bit-identically to sequential :meth:`add`.  If any row ends
+        before its predecessor (or before the last held), the batch is
+        merged into the columns at once — stable by end time, so equal
+        keys keep arrival order, as one sorted insert per row would —
+        and the summaries are folded again from the first row, once:
+        that moves every positional window (``on_rebuild`` hears
+        ``"out_of_order"``).
         """
-        times = np.asarray(times, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        n = len(values)
-        if n == 0:
+        batch = (np.asarray(times, dtype=np.float64),
+                 np.asarray(values, dtype=np.float64),
+                 np.asarray(sizes, dtype=np.int64),
+                 np.asarray(ops, dtype=np.int8))
+        keys = batch[0]
+        if len(keys) == 0:
             return
-        self.count += n
-        tags = self._tags(np.asarray(sizes))
+        rows = self._rows
+        held = len(rows)
+        if (held and keys[0] < rows.columns[0][held - 1]) or (
+                np.diff(keys) < 0).any():
+            order = np.argsort(keys, kind="stable")
+            rows.extend_sorted(tuple(column[order] for column in batch))
+            self._refold("out_of_order")
+        else:
+            rows.extend_sorted(batch)
+            self._fold(held)
+
+    def _fold(self, lo: int) -> None:
+        """Fold the rows from ``lo`` on, which end no earlier than those
+        folded.
+
+        The rows scatter into per-class subsequences exactly once; each
+        series then folds its own subsequence in arrival order, which is
+        precisely what the interleaved per-row path would have fed it.
+        Longdouble sums vectorize via :func:`_fold_sum`; the min chains
+        and the median fold the batch wholesale too.
+        """
+        times, values, sizes, _ = (column[lo:] for column in self._rows.views())
+        if len(times) == 0:
+            return
+        tags = self._tags(sizes)
         self._global.extend(times, values)
         # First-occurrence order (dict.fromkeys, not set): new class
-        # series are created in the order the per-record path would have.
+        # series are created in the order the per-row path would have.
         for tag in dict.fromkeys(tags.tolist()):
             mask = tags == tag
             series = self._classes.get(tag)
             if series is None:
-                series = self._classes[tag] = SeriesSummaries()
-            series.extend(times[mask], values[mask])
+                series = self._classes[tag] = _ClassSeries(self._rows)
+            series.extend(times[mask], values[mask], lo + np.flatnonzero(mask))
+
+    def _refold(self, reason: str) -> None:
+        """Fresh summaries over every row held, counted as a rebuild."""
+        self._global = SeriesSummaries(self._rows)
+        self._classes = {}
+        self._fold(0)
+        self.rebuilds += 1
+        if self.on_rebuild is not None:
+            self.on_rebuild(reason)
 
     def rebuild(
         self,
@@ -596,20 +732,13 @@ class StreamingBank:
         ops: np.ndarray,
         reason: str = "bulk",
     ) -> None:
-        """Start over from the full arrays: :meth:`extend` into fresh
-        series, so a rebuilt bank is the folded one bit for bit (but for
-        windows the folded one has already expired).
-
-        What the owner does after rows landed out of order, which moves
-        every positional window, and what a checkpointless revival does.
-        """
-        self.count = 0
-        self._global = SeriesSummaries()
-        self._classes = {}
-        self.extend(times, values, sizes, ops)
-        self.rebuilds += 1
-        if self.on_rebuild is not None:
-            self.on_rebuild(reason)
+        """Start over from these rows, sorted by end time: a copy of
+        them, and every summary folded from the first, so a rebuilt bank
+        is the folded one bit for bit (but for windows the folded one
+        has already expired).  What a checkpointless revival does."""
+        self._rows = ColumnBuffer.from_columns(
+            _DTYPES, (times, values, sizes, ops))
+        self._refold(reason)
 
     # ------------------------------------------------------------------
     # checkpoint state
@@ -621,9 +750,8 @@ class StreamingBank:
 
         ``fixed`` is :data:`_BANK`, the class indexes, then the link's
         :data:`_SERIES` and one per class.  No row is written, and the
-        f8 pool is empty: every series is a view of the link's rows
-        sorted by end time, which its durable store holds (see
-        :meth:`load_state`).
+        f8 pool is empty: every series is some of the link's rows,
+        which its durable store holds (see :meth:`load_state`).
 
         Longdouble sums are preserved verbatim, and ``MED`` and the min
         chains come back from the rows, so a bank restored with
@@ -642,28 +770,29 @@ class StreamingBank:
             series._dump(out)
         return b"".join(fixed), np.array(ld, dtype=np.longdouble), np.empty(0)
 
-    def load_state(self, src, times: np.ndarray, values: np.ndarray,
-                   sizes: np.ndarray) -> None:
-        """Restore :meth:`state` from a :class:`repro.store.checkpoint.Reader`
-        over it and the rows the bank held: the link's, stably sorted by
-        end time (its ``LinkState`` buffer's order).  The link series is
-        all of them, a class series those :meth:`_tags` gives its index;
-        what does not add up raises the reader's error."""
+    def load_state(self, src, columns: Tuple[np.ndarray, ...], n: int) -> None:
+        """Hold ``columns`` — a link's ``(times, values, sizes, ops)``,
+        stably sorted by end time — and restore :meth:`state` from a
+        :class:`repro.store.checkpoint.Reader` over it, taken when the
+        bank held their first ``n``.  The link series is those rows, a
+        class series those :meth:`_tags` gives its index; what does not
+        add up raises the reader's error.  The rows past ``n`` then fold
+        in as :meth:`extend` would, and must end no earlier than those."""
         self.rebuilds, classes = src.unpack(_BANK)
         held = list(src.raw(classes))
-        tags = self._tags(sizes)
+        rows = self._rows = ColumnBuffer.from_columns(_DTYPES, columns)
+        tags = self._tags(rows.columns[2][:n])
         src.require(len(set(held)) == classes
                     and set(held) == set(tags.tolist()),
                     "the class series are not the rows' classes")
-        self._global = SeriesSummaries()
-        self._global._load(src, times, values)
-        self.count = len(values)
+        self._global = SeriesSummaries(rows)
+        self._global._load(src, slice(0, n))
         self._classes = {}
         for tag in held:
-            mask = tags == tag
-            series = self._classes[tag] = SeriesSummaries()
-            series._load(src, times[mask], values[mask])
+            series = self._classes[tag] = _ClassSeries(rows)
+            series._load(src, np.flatnonzero(tags == tag))
         src.finish()
+        self._fold(n)
 
     # ------------------------------------------------------------------
     # predictor queries

@@ -33,9 +33,14 @@ _INITIAL_CAPACITY = 64
 
 
 class ColumnBuffer:
-    """Parallel arrays sorted by the first column, with snapshot views."""
+    """Parallel arrays sorted by the first column, with snapshot views.
 
-    __slots__ = ("names", "_columns", "_n")
+    ``columns`` are the backing arrays, ``capacity`` slots long, of which
+    the first ``len(buffer)`` hold rows; growth and merges replace the
+    list's arrays, so a reader fetches them through it each time.
+    """
+
+    __slots__ = ("names", "columns", "_n")
 
     def __init__(
         self,
@@ -47,7 +52,7 @@ class ColumnBuffer:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.names = tuple(name for name, _ in dtypes)
-        self._columns = [np.empty(capacity, dtype=dt) for _, dt in dtypes]
+        self.columns = [np.empty(capacity, dtype=dt) for _, dt in dtypes]
         self._n = 0
 
     @classmethod
@@ -67,11 +72,11 @@ class ColumnBuffer:
             raise ValueError(f"expected {len(dtypes)} columns, got {len(columns)}")
         n = len(columns[0])
         buffer = cls(dtypes, capacity=max(n, _INITIAL_CAPACITY))
-        for target, values in zip(buffer._columns, columns):
+        for target, values in zip(buffer.columns, columns):
             if len(values) != n:
                 raise ValueError("columns must be parallel")
             target[:n] = values
-        if n > 1 and (np.diff(buffer._columns[0][:n].astype(np.float64)) < 0).any():
+        if n > 1 and (np.diff(buffer.columns[0][:n].astype(np.float64)) < 0).any():
             raise ValueError("key column must be non-decreasing")
         buffer._n = n
         return buffer
@@ -81,7 +86,7 @@ class ColumnBuffer:
 
     @property
     def capacity(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     # ------------------------------------------------------------------
     # mutation
@@ -90,11 +95,11 @@ class ColumnBuffer:
         """Reallocate (never resize in place: snapshots alias the buffers)."""
         n = self._n
         fresh = []
-        for old in self._columns:
+        for old in self.columns:
             new = np.empty(capacity, dtype=old.dtype)
             new[:n] = old[:n]
             fresh.append(new)
-        self._columns = fresh
+        self.columns = fresh
 
     def append(self, values: Sequence) -> None:
         """Write one row at the tail, O(1) amortized.
@@ -102,16 +107,16 @@ class ColumnBuffer:
         The key must not fall before the current tail (``ValueError``):
         a row out of order is a batch of one for :meth:`extend_sorted`.
         """
-        if len(values) != len(self._columns):
+        if len(values) != len(self.columns):
             raise ValueError(
-                f"expected {len(self._columns)} values, got {len(values)}"
+                f"expected {len(self.columns)} values, got {len(values)}"
             )
         n = self._n
-        if n and values[0] < self._columns[0][n - 1]:
+        if n and values[0] < self.columns[0][n - 1]:
             raise ValueError("key falls before the tail; use extend_sorted")
         if n == self.capacity:
             self._grow(max(2 * n, _INITIAL_CAPACITY))
-        for column, value in zip(self._columns, values):
+        for column, value in zip(self.columns, values):
             column[n] = value
         self._n = n + 1
 
@@ -123,9 +128,9 @@ class ColumnBuffer:
         Appending at the tail reuses spare capacity (those slots are
         outside every snapshot); anything else merges into fresh arrays.
         """
-        if len(batch) != len(self._columns):
+        if len(batch) != len(self.columns):
             raise ValueError(
-                f"expected {len(self._columns)} columns, got {len(batch)}"
+                f"expected {len(self.columns)} columns, got {len(batch)}"
             )
         keys = np.asarray(batch[0])
         k = len(keys)
@@ -134,26 +139,31 @@ class ColumnBuffer:
         if len(keys) > 1 and (np.diff(keys) < 0).any():
             raise ValueError("batch key column must be non-decreasing")
         n = self._n
-        if n == 0 or keys[0] >= self._columns[0][n - 1]:
+        if n == 0 or keys[0] >= self.columns[0][n - 1]:
             # Tail append: write into spare slots, growing first if needed.
             if n + k > self.capacity:
                 self._grow(max(2 * self.capacity, n + k))
-            for column, values in zip(self._columns, batch):
+            for column, values in zip(self.columns, batch):
                 column[n : n + k] = values
         else:
             # Interleaved: stable argsort of the concatenated keys keeps
-            # existing rows ahead of batch rows on ties.
-            capacity = max(2 * self.capacity, n + k)
+            # existing rows ahead of batch rows on ties.  The arrays are
+            # fresh (snapshots alias the old ones) but grow as a tail
+            # append's would: doubling on every merge would hold 2**m
+            # slots after m late rows.
+            capacity = self.capacity
+            if n + k > capacity:
+                capacity = max(2 * capacity, n + k)
             order = np.argsort(
-                np.concatenate([self._columns[0][:n], keys]), kind="stable"
+                np.concatenate([self.columns[0][:n], keys]), kind="stable"
             )
             fresh = []
-            for old, values in zip(self._columns, batch):
+            for old, values in zip(self.columns, batch):
                 merged = np.concatenate([old[:n], np.asarray(values, dtype=old.dtype)])
                 new = np.empty(capacity, dtype=old.dtype)
                 new[: n + k] = merged[order]
                 fresh.append(new)
-            self._columns = fresh
+            self.columns = fresh
         self._n = n + k
 
     # ------------------------------------------------------------------
@@ -162,10 +172,10 @@ class ColumnBuffer:
     def views(self) -> Tuple[np.ndarray, ...]:
         """Zero-copy views of the first ``n`` slots of every column."""
         n = self._n
-        return tuple(column[:n] for column in self._columns)
+        return tuple(column[:n] for column in self.columns)
 
     def column(self, name: str) -> np.ndarray:
-        return self._columns[self.names.index(name)][: self._n]
+        return self.columns[self.names.index(name)][: self._n]
 
     def as_dict(self) -> Dict[str, np.ndarray]:
         return dict(zip(self.names, self.views()))

@@ -362,6 +362,7 @@ class Endpoint:
         self.name = name
         self._server: Optional[_SocketServer] = None
         self._thread: Optional[threading.Thread] = None
+        self._stop_requested = False
 
     def _bind(self) -> _SocketServer:
         if self._server is not None:
@@ -371,6 +372,8 @@ class Endpoint:
         if isinstance(self.address, tuple):
             self.address = server.server_address[:2]
         self._server = server
+        if self._stop_requested:  # asked before there was a server to tell
+            self.request_stop()
         return server
 
     def _unlink(self) -> None:
@@ -381,6 +384,7 @@ class Endpoint:
         self._server.server_close()
         self._unlink()
         self._server = None
+        self._stop_requested = False
 
     def start(self) -> "Endpoint":
         """Bind now (the address is valid on return), serve on a thread."""
@@ -400,7 +404,9 @@ class Endpoint:
             self._thread = None
 
     def request_stop(self) -> None:
-        """Ask a running :meth:`serve_forever` loop to exit.
+        """Ask a running :meth:`serve_forever` loop to exit — or, before
+        the server is bound, the loop about to run: the request is
+        recorded, and the bind passes it on.
 
         Safe from a signal handler: ``shutdown()`` blocks until the
         accept loop notices, and the loop runs on the very thread the
@@ -408,6 +414,7 @@ class Endpoint:
         and this returns immediately.  Socket cleanup happens where the
         loop was started (``serve_forever``'s finally, or :meth:`stop`).
         """
+        self._stop_requested = True
         server = self._server
         if server is not None:
             threading.Thread(

@@ -195,15 +195,16 @@ class Residency:
         resident buffer held them in.  The checkpoint names rows ``[0,
         n)``; when it was written against this classification and they
         are still there (``n`` no more than the durable rows) and hash
-        to its ``row_digest``, the bank loads over them, sorted, and the
-        rows past ``n`` fold in as the live path would have — if the
-        argsort leaves them behind the others, in arrival order.
-        Otherwise the bank is rebuilt from the same arrays: a checkpoint
-        that cannot be used is *stale* (``format``, ``rows`` or
-        ``digest``, counted), never quarantined.  Either way the state
-        keeps the sorted rows (:meth:`LinkState.from_columns`): a revived
-        link holds what an always-resident one holds and never reads the
-        store again.  A quarantine that took rows under the checkpoint
+        to its ``row_digest``, the bank takes the sorted rows and loads
+        the checkpoint over the first ``n``, and the rows past ``n`` fold
+        in as the live path would have — if the argsort leaves them
+        behind the others, in arrival order.  Otherwise the bank is
+        rebuilt from the same arrays: a checkpoint that cannot be used is
+        *stale* (``format``, ``rows`` or ``digest``, counted), never
+        quarantined.  Either way the bank holds the sorted rows, copied
+        once (:meth:`LinkState.revived` wraps it): a revived link holds
+        what an always-resident one holds and never reads the store
+        again.  A quarantine that took rows under the checkpoint
         therefore costs one rebuild: the next eviction checkpoints the
         survivors, and the revival after it loads.  Returns None when the
         store holds neither rows nor a checkpoint.
@@ -227,11 +228,10 @@ class Residency:
         if reason is None:
             bank = self._new_bank()
             try:
-                bank.load_state(ckpt["bank"], *(c[:n] for c in columns[:3]))
+                bank.load_state(ckpt["bank"], columns, n)
             except Exception:
                 reason = "rows"
         if reason is None:
-            bank.extend(*(column[n:] for column in columns))
             version = meta["version"] + durable - n
         else:
             bank = self._new_bank()
@@ -240,9 +240,8 @@ class Residency:
             # on, so no cache entry of the old rows answers for the new.
             version = (max(durable, meta["version"] + 1)
                        if reason in ("rows", "digest") else durable)
-        state = LinkState.from_columns(
-            link, bank, version, columns,
-            persist=self._persist_for(link), digest=digest)
+        state = LinkState.revived(link, bank, version,
+                                  self._persist_for(link), digest)
         if reason is None:
             # The checkpoint covers the pre-delta version; with no delta
             # the state is clean and eviction skips re-serializing it.

@@ -133,11 +133,14 @@ def serve_until_signalled(
     """Answer on ``args.socket`` until SIGTERM / SIGINT, then drain.
 
     The caller has checked that ``--socket`` was given, before it opened
-    the service (and with it the state dir).  The first signal stops the accept loop; in-flight work finishes, the
-    ``background`` loops (``(thread name, loop(stopping))`` — the log
-    followers and metrics dumps of ``repro serve``) are joined so the
-    final checkpoint covers what they delivered, and
-    :func:`close_service` runs.  A second SIGINT still kills.
+    the service (and with it the state dir).  The first signal stops the
+    accept loop, even one that arrives before the socket is bound;
+    in-flight work finishes, the ``background`` loops (``(thread name,
+    loop(stopping))`` — the log followers and metrics dumps of ``repro
+    serve``) are joined so the final checkpoint covers what they
+    delivered, and :func:`close_service` runs.  The first signal also
+    gives SIGINT back its default action, so a second SIGINT kills the
+    process at once, without the final checkpoint.
     """
     import signal
     import threading
@@ -148,6 +151,7 @@ def serve_until_signalled(
     stopping = threading.Event()
 
     def _graceful(signum, frame) -> None:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
         if not stopping.is_set():
             stopping.set()
             server.request_stop()

@@ -940,7 +940,7 @@ class TestKillNine:
         by_row = StreamingBank(revived.classification)
         columns = store.load_columns("victim")
         by_row.load_state(store.read_checkpoint("victim")["bank"],
-                          *(column[:100] for column in columns[:3]))
+                          tuple(column[:100] for column in columns), 100)
         assert by_row.count == 100
         for t, v, s, o in zip(*(column[100:].tolist() for column in columns)):
             by_row.add(t, v, s, o)

@@ -17,7 +17,10 @@ has written over since).  So a link whose rot has been met rebuilds
 once, and from its next eviction on loads its checkpoint again: the
 digest decides, and nothing marks the link.  A flip under a resident
 link changes none of its answers until the segment is read again.
-``store_quarantined`` moves on the flip and nowhere else.
+``store_quarantined`` moves on the flip and nowhere else.  And every
+resident link, in both services, holds each row once: its ``history()``
+is the bank's link series, memory and all, and each class series keeps
+the positions of exactly the rows of its class.
 
 Bandwidths are whole numbers, so every longdouble sum is exact and an
 answer cannot depend on how a window's expiries and folds interleaved:
@@ -268,6 +271,24 @@ class ServiceMachine(RuleBasedStateMachine):
                     want = self.reference.predict(link, size, spec, now=now)
                     assert (repr(got.value), got.history_length) == \
                         (repr(want.value), want.history_length), (link, spec, size)
+
+    @invariant()
+    def a_resident_link_holds_each_row_once(self):
+        for service in (self.service, self.reference):
+            for state in service.residency.resident().values():
+                bank, history = state.bank, state.history()
+                link = bank._global
+                if link.count == 0:  # rot took every row: nothing to share
+                    continue
+                assert np.shares_memory(
+                    history.values, link._values(0, link.count))
+                assert np.shares_memory(
+                    history.times, bank._rows.columns[0][:link.count])
+                tags = bank._tags(history.sizes)
+                for tag, series in bank._classes.items():
+                    live = series.count - series._dead
+                    want = np.flatnonzero(tags == tag)[series._dead:]
+                    np.testing.assert_array_equal(series._pos[:live], want)
 
     @invariant()
     def rebuilds_and_quarantines_only_where_a_rule_made_them(self):

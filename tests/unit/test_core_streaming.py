@@ -17,6 +17,7 @@ from repro.core.streaming import (
     RING_CAPACITY,
     StreamingBank,
     StreamingUnavailable,
+    _ClassSeries,
 )
 from repro.data.ingest import load_ulm
 from repro.logs.stats import RunningMedian
@@ -357,7 +358,7 @@ class TestAnchorDefault:
 
 
 # ----------------------------------------------------------------------
-# the memory shape: one (time, value) column per series
+# the memory shape: the link's rows once, a class series their positions
 # ----------------------------------------------------------------------
 N_FEED = 10_000
 N_MORE = 1_100  # rows past the feed, for what a revived bank does next
@@ -380,6 +381,19 @@ def all_series(bank):
     return [bank._global, *bank._classes.values()]
 
 
+def live(series):
+    """Rows of the series that its trim has not dropped."""
+    return series.count - series._dead
+
+
+def live_rows(series):
+    """Where those rows are among the link's: the link series reads them
+    in place, a class series keeps their positions."""
+    if isinstance(series, _ClassSeries):
+        return series._pos[:live(series)]
+    return np.arange(series._dead, series.count)
+
+
 def roundtrip(bank, times=FEED_TIMES, sizes=FEED_SIZES, values=FEED_VALUES):
     """``bank`` restored from its checkpoint over the rows it folded: the
     first ``bank.count`` of ``times`` / ``values`` / ``sizes``."""
@@ -387,7 +401,7 @@ def roundtrip(bank, times=FEED_TIMES, sizes=FEED_SIZES, values=FEED_VALUES):
     revived = StreamingBank(CLS)
     revived.load_state(
         checkpoint.loads(checkpoint.dumps(bank.state()))["bank"],
-        times[:n], values[:n], sizes[:n])
+        (times[:n], values[:n], sizes[:n], np.zeros(n, dtype=np.int8)), n)
     return revived
 
 
@@ -408,12 +422,13 @@ def queried_bank():
                 assert bank.answer(predictor, size, now) == pytest.approx(
                     expected, rel=1e-9), (name, size, hi)
         for series in all_series(bank):
-            live = series._times[:series._n]
-            population = int((live >= now - 10 * DAY).sum())
-            # Half-trimming keeps the column within twice what the
+            times = bank.views()[0][live_rows(series)]
+            population = int((times >= now - 10 * DAY).sum())
+            # Half-trimming keeps the live rows within twice what the
             # widest window and the count windows can still reach.
-            assert series._n <= 2 * (population + RING_CAPACITY), hi
-            assert all(0 <= c.start <= series._n for c in series._cursors)
+            assert live(series) <= 2 * (population + RING_CAPACITY), hi
+            assert all(series._dead <= c.start <= series.count
+                       for c in series._cursors)
     return bank
 
 
@@ -427,9 +442,10 @@ def explicit_and_skipped(bank, sizes=FEED_SIZES):
     start, and rows of the link column it has dropped (format 4 spelled
     the first out and skipped the second)."""
     link = bank._global
-    tags = bank._tags(sizes[bank.count - link._n:bank.count])
+    tags = bank._tags(sizes[link._dead:bank.count])
     tagged = {tag: int((tags == tag).sum()) for tag in bank._classes}
-    return {tag: (max(series._n - tagged[tag], 0), max(tagged[tag] - series._n, 0))
+    return {tag: (max(live(series) - tagged[tag], 0),
+                  max(tagged[tag] - live(series), 0))
             for tag, series in bank._classes.items()}
 
 
@@ -444,7 +460,7 @@ class TestMemoryShape:
         assert len(checkpoint.dumps(state)) <= 450
         assert len(f8) == 0 and len(fixed) < 1024
         for series in all_series(bank):
-            assert series._n == series.count
+            assert series._dead == 0
 
     def test_a_small_link_checkpoints_in_about_400_bytes(self):
         # 30 rows in 4 classes, as the ledger's cold links are (1,961 B
@@ -465,10 +481,14 @@ class TestMemoryShape:
         assert len(checkpoint.dumps(payload)) <= 460
 
     def test_resident_bytes_per_record(self):
-        # 400 records in 4 classes: the columns, the MED sorted columns
-        # and the fixed per-series part measure about 90 in all; with
-        # MED as two heaps of boxed floats they measured 138, and a
-        # per-direction copy of every bandwidth beside those 181.
+        # 400 records in 4 classes: the link's rows (25 B a row in 512
+        # slots), a class series' positions, the MED sorted columns and
+        # the fixed per-series part measure about 85 in all.  With the
+        # rows held outside the bank and a float64 (time, value) column
+        # per series inside it, the bank alone measured 89; with MED as
+        # two heaps of boxed floats 138, and a per-direction copy of
+        # every bandwidth beside those 181.  A second copy of the rows
+        # (16 B a row or more) would break the bound.
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -480,12 +500,14 @@ class TestMemoryShape:
         finally:
             tracemalloc.stop()
         assert bank.count == 400 and len(bank._classes) == 4
-        assert held <= 110 * 400
+        assert held <= 95 * 400
 
     def test_queried_windows_trim_the_column_and_stay_exact(self):
         bank = queried_bank()
         for series in all_series(bank):
-            assert series._n < series.count / 4  # the dead prefix is gone
+            assert live(series) < series.count / 4  # the dead prefix is gone
+            if isinstance(series, _ClassSeries):  # ... and its positions
+                assert len(series._pos) < series.count / 2
             assert len(series._median._sorted) == series.count  # MED holds every row
         assert exact_repr(roundtrip(bank).state()) == exact_repr(bank.state())
 
@@ -494,7 +516,7 @@ class TestMemoryShape:
         feed(bank, 0, 400)
         for spec in WINDOW_SPECS:  # cursors mid-column, no trim yet
             answer(bank, spec, now=float(FEED_TIMES[399]))
-        assert bank._global._n == 400
+        assert bank._global._dead == 0
         assert min(c.start for c in bank._global._cursors) > 0
         revived = roundtrip(bank)
         assert exact_repr(revived.state()) == exact_repr(bank.state())
@@ -503,7 +525,7 @@ class TestMemoryShape:
             feed(b, 400, 1500)
             for spec in WINDOW_SPECS:
                 answer(b, spec, now=float(FEED_TIMES[1499]))
-        assert bank._global._n < 1500
+        assert bank._global._dead > 0
         assert exact_repr(revived.state()) == exact_repr(bank.state())
 
     def test_same_state_same_bytes(self):
@@ -518,13 +540,13 @@ class TestMemoryShape:
 # ----------------------------------------------------------------------
 def slots(series):
     """Every slot of a series and of each of its summaries, as exact
-    text; the columns as their live rows' bytes.  ``state()`` leaves out
-    what revival derives (the min chains, ``MED``), so it cannot tell a
-    wrong derivation from a right one; this can."""
-    out = {"_n": series._n, "count": series.count,
+    text; the live rows as their positions and values.  ``state()``
+    leaves out what revival derives (the min chains, ``MED``), so it
+    cannot tell a wrong derivation from a right one; this can."""
+    out = {"_dead": series._dead, "count": series.count,
            "last": exact_repr((series.last, series.last_time)),
-           "_times": series._times[:series._n].tobytes(),
-           "_values": series._values[:series._n].tobytes(),
+           "rows": live_rows(series).astype(np.int64).tobytes(),
+           "values": series._values(series._dead, series.count).tobytes(),
            "MED": bytes(series._median._sorted)}
     for name, summaries in (("AVG{}hr", series._temporal), ("AR{}d", series._ar)):
         for key, summary in summaries.items():
@@ -636,7 +658,7 @@ def _class_gone_from_the_link_column():
         for spec in WINDOW_SPECS:
             answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
     assert explicit_and_skipped(bank, sizes)[3] == (40, 0)
-    assert not (bank._tags(sizes[bank.count - bank._global._n:bank.count])
+    assert not (bank._tags(sizes[bank._global._dead:bank.count])
                 == 3).any()
     return bank, FEED_TIMES, sizes
 

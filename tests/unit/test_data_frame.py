@@ -149,6 +149,15 @@ class TestColumnBuffer:
         assert vals.tolist() == [10, 30]
         assert buf.column("key").tolist() == [1.0, 2.0, 3.0, 4.0]
 
+    def test_late_rows_grow_the_buffer_as_appends_do(self):
+        buf = ColumnBuffer(self.DTYPES, capacity=2)
+        for i in range(400):
+            buf.append((float(i), i))
+        capacity = buf.capacity
+        for i in range(20):  # one late row at a time, each a merge
+            self._merge_row(buf, (10.5 + i, -i))
+        assert len(buf) == 420 and buf.capacity == capacity == 512
+
     def test_append_refuses_a_key_before_the_tail(self):
         buf = ColumnBuffer(self.DTYPES, capacity=2)
         buf.append((1.0, 10))

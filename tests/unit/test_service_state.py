@@ -6,6 +6,7 @@ import pytest
 from repro.core.classification import paper_classification
 from repro.core.streaming import StreamingBank
 from repro.service.state import OP_READ, OP_WRITE, LinkState
+from repro.store import checkpoint
 from repro.units import MB
 from tests.conftest import make_record
 
@@ -100,8 +101,11 @@ def test_a_batch_with_stragglers_is_one_rebuild_and_n_appends_otherwise(revived)
             state.append(record)
         if revived:  # what revival builds from the rows it read
             *columns, version = state.snapshot()
-            state = LinkState.from_columns("LBL-ANL", state.bank, version,
-                                           columns)
+            bank = _bank()
+            bank.load_state(
+                checkpoint.loads(checkpoint.dumps(state.bank.state()))["bank"],
+                tuple(columns), len(state))
+            state = LinkState.revived("LBL-ANL", bank, version, None, None)
         return state
 
     batched, sequential = start(), start()

@@ -93,12 +93,9 @@ def _bank(columns=None):
 
 def _revived(times, version=None):
     """A LinkState revived over arrival-order ``times``, as revival
-    builds one: the rows stably sorted by end time, the bank over them."""
-    columns = _columns(times)
-    order = np.argsort(columns[0], kind="stable")
+    builds one: the bank over the rows stably sorted by end time."""
     version = len(times) if version is None else version
-    return LinkState.from_columns(
-        "L", _bank(columns), version, tuple(c[order] for c in columns))
+    return LinkState.revived("L", _bank(_columns(times)), version, None, None)
 
 
 def _served_after_restart(tmp_path, records):
@@ -195,9 +192,9 @@ class TestRevive:
         assert calls == [((11.0,), 55, None),
                          ((20.0, 5.0, 30.0), [60, 70, 80], False)]
 
-    def test_from_columns_fully_hydrated(self):
-        columns = _columns([1.0, 2.0, 3.0])
-        state = LinkState.from_columns("L", _bank(columns), 3, columns)
+    def test_a_revived_state_is_fully_hydrated(self):
+        state = LinkState.revived("L", _bank(_columns([1.0, 2.0, 3.0])), 3,
+                                  None, None)
         assert state.version == 3
         assert state.last_time == 3.0
         np.testing.assert_array_equal(state.history().times, [1.0, 2.0, 3.0])

@@ -457,18 +457,19 @@ def stale_link_files(root):
 
 
 def small_rows(rows=12):
-    """``(times, values, sizes)`` of ``small_bank(rows)``, in time order."""
+    """``(times, values, sizes, ops)`` of ``small_bank(rows)``, in time
+    order."""
     i = np.arange(rows)
     return (1e6 + 3600.0 * i, 1e6 / 3 + 1e5 * ((7 * i) % 5),
-            SMALL_SIZES[i % 4])
+            SMALL_SIZES[i % 4], np.zeros(rows, dtype=np.int8))
 
 
 def small_bank(rows=12):
     """A real bank: ``rows`` rows over 4 classes, a window queried so a
     cursor sits mid-column and the min chains are in use."""
     bank = StreamingBank(CLS)
-    for t, v, size in zip(*(column.tolist() for column in small_rows(rows))):
-        bank.add(t, v, size, 0)
+    for t, v, size, op in zip(*(column.tolist() for column in small_rows(rows))):
+        bank.add(t, v, size, op)
     bank.answer(resolve("AVG5hr"), 10 * MB, 1e6 + 3600.0 * rows)
     return bank
 
@@ -482,11 +483,12 @@ def small_payload(bank=None):
 
 def revive(blob, rows=None):
     """Decode all the way: the file, then the bank's own reading of it
-    over ``rows`` — ``(times, values, sizes)`` in time order, by default
-    ``small_rows`` of the file's ``n``."""
+    over ``rows`` — ``(times, values, sizes, ops)`` in time order, by
+    default ``small_rows`` of the file's ``n``."""
     state = ck.loads(blob)
     bank = StreamingBank(CLS)
-    bank.load_state(state["bank"], *(rows or small_rows(state["meta"]["n"])))
+    rows = rows or small_rows(state["meta"]["n"])
+    bank.load_state(state["bank"], rows, len(rows[0]))
     return state["meta"], bank
 
 
@@ -577,7 +579,7 @@ class TestCheckpoint:
         total = bank._global._ar[None]._sum
         assert float(total) != total
         rows = (np.arange(1000.0), 0.1 * np.arange(1000),
-                np.full(1000, 10 * MB))
+                np.full(1000, 10 * MB), np.zeros(1000, dtype=np.int8))
         meta, revived = revive(
             ck.dumps({"meta": {"n": 1000}, "bank": bank.state()}), rows)
         restored = revived._global._ar[None]._sum
@@ -660,7 +662,7 @@ class TestCheckpoint:
         assert probe["meta"]["classification"] == bytes(16)
         for loaded in (bare, probe):
             bank = StreamingBank(CLS)
-            bank.load_state(loaded["bank"], *small_rows())
+            bank.load_state(loaded["bank"], small_rows(), 12)
             assert repr(bank.state()) == repr(state)
         assert set(ck.loads(ck.dumps({"meta": {"n": 1}}))) == {"meta"}
 
@@ -719,9 +721,9 @@ class TestCheckpoint:
                 revive(case.blob())
         # The same checkpoint over other rows: another class mix, or
         # fewer rows than a live column holds.
-        times, values, sizes = small_rows()
+        times, values, sizes, ops = small_rows()
         with pytest.raises(CorruptCheckpoint, match="not the rows' classes"):
-            revive(Tampered().blob(), (times, values, np.full(12, 10 * MB)))
+            revive(Tampered().blob(), (times, values, np.full(12, 10 * MB), ops))
         with pytest.raises(CorruptCheckpoint, match="longer than its series"):
             revive(Tampered().blob(), small_rows(8))
 
@@ -1052,7 +1054,7 @@ class TestLinkStore:
         out = store.read_checkpoint("x")
         assert out["meta"]["n"] == 12
         bank = StreamingBank(CLS)
-        bank.load_state(out["bank"], *small_rows())
+        bank.load_state(out["bank"], small_rows(), 12)
         assert repr(bank.state()) == repr(small_bank().state())
         path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
         path.write_bytes(b"rot" + path.read_bytes()[3:])
