@@ -44,14 +44,6 @@ class RelativePerformance:
             return float("nan")
         return 100.0 * self.worst_counts.get(name, 0) / self.compared
 
-    def table(self) -> Dict[str, Dict[str, float]]:
-        """Predictor -> {best%, worst%}, for rendering."""
-        names = set(self.best_counts) | set(self.worst_counts)
-        return {
-            name: {"best": self.best_pct(name), "worst": self.worst_pct(name)}
-            for name in sorted(names)
-        }
-
 
 def relative_performance(
     result: EvaluationResult,

@@ -28,14 +28,12 @@ its entries):
   class.
 
 Every window above is a suffix of one ``(time, value)`` series, and
-every series is some of the link's rows, which the bank holds once: one
-:class:`~repro.data.buffer.ColumnBuffer` of ``(time, value, size, op)``
-columns sorted by end time, whose views are the link's ``history()``.
-The link series reads those columns in place; a class series keeps a
-``uint32`` column of its rows' positions in them (4 B a row), and a time
-window's expiry searches the link's times, then those positions.  The
-windows keep indices into their series, and a class series drops the
-positions behind all of them as they advance.
+every series is some of the link's rows, which the bank holds once:
+``(time, value, size, op)`` columns sorted by end time, whose views are
+the link's ``history()``.  The link series reads those columns in place;
+a class series keeps a ``uint32`` column of its rows' positions in them
+(4 B a row), and a time window's expiry searches the link's times, then
+those positions.  The windows keep row indices into their series.
 
 Numerical contract: answers match the generic predictors within the
 established longdouble tolerance — bit-identical for ``LV``, ``MED``,
@@ -59,6 +57,12 @@ is folded again from the first row, counted as a rebuild — as is
 however a link's rows arrived, the accumulators are those of the
 in-order fold, and differ between two banks only by what their windows
 have expired since.
+
+The columns grow one way too: amortised doubling into *fresh* arrays
+(:func:`_fresh`), never in place, so a snapshot (:meth:`StreamingBank.views`)
+taken at any moment stays consistent however the bank grows; an in-order
+row is written past every snapshot's end.  The bank holds no lock: its
+owner serializes mutation.
 """
 
 from __future__ import annotations
@@ -77,7 +81,6 @@ from repro.core.predictors.classified import ClassifiedPredictor
 from repro.core.predictors.last_value import LastValue
 from repro.core.predictors.mean import TemporalAverage, TotalAverage, WindowedAverage
 from repro.core.predictors.median import TotalMedian, WindowedMedian
-from repro.data.buffer import ColumnBuffer
 from repro.logs.stats import RunningMedian, median
 from repro.units import DAY, HOUR
 
@@ -134,6 +137,20 @@ def _fold_sum(current: np.longdouble, values: np.ndarray,
     acc[0] = current
     acc[1:] = values
     return ufunc.accumulate(acc)[-1]
+
+
+def _fresh(column: np.ndarray, n: int, need: int) -> np.ndarray:
+    """A new array holding ``column``'s first ``n`` entries, with room
+    for ``need``: as long as ``column``, doubled when that is too short.
+
+    Every column a bank grows — its rows, a class series' positions —
+    grows through this, so a view of the old array stays valid.
+    """
+    size = len(column)
+    fresh = np.empty(size if need <= size else max(need, 2 * size),
+                     dtype=column.dtype)
+    fresh[:n] = column[:n]
+    return fresh
 
 
 def _suffix_minima(values: np.ndarray) -> List[int]:
@@ -197,7 +214,6 @@ class _TemporalMean:
             self._sum = _fold_sum(self._sum, col._values(self.start, stop),
                                   np.subtract)
             self.start = stop
-            col._trim()
         live = col.count - self.start
         return float(self._sum / live) if live else None
 
@@ -307,7 +323,6 @@ class _ArSummary:
             self._sxy = _fold_sum(self._sxy, x * y, np.subtract)
         self.start = stop
         del self._mins[:bisect_left(self._mins, stop)]
-        col._trim()
 
     def value(self, col: "SeriesSummaries", anchor: float,
               min_points: int, clamp: float) -> Optional[float]:
@@ -336,29 +351,31 @@ class _ArSummary:
 #: what the rows cannot give back.  A windowed sum depends on when each
 #: expiry ran (its ``-=`` interleaves with the ``+=`` of new rows) and an
 #: all-data one would take a fold.  No row is stored: a series is some of
-#: the link's rows (see :meth:`StreamingBank.load_state`), ``live`` the
-#: count of them :meth:`SeriesSummaries._trim` has not dropped, each
-#: cursor counted from the first of those, and each min chain their
-#: suffix minima from its window's start.
-#: :meth:`SeriesSummaries._dump` and :meth:`SeriesSummaries._load` walk
-#: it in this order and nothing else knows it.
+#: the link's rows (see :meth:`StreamingBank.load_state`), each cursor
+#: counted back from ``live`` (the series' row count here; files written
+#: while series trimmed their rows count from the first untrimmed one, and
+#: load the same), and each min chain their suffix minima from its
+#: window's start.  :meth:`SeriesSummaries._dump` and
+#: :meth:`SeriesSummaries._load` walk it in this order and nothing else
+#: knows it.
 _SERIES = struct.Struct(
     "<" + "Id" * len(TEMPORAL_HOURS)   # AVG{h}hr: start, expired_to
     + "Id" * len(AR_DAYS)              # AR{d}d: start, expired_to
-    + "I")                             # live: rows not dropped
+    + "I")                             # live: rows the cursors count from
 _SERIES_LONGDOUBLES = len(TEMPORAL_HOURS) + 5 * (1 + len(AR_DAYS))
 
 #: What a bank's checkpoint opens with: rebuilds, class series held (the
 #: class indexes follow, one byte each, in series order).
 _BANK = struct.Struct("<qH")
 
-#: A link's rows, as the bank holds them, sorted by end time.
-_DTYPES = (
-    ("times", np.dtype(np.float64)),
-    ("values", np.dtype(np.float64)),
-    ("sizes", np.dtype(np.int64)),
-    ("ops", np.dtype(np.int8)),
-)
+#: A link's columns, as the bank holds them, sorted by end time.
+_DTYPES = (np.dtype(np.float64),  # end time
+           np.dtype(np.float64),  # bandwidth
+           np.dtype(np.int64),    # size
+           np.dtype(np.int8))     # operation
+
+#: Slots a bank's columns start with.
+_INITIAL_ROWS = 64
 
 
 class SeriesSummaries:
@@ -369,20 +386,19 @@ class SeriesSummaries:
     :class:`_ClassSeries` per observed size class.  No series holds a
     row.  This one reads the bank's columns in place (its row ``i`` is
     the link's row ``i``), a class series through a column of row
-    positions.  Count windows are the last rows, time windows are
-    cursors (row indices into the series), and the first ``_dead`` rows
-    are those :meth:`_trim` found no window can reach any more.
+    positions.  ``rows`` is the bank's list of columns, which growth
+    refills in place.  Count windows are the last rows, time windows are
+    cursors (row indices into the series).
     """
 
-    __slots__ = ("count", "last", "last_time", "_rows", "_dead",
+    __slots__ = ("count", "last", "last_time", "_rows",
                  "_median", "_temporal", "_ar", "_cursors")
 
-    def __init__(self, rows: ColumnBuffer) -> None:
+    def __init__(self, rows: List[np.ndarray]) -> None:
         self.count = 0
         self.last: Optional[float] = None
         self.last_time = -np.inf
         self._rows = rows
-        self._dead = 0
         self._median = RunningMedian()
         self._temporal = {h: _TemporalMean(h * HOUR) for h in TEMPORAL_HOURS}
         self._ar = {d: _ArSummary(None if d is None else d * DAY)
@@ -392,42 +408,18 @@ class SeriesSummaries:
 
     # -- the series' rows: the link's, in place -------------------------
     def _time(self, i: int) -> float:
-        return self._rows.columns[0][i]
+        return self._rows[0][i]
 
     def _value(self, i: int) -> float:
-        return self._rows.columns[1][i]
+        return self._rows[1][i]
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
-        return self._rows.columns[1][lo:hi]
+        return self._rows[1][lo:hi]
 
     def _before(self, start: int, cutoff: float) -> int:
         """Rows from ``start`` on that end before ``cutoff``."""
-        return int(self._rows.columns[0][start:self.count].searchsorted(
+        return int(self._rows[0][start:self.count].searchsorted(
             cutoff, side="left"))
-
-    def _drop(self, dead: int) -> None:
-        """Forget the first ``dead`` live rows: nothing, here — the
-        link's rows are its history.  ``_dead`` moves all the same: a
-        checkpoint counts the cursors from the first live row, as files
-        written when every series kept a trimmed column of its own did."""
-
-    def _trim(self) -> None:
-        """Drop the dead prefix once it is more than half the live rows.
-
-        Dead rows lie before every cursor and outside the last
-        :data:`RING_CAPACITY`; the rule reads only the counts and the
-        cursors, so a revived bank trims exactly where the original
-        would.
-        """
-        dead, live = self._dead, self.count - self._dead
-        if 2 * (self._cursors[-1].start - dead) <= live:
-            return  # the widest window alone rules it out, as it mostly does
-        drop = min(min(c.start for c in self._cursors) - dead,
-                   live - RING_CAPACITY)
-        if 2 * drop <= live:
-            return
-        self._drop(drop)
-        self._dead = dead + drop
 
     def add(self, time: float, value: float) -> None:
         """Fold the link's newest row (the bank holds it already)."""
@@ -467,11 +459,10 @@ class SeriesSummaries:
     def _dump(self, out) -> None:
         """Append this series to ``out`` (two lists: fixed, ld)."""
         fixed, ld = out
-        dead = self._dead
         fixed.append(_SERIES.pack(
             *(field for cursor in self._cursors
-              for field in (cursor.start - dead, cursor._expired_to)),
-            self.count - dead))
+              for field in (cursor.start, cursor._expired_to)),
+            self.count))
         ld += [summary._sum for summary in self._temporal.values()]
         for ar in self._ar.values():
             ld += (ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy)
@@ -489,14 +480,13 @@ class SeriesSummaries:
         for ar in self._ar.values():
             ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy = islice(sums, 5)
         live = field()
-        times, values = (column[rows] for column in self._rows.columns[:2])
+        times, values = (column[rows] for column in self._rows[:2])
         count = self.count = len(values)
         src.require(live <= count, "a column longer than its series")
         src.require(all(c.start <= live for c in self._cursors),
                     "a window starts beyond its column")
-        dead = self._dead = count - live
         for cursor in self._cursors:
-            cursor.start += dead
+            cursor.start += count - live
         # MED is every value the series has seen, sorted; nothing stores it.
         self._median.extend(values)
         # A min chain is its window's suffix minima: the later window's
@@ -514,8 +504,8 @@ class SeriesSummaries:
 
 class _ClassSeries(SeriesSummaries):
     """The series of one size class: the link's rows of that class,
-    through ``_pos``, a ``uint32`` column of their positions (4 B a row;
-    amortised doubling, the live rows only).
+    through ``_pos``, a ``uint32`` column of their positions (4 B a row,
+    grown as the bank's columns are).
 
     A time window's expiry stays a binary search: the link's rows that
     end before the cutoff are its first ``p``, so the class's are those
@@ -524,57 +514,47 @@ class _ClassSeries(SeriesSummaries):
 
     __slots__ = ("_pos",)
 
-    def __init__(self, rows: ColumnBuffer) -> None:
+    def __init__(self, rows: List[np.ndarray]) -> None:
         super().__init__(rows)
-        self._pos = np.empty(0, dtype=np.uint32)
+        self._pos = np.empty(16, dtype=np.uint32)
 
     def _time(self, i: int) -> float:
-        return self._rows.columns[0][self._pos[i - self._dead]]
+        return self._rows[0][self._pos[i]]
 
     def _value(self, i: int) -> float:
-        return self._rows.columns[1][self._pos[i - self._dead]]
+        return self._rows[1][self._pos[i]]
 
     def _values(self, lo: int, hi: int) -> np.ndarray:
-        dead = self._dead
-        return self._rows.columns[1][self._pos[lo - dead:hi - dead]]
+        return self._rows[1][self._pos[lo:hi]]
 
     def _before(self, start: int, cutoff: float) -> int:
-        rows, dead = self._rows, self._dead
-        p = rows.columns[0][:len(rows)].searchsorted(cutoff, side="left")
+        # The class's rows are among the link's first ``last + 1``.
+        last = int(self._pos[self.count - 1])
+        p = self._rows[0][:last + 1].searchsorted(cutoff, side="left")
         # A uint32 needle: any other dtype would convert the whole column.
-        return int(self._pos[start - dead:self.count - dead].searchsorted(
+        return int(self._pos[start:self.count].searchsorted(
             np.uint32(p), side="left"))
-
-    def _move(self, lo: int, capacity: int) -> None:
-        """Live positions ``lo:``, at the front of a new column."""
-        live = self.count - self._dead
-        pos = np.empty(capacity, dtype=np.uint32)
-        pos[:live - lo] = self._pos[lo:live]
-        self._pos = pos
-
-    def _drop(self, dead: int) -> None:
-        self._move(dead, self.count - self._dead - dead)
 
     def add(self, time: float, value: float, row: int) -> None:
         """Fold the link's row ``row``, the newest of this class."""
-        live = self.count - self._dead
-        if live == len(self._pos):
-            self._move(0, max(2 * live, 16))
-        self._pos[live] = row
+        n = self.count
+        if n == len(self._pos):
+            self._pos = _fresh(self._pos, n, n + 1)
+        self._pos[n] = row
         super().add(time, value)
 
     def extend(self, times: np.ndarray, values: np.ndarray,
                rows: np.ndarray) -> None:
         """Fold the link's rows ``rows``, in order, all of this class."""
-        live, k = self.count - self._dead, len(rows)
-        if live + k > len(self._pos):
-            self._move(0, max(live + k, 2 * len(self._pos), 16))
-        self._pos[live:live + k] = rows
+        n, k = self.count, len(rows)
+        if n + k > len(self._pos):
+            self._pos = _fresh(self._pos, n, n + k)
+        self._pos[n:n + k] = rows
         super().extend(times, values)
 
     def _load(self, src, rows: np.ndarray) -> None:
         super()._load(src, rows)
-        self._pos = rows[self._dead:].astype(np.uint32)
+        self._pos = rows.astype(np.uint32)
 
 
 # ----------------------------------------------------------------------
@@ -584,10 +564,10 @@ class StreamingBank:
     """A link's rows and its incremental summaries: the link's series
     and one per class.
 
-    The rows are one :class:`~repro.data.buffer.ColumnBuffer` of ``(end
-    time, bandwidth, size, operation)`` columns sorted by end time —
-    :meth:`views` are its zero-copy snapshots, which stay consistent
-    however the bank grows.  Owned by a
+    The rows are ``(end time, bandwidth, size, operation)`` columns
+    sorted by end time, of which the first :attr:`count` slots hold
+    rows; :meth:`views` are their zero-copy snapshots, which stay
+    consistent however the bank grows.  Owned by a
     :class:`~repro.service.state.LinkState`; all mutation and all
     queries happen under the owner's per-link lock (time-window queries
     expire entries lazily, so even reads mutate).
@@ -613,21 +593,21 @@ class StreamingBank:
         self.classification = classification
         self.on_rebuild = on_rebuild
         self.rebuilds = 0
-        self._rows = ColumnBuffer(_DTYPES)
-        self._global = SeriesSummaries(self._rows)
+        #: Rows the bank holds: the first ``count`` slots of ``_columns``.
+        self.count = 0
+        #: The columns, one list for the bank's life between rebuilds:
+        #: growth refills it in place, and the series read through it.
+        self._columns = [np.empty(_INITIAL_ROWS, dtype=dt) for dt in _DTYPES]
+        self._global = SeriesSummaries(self._columns)
         #: One series per observed class, keyed by its index in
         #: ``classification.labels`` (a row's tag, :meth:`_tags`).
         self._classes: Dict[int, _ClassSeries] = {}
         self._tag_cache: Dict[int, int] = {}
 
-    @property
-    def count(self) -> int:
-        """Rows the bank holds."""
-        return len(self._rows)
-
     def views(self) -> Tuple[np.ndarray, ...]:
         """``(times, values, sizes, ops)``: zero-copy views of the rows."""
-        return self._rows.views()
+        n = self.count
+        return tuple(column[:n] for column in self._columns)
 
     # ------------------------------------------------------------------
     # mutation
@@ -649,47 +629,58 @@ class StreamingBank:
     def add(self, time: float, value: float, size: int, op: int) -> None:
         """Hold and fold one row; O(1) amortized when it ends no earlier
         than the last (else it is a batch of one for :meth:`extend`)."""
-        rows = self._rows
-        row = len(rows)
-        if row and time < rows.columns[0][row - 1]:
+        columns = self._columns
+        row = self.count
+        if row and time < columns[0][row - 1]:
             return self.extend((time,), (value,), (size,), (op,))
-        rows.append((time, value, size, op))
+        if row == len(columns[0]):
+            columns[:] = [_fresh(column, row, row + 1) for column in columns]
+        for column, item in zip(columns, (time, value, size, op)):
+            column[row] = item
+        self.count = row + 1
         tag = self._tag(int(size))
         self._global.add(time, value)
         series = self._classes.get(tag)
         if series is None:
-            series = self._classes[tag] = _ClassSeries(rows)
+            series = self._classes[tag] = _ClassSeries(columns)
         series.add(time, value, row)
 
     def extend(self, times, values, sizes, ops) -> None:
         """Hold and fold a batch of rows in arrival order.
 
-        Rows in end-time order, none before the last held, fold in
-        bit-identically to sequential :meth:`add`.  If any row ends
-        before its predecessor (or before the last held), the batch is
-        merged into the columns at once — stable by end time, so equal
-        keys keep arrival order, as one sorted insert per row would —
-        and the summaries are folded again from the first row, once:
-        that moves every positional window (``on_rebuild`` hears
+        Rows in end-time order, none before the last held, are written
+        at the tail and fold in bit-identically to sequential
+        :meth:`add`.  If any row ends before its predecessor (or before
+        the last held), the batch is merged into fresh columns at once —
+        stable by end time, so held rows stay ahead of equal keys and
+        the batch keeps its arrival order, as one sorted insert per row
+        would — and the summaries are folded again from the first row,
+        once: that moves every positional window (``on_rebuild`` hears
         ``"out_of_order"``).
         """
-        batch = (np.asarray(times, dtype=np.float64),
-                 np.asarray(values, dtype=np.float64),
-                 np.asarray(sizes, dtype=np.int64),
-                 np.asarray(ops, dtype=np.int8))
+        batch = [np.asarray(column, dtype=dt)
+                 for column, dt in zip((times, values, sizes, ops), _DTYPES)]
         keys = batch[0]
-        if len(keys) == 0:
+        k = len(keys)
+        if k == 0:
             return
-        rows = self._rows
-        held = len(rows)
-        if (held and keys[0] < rows.columns[0][held - 1]) or (
-                np.diff(keys) < 0).any():
-            order = np.argsort(keys, kind="stable")
-            rows.extend_sorted(tuple(column[order] for column in batch))
+        columns, n = self._columns, self.count
+        if (n and keys[0] < columns[0][n - 1]) or (np.diff(keys) < 0).any():
+            order = np.argsort(np.concatenate([columns[0][:n], keys]),
+                               kind="stable")
+            for i, (column, new) in enumerate(zip(columns, batch)):
+                merged = _fresh(column, 0, n + k)
+                merged[:n + k] = np.concatenate([column[:n], new])[order]
+                columns[i] = merged
+            self.count = n + k
             self._refold("out_of_order")
-        else:
-            rows.extend_sorted(batch)
-            self._fold(held)
+            return
+        if n + k > len(columns[0]):
+            columns[:] = [_fresh(column, n, n + k) for column in columns]
+        for column, new in zip(columns, batch):
+            column[n:n + k] = new
+        self.count = n + k
+        self._fold(n)
 
     def _fold(self, lo: int) -> None:
         """Fold the rows from ``lo`` on, which end no earlier than those
@@ -701,7 +692,7 @@ class StreamingBank:
         Longdouble sums vectorize via :func:`_fold_sum`; the min chains
         and the median fold the batch wholesale too.
         """
-        times, values, sizes, _ = (column[lo:] for column in self._rows.views())
+        times, values, sizes, _ = (column[lo:] for column in self.views())
         if len(times) == 0:
             return
         tags = self._tags(sizes)
@@ -712,17 +703,33 @@ class StreamingBank:
             mask = tags == tag
             series = self._classes.get(tag)
             if series is None:
-                series = self._classes[tag] = _ClassSeries(self._rows)
+                series = self._classes[tag] = _ClassSeries(self._columns)
             series.extend(times[mask], values[mask], lo + np.flatnonzero(mask))
 
     def _refold(self, reason: str) -> None:
         """Fresh summaries over every row held, counted as a rebuild."""
-        self._global = SeriesSummaries(self._rows)
+        self._global = SeriesSummaries(self._columns)
         self._classes = {}
         self._fold(0)
         self.rebuilds += 1
         if self.on_rebuild is not None:
             self.on_rebuild(reason)
+
+    def _hold(self, columns) -> None:
+        """Hold a copy of ``columns`` — rows sorted by end time — in
+        fresh arrays, in place of every row held; what is not parallel
+        or not sorted raises ``ValueError``."""
+        n = len(columns[0])
+        if any(len(column) != n for column in columns):
+            raise ValueError("columns must be parallel")
+        held = []
+        for values, dt in zip(columns, _DTYPES):
+            column = np.empty(max(n, _INITIAL_ROWS), dtype=dt)
+            column[:n] = values
+            held.append(column)
+        if (np.diff(held[0][:n]) < 0).any():
+            raise ValueError("rows must be sorted by end time")
+        self._columns, self.count = held, n
 
     def rebuild(
         self,
@@ -736,8 +743,7 @@ class StreamingBank:
         them, and every summary folded from the first, so a rebuilt bank
         is the folded one bit for bit (but for windows the folded one
         has already expired).  What a checkpointless revival does."""
-        self._rows = ColumnBuffer.from_columns(
-            _DTYPES, (times, values, sizes, ops))
+        self._hold((times, values, sizes, ops))
         self._refold(reason)
 
     # ------------------------------------------------------------------
@@ -771,17 +777,19 @@ class StreamingBank:
         return b"".join(fixed), np.array(ld, dtype=np.longdouble), np.empty(0)
 
     def load_state(self, src, columns: Tuple[np.ndarray, ...], n: int) -> None:
-        """Hold ``columns`` — a link's ``(times, values, sizes, ops)``,
-        stably sorted by end time — and restore :meth:`state` from a
-        :class:`repro.store.checkpoint.Reader` over it, taken when the
-        bank held their first ``n``.  The link series is those rows, a
-        class series those :meth:`_tags` gives its index; what does not
-        add up raises the reader's error.  The rows past ``n`` then fold
-        in as :meth:`extend` would, and must end no earlier than those."""
+        """Hold a copy of ``columns`` — a link's ``(times, values, sizes,
+        ops)``, stably sorted by end time (else ``ValueError``) — and
+        restore :meth:`state` from a :class:`repro.store.checkpoint.Reader`
+        over it, taken when the bank held their first ``n``.  The link
+        series is those rows, a class series those :meth:`_tags` gives
+        its index; what does not add up raises the reader's error.  The
+        rows past ``n`` then fold in as :meth:`extend` would, and must
+        end no earlier than those."""
         self.rebuilds, classes = src.unpack(_BANK)
         held = list(src.raw(classes))
-        rows = self._rows = ColumnBuffer.from_columns(_DTYPES, columns)
-        tags = self._tags(rows.columns[2][:n])
+        self._hold(columns)
+        rows = self._columns
+        tags = self._tags(rows[2][:n])
         src.require(len(set(held)) == classes
                     and set(held) == set(tags.tolist()),
                     "the class series are not the rows' classes")

@@ -249,10 +249,3 @@ class TransferFrame:
         from repro.core.history import History
 
         return History(self.end_times, self.bandwidths, self.sizes)
-
-    @property
-    def anchors(self) -> np.ndarray:
-        """Prediction anchor times — each transfer's *start* (the moment
-        a replica decision would be made), matching the record-based
-        evaluation path."""
-        return self.start_times

@@ -109,13 +109,6 @@ class TcpModel:
         share_bdp = (available_bw / streams) * rtt
         return max(float(self.config.mss), min(float(buffer), share_bdp))
 
-    def steady_rate(
-        self, rtt: float, available_bw: float, buffer: int, streams: int
-    ) -> float:
-        """Aggregate steady-state rate: min(n * W/RTT, available)."""
-        w_eff = self.effective_window(rtt, available_bw, buffer, streams)
-        return min(streams * w_eff / rtt, available_bw)
-
     # ------------------------------------------------------------------
     # full timing
     # ------------------------------------------------------------------

@@ -183,11 +183,6 @@ class Histogram(_Instrument):
         with self._lock:
             return self._count
 
-    @property
-    def total(self) -> float:
-        with self._lock:
-            return self._sum
-
     def mean(self) -> float:
         with self._lock:
             return self._sum / self._count if self._count else float("nan")

@@ -2,23 +2,22 @@
 
 A :class:`LinkState` is the live, growable counterpart of the immutable
 :class:`~repro.core.history.History`: a versioned wrapper around the
-link's :class:`~repro.core.streaming.StreamingBank`.  The bank owns the
-link's rows — one :class:`~repro.data.buffer.ColumnBuffer` of (end time,
-bandwidth, size, operation) columns, sorted by end time — and the
-summaries it folds over them, which read those columns in place; the
-state adds the per-link lock, the **version**, a digest of the rows and
-the persist hook.  The version counter increments on every append —
-that is what makes precise cache invalidation possible: a cached
-prediction is keyed on the version it was computed against, so it dies
-the moment the link's history grows and survives any amount of growth on
-*other* links.
+link's :class:`~repro.core.streaming.StreamingBank`.  The bank is the
+link's one row store — (end time, bandwidth, size, operation) columns,
+sorted by end time — and holds the summaries it folds over them, which
+read those columns in place; the state adds the per-link lock, the
+**version**, a digest of the rows and the persist hook.  The version
+counter increments on every append — that is what makes precise cache
+invalidation possible: a cached prediction is keyed on the version it
+was computed against, so it dies the moment the link's history grows
+and survives any amount of growth on *other* links.
 
-Snapshot semantics under concurrency come from the buffer: ``history()``
+Snapshot semantics under concurrency come from the bank: ``history()``
 returns a zero-copy :class:`History` view of the bank's first ``n``
 rows, in-order appends write only outside existing views, and growth or
 out-of-order insertion allocates fresh arrays — a snapshot taken at
 version ``v`` stays internally consistent forever.  Mutation is
-serialized by the per-link lock (neither bank nor buffer holds locks).
+serialized by the per-link lock (the bank holds no lock).
 
 Rows enter through :meth:`append_batch` — a tailed record, an
 ``observe_batch`` group and a whole log file alike — and :meth:`append`
@@ -39,7 +38,7 @@ Tiered storage (:mod:`repro.store`) hooks in at two seams:
 * **Evict/revive** — :meth:`revived` wraps a bank that revival loaded
   over the rows it read, stably sorted by end time (bit-identical row
   order, tie-breaks included, to an always-resident link's, because the
-  buffer's own merge discipline *is* a stable sort by (end time, arrival
+  bank's own merge discipline *is* a stable sort by (end time, arrival
   order)), with **version continuity**: the version picks up exactly
   where the evicted state left off, so version-keyed cache entries stay
   exact across an evict→revive cycle.  A revived link holds what an
@@ -138,7 +137,7 @@ class LinkState:
     def append(self, record: TransferRecord, source_offset: int = 0) -> int:
         """Fold one completed transfer; returns the new version.
 
-        Records usually arrive in end-time order: one buffer slot, one
+        Records usually arrive in end-time order: one bank slot, one
         O(1) :meth:`StreamingBank.add`, one persisted row.  Two transfers
         can overlap, and the one that ends out of order is a batch of one
         for the bank.  ``source_offset`` is threaded to the persist hook

@@ -44,10 +44,6 @@ class CampaignOutput:
     outcomes: List[TransferOutcome]
     probes: Optional[TimeSeries] = None
 
-    @property
-    def n_transfers(self) -> int:
-        return len(self.outcomes)
-
 
 def _attach_sensor(
     testbed: Testbed, server_site: str, client_site: str

@@ -283,12 +283,11 @@ class ServiceMachine(RuleBasedStateMachine):
                 assert np.shares_memory(
                     history.values, link._values(0, link.count))
                 assert np.shares_memory(
-                    history.times, bank._rows.columns[0][:link.count])
+                    history.times, bank._columns[0][:link.count])
                 tags = bank._tags(history.sizes)
-                for tag, series in bank._classes.items():
-                    live = series.count - series._dead
-                    want = np.flatnonzero(tags == tag)[series._dead:]
-                    np.testing.assert_array_equal(series._pos[:live], want)
+                for tag, series in bank._classes.items():  # every row of its class
+                    np.testing.assert_array_equal(
+                        series._pos[:series.count], np.flatnonzero(tags == tag))
 
     @invariant()
     def rebuilds_and_quarantines_only_where_a_rule_made_them(self):

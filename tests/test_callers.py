@@ -6,11 +6,14 @@ package.  A public name is a top-level function or class whose name does
 not start with ``_``, or such a method of a public class.  It must be
 *used* somewhere in ``src/``, ``examples/`` or ``benchmarks/`` outside
 its own definition, or be listed in :data:`ALLOWED` with the reason it
-stays.  A use is an ``ast.Name``, an ``ast.Attribute`` or an import
-alias with the same bare name (so a use inside an f-string counts, and
-a method counts as used wherever an attribute of its name is read).
-Strings do not count: a name that only ``__all__`` or a package's lazy
-export table spells is not used.
+stays.  A use of a function or class is an ``ast.Name``, an
+``ast.Attribute`` or an import alias with the same bare name (so a use
+inside an f-string counts).  A method is reached only through an
+attribute (or an import), so only those count for it: a method counts
+as used wherever an attribute of its name is read, and a local variable
+or a function that shares its name does not use it.  Strings do not
+count: a name that only ``__all__`` or a package's lazy export table
+spells is not used.
 
 A name that only its own unit tests call is dead weight in every
 process, and a deletion leaves its callees behind unless something
@@ -57,6 +60,10 @@ ALLOWED: Dict[str, str] = {
     "repro.analysis.summary.SummaryClaims.all_hold":
         "paper: the verdict that every Section 6.2 claim holds "
         "(tests/integration/test_prediction_pipeline.py)",
+    "repro.analysis.sweep.SweepResult.aggregate":
+        "paper: the Section 6.2 headline metrics' mean and spread across "
+        "seeds (EXPERIMENTS.md 'Robustness'; "
+        "tests/integration/test_seed_robustness.py)",
     "repro.analysis.sweep.sweep_claims":
         "paper: the Section 6.2 claims across seeds (EXPERIMENTS.md "
         "'Robustness'; tests/integration/test_seed_robustness.py)",
@@ -98,6 +105,8 @@ ALLOWED: Dict[str, str] = {
         "seam: installs an injector for one with-block in the fault tests",
     "repro.faults.uninstall":
         "seam: the chaos suites' teardown",
+    "repro.fleet.supervisor.WorkerSupervisor.resume":
+        "seam: SIGCONTs the worker a fleet chaos test stalled",
     "repro.fleet.supervisor.WorkerSupervisor.stall":
         "seam: SIGSTOPs a worker for the fleet chaos tests",
     "repro.obs.quality.AccuracyTracker.pending_count":
@@ -123,6 +132,10 @@ ALLOWED: Dict[str, str] = {
     "repro.mds.ldif.Entry.attribute_names": _MDS,
     "repro.mds.provider.ProviderReport.total_seconds": _MDS,
     "repro.mds.registration.SoftStateRegistry.deregister": _MDS,
+    # A method the standard library calls by name.
+    "repro.endpoint.ConnectionHandler.handle":
+        "stdlib: socketserver.BaseRequestHandler calls handle() for each "
+        "connection",
 }
 
 #: ``module.qualname(param)`` -> why a default no call overrides stays a
@@ -155,20 +168,26 @@ def _module_name(path: Path, package_root: Path) -> str:
     return ".".join(parts)
 
 
-def definitions(package_root: Path) -> Dict[str, Tuple[Path, int, int]]:
-    """Qualified public name -> (file, first line, last line).
+class Definition(NamedTuple):
+    """Where a public name is defined, and whether it is a method."""
 
-    The first line is the first decorator's, so a use in a decorator's
-    arguments is inside the definition."""
-    found: Dict[str, Tuple[Path, int, int]] = {}
+    path: Path
+    first: int   # the first decorator's line, so a use in its arguments is inside
+    last: int
+    method: bool
+
+
+def definitions(package_root: Path) -> Dict[str, Definition]:
+    """Qualified public name -> its :class:`Definition`."""
+    found: Dict[str, Definition] = {}
 
     def public(nodes, kinds):
         return [node for node in nodes
                 if isinstance(node, kinds) and not node.name.startswith("_")]
 
-    def span(path, node):
+    def span(path, node, method=False):
         first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-        return path, first, node.end_lineno
+        return Definition(path, first, node.end_lineno, method)
 
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in _python_files([package_root]):
@@ -179,13 +198,14 @@ def definitions(package_root: Path) -> Dict[str, Tuple[Path, int, int]]:
             if isinstance(node, ast.ClassDef):
                 for member in public(node.body, functions):
                     found[f"{module}.{node.name}.{member.name}"] = span(
-                        path, member)
+                        path, member, method=True)
     return found
 
 
-def uses(roots: Iterable[Path]) -> Dict[str, List[Tuple[Path, int]]]:
-    """Bare name -> every (file, line) that reads it."""
-    found: Dict[str, List[Tuple[Path, int]]] = {}
+def uses(roots: Iterable[Path]) -> Dict[str, List[Tuple[Path, int, bool]]]:
+    """Bare name -> every (file, line, bare) that reads it; ``bare`` is
+    true for an ``ast.Name``, which cannot reach a method."""
+    found: Dict[str, List[Tuple[Path, int, bool]]] = {}
     for path in _python_files(roots):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -196,20 +216,23 @@ def uses(roots: Iterable[Path]) -> Dict[str, List[Tuple[Path, int]]]:
                 names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
             else:
                 continue
+            bare = isinstance(node, ast.Name)
             for name in names:
-                found.setdefault(name, []).append((path, node.lineno))
+                found.setdefault(name, []).append((path, node.lineno, bare))
     return found
 
 
 def unreferenced(package_root: Path, roots: Iterable[Path]) -> Set[str]:
     """The public names of ``package_root`` that nothing under ``roots``
-    uses outside the name's own definition."""
+    uses outside the name's own definition (a method: through an
+    attribute or an import)."""
     used = uses(roots)
     dead = set()
-    for qualified, (path, first, last) in definitions(package_root).items():
-        bare = qualified.rsplit(".", 1)[-1]
-        if not any(where != path or not first <= line <= last
-                   for where, line in used.get(bare, ())):
+    for qualified, where in definitions(package_root).items():
+        name = qualified.rsplit(".", 1)[-1]
+        if not any((path != where.path or not where.first <= line <= where.last)
+                   and not (bare and where.method)
+                   for path, line, bare in used.get(name, ())):
             dead.add(qualified)
     return dead
 
@@ -439,12 +462,16 @@ _PLANTED = {
             def called(self):
                 return f"{shown()}"
 
+            def shadowed(self):
+                return 0
+
             def _private(self):
                 return 0
 
 
         def _helper():
-            return Box().called()
+            shadowed = Box().called()  # a local, not the method
+            return shadowed
         """,
     "examples/use.py": """
         from pkg.mod import imported
@@ -464,7 +491,16 @@ def _plant(root: Path, files: Mapping[str, str]) -> Tuple[Path, List[Path]]:
 def test_the_scanner_reports_an_unused_function_and_method(tmp_path):
     package, roots = _plant(tmp_path, _PLANTED)
     assert unreferenced(package, roots) == {"pkg.mod.dead",
-                                            "pkg.mod.Box.orphan"}
+                                            "pkg.mod.Box.orphan",
+                                            "pkg.mod.Box.shadowed"}
+
+
+def test_a_method_read_only_through_a_same_named_local_is_reported(tmp_path):
+    package, roots = _plant(tmp_path, _PLANTED)
+    assert "pkg.mod.Box.shadowed" in unreferenced(package, roots)
+    (tmp_path / "examples" / "call.py").write_text(
+        "from pkg.mod import Box\nBox().shadowed()\n")
+    assert "pkg.mod.Box.shadowed" not in unreferenced(package, roots)
 
 
 def test_an_fstring_an_import_and_a_method_call_are_uses(tmp_path):
@@ -480,7 +516,8 @@ def test_a_stale_entry_is_reported(tmp_path):
     allowed = {"pkg.mod.dead": "planted", "pkg.mod.gone": "deleted",
                "pkg.mod.imported": "has a caller"}
     assert audit(unreferenced(package, roots), allowed) == (
-        ["pkg.mod.Box.orphan"], ["pkg.mod.gone", "pkg.mod.imported"])
+        ["pkg.mod.Box.orphan", "pkg.mod.Box.shadowed"],
+        ["pkg.mod.gone", "pkg.mod.imported"])
 
 
 _PLANTED_PARAMETERS = {

@@ -90,13 +90,3 @@ def test_class_restriction():
     assert small.best_pct("a") == 100.0
     large = relative_performance(res, cls, "1GB")
     assert large.best_pct("b") == 100.0
-
-
-def test_table_rendering_fields():
-    res = result_of(
-        trace("a", [15], [10], [10]),
-        trace("b", [15], [5], [10]),
-    )
-    table = relative_performance(res).table()
-    assert table["a"]["best"] == 100.0
-    assert table["b"]["worst"] == 100.0

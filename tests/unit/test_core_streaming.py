@@ -14,6 +14,8 @@ from repro.core.classification import paper_classification
 from repro.core.history import History
 from repro.core.predictors.registry import ALL_PREDICTOR_NAMES, resolve
 from repro.core.streaming import (
+    _BANK,
+    _SERIES,
     RING_CAPACITY,
     StreamingBank,
     StreamingUnavailable,
@@ -381,17 +383,20 @@ def all_series(bank):
     return [bank._global, *bank._classes.values()]
 
 
-def live(series):
-    """Rows of the series that its trim has not dropped."""
-    return series.count - series._dead
-
-
-def live_rows(series):
-    """Where those rows are among the link's: the link series reads them
-    in place, a class series keeps their positions."""
+def series_rows(series):
+    """Where a series' rows are among the link's: the link series reads
+    them in place, a class series keeps their positions."""
     if isinstance(series, _ClassSeries):
-        return series._pos[:live(series)]
-    return np.arange(series._dead, series.count)
+        return series._pos[:series.count]
+    return np.arange(series.count)
+
+
+def assert_every_row_of_its_class(bank, sizes=FEED_SIZES):
+    """Each class series holds the position of every row of its class."""
+    tags = bank._tags(sizes[:bank.count])
+    for tag, series in bank._classes.items():
+        np.testing.assert_array_equal(series_rows(series),
+                                      np.flatnonzero(tags == tag))
 
 
 def roundtrip(bank, times=FEED_TIMES, sizes=FEED_SIZES, values=FEED_VALUES):
@@ -407,7 +412,7 @@ def roundtrip(bank, times=FEED_TIMES, sizes=FEED_SIZES, values=FEED_VALUES):
 
 def queried_bank():
     """The feed with every window queried each 100 records, checked
-    against the generic predictors and the column bound at every round."""
+    against the generic predictors at every round."""
     bank = StreamingBank(CLS)
     sizes = [int(s) for s in FEED_SIZES[:4]]
     for hi in range(100, N_FEED + 1, 100):
@@ -422,13 +427,7 @@ def queried_bank():
                 assert bank.answer(predictor, size, now) == pytest.approx(
                     expected, rel=1e-9), (name, size, hi)
         for series in all_series(bank):
-            times = bank.views()[0][live_rows(series)]
-            population = int((times >= now - 10 * DAY).sum())
-            # Half-trimming keeps the live rows within twice what the
-            # widest window and the count windows can still reach.
-            assert live(series) <= 2 * (population + RING_CAPACITY), hi
-            assert all(series._dead <= c.start <= series.count
-                       for c in series._cursors)
+            assert all(0 <= c.start <= series.count for c in series._cursors)
     return bank
 
 
@@ -437,16 +436,9 @@ def all_answers(bank, now):
             for name in ALL_PREDICTOR_NAMES for size in FEED_SIZES[:4].tolist()]
 
 
-def explicit_and_skipped(bank, sizes=FEED_SIZES):
-    """Per class: rows its column holds from before the link column's
-    start, and rows of the link column it has dropped (format 4 spelled
-    the first out and skipped the second)."""
-    link = bank._global
-    tags = bank._tags(sizes[link._dead:bank.count])
-    tagged = {tag: int((tags == tag).sum()) for tag in bank._classes}
-    return {tag: (max(live(series) - tagged[tag], 0),
-                  max(tagged[tag] - live(series), 0))
-            for tag, series in bank._classes.items()}
+def window_start(series):
+    """The row the series' widest time window starts at."""
+    return min(c.start for c in series._cursors)
 
 
 class TestMemoryShape:
@@ -459,8 +451,7 @@ class TestMemoryShape:
         # min chains; format 4 measured 10.3 B/record here, format 3 42.1).
         assert len(checkpoint.dumps(state)) <= 450
         assert len(f8) == 0 and len(fixed) < 1024
-        for series in all_series(bank):
-            assert series._dead == 0
+        assert_every_row_of_its_class(bank)
 
     def test_a_small_link_checkpoints_in_about_400_bytes(self):
         # 30 rows in 4 classes, as the ledger's cold links are (1,961 B
@@ -502,30 +493,33 @@ class TestMemoryShape:
         assert bank.count == 400 and len(bank._classes) == 4
         assert held <= 95 * 400
 
-    def test_queried_windows_trim_the_column_and_stay_exact(self):
+    def test_queried_windows_keep_every_row_and_stay_exact(self):
         bank = queried_bank()
         for series in all_series(bank):
-            assert live(series) < series.count / 4  # the dead prefix is gone
-            if isinstance(series, _ClassSeries):  # ... and its positions
-                assert len(series._pos) < series.count / 2
+            assert window_start(series) > series.count / 2  # windows moved on
             assert len(series._median._sorted) == series.count  # MED holds every row
+        # ... and no series let go of a row its windows left behind.
+        assert_every_row_of_its_class(bank)
+        never_queried = StreamingBank(CLS)
+        feed(never_queried, 0, N_FEED)
+        now = float(FEED_TIMES[N_FEED - 1]) + 60.0
+        for got, want in zip(all_answers(bank, now), all_answers(never_queried, now)):
+            assert float(got) == pytest.approx(float(want), rel=1e-12)
         assert exact_repr(roundtrip(bank).state()) == exact_repr(bank.state())
 
     def test_state_roundtrip_is_repr_identical(self):
         bank = StreamingBank(CLS)
         feed(bank, 0, 400)
-        for spec in WINDOW_SPECS:  # cursors mid-column, no trim yet
+        for spec in WINDOW_SPECS:  # cursors mid-column
             answer(bank, spec, now=float(FEED_TIMES[399]))
-        assert bank._global._dead == 0
-        assert min(c.start for c in bank._global._cursors) > 0
+        assert window_start(bank._global) > 0
         revived = roundtrip(bank)
         assert exact_repr(revived.state()) == exact_repr(bank.state())
-        # ... and the revived bank keeps folding and trimming identically.
+        # ... and the revived bank keeps folding and expiring identically.
         for b in (bank, revived):
             feed(b, 400, 1500)
             for spec in WINDOW_SPECS:
                 answer(b, spec, now=float(FEED_TIMES[1499]))
-        assert bank._global._dead > 0
         assert exact_repr(revived.state()) == exact_repr(bank.state())
 
     def test_same_state_same_bytes(self):
@@ -534,19 +528,101 @@ class TestMemoryShape:
         assert checkpoint.dumps(bank.state()) == blob
         assert checkpoint.dumps(roundtrip(bank).state()) == blob
 
+    def test_a_state_counted_from_a_trimmed_prefix_loads_as_the_bank(self):
+        # Format 8 as it was written while series trimmed the rows their
+        # windows had left: ``live`` the rows not trimmed, each cursor
+        # counted from the first of them.  It loads to the untrimmed bank.
+        bank = StreamingBank(CLS)
+        for hi in range(100, 1501, 100):
+            feed(bank, hi - 100, hi)
+            for spec in WINDOW_SPECS:
+                for size in FEED_SIZES[:4].tolist():
+                    answer(bank, "C-" + spec, size, now=float(FEED_TIMES[hi - 1]))
+                answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
+        fixed, ld, f8 = bank.state()
+        at = _BANK.size + len(bank._classes)
+        trimmed = [fixed[:at]]
+        for series in all_series(bank):
+            *fields, live = _SERIES.unpack_from(fixed, at)
+            assert live == series.count
+            dead = min(window_start(series), series.count - RING_CAPACITY)
+            assert dead > 0
+            fields[0::2] = [start - dead for start in fields[0::2]]
+            trimmed.append(_SERIES.pack(*fields, live - dead))
+            at += _SERIES.size
+        trimmed = b"".join(trimmed)
+        assert trimmed != fixed and len(trimmed) == len(fixed)
+        n = bank.count
+        revived = StreamingBank(CLS)
+        revived.load_state(
+            checkpoint.loads(checkpoint.dumps((trimmed, ld, f8)))["bank"],
+            (FEED_TIMES[:n], FEED_VALUES[:n], FEED_SIZES[:n], FEED_OPS[:n]), n)
+        assert exact_repr(revived.state()) == exact_repr(bank.state())
+        for mine, theirs in zip(all_series(revived), all_series(bank)):
+            assert slots(mine) == slots(theirs)
+        now = float(FEED_TIMES[n - 1]) + 60.0
+        assert all_answers(revived, now) == all_answers(bank, now)
+
+
+# ----------------------------------------------------------------------
+# the rows: snapshots, arrival order, growth
+# ----------------------------------------------------------------------
+def add_rows(bank, times):
+    for t in times:
+        bank.add(float(t), 10.0 * t, 10 * MB, 0)
+
+
+class TestRows:
+    def test_snapshot_survives_growth_and_merge(self):
+        bank = StreamingBank(CLS)
+        add_rows(bank, [1.0, 3.0])
+        times, values, _, _ = bank.views()
+        bank.add(2.0, 20.0, 10 * MB, 0)   # out of order: merged into fresh columns
+        add_rows(bank, np.arange(4.0, 200.0))  # several growths
+        assert times.tolist() == [1.0, 3.0]
+        assert values.tolist() == [10.0, 30.0]
+        assert bank.views()[0].tolist() == [1.0, 2.0, 3.0, *np.arange(4.0, 200.0)]
+        assert bank.views()[1][:3].tolist() == [10.0, 20.0, 30.0]
+
+    def test_equal_keys_keep_arrival_order(self):
+        one_by_one, batched = StreamingBank(CLS), StreamingBank(CLS)
+        for bank in (one_by_one, batched):
+            bank.extend([1.0, 5.0], [1.0, 5.0], [10 * MB] * 2, [0, 0])
+        late = ([5.0, 2.0, 7.0, 5.0], [50.0, 2.0, 7.0, 51.0])
+        for t, v in zip(*late):
+            one_by_one.add(t, v, 10 * MB, 0)
+        batched.extend(*late, [10 * MB] * 4, [0] * 4)
+        # A row lands after the rows that share its end time.
+        for bank in (one_by_one, batched):
+            assert bank.views()[1].tolist() == [1.0, 2.0, 5.0, 50.0, 51.0, 7.0]
+        # ... and they hold one fold, but for the rebuilds each counted.
+        (fixed, *pools), (theirs, *their_pools) = batched.state(), one_by_one.state()
+        assert (batched.rebuilds, one_by_one.rebuilds) == (1, 2)
+        assert fixed[_BANK.size:] == theirs[_BANK.size:]
+        assert exact_repr(pools) == exact_repr(their_pools)
+
+    def test_late_rows_grow_the_columns_as_appends_do(self):
+        bank = StreamingBank(CLS)
+        add_rows(bank, np.arange(400.0))
+        capacity = len(bank._columns[0])
+        for i in range(20):  # one late row at a time, each a merge
+            bank.add(10.5 + i, -1.0, 10 * MB, 0)
+        assert bank.count == 420 and bank.rebuilds == 20
+        assert len(bank._columns[0]) == capacity == 512
+
 
 # ----------------------------------------------------------------------
 # a revived bank holds what the folded one holds, slot for slot
 # ----------------------------------------------------------------------
 def slots(series):
     """Every slot of a series and of each of its summaries, as exact
-    text; the live rows as their positions and values.  ``state()``
+    text; its rows as their positions and values.  ``state()``
     leaves out what revival derives (the min chains, ``MED``), so it
     cannot tell a wrong derivation from a right one; this can."""
-    out = {"_dead": series._dead, "count": series.count,
+    out = {"count": series.count,
            "last": exact_repr((series.last, series.last_time)),
-           "rows": live_rows(series).astype(np.int64).tobytes(),
-           "values": series._values(series._dead, series.count).tobytes(),
+           "rows": series_rows(series).astype(np.int64).tobytes(),
+           "values": series._values(0, series.count).tobytes(),
            "MED": bytes(series._median._sorted)}
     for name, summaries in (("AVG{}hr", series._temporal), ("AR{}d", series._ar)):
         for key, summary in summaries.items():
@@ -558,7 +634,7 @@ def slots(series):
 
 def assert_revival_restores_every_slot(times, values, sizes, lags):
     """Fold 16-row runs, query every window at an advancing ``now`` (so
-    expiry and ``_trim`` run), and revive after every run."""
+    expiry runs), and revive after every run."""
     ops = np.zeros(len(times), dtype=np.int8)
     bank = StreamingBank(CLS)
     now = -np.inf
@@ -596,29 +672,29 @@ class TestRevivedSlots:
 # evict -> revive on the cases the one-column layout introduces
 # ----------------------------------------------------------------------
 def _link_windows_only():
-    """(a) Only the link's windows are queried: its column is trimmed,
-    the class columns reach back before it starts."""
+    """(a) Only the link's windows are queried: they have moved on, the
+    class windows still start at the first row."""
     bank = StreamingBank(CLS)
     for hi in range(100, 2001, 100):
         feed(bank, hi - 100, hi)
         for spec in WINDOW_SPECS:
             answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
-    assert all(explicit > 0 and skipped == 0
-               for explicit, skipped in explicit_and_skipped(bank).values())
+    assert window_start(bank._global) > 1000
+    assert all(window_start(series) == 0 for series in bank._classes.values())
     return bank, FEED_TIMES, FEED_SIZES
 
 
 def _one_class_only():
-    """(b) Only one class is queried: its column is trimmed, the link's
-    still holds rows the class has dropped."""
+    """(b) Only one class is queried: its windows have moved on past
+    rows the link's windows still hold."""
     bank = StreamingBank(CLS)
     for hi in range(100, 2001, 100):
         feed(bank, hi - 100, hi)
         for spec in WINDOW_SPECS:
             answer(bank, "C-" + spec, 10 * MB, now=float(FEED_TIMES[hi - 1]))
-    shape = explicit_and_skipped(bank)
-    assert shape[0][0] == 0 and shape[0][1] > 0
-    assert all(shape[tag] == (0, 0) for tag in (1, 2, 3))
+    assert window_start(bank._classes[0]) > 250
+    assert window_start(bank._global) == 0
+    assert all(window_start(bank._classes[tag]) == 0 for tag in (1, 2, 3))
     return bank, FEED_TIMES, FEED_SIZES
 
 
@@ -644,12 +720,13 @@ def _just_rebuilt():
 
 
 def _trimmed():
-    """(e) Every series queried and trimmed all the way along."""
+    """(e) Every series queried all the way along, so its windows start
+    far past its first row."""
     return queried_bank(), FEED_TIMES, FEED_SIZES
 
 
 def _class_gone_from_the_link_column():
-    """(f) A class whose rows all lie before the link column's start."""
+    """(f) A class whose rows all lie before the link windows' start."""
     sizes = np.where(np.arange(N_FEED + N_MORE) < 40, 1 * GB, 10 * MB)
     bank = StreamingBank(CLS)
     for hi in range(100, 2001, 100):
@@ -657,9 +734,9 @@ def _class_gone_from_the_link_column():
                     sizes[hi - 100:hi], FEED_OPS[hi - 100:hi])
         for spec in WINDOW_SPECS:
             answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
-    assert explicit_and_skipped(bank, sizes)[3] == (40, 0)
-    assert not (bank._tags(sizes[bank._global._dead:bank.count])
-                == 3).any()
+    assert window_start(bank._global) > 40
+    assert bank._classes[3].count == 40 and window_start(bank._classes[3]) == 0
+    assert_every_row_of_its_class(bank, sizes)
     return bank, FEED_TIMES, sizes
 
 

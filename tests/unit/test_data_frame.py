@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data import OP_READ, OP_WRITE, TransferFrame
-from repro.data.buffer import ColumnBuffer
 from repro.data.frame import COLUMN_NAMES
 from repro.logs.record import Operation
 from repro.units import MB
@@ -117,75 +116,3 @@ class TestPredictorBridge:
         assert len(history) == len(frame)
         assert np.shares_memory(history.times, frame.end_times)
         assert np.shares_memory(history.values, frame.bandwidths)
-
-    def test_anchors_are_start_times(self, frame):
-        assert np.array_equal(frame.anchors, frame.start_times)
-
-
-class TestColumnBuffer:
-    DTYPES = (("key", np.dtype(np.float64)), ("val", np.dtype(np.int64)))
-
-    def test_append_and_views(self):
-        buf = ColumnBuffer(self.DTYPES, capacity=2)
-        buf.append((1.0, 10))
-        buf.append((2.0, 20))
-        buf.append((3.0, 30))  # forces growth
-        keys, vals = buf.views()
-        assert keys.tolist() == [1.0, 2.0, 3.0]
-        assert vals.tolist() == [10, 20, 30]
-
-    @staticmethod
-    def _merge_row(buf, row):
-        buf.extend_sorted(tuple(np.array([x]) for x in row))
-
-    def test_snapshot_survives_growth_and_insert(self):
-        buf = ColumnBuffer(self.DTYPES, capacity=2)
-        buf.append((1.0, 10))
-        buf.append((3.0, 30))
-        keys, vals = buf.views()
-        self._merge_row(buf, (2.0, 20))   # out-of-order: fresh arrays
-        buf.append((4.0, 40))
-        assert keys.tolist() == [1.0, 3.0]
-        assert vals.tolist() == [10, 30]
-        assert buf.column("key").tolist() == [1.0, 2.0, 3.0, 4.0]
-
-    def test_late_rows_grow_the_buffer_as_appends_do(self):
-        buf = ColumnBuffer(self.DTYPES, capacity=2)
-        for i in range(400):
-            buf.append((float(i), i))
-        capacity = buf.capacity
-        for i in range(20):  # one late row at a time, each a merge
-            self._merge_row(buf, (10.5 + i, -i))
-        assert len(buf) == 420 and buf.capacity == capacity == 512
-
-    def test_append_refuses_a_key_before_the_tail(self):
-        buf = ColumnBuffer(self.DTYPES, capacity=2)
-        buf.append((1.0, 10))
-        buf.append((3.0, 30))
-        with pytest.raises(ValueError, match="extend_sorted"):
-            buf.append((2.0, 20))
-        buf.append((3.0, 31))  # an equal key is in order
-        assert buf.column("val").tolist() == [10, 30, 31]
-
-    def test_extend_sorted_matches_appends(self):
-        sequential = ColumnBuffer(self.DTYPES, capacity=4)
-        bulk = ColumnBuffer(self.DTYPES, capacity=4)
-        for key, val in [(1.0, 1), (5.0, 5)]:
-            sequential.append((key, val))
-            bulk.append((key, val))
-        batch_rows = [(2.0, 2), (5.0, 50), (7.0, 7)]
-        for row in batch_rows:
-            self._merge_row(sequential, row)
-        bulk.extend_sorted((
-            np.array([r[0] for r in batch_rows]),
-            np.array([r[1] for r in batch_rows]),
-        ))
-        # A row lands after the rows that share its key.
-        assert sequential.column("val").tolist() == [1, 2, 5, 50, 7]
-        assert bulk.column("key").tolist() == sequential.column("key").tolist()
-        assert bulk.column("val").tolist() == sequential.column("val").tolist()
-
-    def test_extend_sorted_rejects_unsorted_batch(self):
-        buf = ColumnBuffer(self.DTYPES)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            buf.extend_sorted((np.array([2.0, 1.0]), np.array([1, 2])))

@@ -23,20 +23,25 @@ class TestConfig:
             TcpConfig(**kw)
 
 
+def steady_rate(tcp, **path):
+    """The steady-state rate a transfer on ``path`` reaches."""
+    return tcp.timing(100 * MB, **path).steady_rate
+
+
 class TestSteadyState:
     def test_window_limited(self, tcp):
         # 64 KB buffer on 50 ms path: 1.28 MB/s regardless of capacity.
-        rate = tcp.steady_rate(rtt=0.05, available_bw=100e6, buffer=64_000, streams=1)
+        rate = steady_rate(tcp, rtt=0.05, available_bw=100e6, buffer=64_000, streams=1)
         assert rate == pytest.approx(64_000 / 0.05)
 
     def test_bandwidth_limited(self, tcp):
         # Big buffers: the bottleneck is the wire.
-        rate = tcp.steady_rate(rtt=0.05, available_bw=10e6, buffer=1 * MB, streams=8)
+        rate = steady_rate(tcp, rtt=0.05, available_bw=10e6, buffer=1 * MB, streams=8)
         assert rate == pytest.approx(10e6)
 
     def test_parallel_streams_multiply_window_cap(self, tcp):
-        one = tcp.steady_rate(rtt=0.05, available_bw=100e6, buffer=64_000, streams=1)
-        eight = tcp.steady_rate(rtt=0.05, available_bw=100e6, buffer=64_000, streams=8)
+        one = steady_rate(tcp, rtt=0.05, available_bw=100e6, buffer=64_000, streams=1)
+        eight = steady_rate(tcp, rtt=0.05, available_bw=100e6, buffer=64_000, streams=8)
         assert eight == pytest.approx(8 * one)
 
     def test_effective_window_floor_is_mss(self, tcp):

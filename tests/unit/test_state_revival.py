@@ -1,8 +1,8 @@
-"""LinkState revival and ColumnBuffer snapshot semantics across spill.
+"""LinkState revival and the bank's snapshot semantics across spill.
 
 The evict/revive seam's contract, in unit form: revival reads a link's
 rows once and keeps them, sorted to exactly the row order an
-always-resident buffer would hold; a revived state continues its
+always-resident bank would hold; a revived state continues its
 version, keeps snapshots internally consistent forever, merges
 out-of-order inserts in RAM, and never reads the store again.
 """
@@ -14,21 +14,13 @@ import pytest
 
 from repro.core.streaming import StreamingBank
 from repro.core.classification import paper_classification
-from repro.data.buffer import ColumnBuffer
 from repro.service import PredictionService
 from repro.service.state import LinkState
-from repro.store import LinkStore
+from repro.store import LinkStore, checkpoint
 from repro.units import MB
 from tests.conftest import make_record
 
 NOW = 10_000_000.0
-
-_DTYPES = (
-    ("times", np.dtype(np.float64)),
-    ("values", np.dtype(np.float64)),
-    ("sizes", np.dtype(np.int64)),
-    ("ops", np.dtype(np.int8)),
-)
 
 
 def _columns(times):
@@ -39,44 +31,57 @@ def _columns(times):
 
 
 # ----------------------------------------------------------------------
-# ColumnBuffer.from_columns (the spill/load seam)
+# a bank from given columns (the spill/load seam): rebuild, load_state
 # ----------------------------------------------------------------------
+def _started(columns, how):
+    """A bank holding ``columns``, by ``rebuild`` or by ``load_state``
+    from a checkpoint of no rows."""
+    bank = StreamingBank(paper_classification())
+    if how == "rebuild":
+        bank.rebuild(*columns)
+    else:
+        state = checkpoint.dumps(StreamingBank(paper_classification()).state())
+        bank.load_state(checkpoint.loads(state)["bank"], columns, 0)
+    return bank
+
+
 class TestFromColumns:
     def test_roundtrip_copies(self):
         source = _columns([1.0, 2.0, 3.0])
-        buffer = ColumnBuffer.from_columns(_DTYPES, source)
-        assert len(buffer) == 3
-        views = buffer.views()
-        np.testing.assert_array_equal(views[0], source[0])
+        for how in ("rebuild", "load_state"):
+            bank = _started(source, how)
+            assert bank.count == 3
+            np.testing.assert_array_equal(bank.views()[0], [1.0, 2.0, 3.0])
         # Fresh backing arrays: mutating the source must not leak in.
         source[0][0] = 999.0
-        assert buffer.views()[0][0] == 1.0
+        assert bank.views()[0][0] == 1.0
 
     def test_rejects_unsorted_key(self):
-        with pytest.raises(ValueError):
-            ColumnBuffer.from_columns(_DTYPES, _columns([3.0, 1.0, 2.0]))
+        for how in ("rebuild", "load_state"):
+            with pytest.raises(ValueError, match="sorted"):
+                _started(_columns([3.0, 1.0, 2.0]), how)
 
     def test_rejects_ragged_columns(self):
         times, values, sizes, ops = _columns([1.0, 2.0])
-        with pytest.raises(ValueError):
-            ColumnBuffer.from_columns(_DTYPES, (times, values[:1], sizes, ops))
+        for how in ("rebuild", "load_state"):
+            with pytest.raises(ValueError, match="parallel"):
+                _started((times, values[:1], sizes, ops), how)
 
     def test_snapshot_survives_append_after_load(self):
-        buffer = ColumnBuffer.from_columns(_DTYPES, _columns([1.0, 2.0]))
-        snap = buffer.views()
+        bank = _started(_columns([1.0, 2.0]), "rebuild")
+        snap = bank.views()
         for i in range(200):  # force several growth reallocations
-            buffer.append((3.0 + i, 1.0, 1, 0))
+            bank.add(3.0 + i, 1.0, 1, 0)
         np.testing.assert_array_equal(snap[0], [1.0, 2.0])
-        assert len(buffer) == 202
+        assert bank.count == 202
 
     def test_snapshot_survives_out_of_order_insert_after_load(self):
-        buffer = ColumnBuffer.from_columns(_DTYPES, _columns([1.0, 5.0]))
-        snap = buffer.views()
-        with pytest.raises(ValueError):
-            buffer.append((3.0, 30.0, 1, 0))  # would land between the rows
-        buffer.extend_sorted(_columns([3.0]))  # the one-row merge does
+        bank = _started(_columns([1.0, 5.0]), "load_state")
+        snap = bank.views()
+        bank.add(3.0, 30.0, 1, 0)  # lands between the rows: a merge
         np.testing.assert_array_equal(snap[0], [1.0, 5.0])
-        np.testing.assert_array_equal(buffer.views()[0], [1.0, 3.0, 5.0])
+        np.testing.assert_array_equal(bank.views()[0], [1.0, 3.0, 5.0])
+        assert bank.rebuilds == 1
 
 
 # ----------------------------------------------------------------------
