@@ -573,6 +573,18 @@ def add_rows(bank, times):
 
 
 class TestRows:
+    def test_add_and_views(self):
+        bank = StreamingBank(CLS)
+        times = np.arange(200.0)  # past the first slots: several growths
+        for t in times:
+            bank.add(float(t), 10.0 * t, (int(t) + 1) * MB, int(t) % 2)
+        got_times, got_values, got_sizes, got_ops = bank.views()
+        assert bank.count == len(got_times) == 200
+        assert got_times.tolist() == times.tolist()
+        assert got_values.tolist() == (10.0 * times).tolist()
+        assert got_sizes.tolist() == [(int(t) + 1) * MB for t in times]
+        assert got_ops.tolist() == [int(t) % 2 for t in times]
+
     def test_snapshot_survives_growth_and_merge(self):
         bank = StreamingBank(CLS)
         add_rows(bank, [1.0, 3.0])
