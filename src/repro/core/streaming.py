@@ -33,7 +33,8 @@ every series is some of the link's rows, which the bank holds once:
 the link's ``history()``.  The link series reads those columns in place;
 a class series keeps a ``uint32`` column of its rows' positions in them
 (4 B a row), and a time window's expiry searches the link's times, then
-those positions.  The windows keep row indices into their series.
+those positions.  The windows keep row indices into their series, and
+one that has expired nothing holds the all-data sums (:func:`_share`).
 
 Numerical contract: answers match the generic predictors within the
 established longdouble tolerance — bit-identical for ``LV``, ``MED``,
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from itertools import islice
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -139,6 +140,16 @@ def _fold_sum(current: np.longdouble, values: np.ndarray,
     return ufunc.accumulate(acc)[-1]
 
 
+def _fold_sums(currents, terms, ufunc: np.ufunc = np.add) -> np.ndarray:
+    """:func:`_fold_sum` of each of ``terms`` (equal lengths) onto its
+    entry of ``currents``, as one 2-D ``accumulate``: still left to right
+    along each row, so bit-identical to the separate folds."""
+    acc = np.empty((len(currents), len(terms[0]) + 1), dtype=np.longdouble)
+    acc[:, 0] = currents
+    acc[:, 1:] = terms
+    return ufunc.accumulate(acc, axis=1, out=acc)[:, -1]
+
+
 def _fresh(column: np.ndarray, n: int, need: int) -> np.ndarray:
     """A new array holding ``column``'s first ``n`` entries, with room
     for ``need``: as long as ``column``, doubled when that is too short.
@@ -194,6 +205,8 @@ class _TemporalMean:
     """``AVG{h}hr``: a cursor into the series + the window sum."""
 
     __slots__ = ("seconds", "start", "_sum", "_expired_to")
+    #: Its longdouble sums, by slot (see :func:`_share`).
+    SUMS = ("_sum",)
 
     def __init__(self, seconds: float) -> None:
         self.seconds = seconds
@@ -201,10 +214,10 @@ class _TemporalMean:
         self._sum = _ZERO
         self._expired_to = -np.inf
 
-    def add(self, value: float) -> None:
+    def add(self, col: "SeriesSummaries", value: float) -> None:
         self._sum += value
 
-    def extend(self, values: np.ndarray) -> None:
+    def extend(self, col: "SeriesSummaries", values: np.ndarray) -> None:
         self._sum = _fold_sum(self._sum, values)
 
     def value(self, col: "SeriesSummaries", anchor: float) -> Optional[float]:
@@ -233,14 +246,15 @@ class _ArSummary:
     and ``m`` is one less.
     """
 
-    __slots__ = ("seconds", "start", "_sum", "_last",
+    __slots__ = ("seconds", "start", "_sum",
                  "_sx", "_sy", "_sxx", "_sxy", "_mins", "_expired_to")
+    #: Its longdouble sums, by slot (see :func:`_share`).
+    SUMS = ("_sum", "_sx", "_sy", "_sxx", "_sxy")
 
     def __init__(self, seconds: Optional[float]) -> None:
         self.seconds = seconds
         self.start = 0
         self._sum = _ZERO
-        self._last = 0.0
         self._sx = self._sy = self._sxx = self._sxy = _ZERO
         self._mins: List[int] = []  # windowed only: monotonic min chain
         self._expired_to = -np.inf
@@ -251,20 +265,21 @@ class _ArSummary:
 
     def add(self, col: "SeriesSummaries", value: float) -> None:
         if self.rows(col) > 1:  # the series holds the new row already
-            x = np.longdouble(self._last)  # float64 operands widen exactly
+            x = np.longdouble(col._value(col.count - 2))  # widens exactly
             self._sx += x
             self._sy += value
             self._sxx += x * x
             self._sxy += x * value
         self._sum += value
-        self._last = value
-        if self.seconds is not None:
-            mins = self._mins
-            while mins and col._value(mins[-1]) >= value:
-                mins.pop()
-            mins.append(col.count - 1)
 
-    def _push_mins(self, col: "SeriesSummaries", values: np.ndarray) -> None:
+    def push_min(self, col: "SeriesSummaries", value: float) -> None:
+        """Fold the series' newest row into the min chain."""
+        mins = self._mins
+        while mins and col._value(mins[-1]) >= value:
+            mins.pop()
+        mins.append(col.count - 1)
+
+    def push_mins(self, col: "SeriesSummaries", values: np.ndarray) -> None:
         """Fold the series' last ``len(values)`` rows into the min chain.
 
         The sequential pop-while replayed wholesale: survivors of the
@@ -281,31 +296,26 @@ class _ArSummary:
         mins += [first + i for i in chain]
 
     def extend(self, col: "SeriesSummaries", values: np.ndarray) -> None:
-        """Fold an in-order batch; identical final state to n ``add``\\ s.
+        """Fold an in-order batch; identical final sums to n ``add``\\ s.
 
-        The lag-pair sums are linear folds, so they vectorize through
-        :func:`_fold_sum` over the per-pair longdouble terms (the x
-        vector is the previous value shifted by one, seeded with the
-        carried ``_last``).
+        The five sums are linear folds of per-row longdouble terms, so
+        they vectorize as one :func:`_fold_sums`: y is the batch, x the
+        row before each (seeded with the row before the batch).  A
+        window's first row has no lag pair; it goes into ``_sum`` alone.
         """
         n = len(values)
-        wide = values.astype(np.longdouble)
+        total = self._sum
         if self.rows(col) > n:  # the series holds the batch already
-            x = np.empty(n, dtype=np.longdouble)
-            x[0] = np.longdouble(self._last)
-            x[1:] = wide[:-1]
-            y = wide
+            wide = np.empty(n + 1, dtype=np.longdouble)
+            wide[0] = col._value(col.count - n - 1)
+            wide[1:] = values
         else:
-            x, y = wide[:-1], wide[1:]
-        if len(x):
-            self._sx = _fold_sum(self._sx, x)
-            self._sy = _fold_sum(self._sy, y)
-            self._sxx = _fold_sum(self._sxx, x * x)
-            self._sxy = _fold_sum(self._sxy, x * y)
-        self._sum = _fold_sum(self._sum, values)
-        self._last = float(values[-1])
-        if self.seconds is not None:
-            self._push_mins(col, values)
+            wide = values.astype(np.longdouble)
+            total = total + wide[0]
+        x, y = wide[:-1], wide[1:]
+        self._sum, self._sx, self._sy, self._sxx, self._sxy = _fold_sums(
+            (total, self._sx, self._sy, self._sxx, self._sxy),
+            (y, x, y, x * x, x * y))
 
     def _expire(self, col: "SeriesSummaries", expired: int) -> None:
         """Advance the cursor past ``expired`` rows, unfolding each row
@@ -317,10 +327,9 @@ class _ArSummary:
         self._sum = _fold_sum(self._sum, x, np.subtract)
         if len(y):
             x = x[:len(y)]
-            self._sx = _fold_sum(self._sx, x, np.subtract)
-            self._sy = _fold_sum(self._sy, y, np.subtract)
-            self._sxx = _fold_sum(self._sxx, x * x, np.subtract)
-            self._sxy = _fold_sum(self._sxy, x * y, np.subtract)
+            self._sx, self._sy, self._sxx, self._sxy = _fold_sums(
+                (self._sx, self._sy, self._sxx, self._sxy),
+                (x, y, x * x, x * y), np.subtract)
         self.start = stop
         del self._mins[:bisect_left(self._mins, stop)]
 
@@ -340,29 +349,39 @@ class _ArSummary:
         if fit is None:
             return mean
         a, b = fit
-        prediction = float(a + b * np.longdouble(self._last))
+        prediction = float(a + b * np.longdouble(col.last))
         floor = clamp * (col._median.minimum() if self.seconds is None
                          else col._value(self._mins[0]))
         return max(prediction, float(floor))
 
 
-#: The checkpoint of one series: these scalars, then one longdouble per
-#: ``AVG{h}hr`` (its sum) and five per AR (sum, Σx, Σy, Σxx, Σxy) — only
-#: what the rows cannot give back.  A windowed sum depends on when each
-#: expiry ran (its ``-=`` interleaves with the ``+=`` of new rows) and an
-#: all-data one would take a fold.  No row is stored: a series is some of
-#: the link's rows (see :meth:`StreamingBank.load_state`), each cursor
-#: counted back from ``live`` (the series' row count here; files written
-#: while series trimmed their rows count from the first untrimmed one, and
-#: load the same), and each min chain their suffix minima from its
-#: window's start.  :meth:`SeriesSummaries._dump` and
-#: :meth:`SeriesSummaries._load` walk it in this order and nothing else
-#: knows it.
-_SERIES = struct.Struct(
-    "<" + "Id" * len(TEMPORAL_HOURS)   # AVG{h}hr: start, expired_to
-    + "Id" * len(AR_DAYS)              # AR{d}d: start, expired_to
-    + "I")                             # live: rows the cursors count from
-_SERIES_LONGDOUBLES = len(TEMPORAL_HOURS) + 5 * (1 + len(AR_DAYS))
+def _share(cursor, whole: _ArSummary) -> None:
+    """Give a window whose cursor is still at row 0 the all-data sums.
+
+    Such a window has subtracted nothing, so its sums are the fold of
+    every row of the series, which the all-data ``AR``'s are: the same
+    terms in the same order, bit for bit (``AVG{h}hr``'s one sum is that
+    ``AR``'s ``_sum``).  So a series folds each distinct accumulator
+    once, and a checkpoint stores none of these.
+    """
+    for name in cursor.SUMS:
+        setattr(cursor, name, getattr(whole, name))
+
+
+#: The checkpoint of one series: these scalars, then in cursor order the
+#: longdouble sums (``SUMS``: one for ``AVG{h}hr``, five for ``AR{d}d``)
+#: of each window whose cursor has left row 0 — only what the rows cannot
+#: give back.  Such a sum depends on when each expiry ran (its ``-=``
+#: interleaves with the ``+=`` of new rows).  The all-data sums are the
+#: fold of the series' rows in order, as every bank's are however its rows
+#: arrived, and a window still at row 0 holds those (:func:`_share`).  No
+#: row is stored: a series is some of the link's rows (see
+#: :meth:`StreamingBank.load_state`), its count theirs, and each min chain
+#: their suffix minima from its window's start.
+#: :meth:`SeriesSummaries._dump` and :meth:`SeriesSummaries._load` walk it
+#: in this order and nothing else knows it.
+_SERIES = struct.Struct(  # a window's start and expired_to, per cursor
+    "<" + "Id" * (len(TEMPORAL_HOURS) + len(AR_DAYS)))
 
 #: What a bank's checkpoint opens with: rebuilds, class series held (the
 #: class indexes follow, one byte each, in series order).
@@ -427,10 +446,9 @@ class SeriesSummaries:
         self.last = value
         self.last_time = time
         self._median.add(value)
-        for summary in self._temporal.values():
-            summary.add(value)
-        for summary in self._ar.values():
-            summary.add(self, value)
+        self._fold_once(lambda summary: summary.add(self, value))
+        for ar in self._cursors[-len(AR_DAYS):]:
+            ar.push_min(self, value)
 
     def extend(self, times: np.ndarray, values: np.ndarray) -> None:
         """Fold an in-order batch; same final state as n ``add`` calls.
@@ -446,10 +464,22 @@ class SeriesSummaries:
         self.last = float(values[-1])
         self.last_time = float(times[-1])
         self._median.extend(values)
-        for summary in self._temporal.values():
-            summary.extend(values)
-        for summary in self._ar.values():
-            summary.extend(self, values)
+        self._fold_once(lambda summary: summary.extend(self, values))
+        for ar in self._cursors[-len(AR_DAYS):]:
+            ar.push_mins(self, values)
+
+    def _fold_once(self, fold: Callable) -> None:
+        """``fold`` the newest rows into the all-data sums, then into each
+        window's own once its cursor has left row 0; until then a window
+        takes the all-data sums (:func:`_share`), so each distinct
+        accumulator folds once."""
+        whole = self._ar[None]
+        fold(whole)
+        for cursor in self._cursors:
+            if cursor.start:
+                fold(cursor)
+            else:
+                _share(cursor, whole)
 
     def window_values(self, window: int) -> np.ndarray:
         """The last ``window`` values, oldest first (fewer if short)."""
@@ -461,45 +491,38 @@ class SeriesSummaries:
         fixed, ld = out
         fixed.append(_SERIES.pack(
             *(field for cursor in self._cursors
-              for field in (cursor.start, cursor._expired_to)),
-            self.count))
-        ld += [summary._sum for summary in self._temporal.values()]
-        for ar in self._ar.values():
-            ld += (ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy)
+              for field in (cursor.start, cursor._expired_to))))
+        ld += [getattr(cursor, name) for cursor in self._cursors if cursor.start
+               for name in cursor.SUMS]
 
-    def _load(self, src, rows) -> None:
-        """Restore what :meth:`_dump` wrote over the series' rows: those
-        ``rows`` picks out of the link's (a slice, or positions), oldest
-        first.  What the file leaves out comes back from them."""
-        field = iter(src.unpack(_SERIES)).__next__
-        sums = iter(src.ld(_SERIES_LONGDOUBLES))
-        for cursor in self._cursors:
-            cursor.start, cursor._expired_to = field(), field()
-        for summary, total in zip(self._temporal.values(), sums):
-            summary._sum = total
-        for ar in self._ar.values():
-            ar._sum, ar._sx, ar._sy, ar._sxx, ar._sxy = islice(sums, 5)
-        live = field()
-        times, values = (column[rows] for column in self._rows[:2])
+    def _load(self, src, values: np.ndarray) -> None:
+        """Restore what :meth:`_dump` wrote over the series' rows, whose
+        values are ``values`` (a class series' ``_pos`` is set already).
+        What the file leaves out comes back from them."""
+        fields = src.unpack(_SERIES)
+        starts = fields[0::2]
         count = self.count = len(values)
-        src.require(live <= count, "a column longer than its series")
-        src.require(all(c.start <= live for c in self._cursors),
-                    "a window starts beyond its column")
-        for cursor in self._cursors:
-            cursor.start += count - live
+        src.require(max(starts) <= count, "a window starts beyond its column")
+        # The all-data sums are the rows' fold, as the live path's are.
+        whole = self._ar[None]
+        if count:  # the newest row is the series' "last"
+            whole.extend(self, values)
+            self.last, self.last_time = float(values[-1]), float(self._time(count - 1))
+        for cursor, start, expired_to in zip(self._cursors, starts, fields[1::2]):
+            cursor.start, cursor._expired_to = start, expired_to
+            if start:  # a moved window's sums are in the file
+                for name, total in zip(cursor.SUMS, src.ld(len(cursor.SUMS))):
+                    setattr(cursor, name, total)
+            else:
+                _share(cursor, whole)
         # MED is every value the series has seen, sorted; nothing stores it.
         self._median.extend(values)
         # A min chain is its window's suffix minima: the later window's
         # chain is the other's tail.
-        windowed = self._cursors[-len(AR_DAYS):]
-        low = min(ar.start for ar in windowed)
+        low = min(starts[-len(AR_DAYS):])
         chain = [low + i for i in _suffix_minima(values[low:])]
-        for ar in windowed:
+        for ar in self._cursors[-len(AR_DAYS):]:
             ar._mins = chain[bisect_left(chain, ar.start):]
-        if count:  # the newest row is every summary's "last"
-            self.last, self.last_time = float(values[-1]), float(times[-1])
-            for ar in self._ar.values():
-                ar._last = self.last
 
 
 class _ClassSeries(SeriesSummaries):
@@ -551,10 +574,6 @@ class _ClassSeries(SeriesSummaries):
             self._pos = _fresh(self._pos, n, n + k)
         self._pos[n:n + k] = rows
         super().extend(times, values)
-
-    def _load(self, src, rows: np.ndarray) -> None:
-        super()._load(src, rows)
-        self._pos = rows.astype(np.uint32)
 
 
 # ----------------------------------------------------------------------
@@ -692,9 +711,9 @@ class StreamingBank:
         Longdouble sums vectorize via :func:`_fold_sum`; the min chains
         and the median fold the batch wholesale too.
         """
-        times, values, sizes, _ = (column[lo:] for column in self.views())
-        if len(times) == 0:
+        if lo == self.count:
             return
+        times, values, sizes, _ = (column[lo:self.count] for column in self._columns)
         tags = self._tags(sizes)
         self._global.extend(times, values)
         # First-occurrence order (dict.fromkeys, not set): new class
@@ -759,12 +778,12 @@ class StreamingBank:
         f8 pool is empty: every series is some of the link's rows,
         which its durable store holds (see :meth:`load_state`).
 
-        Longdouble sums are preserved verbatim, and ``MED`` and the min
-        chains come back from the rows, so a bank restored with
-        :meth:`load_state` over the same rows answers every query
-        bit-identically to the original —
-        the property the evict→revive parity gate in the durable store
-        rests on.  The classification itself is *not* captured (it is
+        The sums of the windows that have moved are kept verbatim, and
+        the all-data sums, ``MED`` and the min chains come back from the
+        rows, so a bank restored with :meth:`load_state` over the same
+        rows answers every query bit-identically to the original — the
+        property the evict→revive parity gate in the durable store rests
+        on.  The classification itself is *not* captured (it is
         identity-compared in :meth:`answer`); callers must pair the
         state with a fingerprint of the classification it was built
         against.
@@ -790,15 +809,20 @@ class StreamingBank:
         self._hold(columns)
         rows = self._columns
         tags = self._tags(rows[2][:n])
-        src.require(len(set(held)) == classes
-                    and set(held) == set(tags.tolist()),
+        counts = np.bincount(tags).tolist()
+        src.require(sorted(held) == [tag for tag, k in enumerate(counts) if k],
                     "the class series are not the rows' classes")
         self._global = SeriesSummaries(rows)
-        self._global._load(src, slice(0, n))
+        self._global._load(src, rows[1][:n])
+        # Each class's rows, in order: one stable sort, cut at the counts.
+        order = np.argsort(tags, kind="stable").astype(np.uint32)
+        classed, ends = rows[1][order], list(accumulate(counts))
         self._classes = {}
         for tag in held:
+            lo, hi = ends[tag] - counts[tag], ends[tag]
             series = self._classes[tag] = _ClassSeries(rows)
-            series._load(src, np.flatnonzero(tags == tag))
+            series._pos = order[lo:hi]
+            series._load(src, classed[lo:hi])
         src.finish()
         self._fold(n)
 

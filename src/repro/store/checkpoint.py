@@ -1,15 +1,16 @@
 """Link checkpoints: a fixed schema in three typed pools.
 
-A checkpoint is what makes cold-link revival cheap: restore the bank's
-sufficient statistics over the link's rows instead of folding them
-again.  The payload is the dict the serving layer passes around —
-``meta`` (every key optional), ``bank`` (:meth:`StreamingBank.state`)
-and ``accuracy`` (:meth:`AccuracyTracker.link_state`) — and the two
-states are *parts*: ``(fixed, ld, f8)``, packed structs as bytes plus a
-longdouble and a float64 pool, laid out by the module that owns the
-state (:data:`repro.core.streaming._SERIES` defines a series).  The
-file is the three pools of both parts end to end, ``fixed`` opening
-with :data:`_META` and one :data:`_PART` of pool lengths per part.
+A checkpoint is what cold-link revival cannot get from the link's rows:
+where the bank's windows stand, the sums of those that have moved, and
+the link's online accuracy.  The payload is the dict the serving layer
+passes around — ``meta`` (every key optional), ``bank``
+(:meth:`StreamingBank.state`) and ``accuracy``
+(:meth:`AccuracyTracker.link_state`) — and the two states are *parts*:
+``(fixed, ld, f8)``, packed structs as bytes plus a longdouble and a
+float64 pool, laid out by the module that owns the state
+(:data:`repro.core.streaming._SERIES` defines a series).  The file is
+the three pools of both parts end to end, ``fixed`` opening with
+:data:`_META` and one :data:`_PART` of pool lengths per part.
 :func:`loads` hands each part back as a :class:`Reader` for its owner's
 ``load_state``.
 
@@ -23,14 +24,15 @@ with :data:`_META` and one :data:`_PART` of pool lengths per part.
   seals, which rewrite files but never renumber rows; every bank
   series is a view of those rows sorted by end time.  So it holds only
   what the rows cannot give back: window cursors and the longdouble
-  sums (whose 6/16 padding deflates).  Whatever the rows determine — a
-  series' last value and time, ``MED`` (whose first entry is the
-  all-data min) and the windowed min chains — loading derives from
-  them, and a window's count is where its cursor stands.  Nor does it
-  name its link (the directory does, and a file in another link's
-  directory fails its ``row_digest``) or spell out its classification
-  (:func:`fingerprint` stands for it).  About 400 B a 30-row link,
-  whatever its length, plus its accuracy part.
+  sums of the windows that have expired a row.  Whatever the rows
+  determine — the all-data sums (their fold in order, which a window
+  that has expired nothing shares), a series' count, last value and
+  time, ``MED`` (whose first entry is the all-data min) and the
+  windowed min chains — loading derives from them.  Nor does it name
+  its link (the directory does, and a file in another link's directory
+  fails its ``row_digest``) or spell out its classification
+  (:func:`fingerprint` stands for it).  About 100 B a link whose
+  windows have not moved, whatever its length, plus its accuracy part.
 * **Speed.**  Revival must stay sub-millisecond, so the whole file is
   one read, one digest check and one bounded inflate: the shared file
   envelope (:mod:`repro.envelope`), whose ``aux`` field carries the
@@ -42,13 +44,11 @@ store quarantines the file and the link rebuilds from its segments —
 slower, never wrong.  A file of any other format, older or newer, is
 :class:`StaleCheckpoint` (:func:`repro.envelope.foreign_format`): the
 same rebuild, but the file is another build's to judge, so it stays
-where it is until the link's next checkpoint replaces it.  A checkpoint
-is a cache of what the rows determine, so this build reads its own
-format and no other.
-
-Longdouble width is platform-dependent; a checkpoint written on a
-different ABI fails the width check and is treated as corrupt, which
-degrades to a rebuild.
+where it is until the link's next checkpoint replaces it.  So is one
+whose digest verifies but whose long doubles are another width (a state
+dir moved between x86-64 and aarch64): intact, and another build's.  A
+checkpoint is a cache of what the rows determine, so this build reads
+its own format and no other.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ __all__ = ["CorruptCheckpoint", "Reader", "StaleCheckpoint", "dumps",
 
 _MAGIC = b"RSCK"
 #: Superseded formats and what each changed: docs/performance.md.
-_FORMAT = 8
+_FORMAT = 9
 
 _LD_SIZE = np.dtype(np.longdouble).itemsize
 #: Leading bytes of a longdouble that hold its value.  x87 extended
@@ -176,14 +176,14 @@ def dumps(payload) -> bytes:
 def loads(data: bytes) -> Dict[str, Any]:
     """``{"meta": dict, "bank": Reader, "accuracy": Reader}``, a part the
     file does not hold left out; raises :class:`CorruptCheckpoint` on
-    anything off and :class:`StaleCheckpoint` for a file of another
-    format."""
+    anything off and :class:`StaleCheckpoint` for an intact file of
+    another format or long-double width."""
     foreign = foreign_format(data, (_FILE,))
     if foreign is not None:
         raise StaleCheckpoint(f"format {foreign}, this build reads {_FORMAT}")
     head = _FILE.verify(data)
     if head.aux != _LD_SIZE:
-        raise CorruptCheckpoint("longdouble width mismatch (foreign ABI)")
+        raise StaleCheckpoint(f"{head.aux}-byte long doubles, not {_LD_SIZE}")
     if any(length % dtype.itemsize
            for length, dtype in zip(head.lengths[1:], _POOLS)):
         raise CorruptCheckpoint("pool length is not a whole number of items")

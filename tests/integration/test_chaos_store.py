@@ -175,7 +175,7 @@ class TestCheckpointFaults:
         # checkpoint replaces it with the current format.
         assert second.checkpoint_all() == len(LOGS)
         for path in paths:
-            assert path.read_bytes()[4:6] == struct.pack("<H", 8)
+            assert path.read_bytes()[4:6] == struct.pack("<H", 9)
             assert "bank" in ck.loads(path.read_bytes())
 
     def test_a_stale_revival_counts_in_the_total_and_one_reason(self, tmp_path):

@@ -417,15 +417,15 @@ class TestUpgrade:
         assert _interleaved(warm) == expected
         assert quarantined.value == before
 
-    @pytest.mark.parametrize("format_", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("format_", [3, 4, 5, 6, 7, 8])
     def test_an_earlier_checkpoint_costs_one_rebuild(
             self, tmp_path, format_):
-        """A state dir written before checkpoint format 8: the file is
+        """A state dir written before checkpoint format 9: the file is
         stale, so the link's first touch rebuilds it from its rows
         (counted, nothing quarantined, version continuous), its online
         accuracy starts again, it answers ``repr``-identically to a link
         that folded the same rows, and its next dirty eviction leaves a
-        format-8 file that the revival after it loads."""
+        format-9 file that the revival after it loads."""
         from repro.obs import get_registry
         from tests.unit.test_store import (EARLIER_CHECKPOINTS,
                                            stale_link_records)
@@ -466,7 +466,7 @@ class TestUpgrade:
         assert path.read_bytes() == written_by_an_earlier_commit  # left in place
 
         served.predict("other", 10 * MB, "LV", now=NOW)  # evicts "stale", dirty
-        assert path.read_bytes()[:6] == b"RSCK\x08\0"
+        assert path.read_bytes()[:6] == b"RSCK\x09\0"
         served.predict("stale", 10 * MB, "LV", now=NOW)  # evicts "other"
         assert [e.fields["how"] for e in served.trace.events(kind="revive")
                 if e.fields["link"] == "stale"] == ["rebuild", "checkpoint"]
@@ -585,17 +585,18 @@ class TestUpgrade:
 
     def test_a_parent_state_dir_serves_as_a_fresh_one_and_one_seal_upgrades(
             self, tmp_path):
-        """A state dir of the commit before segment format 3 and
-        checkpoint format 8 (format-2 segments and format-7 checkpoints,
-        both in the legacy envelope): nothing is quarantined, each link
-        rebuilds once (its checkpoint is stale) and loads the format-8
-        checkpoint its eviction wrote ever after, every answer is
-        ``repr``-identical to a service that never evicted, and the seal
-        that extends a format-2 segment rewrites it as format 3 under its
-        own name and row numbers."""
+        """A state dir of the commit before checkpoint format 9, over
+        segments an earlier commit sealed (format-8 checkpoints, format-2
+        segments in the legacy envelope): nothing is quarantined, each
+        link rebuilds once (its checkpoint is stale) and loads the
+        format-9 checkpoint its eviction wrote ever after, every answer
+        is ``repr``-identical to a service that never evicted, and the
+        seal that extends a format-2 segment rewrites it as format 3
+        under its own name and row numbers."""
         from repro.obs import get_registry
         from repro.store import segments
-        from tests.unit.test_store import as_parent_state_dir
+        from tests.unit.test_store import (as_format_2_state_dir,
+                                           as_parent_state_dir)
 
         links = {f"L{k}": _synthetic_records(30 + 40 * k, phase=k)
                  for k in range(4)}
@@ -608,9 +609,9 @@ class TestUpgrade:
                     service.observe(link, record)
         assert built.checkpoint_all(seal=True) == len(links)
         built.store.close()
-        rewritten = as_parent_state_dir(root)
+        rewritten = as_format_2_state_dir(root) + as_parent_state_dir(root)
         assert {path.read_bytes()[:6] for path in rewritten} == {
-            b"RSSG\2\0", b"RSCK\7\0"}
+            b"RSSG\2\0", b"RSCK\x08\0"}
         assert len(rewritten) == 2 * len(links)
 
         quarantined = get_registry().counter("store_quarantined", "")
@@ -626,7 +627,7 @@ class TestUpgrade:
                 snapshot["service_link_revivals"]["series"]}["rebuild"] \
             == len(links)
         assert {path.read_bytes()[:6]
-                for path in root.rglob("checkpoint.bin")} == {b"RSCK\x08\0"}
+                for path in root.rglob("checkpoint.bin")} == {b"RSCK\x09\0"}
 
         # One more row a link, and the seal that folds it in.
         for link, records in sorted(links.items()):
@@ -652,8 +653,8 @@ class TestUpgrade:
     def test_a_thousand_link_parent_state_dir_serves_with_one_rebuild_a_link(
             self, tmp_path):
         """The shape of the ledger's ``cold_revive``, 1,000 links of 30
-        rows, left by the commit before segment format 3 and checkpoint
-        format 8: served through 16 resident slots it quarantines
+        rows, left by the commit before checkpoint format 9 (format-8
+        checkpoints): served through 16 resident slots it quarantines
         nothing, rebuilds each link once, and answers ``repr``-identically
         to a service that never evicted."""
         from repro.obs import get_registry
@@ -669,7 +670,7 @@ class TestUpgrade:
                 service.ingest_records(link, records)
         assert built.checkpoint_all(seal=True) == len(links)
         built.store.close()
-        assert len(as_parent_state_dir(root)) == 2 * len(links)
+        assert len(as_parent_state_dir(root)) == len(links)
 
         def answers(service):
             return [(link, spec, repr(p.value), p.version, p.history_length)

@@ -15,8 +15,6 @@ from repro.core.history import History
 from repro.core.predictors.registry import ALL_PREDICTOR_NAMES, resolve
 from repro.core.streaming import (
     _BANK,
-    _SERIES,
-    RING_CAPACITY,
     StreamingBank,
     StreamingUnavailable,
     _ClassSeries,
@@ -224,7 +222,8 @@ def exact_repr(state):
 def assert_one_fold(times, values, sizes):
     """The ``add`` chain, 16-row ``extend`` runs and a ``rebuild`` over a
     bank that held something else: the same ``fixed`` bytes and the same
-    ``ld`` and ``f8`` pools, but for the rebuild count."""
+    ``ld`` and ``f8`` pools, but for the rebuild count, and every slot of
+    every series (the sums a checkpoint leaves to the rows included)."""
     ops = np.zeros(len(times), dtype=np.int8)
     added = make_bank(times, values, sizes)
     chunked = StreamingBank(CLS)
@@ -239,6 +238,9 @@ def assert_one_fold(times, values, sizes):
     reference = exact_repr(added.state())
     assert exact_repr(chunked.state()) == reference
     assert exact_repr(rebuilt.state()) == reference
+    reference = [slots(series) for series in all_series(added)]
+    for bank in (chunked, rebuilt):
+        assert [slots(series) for series in all_series(bank)] == reference
 
 
 @st.composite
@@ -446,18 +448,20 @@ class TestMemoryShape:
         bank = StreamingBank(CLS)
         feed(bank, 0, N_FEED)
         fixed, ld, f8 = state = bank.state()
-        # No row: five series' structs and sums, 355 B however long the
-        # feed (377 at deflate level 1, 590 with format 5's counts and
-        # min chains; format 4 measured 10.3 B/record here, format 3 42.1).
-        assert len(checkpoint.dumps(state)) <= 450
+        # No row and, no window having moved, no sum: five series'
+        # cursors, 66 B however long the feed (355 with format 8's sums,
+        # 590 with format 5's counts and min chains; format 4 measured
+        # 10.3 B/record here, format 3 42.1).
+        assert len(checkpoint.dumps(state)) <= 100
         assert len(f8) == 0 and len(fixed) < 1024
         assert_every_row_of_its_class(bank)
 
-    def test_a_small_link_checkpoints_in_about_400_bytes(self):
+    def test_a_small_link_checkpoints_in_about_100_bytes(self):
         # 30 rows in 4 classes, as the ledger's cold links are (1,961 B
         # in format 3, 1,073 in format 4, 635 in format 5, 458 in format
-        # 6 with the link and classification names); this one measures
-        # 405 with a row digest and a classification digest.
+        # 6 with the link and classification names, 405 in format 8 with
+        # a row digest and a classification digest); this one measures
+        # 96: no window has moved, so no sum is stored.
         rng = np.random.default_rng(21)
         bank = StreamingBank(CLS)
         times = 1e9 + np.cumsum(rng.uniform(60.0, 7200.0, 30))
@@ -469,7 +473,7 @@ class TestMemoryShape:
                                 "50000000,250000000,750000000"
                                 "|10MB,100MB,500MB,1GB")},
                    "bank": bank.state()}
-        assert len(checkpoint.dumps(payload)) <= 460
+        assert len(checkpoint.dumps(payload)) <= 120
 
     def test_resident_bytes_per_record(self):
         # 400 records in 4 classes: the link's rows (25 B a row in 512
@@ -527,41 +531,6 @@ class TestMemoryShape:
         blob = checkpoint.dumps(bank.state())
         assert checkpoint.dumps(bank.state()) == blob
         assert checkpoint.dumps(roundtrip(bank).state()) == blob
-
-    def test_a_state_counted_from_a_trimmed_prefix_loads_as_the_bank(self):
-        # Format 8 as it was written while series trimmed the rows their
-        # windows had left: ``live`` the rows not trimmed, each cursor
-        # counted from the first of them.  It loads to the untrimmed bank.
-        bank = StreamingBank(CLS)
-        for hi in range(100, 1501, 100):
-            feed(bank, hi - 100, hi)
-            for spec in WINDOW_SPECS:
-                for size in FEED_SIZES[:4].tolist():
-                    answer(bank, "C-" + spec, size, now=float(FEED_TIMES[hi - 1]))
-                answer(bank, spec, now=float(FEED_TIMES[hi - 1]))
-        fixed, ld, f8 = bank.state()
-        at = _BANK.size + len(bank._classes)
-        trimmed = [fixed[:at]]
-        for series in all_series(bank):
-            *fields, live = _SERIES.unpack_from(fixed, at)
-            assert live == series.count
-            dead = min(window_start(series), series.count - RING_CAPACITY)
-            assert dead > 0
-            fields[0::2] = [start - dead for start in fields[0::2]]
-            trimmed.append(_SERIES.pack(*fields, live - dead))
-            at += _SERIES.size
-        trimmed = b"".join(trimmed)
-        assert trimmed != fixed and len(trimmed) == len(fixed)
-        n = bank.count
-        revived = StreamingBank(CLS)
-        revived.load_state(
-            checkpoint.loads(checkpoint.dumps((trimmed, ld, f8)))["bank"],
-            (FEED_TIMES[:n], FEED_VALUES[:n], FEED_SIZES[:n], FEED_OPS[:n]), n)
-        assert exact_repr(revived.state()) == exact_repr(bank.state())
-        for mine, theirs in zip(all_series(revived), all_series(bank)):
-            assert slots(mine) == slots(theirs)
-        now = float(FEED_TIMES[n - 1]) + 60.0
-        assert all_answers(revived, now) == all_answers(bank, now)
 
 
 # ----------------------------------------------------------------------
@@ -644,6 +613,10 @@ def slots(series):
     return out
 
 
+#: How far past its last row a series is queried.
+LAG = st.sampled_from([0.0, 60.0, 6 * HOUR, DAY, 4 * DAY, 12 * DAY])
+
+
 def assert_revival_restores_every_slot(times, values, sizes, lags):
     """Fold 16-row runs, query every window at an advancing ``now`` (so
     expiry runs), and revive after every run."""
@@ -665,8 +638,7 @@ def assert_revival_restores_every_slot(times, values, sizes, lags):
 
 
 class TestRevivedSlots:
-    LAGS = st.lists(st.sampled_from([0.0, 60.0, 6 * HOUR, DAY, 4 * DAY,
-                                     12 * DAY]), min_size=1, max_size=4)
+    LAGS = st.lists(LAG, min_size=1, max_size=4)
 
     @given(in_order_series(max_rows=160, min_rows=32), LAGS)
     @settings(max_examples=40, deadline=None)
@@ -678,6 +650,75 @@ class TestRevivedSlots:
     @settings(max_examples=300, deadline=None)
     def test_revival_restores_every_slot_exhaustive(self, series, lags):
         assert_revival_restores_every_slot(*series, lags)
+
+
+# ----------------------------------------------------------------------
+# a window that has expired nothing holds the all-data sums
+# ----------------------------------------------------------------------
+@st.composite
+def arrivals(draw, max_rows):
+    """A series and the runs it arrives in, ``(how, lo, hi, lag)``: rows
+    ``[lo, hi)`` one ``add`` at a time, as one ``extend``, or as one
+    ``extend`` backwards (late rows: a merge and a refold), then every
+    window queried ``lag`` past the run's last end time."""
+    times, values, sizes = draw(in_order_series(max_rows, min_rows=1))
+    runs, lo = [], 0
+    while lo < len(times):
+        hi = min(lo + draw(st.integers(1, 40)), len(times))
+        runs.append((draw(st.sampled_from(["add", "extend", "late"])), lo, hi,
+                     draw(LAG)))
+        lo = hi
+    return times, values, sizes, runs
+
+
+def assert_row_0_windows_hold_the_all_data_sums(times, values, sizes, runs):
+    """After every run: each window whose cursor is at row 0 holds the
+    all-data ``AR``'s sums bit for bit (what checkpoint format 9 leaves
+    out), and the bank revived from its checkpoint holds every slot the
+    folded one does and answers the 30 battery specs as it does."""
+    ops = np.zeros(len(times), dtype=np.int8)
+    bank = StreamingBank(CLS)
+    now = -np.inf
+    for how, lo, hi, lag in runs:
+        rows = [column[lo:hi] for column in (times, values, sizes, ops)]
+        if how == "add":
+            for row in zip(*(column.tolist() for column in rows)):
+                bank.add(*row)
+        else:
+            bank.extend(*(column[::-1] if how == "late" else column
+                          for column in rows))
+        now = max(now, float(times[hi - 1]) + lag)
+        for spec in WINDOW_SPECS:
+            answer(bank, spec, now=now)
+            for size in dict.fromkeys(sizes[:hi].tolist()):
+                answer(bank, "C-" + spec, size, now=now)
+        for series in all_series(bank):
+            whole = series._ar[None]
+            for cursor in series._cursors:
+                if cursor.start == 0:
+                    held, shared = ([getattr(summary, name) for name in cursor.SUMS]
+                                    for summary in (cursor, whole))
+                    assert exact_repr(held) == exact_repr(shared)
+        revived = StreamingBank(CLS)
+        revived.load_state(
+            checkpoint.loads(checkpoint.dumps(bank.state()))["bank"],
+            bank.views(), bank.count)
+        for mine, theirs in zip(all_series(revived), all_series(bank)):
+            assert slots(mine) == slots(theirs), (how, lo)
+        assert all_answers(revived, now) == all_answers(bank, now)
+
+
+class TestRowZeroWindows:
+    @given(arrivals(max_rows=120))
+    @settings(max_examples=40, deadline=None)
+    def test_a_window_at_row_0_holds_the_all_data_sums(self, arrival):
+        assert_row_0_windows_hold_the_all_data_sums(*arrival)
+
+    @pytest.mark.exhaustive
+    @given(arrivals(max_rows=600))
+    @settings(max_examples=300, deadline=None)
+    def test_a_window_at_row_0_holds_the_all_data_sums_exhaustive(self, arrival):
+        assert_row_0_windows_hold_the_all_data_sums(*arrival)
 
 
 # ----------------------------------------------------------------------

@@ -61,8 +61,8 @@ class Kind:
 class CheckpointKind(Kind):
     name = "checkpoint.bin"
     fields = struct.Struct("<4sHHIIII")
-    magic, version, aux, meta = b"RSCK", 8, LD_SIZE, ()
-    readable = (8,)
+    magic, version, aux, meta = b"RSCK", 9, LD_SIZE, ()
+    readable = (9,)
     level = 6
     error = CorruptCheckpoint
     bomb_lengths = (1024, 0, 0)

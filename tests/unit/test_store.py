@@ -15,6 +15,7 @@ import os
 import signal
 import struct
 import time
+import urllib.parse
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -364,18 +365,27 @@ def as_format_1_state_dir(root):
     return paths
 
 
-def as_parent_state_dir(root):
-    """Rewrite every ``.col`` segment under ``root`` as format 2 and every
-    checkpoint as format 7, as the builds before segment format 3 and
-    checkpoint format 8 left a state dir; returns the paths."""
+def as_format_2_state_dir(root):
+    """Rewrite every ``.col`` segment under ``root`` as format 2, as the
+    builds before segment format 3 left them; returns the paths."""
     paths = sorted(root.rglob("seg-*.col"))
     for path in paths:
         data = seg.read_segment(path)
         path.write_bytes(format_2_segment(*data[:1], *data[3:], data.max_offset))
+    return paths
+
+
+def as_parent_state_dir(root):
+    """Rewrite every checkpoint under ``root`` as format 8, as the commit
+    before checkpoint format 9 left a state dir (its segments are this
+    build's); returns the paths."""
     checkpoints = sorted(root.rglob("checkpoint.bin"))
     for path in checkpoints:
-        path.write_bytes(as_format_7(path.read_bytes()))
-    return paths + checkpoints
+        store = LinkStore(path.parents[2])
+        columns = store.load_columns(urllib.parse.unquote(path.parent.name))
+        store.close()
+        path.write_bytes(as_format_8(path.read_bytes(), columns))
+    return checkpoints
 
 
 def write_npz_segment(path, start_row, times, values, sizes, ops,
@@ -415,16 +425,15 @@ def as_npz_state_dir(root):
 # ----------------------------------------------------------------------
 LD_SIZE = np.dtype(np.longdouble).itemsize
 CLS = paper_classification()
-# The checkpoint header of formats 7 and 8, packed by hand here so the
-# tests pin the bytes: magic, format, long-double width, stored length,
-# then the raw lengths of the fixed section and the ld and f8 pools.
+# The checkpoint header of formats 7-9, packed by hand here so the tests
+# pin the bytes: magic, format, long-double width, stored length, then
+# the raw lengths of the fixed section and the ld and f8 pools.
 CHECKPOINT_FIELDS = struct.Struct("<4sHHIIII")
 DATA = Path(__file__).resolve().parents[1] / "data"
-#: Checkpoints written by the commits before formats 4, 5, 6, 7 and 8,
-#: for a 30-row, 4-class link (``stale_link_records``); see
-#: tests/data/README.md.
+#: Checkpoints written by the commits before formats 4-9, for a 30-row,
+#: 4-class link (``stale_link_records``); see tests/data/README.md.
 EARLIER_CHECKPOINTS = {format_: DATA / f"checkpoint-format{format_}.bin"
-                       for format_ in (3, 4, 5, 6, 7)}
+                       for format_ in (3, 4, 5, 6, 7, 8)}
 #: The same link's sealed segment as the commits before segment formats
 #: 2 and 3 wrote it (see tests/data/README.md).
 EARLIER_SEGMENTS = {format_: DATA / f"segment-format{format_}.col"
@@ -493,7 +502,7 @@ def revive(blob, rows=None):
 
 
 def sections(blob):
-    """The raw ``[fixed, ld, f8]`` of a format-8 file."""
+    """The raw ``[fixed, ld, f8]`` of a format-8 or format-9 file."""
     lengths = CHECKPOINT_FIELDS.unpack_from(blob)[4:]
     body = inflate(blob[CHECKPOINT_FIELDS.size + DIGEST_SIZE:])
     out, at = [], 0
@@ -504,7 +513,7 @@ def sections(blob):
     return out
 
 
-def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=8):
+def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=9):
     """A checkpoint file around these sections with a digest that verifies."""
     stored = deflate(bytes(fixed) + bytes(ld) + bytes(f8), 1)
     fields = CHECKPOINT_FIELDS.pack(b"RSCK", version, ld_size, len(stored),
@@ -513,9 +522,46 @@ def frame_checkpoint(fixed, ld=b"", f8=b"", ld_size=LD_SIZE, version=8):
 
 
 def as_format_7(blob):
-    """The same checkpoint as format 7 stored it: the legacy envelope."""
+    """The same sections as format 7 stored them: the legacy envelope."""
     return legacy_framed(CHECKPOINT_FIELDS.format, b"RSCK", 7, LD_SIZE,
                          sections(blob))
+
+
+#: A series as checkpoint format 8 laid it out: format 9's cursors, then
+#: ``live``, the series' row count.
+FORMAT_8_SERIES = struct.Struct(streaming._SERIES.format + "I")
+FORMAT_8 = Envelope(b"RSCK", 8, "III", error=CorruptCheckpoint)
+
+
+def format_8_bank(bank):
+    """``bank.state()`` as format 8 laid it out: each series' cursors and
+    row count, then all 18 of its sums, every window's, moved or not."""
+    fixed = [streaming._BANK.pack(bank.rebuilds, len(bank._classes)),
+             bytes(bank._classes)]
+    ld = []
+    for series in (bank._global, *bank._classes.values()):
+        fixed.append(FORMAT_8_SERIES.pack(
+            *(field for cursor in series._cursors
+              for field in (cursor.start, cursor._expired_to)), series.count))
+        for summary in (*series._temporal.values(), *series._ar.values()):
+            ld += [getattr(summary, name) for name in summary.SUMS]
+    return b"".join(fixed), np.array(ld, dtype=np.longdouble), np.empty(0)
+
+
+def as_format_8(blob, columns):
+    """The same checkpoint as the commit before format 9 wrote it, given
+    the link's rows ``columns`` in arrival order."""
+    state = ck.loads(blob)
+    n = state["meta"]["n"]
+    order = np.argsort(columns[0][:n], kind="stable")
+    bank = StreamingBank(CLS)
+    bank.load_state(state["bank"],
+                    tuple(column[:n][order] for column in columns), n)
+    payload = {"meta": state["meta"], "bank": format_8_bank(bank)}
+    if "accuracy" in state:
+        fixed, ld, f8 = state["accuracy"]._pools
+        payload["accuracy"] = (bytes(fixed), ld, f8)
+    return FORMAT_8.pack(sections(ck.dumps(payload)), aux=LD_SIZE)
 
 
 def as_format_2(blob):
@@ -535,7 +581,7 @@ class Tampered:
     """
 
     #: Scalars of one series, by position in ``streaming._SERIES``.
-    AVG5HR_START, AR5D_START, LIVE = 0, 6, 10
+    AVG5HR_START, AR5D_START = 0, 6
 
     def __init__(self, bank=None):
         bank = bank or small_bank()
@@ -604,7 +650,7 @@ class TestCheckpoint:
         blob = ck.dumps(dict(payload, bank=(fixed, dirty, f8)))
         assert blob == ck.dumps(payload)
         pool = sections(blob)[1]
-        assert len(pool) == 5 * 18 * LD_SIZE  # the link and 4 classes
+        assert len(pool) == LD_SIZE  # the one window that has moved
         for at in range(0, len(pool), LD_SIZE):
             assert pool[at + 10:at + LD_SIZE] == bytes(LD_SIZE - 10)
         assert repr(revive(blob)[1].state()) == repr(small_bank().state())
@@ -631,14 +677,16 @@ class TestCheckpoint:
         blob = ck.dumps(small_payload())
         magic, version, ld_size, stored, fixed, ld, f8 = \
             CHECKPOINT_FIELDS.unpack_from(blob)
-        assert (magic, version) == (b"RSCK", 8)
+        assert (magic, version) == (b"RSCK", 9)
         assert ld_size == LD_SIZE
         assert CHECKPOINT_FIELDS.size + DIGEST_SIZE == 40  # fields 24 B
         assert len(blob) == 40 + stored
         body = inflate(blob[40:])
         assert len(body) == fixed + ld + f8
-        # No row and no min chain: five series' sums and their scalars.
-        assert (ld, f8) == (5 * 18 * LD_SIZE, 0)
+        # No row, no min chain and no sum the rows give back: five
+        # series' cursors, and the sum of the one window that has moved
+        # (the link's AVG5hr).
+        assert (ld, f8) == (LD_SIZE, 0)
         assert fixed == (ck._META.size + 2 * ck._PART.size
                          + streaming._BANK.size + 4
                          + 5 * streaming._SERIES.size)
@@ -677,7 +725,7 @@ class TestCheckpoint:
                 (body, (len(fixed), len(ld) - LD_SIZE, len(f8)))]:
             stored = deflate(stored, 1)
             fields = CHECKPOINT_FIELDS.pack(
-                b"RSCK", 8, LD_SIZE, len(stored), *lengths)
+                b"RSCK", 9, LD_SIZE, len(stored), *lengths)
             with pytest.raises(CorruptCheckpoint, match="declared lengths"):
                 ck.loads(framed(fields, stored))
         ragged = frame_checkpoint(fixed, ld, f8 + bytes(4))
@@ -691,9 +739,11 @@ class TestCheckpoint:
         streaming._BANK.pack_into(more_classes.fixed, more_classes.classes_at
                                   - streaming._BANK.size, 0, 1000)
         cases = {"class indexes": more_classes}
-        short = Tampered().claim(1, -1)   # 18 longdoubles a series, one gone
+        short = Tampered().claim(1, -1)   # the one sum stored, gone
         del short.ld[-LD_SIZE:]
         cases["longdoubles"] = short
+        # A class window said to have moved, whose sums were never stored.
+        cases["a moved window"] = Tampered().set(1, Tampered.AR5D_START, 2)
         for name, case in cases.items():
             with pytest.raises(CorruptCheckpoint, match="less than was claimed"):
                 revive(case.blob())
@@ -707,8 +757,6 @@ class TestCheckpoint:
         cases = [
             (twice, "not the rows' classes"),   # one class twice, one never
             (nobody, "not the rows' classes"),  # a class no row is in
-            (Tampered().set(0, Tampered.LIVE, 13), "longer than its series"),
-            (Tampered().set(2, Tampered.LIVE, 4), "longer than its series"),
             (Tampered().set(0, Tampered.AVG5HR_START, 10_000), "window starts"),
             (Tampered().set(1, Tampered.AVG5HR_START, 4), "window starts"),
             # A min chain comes from its window's rows; what the file
@@ -720,12 +768,12 @@ class TestCheckpoint:
             with pytest.raises(CorruptCheckpoint, match=message):
                 revive(case.blob())
         # The same checkpoint over other rows: another class mix, or
-        # fewer rows than a live column holds.
+        # fewer rows than the link's AVG5hr has expired (7).
         times, values, sizes, ops = small_rows()
         with pytest.raises(CorruptCheckpoint, match="not the rows' classes"):
             revive(Tampered().blob(), (times, values, np.full(12, 10 * MB), ops))
-        with pytest.raises(CorruptCheckpoint, match="longer than its series"):
-            revive(Tampered().blob(), small_rows(8))
+        with pytest.raises(CorruptCheckpoint, match="window starts"):
+            revive(Tampered().blob(), small_rows(6))
 
     def test_a_pool_with_bytes_left_over_is_corrupt(self):
         loose = Tampered()
@@ -740,17 +788,24 @@ class TestCheckpoint:
         spare_sum.ld += bytes(LD_SIZE)
         with pytest.raises(CorruptCheckpoint, match="more than was claimed"):
             revive(spare_sum.blob())
+        # The moved window said to start at row 0: its stored sum is
+        # in the part, in no series.
+        unmoved = Tampered().set(0, Tampered.AVG5HR_START, 0)
+        with pytest.raises(CorruptCheckpoint, match="more than was claimed"):
+            revive(unmoved.blob())
 
-    def test_a_foreign_longdouble_width_is_corrupt(self):
-        with pytest.raises(CorruptCheckpoint, match="foreign ABI"):
+    def test_a_foreign_longdouble_width_is_stale(self):
+        # The digest verifies, so the file is intact: another build's
+        # (x86-64 and aarch64 disagree), left to the rows as any other.
+        with pytest.raises(ck.StaleCheckpoint, match="long doubles"):
             ck.loads(Tampered().blob(ld_size=LD_SIZE ^ 4))
 
     def test_a_newer_format_is_stale_and_a_flipped_format_field_corrupt(self):
         # What a later build might write: the same magic, any layout.
-        newer = Envelope(b"RSCK", 9, "IIII", error=CorruptCheckpoint).pack(
+        newer = Envelope(b"RSCK", 10, "IIII", error=CorruptCheckpoint).pack(
             (b"a later build's fixed part", bytes(LD_SIZE), b"", b""),
             aux=LD_SIZE)
-        with pytest.raises(ck.StaleCheckpoint, match="format 9"):
+        with pytest.raises(ck.StaleCheckpoint, match="format 10"):
             ck.loads(newer)
         # A file this build wrote whose format field flipped, to a newer
         # format or an older one, is damage.
@@ -761,11 +816,11 @@ class TestCheckpoint:
             with pytest.raises(CorruptCheckpoint):
                 ck.loads(bytes(flipped))
 
-    @pytest.mark.parametrize("format_", [1, 2, 3, 4, 5, 6, 7],
+    @pytest.mark.parametrize("format_", [1, 2, 3, 4, 5, 6, 7, 8],
                              ids=lambda format_: f"format-{format_}")
     def test_an_earlier_format_is_stale_however_damaged(self, format_):
         """Formats 1 and 2 stored the body raw, the digest over it alone;
-        3-7 are what the commits before formats 4-8 wrote.  This build
+        3-8 are what the commits before formats 4-9 wrote.  This build
         reads none of them, so it cannot tell their damage from their
         layout: damaged or not, they are stale and left to the rows."""
         if format_ in EARLIER_CHECKPOINTS:
@@ -778,7 +833,7 @@ class TestCheckpoint:
         damaged[-1] ^= 0x01
         for blob in (old, bytes(damaged), old[:-1], old[:6]):
             with pytest.raises(ck.StaleCheckpoint,
-                               match=f"format {format_}, this build reads 8"):
+                               match=f"format {format_}, this build reads 9"):
                 ck.loads(blob)
         # Damage to the magic, or a file too short to name its format,
         # is still corrupt.
@@ -788,15 +843,21 @@ class TestCheckpoint:
 
     def test_format_7_of_the_commit_before_format_8_is_22_bytes_longer(
             self, tmp_path):
-        """The parent's checkpoint of the stale link holds the very body
-        this build stores, behind 22 bytes more framing (16 of digest, 6
-        of zlib header and Adler-32).  A change that puts framing back
-        fails here."""
+        """This build's checkpoint of the stale link, given its rows back,
+        is the format-8 file the commit before format 9 wrote, bit for
+        bit; and format 7 held that very body behind 22 bytes more
+        framing (16 of digest, 6 of zlib header and Adler-32).  A change
+        that puts framing back fails here, and so does one that gets a
+        sum the format leaves to the rows wrong."""
         checkpoint = stale_link_files(tmp_path)["checkpoint.bin"]
+        store = LinkStore(tmp_path)
+        format_8 = as_format_8(checkpoint, store.load_columns("stale"))
+        store.close()
+        assert format_8 == EARLIER_CHECKPOINTS[8].read_bytes()
         parent = EARLIER_CHECKPOINTS[7].read_bytes()
-        assert as_format_7(checkpoint) == parent
-        assert len(checkpoint) == len(parent) - 22 == 1043
-        assert checkpoint[CHECKPOINT_FIELDS.size + DIGEST_SIZE:] == \
+        assert as_format_7(format_8) == parent
+        assert len(format_8) == len(parent) - 22 == 1043
+        assert format_8[CHECKPOINT_FIELDS.size + DIGEST_SIZE:] == \
             parent[CHECKPOINT_FIELDS.size + LEGACY_DIGEST_SIZE + 2:-4]
 
     def test_unlisted_scalar_types_pack_like_their_bases(self):
@@ -1073,7 +1134,7 @@ class TestLinkStore:
         assert quarantined.value == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["checkpoint.bin"]
         assert store.write_checkpoint("x", small_payload())
-        assert path.read_bytes()[4:6] == struct.pack("<H", 8)
+        assert path.read_bytes()[4:6] == struct.pack("<H", 9)
         assert store.read_checkpoint("x")["meta"]["n"] == 12
 
     def test_newer_format_checkpoint_is_left_in_place(self, tmp_path):
@@ -1081,7 +1142,7 @@ class TestLinkStore:
         assert store.write_checkpoint("x", small_payload())
         path = next((tmp_path / "links").iterdir()) / "checkpoint.bin"
         current = path.read_bytes()
-        newer = Envelope(b"RSCK", 9, "III", error=CorruptCheckpoint).pack(
+        newer = Envelope(b"RSCK", 10, "III", error=CorruptCheckpoint).pack(
             (b"a later build's fixed part", b"", b""), aux=LD_SIZE)
         path.write_bytes(newer)
         quarantined = get_registry().counter("store_quarantined", "")
@@ -1091,7 +1152,7 @@ class TestLinkStore:
         assert quarantined.value == before
         assert path.read_bytes() == newer
         # The same field flipped in this build's own file: quarantined.
-        path.write_bytes(current[:4] + struct.pack("<H", 9) + current[6:])
+        path.write_bytes(current[:4] + struct.pack("<H", 10) + current[6:])
         assert store.read_checkpoint("x") is None
         assert quarantined.value == before + 1
         assert path.with_name(path.name + ".quarantined").exists()
