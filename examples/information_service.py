@@ -31,7 +31,7 @@ for output in outputs.values():
     provider = GridFTPInfoProvider(
         log=output.log,
         site=site,
-        url=f"gsiftp://{site.hostname}:61000",
+        url=bed.servers[output.server_site].url,
         predictor=paper_predictors()["AVG15"],
     )
     gris = GRIS(f"gris-{site.name.lower()}")

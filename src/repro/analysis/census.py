@@ -15,9 +15,9 @@ use the classification labels; "All" is the unfiltered count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
-from repro.core.classification import Classification, paper_classification
+from repro.core.classification import paper_classification
 from repro.workload.campaigns import CampaignOutput
 
 from repro.analysis.report import render_table
@@ -45,9 +45,9 @@ class Census:
 
 def compute_census(
     months: Mapping[str, Mapping[str, CampaignOutput]],
-    classification: Optional[Classification] = None,
 ) -> Census:
-    """Count transfers per class from campaign outputs.
+    """Count transfers per class of the paper's classification from
+    campaign outputs.
 
     Parameters
     ----------
@@ -55,7 +55,7 @@ def compute_census(
         month name -> (link -> campaign output), e.g.
         ``{"August": run_month(AUG_2001), "December": run_month(DEC_2001)}``.
     """
-    cls = classification or paper_classification()
+    cls = paper_classification()
     counts: Dict[str, Dict[str, Dict[str, int]]] = {}
     for month, links in months.items():
         counts[month] = {}

@@ -56,8 +56,9 @@ def _run(month: str, seed: int, with_nws: bool = False) -> Dict[str, CampaignOut
         start = {"aug": AUG_2001, "dec": DEC_2001}[month.lower()]
     except KeyError:
         raise SystemExit(f"unknown month {month!r}; expected aug or dec") from None
-    runner = run_month_with_nws if with_nws else run_month
-    return runner(start_epoch=start, seed=seed)
+    if with_nws:
+        return run_month_with_nws(start_epoch=start, seed=seed)
+    return run_month(start_epoch=start, seed=seed)
 
 
 def _parse_size(text: str) -> int:

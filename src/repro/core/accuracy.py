@@ -34,26 +34,30 @@ __all__ = ["backtest_error", "RiskAssessedReplica", "RiskAdjustedRanking"]
 #: Fewest scored observations a backtest reports an error from.
 _MIN_SCORED = 3
 
+#: Recent observations a backtest scores.
+LOOKBACK = 10
+
+#: The error a site whose backtest abstains is discounted by: the
+#: unknown is treated as risky, not as safe.
+DEFAULT_ERROR = 0.5
+
 
 def backtest_error(
     predictor: Predictor,
     history: History,
     target_size: Optional[int] = None,
-    lookback: int = 10,
 ) -> Optional[float]:
     """Mean absolute fractional error of ``predictor`` on recent history.
 
-    For each of the last ``lookback`` observations, predict it from the
+    For each of the last :data:`LOOKBACK` observations, predict it from the
     strictly-earlier prefix and score ``|actual - predicted| / actual``.
     Returns ``None`` if fewer than ``_MIN_SCORED`` observations could be
     scored (the predictor abstained or the history is too short) —
     an uncertainty estimate that is itself too uncertain to report.
     """
-    if lookback < 1:
-        raise ValueError("lookback must be positive")
     n = len(history)
     errors: List[float] = []
-    for i in range(max(1, n - lookback), n):
+    for i in range(max(1, n - LOOKBACK), n):
         prefix = history.prefix(i)
         actual = float(history.values[i])
         predicted = predictor.predict(
@@ -82,25 +86,18 @@ class RiskAdjustedRanking:
     Wraps a :class:`~repro.core.selection.ReplicaBroker`: predictions and
     candidate discovery are the broker's; this class adds the per-site
     backtest and re-ranks by the certainty-discounted bandwidth.  A site
-    whose error cannot be estimated is discounted by ``default_error``
-    (treat the unknown as risky, not as safe).
+    whose error cannot be estimated is discounted by :data:`DEFAULT_ERROR`.
     """
 
     def __init__(
         self,
         broker: ReplicaBroker,
         risk_aversion: float = 1.0,
-        lookback: int = 10,
-        default_error: float = 0.5,
     ):
         if not (0.0 <= risk_aversion <= 1.0):
             raise ValueError(f"risk_aversion must be in [0, 1], got {risk_aversion}")
-        if not (0.0 <= default_error <= 1.0):
-            raise ValueError(f"default_error must be in [0, 1], got {default_error}")
         self.broker = broker
         self.risk_aversion = risk_aversion
-        self.lookback = lookback
-        self.default_error = default_error
 
     def _assess(
         self, ranked: RankedReplica, logical_name: str, client_address: str, now: float
@@ -109,10 +106,8 @@ class RiskAdjustedRanking:
             return RiskAssessedReplica(**vars(ranked))
         history = self.broker._history_for(ranked.site, client_address)
         size = self.broker.catalog.size_of(logical_name)
-        error = backtest_error(
-            self.broker.predictor, history, target_size=size, lookback=self.lookback
-        )
-        effective_error = min(error if error is not None else self.default_error, 1.0)
+        error = backtest_error(self.broker.predictor, history, target_size=size)
+        effective_error = min(error if error is not None else DEFAULT_ERROR, 1.0)
         adjusted = ranked.predicted_bandwidth * (
             1.0 - self.risk_aversion * effective_error
         )

@@ -24,8 +24,11 @@ them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Tuple
+
+import numpy as np
 
 from repro.units import MB
 
@@ -61,16 +64,20 @@ class Classification:
 
     def classify(self, size: int) -> str:
         """Label of the class containing ``size`` bytes."""
+        return self.labels[self.index(size)]
+
+    def index(self, size: int) -> int:
+        """Index of the class containing ``size`` bytes: the number of
+        edges at or below it."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        for edge, label in zip(self.edges, self.labels):
-            if size < edge:
-                return label
-        return self.labels[-1]
+        return bisect_right(self.edges, size)
 
-    def index_of(self, size: int) -> int:
-        """Index of the class containing ``size``."""
-        return self.labels.index(self.classify(size))
+    def indices(self, sizes: np.ndarray) -> np.ndarray:
+        """:meth:`index` of every size in a column, in one search."""
+        if len(sizes) and sizes.min() <= 0:
+            raise ValueError(f"size must be positive, got {sizes.min()}")
+        return np.searchsorted(self.edges, sizes, side="right")
 
     def bounds(self, label: str) -> Tuple[int, float]:
         """``[lo, hi)`` byte bounds of the labelled class (hi may be inf)."""

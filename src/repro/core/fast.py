@@ -42,6 +42,7 @@ from repro.core.evaluation import (
     PredictionTrace,
     resolve_history,
 )
+from repro.core.predictors.arima import CLAMP, MIN_POINTS
 from repro.core.predictors.registry import PAPER_PREDICTOR_NAMES
 from repro.logs.stats import median
 from repro.units import DAY, HOUR
@@ -167,13 +168,12 @@ def _ar_model(
     anchors: np.ndarray,
     window_seconds: Optional[float],
 ) -> np.ndarray:
-    """Vectorized :class:`~repro.core.predictors.arima.ArModel` at its
-    default parameters.
+    """Vectorized :class:`~repro.core.predictors.arima.ArModel`.
 
     For each i, the model fits ``y = a + b x`` over the lag pairs of the
     (optionally time-windowed) prefix and predicts ``a + b * v[last]``,
-    falling back to the window mean below 3 observations or on a
-    singular fit, flooring at ``0.1 * window_min``.
+    falling back to the window mean below ``MIN_POINTS`` observations or
+    on a singular fit, flooring at ``CLAMP * window_min``.
     """
     n = len(values)
     out = np.full(n, np.nan)
@@ -230,10 +230,10 @@ def _ar_model(
         b = cov / var
         a = (sy - b * sx) / np.where(m > 0, m, 1.0)
         prediction = a + b * values[idx - 1]
-        floor = 0.1 * window_min
+        floor = CLAMP * window_min
         prediction = np.maximum(prediction, floor)
 
-    fittable = (counts >= 3) & (var > 0) & np.isfinite(var)
+    fittable = (counts >= MIN_POINTS) & (var > 0) & np.isfinite(var)
     out[1:] = np.where(fittable, prediction, window_mean)
     out[1:] = np.where(counts > 0, out[1:], np.nan)
     return out
@@ -289,9 +289,9 @@ def fast_evaluate(
         # Per-class kernels on each subseries, scattered back.
         for name in PAPER_PREDICTOR_NAMES:
             matrix[f"C-{name}"] = np.full(n, np.nan)
-        labels = np.array([cls.classify(int(s)) for s in history.sizes])
-        for label in cls.labels:
-            indices = np.flatnonzero(labels == label)
+        tags = cls.indices(history.sizes)
+        for tag in range(len(cls.labels)):
+            indices = np.flatnonzero(tags == tag)
             if len(indices) == 0:
                 continue
             sub = _predictor_matrix(

@@ -30,6 +30,17 @@ from repro.units import DAY
 
 __all__ = ["ArModel", "fit_ar1", "fit_ar1_sums"]
 
+#: Observations a window needs before the fit is tried; below it the
+#: model predicts the window mean.  Three values are the two lag pairs a
+#: slope needs.  The paper notes ~50 points are needed for statistical
+#: significance but evaluates with whatever is present.
+MIN_POINTS = 3
+
+#: AR extrapolation can run negative on a falling series; a prediction
+#: is floored at this fraction of the window minimum (bandwidth is
+#: positive by construction).
+CLAMP = 0.1
+
 
 def fit_ar1_sums(m, sx, sy, sxx, sxy) -> Optional[Tuple[float, float]]:
     """The least-squares ``(a, b)`` from the lag sums; ``None`` if singular.
@@ -74,31 +85,16 @@ class ArModel(Predictor):
     window_days:
         Fit only on observations from the last ``window_days`` days
         (``AR5d``, ``AR10d``); ``None`` fits on all data (``AR``).
-    min_points:
-        Minimum observations to attempt the fit; below this the window
-        mean is returned.  The paper notes ~50 points are needed for
-        statistical significance but evaluates with whatever is present.
-    clamp:
-        AR extrapolation can run negative on falling series; predictions
-        are clamped to this fraction of the window minimum (bandwidth is
-        positive by construction).
+
+    Below :data:`MIN_POINTS` observations, or on a singular fit, the
+    window mean is returned; a prediction is floored at :data:`CLAMP`
+    times the window minimum.
     """
 
-    def __init__(
-        self,
-        window_days: Optional[float] = None,
-        min_points: int = 3,
-        clamp: float = 0.1,
-    ):
+    def __init__(self, window_days: Optional[float] = None):
         if window_days is not None and window_days <= 0:
             raise PredictorError(f"window_days must be positive, got {window_days}")
-        if min_points < 3:
-            raise PredictorError(f"min_points must be >= 3, got {min_points}")
-        if not (0.0 <= clamp <= 1.0):
-            raise PredictorError(f"clamp must be in [0, 1], got {clamp}")
         self.window_days = window_days
-        self.min_points = min_points
-        self.clamp = clamp
         self.name = "AR" if window_days is None else f"AR{window_days:g}d"
 
     def predict(
@@ -116,12 +112,12 @@ class ArModel(Predictor):
             if len(window) == 0:
                 return None
         values = window.values
-        if len(values) < self.min_points:
+        if len(values) < MIN_POINTS:
             return float(values.mean())
         fit = fit_ar1(values)
         if fit is None:
             return float(values.mean())
         a, b = fit
         prediction = float(a + b * values[-1])
-        floor = self.clamp * float(values.min())
+        floor = CLAMP * float(values.min())
         return max(prediction, floor)

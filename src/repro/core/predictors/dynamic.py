@@ -21,6 +21,9 @@ from repro.core.predictors.base import Predictor, PredictorError
 
 __all__ = ["DynamicSelector"]
 
+#: Observations scored before the ranking is trusted.
+WARMUP = 3
+
 
 class DynamicSelector(Predictor):
     """Predict with the battery member that has the lowest running MAPE.
@@ -29,22 +32,18 @@ class DynamicSelector(Predictor):
     ----------
     members:
         Candidate predictors (must have unique names).
-    warmup:
-        Observations to score before trusting the ranking; until every
-        member has been scored at least once, the first member acts as
-        the default.
+
+    Until some member has been scored on :data:`WARMUP` observations, the
+    first member acts as the default.
     """
 
-    def __init__(self, members: Sequence[Predictor], warmup: int = 3):
+    def __init__(self, members: Sequence[Predictor]):
         if not members:
             raise PredictorError("DynamicSelector needs at least one member")
         names = [m.name for m in members]
         if len(set(names)) != len(names):
             raise PredictorError(f"duplicate member names: {names}")
-        if warmup < 1:
-            raise PredictorError(f"warmup must be >= 1, got {warmup}")
         self.members: List[Predictor] = list(members)
-        self.warmup = warmup
         self.name = "DYN(" + ",".join(names) + ")"
         self._reset_cache()
 
@@ -96,7 +95,7 @@ class DynamicSelector(Predictor):
         """Member currently preferred for this history."""
         self._check_same_log(history)
         self._score_new(history)
-        if all(self._counts[m.name] < self.warmup for m in self.members):
+        if all(self._counts[m.name] < WARMUP for m in self.members):
             return self.members[0]
         return min(self.members, key=self._mape)
 

@@ -46,6 +46,11 @@ class _Fit:
     n_pairs: int
 
 
+#: Observed pairs a fit needs: two pairs sharing a site are the least
+#: that separate a source factor from a sink factor.
+MIN_PAIRS = 2
+
+
 class SiteFactorModel:
     """Log-bilinear site-factor extrapolator.
 
@@ -57,9 +62,8 @@ class SiteFactorModel:
         Optional size-class filter applied to every pair's history before
         summarizing, so the extrapolation is class-consistent (predicting
         a 1 GB transfer from 1 GB-class evidence).
-    min_pairs:
-        Minimum observed pairs required to fit (below it, predictions
-        abstain).
+
+    Below :data:`MIN_PAIRS` observed pairs, predictions abstain.
     """
 
     def __init__(
@@ -67,18 +71,14 @@ class SiteFactorModel:
         window: int = 25,
         classification: Optional[Classification] = None,
         label: Optional[str] = None,
-        min_pairs: int = 2,
     ):
         if window <= 0:
             raise ValueError(f"window must be positive, got {window}")
         if (classification is None) != (label is None):
             raise ValueError("classification and label must be given together")
-        if min_pairs < 2:
-            raise ValueError(f"min_pairs must be >= 2, got {min_pairs}")
         self.window = window
         self.classification = classification
         self.label = label
-        self.min_pairs = min_pairs
 
     # ------------------------------------------------------------------
     # fitting
@@ -94,7 +94,7 @@ class SiteFactorModel:
     def fit(self, pair_histories: Mapping[PairKey, History]) -> Optional[_Fit]:
         """Least-squares site factors from the observed pair summaries.
 
-        Returns ``None`` when fewer than ``min_pairs`` pairs have usable
+        Returns ``None`` when fewer than :data:`MIN_PAIRS` pairs have usable
         history.
         """
         observations: List[Tuple[str, str, float]] = []
@@ -104,7 +104,7 @@ class SiteFactorModel:
             summary = self._summarize(history)
             if summary is not None and summary > 0:
                 observations.append((src, dst, float(np.log(summary))))
-        if len(observations) < self.min_pairs:
+        if len(observations) < MIN_PAIRS:
             return None
 
         sources = sorted({src for src, _, _ in observations})

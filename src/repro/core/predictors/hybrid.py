@@ -22,11 +22,21 @@ from typing import Optional
 import numpy as np
 
 from repro.core.history import History
-from repro.core.predictors.base import Predictor, PredictorError
+from repro.core.predictors.base import Predictor
 from repro.logs.stats import median
 from repro.nws.series import TimeSeries
 
 __all__ = ["HybridPredictor"]
+
+#: Recent GridFTP observations the ratio is estimated from.
+WINDOW = 25
+
+#: (observation, probe) pairs needed before the predictor answers.
+MIN_PAIRS = 3
+
+#: Seconds after which the freshest probe is stale: it carries no current
+#: information, and the predictor abstains.
+MAX_PROBE_AGE = 3600.0
 
 
 class HybridPredictor(Predictor):
@@ -36,34 +46,16 @@ class HybridPredictor(Predictor):
     ----------
     probes:
         The NWS measurement series for the same path.
-    window:
-        Number of recent GridFTP observations used to estimate the ratio.
-    min_pairs:
-        Minimum (observation, probe) pairs required before predicting.
-    max_probe_age:
-        Abstain if the freshest probe is older than this many seconds;
-        a stale probe carries no current information.
+
+    The ratio is the median over the last :data:`WINDOW` observations; the
+    predictor abstains below :data:`MIN_PAIRS` pairs or when the freshest
+    probe is older than :data:`MAX_PROBE_AGE`.
     """
 
     name = "HYBRID"
 
-    def __init__(
-        self,
-        probes: TimeSeries,
-        window: int = 25,
-        min_pairs: int = 3,
-        max_probe_age: float = 3600.0,
-    ):
-        if window <= 0 or min_pairs <= 0:
-            raise PredictorError("window and min_pairs must be positive")
-        if min_pairs > window:
-            raise PredictorError("min_pairs cannot exceed window")
-        if max_probe_age <= 0:
-            raise PredictorError("max_probe_age must be positive")
+    def __init__(self, probes: TimeSeries):
         self.probes = probes
-        self.window = window
-        self.min_pairs = min_pairs
-        self.max_probe_age = max_probe_age
 
     def predict(
         self,
@@ -81,18 +73,18 @@ class HybridPredictor(Predictor):
         current_probe = self.probes.value_at(anchor)
         if current_probe is None or current_probe <= 0:
             return None
-        if anchor - min(probe_time, anchor) > self.max_probe_age and (
-            anchor - probe_time > self.max_probe_age
+        if anchor - min(probe_time, anchor) > MAX_PROBE_AGE and (
+            anchor - probe_time > MAX_PROBE_AGE
         ):
             return None
 
-        recent = history.last(self.window)
+        recent = history.last(WINDOW)
         ratios = []
         for t, bw in zip(recent.times, recent.values):
             probe = self.probes.value_at(float(t))
             if probe is not None and probe > 0:
                 ratios.append(float(bw) / probe)
-        if len(ratios) < self.min_pairs:
+        if len(ratios) < MIN_PAIRS:
             return None
         ratio = median(np.asarray(ratios))
         return ratio * current_probe

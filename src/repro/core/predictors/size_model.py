@@ -66,29 +66,24 @@ def fit_saturating_curve(
     return rate, half_size
 
 
-class SizeScaledPredictor(Predictor):
-    """Predict via a fitted bandwidth-vs-size curve times recent load level.
+#: Recent observations the load-level estimate is taken over.
+LEVEL_WINDOW = 15
 
-    Parameters
-    ----------
-    level_window:
-        Number of recent observations used for the load-level estimate.
-    min_points:
-        Minimum history to attempt the curve fit; below it (or when the
-        fit degenerates) the predictor falls back to the plain mean of
-        recent values — still a valid, if size-blind, estimate.
-    """
+#: History needed before the curve fit is tried; below it (or when the
+#: fit degenerates) the predictor falls back to the plain mean of recent
+#: values, still a valid, if size-blind, estimate.
+MIN_POINTS = 5
+
+
+class SizeScaledPredictor(Predictor):
+    """Predict via a fitted bandwidth-vs-size curve times recent load
+    level: the curve is fit from :data:`MIN_POINTS` observations on, the
+    level over the last :data:`LEVEL_WINDOW`."""
 
     name = "SIZE"
 
-    def __init__(self, level_window: int = 15, min_points: int = 5):
-        if level_window <= 0 or min_points < 3:
-            raise PredictorError("level_window must be > 0 and min_points >= 3")
-        self.level_window = level_window
-        self.min_points = min_points
-
     def _curve(self, history: History) -> Optional[Tuple[float, float]]:
-        if len(history) < self.min_points:
+        if len(history) < MIN_POINTS:
             return None
         return fit_saturating_curve(
             np.asarray(history.sizes, dtype=np.float64), history.values
@@ -106,7 +101,7 @@ class SizeScaledPredictor(Predictor):
             raise PredictorError(f"{self.name}: target_size is required")
 
         fit = self._curve(history)
-        recent = history.last(self.level_window)
+        recent = history.last(LEVEL_WINDOW)
         if fit is None:
             return float(recent.values.mean())
         rate, half_size = fit

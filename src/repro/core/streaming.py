@@ -76,7 +76,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.classification import Classification
-from repro.core.predictors.arima import ArModel, fit_ar1_sums
+from repro.core.predictors.arima import CLAMP, MIN_POINTS, ArModel, fit_ar1_sums
 from repro.core.predictors.base import Predictor
 from repro.core.predictors.classified import ClassifiedPredictor
 from repro.core.predictors.last_value import LastValue
@@ -279,21 +279,19 @@ class _ArSummary:
             mins.pop()
         mins.append(col.count - 1)
 
-    def push_mins(self, col: "SeriesSummaries", values: np.ndarray) -> None:
-        """Fold the series' last ``len(values)`` rows into the min chain.
+    def push_mins(self, col: "SeriesSummaries", low: float,
+                  chain: List[int]) -> None:
+        """Fold a batch of the series' newest rows into the min chain.
 
         The sequential pop-while replayed wholesale: survivors of the
-        old chain are those strictly below the batch minimum (the batch
-        chain's first value), and the appended entries are the batch's
-        suffix-minima chain.
+        old chain are those strictly below the batch minimum ``low``,
+        and the appended entries are the batch's suffix-minima
+        ``chain`` (series row indices, which every window shares).
         """
         mins = self._mins
-        chain = _suffix_minima(values)
-        batch_min = values[chain[0]]
-        while mins and col._value(mins[-1]) >= batch_min:
+        while mins and col._value(mins[-1]) >= low:
             mins.pop()
-        first = col.count - len(values)
-        mins += [first + i for i in chain]
+        mins += chain
 
     def extend(self, col: "SeriesSummaries", values: np.ndarray) -> None:
         """Fold an in-order batch; identical final sums to n ``add``\\ s.
@@ -333,8 +331,7 @@ class _ArSummary:
         self.start = stop
         del self._mins[:bisect_left(self._mins, stop)]
 
-    def value(self, col: "SeriesSummaries", anchor: float,
-              min_points: int, clamp: float) -> Optional[float]:
+    def value(self, col: "SeriesSummaries", anchor: float) -> Optional[float]:
         if self.seconds is not None:
             expired = _expired(self, col, anchor - self.seconds)
             if expired:
@@ -343,14 +340,14 @@ class _ArSummary:
         if n == 0:
             return None
         mean = float(self._sum / n)
-        if n < min_points or n < 3:  # fewer than two lag pairs
+        if n < MIN_POINTS:  # fewer than two lag pairs
             return mean
         fit = fit_ar1_sums(n - 1, self._sx, self._sy, self._sxx, self._sxy)
         if fit is None:
             return mean
         a, b = fit
         prediction = float(a + b * np.longdouble(col.last))
-        floor = clamp * (col._median.minimum() if self.seconds is None
+        floor = CLAMP * (col._median.minimum() if self.seconds is None
                          else col._value(self._mins[0]))
         return max(prediction, float(floor))
 
@@ -465,8 +462,13 @@ class SeriesSummaries:
         self.last_time = float(times[-1])
         self._median.extend(values)
         self._fold_once(lambda summary: summary.extend(self, values))
+        # One suffix-minima chain of the batch serves every window.
+        chain = _suffix_minima(values)
+        low = values[chain[0]]
+        first = self.count - k
+        chain = [first + i for i in chain]
         for ar in self._cursors[-len(AR_DAYS):]:
-            ar.push_mins(self, values)
+            ar.push_mins(self, low, chain)
 
     def _fold_once(self, fold: Callable) -> None:
         """``fold`` the newest rows into the all-data sums, then into each
@@ -619,9 +621,8 @@ class StreamingBank:
         self._columns = [np.empty(_INITIAL_ROWS, dtype=dt) for dt in _DTYPES]
         self._global = SeriesSummaries(self._columns)
         #: One series per observed class, keyed by its index in
-        #: ``classification.labels`` (a row's tag, :meth:`_tags`).
+        #: ``classification.labels`` (a row's tag).
         self._classes: Dict[int, _ClassSeries] = {}
-        self._tag_cache: Dict[int, int] = {}
 
     def views(self) -> Tuple[np.ndarray, ...]:
         """``(times, values, sizes, ops)``: zero-copy views of the rows."""
@@ -631,20 +632,6 @@ class StreamingBank:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _tag(self, size: int) -> int:
-        tag = self._tag_cache.get(size)
-        if tag is None:
-            if len(self._tag_cache) > 4096:  # fuzz-resistant bound
-                self._tag_cache.clear()
-            tag = self._tag_cache[size] = self.classification.index_of(size)
-        return tag
-
-    def _tags(self, sizes: np.ndarray) -> np.ndarray:
-        """One classify per *distinct* size, scattered back."""
-        unique_sizes, inverse = np.unique(sizes, return_inverse=True)
-        return np.array([self._tag(int(s)) for s in unique_sizes],
-                        dtype=np.uint8)[inverse]
-
     def add(self, time: float, value: float, size: int, op: int) -> None:
         """Hold and fold one row; O(1) amortized when it ends no earlier
         than the last (else it is a batch of one for :meth:`extend`)."""
@@ -657,7 +644,7 @@ class StreamingBank:
         for column, item in zip(columns, (time, value, size, op)):
             column[row] = item
         self.count = row + 1
-        tag = self._tag(int(size))
+        tag = self.classification.index(size)
         self._global.add(time, value)
         series = self._classes.get(tag)
         if series is None:
@@ -714,7 +701,7 @@ class StreamingBank:
         if lo == self.count:
             return
         times, values, sizes, _ = (column[lo:self.count] for column in self._columns)
-        tags = self._tags(sizes)
+        tags = self.classification.indices(sizes)
         self._global.extend(times, values)
         # First-occurrence order (dict.fromkeys, not set): new class
         # series are created in the order the per-row path would have.
@@ -800,15 +787,15 @@ class StreamingBank:
         ops)``, stably sorted by end time (else ``ValueError``) — and
         restore :meth:`state` from a :class:`repro.store.checkpoint.Reader`
         over it, taken when the bank held their first ``n``.  The link
-        series is those rows, a class series those :meth:`_tags` gives
-        its index; what does not add up raises the reader's error.  The
-        rows past ``n`` then fold in as :meth:`extend` would, and must
-        end no earlier than those."""
+        series is those rows, a class series those
+        :meth:`Classification.indices` gives its index; what does not
+        add up raises the reader's error.  The rows past ``n`` then fold
+        in as :meth:`extend` would, and must end no earlier than those."""
         self.rebuilds, classes = src.unpack(_BANK)
         held = list(src.raw(classes))
         self._hold(columns)
         rows = self._columns
-        tags = self._tags(rows[2][:n])
+        tags = self.classification.indices(rows[2][:n])
         counts = np.bincount(tags).tolist()
         src.require(sorted(held) == [tag for tag, k in enumerate(counts) if k],
                     "the class series are not the rows' classes")
@@ -844,7 +831,7 @@ class StreamingBank:
         if isinstance(predictor, ClassifiedPredictor):
             if predictor.classification is not self.classification:
                 raise StreamingUnavailable("classification mismatch")
-            series = self._classes.get(self._tag(int(size)))
+            series = self._classes.get(self.classification.index(size))
             value = self._answer_series(predictor.base, series, now)
             if value is None and predictor.fallback:
                 value = self._answer_series(predictor.base, self._global, now)
@@ -884,8 +871,7 @@ class StreamingBank:
         if kind is ArModel:
             if base.window_days not in series._ar:
                 raise StreamingUnavailable(f"no {base.window_days}d window banked")
-            return series._ar[base.window_days].value(
-                series, anchor, base.min_points, base.clamp)
+            return series._ar[base.window_days].value(series, anchor)
         raise StreamingUnavailable(f"unbanked predictor {base!r}")
 
 

@@ -14,7 +14,7 @@ mapping.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Mapping, Sequence, Union
 
 from repro.data.frame import TransferFrame
 from repro.data.ingest import load_ulm
@@ -42,20 +42,14 @@ class Dataset(Mapping[str, TransferFrame]):
     def from_ulm(
         cls,
         paths: Union[str, Path, Sequence[Union[str, Path]]],
-        links: Optional[Sequence[str]] = None,
     ) -> "Dataset":
-        """Load ULM files, one link per file (default link: the file stem),
+        """Load ULM files, one link per file named by the file's stem,
         each through :func:`repro.data.ingest.load_ulm`."""
         if isinstance(paths, (str, Path)):
             paths = [paths]
-        paths = [Path(p) for p in paths]
-        if links is not None and len(links) != len(paths):
-            raise ValueError(
-                f"{len(links)} link names for {len(paths)} paths"
-            )
-        names = list(links) if links is not None else [p.stem for p in paths]
         frames: Dict[str, TransferFrame] = {}
-        for name, path in zip(names, paths):
+        for path in map(Path, paths):
+            name = path.stem
             frame = load_ulm(path)
             frames[name] = frames[name].merge(frame) if name in frames else frame
         return cls(frames)

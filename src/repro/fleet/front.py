@@ -123,6 +123,10 @@ class _Conn:
 _Ticket = Tuple[_Conn, float]
 
 
+#: Connections a shard link keeps to its worker.
+POOL_SIZE = 4
+
+
 class _ShardLink:
     """One worker's client side: connection pool, breaker, admission.
 
@@ -144,7 +148,6 @@ class _ShardLink:
         shard: int,
         socket_path: Union[str, Path],
         *,
-        pool_size: int = 4,
         max_pending: int = 64,
         call_timeout: float = 5.0,
         breaker_threshold: int = 3,
@@ -152,7 +155,6 @@ class _ShardLink:
     ):
         self.shard = shard
         self.socket_path = str(socket_path)
-        self.pool_size = pool_size
         self.max_pending = max_pending
         self.call_timeout = call_timeout
         self.breaker = CircuitBreaker(
@@ -233,7 +235,7 @@ class _ShardLink:
         """An idle connection, or a fresh one while the pool has room;
         otherwise wait — up to the call's deadline — for either."""
         with self._cond:
-            while not self._idle and self._created >= self.pool_size:
+            while not self._idle and self._created >= POOL_SIZE:
                 if not self._cond.wait(deadline - time.monotonic()):
                     raise TimeoutError("no pooled connection came free in time")
             if self._idle:
@@ -300,7 +302,6 @@ class FleetFront:
         port: int = 0,
         ring: Optional[ShardRing] = None,
         fallback: bool = False,
-        pool_size: int = 4,
         max_pending: int = 64,
         call_timeout: float = 5.0,
         heartbeat_interval: float = 0.5,
@@ -326,7 +327,6 @@ class FleetFront:
         self._links = [
             _ShardLink(
                 shard, path,
-                pool_size=pool_size,
                 max_pending=max_pending,
                 call_timeout=call_timeout,
                 breaker_threshold=breaker_threshold,

@@ -8,7 +8,7 @@ so the ring hashes with BLAKE2b instead: stable, seedless, and cheap
 (one digest per lookup, ~1µs).
 
 The ring is the classic Karger construction: each shard owns
-``replicas`` pseudo-random points on a 64-bit circle; a link belongs to
+:data:`REPLICAS` pseudo-random points on a 64-bit circle; a link belongs to
 the shard owning the first point at or after the link's own hash.
 Replicas smooth the load split (64 points per shard keeps the
 imbalance under ~20% for realistic link populations) and keep
@@ -25,6 +25,9 @@ from repro.digests import blake2b
 
 __all__ = ["ShardRing", "stable_hash"]
 
+#: Points each shard owns on the ring.
+REPLICAS = 64
+
 
 def stable_hash(key: str) -> int:
     """A process-stable 64-bit hash of ``key`` (BLAKE2b, first 8 bytes)."""
@@ -40,23 +43,20 @@ class ShardRing:
     True
 
     Instances are immutable after construction and safe to share across
-    threads.  Two rings built with the same ``(shards, replicas)`` agree
+    threads.  Two rings built with the same ``shards`` agree
     exactly — including rings built in different processes, which is the
     whole point.
     """
 
-    __slots__ = ("shards", "replicas", "_points", "_owners")
+    __slots__ = ("shards", "_points", "_owners")
 
-    def __init__(self, shards: int, replicas: int = 64):
+    def __init__(self, shards: int):
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
         self.shards = shards
-        self.replicas = replicas
         points: List[Tuple[int, int]] = []
         for shard in range(shards):
-            for replica in range(replicas):
+            for replica in range(REPLICAS):
                 points.append((stable_hash(f"shard-{shard}#{replica}"), shard))
         points.sort()
         self._points = [point for point, _ in points]
@@ -79,4 +79,4 @@ class ShardRing:
         return groups
 
     def __repr__(self) -> str:
-        return f"<ShardRing shards={self.shards} replicas={self.replicas}>"
+        return f"<ShardRing shards={self.shards} replicas={REPLICAS}>"

@@ -153,24 +153,19 @@ class GridFTPServer:
         topology: Topology,
         volumes: Sequence[LogicalVolume],
         transfer_engine: TransferEngine,
-        monitor: Optional[Monitor] = None,
-        grid_map: Optional[Set[str]] = None,
         port: int = 2811,
-        max_sessions: Optional[int] = None,
     ):
         if not volumes:
             raise ValueError("server needs at least one volume")
-        if max_sessions is not None and max_sessions < 1:
-            raise ValueError(f"max_sessions must be >= 1, got {max_sessions}")
         self.site = site
         self.engine = engine
         self.topology = topology
         self.volumes: List[LogicalVolume] = list(volumes)
         self.transfer_engine = transfer_engine
-        self.monitor = monitor or Monitor(host=site.hostname)
-        self.grid_map = grid_map  # None => accept any valid credential
+        self.monitor = Monitor(host=site.hostname)
+        self.grid_map: Optional[Set[str]] = None  # None => any valid credential
         self.port = port
-        self.max_sessions = max_sessions  # None => unlimited
+        self.max_sessions: Optional[int] = None  # None => unlimited
         self.transfers_served = 0
         self._open_sessions = 0
 

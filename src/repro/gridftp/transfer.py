@@ -73,6 +73,19 @@ class TransferOutcome:
         return self.request.size / self.duration
 
 
+#: Sigma of the mean-one log-normal noise on each transfer's efficiency.
+JITTER_SIGMA = 0.05
+
+#: Fixed server processing cost per transfer, seconds (session handling,
+#: data-channel setup beyond the modeled handshake RTTs).
+SERVER_OVERHEAD = 0.25
+
+#: Instrumentation cost per transfer, seconds; the paper measures ~25 ms
+#: and argues it is insignificant.  It is included so that claim can be
+#: checked rather than assumed.
+LOGGING_OVERHEAD = 0.025
+
+
 class TransferEngine:
     """Times transfers over a path between two disks.
 
@@ -81,41 +94,23 @@ class TransferEngine:
     tcp:
         The TCP throughput model.
     rng:
-        Stream for the per-transfer efficiency jitter.
-    jitter_sigma:
-        Sigma of the log-normal noise multiplier (0 disables noise).
-    server_overhead:
-        Fixed server processing cost per transfer, seconds (session
-        handling, data-channel setup beyond the modeled handshake RTTs).
-    logging_overhead:
-        Instrumentation cost per transfer, seconds; the paper measures
-        ~25 ms and argues it is insignificant — it is included so that
-        claim can be checked rather than assumed.
+        Stream for the per-transfer efficiency jitter (``None``: no
+        jitter).
     """
 
     def __init__(
         self,
         tcp: Optional[TcpModel] = None,
         rng: Optional[np.random.Generator] = None,
-        jitter_sigma: float = 0.05,
-        server_overhead: float = 0.25,
-        logging_overhead: float = 0.025,
     ):
-        if jitter_sigma < 0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {jitter_sigma}")
-        if server_overhead < 0 or logging_overhead < 0:
-            raise ValueError("overheads must be >= 0")
         self.tcp = tcp or TcpModel()
         self._rng = rng
-        self.jitter_sigma = jitter_sigma
-        self.server_overhead = server_overhead
-        self.logging_overhead = logging_overhead
 
     def _jitter(self) -> float:
-        if self._rng is None or self.jitter_sigma == 0.0:
+        if self._rng is None:
             return 1.0
         # Mean-one log-normal: exp(N(-sigma^2/2, sigma)).
-        sigma = self.jitter_sigma
+        sigma = JITTER_SIGMA
         return float(np.exp(self._rng.normal(-0.5 * sigma * sigma, sigma)))
 
     def execute(
@@ -152,8 +147,8 @@ class TransferEngine:
         )
 
         overhead = (
-            self.server_overhead
-            + self.logging_overhead
+            SERVER_OVERHEAD
+            + LOGGING_OVERHEAD
             + src_disk.spec.seek_time
             + dst_disk.spec.seek_time
         )

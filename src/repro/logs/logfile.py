@@ -22,7 +22,7 @@ the analysis, MDS, and service layers evaluate on.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.logs.record import TransferRecord
 from repro.logs.ulm import format_record
@@ -94,9 +94,8 @@ class FlushRestart(TrimPolicy):
 
     The flush fires when the record count is greater than or equal to
     ``threshold`` — a log trimmed by ``FlushRestart(3)`` never holds three
-    records after an append.  ``sink`` receives the flushed batch; by
-    default batches are kept on the policy's ``archived`` list so nothing
-    is silently lost.
+    records after an append.  Each flushed batch is kept on the policy's
+    ``archived`` list, so nothing is silently lost.
 
     Not ``batch_safe``: which records land in which archival batch depends
     on applying the policy after every single append, so bulk ingestion
@@ -105,21 +104,16 @@ class FlushRestart(TrimPolicy):
 
     batch_safe = False
 
-    def __init__(
-        self,
-        threshold: int,
-        sink: Optional[Callable[[Sequence[TransferRecord]], None]] = None,
-    ):
+    def __init__(self, threshold: int):
         if threshold <= 0:
             raise ValueError(f"threshold must be positive, got {threshold}")
         self.threshold = threshold
         self.archived: List[List[TransferRecord]] = []
-        self._sink = sink if sink is not None else self.archived.append  # type: ignore[arg-type]
 
     def apply(self, records: List[TransferRecord], now: float) -> List[TransferRecord]:
         if len(records) < self.threshold:
             return records
-        self._sink(list(records))
+        self.archived.append(list(records))
         return []
 
 
@@ -241,7 +235,7 @@ class TransferLog:
         return len(lines)
 
     @classmethod
-    def load(cls, path: str | Path, host: str = "localhost") -> "TransferLog":
+    def load(cls, path: str | Path) -> "TransferLog":
         """Read a ULM log file written by :meth:`save`.
 
         Parses the whole file with the vectorized one-pass ingest and
@@ -250,7 +244,7 @@ class TransferLog:
         """
         from repro.data.ingest import load_ulm
 
-        log = cls(host=host)
+        log = cls()
         frame = load_ulm(path)
         log.extend(frame.to_records())
         return log

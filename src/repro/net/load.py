@@ -83,45 +83,47 @@ class DiurnalLoad:
         return self.mean + self.amplitude * math.cos(phase)
 
 
+#: The AR(1) noise's lag coefficient and grid step, seconds.
+AR1_PHI = 0.97
+AR1_DT = 60.0
+
+#: A burst's utilization is drawn uniformly from this range.
+BURST_MAGNITUDE = (0.12, 0.35)
+
+#: A composite load is clamped to ``[LOAD_FLOOR, LOAD_CEILING]``.
+LOAD_FLOOR = 0.02
+LOAD_CEILING = 0.97
+
+
 class Ar1Load:
     """AR(1) noise sampled on a regular grid and linearly interpolated.
 
-    ``x[i] = phi * x[i-1] + eps``, ``eps ~ N(0, sigma)``.  The grid extends
-    lazily forward from ``t0``; values are cached so repeated queries are
-    consistent.  Queries before ``t0`` return the stationary mean (0).
+    ``x[i] = AR1_PHI * x[i-1] + eps``, ``eps ~ N(0, sigma)``, one value
+    every :data:`AR1_DT` seconds.  The grid extends lazily forward from
+    ``t0``; values are cached so repeated queries are consistent.  Queries
+    before ``t0`` return the stationary mean (0).
     """
 
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        t0: float,
-        phi: float = 0.97,
-        sigma: float = 0.02,
-        dt: float = 60.0,
-    ):
-        if not (0.0 <= phi < 1.0):
-            raise ValueError(f"phi must be in [0, 1), got {phi}")
-        if sigma < 0 or dt <= 0:
-            raise ValueError("sigma must be >= 0 and dt > 0")
+    def __init__(self, rng: np.random.Generator, t0: float, sigma: float = 0.02):
+        if sigma < 0:
+            raise ValueError("sigma must be >= 0")
         self._rng = rng
         self._t0 = float(t0)
-        self._phi = phi
         self._sigma = sigma
-        self._dt = dt
         # Start at a draw from the stationary distribution rather than 0 so
         # the first hours of a campaign are not artificially calm.
-        stationary_std = sigma / math.sqrt(1.0 - phi * phi)
+        stationary_std = sigma / math.sqrt(1.0 - AR1_PHI * AR1_PHI)
         self._values: List[float] = [float(rng.normal(0.0, stationary_std))]
 
     def _extend_to(self, index: int) -> None:
         while len(self._values) <= index:
             prev = self._values[-1]
-            self._values.append(self._phi * prev + float(self._rng.normal(0.0, self._sigma)))
+            self._values.append(AR1_PHI * prev + float(self._rng.normal(0.0, self._sigma)))
 
     def utilization(self, t: float) -> float:
         if t < self._t0:
             return 0.0
-        pos = (t - self._t0) / self._dt
+        pos = (t - self._t0) / AR1_DT
         lo = int(pos)
         frac = pos - lo
         self._extend_to(lo + 1)
@@ -132,7 +134,7 @@ class BurstLoad:
     """Poisson-arriving utilization spikes with Pareto durations.
 
     Bursts arrive with mean inter-arrival ``mean_interarrival`` seconds;
-    each adds ``magnitude ~ U(min_magnitude, max_magnitude)`` utilization
+    each adds ``magnitude ~ U(*BURST_MAGNITUDE)`` utilization
     for a duration drawn from a Pareto(1.5) with a scale of 120 s.
     Overlapping bursts stack.
     """
@@ -142,17 +144,11 @@ class BurstLoad:
         rng: np.random.Generator,
         t0: float,
         mean_interarrival: float = 4 * HOUR,
-        min_magnitude: float = 0.12,
-        max_magnitude: float = 0.35,
     ):
         if mean_interarrival <= 0:
             raise ValueError("mean_interarrival must be positive")
-        if not (0 <= min_magnitude <= max_magnitude):
-            raise ValueError("need 0 <= min_magnitude <= max_magnitude")
         self._rng = rng
         self._mean_interarrival = mean_interarrival
-        self._min_mag = min_magnitude
-        self._max_mag = max_magnitude
         self._horizon = float(t0)
         # (start, end, magnitude) triples, ordered by start.
         self._bursts: List[Tuple[float, float, float]] = []
@@ -162,7 +158,7 @@ class BurstLoad:
             gap = float(self._rng.exponential(self._mean_interarrival))
             start = self._horizon + gap
             duration = float(120.0 * self._rng.pareto(1.5) + 120.0)
-            magnitude = float(self._rng.uniform(self._min_mag, self._max_mag))
+            magnitude = float(self._rng.uniform(*BURST_MAGNITUDE))
             self._bursts.append((start, start + duration, magnitude))
             self._horizon = start
 
@@ -178,20 +174,17 @@ class BurstLoad:
 
 
 class CompositeLoad:
-    """Sum of component models, clamped to ``[floor, ceiling]``."""
+    """Sum of component models, clamped to
+    ``[LOAD_FLOOR, LOAD_CEILING]``."""
 
-    def __init__(self, *components: LoadModel, floor: float = 0.02, ceiling: float = 0.97):
+    def __init__(self, *components: LoadModel):
         if not components:
             raise ValueError("CompositeLoad needs at least one component")
-        if not (0.0 <= floor <= ceiling <= 1.0):
-            raise ValueError("need 0 <= floor <= ceiling <= 1")
         self._components = components
-        self._floor = floor
-        self._ceiling = ceiling
 
     def utilization(self, t: float) -> float:
         total = sum(c.utilization(t) for c in self._components)
-        return min(max(total, self._floor), self._ceiling)
+        return min(max(total, LOAD_FLOOR), LOAD_CEILING)
 
 
 def standard_link_load(

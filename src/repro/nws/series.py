@@ -22,10 +22,9 @@ __all__ = ["TimeSeries"]
 class TimeSeries:
     """Append-only (time, value) series with monotone non-decreasing times."""
 
-    def __init__(self, initial_capacity: int = 64):
-        if initial_capacity <= 0:
-            raise ValueError("initial_capacity must be positive")
-        self._data = np.empty((initial_capacity, 2), dtype=np.float64)
+    def __init__(self):
+        # Rows for 64 observations; append doubles the array when full.
+        self._data = np.empty((64, 2), dtype=np.float64)
         self._len = 0
 
     # ------------------------------------------------------------------
@@ -101,7 +100,3 @@ class TimeSeries:
             raise ValueError("median of empty series")
         return _median(self._data[: self._len, 1])
 
-    def stddev(self) -> float:
-        if self._len == 0:
-            raise ValueError("stddev of empty series")
-        return float(self._data[: self._len, 1].std(ddof=0))

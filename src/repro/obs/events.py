@@ -36,46 +36,29 @@ class EventBus:
     """A bounded ring of :class:`TraceEvent`.
 
     The newest ``capacity`` events are kept in a
-    ``deque(maxlen=capacity)``; eviction is O(1) and counted in
-    :attr:`dropped`.
+    ``deque(maxlen=capacity)``; eviction is O(1).
     """
 
     def __init__(self, capacity: int = 256, clock: Callable[[], float] = time.time):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
         self._clock = clock
         self._lock = threading.Lock()
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self._dropped = 0
 
     def emit(self, kind: str, **fields: Any) -> TraceEvent:
         event = TraceEvent(time=self._clock(), kind=kind, fields=fields)
         with self._lock:
-            if len(self._events) == self.capacity:
-                self._dropped += 1  # the append below evicts the oldest
             self._events.append(event)
         return event
 
-    def events(
-        self, kind: Optional[str] = None, limit: Optional[int] = None
-    ) -> List[TraceEvent]:
-        """The retained events, oldest first, optionally filtered.
-
-        ``limit`` keeps only the *newest* ``limit`` matches.
-        """
+    def events(self, kind: Optional[str] = None) -> List[TraceEvent]:
+        """The retained events, oldest first, optionally of one kind."""
         with self._lock:
             events = list(self._events)
         if kind is not None:
             events = [e for e in events if e.kind == kind]
-        if limit is not None and limit >= 0:
-            events = events[len(events) - limit:] if limit else []
         return events
-
-    @property
-    def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
 
     def __len__(self) -> int:
         with self._lock:

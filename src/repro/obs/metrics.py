@@ -277,8 +277,8 @@ class MetricsRegistry:
             raise ValueError(f"{name!r} is registered as {type(out).__name__}")
         return out
 
-    def histogram(self, name: str, help: str = "", window: int = 1024) -> Histogram:
-        out = self._get_or_create(name, lambda: Histogram(name, help, window))
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        out = self._get_or_create(name, lambda: Histogram(name, help))
         if not isinstance(out, Histogram):
             raise ValueError(f"{name!r} is registered as {type(out).__name__}")
         return out

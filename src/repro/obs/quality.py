@@ -358,15 +358,9 @@ class AccuracyTracker:
 
     def __init__(
         self,
-        window: int = DEFAULT_WINDOW,
-        max_pending: int = DEFAULT_MAX_PENDING,
         clock: Callable[[], float] = time.time,
         threshold: Optional[float] = None,
     ):
-        if max_pending <= 0:
-            raise ValueError(f"max_pending must be positive, got {max_pending}")
-        self.window = int(window)
-        self.max_pending = int(max_pending)
         self.threshold = None if threshold is None else float(threshold)
         self._clock = clock
         self._lock = threading.Lock()
@@ -474,8 +468,8 @@ class AccuracyTracker:
             return
         pending = self._pending
         links = self._links
-        max_pending = self.max_pending
-        window = self.window
+        max_pending = DEFAULT_MAX_PENDING
+        window = DEFAULT_WINDOW
         threshold = self.threshold
         bad = self._bad_ready
         pairs = 0
@@ -646,7 +640,7 @@ class AccuracyTracker:
         """
         with self._lock:
             self._drain_locked()
-            window = self.window
+            window = DEFAULT_WINDOW
             pending = sum(len(q) for q in self._pending.values())
             # Every recorded answer is still pending, was dropped by the
             # cap, or was folded into exactly one stats bucket — so the

@@ -147,15 +147,11 @@ class SpanExporter:
     def __init__(self, capacity: int = 1024):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
         self._lock = threading.Lock()
         self._spans: Deque[Span] = deque(maxlen=capacity)
-        self._dropped = 0
 
     def export(self, finished: Span) -> None:
         with self._lock:
-            if len(self._spans) == self.capacity:
-                self._dropped += 1
             self._spans.append(finished)
 
     def spans(
@@ -173,11 +169,6 @@ class SpanExporter:
     def clear(self) -> None:
         with self._lock:
             self._spans.clear()
-
-    @property
-    def dropped(self) -> int:
-        with self._lock:
-            return self._dropped
 
     def __len__(self) -> int:
         with self._lock:

@@ -6,9 +6,9 @@ The classic three-state machine:
   reaching ``failure_threshold`` trips the breaker open;
 * **open** — calls are rejected instantly (:class:`CircuitOpenError`)
   until ``reset_timeout`` has elapsed since the trip;
-* **half-open** — after the timeout, up to ``half_open_probes`` trial
-  calls are admitted: one success closes the breaker, one failure
-  re-opens it and restarts the timer.
+* **half-open** — after the timeout, one trial call at a time is
+  admitted: its success closes the breaker, its failure re-opens it and
+  restarts the timer.
 
 Time is explicit: every transition-relevant method accepts ``now`` (the
 GIIS drives breakers on simulation time) and falls back to the
@@ -73,7 +73,6 @@ class CircuitBreaker:
         name: str,
         failure_threshold: int = 5,
         reset_timeout: float = 30.0,
-        half_open_probes: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if failure_threshold < 1:
@@ -81,19 +80,15 @@ class CircuitBreaker:
                 f"failure_threshold must be >= 1, got {failure_threshold}")
         if reset_timeout <= 0:
             raise ValueError(f"reset_timeout must be > 0, got {reset_timeout}")
-        if half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {half_open_probes}")
         self.name = name
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._failures = 0          # consecutive failures while closed
         self._opened_at = 0.0
-        self._probes_in_flight = 0
+        self._probing = False       # a half-open trial call is in flight
         # Lifetime stats, exposed for status()/tests.
         self.trips = 0
         self.rejections = 0
@@ -116,13 +111,13 @@ class CircuitBreaker:
         # Caller holds the lock.
         if self._state == OPEN and now - self._opened_at >= self.reset_timeout:
             self._state = HALF_OPEN
-            self._probes_in_flight = 0
+            self._probing = False
 
     def allow(self, now: Optional[float] = None) -> bool:
         """Whether a call may proceed right now.
 
-        In half-open state at most ``half_open_probes`` concurrent trial
-        calls are admitted; every admitted caller **must** report back
+        In half-open state one trial call at a time is admitted; the
+        admitted caller **must** report back
         via :meth:`record_success` or :meth:`record_failure`.  Callers
         that lose the probe race are rejected and counted exactly like
         open-state rejections.
@@ -133,8 +128,8 @@ class CircuitBreaker:
             if self._state == CLOSED:
                 return True
             if self._state == HALF_OPEN:
-                if self._probes_in_flight < self.half_open_probes:
-                    self._probes_in_flight += 1
+                if not self._probing:
+                    self._probing = True
                     _M_PROBES.inc()
                     return True
                 self.rejections += 1
@@ -150,7 +145,7 @@ class CircuitBreaker:
             self._failures = 0
             if self._state == HALF_OPEN:
                 self._state = CLOSED
-                self._probes_in_flight = 0
+                self._probing = False
                 self.resets += 1
                 _M_RESETS.inc()
                 get_event_bus().emit(
@@ -171,7 +166,7 @@ class CircuitBreaker:
                 self._state = OPEN
                 self._opened_at = now
                 self._failures = 0
-                self._probes_in_flight = 0
+                self._probing = False
                 self.trips += 1
                 _M_TRIPS.inc()
                 get_event_bus().emit(

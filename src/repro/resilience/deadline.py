@@ -71,19 +71,6 @@ class Deadline:
         if self.expired():
             raise DeadlineExceeded(f"{what} exceeded its deadline")
 
-    def clamp(self, timeout: Optional[float]) -> Optional[float]:
-        """The smaller of ``timeout`` and the remaining budget.
-
-        Use to derive a per-step timeout (a socket timeout, a sleep) that
-        can never outlive the overall deadline.
-        """
-        remaining = self.remaining()
-        if remaining is None:
-            return timeout
-        if timeout is None:
-            return remaining
-        return min(timeout, remaining)
-
     def __repr__(self) -> str:
         if self.expires_at is None:
             return "<Deadline unbounded>"

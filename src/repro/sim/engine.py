@@ -1,9 +1,8 @@
 """Event-driven simulation engine.
 
 The engine is a classic calendar queue built on :mod:`heapq`.  Events are
-ordered by ``(time, priority, sequence)`` so that simultaneous events fire
-in a deterministic order: first by explicit priority, then by scheduling
-order.  Determinism matters here — every experiment in the reproduction is
+ordered by ``(time, sequence)`` so that simultaneous events fire in a
+deterministic order: the order they were scheduled in.  Determinism matters here — every experiment in the reproduction is
 seeded, and replaying a campaign must yield byte-identical logs.
 
 Time is a ``float`` in Unix epoch seconds.  The paper's logs use epoch
@@ -30,13 +29,12 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback.
 
-    Events compare by ``(time, priority, seq)``; the payload fields are
+    Events compare by ``(time, seq)``; the payload fields are
     excluded from ordering.  ``cancelled`` events stay in the heap but are
     skipped when popped (lazy deletion), which keeps cancellation O(1).
     """
 
     time: float
-    priority: int
     seq: int
     callback: Callable[..., None] = field(compare=False)
     args: tuple = field(compare=False, default=())
@@ -93,17 +91,15 @@ class Engine:
         delay: float,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        return self.schedule_at(self._now + delay, callback, *args, priority=priority)
+        return self.schedule_at(self._now + delay, callback, *args)
 
     def schedule_at(
         self,
         time: float,
         callback: Callable[..., None],
         *args: Any,
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at an absolute time.
 
@@ -118,7 +114,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self._now}"
             )
-        event = Event(float(time), priority, next(self._seq), callback, args)
+        event = Event(float(time), next(self._seq), callback, args)
         heapq.heappush(self._queue, event)
         return event
 
@@ -136,10 +132,9 @@ class Engine:
             return True
         return False
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, the clock passes ``until``, or
-        ``max_events`` events have fired.  Returns the number of events fired
-        by this call.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run events until the queue drains or the clock passes ``until``.
+        Returns the number of events fired by this call.
 
         When ``until`` is given, the clock is advanced to exactly ``until``
         even if the last event fires earlier, so back-to-back ``run`` calls
@@ -151,8 +146,6 @@ class Engine:
         fired = 0
         try:
             while self._queue:
-                if max_events is not None and fired >= max_events:
-                    break
                 head = self._queue[0]
                 if head.cancelled:
                     heapq.heappop(self._queue)

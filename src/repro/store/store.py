@@ -100,6 +100,12 @@ __all__ = ["LinkStore", "DEFAULT_SEGMENT_ROWS"]
 #: Tail rows that trigger an automatic seal into a segment.
 DEFAULT_SEGMENT_ROWS = 4096
 
+#: Tail file handles kept open across appends (LRU).
+MAX_OPEN_TAILS = 64
+
+#: Seconds :meth:`LinkStore.bytes_on_disk` serves its cached walk for.
+BYTES_MAX_AGE = 5.0
+
 _TAIL_NAME = "tail.wal"
 _CHECKPOINT_NAME = "checkpoint.bin"
 
@@ -214,8 +220,6 @@ class LinkStore:
         the page cache survives process death (``kill -9``), which is
         the crash mode the parity gates cover; power-loss durability
         costs the extra fsync.
-    max_open_tails:
-        Tail file handles kept open across appends (LRU).
     """
 
     def __init__(
@@ -223,12 +227,10 @@ class LinkStore:
         root: Union[str, Path],
         segment_rows: int = DEFAULT_SEGMENT_ROWS,
         fsync: bool = False,
-        max_open_tails: int = 64,
     ) -> None:
         self.root = Path(root)
         self.segment_rows = int(segment_rows)
         self.fsync = bool(fsync)
-        self.max_open_tails = int(max_open_tails)
         self._links_dir = self.root / "links"
         self._links_dir.mkdir(parents=True, exist_ok=True)
         self._registry_lock = threading.Lock()
@@ -518,7 +520,7 @@ class LinkStore:
         evicted = []
         with self._registry_lock:
             self._handles[meta.link] = handle
-            while len(self._handles) > self.max_open_tails:
+            while len(self._handles) > MAX_OPEN_TAILS:
                 evicted.append(self._handles.popitem(last=False)[1])
         for old in evicted:
             try:
@@ -806,12 +808,13 @@ class LinkStore:
     # ------------------------------------------------------------------
     # accounting
     # ------------------------------------------------------------------
-    def bytes_on_disk(self, max_age: float = 5.0) -> int:
-        """Total bytes under the store root (cached for ``max_age`` s)."""
+    def bytes_on_disk(self) -> int:
+        """Total bytes under the store root (cached for
+        :data:`BYTES_MAX_AGE` s)."""
         now = time.monotonic()
         with self._registry_lock:
             cached = self._bytes_cache
-            if cached is not None and now - cached[0] < max_age:
+            if cached is not None and now - cached[0] < BYTES_MAX_AGE:
                 return cached[1]
         total = 0
         for directory, _, files in os.walk(self.root):

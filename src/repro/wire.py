@@ -328,14 +328,14 @@ class FrameWriter:
     over the internal buffer — valid until the next encode (which
     releases it: a bytearray cannot grow while a view of it is alive),
     exactly the send-then-reuse lifecycle of a connection loop.  The
-    buffer only ever grows, so a steady request mix settles into zero
-    per-frame allocation.
+    buffer starts at 4 KiB and only ever grows, so a steady request mix
+    settles into zero per-frame allocation.
     """
 
     __slots__ = ("_buf", "_end", "_view")
 
-    def __init__(self, capacity: int = 4096):
-        self._buf = bytearray(capacity)
+    def __init__(self):
+        self._buf = bytearray(4096)
         self._end = 0
         self._view: Optional[memoryview] = None
 

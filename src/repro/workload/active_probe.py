@@ -56,31 +56,23 @@ class ActiveProber:
 
     Probe transfers go through the normal client/server path, so they are
     logged by the server's monitor exactly like organic transfers — which
-    is the point: predictors need no changes to benefit.
+    is the point: predictors need no changes to benefit.  The probe is
+    :class:`ActiveProbeConfig`'s: a 100 MB file, one of every testbed's
+    standard files, every 30 minutes.
     """
 
-    def __init__(
-        self,
-        testbed: Testbed,
-        server_site: str,
-        client_site: str,
-        config: Optional[ActiveProbeConfig] = None,
-    ):
+    def __init__(self, testbed: Testbed, server_site: str, client_site: str):
         if server_site == client_site:
             raise ValueError("prober needs two distinct sites")
         self.testbed = testbed
         self.server = testbed.servers[server_site]
         self.client = testbed.clients[client_site]
-        self.config = config or ActiveProbeConfig()
+        self.config = ActiveProbeConfig()
         self._rng = testbed.streams.get(
             f"active-probe:{server_site}->{client_site}")
         self.outcomes: List[TransferOutcome] = []
         self._process: Optional[Process] = None
         self._path = testbed.data_path(self.config.size)
-        if not self.server.volumes[0].has(self._path):
-            raise ValueError(
-                f"{server_site} has no standard file of {self.config.size} bytes"
-            )
 
     def start(self) -> Process:
         if self._process is not None and self._process.alive:

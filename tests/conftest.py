@@ -85,7 +85,7 @@ def august_outputs():
 @pytest.fixture(scope="session")
 def august_with_nws():
     """August campaign with concurrent NWS sensors (Figures 1-2 data)."""
-    return run_month_with_nws(start_epoch=AUG_2001, seed=1)
+    return run_month_with_nws(seed=1)
 
 
 @pytest.fixture(scope="session")

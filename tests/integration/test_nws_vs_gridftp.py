@@ -99,7 +99,7 @@ class TestSection7Extensions:
         records = output.log.records()
         cls = paper_classification()
         hybrid = ClassifiedPredictor(
-            HybridPredictor(output.probes, window=25, max_probe_age=3600.0), cls)
+            HybridPredictor(output.probes), cls)
         result = evaluate(records, {"C-AVG15": resolve("C-AVG15"),
                                     "C-HYBRID": hybrid})
         raw = [abs(r.bandwidth - p) / r.bandwidth * 100 for r in records

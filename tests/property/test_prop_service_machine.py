@@ -284,7 +284,7 @@ class ServiceMachine(RuleBasedStateMachine):
                     history.values, link._values(0, link.count))
                 assert np.shares_memory(
                     history.times, bank._columns[0][:link.count])
-                tags = bank._tags(history.sizes)
+                tags = bank.classification.indices(history.sizes)
                 for tag, series in bank._classes.items():  # every row of its class
                     np.testing.assert_array_equal(
                         series._pos[:series.count], np.flatnonzero(tags == tag))

@@ -11,7 +11,11 @@ stays.  A use of a function or class is an ``ast.Name``, an
 inside an f-string counts).  A method is reached only through an
 attribute (or an import), so only those count for it: a method counts
 as used wherever an attribute of its name is read, and a local variable
-or a function that shares its name does not use it.  Strings do not
+or a function that shares its name does not use it.  A ``self.<name>``
+or ``cls.<name>`` read inside a class reaches only that class's family
+(its ancestors, its descendants and itself, by bare name), so an
+unrelated class's method or attribute of the same name does not use
+it.  Strings do not
 count: a name that only ``__all__`` or a package's lazy export table
 spells is not used.
 
@@ -23,10 +27,13 @@ stale and fails too.
 
 The parameter pass asks the same of defaults.  Every parameter with a
 default, of any function or method in ``src/repro`` (nested ones too),
-must be passed by some call in ``src/``, ``examples/``, ``benchmarks/``
-or ``tests/``, or be listed in :data:`ALLOWED_PARAMETERS`; a default no
-call overrides is a constant with a knob on it, and every knob doubles
-what tests and benchmarks must cover.  A call is matched by the bare
+must be passed by some call in ``src/``, ``examples/`` or
+``benchmarks/``, or be listed in :data:`ALLOWED_PARAMETERS`; a default
+no call there overrides is a constant with a knob on it, and every knob
+doubles what tests and benchmarks must cover.  A call in ``tests/``
+does not count: a knob only a test turns is one value in every process
+that runs, so it is a constant, or a seam whose entry names the test
+that needs another value and why.  A call is matched by the bare
 name it spells (a class's name for its ``__init__``, or the name of a
 subclass without an ``__init__`` of its own), and it sets a parameter
 by keyword, by position (``self`` and ``cls`` skipped), by ``*args``
@@ -132,15 +139,47 @@ ALLOWED: Dict[str, str] = {
     "repro.mds.ldif.Entry.attribute_names": _MDS,
     "repro.mds.provider.ProviderReport.total_seconds": _MDS,
     "repro.mds.registration.SoftStateRegistry.deregister": _MDS,
+    "repro.mds.schema.ObjectClass.attribute": _MDS,
     # A method the standard library calls by name.
     "repro.endpoint.ConnectionHandler.handle":
         "stdlib: socketserver.BaseRequestHandler calls handle() for each "
         "connection",
 }
 
-#: ``module.qualname(param)`` -> why a default no call overrides stays a
-#: parameter rather than a constant.
+_OBSERVE = ("wire: an optional field of the observe request, which a "
+            "monitor that knows it sends (tests/integration/"
+            "test_wire_protocol.py round-trips each)")
+_RUNNER = ("seam: tests/integration/test_fleet_chaos.py kills and stalls "
+           "workers under 0.1-0.5 s timings; at the default timings each "
+           "of its recover cycles waits seconds longer")
+
+#: ``module.qualname(param)`` -> why a default no call in ``src/``,
+#: ``examples/`` or ``benchmarks/`` overrides stays a parameter rather
+#: than a constant.  Five kinds: a feature or result the paper names, an
+#: injected clock or sleep, fault arming, a wire-protocol field, and a
+#: test seam whose reason names the test.
 ALLOWED_PARAMETERS: Dict[str, str] = {
+    # A feature or result the paper names.
+    "repro.analysis.errors.compute_class_errors(classification)":
+        "paper: Section 4.3's edges 'apply to the set of hosts for our "
+        "testbed only'; test_prediction_pipeline.py::TestClassEdges "
+        "compares other partitions, which no running system builds",
+    "repro.analysis.errors.compute_class_errors(training)":
+        "paper: Section 6.1's 15-value prefix is not load-bearing; "
+        "test_prediction_pipeline.py runs 1 and 100 to show it",
+    "repro.analysis.sweep.sweep_claims(seeds)":
+        "paper: the Section 6.2 claims across seeds (EXPERIMENTS.md "
+        "'Robustness'; tests/integration/test_seed_robustness.py)",
+    "repro.analysis.sweep.sweep_claims(start_epoch)":
+        "paper: the Section 6.2 claims on December as well as August "
+        "(tests/integration/test_seed_robustness.py)",
+    "repro.analysis.sweep.sweep_claims(days)":
+        "seam: tests/unit/test_analysis_sweep.py sweeps 7-day campaigns; "
+        "the 14-day default doubles that file's tier-1 time",
+    "repro.core.accuracy.RiskAdjustedRanking.__init__(risk_aversion)":
+        "paper: the broker's certainty discount; "
+        "test_replica_selection.py's risk-adjusted policy runs at 0.5, and "
+        "test_core_accuracy.py pins 0 (the plain broker) and the formula",
     "repro.gridftp.client.GridFTPClient.partial_get(buffer)":
         "paper: the TCP buffer, a GridFTP option each log record carries "
         "(Section 3)",
@@ -153,6 +192,81 @@ ALLOWED_PARAMETERS: Dict[str, str] = {
     "repro.gridftp.client.GridFTPClient.put(streams)":
         "paper: parallel streams, a GridFTP option each log record carries "
         "(Section 3)",
+    "repro.net.tcp.TcpModel.bandwidth(streams)":
+        "paper: parallel streams, the GridFTP option of Section 3; "
+        "test_net_tcp.py and test_prop_tcp.py compare stream counts",
+    # An injected clock or sleep.
+    "repro.obs.tracing.Span.__init__(clock)":
+        "seam: an injected clock (tests/unit/test_obs_tracing.py)",
+    "repro.resilience.breaker.CircuitBreaker.__init__(clock)":
+        "seam: an injected clock (tests/unit/test_resilience.py)",
+    "repro.resilience.deadline.Deadline.__init__(clock)":
+        "seam: an injected clock (the deadline tests of the server, "
+        "residency and batch suites)",
+    "repro.resilience.deadline.Deadline.after(clock)":
+        "seam: an injected clock (tests/unit/test_resilience.py)",
+    "repro.service.service.PredictionService.__init__(clock)":
+        "seam: an injected clock (the service, store and fleet suites)",
+    "repro.faults.FaultInjector.__init__(sleep)":
+        "seam: an injected sleep (tests/unit/test_faults.py)",
+    "repro.fleet.supervisor.WorkerSupervisor._wait_ready(sleep)":
+        "seam: an injected sleep (tests/unit/test_fleet_supervisor.py)",
+    # Fault arming: only the chaos, store and tail tests arm faults.
+    "repro.faults.FaultInjector.__init__(seed)":
+        "seam: fault arming, the chaos suites' seeded injector",
+    "repro.faults.FaultInjector.inject(after)": "seam: fault arming",
+    "repro.faults.FaultInjector.inject(corrupt)": "seam: fault arming",
+    "repro.faults.FaultInjector.inject(error)": "seam: fault arming",
+    "repro.faults.FaultInjector.inject(latency)": "seam: fault arming",
+    "repro.faults.FaultInjector.inject(message)": "seam: fault arming",
+    "repro.faults.FaultInjector.inject(times)": "seam: fault arming",
+    "repro.faults.FaultInjector.inject(truncate)": "seam: fault arming",
+    # A wire-protocol field.
+    "repro.client.ServiceClient.observe(bandwidth)": _OBSERVE,
+    "repro.client.ServiceClient.observe(file_name)": _OBSERVE,
+    "repro.client.ServiceClient.observe(offset)": _OBSERVE,
+    "repro.client.ServiceClient.observe(operation)": _OBSERVE,
+    "repro.client.ServiceClient.observe(source_ip)": _OBSERVE,
+    "repro.client.ServiceClient.observe(streams)": _OBSERVE,
+    "repro.client.ServiceClient.observe(tcp_buffer)": _OBSERVE,
+    "repro.client.ServiceClient.observe(volume)": _OBSERVE,
+    "repro.client.ServiceClient.rank(now)":
+        "wire: the rank request's optional anchor time "
+        "(tests/integration/test_wire_protocol.py)",
+    # A test seam: the reason names the test.
+    "repro.fleet.front.FleetFront.__init__(max_pending)":
+        "seam: test_fleet_front.py and test_fleet_front_threads.py shed "
+        "load at 0 and 1 requests in flight; the default 64 needs 64 "
+        "stalled calls",
+    "repro.fleet.runner.FleetRunner.__init__(breaker_reset)": _RUNNER,
+    "repro.fleet.runner.FleetRunner.__init__(breaker_threshold)": _RUNNER,
+    "repro.fleet.runner.FleetRunner.__init__(call_timeout)": _RUNNER,
+    "repro.fleet.runner.FleetRunner.__init__(heartbeat_interval)": _RUNNER,
+    "repro.fleet.runner.FleetRunner.__init__(heartbeat_timeout)": _RUNNER,
+    "repro.fleet.runner.FleetRunner.__init__(stable_after)": _RUNNER,
+    "repro.service.server.ServiceServer.__init__(request_timeout)":
+        "seam: test_service_server.py cuts a request over the socket with "
+        "a 1e-9 s timeout; no request the tests send outlasts 30 s",
+    "repro.service.server.handle_request(deadline)":
+        "set at run time: the endpoint calls dispatch(req, deadline) "
+        "through the partial ServiceServer hands it, a call this scan "
+        "cannot follow",
+    "repro.store.store.LinkStore.__init__(segment_rows)":
+        "seam: the store and service machines and the durable and chaos "
+        "store tests seal at 4-128 rows; at 4,096 each would append "
+        "thousands of rows",
+    "repro.store.store.LinkStore.append_rows(source_offset)":
+        "set at run time: LinkState's persist hook is "
+        "partial(LinkStore.append_rows, link) and passes every row's "
+        "offset, a call this scan cannot follow",
+    # A repro.mds name.
+    "repro.mds.giis.GIIS.__init__(breaker_failures)": _MDS,
+    "repro.mds.giis.GIIS.__init__(breaker_reset)": _MDS,
+    "repro.mds.gris.GRIS.__init__(cache_ttl)": _MDS,
+    "repro.mds.ldif.Entry.__init__(attributes)": _MDS,
+    "repro.mds.provider.GridFTPInfoProvider.__init__(recent)": _MDS,
+    "repro.mds.registration.SoftStateRegistry.renew(ttl)": _MDS,
+    "repro.mds.schema.validate_entry(object_class)": _MDS,
 }
 
 
@@ -202,37 +316,90 @@ def definitions(package_root: Path) -> Dict[str, Definition]:
     return found
 
 
-def uses(roots: Iterable[Path]) -> Dict[str, List[Tuple[Path, int, bool]]]:
-    """Bare name -> every (file, line, bare) that reads it; ``bare`` is
-    true for an ``ast.Name``, which cannot reach a method."""
-    found: Dict[str, List[Tuple[Path, int, bool]]] = {}
-    for path in _python_files(roots):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                names = [alias.name.rsplit(".", 1)[-1] for alias in node.names]
-            else:
+class Use(NamedTuple):
+    """One read of a bare name."""
+
+    path: Path
+    line: int
+    bare: bool             # an ``ast.Name``, which cannot reach a method
+    owner: Optional[str]   # the class of a ``self.<name>`` / ``cls.<name>`` read
+
+
+def uses(roots: Iterable[Path]) -> Tuple[Dict[str, List[Use]],
+                                         Dict[str, Set[str]]]:
+    """``(bare name -> every Use of it, class -> its bases)``, the bases
+    by the bare names the class statements spell."""
+    found: Dict[str, List[Use]] = {}
+    bases: Dict[str, Set[str]] = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                bases.setdefault(child.name, set()).update(
+                    filter(None, map(_bare, child.bases)))
+                visit(child, child.name)
                 continue
-            bare = isinstance(node, ast.Name)
+            if isinstance(child, ast.Name):
+                names, of = [child.id], None
+            elif isinstance(child, ast.Attribute):
+                names = [child.attr]
+                of = owner if isinstance(child.value, ast.Name) \
+                    and child.value.id in ("self", "cls") else None
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.rsplit(".", 1)[-1] for alias in child.names]
+                of = None
+            else:
+                visit(child, owner)
+                continue
+            bare = isinstance(child, ast.Name)
             for name in names:
-                found.setdefault(name, []).append((path, node.lineno, bare))
-    return found
+                found.setdefault(name, []).append(
+                    Use(path, child.lineno, bare, of))
+            visit(child, owner)
+
+    for path in _python_files(roots):
+        visit(ast.parse(path.read_text()), None)
+    return found, bases
+
+
+def _families(bases: Mapping[str, Set[str]]) -> Dict[str, Set[str]]:
+    """Class -> its ancestors, its descendants and itself, by bare name."""
+    subclasses: Dict[str, Set[str]] = {}
+    for name, of in bases.items():
+        for base in of:
+            subclasses.setdefault(base, set()).add(name)
+
+    def reach(name, step):
+        found, todo = set(), [name]
+        while todo:
+            for other in step.get(todo.pop(), ()):
+                if other not in found:
+                    found.add(other)
+                    todo.append(other)
+        return found
+
+    return {name: {name} | reach(name, bases) | reach(name, subclasses)
+            for name in bases}
 
 
 def unreferenced(package_root: Path, roots: Iterable[Path]) -> Set[str]:
     """The public names of ``package_root`` that nothing under ``roots``
     uses outside the name's own definition (a method: through an
-    attribute or an import)."""
-    used = uses(roots)
+    attribute or an import; through ``self`` or ``cls`` only inside its
+    class's family)."""
+    used, bases = uses(roots)
+    families = _families(bases)
     dead = set()
     for qualified, where in definitions(package_root).items():
         name = qualified.rsplit(".", 1)[-1]
-        if not any((path != where.path or not where.first <= line <= where.last)
-                   and not (bare and where.method)
-                   for path, line, bare in used.get(name, ())):
+        family = (families.get(qualified.rsplit(".", 2)[1], set())
+                  if where.method else set())
+        if not any((use.path != where.path
+                    or not where.first <= use.line <= where.last)
+                   and not (use.bare and where.method)
+                   and (use.owner is None or not where.method
+                        or use.owner in family)
+                   for use in used.get(name, ())):
             dead.add(qualified)
     return dead
 
@@ -260,9 +427,6 @@ def test_every_allowed_entry_states_its_reason():
 # ----------------------------------------------------------------------
 # parameters: every default is one some caller overrides
 # ----------------------------------------------------------------------
-PARAMETER_USERS = USERS + ("tests",)
-
-
 class Parameter(NamedTuple):
     """A defaulted parameter as a call reaches it."""
 
@@ -426,10 +590,10 @@ def unset(package_root: Path, roots: Iterable[Path]) -> Set[str]:
 def test_every_defaulted_parameter_has_a_setter_or_a_reason():
     unexplained, stale = audit(
         unset(REPO / "src" / "repro",
-              [REPO / root for root in PARAMETER_USERS]),
+              [REPO / root for root in USERS]),
         ALLOWED_PARAMETERS)
     assert unexplained == [], \
-        "no call in src/, examples/, benchmarks/ or tests/ passes it"
+        "no call in src/, examples/ or benchmarks/ passes it"
     assert stale == [], \
         "ALLOWED_PARAMETERS entry whose parameter is gone or has a setter"
 
@@ -484,8 +648,7 @@ def _plant(root: Path, files: Mapping[str, str]) -> Tuple[Path, List[Path]]:
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
-    return root / "src" / "pkg", [root / top for top in ("src", "examples",
-                                                         "tests")]
+    return root / "src" / "pkg", [root / top for top in USERS]
 
 
 def test_the_scanner_reports_an_unused_function_and_method(tmp_path):
@@ -509,6 +672,48 @@ def test_an_fstring_an_import_and_a_method_call_are_uses(tmp_path):
     for name in ("shown", "imported", "Box.called", "Box"):
         assert f"pkg.mod.{name}" in definitions(package)
         assert f"pkg.mod.{name}" not in dead
+
+
+_PLANTED_FAMILY = {
+    "src/pkg/__init__.py": "",
+    "src/pkg/family.py": """
+        class Left:
+            def ping(self):
+                return 0
+
+
+        class Right:
+            def ping(self):
+                return 1
+
+            def run(self):
+                return self.ping()  # reaches Right's family, not Left
+
+
+        class Base:
+            def hook(self):
+                return 0
+
+
+        class Sub(Base):
+            @classmethod
+            def go(cls):
+                return cls.hook(None)  # an ancestor's method
+        """,
+    "examples/use.py": """
+        from pkg.family import Left, Right, Sub
+
+        Right().run(), Sub.go(), Left
+        """,
+}
+
+
+def test_a_self_read_reaches_only_its_class_family(tmp_path):
+    package, roots = _plant(tmp_path, _PLANTED_FAMILY)
+    assert unreferenced(package, roots) == {"pkg.family.Left.ping"}
+    (tmp_path / "examples" / "call.py").write_text(
+        "from pkg.family import Left\nLeft().ping()\n")
+    assert unreferenced(package, roots) == set()
 
 
 def test_a_stale_entry_is_reported(tmp_path):
@@ -572,6 +777,11 @@ _PLANTED_PARAMETERS = {
     "tests/use.py": """
         from pkg import params
 
+        params.unset(0, b=2)  # tests/ is not a root: this sets nothing
+        """,
+    "examples/use.py": """
+        from pkg import params
+
         params.keyword(0, b=2)
         params.positional(0, 2)
         params.star(*[0, 2])
@@ -586,7 +796,7 @@ _PLANTED_PARAMETERS = {
 def test_the_parameter_scan_reports_a_default_nothing_overrides(tmp_path):
     package, roots = _plant(tmp_path, _PLANTED_PARAMETERS)
     assert unset(package, roots) == {
-        "pkg.params.unset(b)",
+        "pkg.params.unset(b)",        # its one setter is under tests/
         "pkg.params.positional(c)",   # keyword-only: two positionals miss it
         "pkg.params.forwarded(b)",    # the forwarder's callers pass only c
     }
@@ -601,6 +811,14 @@ def test_each_kind_of_setter_counts(tmp_path, parameter):
     package, roots = _plant(tmp_path, _PLANTED_PARAMETERS)
     assert f"pkg.params.{parameter}" in parameters(package)
     assert f"pkg.params.{parameter}" not in unset(package, roots)
+
+
+def test_a_setter_under_tests_is_not_one_and_under_examples_is(tmp_path):
+    package, roots = _plant(tmp_path, _PLANTED_PARAMETERS)
+    assert "pkg.params.unset(b)" in unset(package, roots)
+    (tmp_path / "examples" / "set.py").write_text(
+        "from pkg import params\nparams.unset(0, b=2)\n")
+    assert "pkg.params.unset(b)" not in unset(package, roots)
 
 
 def test_a_stale_parameter_entry_is_reported(tmp_path):

@@ -58,8 +58,8 @@ class TestSeriesExport:
 
 
 class TestTableExports:
-    def test_census(self, output, tmp_path, classification):
-        census = compute_census({"Aug": {"LBL-ANL": output}}, classification)
+    def test_census(self, output, tmp_path):
+        census = compute_census({"Aug": {"LBL-ANL": output}})
         rows = read_csv(export_census(census, tmp_path))
         assert rows[0] == ["class", "link", "Aug"]
         assert len(rows) == 1 + 5  # All + four classes

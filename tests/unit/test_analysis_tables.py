@@ -47,16 +47,16 @@ def errors():
 class TestCensus:
     def test_counts(self, classification):
         months = {"August": {"LBL-ANL": synthetic_output()}}
-        census = compute_census(months, classification)
+        census = compute_census(months)
         assert census.count("August", "LBL-ANL", "All") == 60
         assert census.count("August", "LBL-ANL", "10MB") == 15
         assert sum(
             census.count("August", "LBL-ANL", lbl) for lbl in classification.labels
         ) == 60
 
-    def test_render(self, classification):
+    def test_render(self):
         months = {"Aug": {"L": synthetic_output()}, "Dec": {"L": synthetic_output()}}
-        text = render_census(compute_census(months, classification))
+        text = render_census(compute_census(months))
         assert "All" in text and "Aug" in text and "Dec" in text
 
 

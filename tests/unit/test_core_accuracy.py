@@ -35,7 +35,7 @@ class TestBacktestError:
     def test_known_error_on_alternating_series(self):
         # LastValue on 10,20,10,20,... is always off by |20-10|/actual.
         values = [10.0, 20.0] * 10
-        err = backtest_error(LastValue(), history_of(values), lookback=10)
+        err = backtest_error(LastValue(), history_of(values))
         # Errors alternate 10/20=0.5 and 10/10=1.0 -> mean 0.75.
         assert err == pytest.approx(0.75)
 
@@ -47,10 +47,6 @@ class TestBacktestError:
 
     def test_abstains_when_too_short(self):
         assert backtest_error(TotalAverage(), history_of([5e6, 6e6])) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            backtest_error(TotalAverage(), history_of([1.0] * 5), lookback=0)
 
 
 def site_log(values, client=CLIENT):
@@ -111,7 +107,7 @@ class TestRiskAdjustedRanking:
             "OLD": site_log([7e6] * 20),       # zero backtest error
         }
         broker = ReplicaBroker(catalog, logs, TotalAverage())
-        risk = RiskAdjustedRanking(broker, risk_aversion=1.0, default_error=0.5)
+        risk = RiskAdjustedRanking(broker, risk_aversion=1.0)
         ranked = risk.rank("f", CLIENT, now=1e9)
         # NEW predicts 8 MB/s but is discounted to 4; OLD keeps 7.
         assert ranked[0].site == "OLD"
@@ -127,7 +123,6 @@ class TestRiskAdjustedRanking:
 
     @pytest.mark.parametrize("kw", [
         dict(risk_aversion=-0.1), dict(risk_aversion=1.1),
-        dict(default_error=2.0),
     ])
     def test_validation(self, risky_world, kw):
         catalog, logs = risky_world

@@ -1,5 +1,6 @@
 """File-size classification."""
 
+import numpy as np
 import pytest
 
 from repro.core import Classification
@@ -19,15 +20,18 @@ class TestPaperClasses:
     def test_boundaries(self, classification, size, label):
         assert classification.classify(size) == label
 
+    def test_index(self, classification):
+        sizes = [1 * MB, 50 * MB - 1, 50 * MB, 750 * MB - 1, 750 * MB, 900 * MB]
+        assert [classification.index(size) for size in sizes] == [0, 0, 1, 2, 3, 3]
+        assert classification.indices(np.array(sizes)).tolist() == [0, 0, 1, 2, 3, 3]
+        with pytest.raises(ValueError, match="size must be positive"):
+            classification.indices(np.array([1 * MB, 0]))
+
     def test_bounds(self, classification):
         assert classification.bounds("10MB") == (0, 50 * MB)
         assert classification.bounds("100MB") == (50 * MB, 250 * MB)
         lo, hi = classification.bounds("1GB")
         assert lo == 750 * MB and hi == float("inf")
-
-    def test_index_of(self, classification):
-        assert classification.index_of(1 * MB) == 0
-        assert classification.index_of(900 * MB) == 3
 
     def test_unknown_label(self, classification):
         with pytest.raises(KeyError):

@@ -182,6 +182,27 @@ class TestClassifiedVariants:
         with pytest.raises(StreamingUnavailable):
             bank.answer(foreign, 100 * MB, None)
 
+    def test_a_row_joins_the_class_classify_names(self):
+        # A class index is the number of edges at or below the size: one
+        # bisect for a row, one searchsorted for a batch.
+        sizes = [750 * MB, 1, 50 * MB - 1, 50 * MB, 250 * MB, 750 * MB - 1, 5 * GB]
+        expected = [CLS.labels.index(CLS.classify(size)) for size in sizes]
+        for size, index in zip(sizes, expected):
+            assert list(make_bank([1.0], [1.0], [size])._classes) == [index]
+        batch = StreamingBank(CLS)
+        batch.extend(np.arange(7.0), [1.0] * 7, sizes, [0] * 7)
+        assert list(batch._classes) == list(dict.fromkeys(expected))
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_a_nonpositive_size_raises_as_classify_does(self, size):
+        bank = make_bank([1.0], [10.0])
+        with pytest.raises(ValueError, match="size must be positive"):
+            bank.add(2.0, 10.0, size, 0)
+        with pytest.raises(ValueError, match="size must be positive"):
+            StreamingBank(CLS).extend([1.0], [10.0], [size], [0])
+        with pytest.raises(ValueError, match="size must be positive"):
+            answer(bank, "C-AVG", size=size)
+
 
 class TestRebuild:
     def test_rebuild_counts_and_reports_reason(self):
@@ -395,7 +416,7 @@ def series_rows(series):
 
 def assert_every_row_of_its_class(bank, sizes=FEED_SIZES):
     """Each class series holds the position of every row of its class."""
-    tags = bank._tags(sizes[:bank.count])
+    tags = bank.classification.indices(sizes[:bank.count])
     for tag, series in bank._classes.items():
         np.testing.assert_array_equal(series_rows(series),
                                       np.flatnonzero(tags == tag))

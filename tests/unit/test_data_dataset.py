@@ -38,10 +38,6 @@ class TestConstruction:
         assert dataset.total_records == 50
         assert len(dataset["LBL-ANL"]) == 25
 
-    def test_explicit_links(self, two_logs):
-        dataset = Dataset.from_ulm(two_logs, links=["a", "b"])
-        assert dataset.links() == ["a", "b"]
-
     def test_duplicate_stems_merge(self, tmp_path, two_logs):
         dataset = Dataset.from_ulm([two_logs[0], two_logs[0]])
         assert dataset.links() == ["LBL-ANL"]

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.client import ServiceError
-from repro.fleet.front import FleetFront
+from repro.fleet.front import POOL_SIZE, FleetFront
 from repro.obs import get_registry, get_span_exporter, span
 from repro.units import MB
 from tests.conftest import make_record
@@ -37,7 +37,7 @@ def wait_until(condition, what, timeout=5.0):
 
 def test_concurrent_clients_share_the_front_without_losing_anything(tmp_path):
     services, servers, sockets = make_workers(tmp_path, 2)
-    front = FleetFront(sockets, pool_size=2, heartbeat_interval=0.05).start()
+    front = FleetFront(sockets, heartbeat_interval=0.05).start()
     # Reads go to links nobody writes during the run, so each has one
     # right answer: the owning worker's own.
     expected = {}
@@ -103,7 +103,7 @@ def test_concurrent_clients_share_the_front_without_losing_anything(tmp_path):
         for link in front._links:
             # A heartbeat may be in flight; no client call is.
             wait_until(lambda: link.pending == 0, "a call never released")
-            assert 0 <= link._created <= link.pool_size
+            assert 0 <= link._created <= POOL_SIZE
             assert len(link._idle) == link._created
     finally:
         sys.setswitchinterval(interval)

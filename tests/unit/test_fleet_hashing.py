@@ -61,5 +61,3 @@ def test_growing_the_ring_remaps_only_a_fraction():
 def test_bad_parameters_are_rejected():
     with pytest.raises(ValueError):
         ShardRing(0)
-    with pytest.raises(ValueError):
-        ShardRing(2, replicas=0)

@@ -70,14 +70,3 @@ class TestSessionLimits:
             client.get(server, bed.data_path(10 * MB))
         # The third get's slot was freed too.
         server.open_session(client.credential, client.site, client.disk)
-
-    def test_invalid_limit_rejected(self):
-        from repro.gridftp import GridFTPServer
-
-        server, remote, disk = make_limited(None)
-        with pytest.raises(ValueError):
-            GridFTPServer(
-                site=server.site, engine=server.engine, topology=server.topology,
-                volumes=server.volumes, transfer_engine=server.transfer_engine,
-                max_sessions=0,
-            )

@@ -10,7 +10,6 @@ from repro.gridftp import (
     TransferError,
     TransferEngine,
 )
-from repro.gridftp.instrumentation import Monitor
 from repro.logs import Operation
 from repro.net import ConstantLoad, Link, Site, Topology
 from repro.sim import Engine
@@ -32,9 +31,9 @@ def make_server(grid_map=None):
     volume.add_file("data/100M", 100 * MB)
     server = GridFTPServer(
         site=a, engine=engine, topology=topo, volumes=[volume],
-        transfer_engine=TransferEngine(rng=None), monitor=Monitor(host="a"),
-        grid_map=grid_map,
+        transfer_engine=TransferEngine(rng=None),
     )
+    server.grid_map = grid_map
     return server, b, Disk("client-disk"), engine
 
 

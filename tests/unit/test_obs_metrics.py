@@ -241,7 +241,7 @@ def test_metrics_under_concurrency_lose_nothing():
         # a shared labeled child, and the histogram reservoir at once.
         counter = reg.counter("hammered")
         child = counter.labels(thread="shared")
-        hist = reg.histogram("hammered_lat", window=64)
+        hist = reg.histogram("hammered_lat")
         for i in range(per_thread):
             counter.inc()
             child.inc(2)

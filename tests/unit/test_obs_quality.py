@@ -8,6 +8,7 @@ import pytest
 from repro.obs.quality import (
     CALIBRATION_EDGES,
     CALIBRATION_LABELS,
+    DEFAULT_MAX_PENDING,
     SCORED_EVENT_BATCH,
     AccuracyTracker,
     ErrorStats,
@@ -116,7 +117,7 @@ def test_merge_stats_is_exact_over_partitions():
 def test_score_consumes_only_predictions_before_the_version():
     # drain() scores each observation at once; threshold=0.0 surfaces
     # every scored pair as bad-detail, which makes pairing observable.
-    tracker = AccuracyTracker(window=8, threshold=0.0)
+    tracker = AccuracyTracker(threshold=0.0)
     tracker.record("L", "C-AVG15", 100.0, version=5, kind="streamed")
     tracker.record("L", "C-AVG15", 110.0, version=6, kind="streamed")
     # An observation producing version 6 pairs only with the version-5
@@ -140,7 +141,7 @@ def test_scoring_defers_until_the_batch_then_drains_exactly():
     # both land on the shared staging deque.  Each record+observe
     # round stages two entries, so the drain comes on the observation
     # that brings the stage to SCORED_EVENT_BATCH.
-    tracker = AccuracyTracker(window=8, threshold=0.0)
+    tracker = AccuracyTracker(threshold=0.0)
     rounds = SCORED_EVENT_BATCH // 2
     for v in range(rounds):
         tracker.record("L", "C-AVG15", 100.0, version=v, kind="streamed")
@@ -166,7 +167,7 @@ def test_scoring_defers_until_the_batch_then_drains_exactly():
 
 
 def test_reads_drain_queued_observations_first():
-    tracker = AccuracyTracker(window=8)  # drains at SCORED_EVENT_BATCH
+    tracker = AccuracyTracker()  # drains at SCORED_EVENT_BATCH
     tracker.record("L", "C-AVG15", 120.0, version=1, kind="streamed")
     assert tracker.score("L", actual=100.0, when=1.0, version=2) == (0, 0.0, [])
     # status() must not show a stale zero while a drain is pending.
@@ -177,7 +178,7 @@ def test_reads_drain_queued_observations_first():
 
 
 def test_abstentions_and_unscorable_actuals_are_counted_not_scored():
-    tracker = AccuracyTracker(window=8)
+    tracker = AccuracyTracker()
     tracker.record("L", "C-AVG15", None, version=1, kind="streamed")
     tracker.score("L", actual=50.0, when=1.0, version=2)
     tracker.record("L", "C-AVG15", 10.0, version=2, kind="streamed")
@@ -191,7 +192,7 @@ def test_abstentions_and_unscorable_actuals_are_counted_not_scored():
 
 
 def test_degraded_answers_score_separately():
-    tracker = AccuracyTracker(window=8)
+    tracker = AccuracyTracker()
     tracker.record("L", "C-AVG15", 200.0, version=1, kind="degraded")
     tracker.record("L", "C-AVG15", 100.0, version=1, kind="streamed")
     tracker.score("L", actual=100.0, when=1.0, version=2)
@@ -203,16 +204,17 @@ def test_degraded_answers_score_separately():
 
 
 def test_pending_queue_is_bounded_and_drops_are_counted():
-    tracker = AccuracyTracker(window=8, max_pending=4, threshold=0.0)
-    for i in range(10):
+    tracker = AccuracyTracker(threshold=0.0)
+    cap = DEFAULT_MAX_PENDING
+    for i in range(cap + 6):
         tracker.record("L", "C-AVG15", float(i), version=1, kind="streamed")
-    assert tracker.pending_count() == 4
+    assert tracker.pending_count() == cap
     assert tracker.dropped == 6
     tracker.score("L", actual=1.0, when=1.0, version=2)
     pairs, _, bad = tracker.drain()
-    # Only the newest four predictions survived the cap.
-    assert pairs == 4
-    assert [p for _, _, p, _, _, _ in bad] == [6.0, 7.0, 8.0, 9.0]
+    # Only the newest cap predictions survived.
+    assert pairs == cap
+    assert [p for _, _, p, _, _, _ in bad] == [float(i) for i in range(6, cap + 6)]
 
 
 def test_deferral_never_drops_pairs_the_cap_would_have_scored():
@@ -220,26 +222,27 @@ def test_deferral_never_drops_pairs_the_cap_would_have_scored():
     # observation staged *before* the pending cap would overflow still
     # consumes its pairs first — deferral never evicts answers that
     # immediate scoring would have scored.
-    tracker = AccuracyTracker(window=8, max_pending=2)
-    tracker.record("L", "C-AVG15", 100.0, version=1, kind="streamed")
-    tracker.record("L", "C-AVG15", 100.0, version=2, kind="streamed")
-    tracker.score("L", actual=100.0, when=1.0, version=3)  # deferred
-    tracker.record("L", "C-AVG15", 100.0, version=3, kind="streamed")
+    tracker = AccuracyTracker()
+    cap = DEFAULT_MAX_PENDING
+    for version in range(1, cap + 1):
+        tracker.record("L", "C-AVG15", 100.0, version=version, kind="streamed")
+    tracker.score("L", actual=100.0, when=1.0, version=cap + 1)  # deferred
+    tracker.record("L", "C-AVG15", 100.0, version=cap + 1, kind="streamed")
     status = tracker.status()
     assert status["dropped"] == 0
-    assert status["scored"] == 2
+    assert status["scored"] == cap
     assert status["pending"] == 1
 
 
 def test_tracker_link_state_roundtrips_and_ram_wins():
-    tracker = AccuracyTracker(window=8)
+    tracker = AccuracyTracker()
     tracker.record("L", "C-AVG15", 120.0, version=1, kind="streamed")
     tracker.score("L", actual=100.0, when=1.0, version=2)
     tracker.record("L", "AVG", 80.0, version=2, kind="degraded")
     tracker.score("L", actual=100.0, when=2.0, version=3)
     payload = loads(dumps({"accuracy": tracker.link_state("L")}))["accuracy"]
 
-    fresh = AccuracyTracker(window=8)
+    fresh = AccuracyTracker()
     assert fresh.load_link_state("L", payload)
     assert fresh.status()["links"]["L"] == tracker.status()["links"]["L"]
     assert fresh.scored == 2

@@ -41,12 +41,12 @@ class TestArModel:
         assert ArModel().predict(hist([7, 7, 7, 7])) == pytest.approx(7.0)
 
     def test_falls_back_to_mean_when_short(self):
-        assert ArModel(min_points=5).predict(hist([4, 8])) == pytest.approx(6.0)
+        assert ArModel().predict(hist([4, 8])) == pytest.approx(6.0)
 
     def test_clamps_negative_extrapolation(self):
         # Steeply falling series: naive AR would go negative.
         values = [100.0, 50.0, 10.0, 1.0, 0.5]
-        predicted = ArModel(clamp=0.1).predict(hist(values))
+        predicted = ArModel().predict(hist(values))
         assert predicted >= 0.05  # >= clamp * min(values)
 
     def test_temporal_window_variant(self):
@@ -68,9 +68,7 @@ class TestArModel:
         assert ArModel(window_days=5).name == "AR5d"
         assert ArModel(window_days=10).name == "AR10d"
 
-    @pytest.mark.parametrize("kw", [
-        dict(window_days=0), dict(min_points=2), dict(clamp=1.5),
-    ])
+    @pytest.mark.parametrize("kw", [dict(window_days=0)])
     def test_validation(self, kw):
         with pytest.raises(PredictorError):
             ArModel(**kw)

@@ -27,7 +27,7 @@ def test_picks_stable_member_on_alternating_series():
 
 
 def test_warmup_uses_first_member():
-    dyn = DynamicSelector([TotalAverage(), LastValue()], warmup=10)
+    dyn = DynamicSelector([TotalAverage(), LastValue()])
     h = hist([1.0, 2.0, 3.0])
     assert dyn.best_member(h).name == "AVG"
 
@@ -66,7 +66,6 @@ def test_empty_history_abstains():
 @pytest.mark.parametrize("ctor", [
     lambda: DynamicSelector([]),
     lambda: DynamicSelector([TotalAverage(), TotalAverage()]),
-    lambda: DynamicSelector([TotalAverage()], warmup=0),
 ])
 def test_validation(ctor):
     with pytest.raises(PredictorError):

@@ -92,7 +92,7 @@ class TestClassFilter:
         with pytest.raises(ValueError):
             SiteFactorModel(classification=paper_classification())
 
-    @pytest.mark.parametrize("kw", [dict(window=0), dict(min_pairs=1)])
+    @pytest.mark.parametrize("kw", [dict(window=0)])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             SiteFactorModel(**kw)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import History
 from repro.core.predictors import HybridPredictor
-from repro.core.predictors.base import PredictorError
 from repro.nws import TimeSeries
 from repro.units import HOUR
 
@@ -47,7 +46,7 @@ def test_median_ratio_resists_probe_outlier():
     probes = make_probes([0.2, 0.2, 0.001, 0.2, 0.2, 0.2])
     # One observation landed right after the bogus probe.
     history = make_history([650.0, 950.0, 1250.0, 1550.0], [2.0, 2.0, 2.0, 2.0])
-    p = HybridPredictor(probes, min_pairs=3)
+    p = HybridPredictor(probes)
     predicted = p.predict(history, now=1600.0)
     assert predicted == pytest.approx(2.0, rel=0.01)
 
@@ -60,13 +59,13 @@ def test_abstains_without_probes():
 def test_abstains_without_enough_pairs():
     probes = make_probes([0.2] * 5)
     history = make_history([600.0], [2.0])
-    assert HybridPredictor(probes, min_pairs=3).predict(history, now=700.0) is None
+    assert HybridPredictor(probes).predict(history, now=700.0) is None
 
 
 def test_abstains_on_stale_probe():
     probes = make_probes([0.2] * 5)  # last probe at t=1200
     history = make_history([600.0, 700.0, 800.0], [2.0, 2.0, 2.0])
-    p = HybridPredictor(probes, max_probe_age=1 * HOUR)
+    p = HybridPredictor(probes)
     assert p.predict(history, now=1200.0 + 2 * HOUR) is None
 
 
@@ -74,11 +73,3 @@ def test_abstains_on_empty_history():
     p = HybridPredictor(make_probes([0.2] * 3))
     assert p.predict(History.empty(), now=100.0) is None
 
-
-@pytest.mark.parametrize("kw", [
-    dict(window=0), dict(min_pairs=0), dict(window=2, min_pairs=5),
-    dict(max_probe_age=0),
-])
-def test_validation(kw):
-    with pytest.raises(PredictorError):
-        HybridPredictor(TimeSeries(), **kw)

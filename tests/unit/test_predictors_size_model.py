@@ -60,7 +60,7 @@ class TestPredictor:
         dimmed_values = base.values.copy()
         dimmed_values[-15:] *= 0.5
         h = History(times=base.times, values=dimmed_values, sizes=base.sizes)
-        p = SizeScaledPredictor(level_window=10)
+        p = SizeScaledPredictor()
         predicted = p.predict(h, target_size=100 * MB, now=1e9)
         # Curve fit is polluted by the mixed levels, but the level estimate
         # must pull the prediction well below the clean-curve value.
@@ -81,7 +81,7 @@ class TestPredictor:
             values=np.array([4e6, 6e6, 5e6, 5e6]),
             sizes=np.array([10 * MB] * 4),  # single size: degenerate fit
         )
-        p = SizeScaledPredictor(min_points=3)
+        p = SizeScaledPredictor()
         assert p.predict(h, target_size=100 * MB, now=10.0) == pytest.approx(5e6)
 
     def test_requires_target_size(self):
@@ -90,8 +90,3 @@ class TestPredictor:
 
     def test_empty_history_abstains(self):
         assert SizeScaledPredictor().predict(History.empty(), target_size=1, now=0.0) is None
-
-    @pytest.mark.parametrize("kw", [dict(level_window=0), dict(min_points=2)])
-    def test_validation(self, kw):
-        with pytest.raises(PredictorError):
-            SizeScaledPredictor(**kw)

@@ -145,14 +145,6 @@ class TestDeadline:
         deadline = Deadline.unbounded()
         assert deadline.remaining() is None
         assert not deadline.expired()
-        assert deadline.clamp(5.0) == 5.0
-
-    def test_clamp_returns_the_tighter_bound(self):
-        clock = FakeClock()
-        deadline = Deadline.after(2.0, clock=clock)
-        assert deadline.clamp(10.0) == pytest.approx(2.0)
-        assert deadline.clamp(1.0) == pytest.approx(1.0)
-        assert deadline.clamp(None) == pytest.approx(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -217,11 +209,11 @@ class TestCircuitBreaker:
 
     def test_half_open_admits_a_bounded_number_of_probes(self):
         clock = FakeClock()
-        breaker = self.make(clock, half_open_probes=2)
+        breaker = self.make(clock)
         self.trip(breaker, clock)
         clock.advance(10.1)
-        assert breaker.allow() and breaker.allow()
-        assert not breaker.allow()      # third concurrent probe rejected
+        assert breaker.allow()
+        assert not breaker.allow()      # a second concurrent probe rejected
 
     def test_half_open_probe_race_admits_exactly_one_and_counts_losers(self):
         # N threads hit allow() simultaneously on a breaker whose reset
@@ -231,7 +223,7 @@ class TestCircuitBreaker:
         import threading
 
         clock = FakeClock()
-        breaker = self.make(clock, half_open_probes=1)
+        breaker = self.make(clock)
         self.trip(breaker, clock)
         rejected_before = breaker.rejections
         clock.advance(10.1)             # open -> half-open on next touch
@@ -261,7 +253,7 @@ class TestCircuitBreaker:
         from repro.obs import get_registry
 
         clock = FakeClock()
-        breaker = self.make(clock, half_open_probes=1)
+        breaker = self.make(clock)
         self.trip(breaker, clock)
         clock.advance(10.1)
         metric = get_registry().counter("resilience_breaker_rejections")

@@ -26,14 +26,6 @@ class TestScheduling:
         eng.run()
         assert fired == ["a", "b", "c"]
 
-    def test_priority_breaks_ties(self):
-        eng = Engine()
-        fired = []
-        eng.schedule(1.0, fired.append, "low", priority=1)
-        eng.schedule(1.0, fired.append, "high", priority=0)
-        eng.run()
-        assert fired == ["high", "low"]
-
     def test_clock_advances_to_event_time(self):
         eng = Engine()
         seen = []
@@ -97,13 +89,6 @@ class TestRunBounds:
         assert eng.now == 5.0  # clock advanced to the bound
         eng.run()
         assert fired == ["early", "late"]
-
-    def test_run_max_events(self):
-        eng = Engine()
-        for i in range(5):
-            eng.schedule(float(i + 1), lambda: None)
-        assert eng.run(max_events=2) == 2
-        assert eng.pending() == 3
 
     def test_step_returns_false_on_empty(self):
         assert Engine().step() is False

@@ -31,6 +31,7 @@ from repro.envelope import Envelope
 from repro.obs import get_registry
 from repro.store import CorruptCheckpoint, CorruptSegment, LinkStore
 from repro.store import checkpoint as ck
+from repro.store.store import MAX_OPEN_TAILS
 from repro.store import segments as seg
 from repro.store import wal
 from repro.units import GB, MB
@@ -1063,8 +1064,8 @@ class TestLinkStore:
         assert len(fresh.load_columns("x")[0]) == 11
         assert sorted(p.name for p in link_dir.iterdir()) == \
             sorted(p.name for p in clean.iterdir())
-        assert fresh.bytes_on_disk(max_age=0.0) == \
-            LinkStore(tmp_path / "clean").bytes_on_disk(max_age=0.0)
+        assert fresh.bytes_on_disk() == \
+            LinkStore(tmp_path / "clean").bytes_on_disk()
 
     def test_npz_state_dir_upgrades_in_place(self, tmp_path):
         store = LinkStore(tmp_path, segment_rows=4)
@@ -1230,7 +1231,7 @@ class TestLinkStore:
         assert store.link_names() == ["a", "b"]
         assert store.link_count() == 2
         assert not store.has("c")
-        assert store.bytes_on_disk(max_age=0.0) > 0
+        assert store.bytes_on_disk() > 0
 
 
 # ----------------------------------------------------------------------
@@ -1454,11 +1455,11 @@ class TestSeal:
             "seg-000000000000.col"]
 
     def test_close_leaves_the_handle_cache_an_lru(self, tmp_path):
-        store = LinkStore(tmp_path, max_open_tails=2)
+        store = LinkStore(tmp_path)
         _append(store, "a", 1)
         store.close()
-        for link in "bcde":  # past max_open_tails: the cache must evict
-            _append(store, link, 1)
+        for i in range(MAX_OPEN_TAILS + 3):  # past the cap: the cache must evict
+            _append(store, f"b{i}", 1)
 
     def test_short_write_is_refused_and_cut_off_before_the_next_append(
             self, tmp_path, monkeypatch):

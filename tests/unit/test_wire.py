@@ -235,7 +235,7 @@ def test_writer_buffer_is_reused_across_encodes():
 
 
 def test_writer_grows_while_the_previous_view_is_still_held():
-    writer = wire.FrameWriter(capacity=32)
+    writer = wire.FrameWriter()
     held = writer.encode_response(wire.OP_PING, {"ok": True, "v": 1, "pong": True})
     big = {"ok": True, "v": 1, "blob": "x" * 10_000}
     out = writer.encode_response(wire.OP_STATUS, big)  # no BufferError

@@ -232,7 +232,7 @@ def test_response_frame_bytes_are_pinned(name, request_op, resp):
 
 def test_one_writer_reused_across_every_case_writes_the_same_bytes():
     # The per-connection lifecycle: one FrameWriter, many frames.
-    writer = wire.FrameWriter(capacity=16)
+    writer = wire.FrameWriter()
     for name, req in REQUESTS:
         assert bytes(writer.encode_request(req)).hex() == FRAMES["req:" + name]
     for name, request_op, resp in RESPONSES:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import History, paper_classification
 from repro.core.predictors import resolve
-from repro.units import HOUR, MB, MINUTE
+from repro.units import HOUR, MB
 from repro.workload import (
     AUG_2001,
     ActiveProbeConfig,
@@ -31,12 +31,9 @@ class TestConfig:
 
 
 class TestProber:
-    def run_probes(self, hours=6, period=30 * MINUTE):
+    def run_probes(self, hours=6):
         bed = build_testbed(seed=13, start_time=AUG_2001)
-        prober = ActiveProber(
-            bed, "LBL", "ANL",
-            config=ActiveProbeConfig(period=period),
-        )
+        prober = ActiveProber(bed, "LBL", "ANL")
         prober.start()
         bed.engine.run(until=AUG_2001 + hours * HOUR)
         prober.stop()
@@ -69,12 +66,6 @@ class TestProber:
         bed = build_testbed(seed=0, start_time=AUG_2001)
         with pytest.raises(ValueError):
             ActiveProber(bed, "ANL", "ANL")
-
-    def test_nonstandard_size_rejected(self):
-        bed = build_testbed(seed=0, start_time=AUG_2001)
-        with pytest.raises(ValueError):
-            ActiveProber(bed, "LBL", "ANL",
-                         config=ActiveProbeConfig(size=123_456_789))
 
     def test_double_start_rejected(self):
         bed = build_testbed(seed=0, start_time=AUG_2001)
